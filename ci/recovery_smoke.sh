@@ -3,7 +3,9 @@
 # resumed from its last periodic checkpoint; the resumed run's final JSON
 # statistics must be byte-identical to an uninterrupted reference run. A
 # corrupted checkpoint must be rejected with a clean error, not a panic or a
-# silently wrong resume.
+# silently wrong resume. Resuming a run that already finished must change
+# nothing: same simulated line and an untouched checkpoint file, on one
+# channel and on four.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,5 +81,20 @@ grep -q "checksum mismatch" "$workdir/corrupt.log" || {
     exit 1
 }
 echo "corrupted checkpoint rejected cleanly (exit $rc)"
+
+echo "== resuming a finished run is idempotent"
+for ch in 1 4; do
+    fin=(-pattern random -requests 20000 -channels "$ch" -checkpoint "$workdir/fin$ch.ckpt")
+    "$workdir/dramctrl" "${fin[@]}" 2>/dev/null | grep '^simulated' >"$workdir/fin$ch.0"
+    cp "$workdir/fin$ch.ckpt" "$workdir/fin$ch.ckpt.0"
+    for i in 1 2; do
+        "$workdir/dramctrl" "${fin[@]}" -resume 2>/dev/null | grep '^simulated' >"$workdir/fin$ch.$i"
+        if ! cmp "$workdir/fin$ch.0" "$workdir/fin$ch.$i" || ! cmp "$workdir/fin$ch.ckpt" "$workdir/fin$ch.ckpt.0"; then
+            echo "FAIL: -channels $ch resume $i of a finished run moved the end tick or the checkpoint" >&2
+            exit 1
+        fi
+    done
+    echo "-channels $ch: $(cat "$workdir/fin$ch.0"), twice more"
+done
 
 echo "PASS: recovery smoke"

@@ -1,0 +1,165 @@
+package main
+
+// In-process coverage of the one run path, on both topologies: the core
+// assertions of ci/recovery_smoke.sh and ci/trace_smoke.sh (which tier-1 never
+// runs), plus every flag being honoured or rejected on -channels > 1.
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// topologies are the flag prefixes selecting each wiring.
+var topologies = map[string][]string{
+	"1ch": {"-pattern", "random", "-reads", "67", "-requests", "3000"},
+	"4ch": {"-pattern", "random", "-reads", "67", "-requests", "3000", "-channels", "4", "-parallel", "2"},
+}
+
+// dramctrl runs the tool in-process and returns its stdout.
+func dramctrl(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(args, &out)
+	return out.String(), err
+}
+
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := dramctrl(t, args...)
+	if err != nil {
+		t.Fatalf("dramctrl %s: %v", strings.Join(args, " "), err)
+	}
+	return out
+}
+
+func read(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+var simulatedLine = regexp.MustCompile(`(?m)^simulated .*$`)
+
+// Resuming a FINISHED run must change nothing: same simulated line, same
+// statistics, same checkpoint bytes — however often it is repeated.
+func TestResumeOfFinishedRunIsIdempotent(t *testing.T) {
+	for name, topo := range topologies {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckpt, js := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "stats.json")
+			args := append(topo[:len(topo):len(topo)], "-checkpoint", ckpt, "-json", js)
+			first := simulatedLine.FindString(mustRun(t, args...))
+			wantCkpt, wantJSON := read(t, ckpt), read(t, js)
+			if first == "" {
+				t.Fatal("no simulated line in the output")
+			}
+			for i := 1; i <= 2; i++ {
+				if got := simulatedLine.FindString(mustRun(t, append(args, "-resume")...)); got != first {
+					t.Errorf("resume %d: %q, first run %q", i, got, first)
+				}
+				if !bytes.Equal(read(t, js), wantJSON) {
+					t.Errorf("resume %d: statistics changed", i)
+				}
+				if !bytes.Equal(read(t, ckpt), wantCkpt) {
+					t.Errorf("resume %d: checkpoint file changed", i)
+				}
+			}
+		})
+	}
+}
+
+// A run that dies mid-flight (here: the watchdog's event budget) and is
+// resumed from its last periodic checkpoint must finish with the statistics
+// — and, when traced, the trace file — of the uninterrupted run, byte for
+// byte.
+func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
+	for name, topo := range topologies {
+		for _, traced := range []bool{false, true} {
+			t.Run(name+map[bool]string{false: "", true: "-traced"}[traced], func(t *testing.T) {
+				dir := t.TempDir()
+				file := func(n string) string { return filepath.Join(dir, n) }
+				with := func(js, trace string, extra ...string) []string {
+					args := append(topo[:len(topo):len(topo)], "-json", js)
+					if traced {
+						args = append(args, "-trace", trace)
+					}
+					return append(args, extra...)
+				}
+				mustRun(t, with(file("ref.json"), file("ref.trace"))...)
+
+				ckpt := []string{"-checkpoint", file("run.ckpt"), "-checkpoint-every", "2000"}
+				_, err := dramctrl(t, with(file("run.json"), file("run.trace"), append(ckpt, "-max-events", "4000")...)...)
+				if err == nil || !strings.Contains(err.Error(), "watchdog") {
+					t.Fatalf("victim run: err = %v, want a watchdog trip", err)
+				}
+				if _, err := os.Stat(file("run.json")); err == nil {
+					t.Fatal("victim run wrote its statistics: it finished before the trip")
+				}
+				if _, err := os.Stat(file("run.ckpt")); err != nil {
+					t.Fatalf("victim run left no periodic checkpoint to resume from: %v", err)
+				}
+				mustRun(t, with(file("run.json"), file("run.trace"), append(ckpt, "-resume")...)...)
+
+				if !bytes.Equal(read(t, file("run.json")), read(t, file("ref.json"))) {
+					t.Error("resumed statistics differ from the uninterrupted run")
+				}
+				if traced && !bytes.Equal(read(t, file("run.trace")), read(t, file("ref.trace"))) {
+					t.Error("resumed trace differs from the uninterrupted run")
+				}
+			})
+		}
+	}
+}
+
+// Every simulation-shaping flag is honoured on both topologies or rejected;
+// none is silently ignored on -channels > 1.
+func TestShardedHonoursOrRejectsFlags(t *testing.T) {
+	base := []string{"-channels", "2", "-pattern", "random", "-requests", "2000"}
+	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
+	bandwidth := regexp.MustCompile(`(?m)^aggregate bandwidth .*$`)
+
+	frfcfs := bandwidth.FindString(mustRun(t, base...))
+	if fcfs := bandwidth.FindString(mustRun(t, with("-sched", "fcfs")...)); fcfs == frfcfs || fcfs == "" {
+		t.Errorf("-sched fcfs printed %q, the default scheduler %q", fcfs, frfcfs)
+	}
+
+	if _, err := dramctrl(t, with("-max-events", "10")...); err == nil ||
+		!regexp.MustCompile(`watchdog: event limit 10 reached at \d+`).MatchString(err.Error()) {
+		t.Errorf("-max-events 10: err = %v, want the watchdog's tick-stamped error", err)
+	}
+
+	for _, flags := range [][]string{
+		{"-interval", "1000"}, {"-fault-seed", "7"}, {"-ecc-latency", "20"}, {"-retry-limit", "2"},
+		{"-ber-correctable", "0.01"}, {"-trace-out", "cap.txt"}, {"-obs-sample", "1000"},
+		{"-model", "cycle", "-sched", "fcfs"},
+	} {
+		if _, err := dramctrl(t, with(flags...)...); err == nil || !strings.Contains(err.Error(), "single-channel only") {
+			t.Errorf("%v: err = %v, want a single-channel-only rejection", flags, err)
+		}
+	}
+
+	if out := mustRun(t, with("-list")...); !strings.Contains(out, "DDR3-1600-x64") || strings.Contains(out, "simulated") {
+		t.Errorf("-list with -channels 2 did not list the specs:\n%s", out)
+	}
+}
+
+// The fingerprint covers what the sharded path now honours: a checkpoint is
+// not resumed under another scheduler or lookahead.
+func TestFingerprintCoversShardedKnobs(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	base := []string{"-channels", "2", "-requests", "2000", "-checkpoint", ckpt}
+	mustRun(t, base...)
+	for _, flags := range [][]string{{"-sched", "fcfs"}, {"-lookahead-quanta", "8"}} {
+		_, err := dramctrl(t, append(append(base[:len(base):len(base)], "-resume"), flags...)...)
+		if err == nil || !strings.Contains(err.Error(), "configuration mismatch") {
+			t.Errorf("resume with %v: err = %v, want a configuration mismatch", flags, err)
+		}
+	}
+}

@@ -30,6 +30,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
 
@@ -111,7 +112,7 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 		return err
 	}
 
-	done := func() bool { return false }
+	var src system.Source
 	if traceIn != "" {
 		f, err := os.Open(traceIn)
 		if err != nil {
@@ -124,8 +125,7 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 		}
 		player := trafficgen.NewTracePlayer(k, recs, 0)
 		mem.Connect(player.Port(), ctrl.Port())
-		player.Start()
-		done = player.Done
+		src = player
 		fmt.Printf("replaying %d records from %s\n", len(recs), traceIn)
 	} else {
 		pattern, err := traffic.BuildPattern(spec, mapping, 1)
@@ -137,24 +137,15 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 			return err
 		}
 		mem.Connect(gen.Port(), ctrl.Port())
-		gen.Start()
-		done = gen.Done
+		src = gen
 	}
 
-	for k.Now() < 100*sim.Second {
-		if _, err := k.RunUntilErr(k.Now() + 10*sim.Microsecond); err != nil {
-			return err
-		}
-		if done() {
-			if !ctrl.Quiescent() {
-				ctrl.Drain()
-				continue
-			}
-			break
-		}
+	sess := system.NewSession(k, reg, ctrl, src)
+	if sink != nil {
+		sess.OnStep = sink.Flush
 	}
-	if !done() {
-		return fmt.Errorf("simulation did not complete by %s", k.Now())
+	if err := sess.Run(100 * sim.Second); err != nil {
+		return err
 	}
 	// Close any open low-power interval so the recorded stream is balanced:
 	// a replayed oracle sees the same PDE/PDX pairing the live checker did.

@@ -24,6 +24,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
 
@@ -250,21 +251,8 @@ func runStandardSmoke(spec dram.Spec, requests uint64) (*power.CommandTrace, flo
 		return nil, 0, err
 	}
 	mem.Connect(gen.Port(), ctrl.Port())
-	gen.Start()
-	for k.Now() < 100*sim.Second {
-		if _, err := k.RunUntilErr(k.Now() + 10*sim.Microsecond); err != nil {
-			return nil, 0, err
-		}
-		if gen.Done() {
-			if !ctrl.Quiescent() {
-				ctrl.Drain()
-				continue
-			}
-			break
-		}
-	}
-	if !gen.Done() {
-		return nil, 0, fmt.Errorf("%s smoke did not complete by %s", spec.Name, k.Now())
+	if err := system.NewSession(k, reg, ctrl, gen).Run(100 * sim.Second); err != nil {
+		return nil, 0, fmt.Errorf("%s smoke: %w", spec.Name, err)
 	}
 	return &trace, ctrl.Bandwidth(), nil
 }
@@ -354,21 +342,10 @@ func runTraced(path string, requests uint64) (power.Activity, error) {
 		return power.Activity{}, err
 	}
 	mem.Connect(gen.Port(), ctrl.Port())
-	gen.Start()
-	for k.Now() < 100*sim.Second {
-		if _, err := k.RunUntilErr(k.Now() + 10*sim.Microsecond); err != nil {
-			return power.Activity{}, err
-		}
-		if gen.Done() {
-			if !ctrl.Quiescent() {
-				ctrl.Drain()
-				continue
-			}
-			break
-		}
-	}
-	if !gen.Done() {
-		return power.Activity{}, fmt.Errorf("traced run did not complete by %s", k.Now())
+	sess := system.NewSession(k, reg, ctrl, gen)
+	sess.OnStep = sink.Flush
+	if err := sess.Run(100 * sim.Second); err != nil {
+		return power.Activity{}, fmt.Errorf("traced run: %w", err)
 	}
 	// Close any open low-power interval so trace spans and residency
 	// counters cover identical time.

@@ -10,7 +10,7 @@ import (
 
 // Fpcover closes the loop between config structs and checkpoint
 // fingerprints. Resume-compatibility and sweep-dedup both key on a
-// fingerprint string (cfgFromFlags.fingerprint, shardedFlags.fingerprint,
+// fingerprint string (dramctrl's options.fingerprint,
 // sweepPointFingerprint, farm.Point.Fingerprint): two runs with equal
 // fingerprints are assumed interchangeable. That assumption breaks silently
 // every time someone adds a behavior-shaping knob without threading it into

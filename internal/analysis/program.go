@@ -134,7 +134,7 @@ func (p *Program) FuncAt(pkg *Package, fd *ast.FuncDecl) *types.Func {
 // value, assigned to a field) inside fn's body, including inside function
 // literals it declares. Treating a reference as a potential call makes
 // reachability conservative in the presence of function-valued fields — the
-// link's deliver hook, the rig's OnQuantum — which is the right direction
+// link's deliver hook, the session's OnStep — which is the right direction
 // for an isolation checker: a function whose address escapes into a callback
 // slot may run wherever that slot is invoked.
 func (p *Program) Refs(fn *types.Func) []*types.Func {

@@ -14,7 +14,7 @@ import (
 // quantum every channel shard advances its own kernel on its own goroutine;
 // the only legal cross-shard traffic is the mem.ShardLink pipe, and the only
 // legal place to drain it is the single-threaded barrier section between
-// quanta (system.Rig.Step calls Flush there, after every worker has parked).
+// quanta (system.Session.Step calls Flush there, after every worker has parked).
 // A barrier-only function that becomes reachable from shard-side code — an
 // event callback, a port Recv* handler — is a data race that no -race run
 // catches until two shards happen to collide, and a determinism leak even

@@ -12,32 +12,25 @@ import (
 // Adapters wrap infrastructure that should not depend on the checkpoint
 // package (the kernel, the stats registry) into Checkpointable components.
 
-// kernelState is the serialized clock of one kernel. The event queue is NOT
-// here by design: each component re-creates its own events on restore.
-type kernelState struct {
-	Now      sim.Tick `json:"now"`
-	Executed uint64   `json:"executed"`
-	SameTick uint64   `json:"sametick"`
-}
-
 type kernelAdapter struct{ k *sim.Kernel }
 
 // WrapKernel returns a Checkpointable that saves and restores a kernel's
-// clock (tick, executed-event count, watchdog same-tick run). Register one
-// per kernel, before the components scheduled on it.
+// clock (sim.Clock: tick, executed-event count, watchdog same-tick run, next
+// sequence number). The event queue is NOT in it by design: each component
+// re-creates its own events on restore. Register one per kernel, before the
+// components scheduled on it.
 func WrapKernel(k *sim.Kernel) Checkpointable { return kernelAdapter{k: k} }
 
 func (a kernelAdapter) CheckpointSave(mem.PacketTable) (any, error) {
-	now, executed, sameTick := a.k.ClockState()
-	return kernelState{Now: now, Executed: executed, SameTick: sameTick}, nil
+	return a.k.ClockState(), nil
 }
 
 func (a kernelAdapter) CheckpointRestore(_ mem.PacketLookup, rs sim.Restorer, data []byte) error {
-	var st kernelState
+	var st sim.Clock
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("kernel restore: %w", err)
 	}
-	rs.WarpClock(a.k, st.Now, st.Executed, st.SameTick)
+	rs.WarpClock(a.k, st)
 	return nil
 }
 

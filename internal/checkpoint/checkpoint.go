@@ -37,8 +37,10 @@ import (
 )
 
 // Version is the checkpoint format version; bumped on any incompatible
-// change to the framing, the body schema, or a component's section schema.
-const Version = 1
+// change to the framing, the body schema, a component's section schema, or
+// the section names (v2: every topology registers through system.Session, so
+// single-kernel sections became front/mc0/gen0).
+const Version = 2
 
 // Checkpointable is implemented by every component that owns simulation
 // state. CheckpointSave returns a JSON-serializable image of the component
@@ -116,15 +118,9 @@ type restoreCtx struct {
 	pkts []*mem.Packet
 
 	kernels []*sim.Kernel // first-warp order
-	warps   map[*sim.Kernel]clockWarp
+	warps   map[*sim.Kernel]sim.Clock
 	defers  []deferred
 	err     error
-}
-
-type clockWarp struct {
-	now      sim.Tick
-	executed uint64
-	sameTick uint64
 }
 
 type deferred struct {
@@ -142,12 +138,11 @@ func (c *restoreCtx) PacketByRef(ref int) *mem.Packet {
 	return c.pkts[ref]
 }
 
-func (c *restoreCtx) WarpClock(k *sim.Kernel, now sim.Tick, executed, sameTick uint64) {
-	w := clockWarp{now: now, executed: executed, sameTick: sameTick}
+func (c *restoreCtx) WarpClock(k *sim.Kernel, w sim.Clock) {
 	if prev, ok := c.warps[k]; ok {
 		if prev != w && c.err == nil {
 			c.err = fmt.Errorf("checkpoint: conflicting clock warps for one kernel (%s/%d vs %s/%d)",
-				prev.now, prev.executed, now, executed)
+				prev.Now, prev.Executed, w.Now, w.Executed)
 		}
 		return
 	}
@@ -160,18 +155,25 @@ func (c *restoreCtx) Defer(seq uint64, fn func()) {
 }
 
 // commit applies the registered clock warps, then replays the deferred
-// re-schedules in saved-seq order.
+// re-schedules in saved-seq order, handing each its saved seq back (seqs are
+// per kernel and a deferred call does not say which kernel it schedules on,
+// so every kernel's counter is positioned; the saved counters go back last).
 func (c *restoreCtx) commit() error {
 	if c.err != nil {
 		return c.err
 	}
 	for _, k := range c.kernels {
-		w := c.warps[k]
-		k.RestoreClock(w.now, w.executed, w.sameTick)
+		k.RestoreClock(c.warps[k])
 	}
 	sort.SliceStable(c.defers, func(i, j int) bool { return c.defers[i].seq < c.defers[j].seq })
 	for _, d := range c.defers {
+		for _, k := range c.kernels {
+			k.RestoreSeq(d.seq)
+		}
 		d.fn()
+	}
+	for _, k := range c.kernels {
+		k.RestoreSeq(c.warps[k].NextSeq)
 	}
 	return nil
 }

@@ -18,8 +18,8 @@ import (
 // so a torn or bit-rotted file produces a clean error, never a panic or a
 // silently wrong resume.
 //
-//	DRAMCKPT v1 crc32=9a3e12f0 len=8412
-//	{"version":1,"fingerprint":...}
+//	DRAMCKPT v2 crc32=9a3e12f0 len=8412
+//	{"version":2,"fingerprint":...}
 
 const magic = "DRAMCKPT"
 
@@ -114,7 +114,7 @@ func (m *Manager) Restore(data []byte) error {
 		return fmt.Errorf("checkpoint: configuration mismatch:\n  checkpoint: %s\n  this run:   %s",
 			b.Fingerprint, m.fingerprint)
 	}
-	ctx := &restoreCtx{warps: make(map[*sim.Kernel]clockWarp)}
+	ctx := &restoreCtx{warps: make(map[*sim.Kernel]sim.Clock)}
 	ctx.pkts = make([]*mem.Packet, len(b.Packets))
 	for i, ps := range b.Packets {
 		ctx.pkts[i] = ps.Materialize()

@@ -6,6 +6,7 @@ package checkpoint_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,7 +97,7 @@ func TestRestoreRejectsForeignFile(t *testing.T) {
 
 func TestRestoreRejectsFutureVersion(t *testing.T) {
 	err := restoreErr(t, func(img []byte) []byte {
-		s := strings.Replace(string(img), "DRAMCKPT v1 ", "DRAMCKPT v99 ", 1)
+		s := strings.Replace(string(img), fmt.Sprintf("DRAMCKPT v%d ", checkpoint.Version), "DRAMCKPT v99 ", 1)
 		return []byte(s)
 	})
 	wantErr(t, err, "format v99")

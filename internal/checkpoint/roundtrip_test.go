@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/sim"
@@ -22,15 +21,8 @@ import (
 	"repro/internal/xbar"
 )
 
-// session is the slice of the system session types the tests drive; all three
-// rig sessions satisfy it.
-type session interface {
-	Manager() *checkpoint.Manager
-	Now() sim.Tick
-	Start()
-	Step() (bool, error)
-	Close()
-}
+// session is what every rig's NewSession returns.
+type session = *system.Session
 
 // runToEnd steps a started (or restored) session to completion.
 func runToEnd(t *testing.T, s session) {
@@ -285,30 +277,117 @@ func TestShardedResumeBitIdentical(t *testing.T) {
 	}
 }
 
+func buildMultiChannelRig(t *testing.T, requests uint64) *system.MultiChannelRig {
+	t.Helper()
+	rig, err := system.NewMultiChannelRig(system.MultiChannelConfig{
+		Kind:     system.EventBased,
+		Spec:     dram.DDR3_1333_8x8(),
+		Mapping:  dram.RoRaBaCoCh,
+		Channels: 2,
+		Xbar:     xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
+		Gens: []trafficgen.Config{{
+			RequestBytes:   64,
+			MaxOutstanding: 32,
+			Count:          requests,
+		}},
+		Patterns: []trafficgen.Pattern{randomPattern()},
+	})
+	if err != nil {
+		t.Fatalf("build multi-channel rig: %v", err)
+	}
+	return rig
+}
+
+// TestCompletionCheckpointRestoresDone closes the matrix at its far end: a
+// session restored from the checkpoint of a FINISHED run must report done on
+// its first Step without advancing — same Now, same statistics, and saving it
+// again yields the same bytes — for every topology, both models, fixed and
+// adaptive quanta, and any worker count. (Advancing past the recorded end
+// skews every time-normalised statistic; bus utilisation divides by Now.)
+func TestCompletionCheckpointRestoresDone(t *testing.T) {
+	const requests = 1000
+	type built struct {
+		s   session
+		reg *stats.Registry
+	}
+	open := func(s session, err error, reg *stats.Registry) built {
+		if err != nil {
+			t.Fatalf("session: %v", err)
+		}
+		return built{s, reg}
+	}
+	type matrixCase struct {
+		name  string
+		build func(workers int) built
+	}
+	cases := []matrixCase{{"multichannel", func(int) built {
+		r := buildMultiChannelRig(t, requests)
+		s, err := r.NewSession("fp", sim.Second)
+		return open(s, err, r.Reg)
+	}}}
+	for _, tc := range trafficCases() {
+		cases = append(cases, matrixCase{"traffic-" + tc.name, func(int) built {
+			r := buildTrafficRig(t, tc, requests)
+			s, err := r.NewSession("fp", sim.Second)
+			return open(s, err, r.Reg)
+		}})
+	}
+	for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
+		for _, quanta := range []int{1, 8} {
+			cases = append(cases, matrixCase{fmt.Sprintf("sharded-%s-q%d", kind, quanta), func(workers int) built {
+				r := buildShardedRig(t, kind, workers, quanta, requests)
+				s, err := r.NewSession("fp", sim.Second)
+				return open(s, err, r.Reg)
+			}})
+		}
+	}
+	for _, c := range cases {
+		build := c.build
+		t.Run(c.name, func(t *testing.T) {
+			ref := build(1)
+			ref.s.Start()
+			runToEnd(t, ref.s)
+			ref.s.Close()
+			img, err := ref.s.Manager().Save()
+			if err != nil {
+				t.Fatalf("save: %v", err)
+			}
+			want := dumpStats(t, ref.reg)
+
+			for _, workers := range []int{1, 3} {
+				res := build(workers)
+				defer res.s.Close()
+				if err := res.s.Manager().Restore(img); err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				done, err := res.s.Step()
+				if err != nil || !done {
+					t.Fatalf("workers=%d: Step on a restored finished run = (%v, %v), want done", workers, done, err)
+				}
+				if res.s.Now() != ref.s.Now() {
+					t.Errorf("workers=%d: Step advanced a finished run from %s to %s", workers, ref.s.Now(), res.s.Now())
+				}
+				if got := dumpStats(t, res.reg); !bytes.Equal(got, want) {
+					t.Errorf("workers=%d: statistics changed across restore+Step", workers)
+				}
+				again, err := res.s.Manager().Save()
+				if err != nil {
+					t.Fatalf("re-save: %v", err)
+				}
+				if !bytes.Equal(again, img) {
+					t.Errorf("workers=%d: re-saved checkpoint differs from the one restored", workers)
+				}
+			}
+		})
+	}
+}
+
 // TestMultiChannelResumeBitIdentical covers the single-kernel crossbar
 // topology, whose checkpoint must carry the crossbar queues and the
 // request-origin map.
 func TestMultiChannelResumeBitIdentical(t *testing.T) {
 	const requests = 2000
-	build := func() *system.MultiChannelRig {
-		rig, err := system.NewMultiChannelRig(system.MultiChannelConfig{
-			Kind:     system.EventBased,
-			Spec:     dram.DDR3_1333_8x8(),
-			Mapping:  dram.RoRaBaCoCh,
-			Channels: 2,
-			Xbar:     xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-			Gens: []trafficgen.Config{{
-				RequestBytes:   64,
-				MaxOutstanding: 32,
-				Count:          requests,
-			}},
-			Patterns: []trafficgen.Pattern{randomPattern()},
-		})
-		if err != nil {
-			t.Fatalf("build multi-channel rig: %v", err)
-		}
-		return rig
-	}
+	build := func() *system.MultiChannelRig { return buildMultiChannelRig(t, requests) }
 	const fp = "roundtrip/multichannel"
 	deadline := sim.Second
 

@@ -131,21 +131,14 @@ func runParallelPoint(cfg system.ShardedConfig) (time.Duration, float64, uint64,
 	if err != nil {
 		return 0, 0, 0, "", err
 	}
-	sess, err := rig.NewSession("", 100*sim.Second)
+	sess, err := rig.NewSession("", 0) // Run sets the deadline
 	if err != nil {
 		return 0, 0, 0, "", err
 	}
 	defer sess.Close()
 	start := time.Now()
-	sess.Start()
-	for {
-		done, err := sess.Step()
-		if err != nil {
-			return 0, 0, 0, "", fmt.Errorf("experiments: sharded run ch=%d w=%d: %w", cfg.Channels, cfg.Workers, err)
-		}
-		if done {
-			break
-		}
+	if err := sess.Run(100 * sim.Second); err != nil {
+		return 0, 0, 0, "", fmt.Errorf("experiments: sharded run ch=%d w=%d: %w", cfg.Channels, cfg.Workers, err)
 	}
 	host := time.Since(start)
 	var buf bytes.Buffer

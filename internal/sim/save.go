@@ -21,9 +21,24 @@ type EventState struct {
 }
 
 // Capture returns the event's current scheduling state for checkpointing.
-// When and Seq are only meaningful while Scheduled is true.
+// When and Seq are only meaningful while Scheduled is true, and an idle event
+// captures as the zero state — whatever it last fired at — so that saving,
+// restoring and saving again yields the same bytes.
 func (e *Event) Capture() EventState {
-	return EventState{When: e.when, Seq: e.seq, Scheduled: e.scheduled}
+	if !e.scheduled {
+		return EventState{}
+	}
+	return EventState{When: e.when, Seq: e.seq, Scheduled: true}
+}
+
+// Clock is a kernel's serializable clock state: the current tick, the
+// executed-event count, the same-tick run length the watchdog tracks, and
+// the sequence number the next scheduling will draw.
+type Clock struct {
+	Now      Tick   `json:"now"`
+	Executed uint64 `json:"executed"`
+	SameTick uint64 `json:"sametick"`
+	NextSeq  uint64 `json:"seq"`
 }
 
 // Restorer is handed to components while a checkpoint is being restored.
@@ -31,24 +46,24 @@ func (e *Event) Capture() EventState {
 // the clock warp for their kernel and defer the re-schedule of every event
 // that was pending at save time. Nothing touches the kernel queue until the
 // checkpoint manager commits: clocks warp first, then deferred re-schedules
-// run ordered by their saved seq.
+// run ordered by their saved seq, each drawing exactly that seq again — a
+// restored kernel is indistinguishable from the one that was saved, so
+// saving it again yields the same bytes.
 type Restorer interface {
 	// WarpClock records that kernel k must resume at the given clock state.
 	// Calling it more than once for the same kernel with identical state is
 	// allowed (several components may share a kernel); conflicting states are
 	// a restore error.
-	WarpClock(k *Kernel, now Tick, executed, sameTick uint64)
+	WarpClock(k *Kernel, c Clock)
 	// Defer registers fn to run at commit, ordered by the seq the
-	// corresponding event held at save time. fn typically calls Schedule or
-	// Call on the (already warped) kernel.
+	// corresponding event held at save time. fn schedules exactly one event
+	// (Schedule or Call) on the already warped kernel.
 	Defer(seq uint64, fn func())
 }
 
-// ClockState returns the kernel's serializable clock state: the current
-// tick, the executed-event count, and the same-tick run length the watchdog
-// tracks.
-func (k *Kernel) ClockState() (now Tick, executed, sameTick uint64) {
-	return k.now, k.executed, k.sameTick
+// ClockState returns the kernel's serializable clock state.
+func (k *Kernel) ClockState() Clock {
+	return Clock{Now: k.now, Executed: k.executed, SameTick: k.sameTick, NextSeq: k.nextSeq}
 }
 
 // RestoreClock warps the kernel to a checkpointed clock state. It requires
@@ -56,7 +71,7 @@ func (k *Kernel) ClockState() (now Tick, executed, sameTick uint64) {
 // their constructors armed before the warp — and discards any tombstones left
 // in the queue. Re-schedules for checkpointed events follow via
 // Restorer.Defer.
-func (k *Kernel) RestoreClock(now Tick, executed, sameTick uint64) {
+func (k *Kernel) RestoreClock(c Clock) {
 	if k.pending != 0 {
 		panic(fmt.Sprintf("sim: RestoreClock with %d events still pending (now %s)", k.pending, k.now))
 	}
@@ -66,10 +81,16 @@ func (k *Kernel) RestoreClock(now Tick, executed, sameTick uint64) {
 	k.far.s = k.far.s[:0]
 	k.farLive = 0
 	k.inWindow = 0
-	k.now = now
-	k.executed = executed
-	k.sameTick = sameTick
-	k.curBucket = bucketOf(now)
+	k.now = c.Now
+	k.executed = c.Executed
+	k.sameTick = c.SameTick
+	k.nextSeq = c.NextSeq
+	k.curBucket = bucketOf(c.Now)
 	k.curIdx = 0
 	k.curSorted = false
 }
+
+// RestoreSeq sets the sequence number the next scheduling draws. Restore
+// only: the checkpoint manager uses it so each deferred re-schedule gets its
+// saved seq back.
+func (k *Kernel) RestoreSeq(seq uint64) { k.nextSeq = seq }

@@ -3,9 +3,7 @@ package system
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/cyclesim"
 	"repro/internal/dram"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -68,43 +66,33 @@ type ShardedConfig struct {
 	// way the schedule, and so every statistic, is identical.
 	//fp:skip worker-count independence is the contract: excluding it is what lets a checkpoint taken under -parallel 4 resume under -parallel 1
 	Workers int
-	// Lookahead is the one-way channel-link latency and the barrier
-	// quantum. 0 defaults to the crossbar latency (or 1ns if that is 0).
-	//fp:skip nothing sets it today (every rig takes the crossbar-latency default); like AdaptiveQuanta it shifts the barrier schedule, so the first caller to set it must fingerprint it
-	Lookahead sim.Tick
 	// AdaptiveQuanta widens the barrier quantum when the system is idle: a
-	// value Q > 1 lets Step advance up to Q*Lookahead per barrier, bounded
-	// by the earliest pending event plus the lookahead (see Step for the
-	// safety argument). 0 or 1 keeps the fixed quantum. The adaptive and
-	// fixed schedules are EACH deterministic and worker-count independent,
-	// but they differ from each other (barrier ticks shift event sequence
-	// numbers), so AdaptiveQuanta belongs in any checkpoint fingerprint.
+	// value Q > 1 lets Step advance up to Q lookaheads per barrier, bounded
+	// by the earliest pending event plus the lookahead (see Session.horizon
+	// for the safety argument). 0 or 1 keeps the fixed quantum. The adaptive
+	// and fixed schedules are EACH deterministic and worker-count
+	// independent, but they differ from each other (barrier ticks shift event
+	// sequence numbers), so AdaptiveQuanta belongs in any checkpoint
+	// fingerprint.
 	AdaptiveQuanta int
-	// TuneEvent and TuneCycle optionally adjust the matched controller
-	// configurations, as in RigConfig. Function-valued, so the fingerprint
-	// cannot see through them: a caller that tunes and checkpoints must fold
-	// the tuned knobs into its fingerprint itself (dramctrl's sharded runner
-	// does exactly that for the power-state idle times).
+	// TuneEvent optionally adjusts the matched event-based controller
+	// configuration, as in RigConfig. Function-valued, so the fingerprint
+	// cannot see through it: a caller that tunes and checkpoints must fold
+	// the tuned knobs into its fingerprint itself (dramctrl does exactly that
+	// for the scheduler and the power-state idle times).
 	//fp:skip function-valued; callers fold the knobs they tune into their own fingerprint
 	TuneEvent func(*core.Config)
-	//fp:skip function-valued; callers fold the knobs they tune into their own fingerprint
-	TuneCycle func(*cyclesim.Config)
 	// FrontProbes feeds observability events from the frontend shard (the
-	// crossbar, plus the rig's quantum-barrier events). Probes attached here
-	// run on the frontend kernel's goroutine only.
+	// crossbar, plus the session's quantum-barrier events). Probes attached
+	// here run on the frontend kernel's goroutine only.
 	//fp:skip probes only observe; results never depend on them
 	FrontProbes *obs.Hub
 	// ShardProbes optionally gives each channel shard its own hub (length
 	// must be 0 or Channels). Per-shard probes run on that shard's worker
 	// goroutine during quanta, so each must touch only its own state; merge
-	// results in OnQuantum, which runs in the single-threaded barrier.
+	// results in Session.OnStep, which runs in the single-threaded barrier.
 	//fp:skip probes only observe; results never depend on them
 	ShardProbes []*obs.Hub
-	// OnQuantum, when set, runs in the single-threaded barrier section at
-	// the end of every Step — the place to drain per-shard probe buffers in
-	// deterministic shard order (e.g. obs.TraceSink.Flush).
-	//fp:skip observation drain hook; it reads simulation state but never writes it
-	OnQuantum func()
 }
 
 // ShardedRig is the parallel counterpart of MultiChannelRig: generators and
@@ -123,70 +111,30 @@ type ShardedRig struct {
 	lookahead      sim.Tick
 	adaptiveQuanta int
 	frontHub       *obs.Hub // nil when no frontend probe is attached
-	onQuantum      func()
-}
-
-// buildShardController builds one channel controller with the rig's tuning
-// hooks applied; cfg.Channels tells the address decoder how many channel
-// bits the crossbar already consumed.
-func buildShardController(k *sim.Kernel, cfg ShardedConfig, reg *stats.Registry, hub *obs.Hub, name string) (Controller, error) {
-	switch cfg.Kind {
-	case EventBased:
-		c := MatchedEventConfig(cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage)
-		if cfg.TuneEvent != nil {
-			cfg.TuneEvent(&c)
-		}
-		c.Probes = hub
-		return core.NewController(k, c, reg, name)
-	case CycleBased:
-		c := MatchedCycleConfig(cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage)
-		if cfg.TuneCycle != nil {
-			cfg.TuneCycle(&c)
-		}
-		c.Probes = hub
-		return cyclesim.NewController(k, c, reg, name)
-	}
-	return nil, fmt.Errorf("system: unknown controller kind %d", cfg.Kind)
 }
 
 // NewShardedRig builds the sharded multi-channel system.
 func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
-	if len(cfg.Gens) != len(cfg.Patterns) || len(cfg.Gens) == 0 {
-		return nil, fmt.Errorf("system: generators (%d) and patterns (%d) must pair up", len(cfg.Gens), len(cfg.Patterns))
-	}
 	if cfg.Channels <= 0 {
 		return nil, fmt.Errorf("system: sharded rig needs at least one channel")
 	}
-	lookahead := cfg.Lookahead
-	if lookahead == 0 {
-		lookahead = cfg.Xbar.Latency
+	if len(cfg.ShardProbes) != 0 && len(cfg.ShardProbes) != cfg.Channels {
+		return nil, fmt.Errorf("system: ShardProbes must be empty or one hub per channel (%d given, %d channels)",
+			len(cfg.ShardProbes), cfg.Channels)
 	}
+	// The one-way link latency, and so the barrier quantum, is the crossbar
+	// latency (or 1ns if that is 0).
+	lookahead := cfg.Xbar.Latency
 	if lookahead <= 0 {
 		lookahead = sim.Nanosecond
 	}
 
 	front := sim.NewKernel()
 	reg := stats.NewRegistry("sys")
-	dec, err := dram.NewDecoder(cfg.Spec.Org, cfg.Mapping, cfg.Channels)
-	if err != nil {
-		return nil, err
-	}
-	// Route at the mapping's interleave granularity, widened so no request
-	// straddles a channel (the paper's cache-line-or-page default, §II-F).
-	gran := dec.InterleaveBytes()
-	for _, g := range cfg.Gens {
-		for gran < g.RequestBytes {
-			gran *= 2
-		}
-	}
-	if len(cfg.ShardProbes) != 0 && len(cfg.ShardProbes) != cfg.Channels {
-		return nil, fmt.Errorf("system: ShardProbes must be empty or one hub per channel (%d given, %d channels)",
-			len(cfg.ShardProbes), cfg.Channels)
-	}
-	route := xbar.InterleaveRoute(cfg.Channels, gran)
+	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, cfg.TuneEvent}
 	xcfg := cfg.Xbar
 	xcfg.Probes = cfg.FrontProbes
-	xb, err := xbar.New(front, xcfg, route, reg, "xbar")
+	xb, err := genXbar(front, reg, xcfg, cc, cfg.Gens, cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +146,6 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 		lookahead:      lookahead,
 		adaptiveQuanta: cfg.AdaptiveQuanta,
 		frontHub:       cfg.FrontProbes.OrNil(),
-		onQuantum:      cfg.OnQuantum,
 	}
 	for i := 0; i < cfg.Channels; i++ {
 		ck := sim.NewKernel()
@@ -212,7 +159,7 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 		if len(cfg.ShardProbes) > 0 {
 			shardHub = cfg.ShardProbes[i]
 		}
-		ctrl, err := buildShardController(ck, cfg, shardReg, shardHub, fmt.Sprintf("mc%d", i))
+		ctrl, err := cc.build(ck, shardReg, shardHub, fmt.Sprintf("mc%d", i))
 		if err != nil {
 			return nil, err
 		}
@@ -224,13 +171,8 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 		rig.Ctrls = append(rig.Ctrls, ctrl)
 		rig.Links = append(rig.Links, link)
 	}
-	for i := range cfg.Gens {
-		gen, err := trafficgen.New(front, cfg.Gens[i], cfg.Patterns[i], reg, fmt.Sprintf("gen%d", i))
-		if err != nil {
-			return nil, err
-		}
-		mem.Connect(gen.Port(), xb.AttachRequestor("gen"))
-		rig.Gens = append(rig.Gens, gen)
+	if rig.Gens, err = attachGens(front, reg, xb, cfg.Gens, cfg.Patterns); err != nil {
+		return nil, err
 	}
 	return rig, nil
 }
@@ -238,297 +180,22 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 // Lookahead returns the barrier quantum (= link latency).
 func (r *ShardedRig) Lookahead() sim.Tick { return r.lookahead }
 
-// ShardPanic identifies one shard kernel's recovered panic: which worker
-// goroutine ran it, which kernel it was, and the original panic value.
-type ShardPanic struct {
-	Worker int    // worker index (0-based)
-	Kernel string // "front" or "chan<N>"
-	Value  any    // the recovered panic value
-}
-
-// ShardPanicError aggregates every shard panic from one quantum. With
-// several workers more than one shard can fail in the same quantum; keeping
-// only one (the old behaviour kept whichever worker reported last) hides
-// the others and makes the surviving report depend on goroutine timing.
-type ShardPanicError struct {
-	Panics []ShardPanic
-}
-
-func (e *ShardPanicError) Error() string {
-	s := fmt.Sprintf("system: %d shard panic(s) in quantum:", len(e.Panics))
-	for _, p := range e.Panics {
-		s += fmt.Sprintf(" [worker %d, kernel %s: %v]", p.Worker, p.Kernel, p.Value)
-	}
-	return s
-}
-
-// shardWorker is one persistent goroutine stepping a fixed subset of
-// kernels each quantum.
-type shardWorker struct {
-	limit chan sim.Tick
-	done  chan []ShardPanic // empty slice (as nil) on success
-}
-
-// ShardedSession is a steppable ShardedRig run: each Step advances every
-// shard one lookahead quantum and executes the barrier section, so between
-// Steps all kernels are parked at the barrier tick and every link outbox has
-// been flushed — the only state in which a sharded checkpoint is valid (the
-// link save refuses unflushed outboxes). Close stops the workers.
-type ShardedSession struct {
-	rig      *ShardedRig
-	mgr      *checkpoint.Manager
-	deadline sim.Tick
-
-	kernels []*sim.Kernel
-	nw      int
-	workers []*shardWorker
-	steps   uint64
-}
-
-// NewSession builds the rig's checkpoint manager and spins up the worker
-// goroutines; see (*TrafficRig).NewSession for the contract. The worker
-// count deliberately stays out of the fingerprint callers should build:
-// statistics are worker-count independent, so a checkpoint taken with one
-// worker count may be resumed with another. AdaptiveQuanta, by contrast,
-// MUST go into the fingerprint — it changes the schedule (see horizon).
-func (r *ShardedRig) NewSession(fingerprint string, maxSim sim.Tick) (*ShardedSession, error) {
-	mgr := checkpoint.NewManager(fingerprint)
-	mgr.Register("front", checkpoint.WrapKernel(r.Front))
-	for i, ck := range r.Chans {
-		mgr.Register(fmt.Sprintf("chan%d", i), checkpoint.WrapKernel(ck))
-	}
-	mgr.Register("xbar", r.Xbar)
-	for i, l := range r.Links {
-		mgr.Register(fmt.Sprintf("link%d", i), l)
-	}
-	for i, c := range r.Ctrls {
-		cc, ok := c.(checkpoint.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("system: controller %s (%T) does not support checkpointing", c.Name(), c)
-		}
-		mgr.Register(fmt.Sprintf("mc%d", i), cc)
-	}
-	for i, g := range r.Gens {
-		mgr.Register(fmt.Sprintf("gen%d", i), g)
-	}
-	mgr.Register("stats", checkpoint.WrapStats(r.Reg))
-
-	s := &ShardedSession{
-		rig:      r,
-		mgr:      mgr,
-		deadline: maxSim,
-		kernels:  append([]*sim.Kernel{r.Front}, r.Chans...),
-	}
-	s.nw = r.workers
-	if s.nw > len(s.kernels) {
-		s.nw = len(s.kernels)
-	}
-	if s.nw > 1 {
-		for j := 0; j < s.nw; j++ {
-			j := j
-			w := &shardWorker{limit: make(chan sim.Tick), done: make(chan []ShardPanic, 1)}
-			var mine []*sim.Kernel
-			var names []string
-			for i := j; i < len(s.kernels); i += s.nw {
-				mine = append(mine, s.kernels[i])
-				names = append(names, s.kernelName(i))
-			}
-			go func() {
-				for limit := range w.limit {
-					// Recover per kernel, not per batch: a panicking shard
-					// must not stop the worker from finishing its remaining
-					// kernels, and the handoff to the coordinator always
-					// completes — so the pool stays in a defined state and
-					// Close can never hang on a dead worker.
-					var pvs []ShardPanic
-					for i, k := range mine {
-						if pv := runShardKernel(k, limit); pv != nil {
-							pvs = append(pvs, ShardPanic{Worker: j, Kernel: names[i], Value: pv})
-						}
-					}
-					w.done <- pvs
-				}
-			}()
-			s.workers = append(s.workers, w)
-		}
-	}
-	return s, nil
-}
-
-// kernelName labels s.kernels[i] for panic attribution.
-func (s *ShardedSession) kernelName(i int) string {
-	if i == 0 {
-		return "front"
-	}
-	return fmt.Sprintf("chan%d", i-1)
-}
-
-// runShardKernel advances one kernel to the barrier, translating a panic
-// into a returned value.
-func runShardKernel(k *sim.Kernel, limit sim.Tick) (pv any) {
-	defer func() { pv = recover() }()
-	k.RunUntil(limit)
-	return nil
-}
-
-// Manager returns the checkpoint manager.
-func (s *ShardedSession) Manager() *checkpoint.Manager { return s.mgr }
-
-// Now returns the frontend kernel's tick (== every shard's tick between
-// Steps).
-func (s *ShardedSession) Now() sim.Tick { return s.rig.Front.Now() }
-
-// Start arms the generators (fresh runs only).
-func (s *ShardedSession) Start() {
-	for _, g := range s.rig.Gens {
-		g.Start()
+// session wraps the rig's parts for stepping and spins up the worker
+// goroutines; Close stops them.
+func (r *ShardedRig) session() Session {
+	kernels := append([]*sim.Kernel{r.Front}, r.Chans...)
+	return Session{
+		kernels: kernels, links: r.Links, reg: r.Reg, xbar: r.Xbar, ctrls: r.Ctrls, sources: sourcesOf(r.Gens),
+		step: r.lookahead, adaptive: r.adaptiveQuanta, frontHub: r.frontHub,
+		workers: startWorkers(kernels, r.workers),
 	}
 }
 
-// stepKernels runs every kernel to the barrier tick. The channel send/receive
-// pairs give the coordinator-worker handoff the happens-before edges the
-// memory model (and the race detector) require. Shard panics are collected
-// from EVERY worker — the handoff always completes before anything is
-// re-raised — and re-thrown as one *ShardPanicError carrying worker and
-// kernel identity for each.
-func (s *ShardedSession) stepKernels(limit sim.Tick) {
-	var pvs []ShardPanic
-	if s.nw <= 1 {
-		for i, k := range s.kernels {
-			if pv := runShardKernel(k, limit); pv != nil {
-				pvs = append(pvs, ShardPanic{Worker: 0, Kernel: s.kernelName(i), Value: pv})
-			}
-		}
-	} else {
-		for _, w := range s.workers {
-			w.limit <- limit
-		}
-		for _, w := range s.workers {
-			pvs = append(pvs, <-w.done...)
-		}
-	}
-	if len(pvs) > 0 {
-		panic(&ShardPanicError{Panics: pvs})
-	}
-}
-
-// Steps returns how many barriers the session has executed; with
-// AdaptiveQuanta > 1 this is the measure of how much barrier overhead the
-// widened horizon saved.
-func (s *ShardedSession) Steps() uint64 { return s.steps }
-
-// horizon picks the barrier tick for the next quantum.
-//
-// The conservative baseline is now+L (L = link latency = lookahead): any
-// packet a shard offers during the quantum is due at its send tick plus L,
-// which is at or after the barrier, so it always lands in the receiving
-// shard's future. AdaptiveQuanta Q > 1 widens that when the system is idle.
-// Let E = the earliest pending event across ALL kernels (between Steps every
-// outbox is flushed, so all future work — including every in-flight
-// cross-shard packet — sits in some kernel's queue). No kernel does anything
-// before E, so no offer is made before E, so nothing can be due before E+L:
-// a barrier at min(E+L, now+Q*L) preserves the invariant. E >= now always
-// (events are never scheduled in the past), hence the adaptive horizon never
-// shrinks below the baseline. With no events pending anywhere the quantum
-// jumps straight to the cap — idle stretches cost 1/Q of the barriers.
-//
-// The choice of horizon shifts barrier ticks and therefore event sequence
-// numbers, so adaptive and fixed runs are two DIFFERENT deterministic
-// schedules; each one is still a pure function of the configuration,
-// independent of worker count (horizon inputs are read single-threaded at
-// the barrier).
-func (s *ShardedSession) horizon() sim.Tick {
-	r := s.rig
-	now := r.Front.Now()
-	limit := now + r.lookahead
-	if r.adaptiveQuanta <= 1 {
-		return limit
-	}
-	hcap := now + r.lookahead*sim.Tick(r.adaptiveQuanta)
-	eMin := sim.Tick(0)
-	pending := false
-	for _, k := range s.kernels {
-		if t, ok := k.PeekNext(); ok && (!pending || t < eMin) {
-			eMin, pending = t, true
-		}
-	}
-	if !pending {
-		return hcap
-	}
-	if h := eMin + r.lookahead; h < hcap {
-		hcap = h
-	}
-	if hcap < limit {
-		// Unreachable while events are never scheduled in the past; keep the
-		// conservative floor anyway so a kernel bug degrades to the fixed
-		// quantum instead of a causality violation.
-		return limit
-	}
-	return hcap
-}
-
-// Step advances one quantum plus the barrier section and reports completion.
-func (s *ShardedSession) Step() (bool, error) {
-	r := s.rig
-	s.stepKernels(s.horizon())
-	s.steps++
-
-	// Barrier section: single-threaded. Publish cross-shard traffic, then
-	// check for completion and drive drains.
-	for i, l := range r.Links {
-		reqs, resps := l.Flush()
-		if r.frontHub != nil && (reqs > 0 || resps > 0) {
-			r.frontHub.Emit(obs.ShardQuantumFlush{
-				Src: "rig", At: r.Front.Now(), Shard: i,
-				Requests: reqs, Responses: resps,
-			})
-		}
-	}
-	if r.onQuantum != nil {
-		// Still single-threaded: drain per-shard probe buffers in fixed
-		// shard order so merged output is worker-count independent.
-		r.onQuantum()
-	}
-	allDone := true
-	for _, g := range r.Gens {
-		if !g.Done() {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
-		quiet := r.Xbar.Quiescent() && r.Xbar.InFlight() == 0
-		for _, l := range r.Links {
-			if !l.Quiescent() {
-				quiet = false
-			}
-		}
-		for _, c := range r.Ctrls {
-			if !c.Quiescent() {
-				if d, ok := c.(Drainer); ok {
-					d.Drain()
-				}
-				quiet = false
-			}
-		}
-		if quiet {
-			return true, nil
-		}
-	}
-	if r.Front.Now() >= s.deadline {
-		return false, fmt.Errorf("system: sharded simulation did not complete within %s", s.deadline)
-	}
-	return false, nil
-}
-
-// Close stops the worker goroutines. The rig itself stays usable (stats,
-// bandwidth queries); a new session may be opened afterwards.
-func (s *ShardedSession) Close() {
-	for _, w := range s.workers {
-		close(w.limit)
-	}
-	s.workers = nil
-	s.nw = 0
+// NewSession wraps the sharded rig for supervised stepping; see
+// (*TrafficRig).NewSession for the contract. AdaptiveQuanta belongs in the
+// fingerprint, the worker count does not (see Session.Supervise).
+func (r *ShardedRig) NewSession(fingerprint string, maxSim sim.Tick) (*Session, error) {
+	return r.session().supervised(fingerprint, maxSim)
 }
 
 // Run starts all generators and steps the shards in lookahead-sized quanta
@@ -536,40 +203,13 @@ func (s *ShardedSession) Close() {
 // simulated time passes. It reports whether the run completed. A panic in
 // any shard is re-raised on the calling goroutine.
 func (r *ShardedRig) Run(maxSim sim.Tick) bool {
-	s, err := r.NewSession("", r.Front.Now()+maxSim)
-	if err != nil {
-		// Only a non-checkpointable component trips this, and Run never
-		// saves; fall back to a worker-less session shape is not possible,
-		// so surface it loudly.
-		panic(err)
-	}
+	s := r.session()
 	defer s.Close()
-	s.Start()
-	for {
-		done, err := s.Step()
-		if done {
-			return true
-		}
-		if err != nil {
-			return false
-		}
-	}
+	return s.Run(maxSim) == nil
 }
 
 // AggregateBandwidth sums channel bandwidths.
-func (r *ShardedRig) AggregateBandwidth() float64 {
-	var sum float64
-	for _, c := range r.Ctrls {
-		sum += c.Bandwidth()
-	}
-	return sum
-}
+func (r *ShardedRig) AggregateBandwidth() float64 { return sumBandwidth(r.Ctrls) }
 
 // AvgBusUtilisation averages controller bus utilisation.
-func (r *ShardedRig) AvgBusUtilisation() float64 {
-	var sum float64
-	for _, c := range r.Ctrls {
-		sum += c.BusUtilisation()
-	}
-	return sum / float64(len(r.Ctrls))
-}
+func (r *ShardedRig) AvgBusUtilisation() float64 { return avgBusUtilisation(r.Ctrls) }

@@ -4,190 +4,425 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/trafficgen"
+	"repro/internal/xbar"
 )
 
-// This file adapts the rigs to supervised, checkpointable execution: each rig
-// exposes a session — a steppable run whose state between steps is a valid
-// checkpoint boundary. The supervisor (internal/supervisor) drives sessions
-// generically; the CLIs build them from flags.
+// This file holds the one run loop. Every topology — a generator on a
+// controller, a crossbar fanning out to channels on one kernel, the same with
+// each channel sharded onto its own kernel, or a system a CLI wired by hand —
+// is driven by the same Session: advance, sources done?, drain, all
+// quiescent?, deadline. The rigs' Run methods, the supervisor
+// (internal/supervisor) and the CLIs all step it; nothing else in the tree
+// re-implements that protocol.
 
-// quantum is the stepping granularity of single-kernel sessions, matching the
-// rigs' Run loops. Sharded sessions step by the rig lookahead instead — their
-// only valid checkpoint boundary is the barrier.
+// quantum is the stepping granularity of single-kernel sessions. Sharded
+// sessions step by the link lookahead instead — their only valid checkpoint
+// boundary is the barrier.
 const quantum = sim.Microsecond
 
-// checkpointable asserts that a component supports checkpointing, with a
-// readable error naming it when it does not.
-func checkpointable(c any, what string) (checkpoint.Checkpointable, error) {
-	cc, ok := c.(checkpoint.Checkpointable)
-	if !ok {
-		return nil, fmt.Errorf("system: %s (%T) does not support checkpointing", what, c)
+// Source is a traffic source a session arms and waits for: a
+// trafficgen.Generator or a trafficgen.TracePlayer.
+type Source interface {
+	Start()
+	Done() bool
+}
+
+// Session is a steppable run of one wired system. Each Step advances every
+// kernel to a common tick and then runs a single-threaded section (link
+// flush, step hook, completion check), so between Steps all kernels are
+// parked at the same tick and every link outbox is empty — a valid
+// checkpoint boundary. It satisfies supervisor.Session.
+type Session struct {
+	// Deadline is the absolute simulated tick by which the run must
+	// complete; a Step that reaches it without completing returns an error.
+	Deadline sim.Tick
+	// OnStart, when set, runs once when a fresh run is armed, before the
+	// sources start (a restored run skips it along with Start). OnStep, when
+	// set, runs after every advance in the single-threaded section — the
+	// place to drain per-shard probe buffers in deterministic shard order
+	// (obs.TraceSink.Flush). An error from either fails the next or current
+	// Step.
+	OnStart, OnStep func() error
+
+	kernels []*sim.Kernel    // [0] is the frontend; the rest are channel shards
+	links   []*mem.ShardLink // one per shard kernel; none on a single kernel
+	sources []Source
+	xbar    *xbar.Crossbar // nil when sources talk to a controller directly
+	ctrls   []Controller
+	reg     *stats.Registry
+
+	step     sim.Tick // barrier quantum: 1 us, or the link lookahead when sharded
+	adaptive int      // ShardedConfig.AdaptiveQuanta
+	frontHub *obs.Hub // nil when no frontend probe is attached
+	workers  []*shardWorker
+
+	mgr      *checkpoint.Manager // nil until Supervise
+	startErr error
+	steps    uint64
+}
+
+// NewSession wraps a hand-wired single-kernel system — one traffic source
+// over one controller on k, whatever sits between them — for drivers that
+// cannot use a rig (a trace player, a capture monitor, a controller
+// configuration no rig exposes). Set Deadline (or call Run) before stepping.
+func NewSession(k *sim.Kernel, reg *stats.Registry, ctrl Controller, src Source) *Session {
+	s := single(k, reg, ctrl, src)
+	return &s
+}
+
+// single is NewSession by value, so a rig's Run can keep it on the stack.
+func single(k *sim.Kernel, reg *stats.Registry, ctrl Controller, src Source) Session {
+	return Session{kernels: []*sim.Kernel{k}, reg: reg, ctrls: []Controller{ctrl}, sources: []Source{src}, step: quantum}
+}
+
+// sourcesOf adapts a rig's generator list to the session's source list.
+func sourcesOf(gens []*trafficgen.Generator) []Source {
+	out := make([]Source, len(gens))
+	for i, g := range gens {
+		out[i] = g
 	}
-	return cc, nil
+	return out
 }
 
-// TrafficSession is a steppable TrafficRig run.
-type TrafficSession struct {
-	rig      *TrafficRig
-	mgr      *checkpoint.Manager
-	deadline sim.Tick
-}
-
-// NewSession builds the rig's checkpoint manager (components registered in a
-// fixed, configuration-derived order) and wraps the rig for stepping. The
-// fingerprint must encode every configuration knob that shapes the
-// simulation, so a checkpoint is never resumed under a different setup;
-// maxSim bounds total simulated time across all segments.
-func (r *TrafficRig) NewSession(fingerprint string, maxSim sim.Tick) (*TrafficSession, error) {
+// Supervise builds the session's checkpoint manager, registering every
+// component in a fixed, configuration-derived order. The fingerprint must
+// encode every configuration knob that shapes the simulation, so a
+// checkpoint is never resumed under a different setup. The worker count
+// deliberately stays out of it: statistics are worker-count independent, so
+// a checkpoint taken with one worker count may be resumed with another.
+// AdaptiveQuanta, by contrast, MUST go in — it changes the schedule (see
+// horizon). Callers with further components (a trace sink) register them on
+// Manager() afterwards.
+func (s *Session) Supervise(fingerprint string) error {
 	mgr := checkpoint.NewManager(fingerprint)
-	mgr.Register("kernel", checkpoint.WrapKernel(r.K))
-	cc, err := checkpointable(r.Ctrl, "controller "+r.Ctrl.Name())
-	if err != nil {
+	var err error
+	register := func(id string, c any) {
+		if cc, ok := c.(checkpoint.Checkpointable); ok {
+			mgr.Register(id, cc)
+		} else if err == nil {
+			err = fmt.Errorf("system: %s (%T) does not support checkpointing", id, c)
+		}
+	}
+	for i, k := range s.kernels {
+		register(kernelName(i), checkpoint.WrapKernel(k))
+	}
+	if s.xbar != nil {
+		register("xbar", s.xbar)
+	}
+	for i, l := range s.links {
+		register(fmt.Sprintf("link%d", i), l)
+	}
+	for i, c := range s.ctrls {
+		register(fmt.Sprintf("mc%d", i), c)
+	}
+	for i, src := range s.sources {
+		register(fmt.Sprintf("gen%d", i), src)
+	}
+	register("stats", checkpoint.WrapStats(s.reg))
+	if err == nil {
+		s.mgr = mgr
+	}
+	return err
+}
+
+// supervised is the rigs' NewSession: Supervise plus the deadline.
+func (s Session) supervised(fingerprint string, maxSim sim.Tick) (*Session, error) {
+	s.Deadline = maxSim
+	if err := s.Supervise(fingerprint); err != nil {
+		s.Close()
 		return nil, err
 	}
-	mgr.Register("mc", cc)
-	mgr.Register("gen", r.Gen)
-	mgr.Register("stats", checkpoint.WrapStats(r.Reg))
-	return &TrafficSession{rig: r, mgr: mgr, deadline: maxSim}, nil
+	return &s, nil
 }
 
-// Manager returns the checkpoint manager.
-func (s *TrafficSession) Manager() *checkpoint.Manager { return s.mgr }
+// Manager returns the checkpoint manager (nil before Supervise).
+func (s *Session) Manager() *checkpoint.Manager { return s.mgr }
 
-// Now returns the current simulated tick.
-func (s *TrafficSession) Now() sim.Tick { return s.rig.K.Now() }
+// Now returns the frontend kernel's tick (== every kernel's tick between
+// Steps).
+func (s *Session) Now() sim.Tick { return s.kernels[0].Now() }
 
-// Start arms the generator. Call exactly once for a fresh run; never after a
-// restore (the checkpoint carries the generator's event state).
-func (s *TrafficSession) Start() { s.rig.Gen.Start() }
+// Steps returns how many barriers the session has executed; with
+// AdaptiveQuanta > 1 this is the measure of how much barrier overhead the
+// widened horizon saved.
+func (s *Session) Steps() uint64 { return s.steps }
 
-// Step advances one quantum. It reports completion; a watchdog trip surfaces
-// as the error, and exceeding maxSim is an error too.
-func (s *TrafficSession) Step() (bool, error) {
-	r := s.rig
+// Start arms the traffic sources. Call exactly once for a fresh run; never
+// after a restore (the checkpoint carries the sources' event state).
+func (s *Session) Start() {
+	if s.OnStart != nil {
+		if s.startErr = s.OnStart(); s.startErr != nil {
+			return
+		}
+	}
+	for _, src := range s.sources {
+		src.Start()
+	}
+}
+
+// Run starts a fresh run and steps it until every source finishes and the
+// system drains (nil), or until maxSim simulated time passes or a kernel's
+// watchdog trips (the error). A panic in any shard is re-raised on the
+// calling goroutine.
+func (s *Session) Run(maxSim sim.Tick) error {
+	s.Deadline = s.Now() + maxSim
+	s.Start()
+	for {
+		if done, err := s.Step(); done || err != nil {
+			return err
+		}
+	}
+}
+
+// Step advances one quantum plus the single-threaded section and reports
+// completion. A watchdog trip surfaces as the error (sharded: as a
+// *ShardPanicError panic), and reaching Deadline is an error too.
+func (s *Session) Step() (bool, error) {
+	if s.startErr != nil {
+		return false, s.startErr
+	}
 	// A session restored from a completion checkpoint already sits at the
 	// boundary where the run finished. Advancing another quantum would move
 	// Now past the recorded completion time and skew every time-normalised
 	// statistic (bus utilisation divides by Now), so completion must be
-	// detected before stepping, not after.
-	if r.Gen.Done() && r.Ctrl.Quiescent() {
+	// detected before stepping, not only after.
+	if s.complete(false) {
 		return true, nil
 	}
-	if _, err := r.K.RunUntilErr(r.K.Now() + quantum); err != nil {
+	if err := s.advance(s.horizon()); err != nil {
 		return false, err
 	}
-	if r.Gen.Done() {
-		if !r.Ctrl.Quiescent() {
-			if d, ok := r.Ctrl.(Drainer); ok {
-				d.Drain()
-			}
-			return false, nil
+	s.steps++
+	if s.OnStep != nil {
+		if err := s.OnStep(); err != nil {
+			return false, err
 		}
+	}
+	if s.complete(true) {
 		return true, nil
 	}
-	if r.K.Now() >= s.deadline {
-		return false, fmt.Errorf("system: simulation did not complete within %s", s.deadline)
+	if s.Now() >= s.Deadline {
+		return false, fmt.Errorf("system: simulation did not complete within %s", s.Deadline)
 	}
 	return false, nil
 }
 
-// Close releases session resources (none for the single-kernel rig).
-func (s *TrafficSession) Close() {}
-
-// MultiChannelSession is a steppable MultiChannelRig run.
-type MultiChannelSession struct {
-	rig      *MultiChannelRig
-	mgr      *checkpoint.Manager
-	deadline sim.Tick
-}
-
-// NewSession wraps the multi-channel rig for supervised stepping; see
-// (*TrafficRig).NewSession for the contract.
-func (r *MultiChannelRig) NewSession(fingerprint string, maxSim sim.Tick) (*MultiChannelSession, error) {
-	mgr := checkpoint.NewManager(fingerprint)
-	mgr.Register("kernel", checkpoint.WrapKernel(r.K))
-	mgr.Register("xbar", r.Xbar)
-	for i, c := range r.Ctrls {
-		cc, err := checkpointable(c, "controller "+c.Name())
-		if err != nil {
-			return nil, err
-		}
-		mgr.Register(fmt.Sprintf("mc%d", i), cc)
-	}
-	for i, g := range r.Gens {
-		mgr.Register(fmt.Sprintf("gen%d", i), g)
-	}
-	mgr.Register("stats", checkpoint.WrapStats(r.Reg))
-	return &MultiChannelSession{rig: r, mgr: mgr, deadline: maxSim}, nil
-}
-
-// Manager returns the checkpoint manager.
-func (s *MultiChannelSession) Manager() *checkpoint.Manager { return s.mgr }
-
-// Now returns the current simulated tick.
-func (s *MultiChannelSession) Now() sim.Tick { return s.rig.K.Now() }
-
-// Start arms the generators (fresh runs only).
-func (s *MultiChannelSession) Start() {
-	for _, g := range s.rig.Gens {
-		g.Start()
-	}
-}
-
-// done reports whether the whole system is complete and quiescent — the
-// run's stopping condition, also checked at entry to Step so a session
-// restored from a completion checkpoint does not advance past its recorded
-// end time.
-func (s *MultiChannelSession) done() bool {
-	r := s.rig
-	for _, g := range r.Gens {
-		if !g.Done() {
+// complete reports the run's stopping condition: every source finished and
+// the crossbar, links and controllers empty. With drain set, controllers
+// still holding writes back (the event-based model's low watermark) are told
+// to flush them once the sources are done.
+func (s *Session) complete(drain bool) bool {
+	for _, src := range s.sources {
+		if !src.Done() {
 			return false
 		}
 	}
-	if !r.Xbar.Quiescent() || r.Xbar.InFlight() != 0 {
-		return false
+	quiet := s.xbar == nil || s.xbar.Quiescent() && s.xbar.InFlight() == 0
+	for _, l := range s.links {
+		quiet = quiet && l.Quiescent()
 	}
-	for _, c := range r.Ctrls {
-		if !c.Quiescent() {
-			return false
+	for _, c := range s.ctrls {
+		if c.Quiescent() {
+			continue
+		}
+		quiet = false
+		if d, ok := c.(Drainer); ok && drain {
+			d.Drain()
 		}
 	}
-	return true
+	return quiet
 }
 
-// Step advances one quantum and reports completion.
-func (s *MultiChannelSession) Step() (bool, error) {
-	r := s.rig
-	if s.done() {
-		return true, nil
+// horizon picks the tick the next Step advances to.
+//
+// The baseline is now+L, with L one microsecond on a single kernel and the
+// link latency (= lookahead) when sharded: any packet a shard offers during
+// the quantum is due at its send tick plus L, which is at or after the
+// barrier, so it always lands in the receiving shard's future.
+// AdaptiveQuanta Q > 1 widens that when the system is idle. Let E = the
+// earliest pending event across ALL kernels (between Steps every outbox is
+// flushed, so all future work — including every in-flight cross-shard packet
+// — sits in some kernel's queue). No kernel does anything before E, so no
+// offer is made before E, so nothing can be due before E+L: a barrier at
+// min(E+L, now+Q*L) preserves the invariant. E >= now always (events are
+// never scheduled in the past), hence the adaptive horizon never shrinks
+// below the baseline. With no events pending anywhere the quantum jumps
+// straight to the cap — idle stretches cost 1/Q of the barriers.
+//
+// The choice of horizon shifts barrier ticks and therefore event sequence
+// numbers, so adaptive and fixed runs are two DIFFERENT deterministic
+// schedules; each one is still a pure function of the configuration,
+// independent of worker count (horizon inputs are read single-threaded at
+// the barrier).
+func (s *Session) horizon() sim.Tick {
+	now := s.Now()
+	limit := now + s.step
+	if s.adaptive <= 1 {
+		return limit
 	}
-	if _, err := r.K.RunUntilErr(r.K.Now() + quantum); err != nil {
-		return false, err
-	}
-	for _, g := range r.Gens {
-		if !g.Done() {
-			if r.K.Now() >= s.deadline {
-				return false, fmt.Errorf("system: simulation did not complete within %s", s.deadline)
-			}
-			return false, nil
+	hcap := now + s.step*sim.Tick(s.adaptive)
+	eMin := sim.Tick(0)
+	pending := false
+	for _, k := range s.kernels {
+		if t, ok := k.PeekNext(); ok && (!pending || t < eMin) {
+			eMin, pending = t, true
 		}
 	}
-	quiet := r.Xbar.Quiescent() && r.Xbar.InFlight() == 0
-	for _, c := range r.Ctrls {
-		if !c.Quiescent() {
-			if d, ok := c.(Drainer); ok {
-				d.Drain()
-			}
-			quiet = false
-		}
+	if !pending {
+		return hcap
 	}
-	if !quiet && r.K.Now() >= s.deadline {
-		return false, fmt.Errorf("system: simulation did not complete within %s", s.deadline)
+	if h := eMin + s.step; h < hcap {
+		hcap = h
 	}
-	return quiet, nil
+	if hcap < limit {
+		// Unreachable while events are never scheduled in the past; keep the
+		// conservative floor anyway so a kernel bug degrades to the fixed
+		// quantum instead of a causality violation.
+		return limit
+	}
+	return hcap
 }
 
-// Close releases session resources (none for the single-kernel rig).
-func (s *MultiChannelSession) Close() {}
+// advance runs every kernel to limit and publishes cross-shard traffic. The
+// channel send/receive pairs give the coordinator-worker handoff the
+// happens-before edges the memory model (and the race detector) require.
+// Shard failures are collected from EVERY worker — the handoff always
+// completes before anything is re-raised — and re-thrown as one
+// *ShardPanicError carrying worker and kernel identity for each.
+func (s *Session) advance(limit sim.Tick) error {
+	if len(s.kernels) == 1 {
+		_, err := s.kernels[0].RunUntilErr(limit)
+		return err
+	}
+	var pvs []ShardPanic
+	if len(s.workers) == 0 {
+		for i, k := range s.kernels {
+			if pv := runShardKernel(k, limit); pv != nil {
+				pvs = append(pvs, ShardPanic{Worker: 0, Kernel: kernelName(i), Value: pv})
+			}
+		}
+	} else {
+		for _, w := range s.workers {
+			w.limit <- limit
+		}
+		for _, w := range s.workers {
+			pvs = append(pvs, <-w.done...)
+		}
+	}
+	if len(pvs) > 0 {
+		panic(&ShardPanicError{Panics: pvs})
+	}
+	for i, l := range s.links {
+		reqs, resps := l.Flush()
+		if s.frontHub != nil && (reqs > 0 || resps > 0) {
+			s.frontHub.Emit(obs.ShardQuantumFlush{
+				Src: "rig", At: s.Now(), Shard: i,
+				Requests: reqs, Responses: resps,
+			})
+		}
+	}
+	return nil
+}
+
+// Close stops the worker goroutines. The system itself stays usable (stats,
+// bandwidth queries), and further Steps run serially.
+func (s *Session) Close() {
+	for _, w := range s.workers {
+		close(w.limit)
+	}
+	s.workers = nil
+}
+
+// kernelName labels kernels[i] for checkpoint sections and panic
+// attribution.
+func kernelName(i int) string {
+	if i == 0 {
+		return "front"
+	}
+	return fmt.Sprintf("chan%d", i-1)
+}
+
+// ShardPanic identifies one shard kernel's failure: which worker goroutine
+// ran it, which kernel it was, and the recovered panic value (or the
+// *sim.WatchdogError that stopped it).
+type ShardPanic struct {
+	Worker int    // worker index (0-based)
+	Kernel string // "front" or "chan<N>"
+	Value  any    // the recovered panic value
+}
+
+// ShardPanicError aggregates every shard failure from one quantum. With
+// several workers more than one shard can fail in the same quantum; keeping
+// only one hides the others and makes the surviving report depend on
+// goroutine timing.
+type ShardPanicError struct {
+	Panics []ShardPanic
+}
+
+func (e *ShardPanicError) Error() string {
+	s := fmt.Sprintf("system: %d shard panic(s) in quantum:", len(e.Panics))
+	for _, p := range e.Panics {
+		s += fmt.Sprintf(" [worker %d, kernel %s: %v]", p.Worker, p.Kernel, p.Value)
+	}
+	return s
+}
+
+// shardWorker is one persistent goroutine stepping a fixed subset of
+// kernels each quantum.
+type shardWorker struct {
+	limit chan sim.Tick
+	done  chan []ShardPanic // empty slice (as nil) on success
+}
+
+// startWorkers spins up n goroutines over the kernels, assigned round-robin;
+// n <= 1 returns none and the session steps every kernel on the calling
+// goroutine. Either way the schedule is identical.
+func startWorkers(kernels []*sim.Kernel, n int) []*shardWorker {
+	if n > len(kernels) {
+		n = len(kernels)
+	}
+	if n <= 1 {
+		return nil
+	}
+	workers := make([]*shardWorker, n)
+	for j := range workers {
+		w := &shardWorker{limit: make(chan sim.Tick), done: make(chan []ShardPanic, 1)}
+		workers[j] = w
+		go func() {
+			for limit := range w.limit {
+				// Recover per kernel, not per batch: a panicking shard must
+				// not stop the worker from finishing its remaining kernels,
+				// and the handoff to the coordinator always completes — so
+				// the pool stays in a defined state and Close can never hang
+				// on a dead worker.
+				var pvs []ShardPanic
+				for i := j; i < len(kernels); i += n {
+					if pv := runShardKernel(kernels[i], limit); pv != nil {
+						pvs = append(pvs, ShardPanic{Worker: j, Kernel: kernelName(i), Value: pv})
+					}
+				}
+				w.done <- pvs
+			}
+		}()
+	}
+	return workers
+}
+
+// runShardKernel advances one kernel to the barrier, translating a panic or
+// a watchdog trip into a returned value.
+func runShardKernel(k *sim.Kernel, limit sim.Tick) (pv any) {
+	defer func() {
+		if r := recover(); r != nil {
+			pv = r
+		}
+	}()
+	if _, err := k.RunUntilErr(limit); err != nil {
+		return err
+	}
+	return nil
+}

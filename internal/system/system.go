@@ -1,9 +1,13 @@
 // Package system assembles complete simulated systems out of the building
 // blocks: traffic generators or CPU cores, caches, crossbars and DRAM
 // controllers (event-based or cycle-based). It is the Go equivalent of the
-// gem5 Python configuration layer the paper describes in §II-E: every
-// experiment driver, example and benchmark builds its system through this
-// package.
+// gem5 Python configuration layer the paper describes in §II-E. The
+// experiment drivers and the benchmark build their systems through the rigs
+// here; cmd/dramctrl (one channel), cmd/protocheck and cmd/validate wire a
+// kernel, controller and source by hand and the examples use the kernel API
+// directly. Whoever wires it, every run that drains a memory system is
+// driven by the one Session in session.go (FullSystem.Run, which stops at
+// core completion without draining, is the exception).
 package system
 
 import (
@@ -102,39 +106,117 @@ func MatchedCycleConfig(spec dram.Spec, mapping dram.Mapping, channels int, clos
 	return cfg
 }
 
-// buildController constructs a controller of the requested kind with
-// matched policies.
-func buildController(k *sim.Kernel, kind Kind, spec dram.Spec, mapping dram.Mapping,
-	channels int, closedPage bool, reg *stats.Registry, name string) (Controller, error) {
-	switch kind {
-	case EventBased:
-		return core.NewController(k, MatchedEventConfig(spec, mapping, channels, closedPage), reg, name)
-	case CycleBased:
-		return cyclesim.NewController(k, MatchedCycleConfig(spec, mapping, channels, closedPage), reg, name)
-	}
-	return nil, fmt.Errorf("system: unknown controller kind %d", kind)
+// ctrlConfig is what every topology says about its controllers: the model,
+// the device, and the matched policies, with channels telling the address
+// decoder how many channel bits the crossbar already consumed.
+type ctrlConfig struct {
+	kind       Kind
+	spec       dram.Spec
+	mapping    dram.Mapping
+	channels   int
+	closedPage bool
+	// tuneEvent optionally adjusts the matched event-based configuration.
+	tuneEvent func(*core.Config)
 }
 
-// buildTunedController builds a rig controller, applying the rig's tuning
-// hooks to the matched configuration.
-func buildTunedController(k *sim.Kernel, rc RigConfig, reg *stats.Registry, name string) (Controller, error) {
-	switch rc.Kind {
+// build constructs one controller on k with matched policies, feeding
+// observability events to hub (nil or empty disables instrumentation).
+func (cc ctrlConfig) build(k *sim.Kernel, reg *stats.Registry, hub *obs.Hub, name string) (Controller, error) {
+	switch cc.kind {
 	case EventBased:
-		cfg := MatchedEventConfig(rc.Spec, rc.Mapping, 1, rc.ClosedPage)
-		if rc.TuneEvent != nil {
-			rc.TuneEvent(&cfg)
+		cfg := MatchedEventConfig(cc.spec, cc.mapping, cc.channels, cc.closedPage)
+		if cc.tuneEvent != nil {
+			cc.tuneEvent(&cfg)
 		}
-		cfg.Probes = rc.Probes
+		cfg.Probes = hub
 		return core.NewController(k, cfg, reg, name)
 	case CycleBased:
-		cfg := MatchedCycleConfig(rc.Spec, rc.Mapping, 1, rc.ClosedPage)
-		if rc.TuneCycle != nil {
-			rc.TuneCycle(&cfg)
-		}
-		cfg.Probes = rc.Probes
+		cfg := MatchedCycleConfig(cc.spec, cc.mapping, cc.channels, cc.closedPage)
+		cfg.Probes = hub
 		return cyclesim.NewController(k, cfg, reg, name)
 	}
-	return nil, fmt.Errorf("system: unknown controller kind %d", rc.Kind)
+	return nil, fmt.Errorf("system: unknown controller kind %d", cc.kind)
+}
+
+// interleavedXbar builds the crossbar in front of the channels. It routes at
+// the mapping's interleave granularity, widened to widest so no request
+// straddles a channel (the paper's cache-line-or-page default, §II-F).
+func interleavedXbar(k *sim.Kernel, reg *stats.Registry, name string, xcfg xbar.Config,
+	cc ctrlConfig, widest uint64) (*xbar.Crossbar, error) {
+	dec, err := dram.NewDecoder(cc.spec.Org, cc.mapping, cc.channels)
+	if err != nil {
+		return nil, err
+	}
+	gran := dec.InterleaveBytes()
+	for gran < widest {
+		gran *= 2
+	}
+	return xbar.New(k, xcfg, xbar.InterleaveRoute(cc.channels, gran), reg, name)
+}
+
+// genXbar is the frontend MultiChannelRig and ShardedRig share: it checks
+// that generators and patterns pair up and builds the crossbar they will
+// attach to, wide enough for the largest request.
+func genXbar(k *sim.Kernel, reg *stats.Registry, xcfg xbar.Config, cc ctrlConfig,
+	gens []trafficgen.Config, patterns []trafficgen.Pattern) (*xbar.Crossbar, error) {
+	if len(gens) != len(patterns) || len(gens) == 0 {
+		return nil, fmt.Errorf("system: generators (%d) and patterns (%d) must pair up", len(gens), len(patterns))
+	}
+	var widest uint64
+	for _, g := range gens {
+		widest = max(widest, g.RequestBytes)
+	}
+	return interleavedXbar(k, reg, "xbar", xcfg, cc, widest)
+}
+
+// attachGens builds one generator per configuration on the crossbar's
+// kernel and connects it as a requestor — after the memory side, so port and
+// statistics order match the topology's Figure 1 reading.
+func attachGens(k *sim.Kernel, reg *stats.Registry, xb *xbar.Crossbar,
+	cfgs []trafficgen.Config, patterns []trafficgen.Pattern) ([]*trafficgen.Generator, error) {
+	gens := make([]*trafficgen.Generator, len(cfgs))
+	for i := range cfgs {
+		gen, err := trafficgen.New(k, cfgs[i], patterns[i], reg, fmt.Sprintf("gen%d", i))
+		if err != nil {
+			return nil, err
+		}
+		mem.Connect(gen.Port(), xb.AttachRequestor("gen"))
+		gens[i] = gen
+	}
+	return gens, nil
+}
+
+// attachChannels builds the channel controllers on the crossbar's kernel and
+// connects each to a memory-side port.
+func attachChannels(k *sim.Kernel, reg *stats.Registry, xb *xbar.Crossbar, cc ctrlConfig) ([]Controller, error) {
+	ctrls := make([]Controller, cc.channels)
+	for i := range ctrls {
+		ctrl, err := cc.build(k, reg, nil, fmt.Sprintf("mc%d", i))
+		if err != nil {
+			return nil, err
+		}
+		mem.Connect(xb.AttachMemory("mem"), ctrl.Port())
+		ctrls[i] = ctrl
+	}
+	return ctrls, nil
+}
+
+// sumBandwidth sums controller bandwidths.
+func sumBandwidth(ctrls []Controller) float64 {
+	var sum float64
+	for _, c := range ctrls {
+		sum += c.Bandwidth()
+	}
+	return sum
+}
+
+// avgBusUtilisation averages controller bus utilisation.
+func avgBusUtilisation(ctrls []Controller) float64 {
+	var sum float64
+	for _, c := range ctrls {
+		sum += c.BusUtilisation()
+	}
+	return sum / float64(len(ctrls))
 }
 
 // TrafficRig is a single generator driving a single controller — the
@@ -155,11 +237,10 @@ type RigConfig struct {
 	// Gen is the generator shape; Pattern supplies addresses.
 	Gen     trafficgen.Config
 	Pattern trafficgen.Pattern
-	// TuneEvent and TuneCycle optionally adjust the matched default
-	// controller configuration before construction (used by ablation
-	// studies and experiments that stress one policy knob).
+	// TuneEvent optionally adjusts the matched default event-based
+	// controller configuration before construction (used by ablation studies
+	// and experiments that stress one policy knob).
 	TuneEvent func(*core.Config)
-	TuneCycle func(*cyclesim.Config)
 	// Probes feeds observability events from the controller (see
 	// internal/obs); nil or empty disables instrumentation.
 	Probes *obs.Hub
@@ -169,7 +250,8 @@ type RigConfig struct {
 func NewTrafficRig(cfg RigConfig) (*TrafficRig, error) {
 	k := sim.NewKernel()
 	reg := stats.NewRegistry("sys")
-	ctrl, err := buildTunedController(k, cfg, reg, "mc")
+	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, 1, cfg.ClosedPage, cfg.TuneEvent}
+	ctrl, err := cc.build(k, reg, cfg.Probes, "mc")
 	if err != nil {
 		return nil, err
 	}
@@ -181,25 +263,24 @@ func NewTrafficRig(cfg RigConfig) (*TrafficRig, error) {
 	return &TrafficRig{K: k, Reg: reg, Gen: gen, Ctrl: ctrl}, nil
 }
 
+// session wraps the rig's parts for stepping.
+func (r *TrafficRig) session() Session {
+	return single(r.K, r.Reg, r.Ctrl, r.Gen)
+}
+
 // Run starts the generator and steps the simulation until the generator
 // finishes and the controller drains, or until maxSim simulated time
 // passes. It reports whether the run completed.
 func (r *TrafficRig) Run(maxSim sim.Tick) bool {
-	r.Gen.Start()
-	deadline := r.K.Now() + maxSim
-	for r.K.Now() < deadline {
-		r.K.RunUntil(r.K.Now() + sim.Microsecond)
-		if r.Gen.Done() {
-			if !r.Ctrl.Quiescent() {
-				if d, ok := r.Ctrl.(Drainer); ok {
-					d.Drain()
-				}
-				continue
-			}
-			return true
-		}
-	}
-	return false
+	s := r.session()
+	return s.Run(maxSim) == nil
+}
+
+// NewSession wraps the rig for supervised, checkpointable stepping (see
+// Session.Supervise for the fingerprint contract); maxSim bounds total
+// simulated time across all segments.
+func (r *TrafficRig) NewSession(fingerprint string, maxSim sim.Tick) (*Session, error) {
+	return r.session().supervised(fingerprint, maxSim)
 }
 
 // MultiChannelRig is a generator (or several) behind a crossbar fanning out
@@ -228,91 +309,43 @@ type MultiChannelConfig struct {
 
 // NewMultiChannelRig builds the multi-channel system.
 func NewMultiChannelRig(cfg MultiChannelConfig) (*MultiChannelRig, error) {
-	if len(cfg.Gens) != len(cfg.Patterns) || len(cfg.Gens) == 0 {
-		return nil, fmt.Errorf("system: generators (%d) and patterns (%d) must pair up", len(cfg.Gens), len(cfg.Patterns))
-	}
 	k := sim.NewKernel()
 	reg := stats.NewRegistry("sys")
-	dec, err := dram.NewDecoder(cfg.Spec.Org, cfg.Mapping, cfg.Channels)
+	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil}
+	xb, err := genXbar(k, reg, cfg.Xbar, cc, cfg.Gens, cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}
-	// Route at the mapping's interleave granularity, widened so no request
-	// straddles a channel (the paper's cache-line-or-page default, §II-F).
-	gran := dec.InterleaveBytes()
-	for _, g := range cfg.Gens {
-		for gran < g.RequestBytes {
-			gran *= 2
-		}
-	}
-	route := xbar.InterleaveRoute(cfg.Channels, gran)
-	xb, err := xbar.New(k, cfg.Xbar, route, reg, "xbar")
+	ctrls, err := attachChannels(k, reg, xb, cc)
 	if err != nil {
 		return nil, err
 	}
-	rig := &MultiChannelRig{K: k, Reg: reg, Xbar: xb}
-	for i := 0; i < cfg.Channels; i++ {
-		ctrl, err := buildController(k, cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels,
-			cfg.ClosedPage, reg, fmt.Sprintf("mc%d", i))
-		if err != nil {
-			return nil, err
-		}
-		mem.Connect(xb.AttachMemory("mem"), ctrl.Port())
-		rig.Ctrls = append(rig.Ctrls, ctrl)
+	gens, err := attachGens(k, reg, xb, cfg.Gens, cfg.Patterns)
+	if err != nil {
+		return nil, err
 	}
-	for i := range cfg.Gens {
-		gen, err := trafficgen.New(k, cfg.Gens[i], cfg.Patterns[i], reg, fmt.Sprintf("gen%d", i))
-		if err != nil {
-			return nil, err
-		}
-		mem.Connect(gen.Port(), xb.AttachRequestor("gen"))
-		rig.Gens = append(rig.Gens, gen)
-	}
-	return rig, nil
+	return &MultiChannelRig{K: k, Reg: reg, Gens: gens, Xbar: xb, Ctrls: ctrls}, nil
+}
+
+// session wraps the rig's parts for stepping.
+func (r *MultiChannelRig) session() Session {
+	return Session{kernels: []*sim.Kernel{r.K}, reg: r.Reg, xbar: r.Xbar, ctrls: r.Ctrls, sources: sourcesOf(r.Gens), step: quantum}
 }
 
 // Run starts all generators and steps until done or the deadline.
 func (r *MultiChannelRig) Run(maxSim sim.Tick) bool {
-	for _, g := range r.Gens {
-		g.Start()
-	}
-	deadline := r.K.Now() + maxSim
-	for r.K.Now() < deadline {
-		r.K.RunUntil(r.K.Now() + sim.Microsecond)
-		allDone := true
-		for _, g := range r.Gens {
-			if !g.Done() {
-				allDone = false
-				break
-			}
-		}
-		if !allDone {
-			continue
-		}
-		quiet := r.Xbar.Quiescent() && r.Xbar.InFlight() == 0
-		for _, c := range r.Ctrls {
-			if !c.Quiescent() {
-				if d, ok := c.(Drainer); ok {
-					d.Drain()
-				}
-				quiet = false
-			}
-		}
-		if quiet {
-			return true
-		}
-	}
-	return false
+	s := r.session()
+	return s.Run(maxSim) == nil
+}
+
+// NewSession wraps the multi-channel rig for supervised stepping; see
+// (*TrafficRig).NewSession for the contract.
+func (r *MultiChannelRig) NewSession(fingerprint string, maxSim sim.Tick) (*Session, error) {
+	return r.session().supervised(fingerprint, maxSim)
 }
 
 // AggregateBandwidth sums channel bandwidths.
-func (r *MultiChannelRig) AggregateBandwidth() float64 {
-	var sum float64
-	for _, c := range r.Ctrls {
-		sum += c.Bandwidth()
-	}
-	return sum
-}
+func (r *MultiChannelRig) AggregateBandwidth() float64 { return sumBandwidth(r.Ctrls) }
 
 // MultiCoreConfig shapes a FullSystem: cores with private L1s over a shared
 // LLC and a multi-channel memory system (the §IV case-study topology).
@@ -361,26 +394,13 @@ func NewFullSystem(cfg MultiCoreConfig) (*FullSystem, error) {
 	// Memory side first: channels behind the memory crossbar, interleaved
 	// at the mapping granularity but never below the LLC line size (fills
 	// must not straddle channels).
-	dec, err := dram.NewDecoder(cfg.Spec.Org, cfg.Mapping, cfg.Channels)
+	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil}
+	memXbar, err := interleavedXbar(k, reg, "memxbar", cfg.MemXbar, cc, cfg.LLC.LineBytes)
 	if err != nil {
 		return nil, err
 	}
-	gran := dec.InterleaveBytes()
-	for gran < cfg.LLC.LineBytes {
-		gran *= 2
-	}
-	memXbar, err := xbar.New(k, cfg.MemXbar, xbar.InterleaveRoute(cfg.Channels, gran), reg, "memxbar")
-	if err != nil {
+	if fs.Ctrls, err = attachChannels(k, reg, memXbar, cc); err != nil {
 		return nil, err
-	}
-	for i := 0; i < cfg.Channels; i++ {
-		ctrl, err := buildController(k, cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels,
-			cfg.ClosedPage, reg, fmt.Sprintf("mc%d", i))
-		if err != nil {
-			return nil, err
-		}
-		mem.Connect(memXbar.AttachMemory("mem"), ctrl.Port())
-		fs.Ctrls = append(fs.Ctrls, ctrl)
 	}
 
 	// Shared LLC between the core crossbar and the memory crossbar.
@@ -449,19 +469,7 @@ func (fs *FullSystem) AggregateIPC() float64 {
 }
 
 // MemBandwidth sums controller bandwidths.
-func (fs *FullSystem) MemBandwidth() float64 {
-	var sum float64
-	for _, c := range fs.Ctrls {
-		sum += c.Bandwidth()
-	}
-	return sum
-}
+func (fs *FullSystem) MemBandwidth() float64 { return sumBandwidth(fs.Ctrls) }
 
 // AvgBusUtilisation averages controller bus utilisation.
-func (fs *FullSystem) AvgBusUtilisation() float64 {
-	var sum float64
-	for _, c := range fs.Ctrls {
-		sum += c.BusUtilisation()
-	}
-	return sum / float64(len(fs.Ctrls))
-}
+func (fs *FullSystem) AvgBusUtilisation() float64 { return avgBusUtilisation(fs.Ctrls) }
