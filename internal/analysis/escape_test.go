@@ -61,6 +61,14 @@ func TestHotEscapeAgreement(t *testing.T) {
 		"core.(*Controller).RecvTimingReq", // TestControllerSteadyStateZeroAlloc
 		"sim.(*Kernel).Schedule",           // TestScheduleSteadyStateZeroAlloc
 		"mem.(*PacketPool).Get",            // TestPacketPoolSteadyStateZeroAlloc
+		"mem.(*PacketQueue).Push",          // TestPacketQueueSteadyStateZeroAlloc
+		"cpu.(*Core).run",                  // TestCoreSteadyStateZeroAlloc
+		"cpu.(*Core).RecvTimingResp",       // same gate
+		"cache.(*Cache).access",            // TestCacheSteadyStateZeroAlloc
+		"cache.(*Cache).fillOrAck",         // same gate
+		"cache.(*Cache).processResponses",  // same gate
+		"xbar.(*outQueue).push",            // TestCrossbarRoundTripZeroAlloc
+		"xbar.(*outQueue).drain",           // same gate
 	} {
 		if !hotNames[want] {
 			t.Errorf("%s is AllocsPerRun-gated but not //hot:path-annotated", want)

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -27,7 +28,9 @@ type Config struct {
 	// MSHRs bounds outstanding misses; when exhausted the cache refuses
 	// requests (back pressure toward the core).
 	MSHRs int
-	// WriteBufferDepth bounds queued writebacks.
+	// WriteBufferDepth is meant to bound queued writebacks. Validate
+	// requires it positive, but nothing enforces it yet: the writeback
+	// queue is unbounded (ROADMAP open item 3(a): enforce or delete).
 	WriteBufferDepth int
 	// Prefetch selects the prefetcher (extension; see prefetch.go).
 	Prefetch PrefetchPolicy
@@ -77,7 +80,8 @@ type line struct {
 	prefetched bool
 }
 
-// mshr tracks one outstanding line fill and the requests waiting on it.
+// mshr is one slot of the MSHR file: an outstanding line fill and the
+// requests waiting on it. waiters keeps its backing array across uses.
 type mshr struct {
 	lineAddr mem.Addr
 	waiters  []*mem.Packet
@@ -98,30 +102,35 @@ type Cache struct {
 	cpuPort *mem.ResponsePort
 	memPort *mem.RequestPort
 
-	sets    [][]line
-	setMask uint64
-	useTick uint64
+	// lines is the tag store: set s occupies lines[s*Assoc : (s+1)*Assoc].
+	lines    []line
+	setMask  uint64
+	lineBits uint // log2(LineBytes)
+	setBits  uint // log2(sets): the tag starts above these bits of the line number
+	useTick  uint64
 
-	mshrs map[mem.Addr]*mshr
+	// pool recycles the packets this cache creates: a fill (demand or
+	// prefetch) is released once installed or its poison handed to the
+	// waiters, a writeback when its WriteResp returns.
+	pool mem.PacketPool
+	// mshrs is the MSHR file: cfg.MSHRs slots, the first mshrsInUse live
+	// (in no particular order: a retired slot swaps with the last live one).
+	mshrs      []mshr
+	mshrsInUse int
 	// strides tracks per-requestor stride detection state.
 	strides map[int]*strideState
-	// wbQueue holds writebacks (and the blocked fill, if any) awaiting the
-	// memory port.
-	wbQueue    []*mem.Packet
+	// wbQueue holds fills and writebacks awaiting the memory port (ticks
+	// unused). It is not bounded: see Config.WriteBufferDepth.
+	wbQueue    mem.PacketQueue
 	memBlocked bool
 
-	// respQueue delays hit responses by HitLatency.
-	respQueue []respEntry
+	// respQueue delays responses by HitLatency (entry tick = send time).
+	respQueue mem.PacketQueue
 	respEvent *sim.Event
 	retryResp bool
 	retryReq  bool
 
 	st cacheStats
-}
-
-type respEntry struct {
-	pkt    *mem.Packet
-	sendAt sim.Tick
 }
 
 type cacheStats struct {
@@ -148,17 +157,19 @@ func New(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) (*Cache, e
 		return nil, fmt.Errorf("cache: set count %d not a power of two", numSets)
 	}
 	c := &Cache{
-		name:    name,
-		cfg:     cfg,
-		k:       k,
-		sets:    make([][]line, numSets),
-		setMask: numSets - 1,
-		mshrs:   make(map[mem.Addr]*mshr),
-		strides: make(map[int]*strideState),
+		name:     name,
+		cfg:      cfg,
+		k:        k,
+		lines:    make([]line, numSets*uint64(cfg.Assoc)),
+		setMask:  numSets - 1,
+		lineBits: uint(bits.TrailingZeros64(cfg.LineBytes)),
+		setBits:  uint(bits.TrailingZeros64(numSets)),
+		mshrs:    make([]mshr, cfg.MSHRs),
+		strides:  make(map[int]*strideState),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
+	// Room for every MSHR's fill plus the writeback its install evicts.
+	c.wbQueue.Reserve(2 * cfg.MSHRs)
+	c.respQueue.Reserve(2 * cfg.MSHRs)
 	c.cpuPort = mem.NewResponsePort(name+".cpu", (*cacheCPUSide)(c), k)
 	c.memPort = mem.NewRequestPort(name+".mem", (*cacheMemSide)(c), k)
 	c.respEvent = sim.NewEvent(name+".resp", c.processResponses)
@@ -207,50 +218,78 @@ func (c *Cache) Misses() uint64 { return uint64(c.st.misses.Value()) }
 
 // Quiescent reports whether no fills or queued work are outstanding.
 func (c *Cache) Quiescent() bool {
-	return len(c.mshrs) == 0 && len(c.wbQueue) == 0 && len(c.respQueue) == 0
+	return c.mshrsInUse == 0 && c.wbQueue.Len() == 0 && c.respQueue.Len() == 0
 }
 
 func (c *Cache) indexOf(lineAddr mem.Addr) (set uint64, tag uint64) {
-	l := uint64(lineAddr) / c.cfg.LineBytes
-	return l & c.setMask, l >> popcount(c.setMask)
+	l := uint64(lineAddr) >> c.lineBits
+	return l & c.setMask, l >> c.setBits
 }
 
-func popcount(mask uint64) uint {
-	n := uint(0)
-	for mask != 0 {
-		n += uint(mask & 1)
-		mask >>= 1
-	}
-	return n
+// ways returns the lines of one set.
+func (c *Cache) ways(set uint64) []line {
+	a := uint64(c.cfg.Assoc)
+	return c.lines[set*a : (set+1)*a]
 }
 
-// lookup finds the way holding tag in set, or -1.
-func (c *Cache) lookup(set, tag uint64) int {
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			return i
+// lookup finds the line holding tag in set, or nil.
+func (c *Cache) lookup(set, tag uint64) *line {
+	ways := c.ways(set)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			return &ways[i]
 		}
 	}
-	return -1
+	return nil
 }
 
-// victim picks the LRU way in a set.
-func (c *Cache) victim(set uint64) int {
-	best, bestUse := 0, ^uint64(0)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+// victim picks the LRU line of a set.
+func (c *Cache) victim(set uint64) *line {
+	ways := c.ways(set)
+	best := &ways[0]
+	for i := range ways {
+		w := &ways[i]
 		if !w.valid {
-			return i
+			return w
 		}
-		if w.lastUse < bestUse {
-			best, bestUse = i, w.lastUse
+		if w.lastUse < best.lastUse {
+			best = w
 		}
 	}
 	return best
 }
 
 // touch refreshes LRU state.
-func (c *Cache) touch(set uint64, way int) {
+func (c *Cache) touch(l *line) {
 	c.useTick++
-	c.sets[set][way].lastUse = c.useTick
+	l.lastUse = c.useTick
+}
+
+// findMSHR returns the live slot tracking lineAddr, or -1.
+func (c *Cache) findMSHR(lineAddr mem.Addr) int {
+	for i := range c.mshrs[:c.mshrsInUse] {
+		if c.mshrs[i].lineAddr == lineAddr {
+			return i
+		}
+	}
+	return -1
+}
+
+// allocMSHR claims the next free slot for fill; the caller has checked that
+// one is free.
+func (c *Cache) allocMSHR(fill *mem.Packet, prefetch bool) *mshr {
+	m := &c.mshrs[c.mshrsInUse]
+	c.mshrsInUse++
+	m.lineAddr, m.issued, m.fill, m.prefetch = fill.Addr, c.k.Now(), fill, prefetch
+	m.waiters = m.waiters[:0]
+	return m
+}
+
+// freeMSHR retires live slot i and returns it; its contents (the waiters
+// included) stay readable until the next allocMSHR.
+func (c *Cache) freeMSHR(i int) *mshr {
+	c.mshrsInUse--
+	last := c.mshrsInUse
+	c.mshrs[i], c.mshrs[last] = c.mshrs[last], c.mshrs[i]
+	return &c.mshrs[last]
 }

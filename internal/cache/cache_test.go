@@ -368,7 +368,7 @@ func TestRandomTrafficProperty(t *testing.T) {
 		ok := true
 		var inject func()
 		inject = func() {
-			if len(c.mshrs) > cfg.MSHRs {
+			if c.mshrsInUse > cfg.MSHRs {
 				ok = false
 			}
 			if u.blocked == nil && sent < n {

@@ -38,6 +38,8 @@ func (ms *cacheMemSide) RecvReqRetry() {
 }
 
 // access handles a demand request from the core.
+//
+//hot:path every core memory operation; gated by TestCacheSteadyStateZeroAlloc
 func (c *Cache) access(pkt *mem.Packet) bool {
 	if pkt.Size == 0 || pkt.Size > c.cfg.LineBytes {
 		panic(fmt.Sprintf("cache: %s request of %d bytes exceeds line size %d",
@@ -48,10 +50,9 @@ func (c *Cache) access(pkt *mem.Packet) bool {
 		panic(fmt.Sprintf("cache: %s request %s straddles a line", c.name, pkt))
 	}
 	set, tag := c.indexOf(lineAddr)
-	if way := c.lookup(set, tag); way >= 0 {
+	if l := c.lookup(set, tag); l != nil {
 		// Hit: touch, mark dirty on writes, respond after the hit latency.
-		c.touch(set, way)
-		l := &c.sets[set][way]
+		c.touch(l)
 		if l.prefetched {
 			// Tagged prefetching: the first demand touch of a prefetched
 			// line confirms the stream and triggers the next prefetch,
@@ -71,7 +72,8 @@ func (c *Cache) access(pkt *mem.Packet) bool {
 		return true
 	}
 	// Miss: merge into an in-flight fill when one exists.
-	if m, ok := c.mshrs[lineAddr]; ok {
+	if i := c.findMSHR(lineAddr); i >= 0 {
+		m := &c.mshrs[i]
 		c.st.misses.Inc()
 		c.st.mshrMerges.Inc()
 		m.waiters = append(m.waiters, pkt)
@@ -82,32 +84,37 @@ func (c *Cache) access(pkt *mem.Packet) bool {
 		}
 		return true
 	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if c.mshrsInUse >= c.cfg.MSHRs {
 		c.st.blockedOnMSHRs.Inc()
 		c.retryReq = true
 		return false
 	}
 	c.st.misses.Inc()
-	fill := mem.NewRead(lineAddr, c.cfg.LineBytes, pkt.RequestorID, c.k.Now())
-	m := &mshr{lineAddr: lineAddr, waiters: []*mem.Packet{pkt}, issued: c.k.Now(), fill: fill}
-	c.mshrs[lineAddr] = m
+	fill := c.pool.NewRead(lineAddr, c.cfg.LineBytes, pkt.RequestorID, c.k.Now())
+	m := c.allocMSHR(fill, false)
+	m.waiters = append(m.waiters, pkt)
 	c.sendToMem(fill)
 	c.maybePrefetch(lineAddr, pkt.RequestorID)
 	return true
 }
 
-// fillOrAck handles packets returning from memory.
+// fillOrAck handles packets returning from memory. Both kinds were created
+// by this cache and return to its pool here; the sender must not touch the
+// packet once this has returned true.
+//
+//hot:path every fill and writeback acknowledgement
 func (c *Cache) fillOrAck(pkt *mem.Packet) bool {
 	if pkt.Cmd == mem.WriteResp {
-		// Writeback acknowledged; nothing to do (fire and forget).
+		// Writeback acknowledged: the transaction is over.
+		c.pool.Put(pkt)
 		return true
 	}
 	lineAddr := pkt.Addr
-	m, ok := c.mshrs[lineAddr]
-	if !ok || m.fill != pkt {
+	i := c.findMSHR(lineAddr)
+	if i < 0 || c.mshrs[i].fill != pkt {
 		panic(fmt.Sprintf("cache: %s fill for unknown line %s", c.name, pkt))
 	}
-	delete(c.mshrs, lineAddr)
+	m := c.freeMSHR(i)
 	if !m.prefetch {
 		c.st.missLatency.Sample((c.k.Now() - m.issued).Nanoseconds())
 	}
@@ -121,39 +128,10 @@ func (c *Cache) fillOrAck(pkt *mem.Packet) bool {
 			w.Poisoned = true
 			c.queueResponse(w)
 		}
-		if c.retryReq {
-			c.retryReq = false
-			c.cpuPort.SendReqRetry()
-		}
-		return true
+	} else {
+		c.install(m)
 	}
-
-	// Install the line, evicting the LRU victim (writeback if dirty).
-	set, tag := c.indexOf(lineAddr)
-	way := c.victim(set)
-	v := &c.sets[set][way]
-	if v.valid {
-		c.st.evictions.Inc()
-		if v.dirty {
-			victimAddr := mem.Addr((v.tag<<popcount(c.setMask) | set) * c.cfg.LineBytes) //nolint:gocritic // explicit reconstruction
-			wb := mem.NewWrite(victimAddr, c.cfg.LineBytes, pkt.RequestorID, c.k.Now())
-			c.st.writebacks.Inc()
-			c.sendToMem(wb)
-		}
-	}
-	v.tag = tag
-	v.valid = true
-	v.dirty = false
-	v.prefetched = m.prefetch
-	c.touch(set, way)
-
-	// Answer every waiter; writes dirty the fresh line.
-	for _, w := range m.waiters {
-		if w.Cmd.IsWrite() {
-			v.dirty = true
-		}
-		c.queueResponse(w)
-	}
+	c.pool.Put(pkt)
 	// MSHR freed: the core may retry.
 	if c.retryReq {
 		c.retryReq = false
@@ -162,45 +140,84 @@ func (c *Cache) fillOrAck(pkt *mem.Packet) bool {
 	return true
 }
 
+// install places the line m fetched, evicting the LRU victim (writeback if
+// dirty), and answers every waiter.
+func (c *Cache) install(m *mshr) {
+	set, tag := c.indexOf(m.lineAddr)
+	v := c.victim(set)
+	if v.valid {
+		c.st.evictions.Inc()
+		if v.dirty {
+			victimAddr := mem.Addr((v.tag<<c.setBits | set) << c.lineBits)
+			wb := c.pool.NewWrite(victimAddr, c.cfg.LineBytes, m.fill.RequestorID, c.k.Now())
+			c.st.writebacks.Inc()
+			c.sendToMem(wb)
+		}
+	}
+	v.tag = tag
+	v.valid = true
+	v.dirty = false
+	v.prefetched = m.prefetch
+	c.touch(v)
+
+	// Writes dirty the fresh line.
+	for _, w := range m.waiters {
+		if w.Cmd.IsWrite() {
+			v.dirty = true
+		}
+		c.queueResponse(w)
+	}
+}
+
 // sendToMem forwards a packet downstream, queueing it when the memory port
 // is blocked or a queue already exists (order is preserved).
 func (c *Cache) sendToMem(pkt *mem.Packet) {
-	c.wbQueue = append(c.wbQueue, pkt)
+	c.wbQueue.Push(pkt, 0)
 	c.drainMemQueue()
 }
 
 func (c *Cache) drainMemQueue() {
-	for !c.memBlocked && len(c.wbQueue) > 0 {
-		if !c.memPort.SendTimingReq(c.wbQueue[0]) {
+	for !c.memBlocked && c.wbQueue.Len() > 0 {
+		pkt, _ := c.wbQueue.At(0)
+		if !c.memPort.SendTimingReq(pkt) {
 			c.memBlocked = true
 			return
 		}
-		c.wbQueue = c.wbQueue[1:]
+		c.wbQueue.Pop()
 	}
 }
 
 // queueResponse schedules a response for pkt after the hit latency.
 func (c *Cache) queueResponse(pkt *mem.Packet) {
-	c.respQueue = append(c.respQueue, respEntry{pkt: pkt, sendAt: c.k.Now() + c.cfg.HitLatency})
+	c.respQueue.Push(pkt, c.k.Now()+c.cfg.HitLatency)
 	if !c.respEvent.Scheduled() && !c.retryResp {
-		c.k.Schedule(c.respEvent, c.respQueue[0].sendAt)
+		_, sendAt := c.respQueue.At(0)
+		c.k.Schedule(c.respEvent, sendAt)
 	}
 }
 
+// processResponses sends every due response. An accepted packet may already
+// be back in its owner's pool, so it is not touched after the send.
+//
+//hot:path every response toward the core
 func (c *Cache) processResponses() {
 	now := c.k.Now()
-	for len(c.respQueue) > 0 && c.respQueue[0].sendAt <= now {
-		e := c.respQueue[0]
-		if e.pkt.Cmd.IsRequest() {
-			e.pkt.MakeResponse()
+	for c.respQueue.Len() > 0 {
+		pkt, sendAt := c.respQueue.At(0)
+		if sendAt > now {
+			break
 		}
-		if !c.cpuPort.SendTimingResp(e.pkt) {
+		if pkt.Cmd.IsRequest() {
+			pkt.MakeResponse()
+		}
+		if !c.cpuPort.SendTimingResp(pkt) {
 			c.retryResp = true
 			return
 		}
-		c.respQueue = c.respQueue[1:]
+		c.respQueue.Pop()
 	}
-	if len(c.respQueue) > 0 && !c.respEvent.Scheduled() {
-		c.k.Schedule(c.respEvent, c.respQueue[0].sendAt)
+	if c.respQueue.Len() > 0 && !c.respEvent.Scheduled() {
+		_, sendAt := c.respQueue.At(0)
+		c.k.Schedule(c.respEvent, sendAt)
 	}
 }

@@ -58,7 +58,9 @@ func (c *Cache) maybePrefetch(demand mem.Addr, requestorID int) {
 	case PrefetchStride:
 		st := c.strides[requestorID]
 		if st == nil {
+			//lint:allow hotalloc first touch: one entry per requestor for the cache's lifetime
 			st = &strideState{}
+			//lint:allow hotalloc first touch, as above
 			c.strides[requestorID] = st
 		}
 		stride := int64(demand) - int64(st.lastAddr)
@@ -91,19 +93,18 @@ func (c *Cache) maybePrefetch(demand mem.Addr, requestorID int) {
 func (c *Cache) issuePrefetch(addr mem.Addr, requestorID int) {
 	lineAddr := addr.AlignDown(c.cfg.LineBytes)
 	set, tag := c.indexOf(lineAddr)
-	if c.lookup(set, tag) >= 0 {
+	if c.lookup(set, tag) != nil {
 		return // already resident
 	}
-	if _, inFlight := c.mshrs[lineAddr]; inFlight {
-		return
+	if c.findMSHR(lineAddr) >= 0 {
+		return // already in flight
 	}
 	// Leave one MSHR free for demand misses.
-	if len(c.mshrs) >= c.cfg.MSHRs-1 {
+	if c.mshrsInUse >= c.cfg.MSHRs-1 {
 		return
 	}
-	fill := mem.NewRead(lineAddr, c.cfg.LineBytes, requestorID, c.k.Now())
-	m := &mshr{lineAddr: lineAddr, issued: c.k.Now(), fill: fill, prefetch: true}
-	c.mshrs[lineAddr] = m
+	fill := c.pool.NewRead(lineAddr, c.cfg.LineBytes, requestorID, c.k.Now())
+	c.allocMSHR(fill, true)
 	c.st.prefetches.Inc()
 	c.sendToMem(fill)
 }

@@ -20,82 +20,109 @@ import (
 // verified by the independent checker (tRCD, tRAS, tRP, tRRD, tXAW, tRCD,
 // tWTR, tRTW, tRTP, tWR, bank legality and data-bus exclusivity).
 func TestControllerObeysDRAMProtocol(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		specs := []dram.Spec{
-			dram.DDR3_1600_x64(), dram.DDR3_1333_8x8(),
-			dram.LPDDR3_1600_x32(), dram.WideIO_200_x128(),
-			dram.DDR3_1600_x64_2R(),
-			dram.DDR4_3200_x64(), dram.DDR5_4800_x64(), dram.LPDDR5_6400_x32(),
+	// Regression seeds run first, by name. 7056720497511587536 (LPDDR5,
+	// open-adaptive, FCFS) draws the per-bank refresh override: a per-bank
+	// REF of bank 10 (precharged alone 18 ns earlier) followed two unrelated
+	// demand PREs of banks 5 and 7 that shared a tick, and the referee took
+	// those for a precharge-all and demanded tRPab of a refresh that never
+	// issued one. The referee was wrong (its tRPab rule is all-bank only
+	// now). The all-bank cousin — refreshAllBanks issuing one PRE of its own
+	// on the tick of a demand PRE — is still refereed as a batch; see
+	// power's TestCheckTimingAllBankRefreshCountsDemandPRE and ROADMAP 3(a).
+	for _, seed := range []int64{7056720497511587536} {
+		if !protocolCleanForSeed(t, seed) {
+			t.Fatalf("regression seed %d violates the protocol", seed)
 		}
-		spec := specs[rng.Intn(len(specs))]
-		var trace power.CommandTrace
-
-		k := sim.NewKernel()
-		cfg := DefaultConfig(spec)
-		cfg.Page = PagePolicy(rng.Intn(4))
-		cfg.Scheduling = SchedulingPolicy(rng.Intn(2))
-		cfg.Mapping = dram.Mapping(rng.Intn(3))
-		cfg.Refresh = RefreshPolicy(rng.Intn(2))
-		cfg.XORBankHash = rng.Intn(2) == 0
-		cfg.MinWritesPerSwitch = 1 + rng.Intn(16)
-		hub := obs.NewHub()
-		hub.Attach(obs.CommandFunc(trace.Record))
-		cfg.Probes = hub
-		reg := stats.NewRegistry("t")
-		c, err := NewController(k, cfg, reg, "mc")
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		h := &harness{k: k, c: c}
-		h.port = mem.NewRequestPort("gen", h, k)
-		mem.Connect(h.port, c.Port())
-
-		n := 200
-		sent := 0
-		var inject func()
-		inject = func() {
-			if h.blocked == nil && sent < n {
-				addr := mem.Addr(rng.Intn(1<<26)) &^ 63
-				if rng.Intn(3) == 0 {
-					h.send(mem.NewWrite(addr, 64, 0, k.Now()))
-				} else {
-					h.send(mem.NewRead(addr, 64, 0, k.Now()))
-				}
-				sent++
-			}
-			if sent < n || h.blocked != nil {
-				k.Schedule(sim.NewEvent("inject", inject),
-					k.Now()+sim.Tick(rng.Intn(50))*sim.Nanosecond)
-			}
-		}
-		k.Schedule(sim.NewEvent("inject", inject), 0)
-		for i := 0; i < 10000 && !(sent >= n && c.Quiescent() && h.blocked == nil); i++ {
-			if sent >= n {
-				c.Drain()
-			}
-			k.RunUntil(k.Now() + sim.Microsecond)
-		}
-		if sent < n || !c.Quiescent() {
-			t.Logf("seed %d: run did not complete", seed)
-			return false
-		}
-		if trace.Len() == 0 {
-			t.Logf("seed %d: empty command trace", seed)
-			return false
-		}
-		violations := power.CheckTiming(spec, trace.Commands())
-		if len(violations) > 0 {
-			t.Logf("seed %d (%s, %s, %s): %d violations, first: %s",
-				seed, spec.Name, cfg.Page, cfg.Scheduling, len(violations), violations[0])
-			return false
-		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	// A fixed source: a failing seed must fail on every run, not once in a
+	// few hundred.
+	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(func(seed int64) bool { return protocolCleanForSeed(t, seed) }, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// protocolCleanForSeed draws a spec, a controller configuration and 200
+// requests from seed, records the command stream and reports whether
+// power.CheckTiming finds it clean.
+func protocolCleanForSeed(t *testing.T, seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	specs := []dram.Spec{
+		dram.DDR3_1600_x64(), dram.DDR3_1333_8x8(),
+		dram.LPDDR3_1600_x32(), dram.WideIO_200_x128(),
+		dram.DDR3_1600_x64_2R(),
+		dram.DDR4_3200_x64(), dram.DDR5_4800_x64(), dram.LPDDR5_6400_x32(),
+	}
+	spec := specs[rng.Intn(len(specs))]
+	var trace power.CommandTrace
+
+	k := sim.NewKernel()
+	cfg := DefaultConfig(spec)
+	cfg.Page = PagePolicy(rng.Intn(4))
+	cfg.Scheduling = SchedulingPolicy(rng.Intn(2))
+	cfg.Mapping = dram.Mapping(rng.Intn(3))
+	cfg.Refresh = RefreshPolicy(rng.Intn(2))
+	cfg.XORBankHash = rng.Intn(2) == 0
+	cfg.MinWritesPerSwitch = 1 + rng.Intn(16)
+	hub := obs.NewHub()
+	hub.Attach(obs.CommandFunc(trace.Record))
+	cfg.Probes = hub
+	reg := stats.NewRegistry("t")
+	c, err := NewController(k, cfg, reg, "mc")
+	if err != nil {
+		t.Log(err)
+		return false
+	}
+	h := &harness{k: k, c: c}
+	h.port = mem.NewRequestPort("gen", h, k)
+	mem.Connect(h.port, c.Port())
+
+	n := 200
+	sent := 0
+	var inject func()
+	inject = func() {
+		if h.blocked == nil && sent < n {
+			addr := mem.Addr(rng.Intn(1<<26)) &^ 63
+			if rng.Intn(3) == 0 {
+				h.send(mem.NewWrite(addr, 64, 0, k.Now()))
+			} else {
+				h.send(mem.NewRead(addr, 64, 0, k.Now()))
+			}
+			sent++
+		}
+		if sent < n || h.blocked != nil {
+			k.Schedule(sim.NewEvent("inject", inject),
+				k.Now()+sim.Tick(rng.Intn(50))*sim.Nanosecond)
+		}
+	}
+	k.Schedule(sim.NewEvent("inject", inject), 0)
+	for i := 0; i < 10000 && !(sent >= n && c.Quiescent() && h.blocked == nil); i++ {
+		if sent >= n {
+			c.Drain()
+		}
+		k.RunUntil(k.Now() + sim.Microsecond)
+	}
+	if sent < n || !c.Quiescent() {
+		t.Logf("seed %d: run did not complete", seed)
+		return false
+	}
+	if trace.Len() == 0 {
+		t.Logf("seed %d: empty command trace", seed)
+		return false
+	}
+	// The referee is told the refresh discipline actually run: a per-bank
+	// override changes the cadence budget and takes REF out of the
+	// all-bank-only tRPab rule.
+	if cfg.Refresh == RefreshPerBank {
+		spec.Refresh = dram.RefPerBank
+	}
+	violations := power.CheckTiming(spec, trace.Commands())
+	if len(violations) > 0 {
+		t.Logf("seed %d (%s, %s, %s): %d violations, first: %s",
+			seed, spec.Name, cfg.Page, cfg.Scheduling, len(violations), violations[0])
+		return false
+	}
+	return true
 }
 
 // TestStandardsObeyProtocol is the per-standard record/replay oracle run: for

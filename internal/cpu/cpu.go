@@ -77,6 +77,7 @@ type Core struct {
 	k       *sim.Kernel
 	pattern trafficgen.Pattern
 	port    *mem.RequestPort
+	pool    mem.PacketPool // packets: drawn on issue, released on response
 
 	issued      uint64
 	outstanding int
@@ -143,6 +144,8 @@ func (c *Core) computeDelay() sim.Tick {
 }
 
 // run issues memory operations while the MLP budget allows.
+//
+//hot:path one packet per memory operation; gated by TestCoreSteadyStateZeroAlloc
 func (c *Core) run() {
 	now := c.k.Now()
 	c.noteUnstall(now)
@@ -153,9 +156,9 @@ func (c *Core) run() {
 		addr, isRead := c.pattern.Next()
 		var pkt *mem.Packet
 		if isRead {
-			pkt = mem.NewRead(addr, c.cfg.AccessBytes, c.cfg.RequestorID, now)
+			pkt = c.pool.NewRead(addr, c.cfg.AccessBytes, c.cfg.RequestorID, now)
 		} else {
-			pkt = mem.NewWrite(addr, c.cfg.AccessBytes, c.cfg.RequestorID, now)
+			pkt = c.pool.NewWrite(addr, c.cfg.AccessBytes, c.cfg.RequestorID, now)
 		}
 		c.issued++
 		c.outstanding++
@@ -203,9 +206,13 @@ func (c *Core) noteUnstall(now sim.Tick) {
 	}
 }
 
-// RecvTimingResp implements mem.Requestor.
+// RecvTimingResp implements mem.Requestor: the operation is complete and
+// its packet returns to the pool.
+//
+//hot:path
 func (c *Core) RecvTimingResp(pkt *mem.Packet) bool {
 	c.loadLatency.Sample((c.k.Now() - pkt.IssueTick).Nanoseconds())
+	c.pool.Put(pkt)
 	c.outstanding--
 	c.noteUnstall(c.k.Now())
 	c.rearm()

@@ -48,6 +48,7 @@ type GPU struct {
 	cfg  GPUConfig
 	k    *sim.Kernel
 	port *mem.RequestPort
+	pool mem.PacketPool // accesses are drawn here and released on response
 
 	// patterns supplies each wavefront's address stream.
 	patterns []trafficgen.Pattern
@@ -55,7 +56,7 @@ type GPU struct {
 	issued    uint64
 	completed uint64
 	inFlight  int
-	blocked   []*mem.Packet
+	blocked   mem.PacketQueue // refused accesses awaiting the port's retry (ticks unused)
 	startTick sim.Tick
 
 	accesses    *stats.Scalar
@@ -103,7 +104,7 @@ func (g *GPU) Start() {
 
 // Done reports whether the configured access count completed.
 func (g *GPU) Done() bool {
-	return g.cfg.MemOps > 0 && g.completed >= g.cfg.MemOps && g.inFlight == 0 && len(g.blocked) == 0
+	return g.cfg.MemOps > 0 && g.completed >= g.cfg.MemOps && g.inFlight == 0 && g.blocked.Len() == 0
 }
 
 // Throughput returns completed accesses per microsecond of simulated time.
@@ -127,15 +128,15 @@ func (g *GPU) issueWave(w int) {
 	addr, isRead := g.patterns[w].Next()
 	var pkt *mem.Packet
 	if isRead {
-		pkt = mem.NewRead(addr, g.cfg.AccessBytes, g.cfg.RequestorID, g.k.Now())
+		pkt = g.pool.NewRead(addr, g.cfg.AccessBytes, g.cfg.RequestorID, g.k.Now())
 	} else {
-		pkt = mem.NewWrite(addr, g.cfg.AccessBytes, g.cfg.RequestorID, g.k.Now())
+		pkt = g.pool.NewWrite(addr, g.cfg.AccessBytes, g.cfg.RequestorID, g.k.Now())
 	}
 	pkt.Meta = w
 	g.issued++
 	g.inFlight++
 	if !g.port.SendTimingReq(pkt) {
-		g.blocked = append(g.blocked, pkt)
+		g.blocked.Push(pkt, 0)
 	}
 }
 
@@ -148,6 +149,7 @@ func (g *GPU) RecvTimingResp(pkt *mem.Packet) bool {
 	g.bytesMoved.Add(float64(pkt.Size))
 	g.loadLatency.Sample((g.k.Now() - pkt.IssueTick).Nanoseconds())
 	w := pkt.Meta.(int)
+	g.pool.Put(pkt)
 	g.k.Schedule(sim.NewEvent("gpu.wave", func() { g.issueWave(w) }),
 		g.k.Now()+g.cfg.ComputePerAccess)
 	return true
@@ -155,10 +157,10 @@ func (g *GPU) RecvTimingResp(pkt *mem.Packet) bool {
 
 // RecvReqRetry implements mem.Requestor.
 func (g *GPU) RecvReqRetry() {
-	for len(g.blocked) > 0 {
-		if !g.port.SendTimingReq(g.blocked[0]) {
+	for g.blocked.Len() > 0 {
+		if pkt, _ := g.blocked.At(0); !g.port.SendTimingReq(pkt) {
 			return
 		}
-		g.blocked = g.blocked[1:]
+		g.blocked.Pop()
 	}
 }

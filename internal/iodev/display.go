@@ -55,6 +55,7 @@ type Display struct {
 	cfg  DisplayConfig
 	k    *sim.Kernel
 	port *mem.RequestPort
+	pool mem.PacketPool // fetches are drawn here and released on response
 
 	linePos     mem.Addr
 	pending     int
@@ -122,6 +123,7 @@ func (d *Display) startLine() {
 		d.underflows.Inc()
 		d.pending = 0
 		d.toIssue = 0
+		d.pool.Put(d.blocked) // never accepted downstream, so ours alone
 		d.blocked = nil
 	}
 	d.lines.Inc()
@@ -136,7 +138,7 @@ func (d *Display) startLine() {
 // issueFetches sends the line's remaining reads until blocked or done.
 func (d *Display) issueFetches() {
 	for d.toIssue > 0 && d.blocked == nil {
-		pkt := mem.NewRead(d.linePos, d.cfg.FetchBytes, d.cfg.RequestorID, d.k.Now())
+		pkt := d.pool.NewRead(d.linePos, d.cfg.FetchBytes, d.cfg.RequestorID, d.k.Now())
 		d.linePos += mem.Addr(d.cfg.FetchBytes)
 		if uint64(d.linePos-d.cfg.FrameBase) >= d.cfg.FrameBytes {
 			d.linePos = d.cfg.FrameBase
@@ -150,7 +152,8 @@ func (d *Display) issueFetches() {
 }
 
 // RecvTimingResp implements mem.Requestor.
-func (d *Display) RecvTimingResp(*mem.Packet) bool {
+func (d *Display) RecvTimingResp(pkt *mem.Packet) bool {
+	d.pool.Put(pkt)
 	if d.pending > 0 {
 		d.pending--
 		if d.pending == 0 && d.blocked == nil {

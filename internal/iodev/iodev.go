@@ -43,6 +43,7 @@ type DMA struct {
 	cfg  DMAConfig
 	k    *sim.Kernel
 	port *mem.RequestPort
+	pool mem.PacketPool // requests are drawn here and released on response
 
 	cur *dmaJob
 
@@ -113,9 +114,9 @@ func (d *DMA) pump() {
 		}
 		var pkt *mem.Packet
 		if j.isRead {
-			pkt = mem.NewRead(j.next, size, d.cfg.RequestorID, d.k.Now())
+			pkt = d.pool.NewRead(j.next, size, d.cfg.RequestorID, d.k.Now())
 		} else {
-			pkt = mem.NewWrite(j.next, size, d.cfg.RequestorID, d.k.Now())
+			pkt = d.pool.NewWrite(j.next, size, d.cfg.RequestorID, d.k.Now())
 		}
 		j.next += mem.Addr(size)
 		j.outstanding++
@@ -128,7 +129,8 @@ func (d *DMA) pump() {
 }
 
 // RecvTimingResp implements mem.Requestor.
-func (d *DMA) RecvTimingResp(*mem.Packet) bool {
+func (d *DMA) RecvTimingResp(pkt *mem.Packet) bool {
+	d.pool.Put(pkt)
 	j := d.cur
 	if j == nil {
 		return true

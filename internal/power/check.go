@@ -363,8 +363,12 @@ func CheckTiming(dev dram.Device, cmds []Command) []Violation {
 				rk.banks[c.Bank].open = false
 			}
 			// An all-bank refresh right after a same-tick precharge-all batch
-			// must keep the longer tRPab on devices that distinguish it.
-			if tRPab > t.TRP && rk.samePreCount >= 2 && c.At < rk.lastPreAt+tRPab {
+			// must keep the longer tRPab on devices that distinguish it. A
+			// per-bank refresh closes only its own bank, with a per-bank
+			// precharge; same-tick PREs of other banks are then demand
+			// traffic, not its precharge-all, so the rule needs a device
+			// that declares the all-bank discipline.
+			if refSpec.Kind == dram.RefAllBank && tRPab > t.TRP && rk.samePreCount >= 2 && c.At < rk.lastPreAt+tRPab {
 				fail("tRPab", c, rk.lastPreAt+tRPab-c.At)
 			}
 			// Refresh-interval accounting across self-refresh: JEDEC allows

@@ -330,6 +330,60 @@ func TestCheckTimingStandardRulesCleanAtBound(t *testing.T) {
 	}
 }
 
+// TestCheckTimingPerBankRefreshIgnoresDemandBatch: on a device refreshing
+// per bank, two demand precharges sharing a tick are not a precharge-all, so
+// a REF of a third, long-closed bank right after them owes them no tRPab
+// (core's protocol property found this with LPDDR5 under a per-bank
+// override: the rule used to fire on any REF).
+func TestCheckTimingPerBankRefreshIgnoresDemandBatch(t *testing.T) {
+	lp5 := dram.LPDDR5_6400_x32()
+	lp5.Refresh = dram.RefPerBank
+	gap := lp5.ActToAct(true)
+	pre := gap + lp5.Timing.TRAS
+	cmds := []Command{
+		{Kind: CmdACT, Bank: 0, At: 0},
+		{Kind: CmdACT, Bank: 1, At: gap},
+		{Kind: CmdPRE, Bank: 0, At: pre},
+		{Kind: CmdPRE, Bank: 1, At: pre},
+		{Kind: CmdREF, Bank: 2, At: pre + 1},
+	}
+	if vs := CheckTiming(lp5, cmds); len(vs) != 0 {
+		t.Fatalf("per-bank REF after a demand PRE batch flagged: %v", vs)
+	}
+}
+
+// TestCheckTimingAllBankRefreshCountsDemandPRE pins the conservative side of
+// the same reconstruction on an all-bank device: the trace does not say which
+// PREs a refresh issued itself, so a demand PRE sharing the tick of the
+// refresh's single own PRE reads as a precharge-all and the REF owes tRPab;
+// a lone PRE owes only tRP. core's refreshAllBanks counts just its own
+// precharges, so that coincidence would be flagged (ROADMAP 3(a)); no seed
+// has produced it.
+func TestCheckTimingAllBankRefreshCountsDemandPRE(t *testing.T) {
+	lp5 := dram.LPDDR5_6400_x32()
+	l5 := lp5.Timing
+	gap := lp5.ActToAct(true)
+	pre := gap + l5.TRAS
+	lone := []Command{
+		{Kind: CmdACT, Bank: 0, At: 0},
+		{Kind: CmdPRE, Bank: 0, At: pre},
+		{Kind: CmdREF, Bank: 0, At: pre + l5.TRP},
+	}
+	if vs := CheckTiming(lp5, lone); len(vs) != 0 {
+		t.Fatalf("all-bank REF tRP after its lone PRE flagged: %v", vs)
+	}
+	shared := []Command{
+		{Kind: CmdACT, Bank: 0, At: 0},
+		{Kind: CmdACT, Bank: 1, At: gap},
+		{Kind: CmdPRE, Bank: 1, At: pre}, // demand
+		{Kind: CmdPRE, Bank: 0, At: pre}, // the refresh's own
+		{Kind: CmdREF, Bank: 0, At: pre + l5.TRP},
+	}
+	if vs := CheckTiming(lp5, shared); !hasRule(vs, "tRPab") {
+		t.Fatalf("all-bank REF tRP after a same-tick PRE pair not refereed as a batch: %v", vs)
+	}
+}
+
 // TestCheckTimingActivationLimitAboveEight is the regression test for the
 // old fixed 8-entry activation window: with a device whose rolling limit is
 // nine, the checker must referee tXAW over nine activates — the old cap

@@ -381,6 +381,13 @@ type FullSystem struct {
 // NewFullSystem wires cores -> L1s -> crossbar -> shared LLC -> crossbar ->
 // channel controllers.
 func NewFullSystem(cfg MultiCoreConfig) (*FullSystem, error) {
+	return newFullSystem(cfg, nil, mem.Connect)
+}
+
+// newFullSystem is NewFullSystem with two seams for tests: tuneEvent (nil
+// for none) adjusts the controllers' matched configuration, to inject memory
+// faults, and connectCore joins each core to its L1, to put a tap between.
+func newFullSystem(cfg MultiCoreConfig, tuneEvent func(*core.Config), connectCore func(*mem.RequestPort, *mem.ResponsePort)) (*FullSystem, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("system: need at least one core")
 	}
@@ -394,7 +401,7 @@ func NewFullSystem(cfg MultiCoreConfig) (*FullSystem, error) {
 	// Memory side first: channels behind the memory crossbar, interleaved
 	// at the mapping granularity but never below the LLC line size (fills
 	// must not straddle channels).
-	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil}
+	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, tuneEvent}
 	memXbar, err := interleavedXbar(k, reg, "memxbar", cfg.MemXbar, cc, cfg.LLC.LineBytes)
 	if err != nil {
 		return nil, err
@@ -428,7 +435,7 @@ func NewFullSystem(cfg MultiCoreConfig) (*FullSystem, error) {
 		if err != nil {
 			return nil, err
 		}
-		mem.Connect(c.Port(), l1.CPUPort())
+		connectCore(c.Port(), l1.CPUPort())
 		mem.Connect(l1.MemPort(), coreXbar.AttachRequestor("l1"))
 		fs.Cores = append(fs.Cores, c)
 		fs.L1s = append(fs.L1s, l1)

@@ -95,6 +95,9 @@ type TracePlayer struct {
 	port *mem.RequestPort
 	recs []TraceRecord
 	next int
+	// pool recycles the player's packets: drawn on issue, released when the
+	// response arrives.
+	pool mem.PacketPool //ckpt:skip allocation cache only
 
 	outstanding int
 	blocked     *mem.Packet
@@ -142,9 +145,9 @@ func (p *TracePlayer) issue() {
 		p.next++
 		var pkt *mem.Packet
 		if r.IsRead {
-			pkt = mem.NewRead(r.Addr, r.Size, p.requestorID, now)
+			pkt = p.pool.NewRead(r.Addr, r.Size, p.requestorID, now)
 		} else {
-			pkt = mem.NewWrite(r.Addr, r.Size, p.requestorID, now)
+			pkt = p.pool.NewWrite(r.Addr, r.Size, p.requestorID, now)
 		}
 		p.outstanding++
 		if !p.port.SendTimingReq(pkt) {
@@ -158,7 +161,8 @@ func (p *TracePlayer) issue() {
 }
 
 // RecvTimingResp implements mem.Requestor.
-func (p *TracePlayer) RecvTimingResp(*mem.Packet) bool {
+func (p *TracePlayer) RecvTimingResp(pkt *mem.Packet) bool {
+	p.pool.Put(pkt)
 	p.outstanding--
 	p.completed++
 	return true

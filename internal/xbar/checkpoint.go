@@ -51,8 +51,11 @@ type reqSideState struct {
 
 func (q *outQueue) save(pt mem.PacketTable) outQueueState {
 	st := outQueueState{Blocked: q.blocked, NextSend: q.nextSend, Send: q.sendEv.Capture()}
-	for _, it := range q.items {
-		st.Items = append(st.Items, queuedState{Pkt: pt.PacketRef(it.pkt), ReadyAt: it.readyAt})
+	// Oldest first, wherever the ring's head sits: the image does not depend
+	// on how far the ring has wrapped.
+	for i := 0; i < q.items.Len(); i++ {
+		pkt, readyAt := q.items.At(i)
+		st.Items = append(st.Items, queuedState{Pkt: pt.PacketRef(pkt), ReadyAt: readyAt})
 	}
 	return st
 }
@@ -61,9 +64,11 @@ func (q *outQueue) restore(pl mem.PacketLookup, rs sim.Restorer, st outQueueStat
 	if q.sendEv.Scheduled() {
 		q.k.Deschedule(q.sendEv)
 	}
-	q.items = nil
+	for q.items.Len() > 0 {
+		q.items.Pop()
+	}
 	for _, it := range st.Items {
-		q.items = append(q.items, queued{pkt: pl.PacketByRef(it.Pkt), readyAt: it.ReadyAt})
+		q.items.Push(pl.PacketByRef(it.Pkt), it.ReadyAt)
 	}
 	q.blocked = st.Blocked
 	q.nextSend = st.NextSend

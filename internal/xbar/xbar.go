@@ -106,19 +106,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// queued is a packet waiting in an internal queue.
-type queued struct {
-	pkt     *mem.Packet
-	readyAt sim.Tick
-}
-
 // outQueue is a latency+capacity queue in front of one output port (either
 // direction), draining in order with retry flow control.
 type outQueue struct {
-	name     string
-	k        *sim.Kernel
-	cfg      Config
-	items    []queued
+	name string
+	k    *sim.Kernel
+	cfg  Config
+	// items holds each packet with the tick it is ready to leave; the ring
+	// is sized to QueueDepth once and never grows (full() gates every push).
+	items    mem.PacketQueue
 	sendEv   *sim.Event
 	blocked  bool // downstream refused; waiting for its retry
 	nextSend sim.Tick
@@ -129,23 +125,26 @@ type outQueue struct {
 
 func newOutQueue(k *sim.Kernel, cfg Config, name string, send func(*mem.Packet) bool, onSpace func()) *outQueue {
 	q := &outQueue{name: name, k: k, cfg: cfg, send: send, onSpace: onSpace}
+	q.items.Reserve(cfg.QueueDepth)
 	q.sendEv = sim.NewEvent(name+".send", q.drain)
 	return q
 }
 
-func (q *outQueue) full() bool { return len(q.items) >= q.cfg.QueueDepth }
+func (q *outQueue) full() bool { return q.items.Len() >= q.cfg.QueueDepth }
 
 // push enqueues a packet; the caller must have checked full().
+//
+//hot:path every packet crossing the crossbar, each way; gated by TestCrossbarRoundTripZeroAlloc
 func (q *outQueue) push(pkt *mem.Packet) {
-	q.items = append(q.items, queued{pkt: pkt, readyAt: q.k.Now() + q.cfg.Latency})
+	q.items.Push(pkt, q.k.Now()+q.cfg.Latency)
 	q.schedule()
 }
 
 func (q *outQueue) schedule() {
-	if q.blocked || len(q.items) == 0 || q.sendEv.Scheduled() {
+	if q.blocked || q.items.Len() == 0 || q.sendEv.Scheduled() {
 		return
 	}
-	at := q.items[0].readyAt
+	_, at := q.items.At(0)
 	if q.nextSend > at {
 		at = q.nextSend
 	}
@@ -155,18 +154,22 @@ func (q *outQueue) schedule() {
 	q.k.Schedule(q.sendEv, at)
 }
 
+// drain sends every ready packet in order. A packet accepted by send may
+// already be back in its owner's pool, so it is not touched afterwards.
+//
+//hot:path
 func (q *outQueue) drain() {
 	now := q.k.Now()
-	for len(q.items) > 0 && !q.blocked {
-		head := q.items[0]
-		if head.readyAt > now || q.nextSend > now {
+	for q.items.Len() > 0 && !q.blocked {
+		pkt, readyAt := q.items.At(0)
+		if readyAt > now || q.nextSend > now {
 			break
 		}
-		if !q.send(head.pkt) {
+		if !q.send(pkt) {
 			q.blocked = true
 			return
 		}
-		q.items = q.items[1:]
+		q.items.Pop()
 		if q.cfg.PacketInterval > 0 {
 			q.nextSend = now + q.cfg.PacketInterval
 		}
@@ -303,7 +306,7 @@ func (rs *reqSide) RecvTimingReq(pkt *mem.Packet) bool {
 		rs.waitingRetry = true
 		x.blockedReq.Inc()
 		if x.hub != nil {
-			x.hub.Emit(obs.QueueRefuse{Src: x.name, At: x.k.Now(), Queue: xbarQueue(pkt), Depth: len(q.items)})
+			x.hub.Emit(obs.QueueRefuse{Src: x.name, At: x.k.Now(), Queue: xbarQueue(pkt), Depth: q.items.Len()})
 		}
 		return false
 	}
@@ -313,7 +316,7 @@ func (rs *reqSide) RecvTimingReq(pkt *mem.Packet) bool {
 	if x.hub != nil {
 		queue := xbarQueue(pkt)
 		x.hub.Emit(obs.PacketEnqueued{Src: x.name, At: x.k.Now(), Pkt: pkt, Queue: queue, Bursts: 1})
-		x.hub.Emit(obs.QueueAdmit{Src: x.name, At: x.k.Now(), Queue: queue, Depth: len(q.items) - 1})
+		x.hub.Emit(obs.QueueAdmit{Src: x.name, At: x.k.Now(), Queue: queue, Depth: q.items.Len() - 1})
 	}
 	return true
 }
@@ -360,12 +363,12 @@ func (x *Crossbar) InFlight() int { return len(x.origin) }
 // Quiescent reports whether no packets sit in any internal queue.
 func (x *Crossbar) Quiescent() bool {
 	for _, ms := range x.memSides {
-		if len(ms.reqQ.items) > 0 {
+		if ms.reqQ.items.Len() > 0 {
 			return false
 		}
 	}
 	for _, rs := range x.reqSides {
-		if len(rs.respQ.items) > 0 {
+		if rs.respQ.items.Len() > 0 {
 			return false
 		}
 	}
