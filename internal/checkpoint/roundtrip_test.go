@@ -501,9 +501,9 @@ func TestResumeMidLowPower(t *testing.T) {
 	want := dumpStats(t, ref.Reg)
 	endTick := rs.Now()
 	refCtrl := ref.Ctrl.(*core.Controller)
-	if refCtrl.PowerDownTime() == 0 || refCtrl.SelfRefreshTime() == 0 {
+	if refCtrl.PowerStats().PowerDownTime == 0 || refCtrl.PowerStats().SelfRefreshTime == 0 {
 		t.Fatalf("workload never entered low power (pd %s, sr %s) — nothing to test",
-			refCtrl.PowerDownTime(), refCtrl.SelfRefreshTime())
+			refCtrl.PowerStats().PowerDownTime, refCtrl.PowerStats().SelfRefreshTime)
 	}
 
 	for _, mode := range []string{"mid-powerdown", "mid-selfrefresh"} {

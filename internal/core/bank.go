@@ -68,7 +68,8 @@ type rank struct {
 	// wrAllowedAt is the earliest tick for a write column command, advanced
 	// by tRTW after read data.
 	wrAllowedAt sim.Tick
-	// nextRefreshBank round-robins per-bank refresh.
+	// nextRefreshBank is the set the next refresh command covers: a bank
+	// (per-bank), an in-group index (same-bank), always 0 under all-bank.
 	nextRefreshBank int
 
 	// Per-rank CKE state machine (extension, see cke.go).

@@ -176,15 +176,8 @@ func (c *Controller) leavePowerDown(ri int, exitAt sim.Tick) {
 			rk.prePDTime += d
 		}
 	}
-	rk.cke = ckeActive
 	c.emitCommand(power.CmdPDX, ri, 0, exitAt)
-	wake := exitAt + c.tim.TXP
-	rk.ckeOKAt = wake
-	for i := 0; i < rk.numBanks(); i++ {
-		rk.actAllowedAt[i] = maxTick(rk.actAllowedAt[i], wake)
-		rk.colAllowedAt[i] = maxTick(rk.colAllowedAt[i], wake)
-		rk.preAllowedAt[i] = maxTick(rk.preAllowedAt[i], wake)
-	}
+	rk.raiseCKE(exitAt + c.tim.TXP)
 }
 
 // leaveSelfRefresh closes the self-refresh interval at exitAt: SRX emitted,
@@ -196,18 +189,23 @@ func (c *Controller) leaveSelfRefresh(ri int, exitAt sim.Tick) {
 	if d := exitAt - rk.ckeSince; d > 0 {
 		rk.srTime += d
 	}
-	rk.cke = ckeActive
 	c.emitCommand(power.CmdSRX, ri, 0, exitAt)
-	wake := exitAt + c.tim.TXS
-	rk.ckeOKAt = wake
-	for i := 0; i < rk.numBanks(); i++ {
-		rk.actAllowedAt[i] = maxTick(rk.actAllowedAt[i], wake)
-		rk.colAllowedAt[i] = maxTick(rk.colAllowedAt[i], wake)
-		rk.preAllowedAt[i] = maxTick(rk.preAllowedAt[i], wake)
-	}
+	rk.raiseCKE(exitAt + c.tim.TXS)
 	rk.rdAllowedAt = maxTick(rk.rdAllowedAt, exitAt+maxTick(c.tim.TXS, c.tim.TXSDLL))
 	c.refreshDue[ri] = exitAt + c.tim.TREFI
 	c.k.Reschedule(c.refreshEvents[ri], c.refreshDue[ri])
+}
+
+// raiseCKE returns the rank to the active state with its exit latency paid:
+// no bank takes a command, and CKE may not toggle again, before settled.
+func (r *rank) raiseCKE(settled sim.Tick) {
+	r.cke = ckeActive
+	r.ckeOKAt = settled
+	for i := range r.openRow {
+		r.actAllowedAt[i] = maxTick(r.actAllowedAt[i], settled)
+		r.colAllowedAt[i] = maxTick(r.colAllowedAt[i], settled)
+		r.preAllowedAt[i] = maxTick(r.preAllowedAt[i], settled)
+	}
 }
 
 // wakeRank raises CKE on rank ri if it is in a low-power state, respecting
@@ -262,32 +260,4 @@ func (c *Controller) WakeAllRanks() {
 func (c *Controller) RankLowPower(ri int) (poweredDown, selfRefresh bool) {
 	rk := c.ranks[ri]
 	return rk.cke.inPowerDown(), rk.cke == ckeSelfRefresh
-}
-
-// PowerDownTime returns the mean per-rank time spent powered down (both
-// flavors), open intervals closed at now.
-func (c *Controller) PowerDownTime() sim.Tick {
-	now := c.k.Now()
-	var t sim.Tick
-	for _, rk := range c.ranks {
-		t += rk.prePDTime + rk.actPDTime
-		if rk.cke.inPowerDown() && now > rk.ckeSince {
-			t += now - rk.ckeSince
-		}
-	}
-	return t / sim.Tick(len(c.ranks))
-}
-
-// SelfRefreshTime returns the mean per-rank time spent in self-refresh, open
-// intervals closed at now.
-func (c *Controller) SelfRefreshTime() sim.Tick {
-	now := c.k.Now()
-	var t sim.Tick
-	for _, rk := range c.ranks {
-		t += rk.srTime
-		if rk.cke == ckeSelfRefresh && now > rk.ckeSince {
-			t += now - rk.ckeSince
-		}
-	}
-	return t / sim.Tick(len(c.ranks))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dram"
@@ -94,6 +95,45 @@ func TestCommandTraceMatchesAggregatePower(t *testing.T) {
 	fromStats := power.Compute(spec, act).TotalMW()
 	if ratio := fromTrace / fromStats; math.Abs(ratio-1) > 0.15 {
 		t.Fatalf("trace power %v mW vs aggregate %v mW (ratio %v)", fromTrace, fromStats, ratio)
+	}
+}
+
+// The two power models bill refresh alike on every refresh discipline: the
+// aggregate one from the refresh count, the trace one from the REF/REFSB
+// commands, both at the blackout the device declares. Traffic is the refresh
+// ablation's: spaced random reads across several refresh intervals.
+func TestRefreshPowerAgreesAcrossModels(t *testing.T) {
+	specs := []dram.Spec{}
+	for _, std := range []string{"ddr3", "ddr4", "ddr5", "lpddr5"} {
+		spec, err := dram.ByStandard(std)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	perBank := specs[0]
+	perBank.Name += "-REFpb"
+	perBank.Refresh = dram.RefPerBank
+	for _, spec := range append(specs, perBank) {
+		t.Run(spec.Name, func(t *testing.T) {
+			h, trace := tracedHarness(t, spec)
+			rng := rand.New(rand.NewSource(17))
+			end := 5 * spec.Timing.TREFI
+			for at := sim.Tick(0); at < end; at += 100 * sim.Nanosecond {
+				addr := mem.Addr(rng.Intn(1<<26)) &^ 63
+				h.at(at, func() { h.send(mem.NewRead(addr, 64, 0, 0)) })
+			}
+			h.k.RunUntil(end)
+			act := h.c.PowerStats()
+			if act.Refreshes == 0 {
+				t.Fatal("no refresh in the window")
+			}
+			fromStats := power.Compute(spec, act).RefreshMW
+			fromTrace := power.AnalyzeCommands(spec, trace.Commands(), act.Elapsed).RefreshMW
+			if math.Abs(fromStats/fromTrace-1) > 0.01 {
+				t.Fatalf("refresh power: aggregate %.2f mW vs trace %.2f mW", fromStats, fromTrace)
+			}
+		})
 	}
 }
 

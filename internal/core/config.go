@@ -39,30 +39,6 @@ func (p SchedulingPolicy) String() string {
 	return fmt.Sprintf("SchedulingPolicy(%d)", int(p))
 }
 
-// RefreshPolicy selects how refresh is issued (extension: the paper models
-// all-bank refresh and observes that it "causes big latency spikes"; LPDDR
-// parts offer per-bank refresh to soften exactly that).
-type RefreshPolicy int
-
-// Refresh policies.
-const (
-	// RefreshAllBank issues one REF per rank every tREFI, blocking every
-	// bank for tRFC (the paper's model).
-	RefreshAllBank RefreshPolicy = iota
-	// RefreshPerBank refreshes a single bank every tREFI/banks, blocking
-	// only that bank for a shortened tRFCpb (60% of tRFC); the other banks
-	// keep serving.
-	RefreshPerBank
-)
-
-// String names the policy.
-func (p RefreshPolicy) String() string {
-	if p == RefreshAllBank {
-		return "all-bank"
-	}
-	return "per-bank"
-}
-
 // PagePolicy selects the row-buffer management policy (paper §II-C).
 type PagePolicy int
 
@@ -150,9 +126,6 @@ type Config struct {
 	// excluded from checkpoint fingerprints.
 	//fp:skip probes only observe; the constructor snapshots the hub via OrNil and results never depend on it
 	Probes *obs.Hub
-	// Refresh selects all-bank (paper) or per-bank (extension) refresh.
-	//fp:skip set only by the refresh ablation, which never creates a session; a checkpointing caller must fold it in
-	Refresh RefreshPolicy
 	// XORBankHash spreads same-bank strides across banks by XORing the
 	// bank index with low row bits (extension; gem5 offers the same hash).
 	//fp:skip set only by the hash ablation, which never creates a session; a checkpointing caller must fold it in
@@ -253,11 +226,6 @@ func (c Config) Validate() error {
 	case Open, OpenAdaptive, Closed, ClosedAdaptive:
 	default:
 		return fmt.Errorf("core: unknown page policy %d", c.Page)
-	}
-	switch c.Refresh {
-	case RefreshAllBank, RefreshPerBank:
-	default:
-		return fmt.Errorf("core: unknown refresh policy %d", c.Refresh)
 	}
 	return nil
 }

@@ -125,6 +125,10 @@ type Controller struct {
 
 // ctrlStats bundles the controller's registered statistics.
 type ctrlStats struct {
+	// all lists every statistic below in registration order, so a window
+	// reset cannot miss one.
+	all []stats.Stat
+
 	readReqs, writeReqs         *stats.Scalar
 	readBursts, writeBursts     *stats.Scalar
 	servicedByWrQ               *stats.Scalar
@@ -223,37 +227,49 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 		k.Schedule(ev, due)
 	}
 	r := reg.Child(name)
-	c.st = ctrlStats{
-		readReqs:         r.NewScalar("readReqs", "read requests accepted"),
-		writeReqs:        r.NewScalar("writeReqs", "write requests accepted"),
-		readBursts:       r.NewScalar("readBursts", "read bursts (after chopping)"),
-		writeBursts:      r.NewScalar("writeBursts", "write bursts entering the write queue"),
-		servicedByWrQ:    r.NewScalar("servicedByWrQ", "read bursts forwarded from the write queue"),
-		mergedWrBursts:   r.NewScalar("mergedWrBursts", "write bursts merged into existing entries"),
-		readRowHits:      r.NewScalar("readRowHits", "read bursts hitting an open row"),
-		writeRowHits:     r.NewScalar("writeRowHits", "write bursts hitting an open row"),
-		activations:      r.NewScalar("activations", "row activate commands"),
-		precharges:       r.NewScalar("precharges", "precharge commands"),
-		refreshes:        r.NewScalar("refreshes", "refresh commands"),
-		bytesRead:        r.NewScalar("bytesRead", "bytes read from DRAM"),
-		bytesWritten:     r.NewScalar("bytesWritten", "bytes written to DRAM"),
-		rdQLat:           r.NewAverage("rdQLat", "read burst queue+service latency (ns)"),
-		wrQLat:           r.NewAverage("wrQLat", "write burst queue latency (ns)"),
-		memAccLat:        r.NewAverage("memAccLat", "read memory access latency incl. static (ns)"),
-		bytesPerActivate: r.NewAverage("bytesPerActivate", "bytes accessed per row activation"),
-		readQueueLen:     r.NewAverage("readQueueLen", "read queue length at arrival"),
-		writeQueueLen:    r.NewAverage("writeQueueLen", "write queue length at arrival"),
-		rdWrTurnarounds:  r.NewScalar("rdWrTurnarounds", "bus direction switches"),
-		powerDowns:       r.NewScalar("powerDowns", "power-down entries"),
-		selfRefreshes:    r.NewScalar("selfRefreshes", "self-refresh entries"),
-
-		correctedErrors:   r.NewScalar("correctedErrors", "read bursts with an ECC-corrected single-bit error"),
-		uncorrectedErrors: r.NewScalar("uncorrectedErrors", "read bursts with an uncorrectable error (response poisoned)"),
-		retriedBursts:     r.NewScalar("retriedBursts", "read burst replays after transient faults"),
-		retiredRows:       r.NewScalar("retiredRows", "rows retired (remapped) after exhausting retries"),
-		scrubWrites:       r.NewScalar("scrubWrites", "demand-scrub writebacks queued after corrections"),
-		droppedScrubs:     r.NewScalar("droppedScrubs", "scrub writebacks dropped on a full write queue"),
+	all := make([]stats.Stat, 0, 28)
+	scalar := func(name, desc string) *stats.Scalar {
+		s := r.NewScalar(name, desc)
+		all = append(all, s)
+		return s
 	}
+	average := func(name, desc string) *stats.Average {
+		a := r.NewAverage(name, desc)
+		all = append(all, a)
+		return a
+	}
+	c.st = ctrlStats{
+		readReqs:         scalar("readReqs", "read requests accepted"),
+		writeReqs:        scalar("writeReqs", "write requests accepted"),
+		readBursts:       scalar("readBursts", "read bursts (after chopping)"),
+		writeBursts:      scalar("writeBursts", "write bursts entering the write queue"),
+		servicedByWrQ:    scalar("servicedByWrQ", "read bursts forwarded from the write queue"),
+		mergedWrBursts:   scalar("mergedWrBursts", "write bursts merged into existing entries"),
+		readRowHits:      scalar("readRowHits", "read bursts hitting an open row"),
+		writeRowHits:     scalar("writeRowHits", "write bursts hitting an open row"),
+		activations:      scalar("activations", "row activate commands"),
+		precharges:       scalar("precharges", "precharge commands"),
+		refreshes:        scalar("refreshes", "refresh commands"),
+		bytesRead:        scalar("bytesRead", "bytes read from DRAM"),
+		bytesWritten:     scalar("bytesWritten", "bytes written to DRAM"),
+		rdQLat:           average("rdQLat", "read burst queue+service latency (ns)"),
+		wrQLat:           average("wrQLat", "write burst queue latency (ns)"),
+		memAccLat:        average("memAccLat", "read memory access latency incl. static (ns)"),
+		bytesPerActivate: average("bytesPerActivate", "bytes accessed per row activation"),
+		readQueueLen:     average("readQueueLen", "read queue length at arrival"),
+		writeQueueLen:    average("writeQueueLen", "write queue length at arrival"),
+		rdWrTurnarounds:  scalar("rdWrTurnarounds", "bus direction switches"),
+		powerDowns:       scalar("powerDowns", "power-down entries"),
+		selfRefreshes:    scalar("selfRefreshes", "self-refresh entries"),
+
+		correctedErrors:   scalar("correctedErrors", "read bursts with an ECC-corrected single-bit error"),
+		uncorrectedErrors: scalar("uncorrectedErrors", "read bursts with an uncorrectable error (response poisoned)"),
+		retriedBursts:     scalar("retriedBursts", "read burst replays after transient faults"),
+		retiredRows:       scalar("retiredRows", "rows retired (remapped) after exhausting retries"),
+		scrubWrites:       scalar("scrubWrites", "demand-scrub writebacks queued after corrections"),
+		droppedScrubs:     scalar("droppedScrubs", "scrub writebacks dropped on a full write queue"),
+	}
+	c.st.all = all
 	return c, nil
 }
 
@@ -573,8 +589,7 @@ func (c *Controller) processNextReqEvent() {
 					if tr.poisoned {
 						tr.pkt.Poisoned = true
 					}
-					release := c.transactionEntries(tr)
-					c.queueResponse(tr.pkt, tr.lastReady+c.cfg.FrontendLatency+c.cfg.BackendLatency, release)
+					c.queueResponse(tr.pkt, tr.lastReady+c.cfg.FrontendLatency+c.cfg.BackendLatency, tr.entries)
 					c.freeTxn(tr)
 				}
 			}
@@ -630,13 +645,6 @@ func (c *Controller) processNextReqEvent() {
 			c.k.Schedule(c.nextReqEvent, next)
 		}
 	}
-}
-
-// transactionEntries returns how many read-buffer entries tr occupies.
-func (c *Controller) transactionEntries(tr *transaction) int {
-	// Entries were reserved for the non-forwarded bursts only; remaining
-	// hit zero exactly when all of them were serviced.
-	return tr.entries
 }
 
 // priorityOf maps a requestor to its QoS level (0 when QoS is disabled).
@@ -714,8 +722,7 @@ func (c *Controller) chooseNext(q []*dramPacket) int {
 		// among bus-bound candidates (equal true cost) pick the bank that
 		// frees earliest, as gem5's earliestBanks does, preserving bank
 		// parallelism instead of degrading to arrival order.
-		ready := c.rawIssueAt(p)
-		at := c.clampToBus(ready)
+		_, _, ready, at := c.issueAt(p)
 		if at < bestAt || (at == bestAt && ready < bestReady) {
 			best, bestAt, bestReady = i, at, ready
 		}
@@ -723,23 +730,30 @@ func (c *Controller) chooseNext(q []*dramPacket) int {
 	return best
 }
 
-// rawIssueAt computes the earliest column-command tick for p from bank and
-// rank state alone, without mutating anything.
-func (c *Controller) rawIssueAt(p *dramPacket) sim.Tick {
+// issueAt computes, without mutating anything, the command ticks servicing p
+// takes from the current bank, rank and bus state: the precharge of a
+// conflicting row (meaningful only on a row conflict), the activate
+// (meaningful unless p hits the open row), the column command's readiness
+// from bank and rank state alone, and the column command itself once data-bus
+// serialisation is applied. It is the one statement of the access timing
+// rules: FR-FCFS ranks misses by (cmdAt, ready) and doDRAMAccess commits the
+// same four ticks.
+func (c *Controller) issueAt(p *dramPacket) (preAt, actAt, ready, cmdAt sim.Tick) {
 	t := &c.tim
 	now := c.k.Now()
 	rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
 
 	colReady := rk.colAllowedAt[bi]
 	if rk.openRow[bi] != int64(p.coord.Row) {
-		actAt := maxTick(now, rk.actAllowedAt[bi],
+		actAt = maxTick(now, rk.actAllowedAt[bi],
 			rk.lastActAt+t.TRRD,
 			rk.earliestActByWindow(c.org.ActivationLimit, t.TXAW))
 		if c.grouped {
 			actAt = maxTick(actAt, rk.actGroupAt[c.topo.GroupOf(bi)]+c.trrdL)
 		}
 		if rk.openRow[bi] != rowClosed {
-			actAt = maxTick(actAt, maxTick(now, rk.preAllowedAt[bi])+t.TRP)
+			preAt = maxTick(now, rk.preAllowedAt[bi])
+			actAt = maxTick(actAt, preAt+t.TRP)
 		}
 		colReady = actAt + t.TRCD
 	}
@@ -747,28 +761,18 @@ func (c *Controller) rawIssueAt(p *dramPacket) sim.Tick {
 	if !p.isRead {
 		dirAllowed = rk.wrAllowedAt
 	}
-	at := maxTick(now, colReady, dirAllowed)
+	ready = maxTick(now, colReady, dirAllowed)
 	if c.grouped {
-		at = maxTick(at, rk.colGroupAt[c.topo.GroupOf(bi)], rk.colAnyAt)
+		ready = maxTick(ready, rk.colGroupAt[c.topo.GroupOf(bi)], rk.colAnyAt)
 	}
-	return at
-}
-
-// clampToBus applies the same data-bus serialisation doDRAMAccess charges:
-// a command whose data would start before the bus frees is pushed out so
-// its data follows the in-flight burst back-to-back.
-func (c *Controller) clampToBus(at sim.Tick) sim.Tick {
-	if at+c.tim.TCL < c.busBusyUntil {
-		return c.busBusyUntil - c.tim.TCL
+	// The command may overlap in-flight data; only the data transfer itself
+	// serialises on the bus, so a command whose data would start before the
+	// bus frees is pushed out to follow the in-flight burst back-to-back.
+	cmdAt = ready
+	if cmdAt+t.TCL < c.busBusyUntil {
+		cmdAt = c.busBusyUntil - t.TCL
 	}
-	return at
-}
-
-// estimateIssue computes the true issue tick for p — bank, rank and data
-// bus state included, exactly what doDRAMAccess will charge — without
-// mutating any state; it is the cost function behind FR-FCFS.
-func (c *Controller) estimateIssue(p *dramPacket) sim.Tick {
-	return c.clampToBus(c.rawIssueAt(p))
+	return preAt, actAt, ready, cmdAt
 }
 
 // doDRAMAccess performs the chosen burst: it opens the row if needed
@@ -789,43 +793,20 @@ func (c *Controller) doDRAMAccess(p *dramPacket) {
 	// parked below the drain watermark while the rank slept.
 	c.wakeRank(ri)
 
-	row := int64(p.coord.Row)
-	if rk.openRow[bi] == row {
-		if p.isRead {
-			c.st.readRowHits.Inc()
-		} else {
-			c.st.writeRowHits.Inc()
-		}
-	} else {
-		if rk.openRow[bi] != rowClosed {
-			c.prechargeBank(ri, rk, bi, maxTick(now, rk.preAllowedAt[bi]))
-		}
-		actAt := maxTick(now, rk.actAllowedAt[bi],
-			rk.lastActAt+t.TRRD,
-			rk.earliestActByWindow(org.ActivationLimit, t.TXAW))
-		if c.grouped {
-			actAt = maxTick(actAt, rk.actGroupAt[c.topo.GroupOf(bi)]+c.trrdL)
-		}
+	preAt, actAt, _, cmdAt := c.issueAt(p)
+	switch row := int64(p.coord.Row); {
+	case rk.openRow[bi] != row:
+		c.prechargeBank(ri, rk, bi, preAt) // no-op on a closed bank
 		c.activateBank(ri, rk, bi, actAt, row)
-	}
-
-	dirAllowed := rk.rdAllowedAt
-	if !p.isRead {
-		dirAllowed = rk.wrAllowedAt
-	}
-	cmdAt := maxTick(now, rk.colAllowedAt[bi], dirAllowed)
-	if c.grouped {
-		cmdAt = maxTick(cmdAt, rk.colGroupAt[c.topo.GroupOf(bi)], rk.colAnyAt)
-	}
-	// The command may overlap in-flight data; only the data transfer itself
-	// serialises on the bus.
-	if cmdAt+t.TCL < c.busBusyUntil {
-		cmdAt = c.busBusyUntil - t.TCL
+	case p.isRead:
+		c.st.readRowHits.Inc()
+	default:
+		c.st.writeRowHits.Inc()
 	}
 	if c.grouped {
 		// Book the group spacing for the *next* column command: tCCD_L
 		// within this group, tCCD_S to any other (usually tBURST, which the
-		// bus serialisation above already enforces — but not when writes
+		// bus serialisation in issueAt already enforces — but not when writes
 		// follow reads with a shorter turnaround).
 		g := c.topo.GroupOf(bi)
 		rk.colGroupAt[g] = maxTick(rk.colGroupAt[g], cmdAt+c.tccdL)
@@ -880,50 +861,41 @@ func (c *Controller) doDRAMAccess(p *dramPacket) {
 
 // applyPagePolicy decides whether the row stays open after an access.
 func (c *Controller) applyPagePolicy(ri int, rk *rank, bi int, p *dramPacket) {
+	var closeRow bool
 	switch c.cfg.Page {
 	case Closed:
-		c.prechargeBank(ri, rk, bi, rk.preAllowedAt[bi])
+		closeRow = true
 	case ClosedAdaptive:
 		// Keep the row open only if more accesses to it are queued.
-		if !c.queuedRowHit(p.coord) {
-			c.prechargeBank(ri, rk, bi, rk.preAllowedAt[bi])
-		}
+		hit, _ := c.queuedRowDemand(p.coord)
+		closeRow = !hit
 	case OpenAdaptive:
 		// Close early if a conflicting access is queued and no hit is.
-		if c.queuedRowConflict(p.coord) && !c.queuedRowHit(p.coord) {
-			c.prechargeBank(ri, rk, bi, rk.preAllowedAt[bi])
-		}
+		_, closeRow = c.queuedRowDemand(p.coord)
 	case Open:
-		if c.cfg.MaxAccessesPerRow > 0 && rk.rowAccesses[bi] >= c.cfg.MaxAccessesPerRow {
-			c.prechargeBank(ri, rk, bi, rk.preAllowedAt[bi])
-		}
+		closeRow = c.cfg.MaxAccessesPerRow > 0 && rk.rowAccesses[bi] >= c.cfg.MaxAccessesPerRow
+	}
+	if closeRow {
+		c.prechargeBank(ri, rk, bi, rk.preAllowedAt[bi])
 	}
 }
 
-// queuedRowHit reports whether any queued burst targets the open row of the
-// same bank.
-func (c *Controller) queuedRowHit(coord dram.Coord) bool {
+// queuedRowDemand reports what the queues hold for coord's bank: hit when a
+// queued burst targets the same row, conflict when none does but one targets
+// another row of the bank.
+func (c *Controller) queuedRowDemand(coord dram.Coord) (hit, conflict bool) {
 	for _, q := range [2][]*dramPacket{c.readQueue, c.writeQueue} {
 		for _, p := range q {
-			if p.coord.Rank == coord.Rank && p.coord.Bank == coord.Bank && p.coord.Row == coord.Row {
-				return true
+			if p.coord.Rank != coord.Rank || p.coord.Bank != coord.Bank {
+				continue
 			}
+			if p.coord.Row == coord.Row {
+				return true, false
+			}
+			conflict = true
 		}
 	}
-	return false
-}
-
-// queuedRowConflict reports whether any queued burst targets a different row
-// of the same bank.
-func (c *Controller) queuedRowConflict(coord dram.Coord) bool {
-	for _, q := range [2][]*dramPacket{c.readQueue, c.writeQueue} {
-		for _, p := range q {
-			if p.coord.Rank == coord.Rank && p.coord.Bank == coord.Bank && p.coord.Row != coord.Row {
-				return true
-			}
-		}
-	}
-	return false
+	return false, conflict
 }
 
 // emitCommand forwards a DRAM command to the attached probes.
@@ -985,37 +957,33 @@ func (c *Controller) prechargeBank(ri int, rk *rank, bi int, preAt sim.Tick) {
 	}
 }
 
-// refreshInterval returns the cadence of the active refresh engine: tREFI
-// for all-bank, tREFI/banks for per-bank (one bank per command), and
-// tREFI/banks-per-group for DDR5 same-bank (one bank of every group per
-// command). The engine itself is picked by refreshEngine.
-func (c *Controller) refreshInterval() sim.Tick {
-	interval := c.tim.TREFI
-	switch c.refreshEngine() {
+// refreshWidth returns how many banks one refresh command blacks out under
+// the device's discipline: the whole rank (all-bank), one bank (per-bank), or
+// one bank of every group (DDR5 same-bank).
+func (c *Controller) refreshWidth() int {
+	switch c.refSpec.Kind {
 	case dram.RefPerBank:
-		interval /= sim.Tick(c.org.BanksPerRank)
+		return 1
 	case dram.RefSameBank:
-		interval /= sim.Tick(c.topo.BanksPerGroup)
+		return c.topo.Groups
 	}
-	return interval
+	return c.org.BanksPerRank
 }
 
-// refreshEngine resolves the refresh discipline actually run: the Config's
-// per-bank override wins (the refresh ablation sweeps it), otherwise the
-// device's native discipline decides — DDR5 parts refresh same-bank, LPDDR
-// specs may declare per-bank, everything else refreshes all-bank.
-func (c *Controller) refreshEngine() dram.RefreshKind {
-	if c.cfg.Refresh == RefreshPerBank {
-		return dram.RefPerBank
-	}
-	return c.refSpec.Kind
+// refreshInterval returns the refresh command cadence: tREFI divided by the
+// number of commands it takes to cover the rank once.
+func (c *Controller) refreshInterval() sim.Tick {
+	return c.tim.TREFI / sim.Tick(c.org.BanksPerRank/c.refreshWidth())
 }
 
 // processRefresh issues a refresh for a rank (paper §II-B: refreshes cause
-// the big latency spikes, so they are modelled). The all-bank discipline
-// blocks the whole rank for tRFC; per-bank refreshes one bank for a
-// shortened window at a proportionally higher cadence; same-bank (DDR5)
-// blocks one bank of every group for tRFCsb.
+// the big latency spikes, so they are modelled). One episode closes and
+// blacks out the bank range [lo,hi) for the device's refresh blackout: the
+// whole rank for tRFC (all-bank), the next bank in round-robin order for
+// tRFCpb (per-bank), or the next set of banks sharing an in-group index —
+// banks [s*Groups, (s+1)*Groups) under the bank-mod-Groups mapping — for
+// tRFCsb (DDR5 same-bank); banks outside the range keep serving. The finer
+// disciplines run at a proportionally higher cadence.
 func (c *Controller) processRefresh(rankIdx int) {
 	t := &c.tim
 	now := c.k.Now()
@@ -1035,17 +1003,57 @@ func (c *Controller) processRefresh(rankIdx int) {
 		c.wakeRank(rankIdx)
 	}
 
-	interval := c.refreshInterval()
-	switch c.refreshEngine() {
-	case dram.RefPerBank:
-		c.refreshOneBank(rankIdx, rk)
-	case dram.RefSameBank:
-		c.refreshSameBank(rankIdx, rk)
-	default:
-		c.refreshAllBanks(rankIdx, rk)
+	// The rotating set index s doubles as the command's bank argument;
+	// all-bank refresh has a single set, so it stays 0.
+	width := c.refreshWidth()
+	sets := rk.numBanks() / width
+	s := rk.nextRefreshBank % sets
+	lo, hi := s*width, (s+1)*width
+	rk.nextRefreshBank = (s + 1) % sets
+
+	start := now
+	preCount, lastPre := 0, sim.Tick(0)
+	for bi := lo; bi < hi; bi++ {
+		if rk.openRow[bi] != rowClosed {
+			preAt := maxTick(now, rk.preAllowedAt[bi])
+			c.prechargeBank(rankIdx, rk, bi, preAt)
+			start = maxTick(start, preAt+t.TRP)
+			preCount++
+			lastPre = maxTick(lastPre, preAt)
+		} else {
+			start = maxTick(start, rk.actAllowedAt[bi])
+		}
+	}
+	// On devices distinguishing all-bank from per-bank precharge (LPDDR
+	// tRPab), closing two or more rows at once ahead of an all-bank REF is a
+	// precharge-all and pays the longer tRPab before the REF may start.
+	allBank := c.refSpec.Kind == dram.RefAllBank
+	if allBank && preCount >= 2 && c.tRPab > t.TRP {
+		start = maxTick(start, lastPre+c.tRPab)
+	}
+	done := start + c.refSpec.Blackout
+	for bi := lo; bi < hi; bi++ {
+		rk.actAllowedAt[bi] = maxTick(rk.actAllowedAt[bi], done)
+		rk.refreshUntil[bi] = maxTick(rk.refreshUntil[bi], done)
+	}
+	rk.busyUntil = maxTick(rk.busyUntil, done)
+	if c.hub != nil {
+		kind := power.CmdREF
+		if c.refSpec.Kind == dram.RefSameBank {
+			kind = power.CmdREFSB
+		}
+		c.emitCommand(kind, rankIdx, s, start)
+		if allBank {
+			lo, hi = -1, 0 // bank -1 names the one rank-wide span
+		}
+		for bi := lo; bi < hi; bi++ {
+			c.hub.Emit(obs.RefreshStart{Src: c.name, At: start, Rank: rankIdx, Bank: bi, Until: done})
+			c.hub.Emit(obs.RefreshEnd{Src: c.name, At: done, Rank: rankIdx, Bank: bi})
+		}
 	}
 	c.st.refreshes.Inc()
 
+	interval := c.refreshInterval()
 	c.refreshDue[rankIdx] += interval
 	next := c.refreshDue[rankIdx]
 	if next <= now {
@@ -1056,104 +1064,4 @@ func (c *Controller) processRefresh(rankIdx int) {
 	// An idle rank can head back to a low-power state after the refresh (the
 	// blackout end gates the entry via lowPowerBlockedUntil).
 	c.scheduleLowPowerChecks()
-}
-
-// refreshAllBanks closes every bank and blocks the rank for tRFC. On
-// devices distinguishing all-bank from per-bank precharge (LPDDR tRPab),
-// closing two or more rows at once is a precharge-all and pays the longer
-// tRPab before the REF may start.
-func (c *Controller) refreshAllBanks(rankIdx int, rk *rank) {
-	t := &c.tim
-	now := c.k.Now()
-	start := now
-	preCount, lastPre := 0, sim.Tick(0)
-	for i := 0; i < rk.numBanks(); i++ {
-		if rk.openRow[i] != rowClosed {
-			preAt := maxTick(now, rk.preAllowedAt[i])
-			c.prechargeBank(rankIdx, rk, i, preAt)
-			start = maxTick(start, preAt+t.TRP)
-			preCount++
-			lastPre = maxTick(lastPre, preAt)
-		} else {
-			start = maxTick(start, rk.actAllowedAt[i])
-		}
-	}
-	if preCount >= 2 && c.tRPab > t.TRP {
-		start = maxTick(start, lastPre+c.tRPab)
-	}
-	done := start + t.TRFC
-	for i := 0; i < rk.numBanks(); i++ {
-		rk.actAllowedAt[i] = maxTick(rk.actAllowedAt[i], done)
-		rk.refreshUntil[i] = maxTick(rk.refreshUntil[i], done)
-	}
-	rk.busyUntil = maxTick(rk.busyUntil, done)
-	c.emitCommand(power.CmdREF, rankIdx, 0, start)
-	if c.hub != nil {
-		c.hub.Emit(obs.RefreshStart{Src: c.name, At: start, Rank: rankIdx, Bank: -1, Until: done})
-		c.hub.Emit(obs.RefreshEnd{Src: c.name, At: done, Rank: rankIdx, Bank: -1})
-	}
-}
-
-// refreshOneBank closes and refreshes only the next bank in round-robin
-// order; the rest of the rank keeps serving. The shortened per-bank window
-// is dram.TRFCpbNum/TRFCpbDen of tRFC (shared with power.CheckTiming so the
-// referee can never disagree with the model).
-func (c *Controller) refreshOneBank(rankIdx int, rk *rank) {
-	t := &c.tim
-	now := c.k.Now()
-	bi := rk.nextRefreshBank
-	start := now
-	if rk.openRow[bi] != rowClosed {
-		preAt := maxTick(now, rk.preAllowedAt[bi])
-		c.prechargeBank(rankIdx, rk, bi, preAt)
-		start = maxTick(start, preAt+t.TRP)
-	} else {
-		start = maxTick(start, rk.actAllowedAt[bi])
-	}
-	done := start + t.TRFC*dram.TRFCpbNum/dram.TRFCpbDen
-	rk.actAllowedAt[bi] = maxTick(rk.actAllowedAt[bi], done)
-	rk.refreshUntil[bi] = maxTick(rk.refreshUntil[bi], done)
-	rk.busyUntil = maxTick(rk.busyUntil, done)
-	c.emitCommand(power.CmdREF, rankIdx, bi, start)
-	if c.hub != nil {
-		c.hub.Emit(obs.RefreshStart{Src: c.name, At: start, Rank: rankIdx, Bank: bi, Until: done})
-		c.hub.Emit(obs.RefreshEnd{Src: c.name, At: done, Rank: rankIdx, Bank: bi})
-	}
-	rk.nextRefreshBank = (bi + 1) % rk.numBanks()
-}
-
-// refreshSameBank issues a DDR5 REFsb: one bank of every group — the set
-// sharing in-group index s, i.e. banks [s*Groups, (s+1)*Groups) under the
-// bank-mod-Groups mapping — is closed and blacked out for tRFCsb, while the
-// other banks keep serving. The rotating index s rides the same round-robin
-// counter per-bank refresh uses, over [0, BanksPerGroup).
-func (c *Controller) refreshSameBank(rankIdx int, rk *rank) {
-	t := &c.tim
-	now := c.k.Now()
-	s := rk.nextRefreshBank % c.topo.BanksPerGroup
-	lo, hi := s*c.topo.Groups, (s+1)*c.topo.Groups
-	start := now
-	for bi := lo; bi < hi; bi++ {
-		if rk.openRow[bi] != rowClosed {
-			preAt := maxTick(now, rk.preAllowedAt[bi])
-			c.prechargeBank(rankIdx, rk, bi, preAt)
-			start = maxTick(start, preAt+t.TRP)
-		} else {
-			start = maxTick(start, rk.actAllowedAt[bi])
-		}
-	}
-	done := start + c.refSpec.Blackout
-	for bi := lo; bi < hi; bi++ {
-		rk.actAllowedAt[bi] = maxTick(rk.actAllowedAt[bi], done)
-		rk.refreshUntil[bi] = maxTick(rk.refreshUntil[bi], done)
-	}
-	rk.busyUntil = maxTick(rk.busyUntil, done)
-	c.emitCommand(power.CmdREFSB, rankIdx, s, start)
-	if c.hub != nil {
-		for bi := lo; bi < hi; bi++ {
-			c.hub.Emit(obs.RefreshStart{Src: c.name, At: start, Rank: rankIdx, Bank: bi, Until: done})
-			c.hub.Emit(obs.RefreshEnd{Src: c.name, At: done, Rank: rankIdx, Bank: bi})
-		}
-	}
-	rk.nextRefreshBank = (s + 1) % c.topo.BanksPerGroup
 }

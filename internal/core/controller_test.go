@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +17,7 @@ import (
 type harness struct {
 	k    *sim.Kernel
 	c    *Controller
+	reg  *stats.Registry
 	port *mem.RequestPort
 
 	responses []*mem.Packet
@@ -69,10 +72,40 @@ func newHarness(t *testing.T, mutate func(*Config)) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{k: k, c: c}
+	h := &harness{k: k, c: c, reg: reg}
 	h.port = mem.NewRequestPort("gen", h, k)
 	mem.Connect(h.port, c.Port())
 	return h
+}
+
+// statValues dumps the harness registry — the controller's statistics and
+// nothing else — as short name -> rendered value.
+func (h *harness) statValues(t *testing.T) map[string]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := h.reg.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		f := strings.Fields(line)
+		vals[strings.TrimPrefix(f[0], "test.mc.")] = f[1]
+	}
+	return vals
+}
+
+// requireStatsZero fails unless all 28 controller statistics read zero.
+func (h *harness) requireStatsZero(t *testing.T) {
+	t.Helper()
+	vals := h.statValues(t)
+	if len(vals) != 28 {
+		t.Fatalf("controller registers %d statistics, want 28", len(vals))
+	}
+	for name, v := range vals {
+		if v != "0" {
+			t.Errorf("%s = %s after ResetStatsWindow, want 0", name, v)
+		}
+	}
 }
 
 // run processes events until the controller is quiescent or maxTicks passes.
@@ -660,6 +693,7 @@ func TestReportingHelpers(t *testing.T) {
 	if h.c.PowerStats().ReadBursts != 0 || h.c.AvgReadLatencyNs() != 0 {
 		t.Fatal("reset window did not clear stats")
 	}
+	h.requireStatsZero(t)
 }
 
 // Property: under random traffic every accepted request gets exactly one

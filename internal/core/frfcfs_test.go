@@ -1,19 +1,23 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
 // Regression tests for the FR-FCFS cost function and row-hit scan. Both
-// construct the exact mispick the old code made: estimateIssue ignored the
-// shared data bus, and chooseNext treated a row opened during a refresh
+// construct the exact mispick the old code made: the cost function ignored
+// the shared data bus, and chooseNext treated a row opened during a refresh
 // blackout as a ready hit.
 
 // mkRead builds a read burst to (rank, bank, row) for white-box scheduling
-// tests; only the fields chooseNext/estimateIssue read are populated.
+// tests; only the fields chooseNext/issueAt read are populated.
 func mkRead(rank, bank int, row uint64, entry sim.Tick) *dramPacket {
 	return &dramPacket{
 		isRead:    true,
@@ -23,9 +27,9 @@ func mkRead(rank, bank int, row uint64, entry sim.Tick) *dramPacket {
 }
 
 // With the data bus busy far into the future, the bus — not bank state —
-// bounds every candidate's true issue tick. The old estimateIssue ignored
-// busBusyUntil entirely; the fixed cost function charges the same bus clamp
-// doDRAMAccess applies, so bus-bound candidates report identical (honest)
+// bounds every candidate's true issue tick. The old cost function ignored
+// busBusyUntil entirely; issueAt applies the bus clamp doDRAMAccess
+// commits, so bus-bound candidates report identical (honest)
 // costs, and the scheduler's secondary key — raw bank readiness, gem5's
 // earliestBanks rule — decides among them.
 func TestEstimateIssueChargesBusyBus(t *testing.T) {
@@ -52,8 +56,8 @@ func TestEstimateIssueChargesBusyBus(t *testing.T) {
 	c.busBusyUntil = 200 * sim.Nanosecond
 	wantAt := c.busBusyUntil - tm.TCL
 	for i, p := range q {
-		if at := c.estimateIssue(p); at != wantAt {
-			t.Fatalf("q[%d]: estimateIssue = %s, want bus-clamped %s", i, at, wantAt)
+		if _, _, _, at := c.issueAt(p); at != wantAt {
+			t.Fatalf("q[%d]: issueAt = %s, want bus-clamped %s", i, at, wantAt)
 		}
 	}
 	if got := c.chooseNext(q); got != 1 {
@@ -99,19 +103,70 @@ func TestChooseNextPrefersSeamlessHit(t *testing.T) {
 	}
 }
 
-// The estimate must agree with what doDRAMAccess actually charges: issue the
-// chosen burst and check the column command landed on the estimated tick.
-func TestEstimateIssueMatchesAccessCharge(t *testing.T) {
-	h := newHarness(t, nil)
-	c := h.c
+// tracedHarness is newHarness on the given device with a command trace
+// attached.
+func tracedHarness(t *testing.T, spec dram.Spec) (*harness, *power.CommandTrace) {
+	trace := &power.CommandTrace{}
+	h := newHarness(t, func(c *Config) {
+		c.Device = spec
+		c.Probes = obs.NewHub()
+		c.Probes.Attach(obs.CommandFunc(trace.Record))
+	})
+	return h, trace
+}
 
-	p := mkRead(0, 2, 9, 0)
-	c.busBusyUntil = 150 * sim.Nanosecond
-	want := c.estimateIssue(p)
-	c.doDRAMAccess(p)
-	// doDRAMAccess stamps readyTime = column tick + tCL + tBURST.
-	if got := p.readyTime - c.tim.TCL - c.tim.TBURST; got != want {
-		t.Fatalf("column command at %s, estimateIssue predicted %s", got, want)
+// The estimate is the charge: the PRE, ACT and column ticks doDRAMAccess
+// stamps into the command stream are the ones issueAt returned just before,
+// on flat and bank-grouped devices, for every bank state, direction and bus
+// state.
+func TestEstimateIssueMatchesAccessCharge(t *testing.T) {
+	const bank, neighbour, row = 2, 6, 9 // 6 shares bank 2's group on DDR4 (4 groups)
+	for _, spec := range []dram.Spec{dram.DDR3_1600_x64(), dram.DDR4_3200_x64()} {
+		for _, state := range []string{"hit", "closed", "conflict"} {
+			for _, isRead := range []bool{true, false} {
+				for _, busBusy := range []sim.Tick{0, 150 * sim.Nanosecond} {
+					name := fmt.Sprintf("%s/%s/read=%v/bus=%s", spec.Name, state, isRead, busBusy)
+					t.Run(name, func(t *testing.T) {
+						h, trace := tracedHarness(t, spec)
+						c, rk := h.c, h.c.ranks[0]
+						// A recent activate next door arms tRRD (tRRD_L when
+						// grouped) and the activation window.
+						c.activateBank(0, rk, neighbour, 0, 1)
+						switch state {
+						case "hit":
+							c.activateBank(0, rk, bank, 10*sim.Nanosecond, row)
+						case "conflict":
+							c.activateBank(0, rk, bank, 10*sim.Nanosecond, row+1)
+						}
+						c.busBusyUntil = busBusy
+						trace.Reset()
+
+						p := mkRead(0, bank, row, 0)
+						p.isRead = isRead
+						preAt, actAt, _, cmdAt := c.issueAt(p)
+						c.doDRAMAccess(p)
+
+						col := power.CmdWR
+						if isRead {
+							col = power.CmdRD
+						}
+						want := []power.Command{{Kind: col, Bank: bank, At: cmdAt}}
+						if state != "hit" {
+							want = append([]power.Command{{Kind: power.CmdACT, Bank: bank, At: actAt}}, want...)
+						}
+						if state == "conflict" {
+							want = append([]power.Command{{Kind: power.CmdPRE, Bank: bank, At: preAt}}, want...)
+						}
+						if got := trace.Commands(); !reflect.DeepEqual(got, want) {
+							t.Fatalf("commands %v, issueAt predicted %v", got, want)
+						}
+						if want := cmdAt + c.tim.TCL + c.tim.TBURST; p.readyTime != want {
+							t.Fatalf("data ends at %s, want %s", p.readyTime, want)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -149,20 +204,66 @@ func TestChooseNextSkipsHitInRefreshingBank(t *testing.T) {
 	}
 }
 
-// End-to-end flavour of the same bug: refreshAllBanks must stamp every
-// bank's blackout so the scan sees it, and refreshOneBank only its target.
+// End-to-end flavour of the same bug: a refresh episode must stamp the
+// blackout on exactly the banks of its range [lo,hi) so the scan sees it —
+// the whole rank (all-bank), the next bank (per-bank), the next bank of every
+// group (DDR5 same-bank) — rotate the range, and leave every other bank
+// alone.
 func TestRefreshStampsBlackout(t *testing.T) {
-	h := newHarness(t, nil)
-	c := h.c
+	perBank := dram.DDR3_1600_x64()
+	perBank.Refresh = dram.RefPerBank
+	ddr5 := dram.DDR5_4800_x64()
+	for _, tc := range []struct {
+		spec  dram.Spec
+		width int // banks per refresh command
+		cmd   power.CommandKind
+	}{
+		{dram.DDR3_1600_x64(), dram.DDR3_1600_x64().Org.BanksPerRank, power.CmdREF},
+		{perBank, 1, power.CmdREF},
+		{ddr5, ddr5.Org.BankGroups, power.CmdREFSB},
+	} {
+		t.Run(tc.spec.Name+"/"+tc.spec.Refresh.String(), func(t *testing.T) {
+			h, trace := tracedHarness(t, tc.spec)
+			c, rk := h.c, h.c.ranks[0]
+			// An open row in the first range makes the episode precharge
+			// before it may start.
+			c.activateBank(0, rk, 0, 0, 5)
+			sets := rk.numBanks() / tc.width
+			for round := 0; round < 2; round++ {
+				s := round % sets
+				lo, hi := s*tc.width, (s+1)*tc.width
+				due := c.refreshDue[0]
+				h.k.RunUntil(due - 1)
+				untilBefore := append([]sim.Tick(nil), rk.refreshUntil...)
+				actBefore := append([]sim.Tick(nil), rk.actAllowedAt...)
+				trace.Reset()
+				h.k.RunUntil(due)
 
-	c.refreshAllBanks(0, c.ranks[0])
-	rk := c.ranks[0]
-	for i := 0; i < rk.numBanks(); i++ {
-		if rk.refreshUntil[i] <= h.k.Now() {
-			t.Fatalf("bank %d: refreshUntil = %s not stamped by all-bank refresh", i, rk.refreshUntil[i])
-		}
-		if rk.refreshUntil[i] != rk.actAllowedAt[i] {
-			t.Fatalf("bank %d: blackout %s disagrees with actAllowedAt %s", i, rk.refreshUntil[i], rk.actAllowedAt[i])
-		}
+				cmds := trace.Commands()
+				ref := cmds[len(cmds)-1]
+				if ref.Kind != tc.cmd || ref.Bank != s {
+					t.Fatalf("round %d: last command %v, want %v of set %d", round, ref, tc.cmd, s)
+				}
+				wantStart := due
+				if round == 0 {
+					wantStart += c.tim.TRP // bank 0's precharge
+				}
+				if ref.At != wantStart {
+					t.Fatalf("round %d: refresh starts at %s, want %s", round, ref.At, wantStart)
+				}
+				done := ref.At + tc.spec.RefreshMode().Blackout
+				for bi := 0; bi < rk.numBanks(); bi++ {
+					switch {
+					case bi >= lo && bi < hi:
+						if rk.refreshUntil[bi] != done || rk.actAllowedAt[bi] != done || rk.openRow[bi] != rowClosed {
+							t.Fatalf("round %d bank %d: refreshUntil %s actAllowedAt %s openRow %d, want blackout to %s on a closed bank",
+								round, bi, rk.refreshUntil[bi], rk.actAllowedAt[bi], rk.openRow[bi], done)
+						}
+					case rk.refreshUntil[bi] != untilBefore[bi] || rk.actAllowedAt[bi] != actBefore[bi]:
+						t.Fatalf("round %d bank %d outside [%d,%d) moved", round, bi, lo, hi)
+					}
+				}
+			}
+		})
 	}
 }

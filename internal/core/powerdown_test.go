@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -20,7 +21,7 @@ func TestPowerDownEntry(t *testing.T) {
 	if h.c.ranks[0].cke != ckePrePD {
 		t.Fatalf("rank with no open rows entered %v, want precharge power-down", h.c.ranks[0].cke)
 	}
-	pd := h.c.PowerDownTime()
+	pd := h.c.PowerStats().PowerDownTime
 	// Powered down from ~100 ns to 2 us.
 	if pd < 1800*sim.Nanosecond || pd > 1950*sim.Nanosecond {
 		t.Fatalf("power-down time = %s", pd)
@@ -34,7 +35,7 @@ func TestPowerDownEntry(t *testing.T) {
 func TestPowerDownDisabledByDefault(t *testing.T) {
 	h := newHarness(t, nil)
 	h.k.RunUntil(2 * sim.Microsecond)
-	if h.c.ranks[0].cke != ckeActive || h.c.PowerDownTime() != 0 {
+	if h.c.ranks[0].cke != ckeActive || h.c.PowerStats().PowerDownTime != 0 {
 		t.Fatal("power-down occurred with the feature disabled")
 	}
 }
@@ -93,21 +94,49 @@ func TestPowerDownReducesIdlePower(t *testing.T) {
 	}
 }
 
-// ResetStatsWindow clears accumulated power-down time but preserves the
-// powered-down state.
+// ResetStatsWindow clears accumulated power-down time and every registered
+// statistic — the power-down/self-refresh entry counts and the RAS counters
+// included — but preserves the powered-down state.
 func TestPowerDownStatsReset(t *testing.T) {
-	h := newHarness(t, func(c *Config) { c.PowerDownIdle = 100 * sim.Nanosecond })
-	h.k.RunUntil(sim.Microsecond)
-	if h.c.PowerDownTime() == 0 {
+	h := newHarness(t, func(c *Config) {
+		c.PowerDownIdle = 100 * sim.Nanosecond
+		c.SelfRefreshIdle = 5 * sim.Microsecond
+		c.Faults = faults.Config{Seed: 7, CorrectablePerBurst: 0.3, UncorrectablePerBurst: 0.2, TransientPerBurst: 0.4}
+		c.FaultRetryLimit = 1
+	})
+	h.at(0, func() {
+		for i := 0; i < 20; i++ {
+			h.send(mem.NewRead(mem.Addr(i)<<20, 64, 0, 0))
+		}
+	})
+	h.k.RunUntil(3 * sim.Microsecond)
+	if h.c.PowerStats().PowerDownTime == 0 {
 		t.Fatal("no power-down time accumulated")
 	}
+	requireCounted := func(names ...string) {
+		t.Helper()
+		vals := h.statValues(t)
+		for _, name := range names {
+			if vals[name] == "0" {
+				t.Fatalf("%s = 0: the run did not exercise it", name)
+			}
+		}
+	}
+	requireCounted("powerDowns", "correctedErrors", "uncorrectedErrors",
+		"retriedBursts", "retiredRows", "scrubWrites")
 	h.c.ResetStatsWindow()
+	h.requireStatsZero(t)
 	// Still powered down; the new window starts accumulating from now.
 	h.k.RunUntil(h.k.Now() + 500*sim.Nanosecond)
-	pd := h.c.PowerDownTime()
+	pd := h.c.PowerStats().PowerDownTime
 	if pd < 490*sim.Nanosecond || pd > 510*sim.Nanosecond {
 		t.Fatalf("post-reset power-down time = %s, want ~500ns", pd)
 	}
+	// Deepen into self-refresh and reset again.
+	h.k.RunUntil(7 * sim.Microsecond)
+	requireCounted("selfRefreshes")
+	h.c.ResetStatsWindow()
+	h.requireStatsZero(t)
 }
 
 func TestPowerDownConfigValidation(t *testing.T) {

@@ -21,13 +21,13 @@ import (
 // tWTR, tRTW, tRTP, tWR, bank legality and data-bus exclusivity).
 func TestControllerObeysDRAMProtocol(t *testing.T) {
 	// Regression seeds run first, by name. 7056720497511587536 (LPDDR5,
-	// open-adaptive, FCFS) draws the per-bank refresh override: a per-bank
+	// open-adaptive, FCFS) draws the per-bank refresh coin: a per-bank
 	// REF of bank 10 (precharged alone 18 ns earlier) followed two unrelated
 	// demand PREs of banks 5 and 7 that shared a tick, and the referee took
 	// those for a precharge-all and demanded tRPab of a refresh that never
 	// issued one. The referee was wrong (its tRPab rule is all-bank only
-	// now). The all-bank cousin — refreshAllBanks issuing one PRE of its own
-	// on the tick of a demand PRE — is still refereed as a batch; see
+	// now). The all-bank cousin — an all-bank refresh issuing one PRE of its
+	// own on the tick of a demand PRE — is still refereed as a batch; see
 	// power's TestCheckTimingAllBankRefreshCountsDemandPRE and ROADMAP 3(a).
 	for _, seed := range []int64{7056720497511587536} {
 		if !protocolCleanForSeed(t, seed) {
@@ -61,7 +61,12 @@ func protocolCleanForSeed(t *testing.T, seed int64) bool {
 	cfg.Page = PagePolicy(rng.Intn(4))
 	cfg.Scheduling = SchedulingPolicy(rng.Intn(2))
 	cfg.Mapping = dram.Mapping(rng.Intn(3))
-	cfg.Refresh = RefreshPolicy(rng.Intn(2))
+	if rng.Intn(2) == 1 {
+		// The device owns the refresh discipline, so the controller and the
+		// referee below are told the same thing by construction.
+		spec.Refresh = dram.RefPerBank
+		cfg.Device = spec
+	}
 	cfg.XORBankHash = rng.Intn(2) == 0
 	cfg.MinWritesPerSwitch = 1 + rng.Intn(16)
 	hub := obs.NewHub()
@@ -110,12 +115,6 @@ func protocolCleanForSeed(t *testing.T, seed int64) bool {
 		t.Logf("seed %d: empty command trace", seed)
 		return false
 	}
-	// The referee is told the refresh discipline actually run: a per-bank
-	// override changes the cadence budget and takes REF out of the
-	// all-bank-only tRPab rule.
-	if cfg.Refresh == RefreshPerBank {
-		spec.Refresh = dram.RefPerBank
-	}
 	violations := power.CheckTiming(spec, trace.Commands())
 	if len(violations) > 0 {
 		t.Logf("seed %d (%s, %s, %s): %d violations, first: %s",
@@ -153,7 +152,7 @@ func TestStandardsObeyProtocol(t *testing.T) {
 // runStandardOracle drives one traffic shape through a controller on the
 // given spec, records the command stream, and requires a clean checker
 // verdict. Bursty traffic leaves refresh-sized idle gaps (exercising the
-// refresh engines and their cadences); saturating traffic keeps the queues
+// refresh disciplines and their cadences); saturating traffic keeps the queues
 // full (exercising the back-to-back tRRD/tCCD arbitration).
 func runStandardOracle(t *testing.T, spec dram.Spec, saturating bool) {
 	t.Helper()

@@ -12,9 +12,19 @@ import (
 	"repro/internal/stats"
 )
 
+// withRefresh makes the harness's DDR3 device declare the given refresh
+// discipline.
+func withRefresh(kind dram.RefreshKind) func(*Config) {
+	return func(c *Config) {
+		spec := c.Device.Describe()
+		spec.Refresh = kind
+		c.Device = spec
+	}
+}
+
 // Per-bank refresh fires banks-per-rank times more often.
 func TestPerBankRefreshCadence(t *testing.T) {
-	h := newHarness(t, func(c *Config) { c.Refresh = RefreshPerBank })
+	h := newHarness(t, withRefresh(dram.RefPerBank))
 	tm := h.c.tim
 	h.k.RunUntil(10 * tm.TREFI)
 	got := h.c.st.refreshes.Value()
@@ -27,8 +37,8 @@ func TestPerBankRefreshCadence(t *testing.T) {
 // The paper: all-bank refresh "causes big latency spikes". Per-bank refresh
 // softens the worst case because seven of eight banks keep serving.
 func TestPerBankRefreshSoftensLatencySpike(t *testing.T) {
-	run := func(policy RefreshPolicy) sim.Tick {
-		h := newHarness(t, func(c *Config) { c.Refresh = policy })
+	run := func(kind dram.RefreshKind) sim.Tick {
+		h := newHarness(t, withRefresh(kind))
 		tm := h.c.tim
 		// Spaced random-bank reads across several refresh intervals.
 		n := int(3 * tm.TREFI / (100 * sim.Nanosecond))
@@ -53,8 +63,8 @@ func TestPerBankRefreshSoftensLatencySpike(t *testing.T) {
 		}
 		return worst
 	}
-	allBank := run(RefreshAllBank)
-	perBank := run(RefreshPerBank)
+	allBank := run(dram.RefAllBank)
+	perBank := run(dram.RefPerBank)
 	tm := dram.DDR3_1600_x64().Timing
 	// The all-bank spike must reflect tRFC; per-bank must be clearly softer.
 	if allBank < tm.TRFC {
@@ -104,7 +114,6 @@ func TestScrubRespectsRefreshTiming(t *testing.T) {
 	cfg := DefaultConfig(dram.DDR3_1600_x64())
 	cfg.FrontendLatency = 0
 	cfg.BackendLatency = 0
-	cfg.Refresh = RefreshAllBank
 	cfg.ReadBufferSize = 64
 	cfg.Faults = faults.Config{Seed: 11, CorrectablePerBurst: 1.0}
 	tm := cfg.Device.Describe().Timing
@@ -166,16 +175,5 @@ func TestScrubRespectsRefreshTiming(t *testing.T) {
 					cmd.kind, cmd.rank, cmd.at, w.start, w.end)
 			}
 		}
-	}
-}
-
-func TestRefreshPolicyString(t *testing.T) {
-	if RefreshAllBank.String() != "all-bank" || RefreshPerBank.String() != "per-bank" {
-		t.Fatal("refresh policy names wrong")
-	}
-	cfg := DefaultConfig(dram.DDR3_1600_x64())
-	cfg.Refresh = RefreshPolicy(7)
-	if cfg.Validate() == nil {
-		t.Fatal("unknown refresh policy accepted")
 	}
 }

@@ -132,14 +132,7 @@ func (c *Controller) ResetStatsWindow() {
 	if c.openBankCount == 0 {
 		c.allPrechargedSince = now
 	}
-	for _, s := range []interface{ Reset() }{
-		c.st.readReqs, c.st.writeReqs, c.st.readBursts, c.st.writeBursts,
-		c.st.servicedByWrQ, c.st.mergedWrBursts, c.st.readRowHits,
-		c.st.writeRowHits, c.st.activations, c.st.precharges, c.st.refreshes,
-		c.st.bytesRead, c.st.bytesWritten, c.st.rdQLat, c.st.wrQLat,
-		c.st.memAccLat, c.st.bytesPerActivate, c.st.readQueueLen,
-		c.st.writeQueueLen, c.st.rdWrTurnarounds,
-	} {
+	for _, s := range c.st.all {
 		s.Reset()
 	}
 }

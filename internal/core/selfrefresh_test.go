@@ -26,11 +26,11 @@ func TestSelfRefreshEntry(t *testing.T) {
 	}
 	// Power-down ended when self-refresh began: PD time is the short window
 	// between the two thresholds.
-	pd := h.c.PowerDownTime()
+	pd := h.c.PowerStats().PowerDownTime
 	if pd < 350*sim.Nanosecond || pd > 450*sim.Nanosecond {
 		t.Fatalf("power-down time = %s, want ~400ns", pd)
 	}
-	sr := h.c.SelfRefreshTime()
+	sr := h.c.PowerStats().SelfRefreshTime
 	if sr < 9*tm.TREFI/2 {
 		t.Fatalf("self-refresh time = %s, too short", sr)
 	}

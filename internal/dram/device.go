@@ -89,8 +89,8 @@ func (k RefreshKind) String() string {
 }
 
 // RefreshSpec is the refresh discipline a device requires, as consumed by the
-// controller's refresh engine and by the protocol checker's refresh-interval
-// referee.
+// controller's refresh episode, the power models' refresh term and the
+// protocol checker's refresh-interval referee.
 type RefreshSpec struct {
 	// Kind is the native discipline.
 	Kind RefreshKind
@@ -108,9 +108,9 @@ type RefreshSpec struct {
 }
 
 // tRFCpb approximates the per-bank refresh blackout as a fixed fraction of
-// tRFC (3/5, the LPDDR3 datasheet ratio). Both the controller's per-bank
-// refresh engine and the protocol checker derive it from here so they can
-// never disagree.
+// tRFC (3/5, the LPDDR3 datasheet ratio). RefreshMode folds it into the
+// per-bank Blackout that the controller, the power models and the protocol
+// checker all read, so they can never disagree.
 const (
 	TRFCpbNum = 3
 	TRFCpbDen = 5

@@ -117,6 +117,15 @@ func TestRefreshModePerKind(t *testing.T) {
 	if rm := d5.RefreshMode(); rm.Kind != RefSameBank || rm.Blackout != d5.Timing.TRFCSB {
 		t.Fatalf("DDR5 refresh mode %+v, want same-bank with tRFCsb", rm)
 	}
+	// The device is the only owner of the discipline, so its names label the
+	// refresh ablation and its Validate is the only gate on the value.
+	if RefAllBank.String() != "all-bank" || RefPerBank.String() != "per-bank" || RefSameBank.String() != "same-bank" {
+		t.Fatal("refresh kind names wrong")
+	}
+	pb.Refresh = RefreshKind(7)
+	if pb.Validate() == nil {
+		t.Fatal("unknown refresh kind accepted")
+	}
 }
 
 // TestCommandsIncludeREFSB: the mnemonic command set advertises REFsb exactly

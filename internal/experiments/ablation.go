@@ -201,11 +201,10 @@ func RefreshAblation(requests uint64) (*AblationResult, error) {
 		Workload: "spaced random reads across refresh intervals",
 	}
 	spec := dram.DDR3_1333_8x8()
-	for _, rp := range []core.RefreshPolicy{core.RefreshAllBank, core.RefreshPerBank} {
-		rp := rp
+	for _, rp := range []dram.RefreshKind{dram.RefAllBank, dram.RefPerBank} {
+		spec.Refresh = rp
 		rig, err := system.NewTrafficRig(system.RigConfig{
 			Kind: system.EventBased, Spec: spec, Mapping: dram.RoRaBaCoCh,
-			TuneEvent: func(c *core.Config) { c.Refresh = rp },
 			Gen: trafficgen.Config{
 				RequestBytes:     spec.Org.BurstBytes(),
 				MaxOutstanding:   8,

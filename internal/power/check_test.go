@@ -356,7 +356,7 @@ func TestCheckTimingPerBankRefreshIgnoresDemandBatch(t *testing.T) {
 // the same reconstruction on an all-bank device: the trace does not say which
 // PREs a refresh issued itself, so a demand PRE sharing the tick of the
 // refresh's single own PRE reads as a precharge-all and the REF owes tRPab;
-// a lone PRE owes only tRP. core's refreshAllBanks counts just its own
+// a lone PRE owes only tRP. core's all-bank refresh counts just its own
 // precharges, so that coincidence would be flagged (ROADMAP 3(a)); no seed
 // has produced it.
 func TestCheckTimingAllBankRefreshCountsDemandPRE(t *testing.T) {

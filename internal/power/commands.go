@@ -300,9 +300,10 @@ func AnalyzeCommands(spec dram.Spec, cmds []Command, elapsed sim.Tick) Breakdown
 	if actShare > 1 {
 		actShare = 1
 	}
-	// Same-bank refreshes bill their shorter tRFCsb blackout instead of the
-	// all-bank tRFC; both feed the one IDD5 refresh term.
-	refShare := (float64(refs)*t.TRFC.Seconds() + float64(refsb)*t.TRFCSB.Seconds()) / elapsedSec
+	// A REF bills the blackout of the device's discipline (tRFC all-bank,
+	// tRFCpb per-bank), a REFSB its tRFCsb; both feed the one IDD5 refresh
+	// term, exactly as Compute bills them.
+	refShare := (float64(refs)*spec.RefreshMode().Blackout.Seconds() + float64(refsb)*t.TRFCSB.Seconds()) / elapsedSec
 	if refShare > 1 {
 		refShare = 1
 	}

@@ -138,8 +138,10 @@ func Compute(spec dram.Spec, a Activity) Breakdown {
 		wr = 0
 	}
 
-	// Refresh power: IDD5 over IDD3N for tRFC per refresh.
-	refShare := float64(a.Refreshes) * t.TRFC.Seconds() / elapsed
+	// Refresh power: IDD5 over IDD3N for the blackout of one refresh command
+	// under the device's discipline (tRFC all-bank, tRFCpb per-bank, tRFCsb
+	// same-bank).
+	refShare := float64(a.Refreshes) * spec.RefreshMode().Blackout.Seconds() / elapsed
 	if refShare > 1 {
 		refShare = 1
 	}
