@@ -4,12 +4,16 @@
 # separate named steps; locally, the no-argument form is the full gate.
 #
 # tests:    the analysis framework's own tests (goldens, suppression
-#           semantics, analyzer interaction, escape-analysis agreement).
+#           semantics, analyzer interaction, the compiler escape gate).
 #
 # clean:    the repository itself must be clean under the default simlint
 #           policy (exit 0, no output). -json keeps the output
 #           machine-readable so the GitHub Actions problem matcher
 #           (.github/simlint-matcher.json) annotates any finding in the PR.
+#           Also the annotation ratchet: the number of //lint:allow,
+#           //hot:allow, //ckpt:skip and //fp:skip directives outside
+#           internal/analysis must equal ci/annotations.txt, so a count only
+#           moves together with that file.
 #
 # fixtures: the driver, run end-to-end over every fixture package in ONE
 #           invocation, must find exactly what the consolidated JSON golden
@@ -34,6 +38,22 @@ run_clean() {
     echo "== simlint: repository must be clean under the default policy =="
     go run ./cmd/simlint -json ./...
     echo "clean"
+    echo "== annotation ratchet: directive counts vs ci/annotations.txt =="
+    local name want pat got
+    while read -r name want; do
+        case "$name" in
+        lint:allow) pat='//lint:allow [a-z]+ [^ ]' ;;
+        hot:allow | ckpt:skip | fp:skip) pat="//$name [^ ]" ;;
+        *) continue ;; # comment or blank line
+        esac
+        got=$({ git grep -Eoh "$pat" -- '*.go' ':!internal/analysis' || true; } | wc -l)
+        if [ "$got" -ne "$want" ]; then
+            echo "FAIL: $got //$name directives outside internal/analysis, ci/annotations.txt says $want:" \
+                "a count moves only together with that file (a rise needs a reason a reviewer accepts)"
+            exit 1
+        fi
+        echo "//$name $got"
+    done < ci/annotations.txt
 }
 
 run_fixtures() {

@@ -135,18 +135,35 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		t.Errorf("-max-events 10: err = %v, want the watchdog's tick-stamped error", err)
 	}
 
-	for _, flags := range [][]string{
-		{"-interval", "1000"}, {"-fault-seed", "7"}, {"-ecc-latency", "20"}, {"-retry-limit", "2"},
-		{"-ber-correctable", "0.01"}, {"-trace-out", "cap.txt"}, {"-obs-sample", "1000"},
-		{"-model", "cycle", "-sched", "fcfs"},
+	const single = "single-channel only"
+	for _, c := range []struct {
+		want  string
+		flags []string
+	}{
+		{single, []string{"-interval", "1000"}}, {single, []string{"-fault-seed", "7"}},
+		{single, []string{"-ecc-latency", "20"}}, {single, []string{"-retry-limit", "2"}},
+		{single, []string{"-ber-correctable", "0.01"}}, {single, []string{"-trace-out", "cap.txt"}},
+		{single, []string{"-obs-sample", "1000"}}, {single, []string{"-model", "cycle", "-sched", "fcfs"}},
+		// A mistyped -spec is rejected even when -standard overrides it.
+		{`unknown spec "nosuch"`, []string{"-spec", "nosuch", "-standard", "ddr4"}},
 	} {
-		if _, err := dramctrl(t, with(flags...)...); err == nil || !strings.Contains(err.Error(), "single-channel only") {
-			t.Errorf("%v: err = %v, want a single-channel-only rejection", flags, err)
+		if _, err := dramctrl(t, with(c.flags...)...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want a rejection naming %q", c.flags, err, c.want)
 		}
 	}
 
-	if out := mustRun(t, with("-list")...); !strings.Contains(out, "DDR3-1600-x64") || strings.Contains(out, "simulated") {
+	out := mustRun(t, with("-list")...)
+	if !strings.Contains(out, "DDR3-1600-x64") || strings.Contains(out, "simulated") {
 		t.Errorf("-list with -channels 2 did not list the specs:\n%s", out)
+	}
+	for _, line := range []string{ // one decimal, no float noise
+		"DDR3-1333-8x8      DDR3     64-bit, BL8, 8 banks x 1 ranks, 10.7 GB/s peak\n",
+		"DDR4-2400-x64      DDR4     64-bit, BL8, 16 banks x 1 ranks, 19.2 GB/s peak\n",
+		"GDDR5-4000-x32     GDDR5    32-bit, BL8, 16 banks x 1 ranks, 16.0 GB/s peak\n",
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("-list lacks %q:\n%s", line, out)
+		}
 	}
 }
 

@@ -25,8 +25,8 @@ func main() {
 	// The memory: a DDR3-1600 x64 channel (the paper's Table IV part) under
 	// the paper's Table III controller configuration. Presets come from the
 	// registry — dram.ByName for an exact part, dram.ByStandard("ddr5") for
-	// a family's representative — and any dram.Spec is a dram.Device, so the
-	// controller accepts it directly.
+	// a family's representative — and the dram.Spec is the device model the
+	// controller takes.
 	spec, err := dram.ByName("DDR3-1600-x64")
 	if err != nil {
 		log.Fatal(err)

@@ -82,7 +82,7 @@ func (f Finding) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Detmap, Simtime, Ckptfields, Eventpool,
-		Tickunits, Hotalloc, Shardiso, Fpcover, Probeonce,
+		Tickunits, Shardiso, Fpcover,
 	}
 }
 

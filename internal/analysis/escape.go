@@ -8,16 +8,24 @@ import (
 	"strings"
 )
 
-// Escape-analysis overlay. Hotalloc is a syntactic model of what the gc
-// compiler heap-allocates; the compiler's own escape analysis
-// (`go build -gcflags=-m`) is the ground truth. TestHotEscapeAgreement keeps
-// the two honest against each other: every "escapes to heap" / "moved to
-// heap" diagnostic inside a hot function's span must fall on a line the
-// analyzer also tolerates — an exempt region (nil-hub probe guard, panic
-// argument) or a line carrying an explicit //lint:allow hotalloc. A
-// diagnostic outside those is either an allocation hotalloc failed to model
-// (analyzer gap) or a fresh regression the AllocsPerRun gates would catch
-// only once their traffic happens to exercise it.
+// The compiler escape gate. The //hot:path functions — and everything they
+// transitively call inside the module — must not heap-allocate in steady
+// state. Two referees observe that property directly: the AllocsPerRun gates
+// measure it on the traffic they drive, and the gc compiler's own escape
+// analysis (`go build -gcflags='-m -l'`) reports every construct it lowers to
+// a heap allocation, exercised or not. TestHotEscapeAgreement is the static
+// half: each "escapes to heap" / "moved to heap" diagnostic inside a hot
+// function's span must fall in an exempt region or under a `//hot:allow
+// <reason>` marker (on the reported line or the one above), and a marker the
+// compiler reports nothing under is stale. This file supplies what the test
+// needs: the diagnostics, the hot-path reach, and the exempt regions.
+//
+// Exempt regions match the conditions the AllocsPerRun gates run under:
+// statements guarded by the obs nil-hub fast path (`if hub != nil {…}` bodies
+// and everything after an `if hub == nil { return }` early exit) never
+// execute in a zero-alloc run and may allocate freely — that is the whole
+// point of the Probes.OrNil design; and panic calls are failure-path
+// diagnostics.
 
 // EscapeDiag is one heap diagnostic parsed from `go build -gcflags=-m`.
 type EscapeDiag struct {
@@ -52,72 +60,162 @@ func ParseEscapeOutput(out string) []EscapeDiag {
 	return diags
 }
 
-// HotSpan is the file extent of one function on the hot path, with the lines
-// where the hotalloc analyzer tolerates allocation.
-type HotSpan struct {
-	Name       string // display name, e.g. core.(*Controller).RecvTimingReq
-	Root       string // the //hot:path root it was reached from (== Name for roots)
-	File       string
-	Start, End int          // 1-based line range of the declaration
-	Exempt     map[int]bool // lines inside exempt regions (guards, panic args)
+// isObsHub reports whether t is (a pointer to) the named type Hub from a
+// package ending in "internal/obs".
+func isObsHub(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Hub" || named.Obj().Pkg() == nil {
+		return false
+	}
+	return strings.HasSuffix(named.Obj().Pkg().Path(), "internal/obs")
 }
 
-// HotSpans returns a span for every function the hotalloc BFS visits:
-// the //hot:path roots plus every module-local callee reached through
-// non-exempt regions, in deterministic BFS order.
-func HotSpans(prog *Program) []HotSpan {
-	var spans []HotSpan
-	for _, it := range hotReach(prog) {
-		fi := prog.Funcs[it.fn]
-		if fi == nil {
-			continue
+// hubNilCond reports whether cond contains `h <op> nil` for a hub-typed h,
+// searching through && / || chains.
+func hubNilCond(info *types.Info, cond ast.Expr, op token.Token) bool {
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		if found {
+			return false
 		}
-		start := prog.Fset.Position(it.fn.Pos())
-		end := prog.Fset.Position(fi.Decl.End())
-		spans = append(spans, HotSpan{
-			Name:   FuncDisplayName(it.fn),
-			Root:   FuncDisplayName(it.root),
-			File:   start.Filename,
-			Start:  start.Line,
-			End:    end.Line,
-			Exempt: exemptLines(fi.Pkg, fi.Decl, prog.Fset),
-		})
-	}
-	return spans
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok {
+			return true
+		}
+		if b.Op != op {
+			return true
+		}
+		x, y := ast.Unparen(b.X), ast.Unparen(b.Y)
+		for _, pair := range [][2]ast.Expr{{x, y}, {y, x}} {
+			if id, ok := pair[1].(*ast.Ident); ok && id.Name == "nil" {
+				if t := info.TypeOf(pair[0]); t != nil && isObsHub(t) {
+					found = true
+					return false
+				}
+			}
+		}
+		return true
+	})
+	return found
 }
 
-// exemptLines marks every line of fd that hotalloc's region walk skips:
-// nil-hub guard bodies, the tail of a block after an `if hub == nil
-// { return }` early exit, and panic arguments.
-func exemptLines(pkg *Package, fd *ast.FuncDecl, fset *token.FileSet) map[int]bool {
-	out := map[int]bool{}
-	mark := func(from, to token.Pos) {
-		for l := fset.Position(from).Line; l <= fset.Position(to).Line; l++ {
-			out[l] = true
-		}
+// endsInReturn reports whether the block's last statement is a return.
+func endsInReturn(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
 	}
-	info := pkg.Info
+	_, ok := b.List[len(b.List)-1].(*ast.ReturnStmt)
+	return ok
+}
+
+// exemptRegion is one source extent of a hot function that never runs in a
+// zero-allocation steady state.
+type exemptRegion struct{ from, to token.Pos }
+
+// exemptRegions returns fd's exempt extents: nil-hub guard bodies, the tail
+// of a block after an `if hub == nil { return }` early exit, and panic calls.
+func exemptRegions(info *types.Info, fd *ast.FuncDecl) []exemptRegion {
+	var out []exemptRegion
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.IfStmt:
 			if hubNilCond(info, st.Cond, token.NEQ) {
-				mark(st.Body.Pos(), st.Body.End())
+				out = append(out, exemptRegion{st.Body.Pos(), st.Body.End()})
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					mark(st.Pos(), st.End())
+					out = append(out, exemptRegion{st.Pos(), st.End()})
 				}
 			}
 		case *ast.BlockStmt:
 			for _, s := range st.List {
 				ifs, ok := s.(*ast.IfStmt)
 				if ok && ifs.Else == nil && hubNilCond(info, ifs.Cond, token.EQL) && endsInReturn(ifs.Body) {
-					mark(ifs.End(), st.End())
+					out = append(out, exemptRegion{ifs.End(), st.End()})
 				}
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// HotSpan is the file extent of one function on the hot path, with the lines
+// where allocation is tolerated.
+type HotSpan struct {
+	Name       string // display name, e.g. core.(*Controller).RecvTimingReq
+	Root       string // the //hot:path root it was reached from (== Name for roots)
+	File       string
+	Start, End int          // 1-based line range of the declaration
+	Exempt     map[int]bool // lines inside exempt regions (guards, panic calls)
+}
+
+// HotSpans returns a span for every function on the hot path: the //hot:path
+// roots expanded through the call edges outside exempt regions — a call that
+// happens solely under a probe guard is not on the zero-alloc path — to every
+// module-local callee, in deterministic BFS order.
+func HotSpans(prog *Program) []HotSpan {
+	type item struct{ fn, root *types.Func }
+	visited := map[*types.Func]bool{}
+	var queue []item
+	for _, r := range prog.DirectiveFuncs("hot:path") {
+		visited[r] = true
+		queue = append(queue, item{fn: r, root: r})
+	}
+	var spans []HotSpan
+	for i := 0; i < len(queue); i++ {
+		it := queue[i]
+		fi := prog.Funcs[it.fn]
+		info := fi.Pkg.Info
+		exempt := exemptRegions(info, fi.Decl)
+
+		start := prog.Fset.Position(it.fn.Pos())
+		span := HotSpan{
+			Name:   FuncDisplayName(it.fn),
+			Root:   FuncDisplayName(it.root),
+			File:   start.Filename,
+			Start:  start.Line,
+			End:    prog.Fset.Position(fi.Decl.End()).Line,
+			Exempt: map[int]bool{},
+		}
+		for _, r := range exempt {
+			last := prog.Fset.Position(r.to).Line
+			for l := prog.Fset.Position(r.from).Line; l <= last; l++ {
+				span.Exempt[l] = true
+			}
+		}
+		spans = append(spans, span)
+
+		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			for _, r := range exempt {
+				if r.from <= call.Pos() && call.Pos() < r.to {
+					return true
+				}
+			}
+			callee := prog.canon(funcFor(info, call)) // cross-package callees resolve to import-loaded objects
+			if callee == nil || visited[callee] {
+				return true
+			}
+			cfi, local := prog.Funcs[callee]
+			if !local {
+				return true
+			}
+			visited[callee] = true
+			root := it.root
+			if _, isHot := FuncDirective(cfi.Decl, "hot:path"); isHot {
+				root = callee
+			}
+			queue = append(queue, item{fn: callee, root: root})
+			return true
+		})
+	}
+	return spans
 }

@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,15 +9,39 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestHotEscapeAgreement cross-checks hotalloc against the compiler's own
-// escape analysis: `go build -gcflags=-m` diagnostics landing inside a hot
-// function's span must fall on a line the analyzer also tolerates — an
-// exempt region (probe guard, panic argument) or an explicit //lint:allow
-// hotalloc. Anything else means the static model and gc disagree, which is
-// exactly the kind of drift the AllocsPerRun gates only catch after the
-// fact. The reverse direction is pinned too: the functions those dynamic
-// gates enter through must actually carry //hot:path, so all three layers
-// (analyzer, compiler, runtime gate) describe the same set of code.
+// hotGates lists every //hot:path root against the AllocsPerRun gate that
+// enters it. TestHotEscapeAgreement requires the two sets to be equal, so the
+// compiler gate and the runtime gates always describe the same code.
+var hotGates = map[string]string{
+	"sim.(*Kernel).Schedule":                 "sim.TestScheduleSteadyStateZeroAlloc",
+	"sim.(*Kernel).Deschedule":               "sim.TestScheduleSteadyStateZeroAlloc",
+	"sim.(*Kernel).Reschedule":               "sim.TestScheduleSteadyStateZeroAlloc",
+	"sim.(*Kernel).step":                     "sim.TestScheduleSteadyStateZeroAlloc",
+	"sim.(*Kernel).Call":                     "sim.TestCallSteadyStateZeroAlloc",
+	"mem.(*PacketPool).Get":                  "mem.TestPacketPoolSteadyStateZeroAlloc",
+	"mem.(*PacketPool).Put":                  "mem.TestPacketPoolSteadyStateZeroAlloc",
+	"mem.(*PacketQueue).Push":                "mem.TestPacketQueueSteadyStateZeroAlloc",
+	"mem.(*PacketQueue).Pop":                 "mem.TestPacketQueueSteadyStateZeroAlloc",
+	"core.(*Controller).RecvTimingReq":       "core.TestControllerSteadyStateZeroAlloc",
+	"core.(*Controller).processNextReqEvent": "core.TestControllerSteadyStateZeroAlloc",
+	"core.(*Controller).chooseNext":          "core.TestControllerSteadyStateZeroAlloc",
+	"core.(*Controller).doDRAMAccess":        "core.TestControllerSteadyStateZeroAlloc",
+	"cpu.(*Core).run":                        "cpu.TestCoreSteadyStateZeroAlloc",
+	"cpu.(*Core).RecvTimingResp":             "cpu.TestCoreSteadyStateZeroAlloc",
+	"cache.(*Cache).access":                  "cache.TestCacheSteadyStateZeroAlloc",
+	"cache.(*Cache).fillOrAck":               "cache.TestCacheSteadyStateZeroAlloc",
+	"cache.(*Cache).processResponses":        "cache.TestCacheSteadyStateZeroAlloc",
+	"xbar.(*outQueue).push":                  "xbar.TestCrossbarRoundTripZeroAlloc",
+	"xbar.(*outQueue).drain":                 "xbar.TestCrossbarRoundTripZeroAlloc",
+}
+
+// TestHotEscapeAgreement is the static allocation check on the hot path: every
+// heap diagnostic of `go build -gcflags='-m -l'` inside a hot function's span
+// (the //hot:path roots and their module-local callees) must fall in an
+// exempt region (probe guard, panic call) or under a `//hot:allow <reason>`
+// marker, on the reported line or the one above. A marker with no reason, or
+// with no such diagnostic under it, fails too, so the markers cannot outlive
+// the allocations they excuse.
 func TestHotEscapeAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the whole module with -gcflags=-m")
@@ -26,10 +49,10 @@ func TestHotEscapeAgreement(t *testing.T) {
 	root := moduleRoot(t)
 
 	// -l disables inlining so every allocation is attributed to the line of
-	// the construct itself, not the call site it inlined into. Hotalloc is a
-	// per-function model — the pool grow path `return &dramPacket{}` is
-	// suppressed where it is written, and with inlining on, gc would re-report
-	// that same allocation at every hot call site that inlines Get.
+	// the construct itself, not the call site it inlined into: the pool grow
+	// path `return &dramPacket{}` is marked where it is written, and with
+	// inlining on, gc would re-report that same allocation at every hot call
+	// site that inlines Get.
 	cmd := exec.Command("go", "build", "-gcflags=-m -l", "./...")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
@@ -45,37 +68,54 @@ func TestHotEscapeAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := analysis.BuildProgram(pkgs)
-	spans := analysis.HotSpans(prog)
-	if len(spans) == 0 {
-		t.Fatal("no //hot:path functions found")
-	}
+	spans := analysis.HotSpans(analysis.BuildProgram(pkgs))
 
-	// The AllocsPerRun gates and the annotations must describe the same
-	// code: each gate's entry point carries //hot:path.
-	hotNames := map[string]bool{}
+	// Roots and gates are one set.
+	roots := map[string]bool{}
 	for _, s := range spans {
-		hotNames[s.Name] = true
+		if s.Name != s.Root {
+			continue
+		}
+		roots[s.Name] = true
+		if hotGates[s.Name] == "" {
+			t.Errorf("%s is //hot:path but no AllocsPerRun gate is listed for it in hotGates", s.Name)
+		}
 	}
-	for _, want := range []string{
-		"core.(*Controller).RecvTimingReq", // TestControllerSteadyStateZeroAlloc
-		"sim.(*Kernel).Schedule",           // TestScheduleSteadyStateZeroAlloc
-		"mem.(*PacketPool).Get",            // TestPacketPoolSteadyStateZeroAlloc
-		"mem.(*PacketQueue).Push",          // TestPacketQueueSteadyStateZeroAlloc
-		"cpu.(*Core).run",                  // TestCoreSteadyStateZeroAlloc
-		"cpu.(*Core).RecvTimingResp",       // same gate
-		"cache.(*Cache).access",            // TestCacheSteadyStateZeroAlloc
-		"cache.(*Cache).fillOrAck",         // same gate
-		"cache.(*Cache).processResponses",  // same gate
-		"xbar.(*outQueue).push",            // TestCrossbarRoundTripZeroAlloc
-		"xbar.(*outQueue).drain",           // same gate
-	} {
-		if !hotNames[want] {
-			t.Errorf("%s is AllocsPerRun-gated but not //hot:path-annotated", want)
+	for name, gate := range hotGates {
+		if !roots[name] {
+			t.Errorf("%s is listed as entered by %s but does not carry //hot:path", name, gate)
 		}
 	}
 
-	// Index spans by compiler-relative file path.
+	// Every //hot:allow marker in the module, by root-relative file and line.
+	type site struct {
+		file string
+		line int
+	}
+	type marker struct {
+		reason string
+		used   bool
+	}
+	markers := map[site]*marker{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, "//hot:allow")
+					if !ok || (rest != "" && rest[0] != ' ') {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					rel, err := filepath.Rel(root, pos.Filename)
+					if err != nil {
+						t.Fatal(err)
+					}
+					markers[site{rel, pos.Line}] = &marker{reason: strings.TrimSpace(rest)}
+				}
+			}
+		}
+	}
+
 	byFile := map[string][]analysis.HotSpan{}
 	for _, s := range spans {
 		rel, err := filepath.Rel(root, s.File)
@@ -84,36 +124,29 @@ func TestHotEscapeAgreement(t *testing.T) {
 		}
 		byFile[rel] = append(byFile[rel], s)
 	}
-
-	fileLines := map[string][]string{}
-	allowed := func(rel string, line int) bool {
-		lines, ok := fileLines[rel]
-		if !ok {
-			data, err := os.ReadFile(filepath.Join(root, rel))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = strings.Split(string(data), "\n")
-			fileLines[rel] = lines
-		}
-		for _, l := range []int{line, line - 1} { // same semantics as //lint:allow
-			if l >= 1 && l <= len(lines) && strings.Contains(lines[l-1], "//lint:allow hotalloc") {
-				return true
-			}
-		}
-		return false
-	}
-
 	for _, d := range diags {
 		for _, s := range byFile[d.File] {
-			if d.Line < s.Start || d.Line > s.End {
+			if d.Line < s.Start || d.Line > s.End || s.Exempt[d.Line] {
 				continue
 			}
-			if s.Exempt[d.Line] || allowed(d.File, d.Line) {
+			m := markers[site{d.File, d.Line}]
+			if m == nil {
+				m = markers[site{d.File, d.Line - 1}]
+			}
+			if m == nil {
+				t.Errorf("%s:%d: gc says %q inside hot function %s (root %s); remove the allocation, or mark a deliberate one //hot:allow <reason>",
+					d.File, d.Line, d.Msg, s.Name, s.Root)
 				continue
 			}
-			t.Errorf("%s:%d: gc says %q inside hot function %s (root %s), but hotalloc reports nothing and no //lint:allow hotalloc covers it",
-				d.File, d.Line, d.Msg, s.Name, s.Root)
+			m.used = true
+		}
+	}
+	for at, m := range markers {
+		switch {
+		case m.reason == "":
+			t.Errorf("%s:%d: //hot:allow needs a reason", at.file, at.line)
+		case !m.used:
+			t.Errorf("%s:%d: //hot:allow is stale: the compiler reports no heap allocation on a hot path under it; delete it", at.file, at.line)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
 		"detmap", "simtime", "ckptfields", "eventpool", "suppress",
-		"tickunits", "hotalloc", "shardiso", "fpcover", "probeonce", "interact",
+		"tickunits", "shardiso", "fpcover", "interact",
 	} {
 		t.Run(name, func(t *testing.T) {
 			pkgs := loadFixture(t, name)

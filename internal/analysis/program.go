@@ -268,7 +268,11 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 //
 // The annotation vocabulary (see DESIGN.md §15):
 //
-//	//hot:path                — function must stay allocation-free (hotalloc)
+//	//hot:path                — function and its module-local callees must
+//	                            stay allocation-free (the compiler escape
+//	                            gate, escape.go)
+//	//hot:allow <reason>      — deliberate heap site on a hot path; read
+//	                            only by the escape gate
 //	//shard:barrier           — function may only run in the single-threaded
 //	                            barrier section (shardiso)
 //	//fp:check                — struct's behavior-shaping fields must be

@@ -10,7 +10,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -66,15 +65,6 @@ func Convert(idleNs int64) sim.Tick {
 	return sim.Tick(idleNs)
 }
 
-// --- hotalloc ---
-
-// Hot appends to a slice nobody capacity-manages.
-//
-//hot:path interact fixture
-func Hot(vals []int, n int) []int {
-	return append(vals, n)
-}
-
 // --- shardiso ---
 
 type pipe struct {
@@ -115,24 +105,6 @@ func buildKnobs() *knobs {
 	k := &knobs{Fanout: 4}
 	k.Burst = defaultBurst
 	return k
-}
-
-// --- probeonce ---
-
-type tick struct {
-	at sim.Tick
-}
-
-func (tick) ObsSrc() string      { return "interact" }
-func (t tick) ObsTime() sim.Tick { return t.at }
-
-type probe struct {
-	hub *obs.Hub
-}
-
-// Unguarded emits without the nil-hub fast path.
-func (p *probe) Unguarded(now sim.Tick) {
-	p.hub.Emit(tick{at: now})
 }
 
 // Use keeps the unexported pieces alive for the type checker.

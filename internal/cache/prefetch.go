@@ -58,9 +58,8 @@ func (c *Cache) maybePrefetch(demand mem.Addr, requestorID int) {
 	case PrefetchStride:
 		st := c.strides[requestorID]
 		if st == nil {
-			//lint:allow hotalloc first touch: one entry per requestor for the cache's lifetime
+			//hot:allow first touch: one entry per requestor for the cache's lifetime
 			st = &strideState{}
-			//lint:allow hotalloc first touch, as above
 			c.strides[requestorID] = st
 		}
 		stride := int64(demand) - int64(st.lastAddr)

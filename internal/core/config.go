@@ -73,9 +73,9 @@ func (p PagePolicy) String() string {
 //fp:check
 type Config struct {
 	// Device is the DRAM device model: organisation, timing tables,
-	// bank-group topology and refresh discipline (see dram.Device). Any
-	// dram.Spec — including every preset — satisfies the interface.
-	Device dram.Device
+	// bank-group topology and refresh discipline. The zero value is
+	// rejected by Validate; start from a preset (dram.Presets).
+	Device dram.Spec
 	// Mapping is the address decoding scheme.
 	Mapping dram.Mapping
 	// Channels is the number of interleaved channels in the system; the
@@ -153,7 +153,7 @@ type Config struct {
 // DefaultConfig returns the paper's Table III controller configuration for
 // the given device: 20-entry queues, 70%/50% watermarks, FR-FCFS,
 // open-page, RoRaBaCoCh.
-func DefaultConfig(spec dram.Device) Config {
+func DefaultConfig(spec dram.Spec) Config {
 	return Config{
 		Device:             spec,
 		Mapping:            dram.RoRaBaCoCh,
@@ -178,13 +178,13 @@ func DefaultConfig(spec dram.Device) Config {
 
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
-	if c.Device == nil {
+	if c.Device == (dram.Spec{}) {
 		return fmt.Errorf("core: config has no device model")
 	}
 	if err := c.Device.Validate(); err != nil {
 		return err
 	}
-	if _, err := dram.NewDecoder(c.Device.Describe().Org, c.Mapping, c.Channels); err != nil {
+	if _, err := dram.NewDecoder(c.Device.Org, c.Mapping, c.Channels); err != nil {
 		return err
 	}
 	switch {

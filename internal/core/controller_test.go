@@ -137,12 +137,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Page = PagePolicy(99) },
 		func(c *Config) { c.Channels = 3 },
 		func(c *Config) { c.MaxAccessesPerRow = -2 },
+		func(c *Config) { *c = Config{} }, // zero value: no device
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(dram.DDR3_1600_x64())
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		} else if cfg.Device == (dram.Spec{}) && !strings.Contains(err.Error(), "no device model") {
+			t.Errorf("mutation %d: error %q does not name the missing device", i, err)
 		}
 	}
 }
@@ -560,9 +563,7 @@ func TestActivationWindow(t *testing.T) {
 	h2 := newHarness(t, func(c *Config) {
 		c.Page = Closed
 		c.Mapping = dram.RoCoRaBaCh
-		spec := c.Device.Describe()
-		spec.Org.ActivationLimit = 0
-		c.Device = spec
+		c.Device.Org.ActivationLimit = 0
 	})
 	h2.at(0, func() {
 		for i := 0; i < limit+1; i++ {

@@ -82,14 +82,13 @@ func (c *Controller) replayBurst(dp *dramPacket) bool {
 func (c *Controller) armReplay(dp *dramPacket, retryAt sim.Tick) {
 	// Replays only arm when ECC actually corrects or a retry fires — a fault
 	// path, not the steady-state cycle the zero-alloc gate covers.
-	//lint:allow hotalloc replay records allocate on the fault path only, not in steady state
+	//hot:allow replay records allocate on the fault path only, not in steady state
 	rec := &replayRecord{dp: dp, when: retryAt}
-	//lint:allow hotalloc fault-path bookkeeping; pendingReplays is empty in fault-free runs
 	c.pendingReplays = append(c.pendingReplays, rec)
 	// The seq is recorded only so CheckpointSave can reproduce same-tick
 	// ordering on restore; nothing ever touches the pooled event through it.
 	//lint:allow eventpool seq saved for checkpoint replay ordering, never used to reach the event
-	rec.seq = c.k.Call(c.replayName, retryAt, func() { //lint:allow hotalloc the replay closure allocates on the fault path only
+	rec.seq = c.k.Call(c.replayName, retryAt, func() { //hot:allow the replay closure allocates on the fault path only
 		c.dropReplay(rec)
 		c.readQueue = append(c.readQueue, dp)
 		c.kickScheduler()
@@ -129,7 +128,6 @@ func (c *Controller) queueScrub(dp *dramPacket) {
 		scrub:     true,
 	}
 	c.wakeRank(w.coord.Rank)
-	//lint:allow hotalloc scrub writes enqueue on the fault path only
 	c.writeQueue = append(c.writeQueue, w)
 	c.inWriteQueue[w.burstAddr]++
 	c.st.scrubWrites.Inc()

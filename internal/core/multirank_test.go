@@ -33,7 +33,7 @@ func newRankHarness(t *testing.T, mutate func(*Config)) *harness {
 // rankAddr returns an address decoding to the given rank/bank/row.
 func rankAddr(t *testing.T, cfg Config, rank, bank int, row uint64) mem.Addr {
 	t.Helper()
-	dec, err := dram.NewDecoder(cfg.Device.Describe().Org, cfg.Mapping, cfg.Channels)
+	dec, err := dram.NewDecoder(cfg.Device.Org, cfg.Mapping, cfg.Channels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestPowerDownReducesIdlePower(t *testing.T) {
 		// A touch of traffic, then long idle.
 		h.at(0, func() { h.send(mem.NewRead(0, 64, 0, 0)) })
 		h.k.RunUntil(50 * sim.Microsecond)
-		return power.Compute(h.c.cfg.Device.Describe(), h.c.PowerStats()).TotalMW()
+		return power.Compute(h.c.cfg.Device, h.c.PowerStats()).TotalMW()
 	}
 	withPD := run(200 * sim.Nanosecond)
 	withoutPD := run(0)

@@ -15,11 +15,7 @@ import (
 // withRefresh makes the harness's DDR3 device declare the given refresh
 // discipline.
 func withRefresh(kind dram.RefreshKind) func(*Config) {
-	return func(c *Config) {
-		spec := c.Device.Describe()
-		spec.Refresh = kind
-		c.Device = spec
-	}
+	return func(c *Config) { c.Device.Refresh = kind }
 }
 
 // Per-bank refresh fires banks-per-rank times more often.
@@ -94,7 +90,7 @@ func TestRefreshStaggerAcrossRanks(t *testing.T) {
 	if _, err := NewController(k, cfg, reg, "mc"); err != nil {
 		t.Fatal(err)
 	}
-	k.RunUntil(5 * cfg.Device.Describe().Timing.TREFI)
+	k.RunUntil(5 * cfg.Device.Timing.TREFI)
 	if total < 8 {
 		t.Fatalf("too few refreshes observed: %d", total)
 	}
@@ -116,7 +112,7 @@ func TestScrubRespectsRefreshTiming(t *testing.T) {
 	cfg.BackendLatency = 0
 	cfg.ReadBufferSize = 64
 	cfg.Faults = faults.Config{Seed: 11, CorrectablePerBurst: 1.0}
-	tm := cfg.Device.Describe().Timing
+	tm := cfg.Device.Timing
 
 	type window struct{ start, end sim.Tick }
 	refWindows := map[int][]window{}

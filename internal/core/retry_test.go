@@ -75,7 +75,7 @@ func TestAccessors(t *testing.T) {
 	if h.c.Name() != "mc" {
 		t.Fatalf("Name = %q", h.c.Name())
 	}
-	if h.c.Config().Device.Describe().Name != dram.DDR3_1600_x64().Name {
+	if h.c.Config().Device.Name != dram.DDR3_1600_x64().Name {
 		t.Fatal("Config accessor wrong")
 	}
 }

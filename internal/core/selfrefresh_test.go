@@ -93,7 +93,7 @@ func TestSelfRefreshPower(t *testing.T) {
 		h := newHarness(t, mut)
 		h.at(0, func() { h.send(mem.NewRead(0, 64, 0, 0)) })
 		h.k.RunUntil(100 * sim.Microsecond)
-		return power.Compute(h.c.cfg.Device.Describe(), h.c.PowerStats()).TotalMW()
+		return power.Compute(h.c.cfg.Device, h.c.PowerStats()).TotalMW()
 	}
 	active := run(nil)
 	pd := run(func(c *Config) { c.PowerDownIdle = 200 * sim.Nanosecond })

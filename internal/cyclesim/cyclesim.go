@@ -56,11 +56,10 @@ const (
 
 // Config parameterises the cycle-based controller.
 type Config struct {
-	// Device is the DRAM device model (see dram.Device); any dram.Spec
-	// satisfies the interface. The cycle-based baseline consumes only the
-	// flat parameter set via Describe — DRAMSim2 predates bank groups, and
+	// Device is the DRAM device model. The cycle-based baseline consumes
+	// only the flat parameter tables — DRAMSim2 predates bank groups, and
 	// keeping the baseline flat preserves the §III comparison.
-	Device   dram.Device
+	Device   dram.Spec
 	Mapping  dram.Mapping
 	Channels int
 	// TransQueueSize is the unified transaction queue capacity in bursts.
@@ -79,7 +78,7 @@ type Config struct {
 }
 
 // DefaultConfig mirrors DRAMSim2's defaults for the given device.
-func DefaultConfig(spec dram.Device) Config {
+func DefaultConfig(spec dram.Spec) Config {
 	return Config{
 		Device:         spec,
 		Mapping:        dram.RoRaBaCoCh,
@@ -92,13 +91,13 @@ func DefaultConfig(spec dram.Device) Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Device == nil {
+	if c.Device == (dram.Spec{}) {
 		return fmt.Errorf("cyclesim: config has no device model")
 	}
 	if err := c.Device.Validate(); err != nil {
 		return err
 	}
-	if _, err := dram.NewDecoder(c.Device.Describe().Org, c.Mapping, c.Channels); err != nil {
+	if _, err := dram.NewDecoder(c.Device.Org, c.Mapping, c.Channels); err != nil {
 		return err
 	}
 	if c.TransQueueSize <= 0 {
@@ -238,7 +237,7 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	spec := cfg.Device.Describe()
+	spec := cfg.Device
 	dec, err := dram.NewDecoder(spec.Org, cfg.Mapping, cfg.Channels)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package cyclesim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -90,12 +91,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Page = PagePolicy(9) },
 		func(c *Config) { c.Scheduling = Scheduling(9) },
 		func(c *Config) { c.Channels = 5 },
+		func(c *Config) { *c = Config{} }, // zero value: no device
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(dram.DDR3_1600_x64())
 		mut(&cfg)
-		if cfg.Validate() == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		} else if cfg.Device == (dram.Spec{}) && !strings.Contains(err.Error(), "no device model") {
+			t.Errorf("mutation %d: error %q does not name the missing device", i, err)
 		}
 	}
 }

@@ -2,37 +2,6 @@ package dram
 
 import "repro/internal/sim"
 
-// Device is the pluggable device-model interface consumed by the event-based
-// controller, the cycle-based baseline and the protocol checker. See the
-// package documentation for the full contract. Spec implements Device, so any
-// parameter set is already a model.
-type Device interface {
-	// Describe returns the complete parameter set of the device.
-	Describe() Spec
-	// Standard names the interface family ("DDR3", "DDR4", "DDR5",
-	// "LPDDR5", ...). It is fingerprinted into checkpoints.
-	Standard() string
-	// Topology returns the rank/bank-group arrangement.
-	Topology() Topology
-	// Commands lists the mnemonic command set the device accepts.
-	Commands() []string
-	// RefreshMode returns the native refresh discipline.
-	RefreshMode() RefreshSpec
-	// ActToAct returns the minimum activate-to-activate spacing between two
-	// banks; sameGroup selects tRRD_L over tRRD_S on bank-grouped devices.
-	ActToAct(sameGroup bool) sim.Tick
-	// ColToCol returns the minimum column-to-column command spacing beyond
-	// the data-bus occupancy; sameGroup selects tCCD_L over tCCD_S. Zero
-	// means the data bus (tBURST) is the only constraint.
-	ColToCol(sameGroup bool) sim.Tick
-	// PrechargeAll returns the all-bank precharge time (tRPab on LPDDR),
-	// falling back to the per-bank tRP where the device draws no
-	// distinction.
-	PrechargeAll() sim.Tick
-	// Validate checks the device description for internal consistency.
-	Validate() error
-}
-
 // Topology is the bank arrangement of one channel as the scheduler needs it:
 // which banks share bank-group timing constraints.
 type Topology struct {
@@ -116,11 +85,9 @@ const (
 	TRFCpbDen = 5
 )
 
-// Describe implements Device.
-func (s Spec) Describe() Spec { return s }
-
-// Standard implements Device: the interface family, defaulting to "custom"
-// for hand-built specs that never set one.
+// Standard names the interface family ("DDR3", "DDR4", "DDR5", "LPDDR5",
+// ...) that is fingerprinted into checkpoints; hand-built specs that never
+// set one read as "custom".
 func (s Spec) Standard() string {
 	if s.Family == "" {
 		return "custom"
@@ -128,8 +95,8 @@ func (s Spec) Standard() string {
 	return s.Family
 }
 
-// Topology implements Device. A zero BankGroups means a flat (ungrouped)
-// device.
+// Topology returns the rank/bank-group arrangement. A zero BankGroups means
+// a flat (ungrouped) device.
 func (s Spec) Topology() Topology {
 	g := s.Org.BankGroups
 	if g <= 1 {
@@ -138,16 +105,7 @@ func (s Spec) Topology() Topology {
 	return Topology{Ranks: s.Org.RanksPerChannel, Groups: g, BanksPerGroup: s.Org.BanksPerRank / g}
 }
 
-// Commands implements Device.
-func (s Spec) Commands() []string {
-	cmds := []string{"ACT", "PRE", "RD", "WR", "REF", "PDE", "PDX", "SRE", "SRX"}
-	if s.Refresh == RefSameBank {
-		cmds = append(cmds, "REFSB")
-	}
-	return cmds
-}
-
-// RefreshMode implements Device.
+// RefreshMode returns the native refresh discipline.
 func (s Spec) RefreshMode() RefreshSpec {
 	rs := RefreshSpec{
 		Kind:         s.Refresh,
@@ -166,8 +124,8 @@ func (s Spec) RefreshMode() RefreshSpec {
 	return rs
 }
 
-// ActToAct implements Device: tRRD_L within a group when the device defines
-// it, tRRD otherwise.
+// ActToAct returns the minimum activate-to-activate spacing between two
+// banks: tRRD_L within a group when the device defines it, tRRD otherwise.
 func (s Spec) ActToAct(sameGroup bool) sim.Tick {
 	if sameGroup && s.Timing.TRRDL > 0 {
 		return s.Timing.TRRDL
@@ -175,8 +133,9 @@ func (s Spec) ActToAct(sameGroup bool) sim.Tick {
 	return s.Timing.TRRD
 }
 
-// ColToCol implements Device: tCCD_L within a group, tCCD_S across groups;
-// zero (flat devices) means the data bus is the only column spacing.
+// ColToCol returns the minimum column-to-column command spacing beyond the
+// data-bus occupancy: tCCD_L within a group, tCCD_S across groups; zero (flat
+// devices) means the data bus (tBURST) is the only constraint.
 func (s Spec) ColToCol(sameGroup bool) sim.Tick {
 	if sameGroup {
 		return s.Timing.TCCDL
@@ -184,7 +143,8 @@ func (s Spec) ColToCol(sameGroup bool) sim.Tick {
 	return s.Timing.TCCDS
 }
 
-// PrechargeAll implements Device: tRPab where defined (LPDDR), tRP otherwise.
+// PrechargeAll returns the all-bank precharge time: tRPab where defined
+// (LPDDR), the per-bank tRP otherwise.
 func (s Spec) PrechargeAll() sim.Tick {
 	if s.Timing.TRPAB > 0 {
 		return s.Timing.TRPAB

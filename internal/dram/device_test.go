@@ -6,7 +6,7 @@ import (
 )
 
 // TestPresetsStableAndValid pins the registry's stable order (callers
-// fingerprint by name) and requires every preset to validate as a Device.
+// fingerprint by name) and requires every preset to validate.
 func TestPresetsStableAndValid(t *testing.T) {
 	wantOrder := []string{
 		"DDR3-1600-x64", "DDR3-1600-x64-2R", "LPDDR3-1600-x32",
@@ -17,8 +17,7 @@ func TestPresetsStableAndValid(t *testing.T) {
 	var got []string
 	for _, s := range Presets() {
 		got = append(got, s.Name)
-		var dev Device = s
-		if err := dev.Validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", s.Name, err)
 		}
 	}
@@ -125,30 +124,6 @@ func TestRefreshModePerKind(t *testing.T) {
 	pb.Refresh = RefreshKind(7)
 	if pb.Validate() == nil {
 		t.Fatal("unknown refresh kind accepted")
-	}
-}
-
-// TestCommandsIncludeREFSB: the mnemonic command set advertises REFsb exactly
-// on same-bank-refresh devices.
-func TestCommandsIncludeREFSB(t *testing.T) {
-	has := func(dev Device, mn string) bool {
-		for _, c := range dev.Commands() {
-			if c == mn {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(DDR5_4800_x64(), "REFSB") {
-		t.Error("DDR5 command set lacks REFSB")
-	}
-	for _, dev := range []Device{DDR3_1600_x64(), DDR4_3200_x64(), LPDDR5_6400_x32()} {
-		if has(dev, "REFSB") {
-			t.Errorf("%s advertises REFSB without same-bank refresh", dev.Describe().Name)
-		}
-		if !has(dev, "ACT") || !has(dev, "REF") {
-			t.Errorf("%s command set incomplete: %v", dev.Describe().Name, dev.Commands())
-		}
 	}
 }
 

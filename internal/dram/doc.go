@@ -5,47 +5,31 @@
 // never models the DRAM itself — only the state transitions these parameters
 // imply.
 //
-// # The Device contract
+// # Spec is the device
 //
 // Consumers (internal/core, internal/cyclesim, internal/power.CheckTiming)
-// program against the Device interface, not against a concrete standard.
-// A Device answers five questions:
+// take a Spec: the parameter set is the device model, and a new standard is a
+// new preset (see the DDR4/DDR5/LPDDR5 presets), never new controller code.
+// Besides its tables (organisation, timing, power currents) a Spec answers
+// four derived questions:
 //
-//   - What is it? Describe returns the full parameter Spec (organisation,
-//     timing table, power currents) and Standard names the interface family
-//     ("DDR3", "DDR5", ...). Standard is fingerprinted into checkpoints, so
-//     two devices of different standards can never silently resume each
-//     other's state.
+//   - What is it? Standard names the interface family ("DDR3", "DDR5", ...).
+//     It is fingerprinted into checkpoints, so two devices of different
+//     standards can never silently resume each other's state.
 //   - How are banks arranged? Topology exposes ranks, bank groups and banks
-//     per group. Banks are numbered so that GroupOf(b) = b mod Groups; a
-//     device without bank groups reports Groups == 1 and every constraint
-//     below collapses to its flat form.
-//   - Which commands can it accept? Commands lists the mnemonic command set
-//     (ACT, PRE, RD, WR, REF, the CKE commands, and REFSB for devices with
-//     same-bank refresh). The list is descriptive — schedulers use it for
-//     reporting and oracles for rule selection, not for dispatch.
-//   - How close together may commands be? ActToAct and ColToCol return the
-//     minimum spacing between two activates / two column commands, which on
-//     bank-grouped standards (DDR4/DDR5/LPDDR5) depends on whether the two
-//     commands target the same group (tRRD_L/tRRD_S, tCCD_L/tCCD_S). A zero
-//     return means "no constraint beyond the flat ones" (tRRD, the data
-//     bus). PrechargeAll returns the all-bank precharge time (LPDDR tRPab),
-//     falling back to the per-bank tRP.
-//   - How must it be refreshed? RefreshMode returns the native refresh
-//     discipline: the kind (all-bank, per-bank, or DDR5 same-bank), the
-//     average interval tREFI, the blackout per refresh command, and how many
-//     refreshes may be postponed under load (JEDEC allows eight).
+//     per group; a device without bank groups reports Groups == 1 and every
+//     constraint below collapses to its flat form.
+//   - How close together may commands be? ActToAct, ColToCol and
+//     PrechargeAll pick the bank-group-aware value (tRRD_L/tRRD_S,
+//     tCCD_L/tCCD_S, tRPab) where the standard defines one and fall back to
+//     the flat constraint (tRRD, the data bus, tRP) where it does not.
+//   - How must it be refreshed? RefreshMode returns the native discipline
+//     (all-bank, per-bank, or DDR5 same-bank) with its interval, blackout
+//     and postponement budget.
 //
-// Spec itself implements Device, so a plain parameter set — including every
-// preset in this package — is already a device model; new standards are
-// added by filling in a Spec (see the DDR4/DDR5/LPDDR5 presets) or, for
-// behaviour no parameter expresses, by implementing Device directly.
-//
-// Implementations must be pure: every method must return the same answer for
-// the same receiver forever, because controllers cache the answers at
-// construction time and checkpoint fingerprints assume they never change.
-// Mutating a Spec after handing it to a controller is a bug; build a new one
-// instead.
+// Controllers copy what they need at construction time and checkpoint
+// fingerprints assume it never changes: configure the Spec first, then build
+// the controller.
 //
 // # Presets
 //

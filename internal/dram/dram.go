@@ -197,13 +197,13 @@ func (t Timing) Validate() error {
 func isPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
 
 // Spec bundles an organisation with its timings and a name, forming a
-// complete description of one memory interface generation. Spec implements
-// the Device interface (see device.go), so a filled-in Spec is a complete
-// device model.
+// complete description of one memory interface generation: the device model
+// every controller and the protocol checker consume (see device.go for the
+// derived views).
 type Spec struct {
 	Name string
 	// Family names the interface standard ("DDR3", "DDR5", ...); it backs
-	// Device.Standard and is fingerprinted into checkpoints. Empty reads as
+	// Standard and is fingerprinted into checkpoints. Empty reads as
 	// "custom".
 	Family string
 	Org    Organization

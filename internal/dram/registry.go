@@ -63,8 +63,3 @@ func ByStandard(std string) (Spec, error) {
 	}
 	return f(), nil
 }
-
-// AllSpecs returns every built-in preset.
-//
-// Deprecated: use Presets, or ByName / ByStandard for lookups.
-func AllSpecs() []Spec { return Presets() }

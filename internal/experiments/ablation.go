@@ -180,9 +180,7 @@ func ActivationWindowAblation(requests uint64) (*AblationResult, error) {
 		row, err := runAblationPoint(name, requests, dram.RoCoRaBaCh, 100, 1, 8,
 			func(c *core.Config) {
 				c.Page = core.Closed
-				spec := c.Device.Describe()
-				spec.Org.ActivationLimit = limit
-				c.Device = spec
+				c.Device.Org.ActivationLimit = limit
 			})
 		if err != nil {
 			return nil, err

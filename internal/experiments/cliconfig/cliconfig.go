@@ -42,19 +42,19 @@ func AddSpec(fs *flag.FlagSet, def string) *Spec {
 	return s
 }
 
-// Resolve looks the selected preset up, case-insensitively: the family's
-// representative when -standard was given, the named preset otherwise.
+// Resolve looks the selected preset up, case-insensitively: the named
+// preset, replaced by the family's representative when -standard was given.
+// -spec is checked either way, so a mistyped name is never silently
+// overridden.
 func (s *Spec) Resolve() (dram.Spec, error) {
-	if s.Standard != "" {
-		sp, err := dram.ByStandard(s.Standard)
-		if err != nil {
-			return dram.Spec{}, fmt.Errorf("%w (use -list)", err)
-		}
-		return sp, nil
-	}
 	sp, err := dram.ByName(s.Name)
 	if err != nil {
 		return dram.Spec{}, fmt.Errorf("unknown spec %q (use -list)", s.Name)
+	}
+	if s.Standard != "" {
+		if sp, err = dram.ByStandard(s.Standard); err != nil {
+			return dram.Spec{}, fmt.Errorf("%w (use -list)", err)
+		}
 	}
 	return sp, nil
 }
@@ -86,7 +86,7 @@ func ResolveStandard(std string, slot *dram.Spec) error {
 // ListSpecs prints the available specs, one per line.
 func ListSpecs(w io.Writer) {
 	for _, s := range dram.Presets() {
-		fmt.Fprintf(w, "%-18s %-7s %3d-bit, BL%d, %d banks x %d ranks, %g GB/s peak\n",
+		fmt.Fprintf(w, "%-18s %-7s %3d-bit, BL%d, %d banks x %d ranks, %.1f GB/s peak\n",
 			s.Name, s.Standard(), s.Org.BusWidthBits, s.Org.BurstLength,
 			s.Org.BanksPerRank, s.Org.RanksPerChannel, s.PeakBandwidth()/1e9)
 	}

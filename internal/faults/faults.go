@@ -213,7 +213,6 @@ func (in *Injector) RetireRow(rank, bank int, row uint64) bool {
 	// Retirement is the fault path's last resort (retry limit exhausted);
 	// fault-free steady state — the condition the zero-alloc gates run
 	// under — never reaches it.
-	//lint:allow hotalloc row retirement happens at most once per failing row, on the fault path only
 	in.retired[key] = true
 	return true
 }

@@ -39,7 +39,7 @@ func (pl *PacketPool) Get() *Packet {
 		*p = Packet{}
 		return p
 	}
-	//lint:allow hotalloc pool growth on exhaustion; steady state pops the free list
+	//hot:allow pool growth on exhaustion; steady state pops the free list
 	return &Packet{}
 }
 

@@ -32,7 +32,7 @@ func (q *PacketQueue) Reserve(n int) {
 	if n <= len(q.buf) {
 		return
 	}
-	//lint:allow hotalloc growth to the high-water mark; steady state reuses the ring
+	//hot:allow growth to the high-water mark; steady state reuses the ring
 	buf := make([]timedPkt, n)
 	for i := 0; i < q.n; i++ {
 		buf[i] = q.buf[q.slot(i)]

@@ -50,12 +50,10 @@ type checkerBank struct {
 // returns every violation found (empty = protocol clean). The data bus is
 // also checked for overlapping transfers. Bank-grouped devices additionally
 // get the tRRD_L, tCCD_L/tCCD_S and tRFCsb referees; devices distinguishing
-// all-bank precharge get the tRPab referee. Any dram.Spec can be passed
-// directly as the device.
-func CheckTiming(dev dram.Device, cmds []Command) []Violation {
-	spec := dev.Describe()
-	t := spec.Timing
-	org := spec.Org
+// all-bank precharge get the tRPab referee.
+func CheckTiming(dev dram.Spec, cmds []Command) []Violation {
+	t := dev.Timing
+	org := dev.Org
 	topo := dev.Topology()
 	grouped := topo.Grouped()
 	trrdL := dev.ActToAct(true)

@@ -235,7 +235,7 @@ func TestCheckTimingCatchesStandardRules(t *testing.T) {
 	d5Budget := 9 * (d5.TREFI / sim.Tick(ddr5.Topology().BanksPerGroup))
 	cases := []struct {
 		rule string
-		dev  dram.Device
+		dev  dram.Spec
 		cmds []Command
 	}{
 		{"tRRD_L", ddr5, []Command{

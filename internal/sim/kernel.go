@@ -244,7 +244,7 @@ func (k *Kernel) Call(name string, when Tick, fn func()) uint64 {
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
 	} else {
-		//lint:allow hotalloc pool growth on exhaustion; steady state pops the free list
+		//hot:allow pool growth on exhaustion; steady state pops the free list
 		e = &Event{pooled: true}
 	}
 	e.name = name
@@ -308,16 +308,13 @@ func (k *Kernel) enqueue(ent qentry) {
 		// Keep the cursor bucket sorted: binary-insert after the consumed
 		// prefix (an event scheduled "now" during execution must not land
 		// before entries that already fired).
-		//lint:allow hotalloc sort.Search and the predicate both inline; no closure is materialized (go build -gcflags=-m)
 		i := k.curIdx + sort.Search(len(*slot)-k.curIdx, func(i int) bool {
 			return ent.before((*slot)[k.curIdx+i])
 		})
-		//lint:allow hotalloc bucket backing arrays are warm after the first ring wrap (TestScheduleSteadyStateZeroAlloc)
 		*slot = append(*slot, qentry{})
 		copy((*slot)[i+1:], (*slot)[i:])
 		(*slot)[i] = ent
 	} else {
-		//lint:allow hotalloc bucket backing arrays are warm after the first ring wrap (TestScheduleSteadyStateZeroAlloc)
 		*slot = append(*slot, ent)
 	}
 	k.inWindow++
