@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -81,6 +82,60 @@ func BenchmarkFig5ClosedWritesEvent(b *testing.B) {
 
 func BenchmarkFig5ClosedWritesCycle(b *testing.B) {
 	benchSweepPoint(b, system.CycleBased, true, dram.RoCoRaBaCh, 0, 4, 8)
+}
+
+// benchRandomMix drives b.N uniform-random 50%-read requests over 256 MiB
+// with 32 outstanding: the shape of the ledger's mix_random_wrdrain workload.
+// The Fig. 4 mix above is DRAM-aware, so nearly every decision ends at a row
+// hit; here the row-hit rate is ~0 and every decision runs the full
+// arbitration over deep queues. readBuffer > 0 overrides the matched read
+// buffer (and keeps that many requests outstanding).
+func benchRandomMix(b *testing.B, kind system.Kind, readPct, readBuffer int) *system.TrafficRig {
+	b.Helper()
+	spec := dram.DDR3_1333_8x8()
+	cfg := system.RigConfig{
+		Kind: kind, Spec: spec, Mapping: dram.RoRaBaCoCh,
+		Gen: trafficgen.Config{
+			RequestBytes:   spec.Org.BurstBytes(),
+			MaxOutstanding: 32,
+			Count:          uint64(b.N),
+		},
+		Pattern: &trafficgen.Random{
+			Start: 0, End: 256 << 20, Align: spec.Org.BurstBytes(),
+			ReadPercent: readPct, Seed: 1,
+		},
+	}
+	if readBuffer > 0 {
+		cfg.Gen.MaxOutstanding = readBuffer
+		cfg.TuneEvent = func(c *core.Config) { c.ReadBufferSize = readBuffer }
+	}
+	rig, err := system.NewTrafficRig(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	if !rig.Run(1000 * sim.Second) {
+		b.Fatal("run did not complete")
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rig.K.EventsExecuted())/float64(b.N), "events/req")
+	return rig
+}
+
+func BenchmarkMixRandomEvent(b *testing.B) { benchRandomMix(b, system.EventBased, 50, 0) }
+
+func BenchmarkMixRandomCycle(b *testing.B) { benchRandomMix(b, system.CycleBased, 50, 0) }
+
+// BenchmarkArbitrationDepth holds the read queue at 16..128 random reads, one
+// scheduling decision per request: ns/op against depth is the cost of a
+// decision as the queue deepens over the same 8 banks.
+func BenchmarkArbitrationDepth(b *testing.B) {
+	for _, depth := range []int{16, 32, 64, 128} {
+		b.Run(fmt.Sprintf("rdq%d", depth), func(b *testing.B) {
+			rig := benchRandomMix(b, system.EventBased, 100, depth)
+			b.ReportMetric(rig.Reg.Get("sys.mc.readQueueLen").(*stats.Average).Mean(), "avgRdQ")
+		})
+	}
 }
 
 // benchLatency drives the Figs. 6-7 linear traffic at intermediate load.

@@ -6,8 +6,11 @@
 # tests:    the analysis framework's own tests (goldens, suppression
 #           semantics, analyzer interaction, the compiler escape gate).
 #
-# clean:    the repository itself must be clean under the default simlint
-#           policy (exit 0, no output). -json keeps the output
+# clean:    the repository itself must be clean with every analyzer run on
+#           every package (-all: exit 0, no output), so a host-clock read or
+#           an order-sensitive map walk anywhere in the module either carries
+#           a reasoned //lint:allow or fails here, not only one inside the
+#           default policy's sim-core scope. -json keeps the output
 #           machine-readable so the GitHub Actions problem matcher
 #           (.github/simlint-matcher.json) annotates any finding in the PR.
 #           Also the annotation ratchet: the number of //lint:allow,
@@ -35,8 +38,8 @@ run_tests() {
 }
 
 run_clean() {
-    echo "== simlint: repository must be clean under the default policy =="
-    go run ./cmd/simlint -json ./...
+    echo "== simlint: repository must be clean with every analyzer on every package =="
+    go run ./cmd/simlint -all -json ./...
     echo "clean"
     echo "== annotation ratchet: directive counts vs ci/annotations.txt =="
     local name want pat got

@@ -68,10 +68,9 @@ func printSummary(name string, h experiments.HistogramSummary, binNs float64) {
 		if b > maxBin {
 			maxBin = b
 		}
-	}
-	for _, c := range coarse {
-		if c > maxCount {
-			maxCount = c
+		// Bins only grow, so the running maximum ends at the tallest bin.
+		if coarse[b] > maxCount {
+			maxCount = coarse[b]
 		}
 	}
 	if maxCount == 0 {

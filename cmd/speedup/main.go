@@ -68,13 +68,17 @@ func main() {
 	}
 
 	fmt.Printf("Model performance (§III-D): %d requests per case\n\n", *requests)
-	fmt.Printf("%-26s %12s %12s %12s %12s %9s\n",
-		"case", "event host", "cycle host", "event evts", "cycle evts", "speedup")
+	// Host ns per request stands beside every ratio: the ratio moves when
+	// either model does, the absolute cost says which.
+	nsPerReq := func(host time.Duration) float64 { return float64(host.Nanoseconds()) / float64(*requests) }
+	fmt.Printf("%-26s %12s %12s %12s %12s %12s %12s %9s\n",
+		"case", "event host", "cycle host", "event ns/req", "cycle ns/req", "event evts", "cycle evts", "speedup")
 	for _, row := range res.Rows {
-		fmt.Printf("%-26s %12v %12v %12d %12d %8.2fx\n",
+		fmt.Printf("%-26s %12v %12v %12.1f %12.1f %12d %12d %8.2fx\n",
 			row.Case,
 			row.EventHost.Round(time.Microsecond),
 			row.CycleHost.Round(time.Microsecond),
+			nsPerReq(row.EventHost), nsPerReq(row.CycleHost),
 			row.EventEvents, row.CycleEvents, row.Speedup)
 	}
 	fmt.Printf("\naverage speedup: %.2fx   maximum: %.2fx\n", res.AvgSpeedup, res.MaxSpeedup)

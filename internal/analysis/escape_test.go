@@ -26,6 +26,8 @@ var hotGates = map[string]string{
 	"core.(*Controller).processNextReqEvent": "core.TestControllerSteadyStateZeroAlloc",
 	"core.(*Controller).chooseNext":          "core.TestControllerSteadyStateZeroAlloc",
 	"core.(*Controller).doDRAMAccess":        "core.TestControllerSteadyStateZeroAlloc",
+	"core.(*burstQueue).push":                "core.TestControllerSteadyStateZeroAlloc",
+	"core.(*burstQueue).remove":              "core.TestControllerSteadyStateZeroAlloc",
 	"cpu.(*Core).run":                        "cpu.TestCoreSteadyStateZeroAlloc",
 	"cpu.(*Core).RecvTimingResp":             "cpu.TestCoreSteadyStateZeroAlloc",
 	"cache.(*Cache).access":                  "cache.TestCacheSteadyStateZeroAlloc",

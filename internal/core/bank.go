@@ -154,13 +154,3 @@ func (r *rank) recordAct(at sim.Tick, limit int) {
 		r.actWindow = r.actWindow[:n]
 	}
 }
-
-func maxTick(ts ...sim.Tick) sim.Tick {
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}

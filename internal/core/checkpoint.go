@@ -161,8 +161,14 @@ func saveDP(dp *dramPacket, txnIdx map[*transaction]int) dpState {
 	}
 }
 
-// loadDP rebuilds one dramPacket against the restored transaction table.
-func loadDP(st dpState, txns []*transaction) (*dramPacket, error) {
+// loadDP rebuilds one dramPacket against the restored transaction table. The
+// coordinates index the queues' bank lists, so an image naming a bank the
+// device does not have is refused here.
+func (c *Controller) loadDP(st dpState, txns []*transaction) (*dramPacket, error) {
+	if st.Rank < 0 || st.Rank >= len(c.ranks) || st.Bank < 0 || st.Bank >= c.org.BanksPerRank {
+		return nil, fmt.Errorf("core: %s: burst targets rank %d bank %d of a %dx%d device",
+			c.name, st.Rank, st.Bank, len(c.ranks), c.org.BanksPerRank)
+	}
 	dp := &dramPacket{
 		isRead:    st.IsRead,
 		coord:     dram.Coord{Rank: st.Rank, Bank: st.Bank, Row: st.Row, Col: st.Col},
@@ -227,16 +233,16 @@ func (c *Controller) CheckpointSave(pt mem.PacketTable) (any, error) {
 			Poisoned:  tr.poisoned,
 		})
 	}
-	for _, dp := range c.readQueue {
+	for dp := c.readQueue.head; dp != nil; dp = dp.next {
 		addTxn(dp.parent)
 	}
 	for _, rec := range c.pendingReplays {
 		addTxn(rec.dp.parent)
 	}
-	for _, dp := range c.readQueue {
+	for dp := c.readQueue.head; dp != nil; dp = dp.next {
 		st.ReadQueue = append(st.ReadQueue, saveDP(dp, txnIdx))
 	}
-	for _, dp := range c.writeQueue {
+	for dp := c.writeQueue.head; dp != nil; dp = dp.next {
 		st.WriteQueue = append(st.WriteQueue, saveDP(dp, txnIdx))
 	}
 	for _, e := range c.respQueue {
@@ -331,26 +337,8 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 			poisoned:  ts.Poisoned,
 		}
 	}
-	c.readQueue = nil
-	c.writeQueue = nil
 	c.respQueue = nil
 	c.pendingReplays = nil
-	c.inWriteQueue = make(map[mem.Addr]int)
-	for _, ds := range st.ReadQueue {
-		dp, err := loadDP(ds, txns)
-		if err != nil {
-			return err
-		}
-		c.readQueue = append(c.readQueue, dp)
-	}
-	for _, ds := range st.WriteQueue {
-		dp, err := loadDP(ds, txns)
-		if err != nil {
-			return err
-		}
-		c.writeQueue = append(c.writeQueue, dp)
-		c.inWriteQueue[dp.burstAddr]++
-	}
 	for _, e := range st.RespQueue {
 		c.respQueue = append(c.respQueue, respEntry{pkt: pl.PacketByRef(e.Pkt), sendAt: e.SendAt, release: e.Release})
 	}
@@ -407,6 +395,28 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 		}
 	}
 
+	// The queues are re-filled through push in saved (arrival) order, which
+	// rebuilds their bank index against the open rows restored above; the
+	// image carries no links, seqs or counts.
+	c.readQueue = newBurstQueue(true, c.ranks, c.org.BanksPerRank)
+	c.writeQueue = newBurstQueue(false, c.ranks, c.org.BanksPerRank)
+	c.inWriteQueue = make(map[mem.Addr]int)
+	for _, ds := range st.ReadQueue {
+		dp, err := c.loadDP(ds, txns)
+		if err != nil {
+			return err
+		}
+		c.readQueue.push(dp)
+	}
+	for _, ds := range st.WriteQueue {
+		dp, err := c.loadDP(ds, txns)
+		if err != nil {
+			return err
+		}
+		c.writeQueue.push(dp)
+		c.inWriteQueue[dp.burstAddr]++
+	}
+
 	if st.Faults != nil {
 		c.inj.RestoreState(*st.Faults)
 	}
@@ -429,7 +439,7 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 		deferEvent(c.srEvents[i], rkst.SelfRefresh)
 	}
 	for _, rp := range st.Replays {
-		dp, err := loadDP(rp.DP, txns)
+		dp, err := c.loadDP(rp.DP, txns)
 		if err != nil {
 			return err
 		}

@@ -38,22 +38,16 @@ func (s ckeState) inPowerDown() bool { return s == ckePrePD || s == ckeActPD }
 // the rank, because service (doDRAMAccess) wakes the rank when the drain
 // eventually runs. During an active drain they are live work.
 func (c *Controller) rankIdle(ri int) bool {
-	for _, dp := range c.readQueue {
-		if dp.coord.Rank == ri {
-			return false
-		}
+	if c.readQueue.perRank[ri] > 0 {
+		return false
 	}
 	for _, rec := range c.pendingReplays {
 		if rec.dp.coord.Rank == ri {
 			return false
 		}
 	}
-	if c.draining || c.state == busWrite || len(c.writeQueue) > c.cfg.writeLowMark() {
-		for _, dp := range c.writeQueue {
-			if dp.coord.Rank == ri {
-				return false
-			}
-		}
+	if c.draining || c.state == busWrite || c.writeQueue.n > c.cfg.writeLowMark() {
+		return c.writeQueue.perRank[ri] == 0
 	}
 	return true
 }
@@ -64,9 +58,9 @@ func (c *Controller) rankIdle(ri int) bool {
 // wake-up must settle for tXP/tXS before CKE may toggle again.
 func (c *Controller) lowPowerBlockedUntil(ri int) sim.Tick {
 	rk := c.ranks[ri]
-	until := maxTick(rk.ckeOKAt, rk.busyUntil)
+	until := max(rk.ckeOKAt, rk.busyUntil)
 	for i := 0; i < rk.numBanks(); i++ {
-		until = maxTick(until, rk.refreshUntil[i])
+		until = max(until, rk.refreshUntil[i])
 	}
 	return until
 }
@@ -87,10 +81,10 @@ func (c *Controller) scheduleLowPowerChecks() {
 		// a refresh mid-gap wakes the rank but must not restart the idle
 		// clock, and a rank already idle past a threshold re-enters at once.
 		if c.cfg.PowerDownIdle > 0 && rk.cke == ckeActive {
-			c.k.Reschedule(c.pdEvents[ri], maxTick(now, rk.idleSince+c.cfg.PowerDownIdle))
+			c.k.Reschedule(c.pdEvents[ri], max(now, rk.idleSince+c.cfg.PowerDownIdle))
 		}
 		if c.cfg.SelfRefreshIdle > 0 && rk.cke != ckeSelfRefresh {
-			c.k.Reschedule(c.srEvents[ri], maxTick(now, rk.idleSince+c.cfg.SelfRefreshIdle))
+			c.k.Reschedule(c.srEvents[ri], max(now, rk.idleSince+c.cfg.SelfRefreshIdle))
 		}
 	}
 }
@@ -145,7 +139,7 @@ func (c *Controller) processRankSelfRefresh(ri int) {
 	}
 	earliest := now
 	if rk.cke.inPowerDown() {
-		exitAt := maxTick(now, rk.ckeSince+c.tim.TCKE)
+		exitAt := max(now, rk.ckeSince+c.tim.TCKE)
 		c.leavePowerDown(ri, exitAt)
 		earliest = exitAt + c.tim.TXP
 	}
@@ -153,9 +147,9 @@ func (c *Controller) processRankSelfRefresh(ri int) {
 	sreAt := earliest
 	for bi := 0; bi < rk.numBanks(); bi++ {
 		if rk.openRow[bi] != rowClosed {
-			preAt := maxTick(earliest, rk.preAllowedAt[bi])
+			preAt := max(earliest, rk.preAllowedAt[bi])
 			c.prechargeBank(ri, rk, bi, preAt)
-			sreAt = maxTick(sreAt, preAt+c.tim.TRP)
+			sreAt = max(sreAt, preAt+c.tim.TRP)
 		}
 	}
 	rk.cke = ckeSelfRefresh
@@ -191,7 +185,7 @@ func (c *Controller) leaveSelfRefresh(ri int, exitAt sim.Tick) {
 	}
 	c.emitCommand(power.CmdSRX, ri, 0, exitAt)
 	rk.raiseCKE(exitAt + c.tim.TXS)
-	rk.rdAllowedAt = maxTick(rk.rdAllowedAt, exitAt+maxTick(c.tim.TXS, c.tim.TXSDLL))
+	rk.rdAllowedAt = max(rk.rdAllowedAt, exitAt+max(c.tim.TXS, c.tim.TXSDLL))
 	c.refreshDue[ri] = exitAt + c.tim.TREFI
 	c.k.Reschedule(c.refreshEvents[ri], c.refreshDue[ri])
 }
@@ -202,9 +196,9 @@ func (r *rank) raiseCKE(settled sim.Tick) {
 	r.cke = ckeActive
 	r.ckeOKAt = settled
 	for i := range r.openRow {
-		r.actAllowedAt[i] = maxTick(r.actAllowedAt[i], settled)
-		r.colAllowedAt[i] = maxTick(r.colAllowedAt[i], settled)
-		r.preAllowedAt[i] = maxTick(r.preAllowedAt[i], settled)
+		r.actAllowedAt[i] = max(r.actAllowedAt[i], settled)
+		r.colAllowedAt[i] = max(r.colAllowedAt[i], settled)
+		r.preAllowedAt[i] = max(r.preAllowedAt[i], settled)
 	}
 }
 
@@ -229,9 +223,9 @@ func (c *Controller) wakeRank(ri int) {
 	var exitAt sim.Tick
 	now := c.k.Now()
 	if rk.cke == ckeSelfRefresh {
-		exitAt = maxTick(now, rk.ckeSince+c.tim.TCKESR)
+		exitAt = max(now, rk.ckeSince+c.tim.TCKESR)
 	} else {
-		exitAt = maxTick(now, rk.ckeSince+c.tim.TCKE)
+		exitAt = max(now, rk.ckeSince+c.tim.TCKE)
 	}
 	if exitAt <= c.lastWakeAt {
 		exitAt = c.lastWakeAt + c.tim.TCK

@@ -53,8 +53,8 @@ type Controller struct {
 	tRPab   sim.Tick         //ckpt:skip cached cfg.Device.PrechargeAll()
 	refSpec dram.RefreshSpec //ckpt:skip cached cfg.Device.RefreshMode()
 
-	readQueue  []*dramPacket
-	writeQueue []*dramPacket
+	readQueue  burstQueue
+	writeQueue burstQueue
 	respQueue  []respEntry
 	// inWriteQueue counts write-queue entries per burst address, enabling
 	// O(1) read-forwarding and merge checks.
@@ -197,6 +197,8 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 	for i := range c.ranks {
 		c.ranks[i] = newRank(spec.Org, c.topo)
 	}
+	c.readQueue = newBurstQueue(true, c.ranks, spec.Org.BanksPerRank)
+	c.writeQueue = newBurstQueue(false, c.ranks, spec.Org.BanksPerRank)
 	c.allPrechargedSince = k.Now()
 	c.nextReqEvent = sim.NewEvent(name+".nextReq", c.processNextReqEvent)
 	c.respondEvent = sim.NewEvent(name+".respond", c.processRespondEvent)
@@ -285,7 +287,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // read-buffer entries are counted too: a burst parked in a fault-replay
 // backoff sits in no queue but still owes a response.
 func (c *Controller) Quiescent() bool {
-	return len(c.readQueue) == 0 && len(c.writeQueue) == 0 &&
+	return c.readQueue.n == 0 && c.writeQueue.n == 0 &&
 		len(c.respQueue) == 0 && c.readEntries == 0
 }
 
@@ -360,15 +362,15 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 	if c.readEntries+needed > c.cfg.ReadBufferSize {
 		c.retryReq = true
 		if c.hub != nil {
-			c.hub.Emit(obs.QueueRefuse{Src: c.name, At: now, Queue: obs.QueueRead, Depth: len(c.readQueue)})
+			c.hub.Emit(obs.QueueRefuse{Src: c.name, At: now, Queue: obs.QueueRead, Depth: c.readQueue.n})
 		}
 		return false
 	}
 	c.st.readReqs.Inc()
-	c.st.readQueueLen.Sample(float64(len(c.readQueue)))
+	c.st.readQueueLen.Sample(float64(c.readQueue.n))
 	if c.hub != nil {
 		c.hub.Emit(obs.PacketEnqueued{Src: c.name, At: now, Pkt: pkt, Queue: obs.QueueRead, Bursts: needed})
-		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: now, Queue: obs.QueueRead, Depth: len(c.readQueue)})
+		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: now, Queue: obs.QueueRead, Depth: c.readQueue.n})
 	}
 	tr := c.newTxn()
 	tr.pkt, tr.remaining, tr.entries = pkt, needed, needed
@@ -390,7 +392,7 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 			entryTime: now,
 		}
 		c.wakeRank(dp.coord.Rank)
-		c.readQueue = append(c.readQueue, dp)
+		c.readQueue.push(dp)
 	})
 	c.readEntries += needed
 	if needed == 0 {
@@ -409,18 +411,18 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 	// Conservative capacity check before any mutation (merging could make
 	// the true need smaller, but a refused packet must leave no trace).
 	count := c.burstCount(pkt)
-	if len(c.writeQueue)+count > c.cfg.WriteBufferSize {
+	if c.writeQueue.n+count > c.cfg.WriteBufferSize {
 		c.retryReq = true
 		if c.hub != nil {
-			c.hub.Emit(obs.QueueRefuse{Src: c.name, At: now, Queue: obs.QueueWrite, Depth: len(c.writeQueue)})
+			c.hub.Emit(obs.QueueRefuse{Src: c.name, At: now, Queue: obs.QueueWrite, Depth: c.writeQueue.n})
 		}
 		return false
 	}
 	c.st.writeReqs.Inc()
-	c.st.writeQueueLen.Sample(float64(len(c.writeQueue)))
+	c.st.writeQueueLen.Sample(float64(c.writeQueue.n))
 	if c.hub != nil {
 		c.hub.Emit(obs.PacketEnqueued{Src: c.name, At: now, Pkt: pkt, Queue: obs.QueueWrite, Bursts: count})
-		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: now, Queue: obs.QueueWrite, Depth: len(c.writeQueue)})
+		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: now, Queue: obs.QueueWrite, Depth: c.writeQueue.n})
 	}
 	c.burstRange(pkt, func(burstAddr, lo mem.Addr, size uint64) {
 		if c.inWriteQueue[burstAddr] > 0 && c.tryMergeWrite(burstAddr, lo, size) {
@@ -438,7 +440,7 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 			entryTime: now,
 		}
 		c.wakeRank(dp.coord.Rank)
-		c.writeQueue = append(c.writeQueue, dp)
+		c.writeQueue.push(dp)
 		c.inWriteQueue[burstAddr]++
 		c.st.writeBursts.Inc()
 	})
@@ -455,7 +457,7 @@ func (c *Controller) canForwardFromWriteQueue(burstAddr, lo mem.Addr, size uint6
 	if c.inWriteQueue[burstAddr] == 0 {
 		return false
 	}
-	for _, w := range c.writeQueue {
+	for w := c.writeQueue.head; w != nil; w = w.next {
 		if w.burstAddr == burstAddr && w.addr <= lo && lo+mem.Addr(size) <= w.addr+mem.Addr(w.size) {
 			return true
 		}
@@ -467,7 +469,7 @@ func (c *Controller) canForwardFromWriteQueue(burstAddr, lo mem.Addr, size uint6
 // when their byte ranges overlap or touch; it reports success.
 func (c *Controller) tryMergeWrite(burstAddr, lo mem.Addr, size uint64) bool {
 	hi := lo + mem.Addr(size)
-	for _, w := range c.writeQueue {
+	for w := c.writeQueue.head; w != nil; w = w.next {
 		if w.burstAddr != burstAddr {
 			continue
 		}
@@ -555,19 +557,18 @@ func (c *Controller) processNextReqEvent() {
 	switch c.state {
 	case busRead:
 		switchToWrites := false
-		if len(c.readQueue) == 0 {
+		if c.readQueue.n == 0 {
 			// No reads: drain writes once past the low watermark (or when
 			// draining for the end of a run).
-			if len(c.writeQueue) == 0 ||
-				(len(c.writeQueue) <= c.cfg.writeLowMark() && !c.draining) {
+			if c.writeQueue.n == 0 ||
+				(c.writeQueue.n <= c.cfg.writeLowMark() && !c.draining) {
 				c.scheduleLowPowerChecks()
 				return // idle until a new request arrives
 			}
 			switchToWrites = true
 		} else {
-			idx := c.chooseNext(c.readQueue)
-			dp := c.readQueue[idx]
-			c.readQueue = append(c.readQueue[:idx], c.readQueue[idx+1:]...)
+			dp := c.chooseNext(&c.readQueue)
+			c.readQueue.remove(dp)
 			c.doDRAMAccess(dp)
 			c.readsThisTime++
 			// The ECC/fault path may poison the burst, stretch its ready
@@ -590,7 +591,7 @@ func (c *Controller) processNextReqEvent() {
 				}
 			}
 			// Forced switch at the high watermark.
-			if len(c.writeQueue) >= c.cfg.writeHighMark() {
+			if c.writeQueue.n >= c.cfg.writeHighMark() {
 				switchToWrites = true
 			}
 		}
@@ -599,14 +600,13 @@ func (c *Controller) processNextReqEvent() {
 			c.writesThisTime = 0
 			c.st.rdWrTurnarounds.Inc()
 			if c.hub != nil {
-				c.hub.Emit(obs.WriteDrainEnter{Src: c.name, At: c.k.Now(), QueueLen: len(c.writeQueue)})
+				c.hub.Emit(obs.WriteDrainEnter{Src: c.name, At: c.k.Now(), QueueLen: c.writeQueue.n})
 			}
 		}
 	case busWrite:
-		if len(c.writeQueue) > 0 {
-			idx := c.chooseNext(c.writeQueue)
-			dp := c.writeQueue[idx]
-			c.writeQueue = append(c.writeQueue[:idx], c.writeQueue[idx+1:]...)
+		if c.writeQueue.n > 0 {
+			dp := c.chooseNext(&c.writeQueue)
+			c.writeQueue.remove(dp)
 			c.inWriteQueue[dp.burstAddr]--
 			if c.inWriteQueue[dp.burstAddr] == 0 {
 				delete(c.inWriteQueue, dp.burstAddr)
@@ -619,9 +619,9 @@ func (c *Controller) processNextReqEvent() {
 		// Switch back to reads when the write queue is empty, when we are
 		// comfortably below the low watermark, or when reads are waiting
 		// and the minimum write burst has been drained (gem5's hysteresis).
-		if len(c.writeQueue) == 0 ||
-			(len(c.writeQueue)+c.cfg.MinWritesPerSwitch < c.cfg.writeLowMark() && !c.draining) ||
-			(len(c.readQueue) > 0 && c.writesThisTime >= c.cfg.MinWritesPerSwitch) {
+		if c.writeQueue.n == 0 ||
+			(c.writeQueue.n+c.cfg.MinWritesPerSwitch < c.cfg.writeLowMark() && !c.draining) ||
+			(c.readQueue.n > 0 && c.writesThisTime >= c.cfg.MinWritesPerSwitch) {
 			c.state = busRead
 			c.readsThisTime = 0
 			c.st.rdWrTurnarounds.Inc()
@@ -630,7 +630,7 @@ func (c *Controller) processNextReqEvent() {
 			}
 		}
 	}
-	if len(c.readQueue) > 0 || len(c.writeQueue) > 0 {
+	if c.readQueue.n > 0 || c.writeQueue.n > 0 {
 		t := &c.tim
 		headroom := t.TRP + t.TRCD + t.TCL
 		next := c.k.Now()
@@ -651,22 +651,28 @@ func (c *Controller) priorityOf(requestorID int) int {
 	return c.cfg.QoSPriority(requestorID)
 }
 
-// chooseNext returns the queue index to service next. FCFS takes the head.
+// chooseNext returns the queued burst to service next. FCFS takes the head.
 // FR-FCFS follows gem5's hierarchy: the first *seamless* row hit (column
 // ready by the time the data bus frees), then the first ready-but-not-
-// seamless hit, then the request whose bank frees earliest (paper §II-C).
-// With QoS enabled, only the highest priority level present in the queue
-// competes.
+// seamless hit, then the request whose bank frees earliest (paper §II-C),
+// "first" always meaning arrival order. With QoS enabled, only the highest
+// priority level present in the queue competes.
 //
-//hot:path FR-FCFS scan over the whole queue
-func (c *Controller) chooseNext(q []*dramPacket) int {
-	if c.cfg.Scheduling == FCFS || len(q) == 1 {
-		return 0
+// The arbitration runs over the banks with queued work, not over the queue:
+// whether a burst is a ready hit, whether that hit is seamless, and what
+// issueAt answers for it depend only on its bank and on whether it targets
+// the bank's open row, so each bank contributes its first burst of either
+// kind and seq settles what queue position used to.
+//
+//hot:path FR-FCFS over the banks with queued work
+func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
+	if c.cfg.Scheduling == FCFS || q.n == 1 {
+		return q.head
 	}
 	minPri := 0
 	if c.cfg.QoSPriority != nil {
-		minPri = q[0].priority
-		for _, p := range q[1:] {
+		minPri = q.head.priority
+		for p := q.head.next; p != nil; p = p.next {
 			if p.priority > minPri {
 				minPri = p.priority
 			}
@@ -675,55 +681,99 @@ func (c *Controller) chooseNext(q []*dramPacket) int {
 	now := c.k.Now()
 	// A column command issued at or before this tick keeps the data bus
 	// busy back-to-back (gem5's minColAt): the seamless threshold.
-	minColAt := maxTick(now, c.busBusyUntil-c.tim.TCL)
-	prepped := -1
-	for i, p := range q {
-		if p.priority < minPri {
+	minColAt := max(now, c.busBusyUntil-c.tim.TCL)
+	var seamless, prepped *dramPacket
+	for ri, rk := range c.ranks {
+		if q.perRank[ri] == 0 {
 			continue
 		}
-		rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
-		// A row opened during a refresh blackout is not a ready hit: its
-		// activate is booked for after the blackout, so preferring it over
-		// a genuinely ready request in another rank wastes the window.
-		// (No power-state gate is needed: a burst only enters a queue after
-		// wakeRank, so every candidate's rank has CKE high by construction;
-		// the post-wake tXP/tXS costs are already folded into the per-bank
-		// allowed-at times this scan reads.)
-		if rk.openRow[bi] != int64(p.coord.Row) || rk.refreshUntil[bi] > now {
-			continue
-		}
-		if rk.colAllowedAt[bi] <= minColAt {
-			// Seamless hit: issuing it leaves no bus idle gap. Taking the
-			// first queued one is gem5's FCFS-among-seamless rule.
-			return i
-		}
-		if prepped < 0 {
-			prepped = i
+		banks := q.rankBanks(ri)
+		for bi := range banks {
+			b := &banks[bi]
+			// A row opened during a refresh blackout is not a ready hit: its
+			// activate is booked for after the blackout, so preferring it over
+			// a genuinely ready request in another rank wastes the window.
+			// (No power-state gate is needed: a burst only enters a queue after
+			// wakeRank, so every candidate's rank has CKE high by construction;
+			// the post-wake tXP/tXS costs are already folded into the per-bank
+			// allowed-at times this scan reads.)
+			if b.hits == 0 || rk.refreshUntil[bi] > now {
+				continue
+			}
+			p := firstOf(b.head, minPri, rk.openRow[bi], true)
+			if p == nil {
+				continue
+			}
+			if rk.colAllowedAt[bi] <= minColAt {
+				// Seamless hit: issuing it leaves no bus idle gap. Taking the
+				// first queued one is gem5's FCFS-among-seamless rule.
+				if seamless == nil || p.seq < seamless.seq {
+					seamless = p
+				}
+			} else if prepped == nil || p.seq < prepped.seq {
+				prepped = p
+			}
 		}
 	}
-	if prepped >= 0 {
+	if seamless != nil {
+		return seamless
+	}
+	if prepped != nil {
 		// Hits still beat misses even when none is seamless, but a hit that
 		// would stall the bus no longer shadows a seamless hit queued
 		// behind it.
 		return prepped
 	}
-	best := -1
-	bestAt, bestReady := sim.MaxTick, sim.MaxTick
-	for i, p := range q {
-		if p.priority < minPri {
+	// No ready hit competes. A bank's first competing burst to another row
+	// than the open one stands for all of them, and only a bank in a refresh
+	// blackout can still hold a burst to its (logically) open row, which
+	// issueAt costs as a hit.
+	//
+	// Primary key: the true issue tick including bus serialisation, as
+	// doDRAMAccess will charge it. Secondary key: raw bank readiness — among
+	// bus-bound candidates (equal true cost) pick the bank that frees
+	// earliest, as gem5's earliestBanks does, preserving bank parallelism
+	// instead of degrading to arrival order, which only breaks exact ties.
+	var best missChoice
+	for ri, rk := range c.ranks {
+		if q.perRank[ri] == 0 {
 			continue
 		}
-		// Primary key: the true issue tick including bus serialisation, as
-		// doDRAMAccess will charge it. Secondary key: raw bank readiness —
-		// among bus-bound candidates (equal true cost) pick the bank that
-		// frees earliest, as gem5's earliestBanks does, preserving bank
-		// parallelism instead of degrading to arrival order.
-		_, _, ready, at := c.issueAt(p)
-		if at < bestAt || (at == bestAt && ready < bestReady) {
-			best, bestAt, bestReady = i, at, ready
+		banks := q.rankBanks(ri)
+		for bi := range banks {
+			b := &banks[bi]
+			if b.head == nil {
+				continue
+			}
+			open := rk.openRow[bi]
+			if p := firstOf(b.head, minPri, open, false); p != nil {
+				_, _, ready, at := c.bankIssueAt(rk, bi, false, q.isRead)
+				best.offer(p, at, ready)
+			}
+			if b.hits > 0 && rk.refreshUntil[bi] > now {
+				if p := firstOf(b.head, minPri, open, true); p != nil {
+					_, _, ready, at := c.bankIssueAt(rk, bi, true, q.isRead)
+					best.offer(p, at, ready)
+				}
+			}
 		}
 	}
-	return best
+	return best.p
+}
+
+// missChoice is the best burst of the FR-FCFS miss phase so far, with the
+// keys it won on.
+type missChoice struct {
+	p         *dramPacket
+	at, ready sim.Tick
+}
+
+// offer replaces the choice when p issues earlier, or as early from a bank
+// that frees earlier, or ties on both and arrived first.
+func (m *missChoice) offer(p *dramPacket, at, ready sim.Tick) {
+	if m.p == nil || at < m.at || at == m.at && (ready < m.ready || ready == m.ready && p.seq < m.p.seq) {
+		*m = missChoice{p, at, ready}
+	}
 }
 
 // issueAt computes, without mutating anything, the command ticks servicing p
@@ -735,31 +785,39 @@ func (c *Controller) chooseNext(q []*dramPacket) int {
 // rules: FR-FCFS ranks misses by (cmdAt, ready) and doDRAMAccess commits the
 // same four ticks.
 func (c *Controller) issueAt(p *dramPacket) (preAt, actAt, ready, cmdAt sim.Tick) {
+	rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
+	return c.bankIssueAt(rk, bi, rk.openRow[bi] == int64(p.coord.Row), p.isRead)
+}
+
+// bankIssueAt is issueAt in the terms the answer actually depends on: the
+// bank, whether the burst hits its open row, and the direction. Every burst
+// queued for one bank in one queue therefore shares one of two answers, which
+// is what lets FR-FCFS ask once per bank instead of once per burst.
+func (c *Controller) bankIssueAt(rk *rank, bi int, hit, isRead bool) (preAt, actAt, ready, cmdAt sim.Tick) {
 	t := &c.tim
 	now := c.k.Now()
-	rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
 
 	colReady := rk.colAllowedAt[bi]
-	if rk.openRow[bi] != int64(p.coord.Row) {
-		actAt = maxTick(now, rk.actAllowedAt[bi],
+	if !hit {
+		actAt = max(now, rk.actAllowedAt[bi],
 			rk.lastActAt+t.TRRD,
 			rk.earliestActByWindow(c.org.ActivationLimit, t.TXAW))
 		if c.grouped {
-			actAt = maxTick(actAt, rk.actGroupAt[c.topo.GroupOf(bi)]+c.trrdL)
+			actAt = max(actAt, rk.actGroupAt[c.topo.GroupOf(bi)]+c.trrdL)
 		}
 		if rk.openRow[bi] != rowClosed {
-			preAt = maxTick(now, rk.preAllowedAt[bi])
-			actAt = maxTick(actAt, preAt+t.TRP)
+			preAt = max(now, rk.preAllowedAt[bi])
+			actAt = max(actAt, preAt+t.TRP)
 		}
 		colReady = actAt + t.TRCD
 	}
 	dirAllowed := rk.rdAllowedAt
-	if !p.isRead {
+	if !isRead {
 		dirAllowed = rk.wrAllowedAt
 	}
-	ready = maxTick(now, colReady, dirAllowed)
+	ready = max(now, colReady, dirAllowed)
 	if c.grouped {
-		ready = maxTick(ready, rk.colGroupAt[c.topo.GroupOf(bi)], rk.colAnyAt)
+		ready = max(ready, rk.colGroupAt[c.topo.GroupOf(bi)], rk.colAnyAt)
 	}
 	// The command may overlap in-flight data; only the data transfer itself
 	// serialises on the bus, so a command whose data would start before the
@@ -805,13 +863,13 @@ func (c *Controller) doDRAMAccess(p *dramPacket) {
 		// bus serialisation in issueAt already enforces — but not when writes
 		// follow reads with a shorter turnaround).
 		g := c.topo.GroupOf(bi)
-		rk.colGroupAt[g] = maxTick(rk.colGroupAt[g], cmdAt+c.tccdL)
-		rk.colAnyAt = maxTick(rk.colAnyAt, cmdAt+c.tccdS)
+		rk.colGroupAt[g] = max(rk.colGroupAt[g], cmdAt+c.tccdL)
+		rk.colAnyAt = max(rk.colAnyAt, cmdAt+c.tccdS)
 	}
 	dataEnd := cmdAt + t.TCL + t.TBURST
 	c.busBusyUntil = dataEnd
-	rk.busyUntil = maxTick(rk.busyUntil, dataEnd)
-	rk.idleSince = maxTick(rk.idleSince, dataEnd)
+	rk.busyUntil = max(rk.busyUntil, dataEnd)
+	rk.idleSince = max(rk.idleSince, dataEnd)
 	p.readyTime = dataEnd
 	if c.hub != nil {
 		kind := power.CmdWR
@@ -832,15 +890,15 @@ func (c *Controller) doDRAMAccess(p *dramPacket) {
 
 	burstBytes := org.BurstBytes()
 	if p.isRead {
-		rk.preAllowedAt[bi] = maxTick(rk.preAllowedAt[bi], cmdAt+t.TRTP)
-		rk.wrAllowedAt = maxTick(rk.wrAllowedAt, dataEnd+t.TRTW)
+		rk.preAllowedAt[bi] = max(rk.preAllowedAt[bi], cmdAt+t.TRTP)
+		rk.wrAllowedAt = max(rk.wrAllowedAt, dataEnd+t.TRTW)
 		c.st.bytesRead.Add(float64(burstBytes))
 		lat := (p.readyTime - p.entryTime).Nanoseconds()
 		c.st.rdQLat.Sample(lat)
 		c.st.memAccLat.Sample(lat + (c.cfg.FrontendLatency + c.cfg.BackendLatency).Nanoseconds())
 	} else {
-		rk.preAllowedAt[bi] = maxTick(rk.preAllowedAt[bi], dataEnd+t.TWR)
-		rk.rdAllowedAt = maxTick(rk.rdAllowedAt, dataEnd+t.TWTR)
+		rk.preAllowedAt[bi] = max(rk.preAllowedAt[bi], dataEnd+t.TWR)
+		rk.rdAllowedAt = max(rk.rdAllowedAt, dataEnd+t.TWTR)
 		c.st.bytesWritten.Add(float64(burstBytes))
 		if !p.scrub {
 			// Scrub writebacks are controller-internal traffic: they move
@@ -852,22 +910,22 @@ func (c *Controller) doDRAMAccess(p *dramPacket) {
 	rk.rowAccesses[bi]++
 	rk.bytesAccessed[bi] += burstBytes
 
-	c.applyPagePolicy(ri, rk, bi, p)
+	c.applyPagePolicy(ri, rk, bi)
 }
 
 // applyPagePolicy decides whether the row stays open after an access.
-func (c *Controller) applyPagePolicy(ri int, rk *rank, bi int, p *dramPacket) {
+func (c *Controller) applyPagePolicy(ri int, rk *rank, bi int) {
 	var closeRow bool
 	switch c.cfg.Page {
 	case Closed:
 		closeRow = true
 	case ClosedAdaptive:
 		// Keep the row open only if more accesses to it are queued.
-		hit, _ := c.queuedRowDemand(p.coord)
+		hit, _ := c.queuedRowDemand(ri, bi)
 		closeRow = !hit
 	case OpenAdaptive:
 		// Close early if a conflicting access is queued and no hit is.
-		_, closeRow = c.queuedRowDemand(p.coord)
+		_, closeRow = c.queuedRowDemand(ri, bi)
 	case Open:
 		closeRow = c.cfg.MaxAccessesPerRow > 0 && rk.rowAccesses[bi] >= c.cfg.MaxAccessesPerRow
 	}
@@ -876,22 +934,14 @@ func (c *Controller) applyPagePolicy(ri int, rk *rank, bi int, p *dramPacket) {
 	}
 }
 
-// queuedRowDemand reports what the queues hold for coord's bank: hit when a
-// queued burst targets the same row, conflict when none does but one targets
-// another row of the bank.
-func (c *Controller) queuedRowDemand(coord dram.Coord) (hit, conflict bool) {
-	for _, q := range [2][]*dramPacket{c.readQueue, c.writeQueue} {
-		for _, p := range q {
-			if p.coord.Rank != coord.Rank || p.coord.Bank != coord.Bank {
-				continue
-			}
-			if p.coord.Row == coord.Row {
-				return true, false
-			}
-			conflict = true
-		}
-	}
-	return false, conflict
+// queuedRowDemand reports what the queues hold for a bank whose row was just
+// accessed (and is therefore open): hit when a queued burst targets the open
+// row, conflict when none does but one targets another row of the bank. The
+// queues' bank index already counts both.
+func (c *Controller) queuedRowDemand(ri, bi int) (hit, conflict bool) {
+	rd, wr := &c.readQueue.rankBanks(ri)[bi], &c.writeQueue.rankBanks(ri)[bi]
+	hit = rd.hits+wr.hits > 0
+	return hit, !hit && (rd.head != nil || wr.head != nil)
 }
 
 // emitCommand forwards a DRAM command to the attached probes.
@@ -907,16 +957,18 @@ func (c *Controller) emitCommand(kind power.CommandKind, rankIdx, bankIdx int, a
 func (c *Controller) activateBank(ri int, rk *rank, bi int, actAt sim.Tick, row int64) {
 	t := &c.tim
 	rk.openRow[bi] = row
+	c.readQueue.rowChanged(ri, bi, row)
+	c.writeQueue.rowChanged(ri, bi, row)
 	rk.colAllowedAt[bi] = actAt + t.TRCD
-	rk.preAllowedAt[bi] = maxTick(rk.preAllowedAt[bi], actAt+t.TRAS)
+	rk.preAllowedAt[bi] = max(rk.preAllowedAt[bi], actAt+t.TRAS)
 	rk.rowAccesses[bi] = 0
 	rk.bytesAccessed[bi] = 0
 	rk.recordAct(actAt, c.org.ActivationLimit)
 	if c.grouped {
 		g := c.topo.GroupOf(bi)
-		rk.actGroupAt[g] = maxTick(rk.actGroupAt[g], actAt)
+		rk.actGroupAt[g] = max(rk.actGroupAt[g], actAt)
 	}
-	rk.busyUntil = maxTick(rk.busyUntil, actAt)
+	rk.busyUntil = max(rk.busyUntil, actAt)
 	c.st.activations.Inc()
 	if c.hub != nil {
 		c.emitCommand(power.CmdACT, ri, bi, actAt)
@@ -939,10 +991,12 @@ func (c *Controller) prechargeBank(ri int, rk *rank, bi int, preAt sim.Tick) {
 	t := &c.tim
 	c.st.bytesPerActivate.Sample(float64(rk.bytesAccessed[bi]))
 	rk.openRow[bi] = rowClosed
-	rk.actAllowedAt[bi] = maxTick(rk.actAllowedAt[bi], preAt+t.TRP)
+	c.readQueue.rowChanged(ri, bi, rowClosed)
+	c.writeQueue.rowChanged(ri, bi, rowClosed)
+	rk.actAllowedAt[bi] = max(rk.actAllowedAt[bi], preAt+t.TRP)
 	rk.rowAccesses[bi] = 0
 	rk.bytesAccessed[bi] = 0
-	rk.busyUntil = maxTick(rk.busyUntil, preAt)
+	rk.busyUntil = max(rk.busyUntil, preAt)
 	c.st.precharges.Inc()
 	if c.hub != nil {
 		c.emitCommand(power.CmdPRE, ri, bi, preAt)
@@ -1011,13 +1065,13 @@ func (c *Controller) processRefresh(rankIdx int) {
 	preCount, lastPre := 0, sim.Tick(0)
 	for bi := lo; bi < hi; bi++ {
 		if rk.openRow[bi] != rowClosed {
-			preAt := maxTick(now, rk.preAllowedAt[bi])
+			preAt := max(now, rk.preAllowedAt[bi])
 			c.prechargeBank(rankIdx, rk, bi, preAt)
-			start = maxTick(start, preAt+t.TRP)
+			start = max(start, preAt+t.TRP)
 			preCount++
-			lastPre = maxTick(lastPre, preAt)
+			lastPre = max(lastPre, preAt)
 		} else {
-			start = maxTick(start, rk.actAllowedAt[bi])
+			start = max(start, rk.actAllowedAt[bi])
 		}
 	}
 	// On devices distinguishing all-bank from per-bank precharge (LPDDR
@@ -1025,14 +1079,14 @@ func (c *Controller) processRefresh(rankIdx int) {
 	// precharge-all and pays the longer tRPab before the REF may start.
 	allBank := c.refSpec.Kind == dram.RefAllBank
 	if allBank && preCount >= 2 && c.tRPab > t.TRP {
-		start = maxTick(start, lastPre+c.tRPab)
+		start = max(start, lastPre+c.tRPab)
 	}
 	done := start + c.refSpec.Blackout
 	for bi := lo; bi < hi; bi++ {
-		rk.actAllowedAt[bi] = maxTick(rk.actAllowedAt[bi], done)
-		rk.refreshUntil[bi] = maxTick(rk.refreshUntil[bi], done)
+		rk.actAllowedAt[bi] = max(rk.actAllowedAt[bi], done)
+		rk.refreshUntil[bi] = max(rk.refreshUntil[bi], done)
 	}
-	rk.busyUntil = maxTick(rk.busyUntil, done)
+	rk.busyUntil = max(rk.busyUntil, done)
 	if c.hub != nil {
 		kind := power.CmdREF
 		if c.refSpec.Kind == dram.RefSameBank {

@@ -90,7 +90,7 @@ func (c *Controller) armReplay(dp *dramPacket, retryAt sim.Tick) {
 	//lint:allow eventpool seq saved for checkpoint replay ordering, never used to reach the event
 	rec.seq = c.k.Call(c.replayName, retryAt, func() { //hot:allow the replay closure allocates on the fault path only
 		c.dropReplay(rec)
-		c.readQueue = append(c.readQueue, dp)
+		c.readQueue.push(dp)
 		c.kickScheduler()
 	})
 }
@@ -112,7 +112,7 @@ func (c *Controller) dropReplay(rec *replayRecord) {
 // scrub is dropped rather than deadlocking the queue — patrol scrubbing
 // would catch the row again later.
 func (c *Controller) queueScrub(dp *dramPacket) {
-	if len(c.writeQueue) >= c.cfg.WriteBufferSize {
+	if c.writeQueue.n >= c.cfg.WriteBufferSize {
 		c.st.droppedScrubs.Inc()
 		return
 	}
@@ -128,7 +128,7 @@ func (c *Controller) queueScrub(dp *dramPacket) {
 		scrub:     true,
 	}
 	c.wakeRank(w.coord.Rank)
-	c.writeQueue = append(c.writeQueue, w)
+	c.writeQueue.push(w)
 	c.inWriteQueue[w.burstAddr]++
 	c.st.scrubWrites.Inc()
 }

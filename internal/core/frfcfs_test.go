@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -16,14 +18,90 @@ import (
 // the shared data bus, and chooseNext treated a row opened during a refresh
 // blackout as a ready hit.
 
-// mkRead builds a read burst to (rank, bank, row) for white-box scheduling
-// tests; only the fields chooseNext/issueAt read are populated.
+// mkRead builds a read burst to (rank, bank, row) for white-box timing
+// tests; only the fields issueAt/doDRAMAccess read are populated.
 func mkRead(rank, bank int, row uint64, entry sim.Tick) *dramPacket {
 	return &dramPacket{
 		isRead:    true,
 		coord:     dram.Coord{Rank: rank, Bank: bank, Row: row},
 		entryTime: entry,
 	}
+}
+
+// enqueueRead sends a one-burst read of (rank, bank, row) through the port,
+// so it reaches the read queue the way every burst does, and returns its
+// descriptor. The kernel is not run: the scheduler event it arms stays
+// pending while the test asks chooseNext directly.
+func (h *harness) enqueueRead(t *testing.T, rank, bank int, row uint64) *dramPacket {
+	t.Helper()
+	addr := h.c.dec.Encode(dram.Coord{Rank: rank, Bank: bank, Row: row}, 0)
+	if !h.send(mem.NewRead(addr, h.c.org.BurstBytes(), 0, h.k.Now())) {
+		t.Fatalf("read of rank %d bank %d row %d refused", rank, bank, row)
+	}
+	return h.c.readQueue.tail
+}
+
+// queued returns a queue's bursts in arrival order: the slice the oracle
+// scans.
+func queued(q *burstQueue) []*dramPacket {
+	var out []*dramPacket
+	for p := q.head; p != nil; p = p.next {
+		out = append(out, p)
+	}
+	return out
+}
+
+// chooseNextOracle is the scheduler the bank-indexed chooseNext replaced: the
+// linear scan over the whole queue in arrival order, one hit test and (when
+// no hit is ready) one issueAt per queued burst. It is kept verbatim as the
+// reference the product must agree with burst for burst
+// (TestChooseNextMatchesLinearScan).
+func (c *Controller) chooseNextOracle(q []*dramPacket) int {
+	if c.cfg.Scheduling == FCFS || len(q) == 1 {
+		return 0
+	}
+	minPri := 0
+	if c.cfg.QoSPriority != nil {
+		minPri = q[0].priority
+		for _, p := range q[1:] {
+			if p.priority > minPri {
+				minPri = p.priority
+			}
+		}
+	}
+	now := c.k.Now()
+	minColAt := max(now, c.busBusyUntil-c.tim.TCL)
+	prepped := -1
+	for i, p := range q {
+		if p.priority < minPri {
+			continue
+		}
+		rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
+		if rk.openRow[bi] != int64(p.coord.Row) || rk.refreshUntil[bi] > now {
+			continue
+		}
+		if rk.colAllowedAt[bi] <= minColAt {
+			return i
+		}
+		if prepped < 0 {
+			prepped = i
+		}
+	}
+	if prepped >= 0 {
+		return prepped
+	}
+	best := -1
+	bestAt, bestReady := sim.MaxTick, sim.MaxTick
+	for i, p := range q {
+		if p.priority < minPri {
+			continue
+		}
+		_, _, ready, at := c.issueAt(p)
+		if at < bestAt || (at == bestAt && ready < bestReady) {
+			best, bestAt, bestReady = i, at, ready
+		}
+	}
+	return best
 }
 
 // With the data bus busy far into the future, the bus — not bank state —
@@ -39,15 +117,14 @@ func TestEstimateIssueChargesBusyBus(t *testing.T) {
 
 	// Two read misses to different banks in the same rank, the second one's
 	// bank ready sooner.
-	a := mkRead(0, 0, 3, 0)
-	b := mkRead(0, 1, 7, 1*sim.Nanosecond)
+	a := h.enqueueRead(t, 0, 0, 3)
+	b := h.enqueueRead(t, 0, 1, 7)
 	c.ranks[0].actAllowedAt[0] = 10 * sim.Nanosecond
 	c.ranks[0].actAllowedAt[1] = 5 * sim.Nanosecond
-	q := []*dramPacket{a, b}
 
 	// Idle bus: bank state decides; the sooner bank wins.
-	if got := c.chooseNext(q); got != 1 {
-		t.Fatalf("idle bus: chooseNext = %d, want 1 (sooner bank wins)", got)
+	if got := c.chooseNext(&c.readQueue); got != b {
+		t.Fatalf("idle bus: chooseNext = burst %d, want 1 (sooner bank wins)", got.seq)
 	}
 
 	// Bus saturated well past both bank-ready ticks: the estimates must
@@ -55,13 +132,13 @@ func TestEstimateIssueChargesBusyBus(t *testing.T) {
 	// while the choice still frees the earliest bank.
 	c.busBusyUntil = 200 * sim.Nanosecond
 	wantAt := c.busBusyUntil - tm.TCL
-	for i, p := range q {
+	for i, p := range []*dramPacket{a, b} {
 		if _, _, _, at := c.issueAt(p); at != wantAt {
-			t.Fatalf("q[%d]: issueAt = %s, want bus-clamped %s", i, at, wantAt)
+			t.Fatalf("burst %d: issueAt = %s, want bus-clamped %s", i, at, wantAt)
 		}
 	}
-	if got := c.chooseNext(q); got != 1 {
-		t.Fatalf("busy bus: chooseNext = %d, want 1 (earliest bank among equal costs)", got)
+	if got := c.chooseNext(&c.readQueue); got != b {
+		t.Fatalf("busy bus: chooseNext = burst %d, want 1 (earliest bank among equal costs)", got.seq)
 	}
 }
 
@@ -78,28 +155,28 @@ func TestChooseNextPrefersSeamlessHit(t *testing.T) {
 	c.busBusyUntil = 100 * sim.Nanosecond
 	rk := c.ranks[0]
 	const stall, seamless = 0, 1
-	rk.openRow[stall] = 3
+	c.activateBank(0, rk, stall, 0, 3)
 	rk.colAllowedAt[stall] = c.busBusyUntil + 50*sim.Nanosecond // hit, but stalls the bus
-	rk.openRow[seamless] = 7
+	c.activateBank(0, rk, seamless, 0, 7)
 	rk.colAllowedAt[seamless] = c.busBusyUntil - tm.TCL // ready the moment the bus frees
 
-	q := []*dramPacket{mkRead(0, 0, 3, 0), mkRead(0, 1, 7, 1)}
-	if got := c.chooseNext(q); got != 1 {
-		t.Fatalf("chooseNext = %d, want 1 (seamless hit beats stalling hit queued first)", got)
+	first, second := h.enqueueRead(t, 0, stall, 3), h.enqueueRead(t, 0, seamless, 7)
+	if got := c.chooseNext(&c.readQueue); got != second {
+		t.Fatalf("chooseNext = burst %d, want 1 (seamless hit beats stalling hit queued first)", got.seq)
 	}
 
 	// Make the first hit seamless too: queue order resumes (FCFS among
 	// seamless hits).
 	rk.colAllowedAt[stall] = c.busBusyUntil - tm.TCL
-	if got := c.chooseNext(q); got != 0 {
-		t.Fatalf("chooseNext = %d, want 0 (first seamless hit in queue order)", got)
+	if got := c.chooseNext(&c.readQueue); got != first {
+		t.Fatalf("chooseNext = burst %d, want 0 (first seamless hit in queue order)", got.seq)
 	}
 
 	// No seamless hit at all: the first ready hit still beats misses.
 	rk.colAllowedAt[stall] = c.busBusyUntil + 50*sim.Nanosecond
 	rk.colAllowedAt[seamless] = c.busBusyUntil + 80*sim.Nanosecond
-	if got := c.chooseNext(q); got != 0 {
-		t.Fatalf("chooseNext = %d, want 0 (first non-seamless hit as fallback)", got)
+	if got := c.chooseNext(&c.readQueue); got != first {
+		t.Fatalf("chooseNext = burst %d, want 0 (first non-seamless hit as fallback)", got.seq)
 	}
 }
 
@@ -173,34 +250,34 @@ func TestEstimateIssueMatchesAccessCharge(t *testing.T) {
 // A row left logically open across a refresh blackout is not a ready hit:
 // its activate is booked for after tRFC, so the old scan — which keyed on
 // openRow alone — burned the whole blackout on it while a genuinely ready
-// request in another bank sat idle. The fixed scan gates hits on
+// request in another rank sat idle. The fixed scan gates hits on
 // refreshUntil and falls through to the cost function, which picks the
 // ready miss.
 func TestChooseNextSkipsHitInRefreshingBank(t *testing.T) {
-	h := newHarness(t, nil)
+	h := newHarness(t, func(c *Config) { c.Device = dram.DDR3_1600_x64_2R() })
 	c := h.c
 	now := h.k.Now()
 
+	// The state an access issued during a blackout leaves behind: the row is
+	// logically open, its activate booked for when the refresh ends.
 	rk := c.ranks[0]
-	rk.openRow[0] = 5
 	rk.refreshUntil[0] = now + 100*sim.Nanosecond
 	rk.actAllowedAt[0] = rk.refreshUntil[0]
-	rk.colAllowedAt[0] = rk.refreshUntil[0] + c.tim.TRCD
+	c.activateBank(0, rk, 0, rk.refreshUntil[0], 5)
 
-	hit := mkRead(0, 0, 5, 0)  // row hit, but the bank is mid-refresh
-	miss := mkRead(0, 1, 8, 1) // closed bank, ready immediately
-	q := []*dramPacket{hit, miss}
+	hit := h.enqueueRead(t, 0, 0, 5)  // row hit, but the bank is mid-refresh
+	miss := h.enqueueRead(t, 1, 1, 8) // closed bank in the other rank, ready immediately
 
-	if got := c.chooseNext(q); got != 1 {
-		t.Fatalf("mid-refresh: chooseNext = %d, want 1 (ready miss beats blacked-out hit)", got)
+	if got := c.chooseNext(&c.readQueue); got != miss {
+		t.Fatalf("mid-refresh: chooseNext = burst %d, want 1 (ready miss beats blacked-out hit)", got.seq)
 	}
 
 	// Blackout over: the hit is genuinely ready again and must be preferred
 	// — the gate only suppresses hits during the blackout.
 	rk.refreshUntil[0] = now
 	rk.colAllowedAt[0] = now
-	if got := c.chooseNext(q); got != 0 {
-		t.Fatalf("after refresh: chooseNext = %d, want 0 (row hit preferred)", got)
+	if got := c.chooseNext(&c.readQueue); got != hit {
+		t.Fatalf("after refresh: chooseNext = burst %d, want 0 (row hit preferred)", got.seq)
 	}
 }
 
@@ -265,5 +342,100 @@ func TestRefreshStampsBlackout(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// randomizeTiming scatters every tick the arbitration reads around now:
+// open rows (through activateBank, the way rows open), per-bank allowed-at
+// times, refresh blackouts — over closed banks and over logically open rows
+// alike — and the rank and bus state behind issueAt.
+func randomizeTiming(c *Controller, rng *rand.Rand, rows int) {
+	now := c.k.Now()
+	// near draws a tick within 60 ns either side of now, on a coarse grid so
+	// that exact ties between banks are common.
+	near := func() sim.Tick { return now + sim.Tick(rng.Intn(25)-12)*5*sim.Nanosecond }
+	for ri, rk := range c.ranks {
+		for bi := 0; bi < rk.numBanks(); bi++ {
+			if rng.Intn(3) > 0 {
+				c.activateBank(ri, rk, bi, near(), int64(rng.Intn(rows)))
+			}
+			rk.actAllowedAt[bi], rk.preAllowedAt[bi], rk.colAllowedAt[bi] = near(), near(), near()
+			if rng.Intn(4) == 0 {
+				rk.refreshUntil[bi] = now + sim.Tick(1+rng.Intn(20))*5*sim.Nanosecond
+			}
+		}
+		rk.lastActAt, rk.rdAllowedAt, rk.wrAllowedAt, rk.colAnyAt = near(), near(), near(), near()
+		for g := range rk.actGroupAt {
+			rk.actGroupAt[g], rk.colGroupAt[g] = near(), near()
+		}
+	}
+	c.busBusyUntil = near()
+}
+
+// The bank-indexed chooseNext must pick the burst the linear scan picks, for
+// every queue content and every bank, rank and bus state. Each round builds a
+// controller on a random device and policy, scatters its timing state, fills
+// one queue with random bursts over few rows (so hits, conflicts and
+// same-bank runs all occur) and then services the whole queue, comparing
+// product and oracle at every decision; servicing through doDRAMAccess moves
+// the state on the way the scheduler really does.
+func TestChooseNextMatchesLinearScan(t *testing.T) {
+	perBank := dram.LPDDR5_6400_x32()
+	perBank.Refresh = dram.RefPerBank
+	specs := []dram.Spec{
+		dram.DDR3_1600_x64(), dram.DDR3_1600_x64_2R(), dram.DDR4_3200_x64(),
+		dram.DDR5_4800_x64(), perBank,
+	}
+	rng := rand.New(rand.NewSource(16))
+	decisions := 0
+	for round := 0; round < 1500; round++ {
+		spec := specs[rng.Intn(len(specs))]
+		qos, fcfs, isRead := rng.Intn(2) == 0, rng.Intn(8) == 0, rng.Intn(2) == 0
+		h := newHarness(t, func(c *Config) {
+			c.Device = spec
+			c.Page = PagePolicy(rng.Intn(4))
+			if fcfs {
+				c.Scheduling = FCFS
+			}
+			if qos {
+				c.QoSPriority = func(id int) int { return id }
+			}
+		})
+		c := h.c
+		h.k.RunUntil(sim.Microsecond) // before the first refresh; leaves room below now
+		const rows = 3
+		randomizeTiming(c, rng, rows)
+		q := &c.writeQueue
+		if isRead {
+			q = &c.readQueue
+		}
+		for n := 2 + rng.Intn(40); n > 0; n-- {
+			dp := c.newDP()
+			*dp = dramPacket{
+				isRead: isRead,
+				coord: dram.Coord{Rank: rng.Intn(len(c.ranks)), Bank: rng.Intn(spec.Org.BanksPerRank),
+					Row: uint64(rng.Intn(rows))},
+				priority:  c.priorityOf(rng.Intn(3)),
+				entryTime: c.k.Now(),
+			}
+			q.push(dp)
+		}
+		for q.n > 0 {
+			checkQueueIndex(t, c)
+			all := queued(q)
+			want := all[c.chooseNextOracle(all)]
+			got := c.chooseNext(q)
+			if got != want {
+				t.Fatalf("round %d (%s, qos=%v, read=%v), %d queued: product picks burst %d %+v, linear scan picks burst %d %+v",
+					round, spec.Name, qos, isRead, q.n, got.seq, got.coord, want.seq, want.coord)
+			}
+			decisions++
+			q.remove(got)
+			c.doDRAMAccess(got)
+			c.freeDP(got)
+		}
+	}
+	if decisions < 10000 {
+		t.Fatalf("only %d decisions compared, want at least 10000", decisions)
 	}
 }

@@ -103,8 +103,8 @@ func (c *Controller) ObsSample() obs.Sample {
 		sr = append(sr, rk.cke == ckeSelfRefresh)
 	}
 	return obs.Sample{
-		ReadQueueLen:    len(c.readQueue),
-		WriteQueueLen:   len(c.writeQueue),
+		ReadQueueLen:    c.readQueue.n,
+		WriteQueueLen:   c.writeQueue.n,
 		BusUtilisation:  c.BusUtilisation(),
 		RowHitRate:      c.RowHitRate(),
 		BanksOpen:       banks,

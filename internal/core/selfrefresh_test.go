@@ -56,7 +56,7 @@ func TestSelfRefreshExitLatency(t *testing.T) {
 	withSR := run(200 * sim.Nanosecond)
 	withoutSR := run(0)
 	tm := dram.DDR3_1600_x64().Timing
-	extra := maxTick(tm.TXS+tm.TRCD, tm.TXSDLL) - tm.TRCD
+	extra := max(tm.TXS+tm.TRCD, tm.TXSDLL) - tm.TRCD
 	if withSR != withoutSR+extra {
 		t.Fatalf("self-refresh exit cost = %s, want %s + %s (tXS %s, tXSDLL %s, tRCD %s)",
 			withSR, withoutSR, extra, tm.TXS, tm.TXSDLL, tm.TRCD)

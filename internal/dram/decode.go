@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -65,7 +66,9 @@ type Coord struct {
 // Decoder maps physical addresses to DRAM coordinates for one controller.
 // Channels is the number of interleaved channels in the system (the
 // controller strips the channel bits; channel *selection* happens in the
-// crossbar, as in the paper's Figure 1 arrangement).
+// crossbar, as in the paper's Figure 1 arrangement). Build one with
+// NewDecoder: it lays the address fields out once, and the zero value
+// decodes nothing.
 type Decoder struct {
 	Org      Organization
 	Mapping  Mapping
@@ -74,6 +77,16 @@ type Decoder struct {
 	// classic bank-hashing trick (gem5's xor-based interleaving) that
 	// spreads pathological same-bank strides across all banks.
 	XORBankRow bool
+
+	// The address layout, fixed by NewDecoder. Burst size, columns per row,
+	// banks, ranks and channels are all powers of two (Organization.Validate,
+	// NewDecoder), so every field is a shift and a mask: burstShift drops the
+	// byte offset within a burst, the other shifts place a field within the
+	// burst index, and a mask is the field's size minus one. The row takes
+	// the bits above rowShift.
+	burstShift                                          uint8
+	chanShift, colShift, bankShift, rankShift, rowShift uint8
+	chanMask, colMask, bankMask, rankMask               uint64
 }
 
 // NewDecoder validates and builds a decoder.
@@ -84,13 +97,49 @@ func NewDecoder(org Organization, mapping Mapping, channels int) (Decoder, error
 	if channels <= 0 || !isPow2(uint64(channels)) {
 		return Decoder{}, fmt.Errorf("dram: channels must be a positive power of two, got %d", channels)
 	}
-	return Decoder{Org: org, Mapping: mapping, Channels: channels}, nil
+	d := Decoder{
+		Org: org, Mapping: mapping, Channels: channels,
+		burstShift: log2(org.BurstBytes()),
+		chanMask:   uint64(channels) - 1,
+		colMask:    org.BurstsPerRow() - 1,
+		bankMask:   uint64(org.BanksPerRank) - 1,
+		rankMask:   uint64(org.RanksPerChannel) - 1,
+	}
+	// Fields from the burst offset upwards, in the mapping's order (its name
+	// reads most-significant first).
+	type field struct {
+		shift *uint8
+		mask  uint64
+	}
+	ch, co := field{&d.chanShift, d.chanMask}, field{&d.colShift, d.colMask}
+	ba, ra := field{&d.bankShift, d.bankMask}, field{&d.rankShift, d.rankMask}
+	var order [4]field
+	switch mapping {
+	case RoRaBaCoCh:
+		order = [4]field{ch, co, ba, ra}
+	case RoRaBaChCo:
+		order = [4]field{co, ch, ba, ra}
+	case RoCoRaBaCh:
+		order = [4]field{ch, ba, ra, co}
+	default:
+		return Decoder{}, fmt.Errorf("dram: unknown address mapping %d", int(mapping))
+	}
+	pos := uint8(0)
+	for _, f := range order {
+		*f.shift = pos
+		pos += log2(f.mask + 1)
+	}
+	d.rowShift = pos
+	return d, nil
 }
+
+// log2 returns the exponent of a power of two.
+func log2(n uint64) uint8 { return uint8(bits.TrailingZeros64(n)) }
 
 // InterleaveBytes returns the channel-interleaving granularity implied by
 // the mapping: burst size for the *Ch-low schemes, row-buffer size for
 // RoRaBaChCo.
-func (d Decoder) InterleaveBytes() uint64 {
+func (d *Decoder) InterleaveBytes() uint64 {
 	if d.Mapping == RoRaBaChCo {
 		return d.Org.RowBufferBytes
 	}
@@ -98,94 +147,39 @@ func (d Decoder) InterleaveBytes() uint64 {
 }
 
 // Channel returns which channel an address belongs to.
-func (d Decoder) Channel(a mem.Addr) int {
-	return int(uint64(a) / d.InterleaveBytes() % uint64(d.Channels))
+func (d *Decoder) Channel(a mem.Addr) int {
+	return int(uint64(a) >> d.burstShift >> d.chanShift & d.chanMask)
 }
 
 // Decode splits an address into its DRAM coordinate. The address is the full
-// system address; channel bits are stripped according to the mapping.
-func (d Decoder) Decode(a mem.Addr) Coord {
-	org := d.Org
-	burst := org.BurstBytes()
-	colsPerRow := org.BurstsPerRow()
-	addr := uint64(a) / burst
-
-	var c Coord
-	switch d.Mapping {
-	case RoRaBaCoCh:
-		// offset | channel | column | bank | rank | row
-		addr /= uint64(d.Channels)
-		c.Col = addr % colsPerRow
-		addr /= colsPerRow
-		c.Bank = int(addr % uint64(org.BanksPerRank))
-		addr /= uint64(org.BanksPerRank)
-		c.Rank = int(addr % uint64(org.RanksPerChannel))
-		addr /= uint64(org.RanksPerChannel)
-		c.Row = addr % org.RowsPerBank
-	case RoRaBaChCo:
-		// offset | column | channel | bank | rank | row
-		c.Col = addr % colsPerRow
-		addr /= colsPerRow
-		addr /= uint64(d.Channels)
-		c.Bank = int(addr % uint64(org.BanksPerRank))
-		addr /= uint64(org.BanksPerRank)
-		c.Rank = int(addr % uint64(org.RanksPerChannel))
-		addr /= uint64(org.RanksPerChannel)
-		c.Row = addr % org.RowsPerBank
-	case RoCoRaBaCh:
-		// offset | channel | bank | rank | column | row
-		addr /= uint64(d.Channels)
-		c.Bank = int(addr % uint64(org.BanksPerRank))
-		addr /= uint64(org.BanksPerRank)
-		c.Rank = int(addr % uint64(org.RanksPerChannel))
-		addr /= uint64(org.RanksPerChannel)
-		c.Col = addr % colsPerRow
-		addr /= colsPerRow
-		c.Row = addr % org.RowsPerBank
-	default:
-		panic("dram: unknown mapping")
+// system address; channel bits are stripped according to the mapping, and
+// rows beyond the device's capacity wrap.
+func (d *Decoder) Decode(a mem.Addr) Coord {
+	addr := uint64(a) >> d.burstShift
+	c := Coord{
+		Rank: int(addr >> d.rankShift & d.rankMask),
+		Bank: int(addr >> d.bankShift & d.bankMask),
+		Row:  addr >> d.rowShift,
+		Col:  addr >> d.colShift & d.colMask,
+	}
+	if c.Row >= d.Org.RowsPerBank {
+		c.Row %= d.Org.RowsPerBank
 	}
 	if d.XORBankRow {
-		c.Bank ^= int(c.Row) & (d.Org.BanksPerRank - 1)
+		c.Bank ^= int(c.Row & d.bankMask)
 	}
 	return c
 }
 
-// Encode is the inverse of Decode for channel 0 — it reconstructs a physical
-// address from a coordinate. The DRAM-aware traffic generator uses it to
-// target specific rows and banks (§III-A).
-func (d Decoder) Encode(c Coord, channel int) mem.Addr {
-	org := d.Org
-	burst := org.BurstBytes()
-	colsPerRow := org.BurstsPerRow()
-
+// Encode is the inverse of Decode — it reconstructs the physical address of
+// an in-range coordinate on the given channel. The DRAM-aware traffic
+// generator uses it to target specific rows and banks (§III-A).
+func (d *Decoder) Encode(c Coord, channel int) mem.Addr {
 	if d.XORBankRow {
 		// Invert the decode-side hash so Decode(Encode(c)) == c.
-		c.Bank ^= int(c.Row) & (org.BanksPerRank - 1)
+		c.Bank ^= int(c.Row & d.bankMask)
 	}
-
-	var addr uint64
-	switch d.Mapping {
-	case RoRaBaCoCh:
-		addr = c.Row
-		addr = addr*uint64(org.RanksPerChannel) + uint64(c.Rank)
-		addr = addr*uint64(org.BanksPerRank) + uint64(c.Bank)
-		addr = addr*colsPerRow + c.Col
-		addr = addr*uint64(d.Channels) + uint64(channel)
-	case RoRaBaChCo:
-		addr = c.Row
-		addr = addr*uint64(org.RanksPerChannel) + uint64(c.Rank)
-		addr = addr*uint64(org.BanksPerRank) + uint64(c.Bank)
-		addr = addr*uint64(d.Channels) + uint64(channel)
-		addr = addr*colsPerRow + c.Col
-	case RoCoRaBaCh:
-		addr = c.Row
-		addr = addr*colsPerRow + c.Col
-		addr = addr*uint64(org.RanksPerChannel) + uint64(c.Rank)
-		addr = addr*uint64(org.BanksPerRank) + uint64(c.Bank)
-		addr = addr*uint64(d.Channels) + uint64(channel)
-	default:
-		panic("dram: unknown mapping")
-	}
-	return mem.Addr(addr * burst)
+	addr := c.Row<<d.rowShift | uint64(c.Rank)<<d.rankShift | uint64(c.Bank)<<d.bankShift |
+		c.Col<<d.colShift | uint64(channel)<<d.chanShift
+	return mem.Addr(addr << d.burstShift)
 }

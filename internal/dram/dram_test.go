@@ -1,7 +1,9 @@
 package dram
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mem"
@@ -197,6 +199,9 @@ func TestDecoderRejectsBadChannels(t *testing.T) {
 	if _, err := NewDecoder(org, RoRaBaCoCh, 3); err == nil {
 		t.Error("accepted non-power-of-two channels")
 	}
+	if _, err := NewDecoder(org, Mapping(7), 1); err == nil {
+		t.Error("accepted an unknown mapping")
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -220,6 +225,85 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 						}
 						if got := d.Channel(addr); got != ch {
 							t.Fatalf("%s/%s/%dch: channel = %d, want %d", spec.Name, m, channels, got, ch)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// decodeByDivision is the decode the shift-and-mask form replaced: the same
+// field order spelled as divisions and remainders by the (runtime) field
+// sizes. It makes no power-of-two assumption, so it referees the layout
+// NewDecoder precomputes.
+func decodeByDivision(d *Decoder, a mem.Addr) Coord {
+	org := d.Org
+	colsPerRow := org.BurstsPerRow()
+	addr := uint64(a) / org.BurstBytes()
+	take := func(n uint64) uint64 {
+		v := addr % n
+		addr /= n
+		return v
+	}
+	var c Coord
+	switch d.Mapping {
+	case RoRaBaCoCh:
+		take(uint64(d.Channels))
+		c.Col = take(colsPerRow)
+		c.Bank = int(take(uint64(org.BanksPerRank)))
+		c.Rank = int(take(uint64(org.RanksPerChannel)))
+	case RoRaBaChCo:
+		c.Col = take(colsPerRow)
+		take(uint64(d.Channels))
+		c.Bank = int(take(uint64(org.BanksPerRank)))
+		c.Rank = int(take(uint64(org.RanksPerChannel)))
+	case RoCoRaBaCh:
+		take(uint64(d.Channels))
+		c.Bank = int(take(uint64(org.BanksPerRank)))
+		c.Rank = int(take(uint64(org.RanksPerChannel)))
+		c.Col = take(colsPerRow)
+	}
+	c.Row = addr % org.RowsPerBank
+	if d.XORBankRow {
+		c.Bank ^= int(c.Row) & (org.BanksPerRank - 1)
+	}
+	return c
+}
+
+// Over every preset, mapping, bank-hash setting and channel count: Decode
+// agrees with the division form on arbitrary addresses (beyond capacity
+// too, where rows wrap), Channel with its division form, and Decode inverts
+// Encode on every in-range coordinate drawn.
+func TestDecodeMatchesDivisionFormAndInvertsEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, spec := range Presets() {
+		org := spec.Org
+		for _, m := range []Mapping{RoRaBaCoCh, RoRaBaChCo, RoCoRaBaCh} {
+			for _, hash := range []bool{false, true} {
+				for _, channels := range []int{1, 2, 4} {
+					d, err := NewDecoder(org, m, channels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d.XORBankRow = hash
+					name := fmt.Sprintf("%s/%s/hash=%v/%dch", spec.Name, m, hash, channels)
+					for i := 0; i < 200; i++ {
+						a := mem.Addr(rng.Uint64() >> uint(rng.Intn(40)))
+						if got, want := d.Decode(a), decodeByDivision(&d, a); got != want {
+							t.Fatalf("%s: Decode(%#x) = %+v, division form %+v", name, uint64(a), got, want)
+						}
+						if got, want := d.Channel(a), int(uint64(a)/d.InterleaveBytes()%uint64(channels)); got != want {
+							t.Fatalf("%s: Channel(%#x) = %d, division form %d", name, uint64(a), got, want)
+						}
+						want := Coord{
+							Rank: rng.Intn(org.RanksPerChannel), Bank: rng.Intn(org.BanksPerRank),
+							Row: rng.Uint64() % org.RowsPerBank, Col: rng.Uint64() % org.BurstsPerRow(),
+						}
+						ch := rng.Intn(channels)
+						addr := d.Encode(want, ch)
+						if got := d.Decode(addr); got != want || d.Channel(addr) != ch {
+							t.Fatalf("%s: Decode(Encode(%+v, ch %d)) = %+v on channel %d", name, want, ch, got, d.Channel(addr))
 						}
 					}
 				}

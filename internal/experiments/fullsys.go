@@ -120,12 +120,13 @@ func RunFig8(memOps uint64) (*Fig8Result, error) {
 			if err != nil {
 				return out{}, err
 			}
-			start := time.Now()
-			if !fs.Run(10 * sim.Second) {
+			var done bool
+			host := hostTimed(func() { done = fs.Run(10 * sim.Second) })
+			if !done {
 				return out{}, fmt.Errorf("experiments: fig8 %q (%s) did not complete", wl, kind)
 			}
 			return out{
-				host:    time.Since(start),
+				host:    host,
 				ipc:     fs.AggregateIPC(),
 				missLat: fs.LLC.AvgMissLatencyNs(),
 				busUtil: fs.AvgBusUtilisation(),

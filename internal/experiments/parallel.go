@@ -136,11 +136,10 @@ func runParallelPoint(cfg system.ShardedConfig) (time.Duration, float64, uint64,
 		return 0, 0, 0, "", err
 	}
 	defer sess.Close()
-	start := time.Now()
-	if err := sess.Run(100 * sim.Second); err != nil {
+	host := hostTimed(func() { err = sess.Run(100 * sim.Second) })
+	if err != nil {
 		return 0, 0, 0, "", fmt.Errorf("experiments: sharded run ch=%d w=%d: %w", cfg.Channels, cfg.Workers, err)
 	}
-	host := time.Since(start)
 	var buf bytes.Buffer
 	if err := rig.Reg.DumpJSON(&buf); err != nil {
 		return 0, 0, 0, "", err

@@ -231,7 +231,7 @@ func (st *runState) segment(s Session) (done, interrupted bool, err error) {
 		s.Start()
 	}
 	lastSim := s.Now()
-	lastWall := time.Now()
+	lastWall := time.Now() //lint:allow simtime EveryWall is a host-time checkpoint cadence; it decides when to save, never what is simulated
 	for {
 		select {
 		case sig := <-st.cfg.Notify:
@@ -262,13 +262,13 @@ func (st *runState) segment(s Session) (done, interrupted bool, err error) {
 			return true, false, nil
 		}
 		due := (st.cfg.Every > 0 && s.Now()-lastSim >= st.cfg.Every) ||
-			(st.cfg.EveryWall > 0 && time.Since(lastWall) >= st.cfg.EveryWall)
+			(st.cfg.EveryWall > 0 && time.Since(lastWall) >= st.cfg.EveryWall) //lint:allow simtime EveryWall is a host-time checkpoint cadence; it decides when to save, never what is simulated
 		if due && st.cfg.Checkpoint != "" {
 			if serr := st.save(s); serr != nil {
 				return false, false, serr
 			}
 			lastSim = s.Now()
-			lastWall = time.Now()
+			lastWall = time.Now() //lint:allow simtime EveryWall is a host-time checkpoint cadence; it decides when to save, never what is simulated
 		}
 	}
 }
