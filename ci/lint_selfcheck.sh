@@ -6,25 +6,24 @@
 # tests:    the analysis framework's own tests (goldens, suppression
 #           semantics, analyzer interaction, the compiler escape gate).
 #
-# clean:    the repository itself must be clean with every analyzer run on
-#           every package (-all: exit 0, no output), so a host-clock read or
-#           an order-sensitive map walk anywhere in the module either carries
-#           a reasoned //lint:allow or fails here, not only one inside the
-#           default policy's sim-core scope. -json keeps the output
+# clean:    the repository itself must be clean (exit 0, no output); simlint
+#           runs every analyzer on every package, so a host-clock read or an
+#           order-sensitive map walk anywhere in the module either carries a
+#           reasoned //lint:allow or fails here. -json keeps the output
 #           machine-readable so the GitHub Actions problem matcher
 #           (.github/simlint-matcher.json) annotates any finding in the PR.
 #           Also the annotation ratchet: the number of //lint:allow,
-#           //hot:allow, //ckpt:skip and //fp:skip directives outside
-#           internal/analysis must equal ci/annotations.txt, so a count only
-#           moves together with that file.
+#           //hot:allow and //ckpt:skip directives outside internal/analysis
+#           must equal ci/annotations.txt, so a count only moves together
+#           with that file.
 #
 # fixtures: the driver, run end-to-end over every fixture package in ONE
 #           invocation, must find exactly what the consolidated JSON golden
 #           says. One consolidated run (instead of one `go run` per fixture)
 #           keeps the gate fast and additionally pins a whole-program
 #           property: loading all fixtures into a single Program must not let
-#           one fixture's fingerprint vocabulary or call graph bleed coverage
-#           into another's findings — the consolidated output must stay
+#           one fixture's directives or call graph bleed into another's
+#           findings — the consolidated output must stay
 #           exactly the union of the per-fixture goldens that the unit tests
 #           check in isolation.
 set -euo pipefail
@@ -39,14 +38,14 @@ run_tests() {
 
 run_clean() {
     echo "== simlint: repository must be clean with every analyzer on every package =="
-    go run ./cmd/simlint -all -json ./...
+    go run ./cmd/simlint -json ./...
     echo "clean"
     echo "== annotation ratchet: directive counts vs ci/annotations.txt =="
     local name want pat got
     while read -r name want; do
         case "$name" in
         lint:allow) pat='//lint:allow [a-z]+ [^ ]' ;;
-        hot:allow | ckpt:skip | fp:skip) pat="//$name [^ ]" ;;
+        hot:allow | ckpt:skip) pat="//$name [^ ]" ;;
         *) continue ;; # comment or blank line
         esac
         got=$({ git grep -Eoh "$pat" -- '*.go' ':!internal/analysis' || true; } | wc -l)
@@ -68,7 +67,7 @@ run_fixtures() {
     local golden="internal/analysis/testdata/golden/selfcheck.json"
     set +e
     local got status
-    got=$(go run ./cmd/simlint -all -json "${fixtures[@]}")
+    got=$(go run ./cmd/simlint -json "${fixtures[@]}")
     status=$?
     set -e
     if [ "$status" -ne 1 ]; then

@@ -5,7 +5,8 @@
 # corrupted checkpoint must be rejected with a clean error, not a panic or a
 # silently wrong resume. Resuming a run that already finished must change
 # nothing: same simulated line and an untouched checkpoint file, on one
-# channel and on four.
+# channel and on four. Resuming under another configuration must be refused
+# with the component and the field named, and the checkpoint left alone.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -96,5 +97,28 @@ for ch in 1 4; do
     done
     echo "-channels $ch: $(cat "$workdir/fin$ch.0"), twice more"
 done
+
+echo "== resuming under another configuration is refused, by component and field"
+page=(-pattern random -requests 20000 -checkpoint "$workdir/page.ckpt")
+"$workdir/dramctrl" "${page[@]}" -page open >/dev/null 2>&1
+cp "$workdir/page.ckpt" "$workdir/page.ckpt.0"
+set +e
+"$workdir/dramctrl" "${page[@]}" -page closed -resume >/dev/null 2>"$workdir/page.log"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+    echo "FAIL: -page closed resumed a -page open checkpoint (exit $rc, want 1)" >&2
+    exit 1
+fi
+if ! grep -q 'mc0' "$workdir/page.log" || ! grep -q 'Page' "$workdir/page.log"; then
+    echo "FAIL: the refusal does not name mc0 and Page:" >&2
+    cat "$workdir/page.log" >&2
+    exit 1
+fi
+if ! cmp "$workdir/page.ckpt" "$workdir/page.ckpt.0"; then
+    echo "FAIL: the refused resume changed the checkpoint file" >&2
+    exit 1
+fi
+echo "refused: $(grep -o 'mc0: .*' "$workdir/page.log")"
 
 echo "PASS: recovery smoke"

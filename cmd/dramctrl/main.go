@@ -6,7 +6,7 @@
 // bandwidth, latency, power and (optionally) the full statistics dump — the
 // repository's equivalent of driving a gem5 memory configuration from the
 // command line. -channels only selects which topology gets wired; flags,
-// fingerprint, supervision, trace lifecycle and report are one path.
+// supervision, trace lifecycle and report are one path.
 //
 // Runs are supervised: -checkpoint enables periodic, checksummed snapshots
 // (-checkpoint-every / -checkpoint-wall), -resume continues a run from its
@@ -178,26 +178,6 @@ func parseFlags(args []string) (*options, error) {
 	return f, nil
 }
 
-// fingerprint canonicalizes every knob that shapes the simulated schedule,
-// so a checkpoint is never resumed under a different configuration. The
-// worker count is deliberately absent: statistics are worker-count
-// independent, so a checkpoint taken with -parallel 4 resumes fine under
-// -parallel 1. The lookahead quanta IS present: adaptive widening shifts the
-// barrier schedule. The observability flags are absent too — probes only
-// observe — but a traced resume does need tracing enabled again (the trace
-// sink is a strict checkpoint component).
-func (f *options) fingerprint(spec dram.Spec) string {
-	t := f.traf
-	return fmt.Sprintf("dramctrl spec=%s standard=%s model=%s mapping=%s page=%s sched=%s pattern=%s "+
-		"reads=%d requests=%d bytes=%d outstanding=%d itt=%d stride=%d banks=%d burston=%d burstoff=%d seed=%d "+
-		"powerdown=%d selfrefresh=%d faults=%d/%g/%g/%g ecc=%d retry=%d channels=%d quanta=%d",
-		spec.Name, spec.Standard(), f.pol.Model, f.pol.Mapping, f.pol.Page, f.pol.Sched, t.Pattern,
-		t.Reads, t.Requests, t.Bytes, t.Outstanding, t.ITTNs, t.Stride, t.Banks, t.BurstOn, t.BurstOffNs, t.Seed,
-		f.powerDownNs, f.selfRefreshNs,
-		f.faults.Seed, f.faults.CorrectablePerBurst, f.faults.UncorrectablePerBurst, f.faults.TransientPerBurst,
-		f.eccLatencyNs, f.retryLimit, f.shard.Channels, f.shard.Quanta)
-}
-
 // tuneEvent applies the policy flags to an event-based controller
 // configuration; both topologies get them from here.
 func (f *options) tuneEvent(page core.PagePolicy) func(*core.Config) {
@@ -334,7 +314,7 @@ func wireSharded(f *options, spec dram.Spec, mapping dram.Mapping, page core.Pag
 	if err != nil {
 		return nil, err
 	}
-	sess, err := sr.NewSession(f.fingerprint(spec), maxSim)
+	sess, err := sr.NewSession("", maxSim)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +402,7 @@ func wireSingle(f *options, spec dram.Spec, mapping dram.Mapping, page core.Page
 	r.sess = system.NewSession(k, reg, ctrl, src)
 	r.sess.Deadline = maxSim
 	if f.sup.Enabled() {
-		if err := r.sess.Supervise(f.fingerprint(spec)); err != nil {
+		if err := r.sess.Supervise(""); err != nil {
 			return nil, err
 		}
 	}

@@ -167,16 +167,34 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 	}
 }
 
-// The fingerprint covers what the sharded path now honours: a checkpoint is
-// not resumed under another scheduler or lookahead.
-func TestFingerprintCoversShardedKnobs(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	base := []string{"-channels", "2", "-requests", "2000", "-checkpoint", ckpt}
-	mustRun(t, base...)
-	for _, flags := range [][]string{{"-sched", "fcfs"}, {"-lookahead-quanta", "8"}} {
-		_, err := dramctrl(t, append(append(base[:len(base):len(base)], "-resume"), flags...)...)
-		if err == nil || !strings.Contains(err.Error(), "configuration mismatch") {
-			t.Errorf("resume with %v: err = %v, want a configuration mismatch", flags, err)
+// A checkpoint is not resumed under another configuration, and the refusal
+// names the component that states the knob and the field — nothing in this
+// command lists its flags for the purpose. The worker count is the one knob
+// a resume may change.
+func TestResumeRefusesAnotherConfiguration(t *testing.T) {
+	for _, tc := range []struct {
+		base  []string
+		flags []string
+		want  string // "" = the resume is accepted
+	}{
+		{[]string{"-channels", "2"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS"`},
+		{[]string{"-channels", "2"}, []string{"-lookahead-quanta", "8"}, "session: AdaptiveQuanta: checkpoint 1, this run 8"},
+		{[]string{"-channels", "2", "-parallel", "4"}, []string{"-parallel", "1"}, ""},
+		{[]string{"-page", "open"}, []string{"-page", "closed"}, `mc0: Page: checkpoint "open", this run "closed"`},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		base := append(tc.base, "-requests", "2000", "-checkpoint", ckpt)
+		first := simulatedLine.FindString(mustRun(t, base...))
+		saved := read(t, ckpt)
+		out, err := dramctrl(t, append(append(base, "-resume"), tc.flags...)...)
+		switch {
+		case tc.want == "" && (err != nil || simulatedLine.FindString(out) != first):
+			t.Errorf("resume with %v: err = %v, output %q; want the first run's %q", tc.flags, err, out, first)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "configuration mismatch: "+tc.want)):
+			t.Errorf("resume with %v: err = %v, want a configuration mismatch naming %s", tc.flags, err, tc.want)
+		}
+		if !bytes.Equal(read(t, ckpt), saved) {
+			t.Errorf("resume with %v changed the checkpoint file", tc.flags)
 		}
 	}
 }

@@ -1,22 +1,18 @@
 // Command simlint runs the repository's determinism and protocol-invariant
 // static-analysis pass (internal/analysis) over the module and reports
 // findings as "file:line: [analyzer] message", exiting non-zero when any
-// finding survives configuration and //lint:allow suppression.
+// finding survives //lint:allow suppression. Every analyzer runs on every
+// package: code that reads the host clock or ranges a map on purpose carries
+// a reasoned suppression comment where it does.
 //
 // Usage:
 //
-//	go run ./cmd/simlint ./...            # lint the module under the default policy
+//	go run ./cmd/simlint ./...            # lint the module
 //	go run ./cmd/simlint -list            # show the analyzer set
-//	go run ./cmd/simlint -all <pattern>   # ignore the per-package policy (CI self-check
-//	                                      # runs this over the fixture packages)
 //	go run ./cmd/simlint -json ./...      # one JSON object per finding, one per line
 //	                                      # (fed to the CI problem matcher and the
 //	                                      # self-check golden diff)
 //	go run ./cmd/simlint -timing ./...    # per-analyzer wall clock on stderr
-//
-// The default policy (analysis.DefaultConfig) applies the sim-core rules only
-// where simulated time is authoritative and exempts wall-clock code — the
-// supervisor, the experiment harness, and the cmd/ front-ends.
 package main
 
 import (
@@ -30,7 +26,6 @@ import (
 )
 
 func main() {
-	all := flag.Bool("all", false, "run every analyzer on every package, ignoring the per-package policy")
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON Lines (file, line, analyzer, message)")
 	timing := flag.Bool("timing", false, "report load and per-analyzer wall clock on stderr")
@@ -49,15 +44,6 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	var cfg *analysis.Config
-	if !*all {
-		cfg = analysis.DefaultConfig()
-		if err := cfg.Validate(analyzers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-
 	loadStart := time.Now() //lint:allow simtime the linter times its own package load for -timing; no simulation is running
 	pkgs, err := analysis.Load(".", patterns...)
 	loadTime := time.Since(loadStart) //lint:allow simtime the linter times its own package load for -timing; no simulation is running
@@ -66,7 +52,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	findings, timings := analysis.RunWithTimings(pkgs, analyzers, cfg)
+	findings, timings := analysis.RunWithTimings(pkgs, analyzers)
 	if *timing {
 		fmt.Fprintf(os.Stderr, "%-12s %v\n", "load", loadTime.Round(time.Microsecond))
 		names := make([]string, 0, len(timings))

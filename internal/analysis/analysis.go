@@ -12,9 +12,9 @@
 // rather than re-running regressions after the fact.
 //
 // An Analyzer inspects one type-checked package at a time and reports
-// findings through its Pass. The runner applies per-package configuration
-// (see Config) and //lint:allow suppression comments (see suppress.go), and
-// returns findings sorted by position. The driver lives in cmd/simlint.
+// findings through its Pass. The runner applies //lint:allow suppression
+// comments (see suppress.go) and returns findings sorted by position; every
+// analyzer runs on every package. The driver lives in cmd/simlint.
 package analysis
 
 import (
@@ -35,16 +35,16 @@ import (
 // directives, cross-package declarations). Exactly one of the two must be
 // set.
 type Analyzer struct {
-	// Name identifies the analyzer in findings, configuration, and
-	// //lint:allow directives. Lowercase, no spaces.
+	// Name identifies the analyzer in findings and //lint:allow directives.
+	// Lowercase, no spaces.
 	Name string
 	// Doc is a one-line description shown by `simlint -list`.
 	Doc string
 	// Run inspects pass.Pkg and reports findings via pass.Reportf.
 	Run func(*Pass)
 	// RunProgram inspects the whole loaded program at once. Findings are
-	// attributed to the package owning the reported position, where the
-	// per-package policy and //lint:allow suppression apply as usual.
+	// attributed to the package owning the reported position, where
+	// //lint:allow suppression applies as usual.
 	RunProgram func(*ProgramPass)
 }
 
@@ -82,17 +82,17 @@ func (f Finding) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Detmap, Simtime, Ckptfields, Eventpool,
-		Tickunits, Shardiso, Fpcover,
+		Tickunits, Shardiso,
 	}
 }
 
-// Run applies every analyzer to every package (subject to cfg; nil means "all
-// analyzers everywhere"), filters suppressed findings, and returns the
-// remainder sorted by (file, line, analyzer, message). Suppression directives
-// that are themselves malformed — and well-formed directives that no longer
-// suppress anything — surface as findings from the pseudo-analyzer "lint".
-func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
-	findings, _ := run(pkgs, analyzers, cfg)
+// Run applies every analyzer to every package, filters suppressed findings,
+// and returns the remainder sorted by (file, line, analyzer, message).
+// Suppression directives that are themselves malformed — and well-formed
+// directives that no longer suppress anything — surface as findings from the
+// pseudo-analyzer "lint".
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	findings, _ := RunWithTimings(pkgs, analyzers)
 	return findings
 }
 
@@ -104,11 +104,7 @@ func timed(fn func()) time.Duration {
 }
 
 // RunWithTimings is Run plus per-analyzer wall-clock, for `simlint -timing`.
-func RunWithTimings(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Finding, map[string]time.Duration) {
-	return run(pkgs, analyzers, cfg)
-}
-
-func run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Finding, map[string]time.Duration) {
+func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]time.Duration) {
 	known := make(map[string]bool, len(analyzers)+1)
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -120,8 +116,8 @@ func run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Finding, map[st
 	timings := map[string]time.Duration{}
 
 	// Whole-program analyzers run once; their findings are bucketed into the
-	// owning package so policy scoping and suppression apply identically to
-	// both analyzer kinds.
+	// owning package so suppression applies identically to both analyzer
+	// kinds.
 	progFindings := map[*Package][]Finding{}
 	var programAnalyzers []*Analyzer
 	for _, a := range analyzers {
@@ -137,11 +133,9 @@ func run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Finding, map[st
 				a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, findings: &raw})
 			})
 			for _, f := range raw {
-				owner := prog.fileOwner[f.Pos.Filename]
-				if owner == nil || (cfg != nil && !cfg.Enabled(a.Name, owner.Path)) {
-					continue
+				if owner := prog.fileOwner[f.Pos.Filename]; owner != nil {
+					progFindings[owner] = append(progFindings[owner], f)
 				}
-				progFindings[owner] = append(progFindings[owner], f)
 			}
 		}
 	}
@@ -153,20 +147,11 @@ func run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Finding, map[st
 			if a.Run == nil {
 				continue
 			}
-			if cfg != nil && !cfg.Enabled(a.Name, pkg.Path) {
-				continue
-			}
 			timings[a.Name] += timed(func() {
 				a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, findings: &raw})
 			})
 		}
-		enabled := func(analyzer string) bool {
-			if cfg == nil {
-				return true
-			}
-			return cfg.Enabled(analyzer, pkg.Path)
-		}
-		out = append(out, applySuppressions(pkg, raw, known, enabled)...)
+		out = append(out, applySuppressions(pkg, raw, known)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -261,14 +246,4 @@ func funcFor(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	f, _ := obj.(*types.Func)
 	return f
-}
-
-// pkgFunc reports whether f is the package-level function path.name (methods
-// never match: they have a receiver).
-func pkgFunc(f *types.Func, path, name string) bool {
-	if f == nil || f.Pkg() == nil || f.Name() != name || f.Pkg().Path() != path {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
 }

@@ -38,18 +38,17 @@ func loadFixture(t *testing.T, name string) []*analysis.Package {
 	return pkgs
 }
 
-// TestGolden runs every analyzer over each fixture package (no per-package
-// policy, like `simlint -all`) and compares the formatted findings against
-// the checked-in golden file.
+// TestGolden runs every analyzer over each fixture package and compares the
+// formatted findings against the checked-in golden file.
 func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
 		"detmap", "simtime", "ckptfields", "eventpool", "suppress",
-		"tickunits", "shardiso", "fpcover", "interact",
+		"tickunits", "shardiso", "interact",
 	} {
 		t.Run(name, func(t *testing.T) {
 			pkgs := loadFixture(t, name)
-			findings := analysis.Run(pkgs, analysis.Analyzers(), nil)
+			findings := analysis.Run(pkgs, analysis.Analyzers())
 			if len(findings) == 0 {
 				t.Fatalf("fixture %s produced no findings; each fixture must trip its analyzer", name)
 			}
@@ -72,7 +71,7 @@ func TestGolden(t *testing.T) {
 // nothing, and a directive for a different analyzer does not suppress.
 func TestSuppression(t *testing.T) {
 	pkgs := loadFixture(t, "suppress")
-	findings := analysis.Run(pkgs, analysis.Analyzers(), nil)
+	findings := analysis.Run(pkgs, analysis.Analyzers())
 
 	byLine := map[int][]analysis.Finding{}
 	for _, f := range findings {
@@ -144,7 +143,7 @@ func TestSuppression(t *testing.T) {
 // finding on the same line intact.
 func TestInteract(t *testing.T) {
 	pkgs := loadFixture(t, "interact")
-	findings := analysis.Run(pkgs, analysis.Analyzers(), nil)
+	findings := analysis.Run(pkgs, analysis.Analyzers())
 
 	fired := map[string]bool{}
 	for _, f := range findings {
@@ -166,7 +165,7 @@ func TestInteract(t *testing.T) {
 			t.Errorf("findings out of order at %d: %v before %v", i, a, b)
 		}
 	}
-	again := analysis.Run(loadFixture(t, "interact"), analysis.Analyzers(), nil)
+	again := analysis.Run(loadFixture(t, "interact"), analysis.Analyzers())
 	if len(again) != len(findings) {
 		t.Fatalf("re-run produced %d findings, first run %d", len(again), len(findings))
 	}
@@ -197,7 +196,7 @@ func TestInteract(t *testing.T) {
 // TestFindingString covers the plain rendering used by error paths.
 func TestFindingString(t *testing.T) {
 	pkgs := loadFixture(t, "simtime")
-	findings := analysis.Run(pkgs, analysis.Analyzers(), nil)
+	findings := analysis.Run(pkgs, analysis.Analyzers())
 	if len(findings) == 0 {
 		t.Fatal("no findings")
 	}
@@ -207,8 +206,8 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestRealTreeClean asserts the acceptance criterion directly: under the
-// default policy, simlint reports nothing on this repository.
+// TestRealTreeClean asserts the acceptance criterion directly: simlint — every
+// analyzer on every package — reports nothing on this repository.
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -218,13 +217,9 @@ func TestRealTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	cfg := analysis.DefaultConfig()
-	if err := cfg.Validate(analysis.Analyzers()); err != nil {
-		t.Fatalf("default config: %v", err)
-	}
-	findings := analysis.Run(pkgs, analysis.Analyzers(), cfg)
+	findings := analysis.Run(pkgs, analysis.Analyzers())
 	if len(findings) != 0 {
-		t.Errorf("tree is not lint-clean under the default policy:\n%s", analysis.Format(findings, root))
+		t.Errorf("tree is not lint-clean:\n%s", analysis.Format(findings, root))
 	}
 }
 
@@ -233,8 +228,8 @@ func TestRealTreeClean(t *testing.T) {
 // ONE program, findings rendered as JSON Lines, compared byte-for-byte
 // against selfcheck.json. Beyond covering FormatJSON, this checks a
 // whole-program isolation property the per-fixture goldens cannot: one
-// fixture's fingerprint vocabulary or call graph must not bleed coverage
-// into another fixture's findings, so the consolidated output stays exactly
+// fixture's directives or call graph must not bleed into another fixture's
+// findings, so the consolidated output stays exactly
 // the union of the individual goldens.
 func TestSelfcheckGolden(t *testing.T) {
 	root := moduleRoot(t)
@@ -256,7 +251,7 @@ func TestSelfcheckGolden(t *testing.T) {
 	if len(pkgs) != len(patterns) {
 		t.Fatalf("loaded %d packages for %d fixtures", len(pkgs), len(patterns))
 	}
-	got := analysis.FormatJSON(analysis.Run(pkgs, analysis.Analyzers(), nil), root)
+	got := analysis.FormatJSON(analysis.Run(pkgs, analysis.Analyzers()), root)
 	goldenPath := filepath.Join(root, "internal", "analysis", "testdata", "golden", "selfcheck.json")
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {

@@ -13,10 +13,8 @@ import (
 // package in isolation, which is enough for "don't range over a map into a
 // writer" but not for the invariants the multi-standard backend refactor
 // leans on. Whether a //hot:path function allocates depends on what its callees
-// do; whether a fingerprint covers a config knob depends on code in a
-// different package (the cmd front-ends build the fingerprint, internal/core
-// declares the knob); whether shard-isolated code can reach the barrier
-// section is a reachability question over the entire module. Program indexes
+// do; whether shard-isolated code can reach the barrier section is a
+// reachability question over the entire module. Program indexes
 // every loaded package once — declarations, a reference graph, directive
 // annotations — so those analyzers share one traversal instead of each
 // re-walking the world.
@@ -119,17 +117,6 @@ func (p *Program) canon(f *types.Func) *types.Func {
 	return f
 }
 
-// Owner returns the package owning the file at pos, or nil.
-func (p *Program) Owner(pos token.Pos) *Package {
-	return p.fileOwner[p.Fset.Position(pos).Filename]
-}
-
-// FuncAt resolves the *types.Func for a declaration in pkg.
-func (p *Program) FuncAt(pkg *Package, fd *ast.FuncDecl) *types.Func {
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	return fn
-}
-
 // Refs returns every program-local function referenced (called, taken as a
 // value, assigned to a field) inside fn's body, including inside function
 // literals it declares. Treating a reference as a potential call makes
@@ -181,33 +168,7 @@ func (p *Program) refsIn(pkg *Package, root ast.Node) []*types.Func {
 	return out
 }
 
-// ReachableFrom walks the reference graph from the given roots and returns,
-// for every function reached, the edge it was first reached through (for
-// path reconstruction in messages). Roots map to a nil predecessor.
-func (p *Program) ReachableFrom(roots []*types.Func) map[*types.Func]*types.Func {
-	pred := map[*types.Func]*types.Func{}
-	queue := make([]*types.Func, 0, len(roots))
-	for _, r := range roots {
-		if _, ok := pred[r]; !ok {
-			pred[r] = nil
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, callee := range p.Refs(fn) {
-			if _, ok := pred[callee]; ok {
-				continue
-			}
-			pred[callee] = fn
-			queue = append(queue, callee)
-		}
-	}
-	return pred
-}
-
-// PathTo reconstructs the root→fn chain from a ReachableFrom predecessor map
+// PathTo reconstructs the root→fn chain from a breadth-first predecessor map
 // as "a → b → c" using package-qualified names.
 func (p *Program) PathTo(pred map[*types.Func]*types.Func, fn *types.Func) string {
 	var chain []string
@@ -275,9 +236,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 //	                            only by the escape gate
 //	//shard:barrier           — function may only run in the single-threaded
 //	                            barrier section (shardiso)
-//	//fp:check                — struct's behavior-shaping fields must be
-//	                            fingerprinted (fpcover)
-//	//fp:skip <reason>        — field deliberately outside the fingerprint
 //	//ckpt:skip <reason>      — field deliberately outside Save/Restore
 //	//lint:allow <a> <reason> — suppress one finding (suppress.go)
 //
@@ -331,17 +289,4 @@ func (p *Program) DirectiveFuncs(name string) []*types.Func {
 		return pi.Offset < pj.Offset
 	})
 	return out
-}
-
-// typeSpecDirective reports whether a type declaration carries the directive,
-// checking both the TypeSpec's own doc and the enclosing GenDecl's.
-func typeSpecDirective(gd *ast.GenDecl, ts *ast.TypeSpec, name string) bool {
-	if _, ok := commentDirective(name, ts.Doc, ts.Comment); ok {
-		return true
-	}
-	if len(gd.Specs) == 1 {
-		_, ok := commentDirective(name, gd.Doc)
-		return ok
-	}
-	return false
 }

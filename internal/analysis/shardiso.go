@@ -137,8 +137,8 @@ func runShardiso(pass *ProgramPass) {
 		}
 	}
 
-	// Deterministic BFS order: roots sorted by position, and ReachableFrom's
-	// per-function Refs are already offset-sorted.
+	// Deterministic BFS order: roots sorted by position, and each function's
+	// Refs are already offset-sorted.
 	sort.Slice(roots, func(i, j int) bool {
 		pi, pj := prog.Fset.Position(roots[i].Pos()), prog.Fset.Position(roots[j].Pos())
 		if pi.Filename != pj.Filename {

@@ -83,11 +83,8 @@ func strconvQuote(s string) string { return `"` + s + `"` }
 
 // applySuppressions drops findings covered by a well-formed allow directive,
 // appends findings for malformed directives, and reports live directives
-// that suppressed nothing (staleness). enabled tells whether a given
-// analyzer actually ran on this package under the active policy — a
-// directive for an analyzer the policy disabled here is dormant by
-// configuration, not stale.
-func applySuppressions(pkg *Package, raw []Finding, known map[string]bool, enabled func(string) bool) []Finding {
+// that suppressed nothing (staleness).
+func applySuppressions(pkg *Package, raw []Finding, known map[string]bool) []Finding {
 	allows, bad := parseAllows(pkg, known)
 	var out []Finding
 	for _, f := range raw {
@@ -97,11 +94,11 @@ func applySuppressions(pkg *Package, raw []Finding, known map[string]bool, enabl
 		}
 		out = append(out, f)
 	}
-	// Staleness pass: every unused non-"lint" directive whose analyzer ran.
+	// Staleness pass: every unused non-"lint" directive.
 	var stale []Finding
 	for file, dirs := range allows {
 		for _, d := range dirs {
-			if d.used || d.analyzer == "lint" || !enabled(d.analyzer) {
+			if d.used || d.analyzer == "lint" {
 				continue
 			}
 			stale = append(stale, Finding{
@@ -142,15 +139,9 @@ func suppressor(f Finding, dirs []*allowDirective) *allowDirective {
 	return nil
 }
 
-// fieldDirectiveReason returns the reason attached to a struct field's
-// `//<name> <reason>` directive (e.g. //ckpt:skip, //fp:skip), with ok
-// reporting whether the directive is present at all (the reason may still be
-// empty, which the analyzers report).
-func fieldDirectiveReason(field *ast.Field, name string) (reason string, ok bool) {
-	return commentDirective(name, field.Doc, field.Comment)
-}
-
-// fieldSkipReason returns the //ckpt:skip reason attached to a struct field.
+// fieldSkipReason returns the //ckpt:skip reason attached to a struct field,
+// with ok reporting whether the directive is present at all (the reason may
+// still be empty, which ckptfields reports).
 func fieldSkipReason(field *ast.Field) (reason string, ok bool) {
-	return fieldDirectiveReason(field, "ckpt:skip")
+	return commentDirective("ckpt:skip", field.Doc, field.Comment)
 }

@@ -85,29 +85,7 @@ func Arm(k *sim.Kernel, p *pipe) {
 	})
 }
 
-// --- fpcover ---
-
-// knobs is fingerprinted incompletely.
-//
-//fp:check
-type knobs struct {
-	Fanout int
-	Burst  int
-}
-
-var defaultBurst = 8
-
-func fingerprintKnobs(k *knobs) string {
-	return fmt.Sprintf("fanout=%d", k.Fanout)
-}
-
-func buildKnobs() *knobs {
-	k := &knobs{Fanout: 4}
-	k.Burst = defaultBurst
-	return k
-}
-
 // Use keeps the unexported pieces alive for the type checker.
-func Use() (any, any, any) {
-	return &comp{}, buildKnobs(), fingerprintKnobs(&knobs{})
+func Use() any {
+	return &comp{}
 }

@@ -18,6 +18,12 @@
 //     reference during save (mem.PacketTable) and re-link to the shared,
 //     once-materialized instance during restore (mem.PacketLookup).
 //
+//   - Configuration identity is derived the same way: a component built
+//     from static configuration states it (Configured), Save records what
+//     every component stated, and Restore refuses — before touching any
+//     component — a checkpoint whose statements differ from the freshly
+//     built system's. No caller describes the configuration a second time.
+//
 //   - Determinism: restore is two-phase. Components only *register* work —
 //     a clock warp for their kernel, and one deferred re-schedule per saved
 //     event tagged with the event's saved sequence number. Commit applies
@@ -39,8 +45,9 @@ import (
 // Version is the checkpoint format version; bumped on any incompatible
 // change to the framing, the body schema, a component's section schema, or
 // the section names (v2: every topology registers through system.Session, so
-// single-kernel sections became front/mc0/gen0).
-const Version = 2
+// single-kernel sections became front/mc0/gen0; v3: the body carries each
+// component's stated configuration in place of a caller-written string).
+const Version = 3
 
 // Checkpointable is implemented by every component that owns simulation
 // state. CheckpointSave returns a JSON-serializable image of the component
@@ -55,27 +62,48 @@ type Checkpointable interface {
 	CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, data []byte) error
 }
 
+// Configured is optionally implemented by a Checkpointable built from static
+// configuration. CheckpointConfig returns that configuration as a plain
+// JSON-able value — normally the component's own Config struct, so a field
+// added there is covered without anyone listing it again. Save writes the
+// image beside the component's section; Restore compares it with the freshly
+// built component's and refuses on the first differing field, because
+// resuming under a different configuration silently produces garbage. A
+// field tagged `json:"-"` (probes, function values) is outside the
+// comparison; the tag carries the reason, and TestExcludedConfigFields pins
+// the list.
+type Configured interface {
+	CheckpointConfig() any
+}
+
 // Manager holds the registered components of one simulation, in a fixed
 // order, and drives save and restore. Registration order must be
 // reconstructible from the configuration alone (constructors register in a
 // deterministic order), because restore matches sections to components by ID.
 type Manager struct {
-	fingerprint string
-	ids         []string
-	comps       map[string]Checkpointable
+	ids   []string
+	comps map[string]Checkpointable
+	// described is configuration stated without a component (Describe).
+	described []stated
 }
 
-// NewManager returns an empty manager. The fingerprint is an arbitrary
-// string identifying the simulation configuration (spec, model, page policy,
-// channels, seed, ...); Restore refuses a checkpoint whose fingerprint
-// differs, because resuming under a different configuration silently
-// produces garbage.
-func NewManager(fingerprint string) *Manager {
-	return &Manager{fingerprint: fingerprint, comps: make(map[string]Checkpointable)}
+// stated is one configuration image and the ID it is saved under.
+type stated struct {
+	id  string
+	cfg any
 }
 
-// Fingerprint returns the configuration fingerprint the manager was built with.
-func (m *Manager) Fingerprint() string { return m.fingerprint }
+// NewManager returns an empty manager.
+func NewManager() *Manager {
+	return &Manager{comps: make(map[string]Checkpointable)}
+}
+
+// Describe states configuration that belongs to no stateful component (the
+// session's step quantum, the caller's scope label) under an ID of its own;
+// it is saved and compared exactly like a Configured component's.
+func (m *Manager) Describe(id string, cfg any) {
+	m.described = append(m.described, stated{id, cfg})
+}
 
 // Register adds a component under a unique ID. Kernels (via WrapKernel)
 // should be registered before the components scheduled on them, purely for

@@ -2,13 +2,13 @@ package checkpoint_test
 
 // Cross-standard checkpoint safety: a checkpoint taken under one DRAM
 // standard must refuse to restore under another. The protection is the
-// fingerprint — the CLIs embed spec name and standard family in it — so a
-// DDR5 image offered to a DDR4 rig fails loudly at Restore instead of
-// silently resuming group/refresh state into a device with different
-// topology.
+// controller stating its own device (checkpoint.Configured) — no caller has
+// to remember to — so a DDR5 image offered to a DDR4 rig fails loudly at
+// Restore instead of silently resuming group/refresh state into a device
+// with different topology.
 
 import (
-	"fmt"
+	"bytes"
 	"strings"
 	"testing"
 
@@ -38,23 +38,17 @@ func buildStandardRig(t *testing.T, spec dram.Spec) *system.TrafficRig {
 	return rig
 }
 
-// standardFingerprint mirrors the CLI convention: the fingerprint carries
-// both the preset name and the standard family, so any cross-standard (or
-// cross-preset) resume attempt is a mismatch.
-func standardFingerprint(spec dram.Spec) string {
-	return fmt.Sprintf("crossstandard spec=%s standard=%s", spec.Name, spec.Standard())
-}
-
 // TestCrossStandardResumeRejected saves a DDR5 run mid-flight and offers the
-// image to a DDR4 rig. Restore must fail with a configuration-mismatch error
-// that names both fingerprints, and must fail before mutating the target
-// session (which then still runs to completion from its own Start).
+// image to a DDR4 rig, both sessions built with the empty scope. Restore must
+// fail with a configuration-mismatch error that names the controller and the
+// device field, and must fail before mutating the target session (which then
+// still runs to the same statistics as a rig nobody offered an image to).
 func TestCrossStandardResumeRejected(t *testing.T) {
 	ddr5 := dram.DDR5_4800_x64()
 	ddr4 := dram.DDR4_3200_x64()
 
 	src := buildStandardRig(t, ddr5)
-	ssrc, err := src.NewSession(standardFingerprint(ddr5), sim.Second)
+	ssrc, err := src.NewSession("", sim.Second)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -70,15 +64,15 @@ func TestCrossStandardResumeRejected(t *testing.T) {
 	}
 
 	dst := buildStandardRig(t, ddr4)
-	sdst, err := dst.NewSession(standardFingerprint(ddr4), sim.Second)
+	sdst, err := dst.NewSession("", sim.Second)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
 	err = sdst.Manager().Restore(img)
 	if err == nil {
-		t.Fatal("restoring a DDR5 checkpoint into a DDR4 rig succeeded; want fingerprint mismatch")
+		t.Fatal("restoring a DDR5 checkpoint into a DDR4 rig succeeded; want configuration mismatch")
 	}
-	for _, want := range []string{"mismatch", "standard=DDR5", "standard=DDR4"} {
+	for _, want := range []string{"mismatch", "mc0: Device.Family", `"DDR5"`, `"DDR4"`} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("mismatch error %q does not mention %q", err, want)
 		}
@@ -87,19 +81,27 @@ func TestCrossStandardResumeRejected(t *testing.T) {
 		t.Fatalf("rejected restore advanced the target clock to %s", sdst.Now())
 	}
 
-	// The rejected session is untouched and still usable as a fresh run.
+	// The rejected session is untouched: it runs to the statistics of a
+	// fresh rig.
 	sdst.Start()
 	runToEnd(t, sdst)
+	fresh := buildStandardRig(t, ddr4)
+	if !fresh.Run(sim.Second) {
+		t.Fatal("fresh DDR4 run did not complete")
+	}
+	if got, want := dumpStats(t, dst.Reg), dumpStats(t, fresh.Reg); !bytes.Equal(got, want) {
+		t.Fatal("a rig that refused a checkpoint no longer runs like a fresh one")
+	}
 }
 
 // TestSameStandardResumeAccepted is the control: the identical flow with
 // matching specs restores cleanly, proving the rejection above is the
-// fingerprint and not an artifact of the harness.
+// stated device and not an artifact of the harness.
 func TestSameStandardResumeAccepted(t *testing.T) {
 	ddr5 := dram.DDR5_4800_x64()
 
 	src := buildStandardRig(t, ddr5)
-	ssrc, err := src.NewSession(standardFingerprint(ddr5), sim.Second)
+	ssrc, err := src.NewSession("", sim.Second)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -115,7 +117,7 @@ func TestSameStandardResumeAccepted(t *testing.T) {
 	}
 
 	dst := buildStandardRig(t, ddr5)
-	sdst, err := dst.NewSession(standardFingerprint(ddr5), sim.Second)
+	sdst, err := dst.NewSession("", sim.Second)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}

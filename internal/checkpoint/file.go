@@ -3,10 +3,12 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -18,21 +20,51 @@ import (
 // so a torn or bit-rotted file produces a clean error, never a panic or a
 // silently wrong resume.
 //
-//	DRAMCKPT v2 crc32=9a3e12f0 len=8412
-//	{"version":2,"fingerprint":...}
+//	DRAMCKPT v3 crc32=9a3e12f0 len=8412
+//	{"version":3,"configs":{"mc0":{...},...},"packets":[...],"sections":{...}}
 
 const magic = "DRAMCKPT"
 
-// body is the checkpoint file's JSON payload.
+// body is the checkpoint file's JSON payload. Configs is the run's identity:
+// the configuration each component states for itself (see Configured), keyed
+// like Sections.
 type body struct {
-	Version     int                        `json:"version"`
-	Fingerprint string                     `json:"fingerprint"`
-	Packets     []mem.PacketState          `json:"packets"`
-	Sections    map[string]json.RawMessage `json:"sections"`
+	Version  int                        `json:"version"`
+	Configs  map[string]json.RawMessage `json:"configs"`
+	Packets  []mem.PacketState          `json:"packets"`
+	Sections map[string]json.RawMessage `json:"sections"`
+}
+
+// configs encodes every stated configuration — each Configured component's
+// and the Described ones — by ID. It runs at Save and Restore only, so a
+// session that never checkpoints pays nothing for its identity.
+func (m *Manager) configs() (map[string]json.RawMessage, error) {
+	all := slices.Clone(m.described)
+	for _, id := range m.ids {
+		if c, ok := m.comps[id].(Configured); ok {
+			all = append(all, stated{id, c.CheckpointConfig()})
+		}
+	}
+	enc := make(map[string]json.RawMessage, len(all))
+	for _, st := range all {
+		if _, dup := enc[st.id]; dup {
+			panic(fmt.Sprintf("checkpoint: duplicate configuration id %q", st.id))
+		}
+		raw, err := json.Marshal(st.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: encode configuration of %q: %w", st.id, err)
+		}
+		enc[st.id] = raw
+	}
+	return enc, nil
 }
 
 // Save serializes the full registered state into a framed checkpoint image.
 func (m *Manager) Save() ([]byte, error) {
+	configs, err := m.configs()
+	if err != nil {
+		return nil, err
+	}
 	ctx := &saveCtx{refs: make(map[*mem.Packet]int)}
 	sections := make(map[string]json.RawMessage, len(m.ids))
 	for _, id := range m.ids {
@@ -57,10 +89,10 @@ func (m *Manager) Save() ([]byte, error) {
 		pkts[i] = ps
 	}
 	enc, err := json.Marshal(body{
-		Version:     Version,
-		Fingerprint: m.fingerprint,
-		Packets:     pkts,
-		Sections:    sections,
+		Version:  Version,
+		Configs:  configs,
+		Packets:  pkts,
+		Sections: sections,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode body: %w", err)
@@ -94,10 +126,106 @@ func decodeFrame(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// checkIdentity refuses a checkpoint taken under a different configuration
+// or component set, naming the component and the first differing field.
+func (m *Manager) checkIdentity(b *body) error {
+	cur, err := m.configs()
+	if err != nil {
+		return err
+	}
+	for _, id := range sortedKeys(b.Configs, cur) {
+		saved, inCkpt := b.Configs[id]
+		now, inRun := cur[id]
+		if !inCkpt || !inRun {
+			return fmt.Errorf("checkpoint: configuration mismatch: %s: stated by the checkpoint %t, by this run %t", id, inCkpt, inRun)
+		}
+		var x, y any
+		if err := errors.Join(decodeExact(saved, &x), decodeExact(now, &y)); err != nil {
+			return fmt.Errorf("checkpoint: configuration of %q: %w", id, err)
+		}
+		if d := firstDiff("", x, y); d != "" {
+			return fmt.Errorf("checkpoint: configuration mismatch: %s: %s", id, d)
+		}
+	}
+	for _, id := range m.ids {
+		if _, ok := b.Sections[id]; !ok {
+			return fmt.Errorf("checkpoint: no section for component %q (config mismatch?)", id)
+		}
+	}
+	for _, id := range sortedKeys(b.Sections, nil) {
+		if _, ok := m.comps[id]; !ok {
+			return fmt.Errorf("checkpoint: section %q has no registered component (config mismatch?)", id)
+		}
+	}
+	return nil
+}
+
+// sortedKeys returns the union of two maps' keys in sorted order.
+func sortedKeys[V any](a, b map[string]V) []string {
+	keys := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// decodeExact parses JSON keeping numbers as text: 64-bit seeds and
+// addresses must not round through float64 on their way to a comparison.
+func decodeExact(raw []byte, out *any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	return dec.Decode(out)
+}
+
+// firstDiff describes the first field, object keys in sorted order, at which
+// two decoded configurations differ; "" when they agree. A field only one
+// side has reads as null.
+func firstDiff(path string, a, b any) string {
+	if am, ok := a.(map[string]any); ok {
+		if bm, ok := b.(map[string]any); ok {
+			for _, k := range sortedKeys(am, bm) {
+				sub := k
+				if path != "" {
+					sub = path + "." + k
+				}
+				if d := firstDiff(sub, am[k], bm[k]); d != "" {
+					return d
+				}
+			}
+			return ""
+		}
+	}
+	if as, ok := a.([]any); ok {
+		if bs, ok := b.([]any); ok && len(as) == len(bs) {
+			for i := range as {
+				if d := firstDiff(fmt.Sprintf("%s[%d]", path, i), as[i], bs[i]); d != "" {
+					return d
+				}
+			}
+			return ""
+		}
+	}
+	x, _ := json.Marshal(a) // a and b came out of a JSON decoder; they always encode
+	y, _ := json.Marshal(b)
+	if bytes.Equal(x, y) {
+		return ""
+	}
+	if path != "" {
+		path += ": "
+	}
+	return fmt.Sprintf("%scheckpoint %s, this run %s", path, x, y)
+}
+
 // Restore applies a framed checkpoint image to the registered (freshly
 // constructed) components. On success every kernel's clock and every
-// component's state match the moment of the save; on error the rig must be
-// discarded (state may be partially applied).
+// component's state match the moment of the save. A checkpoint of another
+// configuration or component set is refused before any component is touched,
+// so the refused rig is still a fresh one; on any later error the rig must
+// be discarded (state may be partially applied).
 func (m *Manager) Restore(data []byte) error {
 	payload, err := decodeFrame(data)
 	if err != nil {
@@ -110,9 +238,8 @@ func (m *Manager) Restore(data []byte) error {
 	if b.Version != Version {
 		return fmt.Errorf("checkpoint: body version v%d, this build reads v%d", b.Version, Version)
 	}
-	if b.Fingerprint != m.fingerprint {
-		return fmt.Errorf("checkpoint: configuration mismatch:\n  checkpoint: %s\n  this run:   %s",
-			b.Fingerprint, m.fingerprint)
+	if err := m.checkIdentity(&b); err != nil {
+		return err
 	}
 	ctx := &restoreCtx{warps: make(map[*sim.Kernel]sim.Clock)}
 	ctx.pkts = make([]*mem.Packet, len(b.Packets))
@@ -120,20 +247,8 @@ func (m *Manager) Restore(data []byte) error {
 		ctx.pkts[i] = ps.Materialize()
 	}
 	for _, id := range m.ids {
-		raw, ok := b.Sections[id]
-		if !ok {
-			return fmt.Errorf("checkpoint: no section for component %q (config mismatch?)", id)
-		}
-		if err := m.comps[id].CheckpointRestore(ctx, ctx, raw); err != nil {
+		if err := m.comps[id].CheckpointRestore(ctx, ctx, b.Sections[id]); err != nil {
 			return fmt.Errorf("checkpoint: restore %q: %w", id, err)
-		}
-	}
-	if len(b.Sections) != len(m.ids) {
-		//lint:allow detmap error path names one arbitrary orphan section; which one does not matter
-		for id := range b.Sections {
-			if _, ok := m.comps[id]; !ok {
-				return fmt.Errorf("checkpoint: section %q has no registered component (config mismatch?)", id)
-			}
 		}
 	}
 	return ctx.commit()

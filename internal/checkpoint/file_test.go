@@ -17,8 +17,14 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeComp is a minimal Checkpointable holding one integer.
-type fakeComp struct{ v int }
+// fakeComp is a minimal Checkpointable holding one integer, built from a
+// one-string configuration.
+type fakeComp struct {
+	v   int
+	cfg string
+}
+
+func (f *fakeComp) CheckpointConfig() any { return struct{ Setup string }{f.cfg} }
 
 func (f *fakeComp) CheckpointSave(mem.PacketTable) (any, error) {
 	return map[string]int{"v": f.v}, nil
@@ -33,9 +39,16 @@ func (f *fakeComp) CheckpointRestore(_ mem.PacketLookup, _ sim.Restorer, data []
 	return nil
 }
 
-func newFakeManager(fp string, v int) (*checkpoint.Manager, *fakeComp) {
-	m := checkpoint.NewManager(fp)
-	c := &fakeComp{v: v}
+// plainComp is a Checkpointable that states no configuration.
+type plainComp struct{}
+
+func (plainComp) CheckpointSave(mem.PacketTable) (any, error) { return nil, nil }
+
+func (plainComp) CheckpointRestore(mem.PacketLookup, sim.Restorer, []byte) error { return nil }
+
+func newFakeManager(cfg string, v int) (*checkpoint.Manager, *fakeComp) {
+	m := checkpoint.NewManager()
+	c := &fakeComp{v: v, cfg: cfg}
 	m.Register("fake", c)
 	return m, c
 }
@@ -103,14 +116,42 @@ func TestRestoreRejectsFutureVersion(t *testing.T) {
 	wantErr(t, err, "format v99")
 }
 
-func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
+func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	m, _ := newFakeManager("spec=DDR3 page=open", 7)
 	img, err := m.Save()
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	m2, _ := newFakeManager("spec=DDR3 page=closed", 0)
-	wantErr(t, m2.Restore(img), "configuration mismatch")
+	m2, c2 := newFakeManager("spec=DDR3 page=closed", 0)
+	wantErr(t, m2.Restore(img),
+		`configuration mismatch: fake: Setup: checkpoint "spec=DDR3 page=open", this run "spec=DDR3 page=closed"`)
+	if c2.v != 0 {
+		t.Fatalf("refused restore still applied the section (v = %d)", c2.v)
+	}
+}
+
+// TestRestoreRejectsV2 pins the format bump: a v2 image (caller-written
+// fingerprint, no configs) is refused by the version message, not parsed.
+func TestRestoreRejectsV2(t *testing.T) {
+	err := restoreErr(t, func(img []byte) []byte {
+		return []byte(strings.Replace(string(img), "DRAMCKPT v3 ", "DRAMCKPT v2 ", 1))
+	})
+	wantErr(t, err, "format v2, this build reads v3")
+}
+
+// TestDescribeIsCompared covers configuration stated without a component.
+func TestDescribeIsCompared(t *testing.T) {
+	m, _ := newFakeManager("cfg", 7)
+	m.Describe("session", struct{ Quanta int }{8})
+	img, err := m.Save()
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	m2, _ := newFakeManager("cfg", 0)
+	m2.Describe("session", struct{ Quanta int }{1})
+	wantErr(t, m2.Restore(img), "session: Quanta: checkpoint 8, this run 1")
+	m3, _ := newFakeManager("cfg", 0)
+	wantErr(t, m3.Restore(img), "session: stated by the checkpoint true, by this run false")
 }
 
 func TestRestoreRejectsMissingSection(t *testing.T) {
@@ -120,14 +161,14 @@ func TestRestoreRejectsMissingSection(t *testing.T) {
 		t.Fatalf("save: %v", err)
 	}
 	m2, _ := newFakeManager("fp", 0)
-	m2.Register("extra", &fakeComp{})
+	m2.Register("extra", &plainComp{})
 	wantErr(t, m2.Restore(img), `no section for component "extra"`)
 }
 
 func TestRestoreRejectsExtraSection(t *testing.T) {
-	m := checkpoint.NewManager("fp")
-	m.Register("fake", &fakeComp{v: 7})
-	m.Register("extra", &fakeComp{v: 8})
+	m := checkpoint.NewManager()
+	m.Register("fake", &fakeComp{v: 7, cfg: "fp"})
+	m.Register("extra", &plainComp{})
 	img, err := m.Save()
 	if err != nil {
 		t.Fatalf("save: %v", err)

@@ -112,12 +112,11 @@ func TestTrafficRigResumeBitIdentical(t *testing.T) {
 	const requests = 4000
 	for _, tc := range trafficCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			fp := "roundtrip/" + tc.name
 			deadline := sim.Second
 
 			// Reference: uninterrupted.
 			ref := buildTrafficRig(t, tc, requests)
-			rs, err := ref.NewSession(fp, deadline)
+			rs, err := ref.NewSession("", deadline)
 			if err != nil {
 				t.Fatalf("session: %v", err)
 			}
@@ -128,7 +127,7 @@ func TestTrafficRigResumeBitIdentical(t *testing.T) {
 
 			// Interrupted: run a fraction of the way, checkpoint, abandon.
 			mid := buildTrafficRig(t, tc, requests)
-			ms, err := mid.NewSession(fp, deadline)
+			ms, err := mid.NewSession("", deadline)
 			if err != nil {
 				t.Fatalf("session: %v", err)
 			}
@@ -151,7 +150,7 @@ func TestTrafficRigResumeBitIdentical(t *testing.T) {
 			// simulation can tell), restored, run to completion. No Start —
 			// the checkpoint carries the generator's event state.
 			res := buildTrafficRig(t, tc, requests)
-			ss, err := res.NewSession(fp, deadline)
+			ss, err := res.NewSession("", deadline)
 			if err != nil {
 				t.Fatalf("session: %v", err)
 			}
@@ -198,21 +197,21 @@ func buildShardedRig(t *testing.T, kind system.Kind, workers, quanta int, reques
 
 // TestShardedResumeBitIdentical checkpoints the sharded rig at a quantum
 // barrier and resumes it — under the same and under a different worker count
-// (the fingerprint deliberately excludes workers: statistics are worker-count
-// independent). Every final dump must match the serial uninterrupted run.
-// The quanta axis covers the adaptive lookahead: AdaptiveQuanta changes the
-// barrier schedule, so it is PART of the fingerprint, and a kill-and-resume
-// under any worker count must replay the same adaptive horizon decisions.
+// (the session deliberately does not state its workers: statistics are
+// worker-count independent). Every final dump must match the serial
+// uninterrupted run. The quanta axis covers the adaptive lookahead:
+// AdaptiveQuanta changes the barrier schedule, so the session states it, and
+// a kill-and-resume under any worker count must replay the same adaptive
+// horizon decisions.
 func TestShardedResumeBitIdentical(t *testing.T) {
 	const requests = 2000
 	for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
 		for _, quanta := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s-q%d", kind, quanta), func(t *testing.T) {
-				fp := fmt.Sprintf("roundtrip/sharded-%s-q%d", kind, quanta)
 				deadline := sim.Second
 
 				ref := buildShardedRig(t, kind, 1, quanta, requests)
-				rs, err := ref.NewSession(fp, deadline)
+				rs, err := ref.NewSession("", deadline)
 				if err != nil {
 					t.Fatalf("session: %v", err)
 				}
@@ -230,7 +229,7 @@ func TestShardedResumeBitIdentical(t *testing.T) {
 					name := fmt.Sprintf("save-w%d-resume-w%d", w.save, w.resume)
 					t.Run(name, func(t *testing.T) {
 						mid := buildShardedRig(t, kind, w.save, quanta, requests)
-						ms, err := mid.NewSession(fp, deadline)
+						ms, err := mid.NewSession("", deadline)
 						if err != nil {
 							t.Fatalf("session: %v", err)
 						}
@@ -254,7 +253,7 @@ func TestShardedResumeBitIdentical(t *testing.T) {
 						}
 
 						res := buildShardedRig(t, kind, w.resume, quanta, requests)
-						ss, err := res.NewSession(fp, deadline)
+						ss, err := res.NewSession("", deadline)
 						if err != nil {
 							t.Fatalf("session: %v", err)
 						}
@@ -322,13 +321,13 @@ func TestCompletionCheckpointRestoresDone(t *testing.T) {
 	}
 	cases := []matrixCase{{"multichannel", func(int) built {
 		r := buildMultiChannelRig(t, requests)
-		s, err := r.NewSession("fp", sim.Second)
+		s, err := r.NewSession("", sim.Second)
 		return open(s, err, r.Reg)
 	}}}
 	for _, tc := range trafficCases() {
 		cases = append(cases, matrixCase{"traffic-" + tc.name, func(int) built {
 			r := buildTrafficRig(t, tc, requests)
-			s, err := r.NewSession("fp", sim.Second)
+			s, err := r.NewSession("", sim.Second)
 			return open(s, err, r.Reg)
 		}})
 	}
@@ -336,7 +335,7 @@ func TestCompletionCheckpointRestoresDone(t *testing.T) {
 		for _, quanta := range []int{1, 8} {
 			cases = append(cases, matrixCase{fmt.Sprintf("sharded-%s-q%d", kind, quanta), func(workers int) built {
 				r := buildShardedRig(t, kind, workers, quanta, requests)
-				s, err := r.NewSession("fp", sim.Second)
+				s, err := r.NewSession("", sim.Second)
 				return open(s, err, r.Reg)
 			}})
 		}
@@ -388,11 +387,10 @@ func TestCompletionCheckpointRestoresDone(t *testing.T) {
 func TestMultiChannelResumeBitIdentical(t *testing.T) {
 	const requests = 2000
 	build := func() *system.MultiChannelRig { return buildMultiChannelRig(t, requests) }
-	const fp = "roundtrip/multichannel"
 	deadline := sim.Second
 
 	ref := build()
-	rs, err := ref.NewSession(fp, deadline)
+	rs, err := ref.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -402,7 +400,7 @@ func TestMultiChannelResumeBitIdentical(t *testing.T) {
 	endTick := rs.Now()
 
 	mid := build()
-	ms, err := mid.NewSession(fp, deadline)
+	ms, err := mid.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -422,7 +420,7 @@ func TestMultiChannelResumeBitIdentical(t *testing.T) {
 	}
 
 	res := build()
-	ss, err := res.NewSession(fp, deadline)
+	ss, err := res.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -488,11 +486,10 @@ func TestResumeMidLowPower(t *testing.T) {
 		}
 		return rig
 	}
-	const fp = "roundtrip/lowpower"
 	deadline := sim.Second
 
 	ref := build()
-	rs, err := ref.NewSession(fp, deadline)
+	rs, err := ref.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -509,7 +506,7 @@ func TestResumeMidLowPower(t *testing.T) {
 	for _, mode := range []string{"mid-powerdown", "mid-selfrefresh"} {
 		t.Run(mode, func(t *testing.T) {
 			mid := build()
-			ms, err := mid.NewSession(fp, deadline)
+			ms, err := mid.NewSession("", deadline)
 			if err != nil {
 				t.Fatalf("session: %v", err)
 			}
@@ -534,7 +531,7 @@ func TestResumeMidLowPower(t *testing.T) {
 			}
 
 			res := build()
-			ss, err := res.NewSession(fp, deadline)
+			ss, err := res.NewSession("", deadline)
 			if err != nil {
 				t.Fatalf("session: %v", err)
 			}
@@ -590,11 +587,10 @@ func TestShardedResumeMidLowPower(t *testing.T) {
 		}
 		return rig
 	}
-	const fp = "roundtrip/lowpower-sharded"
 	deadline := sim.Second
 
 	ref := build(1)
-	rs, err := ref.NewSession(fp, deadline)
+	rs, err := ref.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -605,7 +601,7 @@ func TestShardedResumeMidLowPower(t *testing.T) {
 	endTick := rs.Now()
 
 	mid := build(3)
-	ms, err := mid.NewSession(fp, deadline)
+	ms, err := mid.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -642,7 +638,7 @@ func TestShardedResumeMidLowPower(t *testing.T) {
 	}
 
 	res := build(1)
-	ss, err := res.NewSession(fp, deadline)
+	ss, err := res.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -678,7 +674,6 @@ func TestResumeWithFaultsMidReplay(t *testing.T) {
 		},
 	}
 	const requests = 3000
-	const fp = "roundtrip/faults"
 	deadline := sim.Second
 
 	rasCounts := func(reg *stats.Registry) map[string]float64 {
@@ -697,7 +692,7 @@ func TestResumeWithFaultsMidReplay(t *testing.T) {
 	}
 
 	ref := buildTrafficRig(t, tc, requests)
-	rs, err := ref.NewSession(fp, deadline)
+	rs, err := ref.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -712,7 +707,7 @@ func TestResumeWithFaultsMidReplay(t *testing.T) {
 	}
 
 	mid := buildTrafficRig(t, tc, requests)
-	ms, err := mid.NewSession(fp, deadline)
+	ms, err := mid.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -732,7 +727,7 @@ func TestResumeWithFaultsMidReplay(t *testing.T) {
 	}
 
 	res := buildTrafficRig(t, tc, requests)
-	ss, err := res.NewSession(fp, deadline)
+	ss, err := res.NewSession("", deadline)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}

@@ -186,6 +186,10 @@ func (c *Controller) loadDP(st dpState, txns []*transaction) (*dramPacket, error
 	return dp, nil
 }
 
+// CheckpointConfig implements checkpoint.Configured: the controller's
+// identity is its whole Config.
+func (c *Controller) CheckpointConfig() any { return c.cfg }
+
 // CheckpointSave implements checkpoint.Checkpointable.
 func (c *Controller) CheckpointSave(pt mem.PacketTable) (any, error) {
 	st := ctrlState{

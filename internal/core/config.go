@@ -39,6 +39,10 @@ func (p SchedulingPolicy) String() string {
 	return fmt.Sprintf("SchedulingPolicy(%d)", int(p))
 }
 
+// MarshalText makes the policy read by name in a checkpoint's configuration
+// image, and so in the mismatch message that refuses a resume.
+func (p SchedulingPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // PagePolicy selects the row-buffer management policy (paper §II-C).
 type PagePolicy int
 
@@ -67,10 +71,14 @@ func (p PagePolicy) String() string {
 	return fmt.Sprintf("PagePolicy(%d)", int(p))
 }
 
+// MarshalText makes the policy read by name in a checkpoint's configuration
+// image, and so in the mismatch message that refuses a resume.
+func (p PagePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // Config carries every controller parameter from the paper's Table I plus
-// the memory spec it drives.
-//
-//fp:check
+// the memory spec it drives. The controller states this struct as its
+// checkpoint identity (CheckpointConfig), so every field here is compared on
+// resume unless it is tagged `json:"-"`, with the reason beside the tag.
 type Config struct {
 	// Device is the DRAM device model: organisation, timing tables,
 	// bank-group topology and refresh discipline. The zero value is
@@ -94,7 +102,6 @@ type Config struct {
 	WriteLowThresh float64
 	// MinWritesPerSwitch is the minimum number of writes drained before
 	// switching back to reads (amortises the turnaround penalty).
-	//fp:skip swept only by the latency and write-ablation experiments, which run to completion without checkpoint sessions
 	MinWritesPerSwitch int
 	// Scheduling selects FCFS or FR-FCFS.
 	Scheduling SchedulingPolicy
@@ -122,21 +129,21 @@ type Config struct {
 	// observability events (queue admissions, DRAM commands, bursts,
 	// refreshes, drain episodes — see internal/obs). The constructor
 	// snapshots it via OrNil, so an empty hub costs nothing at run time.
-	// Probe configuration is an observation concern and is deliberately
-	// excluded from checkpoint fingerprints.
-	//fp:skip probes only observe; the constructor snapshots the hub via OrNil and results never depend on it
-	Probes *obs.Hub
+	// Outside the checkpoint identity: probes only observe, results never
+	// depend on them.
+	Probes *obs.Hub `json:"-"`
 	// XORBankHash spreads same-bank strides across banks by XORing the
 	// bank index with low row bits (extension; gem5 offers the same hash).
-	//fp:skip set only by the hash ablation, which never creates a session; a checkpointing caller must fold it in
 	XORBankHash bool
 	// QoSPriority optionally maps a requestor ID to a priority level
 	// (higher is more important). When set, the scheduler serves the
 	// highest-priority level present in a queue and applies FR-FCFS within
 	// it — the paper's §II-C hook for "Quality-of-Service requirements of
-	// the requesting CPUs and I/O devices". Nil disables QoS.
-	//fp:skip function-valued, so there is nothing stable to hash; a checkpointing caller must encode its QoS policy in the fingerprint
-	QoSPriority func(requestorID int) int
+	// the requesting CPUs and I/O devices". Nil disables QoS. Outside the
+	// checkpoint identity: a function has no stable image, so a caller that
+	// sets one and checkpoints names its policy in the session scope
+	// (system.Session.Supervise).
+	QoSPriority func(requestorID int) int `json:"-"`
 	// Faults configures deterministic fault injection on read bursts
 	// (extension: RAS modelling). The zero value injects nothing and the
 	// controller behaves exactly as without the subsystem.

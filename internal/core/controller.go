@@ -34,7 +34,7 @@ type Controller struct {
 	// replayName is c.name+".replay", precomputed so arming a replay does not
 	// concatenate strings on the scheduling path.
 	replayName string //ckpt:skip derived from name at construction
-	cfg        Config //ckpt:skip static configuration, guarded by the manager fingerprint
+	cfg        Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
 	k          *sim.Kernel
 	dec        dram.Decoder      //ckpt:skip derived from cfg.Spec by the constructor
 	port       *mem.ResponsePort //ckpt:skip wiring, rebuilt by the constructor

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -106,7 +105,7 @@ func newIndexRig(t *testing.T, page PagePolicy) *indexRig {
 		t.Fatal(err)
 	}
 	mem.Connect(gen.Port(), c.Port())
-	mgr := checkpoint.NewManager(fmt.Sprintf("indexrig/%s", page))
+	mgr := checkpoint.NewManager()
 	mgr.Register("kernel", checkpoint.WrapKernel(k))
 	mgr.Register("mc", c)
 	mgr.Register("gen", gen)

@@ -80,6 +80,10 @@ type cycleState struct {
 	LastMaintained int64           `json:"lastMaintained"`
 }
 
+// CheckpointConfig implements checkpoint.Configured: the controller's
+// identity is its whole Config.
+func (c *Controller) CheckpointConfig() any { return c.cfg }
+
 // CheckpointSave implements checkpoint.Checkpointable.
 func (c *Controller) CheckpointSave(pt mem.PacketTable) (any, error) {
 	st := cycleState{

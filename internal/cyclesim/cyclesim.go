@@ -43,6 +43,10 @@ func (p PagePolicy) String() string {
 	return "closed"
 }
 
+// MarshalText makes the policy read by name in a checkpoint's configuration
+// image, and so in the mismatch message that refuses a resume.
+func (p PagePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // Scheduling selects the per-cycle command arbitration.
 type Scheduling int
 
@@ -72,9 +76,9 @@ type Config struct {
 	// to see how much of the cycle-based cost is pure idle ticking.
 	IdleSkip bool
 	// Probes, when non-nil and non-empty, receives the controller's
-	// observability events (see internal/obs); excluded from checkpoint
-	// fingerprints like every other observation setting.
-	Probes *obs.Hub
+	// observability events (see internal/obs). Outside the checkpoint
+	// identity: probes only observe.
+	Probes *obs.Hub `json:"-"`
 }
 
 // DefaultConfig mirrors DRAMSim2's defaults for the given device.
@@ -164,7 +168,7 @@ type respWait struct {
 // Controller is the cycle-based baseline controller.
 type Controller struct {
 	name string
-	cfg  Config //ckpt:skip static configuration, guarded by the manager fingerprint
+	cfg  Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
 	k    *sim.Kernel
 	dec  dram.Decoder      //ckpt:skip derived from cfg.Device by the constructor
 	spec dram.Spec         //ckpt:skip the device's parameter set, cached by the constructor

@@ -41,6 +41,10 @@ func (m Mapping) String() string {
 	return fmt.Sprintf("Mapping(%d)", int(m))
 }
 
+// MarshalText makes the mapping read by name in a checkpoint's configuration
+// image, and so in the mismatch message that refuses a resume.
+func (m Mapping) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
 // ParseMapping converts a scheme name into a Mapping.
 func ParseMapping(s string) (Mapping, error) {
 	switch s {

@@ -57,6 +57,10 @@ func (k RefreshKind) String() string {
 	return "unknown"
 }
 
+// MarshalText makes the kind read by name in a checkpoint's configuration
+// image, and so in the mismatch message that refuses a resume.
+func (k RefreshKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // RefreshSpec is the refresh discipline a device requires, as consumed by the
 // controller's refresh episode, the power models' refresh term and the
 // protocol checker's refresh-interval referee.
@@ -86,8 +90,7 @@ const (
 )
 
 // Standard names the interface family ("DDR3", "DDR4", "DDR5", "LPDDR5",
-// ...) that is fingerprinted into checkpoints; hand-built specs that never
-// set one read as "custom".
+// ...); hand-built specs that never set one read as "custom".
 func (s Spec) Standard() string {
 	if s.Family == "" {
 		return "custom"

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestPresetsStableAndValid pins the registry's stable order (callers
-// fingerprint by name) and requires every preset to validate.
+// TestPresetsStableAndValid pins the registry's stable order (listings and
+// cache keys go by name) and requires every preset to validate.
 func TestPresetsStableAndValid(t *testing.T) {
 	wantOrder := []string{
 		"DDR3-1600-x64", "DDR3-1600-x64-2R", "LPDDR3-1600-x32",
@@ -41,7 +41,7 @@ func TestByNameCaseInsensitive(t *testing.T) {
 
 // TestByStandardCoversStandards requires every advertised family keyword to
 // resolve, and the resolved preset's Standard() to round-trip (the -standard
-// flag and the checkpoint fingerprint both rely on this agreement).
+// flag relies on this agreement).
 func TestByStandardCoversStandards(t *testing.T) {
 	stds := Standards()
 	if len(stds) < 4 {
@@ -69,8 +69,8 @@ func TestByStandardCoversStandards(t *testing.T) {
 	}
 }
 
-// TestStandardFallback: hand-built specs with no Family report "custom" so
-// fingerprints never contain an empty field.
+// TestStandardFallback: hand-built specs with no Family report "custom", so
+// reports never print an empty standard.
 func TestStandardFallback(t *testing.T) {
 	var s Spec
 	if got := s.Standard(); got != "custom" {

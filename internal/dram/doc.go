@@ -14,8 +14,9 @@
 // four derived questions:
 //
 //   - What is it? Standard names the interface family ("DDR3", "DDR5", ...).
-//     It is fingerprinted into checkpoints, so two devices of different
-//     standards can never silently resume each other's state.
+//     A controller states its whole Spec as its checkpoint identity, so two
+//     devices that differ in any table entry, let alone standard, can never
+//     silently resume each other's state.
 //   - How are banks arranged? Topology exposes ranks, bank groups and banks
 //     per group; a device without bank groups reports Groups == 1 and every
 //     constraint below collapses to its flat form.
@@ -27,9 +28,9 @@
 //     (all-bank, per-bank, or DDR5 same-bank) with its interval, blackout
 //     and postponement budget.
 //
-// Controllers copy what they need at construction time and checkpoint
-// fingerprints assume it never changes: configure the Spec first, then build
-// the controller.
+// Controllers copy what they need at construction time and state that copy
+// as their checkpoint identity: configure the Spec first, then build the
+// controller.
 //
 // # Presets
 //

@@ -116,11 +116,6 @@ func (o Organization) BurstsPerRow() uint64 { return o.RowBufferBytes / o.BurstB
 // Banks returns the total banks in the channel (across ranks).
 func (o Organization) Banks() int { return o.RanksPerChannel * o.BanksPerRank }
 
-// ChannelBytes returns the total capacity of the channel.
-func (o Organization) ChannelBytes() uint64 {
-	return uint64(o.Banks()) * o.RowsPerBank * o.RowBufferBytes
-}
-
 // Validate checks structural sanity; every field the controller divides or
 // masks by must be a positive power of two where indexing requires it.
 func (o Organization) Validate() error {
@@ -203,8 +198,7 @@ func isPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
 type Spec struct {
 	Name string
 	// Family names the interface standard ("DDR3", "DDR5", ...); it backs
-	// Standard and is fingerprinted into checkpoints. Empty reads as
-	// "custom".
+	// Standard. Empty reads as "custom".
 	Family string
 	Org    Organization
 	Timing Timing

@@ -22,7 +22,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			// Clamp the address inside the channel group's capacity so the
 			// encode inversion is exact (beyond it, rows wrap by design).
-			capacity := spec.Org.ChannelBytes() * uint64(channels)
+			capacity := uint64(spec.Org.Banks()) * spec.Org.RowsPerBank * spec.Org.RowBufferBytes * uint64(channels)
 			a := mem.Addr(addr % capacity)
 			c := d.Decode(a)
 			if c.Rank >= spec.Org.RanksPerChannel || c.Bank >= spec.Org.BanksPerRank {

@@ -317,20 +317,3 @@ func PrefetchAblation(memOps uint64) (*AblationResult, error) {
 	}
 	return res, nil
 }
-
-// AllAblations runs every ablation study.
-func AllAblations(requests uint64) ([]*AblationResult, error) {
-	var out []*AblationResult
-	for _, fn := range []func(uint64) (*AblationResult, error){
-		PagePolicyAblation, MappingAblation, SchedulerAblation,
-		WriteDrainAblation, ActivationWindowAblation, PrefetchAblation,
-		RefreshAblation, XORHashAblation,
-	} {
-		r, err := fn(requests)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -156,18 +156,3 @@ func TestXORHashAblation(t *testing.T) {
 			byName["xor-hash"].BusUtil, byName["plain"].BusUtil)
 	}
 }
-
-func TestAllAblations(t *testing.T) {
-	res, err := AllAblations(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 8 {
-		t.Fatalf("ablations = %d", len(res))
-	}
-	for _, a := range res {
-		if len(a.Rows) == 0 {
-			t.Errorf("%s: no rows", a.Name)
-		}
-	}
-}

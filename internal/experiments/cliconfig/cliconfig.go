@@ -265,7 +265,7 @@ func AddShard(fs *flag.FlagSet) *Shard {
 	s := &Shard{}
 	fs.IntVar(&s.Channels, "channels", 1, "DRAM channels behind a crossbar (sharded rig when > 1)")
 	fs.IntVar(&s.Workers, "parallel", 1, "worker goroutines stepping channel shards (statistics are worker-count independent)")
-	fs.IntVar(&s.Quanta, "lookahead-quanta", 1, "widen the barrier quantum up to N lookaheads when shards are idle (changes the schedule; part of the checkpoint fingerprint)")
+	fs.IntVar(&s.Quanta, "lookahead-quanta", 1, "widen the barrier quantum up to N lookaheads when shards are idle (changes the schedule, so a checkpoint resumes only under the same value)")
 	return s
 }
 

@@ -46,11 +46,6 @@ type LatencyBreakdown struct {
 	BusNs float64
 }
 
-// TotalNs sums the components.
-func (b LatencyBreakdown) TotalNs() float64 {
-	return b.StaticNs + b.QueueNs + b.BankNs + b.BusNs
-}
-
 // Fig9Row is the measurement for one memory system.
 type Fig9Row struct {
 	Name string

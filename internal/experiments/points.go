@@ -47,24 +47,15 @@ type PointCheckpoint struct {
 }
 
 // RunSweepPoint measures one (stride, banks) sweep point on both models,
-// optionally under supervision with periodic checkpoints (ck non-nil with a
-// Dir). The row it returns is identical to the one RunSweep computes for the
-// same point.
+// checkpointing periodically when ck has a Dir. The row it returns is
+// identical to the one RunSweep computes for the same point.
 func RunSweepPoint(s SweepSpec, stride uint64, banks int, ck *PointCheckpoint) (SweepRow, error) {
 	row := SweepRow{StrideBursts: stride, Banks: banks}
-	supervised := ck != nil && ck.Dir != ""
-	run := func(kind system.Kind, name string) (float64, error) {
-		if !supervised {
-			return runPoint(kind, s, stride, banks)
-		}
-		path := fmt.Sprintf("%s/point-%s.ckpt", ck.Dir, name)
-		return runPointSupervised(kind, s, stride, banks, path, ck.EveryWall, ck.Log)
-	}
-	ev, err := run(system.EventBased, "event")
+	ev, err := runPoint(system.EventBased, s, stride, banks, ck)
 	if err != nil {
 		return row, err
 	}
-	cy, err := run(system.CycleBased, "cycle")
+	cy, err := runPoint(system.CycleBased, s, stride, banks, ck)
 	if err != nil {
 		return row, err
 	}
@@ -72,32 +63,35 @@ func RunSweepPoint(s SweepSpec, stride uint64, banks int, ck *PointCheckpoint) (
 	return row, nil
 }
 
-// sweepPointFingerprint canonicalizes everything that shapes one point's
-// simulated schedule, so a checkpoint is never resumed under a different
-// point, model or grid configuration.
-func sweepPointFingerprint(kind system.Kind, s SweepSpec, stride uint64, banks int) string {
-	return fmt.Sprintf("sweeppoint fig=%d spec=%s mapping=%s closed=%t reads=%d requests=%d model=%s stride=%d banks=%d",
-		s.Figure, s.Spec.Name, s.Mapping, s.ClosedPage, s.ReadPct, s.Requests, kind, stride, banks)
-}
-
-// runPointSupervised is runPoint under internal/supervisor: the rig steps in
-// quanta (the same quanta TrafficRig.Run uses, so the measured utilisation is
-// the same float), checkpoints periodically, and resumes from an existing
-// checkpoint file bit-identically.
-func runPointSupervised(kind system.Kind, s SweepSpec, stride uint64, banks int, ckptPath string, everyWall time.Duration, log io.Writer) (float64, error) {
+// runPoint measures one model at one sweep point and returns the bus
+// utilisation. RunSweep, RunSweepPoint and the farm worker all come through
+// here and through supervisor.Run, so they step the same quanta; ck with a
+// Dir adds periodic checkpoints and bit-identical resume from an existing
+// file. The checkpoint's identity is what the rig's components state.
+func runPoint(kind system.Kind, s SweepSpec, stride uint64, banks int, ck *PointCheckpoint) (float64, error) {
+	cfg := supervisor.Config{Resume: true}
+	if ck != nil && ck.Dir != "" {
+		cfg.Checkpoint = fmt.Sprintf("%s/point-%s.ckpt", ck.Dir, kind)
+		cfg.EveryWall, cfg.Log = ck.EveryWall, ck.Log
+	}
 	var rig *system.TrafficRig
-	res, err := supervisor.Run(supervisor.Config{
-		Checkpoint: ckptPath,
-		EveryWall:  everyWall,
-		Resume:     true,
-		Log:        log,
-	}, func() (supervisor.Session, error) {
-		r, err := buildPointRig(kind, s, stride, banks)
+	res, err := supervisor.Run(cfg, func() (supervisor.Session, error) {
+		pattern, err := sweepPattern(s, stride, banks, 1)
 		if err != nil {
 			return nil, err
 		}
-		rig = r
-		return r.NewSession(sweepPointFingerprint(kind, s, stride, banks), sim.Second)
+		rig, err = system.NewTrafficRig(system.RigConfig{
+			Kind:       kind,
+			Spec:       s.Spec,
+			Mapping:    s.Mapping,
+			ClosedPage: s.ClosedPage,
+			Gen:        trafficGenConfig(s),
+			Pattern:    pattern,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return rig.NewSession("", sim.Second)
 	})
 	if err != nil {
 		return 0, err
@@ -106,23 +100,6 @@ func runPointSupervised(kind system.Kind, s SweepSpec, stride uint64, banks int,
 		return 0, fmt.Errorf("experiments: %s point stride=%d banks=%d did not complete", kind, stride, banks)
 	}
 	return rig.Ctrl.BusUtilisation(), nil
-}
-
-// buildPointRig wires the single-channel rig for one sweep point; runPoint
-// and runPointSupervised share it so both paths simulate the same schedule.
-func buildPointRig(kind system.Kind, s SweepSpec, stride uint64, banks int) (*system.TrafficRig, error) {
-	pattern, err := sweepPattern(s, stride, banks, 1)
-	if err != nil {
-		return nil, err
-	}
-	return system.NewTrafficRig(system.RigConfig{
-		Kind:       kind,
-		Spec:       s.Spec,
-		Mapping:    s.Mapping,
-		ClosedPage: s.ClosedPage,
-		Gen:        trafficGenConfig(s),
-		Pattern:    pattern,
-	})
 }
 
 // NumExplorePoints returns the number of memory systems in the §IV-B case

@@ -131,19 +131,6 @@ func trafficGenConfig(s SweepSpec) trafficgen.Config {
 	}
 }
 
-// runPoint measures one model at one sweep point and returns the bus
-// utilisation.
-func runPoint(kind system.Kind, s SweepSpec, stride uint64, banks int) (float64, error) {
-	rig, err := buildPointRig(kind, s, stride, banks)
-	if err != nil {
-		return 0, err
-	}
-	if !rig.Run(sim.Second) {
-		return 0, fmt.Errorf("experiments: %s point stride=%d banks=%d did not complete", kind, stride, banks)
-	}
-	return rig.Ctrl.BusUtilisation(), nil
-}
-
 // runShardedPoint measures one model at one sweep point on the sharded
 // multi-channel rig and returns the average per-channel bus utilisation.
 func runShardedPoint(kind system.Kind, s SweepSpec, stride uint64, banks, channels, workers int) (float64, error) {
@@ -178,7 +165,7 @@ func runShardedPoint(kind system.Kind, s SweepSpec, stride uint64, banks, channe
 // RunSweep executes the full sweep on both models.
 func RunSweep(s SweepSpec) (*SweepResult, error) {
 	return runSweepWith(s, func(kind system.Kind, stride uint64, banks int) (float64, error) {
-		return runPoint(kind, s, stride, banks)
+		return runPoint(kind, s, stride, banks, nil)
 	})
 }
 

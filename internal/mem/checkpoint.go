@@ -107,6 +107,12 @@ func (p *pipe) restore(pl PacketLookup, rs sim.Restorer, st linkPipeState) {
 	}
 }
 
+// CheckpointConfig implements checkpoint.Configured: the link's one knob is
+// its latency, which is also the sharded session's barrier quantum.
+func (l *ShardLink) CheckpointConfig() any {
+	return struct{ Latency sim.Tick }{l.latency}
+}
+
 // CheckpointSave captures both directions of the link. It must be called at a
 // quantum barrier, after Flush, so the outboxes are empty.
 func (l *ShardLink) CheckpointSave(pt PacketTable) (any, error) {

@@ -162,7 +162,7 @@ type linkBack struct {
 // between two kernels. See the package comment above for the determinism
 // argument.
 type ShardLink struct {
-	latency sim.Tick   //ckpt:skip static configuration, part of the manager fingerprint
+	latency sim.Tick   //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
 	front   *linkFront //ckpt:skip wiring, rebuilt by the constructor
 	back    *linkBack  //ckpt:skip wiring, rebuilt by the constructor
 	req     *pipe      // front -> back (requests)

@@ -17,9 +17,6 @@ type Addr uint64
 // AlignDown rounds a down to a multiple of size (size must be a power of 2).
 func (a Addr) AlignDown(size uint64) Addr { return a &^ Addr(size-1) }
 
-// AlignUp rounds a up to a multiple of size (size must be a power of 2).
-func (a Addr) AlignUp(size uint64) Addr { return (a + Addr(size-1)) &^ Addr(size-1) }
-
 // Cmd identifies a packet type.
 type Cmd int
 
@@ -112,16 +109,6 @@ func (p *Packet) MakeResponse() {
 
 // End returns the first address past the access.
 func (p *Packet) End() Addr { return p.Addr + Addr(p.Size) }
-
-// Overlaps reports whether the two accesses share any byte.
-func (p *Packet) Overlaps(q *Packet) bool {
-	return p.Addr < q.End() && q.Addr < p.End()
-}
-
-// ContainedIn reports whether p's byte range lies fully inside q's.
-func (p *Packet) ContainedIn(q *Packet) bool {
-	return q.Addr <= p.Addr && p.End() <= q.End()
-}
 
 // String renders the packet for diagnostics.
 func (p *Packet) String() string {

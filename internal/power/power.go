@@ -158,15 +158,3 @@ func Compute(spec dram.Spec, a Activity) Breakdown {
 		RefreshMW:    ref * devices,
 	}
 }
-
-// EnergyPJPerBit estimates the average energy per transferred bit in
-// picojoules, a common figure of merit when comparing interfaces.
-func EnergyPJPerBit(spec dram.Spec, a Activity) float64 {
-	bits := float64(a.ReadBursts+a.WriteBursts) * float64(spec.Org.BurstBytes()) * 8
-	if bits == 0 {
-		return 0
-	}
-	totalW := Compute(spec, a).TotalMW() / 1000
-	joules := totalW * a.Elapsed.Seconds()
-	return joules / bits * 1e12
-}

@@ -101,20 +101,6 @@ func TestBreakdownStringAndTotal(t *testing.T) {
 	}
 }
 
-func TestEnergyPerBit(t *testing.T) {
-	spec := dram.DDR3_1600_x64()
-	elapsed := sim.Millisecond
-	bursts := uint64(float64(elapsed) / float64(spec.Timing.TBURST) / 2) // 50% util
-	a := Activity{Elapsed: elapsed, ReadBursts: bursts, Activations: bursts / 8}
-	e := EnergyPJPerBit(spec, a)
-	if e <= 0 || e > 1000 {
-		t.Fatalf("energy/bit = %v pJ, implausible", e)
-	}
-	if EnergyPJPerBit(spec, idleActivity(elapsed)) != 0 {
-		t.Fatal("energy per bit with no bits should be 0")
-	}
-}
-
 // WideIO at equal bandwidth should burn less interface power than DDR3 (its
 // low-capacitance TSV interface is the paper's motivation for stacked DRAM).
 func TestWideIOMoreEfficientThanDDR3(t *testing.T) {
@@ -131,8 +117,9 @@ func TestWideIOMoreEfficientThanDDR3(t *testing.T) {
 			Activations: bursts / spec.Org.BurstsPerRow(),
 		}
 	}
-	if e1, e2 := EnergyPJPerBit(ddr3, mk(ddr3)), EnergyPJPerBit(wio, mk(wio)); e2 >= e1 {
-		t.Fatalf("WideIO energy/bit %v >= DDR3 %v", e2, e1)
+	// Equal bytes over equal time: total power orders like energy per bit.
+	if p1, p2 := Compute(ddr3, mk(ddr3)).TotalMW(), Compute(wio, mk(wio)).TotalMW(); p2 >= p1 {
+		t.Fatalf("WideIO power %v mW >= DDR3 %v mW at equal bandwidth", p2, p1)
 	}
 }
 

@@ -12,9 +12,9 @@ func ExampleKernel() {
 	k := sim.NewKernel()
 	k.Schedule(sim.NewEvent("hello", func() {
 		fmt.Printf("hello at %s\n", k.Now())
-		k.ScheduleIn(sim.NewEvent("world", func() {
+		k.Schedule(sim.NewEvent("world", func() {
 			fmt.Printf("world at %s\n", k.Now())
-		}), 5*sim.Nanosecond)
+		}), k.Now()+5*sim.Nanosecond)
 	}), 10*sim.Nanosecond)
 	k.Run()
 	fmt.Printf("done after %d events\n", k.EventsExecuted())

@@ -197,9 +197,6 @@ func (k *Kernel) Schedule(e *Event, when Tick) {
 	k.enqueue(qentry{when: when, pri: e.priority, seq: e.seq, ev: e})
 }
 
-// ScheduleIn schedules e after delay from the current tick.
-func (k *Kernel) ScheduleIn(e *Event, delay Tick) { k.Schedule(e, k.now+delay) }
-
 // Deschedule removes a scheduled event from the queue. Descheduling an
 // unscheduled event panics. The queue entry is left behind as a tombstone
 // and reclaimed lazily.

@@ -202,9 +202,9 @@ func TestEventScheduledDuringExecution(t *testing.T) {
 	var order []string
 	k.Schedule(NewEvent("first", func() {
 		order = append(order, "first")
-		k.ScheduleIn(NewEvent("chained", func() { order = append(order, "chained") }), 5)
+		k.Schedule(NewEvent("chained", func() { order = append(order, "chained") }), k.Now()+5)
 		// Same-tick follow-up runs after the current event.
-		k.ScheduleIn(NewEvent("same", func() { order = append(order, "same") }), 0)
+		k.Schedule(NewEvent("same", func() { order = append(order, "same") }), k.Now())
 	}), 10)
 	k.Run()
 	want := []string{"first", "same", "chained"}

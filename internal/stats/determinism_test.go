@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// buildRegistry fills a registry with a distribution whose samples arrive in
-// the given order. Same multiset of samples, different arrival order: every
-// derived report must still come out byte-identical.
+// buildRegistry fills a registry with a histogram whose samples arrive in
+// the given order. Same multiset of (integer, so exactly summed) samples,
+// different arrival order: every derived report must still come out
+// byte-identical.
 func buildRegistry(order []int64) *Registry {
 	reg := NewRegistry("sim")
-	d := reg.NewDistribution("bytesPerAct", "bytes per activate")
+	h := reg.NewHistogram("bytesPerAct", "bytes per activate", 0, 4096, 64)
 	for _, v := range order {
 		for i := int64(0); i <= v%5; i++ {
-			d.Sample(v)
+			h.Sample(float64(v))
 		}
 	}
 	s := reg.NewScalar("reads", "read count")
@@ -21,9 +22,8 @@ func buildRegistry(order []int64) *Registry {
 	return reg
 }
 
-// TestDumpJSONByteIdentical guards the deterministic report paths: the
-// distribution mean folds floats over sorted values (not map order), and
-// DumpJSON emits keys sorted. Two registries fed the same samples in
+// TestDumpJSONByteIdentical guards the deterministic report path: DumpJSON
+// emits keys sorted. Two registries fed the same samples in
 // different orders, and repeated dumps of the same registry, must all render
 // byte-for-byte the same.
 func TestDumpJSONByteIdentical(t *testing.T) {
@@ -57,33 +57,6 @@ func TestDumpJSONByteIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(bufA.Bytes(), again.Bytes()) {
 			t.Fatalf("dump %d differs from the first", i)
-		}
-	}
-}
-
-// TestDistributionMeanOrderIndependent pins the sorted-fold fix in
-// Distribution.Mean: float addition is not associative, so folding in map
-// order gave run-to-run different means for the same samples.
-func TestDistributionMeanOrderIndependent(t *testing.T) {
-	a, b := buildRegistry(nil), buildRegistry(nil)
-	da := a.Get("sim.bytesPerAct").(*Distribution)
-	db := b.Get("sim.bytesPerAct").(*Distribution)
-	// Values chosen to have non-representable thirds so accumulation order
-	// actually matters at the ULP level.
-	vals := []int64{1, 3, 7, 11, 33333, 999999937, 2, 5}
-	for _, v := range vals {
-		da.Sample(v)
-	}
-	for i := len(vals) - 1; i >= 0; i-- {
-		db.Sample(vals[i])
-	}
-	ma, mb := da.Mean(), db.Mean()
-	if ma != mb {
-		t.Errorf("means differ with insertion order: %v vs %v", ma, mb)
-	}
-	for i := 0; i < 50; i++ {
-		if got := da.Mean(); got != ma {
-			t.Fatalf("repeated Mean() diverged: %v vs %v", got, ma)
 		}
 	}
 }

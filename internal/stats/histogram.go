@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram accumulates samples into fixed-width buckets over [Min, Max);
@@ -193,82 +192,6 @@ func (h *Histogram) Rows() []Row {
 	}
 	if h.overflow > 0 {
 		rows = append(rows, Row{h.name + ".overflow", formatNumber(float64(h.overflow)), "samples above range"})
-	}
-	return rows
-}
-
-// Distribution is an exact-value distribution for small discrete domains
-// (e.g. bytes-per-activate, queue depths): it keeps a map of value counts.
-type Distribution struct {
-	name, desc string
-	counts     map[int64]uint64
-	total      uint64
-}
-
-// NewDistribution registers an exact discrete distribution.
-func (r *Registry) NewDistribution(name, desc string) *Distribution {
-	d := &Distribution{name: r.join(name), desc: desc, counts: make(map[int64]uint64)}
-	r.add(d)
-	return d
-}
-
-// Name implements Stat.
-func (d *Distribution) Name() string { return d.name }
-
-// Desc implements Stat.
-func (d *Distribution) Desc() string { return d.desc }
-
-// Reset implements Stat.
-func (d *Distribution) Reset() {
-	d.counts = make(map[int64]uint64)
-	d.total = 0
-}
-
-// Sample records one observation of value v.
-func (d *Distribution) Sample(v int64) {
-	d.counts[v]++
-	d.total++
-}
-
-// Count returns the total number of observations.
-func (d *Distribution) Count() uint64 { return d.total }
-
-// CountOf returns how often v was observed.
-func (d *Distribution) CountOf(v int64) uint64 { return d.counts[v] }
-
-// Mean returns the sample mean. Accumulation runs over sorted values: float
-// addition is not associative, so folding in map order would make the mean —
-// and every report containing it — differ between identical runs.
-func (d *Distribution) Mean() float64 {
-	if d.total == 0 {
-		return 0
-	}
-	keys := make([]int64, 0, len(d.counts))
-	for v := range d.counts {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var sum float64
-	for _, v := range keys {
-		sum += float64(v) * float64(d.counts[v])
-	}
-	return sum / float64(d.total)
-}
-
-// Rows implements Stat, sorted by value for deterministic dumps.
-func (d *Distribution) Rows() []Row {
-	keys := make([]int64, 0, len(d.counts))
-	for v := range d.counts {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	rows := []Row{{d.name + ".samples", formatNumber(float64(d.total)), d.desc + " (count)"}}
-	for _, v := range keys {
-		rows = append(rows, Row{
-			fmt.Sprintf("%s[%d]", d.name, v),
-			formatNumber(float64(d.counts[v])),
-			"value count",
-		})
 	}
 	return rows
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/sim"
 )
@@ -10,8 +9,8 @@ import (
 // Periodic sampling (paper §II-E: gem5's statistics framework can
 // "initialise, reset and output a large selection of performance-related
 // numbers at arbitrary points in time"). A Sampler fires a callback at a
-// fixed simulated interval; Series and PeriodicDump are the two common uses
-// — time-series capture of a metric, and repeated registry dumps.
+// fixed simulated interval; Series captures one metric as a time series on
+// top of it, and obs.SamplerProbe samples controller state the same way.
 
 // Sampler invokes a callback every interval of simulated time.
 type Sampler struct {
@@ -140,19 +139,4 @@ func (s *Series) Mean() float64 {
 		sum += p.Value
 	}
 	return sum / float64(len(s.points))
-}
-
-// NewPeriodicDump dumps the registry to w every interval, each dump headed
-// by the simulated timestamp, optionally resetting the statistics after
-// each dump (gem5's dump-and-reset epoch style).
-func NewPeriodicDump(k *sim.Kernel, reg *Registry, interval sim.Tick, w io.Writer, resetEach bool) (*Sampler, error) {
-	return NewSampler(k, interval, func(now sim.Tick) {
-		fmt.Fprintf(w, "---------- stats @ %s ----------\n", now)
-		if err := reg.Dump(w); err != nil {
-			return
-		}
-		if resetEach {
-			reg.ResetAll()
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -87,32 +86,5 @@ func TestSeriesAbsoluteAndDelta(t *testing.T) {
 	var empty Series
 	if empty.Mean() != 0 || empty.Max() != 0 {
 		t.Fatal("empty series stats not zero")
-	}
-}
-
-func TestPeriodicDump(t *testing.T) {
-	k := sim.NewKernel()
-	reg := NewRegistry("sys")
-	sc := reg.NewScalar("count", "things")
-	var sb strings.Builder
-	d, err := NewPeriodicDump(k, reg, 100*sim.Nanosecond, &sb, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	bump, _ := NewSampler(k, 40*sim.Nanosecond, func(sim.Tick) { sc.Inc() })
-	bump.Start()
-	k.RunUntil(250 * sim.Nanosecond)
-	out := sb.String()
-	if strings.Count(out, "---------- stats @") != 2 {
-		t.Fatalf("dump headers = %d, want 2\n%s", strings.Count(out, "----------"), out)
-	}
-	if !strings.Contains(out, "sys.count") {
-		t.Fatal("stat missing from dump")
-	}
-	// resetEach: the scalar was cleared after each dump, so the current
-	// value only reflects the samples since the second dump.
-	if sc.Value() > 2 {
-		t.Fatalf("reset-each failed: count = %v", sc.Value())
 	}
 }

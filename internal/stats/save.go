@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Checkpoint support: every Stat kind can capture its accumulated values into
@@ -13,28 +12,20 @@ import (
 // run under a different configuration (different stats registered) fails
 // cleanly instead of silently mixing counters.
 
-// distEntry is one (value, count) pair of a Distribution, kept in a sorted
-// slice so the serialized form is deterministic.
-type distEntry struct {
-	V int64  `json:"v"`
-	C uint64 `json:"c"`
-}
-
 // statState is the serialized image of one statistic. Kind tags which fields
 // are meaningful. SampleMin/SampleMax are pointers because a fresh histogram
 // holds ±Inf, which JSON cannot represent: nil means "no samples yet".
 type statState struct {
-	Kind      string      `json:"kind"`
-	Value     float64     `json:"value,omitempty"`
-	Sum       float64     `json:"sum,omitempty"`
-	SumSq     float64     `json:"sumsq,omitempty"`
-	Count     uint64      `json:"count,omitempty"`
-	Buckets   []uint64    `json:"buckets,omitempty"`
-	Underflow uint64      `json:"underflow,omitempty"`
-	Overflow  uint64      `json:"overflow,omitempty"`
-	SampleMin *float64    `json:"smin,omitempty"`
-	SampleMax *float64    `json:"smax,omitempty"`
-	Dist      []distEntry `json:"dist,omitempty"`
+	Kind      string   `json:"kind"`
+	Value     float64  `json:"value,omitempty"`
+	Sum       float64  `json:"sum,omitempty"`
+	SumSq     float64  `json:"sumsq,omitempty"`
+	Count     uint64   `json:"count,omitempty"`
+	Buckets   []uint64 `json:"buckets,omitempty"`
+	Underflow uint64   `json:"underflow,omitempty"`
+	Overflow  uint64   `json:"overflow,omitempty"`
+	SampleMin *float64 `json:"smin,omitempty"`
+	SampleMax *float64 `json:"smax,omitempty"`
 }
 
 // savable is implemented by every Stat kind in this package.
@@ -110,31 +101,6 @@ func (h *Histogram) restoreState(st statState) error {
 	}
 	if h.count > 0 && (math.IsInf(h.sampleMin, 1) || math.IsInf(h.sampleMax, -1)) {
 		return fmt.Errorf("stats: %q: checkpoint has %d samples but no min/max", h.name, h.count)
-	}
-	return nil
-}
-
-func (d *Distribution) saveState() statState {
-	st := statState{Kind: "distribution", Count: d.total}
-	keys := make([]int64, 0, len(d.counts))
-	for v := range d.counts {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, v := range keys {
-		st.Dist = append(st.Dist, distEntry{V: v, C: d.counts[v]})
-	}
-	return st
-}
-
-func (d *Distribution) restoreState(st statState) error {
-	if st.Kind != "distribution" {
-		return kindMismatch(d.name, "distribution", st.Kind)
-	}
-	d.Reset()
-	d.total = st.Count
-	for _, e := range st.Dist {
-		d.counts[e.V] = e.C
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -168,29 +167,6 @@ func TestHistogramStdDev(t *testing.T) {
 	}
 	if math.Abs(h.StdDev()-2) > 1e-9 {
 		t.Fatalf("stddev = %v, want 2", h.StdDev())
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	r := NewRegistry("")
-	d := r.NewDistribution("depth", "queue depth")
-	for _, v := range []int64{1, 2, 2, 3, 3, 3} {
-		d.Sample(v)
-	}
-	if d.Count() != 6 || d.CountOf(3) != 3 || d.CountOf(9) != 0 {
-		t.Fatalf("count=%d of3=%d", d.Count(), d.CountOf(3))
-	}
-	if math.Abs(d.Mean()-14.0/6) > 1e-9 {
-		t.Fatalf("mean = %v", d.Mean())
-	}
-	rows := d.Rows()
-	// Rows must be sorted by value after the summary row.
-	var vals []string
-	for _, row := range rows[1:] {
-		vals = append(vals, row.Name)
-	}
-	if !sort.StringsAreSorted(vals) {
-		t.Fatalf("distribution rows not sorted: %v", vals)
 	}
 }
 

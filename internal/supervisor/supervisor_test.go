@@ -74,7 +74,7 @@ func (h *harness) factory() (Session, error) {
 	fs := &fakeSim{total: h.total}
 	h.sims = append(h.sims, fs)
 	h.started = append(h.started, false)
-	m := checkpoint.NewManager("fake-config")
+	m := checkpoint.NewManager()
 	m.Register("sim", fs)
 	s := &fakeSession{
 		sim:     fs,

@@ -49,8 +49,6 @@ import (
 // schedule without goroutine overhead.
 
 // ShardedConfig shapes a ShardedRig.
-//
-//fp:check
 type ShardedConfig struct {
 	Kind       Kind
 	Spec       dram.Spec
@@ -63,8 +61,9 @@ type ShardedConfig struct {
 	Patterns []trafficgen.Pattern
 	// Workers is the number of worker goroutines stepping shards between
 	// barriers. 0 or 1 steps every shard on the calling goroutine; either
-	// way the schedule, and so every statistic, is identical.
-	//fp:skip worker-count independence is the contract: excluding it is what lets a checkpoint taken under -parallel 4 resume under -parallel 1
+	// way the schedule, and so every statistic, is identical — which is why
+	// the session does not state it as checkpoint identity: a checkpoint
+	// taken with four workers resumes under one.
 	Workers int
 	// AdaptiveQuanta widens the barrier quantum when the system is idle: a
 	// value Q > 1 lets Step advance up to Q lookaheads per barrier, bounded
@@ -72,26 +71,21 @@ type ShardedConfig struct {
 	// for the safety argument). 0 or 1 keeps the fixed quantum. The adaptive
 	// and fixed schedules are EACH deterministic and worker-count
 	// independent, but they differ from each other (barrier ticks shift event
-	// sequence numbers), so AdaptiveQuanta belongs in any checkpoint
-	// fingerprint.
+	// sequence numbers), so the session states AdaptiveQuanta as part of its
+	// checkpoint identity (Session.Supervise).
 	AdaptiveQuanta int
 	// TuneEvent optionally adjusts the matched event-based controller
-	// configuration, as in RigConfig. Function-valued, so the fingerprint
-	// cannot see through it: a caller that tunes and checkpoints must fold
-	// the tuned knobs into its fingerprint itself (dramctrl does exactly that
-	// for the scheduler and the power-state idle times).
-	//fp:skip function-valued; callers fold the knobs they tune into their own fingerprint
+	// configuration, as in RigConfig. What it tunes is still checkpoint
+	// identity: each controller states the configuration it was built with.
 	TuneEvent func(*core.Config)
 	// FrontProbes feeds observability events from the frontend shard (the
 	// crossbar, plus the session's quantum-barrier events). Probes attached
 	// here run on the frontend kernel's goroutine only.
-	//fp:skip probes only observe; results never depend on them
 	FrontProbes *obs.Hub
 	// ShardProbes optionally gives each channel shard its own hub (length
 	// must be 0 or Channels). Per-shard probes run on that shard's worker
 	// goroutine during quanta, so each must touch only its own state; merge
 	// results in Session.OnStep, which runs in the single-threaded barrier.
-	//fp:skip probes only observe; results never depend on them
 	ShardProbes []*obs.Hub
 }
 
@@ -192,10 +186,9 @@ func (r *ShardedRig) session() Session {
 }
 
 // NewSession wraps the sharded rig for supervised stepping; see
-// (*TrafficRig).NewSession for the contract. AdaptiveQuanta belongs in the
-// fingerprint, the worker count does not (see Session.Supervise).
-func (r *ShardedRig) NewSession(fingerprint string, maxSim sim.Tick) (*Session, error) {
-	return r.session().supervised(fingerprint, maxSim)
+// (*TrafficRig).NewSession for the contract.
+func (r *ShardedRig) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
+	return r.session().supervised(scope, maxSim)
 }
 
 // Run starts all generators and steps the shards in lookahead-sized quanta

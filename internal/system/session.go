@@ -90,16 +90,23 @@ func sourcesOf(gens []*trafficgen.Generator) []Source {
 }
 
 // Supervise builds the session's checkpoint manager, registering every
-// component in a fixed, configuration-derived order. The fingerprint must
-// encode every configuration knob that shapes the simulation, so a
-// checkpoint is never resumed under a different setup. The worker count
-// deliberately stays out of it: statistics are worker-count independent, so
-// a checkpoint taken with one worker count may be resumed with another.
-// AdaptiveQuanta, by contrast, MUST go in — it changes the schedule (see
-// horizon). Callers with further components (a trace sink) register them on
-// Manager() afterwards.
-func (s *Session) Supervise(fingerprint string) error {
-	mgr := checkpoint.NewManager(fingerprint)
+// component in a fixed, configuration-derived order. A checkpoint's identity
+// is what the components state about themselves (checkpoint.Configured) plus
+// what the session states here: its step quantum and AdaptiveQuanta, which
+// changes the schedule (see horizon), and scope — an optional caller label,
+// compared verbatim, for whatever no component can state (a QoS function's
+// policy, say); "" when there is nothing to add. The worker count is
+// deliberately not stated: statistics are worker-count independent, so a
+// checkpoint taken with one worker count may be resumed with another.
+// Callers with further components (a trace sink) register them on Manager()
+// afterwards.
+func (s *Session) Supervise(scope string) error {
+	mgr := checkpoint.NewManager()
+	mgr.Describe("session", struct {
+		Scope          string
+		Step           sim.Tick
+		AdaptiveQuanta int
+	}{scope, s.step, s.adaptive})
 	var err error
 	register := func(id string, c any) {
 		if cc, ok := c.(checkpoint.Checkpointable); ok {
@@ -131,9 +138,9 @@ func (s *Session) Supervise(fingerprint string) error {
 }
 
 // supervised is the rigs' NewSession: Supervise plus the deadline.
-func (s Session) supervised(fingerprint string, maxSim sim.Tick) (*Session, error) {
+func (s Session) supervised(scope string, maxSim sim.Tick) (*Session, error) {
 	s.Deadline = maxSim
-	if err := s.Supervise(fingerprint); err != nil {
+	if err := s.Supervise(scope); err != nil {
 		s.Close()
 		return nil, err
 	}

@@ -277,10 +277,10 @@ func (r *TrafficRig) Run(maxSim sim.Tick) bool {
 }
 
 // NewSession wraps the rig for supervised, checkpointable stepping (see
-// Session.Supervise for the fingerprint contract); maxSim bounds total
-// simulated time across all segments.
-func (r *TrafficRig) NewSession(fingerprint string, maxSim sim.Tick) (*Session, error) {
-	return r.session().supervised(fingerprint, maxSim)
+// Session.Supervise for scope, normally ""); maxSim bounds total simulated
+// time across all segments.
+func (r *TrafficRig) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
+	return r.session().supervised(scope, maxSim)
 }
 
 // MultiChannelRig is a generator (or several) behind a crossbar fanning out
@@ -340,8 +340,8 @@ func (r *MultiChannelRig) Run(maxSim sim.Tick) bool {
 
 // NewSession wraps the multi-channel rig for supervised stepping; see
 // (*TrafficRig).NewSession for the contract.
-func (r *MultiChannelRig) NewSession(fingerprint string, maxSim sim.Tick) (*Session, error) {
-	return r.session().supervised(fingerprint, maxSim)
+func (r *MultiChannelRig) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
+	return r.session().supervised(scope, maxSim)
 }
 
 // AggregateBandwidth sums channel bandwidths.

@@ -187,6 +187,17 @@ type genState struct {
 	Pattern     PatternState   `json:"pattern"`
 }
 
+// CheckpointConfig implements checkpoint.Configured: the generator's Config
+// plus its pattern's type and parameters (a pattern's exported fields are
+// its configuration; its position is unexported and travels in the section).
+func (g *Generator) CheckpointConfig() any {
+	return struct {
+		Config
+		PatternType string
+		Pattern     Pattern
+	}{g.cfg, fmt.Sprintf("%T", g.pattern), g.pattern}
+}
+
 // CheckpointSave implements checkpoint.Checkpointable.
 func (g *Generator) CheckpointSave(pt mem.PacketTable) (any, error) {
 	sp, ok := g.pattern.(StatefulPattern)

@@ -30,8 +30,6 @@ type GapPattern interface {
 }
 
 // Config shapes a generator independent of its address pattern.
-//
-//fp:check
 type Config struct {
 	// RequestBytes is the size of each request (typically the cache-line
 	// or DRAM burst size).
@@ -44,7 +42,6 @@ type Config struct {
 	// Count is the total number of requests to issue (0 = unlimited).
 	Count uint64
 	// RequestorID tags packets for routing and attribution.
-	//fp:skip derived from the generator's position at construction, not a free knob; identical configs always produce identical ids
 	RequestorID int
 }
 
@@ -64,7 +61,7 @@ func (c Config) Validate() error {
 // Generator drives a memory port with a Pattern under a closed-loop
 // outstanding-request limit.
 type Generator struct {
-	cfg     Config //ckpt:skip static configuration, guarded by the manager fingerprint
+	cfg     Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
 	k       *sim.Kernel
 	pattern Pattern
 	port    *mem.RequestPort //ckpt:skip wiring, rebuilt by the constructor

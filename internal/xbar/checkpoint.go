@@ -78,6 +78,15 @@ func (q *outQueue) restore(pl mem.PacketLookup, rs sim.Restorer, st outQueueStat
 	}
 }
 
+// CheckpointConfig implements checkpoint.Configured: the crossbar's Config
+// plus how many ports were attached to each side.
+func (x *Crossbar) CheckpointConfig() any {
+	return struct {
+		Config
+		Requestors, Memories int
+	}{x.cfg, len(x.reqSides), len(x.memSides)}
+}
+
 // CheckpointSave implements checkpoint.Checkpointable.
 func (x *Crossbar) CheckpointSave(pt mem.PacketTable) (any, error) {
 	st := xbarState{}

@@ -85,9 +85,9 @@ type Config struct {
 	// interval, modelling finite crossbar throughput (0 = unlimited).
 	PacketInterval sim.Tick
 	// Probes, when non-nil and non-empty, receives the crossbar's
-	// observability events (see internal/obs); excluded from checkpoint
-	// fingerprints like every other observation setting.
-	Probes *obs.Hub
+	// observability events (see internal/obs). Outside the checkpoint
+	// identity: probes only observe.
+	Probes *obs.Hub `json:"-"`
 }
 
 // DefaultConfig returns a modest single-cycle-ish crossbar.
@@ -189,7 +189,7 @@ func (q *outQueue) retry() {
 type Crossbar struct {
 	name string
 	k    *sim.Kernel
-	cfg  Config //ckpt:skip static configuration, guarded by the manager fingerprint
+	cfg  Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
 	rt   Route  //ckpt:skip routing function, rebuilt by the constructor
 
 	// Requestor side: one response port per attached requestor.
