@@ -374,6 +374,37 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkKernelGap fires one self-rescheduling event at a fixed spacing,
+// beside a refresh-like event every 7.8 us that lives in the far heap. An
+// event kernel pays per event, not per simulated time skipped, so ns/event
+// must read the same at every gap: inside a bucket, a few buckets, most of
+// the ring, and beyond the window.
+func BenchmarkKernelGap(b *testing.B) {
+	for _, gap := range []sim.Tick{
+		sim.Nanosecond, 6 * sim.Nanosecond, 48 * sim.Nanosecond,
+		250 * sim.Nanosecond, 2 * sim.Microsecond, 8 * sim.Microsecond,
+	} {
+		b.Run(gap.String(), func(b *testing.B) {
+			k := sim.NewKernel()
+			left := b.N
+			var tick, refresh *sim.Event
+			tick = sim.NewEvent("tick", func() {
+				if left--; left > 0 {
+					k.Schedule(tick, k.Now()+gap)
+				} else if refresh.Scheduled() {
+					k.Deschedule(refresh)
+				}
+			})
+			refresh = sim.NewEvent("refresh", func() { k.Schedule(refresh, k.Now()+7800*sim.Nanosecond) })
+			k.Schedule(refresh, 7800*sim.Nanosecond)
+			k.Schedule(tick, 0)
+			b.ResetTimer()
+			k.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.EventsExecuted()), "ns/event")
+		})
+	}
+}
+
 func BenchmarkAddressDecode(b *testing.B) {
 	dec, err := dram.NewDecoder(dram.DDR3_1600_x64().Org, dram.RoRaBaCoCh, 4)
 	if err != nil {

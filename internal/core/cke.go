@@ -46,7 +46,7 @@ func (c *Controller) rankIdle(ri int) bool {
 			return false
 		}
 	}
-	if c.draining || c.state == busWrite || c.writeQueue.n > c.cfg.writeLowMark() {
+	if c.draining || c.state == busWrite || c.writeQueue.n > c.writeLowMark {
 		return c.writeQueue.perRank[ri] == 0
 	}
 	return true

@@ -52,6 +52,11 @@ type Controller struct {
 	tccdS   sim.Tick         //ckpt:skip cached cfg.Device.ColToCol(cross-group)
 	tRPab   sim.Tick         //ckpt:skip cached cfg.Device.PrechargeAll()
 	refSpec dram.RefreshSpec //ckpt:skip cached cfg.Device.RefreshMode()
+	// The write-drain watermarks in queue entries and the burst size: read on
+	// every scheduling decision, constant per controller.
+	writeHighMark int    //ckpt:skip derived from cfg by the constructor
+	writeLowMark  int    //ckpt:skip derived from cfg by the constructor
+	burstBytes    uint64 //ckpt:skip cached cfg.Device.Org.BurstBytes()
 
 	readQueue  burstQueue
 	writeQueue burstQueue
@@ -166,22 +171,25 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 	}
 	dec.XORBankRow = cfg.XORBankHash
 	c := &Controller{
-		name:         name,
-		replayName:   name + ".replay",
-		cfg:          cfg,
-		k:            k,
-		dec:          dec,
-		inWriteQueue: make(map[mem.Addr]int),
-		hub:          cfg.Probes.OrNil(),
-		startTick:    k.Now(),
-		tim:          spec.Timing,
-		org:          spec.Org,
-		topo:         cfg.Device.Topology(),
-		trrdL:        cfg.Device.ActToAct(true),
-		tccdL:        cfg.Device.ColToCol(true),
-		tccdS:        cfg.Device.ColToCol(false),
-		tRPab:        cfg.Device.PrechargeAll(),
-		refSpec:      cfg.Device.RefreshMode(),
+		name:          name,
+		replayName:    name + ".replay",
+		cfg:           cfg,
+		k:             k,
+		dec:           dec,
+		inWriteQueue:  make(map[mem.Addr]int),
+		hub:           cfg.Probes.OrNil(),
+		startTick:     k.Now(),
+		tim:           spec.Timing,
+		org:           spec.Org,
+		topo:          cfg.Device.Topology(),
+		trrdL:         cfg.Device.ActToAct(true),
+		tccdL:         cfg.Device.ColToCol(true),
+		tccdS:         cfg.Device.ColToCol(false),
+		tRPab:         cfg.Device.PrechargeAll(),
+		refSpec:       cfg.Device.RefreshMode(),
+		writeHighMark: cfg.writeHighMark(),
+		writeLowMark:  cfg.writeLowMark(),
+		burstBytes:    spec.Org.BurstBytes(),
 	}
 	c.grouped = c.topo.Grouped()
 	if cfg.Faults.Enabled() {
@@ -327,7 +335,7 @@ func (c *Controller) RecvRespRetry() {
 // burstRange iterates the burst-aligned pieces of a request, calling fn with
 // each piece's burst address and the byte range it covers.
 func (c *Controller) burstRange(pkt *mem.Packet, fn func(burstAddr, lo mem.Addr, size uint64)) int {
-	burst := c.org.BurstBytes()
+	burst := c.burstBytes
 	count := 0
 	addr := pkt.Addr
 	remaining := pkt.Size
@@ -561,7 +569,7 @@ func (c *Controller) processNextReqEvent() {
 			// No reads: drain writes once past the low watermark (or when
 			// draining for the end of a run).
 			if c.writeQueue.n == 0 ||
-				(c.writeQueue.n <= c.cfg.writeLowMark() && !c.draining) {
+				(c.writeQueue.n <= c.writeLowMark && !c.draining) {
 				c.scheduleLowPowerChecks()
 				return // idle until a new request arrives
 			}
@@ -591,7 +599,7 @@ func (c *Controller) processNextReqEvent() {
 				}
 			}
 			// Forced switch at the high watermark.
-			if c.writeQueue.n >= c.cfg.writeHighMark() {
+			if c.writeQueue.n >= c.writeHighMark {
 				switchToWrites = true
 			}
 		}
@@ -620,7 +628,7 @@ func (c *Controller) processNextReqEvent() {
 		// comfortably below the low watermark, or when reads are waiting
 		// and the minimum write burst has been drained (gem5's hysteresis).
 		if c.writeQueue.n == 0 ||
-			(c.writeQueue.n+c.cfg.MinWritesPerSwitch < c.cfg.writeLowMark() && !c.draining) ||
+			(c.writeQueue.n+c.cfg.MinWritesPerSwitch < c.writeLowMark && !c.draining) ||
 			(c.readQueue.n > 0 && c.writesThisTime >= c.cfg.MinWritesPerSwitch) {
 			c.state = busRead
 			c.readsThisTime = 0
@@ -837,7 +845,6 @@ func (c *Controller) bankIssueAt(rk *rank, bi int, hit, isRead bool) (preAt, act
 //hot:path per-burst timing update
 func (c *Controller) doDRAMAccess(p *dramPacket) {
 	t := &c.tim
-	org := &c.org
 	now := c.k.Now()
 	ri, bi := p.coord.Rank, p.coord.Bank
 	rk := c.ranks[ri]
@@ -888,7 +895,7 @@ func (c *Controller) doDRAMAccess(p *dramPacket) {
 		})
 	}
 
-	burstBytes := org.BurstBytes()
+	burstBytes := c.burstBytes
 	if p.isRead {
 		rk.preAllowedAt[bi] = max(rk.preAllowedAt[bi], cmdAt+t.TRTP)
 		rk.wrAllowedAt = max(rk.wrAllowedAt, dataEnd+t.TRTW)

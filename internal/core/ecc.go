@@ -122,7 +122,7 @@ func (c *Controller) queueScrub(dp *dramPacket) {
 		coord:     dp.coord,
 		burstAddr: dp.burstAddr,
 		addr:      dp.burstAddr,
-		size:      c.org.BurstBytes(),
+		size:      c.burstBytes,
 		priority:  dp.priority,
 		entryTime: c.k.Now(),
 		scrub:     true,

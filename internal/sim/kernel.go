@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // The event queue is a two-level calendar queue tuned for the near-horizon
@@ -20,6 +20,11 @@ import (
 // sequence number against the event's (every (re)schedule draws a fresh,
 // strictly increasing seq). Stale entries are skipped at the cursor and
 // compacted opportunistically.
+//
+// An occupancy bitmap over the ring (one bit per slot, set while the slot
+// holds any entry) lets an exhausted cursor move straight to the next occupied
+// bucket, so the kernel's cost follows the events fired and never the
+// simulated time between them.
 
 const (
 	// bucketShift sets the bucket width to 2^bucketShift ticks. 1024 ps is
@@ -142,6 +147,7 @@ type Kernel struct {
 	// curIdx; other window buckets hold unsorted appends until the cursor
 	// reaches them.
 	buckets   [bucketCount][]qentry
+	occ       [bucketCount / 64]uint64 // bit i set <=> len(buckets[i]) > 0, tombstones included
 	curBucket int64
 	curIdx    int
 	curSorted bool
@@ -284,6 +290,24 @@ func (k *Kernel) PeekNext() (Tick, bool) {
 	return k.head().when, true
 }
 
+// store appends a live entry to its ring slot, marks the slot occupied and
+// returns the slot's entries.
+func (k *Kernel) store(ent qentry) []qentry {
+	i := bucketOf(ent.when) & bucketMask
+	k.buckets[i] = append(k.buckets[i], ent)
+	k.occ[i>>6] |= 1 << (i & 63)
+	ent.ev.inFar = false
+	k.inWindow++
+	return k.buckets[i]
+}
+
+// pushFar puts a live entry on the far heap.
+func (k *Kernel) pushFar(ent qentry) {
+	ent.ev.inFar = true
+	k.far.push(ent)
+	k.farLive++
+}
+
 // enqueue places a live entry in the ring (near) or the far heap. The caller
 // has already validated when >= now, so bucketOf(ent.when) can precede
 // curBucket only when the cursor was parked ahead of now by a previous run
@@ -291,30 +315,24 @@ func (k *Kernel) PeekNext() (Tick, bool) {
 func (k *Kernel) enqueue(ent qentry) {
 	bn := bucketOf(ent.when)
 	if bn >= k.curBucket+bucketCount {
-		ent.ev.inFar = true
-		k.far.push(ent)
-		k.farLive++
+		k.pushFar(ent)
 		return
 	}
 	if bn < k.curBucket {
 		k.retreat(bn)
 	}
-	ent.ev.inFar = false
-	slot := &k.buckets[bn&bucketMask]
+	slot := k.store(ent)
 	if bn == k.curBucket && k.curSorted {
-		// Keep the cursor bucket sorted: binary-insert after the consumed
-		// prefix (an event scheduled "now" during execution must not land
-		// before entries that already fired).
-		i := k.curIdx + sort.Search(len(*slot)-k.curIdx, func(i int) bool {
-			return ent.before((*slot)[k.curIdx+i])
-		})
-		*slot = append(*slot, qentry{})
-		copy((*slot)[i+1:], (*slot)[i:])
-		(*slot)[i] = ent
-	} else {
-		*slot = append(*slot, ent)
+		// Keep the cursor bucket sorted. The new entry has the largest seq,
+		// so it nearly always belongs last: walk back from the tail, never
+		// into the consumed prefix (an event scheduled "now" during execution
+		// must not land before entries that already fired).
+		i := len(slot) - 1
+		for ; i > k.curIdx && ent.before(slot[i-1]); i-- {
+			slot[i] = slot[i-1]
+		}
+		slot[i] = ent
 	}
-	k.inWindow++
 }
 
 // retreat moves the window start back to bucket bn (still >= bucketOf(now)).
@@ -330,15 +348,16 @@ func (k *Kernel) retreat(bn int64) {
 				continue
 			}
 			if bucketOf(ent.when) >= bn+bucketCount {
-				ent.ev.inFar = true
-				k.far.push(ent)
-				k.farLive++
+				k.pushFar(ent)
 				k.inWindow--
 			} else {
 				slot = append(slot, ent)
 			}
 		}
 		k.buckets[i] = slot
+		if len(slot) == 0 {
+			k.occ[i>>6] &^= 1 << (i & 63)
+		}
 	}
 	k.curBucket = bn
 	k.curIdx = 0
@@ -347,41 +366,57 @@ func (k *Kernel) retreat(bn int64) {
 
 // refill pulls far-heap entries that now fall inside the window into the
 // ring. It must run whenever the window advances: a far entry can be earlier
-// than ring entries enqueued later under a larger horizon.
+// than ring entries enqueued later under a larger horizon. The loop tests
+// only the tick of the heap's top, in the heap's own array, so an advance
+// that makes nothing due never touches an event; a tombstone on top beyond
+// the horizon stays for settle's warp or compactFar to drop.
 func (k *Kernel) refill() {
 	horizon := Tick(k.curBucket+bucketCount) << bucketShift
-	for len(k.far.s) > 0 {
-		top := k.far.s[0]
-		if !top.live() {
-			k.far.pop()
-			continue
-		}
-		if top.when >= horizon {
-			return
-		}
-		k.far.pop()
-		k.farLive--
-		top.ev.inFar = false
+	for len(k.far.s) > 0 && k.far.s[0].when < horizon {
 		// The slot is never the sorted cursor bucket: refill only runs right
 		// after the cursor moved, which clears curSorted.
-		slot := &k.buckets[bucketOf(top.when)&bucketMask]
-		*slot = append(*slot, top)
-		k.inWindow++
+		if top := k.far.pop(); top.live() {
+			k.farLive--
+			k.store(top)
+		}
 	}
 }
 
-// jumpTo warps the window start to bucket bn. Precondition: inWindow == 0,
+// clearRing empties every slot the bitmap names. Precondition: inWindow == 0,
 // so every ring entry is a tombstone and can be discarded.
-func (k *Kernel) jumpTo(bn int64) {
-	for i := range k.buckets {
-		if len(k.buckets[i]) > 0 {
+func (k *Kernel) clearRing() {
+	for w, word := range k.occ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
 			k.buckets[i] = k.buckets[i][:0]
 		}
+		k.occ[w] = 0
 	}
+}
+
+// jumpTo warps the window start to bucket bn. Precondition: inWindow == 0.
+func (k *Kernel) jumpTo(bn int64) {
+	k.clearRing()
 	k.curBucket = bn
 	k.curIdx = 0
 	k.curSorted = false
 	k.refill()
+}
+
+// nextOccupied returns the ring distance, in [1, bucketCount), from slot i to
+// the next occupied slot after it. Slot i's own bit must be clear and some
+// other bit set, which inWindow > 0 guarantees once slot i is recycled. It
+// reads the rest of slot i's word, the words after it, and last — the ring
+// wraps — that first word again for the bits below i: five words at most.
+func (k *Kernel) nextOccupied(i int64) int64 {
+	for d := int64(1); d <= bucketCount; {
+		s := (i + d) & bucketMask
+		if word := k.occ[s>>6] >> (s & 63); word != 0 {
+			return d + int64(bits.TrailingZeros64(word))
+		}
+		d += 64 - s&63 // to bit 0 of the next word
+	}
+	panic(fmt.Sprintf("sim: queue corruption, %d live ring entries but no occupied slot (now %s)", k.inWindow, k.now))
 }
 
 // compactFar rebuilds the far heap when tombstones outnumber live entries,
@@ -402,10 +437,20 @@ func (k *Kernel) compactFar() {
 	}
 }
 
-// settle positions the drain cursor on the earliest live entry, sorting and
-// advancing as needed. It returns false when no live entries remain. When the
-// window drains it jumps straight to the far heap's minimum instead of
-// crawling empty buckets, so idle gaps cost O(ring) rather than O(gap).
+// ready reports whether the cursor already rests on a live entry of a sorted
+// bucket — the common case between two events of one bucket, and small enough
+// to inline into the fire loop ahead of settle.
+func (k *Kernel) ready() bool {
+	slot := k.buckets[k.curBucket&bucketMask]
+	return k.curSorted && k.curIdx < len(slot) && slot[k.curIdx].live()
+}
+
+// settle positions the drain cursor on the earliest live entry and returns
+// false when no live entries remain. It sorts the cursor bucket, skips stale
+// entries and, when the bucket is exhausted, moves the cursor to the next
+// occupied bucket — or, when the window holds nothing live, to the far heap's
+// minimum. Either move is one step whatever the gap, so idle simulated time
+// costs nothing per bucket.
 func (k *Kernel) settle() bool {
 	for {
 		if k.pending == 0 {
@@ -419,7 +464,8 @@ func (k *Kernel) settle() bool {
 			k.jumpTo(bucketOf(k.far.s[0].when))
 			continue
 		}
-		slot := &k.buckets[k.curBucket&bucketMask]
+		i := k.curBucket & bucketMask
+		slot := &k.buckets[i]
 		if !k.curSorted {
 			if len(*slot) > 1 {
 				// slices.SortFunc, not sort.Slice: the latter builds a
@@ -437,25 +483,33 @@ func (k *Kernel) settle() bool {
 			}
 			k.curIdx++
 		}
-		// Cursor bucket exhausted: recycle the slot, advance, and let far
-		// entries that entered the new horizon migrate in.
+		// Cursor bucket exhausted: recycle the slot. If the ring still holds
+		// live entries, skip to the next occupied bucket and let far entries
+		// that entered the new horizon migrate in. No far entry can lie in
+		// the buckets skipped: each was pushed at or beyond the horizon of its
+		// time and refill has run at every advance since, so the far heap
+		// starts at or beyond the old horizon, past every ring bucket.
 		*slot = (*slot)[:0]
-		k.curBucket++
-		k.curSorted = false
-		k.refill()
+		k.curIdx = 0
+		k.occ[i>>6] &^= 1 << (i & 63)
+		if k.inWindow > 0 {
+			k.curBucket += k.nextOccupied(i)
+			k.curSorted = false
+			k.refill()
+		}
 	}
 }
 
-// head returns the entry under the cursor. Only valid after settle() == true.
-func (k *Kernel) head() qentry {
-	return k.buckets[k.curBucket&bucketMask][k.curIdx]
+// head returns the entry under the cursor. Only valid after settle() == true
+// and until the next schedule, which may move the cursor bucket's entries.
+func (k *Kernel) head() *qentry {
+	return &k.buckets[k.curBucket&bucketMask][k.curIdx]
 }
 
-// step fires the event under the cursor. Only valid after settle() == true.
+// step fires ent, the entry under the cursor.
 //
-//hot:path the fire loop itself
-func (k *Kernel) step() {
-	ent := k.head()
+//hot:path fires one event; run is the loop around it
+func (k *Kernel) step(ent qentry) {
 	k.curIdx++
 	k.inWindow--
 	k.pending--
@@ -479,6 +533,26 @@ func (k *Kernel) step() {
 	cb()
 }
 
+// run is the one fire loop: it executes events with when <= limit until the
+// queue drains, Stop is called or the watchdog trips. The watchdog, when a
+// bound is set, is consulted before every event.
+func (k *Kernel) run(limit Tick) error {
+	k.stopped = false
+	for !k.stopped && (k.ready() || k.settle()) {
+		ent := *k.head()
+		if ent.when > limit {
+			break
+		}
+		if k.wd.Enabled() {
+			if err := k.checkWatchdog(); err != nil {
+				return err
+			}
+		}
+		k.step(ent)
+	}
+	return nil
+}
+
 // Run executes events until the queue drains or Stop is called. It returns
 // the tick of the last executed event. A tripped watchdog panics with the
 // pending-queue dump; embedders that would rather handle the failure use
@@ -494,14 +568,8 @@ func (k *Kernel) Run() Tick {
 // RunErr is Run with graceful failure: a tripped watchdog returns a
 // *WatchdogError (carrying the pending event queue) instead of panicking.
 func (k *Kernel) RunErr() (Tick, error) {
-	k.stopped = false
-	for !k.stopped && k.settle() {
-		if err := k.checkWatchdog(); err != nil {
-			return k.now, err
-		}
-		k.step()
-	}
-	return k.now, nil
+	err := k.run(MaxTick)
+	return k.now, err
 }
 
 // RunUntil executes events with when <= limit. Time is left at the limit if
@@ -519,16 +587,8 @@ func (k *Kernel) RunUntil(limit Tick) Tick {
 // RunUntilErr is RunUntil with graceful failure: a tripped watchdog returns
 // a *WatchdogError instead of panicking.
 func (k *Kernel) RunUntilErr(limit Tick) (Tick, error) {
-	k.stopped = false
-	for !k.stopped && k.settle() {
-		if k.head().when > limit {
-			k.now = limit
-			return k.now, nil
-		}
-		if err := k.checkWatchdog(); err != nil {
-			return k.now, err
-		}
-		k.step()
+	if err := k.run(limit); err != nil {
+		return k.now, err
 	}
 	if k.now < limit {
 		k.now = limit

@@ -177,6 +177,17 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// A limit that is already in the past fires nothing and leaves time alone,
+// whether or not later events are pending.
+func TestRunUntilPastLimitKeepsTime(t *testing.T) {
+	k := NewKernel()
+	k.Schedule(NewEvent("later", func() {}), 100)
+	k.RunUntil(50)
+	if now := k.RunUntil(20); now != 50 || k.Pending() != 1 {
+		t.Fatalf("RunUntil(20) at tick 50: now=%d pending=%d, want 50 and 1", now, k.Pending())
+	}
+}
+
 func TestStopDuringRun(t *testing.T) {
 	k := NewKernel()
 	count := 0

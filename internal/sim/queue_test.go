@@ -44,10 +44,13 @@ func TestQueueCursorRetreat(t *testing.T) {
 	if now := k.RunUntil(Microsecond); now != Microsecond {
 		t.Fatalf("RunUntil left now at %s", now)
 	}
+	checkRing(t, k)
 	// Schedule between runs, earlier than the parked cursor.
 	k.Schedule(NewEvent("behind", func() { order = append(order, "behind") }), 2*Microsecond)
 	k.Schedule(NewEvent("far2", func() { order = append(order, "far2") }), 11*Microsecond)
+	checkRing(t, k)
 	k.Run()
+	checkRing(t, k)
 
 	want := []string{"warm", "behind", "far", "far2"}
 	if len(order) != len(want) {
@@ -108,7 +111,10 @@ func TestQueueRescheduleChurn(t *testing.T) {
 	var got []int
 	for i := range events {
 		i := i
-		events[i] = NewEvent("e", func() { got = append(got, i) })
+		events[i] = NewEvent("e", func() {
+			got = append(got, i)
+			checkRing(t, k)
+		})
 		when[i] = Tick(rng.Int63n(int64(2 * Microsecond)))
 		k.Schedule(events[i], when[i])
 	}
@@ -118,6 +124,7 @@ func TestQueueRescheduleChurn(t *testing.T) {
 			when[i] = Tick(rng.Int63n(int64(2 * Microsecond)))
 			k.Reschedule(events[i], when[i])
 		}
+		checkRing(t, k)
 	}
 	if k.Pending() != n {
 		t.Fatalf("Pending = %d, want %d", k.Pending(), n)
@@ -154,7 +161,9 @@ func TestQueueFarTombstoneTop(t *testing.T) {
 	k.Schedule(far1, Second)
 	k.Schedule(far2, 2*Second)
 	k.Deschedule(far1)
+	checkRing(t, k)
 	k.Run()
+	checkRing(t, k)
 	if !fired || k.Pending() != 0 {
 		t.Fatalf("fired=%v pending=%d", fired, k.Pending())
 	}

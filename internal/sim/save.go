@@ -75,9 +75,7 @@ func (k *Kernel) RestoreClock(c Clock) {
 	if k.pending != 0 {
 		panic(fmt.Sprintf("sim: RestoreClock with %d events still pending (now %s)", k.pending, k.now))
 	}
-	for i := range k.buckets {
-		k.buckets[i] = k.buckets[i][:0]
-	}
+	k.clearRing()
 	k.far.s = k.far.s[:0]
 	k.farLive = 0
 	k.inWindow = 0
