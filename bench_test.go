@@ -309,13 +309,11 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
-// Sharded multi-channel rig: the same 4-channel bandwidth workload stepped
-// serially (workers=1) and by worker goroutines. The schedule — and so the
-// simulated work — is identical in every variant; ns/op differences are pure
-// host-parallelism effects. On a multi-core host the parallel variants win
-// once channels >= 2; BENCH_2.json records the measured ratios.
-func benchSharded(b *testing.B, channels, workers int) {
-	b.Helper()
+// BenchmarkSharded4chSerial is the zero-allocation gate of the shard-link
+// path while the link exists: a 4-channel bandwidth workload on the sharded
+// rig, every kernel stepped on the calling goroutine.
+func BenchmarkSharded4chSerial(b *testing.B) {
+	const channels = 4
 	spec := dram.DDR3_1333_8x8()
 	gens := make([]trafficgen.Config, channels)
 	patterns := make([]trafficgen.Pattern, channels)
@@ -323,7 +321,7 @@ func benchSharded(b *testing.B, channels, workers int) {
 		gens[i] = trafficgen.Config{
 			RequestBytes:   spec.Org.BurstBytes(),
 			MaxOutstanding: 32,
-			Count:          uint64(b.N)/uint64(channels) + 1,
+			Count:          uint64(b.N)/channels + 1,
 			RequestorID:    i,
 		}
 		patterns[i] = &trafficgen.Linear{
@@ -336,7 +334,6 @@ func benchSharded(b *testing.B, channels, workers int) {
 		Channels: channels,
 		Xbar:     xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
 		Gens:     gens, Patterns: patterns,
-		Workers: workers,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -348,12 +345,6 @@ func benchSharded(b *testing.B, channels, workers int) {
 	b.StopTimer()
 	b.ReportMetric(rig.AggregateBandwidth()/1e9, "GB/s")
 }
-
-func BenchmarkSharded2chSerial(b *testing.B)   { benchSharded(b, 2, 1) }
-func BenchmarkSharded2ch2Workers(b *testing.B) { benchSharded(b, 2, 2) }
-func BenchmarkSharded4chSerial(b *testing.B)   { benchSharded(b, 4, 1) }
-func BenchmarkSharded4ch2Workers(b *testing.B) { benchSharded(b, 4, 2) }
-func BenchmarkSharded4ch4Workers(b *testing.B) { benchSharded(b, 4, 4) }
 
 // Micro-benchmarks of the core substrate, for regression tracking.
 

@@ -49,9 +49,8 @@ func main() {
 	ablation := flag.String("ablation", "", "run a design ablation instead: pagepolicy, mapping, scheduler, writedrain, xaw, refresh, xorhash, prefetch, all")
 	jsonOut := flag.String("json", "", "write the sweep result as JSON to this file (atomic temp+rename)")
 	standard := cliconfig.AddStandard(flag.CommandLine)
-	shard := cliconfig.AddShard(flag.CommandLine)
+	channels := cliconfig.AddChannels(flag.CommandLine)
 	flag.Parse()
-	channels, parallel := &shard.Channels, &shard.Workers
 
 	notify, stopNotify := supervisor.NotifySignals()
 	defer stopNotify()
@@ -102,7 +101,7 @@ func main() {
 	var res *experiments.SweepResult
 	var err error
 	if *channels > 1 {
-		res, err = experiments.RunSweepSharded(spec, *channels, *parallel)
+		res, err = experiments.RunSweepMultiChannel(spec, *channels)
 	} else {
 		res, err = experiments.RunSweep(spec)
 	}
@@ -134,7 +133,7 @@ func main() {
 	fmt.Printf("memory: %s, mapping: %s, page: %s, reads: %d%%, %d requests/point\n",
 		spec.Spec.Name, spec.Mapping, pageName(spec.ClosedPage), spec.ReadPct, spec.Requests)
 	if *channels > 1 {
-		fmt.Printf("sharded over %d channels, %d workers (per-channel average utilisation)\n", *channels, *parallel)
+		fmt.Printf("interleaved over %d channels (per-channel average utilisation)\n", *channels)
 	}
 	fmt.Println()
 	fmt.Printf("%-8s", "stride")

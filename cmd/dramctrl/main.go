@@ -1,12 +1,12 @@
 // Command dramctrl is the general-purpose runner: it assembles a traffic
 // source (synthetic pattern or trace file) over one DRAM controller (event-
 // or cycle-based) — or, with -channels N, a generator behind a crossbar over
-// N controllers, each on its own kernel, stepped by -parallel workers — with
-// every policy knob exposed as a flag, runs to completion, and reports
-// bandwidth, latency, power and (optionally) the full statistics dump — the
-// repository's equivalent of driving a gem5 memory configuration from the
-// command line. -channels only selects which topology gets wired; flags,
-// supervision, trace lifecycle and report are one path.
+// N controllers, each on its own kernel, stepped in turn on the calling
+// goroutine — with every policy knob exposed as a flag, runs to completion,
+// and reports bandwidth, latency, power and (optionally) the full statistics
+// dump — the repository's equivalent of driving a gem5 memory configuration
+// from the command line. -channels only selects which topology gets wired;
+// flags, supervision, trace lifecycle and report are one path.
 //
 // Runs are supervised: -checkpoint enables periodic, checksummed snapshots
 // (-checkpoint-every / -checkpoint-wall), -resume continues a run from its
@@ -76,12 +76,12 @@ func main() {
 
 // options is every dramctrl flag.
 type options struct {
-	spec  *cliconfig.Spec
-	pol   *cliconfig.Policy
-	traf  *cliconfig.Traffic
-	shard *cliconfig.Shard
-	sup   *cliconfig.Checkpoint
-	obs   *cliconfig.Obs
+	spec     *cliconfig.Spec
+	pol      *cliconfig.Policy
+	traf     *cliconfig.Traffic
+	channels *int
+	sup      *cliconfig.Checkpoint
+	obs      *cliconfig.Obs
 
 	list          bool
 	powerDownNs   int64
@@ -110,12 +110,12 @@ var singleChannelOnly = []string{
 func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("dramctrl", flag.ContinueOnError)
 	f := &options{
-		spec:  cliconfig.AddSpec(fs, "DDR3-1600-x64"),
-		pol:   cliconfig.AddPolicy(fs, cliconfig.PolicyFlags{Model: true, Sched: true}),
-		traf:  cliconfig.AddTraffic(fs, 10000),
-		shard: cliconfig.AddShard(fs),
-		sup:   cliconfig.AddCheckpoint(fs),
-		obs:   cliconfig.AddObs(fs),
+		spec:     cliconfig.AddSpec(fs, "DDR3-1600-x64"),
+		pol:      cliconfig.AddPolicy(fs, cliconfig.PolicyFlags{Model: true, Sched: true}),
+		traf:     cliconfig.AddTraffic(fs, 10000),
+		channels: cliconfig.AddChannels(fs),
+		sup:      cliconfig.AddCheckpoint(fs),
+		obs:      cliconfig.AddObs(fs),
 	}
 	fs.BoolVar(&f.list, "list", false, "list available memory specs and exit")
 	fs.Int64Var(&f.powerDownNs, "powerdown", 0, "power-down idle threshold in ns (0 = off, event model only)")
@@ -158,7 +158,7 @@ func parseFlags(args []string) (*options, error) {
 			return nil, fmt.Errorf("checkpointing does not support the -interval time series")
 		}
 	}
-	if f.shard.Sharded() {
+	if f.sharded() {
 		var bad string
 		fs.Visit(func(fl *flag.Flag) {
 			if bad == "" && slices.Contains(singleChannelOnly, fl.Name) {
@@ -177,6 +177,9 @@ func parseFlags(args []string) (*options, error) {
 	}
 	return f, nil
 }
+
+// sharded reports whether -channels asked for the multi-channel topology.
+func (f *options) sharded() bool { return *f.channels > 1 }
 
 // tuneEvent applies the policy flags to an event-based controller
 // configuration; both topologies get them from here.
@@ -230,11 +233,11 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 	// so the instrumented paths stay a single branch). With -trace each hub
 	// feeds its own tracer — hubs[0] the frontend (the only kernel of a
 	// single-channel run), the rest one channel shard each — and the sink
-	// drains them in this fixed order from the single-threaded step hook,
-	// which is what makes the file independent of the worker count.
+	// drains them in this fixed order from the step hook, so the file is a
+	// function of the configuration alone.
 	hubs := make([]*obs.Hub, 1)
-	if f.shard.Sharded() {
-		hubs = make([]*obs.Hub, 1+f.shard.Channels)
+	if f.sharded() {
+		hubs = make([]*obs.Hub, 1+*f.channels)
 	}
 	var tw *obs.TraceWriter
 	var tracers []*obs.Tracer
@@ -253,7 +256,7 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 	}
 
 	var r *rig
-	if f.shard.Sharded() {
+	if f.sharded() {
 		r, err = wireSharded(f, spec, mapping, page, hubs)
 	} else {
 		r, err = wireSingle(f, spec, mapping, page, hubs[0], live, out)
@@ -282,34 +285,31 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 	return r, nil
 }
 
-// wireSharded builds the parallel per-channel rig: crossbar and generator on
-// a frontend kernel, each channel's controller on its own kernel, stepped by
-// -parallel worker goroutines. Statistics and trace are identical for any
-// worker count; only host wall-clock changes. Shards checkpoint at quantum
-// barriers.
+// wireSharded builds the per-channel rig: crossbar and generator on a
+// frontend kernel, each channel's controller on its own kernel behind a link,
+// all stepped on the calling goroutine one link latency at a time. Shards
+// checkpoint at those quantum barriers.
 func wireSharded(f *options, spec dram.Spec, mapping dram.Mapping, page core.PagePolicy, hubs []*obs.Hub) (*rig, error) {
 	kind, err := f.pol.SystemKind()
 	if err != nil {
 		return nil, err
 	}
-	pat, err := f.traf.BuildPattern(spec, mapping, f.shard.Channels)
+	pat, err := f.traf.BuildPattern(spec, mapping, *f.channels)
 	if err != nil {
 		return nil, err
 	}
 	sr, err := system.NewShardedRig(system.ShardedConfig{
-		Kind:           kind,
-		Spec:           spec,
-		Mapping:        mapping,
-		ClosedPage:     f.pol.ClosedPage(),
-		TuneEvent:      f.tuneEvent(page),
-		Channels:       f.shard.Channels,
-		Xbar:           xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-		Gens:           []trafficgen.Config{f.traf.GenConfig()},
-		Patterns:       []trafficgen.Pattern{pat},
-		Workers:        f.shard.Workers,
-		AdaptiveQuanta: f.shard.Quanta,
-		FrontProbes:    hubs[0],
-		ShardProbes:    hubs[1:],
+		Kind:        kind,
+		Spec:        spec,
+		Mapping:     mapping,
+		ClosedPage:  f.pol.ClosedPage(),
+		TuneEvent:   f.tuneEvent(page),
+		Channels:    *f.channels,
+		Xbar:        xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
+		Gens:        []trafficgen.Config{f.traf.GenConfig()},
+		Patterns:    []trafficgen.Pattern{pat},
+		FrontProbes: hubs[0],
+		ShardProbes: hubs[1:],
 	})
 	if err != nil {
 		return nil, err
@@ -521,8 +521,7 @@ func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete b
 	fmt.Fprintf(out, "spec %s, model %s, mapping %s, page %s\n", spec.Name, f.pol.Model, mapping, f.pol.Page)
 	fmt.Fprintf(out, "simulated %s in %d events\n", r.sess.Now(), events)
 	if sr := r.sharded; sr != nil {
-		fmt.Fprintf(out, "%d channels sharded over %d workers, lookahead %s\n",
-			f.shard.Channels, f.shard.Workers, sr.Lookahead())
+		fmt.Fprintf(out, "%d channels, one kernel each, lookahead %s\n", *f.channels, sr.Lookahead())
 		fmt.Fprintf(out, "aggregate bandwidth %.2f GB/s (%.1f%% avg bus utilisation)\n",
 			sr.AggregateBandwidth()/1e9, sr.AvgBusUtilisation()*100)
 		for i, c := range r.ctrls {

@@ -16,7 +16,7 @@ import (
 // topologies are the flag prefixes selecting each wiring.
 var topologies = map[string][]string{
 	"1ch": {"-pattern", "random", "-reads", "67", "-requests", "3000"},
-	"4ch": {"-pattern", "random", "-reads", "67", "-requests", "3000", "-channels", "4", "-parallel", "2"},
+	"4ch": {"-pattern", "random", "-reads", "67", "-requests", "3000", "-channels", "4"},
 }
 
 // dramctrl runs the tool in-process and returns its stdout.
@@ -136,6 +136,8 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 	}
 
 	const single = "single-channel only"
+	const undefined = "flag provided but not defined"
+	const noChannel = "need at least one channel"
 	for _, c := range []struct {
 		want  string
 		flags []string
@@ -146,6 +148,11 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		{single, []string{"-obs-sample", "1000"}}, {single, []string{"-model", "cycle", "-sched", "fcfs"}},
 		// A mistyped -spec is rejected even when -standard overrides it.
 		{`unknown spec "nosuch"`, []string{"-spec", "nosuch", "-standard", "ddr4"}},
+		// A channel count below one is not "one channel" (a later -channels
+		// overrides the base's), and the worker and quantum knobs are gone.
+		{noChannel, []string{"-channels", "0"}}, {noChannel, []string{"-channels", "-3"}},
+		{undefined + ": -parallel", []string{"-parallel", "2"}},
+		{undefined + ": -lookahead-quanta", []string{"-lookahead-quanta", "8"}},
 	} {
 		if _, err := dramctrl(t, with(c.flags...)...); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: err = %v, want a rejection naming %q", c.flags, err, c.want)
@@ -169,8 +176,7 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 
 // A checkpoint is not resumed under another configuration, and the refusal
 // names the component that states the knob and the field — nothing in this
-// command lists its flags for the purpose. The worker count is the one knob
-// a resume may change.
+// command lists its flags for the purpose. The same flags resume.
 func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 	for _, tc := range []struct {
 		base  []string
@@ -178,8 +184,7 @@ func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 		want  string // "" = the resume is accepted
 	}{
 		{[]string{"-channels", "2"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS"`},
-		{[]string{"-channels", "2"}, []string{"-lookahead-quanta", "8"}, "session: AdaptiveQuanta: checkpoint 1, this run 8"},
-		{[]string{"-channels", "2", "-parallel", "4"}, []string{"-parallel", "1"}, ""},
+		{[]string{"-channels", "2"}, nil, ""},
 		{[]string{"-page", "open"}, []string{"-page", "closed"}, `mc0: Page: checkpoint "open", this run "closed"`},
 	} {
 		ckpt := filepath.Join(t.TempDir(), "run.ckpt")

@@ -46,8 +46,11 @@ import (
 // change to the framing, the body schema, a component's section schema, or
 // the section names (v2: every topology registers through system.Session, so
 // single-kernel sections became front/mc0/gen0; v3: the body carries each
-// component's stated configuration in place of a caller-written string).
-const Version = 3
+// component's stated configuration in place of a caller-written string; v4:
+// the session states {Scope, Step} only — every v3 file also states an
+// adaptive-quanta count this build no longer has, so it is refused here by
+// version rather than later as a mismatch on a field that is gone).
+const Version = 4
 
 // Checkpointable is implemented by every component that owns simulation
 // state. CheckpointSave returns a JSON-serializable image of the component

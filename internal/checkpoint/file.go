@@ -20,8 +20,8 @@ import (
 // so a torn or bit-rotted file produces a clean error, never a panic or a
 // silently wrong resume.
 //
-//	DRAMCKPT v3 crc32=9a3e12f0 len=8412
-//	{"version":3,"configs":{"mc0":{...},...},"packets":[...],"sections":{...}}
+//	DRAMCKPT v4 crc32=9a3e12f0 len=8412
+//	{"version":4,"configs":{"mc0":{...},...},"packets":[...],"sections":{...}}
 
 const magic = "DRAMCKPT"
 

@@ -130,13 +130,21 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsV2 pins the format bump: a v2 image (caller-written
-// fingerprint, no configs) is refused by the version message, not parsed.
-func TestRestoreRejectsV2(t *testing.T) {
-	err := restoreErr(t, func(img []byte) []byte {
-		return []byte(strings.Replace(string(img), "DRAMCKPT v3 ", "DRAMCKPT v2 ", 1))
-	})
-	wantErr(t, err, "format v2, this build reads v3")
+// TestRestoreRejectsV3 pins the format bump: a v3 image (whose session
+// states an adaptive-quanta count this build no longer has) is refused by the
+// version message before any section is applied, not compared field by field.
+func TestRestoreRejectsV3(t *testing.T) {
+	m, _ := newFakeManager("fp", 7)
+	img, err := m.Save()
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	v3 := strings.Replace(string(img), "DRAMCKPT v4 ", "DRAMCKPT v3 ", 1)
+	m2, c2 := newFakeManager("fp", 0)
+	wantErr(t, m2.Restore([]byte(v3)), "format v3, this build reads v4")
+	if c2.v != 0 {
+		t.Fatalf("refused restore still applied the section (v = %d)", c2.v)
+	}
 }
 
 // TestDescribeIsCompared covers configuration stated without a component.

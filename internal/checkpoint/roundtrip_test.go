@@ -172,7 +172,7 @@ func TestTrafficRigResumeBitIdentical(t *testing.T) {
 	}
 }
 
-func buildShardedRig(t *testing.T, kind system.Kind, workers, quanta int, requests uint64) *system.ShardedRig {
+func buildShardedRig(t *testing.T, kind system.Kind, workers int, requests uint64) *system.ShardedRig {
 	t.Helper()
 	rig, err := system.NewShardedRig(system.ShardedConfig{
 		Kind:     kind,
@@ -185,9 +185,8 @@ func buildShardedRig(t *testing.T, kind system.Kind, workers, quanta int, reques
 			MaxOutstanding: 32,
 			Count:          requests,
 		}},
-		Patterns:       []trafficgen.Pattern{randomPattern()},
-		Workers:        workers,
-		AdaptiveQuanta: quanta,
+		Patterns: []trafficgen.Pattern{randomPattern()},
+		Workers:  workers,
 	})
 	if err != nil {
 		t.Fatalf("build sharded rig: %v", err)
@@ -199,80 +198,77 @@ func buildShardedRig(t *testing.T, kind system.Kind, workers, quanta int, reques
 // barrier and resumes it — under the same and under a different worker count
 // (the session deliberately does not state its workers: statistics are
 // worker-count independent). Every final dump must match the serial
-// uninterrupted run. The quanta axis covers the adaptive lookahead:
-// AdaptiveQuanta changes the barrier schedule, so the session states it, and
-// a kill-and-resume under any worker count must replay the same adaptive
-// horizon decisions.
+// uninterrupted run.
 func TestShardedResumeBitIdentical(t *testing.T) {
 	const requests = 2000
 	for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
-		for _, quanta := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s-q%d", kind, quanta), func(t *testing.T) {
-				deadline := sim.Second
+		// "-q1": the one barrier schedule, a quantum of one link latency. The
+		// suffix keeps these subtests under the ids they have always had.
+		t.Run(kind.String()+"-q1", func(t *testing.T) {
+			deadline := sim.Second
 
-				ref := buildShardedRig(t, kind, 1, quanta, requests)
-				rs, err := ref.NewSession("", deadline)
-				if err != nil {
-					t.Fatalf("session: %v", err)
-				}
-				rs.Start()
-				runToEnd(t, rs)
-				rs.Close()
-				want := dumpStats(t, ref.Reg)
-				endTick := rs.Now()
+			ref := buildShardedRig(t, kind, 1, requests)
+			rs, err := ref.NewSession("", deadline)
+			if err != nil {
+				t.Fatalf("session: %v", err)
+			}
+			rs.Start()
+			runToEnd(t, rs)
+			rs.Close()
+			want := dumpStats(t, ref.Reg)
+			endTick := rs.Now()
 
-				for _, w := range []struct{ save, resume int }{
-					{save: 1, resume: 1},
-					{save: 3, resume: 3},
-					{save: 3, resume: 1}, // cross-worker-count resume
-				} {
-					name := fmt.Sprintf("save-w%d-resume-w%d", w.save, w.resume)
-					t.Run(name, func(t *testing.T) {
-						mid := buildShardedRig(t, kind, w.save, quanta, requests)
-						ms, err := mid.NewSession("", deadline)
+			for _, w := range []struct{ save, resume int }{
+				{save: 1, resume: 1},
+				{save: 3, resume: 3},
+				{save: 3, resume: 1}, // cross-worker-count resume
+			} {
+				name := fmt.Sprintf("save-w%d-resume-w%d", w.save, w.resume)
+				t.Run(name, func(t *testing.T) {
+					mid := buildShardedRig(t, kind, w.save, requests)
+					ms, err := mid.NewSession("", deadline)
+					if err != nil {
+						t.Fatalf("session: %v", err)
+					}
+					ms.Start()
+					for ms.Now() < endTick/3 {
+						done, err := ms.Step()
 						if err != nil {
-							t.Fatalf("session: %v", err)
+							t.Fatalf("step: %v", err)
 						}
-						ms.Start()
-						for ms.Now() < endTick/3 {
-							done, err := ms.Step()
-							if err != nil {
-								t.Fatalf("step: %v", err)
-							}
-							if done {
-								t.Fatalf("run finished at %s, before the checkpoint point", ms.Now())
-							}
+						if done {
+							t.Fatalf("run finished at %s, before the checkpoint point", ms.Now())
 						}
-						// Between Steps every shard is parked at the barrier and
-						// all link outboxes are flushed: the only state in which a
-						// sharded checkpoint is valid.
-						img, err := ms.Manager().Save()
-						ms.Close()
-						if err != nil {
-							t.Fatalf("save at %s: %v", ms.Now(), err)
-						}
+					}
+					// Between Steps every shard is parked at the barrier and
+					// all link outboxes are flushed: the only state in which a
+					// sharded checkpoint is valid.
+					img, err := ms.Manager().Save()
+					ms.Close()
+					if err != nil {
+						t.Fatalf("save at %s: %v", ms.Now(), err)
+					}
 
-						res := buildShardedRig(t, kind, w.resume, quanta, requests)
-						ss, err := res.NewSession("", deadline)
-						if err != nil {
-							t.Fatalf("session: %v", err)
-						}
-						if err := ss.Manager().Restore(img); err != nil {
-							t.Fatalf("restore: %v", err)
-						}
-						runToEnd(t, ss)
-						ss.Close()
+					res := buildShardedRig(t, kind, w.resume, requests)
+					ss, err := res.NewSession("", deadline)
+					if err != nil {
+						t.Fatalf("session: %v", err)
+					}
+					if err := ss.Manager().Restore(img); err != nil {
+						t.Fatalf("restore: %v", err)
+					}
+					runToEnd(t, ss)
+					ss.Close()
 
-						if ss.Now() != endTick {
-							t.Errorf("resumed run ended at %s, uninterrupted at %s", ss.Now(), endTick)
-						}
-						if got := dumpStats(t, res.Reg); !bytes.Equal(got, want) {
-							t.Errorf("resumed sharded statistics differ from serial uninterrupted run\nuninterrupted: %s\nresumed:       %s", want, got)
-						}
-					})
-				}
-			})
-		}
+					if ss.Now() != endTick {
+						t.Errorf("resumed run ended at %s, uninterrupted at %s", ss.Now(), endTick)
+					}
+					if got := dumpStats(t, res.Reg); !bytes.Equal(got, want) {
+						t.Errorf("resumed sharded statistics differ from serial uninterrupted run\nuninterrupted: %s\nresumed:       %s", want, got)
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -300,9 +296,9 @@ func buildMultiChannelRig(t *testing.T, requests uint64) *system.MultiChannelRig
 // TestCompletionCheckpointRestoresDone closes the matrix at its far end: a
 // session restored from the checkpoint of a FINISHED run must report done on
 // its first Step without advancing — same Now, same statistics, and saving it
-// again yields the same bytes — for every topology, both models, fixed and
-// adaptive quanta, and any worker count. (Advancing past the recorded end
-// skews every time-normalised statistic; bus utilisation divides by Now.)
+// again yields the same bytes — for every topology, both models, and any
+// worker count. (Advancing past the recorded end skews every time-normalised
+// statistic; bus utilisation divides by Now.)
 func TestCompletionCheckpointRestoresDone(t *testing.T) {
 	const requests = 1000
 	type built struct {
@@ -332,13 +328,11 @@ func TestCompletionCheckpointRestoresDone(t *testing.T) {
 		}})
 	}
 	for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
-		for _, quanta := range []int{1, 8} {
-			cases = append(cases, matrixCase{fmt.Sprintf("sharded-%s-q%d", kind, quanta), func(workers int) built {
-				r := buildShardedRig(t, kind, workers, quanta, requests)
-				s, err := r.NewSession("", sim.Second)
-				return open(s, err, r.Reg)
-			}})
-		}
+		cases = append(cases, matrixCase{fmt.Sprintf("sharded-%s-q1", kind), func(workers int) built {
+			r := buildShardedRig(t, kind, workers, requests)
+			s, err := r.NewSession("", sim.Second)
+			return open(s, err, r.Reg)
+		}})
 	}
 	for _, c := range cases {
 		build := c.build
@@ -577,10 +571,9 @@ func TestShardedResumeMidLowPower(t *testing.T) {
 				MaxOutstanding: 32,
 				Count:          requests,
 			}},
-			Patterns:       []trafficgen.Pattern{lowPowerPattern()},
-			TuneEvent:      tuneLowPower,
-			Workers:        workers,
-			AdaptiveQuanta: 8,
+			Patterns:  []trafficgen.Pattern{lowPowerPattern()},
+			TuneEvent: tuneLowPower,
+			Workers:   workers,
 		})
 		if err != nil {
 			t.Fatalf("build sharded rig: %v", err)

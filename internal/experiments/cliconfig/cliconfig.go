@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -250,27 +251,27 @@ func AddRequests(fs *flag.FlagSet, def uint64, usage string) *uint64 {
 	return fs.Uint64("requests", def, usage)
 }
 
-// --- Sharding group --------------------------------------------------------
+// --- Channels flag ---------------------------------------------------------
 
-// Shard is the -channels / -parallel / -lookahead-quanta flag group.
-type Shard struct {
-	Channels int
-	Workers  int
-	Quanta   int
+// AddChannels registers -channels (default 1): the number of DRAM channels,
+// behind a crossbar when there is more than one. A count below one is a
+// parse error here, for every tool; a count that is not a power of two is
+// refused later by dram.NewDecoder.
+func AddChannels(fs *flag.FlagSet) *int {
+	channels := 1
+	fs.Func("channels", "DRAM channels, behind a crossbar when > 1 (a power of two; default 1)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return err
+		}
+		if n < 1 {
+			return fmt.Errorf("need at least one channel")
+		}
+		channels = n
+		return nil
+	})
+	return &channels
 }
-
-// AddShard registers the sharding flags (defaults: one channel, one worker,
-// fixed quantum).
-func AddShard(fs *flag.FlagSet) *Shard {
-	s := &Shard{}
-	fs.IntVar(&s.Channels, "channels", 1, "DRAM channels behind a crossbar (sharded rig when > 1)")
-	fs.IntVar(&s.Workers, "parallel", 1, "worker goroutines stepping channel shards (statistics are worker-count independent)")
-	fs.IntVar(&s.Quanta, "lookahead-quanta", 1, "widen the barrier quantum up to N lookaheads when shards are idle (changes the schedule, so a checkpoint resumes only under the same value)")
-	return s
-}
-
-// Sharded reports whether the multi-channel rig was requested.
-func (s *Shard) Sharded() bool { return s.Channels > 1 }
 
 // --- Checkpoint group ------------------------------------------------------
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
@@ -253,6 +254,36 @@ func TestSweepSpecDefaults(t *testing.T) {
 	}
 	if Fig4Spec(1).ReadPct != 50 || !Fig5Spec(1).ClosedPage {
 		t.Fatal("figure specs drifted")
+	}
+}
+
+// The multi-channel sweep is repeatable and produces a utilisation in (0, 1]
+// for both models at every point.
+func TestRunSweepMultiChannel(t *testing.T) {
+	s := Fig3Spec(200)
+	s.Strides = []uint64{4, 16}
+	s.Banks = []int{4}
+	res, err := RunSweepMultiChannel(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := RunSweepMultiChannel(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(res.Rows))
+	}
+	if !reflect.DeepEqual(res.Rows, again.Rows) {
+		t.Fatalf("two runs of the same sweep differ:\n%+v\n%+v", res.Rows, again.Rows)
+	}
+	for _, row := range res.Rows {
+		for _, u := range []float64{row.EventUtil, row.CycleUtil} {
+			if u <= 0 || u > 1 {
+				t.Fatalf("stride %d: utilisation %.3f outside (0, 1] (ev=%.3f cy=%.3f)",
+					row.StrideBursts, u, row.EventUtil, row.CycleUtil)
+			}
+		}
 	}
 }
 

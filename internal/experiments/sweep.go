@@ -131,14 +131,14 @@ func trafficGenConfig(s SweepSpec) trafficgen.Config {
 	}
 }
 
-// runShardedPoint measures one model at one sweep point on the sharded
+// runMultiChannelPoint measures one model at one sweep point on the
 // multi-channel rig and returns the average per-channel bus utilisation.
-func runShardedPoint(kind system.Kind, s SweepSpec, stride uint64, banks, channels, workers int) (float64, error) {
+func runMultiChannelPoint(kind system.Kind, s SweepSpec, stride uint64, banks, channels int) (float64, error) {
 	pattern, err := sweepPattern(s, stride, banks, channels)
 	if err != nil {
 		return 0, err
 	}
-	rig, err := system.NewShardedRig(system.ShardedConfig{
+	rig, err := system.NewMultiChannelRig(system.MultiChannelConfig{
 		Kind:       kind,
 		Spec:       s.Spec,
 		Mapping:    s.Mapping,
@@ -151,15 +151,18 @@ func runShardedPoint(kind system.Kind, s SweepSpec, stride uint64, banks, channe
 			Count:          s.Requests,
 		}},
 		Patterns: []trafficgen.Pattern{pattern},
-		Workers:  workers,
 	})
 	if err != nil {
 		return 0, err
 	}
 	if !rig.Run(sim.Second) {
-		return 0, fmt.Errorf("experiments: sharded %s point stride=%d banks=%d did not complete", kind, stride, banks)
+		return 0, fmt.Errorf("experiments: %d-channel %s point stride=%d banks=%d did not complete", channels, kind, stride, banks)
 	}
-	return rig.AvgBusUtilisation(), nil
+	var util float64
+	for _, c := range rig.Ctrls {
+		util += c.BusUtilisation()
+	}
+	return util / float64(len(rig.Ctrls)), nil
 }
 
 // RunSweep executes the full sweep on both models.
@@ -169,13 +172,12 @@ func RunSweep(s SweepSpec) (*SweepResult, error) {
 	})
 }
 
-// RunSweepSharded executes the sweep on the sharded multi-channel rig: the
-// same traffic interleaved over `channels` channels, each channel's
-// controller on its own kernel, stepped by `workers` goroutines. The
-// reported utilisation is the per-channel average.
-func RunSweepSharded(s SweepSpec, channels, workers int) (*SweepResult, error) {
+// RunSweepMultiChannel executes the sweep with the same traffic interleaved
+// over `channels` channels behind a crossbar, on one kernel. The reported
+// utilisation is the per-channel average.
+func RunSweepMultiChannel(s SweepSpec, channels int) (*SweepResult, error) {
 	return runSweepWith(s, func(kind system.Kind, stride uint64, banks int) (float64, error) {
-		return runShardedPoint(kind, s, stride, banks, channels, workers)
+		return runMultiChannelPoint(kind, s, stride, banks, channels)
 	})
 }
 

@@ -78,9 +78,9 @@ func (p *pipe) flush() int {
 		return 0
 	}
 	// Lookahead check: every published packet must be due at or after the
-	// destination clock. With fixed quanta the head alone would do (offers
-	// are nondecreasing), but under adaptive lookahead the quantum widens
-	// and narrows between barriers, so validate every entry — a violated
+	// destination clock. Offers are nondecreasing, so the head alone would
+	// do while every caller keeps the quantum within the link latency; the
+	// link does not get to assume that, so validate every entry — a violated
 	// entry anywhere means the packet is due in the destination's past and
 	// determinism is already lost. Fail loudly.
 	for i := range p.outbox {

@@ -70,9 +70,8 @@ func TestPipeOfferOrderEnforced(t *testing.T) {
 	p.offer(&Packet{}, 11)
 }
 
-// TestPipeFlushValidatesEveryEntry: with adaptive lookahead the quantum can
-// widen, so flush must reject a late packet anywhere in the outbox, not
-// just at the head.
+// TestPipeFlushValidatesEveryEntry: flush must reject a late packet anywhere
+// in the outbox, not just at the head.
 func TestPipeFlushValidatesEveryEntry(t *testing.T) {
 	dst := sim.NewKernel()
 	ev := sim.NewEvent("advance", func() {})

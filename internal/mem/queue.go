@@ -3,12 +3,12 @@ package mem
 import "repro/internal/sim"
 
 // PacketQueue is a FIFO of packets, each stamped with a tick (when it may
-// leave, for the latency queues of the crossbar and the caches; the plain
-// FIFOs — cache.wbQueue, GPU.blocked — push 0 and ignore it), over a ring
-// buffer. A pop-front slice (q = q[1:] … append) strands its capacity and
-// reallocates on almost every push; the ring reuses its slots, so a queue
-// that has reached its high-water mark — or was sized with Reserve — pushes
-// and pops without allocating. The zero value is an empty queue.
+// leave, for the latency queues of the crossbar and the caches; a plain FIFO
+// — cache.wbQueue — pushes 0 and ignores it), over a ring buffer. A
+// pop-front slice (q = q[1:] … append) strands its capacity and reallocates
+// on almost every push; the ring reuses its slots, so a queue that has
+// reached its high-water mark — or was sized with Reserve — pushes and pops
+// without allocating. The zero value is an empty queue.
 type PacketQueue struct {
 	buf  []timedPkt
 	head int // index of the oldest entry

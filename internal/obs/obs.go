@@ -15,7 +15,7 @@
 //     kernel goroutine, in emission order; nothing in this package consults
 //     wall-clock time or global randomness, so any probe-derived output can
 //     be byte-identical across runs (the tracer's tests assert exactly
-//     that, including across -parallel worker counts).
+//     that, including across sharded worker counts).
 //   - Composable. A probe is one method; built-ins (Tracer, Sampler,
 //     CommandFunc) cover lifecycle tracing, time-series metrics and the
 //     DRAMPower-style command-trace analysis without the core knowing any

@@ -1,6 +1,6 @@
 // Trace determinism and checkpoint tests: the headline guarantees of the
 // observability layer are that a trace is byte-identical across identical
-// runs, byte-identical across -parallel worker counts, reconciles with the
+// runs, byte-identical across sharded worker counts, reconciles with the
 // aggregate statistics, and survives a checkpoint/restore cycle exactly.
 package obs_test
 

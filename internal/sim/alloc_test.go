@@ -62,7 +62,7 @@ func TestCallSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPeekNextMatchesRunOrder checks the adaptive-lookahead primitive: the
+// TestPeekNextMatchesRunOrder checks the event-by-event stepping primitive: the
 // peeked tick is exactly the tick the next RunUntil executes first, peeking
 // does not disturb the schedule, and an empty kernel reports no event.
 func TestPeekNextMatchesRunOrder(t *testing.T) {

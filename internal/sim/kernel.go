@@ -276,13 +276,11 @@ func (k *Kernel) recycle(e *Event) {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // PeekNext returns the tick of the earliest pending event without executing
-// anything, and reports whether one exists. It is the primitive behind the
-// sharded rig's adaptive conservative lookahead: no component on this kernel
-// can act — and in particular cannot emit cross-shard traffic — before this
-// tick. Peeking settles the drain cursor exactly as the next Run/RunUntil
-// would, so it is deterministic and safe between runs; it must only be
-// called from the goroutine that owns the kernel (in a sharded run, the
-// single-threaded barrier section).
+// anything, and reports whether one exists: no component on this kernel can
+// act before this tick, which is what lets a test or an oracle step a kernel
+// event by event. Peeking settles the drain cursor exactly as the next
+// Run/RunUntil would, so it is deterministic and safe between runs; it must
+// only be called from the goroutine that owns the kernel.
 func (k *Kernel) PeekNext() (Tick, bool) {
 	if !k.settle() {
 		return 0, false

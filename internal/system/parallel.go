@@ -43,10 +43,11 @@ import (
 // The sharded topology is not timing-identical to MultiChannelRig: each
 // request pays one extra link hop each way (the lookahead latency), which
 // models the physical channel interconnect the single-kernel rig folds into
-// the crossbar. Sharding pays off once channels >= 2 and the per-quantum
-// event work outweighs barrier overhead; with one channel (or on a single
-// hardware thread) prefer Workers <= 1, which runs the same deterministic
-// schedule without goroutine overhead.
+// the crossbar. It has never paid: stepped serially the sharded rig costs
+// about 1.7x the one-kernel rig on the same traffic, and under workers it
+// runs at 0.4-0.5x of its own serial speed (the barrier is 2 ns of simulated
+// time). The rig stays only because the frozen benchmark constructs it;
+// ROADMAP item 2 has the removal order.
 
 // ShardedConfig shapes a ShardedRig.
 type ShardedConfig struct {
@@ -65,15 +66,6 @@ type ShardedConfig struct {
 	// the session does not state it as checkpoint identity: a checkpoint
 	// taken with four workers resumes under one.
 	Workers int
-	// AdaptiveQuanta widens the barrier quantum when the system is idle: a
-	// value Q > 1 lets Step advance up to Q lookaheads per barrier, bounded
-	// by the earliest pending event plus the lookahead (see Session.horizon
-	// for the safety argument). 0 or 1 keeps the fixed quantum. The adaptive
-	// and fixed schedules are EACH deterministic and worker-count
-	// independent, but they differ from each other (barrier ticks shift event
-	// sequence numbers), so the session states AdaptiveQuanta as part of its
-	// checkpoint identity (Session.Supervise).
-	AdaptiveQuanta int
 	// TuneEvent optionally adjusts the matched event-based controller
 	// configuration, as in RigConfig. What it tunes is still checkpoint
 	// identity: each controller states the configuration it was built with.
@@ -101,10 +93,9 @@ type ShardedRig struct {
 	Ctrls []Controller
 	Links []*mem.ShardLink
 
-	workers        int
-	lookahead      sim.Tick
-	adaptiveQuanta int
-	frontHub       *obs.Hub // nil when no frontend probe is attached
+	workers   int
+	lookahead sim.Tick
+	frontHub  *obs.Hub // nil when no frontend probe is attached
 }
 
 // NewShardedRig builds the sharded multi-channel system.
@@ -133,13 +124,12 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 		return nil, err
 	}
 	rig := &ShardedRig{
-		Front:          front,
-		Reg:            reg,
-		Xbar:           xb,
-		workers:        cfg.Workers,
-		lookahead:      lookahead,
-		adaptiveQuanta: cfg.AdaptiveQuanta,
-		frontHub:       cfg.FrontProbes.OrNil(),
+		Front:     front,
+		Reg:       reg,
+		Xbar:      xb,
+		workers:   cfg.Workers,
+		lookahead: lookahead,
+		frontHub:  cfg.FrontProbes.OrNil(),
 	}
 	for i := 0; i < cfg.Channels; i++ {
 		ck := sim.NewKernel()
@@ -180,7 +170,7 @@ func (r *ShardedRig) session() Session {
 	kernels := append([]*sim.Kernel{r.Front}, r.Chans...)
 	return Session{
 		kernels: kernels, links: r.Links, reg: r.Reg, xbar: r.Xbar, ctrls: r.Ctrls, sources: sourcesOf(r.Gens),
-		step: r.lookahead, adaptive: r.adaptiveQuanta, frontHub: r.frontHub,
+		step: r.lookahead, frontHub: r.frontHub,
 		workers: startWorkers(kernels, r.workers),
 	}
 }

@@ -140,93 +140,6 @@ func TestShardedSpreadsWork(t *testing.T) {
 	}
 }
 
-// adaptiveConfig is shardedConfig with the adaptive horizon enabled; spaced
-// throttles the generators so the system has idle stretches where the
-// horizon actually widens (a saturating workload pins it near the floor).
-func adaptiveConfig(channels, workers, quanta int, spaced bool) ShardedConfig {
-	cfg := shardedConfig(EventBased, channels, workers, false)
-	cfg.AdaptiveQuanta = quanta
-	if spaced {
-		for i := range cfg.Gens {
-			cfg.Gens[i].Count = 120
-			cfg.Gens[i].InterTransaction = 200 * sim.Nanosecond
-		}
-	}
-	return cfg
-}
-
-// sessionStats runs a sharded rig through an explicit session so the test
-// can read the barrier count alongside the stats dump.
-func sessionStats(t *testing.T, cfg ShardedConfig) (string, sim.Tick, uint64) {
-	t.Helper()
-	rig, err := NewShardedRig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := rig.NewSession("", rig.Front.Now()+50*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Start()
-	for {
-		done, err := s.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	var buf bytes.Buffer
-	if err := rig.Reg.DumpJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String(), rig.Front.Now(), s.Steps()
-}
-
-// The adaptive horizon keeps the tentpole claim: for every quanta value the
-// run is bit-identical across worker counts and repeatable, on both a
-// saturating workload (horizon pinned near the floor) and a spaced one
-// (horizon actually widening). Under -race this also exercises the adaptive
-// path for data races.
-func TestShardedAdaptiveDeterministicAcrossWorkers(t *testing.T) {
-	for _, quanta := range []int{4, 64} {
-		for _, spaced := range []bool{false, true} {
-			t.Run(fmt.Sprintf("q%d_spaced%v", quanta, spaced), func(t *testing.T) {
-				serial, serialNow, _ := sessionStats(t, adaptiveConfig(2, 1, quanta, spaced))
-				for _, workers := range []int{2, 4} {
-					par, parNow, _ := sessionStats(t, adaptiveConfig(2, workers, quanta, spaced))
-					if par != serial {
-						t.Fatalf("workers=%d adaptive stats differ from serial run", workers)
-					}
-					if parNow != serialNow {
-						t.Fatalf("workers=%d finished at %s, serial at %s", workers, parNow, serialNow)
-					}
-				}
-				again, _, _ := sessionStats(t, adaptiveConfig(2, 3, quanta, spaced))
-				if again != serial {
-					t.Fatal("repeated adaptive run diverged")
-				}
-			})
-		}
-	}
-}
-
-// The adaptive horizon is the point of the feature: on a spaced workload it
-// must execute materially fewer barriers than the fixed quantum for the same
-// workload. (The completion tick is a barrier tick, so it may differ between
-// the two schedules — that is the documented schedule difference, not an
-// event-timing change.)
-func TestShardedAdaptiveFewerBarriers(t *testing.T) {
-	_, _, fixedSteps := sessionStats(t, adaptiveConfig(2, 1, 1, true))
-	_, _, adptSteps := sessionStats(t, adaptiveConfig(2, 1, 64, true))
-	if adptSteps*2 >= fixedSteps {
-		t.Fatalf("adaptive ran %d barriers vs fixed %d: expected at least a 2x reduction on a spaced workload",
-			adptSteps, fixedSteps)
-	}
-}
-
 // Two shards panicking in the same quantum must BOTH be reported, each with
 // its worker and kernel identity — and the session must stay closeable (the
 // worker pool survives its shards' panics).
@@ -301,7 +214,7 @@ func TestShardedMultiPanicAttribution(t *testing.T) {
 }
 
 // A sharded run with one channel and no extra workers degenerates to plain
-// serial simulation and still completes (the CLI's -parallel 1 path).
+// serial simulation and still completes.
 func TestShardedSingleChannelSerial(t *testing.T) {
 	cfg := shardedConfig(EventBased, 1, 0, false)
 	rig, err := NewShardedRig(cfg)

@@ -57,7 +57,6 @@ type Session struct {
 	reg     *stats.Registry
 
 	step     sim.Tick // barrier quantum: 1 us, or the link lookahead when sharded
-	adaptive int      // ShardedConfig.AdaptiveQuanta
 	frontHub *obs.Hub // nil when no frontend probe is attached
 	workers  []*shardWorker
 
@@ -92,21 +91,20 @@ func sourcesOf(gens []*trafficgen.Generator) []Source {
 // Supervise builds the session's checkpoint manager, registering every
 // component in a fixed, configuration-derived order. A checkpoint's identity
 // is what the components state about themselves (checkpoint.Configured) plus
-// what the session states here: its step quantum and AdaptiveQuanta, which
-// changes the schedule (see horizon), and scope — an optional caller label,
-// compared verbatim, for whatever no component can state (a QoS function's
-// policy, say); "" when there is nothing to add. The worker count is
-// deliberately not stated: statistics are worker-count independent, so a
-// checkpoint taken with one worker count may be resumed with another.
+// what the session states here: its step quantum, which fixes the barrier
+// schedule, and scope — an optional caller label, compared verbatim, for
+// whatever no component can state (a QoS function's policy, say); "" when
+// there is nothing to add. The worker count is deliberately not stated:
+// statistics are worker-count independent, so a checkpoint taken with one
+// worker count may be resumed with another.
 // Callers with further components (a trace sink) register them on Manager()
 // afterwards.
 func (s *Session) Supervise(scope string) error {
 	mgr := checkpoint.NewManager()
 	mgr.Describe("session", struct {
-		Scope          string
-		Step           sim.Tick
-		AdaptiveQuanta int
-	}{scope, s.step, s.adaptive})
+		Scope string
+		Step  sim.Tick
+	}{scope, s.step})
 	var err error
 	register := func(id string, c any) {
 		if cc, ok := c.(checkpoint.Checkpointable); ok {
@@ -154,9 +152,7 @@ func (s *Session) Manager() *checkpoint.Manager { return s.mgr }
 // Steps).
 func (s *Session) Now() sim.Tick { return s.kernels[0].Now() }
 
-// Steps returns how many barriers the session has executed; with
-// AdaptiveQuanta > 1 this is the measure of how much barrier overhead the
-// widened horizon saved.
+// Steps returns how many barriers the session has executed.
 func (s *Session) Steps() uint64 { return s.steps }
 
 // Start arms the traffic sources. Call exactly once for a fresh run; never
@@ -201,7 +197,11 @@ func (s *Session) Step() (bool, error) {
 	if s.complete(false) {
 		return true, nil
 	}
-	if err := s.advance(s.horizon()); err != nil {
+	// The barrier is now+L, with L one microsecond on a single kernel and the
+	// link latency (= lookahead) when sharded: any packet a shard offers
+	// during the quantum is due at its send tick plus L, which is at or after
+	// the barrier, so it always lands in the receiving shard's future.
+	if err := s.advance(s.Now() + s.step); err != nil {
 		return false, err
 	}
 	s.steps++
@@ -243,56 +243,6 @@ func (s *Session) complete(drain bool) bool {
 		}
 	}
 	return quiet
-}
-
-// horizon picks the tick the next Step advances to.
-//
-// The baseline is now+L, with L one microsecond on a single kernel and the
-// link latency (= lookahead) when sharded: any packet a shard offers during
-// the quantum is due at its send tick plus L, which is at or after the
-// barrier, so it always lands in the receiving shard's future.
-// AdaptiveQuanta Q > 1 widens that when the system is idle. Let E = the
-// earliest pending event across ALL kernels (between Steps every outbox is
-// flushed, so all future work — including every in-flight cross-shard packet
-// — sits in some kernel's queue). No kernel does anything before E, so no
-// offer is made before E, so nothing can be due before E+L: a barrier at
-// min(E+L, now+Q*L) preserves the invariant. E >= now always (events are
-// never scheduled in the past), hence the adaptive horizon never shrinks
-// below the baseline. With no events pending anywhere the quantum jumps
-// straight to the cap — idle stretches cost 1/Q of the barriers.
-//
-// The choice of horizon shifts barrier ticks and therefore event sequence
-// numbers, so adaptive and fixed runs are two DIFFERENT deterministic
-// schedules; each one is still a pure function of the configuration,
-// independent of worker count (horizon inputs are read single-threaded at
-// the barrier).
-func (s *Session) horizon() sim.Tick {
-	now := s.Now()
-	limit := now + s.step
-	if s.adaptive <= 1 {
-		return limit
-	}
-	hcap := now + s.step*sim.Tick(s.adaptive)
-	eMin := sim.Tick(0)
-	pending := false
-	for _, k := range s.kernels {
-		if t, ok := k.PeekNext(); ok && (!pending || t < eMin) {
-			eMin, pending = t, true
-		}
-	}
-	if !pending {
-		return hcap
-	}
-	if h := eMin + s.step; h < hcap {
-		hcap = h
-	}
-	if hcap < limit {
-		// Unreachable while events are never scheduled in the past; keep the
-		// conservative floor anyway so a kernel bug degrades to the fixed
-		// quantum instead of a causality violation.
-		return limit
-	}
-	return hcap
 }
 
 // advance runs every kernel to limit and publishes cross-shard traffic. The
