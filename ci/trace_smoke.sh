@@ -2,10 +2,9 @@
 # Observability smoke test: a short traced dramctrl run must produce
 # well-formed Chrome trace-event JSON (parsed strictly by validate
 # -trace-check, which also cross-checks span/burst/refresh counts), the
-# bytes must be identical across identical runs, and a traced run killed
-# mid-flight and resumed from its last checkpoint must reproduce the
-# uninterrupted trace byte for byte. (That the sharded trace does not depend
-# on the worker count is internal/obs TestShardedTraceIndependentOfWorkers.)
+# bytes must be identical across identical runs, on one channel and on four
+# behind a crossbar, and a traced run killed mid-flight and resumed from its
+# last checkpoint must reproduce the uninterrupted trace byte for byte.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,9 +23,11 @@ echo "== identical rerun is byte-identical"
 "$workdir/dramctrl" "${args[@]}" -trace "$workdir/b.json" >/dev/null
 cmp "$workdir/a.json" "$workdir/b.json"
 
-echo "== 4-channel traced run parses and reconciles too"
+echo "== 4-channel traced run parses and reconciles too, and reruns to the same bytes"
 "$workdir/dramctrl" "${args[@]}" -channels 4 -trace "$workdir/c4.json" >/dev/null
 "$workdir/validate" -trace-check "$workdir/c4.json"
+"$workdir/dramctrl" "${args[@]}" -channels 4 -trace "$workdir/c4b.json" >/dev/null
+cmp "$workdir/c4.json" "$workdir/c4b.json"
 
 echo "== killed-and-resumed traced run reproduces the uninterrupted trace"
 # The cycle model is slow enough per request that the kill lands mid-run

@@ -1,12 +1,11 @@
 // Command dramctrl is the general-purpose runner: it assembles a traffic
 // source (synthetic pattern or trace file) over one DRAM controller (event-
-// or cycle-based) — or, with -channels N, a generator behind a crossbar over
-// N controllers, each on its own kernel, stepped in turn on the calling
-// goroutine — with every policy knob exposed as a flag, runs to completion,
-// and reports bandwidth, latency, power and (optionally) the full statistics
-// dump — the repository's equivalent of driving a gem5 memory configuration
-// from the command line. -channels only selects which topology gets wired;
-// flags, supervision, trace lifecycle and report are one path.
+// or cycle-based) — or, with -channels N, over N of them behind a crossbar
+// that interleaves the channels, on the same kernel — with every policy knob
+// exposed as a flag, runs to completion, and reports bandwidth, latency,
+// power and (optionally) the full statistics dump — the repository's
+// equivalent of driving a gem5 memory configuration from the command line.
+// -channels is a parameter of the one wiring, so every flag composes with it.
 //
 // Runs are supervised: -checkpoint enables periodic, checksummed snapshots
 // (-checkpoint-every / -checkpoint-wall), -resume continues a run from its
@@ -40,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -97,15 +95,6 @@ type options struct {
 	watchdog      sim.Watchdog
 }
 
-// singleChannelOnly names the flags the sharded topology cannot honour:
-// capture/replay and the host-driven samplers sit on one kernel, and fault
-// injection is only wired for one controller. Setting any of them with
-// -channels > 1 is an error, never a silently ignored flag.
-var singleChannelOnly = []string{
-	"trace-in", "trace-out", "interval", "obs-sample", "obs-http",
-	"ber-correctable", "ber-uncorrectable", "ber-transient", "fault-seed", "ecc-latency", "retry-limit",
-}
-
 // parseFlags parses and validates the command line.
 func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("dramctrl", flag.ContinueOnError)
@@ -125,13 +114,13 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&f.traceIn, "trace-in", "", "replay this trace file instead of a synthetic pattern")
 	fs.StringVar(&f.traceOut, "trace-out", "", "capture the request stream to this trace file")
 	fs.Int64Var(&f.intervalNs, "interval", 0, "print a bandwidth sample every N ns of simulated time (0 = off)")
-	fs.Uint64Var(&f.faults.Seed, "fault-seed", 42, "fault injector seed (event model)")
+	fs.Uint64Var(&f.faults.Seed, "fault-seed", 42, "fault injector seed (event model; channel i of several is seeded with this plus i)")
 	fs.Float64Var(&f.faults.CorrectablePerBurst, "ber-correctable", 0, "correctable errors per read burst (0-1, event model)")
 	fs.Float64Var(&f.faults.UncorrectablePerBurst, "ber-uncorrectable", 0, "uncorrectable errors per read burst (0-1, event model)")
 	fs.Float64Var(&f.faults.TransientPerBurst, "ber-transient", 0, "transient whole-burst failures per read burst (0-1, event model)")
 	fs.Int64Var(&f.eccLatencyNs, "ecc-latency", 10, "ECC correction latency in ns")
 	fs.IntVar(&f.retryLimit, "retry-limit", 4, "replay attempts before a faulty row is retired")
-	fs.Uint64Var(&f.watchdog.MaxEvents, "max-events", 0, "watchdog: abort after this many events on any one kernel (0 = off)")
+	fs.Uint64Var(&f.watchdog.MaxEvents, "max-events", 0, "watchdog: abort after this many events (0 = off)")
 	fs.Uint64Var(&f.watchdog.MaxSameTick, "max-same-tick", 1_000_000, "watchdog: abort after this many events at one tick (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -158,196 +147,49 @@ func parseFlags(args []string) (*options, error) {
 			return nil, fmt.Errorf("checkpointing does not support the -interval time series")
 		}
 	}
-	if f.sharded() {
-		var bad string
-		fs.Visit(func(fl *flag.Flag) {
-			if bad == "" && slices.Contains(singleChannelOnly, fl.Name) {
-				bad = fl.Name
-			}
-		})
-		if bad != "" {
-			return nil, fmt.Errorf("-%s is single-channel only (drop -channels)", bad)
-		}
-		if f.pol.Model == "cycle" && f.pol.Sched == "fcfs" {
-			return nil, fmt.Errorf("-sched fcfs with -model cycle is single-channel only (drop -channels)")
-		}
-	}
 	if f.pol.Model == "cycle" && f.faults.Enabled() {
 		return nil, fmt.Errorf("fault injection is only modelled by the event-based controller")
 	}
 	return f, nil
 }
 
-// sharded reports whether -channels asked for the multi-channel topology.
-func (f *options) sharded() bool { return *f.channels > 1 }
-
-// tuneEvent applies the policy flags to an event-based controller
-// configuration; both topologies get them from here.
-func (f *options) tuneEvent(page core.PagePolicy) func(*core.Config) {
-	return func(c *core.Config) {
-		c.Page = page
-		if f.pol.Sched == "fcfs" {
-			c.Scheduling = core.FCFS
-		}
-		c.PowerDownIdle = sim.Tick(f.powerDownNs) * sim.Nanosecond
-		c.SelfRefreshIdle = sim.Tick(f.selfRefreshNs) * sim.Nanosecond
-		c.Faults = f.faults
-		c.ECCCorrectionLatency = sim.Tick(f.eccLatencyNs) * sim.Nanosecond
-		c.FaultRetryLimit = f.retryLimit
-	}
-}
-
-// sampled is a controller the periodic state sampler can read.
-type sampled interface {
+// controller is what both models are to this command: a system.Controller the
+// periodic state sampler can read.
+type controller interface {
 	system.Controller
-	ObsSample() obs.Sample
+	obs.SampleSource
 }
 
-// rig is one wired simulation of either topology: the session the
-// supervisor drives, plus what the report reads afterwards.
-type rig struct {
-	sess    *system.Session
-	reg     *stats.Registry
-	kernels []*sim.Kernel
-	ctrls   []system.Controller
-	gen     *trafficgen.Generator // nil when replaying a trace
-	sharded *system.ShardedRig    // nil on one channel
-	mon     *trafficgen.Monitor
-	series  *stats.Series
-	sink    *obs.TraceSink
-}
-
-// tracePidStride spaces the per-tracer pid ranges so the frontend's
-// processes (crossbar) and each channel's processes land in disjoint,
-// stable id ranges regardless of how many components each shard emits.
-const tracePidStride = 1000
-
-// build wires the simulation the flags describe without starting it.
-func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServer, out io.Writer) (*rig, error) {
-	page, err := f.pol.CorePage()
-	if err != nil {
-		return nil, err
+// newController builds channel i — "mc", or "mc<i>" of several — from the
+// model's default configuration plus the flags, so a channel is the same
+// controller whatever -channels says.
+func (f *options) newController(k *sim.Kernel, reg *stats.Registry, hub *obs.Hub,
+	spec dram.Spec, mapping dram.Mapping, page core.PagePolicy, i int) (controller, error) {
+	name := "mc"
+	if *f.channels > 1 {
+		name = fmt.Sprintf("mc%d", i)
 	}
-	// One observation hub per kernel, existing before the controllers: the
-	// models snapshot theirs at construction (nil when no probe is attached,
-	// so the instrumented paths stay a single branch). With -trace each hub
-	// feeds its own tracer — hubs[0] the frontend (the only kernel of a
-	// single-channel run), the rest one channel shard each — and the sink
-	// drains them in this fixed order from the step hook, so the file is a
-	// function of the configuration alone.
-	hubs := make([]*obs.Hub, 1)
-	if f.sharded() {
-		hubs = make([]*obs.Hub, 1+*f.channels)
-	}
-	var tw *obs.TraceWriter
-	var tracers []*obs.Tracer
-	if f.obs.Tracing() {
-		if tw, err = obs.NewTraceWriter(f.obs.TracePath); err != nil {
-			return nil, err
-		}
-	}
-	for i := range hubs {
-		hubs[i] = obs.NewHub()
-		if tw != nil {
-			t := obs.NewTracer(i * tracePidStride)
-			hubs[i].Attach(t)
-			tracers = append(tracers, t)
-		}
-	}
-
-	var r *rig
-	if f.sharded() {
-		r, err = wireSharded(f, spec, mapping, page, hubs)
-	} else {
-		r, err = wireSingle(f, spec, mapping, page, hubs[0], live, out)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if tw != nil {
-		r.sink = obs.NewTraceSink(tw, tracers...)
-		// The header goes out when a fresh run is armed; a restored run
-		// skips that and truncates the file to the checkpoint's length
-		// instead. Trace lines buffered during a quantum flush to the file
-		// in the step hook, keeping memory bounded regardless of run length.
-		r.sess.OnStart, r.sess.OnStep = tw.BeginFresh, r.sink.Flush
-		// The trace sink registers last: its save flushes every tracer, so
-		// the recorded file length covers all events up to the checkpoint.
-		if mgr := r.sess.Manager(); mgr != nil {
-			mgr.Register("trace", r.sink)
-		}
-	}
-	if f.watchdog.Enabled() {
-		for _, k := range r.kernels {
-			k.SetWatchdog(f.watchdog)
-		}
-	}
-	return r, nil
-}
-
-// wireSharded builds the per-channel rig: crossbar and generator on a
-// frontend kernel, each channel's controller on its own kernel behind a link,
-// all stepped on the calling goroutine one link latency at a time. Shards
-// checkpoint at those quantum barriers.
-func wireSharded(f *options, spec dram.Spec, mapping dram.Mapping, page core.PagePolicy, hubs []*obs.Hub) (*rig, error) {
-	kind, err := f.pol.SystemKind()
-	if err != nil {
-		return nil, err
-	}
-	pat, err := f.traf.BuildPattern(spec, mapping, *f.channels)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := system.NewShardedRig(system.ShardedConfig{
-		Kind:        kind,
-		Spec:        spec,
-		Mapping:     mapping,
-		ClosedPage:  f.pol.ClosedPage(),
-		TuneEvent:   f.tuneEvent(page),
-		Channels:    *f.channels,
-		Xbar:        xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-		Gens:        []trafficgen.Config{f.traf.GenConfig()},
-		Patterns:    []trafficgen.Pattern{pat},
-		FrontProbes: hubs[0],
-		ShardProbes: hubs[1:],
-	})
-	if err != nil {
-		return nil, err
-	}
-	sess, err := sr.NewSession("", maxSim)
-	if err != nil {
-		return nil, err
-	}
-	return &rig{
-		sess: sess, reg: sr.Reg, kernels: append([]*sim.Kernel{sr.Front}, sr.Chans...),
-		ctrls: sr.Ctrls, gen: sr.Gens[0], sharded: sr,
-	}, nil
-}
-
-// maxSim bounds every run's simulated time.
-const maxSim = 100 * sim.Second
-
-// wireSingle builds the single-channel system by hand: one controller with
-// every flag applied to its default (not rig-matched) configuration, an
-// optional capture monitor in front of it, and a generator or trace player.
-func wireSingle(f *options, spec dram.Spec, mapping dram.Mapping, page core.PagePolicy, hub *obs.Hub,
-	live *obs.LiveServer, out io.Writer) (*rig, error) {
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("dramctrl")
-	r := &rig{reg: reg, kernels: []*sim.Kernel{k}}
-
-	var ctrl sampled
-	var err error
 	switch f.pol.Model {
 	case "event":
 		cfg := core.DefaultConfig(spec)
 		cfg.Mapping = mapping
-		f.tuneEvent(page)(&cfg)
+		cfg.Channels = *f.channels
+		cfg.Page = page
+		if f.pol.Sched == "fcfs" {
+			cfg.Scheduling = core.FCFS
+		}
+		cfg.PowerDownIdle = sim.Tick(f.powerDownNs) * sim.Nanosecond
+		cfg.SelfRefreshIdle = sim.Tick(f.selfRefreshNs) * sim.Nanosecond
+		cfg.Faults = f.faults
+		cfg.Faults.Seed = f.faultSeed(i)
+		cfg.ECCCorrectionLatency = sim.Tick(f.eccLatencyNs) * sim.Nanosecond
+		cfg.FaultRetryLimit = f.retryLimit
 		cfg.Probes = hub
-		ctrl, err = core.NewController(k, cfg, reg, "mc")
+		return core.NewController(k, cfg, reg, name)
 	case "cycle":
 		cfg := cyclesim.DefaultConfig(spec)
 		cfg.Mapping = mapping
+		cfg.Channels = *f.channels
 		if f.pol.ClosedPage() {
 			cfg.Page = cyclesim.ClosedPage
 		}
@@ -355,56 +197,143 @@ func wireSingle(f *options, spec dram.Spec, mapping dram.Mapping, page core.Page
 			cfg.Scheduling = cyclesim.FCFS
 		}
 		cfg.Probes = hub
-		ctrl, err = cyclesim.NewController(k, cfg, reg, "mc")
-	default:
-		err = fmt.Errorf("unknown model %q", f.pol.Model)
+		return cyclesim.NewController(k, cfg, reg, name)
 	}
+	return nil, fmt.Errorf("unknown model %q", f.pol.Model)
+}
+
+// faultSeed is channel i's injector seed: -fault-seed plus i, so several
+// channels do not replay one fault stream and one channel keeps the seed as
+// given.
+func (f *options) faultSeed(i int) uint64 { return f.faults.Seed + uint64(i) }
+
+// rig is the wired simulation: the session the supervisor drives, plus what
+// the report reads afterwards.
+type rig struct {
+	sess   *system.Session
+	reg    *stats.Registry
+	k      *sim.Kernel
+	ctrls  []system.Controller
+	gen    *trafficgen.Generator // nil when replaying a trace
+	mon    *trafficgen.Monitor
+	series *stats.Series
+	sink   *obs.TraceSink
+}
+
+// maxSim bounds every run's simulated time.
+const maxSim = 100 * sim.Second
+
+// build wires the simulation the flags describe without starting it: one
+// kernel, one registry, one observation hub, -channels controllers, and a
+// generator or trace player (behind an optional capture monitor) connected
+// straight to the controller when there is one, through a crossbar
+// interleaving the channels when there are several (paper §II-E/F, Fig. 1).
+func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServer, out io.Writer) (*rig, error) {
+	page, err := f.pol.CorePage()
 	if err != nil {
 		return nil, err
 	}
-	r.ctrls = []system.Controller{ctrl}
+	k := sim.NewKernel()
+	reg := stats.NewRegistry("dramctrl")
+	r := &rig{reg: reg, k: k}
 
-	// Optional capture monitor in front of the controller.
-	sink := ctrl.Port()
+	// The hub exists before the controllers: the models snapshot it at
+	// construction (nil when no probe is attached, so the instrumented paths
+	// stay a single branch).
+	hub := obs.NewHub()
+	var tw *obs.TraceWriter
+	if f.obs.Tracing() {
+		if tw, err = obs.NewTraceWriter(f.obs.TracePath); err != nil {
+			return nil, err
+		}
+		tracer := obs.NewTracer()
+		hub.Attach(tracer)
+		r.sink = obs.NewTraceSink(tw, tracer)
+	}
+
+	n := *f.channels
+	r.ctrls = make([]system.Controller, n)
+	sampled := make([]obs.SampledSource, n)
+	for i := range r.ctrls {
+		c, err := f.newController(k, reg, hub, spec, mapping, page, i)
+		if err != nil {
+			return nil, err
+		}
+		r.ctrls[i], sampled[i] = c, obs.SampledSource{Name: c.Name(), Src: c}
+	}
+
+	// A replayed trace is read first: the crossbar must be at least as wide
+	// as the largest request the source will send.
+	var recs []trafficgen.TraceRecord
+	widest := f.traf.Bytes
+	if f.traceIn != "" {
+		if recs, err = readTrace(f.traceIn); err != nil {
+			return nil, err
+		}
+		widest = 0
+		for _, rec := range recs {
+			widest = max(widest, rec.Size)
+		}
+	}
+
+	// What the source talks to: the controller itself, or the crossbar that
+	// interleaves the channels, with the optional capture monitor in front.
+	sink := r.ctrls[0].Port()
+	var xb *xbar.Crossbar
+	if n > 1 {
+		xcfg := xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64, Probes: hub}
+		if xb, err = system.InterleavedXbar(k, reg, "xbar", xcfg, spec.Org, mapping, n, widest); err != nil {
+			return nil, err
+		}
+		for _, c := range r.ctrls {
+			mem.Connect(xb.AttachMemory("mem"), c.Port())
+		}
+		sink = xb.AttachRequestor("gen")
+	}
 	if f.traceOut != "" {
 		r.mon = trafficgen.NewMonitor(k, reg, "mon")
-		mem.Connect(r.mon.MemPort(), ctrl.Port())
+		mem.Connect(r.mon.MemPort(), sink)
 		sink = r.mon.CPUPort()
 	}
 
 	var src system.Source
 	if f.traceIn != "" {
-		file, err := os.Open(f.traceIn)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := trafficgen.ParseTrace(file)
-		file.Close()
-		if err != nil {
-			return nil, err
-		}
 		player := trafficgen.NewTracePlayer(k, recs, 0)
 		mem.Connect(player.Port(), sink)
 		src = player
 		fmt.Fprintf(out, "replaying %d trace records from %s\n", len(recs), f.traceIn)
 	} else {
-		pat, err := f.traf.BuildPattern(spec, mapping, 1)
+		pat, err := f.traf.BuildPattern(spec, mapping, n)
 		if err != nil {
 			return nil, err
 		}
-		r.gen, err = trafficgen.New(k, f.traf.GenConfig(), pat, reg, "gen")
-		if err != nil {
+		if r.gen, err = trafficgen.New(k, f.traf.GenConfig(), pat, reg, "gen"); err != nil {
 			return nil, err
 		}
 		mem.Connect(r.gen.Port(), sink)
 		src = r.gen
 	}
-	r.sess = system.NewSession(k, reg, ctrl, src)
+	r.sess = system.NewSession(k, reg, xb, r.ctrls, src)
 	r.sess.Deadline = maxSim
 	if f.sup.Enabled() {
 		if err := r.sess.Supervise(""); err != nil {
 			return nil, err
 		}
+	}
+	if r.sink != nil {
+		// The header goes out when a fresh run is armed; a restored run
+		// skips that and truncates the file to the checkpoint's length
+		// instead. Trace lines buffered during a quantum flush to the file
+		// in the step hook, keeping memory bounded regardless of run length.
+		r.sess.OnStart, r.sess.OnStep = tw.BeginFresh, r.sink.Flush
+		// The trace sink registers last: its save flushes the tracer, so
+		// the recorded file length covers all events up to the checkpoint.
+		if mgr := r.sess.Manager(); mgr != nil {
+			mgr.Register("trace", r.sink)
+		}
+	}
+	if f.watchdog.Enabled() {
+		k.SetWatchdog(f.watchdog)
 	}
 
 	// Optional bandwidth time series (paper §II-E: statistics at arbitrary
@@ -415,8 +344,12 @@ func wireSingle(f *options, spec dram.Spec, mapping dram.Mapping, page core.Page
 	if f.intervalNs > 0 {
 		r.series, err = stats.NewSeries(k, sim.Tick(f.intervalNs)*sim.Nanosecond,
 			func() float64 {
-				a := ctrl.PowerStats()
-				return float64(a.ReadBursts+a.WriteBursts) * float64(spec.Org.BurstBytes())
+				var bursts uint64
+				for _, c := range r.ctrls {
+					a := c.PowerStats()
+					bursts += a.ReadBursts + a.WriteBursts
+				}
+				return float64(bursts) * float64(spec.Org.BurstBytes())
 			}, true)
 		if err != nil {
 			return nil, err
@@ -424,12 +357,13 @@ func wireSingle(f *options, spec dram.Spec, mapping dram.Mapping, page core.Page
 		r.series.Start()
 	}
 	if f.obs.Sampling() {
-		sampler, err := obs.NewSamplerProbe(k, reg, sim.Tick(f.obs.SampleNs)*sim.Nanosecond,
-			[]obs.SampledSource{{Name: "mc", Src: ctrl}},
+		sampler, err := obs.NewSamplerProbe(k, reg, sim.Tick(f.obs.SampleNs)*sim.Nanosecond, sampled,
 			func(now sim.Tick) {
 				if live != nil {
 					live.PublishStats(reg, now)
-					live.PublishSample(now, "mc", ctrl.ObsSample())
+					for _, s := range sampled {
+						live.PublishSample(now, s.Name, s.Src.ObsSample())
+					}
 				}
 			})
 		if err != nil {
@@ -440,8 +374,7 @@ func wireSingle(f *options, spec dram.Spec, mapping dram.Mapping, page core.Page
 	return r, nil
 }
 
-// run is the one run path: parse, wire the topology -channels selects, drive
-// it under the supervisor, report.
+// run is the one run path: parse, wire, drive under the supervisor, report.
 func run(args []string, out io.Writer) error {
 	f, err := parseFlags(args)
 	if errors.Is(err, flag.ErrHelp) {
@@ -508,48 +441,51 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// report prints the results and writes the requested output files.
+// report prints the results and writes the requested output files. With
+// several channels every per-controller line carries the controller's name.
 func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete bool, out io.Writer) error {
 	if r.gen != nil {
 		fmt.Fprintf(out, "mean read latency (generator): %.1f ns (p99 %.1f ns, %d samples)\n",
 			r.gen.ReadLatency().Mean(), r.gen.ReadLatency().Percentile(99), r.gen.ReadLatency().Count())
 	}
-	var events uint64
-	for _, k := range r.kernels {
-		events += k.EventsExecuted()
-	}
 	fmt.Fprintf(out, "spec %s, model %s, mapping %s, page %s\n", spec.Name, f.pol.Model, mapping, f.pol.Page)
-	fmt.Fprintf(out, "simulated %s in %d events\n", r.sess.Now(), events)
-	if sr := r.sharded; sr != nil {
-		fmt.Fprintf(out, "%d channels, one kernel each, lookahead %s\n", *f.channels, sr.Lookahead())
-		fmt.Fprintf(out, "aggregate bandwidth %.2f GB/s (%.1f%% avg bus utilisation)\n",
-			sr.AggregateBandwidth()/1e9, sr.AvgBusUtilisation()*100)
-		for i, c := range r.ctrls {
-			fmt.Fprintf(out, "  mc%d: %.2f GB/s, %.1f%% row hits\n", i, c.Bandwidth()/1e9, c.RowHitRate()*100)
+	fmt.Fprintf(out, "simulated %s in %d events\n", r.sess.Now(), r.k.EventsExecuted())
+	n := len(r.ctrls)
+	if n > 1 {
+		var bw, util float64
+		for _, c := range r.ctrls {
+			bw += c.Bandwidth()
+			util += c.BusUtilisation()
 		}
-	} else {
-		c := r.ctrls[0]
-		fmt.Fprintf(out, "bandwidth %.2f GB/s (%.1f%% bus utilisation), row hit rate %.1f%%\n",
-			c.Bandwidth()/1e9, c.BusUtilisation()*100, c.RowHitRate()*100)
+		fmt.Fprintf(out, "%d channels behind a crossbar\n", n)
+		fmt.Fprintf(out, "aggregate bandwidth %.2f GB/s (%.1f%% avg bus utilisation)\n", bw/1e9, util/float64(n)*100)
+	}
+	for i, c := range r.ctrls {
+		tag := ""
+		if n > 1 {
+			tag = c.Name() + ": "
+		}
+		fmt.Fprintf(out, "%sbandwidth %.2f GB/s (%.1f%% bus utilisation), row hit rate %.1f%%\n",
+			tag, c.Bandwidth()/1e9, c.BusUtilisation()*100, c.RowHitRate()*100)
 		act := c.PowerStats()
-		fmt.Fprintf(out, "DRAM power: %s\n", power.Compute(spec, act))
+		fmt.Fprintf(out, "%sDRAM power: %s\n", tag, power.Compute(spec, act))
 		if f.faults.Enabled() {
 			get := func(name string) float64 {
-				if s, ok := r.reg.Get("dramctrl.mc." + name).(*stats.Scalar); ok {
+				if s, ok := r.reg.Get("dramctrl." + c.Name() + "." + name).(*stats.Scalar); ok {
 					return s.Value()
 				}
 				return 0
 			}
-			fmt.Fprintf(out, "faults (seed %d): %.0f corrected, %.0f uncorrected, %.0f retried, %.0f rows retired, %.0f scrubs (%.0f dropped)\n",
-				f.faults.Seed, get("correctedErrors"), get("uncorrectedErrors"),
+			fmt.Fprintf(out, "%sfaults (seed %d): %.0f corrected, %.0f uncorrected, %.0f retried, %.0f rows retired, %.0f scrubs (%.0f dropped)\n",
+				tag, f.faultSeed(i), get("correctedErrors"), get("uncorrectedErrors"),
 				get("retriedBursts"), get("retiredRows"), get("scrubWrites"), get("droppedScrubs"))
 		}
 		if act.PowerDownTime > 0 {
-			fmt.Fprintf(out, "power-down time: %s (%.1f%% of run)\n", act.PowerDownTime,
+			fmt.Fprintf(out, "%spower-down time: %s (%.1f%% of run)\n", tag, act.PowerDownTime,
 				float64(act.PowerDownTime)/float64(act.Elapsed)*100)
 		}
 		if act.SelfRefreshTime > 0 {
-			fmt.Fprintf(out, "self-refresh time: %s (%.1f%% of run)\n", act.SelfRefreshTime,
+			fmt.Fprintf(out, "%sself-refresh time: %s (%.1f%% of run)\n", tag, act.SelfRefreshTime,
 				float64(act.SelfRefreshTime)/float64(act.Elapsed)*100)
 		}
 	}
@@ -579,6 +515,16 @@ func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete b
 		return r.reg.Dump(out)
 	}
 	return nil
+}
+
+// readTrace parses the trace file at path.
+func readTrace(path string) ([]trafficgen.TraceRecord, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	return trafficgen.ParseTrace(file)
 }
 
 // writeFile creates path, fills it through write, and reports a failed

@@ -1,19 +1,24 @@
 package main
 
-// In-process coverage of the one run path, on both topologies: the core
-// assertions of ci/recovery_smoke.sh and ci/trace_smoke.sh (which tier-1 never
-// runs), plus every flag being honoured or rejected on -channels > 1.
+// In-process coverage of the one run path, on one channel and on several: the
+// core assertions of ci/recovery_smoke.sh and ci/trace_smoke.sh (which tier-1
+// never runs), plus every flag composing with -channels.
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// topologies are the flag prefixes selecting each wiring.
+// topologies are the flag prefixes for one controller and for four behind a
+// crossbar.
 var topologies = map[string][]string{
 	"1ch": {"-pattern", "random", "-reads", "67", "-requests", "3000"},
 	"4ch": {"-pattern", "random", "-reads", "67", "-requests", "3000", "-channels", "4"},
@@ -118,16 +123,24 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// Every simulation-shaping flag is honoured on both topologies or rejected;
-// none is silently ignored on -channels > 1.
+// -channels is a parameter of the one wiring, so every flag composes with it:
+// each flag the sharded wiring used to reject runs on two channels and shows
+// its effect there. (The name is the one the test has always had.)
 func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 	base := []string{"-channels", "2", "-pattern", "random", "-requests", "2000"}
 	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
 	bandwidth := regexp.MustCompile(`(?m)^aggregate bandwidth .*$`)
+	file := func(n string) string { return filepath.Join(t.TempDir(), n) }
 
-	frfcfs := bandwidth.FindString(mustRun(t, base...))
-	if fcfs := bandwidth.FindString(mustRun(t, with("-sched", "fcfs")...)); fcfs == frfcfs || fcfs == "" {
-		t.Errorf("-sched fcfs printed %q, the default scheduler %q", fcfs, frfcfs)
+	plain := mustRun(t, base...)
+	frfcfs := bandwidth.FindString(plain)
+	if !strings.Contains(plain, "2 channels behind a crossbar\n") || frfcfs == "" {
+		t.Fatalf("two-channel report lacks the topology or the aggregate line:\n%s", plain)
+	}
+	for _, sched := range [][]string{{"-sched", "fcfs"}, {"-model", "cycle", "-sched", "fcfs"}} {
+		if got := bandwidth.FindString(mustRun(t, with(sched...)...)); got == frfcfs || got == "" {
+			t.Errorf("%v printed %q, the default scheduler %q", sched, got, frfcfs)
+		}
 	}
 
 	if _, err := dramctrl(t, with("-max-events", "10")...); err == nil ||
@@ -135,17 +148,54 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		t.Errorf("-max-events 10: err = %v, want the watchdog's tick-stamped error", err)
 	}
 
-	const single = "single-channel only"
+	// The fault group: both controllers inject, each from its own seed, and
+	// each prints its own fault line. One replay attempt retires rows; four
+	// (the default) do not, and a slower correction moves the event count.
+	ber := []string{"-ber-correctable", "0.05", "-ber-uncorrectable", "0.02", "-ber-transient", "0.1", "-fault-seed", "7"}
+	faulty := mustRun(t, with(append(ber, "-ecc-latency", "20", "-retry-limit", "1")...)...)
+	slow := mustRun(t, with(append(ber, "-ecc-latency", "200", "-retry-limit", "4")...)...)
+	for i, seed := range []int{7, 8} {
+		counts := regexp.MustCompile(fmt.Sprintf(
+			`(?m)^mc%d: faults \(seed %d\): (\d+) corrected, (\d+) uncorrected, (\d+) retried, (\d+) rows retired`, i, seed))
+		got := counts.FindStringSubmatch(faulty)
+		if got == nil || slices.Contains(got[1:], "0") {
+			t.Errorf("mc%d under seed %d: want corrected, uncorrected, retried and retired rows all counted:\n%s", i, seed, faulty)
+		}
+		if got := counts.FindStringSubmatch(slow); got == nil || got[4] != "0" {
+			t.Errorf("mc%d with -retry-limit 4 retired rows:\n%s", i, slow)
+		}
+	}
+	if a, b := simulatedLine.FindString(faulty), simulatedLine.FindString(slow); a == b {
+		t.Errorf("-ecc-latency 20 and 200 both print %q", a)
+	}
+
+	// Capture and replay: what -trace-out records on two channels drives the
+	// same two channels to the same tick and event count through -trace-in.
+	capture := file("cap.txt")
+	captured := simulatedLine.FindString(mustRun(t, with("-trace-out", capture)...))
+	replayed := mustRun(t, "-channels", "2", "-trace-in", capture)
+	if got := simulatedLine.FindString(replayed); got != captured || !strings.Contains(replayed, "replaying 2000 trace records") {
+		t.Errorf("replay printed %q, the captured run %q:\n%s", got, captured, replayed)
+	}
+
+	// The sampler reads every controller; the time series sums them.
+	js := file("stats.json")
+	sampled := mustRun(t, with("-obs-sample", "500", "-obs-http", "localhost:0", "-interval", "1000", "-json", js)...)
+	for _, stat := range []string{`"dramctrl.obs.mc0.readQueueDepth"`, `"dramctrl.obs.mc1.readQueueDepth"`} {
+		if !bytes.Contains(read(t, js), []byte(stat)) {
+			t.Errorf("-obs-sample: %s missing from the statistics", stat)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^bandwidth over time:\n +1us +\d+\.\d+ GB/s$`).MatchString(sampled) {
+		t.Errorf("-interval 1000 printed no bandwidth-over-time table:\n%s", sampled)
+	}
+
 	const undefined = "flag provided but not defined"
 	const noChannel = "need at least one channel"
 	for _, c := range []struct {
 		want  string
 		flags []string
 	}{
-		{single, []string{"-interval", "1000"}}, {single, []string{"-fault-seed", "7"}},
-		{single, []string{"-ecc-latency", "20"}}, {single, []string{"-retry-limit", "2"}},
-		{single, []string{"-ber-correctable", "0.01"}}, {single, []string{"-trace-out", "cap.txt"}},
-		{single, []string{"-obs-sample", "1000"}}, {single, []string{"-model", "cycle", "-sched", "fcfs"}},
 		// A mistyped -spec is rejected even when -standard overrides it.
 		{`unknown spec "nosuch"`, []string{"-spec", "nosuch", "-standard", "ddr4"}},
 		// A channel count below one is not "one channel" (a later -channels
@@ -200,6 +250,47 @@ func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 		}
 		if !bytes.Equal(read(t, ckpt), saved) {
 			t.Errorf("resume with %v changed the checkpoint file", tc.flags)
+		}
+	}
+}
+
+// statedConfig returns the configuration component id states in the
+// checkpoint file at path.
+func statedConfig(t *testing.T, path, id string) map[string]any {
+	t.Helper()
+	_, payload, _ := bytes.Cut(read(t, path), []byte("\n"))
+	var body struct {
+		Configs map[string]map[string]any `json:"configs"`
+	}
+	if err := json.Unmarshal(payload, &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Configs[id] == nil {
+		t.Fatalf("%s: no configuration stated for %s", path, id)
+	}
+	return body.Configs[id]
+}
+
+// A channel is the same controller whatever -channels says: the same flags
+// build mc0 from the same defaults on one channel and on two, so what it
+// states in the two checkpoints differs in its channel count and nothing else
+// (queue depths and static latencies included).
+func TestChannelCountChangesOnlyChannels(t *testing.T) {
+	for _, model := range []string{"event", "cycle"} {
+		dir := t.TempDir()
+		stated := func(channels string) map[string]any {
+			ckpt := filepath.Join(dir, channels+".ckpt")
+			mustRun(t, "-model", model, "-requests", "500", "-channels", channels, "-checkpoint", ckpt)
+			return statedConfig(t, ckpt, "mc0")
+		}
+		one, two := stated("1"), stated("2")
+		if one["Channels"] != 1.0 || two["Channels"] != 2.0 {
+			t.Errorf("%s: mc0 states Channels %v and %v, want 1 and 2", model, one["Channels"], two["Channels"])
+		}
+		delete(one, "Channels")
+		delete(two, "Channels")
+		if !reflect.DeepEqual(one, two) {
+			t.Errorf("%s: mc0 differs beyond Channels:\n-channels 1: %v\n-channels 2: %v", model, one, two)
 		}
 	}
 }

@@ -95,7 +95,7 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 		if err := tw.BeginFresh(); err != nil {
 			return err
 		}
-		tracer := obs.NewTracer(0)
+		tracer := obs.NewTracer()
 		hub.Attach(tracer)
 		sink = obs.NewTraceSink(tw, tracer)
 	}
@@ -140,7 +140,7 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 		src = gen
 	}
 
-	sess := system.NewSession(k, reg, ctrl, src)
+	sess := system.NewSession(k, reg, nil, []system.Controller{ctrl}, src)
 	if sink != nil {
 		sess.OnStep = sink.Flush
 	}

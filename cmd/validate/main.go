@@ -251,7 +251,7 @@ func runStandardSmoke(spec dram.Spec, requests uint64) (*power.CommandTrace, flo
 		return nil, 0, err
 	}
 	mem.Connect(gen.Port(), ctrl.Port())
-	if err := system.NewSession(k, reg, ctrl, gen).Run(100 * sim.Second); err != nil {
+	if err := system.NewSession(k, reg, nil, []system.Controller{ctrl}, gen).Run(100 * sim.Second); err != nil {
 		return nil, 0, fmt.Errorf("%s smoke: %w", spec.Name, err)
 	}
 	return &trace, ctrl.Bandwidth(), nil
@@ -313,7 +313,7 @@ func runTraced(path string, requests uint64) (power.Activity, error) {
 	if err := tw.BeginFresh(); err != nil {
 		return power.Activity{}, err
 	}
-	tracer := obs.NewTracer(0)
+	tracer := obs.NewTracer()
 	hub := obs.NewHub()
 	hub.Attach(tracer)
 	sink := obs.NewTraceSink(tw, tracer)
@@ -342,7 +342,7 @@ func runTraced(path string, requests uint64) (power.Activity, error) {
 		return power.Activity{}, err
 	}
 	mem.Connect(gen.Port(), ctrl.Port())
-	sess := system.NewSession(k, reg, ctrl, gen)
+	sess := system.NewSession(k, reg, nil, []system.Controller{ctrl}, gen)
 	sess.OnStep = sink.Flush
 	if err := sess.Run(100 * sim.Second); err != nil {
 		return power.Activity{}, fmt.Errorf("traced run: %w", err)

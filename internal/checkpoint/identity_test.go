@@ -19,7 +19,6 @@ import (
 	"repro/internal/cyclesim"
 	"repro/internal/dram"
 	"repro/internal/faults"
-	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trafficgen"
@@ -87,9 +86,6 @@ func statedImages() []statedImage {
 			x.AttachMemory("mem")
 			return x.CheckpointConfig()
 		}, reflect.TypeOf(xbar.Config{})},
-		{"link", func(*testing.T) any {
-			return mem.NewShardLink("link", sim.NewKernel(), sim.NewKernel(), sim.Nanosecond).CheckpointConfig()
-		}, nil},
 		{"gen-linear", genOver(func() trafficgen.Pattern {
 			return &trafficgen.Linear{Start: 64, End: 1 << 20, Step: 64, ReadPercent: 50, Seed: 7}
 		}), genCfg},
@@ -221,7 +217,7 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 	for _, must := range []string{
 		"core:XORBankHash", "core:MinWritesPerSwitch", "core:WriteHighThresh", "core:MaxAccessesPerRow",
 		"core:FrontendLatency", "core:Device.Timing.TRCD", "core:Faults.Seed", "core:Faults.StuckRows[0].Row",
-		"cyclesim:IdleSkip", "xbar:Memories", "link:Latency",
+		"cyclesim:IdleSkip", "xbar:Memories",
 		"gen-linear:Pattern.Seed", "gen-random:Pattern.Seed", "gen-dramaware:Pattern.Seed",
 		"gen-bursty:Pattern.Seed", "gen-strided:Pattern.Seed", "gen-random:PatternType",
 		"gen-dramaware:Pattern.Decoder.XORBankRow", "gen-linear:RequestorID",

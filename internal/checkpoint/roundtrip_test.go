@@ -3,9 +3,7 @@ package checkpoint_test
 // The tentpole acceptance test: checkpointing at an arbitrary mid-run point
 // and resuming in a fresh process image must be bit-identical — byte-for-byte
 // on the final statistics dump — to the uninterrupted run. The matrix covers
-// both controller models, every page policy, and the sharded multi-channel
-// rig under several worker counts (whose checkpoints are only taken at the
-// quantum barrier, and may be resumed under a different worker count).
+// both controller models, every page policy, and the multi-channel rig.
 
 import (
 	"bytes"
@@ -172,106 +170,6 @@ func TestTrafficRigResumeBitIdentical(t *testing.T) {
 	}
 }
 
-func buildShardedRig(t *testing.T, kind system.Kind, workers int, requests uint64) *system.ShardedRig {
-	t.Helper()
-	rig, err := system.NewShardedRig(system.ShardedConfig{
-		Kind:     kind,
-		Spec:     dram.DDR3_1333_8x8(),
-		Mapping:  dram.RoRaBaCoCh,
-		Channels: 2,
-		Xbar:     xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-		Gens: []trafficgen.Config{{
-			RequestBytes:   64,
-			MaxOutstanding: 32,
-			Count:          requests,
-		}},
-		Patterns: []trafficgen.Pattern{randomPattern()},
-		Workers:  workers,
-	})
-	if err != nil {
-		t.Fatalf("build sharded rig: %v", err)
-	}
-	return rig
-}
-
-// TestShardedResumeBitIdentical checkpoints the sharded rig at a quantum
-// barrier and resumes it — under the same and under a different worker count
-// (the session deliberately does not state its workers: statistics are
-// worker-count independent). Every final dump must match the serial
-// uninterrupted run.
-func TestShardedResumeBitIdentical(t *testing.T) {
-	const requests = 2000
-	for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
-		// "-q1": the one barrier schedule, a quantum of one link latency. The
-		// suffix keeps these subtests under the ids they have always had.
-		t.Run(kind.String()+"-q1", func(t *testing.T) {
-			deadline := sim.Second
-
-			ref := buildShardedRig(t, kind, 1, requests)
-			rs, err := ref.NewSession("", deadline)
-			if err != nil {
-				t.Fatalf("session: %v", err)
-			}
-			rs.Start()
-			runToEnd(t, rs)
-			rs.Close()
-			want := dumpStats(t, ref.Reg)
-			endTick := rs.Now()
-
-			for _, w := range []struct{ save, resume int }{
-				{save: 1, resume: 1},
-				{save: 3, resume: 3},
-				{save: 3, resume: 1}, // cross-worker-count resume
-			} {
-				name := fmt.Sprintf("save-w%d-resume-w%d", w.save, w.resume)
-				t.Run(name, func(t *testing.T) {
-					mid := buildShardedRig(t, kind, w.save, requests)
-					ms, err := mid.NewSession("", deadline)
-					if err != nil {
-						t.Fatalf("session: %v", err)
-					}
-					ms.Start()
-					for ms.Now() < endTick/3 {
-						done, err := ms.Step()
-						if err != nil {
-							t.Fatalf("step: %v", err)
-						}
-						if done {
-							t.Fatalf("run finished at %s, before the checkpoint point", ms.Now())
-						}
-					}
-					// Between Steps every shard is parked at the barrier and
-					// all link outboxes are flushed: the only state in which a
-					// sharded checkpoint is valid.
-					img, err := ms.Manager().Save()
-					ms.Close()
-					if err != nil {
-						t.Fatalf("save at %s: %v", ms.Now(), err)
-					}
-
-					res := buildShardedRig(t, kind, w.resume, requests)
-					ss, err := res.NewSession("", deadline)
-					if err != nil {
-						t.Fatalf("session: %v", err)
-					}
-					if err := ss.Manager().Restore(img); err != nil {
-						t.Fatalf("restore: %v", err)
-					}
-					runToEnd(t, ss)
-					ss.Close()
-
-					if ss.Now() != endTick {
-						t.Errorf("resumed run ended at %s, uninterrupted at %s", ss.Now(), endTick)
-					}
-					if got := dumpStats(t, res.Reg); !bytes.Equal(got, want) {
-						t.Errorf("resumed sharded statistics differ from serial uninterrupted run\nuninterrupted: %s\nresumed:       %s", want, got)
-					}
-				})
-			}
-		})
-	}
-}
-
 func buildMultiChannelRig(t *testing.T, requests uint64) *system.MultiChannelRig {
 	t.Helper()
 	rig, err := system.NewMultiChannelRig(system.MultiChannelConfig{
@@ -296,9 +194,9 @@ func buildMultiChannelRig(t *testing.T, requests uint64) *system.MultiChannelRig
 // TestCompletionCheckpointRestoresDone closes the matrix at its far end: a
 // session restored from the checkpoint of a FINISHED run must report done on
 // its first Step without advancing — same Now, same statistics, and saving it
-// again yields the same bytes — for every topology, both models, and any
-// worker count. (Advancing past the recorded end skews every time-normalised
-// statistic; bus utilisation divides by Now.)
+// again yields the same bytes — for every topology and both models. (Advancing
+// past the recorded end skews every time-normalised statistic; bus utilisation
+// divides by Now.)
 func TestCompletionCheckpointRestoresDone(t *testing.T) {
 	const requests = 1000
 	type built struct {
@@ -313,23 +211,16 @@ func TestCompletionCheckpointRestoresDone(t *testing.T) {
 	}
 	type matrixCase struct {
 		name  string
-		build func(workers int) built
+		build func() built
 	}
-	cases := []matrixCase{{"multichannel", func(int) built {
+	cases := []matrixCase{{"multichannel", func() built {
 		r := buildMultiChannelRig(t, requests)
 		s, err := r.NewSession("", sim.Second)
 		return open(s, err, r.Reg)
 	}}}
 	for _, tc := range trafficCases() {
-		cases = append(cases, matrixCase{"traffic-" + tc.name, func(int) built {
+		cases = append(cases, matrixCase{"traffic-" + tc.name, func() built {
 			r := buildTrafficRig(t, tc, requests)
-			s, err := r.NewSession("", sim.Second)
-			return open(s, err, r.Reg)
-		}})
-	}
-	for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
-		cases = append(cases, matrixCase{fmt.Sprintf("sharded-%s-q1", kind), func(workers int) built {
-			r := buildShardedRig(t, kind, workers, requests)
 			s, err := r.NewSession("", sim.Second)
 			return open(s, err, r.Reg)
 		}})
@@ -337,39 +228,35 @@ func TestCompletionCheckpointRestoresDone(t *testing.T) {
 	for _, c := range cases {
 		build := c.build
 		t.Run(c.name, func(t *testing.T) {
-			ref := build(1)
+			ref := build()
 			ref.s.Start()
 			runToEnd(t, ref.s)
-			ref.s.Close()
 			img, err := ref.s.Manager().Save()
 			if err != nil {
 				t.Fatalf("save: %v", err)
 			}
 			want := dumpStats(t, ref.reg)
 
-			for _, workers := range []int{1, 3} {
-				res := build(workers)
-				defer res.s.Close()
-				if err := res.s.Manager().Restore(img); err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				done, err := res.s.Step()
-				if err != nil || !done {
-					t.Fatalf("workers=%d: Step on a restored finished run = (%v, %v), want done", workers, done, err)
-				}
-				if res.s.Now() != ref.s.Now() {
-					t.Errorf("workers=%d: Step advanced a finished run from %s to %s", workers, ref.s.Now(), res.s.Now())
-				}
-				if got := dumpStats(t, res.reg); !bytes.Equal(got, want) {
-					t.Errorf("workers=%d: statistics changed across restore+Step", workers)
-				}
-				again, err := res.s.Manager().Save()
-				if err != nil {
-					t.Fatalf("re-save: %v", err)
-				}
-				if !bytes.Equal(again, img) {
-					t.Errorf("workers=%d: re-saved checkpoint differs from the one restored", workers)
-				}
+			res := build()
+			if err := res.s.Manager().Restore(img); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			done, err := res.s.Step()
+			if err != nil || !done {
+				t.Fatalf("Step on a restored finished run = (%v, %v), want done", done, err)
+			}
+			if res.s.Now() != ref.s.Now() {
+				t.Errorf("Step advanced a finished run from %s to %s", ref.s.Now(), res.s.Now())
+			}
+			if got := dumpStats(t, res.reg); !bytes.Equal(got, want) {
+				t.Error("statistics changed across restore+Step")
+			}
+			again, err := res.s.Manager().Save()
+			if err != nil {
+				t.Fatalf("re-save: %v", err)
+			}
+			if !bytes.Equal(again, img) {
+				t.Error("re-saved checkpoint differs from the one restored")
 			}
 		})
 	}
@@ -550,102 +437,6 @@ func TestResumeMidLowPower(t *testing.T) {
 				t.Errorf("resumed %s statistics differ from uninterrupted run\nuninterrupted: %s\nresumed:       %s", mode, want, got)
 			}
 		})
-	}
-}
-
-// TestShardedResumeMidLowPower is the sharded variant: checkpoints are only
-// legal at quantum barriers, so the test saves at the first barrier where any
-// channel's controller sits in a low-power state, and resumes under a
-// different worker count.
-func TestShardedResumeMidLowPower(t *testing.T) {
-	const requests = 2000
-	build := func(workers int) *system.ShardedRig {
-		rig, err := system.NewShardedRig(system.ShardedConfig{
-			Kind:     system.EventBased,
-			Spec:     dram.DDR3_1600_x64(),
-			Mapping:  dram.RoRaBaCoCh,
-			Channels: 2,
-			Xbar:     xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-			Gens: []trafficgen.Config{{
-				RequestBytes:   64,
-				MaxOutstanding: 32,
-				Count:          requests,
-			}},
-			Patterns:  []trafficgen.Pattern{lowPowerPattern()},
-			TuneEvent: tuneLowPower,
-			Workers:   workers,
-		})
-		if err != nil {
-			t.Fatalf("build sharded rig: %v", err)
-		}
-		return rig
-	}
-	deadline := sim.Second
-
-	ref := build(1)
-	rs, err := ref.NewSession("", deadline)
-	if err != nil {
-		t.Fatalf("session: %v", err)
-	}
-	rs.Start()
-	runToEnd(t, rs)
-	rs.Close()
-	want := dumpStats(t, ref.Reg)
-	endTick := rs.Now()
-
-	mid := build(3)
-	ms, err := mid.NewSession("", deadline)
-	if err != nil {
-		t.Fatalf("session: %v", err)
-	}
-	ms.Start()
-	saved := false
-	var img []byte
-	for {
-		done, err := ms.Step()
-		if err != nil {
-			t.Fatalf("step: %v", err)
-		}
-		if done {
-			break
-		}
-		inLP := false
-		for _, c := range mid.Ctrls {
-			pd, sr := anyRankLowPower(c.(*core.Controller), 1)
-			if pd || sr {
-				inLP = true
-			}
-		}
-		if inLP {
-			img, err = ms.Manager().Save()
-			if err != nil {
-				t.Fatalf("save at %s: %v", ms.Now(), err)
-			}
-			saved = true
-			break
-		}
-	}
-	ms.Close()
-	if !saved {
-		t.Fatal("no quantum barrier found with a controller in a low-power state")
-	}
-
-	res := build(1)
-	ss, err := res.NewSession("", deadline)
-	if err != nil {
-		t.Fatalf("session: %v", err)
-	}
-	if err := ss.Manager().Restore(img); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	runToEnd(t, ss)
-	ss.Close()
-
-	if ss.Now() != endTick {
-		t.Errorf("resumed run ended at %s, uninterrupted at %s", ss.Now(), endTick)
-	}
-	if got := dumpStats(t, res.Reg); !bytes.Equal(got, want) {
-		t.Errorf("resumed sharded low-power statistics differ from serial uninterrupted run\nuninterrupted: %s\nresumed:       %s", want, got)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/supervisor"
-	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
 
@@ -148,17 +147,6 @@ func (p *Policy) CorePage() (core.PagePolicy, error) {
 // granularity the cycle-based model and the rig configuration use.
 func (p *Policy) ClosedPage() bool { return strings.HasPrefix(p.Page, "closed") }
 
-// SystemKind resolves -model to the rig controller kind.
-func (p *Policy) SystemKind() (system.Kind, error) {
-	switch p.Model {
-	case "event":
-		return system.EventBased, nil
-	case "cycle":
-		return system.CycleBased, nil
-	}
-	return 0, fmt.Errorf("unknown model %q", p.Model)
-}
-
 // --- Traffic group ---------------------------------------------------------
 
 // Traffic is the synthetic-traffic flag group of the full runner.
@@ -254,9 +242,11 @@ func AddRequests(fs *flag.FlagSet, def uint64, usage string) *uint64 {
 // --- Channels flag ---------------------------------------------------------
 
 // AddChannels registers -channels (default 1): the number of DRAM channels,
-// behind a crossbar when there is more than one. A count below one is a
-// parse error here, for every tool; a count that is not a power of two is
-// refused later by dram.NewDecoder.
+// each its own controller, behind a crossbar on the one kernel when there is
+// more than one — a parameter of the tool's one wiring, not a second mode, so
+// it composes with every other flag. A count below one is a parse error
+// here, for every tool; a count that is not a power of two is refused later
+// by dram.NewDecoder.
 func AddChannels(fs *flag.FlagSet) *int {
 	channels := 1
 	fs.Func("channels", "DRAM channels, behind a crossbar when > 1 (a power of two; default 1)", func(s string) error {
@@ -275,8 +265,7 @@ func AddChannels(fs *flag.FlagSet) *int {
 
 // --- Checkpoint group ------------------------------------------------------
 
-// Checkpoint is the supervision/checkpoint flag group shared by the single-
-// and multi-channel runner paths.
+// Checkpoint is the supervision/checkpoint flag group.
 type Checkpoint struct {
 	Path       string
 	EveryNs    int64

@@ -67,15 +67,15 @@ func (p *pipe) offer(pkt *Packet, at sim.Tick) {
 	p.outbox = append(p.outbox, timedPkt{at: at, pkt: pkt})
 }
 
-// flush publishes the outbox to the destination shard and arms delivery,
-// returning the number of packets published. Barrier-section only: it
-// touches both sides' state and schedules on the destination kernel.
+// flush publishes the outbox to the destination shard and arms delivery.
+// Barrier-section only: it touches both sides' state and schedules on the
+// destination kernel.
 //
 //shard:barrier touches both shards' state and the destination kernel
-func (p *pipe) flush() int {
+func (p *pipe) flush() {
 	n := len(p.outbox)
 	if n == 0 {
-		return 0
+		return
 	}
 	// Lookahead check: every published packet must be due at or after the
 	// destination clock. Offers are nondecreasing, so the head alone would
@@ -92,7 +92,6 @@ func (p *pipe) flush() int {
 	p.inbox = append(p.inbox, p.outbox...)
 	p.outbox = p.outbox[:0]
 	p.arm()
-	return n
 }
 
 // arm schedules the drain event for the head of the inbox. Source shards
@@ -160,13 +159,14 @@ type linkBack struct {
 
 // ShardLink carries requests front-to-back and responses back-to-front
 // between two kernels. See the package comment above for the determinism
-// argument.
+// argument. It has no checkpoint hooks: only the benchmark builds links, and
+// a sharded session is never supervised.
 type ShardLink struct {
-	latency sim.Tick   //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
-	front   *linkFront //ckpt:skip wiring, rebuilt by the constructor
-	back    *linkBack  //ckpt:skip wiring, rebuilt by the constructor
-	req     *pipe      // front -> back (requests)
-	resp    *pipe      // back -> front (responses)
+	latency sim.Tick
+	front   *linkFront
+	back    *linkBack
+	req     *pipe // front -> back (requests)
+	resp    *pipe // back -> front (responses)
 }
 
 // NewShardLink builds a link between the frontend kernel and a channel
@@ -196,17 +196,12 @@ func (l *ShardLink) FrontPort() *ResponsePort { return l.front.port }
 // the controller's response port.
 func (l *ShardLink) BackPort() *RequestPort { return l.back.port }
 
-// Latency returns the one-way latency, i.e. the lookahead bound.
-func (l *ShardLink) Latency() sim.Tick { return l.latency }
-
-// Flush publishes both directions' pending traffic, returning how many
-// requests and responses crossed — the observability layer reports them as
-// quantum-barrier events without mem needing to know about probes.
-// Barrier-section only.
+// Flush publishes both directions' pending traffic. Barrier-section only.
 //
 //shard:barrier the rig calls this with every worker parked
-func (l *ShardLink) Flush() (requests, responses int) {
-	return l.req.flush(), l.resp.flush()
+func (l *ShardLink) Flush() {
+	l.req.flush()
+	l.resp.flush()
 }
 
 // Quiescent reports whether no packet is buffered in either direction. Only

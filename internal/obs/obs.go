@@ -3,8 +3,8 @@
 // replaces the ad-hoc per-hook approach (the old core.Config.CommandListener
 // carried exactly one listener and existed only for the event-based
 // controller) with a single registration point every model shares — the
-// event-based controller, the cycle-based baseline, the crossbar and the
-// sharded rig all emit the same event vocabulary.
+// event-based controller, the cycle-based baseline and the crossbar all emit
+// the same event vocabulary.
 //
 // Design constraints, in order:
 //
@@ -15,7 +15,7 @@
 //     kernel goroutine, in emission order; nothing in this package consults
 //     wall-clock time or global randomness, so any probe-derived output can
 //     be byte-identical across runs (the tracer's tests assert exactly
-//     that, including across sharded worker counts).
+//     that).
 //   - Composable. A probe is one method; built-ins (Tracer, Sampler,
 //     CommandFunc) cover lifecycle tracing, time-series metrics and the
 //     DRAMPower-style command-trace analysis without the core knowing any
@@ -152,46 +152,31 @@ type WriteDrainExit struct {
 	Writes int // writes drained during the episode
 }
 
-// ShardQuantumFlush reports one channel link publishing its cross-shard
-// traffic at a parallel-run quantum barrier. Emitted by the sharded rig's
-// single-threaded barrier section, once per link per quantum with traffic.
-type ShardQuantumFlush struct {
-	Src       string
-	At        sim.Tick
-	Shard     int
-	Requests  int // requests published front -> channel
-	Responses int // responses published channel -> front
-}
-
 // ObsSrc/ObsTime implementations.
 
-func (e PacketEnqueued) ObsSrc() string       { return e.Src }
-func (e PacketEnqueued) ObsTime() sim.Tick    { return e.At }
-func (e QueueAdmit) ObsSrc() string           { return e.Src }
-func (e QueueAdmit) ObsTime() sim.Tick        { return e.At }
-func (e QueueRefuse) ObsSrc() string          { return e.Src }
-func (e QueueRefuse) ObsTime() sim.Tick       { return e.At }
-func (e DRAMCommand) ObsSrc() string          { return e.Src }
-func (e DRAMCommand) ObsTime() sim.Tick       { return e.Cmd.At }
-func (e BurstScheduled) ObsSrc() string       { return e.Src }
-func (e BurstScheduled) ObsTime() sim.Tick    { return e.At }
-func (e ResponseSent) ObsSrc() string         { return e.Src }
-func (e ResponseSent) ObsTime() sim.Tick      { return e.At }
-func (e RefreshStart) ObsSrc() string         { return e.Src }
-func (e RefreshStart) ObsTime() sim.Tick      { return e.At }
-func (e RefreshEnd) ObsSrc() string           { return e.Src }
-func (e RefreshEnd) ObsTime() sim.Tick        { return e.At }
-func (e WriteDrainEnter) ObsSrc() string      { return e.Src }
-func (e WriteDrainEnter) ObsTime() sim.Tick   { return e.At }
-func (e WriteDrainExit) ObsSrc() string       { return e.Src }
-func (e WriteDrainExit) ObsTime() sim.Tick    { return e.At }
-func (e ShardQuantumFlush) ObsSrc() string    { return e.Src }
-func (e ShardQuantumFlush) ObsTime() sim.Tick { return e.At }
+func (e PacketEnqueued) ObsSrc() string     { return e.Src }
+func (e PacketEnqueued) ObsTime() sim.Tick  { return e.At }
+func (e QueueAdmit) ObsSrc() string         { return e.Src }
+func (e QueueAdmit) ObsTime() sim.Tick      { return e.At }
+func (e QueueRefuse) ObsSrc() string        { return e.Src }
+func (e QueueRefuse) ObsTime() sim.Tick     { return e.At }
+func (e DRAMCommand) ObsSrc() string        { return e.Src }
+func (e DRAMCommand) ObsTime() sim.Tick     { return e.Cmd.At }
+func (e BurstScheduled) ObsSrc() string     { return e.Src }
+func (e BurstScheduled) ObsTime() sim.Tick  { return e.At }
+func (e ResponseSent) ObsSrc() string       { return e.Src }
+func (e ResponseSent) ObsTime() sim.Tick    { return e.At }
+func (e RefreshStart) ObsSrc() string       { return e.Src }
+func (e RefreshStart) ObsTime() sim.Tick    { return e.At }
+func (e RefreshEnd) ObsSrc() string         { return e.Src }
+func (e RefreshEnd) ObsTime() sim.Tick      { return e.At }
+func (e WriteDrainEnter) ObsSrc() string    { return e.Src }
+func (e WriteDrainEnter) ObsTime() sim.Tick { return e.At }
+func (e WriteDrainExit) ObsSrc() string     { return e.Src }
+func (e WriteDrainExit) ObsTime() sim.Tick  { return e.At }
 
 // Probe consumes events. HandleEvent runs synchronously on the emitting
-// kernel's goroutine: it must not block, and in sharded runs it must touch
-// only state owned by that shard (attach one probe instance per shard and
-// merge at the quantum barrier, as TraceSink does).
+// kernel's goroutine and must not block.
 type Probe interface {
 	HandleEvent(ev Event)
 }

@@ -40,7 +40,6 @@ type TraceSummary struct {
 	Refreshes  int // cat=refresh spans
 	Refusals   int // cat=queue refuse instants
 	Drains     int // write-drain episodes
-	Quanta     int // shard quantum-flush markers
 	PowerSpans int // cat=power spans (PD + SR intervals)
 	// PDTicks and SRTicks total the power-down (both flavors) and
 	// self-refresh span durations in kernel ticks, summed across ranks and
@@ -134,8 +133,6 @@ func parseTrace(raw []byte) (*TraceSummary, []TraceEvent, error) {
 			sum.Refusals++
 		case ev.Cat == "drain":
 			sum.Drains++
-		case ev.Cat == "quantum":
-			sum.Quanta++
 		}
 		events = append(events, ev)
 	}

@@ -18,7 +18,7 @@ import (
 //   - one trace "process" per emitting component (a controller, the
 //     crossbar), one "thread" per track inside it: the per-queue counter
 //     tracks, one track per bank ("bank r0b3"), one per rank's refresh
-//     windows, the write-drain track, the quantum-barrier track;
+//     windows, the write-drain track;
 //   - each system packet's life is an async span ("b"/"e" events joined by
 //     a trace-wide id) from queue admission to response, with an async
 //     instant ("n") marking its first DRAM command — enqueue -> first
@@ -30,9 +30,8 @@ import (
 //
 // Determinism: every line is formatted with fixed-width logic from kernel
 // ticks (no floats, no wall clock, no map iteration), and events are
-// buffered per tracer and drained single-threadedly (TraceSink), so two
-// identical runs — and sharded runs with different worker counts — produce
-// byte-identical files.
+// buffered by the tracer and drained between session steps (TraceSink), so
+// two identical runs produce byte-identical files.
 
 // traceTimeDiv converts kernel ticks (picoseconds) to the trace format's
 // microsecond timestamps: ts = tick / traceTimeDiv, with the remainder as
@@ -79,11 +78,8 @@ type pendingPower struct {
 }
 
 // Tracer converts obs events into Chrome trace-event lines, buffering them
-// until a TraceSink drains it. In sharded runs attach one Tracer per shard
-// hub (plus one on the frontend hub) and give them distinct pid bases; the
-// sink merges the buffers in fixed shard order at each quantum barrier.
+// until a TraceSink drains it.
 type Tracer struct {
-	pidBase int
 	nextPid int
 	pids    map[string]int // src -> pid
 	tids    map[string]int // "pid|track" -> tid
@@ -95,12 +91,10 @@ type Tracer struct {
 	buf     []byte                    // pending trace lines
 }
 
-// NewTracer returns a tracer whose process ids start above pidBase. Give
-// every tracer feeding one file a distinct base (TraceSink's merge order is
-// by tracer index; pid bases keep their process tracks distinct).
-func NewTracer(pidBase int) *Tracer {
+// NewTracer returns a tracer; attach it to the hub every traced component
+// emits through.
+func NewTracer() *Tracer {
 	return &Tracer{
-		pidBase: pidBase,
 		pids:    make(map[string]int),
 		tids:    make(map[string]int),
 		nextTid: make(map[int]int),
@@ -124,7 +118,7 @@ func (t *Tracer) pid(src string) int {
 		return p
 	}
 	t.nextPid++
-	p := t.pidBase + t.nextPid
+	p := t.nextPid
 	t.pids[src] = p
 	t.nextTid[p] = 1
 	t.buf = fmt.Appendf(t.buf, `{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}},`+"\n",
@@ -280,12 +274,6 @@ func (t *Tracer) HandleEvent(ev Event) {
 		t.buf = append(t.buf, `,"dur":`...)
 		t.buf = appendTS(t.buf, e.At-d.at)
 		t.buf = fmt.Appendf(t.buf, `,"args":{"queueLen":%d,"writes":%d}`, d.queueLen, e.Writes)
-		t.close()
-	case ShardQuantumFlush:
-		pid := t.pid(e.Src)
-		t.head(fmt.Sprintf("flush.link%d", e.Shard), "quantum", "i", pid, t.tid(pid, "quantum"), e.At)
-		t.buf = fmt.Appendf(t.buf, `,"s":"t","args":{"shard":%d,"requests":%d,"responses":%d}`,
-			e.Shard, e.Requests, e.Responses)
 		t.close()
 	}
 }
@@ -535,30 +523,21 @@ func (w *TraceWriter) Close() error {
 
 // --- Sink ------------------------------------------------------------------
 
-// TraceSink couples tracers to one writer and implements the checkpoint
-// hooks. Flush drains the tracers in construction order — in a sharded run
-// that is the deterministic frontend-then-shards order, called only from
-// the single-threaded barrier section, which is what makes the merged file
-// independent of the worker count.
+// TraceSink couples a tracer to its writer and implements the checkpoint
+// hooks. Flush is called between session steps, which keeps the buffered
+// lines bounded however long the run is.
 type TraceSink struct {
-	w       *TraceWriter //ckpt:skip the writer's offset is saved explicitly below
-	tracers []*Tracer    //ckpt:skip tracer images are saved explicitly below
+	w *TraceWriter //ckpt:skip the writer's offset is saved explicitly below
+	t *Tracer      //ckpt:skip the tracer image is saved explicitly below
 }
 
-// NewTraceSink builds a sink over the writer and tracers.
-func NewTraceSink(w *TraceWriter, tracers ...*Tracer) *TraceSink {
-	return &TraceSink{w: w, tracers: tracers}
+// NewTraceSink builds a sink over the writer and tracer.
+func NewTraceSink(w *TraceWriter, t *Tracer) *TraceSink {
+	return &TraceSink{w: w, t: t}
 }
 
-// Flush drains every tracer to the file, in order.
-func (s *TraceSink) Flush() error {
-	for _, t := range s.tracers {
-		if err := s.w.Write(t.TakePending()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Flush drains the tracer to the file.
+func (s *TraceSink) Flush() error { return s.w.Write(s.t.TakePending()) }
 
 // Close flushes and finalizes the trace file.
 func (s *TraceSink) Close() error {
@@ -568,49 +547,39 @@ func (s *TraceSink) Close() error {
 	return s.w.Close()
 }
 
-// sinkState is the sink's checkpoint section.
+// sinkState is the sink's checkpoint section. Tracers has held exactly one
+// image since a trace has one tracer; the list is the format's.
 type sinkState struct {
 	FileBytes int64
 	Tracers   []tracerState
 }
 
 // CheckpointSave implements checkpoint.Checkpointable: flush everything,
-// then record the valid file length and each tracer's open state.
+// then record the valid file length and the tracer's open state.
 func (s *TraceSink) CheckpointSave(pt mem.PacketTable) (any, error) {
 	if err := s.Flush(); err != nil {
 		return nil, err
 	}
-	st := sinkState{FileBytes: s.w.Offset()}
-	for _, t := range s.tracers {
-		ts, err := t.saveState(pt)
-		if err != nil {
-			return nil, err
-		}
-		st.Tracers = append(st.Tracers, ts)
+	ts, err := s.t.saveState(pt)
+	if err != nil {
+		return nil, err
 	}
-	return st, nil
+	return sinkState{FileBytes: s.w.Offset(), Tracers: []tracerState{ts}}, nil
 }
 
 // CheckpointRestore implements checkpoint.Checkpointable: truncate the file
-// to the saved length and rebuild the tracers. Resuming a traced run
-// requires tracing to be enabled again (the checkpoint's component set is
-// strict), with the same tracer topology.
+// to the saved length and rebuild the tracer. Resuming a traced run requires
+// tracing to be enabled again (the checkpoint's component set is strict).
 func (s *TraceSink) CheckpointRestore(pl mem.PacketLookup, _ sim.Restorer, data []byte) error {
 	var st sinkState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("obs: trace sink restore: %w", err)
 	}
-	if len(st.Tracers) != len(s.tracers) {
-		return fmt.Errorf("obs: checkpoint has %d tracers, sink has %d (same -channels required)",
-			len(st.Tracers), len(s.tracers))
+	if len(st.Tracers) != 1 {
+		return fmt.Errorf("obs: checkpoint has %d tracers, a trace has one", len(st.Tracers))
 	}
 	if err := s.w.Truncate(st.FileBytes); err != nil {
 		return err
 	}
-	for i, t := range s.tracers {
-		if err := t.restoreState(pl, st.Tracers[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.t.restoreState(pl, st.Tracers[0])
 }

@@ -1,7 +1,7 @@
 // Trace determinism and checkpoint tests: the headline guarantees of the
 // observability layer are that a trace is byte-identical across identical
-// runs, byte-identical across sharded worker counts, reconciles with the
-// aggregate statistics, and survives a checkpoint/restore cycle exactly.
+// runs, reconciles with the aggregate statistics, and survives a
+// checkpoint/restore cycle exactly.
 package obs_test
 
 import (
@@ -18,9 +18,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/system"
 	"repro/internal/trafficgen"
-	"repro/internal/xbar"
 )
 
 // runCoreTraced drives a short random-traffic run through the event-based
@@ -35,7 +33,7 @@ func runCoreTraced(t *testing.T, path string, count uint64) power.Activity {
 	if err := tw.BeginFresh(); err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(0)
+	tracer := obs.NewTracer()
 	hub := obs.NewHub()
 	hub.Attach(tracer)
 	sink := obs.NewTraceSink(tw, tracer)
@@ -140,88 +138,6 @@ func TestTraceReconcilesWithStats(t *testing.T) {
 	}
 }
 
-// runShardedTraced drives the multi-channel sharded rig with a frontend
-// tracer plus one tracer per channel shard and returns the merged trace.
-func runShardedTraced(t *testing.T, path string, channels, workers int) {
-	t.Helper()
-	tw, err := obs.NewTraceWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.BeginFresh(); err != nil {
-		t.Fatal(err)
-	}
-	const stride = 1000
-	frontTracer := obs.NewTracer(0)
-	frontHub := obs.NewHub()
-	frontHub.Attach(frontTracer)
-	tracers := []*obs.Tracer{frontTracer}
-	shardHubs := make([]*obs.Hub, channels)
-	for i := range shardHubs {
-		tr := obs.NewTracer((i + 1) * stride)
-		h := obs.NewHub()
-		h.Attach(tr)
-		tracers = append(tracers, tr)
-		shardHubs[i] = h
-	}
-	sink := obs.NewTraceSink(tw, tracers...)
-
-	spec := dram.DDR3_1600_x64()
-	gen := trafficgen.Config{
-		RequestBytes:   spec.Org.BurstBytes(),
-		MaxOutstanding: 16,
-		Count:          400,
-	}
-	g0, g1 := gen, gen
-	g0.RequestorID = 0
-	g1.RequestorID = 1
-	rig, err := system.NewShardedRig(system.ShardedConfig{
-		Kind:     system.EventBased,
-		Spec:     spec,
-		Mapping:  dram.RoRaBaCoCh,
-		Channels: channels,
-		Xbar:     xbar.DefaultConfig(),
-		Gens:     []trafficgen.Config{g0, g1},
-		Patterns: []trafficgen.Pattern{
-			&trafficgen.Linear{Start: 0, End: 1 << 24, Step: 64, ReadPercent: 80, Seed: 11},
-			&trafficgen.Random{Start: 0, End: 1 << 24, Align: 64, ReadPercent: 60, Seed: 23},
-		},
-		Workers:     workers,
-		FrontProbes: frontHub,
-		ShardProbes: shardHubs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rig.Run(50 * sim.Millisecond) {
-		t.Fatal("sharded rig did not complete")
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The merged sharded trace must not depend on how many worker goroutines
-// executed the channel shards: serial and parallel runs of the same
-// topology produce byte-identical files.
-func TestShardedTraceIndependentOfWorkers(t *testing.T) {
-	dir := t.TempDir()
-	serial := filepath.Join(dir, "w1.json")
-	runShardedTraced(t, serial, 2, 1)
-	ref := readFile(t, serial)
-	for _, workers := range []int{2, 3} {
-		path := filepath.Join(dir, "wn.json")
-		runShardedTraced(t, path, 2, workers)
-		if got := readFile(t, path); !bytes.Equal(got, ref) {
-			t.Fatalf("workers=%d trace differs from serial (%d vs %d bytes)",
-				workers, len(got), len(ref))
-		}
-	}
-	if _, err := obs.ValidateTraceStrict(serial); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // stubRefs is a PacketTable/PacketLookup pair for checkpoint tests: packets
 // are identified by index in a fixed slice.
 type stubRefs struct{ pkts []*mem.Packet }
@@ -264,7 +180,6 @@ func syntheticPhases(pkts []*mem.Packet) (phase1, phase2 []obs.Event) {
 		obs.RefreshEnd{Src: "mc", At: us(12), Rank: 0, Bank: -1},
 		obs.ResponseSent{Src: "mc", At: us(13), Pkt: pkts[1]},
 		obs.QueueRefuse{Src: "xbar", At: us(14), Queue: obs.QueueRead, Depth: 16},
-		obs.ShardQuantumFlush{Src: "xbar", At: us(15), Shard: 1, Requests: 2, Responses: 1},
 	}
 	return phase1, phase2
 }
@@ -293,7 +208,7 @@ func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 	if err := tw.BeginFresh(); err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer(0)
+	tr := obs.NewTracer()
 	sink := obs.NewTraceSink(tw, tr)
 	emit(tr, phase1)
 	emit(tr, phase2)
@@ -311,7 +226,7 @@ func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 	if err := tw1.BeginFresh(); err != nil {
 		t.Fatal(err)
 	}
-	tr1 := obs.NewTracer(0)
+	tr1 := obs.NewTracer()
 	sink1 := obs.NewTraceSink(tw1, tr1)
 	emit(tr1, phase1)
 	img, err := sink1.CheckpointSave(refs)
@@ -333,7 +248,7 @@ func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2 := obs.NewTracer(0)
+	tr2 := obs.NewTracer()
 	sink2 := obs.NewTraceSink(tw2, tr2)
 	if err := sink2.CheckpointRestore(refs, nil, data); err != nil {
 		t.Fatal(err)
@@ -346,14 +261,22 @@ func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("resumed trace differs from uninterrupted reference:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	// Restoring into the wrong topology must be rejected, not corrupt.
-	tw3, err := obs.NewTraceWriter(filepath.Join(dir, "bad.json"))
+	// A section holding several tracer images (an older build's per-kernel
+	// tracers) must be rejected, not half-applied.
+	var sec struct {
+		FileBytes int64
+		Tracers   []json.RawMessage
+	}
+	if err := json.Unmarshal(data, &sec); err != nil {
+		t.Fatal(err)
+	}
+	sec.Tracers = append(sec.Tracers, sec.Tracers[0])
+	two, err := json.Marshal(sec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := obs.NewTraceSink(tw3, obs.NewTracer(0), obs.NewTracer(1000))
-	if err := bad.CheckpointRestore(refs, nil, data); err == nil {
-		t.Fatal("restore with mismatched tracer count unexpectedly succeeded")
+	if err := sink2.CheckpointRestore(refs, nil, two); err == nil {
+		t.Fatal("restore of a two-tracer section unexpectedly succeeded")
 	}
 }
 

@@ -74,8 +74,8 @@ func (b Backoff) Delay(key string, attempt int) time.Duration {
 var sleepRetry = time.Sleep
 
 // Session is one runnable, checkpointable simulation. Between Step calls the
-// simulation must be at a valid checkpoint boundary (kernels parked, shard
-// outboxes flushed); internal/system's rig sessions satisfy this.
+// simulation must be at a valid checkpoint boundary (the kernel parked at a
+// quantum boundary); internal/system's supervised sessions satisfy this.
 type Session interface {
 	// Manager returns the session's checkpoint manager.
 	Manager() *checkpoint.Manager

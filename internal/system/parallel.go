@@ -3,10 +3,8 @@ package system
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trafficgen"
@@ -46,8 +44,11 @@ import (
 // the crossbar. It has never paid: stepped serially the sharded rig costs
 // about 1.7x the one-kernel rig on the same traffic, and under workers it
 // runs at 0.4-0.5x of its own serial speed (the barrier is 2 ns of simulated
-// time). The rig stays only because the frozen benchmark constructs it;
-// ROADMAP item 2 has the removal order.
+// time). No product command builds it any more — dramctrl -channels N is N
+// controllers behind a crossbar on one kernel — and it stays only because the
+// frozen benchmark constructs it, with exactly the surface the benchmark
+// uses: no probes, no controller tuning, no checkpointing. ROADMAP item 2 has
+// the removal order.
 
 // ShardedConfig shapes a ShardedRig.
 type ShardedConfig struct {
@@ -62,23 +63,8 @@ type ShardedConfig struct {
 	Patterns []trafficgen.Pattern
 	// Workers is the number of worker goroutines stepping shards between
 	// barriers. 0 or 1 steps every shard on the calling goroutine; either
-	// way the schedule, and so every statistic, is identical — which is why
-	// the session does not state it as checkpoint identity: a checkpoint
-	// taken with four workers resumes under one.
+	// way the schedule, and so every statistic, is identical.
 	Workers int
-	// TuneEvent optionally adjusts the matched event-based controller
-	// configuration, as in RigConfig. What it tunes is still checkpoint
-	// identity: each controller states the configuration it was built with.
-	TuneEvent func(*core.Config)
-	// FrontProbes feeds observability events from the frontend shard (the
-	// crossbar, plus the session's quantum-barrier events). Probes attached
-	// here run on the frontend kernel's goroutine only.
-	FrontProbes *obs.Hub
-	// ShardProbes optionally gives each channel shard its own hub (length
-	// must be 0 or Channels). Per-shard probes run on that shard's worker
-	// goroutine during quanta, so each must touch only its own state; merge
-	// results in Session.OnStep, which runs in the single-threaded barrier.
-	ShardProbes []*obs.Hub
 }
 
 // ShardedRig is the parallel counterpart of MultiChannelRig: generators and
@@ -95,17 +81,12 @@ type ShardedRig struct {
 
 	workers   int
 	lookahead sim.Tick
-	frontHub  *obs.Hub // nil when no frontend probe is attached
 }
 
 // NewShardedRig builds the sharded multi-channel system.
 func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 	if cfg.Channels <= 0 {
 		return nil, fmt.Errorf("system: sharded rig needs at least one channel")
-	}
-	if len(cfg.ShardProbes) != 0 && len(cfg.ShardProbes) != cfg.Channels {
-		return nil, fmt.Errorf("system: ShardProbes must be empty or one hub per channel (%d given, %d channels)",
-			len(cfg.ShardProbes), cfg.Channels)
 	}
 	// The one-way link latency, and so the barrier quantum, is the crossbar
 	// latency (or 1ns if that is 0).
@@ -116,10 +97,8 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 
 	front := sim.NewKernel()
 	reg := stats.NewRegistry("sys")
-	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, cfg.TuneEvent}
-	xcfg := cfg.Xbar
-	xcfg.Probes = cfg.FrontProbes
-	xb, err := genXbar(front, reg, xcfg, cc, cfg.Gens, cfg.Patterns)
+	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil}
+	xb, err := genXbar(front, reg, cfg.Xbar, cc, cfg.Gens, cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -129,21 +108,15 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 		Xbar:      xb,
 		workers:   cfg.Workers,
 		lookahead: lookahead,
-		frontHub:  cfg.FrontProbes.OrNil(),
 	}
 	for i := 0; i < cfg.Channels; i++ {
 		ck := sim.NewKernel()
 		// Each shard registers statistics in a private registry so hot
 		// counters are written by exactly one worker; the root absorbs the
 		// shard by reference, and the dump (always taken with workers
-		// parked) sees live values. Per-shard probe hubs follow the same
-		// ownership rule.
+		// parked) sees live values.
 		shardReg := stats.NewRegistry("sys")
-		var shardHub *obs.Hub
-		if len(cfg.ShardProbes) > 0 {
-			shardHub = cfg.ShardProbes[i]
-		}
-		ctrl, err := cc.build(ck, shardReg, shardHub, fmt.Sprintf("mc%d", i))
+		ctrl, err := cc.build(ck, shardReg, nil, fmt.Sprintf("mc%d", i))
 		if err != nil {
 			return nil, err
 		}
@@ -161,24 +134,24 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 	return rig, nil
 }
 
-// Lookahead returns the barrier quantum (= link latency).
-func (r *ShardedRig) Lookahead() sim.Tick { return r.lookahead }
-
 // session wraps the rig's parts for stepping and spins up the worker
 // goroutines; Close stops them.
 func (r *ShardedRig) session() Session {
 	kernels := append([]*sim.Kernel{r.Front}, r.Chans...)
 	return Session{
 		kernels: kernels, links: r.Links, reg: r.Reg, xbar: r.Xbar, ctrls: r.Ctrls, sources: sourcesOf(r.Gens),
-		step: r.lookahead, frontHub: r.frontHub,
+		step:    r.lookahead,
 		workers: startWorkers(kernels, r.workers),
 	}
 }
 
-// NewSession wraps the sharded rig for supervised stepping; see
-// (*TrafficRig).NewSession for the contract.
-func (r *ShardedRig) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
-	return r.session().supervised(scope, maxSim)
+// NewSession wraps the sharded rig for stepping from outside until maxSim.
+// The session is not supervised — a sharded run cannot be checkpointed — and
+// the label is unused; the signature is the one the frozen benchmark calls.
+func (r *ShardedRig) NewSession(_ string, maxSim sim.Tick) (*Session, error) {
+	s := r.session()
+	s.Deadline = maxSim
+	return &s, nil
 }
 
 // Run starts all generators and steps the shards in lookahead-sized quanta

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trafficgen"
@@ -13,20 +12,19 @@ import (
 )
 
 // This file holds the one run loop. Every topology — a generator on a
-// controller, a crossbar fanning out to channels on one kernel, the same with
-// each channel sharded onto its own kernel, or a system a CLI wired by hand —
-// is driven by the same Session: advance, sources done?, drain, all
-// quiescent?, deadline. The rigs' Run methods, the supervisor
-// (internal/supervisor) and the CLIs all step it; nothing else in the tree
-// re-implements that protocol.
+// controller, a crossbar fanning out to channels on one kernel, cores over
+// caches, the benchmark's rig with each channel sharded onto its own kernel,
+// or a system a CLI wired by hand — is driven by the same Session: advance,
+// sources done?, drain, all quiescent?, deadline. The rigs' Run methods, the
+// supervisor (internal/supervisor) and the CLIs all step it; nothing else in
+// the tree re-implements that protocol.
 
-// quantum is the stepping granularity of single-kernel sessions. Sharded
-// sessions step by the link lookahead instead — their only valid checkpoint
-// boundary is the barrier.
+// quantum is the stepping granularity of a memory system on one kernel. The
+// full system steps by 10 us and a sharded session by the link lookahead.
 const quantum = sim.Microsecond
 
 // Source is a traffic source a session arms and waits for: a
-// trafficgen.Generator or a trafficgen.TracePlayer.
+// trafficgen.Generator, a trafficgen.TracePlayer or a cpu.Core.
 type Source interface {
 	Start()
 	Done() bool
@@ -35,8 +33,8 @@ type Source interface {
 // Session is a steppable run of one wired system. Each Step advances every
 // kernel to a common tick and then runs a single-threaded section (link
 // flush, step hook, completion check), so between Steps all kernels are
-// parked at the same tick and every link outbox is empty — a valid
-// checkpoint boundary. It satisfies supervisor.Session.
+// parked at the same tick and every link outbox is empty. On one kernel that
+// is a valid checkpoint boundary. It satisfies supervisor.Session.
 type Session struct {
 	// Deadline is the absolute simulated tick by which the run must
 	// complete; a Step that reaches it without completing returns an error.
@@ -44,9 +42,8 @@ type Session struct {
 	// OnStart, when set, runs once when a fresh run is armed, before the
 	// sources start (a restored run skips it along with Start). OnStep, when
 	// set, runs after every advance in the single-threaded section — the
-	// place to drain per-shard probe buffers in deterministic shard order
-	// (obs.TraceSink.Flush). An error from either fails the next or current
-	// Step.
+	// place to drain probe buffers (obs.TraceSink.Flush). An error from either
+	// fails the next or current Step.
 	OnStart, OnStep func() error
 
 	kernels []*sim.Kernel    // [0] is the frontend; the rest are channel shards
@@ -56,9 +53,8 @@ type Session struct {
 	ctrls   []Controller
 	reg     *stats.Registry
 
-	step     sim.Tick // barrier quantum: 1 us, or the link lookahead when sharded
-	frontHub *obs.Hub // nil when no frontend probe is attached
-	workers  []*shardWorker
+	step    sim.Tick // barrier quantum: 1 us, 10 us, or the link lookahead when sharded
+	workers []*shardWorker
 
 	mgr      *checkpoint.Manager // nil until Supervise
 	startErr error
@@ -66,17 +62,13 @@ type Session struct {
 }
 
 // NewSession wraps a hand-wired single-kernel system — one traffic source
-// over one controller on k, whatever sits between them — for drivers that
+// over the controllers on k, whatever sits between them — for drivers that
 // cannot use a rig (a trace player, a capture monitor, a controller
-// configuration no rig exposes). Set Deadline (or call Run) before stepping.
-func NewSession(k *sim.Kernel, reg *stats.Registry, ctrl Controller, src Source) *Session {
-	s := single(k, reg, ctrl, src)
-	return &s
-}
-
-// single is NewSession by value, so a rig's Run can keep it on the stack.
-func single(k *sim.Kernel, reg *stats.Registry, ctrl Controller, src Source) Session {
-	return Session{kernels: []*sim.Kernel{k}, reg: reg, ctrls: []Controller{ctrl}, sources: []Source{src}, step: quantum}
+// configuration no rig exposes). xb is the crossbar the session drains along
+// with the controllers, nil when the source reaches one controller directly.
+// Set Deadline (or call Run) before stepping.
+func NewSession(k *sim.Kernel, reg *stats.Registry, xb *xbar.Crossbar, ctrls []Controller, src Source) *Session {
+	return &Session{kernels: []*sim.Kernel{k}, reg: reg, xbar: xb, ctrls: ctrls, sources: []Source{src}, step: quantum}
 }
 
 // sourcesOf adapts a rig's generator list to the session's source list.
@@ -94,12 +86,13 @@ func sourcesOf(gens []*trafficgen.Generator) []Source {
 // what the session states here: its step quantum, which fixes the barrier
 // schedule, and scope — an optional caller label, compared verbatim, for
 // whatever no component can state (a QoS function's policy, say); "" when
-// there is nothing to add. The worker count is deliberately not stated:
-// statistics are worker-count independent, so a checkpoint taken with one
-// worker count may be resumed with another.
-// Callers with further components (a trace sink) register them on Manager()
-// afterwards.
+// there is nothing to add. Callers with further components (a trace sink)
+// register them on Manager() afterwards. Only one-kernel sessions checkpoint:
+// a shard link carries no save/restore, so a sharded session is refused.
 func (s *Session) Supervise(scope string) error {
+	if len(s.links) > 0 {
+		return fmt.Errorf("system: a sharded session does not support checkpointing")
+	}
 	mgr := checkpoint.NewManager()
 	mgr.Describe("session", struct {
 		Scope string
@@ -118,9 +111,6 @@ func (s *Session) Supervise(scope string) error {
 	}
 	if s.xbar != nil {
 		register("xbar", s.xbar)
-	}
-	for i, l := range s.links {
-		register(fmt.Sprintf("link%d", i), l)
 	}
 	for i, c := range s.ctrls {
 		register(fmt.Sprintf("mc%d", i), c)
@@ -197,8 +187,8 @@ func (s *Session) Step() (bool, error) {
 	if s.complete(false) {
 		return true, nil
 	}
-	// The barrier is now+L, with L one microsecond on a single kernel and the
-	// link latency (= lookahead) when sharded: any packet a shard offers
+	// The barrier is now+L, with L the session's quantum on a single kernel and
+	// the link latency (= lookahead) when sharded: any packet a shard offers
 	// during the quantum is due at its send tick plus L, which is at or after
 	// the barrier, so it always lands in the receiving shard's future.
 	if err := s.advance(s.Now() + s.step); err != nil {
@@ -274,14 +264,8 @@ func (s *Session) advance(limit sim.Tick) error {
 	if len(pvs) > 0 {
 		panic(&ShardPanicError{Panics: pvs})
 	}
-	for i, l := range s.links {
-		reqs, resps := l.Flush()
-		if s.frontHub != nil && (reqs > 0 || resps > 0) {
-			s.frontHub.Emit(obs.ShardQuantumFlush{
-				Src: "rig", At: s.Now(), Shard: i,
-				Requests: reqs, Responses: resps,
-			})
-		}
+	for _, l := range s.links {
+		l.Flush()
 	}
 	return nil
 }

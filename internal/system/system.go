@@ -3,11 +3,12 @@
 // controllers (event-based or cycle-based). It is the Go equivalent of the
 // gem5 Python configuration layer the paper describes in §II-E. The
 // experiment drivers and the benchmark build their systems through the rigs
-// here; cmd/dramctrl (one channel), cmd/protocheck and cmd/validate wire a
-// kernel, controller and source by hand and the examples use the kernel API
-// directly. Whoever wires it, every run that drains a memory system is
-// driven by the one Session in session.go (FullSystem.Run, which stops at
-// core completion without draining, is the exception).
+// here; cmd/dramctrl (any channel count, behind InterleavedXbar when there is
+// more than one), cmd/protocheck and cmd/validate wire a kernel, controllers
+// and a source by hand and the examples use the kernel API directly. Whoever
+// wires it, every run is driven by the one Session in session.go. ShardedRig
+// (parallel.go) has no product caller left: it stays only because the frozen
+// benchmark constructs it.
 package system
 
 import (
@@ -138,12 +139,13 @@ func (cc ctrlConfig) build(k *sim.Kernel, reg *stats.Registry, hub *obs.Hub, nam
 	return nil, fmt.Errorf("system: unknown controller kind %d", cc.kind)
 }
 
-// interleavedXbar builds the crossbar in front of the channels. It routes at
-// the mapping's interleave granularity, widened to widest so no request
-// straddles a channel (the paper's cache-line-or-page default, §II-F).
-func interleavedXbar(k *sim.Kernel, reg *stats.Registry, name string, xcfg xbar.Config,
-	cc ctrlConfig, widest uint64) (*xbar.Crossbar, error) {
-	dec, err := dram.NewDecoder(cc.spec.Org, cc.mapping, cc.channels)
+// InterleavedXbar builds the crossbar in front of channels controllers of
+// org. It routes at the mapping's interleave granularity, widened to widest
+// (the largest request any requestor sends) so no request straddles a channel
+// (the paper's cache-line-or-page default, §II-F).
+func InterleavedXbar(k *sim.Kernel, reg *stats.Registry, name string, xcfg xbar.Config,
+	org dram.Organization, mapping dram.Mapping, channels int, widest uint64) (*xbar.Crossbar, error) {
+	dec, err := dram.NewDecoder(org, mapping, channels)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +153,7 @@ func interleavedXbar(k *sim.Kernel, reg *stats.Registry, name string, xcfg xbar.
 	for gran < widest {
 		gran *= 2
 	}
-	return xbar.New(k, xcfg, xbar.InterleaveRoute(cc.channels, gran), reg, name)
+	return xbar.New(k, xcfg, xbar.InterleaveRoute(channels, gran), reg, name)
 }
 
 // genXbar is the frontend MultiChannelRig and ShardedRig share: it checks
@@ -166,7 +168,7 @@ func genXbar(k *sim.Kernel, reg *stats.Registry, xcfg xbar.Config, cc ctrlConfig
 	for _, g := range gens {
 		widest = max(widest, g.RequestBytes)
 	}
-	return interleavedXbar(k, reg, "xbar", xcfg, cc, widest)
+	return InterleavedXbar(k, reg, "xbar", xcfg, cc.spec.Org, cc.mapping, cc.channels, widest)
 }
 
 // attachGens builds one generator per configuration on the crossbar's
@@ -263,9 +265,10 @@ func NewTrafficRig(cfg RigConfig) (*TrafficRig, error) {
 	return &TrafficRig{K: k, Reg: reg, Gen: gen, Ctrl: ctrl}, nil
 }
 
-// session wraps the rig's parts for stepping.
+// session wraps the rig's parts for stepping, by value so Run can keep it on
+// the stack.
 func (r *TrafficRig) session() Session {
-	return single(r.K, r.Reg, r.Ctrl, r.Gen)
+	return Session{kernels: []*sim.Kernel{r.K}, reg: r.Reg, ctrls: []Controller{r.Ctrl}, sources: []Source{r.Gen}, step: quantum}
 }
 
 // Run starts the generator and steps the simulation until the generator
@@ -376,6 +379,8 @@ type FullSystem struct {
 	L1s   []*cache.Cache
 	LLC   *cache.Cache
 	Ctrls []Controller
+
+	sources []Source // Cores, as the session's source list
 }
 
 // NewFullSystem wires cores -> L1s -> crossbar -> shared LLC -> crossbar ->
@@ -402,7 +407,7 @@ func newFullSystem(cfg MultiCoreConfig, tuneEvent func(*core.Config), connectCor
 	// at the mapping granularity but never below the LLC line size (fills
 	// must not straddle channels).
 	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, tuneEvent}
-	memXbar, err := interleavedXbar(k, reg, "memxbar", cfg.MemXbar, cc, cfg.LLC.LineBytes)
+	memXbar, err := InterleavedXbar(k, reg, "memxbar", cfg.MemXbar, cc.spec.Org, cc.mapping, cc.channels, cfg.LLC.LineBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -438,32 +443,19 @@ func newFullSystem(cfg MultiCoreConfig, tuneEvent func(*core.Config), connectCor
 		connectCore(c.Port(), l1.CPUPort())
 		mem.Connect(l1.MemPort(), coreXbar.AttachRequestor("l1"))
 		fs.Cores = append(fs.Cores, c)
+		fs.sources = append(fs.sources, c)
 		fs.L1s = append(fs.L1s, l1)
 	}
 	return fs, nil
 }
 
-// Run starts every core and steps until all finish their regions of
-// interest or maxSim passes; it reports completion.
+// Run starts every core and steps, 10 us at a time, until all finish their
+// regions of interest or maxSim passes; it reports completion. The cores are
+// the session's sources and it is given no controller or crossbar to drain: a
+// core is done when its last memory operation has been answered.
 func (fs *FullSystem) Run(maxSim sim.Tick) bool {
-	for _, c := range fs.Cores {
-		c.Start()
-	}
-	deadline := fs.K.Now() + maxSim
-	for fs.K.Now() < deadline {
-		fs.K.RunUntil(fs.K.Now() + 10*sim.Microsecond)
-		done := true
-		for _, c := range fs.Cores {
-			if !c.Done() {
-				done = false
-				break
-			}
-		}
-		if done {
-			return true
-		}
-	}
-	return false
+	s := Session{kernels: []*sim.Kernel{fs.K}, sources: fs.sources, step: 10 * sim.Microsecond}
+	return s.Run(maxSim) == nil
 }
 
 // AggregateIPC averages per-core IPC.
