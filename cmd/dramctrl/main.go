@@ -17,8 +17,8 @@
 // Observability: -trace writes a Chrome/Perfetto trace of the run (packet
 // lifecycles, per-bank command spans, refresh windows); -obs-http serves
 // live statistics snapshots and pprof; -obs-sample periodically samples
-// controller-internal state into the statistics registry. The trace
-// composes with checkpointing: a resumed run appends to the same file and
+// controller-internal state and bandwidth into the statistics registry and
+// prints the bandwidth over time. The trace composes with checkpointing: a resumed run appends to the same file and
 // reproduces the uninterrupted trace byte for byte.
 //
 // Examples:
@@ -88,7 +88,6 @@ type options struct {
 	jsonStats     string
 	traceIn       string
 	traceOut      string
-	intervalNs    int64
 	faults        faults.Config
 	eccLatencyNs  int64
 	retryLimit    int
@@ -113,7 +112,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&f.jsonStats, "json", "", "write the statistics registry as JSON to this file")
 	fs.StringVar(&f.traceIn, "trace-in", "", "replay this trace file instead of a synthetic pattern")
 	fs.StringVar(&f.traceOut, "trace-out", "", "capture the request stream to this trace file")
-	fs.Int64Var(&f.intervalNs, "interval", 0, "print a bandwidth sample every N ns of simulated time (0 = off)")
 	fs.Uint64Var(&f.faults.Seed, "fault-seed", 42, "fault injector seed (event model; channel i of several is seeded with this plus i)")
 	fs.Float64Var(&f.faults.CorrectablePerBurst, "ber-correctable", 0, "correctable errors per read burst (0-1, event model)")
 	fs.Float64Var(&f.faults.UncorrectablePerBurst, "ber-uncorrectable", 0, "uncorrectable errors per read burst (0-1, event model)")
@@ -136,44 +134,35 @@ func parseFlags(args []string) (*options, error) {
 		return nil, err
 	}
 	if f.sup.Enabled() {
-		// The trace monitor and the time series hold host-side state no
-		// component hook serializes; refuse the combination instead of
-		// resuming with silently empty captures. (-trace is fine: the trace
-		// sink is a checkpoint component.)
+		// The trace monitor holds host-side state no component hook
+		// serializes; refuse the combination instead of resuming with a
+		// silently empty capture. (-trace is fine: the tracer is a checkpoint
+		// component.)
 		if f.traceIn != "" || f.traceOut != "" {
 			return nil, fmt.Errorf("checkpointing does not support trace capture/replay (drop -trace-in/-trace-out)")
 		}
-		if f.intervalNs > 0 {
-			return nil, fmt.Errorf("checkpointing does not support the -interval time series")
-		}
-	}
-	if f.pol.Model == "cycle" && f.faults.Enabled() {
-		return nil, fmt.Errorf("fault injection is only modelled by the event-based controller")
 	}
 	return f, nil
 }
 
-// controller is what both models are to this command: a system.Controller the
-// periodic state sampler can read.
-type controller interface {
-	system.Controller
-	obs.SampleSource
-}
-
-// newController builds channel i — "mc", or "mc<i>" of several — from the
-// model's default configuration plus the flags, so a channel is the same
-// controller whatever -channels says.
-func (f *options) newController(k *sim.Kernel, reg *stats.Registry, hub *obs.Hub,
-	spec dram.Spec, mapping dram.Mapping, page core.PagePolicy, i int) (controller, error) {
-	name := "mc"
-	if *f.channels > 1 {
-		name = fmt.Sprintf("mc%d", i)
+// memory describes the memory side the flags ask for: -channels controllers
+// of -model, each the model's default configuration plus the flags — so a
+// channel is the same controller whatever -channels says — behind a crossbar
+// when there are several. What the selected model cannot honour is refused
+// here, not ignored. widest is the largest request the source will send.
+func (f *options) memory(spec dram.Spec, mapping dram.Mapping, hub *obs.Hub, widest uint64) (system.MemoryConfig, error) {
+	mc := system.MemoryConfig{Root: "dramctrl", Channels: *f.channels, Probes: hub, Widest: widest}
+	if mc.Channels > 1 {
+		mc.Xbar = &xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64, Probes: hub}
+	}
+	page, err := f.pol.CorePage()
+	if err != nil {
+		return mc, err
 	}
 	switch f.pol.Model {
 	case "event":
 		cfg := core.DefaultConfig(spec)
 		cfg.Mapping = mapping
-		cfg.Channels = *f.channels
 		cfg.Page = page
 		if f.pol.Sched == "fcfs" {
 			cfg.Scheduling = core.FCFS
@@ -181,85 +170,64 @@ func (f *options) newController(k *sim.Kernel, reg *stats.Registry, hub *obs.Hub
 		cfg.PowerDownIdle = sim.Tick(f.powerDownNs) * sim.Nanosecond
 		cfg.SelfRefreshIdle = sim.Tick(f.selfRefreshNs) * sim.Nanosecond
 		cfg.Faults = f.faults
-		cfg.Faults.Seed = f.faultSeed(i)
 		cfg.ECCCorrectionLatency = sim.Tick(f.eccLatencyNs) * sim.Nanosecond
 		cfg.FaultRetryLimit = f.retryLimit
-		cfg.Probes = hub
-		return core.NewController(k, cfg, reg, name)
+		mc.Kind, mc.Event = system.EventBased, cfg
 	case "cycle":
+		switch {
+		case f.faults.Enabled():
+			return mc, fmt.Errorf("fault injection is only modelled by the event-based controller")
+		case f.powerDownNs != 0 || f.selfRefreshNs != 0:
+			return mc, fmt.Errorf("-powerdown/-selfrefresh are only modelled by the event-based controller")
+		case page == core.OpenAdaptive || page == core.ClosedAdaptive:
+			return mc, fmt.Errorf("-page %s is only modelled by the event-based controller (the cycle model has open and closed)", f.pol.Page)
+		}
 		cfg := cyclesim.DefaultConfig(spec)
 		cfg.Mapping = mapping
-		cfg.Channels = *f.channels
-		if f.pol.ClosedPage() {
+		if page == core.Closed {
 			cfg.Page = cyclesim.ClosedPage
 		}
 		if f.pol.Sched == "fcfs" {
 			cfg.Scheduling = cyclesim.FCFS
 		}
-		cfg.Probes = hub
-		return cyclesim.NewController(k, cfg, reg, name)
+		mc.Kind, mc.Cycle = system.CycleBased, cfg
+	default:
+		return mc, fmt.Errorf("unknown model %q", f.pol.Model)
 	}
-	return nil, fmt.Errorf("unknown model %q", f.pol.Model)
+	return mc, nil
 }
-
-// faultSeed is channel i's injector seed: -fault-seed plus i, so several
-// channels do not replay one fault stream and one channel keeps the seed as
-// given.
-func (f *options) faultSeed(i int) uint64 { return f.faults.Seed + uint64(i) }
 
 // rig is the wired simulation: the session the supervisor drives, plus what
 // the report reads afterwards.
 type rig struct {
-	sess   *system.Session
-	reg    *stats.Registry
-	k      *sim.Kernel
-	ctrls  []system.Controller
-	gen    *trafficgen.Generator // nil when replaying a trace
-	mon    *trafficgen.Monitor
-	series *stats.Series
-	sink   *obs.TraceSink
+	sess      *system.Session
+	memory    *system.Memory
+	gen       *trafficgen.Generator // nil when replaying a trace
+	mon       *trafficgen.Monitor
+	bandwidth []string // rows of the bandwidth-over-time table, one per sample under -obs-sample
+	tracer    *obs.Tracer
 }
 
 // maxSim bounds every run's simulated time.
 const maxSim = 100 * sim.Second
 
-// build wires the simulation the flags describe without starting it: one
-// kernel, one registry, one observation hub, -channels controllers, and a
-// generator or trace player (behind an optional capture monitor) connected
-// straight to the controller when there is one, through a crossbar
-// interleaving the channels when there are several (paper §II-E/F, Fig. 1).
+// build assembles the simulation the flags describe without starting it: the
+// memory side through system.NewMemory, then this command's frontend — a
+// generator or trace player, behind an optional capture monitor — on the port
+// it hands back (paper §II-E/F, Fig. 1).
 func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServer, out io.Writer) (*rig, error) {
-	page, err := f.pol.CorePage()
-	if err != nil {
-		return nil, err
-	}
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("dramctrl")
-	r := &rig{reg: reg, k: k}
+	r := &rig{}
+	var err error
 
 	// The hub exists before the controllers: the models snapshot it at
 	// construction (nil when no probe is attached, so the instrumented paths
 	// stay a single branch).
 	hub := obs.NewHub()
-	var tw *obs.TraceWriter
 	if f.obs.Tracing() {
-		if tw, err = obs.NewTraceWriter(f.obs.TracePath); err != nil {
+		if r.tracer, err = obs.OpenTrace(f.obs.TracePath); err != nil {
 			return nil, err
 		}
-		tracer := obs.NewTracer()
-		hub.Attach(tracer)
-		r.sink = obs.NewTraceSink(tw, tracer)
-	}
-
-	n := *f.channels
-	r.ctrls = make([]system.Controller, n)
-	sampled := make([]obs.SampledSource, n)
-	for i := range r.ctrls {
-		c, err := f.newController(k, reg, hub, spec, mapping, page, i)
-		if err != nil {
-			return nil, err
-		}
-		r.ctrls[i], sampled[i] = c, obs.SampledSource{Name: c.Name(), Src: c}
+		hub.Attach(r.tracer)
 	}
 
 	// A replayed trace is read first: the crossbar must be at least as wide
@@ -276,20 +244,20 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 		}
 	}
 
-	// What the source talks to: the controller itself, or the crossbar that
-	// interleaves the channels, with the optional capture monitor in front.
-	sink := r.ctrls[0].Port()
-	var xb *xbar.Crossbar
-	if n > 1 {
-		xcfg := xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64, Probes: hub}
-		if xb, err = system.InterleavedXbar(k, reg, "xbar", xcfg, spec.Org, mapping, n, widest); err != nil {
-			return nil, err
-		}
-		for _, c := range r.ctrls {
-			mem.Connect(xb.AttachMemory("mem"), c.Port())
-		}
-		sink = xb.AttachRequestor("gen")
+	mc, err := f.memory(spec, mapping, hub, widest)
+	if err != nil {
+		return nil, err
 	}
+	m, err := system.NewMemory(mc)
+	if err != nil {
+		return nil, err
+	}
+	k, reg := m.K, m.Reg
+	r.memory = m
+
+	// What the source talks to: the memory port, with the optional capture
+	// monitor in front.
+	sink := m.FrontPort("gen")
 	if f.traceOut != "" {
 		r.mon = trafficgen.NewMonitor(k, reg, "mon")
 		mem.Connect(r.mon.MemPort(), sink)
@@ -303,7 +271,7 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 		src = player
 		fmt.Fprintf(out, "replaying %d trace records from %s\n", len(recs), f.traceIn)
 	} else {
-		pat, err := f.traf.BuildPattern(spec, mapping, n)
+		pat, err := f.traf.BuildPattern(spec, mapping, mc.Channels)
 		if err != nil {
 			return nil, err
 		}
@@ -313,56 +281,48 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 		mem.Connect(r.gen.Port(), sink)
 		src = r.gen
 	}
-	r.sess = system.NewSession(k, reg, xb, r.ctrls, src)
+	r.sess = m.Session(src)
 	r.sess.Deadline = maxSim
 	if f.sup.Enabled() {
 		if err := r.sess.Supervise(""); err != nil {
 			return nil, err
 		}
 	}
-	if r.sink != nil {
-		// The header goes out when a fresh run is armed; a restored run
-		// skips that and truncates the file to the checkpoint's length
-		// instead. Trace lines buffered during a quantum flush to the file
-		// in the step hook, keeping memory bounded regardless of run length.
-		r.sess.OnStart, r.sess.OnStep = tw.BeginFresh, r.sink.Flush
-		// The trace sink registers last: its save flushes the tracer, so
-		// the recorded file length covers all events up to the checkpoint.
+	if r.tracer != nil {
+		// Trace lines buffered during a quantum flush to the file in the step
+		// hook, keeping memory bounded regardless of run length.
+		r.sess.OnStep = r.tracer.Flush
+		// The tracer registers last: its save flushes, so the recorded file
+		// length covers all events up to the checkpoint.
 		if mgr := r.sess.Manager(); mgr != nil {
-			mgr.Register("trace", r.sink)
+			mgr.Register("trace", r.tracer)
 		}
 	}
 	if f.watchdog.Enabled() {
 		k.SetWatchdog(f.watchdog)
 	}
 
-	// Optional bandwidth time series (paper §II-E: statistics at arbitrary
-	// points in time) and periodic state sampler, publishing to the live
-	// endpoint when there is one (-interval, -obs-sample / -obs-http). Both
-	// are rejected alongside checkpointing, so every run that has them is a
-	// fresh one and they arm here, ahead of the traffic source.
-	if f.intervalNs > 0 {
-		r.series, err = stats.NewSeries(k, sim.Tick(f.intervalNs)*sim.Nanosecond,
-			func() float64 {
-				var bursts uint64
-				for _, c := range r.ctrls {
-					a := c.PowerStats()
-					bursts += a.ReadBursts + a.WriteBursts
-				}
-				return float64(bursts) * float64(spec.Org.BurstBytes())
-			}, true)
-		if err != nil {
-			return nil, err
-		}
-		r.series.Start()
-	}
+	// The periodic sampler (-obs-sample / -obs-http) is the one time series:
+	// controller state and bandwidth into the registry, each tick's rows into
+	// the bandwidth-over-time table and, when there is one, the live endpoint.
+	// It is rejected alongside checkpointing, so every run that has it is a
+	// fresh one and it arms here, ahead of the traffic source.
 	if f.obs.Sampling() {
+		sampled := make([]obs.SampleSource, len(m.Ctrls))
+		for i, c := range m.Ctrls {
+			sampled[i] = c
+		}
 		sampler, err := obs.NewSamplerProbe(k, reg, sim.Tick(f.obs.SampleNs)*sim.Nanosecond, sampled,
-			func(now sim.Tick) {
+			func(now sim.Tick, rows []obs.Sample) {
+				var sum float64
+				for _, row := range rows {
+					sum += row.Bandwidth
+				}
+				r.bandwidth = append(r.bandwidth, fmt.Sprintf("  %10s %8.2f GB/s\n", now, sum/1e9))
 				if live != nil {
 					live.PublishStats(reg, now)
-					for _, s := range sampled {
-						live.PublishSample(now, s.Name, s.Src.ObsSample())
+					for i, row := range rows {
+						live.PublishSample(now, sampled[i].Name(), row)
 					}
 				}
 			})
@@ -423,11 +383,11 @@ func run(args []string, out io.Writer) error {
 	if res.Interrupted {
 		fmt.Fprintf(out, "interrupted at %s; partial results:\n", res.Now)
 	}
-	if r.sink != nil {
+	if r.tracer != nil {
 		// Terminate the JSON array so the file is strict JSON. A later
 		// -resume truncates back to the checkpointed length, terminator
 		// included, so the resumed file still matches an uninterrupted run.
-		if err := r.sink.Close(); err != nil {
+		if err := r.tracer.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "trace written to %s (load in ui.perfetto.dev)\n", f.obs.TracePath)
@@ -449,18 +409,18 @@ func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete b
 			r.gen.ReadLatency().Mean(), r.gen.ReadLatency().Percentile(99), r.gen.ReadLatency().Count())
 	}
 	fmt.Fprintf(out, "spec %s, model %s, mapping %s, page %s\n", spec.Name, f.pol.Model, mapping, f.pol.Page)
-	fmt.Fprintf(out, "simulated %s in %d events\n", r.sess.Now(), r.k.EventsExecuted())
-	n := len(r.ctrls)
+	fmt.Fprintf(out, "simulated %s in %d events\n", r.sess.Now(), r.memory.K.EventsExecuted())
+	n := len(r.memory.Ctrls)
 	if n > 1 {
 		var bw, util float64
-		for _, c := range r.ctrls {
+		for _, c := range r.memory.Ctrls {
 			bw += c.Bandwidth()
 			util += c.BusUtilisation()
 		}
 		fmt.Fprintf(out, "%d channels behind a crossbar\n", n)
 		fmt.Fprintf(out, "aggregate bandwidth %.2f GB/s (%.1f%% avg bus utilisation)\n", bw/1e9, util/float64(n)*100)
 	}
-	for i, c := range r.ctrls {
+	for i, c := range r.memory.Ctrls {
 		tag := ""
 		if n > 1 {
 			tag = c.Name() + ": "
@@ -471,13 +431,14 @@ func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete b
 		fmt.Fprintf(out, "%sDRAM power: %s\n", tag, power.Compute(spec, act))
 		if f.faults.Enabled() {
 			get := func(name string) float64 {
-				if s, ok := r.reg.Get("dramctrl." + c.Name() + "." + name).(*stats.Scalar); ok {
+				if s, ok := r.memory.Reg.Get("dramctrl." + c.Name() + "." + name).(*stats.Scalar); ok {
 					return s.Value()
 				}
 				return 0
 			}
+			// Channel i's injector seed is -fault-seed + i (system.NewMemory).
 			fmt.Fprintf(out, "%sfaults (seed %d): %.0f corrected, %.0f uncorrected, %.0f retried, %.0f rows retired, %.0f scrubs (%.0f dropped)\n",
-				tag, f.faultSeed(i), get("correctedErrors"), get("uncorrectedErrors"),
+				tag, f.faults.Seed+uint64(i), get("correctedErrors"), get("uncorrectedErrors"),
 				get("retriedBursts"), get("retiredRows"), get("scrubWrites"), get("droppedScrubs"))
 		}
 		if act.PowerDownTime > 0 {
@@ -490,11 +451,10 @@ func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete b
 		}
 	}
 
-	if r.series != nil {
+	if len(r.bandwidth) > 0 {
 		fmt.Fprintln(out, "\nbandwidth over time:")
-		intervalSec := float64(f.intervalNs) * 1e-9
-		for _, pt := range r.series.Points() {
-			fmt.Fprintf(out, "  %10s %8.2f GB/s\n", pt.At, pt.Value/intervalSec/1e9)
+		for _, row := range r.bandwidth {
+			fmt.Fprint(out, row)
 		}
 	}
 	if r.mon != nil && complete {
@@ -505,14 +465,14 @@ func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete b
 		fmt.Fprintf(out, "captured %d records to %s\n", len(r.mon.Trace()), f.traceOut)
 	}
 	if f.jsonStats != "" {
-		if err := writeFile(f.jsonStats, r.reg.DumpJSON); err != nil {
+		if err := writeFile(f.jsonStats, r.memory.Reg.DumpJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "statistics written to %s\n", f.jsonStats)
 	}
 	if f.dumpStats {
 		fmt.Fprintln(out, "\nstatistics:")
-		return r.reg.Dump(out)
+		return r.memory.Reg.Dump(out)
 	}
 	return nil
 }

@@ -1,8 +1,9 @@
 package main
 
 // In-process coverage of the one run path, on one channel and on several: the
-// core assertions of ci/recovery_smoke.sh and ci/trace_smoke.sh (which tier-1
-// never runs), plus every flag composing with -channels.
+// core assertions of ci/recovery_smoke.sh (which tier-1 never runs; its kill -9
+// stays there), all of the old trace smoke and the dramctrl rows of the old
+// standards smoke, plus every flag composing with -channels.
 
 import (
 	"bytes"
@@ -15,6 +16,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // topologies are the flag prefixes for one controller and for four behind a
@@ -123,6 +126,49 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// A traced run writes strict Chrome trace JSON with every lifecycle span
+// closed, and the same flags write the same bytes again — on one channel and
+// on four. (That an interrupted and resumed run reproduces the uninterrupted
+// trace is TestMidRunResumeMatchesUninterrupted's -traced rows.)
+func TestTraceIsStrictJSONAndDeterministic(t *testing.T) {
+	for name, topo := range topologies {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+			mustRun(t, append(topo[:len(topo):len(topo)], "-seed", "7", "-trace", a)...)
+			mustRun(t, append(topo[:len(topo):len(topo)], "-seed", "7", "-trace", b)...)
+			if !bytes.Equal(read(t, a), read(t, b)) {
+				t.Error("identical runs wrote different traces")
+			}
+			sum, err := obs.ValidateTraceStrict(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sum.Terminated || sum.Bursts == 0 || sum.OpenSpans() != 0 {
+				t.Errorf("trace not well formed: terminated %v, %d bursts, %d spans open", sum.Terminated, sum.Bursts, sum.OpenSpans())
+			}
+			if want := map[string]int{"1ch": 1, "4ch": 5}[name]; len(sum.Processes) != want { // mc, or xbar + mc0..mc3
+				t.Errorf("trace processes %v, want %d of them", sum.Processes, want)
+			}
+		})
+	}
+}
+
+// Every supported standard's representative preset completes a run, and
+// -standard ddr3 is the default preset under another name (bit-compat guard).
+func TestStandardsRunAndResolve(t *testing.T) {
+	traffic := []string{"-pattern", "random", "-reads", "67", "-requests", "5000", "-seed", "7"}
+	for _, std := range []string{"ddr3", "ddr4", "ddr5", "lpddr5"} {
+		out := mustRun(t, append(traffic, "-standard", std)...)
+		if !regexp.MustCompile(`(?m)^bandwidth [1-9]\d*\.\d+ GB/s`).MatchString(out) {
+			t.Errorf("-standard %s reported no bandwidth:\n%s", std, out)
+		}
+	}
+	if byStd, byName := mustRun(t, append(traffic, "-standard", "ddr3")...), mustRun(t, append(traffic, "-spec", "DDR3-1600-x64")...); byStd != byName {
+		t.Errorf("-standard ddr3 and -spec DDR3-1600-x64 differ:\n%s\n%s", byStd, byName)
+	}
+}
+
 // -channels is a parameter of the one wiring, so every flag composes with it:
 // each flag the sharded wiring used to reject runs on two channels and shows
 // its effect there. (The name is the one the test has always had.)
@@ -178,20 +224,22 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		t.Errorf("replay printed %q, the captured run %q:\n%s", got, captured, replayed)
 	}
 
-	// The sampler reads every controller; the time series sums them.
+	// The sampler reads every controller; the bandwidth table sums them.
 	js := file("stats.json")
-	sampled := mustRun(t, with("-obs-sample", "500", "-obs-http", "localhost:0", "-interval", "1000", "-json", js)...)
-	for _, stat := range []string{`"dramctrl.obs.mc0.readQueueDepth"`, `"dramctrl.obs.mc1.readQueueDepth"`} {
+	sampled := mustRun(t, with("-obs-sample", "1000", "-obs-http", "localhost:0", "-json", js)...)
+	for _, stat := range []string{`"dramctrl.obs.mc0.readQueueDepth"`, `"dramctrl.obs.mc1.readQueueDepth"`,
+		`"dramctrl.obs.mc0.bandwidth"`, `"dramctrl.obs.mc1.bandwidth"`} {
 		if !bytes.Contains(read(t, js), []byte(stat)) {
 			t.Errorf("-obs-sample: %s missing from the statistics", stat)
 		}
 	}
 	if !regexp.MustCompile(`(?m)^bandwidth over time:\n +1us +\d+\.\d+ GB/s$`).MatchString(sampled) {
-		t.Errorf("-interval 1000 printed no bandwidth-over-time table:\n%s", sampled)
+		t.Errorf("-obs-sample 1000 printed no bandwidth-over-time table:\n%s", sampled)
 	}
 
 	const undefined = "flag provided but not defined"
 	const noChannel = "need at least one channel"
+	const eventOnly = "only modelled by the event-based controller"
 	for _, c := range []struct {
 		want  string
 		flags []string
@@ -203,6 +251,13 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		{noChannel, []string{"-channels", "0"}}, {noChannel, []string{"-channels", "-3"}},
 		{undefined + ": -parallel", []string{"-parallel", "2"}},
 		{undefined + ": -lookahead-quanta", []string{"-lookahead-quanta", "8"}},
+		{undefined + ": -interval", []string{"-interval", "1000"}},
+		// What the cycle model cannot honour is refused, never ignored.
+		{"fault injection is " + eventOnly, []string{"-model", "cycle", "-ber-correctable", "0.01"}},
+		{"-powerdown/-selfrefresh are " + eventOnly, []string{"-model", "cycle", "-powerdown", "300"}},
+		{"-powerdown/-selfrefresh are " + eventOnly, []string{"-model", "cycle", "-selfrefresh", "2000"}},
+		{"-page open-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "open-adaptive"}},
+		{"-page closed-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "closed-adaptive"}},
 	} {
 		if _, err := dramctrl(t, with(c.flags...)...); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: err = %v, want a rejection naming %q", c.flags, err, c.want)

@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -29,33 +31,47 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
 
+// errViolations marks a command stream the checker rejected; the findings
+// are already printed, so main only sets the exit status CI gates on.
+var errViolations = errors.New("timing violations")
+
 func main() {
-	var (
-		spec     = cliconfig.AddSpec(flag.CommandLine, "DDR3-1600-x64")
-		pol      = cliconfig.AddPolicy(flag.CommandLine, cliconfig.PolicyFlags{})
-		traffic  = cliconfig.AddTraffic(flag.CommandLine, 20000)
-		traceIn  = flag.String("trace-in", "", "replay this request trace file instead of synthetic traffic")
-		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace here; violations cite its spans")
-		cmdOut   = flag.String("cmd-trace", "", "record the verified DRAM command stream to this file")
-		cmdIn    = flag.String("cmd-trace-in", "", "check a recorded DRAM command stream (no simulation)")
-		pdIdleNs = flag.Int64("powerdown", 0, "power-down after N ns of rank idleness (0 = off)")
-		srIdleNs = flag.Int64("selfrefresh", 0, "self-refresh after N ns of rank idleness (0 = off)")
-		maxShow  = flag.Int("show", 10, "maximum violations to print")
-	)
-	flag.Parse()
-	if err := run(spec, pol, traffic, *traceIn, *traceOut, *cmdOut, *cmdIn, *pdIdleNs, *srIdleNs, *maxShow); err != nil {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errViolations):
+		os.Exit(1)
+	default:
 		fmt.Fprintln(os.Stderr, "protocheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
-	traceIn, traceOut, cmdOut, cmdIn string, pdIdleNs, srIdleNs int64, maxShow int) error {
+// run is the whole command: parse, simulate (or read a recorded stream),
+// check, report.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("protocheck", flag.ContinueOnError)
+	var (
+		sf       = cliconfig.AddSpec(fs, "DDR3-1600-x64")
+		pol      = cliconfig.AddPolicy(fs, cliconfig.PolicyFlags{})
+		traffic  = cliconfig.AddTraffic(fs, 20000)
+		traceIn  = fs.String("trace-in", "", "replay this request trace file instead of synthetic traffic")
+		traceOut = fs.String("trace", "", "write a Chrome/Perfetto trace here; violations cite its spans")
+		cmdOut   = fs.String("cmd-trace", "", "record the verified DRAM command stream to this file")
+		cmdIn    = fs.String("cmd-trace-in", "", "check a recorded DRAM command stream (no simulation)")
+		pdIdleNs = fs.Int64("powerdown", 0, "power-down after N ns of rank idleness (0 = off)")
+		srIdleNs = fs.Int64("selfrefresh", 0, "self-refresh after N ns of rank idleness (0 = off)")
+		maxShow  = fs.Int("show", 10, "maximum violations to print")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	spec, err := sf.Resolve()
 	if err != nil {
 		return err
@@ -67,8 +83,8 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 
 	// Oracle replay mode: no simulation, just the checker over a recorded
 	// command stream.
-	if cmdIn != "" {
-		f, err := os.Open(cmdIn)
+	if *cmdIn != "" {
+		f, err := os.Open(*cmdIn)
 		if err != nil {
 			return err
 		}
@@ -77,44 +93,35 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("replaying %d recorded DRAM commands from %s\n", len(cmds), cmdIn)
-		return report(spec, pol, mapping, cmds, nil, maxShow)
+		fmt.Fprintf(out, "replaying %d recorded DRAM commands from %s\n", len(cmds), *cmdIn)
+		return report(out, spec, pol, mapping, cmds, nil, *maxShow)
 	}
 
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("protocheck")
 	var trace power.CommandTrace
 	hub := obs.NewHub()
 	hub.Attach(obs.CommandFunc(trace.Record))
-	var sink *obs.TraceSink
-	if traceOut != "" {
-		tw, err := obs.NewTraceWriter(traceOut)
-		if err != nil {
+	var tracer *obs.Tracer
+	if *traceOut != "" {
+		if tracer, err = obs.OpenTrace(*traceOut); err != nil {
 			return err
 		}
-		if err := tw.BeginFresh(); err != nil {
-			return err
-		}
-		tracer := obs.NewTracer()
 		hub.Attach(tracer)
-		sink = obs.NewTraceSink(tw, tracer)
 	}
 	cfg := core.DefaultConfig(spec)
 	cfg.Mapping = mapping
-	cfg.Probes = hub
-	cfg.PowerDownIdle = sim.Tick(pdIdleNs) * sim.Nanosecond
-	cfg.SelfRefreshIdle = sim.Tick(srIdleNs) * sim.Nanosecond
+	cfg.PowerDownIdle = sim.Tick(*pdIdleNs) * sim.Nanosecond
+	cfg.SelfRefreshIdle = sim.Tick(*srIdleNs) * sim.Nanosecond
 	if cfg.Page, err = pol.CorePage(); err != nil {
 		return err
 	}
-	ctrl, err := core.NewController(k, cfg, reg, "mc")
+	m, err := system.NewMemory(system.MemoryConfig{Root: "protocheck", Kind: system.EventBased, Channels: 1, Event: cfg, Probes: hub})
 	if err != nil {
 		return err
 	}
 
 	var src system.Source
-	if traceIn != "" {
-		f, err := os.Open(traceIn)
+	if *traceIn != "" {
+		f, err := os.Open(*traceIn)
 		if err != nil {
 			return err
 		}
@@ -123,26 +130,26 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 		if err != nil {
 			return err
 		}
-		player := trafficgen.NewTracePlayer(k, recs, 0)
-		mem.Connect(player.Port(), ctrl.Port())
+		player := trafficgen.NewTracePlayer(m.K, recs, 0)
+		mem.Connect(player.Port(), m.FrontPort("gen"))
 		src = player
-		fmt.Printf("replaying %d records from %s\n", len(recs), traceIn)
+		fmt.Fprintf(out, "replaying %d records from %s\n", len(recs), *traceIn)
 	} else {
 		pattern, err := traffic.BuildPattern(spec, mapping, 1)
 		if err != nil {
 			return err
 		}
-		gen, err := trafficgen.New(k, traffic.GenConfig(), pattern, reg, "gen")
+		gen, err := trafficgen.New(m.K, traffic.GenConfig(), pattern, m.Reg, "gen")
 		if err != nil {
 			return err
 		}
-		mem.Connect(gen.Port(), ctrl.Port())
+		mem.Connect(gen.Port(), m.FrontPort("gen"))
 		src = gen
 	}
 
-	sess := system.NewSession(k, reg, nil, []system.Controller{ctrl}, src)
-	if sink != nil {
-		sess.OnStep = sink.Flush
+	sess := m.Session(src)
+	if tracer != nil {
+		sess.OnStep = tracer.Flush
 	}
 	if err := sess.Run(100 * sim.Second); err != nil {
 		return err
@@ -151,22 +158,22 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 	// a replayed oracle sees the same PDE/PDX pairing the live checker did.
 	// (The exit commands are stamped at their future exit ticks; nothing runs
 	// after them, so the stream stays ordered.)
-	ctrl.WakeAllRanks()
+	m.Ctrls[0].(*core.Controller).WakeAllRanks()
 	var cite func(power.Violation) string
-	if sink != nil {
-		if err := sink.Close(); err != nil {
+	if tracer != nil {
+		if err := tracer.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace written to %s\n", traceOut)
-		cite, err = traceCiter(traceOut)
+		fmt.Fprintf(out, "trace written to %s\n", *traceOut)
+		cite, err = traceCiter(*traceOut)
 		if err != nil {
 			return err
 		}
 	}
 
 	cmds := trace.Commands()
-	if cmdOut != "" {
-		f, err := os.Create(cmdOut)
+	if *cmdOut != "" {
+		f, err := os.Create(*cmdOut)
 		if err != nil {
 			return err
 		}
@@ -177,37 +184,36 @@ func run(sf *cliconfig.Spec, pol *cliconfig.Policy, traffic *cliconfig.Traffic,
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("command trace written to %s (%d commands)\n", cmdOut, len(cmds))
+		fmt.Fprintf(out, "command trace written to %s (%d commands)\n", *cmdOut, len(cmds))
 	}
-	return report(spec, pol, mapping, cmds, cite, maxShow)
+	return report(out, spec, pol, mapping, cmds, cite, *maxShow)
 }
 
-// report runs the checker and prints the verdict; it exits non-zero on any
-// violation so CI can gate on a clean protocol.
-func report(spec dram.Spec, pol *cliconfig.Policy, mapping dram.Mapping,
+// report runs the checker and prints the verdict; any violation is
+// errViolations, so CI can gate on a clean protocol.
+func report(out io.Writer, spec dram.Spec, pol *cliconfig.Policy, mapping dram.Mapping,
 	cmds []power.Command, cite func(power.Violation) string, maxShow int) error {
 	violations := power.CheckTiming(spec, cmds)
-	fmt.Printf("checked %d DRAM commands against %s (%s page, %s)\n",
+	fmt.Fprintf(out, "checked %d DRAM commands against %s (%s page, %s)\n",
 		len(cmds), spec.Name, pol.Page, mapping)
 	if len(violations) == 0 {
-		fmt.Println("protocol clean: no timing violations")
+		fmt.Fprintln(out, "protocol clean: no timing violations")
 		return nil
 	}
-	fmt.Printf("%d violations:\n", len(violations))
+	fmt.Fprintf(out, "%d violations:\n", len(violations))
 	for i, v := range violations {
 		if i >= maxShow {
-			fmt.Printf("  ... and %d more\n", len(violations)-maxShow)
+			fmt.Fprintf(out, "  ... and %d more\n", len(violations)-maxShow)
 			break
 		}
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(out, "  %s\n", v)
 		if cite != nil {
 			if c := cite(v); c != "" {
-				fmt.Printf("    %s\n", c)
+				fmt.Fprintf(out, "    %s\n", c)
 			}
 		}
 	}
-	os.Exit(1)
-	return nil
+	return errViolations
 }
 
 // traceCiter reads the just-written trace back and returns a function that

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -23,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
@@ -35,25 +36,46 @@ type check struct {
 	pass   bool
 }
 
+// errFailed marks a run whose summary has failing checks; the table is
+// already printed, so main only sets the exit status.
+var errFailed = errors.New("checks failed")
+
 func main() {
-	full := flag.Bool("full", false, "run full-size experiments (slower)")
-	faultsOnly := flag.Bool("faults", false, "run only the fault-injection / RAS checks")
-	traceOut := flag.String("trace", "", "also run the observability self-check, writing its Perfetto trace here")
-	traceCheck := flag.String("trace-check", "", "validate an existing Chrome trace file and exit")
-	standard := flag.String("standard", "", "run only the protocol smoke for one memory standard keyword, or \"all\"")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errFailed):
+		os.Exit(1)
+	default:
+		fmt.Fprintln(os.Stderr, "validate:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse, run the selected checks, print the table.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
+	full := fs.Bool("full", false, "run full-size experiments (slower)")
+	faultsOnly := fs.Bool("faults", false, "run only the fault-injection / RAS checks")
+	traceOut := fs.String("trace", "", "also run the observability self-check, writing its Perfetto trace here")
+	traceCheck := fs.String("trace-check", "", "validate an existing Chrome trace file and exit")
+	standard := fs.String("standard", "", "run only the protocol smoke for one memory standard keyword, or \"all\"")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *traceCheck != "" {
 		sum, err := obs.ValidateTraceStrict(*traceCheck)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "validate:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("%s: valid Chrome trace JSON: %d events, %d lifecycle spans (%d open), "+
+		fmt.Fprintf(out, "%s: valid Chrome trace JSON: %d events, %d lifecycle spans (%d open), "+
 			"%d bursts, %d activates, %d refreshes, %d power spans, processes %v\n",
 			*traceCheck, sum.Events, sum.SpanBegins, sum.OpenSpans(),
 			sum.Bursts, sum.Activates, sum.Refreshes, sum.PowerSpans, sum.Processes)
-		return
+		return nil
 	}
 
 	sweepReq, latReq, powerReq, speedReq := uint64(1500), uint64(6000), uint64(1500), uint64(20000)
@@ -72,8 +94,7 @@ func main() {
 
 	if *standard != "" {
 		standardChecks(add, *standard, memOps)
-		report(checks)
-		return
+		return report(out, checks)
 	}
 
 	if *faultsOnly {
@@ -81,8 +102,7 @@ func main() {
 		if *traceOut != "" {
 			traceChecks(add, *traceOut, memOps)
 		}
-		report(checks)
-		return
+		return report(out, checks)
 	}
 
 	// Figure 3: open-page reads reach ~90%+, models agree.
@@ -182,7 +202,7 @@ func main() {
 	if *traceOut != "" {
 		traceChecks(add, *traceOut, memOps)
 	}
-	report(checks)
+	return report(out, checks)
 }
 
 // standardChecks runs the multi-standard protocol smoke: each requested
@@ -224,6 +244,30 @@ func standardChecks(add func(string, bool, string, ...any), std string, requests
 	}
 }
 
+// eventRun drives the generator's traffic through one event-based controller
+// of cfg, observed through hub, to completion, and closes any low-power
+// interval still open so spans, recorded commands and residency counters
+// cover identical time. onStep (nil for none) runs between quanta.
+func eventRun(cfg core.Config, hub *obs.Hub, gcfg trafficgen.Config, pattern trafficgen.Pattern, onStep func() error) (*core.Controller, error) {
+	m, err := system.NewMemory(system.MemoryConfig{Root: "validate", Kind: system.EventBased, Channels: 1, Event: cfg, Probes: hub})
+	if err != nil {
+		return nil, err
+	}
+	gen, err := trafficgen.New(m.K, gcfg, pattern, m.Reg, "gen")
+	if err != nil {
+		return nil, err
+	}
+	mem.Connect(gen.Port(), m.FrontPort("gen"))
+	sess := m.Session(gen)
+	sess.OnStep = onStep
+	if err := sess.Run(100 * sim.Second); err != nil {
+		return nil, err
+	}
+	ctrl := m.Ctrls[0].(*core.Controller)
+	ctrl.WakeAllRanks()
+	return ctrl, nil
+}
+
 // runStandardSmoke drives a short random-traffic run against the spec with
 // the command probe attached and returns the recorded command trace and the
 // achieved bandwidth.
@@ -231,27 +275,14 @@ func runStandardSmoke(spec dram.Spec, requests uint64) (*power.CommandTrace, flo
 	var trace power.CommandTrace
 	hub := obs.NewHub()
 	hub.Attach(obs.CommandFunc(trace.Record))
-
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("validate")
-	cfg := core.DefaultConfig(spec)
-	cfg.Probes = hub
-	ctrl, err := core.NewController(k, cfg, reg, "mc")
-	if err != nil {
-		return nil, 0, err
-	}
-	gen, err := trafficgen.New(k, trafficgen.Config{
+	ctrl, err := eventRun(core.DefaultConfig(spec), hub, trafficgen.Config{
 		RequestBytes:   64,
 		MaxOutstanding: 32,
 		Count:          requests,
 	}, &trafficgen.Random{
 		Start: 0, End: 1 << 26, Align: 64, ReadPercent: 67, Seed: 7,
-	}, reg, "gen")
+	}, nil)
 	if err != nil {
-		return nil, 0, err
-	}
-	mem.Connect(gen.Port(), ctrl.Port())
-	if err := system.NewSession(k, reg, nil, []system.Controller{ctrl}, gen).Run(100 * sim.Second); err != nil {
 		return nil, 0, fmt.Errorf("%s smoke: %w", spec.Name, err)
 	}
 	return &trace, ctrl.Bandwidth(), nil
@@ -305,52 +336,29 @@ func traceChecks(add func(string, bool, string, ...any), path string, requests u
 // runTraced drives a short random-traffic run with the packet-lifecycle
 // tracer attached and returns the controller's aggregate activity counts.
 func runTraced(path string, requests uint64) (power.Activity, error) {
-	spec := dram.DDR3_1600_x64()
-	tw, err := obs.NewTraceWriter(path)
+	tracer, err := obs.OpenTrace(path)
 	if err != nil {
 		return power.Activity{}, err
 	}
-	if err := tw.BeginFresh(); err != nil {
-		return power.Activity{}, err
-	}
-	tracer := obs.NewTracer()
 	hub := obs.NewHub()
 	hub.Attach(tracer)
-	sink := obs.NewTraceSink(tw, tracer)
-
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("validate")
-	cfg := core.DefaultConfig(spec)
-	cfg.Probes = hub
+	cfg := core.DefaultConfig(dram.DDR3_1600_x64())
 	// Low-power states on and bursty traffic, so the trace carries PD/SR
 	// spans for the residency reconciliation check.
 	cfg.PowerDownIdle = 300 * sim.Nanosecond
 	cfg.SelfRefreshIdle = 2 * sim.Microsecond
-	ctrl, err := core.NewController(k, cfg, reg, "mc")
-	if err != nil {
-		return power.Activity{}, err
-	}
-	gen, err := trafficgen.New(k, trafficgen.Config{
+	ctrl, err := eventRun(cfg, hub, trafficgen.Config{
 		RequestBytes:   64,
 		MaxOutstanding: 32,
 		Count:          requests,
 	}, &trafficgen.Bursty{
 		Start: 0, End: 1 << 28, Align: 64, ReadPercent: 67, Seed: 1,
 		BurstLen: 16, OffTime: 5 * sim.Microsecond,
-	}, reg, "gen")
+	}, tracer.Flush)
 	if err != nil {
-		return power.Activity{}, err
-	}
-	mem.Connect(gen.Port(), ctrl.Port())
-	sess := system.NewSession(k, reg, nil, []system.Controller{ctrl}, gen)
-	sess.OnStep = sink.Flush
-	if err := sess.Run(100 * sim.Second); err != nil {
 		return power.Activity{}, fmt.Errorf("traced run: %w", err)
 	}
-	// Close any open low-power interval so trace spans and residency
-	// counters cover identical time.
-	ctrl.WakeAllRanks()
-	if err := sink.Close(); err != nil {
+	if err := tracer.Close(); err != nil {
 		return power.Activity{}, err
 	}
 	return ctrl.PowerStats(), nil
@@ -402,10 +410,10 @@ func faultChecks(add func(string, bool, string, ...any), requests uint64) {
 		"%d uncorrectable errors completed as poisoned responses, no crash", hot.Uncorrected)
 }
 
-// report prints the pass/fail table and exits non-zero on failure.
-func report(checks []check) {
-	fmt.Println("paper validation summary:")
-	fmt.Println()
+// report prints the pass/fail table; a failing check is errFailed.
+func report(out io.Writer, checks []check) error {
+	fmt.Fprintln(out, "paper validation summary:")
+	fmt.Fprintln(out)
 	failed := 0
 	for _, c := range checks {
 		status := "PASS"
@@ -413,14 +421,15 @@ func report(checks []check) {
 			status = "FAIL"
 			failed++
 		}
-		fmt.Printf("  [%s] %-24s %s\n", status, c.name, c.detail)
+		fmt.Fprintf(out, "  [%s] %-24s %s\n", status, c.name, c.detail)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	if failed > 0 {
-		fmt.Printf("%d of %d checks failed\n", failed, len(checks))
-		os.Exit(1)
+		fmt.Fprintf(out, "%d of %d checks failed\n", failed, len(checks))
+		return errFailed
 	}
-	fmt.Printf("all %d checks passed\n", len(checks))
+	fmt.Fprintf(out, "all %d checks passed\n", len(checks))
+	return nil
 }
 
 func abs(v float64) float64 {

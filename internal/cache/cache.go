@@ -30,7 +30,7 @@ type Config struct {
 	MSHRs int
 	// WriteBufferDepth is meant to bound queued writebacks. Validate
 	// requires it positive, but nothing enforces it yet: the writeback
-	// queue is unbounded (ROADMAP open item 3(a): enforce or delete).
+	// queue is unbounded (ROADMAP open item 7: enforce or delete).
 	WriteBufferDepth int
 	// Prefetch selects the prefetcher (extension; see prefetch.go).
 	Prefetch PrefetchPolicy

@@ -1105,7 +1105,6 @@ func (c *Controller) processRefresh(rankIdx int) {
 		}
 		for bi := lo; bi < hi; bi++ {
 			c.hub.Emit(obs.RefreshStart{Src: c.name, At: start, Rank: rankIdx, Bank: bi, Until: done})
-			c.hub.Emit(obs.RefreshEnd{Src: c.name, At: done, Rank: rankIdx, Bank: bi})
 		}
 	}
 	c.st.refreshes.Inc()

@@ -111,6 +111,7 @@ func (c *Controller) ObsSample() obs.Sample {
 		Draining:        c.state == busWrite,
 		RankPowerDown:   pd,
 		RankSelfRefresh: sr,
+		BytesMoved:      c.st.bytesRead.Value() + c.st.bytesWritten.Value(),
 	}
 }
 

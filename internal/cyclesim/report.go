@@ -31,6 +31,7 @@ func (c *Controller) ObsSample() obs.Sample {
 		BusUtilisation: c.BusUtilisation(),
 		RowHitRate:     c.RowHitRate(),
 		BanksOpen:      banks,
+		BytesMoved:     c.st.bytesRead.Value() + c.st.bytesWritten.Value(),
 	}
 }
 

@@ -87,7 +87,6 @@ func (c *Controller) refreshWork(cycle int64) bool {
 			done := c.ct(cycle + c.cycles.tRFC)
 			c.hub.Emit(obs.DRAMCommand{Src: c.name, Cmd: power.Command{Kind: power.CmdREF, Rank: ri, At: at}})
 			c.hub.Emit(obs.RefreshStart{Src: c.name, At: at, Rank: ri, Bank: -1, Until: done})
-			c.hub.Emit(obs.RefreshEnd{Src: c.name, At: done, Rank: ri, Bank: -1})
 		}
 		return true
 	}

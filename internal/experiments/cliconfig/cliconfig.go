@@ -143,10 +143,6 @@ func (p *Policy) CorePage() (core.PagePolicy, error) {
 	return 0, fmt.Errorf("unknown page policy %q", p.Page)
 }
 
-// ClosedPage reports whether -page names a closed-page family policy, the
-// granularity the cycle-based model and the rig configuration use.
-func (p *Policy) ClosedPage() bool { return strings.HasPrefix(p.Page, "closed") }
-
 // --- Traffic group ---------------------------------------------------------
 
 // Traffic is the synthetic-traffic flag group of the full runner.
@@ -330,7 +326,7 @@ func AddObs(fs *flag.FlagSet) *Obs {
 	o := &Obs{}
 	fs.StringVar(&o.TracePath, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
 	fs.StringVar(&o.HTTPAddr, "obs-http", "", "serve live stats snapshots and pprof on this address (e.g. localhost:6060)")
-	fs.Int64Var(&o.SampleNs, "obs-sample", 0, "sample controller state every N ns of simulated time (0 = off; implied 1ms by -obs-http)")
+	fs.Int64Var(&o.SampleNs, "obs-sample", 0, "sample controller state and bandwidth every N ns of simulated time and print the bandwidth over time (0 = off; implied 1ms by -obs-http)")
 	return o
 }
 
@@ -345,7 +341,7 @@ func (o *Obs) Sampling() bool { return o.SampleNs > 0 }
 // the -obs-http sampling implication. The trace is checkpoint-compatible
 // (the sink is a checkpoint component); the sampler and the live endpoint
 // schedule host-driven work no component hook serializes, so they are
-// rejected alongside checkpointing, like -interval.
+// rejected alongside checkpointing.
 func (o *Obs) Validate(checkpointing bool) error {
 	if o.SampleNs < 0 {
 		return fmt.Errorf("negative -obs-sample interval")

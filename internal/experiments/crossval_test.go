@@ -11,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
@@ -107,13 +106,11 @@ func TestCrossModelConservationProperty(t *testing.T) {
 // independent implementations of the same power methodology.
 func TestCycleEnergyMatchesOfflineMicron(t *testing.T) {
 	spec := dram.DDR3_1333_8x8()
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("t")
-	cfg := cyclesim.DefaultConfig(spec)
-	ctrl, err := cyclesim.NewController(k, cfg, reg, "mc")
+	m, err := system.NewMemory(system.MemoryConfig{Root: "t", Kind: system.CycleBased, Channels: 1, Cycle: cyclesim.DefaultConfig(spec)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	k, reg, ctrl := m.K, m.Reg, m.Ctrls[0].(*cyclesim.Controller)
 	gen, err := trafficgen.New(k, trafficgen.Config{
 		RequestBytes:   spec.Org.BurstBytes(),
 		MaxOutstanding: 16,
@@ -123,7 +120,7 @@ func TestCycleEnergyMatchesOfflineMicron(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem.Connect(gen.Port(), ctrl.Port())
+	mem.Connect(gen.Port(), m.FrontPort("gen"))
 	gen.Start()
 	for i := 0; i < 10000 && !(gen.Done() && ctrl.Quiescent()); i++ {
 		k.RunUntil(k.Now() + sim.Microsecond)

@@ -26,7 +26,7 @@ type HTTPServer struct {
 }
 
 // StartHTTPServer binds addr ("localhost:6060", ":0", ...), registers
-// /healthz on mux, and serves in the background until Shutdown or Close.
+// /healthz on mux, and serves in the background until Shutdown.
 func StartHTTPServer(addr string, mux *http.ServeMux) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -55,9 +55,6 @@ func (h *HTTPServer) Shutdown(grace time.Duration) error {
 	return nil
 }
 
-// Close stops the server immediately without draining.
-func (h *HTTPServer) Close() error { return h.srv.Close() }
-
 // Live observation endpoint (-obs-http). The simulation goroutine never
 // serves HTTP: at each sampling tick it *publishes* pre-rendered JSON
 // snapshots under a mutex, and the HTTP goroutines only ever read those
@@ -73,7 +70,7 @@ func (h *HTTPServer) Close() error { return h.srv.Close() }
 //	/series     recent per-controller samples (JSON array, bounded history)
 //	/debug/pprof/...  the standard pprof handlers
 type LiveServer struct {
-	hs *HTTPServer
+	*HTTPServer // Addr; Shutdown drains in-flight requests (the SIGINT/SIGTERM path)
 
 	mu        sync.Mutex
 	statsSnap []byte   // latest registry dump, or nil before the first publish
@@ -86,7 +83,7 @@ type LiveServer struct {
 const maxSeriesRows = 4096
 
 // NewLiveServer starts listening on addr ("localhost:6060", ":0", ...) and
-// serves in the background until Close.
+// serves in the background until Shutdown.
 func NewLiveServer(addr string) (*LiveServer, error) {
 	s := &LiveServer{}
 	mux := http.NewServeMux()
@@ -98,23 +95,12 @@ func NewLiveServer(addr string) (*LiveServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	hs, err := StartHTTPServer(addr, mux)
-	if err != nil {
+	var err error
+	if s.HTTPServer, err = StartHTTPServer(addr, mux); err != nil {
 		return nil, err
 	}
-	s.hs = hs
 	return s, nil
 }
-
-// Addr returns the bound address (useful with ":0").
-func (s *LiveServer) Addr() string { return s.hs.Addr() }
-
-// Close stops the listener immediately, without draining.
-func (s *LiveServer) Close() error { return s.hs.Close() }
-
-// Shutdown drains in-flight requests for up to grace before closing — the
-// SIGINT/SIGTERM path, so a scraper mid-GET sees a complete response.
-func (s *LiveServer) Shutdown(grace time.Duration) error { return s.hs.Shutdown(grace) }
 
 // PublishStats renders the registry and swaps it in as the /stats snapshot.
 // Call from the simulation goroutine only (typically the sampler hook).
@@ -132,14 +118,14 @@ func (s *LiveServer) PublishStats(reg *stats.Registry, now sim.Tick) {
 	s.mu.Unlock()
 }
 
-// PublishSample appends one controller sample to the /series history. Call
-// from the simulation goroutine only.
+// PublishSample appends one controller sample — a row the sampler took — to
+// the /series history. Call from the simulation goroutine only.
 func (s *LiveServer) PublishSample(now sim.Tick, name string, sm Sample) {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf,
-		`{"at":%d,"src":%q,"readQueueLen":%d,"writeQueueLen":%d,"busUtilisation":%g,"rowHitRate":%g,"draining":%t,"banksOpen":%d}`,
+		`{"at":%d,"src":%q,"readQueueLen":%d,"writeQueueLen":%d,"busUtilisation":%g,"rowHitRate":%g,"draining":%t,"banksOpen":%d,"bandwidth":%g}`,
 		int64(now), name, sm.ReadQueueLen, sm.WriteQueueLen,
-		sm.BusUtilisation, sm.RowHitRate, sm.Draining, countOpen(sm.BanksOpen))
+		sm.BusUtilisation, sm.RowHitRate, sm.Draining, countOpen(sm.BanksOpen), sm.Bandwidth)
 	s.mu.Lock()
 	s.rows = append(s.rows, buf.Bytes())
 	if len(s.rows) > maxSeriesRows {

@@ -47,17 +47,14 @@ func (q Queue) String() string {
 	return "write"
 }
 
-// Event is one instrumented occurrence inside the simulation. Every event
-// carries the emitting component's instance name (Src) and a timestamp;
+// Event is one instrumented occurrence inside the simulation: one of the
+// struct types below. Every one carries the emitting component's instance
+// name (Src: "mc", "mc3", "xbar", ...) and the tick it describes;
 // command-like events may be stamped with a *future* tick, exactly as the
-// event-based controller books DRAM commands ahead of time.
-type Event interface {
-	// ObsSrc returns the emitting component's instance name ("mc", "mc3",
-	// "xbar", ...).
-	ObsSrc() string
-	// ObsTime returns the tick the event describes.
-	ObsTime() sim.Tick
-}
+// event-based controller books DRAM commands ahead of time. The hub only
+// passes events on, so the type asks nothing of them: a probe switches on the
+// concrete type.
+type Event any
 
 // PacketEnqueued reports a system packet accepted into a component's queue:
 // the start of the packet's lifecycle inside that component.
@@ -119,23 +116,14 @@ type ResponseSent struct {
 }
 
 // RefreshStart reports a refresh window opening at At and blocking until
-// Until. Bank is -1 for an all-bank refresh.
+// Until (the controller knows the window length up front, so there is no
+// closing event). Bank is -1 for an all-bank refresh.
 type RefreshStart struct {
 	Src   string
 	At    sim.Tick
 	Rank  int
 	Bank  int
 	Until sim.Tick
-}
-
-// RefreshEnd reports the corresponding refresh window closing. It is
-// emitted together with RefreshStart (the controller knows the window
-// length up front), stamped with the window-end tick.
-type RefreshEnd struct {
-	Src  string
-	At   sim.Tick
-	Rank int
-	Bank int
 }
 
 // WriteDrainEnter reports the bus turning around into write-drain mode.
@@ -151,29 +139,6 @@ type WriteDrainExit struct {
 	At     sim.Tick
 	Writes int // writes drained during the episode
 }
-
-// ObsSrc/ObsTime implementations.
-
-func (e PacketEnqueued) ObsSrc() string     { return e.Src }
-func (e PacketEnqueued) ObsTime() sim.Tick  { return e.At }
-func (e QueueAdmit) ObsSrc() string         { return e.Src }
-func (e QueueAdmit) ObsTime() sim.Tick      { return e.At }
-func (e QueueRefuse) ObsSrc() string        { return e.Src }
-func (e QueueRefuse) ObsTime() sim.Tick     { return e.At }
-func (e DRAMCommand) ObsSrc() string        { return e.Src }
-func (e DRAMCommand) ObsTime() sim.Tick     { return e.Cmd.At }
-func (e BurstScheduled) ObsSrc() string     { return e.Src }
-func (e BurstScheduled) ObsTime() sim.Tick  { return e.At }
-func (e ResponseSent) ObsSrc() string       { return e.Src }
-func (e ResponseSent) ObsTime() sim.Tick    { return e.At }
-func (e RefreshStart) ObsSrc() string       { return e.Src }
-func (e RefreshStart) ObsTime() sim.Tick    { return e.At }
-func (e RefreshEnd) ObsSrc() string         { return e.Src }
-func (e RefreshEnd) ObsTime() sim.Tick      { return e.At }
-func (e WriteDrainEnter) ObsSrc() string    { return e.Src }
-func (e WriteDrainEnter) ObsTime() sim.Tick { return e.At }
-func (e WriteDrainExit) ObsSrc() string     { return e.Src }
-func (e WriteDrainExit) ObsTime() sim.Tick  { return e.At }
 
 // Probe consumes events. HandleEvent runs synchronously on the emitting
 // kernel's goroutine and must not block.

@@ -9,9 +9,9 @@ import (
 	"strings"
 )
 
-// Trace reading and validation: CI's smoke step, cmd/validate's
-// -trace-check mode, and the reconciliation tests all parse traces back
-// through this code, so "valid" means one thing everywhere.
+// Trace reading and validation: cmd/validate's -trace-check mode and
+// self-check, protocheck's span citations and the reconciliation tests all
+// parse traces back through this code, so "valid" means one thing everywhere.
 
 // TraceEvent is one decoded trace line.
 type TraceEvent struct {
@@ -32,14 +32,9 @@ type TraceSummary struct {
 	Events     int // event lines, metadata included, terminator excluded
 	SpanBegins int // packet-lifecycle "b" events
 	SpanEnds   int // packet-lifecycle "e" events
-	FirstCmds  int // "n" first-command markers
 	Bursts     int // cat=burst "X" spans (RD+WR)
-	ReadBursts int
 	Activates  int // ACT instants
-	Precharges int // PRE instants
 	Refreshes  int // cat=refresh spans
-	Refusals   int // cat=queue refuse instants
-	Drains     int // write-drain episodes
 	PowerSpans int // cat=power spans (PD + SR intervals)
 	// PDTicks and SRTicks total the power-down (both flavors) and
 	// self-refresh span durations in kernel ticks, summed across ranks and
@@ -65,7 +60,7 @@ func ReadTraceFile(path string) (*TraceSummary, []TraceEvent, error) {
 	return parseTrace(raw)
 }
 
-// parseTrace decodes the line-oriented JSON-array layout the TraceWriter
+// parseTrace decodes the line-oriented JSON-array layout the Tracer
 // produces.
 func parseTrace(raw []byte) (*TraceSummary, []TraceEvent, error) {
 	text := string(raw)
@@ -105,17 +100,10 @@ func parseTrace(raw []byte) (*TraceSummary, []TraceEvent, error) {
 			sum.SpanBegins++
 		case ev.Cat == "pkt" && ev.Ph == "e":
 			sum.SpanEnds++
-		case ev.Cat == "pkt" && ev.Ph == "n":
-			sum.FirstCmds++
 		case ev.Cat == "burst" && ev.Ph == "X":
 			sum.Bursts++
-			if ev.Name == "RD" {
-				sum.ReadBursts++
-			}
 		case ev.Cat == "cmd" && ev.Name == "ACT":
 			sum.Activates++
-		case ev.Cat == "cmd" && ev.Name == "PRE":
-			sum.Precharges++
 		case ev.Cat == "refresh":
 			sum.Refreshes++
 		case ev.Cat == "power" && ev.Ph == "X":
@@ -129,10 +117,6 @@ func parseTrace(raw []byte) (*TraceSummary, []TraceEvent, error) {
 			} else {
 				sum.SRTicks += d
 			}
-		case ev.Cat == "queue" && strings.HasPrefix(ev.Name, "refuse."):
-			sum.Refusals++
-		case ev.Cat == "drain":
-			sum.Drains++
 		}
 		events = append(events, ev)
 	}
@@ -198,7 +182,7 @@ func checkEvent(ev TraceEvent) error {
 }
 
 // ValidateTraceStrict additionally requires the file to be one well-formed
-// JSON document (i.e. the run Closed its sink cleanly).
+// JSON document (i.e. the run Closed its tracer cleanly).
 func ValidateTraceStrict(path string) (*TraceSummary, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -10,9 +10,11 @@ import (
 // Periodic time-series sampling of controller-internal state that the
 // aggregate statistics cannot reconstruct after the fact: instantaneous
 // queue depths, the rolling bus-utilisation and row-hit figures, and which
-// banks hold an open row (per-bank state residency). Samples land in the
-// run's stats.Registry as averages, and an optional per-sample hook feeds
-// the live HTTP endpoint.
+// banks hold an open row (per-bank state residency), and the bandwidth of
+// each interval (paper §II-E: statistics at arbitrary points in time). This is
+// the one time-series mechanism: samples land in the run's stats.Registry as
+// averages, and every tick's rows are handed to one publisher hook, which
+// feeds the live HTTP endpoint and the bandwidth-over-time table.
 
 // Sample is one instantaneous observation of a controller.
 type Sample struct {
@@ -26,11 +28,19 @@ type Sample struct {
 	// at most one of the two is true for a given rank.
 	RankPowerDown   []bool
 	RankSelfRefresh []bool
+	// BytesMoved is the data the controller has transferred so far, reads
+	// and writes. The sampler turns successive readings into Bandwidth.
+	BytesMoved float64
+	// Bandwidth is the bytes per second moved over the interval this sample
+	// closes. The sampler fills it in; a source leaves it zero.
+	Bandwidth float64
 }
 
 // SampleSource is implemented by controllers that can be sampled. Both
-// memory-controller models implement it.
+// memory-controller models implement it. Name prefixes the source's metrics
+// in the registry ("obs.<name>.readQueueDepth", ...).
 type SampleSource interface {
+	Name() string
 	ObsSample() Sample
 }
 
@@ -39,58 +49,56 @@ type SampleSource interface {
 // it is not a Probe; it lives here because it shares the observability
 // configuration surface (-obs-sample).
 type SamplerProbe struct {
-	sampler *stats.Sampler
+	sampler  *stats.Sampler
+	interval sim.Tick
 
 	sources []sampledSource
+	rows    []Sample // this tick's samples, index-aligned with sources
 	// onSample, when set, runs after each sampling pass on the kernel
-	// goroutine — the LiveServer uses it to publish a snapshot.
-	onSample func(now sim.Tick)
+	// goroutine with that pass's rows (valid until it returns) — the one
+	// publisher of the time series.
+	onSample func(now sim.Tick, rows []Sample)
 }
 
 // sampledSource is one source with its pre-registered stats.
 type sampledSource struct {
-	src SampleSource
+	src       SampleSource
+	lastBytes float64 // BytesMoved at the previous sample
 
 	readDepth  *stats.Average
 	writeDepth *stats.Average
 	busUtil    *stats.Average
 	rowHit     *stats.Average
 	draining   *stats.Average
+	bandwidth  *stats.Average
 	banksOpen  []*stats.Average // residency per bank, index-aligned with Sample.BanksOpen
 	rankPD     []*stats.Average // power-down residency per rank
 	rankSR     []*stats.Average // self-refresh residency per rank
 }
 
-// SampledSource names one controller to sample; Name prefixes its metrics
-// in the registry ("obs.<name>.readQueueDepth", ...).
-type SampledSource struct {
-	Name string
-	Src  SampleSource
-}
-
 // NewSamplerProbe builds a periodic sampler over the sources, registering
 // its time-series averages under reg ("obs." prefix). Call Start once the
-// kernel is ready; samples fire every interval at stats priority.
-func NewSamplerProbe(k *sim.Kernel, reg *stats.Registry, interval sim.Tick, sources []SampledSource, onSample func(now sim.Tick)) (*SamplerProbe, error) {
+// kernel is ready; samples fire every interval at stats priority, each
+// source read once per tick.
+func NewSamplerProbe(k *sim.Kernel, reg *stats.Registry, interval sim.Tick, sources []SampleSource, onSample func(now sim.Tick, rows []Sample)) (*SamplerProbe, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("obs: sampler needs at least one source")
 	}
-	p := &SamplerProbe{onSample: onSample}
+	p := &SamplerProbe{interval: interval, onSample: onSample, rows: make([]Sample, len(sources))}
 	obsReg := reg.Child("obs")
 	for _, s := range sources {
-		if s.Src == nil {
-			return nil, fmt.Errorf("obs: nil sample source %q", s.Name)
-		}
-		r := obsReg.Child(s.Name)
+		r := obsReg.Child(s.Name())
 		ss := sampledSource{
-			src:        s.Src,
+			src:        s,
 			readDepth:  r.NewAverage("readQueueDepth", "sampled read-queue depth"),
 			writeDepth: r.NewAverage("writeQueueDepth", "sampled write-queue depth"),
 			busUtil:    r.NewAverage("busUtilisation", "sampled data-bus utilisation"),
 			rowHit:     r.NewAverage("rowHitRate", "sampled row-hit rate"),
 			draining:   r.NewAverage("drainResidency", "fraction of samples in write-drain mode"),
+			bandwidth:  r.NewAverage("bandwidth", "sampled bandwidth (bytes/s over each interval)"),
 		}
-		probe := s.Src.ObsSample()
+		probe := s.ObsSample()
+		ss.lastBytes = probe.BytesMoved
 		for i := range probe.BanksOpen {
 			ss.banksOpen = append(ss.banksOpen,
 				r.NewAverage(fmt.Sprintf("bank%d.openResidency", i),
@@ -116,8 +124,13 @@ func NewSamplerProbe(k *sim.Kernel, reg *stats.Registry, interval sim.Tick, sour
 
 // take runs one sampling pass.
 func (p *SamplerProbe) take(now sim.Tick) {
-	for _, s := range p.sources {
+	for i := range p.sources {
+		s := &p.sources[i]
 		sm := s.src.ObsSample()
+		sm.Bandwidth = (sm.BytesMoved - s.lastBytes) / p.interval.Seconds()
+		s.lastBytes = sm.BytesMoved
+		p.rows[i] = sm
+		s.bandwidth.Sample(sm.Bandwidth)
 		s.readDepth.Sample(float64(sm.ReadQueueLen))
 		s.writeDepth.Sample(float64(sm.WriteQueueLen))
 		s.busUtil.Sample(sm.BusUtilisation)
@@ -140,15 +153,12 @@ func (p *SamplerProbe) take(now sim.Tick) {
 		}
 	}
 	if p.onSample != nil {
-		p.onSample(now)
+		p.onSample(now, p.rows)
 	}
 }
 
 // Start schedules the first sample one interval out.
 func (p *SamplerProbe) Start() { p.sampler.Start() }
-
-// Stop cancels future samples.
-func (p *SamplerProbe) Stop() { p.sampler.Stop() }
 
 func b2f(b bool) float64 {
 	if b {

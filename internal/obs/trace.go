@@ -2,10 +2,12 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/power"
@@ -30,8 +32,8 @@ import (
 //
 // Determinism: every line is formatted with fixed-width logic from kernel
 // ticks (no floats, no wall clock, no map iteration), and events are
-// buffered by the tracer and drained between session steps (TraceSink), so
-// two identical runs produce byte-identical files.
+// buffered by the tracer and drained to its file between session steps
+// (Flush), so two identical runs produce byte-identical files.
 
 // traceTimeDiv converts kernel ticks (picoseconds) to the trace format's
 // microsecond timestamps: ts = tick / traceTimeDiv, with the remainder as
@@ -77,8 +79,20 @@ type pendingPower struct {
 	name string
 }
 
-// Tracer converts obs events into Chrome trace-event lines, buffering them
-// until a TraceSink drains it.
+// Tracer is the lifecycle trace of one run: the probe that converts obs
+// events into Chrome trace-event lines, the file they go to, and the
+// checkpoint component that lets a resumed run continue that file. Attach it
+// to the hub every traced component emits through, Flush it between session
+// steps (Session.OnStep) so the buffered lines stay bounded however long the
+// run is, and Close it when the run ends.
+//
+// The file uses the JSON Array format with one event object per line; Close
+// appends the "{}]" terminator, making the file strict JSON, but Perfetto also
+// loads a file that crashed mid-write (the format tolerates a missing
+// terminator). The tracer tracks the file's valid length so a checkpoint can
+// record "the trace is valid up to byte N": restoring truncates back to N and
+// the resumed run appends from there, reproducing the uninterrupted file
+// exactly (clocks are absolute across resume, so no timestamp is rewritten).
 type Tracer struct {
 	nextPid int
 	pids    map[string]int // src -> pid
@@ -87,13 +101,28 @@ type Tracer struct {
 	spans   map[spanKey]*openSpan
 	drains  map[string]pendingDrain   // src -> open drain episode
 	powers  map[powerKey]pendingPower // src+rank -> open low-power interval
-	nextID  uint64                    // async span ids, trace-wide per tracer
+	nextID  uint64                    // async span ids, trace-wide
 	buf     []byte                    // pending trace lines
+
+	f   *os.File
+	off int64 // valid length of the file
+	// started is set once the file holds this run's header: by the first
+	// Flush of a fresh run, which empties the file and writes it, or by a
+	// checkpoint restore, which keeps the file up to the saved length.
+	started bool
 }
 
-// NewTracer returns a tracer; attach it to the hub every traced component
-// emits through.
-func NewTracer() *Tracer {
+// traceHeader opens the JSON array.
+const traceHeader = "[\n"
+
+// OpenTrace opens (or creates) the trace file at path without touching its
+// contents, which a run resumed from a checkpoint continues; a fresh run
+// replaces them on its first Flush.
+func OpenTrace(path string) (*Tracer, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
 	return &Tracer{
 		pids:    make(map[string]int),
 		tids:    make(map[string]int),
@@ -101,14 +130,45 @@ func NewTracer() *Tracer {
 		spans:   make(map[spanKey]*openSpan),
 		drains:  make(map[string]pendingDrain),
 		powers:  make(map[powerKey]pendingPower),
-	}
+		f:       f,
+	}, nil
 }
 
-// TakePending returns the buffered trace bytes and resets the buffer.
-func (t *Tracer) TakePending() []byte {
-	b := t.buf
-	t.buf = nil
-	return b
+// truncate cuts the file to n bytes and leaves the write position there.
+func (t *Tracer) truncate(n int64) error {
+	if err := t.f.Truncate(n); err != nil {
+		return err
+	}
+	_, err := t.f.Seek(n, 0)
+	t.off = n
+	return err
+}
+
+// Flush drains the buffered lines to the file, first replacing whatever an
+// earlier run left there with the header when this run is a fresh one.
+func (t *Tracer) Flush() error {
+	if !t.started {
+		if err := t.truncate(0); err != nil {
+			return err
+		}
+		t.buf = append([]byte(traceHeader), t.buf...)
+		t.started = true
+	}
+	if len(t.buf) == 0 {
+		return nil
+	}
+	n, err := t.f.Write(t.buf)
+	t.off += int64(n)
+	t.buf = t.buf[:0]
+	return err
+}
+
+// Close flushes, terminates the JSON array and closes the file. A later
+// resume truncates back to the checkpointed length, terminator included, so
+// the resumed file still matches an uninterrupted run.
+func (t *Tracer) Close() error {
+	t.buf = append(t.buf, "{}]\n"...)
+	return errors.Join(t.Flush(), t.f.Close())
 }
 
 // pid returns the trace process id for a source, emitting the process-name
@@ -259,8 +319,6 @@ func (t *Tracer) HandleEvent(ev Event) {
 		t.buf = appendTS(t.buf, e.Until-e.At)
 		t.buf = fmt.Appendf(t.buf, `,"args":{"bank":%d}`, e.Bank)
 		t.close()
-	case RefreshEnd:
-		// Rendered as part of the RefreshStart span.
 	case WriteDrainEnter:
 		t.drains[e.Src] = pendingDrain{at: e.At, queueLen: e.QueueLen}
 	case WriteDrainExit:
@@ -287,8 +345,8 @@ func addrHex(a mem.Addr) string { return "0x" + strconv.FormatUint(uint64(a), 16
 // uninterrupted one byte for byte: the pid/tid assignments already written
 // as metadata lines, the open spans (by packet table reference, so they
 // re-link to the shared restored packets), the async id counter, and any
-// open write-drain episode. Pending buffered lines never appear here:
-// TraceSink flushes every tracer to the file before saving.
+// open write-drain episode, under the valid length of the file. Pending
+// buffered lines never appear here: saving flushes them to the file first.
 
 type tracerPidState struct {
 	Src string
@@ -331,12 +389,8 @@ type tracerState struct {
 	Powers  []tracerPowerState
 }
 
-// saveState captures the tracer's checkpoint image. The pending buffer must
-// already be empty (the sink flushes before saving).
-func (t *Tracer) saveState(pt mem.PacketTable) (tracerState, error) {
-	if len(t.buf) != 0 {
-		return tracerState{}, fmt.Errorf("obs: tracer has %d unflushed bytes at save", len(t.buf))
-	}
+// saveState captures the tracer's open state.
+func (t *Tracer) saveState(pt mem.PacketTable) tracerState {
 	st := tracerState{NextPid: t.nextPid, NextID: t.nextID}
 	for src, pid := range t.pids {
 		st.Pids = append(st.Pids, tracerPidState{Src: src, Pid: pid})
@@ -371,12 +425,12 @@ func (t *Tracer) saveState(pt mem.PacketTable) (tracerState, error) {
 		}
 		return st.Powers[i].Rank < st.Powers[j].Rank
 	})
-	return st, nil
+	return st
 }
 
-// restoreState rebuilds the tracer from a checkpoint image.
+// restoreState rebuilds the tracer's open state from a checkpoint image.
 func (t *Tracer) restoreState(pl mem.PacketLookup, st tracerState) error {
-	t.buf = nil
+	t.buf = t.buf[:0]
 	t.nextPid = st.NextPid
 	t.nextID = st.NextID
 	t.pids = make(map[string]int, len(st.Pids))
@@ -388,13 +442,7 @@ func (t *Tracer) restoreState(pl mem.PacketLookup, st tracerState) error {
 	t.tids = make(map[string]int, len(st.Tids))
 	for _, e := range st.Tids {
 		t.tids[e.Key] = e.Tid
-		pidStr := e.Key
-		for i := 0; i < len(pidStr); i++ {
-			if pidStr[i] == '|' {
-				pidStr = pidStr[:i]
-				break
-			}
-		}
+		pidStr, _, _ := strings.Cut(e.Key, "|")
 		pid, err := strconv.Atoi(pidStr)
 		if err != nil {
 			return fmt.Errorf("obs: bad tid key %q in checkpoint", e.Key)
@@ -420,166 +468,40 @@ func (t *Tracer) restoreState(pl mem.PacketLookup, st tracerState) error {
 	return nil
 }
 
-// --- File writer -----------------------------------------------------------
-
-// TraceWriter owns the on-disk trace file. The file uses the JSON Array
-// format with one event object per line; Close appends the "{}]"
-// terminator, making the file strict JSON, but Perfetto also loads a file
-// that crashed mid-write (the format tolerates a missing terminator).
-//
-// The writer tracks its byte offset so checkpoints can record "the trace is
-// valid up to byte N": restoring truncates back to N and a resumed run
-// appends from there, reproducing the uninterrupted file exactly (clocks
-// are absolute across resume, so no timestamp rewriting is needed).
-type TraceWriter struct {
-	path    string
-	f       *os.File
-	off     int64
-	started bool
-}
-
-// traceHeader opens the JSON array.
-const traceHeader = "[\n"
-
-// NewTraceWriter opens (or creates) the trace file without touching its
-// contents: a fresh run must call BeginFresh, a resumed run truncates via
-// Truncate during checkpoint restore.
-func NewTraceWriter(path string) (*TraceWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &TraceWriter{path: path, f: f, off: st.Size(), started: st.Size() > 0}, nil
-}
-
-// Path returns the trace file path.
-func (w *TraceWriter) Path() string { return w.path }
-
-// Offset returns the current valid length of the file in bytes.
-func (w *TraceWriter) Offset() int64 { return w.off }
-
-// BeginFresh truncates the file and writes the array header; call it
-// exactly once, when starting a run from scratch.
-func (w *TraceWriter) BeginFresh() error {
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(0, 0); err != nil {
-		return err
-	}
-	n, err := w.f.WriteString(traceHeader)
-	w.off = int64(n)
-	w.started = err == nil
-	return err
-}
-
-// Truncate cuts the file back to n bytes — the restore path. n must cover
-// at least the header a started trace wrote.
-func (w *TraceWriter) Truncate(n int64) error {
-	if n < int64(len(traceHeader)) {
-		return fmt.Errorf("obs: trace truncation to %d bytes would lose the header", n)
-	}
-	if err := w.f.Truncate(n); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(n, 0); err != nil {
-		return err
-	}
-	w.off = n
-	w.started = true
-	return nil
-}
-
-// Write appends drained tracer bytes.
-func (w *TraceWriter) Write(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
-	if !w.started {
-		return fmt.Errorf("obs: trace writer used before BeginFresh or restore")
-	}
-	n, err := w.f.Write(b)
-	w.off += int64(n)
-	return err
-}
-
-// Close terminates the JSON array and closes the file.
-func (w *TraceWriter) Close() error {
-	var werr error
-	if w.started {
-		_, werr = w.f.WriteString("{}]\n")
-	}
-	cerr := w.f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
-// --- Sink ------------------------------------------------------------------
-
-// TraceSink couples a tracer to its writer and implements the checkpoint
-// hooks. Flush is called between session steps, which keeps the buffered
-// lines bounded however long the run is.
-type TraceSink struct {
-	w *TraceWriter //ckpt:skip the writer's offset is saved explicitly below
-	t *Tracer      //ckpt:skip the tracer image is saved explicitly below
-}
-
-// NewTraceSink builds a sink over the writer and tracer.
-func NewTraceSink(w *TraceWriter, t *Tracer) *TraceSink {
-	return &TraceSink{w: w, t: t}
-}
-
-// Flush drains the tracer to the file.
-func (s *TraceSink) Flush() error { return s.w.Write(s.t.TakePending()) }
-
-// Close flushes and finalizes the trace file.
-func (s *TraceSink) Close() error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	return s.w.Close()
-}
-
-// sinkState is the sink's checkpoint section. Tracers has held exactly one
-// image since a trace has one tracer; the list is the format's.
-type sinkState struct {
+// traceSection is the tracer's checkpoint section. Tracers has held exactly
+// one image since a trace has one tracer; the list is the format's.
+type traceSection struct {
 	FileBytes int64
 	Tracers   []tracerState
 }
 
 // CheckpointSave implements checkpoint.Checkpointable: flush everything,
-// then record the valid file length and the tracer's open state.
-func (s *TraceSink) CheckpointSave(pt mem.PacketTable) (any, error) {
-	if err := s.Flush(); err != nil {
+// then record the valid file length and the open state.
+func (t *Tracer) CheckpointSave(pt mem.PacketTable) (any, error) {
+	if err := t.Flush(); err != nil {
 		return nil, err
 	}
-	ts, err := s.t.saveState(pt)
-	if err != nil {
-		return nil, err
-	}
-	return sinkState{FileBytes: s.w.Offset(), Tracers: []tracerState{ts}}, nil
+	return traceSection{FileBytes: t.off, Tracers: []tracerState{t.saveState(pt)}}, nil
 }
 
 // CheckpointRestore implements checkpoint.Checkpointable: truncate the file
-// to the saved length and rebuild the tracer. Resuming a traced run requires
-// tracing to be enabled again (the checkpoint's component set is strict).
-func (s *TraceSink) CheckpointRestore(pl mem.PacketLookup, _ sim.Restorer, data []byte) error {
-	var st sinkState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("obs: trace sink restore: %w", err)
+// to the saved length and rebuild the open state. Resuming a traced run
+// requires tracing to be enabled again (the checkpoint's component set is
+// strict).
+func (t *Tracer) CheckpointRestore(pl mem.PacketLookup, _ sim.Restorer, data []byte) error {
+	var sec traceSection
+	if err := json.Unmarshal(data, &sec); err != nil {
+		return fmt.Errorf("obs: trace restore: %w", err)
 	}
-	if len(st.Tracers) != 1 {
-		return fmt.Errorf("obs: checkpoint has %d tracers, a trace has one", len(st.Tracers))
+	if len(sec.Tracers) != 1 {
+		return fmt.Errorf("obs: checkpoint has %d tracers, a trace has one", len(sec.Tracers))
 	}
-	if err := s.w.Truncate(st.FileBytes); err != nil {
+	if sec.FileBytes < int64(len(traceHeader)) {
+		return fmt.Errorf("obs: trace truncation to %d bytes would lose the header", sec.FileBytes)
+	}
+	if err := t.truncate(sec.FileBytes); err != nil {
 		return err
 	}
-	return s.t.restoreState(pl, st.Tracers[0])
+	t.started = true
+	return t.restoreState(pl, sec.Tracers[0])
 }

@@ -26,17 +26,12 @@ import (
 // plus the controller's aggregate activity.
 func runCoreTraced(t *testing.T, path string, count uint64) power.Activity {
 	t.Helper()
-	tw, err := obs.NewTraceWriter(path)
+	sink, err := obs.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.BeginFresh(); err != nil {
-		t.Fatal(err)
-	}
-	tracer := obs.NewTracer()
 	hub := obs.NewHub()
-	hub.Attach(tracer)
-	sink := obs.NewTraceSink(tw, tracer)
+	hub.Attach(sink)
 
 	k := sim.NewKernel()
 	reg := stats.NewRegistry("obstest")
@@ -177,7 +172,6 @@ func syntheticPhases(pkts []*mem.Packet) (phase1, phase2 []obs.Event) {
 		obs.WriteDrainExit{Src: "mc", At: us(8), Writes: 3},
 		obs.BurstScheduled{Src: "mc", At: us(9), Pkt: pkts[1], Read: false, Rank: 0, Bank: 2, Row: 9, DataEnd: us(10)},
 		obs.RefreshStart{Src: "mc", At: us(11), Rank: 0, Bank: -1, Until: us(12)},
-		obs.RefreshEnd{Src: "mc", At: us(12), Rank: 0, Bank: -1},
 		obs.ResponseSent{Src: "mc", At: us(13), Pkt: pkts[1]},
 		obs.QueueRefuse{Src: "xbar", At: us(14), Queue: obs.QueueRead, Depth: 16},
 	}
@@ -201,17 +195,12 @@ func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 
 	// Reference: uninterrupted run.
 	refPath := filepath.Join(dir, "ref.json")
-	tw, err := obs.NewTraceWriter(refPath)
+	sink, err := obs.OpenTrace(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.BeginFresh(); err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer()
-	sink := obs.NewTraceSink(tw, tr)
-	emit(tr, phase1)
-	emit(tr, phase2)
+	emit(sink, phase1)
+	emit(sink, phase2)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,16 +208,11 @@ func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 
 	// Crash run: phase 1, checkpoint, doomed post-checkpoint progress.
 	path := filepath.Join(dir, "crash.json")
-	tw1, err := obs.NewTraceWriter(path)
+	sink1, err := obs.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw1.BeginFresh(); err != nil {
-		t.Fatal(err)
-	}
-	tr1 := obs.NewTracer()
-	sink1 := obs.NewTraceSink(tw1, tr1)
-	emit(tr1, phase1)
+	emit(sink1, phase1)
 	img, err := sink1.CheckpointSave(refs)
 	if err != nil {
 		t.Fatal(err)
@@ -237,23 +221,21 @@ func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emit(tr1, phase2[:3]) // progress the crash will throw away
+	emit(sink1, phase2[:3]) // progress the crash will throw away
 	if err := sink1.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: the process died. The file ends mid-array, unterminated.
 
-	// Resumed process: fresh writer/tracer over the same file, restore.
-	tw2, err := obs.NewTraceWriter(path)
+	// Resumed process: a fresh tracer over the same file, restore.
+	sink2, err := obs.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2 := obs.NewTracer()
-	sink2 := obs.NewTraceSink(tw2, tr2)
 	if err := sink2.CheckpointRestore(refs, nil, data); err != nil {
 		t.Fatal(err)
 	}
-	emit(tr2, phase2)
+	emit(sink2, phase2)
 	if err := sink2.Close(); err != nil {
 		t.Fatal(err)
 	}

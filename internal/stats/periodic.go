@@ -9,8 +9,8 @@ import (
 // Periodic sampling (paper §II-E: gem5's statistics framework can
 // "initialise, reset and output a large selection of performance-related
 // numbers at arbitrary points in time"). A Sampler fires a callback at a
-// fixed simulated interval; Series captures one metric as a time series on
-// top of it, and obs.SamplerProbe samples controller state the same way.
+// fixed simulated interval; obs.SamplerProbe, the one time-series mechanism,
+// samples controller state and bandwidth on top of it.
 
 // Sampler invokes a callback every interval of simulated time.
 type Sampler struct {
@@ -18,7 +18,6 @@ type Sampler struct {
 	interval sim.Tick
 	fn       func(now sim.Tick)
 	ev       *sim.Event
-	running  bool
 }
 
 // NewSampler builds a sampler; call Start to begin.
@@ -35,108 +34,14 @@ func NewSampler(k *sim.Kernel, interval sim.Tick, fn func(now sim.Tick)) (*Sampl
 }
 
 func (s *Sampler) fire() {
-	if !s.running {
-		return
-	}
 	s.fn(s.k.Now())
 	s.k.Schedule(s.ev, s.k.Now()+s.interval)
 }
 
-// Start schedules the first sample one interval from now.
+// Start schedules the first sample one interval from now; the sampler then
+// runs for the rest of the simulation.
 func (s *Sampler) Start() {
-	if s.running {
-		return
+	if !s.ev.Scheduled() {
+		s.k.Schedule(s.ev, s.k.Now()+s.interval)
 	}
-	s.running = true
-	s.k.Schedule(s.ev, s.k.Now()+s.interval)
-}
-
-// Stop cancels future samples.
-func (s *Sampler) Stop() {
-	if !s.running {
-		return
-	}
-	s.running = false
-	if s.ev.Scheduled() {
-		s.k.Deschedule(s.ev)
-	}
-}
-
-// Point is one time-series sample.
-type Point struct {
-	At    sim.Tick
-	Value float64
-}
-
-// Series captures a metric over simulated time: every interval it samples
-// the probe function. Use it to watch bandwidth, queue depth or latency
-// evolve through a run.
-type Series struct {
-	sampler *Sampler
-	probe   func() float64
-	points  []Point
-	// Delta makes the series record per-interval differences of a
-	// monotonically growing probe (e.g. bytes moved -> bytes per interval).
-	delta bool
-	last  float64
-}
-
-// NewSeries builds a time series over probe, sampled every interval.
-// With delta=true the recorded value is the increase since the previous
-// sample (turning cumulative counters into rates).
-func NewSeries(k *sim.Kernel, interval sim.Tick, probe func() float64, delta bool) (*Series, error) {
-	if probe == nil {
-		return nil, fmt.Errorf("stats: nil series probe")
-	}
-	se := &Series{probe: probe, delta: delta}
-	var err error
-	se.sampler, err = NewSampler(k, interval, func(now sim.Tick) {
-		v := probe()
-		if se.delta {
-			d := v - se.last
-			se.last = v
-			v = d
-		}
-		se.points = append(se.points, Point{At: now, Value: v})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return se, nil
-}
-
-// Start begins sampling.
-func (s *Series) Start() { s.sampler.Start() }
-
-// Stop ends sampling.
-func (s *Series) Stop() { s.sampler.Stop() }
-
-// Points returns the captured samples in time order.
-func (s *Series) Points() []Point {
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
-}
-
-// Max returns the largest captured value (0 for an empty series).
-func (s *Series) Max() float64 {
-	var m float64
-	for _, p := range s.points {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
-// Mean returns the average captured value (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.points {
-		sum += p.Value
-	}
-	return sum / float64(len(s.points))
 }

@@ -47,8 +47,9 @@ import (
 // time). No product command builds it any more — dramctrl -channels N is N
 // controllers behind a crossbar on one kernel — and it stays only because the
 // frozen benchmark constructs it, with exactly the surface the benchmark
-// uses: no probes, no controller tuning, no checkpointing. ROADMAP item 2 has
-// the removal order.
+// uses: no probes, no controller tuning, no checkpointing. It is built by
+// NewMemory like every other memory side, through the placement hook only it
+// passes. ROADMAP items 4-5 have the removal order.
 
 // ShardedConfig shapes a ShardedRig.
 type ShardedConfig struct {
@@ -85,9 +86,6 @@ type ShardedRig struct {
 
 // NewShardedRig builds the sharded multi-channel system.
 func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
-	if cfg.Channels <= 0 {
-		return nil, fmt.Errorf("system: sharded rig needs at least one channel")
-	}
 	// The one-way link latency, and so the barrier quantum, is the crossbar
 	// latency (or 1ns if that is 0).
 	lookahead := cfg.Xbar.Latency
@@ -95,40 +93,37 @@ func NewShardedRig(cfg ShardedConfig) (*ShardedRig, error) {
 		lookahead = sim.Nanosecond
 	}
 
-	front := sim.NewKernel()
-	reg := stats.NewRegistry("sys")
-	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil}
-	xb, err := genXbar(front, reg, cfg.Xbar, cc, cfg.Gens, cfg.Patterns)
+	mc := matchedMemory(cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil)
+	mc.Xbar = &cfg.Xbar
+	var err error
+	if mc.Widest, err = widestRequest(cfg.Gens, cfg.Patterns); err != nil {
+		return nil, err
+	}
+	rig := &ShardedRig{workers: cfg.Workers, lookahead: lookahead}
+	// Each shard registers statistics in a private registry so hot counters
+	// are written by exactly one worker; the root absorbs the shards by
+	// reference, and the dump (always taken with workers parked) sees live
+	// values.
+	var shardRegs []*stats.Registry
+	m, err := newMemory(mc, func(front *sim.Kernel, i int) (*sim.Kernel, *stats.Registry, func(*mem.RequestPort, *mem.ResponsePort)) {
+		ck, shardReg := sim.NewKernel(), stats.NewRegistry("sys")
+		link := mem.NewShardLink(fmt.Sprintf("link%d", i), front, ck, lookahead)
+		rig.Chans = append(rig.Chans, ck)
+		rig.Links = append(rig.Links, link)
+		shardRegs = append(shardRegs, shardReg)
+		return ck, shardReg, func(xbarSide *mem.RequestPort, ctrl *mem.ResponsePort) {
+			mem.Connect(xbarSide, link.FrontPort())
+			mem.Connect(link.BackPort(), ctrl)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	rig := &ShardedRig{
-		Front:     front,
-		Reg:       reg,
-		Xbar:      xb,
-		workers:   cfg.Workers,
-		lookahead: lookahead,
+	for _, shardReg := range shardRegs {
+		m.Reg.Absorb(shardReg)
 	}
-	for i := 0; i < cfg.Channels; i++ {
-		ck := sim.NewKernel()
-		// Each shard registers statistics in a private registry so hot
-		// counters are written by exactly one worker; the root absorbs the
-		// shard by reference, and the dump (always taken with workers
-		// parked) sees live values.
-		shardReg := stats.NewRegistry("sys")
-		ctrl, err := cc.build(ck, shardReg, nil, fmt.Sprintf("mc%d", i))
-		if err != nil {
-			return nil, err
-		}
-		reg.Absorb(shardReg)
-		link := mem.NewShardLink(fmt.Sprintf("link%d", i), front, ck, lookahead)
-		mem.Connect(xb.AttachMemory("mem"), link.FrontPort())
-		mem.Connect(link.BackPort(), ctrl.Port())
-		rig.Chans = append(rig.Chans, ck)
-		rig.Ctrls = append(rig.Ctrls, ctrl)
-		rig.Links = append(rig.Links, link)
-	}
-	if rig.Gens, err = attachGens(front, reg, xb, cfg.Gens, cfg.Patterns); err != nil {
+	rig.Front, rig.Reg, rig.Xbar, rig.Ctrls = m.K, m.Reg, m.Xbar, m.Ctrls
+	if rig.Gens, err = attachGens(m, cfg.Gens, cfg.Patterns); err != nil {
 		return nil, err
 	}
 	return rig, nil

@@ -14,10 +14,10 @@ import (
 // This file holds the one run loop. Every topology — a generator on a
 // controller, a crossbar fanning out to channels on one kernel, cores over
 // caches, the benchmark's rig with each channel sharded onto its own kernel,
-// or a system a CLI wired by hand — is driven by the same Session: advance,
-// sources done?, drain, all quiescent?, deadline. The rigs' Run methods, the
-// supervisor (internal/supervisor) and the CLIs all step it; nothing else in
-// the tree re-implements that protocol.
+// or whatever frontend a CLI attached to a Memory — is driven by the same
+// Session: advance, sources done?, drain, all quiescent?, deadline. The rigs'
+// Run methods, the supervisor (internal/supervisor) and the CLIs all step it;
+// nothing else in the tree re-implements that protocol.
 
 // quantum is the stepping granularity of a memory system on one kernel. The
 // full system steps by 10 us and a sharded session by the link lookahead.
@@ -39,12 +39,10 @@ type Session struct {
 	// Deadline is the absolute simulated tick by which the run must
 	// complete; a Step that reaches it without completing returns an error.
 	Deadline sim.Tick
-	// OnStart, when set, runs once when a fresh run is armed, before the
-	// sources start (a restored run skips it along with Start). OnStep, when
-	// set, runs after every advance in the single-threaded section — the
-	// place to drain probe buffers (obs.TraceSink.Flush). An error from either
-	// fails the next or current Step.
-	OnStart, OnStep func() error
+	// OnStep, when set, runs after every advance in the single-threaded
+	// section — the place to drain probe buffers (obs.Tracer.Flush). An error
+	// from it fails the Step.
+	OnStep func() error
 
 	kernels []*sim.Kernel    // [0] is the frontend; the rest are channel shards
 	links   []*mem.ShardLink // one per shard kernel; none on a single kernel
@@ -56,19 +54,8 @@ type Session struct {
 	step    sim.Tick // barrier quantum: 1 us, 10 us, or the link lookahead when sharded
 	workers []*shardWorker
 
-	mgr      *checkpoint.Manager // nil until Supervise
-	startErr error
-	steps    uint64
-}
-
-// NewSession wraps a hand-wired single-kernel system — one traffic source
-// over the controllers on k, whatever sits between them — for drivers that
-// cannot use a rig (a trace player, a capture monitor, a controller
-// configuration no rig exposes). xb is the crossbar the session drains along
-// with the controllers, nil when the source reaches one controller directly.
-// Set Deadline (or call Run) before stepping.
-func NewSession(k *sim.Kernel, reg *stats.Registry, xb *xbar.Crossbar, ctrls []Controller, src Source) *Session {
-	return &Session{kernels: []*sim.Kernel{k}, reg: reg, xbar: xb, ctrls: ctrls, sources: []Source{src}, step: quantum}
+	mgr   *checkpoint.Manager // nil until Supervise
+	steps uint64
 }
 
 // sourcesOf adapts a rig's generator list to the session's source list.
@@ -86,7 +73,7 @@ func sourcesOf(gens []*trafficgen.Generator) []Source {
 // what the session states here: its step quantum, which fixes the barrier
 // schedule, and scope — an optional caller label, compared verbatim, for
 // whatever no component can state (a QoS function's policy, say); "" when
-// there is nothing to add. Callers with further components (a trace sink)
+// there is nothing to add. Callers with further components (the tracer)
 // register them on Manager() afterwards. Only one-kernel sessions checkpoint:
 // a shard link carries no save/restore, so a sharded session is refused.
 func (s *Session) Supervise(scope string) error {
@@ -148,11 +135,6 @@ func (s *Session) Steps() uint64 { return s.steps }
 // Start arms the traffic sources. Call exactly once for a fresh run; never
 // after a restore (the checkpoint carries the sources' event state).
 func (s *Session) Start() {
-	if s.OnStart != nil {
-		if s.startErr = s.OnStart(); s.startErr != nil {
-			return
-		}
-	}
 	for _, src := range s.sources {
 		src.Start()
 	}
@@ -176,9 +158,6 @@ func (s *Session) Run(maxSim sim.Tick) error {
 // completion. A watchdog trip surfaces as the error (sharded: as a
 // *ShardPanicError panic), and reaching Deadline is an error too.
 func (s *Session) Step() (bool, error) {
-	if s.startErr != nil {
-		return false, s.startErr
-	}
 	// A session restored from a completion checkpoint already sits at the
 	// boundary where the run finished. Advancing another quantum would move
 	// Now past the recorded completion time and skew every time-normalised

@@ -1,14 +1,15 @@
 // Package system assembles complete simulated systems out of the building
 // blocks: traffic generators or CPU cores, caches, crossbars and DRAM
 // controllers (event-based or cycle-based). It is the Go equivalent of the
-// gem5 Python configuration layer the paper describes in §II-E. The
-// experiment drivers and the benchmark build their systems through the rigs
-// here; cmd/dramctrl (any channel count, behind InterleavedXbar when there is
-// more than one), cmd/protocheck and cmd/validate wire a kernel, controllers
-// and a source by hand and the examples use the kernel API directly. Whoever
-// wires it, every run is driven by the one Session in session.go. ShardedRig
-// (parallel.go) has no product caller left: it stays only because the frozen
-// benchmark constructs it.
+// gem5 Python configuration layer the paper describes in §II-E. The memory
+// side of every system — kernel, registry, the channel controllers of either
+// model and the crossbar that interleaves them — is built in one place,
+// NewMemory, from one description; the rigs here, cmd/dramctrl, cmd/protocheck
+// and cmd/validate all go through it and attach their own frontends (a
+// generator, a trace player behind a capture monitor, cores over caches) to
+// the port it hands back. Every run is driven by the one Session in
+// session.go. ShardedRig (parallel.go) has no product caller left: it stays
+// only because the frozen benchmark constructs it.
 package system
 
 import (
@@ -39,6 +40,8 @@ type Controller interface {
 	RowHitRate() float64
 	AvgReadLatencyNs() float64
 	PowerStats() power.Activity
+	// ObsSample is the instantaneous state the periodic sampler reads.
+	obs.SampleSource
 }
 
 // Drainer is implemented by controllers that hold writes back (the
@@ -107,100 +110,188 @@ func MatchedCycleConfig(spec dram.Spec, mapping dram.Mapping, channels int, clos
 	return cfg
 }
 
-// ctrlConfig is what every topology says about its controllers: the model,
-// the device, and the matched policies, with channels telling the address
-// decoder how many channel bits the crossbar already consumed.
-type ctrlConfig struct {
-	kind       Kind
-	spec       dram.Spec
-	mapping    dram.Mapping
-	channels   int
-	closedPage bool
-	// tuneEvent optionally adjusts the matched event-based configuration.
-	tuneEvent func(*core.Config)
+// MemoryConfig describes the memory side of a system (paper Fig. 1, right of
+// the crossbar): how many channels, which controller model, and the whole
+// configuration of a channel's controller in that model. Flipping Kind on a
+// description that fills in both Event and Cycle builds the same system on the
+// other model.
+type MemoryConfig struct {
+	// Root names the statistics registry ("sys", "dramctrl", ...).
+	Root string
+	Kind Kind
+	// Channels is the number of controllers, a power of two. More than one
+	// needs a crossbar.
+	Channels int
+	// Event and Cycle configure a channel's controller under EventBased and
+	// CycleBased; only the one Kind selects is read. NewMemory overwrites
+	// Channels and Probes with the description's and offsets the fault seed by
+	// the channel index, so several channels do not replay one fault stream
+	// and a single channel keeps the seed as given.
+	Event core.Config
+	Cycle cyclesim.Config
+	// Probes feeds observability events from every controller (see
+	// internal/obs); nil or empty disables instrumentation. A crossbar
+	// observes through its own Xbar.Probes.
+	Probes *obs.Hub
+	// Xbar, when non-nil, puts a crossbar named XbarName ("xbar" if empty) in
+	// front of the channels; they are then called mc0, mc1, ... Without one
+	// there is a single channel, mc, whose own port is the memory port. The
+	// crossbar routes at the mapping's interleave granularity, widened to
+	// Widest (the largest request any frontend sends) so no request straddles
+	// a channel (the paper's cache-line-or-page default, §II-F).
+	Xbar     *xbar.Config
+	XbarName string
+	Widest   uint64
 }
 
-// build constructs one controller on k with matched policies, feeding
-// observability events to hub (nil or empty disables instrumentation).
-func (cc ctrlConfig) build(k *sim.Kernel, reg *stats.Registry, hub *obs.Hub, name string) (Controller, error) {
-	switch cc.kind {
-	case EventBased:
-		cfg := MatchedEventConfig(cc.spec, cc.mapping, cc.channels, cc.closedPage)
-		if cc.tuneEvent != nil {
-			cc.tuneEvent(&cfg)
+// Memory is the built memory side. Frontends go on K and Reg and connect to
+// FrontPort; Session drives the whole.
+type Memory struct {
+	K     *sim.Kernel
+	Reg   *stats.Registry
+	Xbar  *xbar.Crossbar // nil when the one controller is reached directly
+	Ctrls []Controller
+}
+
+// NewMemory builds the memory side cfg describes on a fresh kernel and
+// registry. It is the only place controllers and the memory crossbar are
+// constructed.
+func NewMemory(cfg MemoryConfig) (*Memory, error) { return newMemory(cfg, nil) }
+
+// placement puts channel i on a kernel and registry other than the memory's
+// own (front is the memory's kernel) and joins its crossbar port to the
+// controller through a link. Only ShardedRig passes one.
+type placement func(front *sim.Kernel, i int) (*sim.Kernel, *stats.Registry, func(*mem.RequestPort, *mem.ResponsePort))
+
+func newMemory(cfg MemoryConfig, place placement) (*Memory, error) {
+	if cfg.Channels < 1 {
+		return nil, fmt.Errorf("system: need at least one channel, got %d", cfg.Channels)
+	}
+	if cfg.Xbar == nil && cfg.Channels > 1 {
+		return nil, fmt.Errorf("system: %d channels need a crossbar to interleave them", cfg.Channels)
+	}
+	m := &Memory{K: sim.NewKernel(), Reg: stats.NewRegistry(cfg.Root), Ctrls: make([]Controller, cfg.Channels)}
+	if cfg.Xbar != nil {
+		org, mapping := cfg.Event.Device.Org, cfg.Event.Mapping
+		if cfg.Kind == CycleBased {
+			org, mapping = cfg.Cycle.Device.Org, cfg.Cycle.Mapping
 		}
-		cfg.Probes = hub
-		return core.NewController(k, cfg, reg, name)
-	case CycleBased:
-		cfg := MatchedCycleConfig(cc.spec, cc.mapping, cc.channels, cc.closedPage)
-		cfg.Probes = hub
-		return cyclesim.NewController(k, cfg, reg, name)
+		dec, err := dram.NewDecoder(org, mapping, cfg.Channels)
+		if err != nil {
+			return nil, err
+		}
+		gran := dec.InterleaveBytes()
+		for gran < cfg.Widest {
+			gran *= 2
+		}
+		name := cfg.XbarName
+		if name == "" {
+			name = "xbar"
+		}
+		if m.Xbar, err = xbar.New(m.K, *cfg.Xbar, xbar.InterleaveRoute(cfg.Channels, gran), m.Reg, name); err != nil {
+			return nil, err
+		}
 	}
-	return nil, fmt.Errorf("system: unknown controller kind %d", cc.kind)
+	for i := range m.Ctrls {
+		k, reg, join := m.K, m.Reg, mem.Connect
+		if place != nil {
+			k, reg, join = place(m.K, i)
+		}
+		name := "mc"
+		if m.Xbar != nil {
+			name = fmt.Sprintf("mc%d", i)
+		}
+		var ctrl Controller
+		var err error
+		switch cfg.Kind {
+		case EventBased:
+			c := cfg.Event
+			c.Channels, c.Probes = cfg.Channels, cfg.Probes
+			c.Faults.Seed += uint64(i)
+			ctrl, err = core.NewController(k, c, reg, name)
+		case CycleBased:
+			c := cfg.Cycle
+			c.Channels, c.Probes = cfg.Channels, cfg.Probes
+			ctrl, err = cyclesim.NewController(k, c, reg, name)
+		default:
+			err = fmt.Errorf("system: unknown controller kind %d", cfg.Kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if m.Xbar != nil {
+			join(m.Xbar.AttachMemory("mem"), ctrl.Port())
+		}
+		m.Ctrls[i] = ctrl
+	}
+	return m, nil
 }
 
-// InterleavedXbar builds the crossbar in front of channels controllers of
-// org. It routes at the mapping's interleave granularity, widened to widest
-// (the largest request any requestor sends) so no request straddles a channel
-// (the paper's cache-line-or-page default, §II-F).
-func InterleavedXbar(k *sim.Kernel, reg *stats.Registry, name string, xcfg xbar.Config,
-	org dram.Organization, mapping dram.Mapping, channels int, widest uint64) (*xbar.Crossbar, error) {
-	dec, err := dram.NewDecoder(org, mapping, channels)
-	if err != nil {
-		return nil, err
+// FrontPort returns the port a frontend connects to: a new requestor port on
+// the crossbar, labelled name, or the one controller's own port (which takes
+// one frontend).
+func (m *Memory) FrontPort(name string) *mem.ResponsePort {
+	if m.Xbar != nil {
+		return m.Xbar.AttachRequestor(name)
 	}
-	gran := dec.InterleaveBytes()
-	for gran < widest {
-		gran *= 2
-	}
-	return xbar.New(k, xcfg, xbar.InterleaveRoute(channels, gran), reg, name)
+	return m.Ctrls[0].Port()
 }
 
-// genXbar is the frontend MultiChannelRig and ShardedRig share: it checks
-// that generators and patterns pair up and builds the crossbar they will
-// attach to, wide enough for the largest request.
-func genXbar(k *sim.Kernel, reg *stats.Registry, xcfg xbar.Config, cc ctrlConfig,
-	gens []trafficgen.Config, patterns []trafficgen.Pattern) (*xbar.Crossbar, error) {
+// Session wraps the memory and the traffic sources the caller connected to it
+// for stepping. Set Deadline (or call Run) before stepping; Supervise makes it
+// checkpointable.
+func (m *Memory) Session(sources ...Source) *Session {
+	s := m.session(sources)
+	return &s
+}
+
+// session is Session by value, so a rig's Run can keep it on the stack.
+func (m *Memory) session(sources []Source) Session {
+	return Session{kernels: []*sim.Kernel{m.K}, reg: m.Reg, xbar: m.Xbar, ctrls: m.Ctrls, sources: sources, step: quantum}
+}
+
+// matchedMemory is the rigs' description: the paper's matched configurations
+// (§III) of both models, so Kind alone picks the one that runs. tuneEvent
+// (nil for none) adjusts the event-based side.
+func matchedMemory(kind Kind, spec dram.Spec, mapping dram.Mapping, channels int, closedPage bool, tuneEvent func(*core.Config)) MemoryConfig {
+	cfg := MemoryConfig{
+		Root: "sys", Kind: kind, Channels: channels,
+		Event: MatchedEventConfig(spec, mapping, channels, closedPage),
+		Cycle: MatchedCycleConfig(spec, mapping, channels, closedPage),
+	}
+	if tuneEvent != nil {
+		tuneEvent(&cfg.Event)
+	}
+	return cfg
+}
+
+// widestRequest checks that generators and patterns pair up and returns the
+// largest request any of them sends, which sizes the crossbar's interleaving.
+func widestRequest(gens []trafficgen.Config, patterns []trafficgen.Pattern) (uint64, error) {
 	if len(gens) != len(patterns) || len(gens) == 0 {
-		return nil, fmt.Errorf("system: generators (%d) and patterns (%d) must pair up", len(gens), len(patterns))
+		return 0, fmt.Errorf("system: generators (%d) and patterns (%d) must pair up", len(gens), len(patterns))
 	}
 	var widest uint64
 	for _, g := range gens {
 		widest = max(widest, g.RequestBytes)
 	}
-	return InterleavedXbar(k, reg, "xbar", xcfg, cc.spec.Org, cc.mapping, cc.channels, widest)
+	return widest, nil
 }
 
-// attachGens builds one generator per configuration on the crossbar's
-// kernel and connects it as a requestor — after the memory side, so port and
+// attachGens builds one generator per configuration on the memory's kernel
+// and connects it as a requestor — after the memory side, so port and
 // statistics order match the topology's Figure 1 reading.
-func attachGens(k *sim.Kernel, reg *stats.Registry, xb *xbar.Crossbar,
-	cfgs []trafficgen.Config, patterns []trafficgen.Pattern) ([]*trafficgen.Generator, error) {
+func attachGens(m *Memory, cfgs []trafficgen.Config, patterns []trafficgen.Pattern) ([]*trafficgen.Generator, error) {
 	gens := make([]*trafficgen.Generator, len(cfgs))
 	for i := range cfgs {
-		gen, err := trafficgen.New(k, cfgs[i], patterns[i], reg, fmt.Sprintf("gen%d", i))
+		gen, err := trafficgen.New(m.K, cfgs[i], patterns[i], m.Reg, fmt.Sprintf("gen%d", i))
 		if err != nil {
 			return nil, err
 		}
-		mem.Connect(gen.Port(), xb.AttachRequestor("gen"))
+		mem.Connect(gen.Port(), m.FrontPort("gen"))
 		gens[i] = gen
 	}
 	return gens, nil
-}
-
-// attachChannels builds the channel controllers on the crossbar's kernel and
-// connects each to a memory-side port.
-func attachChannels(k *sim.Kernel, reg *stats.Registry, xb *xbar.Crossbar, cc ctrlConfig) ([]Controller, error) {
-	ctrls := make([]Controller, cc.channels)
-	for i := range ctrls {
-		ctrl, err := cc.build(k, reg, nil, fmt.Sprintf("mc%d", i))
-		if err != nil {
-			return nil, err
-		}
-		mem.Connect(xb.AttachMemory("mem"), ctrl.Port())
-		ctrls[i] = ctrl
-	}
-	return ctrls, nil
 }
 
 // sumBandwidth sums controller bandwidths.
@@ -228,6 +319,8 @@ type TrafficRig struct {
 	Reg  *stats.Registry
 	Gen  *trafficgen.Generator
 	Ctrl Controller
+
+	runner
 }
 
 // RigConfig shapes a TrafficRig.
@@ -250,40 +343,42 @@ type RigConfig struct {
 
 // NewTrafficRig builds the generator-over-controller rig.
 func NewTrafficRig(cfg RigConfig) (*TrafficRig, error) {
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("sys")
-	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, 1, cfg.ClosedPage, cfg.TuneEvent}
-	ctrl, err := cc.build(k, reg, cfg.Probes, "mc")
+	mc := matchedMemory(cfg.Kind, cfg.Spec, cfg.Mapping, 1, cfg.ClosedPage, cfg.TuneEvent)
+	mc.Probes = cfg.Probes
+	m, err := NewMemory(mc)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := trafficgen.New(k, cfg.Gen, cfg.Pattern, reg, "gen")
+	gen, err := trafficgen.New(m.K, cfg.Gen, cfg.Pattern, m.Reg, "gen")
 	if err != nil {
 		return nil, err
 	}
-	mem.Connect(gen.Port(), ctrl.Port())
-	return &TrafficRig{K: k, Reg: reg, Gen: gen, Ctrl: ctrl}, nil
+	mem.Connect(gen.Port(), m.FrontPort("gen"))
+	return &TrafficRig{K: m.K, Reg: m.Reg, Gen: gen, Ctrl: m.Ctrls[0], runner: runner{m, []Source{gen}}}, nil
 }
 
-// session wraps the rig's parts for stepping, by value so Run can keep it on
-// the stack.
-func (r *TrafficRig) session() Session {
-	return Session{kernels: []*sim.Kernel{r.K}, reg: r.Reg, ctrls: []Controller{r.Ctrl}, sources: []Source{r.Gen}, step: quantum}
+// runner is what a generator rig keeps of its construction — the memory it
+// was built on and its generators as the session's sources — and how it runs:
+// TrafficRig and MultiChannelRig embed it for Run and NewSession.
+type runner struct {
+	memory  *Memory
+	sources []Source
 }
 
-// Run starts the generator and steps the simulation until the generator
-// finishes and the controller drains, or until maxSim simulated time
-// passes. It reports whether the run completed.
-func (r *TrafficRig) Run(maxSim sim.Tick) bool {
-	s := r.session()
+// Run starts the generators and steps the simulation until they finish and
+// the memory drains, or until maxSim simulated time passes. It reports whether
+// the run completed. The session stays on the stack: a run allocates nothing
+// the construction did not.
+func (r *runner) Run(maxSim sim.Tick) bool {
+	s := r.memory.session(r.sources)
 	return s.Run(maxSim) == nil
 }
 
 // NewSession wraps the rig for supervised, checkpointable stepping (see
 // Session.Supervise for scope, normally ""); maxSim bounds total simulated
 // time across all segments.
-func (r *TrafficRig) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
-	return r.session().supervised(scope, maxSim)
+func (r *runner) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
+	return r.memory.session(r.sources).supervised(scope, maxSim)
 }
 
 // MultiChannelRig is a generator (or several) behind a crossbar fanning out
@@ -295,6 +390,8 @@ type MultiChannelRig struct {
 	Gens  []*trafficgen.Generator
 	Xbar  *xbar.Crossbar
 	Ctrls []Controller
+
+	runner
 }
 
 // MultiChannelConfig shapes a MultiChannelRig.
@@ -312,39 +409,21 @@ type MultiChannelConfig struct {
 
 // NewMultiChannelRig builds the multi-channel system.
 func NewMultiChannelRig(cfg MultiChannelConfig) (*MultiChannelRig, error) {
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("sys")
-	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil}
-	xb, err := genXbar(k, reg, cfg.Xbar, cc, cfg.Gens, cfg.Patterns)
+	mc := matchedMemory(cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, nil)
+	mc.Xbar = &cfg.Xbar
+	var err error
+	if mc.Widest, err = widestRequest(cfg.Gens, cfg.Patterns); err != nil {
+		return nil, err
+	}
+	m, err := NewMemory(mc)
 	if err != nil {
 		return nil, err
 	}
-	ctrls, err := attachChannels(k, reg, xb, cc)
+	gens, err := attachGens(m, cfg.Gens, cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}
-	gens, err := attachGens(k, reg, xb, cfg.Gens, cfg.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiChannelRig{K: k, Reg: reg, Gens: gens, Xbar: xb, Ctrls: ctrls}, nil
-}
-
-// session wraps the rig's parts for stepping.
-func (r *MultiChannelRig) session() Session {
-	return Session{kernels: []*sim.Kernel{r.K}, reg: r.Reg, xbar: r.Xbar, ctrls: r.Ctrls, sources: sourcesOf(r.Gens), step: quantum}
-}
-
-// Run starts all generators and steps until done or the deadline.
-func (r *MultiChannelRig) Run(maxSim sim.Tick) bool {
-	s := r.session()
-	return s.Run(maxSim) == nil
-}
-
-// NewSession wraps the multi-channel rig for supervised stepping; see
-// (*TrafficRig).NewSession for the contract.
-func (r *MultiChannelRig) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
-	return r.session().supervised(scope, maxSim)
+	return &MultiChannelRig{K: m.K, Reg: m.Reg, Gens: gens, Xbar: m.Xbar, Ctrls: m.Ctrls, runner: runner{m, sourcesOf(gens)}}, nil
 }
 
 // AggregateBandwidth sums channel bandwidths.
@@ -399,21 +478,18 @@ func newFullSystem(cfg MultiCoreConfig, tuneEvent func(*core.Config), connectCor
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("system: nil workload factory")
 	}
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("sys")
-	fs := &FullSystem{K: k, Reg: reg}
 
 	// Memory side first: channels behind the memory crossbar, interleaved
 	// at the mapping granularity but never below the LLC line size (fills
 	// must not straddle channels).
-	cc := ctrlConfig{cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, tuneEvent}
-	memXbar, err := InterleavedXbar(k, reg, "memxbar", cfg.MemXbar, cc.spec.Org, cc.mapping, cc.channels, cfg.LLC.LineBytes)
+	mc := matchedMemory(cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels, cfg.ClosedPage, tuneEvent)
+	mc.Xbar, mc.XbarName, mc.Widest = &cfg.MemXbar, "memxbar", cfg.LLC.LineBytes
+	m, err := NewMemory(mc)
 	if err != nil {
 		return nil, err
 	}
-	if fs.Ctrls, err = attachChannels(k, reg, memXbar, cc); err != nil {
-		return nil, err
-	}
+	k, reg := m.K, m.Reg
+	fs := &FullSystem{K: k, Reg: reg, Ctrls: m.Ctrls}
 
 	// Shared LLC between the core crossbar and the memory crossbar.
 	llc, err := cache.New(k, cfg.LLC, reg, "llc")
@@ -421,7 +497,7 @@ func newFullSystem(cfg MultiCoreConfig, tuneEvent func(*core.Config), connectCor
 		return nil, err
 	}
 	fs.LLC = llc
-	mem.Connect(llc.MemPort(), memXbar.AttachRequestor("llc"))
+	mem.Connect(llc.MemPort(), m.FrontPort("llc"))
 
 	coreXbar, err := xbar.New(k, cfg.CoreXbar, func(mem.Addr) int { return 0 }, reg, "corexbar")
 	if err != nil {
