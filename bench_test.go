@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/mem"
@@ -24,100 +22,63 @@ import (
 	"repro/internal/xbar"
 )
 
-// benchSweepPoint drives one DRAM-aware sweep point with b.N requests.
-func benchSweepPoint(b *testing.B, kind system.Kind, closedPage bool,
-	mapping dram.Mapping, readPct int, stride uint64, banks int) {
+// runPoint runs p with b.N requests from its generator, timing the run alone.
+func runPoint(b *testing.B, p experiments.Point) *experiments.Rig {
 	b.Helper()
-	spec := dram.DDR3_1333_8x8()
-	dec, err := dram.NewDecoder(spec.Org, mapping, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rig, err := system.NewTrafficRig(system.RigConfig{
-		Kind: kind, Spec: spec, Mapping: mapping, ClosedPage: closedPage,
-		Gen: trafficgen.Config{
-			RequestBytes:   spec.Org.BurstBytes(),
-			MaxOutstanding: 32,
-			Count:          uint64(b.N),
-		},
-		Pattern: &trafficgen.DRAMAware{
-			Decoder: dec, StrideBursts: stride, Banks: banks,
-			ReadPercent: readPct, Seed: 1,
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if !rig.Run(1000 * sim.Second) {
-		b.Fatal("run did not complete")
-	}
+	p.Gen.Count = uint64(b.N)
+	p.Limit = 1000 * sim.Second
+	rig, err := experiments.Runner{Started: b.ResetTimer}.Run(p)
 	b.StopTimer()
-	b.ReportMetric(rig.Ctrl.BusUtilisation(), "busUtil")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rig
+}
+
+// benchSweepPoint drives one (stride, banks) cell of a figure's sweep.
+func benchSweepPoint(b *testing.B, kind system.Kind, spec experiments.SweepSpec, stride uint64, banks int) {
+	b.Helper()
+	p, err := spec.Point(kind, stride, banks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rig := runPoint(b, p)
+	b.ReportMetric(rig.AvgBusUtilisation(), "busUtil")
 	b.ReportMetric(float64(rig.K.EventsExecuted())/float64(b.N), "events/req")
 }
 
 // Figure 3: open page, 100% reads.
 func BenchmarkFig3OpenReadsEvent(b *testing.B) {
-	benchSweepPoint(b, system.EventBased, false, dram.RoRaBaCoCh, 100, 8, 4)
+	benchSweepPoint(b, system.EventBased, experiments.Fig3Spec(0), 8, 4)
 }
 
 func BenchmarkFig3OpenReadsCycle(b *testing.B) {
-	benchSweepPoint(b, system.CycleBased, false, dram.RoRaBaCoCh, 100, 8, 4)
+	benchSweepPoint(b, system.CycleBased, experiments.Fig3Spec(0), 8, 4)
 }
 
 // Figure 4: open page, 1:1 mix.
 func BenchmarkFig4MixedEvent(b *testing.B) {
-	benchSweepPoint(b, system.EventBased, false, dram.RoRaBaCoCh, 50, 8, 4)
+	benchSweepPoint(b, system.EventBased, experiments.Fig4Spec(0), 8, 4)
 }
 
 func BenchmarkFig4MixedCycle(b *testing.B) {
-	benchSweepPoint(b, system.CycleBased, false, dram.RoRaBaCoCh, 50, 8, 4)
+	benchSweepPoint(b, system.CycleBased, experiments.Fig4Spec(0), 8, 4)
 }
 
 // Figure 5: closed page, 100% writes.
 func BenchmarkFig5ClosedWritesEvent(b *testing.B) {
-	benchSweepPoint(b, system.EventBased, true, dram.RoCoRaBaCh, 0, 4, 8)
+	benchSweepPoint(b, system.EventBased, experiments.Fig5Spec(0), 4, 8)
 }
 
 func BenchmarkFig5ClosedWritesCycle(b *testing.B) {
-	benchSweepPoint(b, system.CycleBased, true, dram.RoCoRaBaCh, 0, 4, 8)
+	benchSweepPoint(b, system.CycleBased, experiments.Fig5Spec(0), 4, 8)
 }
 
-// benchRandomMix drives b.N uniform-random 50%-read requests over 256 MiB
-// with 32 outstanding: the shape of the ledger's mix_random_wrdrain workload.
-// The Fig. 4 mix above is DRAM-aware, so nearly every decision ends at a row
-// hit; here the row-hit rate is ~0 and every decision runs the full
-// arbitration over deep queues. readBuffer > 0 overrides the matched read
-// buffer (and keeps that many requests outstanding).
-func benchRandomMix(b *testing.B, kind system.Kind, readPct, readBuffer int) *system.TrafficRig {
+// benchRandomMix drives experiments.RandomMixPoint. The Fig. 4 mix above is
+// DRAM-aware, so nearly every decision ends at a row hit; here none does.
+func benchRandomMix(b *testing.B, kind system.Kind, readPct, readBuffer int) *experiments.Rig {
 	b.Helper()
-	spec := dram.DDR3_1333_8x8()
-	cfg := system.RigConfig{
-		Kind: kind, Spec: spec, Mapping: dram.RoRaBaCoCh,
-		Gen: trafficgen.Config{
-			RequestBytes:   spec.Org.BurstBytes(),
-			MaxOutstanding: 32,
-			Count:          uint64(b.N),
-		},
-		Pattern: &trafficgen.Random{
-			Start: 0, End: 256 << 20, Align: spec.Org.BurstBytes(),
-			ReadPercent: readPct, Seed: 1,
-		},
-	}
-	if readBuffer > 0 {
-		cfg.Gen.MaxOutstanding = readBuffer
-		cfg.TuneEvent = func(c *core.Config) { c.ReadBufferSize = readBuffer }
-	}
-	rig, err := system.NewTrafficRig(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if !rig.Run(1000 * sim.Second) {
-		b.Fatal("run did not complete")
-	}
-	b.StopTimer()
+	rig := runPoint(b, experiments.RandomMixPoint(kind, readPct, readBuffer))
 	b.ReportMetric(float64(rig.K.EventsExecuted())/float64(b.N), "events/req")
 	return rig
 }
@@ -141,27 +102,7 @@ func BenchmarkArbitrationDepth(b *testing.B) {
 // benchLatency drives the Figs. 6-7 linear traffic at intermediate load.
 func benchLatency(b *testing.B, kind system.Kind, spec experiments.LatencySpec) {
 	b.Helper()
-	rig, err := system.NewTrafficRig(system.RigConfig{
-		Kind: kind, Spec: spec.Spec, Mapping: spec.Mapping, ClosedPage: spec.ClosedPage,
-		Gen: trafficgen.Config{
-			RequestBytes:     spec.Spec.Org.BurstBytes(),
-			MaxOutstanding:   16,
-			Count:            uint64(b.N),
-			InterTransaction: spec.InterTransaction,
-		},
-		Pattern: &trafficgen.Linear{
-			Start: 0, End: 1 << 26, Step: spec.Spec.Org.BurstBytes(),
-			ReadPercent: spec.ReadPct, Seed: 7,
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if !rig.Run(1000 * sim.Second) {
-		b.Fatal("run did not complete")
-	}
-	b.StopTimer()
+	rig := runPoint(b, spec.Point(kind))
 	b.ReportMetric(rig.Gen.ReadLatency().Mean(), "readLatNs")
 }
 
@@ -183,39 +124,21 @@ func BenchmarkFig7LatencyCycle(b *testing.B) {
 	benchLatency(b, system.CycleBased, experiments.Fig7Spec(0))
 }
 
-// §III-C3 power comparison: one representative case per model; the offline
-// Micron computation itself is also exercised.
-func benchPower(b *testing.B, kind system.Kind) {
-	benchSweepPoint(b, kind, false, dram.RoRaBaCoCh, 50, 8, 8)
+// §III-C3 power comparison: one representative case per model (the Fig. 4
+// mix over 8 banks); the offline Micron computation itself is also exercised.
+func BenchmarkPowerCaseEvent(b *testing.B) {
+	benchSweepPoint(b, system.EventBased, experiments.Fig4Spec(0), 8, 8)
 }
 
-func BenchmarkPowerCaseEvent(b *testing.B) { benchPower(b, system.EventBased) }
-
-func BenchmarkPowerCaseCycle(b *testing.B) { benchPower(b, system.CycleBased) }
+func BenchmarkPowerCaseCycle(b *testing.B) {
+	benchSweepPoint(b, system.CycleBased, experiments.Fig4Spec(0), 8, 8)
+}
 
 // §III-D model performance at low load, where cycle-based simulation pays
 // for every idle cycle: the Event/Cycle ns/op ratio is the paper's speedup.
 func benchSpacedLoad(b *testing.B, kind system.Kind) {
 	b.Helper()
-	spec := dram.DDR3_1333_8x8()
-	rig, err := system.NewTrafficRig(system.RigConfig{
-		Kind: kind, Spec: spec, Mapping: dram.RoRaBaCoCh,
-		Gen: trafficgen.Config{
-			RequestBytes:     spec.Org.BurstBytes(),
-			MaxOutstanding:   16,
-			Count:            uint64(b.N),
-			InterTransaction: 48 * sim.Nanosecond,
-		},
-		Pattern: &trafficgen.Linear{Start: 0, End: 1 << 26, Step: spec.Org.BurstBytes(), ReadPercent: 100},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if !rig.Run(1000 * sim.Second) {
-		b.Fatal("run did not complete")
-	}
-	b.StopTimer()
+	rig := runPoint(b, experiments.LowLoadPoint(kind))
 	b.ReportMetric(float64(rig.K.EventsExecuted())/float64(b.N), "events/req")
 }
 
@@ -223,41 +146,26 @@ func BenchmarkModelPerfLowLoadEvent(b *testing.B) { benchSpacedLoad(b, system.Ev
 
 func BenchmarkModelPerfLowLoadCycle(b *testing.B) { benchSpacedLoad(b, system.CycleBased) }
 
-// Figure 8: the 4-core full system, per model; ns/op is per memory
-// operation across all cores.
-func benchFullSystem(b *testing.B, kind system.Kind) {
+// runFullPoint runs p with b.N memory operations spread over its cores,
+// timing the run alone.
+func runFullPoint(b *testing.B, p experiments.FullPoint) *system.FullSystem {
 	b.Helper()
-	coreCfg := cpu.DefaultConfig()
-	coreCfg.InstrPerMemOp = 8
-	coreCfg.MemOps = uint64(b.N)/4 + 1
-	fs, err := system.NewFullSystem(system.MultiCoreConfig{
-		Cores: 4,
-		Core:  coreCfg,
-		Workload: func(id int) trafficgen.Pattern {
-			return cpu.CannealWorkload(64<<20, int64(id)+1)
-		},
-		L1: cache.Config{
-			SizeBytes: 64 * 1024, Assoc: 2, LineBytes: 64,
-			HitLatency: 2 * sim.Nanosecond, MSHRs: 6, WriteBufferDepth: 8,
-		},
-		LLC: cache.Config{
-			SizeBytes: 512 * 1024, Assoc: 8, LineBytes: 64,
-			HitLatency: 12 * sim.Nanosecond, MSHRs: 16, WriteBufferDepth: 16,
-		},
-		Kind: kind, Spec: dram.DDR3_1333_8x8(), Mapping: dram.RoCoRaBaCh,
-		ClosedPage: true, Channels: 1,
-		CoreXbar: xbar.Config{Latency: 1 * sim.Nanosecond, QueueDepth: 32},
-		MemXbar:  xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 32},
-	})
+	p.Core.MemOps = uint64(b.N)/uint64(p.Cores) + 1
+	p.Limit = 1000 * sim.Second
+	fs, _, err := experiments.Runner{Started: b.ResetTimer}.RunFull(p)
+	b.StopTimer()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	if !fs.Run(1000 * sim.Second) {
-		b.Fatal("run did not complete")
-	}
-	b.StopTimer()
 	b.ReportMetric(fs.AggregateIPC(), "IPC")
+	return fs
+}
+
+// Figure 8: the 4-core full system running canneal, per model; ns/op is per
+// memory operation across all cores.
+func benchFullSystem(b *testing.B, kind system.Kind) {
+	b.Helper()
+	fs := runFullPoint(b, experiments.Fig8Point(kind, "canneal", 0))
 	b.ReportMetric(fs.LLC.AvgMissLatencyNs(), "l2MissNs")
 }
 
@@ -267,45 +175,12 @@ func BenchmarkFig8FullSystemCycle(b *testing.B) { benchFullSystem(b, system.Cycl
 
 // Figure 9 / Tables II-IV: the three 12.8 GB/s memory systems under the
 // 16-core canneal case study (8 cores here to keep bench runs tractable).
-func benchFig9(b *testing.B, mc experiments.Fig9Config) {
-	b.Helper()
-	coreCfg := cpu.DefaultConfig()
-	coreCfg.MemOps = uint64(b.N)/8 + 1
-	fs, err := system.NewFullSystem(system.MultiCoreConfig{
-		Cores: 8,
-		Core:  coreCfg,
-		Workload: func(id int) trafficgen.Pattern {
-			return cpu.CannealWorkload(256<<20, int64(id)+1)
-		},
-		L1: cache.Config{
-			SizeBytes: 64 * 1024, Assoc: 2, LineBytes: 64,
-			HitLatency: 2 * sim.Nanosecond, MSHRs: 6, WriteBufferDepth: 8,
-		},
-		LLC: cache.Config{
-			SizeBytes: 8 << 20, Assoc: 16, LineBytes: 64,
-			HitLatency: 20 * sim.Nanosecond, MSHRs: 32, WriteBufferDepth: 32,
-		},
-		Kind: system.EventBased, Spec: mc.Spec, Mapping: dram.RoRaBaCoCh,
-		Channels: mc.Channels,
-		CoreXbar: xbar.Config{Latency: 1 * sim.Nanosecond, QueueDepth: 64},
-		MemXbar:  xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if !fs.Run(1000 * sim.Second) {
-		b.Fatal("run did not complete")
-	}
-	b.StopTimer()
-	b.ReportMetric(fs.AggregateIPC(), "IPC")
-	b.ReportMetric(fs.MemBandwidth()/1e9, "GB/s")
-}
-
 func BenchmarkFig9(b *testing.B) {
 	for _, mc := range experiments.Fig9Configs() {
-		mc := mc
-		b.Run(mc.Name, func(b *testing.B) { benchFig9(b, mc) })
+		b.Run(mc.Name, func(b *testing.B) {
+			fs := runFullPoint(b, mc.Point(0, 8))
+			b.ReportMetric(fs.MemBandwidth()/1e9, "GB/s")
+		})
 	}
 }
 
@@ -408,30 +283,26 @@ func BenchmarkAddressDecode(b *testing.B) {
 	_ = sink
 }
 
+// probedPoint is the event controller's default configuration on spec under
+// hub, loaded by one generator of count 64-byte requests, 32 outstanding.
+func probedPoint(spec dram.Spec, hub *obs.Hub, count uint64, pattern trafficgen.Pattern) experiments.Point {
+	return experiments.Point{
+		Name: "probed controller", Event: core.DefaultConfig(spec), Probes: hub, Limit: 1000 * sim.Second,
+		Gen:     trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: count},
+		Pattern: pattern,
+	}
+}
+
 // Protocol checking cost over a realistic command trace.
 func BenchmarkProtocolCheck(b *testing.B) {
 	spec := dram.DDR3_1600_x64()
 	var trace power.CommandTrace
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("b")
-	cfg := core.DefaultConfig(spec)
 	hub := obs.NewHub()
 	hub.Attach(obs.CommandFunc(trace.Record))
-	cfg.Probes = hub
-	ctrl, err := core.NewController(k, cfg, reg, "mc")
+	_, err := experiments.Runner{}.Run(probedPoint(spec, hub, 5000,
+		&trafficgen.Random{Start: 0, End: 1 << 26, Align: 64, ReadPercent: 67, Seed: 3}))
 	if err != nil {
 		b.Fatal(err)
-	}
-	gen, err := trafficgen.New(k, trafficgen.Config{
-		RequestBytes: 64, MaxOutstanding: 32, Count: 5000,
-	}, &trafficgen.Random{Start: 0, End: 1 << 26, Align: 64, ReadPercent: 67, Seed: 3}, reg, "gen")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem.Connect(gen.Port(), ctrl.Port())
-	gen.Start()
-	for i := 0; i < 10000 && !gen.Done(); i++ {
-		k.RunUntil(k.Now() + sim.Microsecond)
 	}
 	cmds := trace.Commands()
 	b.ResetTimer()
@@ -443,63 +314,20 @@ func BenchmarkProtocolCheck(b *testing.B) {
 	b.ReportMetric(float64(len(cmds)), "cmds/trace")
 }
 
-// The command-trace hook's overhead on the event controller.
-func BenchmarkControllerWithCommandTrace(b *testing.B) {
-	spec := dram.DDR3_1333_8x8()
-	var trace power.CommandTrace
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("b")
-	cfg := core.DefaultConfig(spec)
-	hub := obs.NewHub()
-	hub.Attach(obs.CommandFunc(trace.Record))
-	cfg.Probes = hub
-	ctrl, err := core.NewController(k, cfg, reg, "mc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := trafficgen.New(k, trafficgen.Config{
-		RequestBytes: 64, MaxOutstanding: 32, Count: uint64(b.N),
-	}, &trafficgen.Linear{Start: 0, End: 1 << 26, Step: 64, ReadPercent: 100}, reg, "gen")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem.Connect(gen.Port(), ctrl.Port())
-	b.ResetTimer()
-	gen.Start()
-	for !gen.Done() {
-		k.RunUntil(k.Now() + 10*sim.Microsecond)
-	}
-	b.StopTimer()
-	_ = ctrl
-}
-
 // benchControllerProbes drives the event controller with a linear read
 // stream under the given probe hub, so the cost of the obs emission sites
 // can be compared across hub configurations.
 func benchControllerProbes(b *testing.B, hub *obs.Hub) {
-	spec := dram.DDR3_1333_8x8()
-	k := sim.NewKernel()
-	reg := stats.NewRegistry("b")
-	cfg := core.DefaultConfig(spec)
-	cfg.Probes = hub
-	ctrl, err := core.NewController(k, cfg, reg, "mc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := trafficgen.New(k, trafficgen.Config{
-		RequestBytes: 64, MaxOutstanding: 32, Count: uint64(b.N),
-	}, &trafficgen.Linear{Start: 0, End: 1 << 26, Step: 64, ReadPercent: 100}, reg, "gen")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem.Connect(gen.Port(), ctrl.Port())
-	b.ResetTimer()
-	gen.Start()
-	for !gen.Done() {
-		k.RunUntil(k.Now() + 10*sim.Microsecond)
-	}
-	b.StopTimer()
-	_ = ctrl
+	runPoint(b, probedPoint(dram.DDR3_1333_8x8(), hub, 0,
+		&trafficgen.Linear{Start: 0, End: 1 << 26, Step: 64, ReadPercent: 100}))
+}
+
+// The command-trace hook's overhead on the event controller.
+func BenchmarkControllerWithCommandTrace(b *testing.B) {
+	var trace power.CommandTrace
+	hub := obs.NewHub()
+	hub.Attach(obs.CommandFunc(trace.Record))
+	benchControllerProbes(b, hub)
 }
 
 // BenchmarkNoProbeOverhead is the instrumented-but-disabled path: every obs

@@ -1,24 +1,46 @@
 package main
 
-// In-process coverage of the one run path, on one channel and on several: the
-// core assertions of ci/recovery_smoke.sh (which tier-1 never runs; its kill -9
-// stays there), all of the old trace smoke and the dramctrl rows of the old
-// standards smoke, plus every flag composing with -channels.
+// Coverage of the one run path, on one channel and on several: all of the old
+// recovery smoke (in-process but for its kill -9, which re-executes this test
+// binary as the tool), all of the old trace smoke and the dramctrl rows of the
+// old standards smoke, plus every flag composing with -channels.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
+
+// runAsTool, set in the environment of a re-executed test binary, makes it
+// behave as the dramctrl command: a process that can be killed.
+const runAsTool = "DRAMCTRL_TEST_RUN_AS_TOOL"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsTool) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// tool returns the command running this binary as dramctrl with args.
+func tool(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runAsTool+"=1")
+	return cmd
+}
 
 // topologies are the flag prefixes for one controller and for four behind a
 // crossbar.
@@ -123,6 +145,74 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A supervised run killed with SIGKILL mid-flight — no handler runs, nothing
+// is flushed — and resumed from its last periodic checkpoint finishes with
+// the statistics of the uninterrupted run, byte for byte.
+func TestKilledRunResumesToUninterruptedStatistics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kills and resumes a real process")
+	}
+	for requests := 400_000; ; requests *= 2 {
+		dir := t.TempDir()
+		file := func(n string) string { return filepath.Join(dir, n) }
+		args := []string{"-pattern", "random", "-reads", "67", "-seed", "7", "-requests", strconv.Itoa(requests)}
+		ckpt := append(args[:len(args):len(args)], "-checkpoint", file("run.ckpt"), "-checkpoint-every", "50000")
+
+		victim := tool(append(ckpt, "-json", file("victim.json"))...)
+		if err := victim.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			if _, err := os.Stat(file("run.ckpt")); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				victim.Process.Kill() //nolint:errcheck // already failing
+				t.Fatal("no checkpoint appeared before the kill")
+			}
+		}
+		if err := victim.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		victim.Wait() //nolint:errcheck // killed: the status is the signal
+		if _, err := os.Stat(file("victim.json")); err == nil {
+			if requests > 50_000_000 {
+				t.Fatal("the victim keeps finishing before the kill")
+			}
+			continue // it finished before the kill landed: run longer
+		}
+
+		resumed, err := tool(append(ckpt, "-resume", "-json", file("resumed.json"))...).CombinedOutput()
+		if err != nil || !bytes.Contains(resumed, []byte("supervisor: resumed from")) {
+			t.Fatalf("resume: %v; it must load the checkpoint:\n%s", err, resumed)
+		}
+		mustRun(t, append(args, "-json", file("ref.json"))...)
+		if !bytes.Equal(read(t, file("resumed.json")), read(t, file("ref.json"))) {
+			t.Error("statistics of the killed and resumed run differ from the uninterrupted run")
+		}
+		return
+	}
+}
+
+// A checkpoint with one flipped byte is refused with a checksum error — not
+// a panic, not a silently wrong resume — and left as it was found.
+func TestCorruptCheckpointIsRefused(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	args := []string{"-pattern", "random", "-requests", "2000", "-checkpoint", ckpt}
+	mustRun(t, args...)
+	corrupt := read(t, ckpt)
+	corrupt[len(corrupt)/2] ^= 0xff
+	if err := os.WriteFile(ckpt, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dramctrl(t, append(args, "-resume")...); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Errorf("resume from a corrupted checkpoint: err = %v, want a checksum mismatch", err)
+	}
+	if !bytes.Equal(read(t, ckpt), corrupt) {
+		t.Error("the refused resume changed the checkpoint file")
 	}
 }
 

@@ -6,82 +6,52 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
-	"repro/internal/checkpoint"
 	"repro/internal/experiments"
-	"repro/internal/supervisor"
+	"repro/internal/experiments/cliconfig"
 )
 
-func main() {
-	memOps := flag.Uint64("memops", 3000, "memory operations per core")
-	cores := flag.Int("cores", 16, "number of cores")
-	jsonOut := flag.String("json", "", "write the result as JSON to this file (atomic temp+rename)")
-	flag.Parse()
+// stop is polled before every measurement point: main points it at
+// SIGINT/SIGTERM, the tests at a counter.
+var stop func() bool
 
-	// SIGINT/SIGTERM finish the memory system being measured, flush the
-	// completed rows, and exit 130.
-	notify, stopNotify := supervisor.NotifySignals()
-	defer stopNotify()
-	fired := false
-	stop := func() bool {
-		if fired {
-			return true
-		}
-		select {
-		case sig := <-notify:
-			fired = true
-			fmt.Fprintf(os.Stderr, "explore: %v: finishing current memory system, flushing partial results\n", sig)
-		default:
-		}
-		return fired
+func main() { cliconfig.Main("explore", &stop, run) }
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
+	memOps := cliconfig.AddCount(fs, "memops", experiments.ExploreMemOps, "memory operations per core")
+	cores := fs.Int("cores", experiments.ExploreCores, "number of cores")
+	jsonOut := fs.String("json", "", "write the result as JSON to this file (atomic temp+rename)")
+	if ok, err := cliconfig.Parse(fs, args); !ok {
+		return err
+	}
+	res, err := experiments.Runner{Stop: stop}.RunFig9(*memOps, *cores)
+	if !cliconfig.Partial(out, err, "%d of %d memory systems, IPC not normalised", len(res.Rows), experiments.NumExplorePoints()) {
+		return err
+	}
+	partial := err != nil
+	if err := cliconfig.WriteResultJSON(out, *jsonOut, experiments.NewFig9JSON(res, *memOps, *cores, partial)); err != nil {
+		return err
 	}
 
-	res, err := experiments.RunFig9Stoppable(*memOps, *cores, stop)
-	interrupted := errors.Is(err, experiments.ErrInterrupted)
-	if err != nil && !interrupted {
-		fmt.Fprintln(os.Stderr, "explore:", err)
-		os.Exit(1)
-	}
-	if interrupted {
-		fmt.Printf("interrupted; partial results (%d of 3 memory systems, IPC not normalised):\n", len(res.Rows))
-	}
-
-	// The JSON result is written atomically (temp+rename, the checkpoint
-	// files' pattern), so a crash mid-write can never leave a torn file.
-	if *jsonOut != "" {
-		enc, err := experiments.EncodeResultJSON(experiments.NewFig9JSON(res, *memOps, *cores, interrupted))
-		if err == nil {
-			err = checkpoint.WriteFileAtomic(*jsonOut, enc)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("result written to %s\n", *jsonOut)
-	}
-
-	fmt.Printf("Memory technology exploration (Figure 9): %d-core canneal, shared 8 MB LLC\n", *cores)
-	fmt.Println("all three memory systems offer 12.8 GB/s aggregate (Table IV)")
-	fmt.Println()
-	fmt.Printf("%-8s %8s %9s %10s %9s %10s %10s\n",
+	fmt.Fprintf(out, "Memory technology exploration (Figure 9): %d-core canneal, shared 8 MB LLC\n", *cores)
+	fmt.Fprintln(out, "all three memory systems offer 12.8 GB/s aggregate (Table IV)")
+	fmt.Fprintln(out)
+	fmt.Fprintf(out, "%-8s %8s %9s %10s %9s %10s %10s\n",
 		"memory", "IPC", "IPC/DDR3", "rd lat ns", "row hits", "BW GB/s", "power mW")
 	for _, row := range res.Rows {
-		fmt.Printf("%-8s %8.3f %9.2f %10.1f %9.3f %10.2f %10.1f\n",
+		fmt.Fprintf(out, "%-8s %8.3f %9.2f %10.1f %9.3f %10.2f %10.1f\n",
 			row.Name, row.IPC, row.NormIPC, row.AvgReadLatencyNs,
 			row.RowHitRate, row.BandwidthGBs, row.PowerMW)
 	}
-	fmt.Println("\nread latency breakdown (ns):")
-	fmt.Printf("%-8s %8s %8s %8s %8s\n", "memory", "queue", "bank", "bus", "static")
+	fmt.Fprintln(out, "\nread latency breakdown (ns):")
+	fmt.Fprintf(out, "%-8s %8s %8s %8s %8s\n", "memory", "queue", "bank", "bus", "static")
 	for _, row := range res.Rows {
-		b := row.Breakdown
-		fmt.Printf("%-8s %8.1f %8.1f %8.1f %8.1f\n",
-			row.Name, b.QueueNs, b.BankNs, b.BusNs, b.StaticNs)
+		fmt.Fprintf(out, "%-8s %8.1f %8.1f %8.1f %8.1f\n",
+			row.Name, row.QueueNs, row.BankNs, row.BusNs, row.StaticNs)
 	}
-	if interrupted {
-		os.Exit(130)
-	}
+	return err
 }

@@ -8,19 +8,31 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/experiments/cliconfig"
 )
 
-func main() {
-	figure := flag.Int("figure", 6, "paper figure to regenerate (6 or 7)")
-	requests := cliconfig.AddRequests(flag.CommandLine, 20000, "read+write requests to issue")
-	bins := flag.Float64("bin", 25, "histogram bin width for display (ns)")
-	standard := cliconfig.AddStandard(flag.CommandLine)
-	flag.Parse()
+// stop is polled before every measurement point: main points it at
+// SIGINT/SIGTERM, the tests at a counter.
+var stop func() bool
+
+func main() { cliconfig.Main("latdist", &stop, run) }
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("latdist", flag.ContinueOnError)
+	figure := fs.Int("figure", 6, "paper figure to regenerate (6 or 7)")
+	requests := cliconfig.AddCount(fs, "requests", 20000, "read+write requests to issue")
+	bins := fs.Float64("bin", 25, "histogram bin width for display (ns)")
+	standard := cliconfig.AddStandard(fs)
+	if ok, err := cliconfig.Parse(fs, args); !ok {
+		return err
+	}
+	if *bins <= 0 {
+		return fmt.Errorf("-bin must be a positive width in ns, got %g", *bins)
+	}
 
 	var spec experiments.LatencySpec
 	switch *figure {
@@ -29,62 +41,51 @@ func main() {
 	case 7:
 		spec = experiments.Fig7Spec(*requests)
 	default:
-		fmt.Fprintf(os.Stderr, "latdist: figure %d not a latency distribution (want 6 or 7)\n", *figure)
-		os.Exit(1)
+		return fmt.Errorf("figure %d not a latency distribution (want 6 or 7)", *figure)
 	}
-
 	if err := cliconfig.ResolveStandard(*standard, &spec.Spec); err != nil {
-		fmt.Fprintln(os.Stderr, "latdist:", err)
-		os.Exit(1)
+		return err
 	}
 
-	res, err := experiments.RunLatency(spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "latdist:", err)
-		os.Exit(1)
+	res, err := experiments.Runner{Stop: stop}.RunLatency(spec)
+	if !cliconfig.Partial(out, err, "the models that finished") {
+		return err
 	}
 
-	fmt.Printf("%s\n", spec.Name)
-	fmt.Printf("memory: %s, mapping: %s, reads: %d%%, ITT: %s\n\n",
+	fmt.Fprintf(out, "%s\n", spec.Name)
+	fmt.Fprintf(out, "memory: %s, mapping: %s, reads: %d%%, ITT: %s\n\n",
 		spec.Spec.Name, spec.Mapping, spec.ReadPct, spec.InterTransaction)
 
-	printSummary("event-based (this work)", res.Event, *bins)
-	printSummary("cycle-based (DRAMSim2-style)", res.Cycle, *bins)
+	// An interrupted study has only the models that ran.
+	if err == nil || res.Event.Samples > 0 {
+		printSummary(out, "event-based (this work)", res.Event, *bins)
+	}
+	if err == nil {
+		printSummary(out, "cycle-based (DRAMSim2-style)", res.Cycle, *bins)
+	}
+	return err
 }
 
-func printSummary(name string, h experiments.HistogramSummary, binNs float64) {
-	fmt.Printf("%s:\n", name)
-	fmt.Printf("  samples %d  mean %.1f ns  p50 %.1f ns  p99 %.1f ns  stddev %.1f ns\n",
+func printSummary(out io.Writer, name string, h experiments.HistogramSummary, binNs float64) {
+	fmt.Fprintf(out, "%s:\n", name)
+	fmt.Fprintf(out, "  samples %d  mean %.1f ns  p50 %.1f ns  p99 %.1f ns  stddev %.1f ns\n",
 		h.Samples, h.MeanNs, h.P50Ns, h.P99Ns, h.StdDev)
 	modes := h.CoarseModes(binNs, 0.05)
-	fmt.Printf("  modes (>=5%% share, %g ns bins): %v  bimodal: %v\n", binNs, modes, h.Bimodal(50))
+	fmt.Fprintf(out, "  modes (>=5%% share, %g ns bins): %v  bimodal: %v\n", binNs, modes, h.Bimodal(50))
 
 	// Coarse text histogram.
-	coarse := map[int]uint64{}
-	maxBin, maxCount := 0, uint64(0)
-	for i, lo := range h.BucketLo {
-		b := int(lo / binNs)
-		coarse[b] += h.Buckets[i]
-		if b > maxBin {
-			maxBin = b
-		}
-		// Bins only grow, so the running maximum ends at the tallest bin.
-		if coarse[b] > maxCount {
-			maxCount = coarse[b]
-		}
+	coarse := h.Coarse(binNs)
+	var maxCount uint64
+	for _, c := range coarse {
+		maxCount = max(maxCount, c)
 	}
-	if maxCount == 0 {
-		fmt.Println()
-		return
-	}
-	for b := 0; b <= maxBin; b++ {
-		c := coarse[b]
+	for b, c := range coarse {
 		if c == 0 {
 			continue
 		}
 		width := int(c * 50 / maxCount)
-		fmt.Printf("  %6.0f-%6.0f ns %7d %s\n",
+		fmt.Fprintf(out, "  %6.0f-%6.0f ns %7d %s\n",
 			float64(b)*binNs, float64(b+1)*binNs, c, strings.Repeat("#", width))
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }

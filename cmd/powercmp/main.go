@@ -7,56 +7,65 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/experiments"
+	"repro/internal/experiments/cliconfig"
 )
 
-func main() {
-	requests := flag.Uint64("requests", 5000, "requests per test case")
-	savings := flag.Bool("savings", false, "run the bursty-traffic low-power savings comparison instead")
-	flag.Parse()
+// stop is polled before every measurement point: main points it at
+// SIGINT/SIGTERM, the tests at a counter.
+var stop func() bool
 
+func main() { cliconfig.Main("powercmp", &stop, run) }
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("powercmp", flag.ContinueOnError)
+	requests := cliconfig.AddCount(fs, "requests", 5000, "requests per test case")
+	savings := fs.Bool("savings", false, "run the bursty-traffic low-power savings comparison instead")
+	if ok, err := cliconfig.Parse(fs, args); !ok {
+		return err
+	}
+	runner := experiments.Runner{Stop: stop}
 	if *savings {
-		runSavings(*requests)
-		return
+		return runSavings(runner, *requests, out)
 	}
-	res, err := experiments.RunPowerComparison(*requests)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "powercmp:", err)
-		os.Exit(1)
+	res, err := runner.RunPowerComparison(*requests)
+	if !cliconfig.Partial(out, err, "%d cases", len(res.Rows)) {
+		return err
 	}
 
-	fmt.Printf("DRAM power comparison (§III-C3), Micron model, %d requests/case\n\n", *requests)
-	fmt.Printf("%-28s %12s %12s %12s %8s %8s\n",
+	fmt.Fprintf(out, "DRAM power comparison (§III-C3), Micron model, %d requests/case\n\n", *requests)
+	fmt.Fprintf(out, "%-28s %12s %12s %12s %8s %8s\n",
 		"case", "event (mW)", "cycle (mW)", "trace (mW)", "diff", "tr-diff")
 	for _, row := range res.Rows {
-		fmt.Printf("%-28s %12.1f %12.1f %12.1f %7.1f%% %7.1f%%\n",
+		fmt.Fprintf(out, "%-28s %12.1f %12.1f %12.1f %7.1f%% %7.1f%%\n",
 			row.Case, row.EventMW, row.CycleMW, row.TraceMW, row.DiffPercent, row.TraceDiffPct)
 	}
-	fmt.Printf("\nmax difference: %.1f%%   average: %.1f%%   max trace-vs-aggregate: %.1f%%\n",
+	fmt.Fprintf(out, "\nmax difference: %.1f%%   average: %.1f%%   max trace-vs-aggregate: %.1f%%\n",
 		res.MaxDiffPct, res.AvgDiffPct, res.MaxTraceDiffPct)
-	fmt.Println("(paper reports max 8%, average 3%; trace column is the DRAMPower-style")
-	fmt.Println(" command-trace analysis of the event controller, via the obs hub)")
+	fmt.Fprintln(out, "(paper reports max 8%, average 3%; trace column is the DRAMPower-style")
+	fmt.Fprintln(out, " command-trace analysis of the event controller, via the obs hub)")
+	return err
 }
 
 // runSavings prints the bursty-traffic low-power savings table: the same
 // request stream under no low-power states, power-down only, and power-down
 // with self-refresh.
-func runSavings(requests uint64) {
-	res, err := experiments.RunPowerSavings(requests)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "powercmp:", err)
-		os.Exit(1)
+func runSavings(runner experiments.Runner, requests uint64, out io.Writer) error {
+	res, err := runner.RunPowerSavings(requests)
+	if !cliconfig.Partial(out, err, "%d cases", len(res.Rows)) {
+		return err
 	}
-	fmt.Printf("DRAM low-power savings on bursty traffic, Micron model, %d requests/case\n\n", requests)
-	fmt.Printf("%-20s %11s %11s %11s %8s %8s %7s %7s\n",
+	fmt.Fprintf(out, "DRAM low-power savings on bursty traffic, Micron model, %d requests/case\n\n", requests)
+	fmt.Fprintf(out, "%-20s %11s %11s %11s %8s %8s %7s %7s\n",
 		"case", "active (mW)", "PD (mW)", "PD+SR (mW)", "PD save", "SR save", "PD res", "SR res")
 	for _, row := range res.Rows {
-		fmt.Printf("%-20s %11.1f %11.1f %11.1f %7.1f%% %7.1f%% %6.1f%% %6.1f%%\n",
+		fmt.Fprintf(out, "%-20s %11.1f %11.1f %11.1f %7.1f%% %7.1f%% %6.1f%% %6.1f%%\n",
 			row.Case, row.ActiveMW, row.PDMW, row.PDSRMW,
 			row.PDSavePct, row.SRSavePct, row.PDResidency*100, row.SRResidency*100)
 	}
-	fmt.Println("\n(power-down pays off within short gaps; self-refresh needs gaps long")
-	fmt.Println(" enough to absorb its tXS/tXSDLL exit cost — savings grow with gap length)")
+	fmt.Fprintln(out, "\n(power-down pays off within short gaps; self-refresh needs gaps long")
+	fmt.Fprintln(out, " enough to absorb its tXS/tXSDLL exit cost — savings grow with gap length)")
+	return err
 }

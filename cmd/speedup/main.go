@@ -8,7 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/dram"
@@ -16,40 +16,46 @@ import (
 	"repro/internal/experiments/cliconfig"
 )
 
-func main() {
-	requests := cliconfig.AddRequests(flag.CommandLine, 100000, "requests per case (larger = steadier timing)")
-	standard := cliconfig.AddStandard(flag.CommandLine)
-	flag.Parse()
+// stop is polled before every measurement point: main points it at
+// SIGINT/SIGTERM, the tests at a counter.
+var stop func() bool
 
+func main() { cliconfig.Main("speedup", &stop, run) }
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("speedup", flag.ContinueOnError)
+	requests := cliconfig.AddCount(fs, "requests", 100000, "requests per case (larger = steadier timing)")
+	standard := cliconfig.AddStandard(fs)
+	if ok, err := cliconfig.Parse(fs, args); !ok {
+		return err
+	}
 	var dev *dram.Spec
 	if *standard != "" {
-		sp, err := dram.ByStandard(*standard)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "speedup:", err)
-			os.Exit(1)
+		dev = new(dram.Spec)
+		if err := cliconfig.ResolveStandard(*standard, dev); err != nil {
+			return err
 		}
-		dev = &sp
 	}
-	res, err := experiments.RunSpeedupOn(*requests, dev)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "speedup:", err)
-		os.Exit(1)
+	res, err := experiments.Runner{Stop: stop}.RunSpeedup(*requests, dev)
+	if !cliconfig.Partial(out, err, "%d cases", len(res.Rows)) {
+		return err
 	}
 
-	fmt.Printf("Model performance (§III-D): %d requests per case\n\n", *requests)
+	fmt.Fprintf(out, "Model performance (§III-D): %d requests per case\n\n", *requests)
 	// Host ns per request stands beside every ratio: the ratio moves when
 	// either model does, the absolute cost says which.
 	nsPerReq := func(host time.Duration) float64 { return float64(host.Nanoseconds()) / float64(*requests) }
-	fmt.Printf("%-26s %12s %12s %12s %12s %12s %12s %9s\n",
+	fmt.Fprintf(out, "%-26s %12s %12s %12s %12s %12s %12s %9s\n",
 		"case", "event host", "cycle host", "event ns/req", "cycle ns/req", "event evts", "cycle evts", "speedup")
 	for _, row := range res.Rows {
-		fmt.Printf("%-26s %12v %12v %12.1f %12.1f %12d %12d %8.2fx\n",
+		fmt.Fprintf(out, "%-26s %12v %12v %12.1f %12.1f %12d %12d %8.2fx\n",
 			row.Case,
 			row.EventHost.Round(time.Microsecond),
 			row.CycleHost.Round(time.Microsecond),
 			nsPerReq(row.EventHost), nsPerReq(row.CycleHost),
 			row.EventEvents, row.CycleEvents, row.Speedup)
 	}
-	fmt.Printf("\naverage speedup: %.2fx   maximum: %.2fx\n", res.AvgSpeedup, res.MaxSpeedup)
-	fmt.Println("(paper reports 7x average / 10x max against DRAMSim2, and ~10x for a 16-channel HMC)")
+	fmt.Fprintf(out, "\naverage speedup: %.2fx   maximum: %.2fx\n", res.AvgSpeedup, res.MaxSpeedup)
+	fmt.Fprintln(out, "(paper reports 7x average / 10x max against DRAMSim2, and ~10x for a 16-channel HMC)")
+	return err
 }

@@ -40,6 +40,9 @@ type check struct {
 // already printed, so main only sets the exit status.
 var errFailed = errors.New("checks failed")
 
+// studies runs the reduced paper experiments: every point to completion.
+var studies experiments.Runner
+
 func main() {
 	switch err := run(os.Args[1:], os.Stdout); {
 	case err == nil:
@@ -109,7 +112,7 @@ func run(args []string, out io.Writer) error {
 	f3 := experiments.Fig3Spec(sweepReq)
 	f3.Strides = []uint64{1, 16, 128}
 	f3.Banks = []int{1, 8}
-	if res, err := experiments.RunSweep(f3); err == nil {
+	if res, err := studies.RunSweep(f3); err == nil {
 		rows := res.RowsForBanks(8)
 		last := rows[len(rows)-1]
 		add("Fig3 peak utilisation", last.EventUtil > 0.85, "event %.3f at full stride", last.EventUtil)
@@ -128,7 +131,7 @@ func run(args []string, out io.Writer) error {
 	f5 := experiments.Fig5Spec(sweepReq)
 	f5.Strides = []uint64{1, 128}
 	f5.Banks = []int{8}
-	if res, err := experiments.RunSweep(f5); err == nil {
+	if res, err := studies.RunSweep(f5); err == nil {
 		rows := res.RowsForBanks(8)
 		add("Fig5 stride pathology", rows[1].EventUtil < rows[0].EventUtil,
 			"util %.3f -> %.3f as stride grows", rows[0].EventUtil, rows[1].EventUtil)
@@ -137,7 +140,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Figure 6: latency means within 15%.
-	if res, err := experiments.RunLatency(experiments.Fig6Spec(latReq)); err == nil {
+	if res, err := studies.RunLatency(experiments.Fig6Spec(latReq)); err == nil {
 		ratio := res.Event.MeanNs / res.Cycle.MeanNs
 		add("Fig6 latency correlation", ratio > 0.85 && ratio < 1.15,
 			"mean ratio %.3f (ev %.1f / cy %.1f ns)", ratio, res.Event.MeanNs, res.Cycle.MeanNs)
@@ -146,7 +149,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Figure 7: event model bimodal, baseline not.
-	if res, err := experiments.RunLatency(experiments.Fig7Spec(latReq)); err == nil {
+	if res, err := studies.RunLatency(experiments.Fig7Spec(latReq)); err == nil {
 		add("Fig7 bimodality", res.Event.Bimodal(50) && !res.Cycle.Bimodal(50),
 			"event modes %v, cycle modes %v",
 			res.Event.CoarseModes(25, 0.05), res.Cycle.CoarseModes(25, 0.05))
@@ -155,7 +158,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// §III-C3: power within 25% max (paper 8%).
-	if res, err := experiments.RunPowerComparison(powerReq); err == nil {
+	if res, err := studies.RunPowerComparison(powerReq); err == nil {
 		add("Power comparison", res.AvgDiffPct < 10 && res.MaxDiffPct < 25,
 			"avg %.1f%%, max %.1f%% (paper: 3%%/8%%)", res.AvgDiffPct, res.MaxDiffPct)
 	} else {
@@ -163,7 +166,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// §III-D: event model faster on average, and fastest on the HMC case.
-	if res, err := experiments.RunSpeedup(speedReq); err == nil {
+	if res, err := studies.RunSpeedup(speedReq, nil); err == nil {
 		add("Speedup", res.AvgSpeedup > 1.5,
 			"avg %.2fx, max %.2fx (paper: 7x/10x vs DRAMSim2)", res.AvgSpeedup, res.MaxSpeedup)
 	} else {
@@ -171,7 +174,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Figure 8: cache-friendly ratios near 1, event model faster overall.
-	if res, err := experiments.RunFig8(memOps); err == nil {
+	if res, err := studies.RunFig8(memOps); err == nil {
 		ok := res.AvgSimTimeReduction > 0
 		for _, row := range res.Rows {
 			if row.Workload == "blackscholes" && (row.IPCRatio < 0.9 || row.IPCRatio > 1.1) {
@@ -370,12 +373,12 @@ func runTraced(path string, requests uint64) (power.Activity, error) {
 // (poisoned responses) rather than crashing the run.
 func faultChecks(add func(string, bool, string, ...any), requests uint64) {
 	spec := experiments.DefaultFaultSweep(requests)
-	a, err := experiments.RunFaultSweep(spec)
+	a, err := studies.RunFaultSweep(spec)
 	if err != nil {
 		add("Fault sweep", false, "error: %v", err)
 		return
 	}
-	b, err := experiments.RunFaultSweep(spec)
+	b, err := studies.RunFaultSweep(spec)
 	if err != nil {
 		add("Fault sweep rerun", false, "error: %v", err)
 		return

@@ -132,6 +132,10 @@ func (c *Core) Done() bool {
 	return c.cfg.MemOps > 0 && c.issued >= c.cfg.MemOps && c.outstanding == 0 && c.blocked == nil
 }
 
+// Unbounded reports a core with no MemOps: it executes until stopped, so Done
+// never holds and a run that waits for it cannot finish.
+func (c *Core) Unbounded() bool { return c.cfg.MemOps == 0 }
+
 // computeDelay is the time spent retiring the compute instructions between
 // memory operations.
 func (c *Core) computeDelay() sim.Tick {

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestPagePolicyAblation(t *testing.T) {
-	res, err := PagePolicyAblation(1200)
+	res, err := Runner{}.pagePolicyAblation(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPagePolicyAblation(t *testing.T) {
 }
 
 func TestMappingAblation(t *testing.T) {
-	res, err := MappingAblation(1200)
+	res, err := Runner{}.mappingAblation(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMappingAblation(t *testing.T) {
 }
 
 func TestSchedulerAblation(t *testing.T) {
-	res, err := SchedulerAblation(1200)
+	res, err := Runner{}.schedulerAblation(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSchedulerAblation(t *testing.T) {
 }
 
 func TestWriteDrainAblation(t *testing.T) {
-	res, err := WriteDrainAblation(1200)
+	res, err := Runner{}.writeDrainAblation(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWriteDrainAblation(t *testing.T) {
 }
 
 func TestActivationWindowAblation(t *testing.T) {
-	res, err := ActivationWindowAblation(1200)
+	res, err := Runner{}.activationWindowAblation(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestActivationWindowAblation(t *testing.T) {
 }
 
 func TestPrefetchAblation(t *testing.T) {
-	res, err := PrefetchAblation(1500)
+	res, err := Runner{}.prefetchAblation(1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPrefetchAblation(t *testing.T) {
 }
 
 func TestRefreshAblation(t *testing.T) {
-	res, err := RefreshAblation(1500)
+	res, err := Runner{}.refreshAblation(1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRefreshAblation(t *testing.T) {
 }
 
 func TestXORHashAblation(t *testing.T) {
-	res, err := XORHashAblation(1500)
+	res, err := Runner{}.xorHashAblation(1500)
 	if err != nil {
 		t.Fatal(err)
 	}

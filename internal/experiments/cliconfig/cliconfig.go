@@ -1,13 +1,16 @@
-// Package cliconfig extracts the flag-group boilerplate shared by the
-// command-line tools (dramctrl, bwsweep, latdist, speedup, protocheck):
-// each group registers a coherent set of flags on a FlagSet with the same
-// names and defaults the tools have always used, and offers the parsing /
-// resolution helpers that every main() used to duplicate (spec lookup,
-// mapping and page-policy parsing, traffic-pattern construction, the
-// supervisor configuration, the observability knobs).
+// Package cliconfig is what the command-line tools share. The flag groups
+// register a coherent set of flags on a FlagSet with the names and defaults
+// the tools have always used, and offer the parsing / resolution helpers every
+// main() would otherwise duplicate (spec lookup, mapping and page-policy
+// parsing, traffic-pattern construction, the supervisor configuration, the
+// observability knobs). The front door at the end is the one path the figure
+// tools (bwsweep, latdist, speedup, powercmp, fullsys, explore) take from
+// argv to exit status: parse, poll for SIGINT/SIGTERM between points, print
+// a partial result, write -json atomically, exit 130.
 package cliconfig
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -16,8 +19,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/supervisor"
 	"repro/internal/trafficgen"
@@ -149,7 +154,7 @@ func (p *Policy) CorePage() (core.PagePolicy, error) {
 type Traffic struct {
 	Pattern     string
 	Reads       int
-	Requests    uint64
+	requests    *uint64
 	Bytes       uint64
 	Outstanding int
 	ITTNs       int64
@@ -165,7 +170,7 @@ func AddTraffic(fs *flag.FlagSet, defRequests uint64) *Traffic {
 	t := &Traffic{}
 	fs.StringVar(&t.Pattern, "pattern", "linear", "traffic: linear, random, dramaware, bursty")
 	fs.IntVar(&t.Reads, "reads", 100, "read percentage (0-100)")
-	fs.Uint64Var(&t.Requests, "requests", defRequests, "number of requests")
+	t.requests = AddCount(fs, "requests", defRequests, "number of requests")
 	fs.Uint64Var(&t.Bytes, "bytes", 64, "request size in bytes")
 	fs.IntVar(&t.Outstanding, "outstanding", 32, "max outstanding requests")
 	fs.Int64Var(&t.ITTNs, "itt", 0, "inter-transaction time in ns (0 = saturate)")
@@ -182,7 +187,7 @@ func (t *Traffic) GenConfig() trafficgen.Config {
 	return trafficgen.Config{
 		RequestBytes:     t.Bytes,
 		MaxOutstanding:   t.Outstanding,
-		Count:            t.Requests,
+		Count:            *t.requests,
 		InterTransaction: sim.Tick(t.ITTNs) * sim.Nanosecond,
 	}
 }
@@ -229,10 +234,22 @@ func (t *Traffic) BuildPattern(spec dram.Spec, mapping dram.Mapping, channels in
 	return nil, fmt.Errorf("unknown pattern %q", t.Pattern)
 }
 
-// AddRequests registers the lone -requests flag the experiment regenerators
-// use, with each tool's own default and usage text.
-func AddRequests(fs *flag.FlagSet, def uint64, usage string) *uint64 {
-	return fs.Uint64("requests", def, usage)
+// AddCount registers a flag counting the work of a run (-requests, -memops).
+// The tools run to completion, so 0 — "unlimited" to trafficgen and cpu — is
+// refused at parse time with the flag named, instead of spinning forever.
+func AddCount(fs *flag.FlagSet, name string, def uint64, usage string) *uint64 {
+	n := def
+	fs.Func(name, fmt.Sprintf("%s (at least 1; default %d)", usage, def), func(s string) error {
+		v, err := strconv.ParseUint(s, 0, 64)
+		if err == nil && v == 0 {
+			err = errors.New("must be at least 1 (a run of 0 would never finish)")
+		}
+		if err == nil {
+			n = v
+		}
+		return err
+	})
+	return &n
 }
 
 // --- Channels flag ---------------------------------------------------------
@@ -353,4 +370,76 @@ func (o *Obs) Validate(checkpointing bool) error {
 		return fmt.Errorf("checkpointing does not support -obs-sample/-obs-http (drop them or the -checkpoint flags)")
 	}
 	return nil
+}
+
+// --- Front door ------------------------------------------------------------
+
+// Parse parses args into fs. It reports whether the tool should go on: not
+// after -h (usage printed, nil error) and not after a bad flag (the error).
+func Parse(fs *flag.FlagSet, args []string) (bool, error) {
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// Partial reports whether a study left something to print: all of it (a nil
+// error) or, interrupted (ErrInterrupted), the part it finished — then the
+// header line on out says how far it got (progress and its arguments, as for
+// Printf) and the tool goes on to print the table and return err itself, for
+// Main to exit 130. On any other error there is nothing to print.
+func Partial(out io.Writer, err error, progress string, args ...any) bool {
+	if errors.Is(err, experiments.ErrInterrupted) {
+		fmt.Fprintf(out, "interrupted; partial results (%s):\n", fmt.Sprintf(progress, args...))
+		return true
+	}
+	return err == nil
+}
+
+// WriteResultJSON writes a canonical result (experiments.NewSweepJSON,
+// NewFig9JSON) to path and says so on out; "" writes nothing. The file is
+// replaced atomically (temp+rename, the checkpoint files' pattern), so a crash
+// mid-write can never leave a torn one.
+func WriteResultJSON(out io.Writer, path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	enc, err := experiments.EncodeResultJSON(v)
+	if err == nil {
+		err = checkpoint.WriteFileAtomic(path, enc)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "result written to %s\n", path)
+	return nil
+}
+
+// Main is a figure tool's main(): it points *stop — what the tool's run hands
+// to experiments.Runner.Stop, and its tests point at a counter — at
+// SIGINT/SIGTERM, so that a signal lets the point being measured finish and
+// the study return what it has; then it runs the tool and exits 0, 130 (the
+// conventional SIGINT status) for an interrupted run whose partial results are
+// already out, or 1 with the error on stderr.
+func Main(tool string, stop *func() bool, run func(args []string, out io.Writer) error) {
+	notify, _ := supervisor.NotifySignals() // registered for the life of the process
+	fired := false
+	*stop = func() bool {
+		select {
+		case sig := <-notify:
+			fired = true
+			fmt.Fprintf(os.Stderr, "%s: %v: finishing current point, flushing partial results\n", tool, sig)
+		default:
+		}
+		return fired
+	}
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, experiments.ErrInterrupted):
+		os.Exit(130)
+	default:
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		os.Exit(1)
+	}
 }

@@ -14,7 +14,7 @@ func TestFig3OpenPageReads(t *testing.T) {
 	s := Fig3Spec(1500)
 	s.Strides = []uint64{1, 4, 16, 128}
 	s.Banks = []int{1, 4, 8}
-	res, err := RunSweep(s)
+	res, err := Runner{}.RunSweep(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFig4MixedTraffic(t *testing.T) {
 	s := Fig4Spec(1500)
 	s.Strides = []uint64{1, 16, 128}
 	s.Banks = []int{4}
-	res, err := RunSweep(s)
+	res, err := Runner{}.RunSweep(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFig5ClosedPageWrites(t *testing.T) {
 	s := Fig5Spec(1500)
 	s.Strides = []uint64{1, 16, 128}
 	s.Banks = []int{1, 8}
-	res, err := RunSweep(s)
+	res, err := Runner{}.RunSweep(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFig5ClosedPageWrites(t *testing.T) {
 }
 
 func TestFig6LatencyCorrelation(t *testing.T) {
-	res, err := RunLatency(Fig6Spec(3000))
+	res, err := Runner{}.RunLatency(Fig6Spec(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFig6LatencyCorrelation(t *testing.T) {
 // Figure 7's headline: the write-drain policy makes the event model's read
 // latency bimodal; the interleaving baseline stays unimodal.
 func TestFig7Bimodality(t *testing.T) {
-	res, err := RunLatency(Fig7Spec(6000))
+	res, err := Runner{}.RunLatency(Fig7Spec(6000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFig7Bimodality(t *testing.T) {
 }
 
 func TestPowerComparisonWithinBand(t *testing.T) {
-	res, err := RunPowerComparison(1500)
+	res, err := Runner{}.RunPowerComparison(1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPowerComparisonWithinBand(t *testing.T) {
 // §III-D: the event-based model must be decisively faster than the
 // cycle-based baseline on the same workloads (paper: 7x average, up to 10x).
 func TestSpeedup(t *testing.T) {
-	res, err := RunSpeedup(8000)
+	res, err := Runner{}.RunSpeedup(8000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSpeedup(t *testing.T) {
 }
 
 func TestFig8Correlation(t *testing.T) {
-	res, err := RunFig8(400)
+	res, err := Runner{}.RunFig8(400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig9Exploration(t *testing.T) {
 			t.Fatalf("%s: no power", row.Name)
 		}
 		// The breakdown must account for the whole latency.
-		b := row.Breakdown
+		b := row.LatencyBreakdown
 		if tot := b.StaticNs + b.QueueNs + b.BankNs + b.BusNs; tot < row.AvgReadLatencyNs*0.95 || tot > row.AvgReadLatencyNs*1.05 {
 			t.Fatalf("%s: breakdown %v does not sum to latency %v", row.Name, tot, row.AvgReadLatencyNs)
 		}
@@ -263,11 +263,12 @@ func TestRunSweepMultiChannel(t *testing.T) {
 	s := Fig3Spec(200)
 	s.Strides = []uint64{4, 16}
 	s.Banks = []int{4}
-	res, err := RunSweepMultiChannel(s, 2)
+	s.Channels = 2
+	res, err := Runner{}.RunSweep(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunSweepMultiChannel(s, 2)
+	again, err := Runner{}.RunSweep(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,55 +13,62 @@ import (
 	"repro/internal/xbar"
 )
 
+// ExploreMemOps and ExploreCores are the defaults of explore and of a farm
+// explore job: one pair of constants, so a default job merges to what the CLI
+// prints.
+const (
+	ExploreMemOps = 3000
+	ExploreCores  = 16
+)
+
 // Fig9Config is one memory technology in the §IV-B case study: the Table IV
 // DDR3 / LPDDR3 / WideIO configurations, all at 12.8 GB/s aggregate.
 type Fig9Config struct {
 	Name     string
 	Spec     dram.Spec
 	Channels int
-	// BackendNs reflects the interface's PHY/IO cost: DIMM for DDR3, PoP
-	// for LPDDR3, TSV for WideIO (§II-B's backend latency knob).
-	BackendNs float64
 }
 
 // Fig9Configs returns the paper's three memory systems.
 func Fig9Configs() []Fig9Config {
 	return []Fig9Config{
-		{Name: "DDR3", Spec: dram.DDR3_1600_x64(), Channels: 1, BackendNs: 10},
-		{Name: "LPDDR3", Spec: dram.LPDDR3_1600_x32(), Channels: 2, BackendNs: 8},
-		{Name: "WideIO", Spec: dram.WideIO_200_x128(), Channels: 4, BackendNs: 4},
+		{Name: "DDR3", Spec: dram.DDR3_1600_x64(), Channels: 1},
+		{Name: "LPDDR3", Spec: dram.LPDDR3_1600_x32(), Channels: 2},
+		{Name: "WideIO", Spec: dram.WideIO_200_x128(), Channels: 4},
 	}
 }
 
 // LatencyBreakdown splits the average read latency the way Figure 9 does.
 type LatencyBreakdown struct {
-	// StaticNs is the frontend + backend controller latency.
-	StaticNs float64
 	// QueueNs is time spent waiting in controller queues.
-	QueueNs float64
+	QueueNs float64 `json:"queueNs"`
 	// BankNs is the row/column access time (tRCD weighted by miss rate, plus
 	// tCL).
-	BankNs float64
+	BankNs float64 `json:"bankNs"`
 	// BusNs is the data transfer time (tBURST).
-	BusNs float64
+	BusNs float64 `json:"busNs"`
+	// StaticNs is the frontend + backend controller latency.
+	StaticNs float64 `json:"staticNs"`
 }
 
-// Fig9Row is the measurement for one memory system.
+// Fig9Row is the measurement for one memory system. The tags, with the
+// breakdown's fields inlined, are the row's canonical JSON form (see
+// resultjson.go).
 type Fig9Row struct {
-	Name string
+	Name string `json:"name"`
 	// IPC is the 16-core aggregate IPC; NormIPC is relative to DDR3.
-	IPC     float64
-	NormIPC float64
+	IPC     float64 `json:"ipc"`
+	NormIPC float64 `json:"normIPC"`
 	// AvgReadLatencyNs is the controller-observed read latency, split into
-	// Breakdown.
-	AvgReadLatencyNs float64
-	Breakdown        LatencyBreakdown
+	// the breakdown.
+	AvgReadLatencyNs float64 `json:"avgReadLatencyNs"`
+	LatencyBreakdown
 	// BandwidthGBs is the achieved aggregate bandwidth.
-	BandwidthGBs float64
+	BandwidthGBs float64 `json:"bandwidthGBs"`
 	// RowHitRate is the average across channels.
-	RowHitRate float64
+	RowHitRate float64 `json:"rowHitRate"`
 	// PowerMW is the total Micron-model DRAM power across channels.
-	PowerMW float64
+	PowerMW float64 `json:"powerMW"`
 }
 
 // Fig9Result is the complete case study.
@@ -69,41 +76,18 @@ type Fig9Result struct {
 	Rows []Fig9Row
 }
 
-// RunFig9 runs the 16-core canneal memory-sensitivity study (paper §IV-B,
-// Tables II-IV, Figure 9) on the event-based controller.
-func RunFig9(memOps uint64, cores int) (*Fig9Result, error) {
-	return RunFig9Stoppable(memOps, cores, nil)
-}
-
-// RunFig9Stoppable is RunFig9 with a stop check polled between memory
-// configurations; once it returns true the completed rows come back with
-// ErrInterrupted (no normalised IPC — the DDR3 baseline may be missing).
-func RunFig9Stoppable(memOps uint64, cores int, stop func() bool) (*Fig9Result, error) {
-	res := &Fig9Result{}
-	for _, mc := range Fig9Configs() {
-		if stop != nil && stop() {
-			return res, ErrInterrupted
-		}
-		row, err := runFig9Config(mc, memOps, cores)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	NormalizeFig9(res)
-	return res, nil
-}
-
-func runFig9Config(mc Fig9Config, memOps uint64, cores int) (Fig9Row, error) {
+// Point is the §IV-B case-study system over this memory: cores running
+// canneal behind Table II L1s and a shared 8 MByte LLC, on the event-based
+// controller.
+func (mc Fig9Config) Point(memOps uint64, cores int) FullPoint {
 	coreCfg := cpu.DefaultConfig()
 	coreCfg.MemOps = memOps
-	fs, err := system.NewFullSystem(system.MultiCoreConfig{
+	return FullPoint{Name: "fig9 " + mc.Name, Limit: 10 * sim.Second, MultiCoreConfig: system.MultiCoreConfig{
 		Cores: cores,
 		Core:  coreCfg,
 		Workload: func(id int) trafficgen.Pattern {
 			return cpu.CannealWorkload(256<<20, int64(id)+1)
 		},
-		// Table II L1; the §IV-B study shares an 8 MByte LLC.
 		L1: cache.Config{
 			SizeBytes: 64 * 1024, Assoc: 2, LineBytes: 64,
 			HitLatency: 2 * sim.Nanosecond, MSHRs: 6, WriteBufferDepth: 8,
@@ -118,12 +102,54 @@ func runFig9Config(mc Fig9Config, memOps uint64, cores int) (Fig9Row, error) {
 		Channels: mc.Channels,
 		CoreXbar: xbar.Config{Latency: 1 * sim.Nanosecond, QueueDepth: 64},
 		MemXbar:  xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-	})
+	}}
+}
+
+// RunFig9 runs the 16-core canneal memory-sensitivity study (paper §IV-B,
+// Tables II-IV, Figure 9) on the event-based controller. An interrupted study
+// returns the completed rows without normalised IPC — the DDR3 baseline may
+// be missing.
+func (r Runner) RunFig9(memOps uint64, cores int) (*Fig9Result, error) {
+	res := &Fig9Result{}
+	for i := range Fig9Configs() {
+		row, err := r.RunExplorePoint(memOps, cores, i)
+		if err != nil {
+			return res, err
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	res.Normalize()
+	return res, nil
+}
+
+// RunFig9 is the zero Runner's RunFig9: the single-process reference that
+// internal/farm's end-to-end test compares a merged explore job against.
+func RunFig9(memOps uint64, cores int) (*Fig9Result, error) { return Runner{}.RunFig9(memOps, cores) }
+
+// NumExplorePoints returns the number of memory systems in the case study —
+// the explore grid's point count.
+func NumExplorePoints() int { return len(Fig9Configs()) }
+
+// Normalize fills every row's NormIPC relative to the first (DDR3) row. Call
+// only on a complete result — a partial one has no trustworthy baseline.
+func (res *Fig9Result) Normalize() {
+	for i := range res.Rows {
+		res.Rows[i].NormIPC = res.Rows[i].IPC / res.Rows[0].IPC
+	}
+}
+
+// RunExplorePoint measures one memory system of the case study — the farm's
+// unit of work and RunFig9's loop body. NormIPC is left zero: normalisation
+// needs the DDR3 baseline, so it happens at merge time (Normalize).
+func (r Runner) RunExplorePoint(memOps uint64, cores, index int) (Fig9Row, error) {
+	configs := Fig9Configs()
+	if index < 0 || index >= len(configs) {
+		return Fig9Row{}, fmt.Errorf("experiments: explore point %d out of range (have %d memory systems)", index, len(configs))
+	}
+	mc := configs[index]
+	fs, _, err := r.RunFull(mc.Point(memOps, cores))
 	if err != nil {
 		return Fig9Row{}, err
-	}
-	if !fs.Run(10 * sim.Second) {
-		return Fig9Row{}, fmt.Errorf("experiments: fig9 %q did not complete", mc.Name)
 	}
 
 	row := Fig9Row{Name: mc.Name, IPC: fs.AggregateIPC()}
@@ -149,7 +175,7 @@ func runFig9Config(mc Fig9Config, memOps uint64, cores int) (Fig9Row, error) {
 	if queueNs < 0 {
 		queueNs = 0
 	}
-	row.Breakdown = LatencyBreakdown{
+	row.LatencyBreakdown = LatencyBreakdown{
 		StaticNs: staticNs, QueueNs: queueNs, BankNs: bankNs, BusNs: busNs,
 	}
 	return row, nil

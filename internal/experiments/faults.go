@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/faults"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
 
@@ -17,7 +14,6 @@ import (
 // is swept, exercising the full RAS path (ECC correction, demand scrubbing,
 // replay with backoff, row retirement, poisoned completions).
 type FaultSweepSpec struct {
-	Name string
 	Spec dram.Spec
 	// Seed drives the deterministic fault injector; identical seeds
 	// reproduce identical fault histories.
@@ -34,7 +30,6 @@ type FaultSweepSpec struct {
 // DefaultFaultSweep returns the standard sweep used by cmd/validate.
 func DefaultFaultSweep(requests uint64) FaultSweepSpec {
 	return FaultSweepSpec{
-		Name:       "Fault sweep: RAS stats vs per-burst error rate",
 		Spec:       dram.DDR3_1600_x64(),
 		Seed:       42,
 		BERs:       []float64{0, 1e-3, 1e-2, 1e-1},
@@ -57,7 +52,6 @@ type FaultRow struct {
 
 // FaultSweepResult is a complete fault sweep.
 type FaultSweepResult struct {
-	Spec FaultSweepSpec
 	Rows []FaultRow
 }
 
@@ -70,59 +64,41 @@ func scalar(reg *stats.Registry, name string) uint64 {
 	return uint64(s.Value())
 }
 
-// runFaultPoint measures the RAS counters at one error rate.
-func runFaultPoint(s FaultSweepSpec, ber float64) (FaultRow, error) {
-	rig, err := system.NewTrafficRig(system.RigConfig{
-		Kind:    system.EventBased,
-		Spec:    s.Spec,
-		Mapping: dram.RoRaBaCoCh,
-		Gen: trafficgen.Config{
-			RequestBytes:   s.Spec.Org.BurstBytes(),
-			MaxOutstanding: 16,
-			Count:          s.Requests,
-		},
-		Pattern: &trafficgen.Random{
-			Start: 0, End: 1 << 26, Align: s.Spec.Org.BurstBytes(),
-			ReadPercent: 90, Seed: 7,
-		},
-		TuneEvent: func(c *core.Config) {
-			c.Faults = faults.Config{
-				Seed:                  s.Seed,
-				CorrectablePerBurst:   ber,
-				UncorrectablePerBurst: ber / 10,
-				TransientPerBurst:     ber / 4,
-			}
-			c.FaultRetryLimit = s.RetryLimit
-		},
-	})
-	if err != nil {
-		return FaultRow{}, err
+// Point is the measurement at one error rate: random 90 %-read traffic on the
+// event-based controller, 16 requests outstanding.
+func (s FaultSweepSpec) Point(ber float64) Point {
+	p := matched(fmt.Sprintf("fault sweep ber=%g", ber), s.Spec, dram.RoRaBaCoCh, false, 1, s.Requests,
+		&trafficgen.Random{Start: 0, End: 1 << 26, Align: s.Spec.Org.BurstBytes(), ReadPercent: 90, Seed: 7})
+	p.Gen.MaxOutstanding = 16
+	p.Event.Faults = faults.Config{
+		Seed:                  s.Seed,
+		CorrectablePerBurst:   ber,
+		UncorrectablePerBurst: ber / 10,
+		TransientPerBurst:     ber / 4,
 	}
-	if !rig.Run(sim.Second) {
-		return FaultRow{}, fmt.Errorf("experiments: fault point ber=%g did not complete", ber)
-	}
-	return FaultRow{
-		BER:         ber,
-		Corrected:   scalar(rig.Reg, "correctedErrors"),
-		Uncorrected: scalar(rig.Reg, "uncorrectedErrors"),
-		Retried:     scalar(rig.Reg, "retriedBursts"),
-		Retired:     scalar(rig.Reg, "retiredRows"),
-		Scrubs:      scalar(rig.Reg, "scrubWrites"),
-		AvgReadNs:   rig.Ctrl.AvgReadLatencyNs(),
-	}, nil
+	p.Event.FaultRetryLimit = s.RetryLimit
+	return p
 }
 
 // RunFaultSweep executes the sweep. Every accepted request completes — an
 // uncorrectable error poisons its response instead of crashing the run — so
 // a finished sweep is itself evidence of the graceful-failure contract.
-func RunFaultSweep(s FaultSweepSpec) (*FaultSweepResult, error) {
-	res := &FaultSweepResult{Spec: s}
+func (r Runner) RunFaultSweep(s FaultSweepSpec) (*FaultSweepResult, error) {
+	res := &FaultSweepResult{}
 	for _, ber := range s.BERs {
-		row, err := runFaultPoint(s, ber)
+		rig, err := r.Run(s.Point(ber))
 		if err != nil {
-			return nil, err
+			return res, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, FaultRow{
+			BER:         ber,
+			Corrected:   scalar(rig.Reg, "correctedErrors"),
+			Uncorrected: scalar(rig.Reg, "uncorrectedErrors"),
+			Retried:     scalar(rig.Reg, "retriedBursts"),
+			Retired:     scalar(rig.Reg, "retiredRows"),
+			Scrubs:      scalar(rig.Reg, "scrubWrites"),
+			AvgReadNs:   rig.Ctrls[0].AvgReadLatencyNs(),
+		})
 	}
 	return res, nil
 }

@@ -7,7 +7,7 @@ import "testing"
 func TestFaultSweep(t *testing.T) {
 	spec := DefaultFaultSweep(300)
 	spec.BERs = []float64{0, 5e-2}
-	a, err := RunFaultSweep(spec)
+	a, err := Runner{}.RunFaultSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestFaultSweep(t *testing.T) {
 	if hot.AvgReadNs <= zero.AvgReadNs {
 		t.Fatalf("fault handling did not cost latency: %v <= %v", hot.AvgReadNs, zero.AvgReadNs)
 	}
-	b, err := RunFaultSweep(spec)
+	b, err := Runner{}.RunFaultSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -37,18 +34,19 @@ type Fig8Result struct {
 	AvgSimTimeReduction float64
 }
 
-// fig8System builds the 4-core PARSEC-like full system on the given model.
-func fig8System(kind system.Kind, workload func(int) trafficgen.Pattern, memOps uint64) (*system.FullSystem, error) {
+// Fig8Point is the 4-core PARSEC-like full system of Figure 8 running one of
+// the synthetic workloads on the given model, memOps operations per core.
+func Fig8Point(kind system.Kind, workload string, memOps uint64) FullPoint {
 	coreCfg := cpu.DefaultConfig()
 	coreCfg.MemOps = memOps
 	// PARSEC-like compute-to-memory ratio: with caches absorbing most
 	// accesses, DRAM sees realistic (sub-saturation) pressure, which is the
 	// regime in which the paper reports near-perfect correlation.
 	coreCfg.InstrPerMemOp = 8
-	return system.NewFullSystem(system.MultiCoreConfig{
+	return FullPoint{Name: "fig8 " + workload, Limit: 10 * sim.Second, MultiCoreConfig: system.MultiCoreConfig{
 		Cores:    4,
 		Core:     coreCfg,
-		Workload: workload,
+		Workload: func(id int) trafficgen.Pattern { return fig8Workload(workload, id) },
 		// Paper Table II cache shapes (L1D 64k/2-way, L2 512k/8-way).
 		L1: cache.Config{
 			SizeBytes: 64 * 1024, Assoc: 2, LineBytes: 64,
@@ -65,13 +63,11 @@ func fig8System(kind system.Kind, workload func(int) trafficgen.Pattern, memOps 
 		Channels:   1,
 		CoreXbar:   xbar.Config{Latency: 1 * sim.Nanosecond, QueueDepth: 32},
 		MemXbar:    xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 32},
-	})
+	}}
 }
 
-// Fig8Workloads names the synthetic PARSEC stand-ins (see DESIGN.md).
-func Fig8Workloads() []string {
-	return []string{"canneal", "streamcluster", "blackscholes", "fluidanimate", "x264", "dedup"}
-}
+// fig8Workloads names the synthetic PARSEC stand-ins (see DESIGN.md).
+var fig8Workloads = []string{"canneal", "streamcluster", "blackscholes", "fluidanimate", "x264", "dedup"}
 
 func fig8Workload(name string, coreID int) trafficgen.Pattern {
 	seed := int64(coreID) + 1
@@ -103,54 +99,28 @@ func fig8Workload(name string, coreID int) trafficgen.Pattern {
 }
 
 // RunFig8 executes the full-system comparison for every workload.
-func RunFig8(memOps uint64) (*Fig8Result, error) {
+func (r Runner) RunFig8(memOps uint64) (*Fig8Result, error) {
 	res := &Fig8Result{}
 	var reductionSum float64
-	for _, wl := range Fig8Workloads() {
-		wl := wl
-		factory := func(id int) trafficgen.Pattern { return fig8Workload(wl, id) }
-		type out struct {
-			host    time.Duration
-			ipc     float64
-			missLat float64
-			busUtil float64
-		}
-		run := func(kind system.Kind) (out, error) {
-			fs, err := fig8System(kind, factory, memOps)
-			if err != nil {
-				return out{}, err
-			}
-			var done bool
-			host := hostTimed(func() { done = fs.Run(10 * sim.Second) })
-			if !done {
-				return out{}, fmt.Errorf("experiments: fig8 %q (%s) did not complete", wl, kind)
-			}
-			return out{
-				host:    host,
-				ipc:     fs.AggregateIPC(),
-				missLat: fs.LLC.AvgMissLatencyNs(),
-				busUtil: fs.AvgBusUtilisation(),
-			}, nil
-		}
-		ev, err := run(system.EventBased)
+	for _, wl := range fig8Workloads {
+		ev, evHost, err := r.RunFull(Fig8Point(system.EventBased, wl, memOps))
 		if err != nil {
-			return nil, err
+			return res, err
 		}
-		cy, err := run(system.CycleBased)
+		cy, cyHost, err := r.RunFull(Fig8Point(system.CycleBased, wl, memOps))
 		if err != nil {
-			return nil, err
+			return res, err
 		}
-		row := Fig8Row{
+		res.Rows = append(res.Rows, Fig8Row{
 			Workload:     wl,
-			SimTimeRatio: float64(cy.host) / float64(ev.host),
-			IPCRatio:     ratioOrOne(cy.ipc, ev.ipc),
-			MissLatRatio: ratioOrOne(cy.missLat, ev.missLat),
-			BusUtilRatio: ratioOrOne(cy.busUtil, ev.busUtil),
-		}
-		res.Rows = append(res.Rows, row)
-		reductionSum += 1 - float64(ev.host)/float64(cy.host)
+			SimTimeRatio: float64(cyHost) / float64(evHost),
+			IPCRatio:     ratioOrOne(cy.AggregateIPC(), ev.AggregateIPC()),
+			MissLatRatio: ratioOrOne(cy.LLC.AvgMissLatencyNs(), ev.LLC.AvgMissLatencyNs()),
+			BusUtilRatio: ratioOrOne(cy.AvgBusUtilisation(), ev.AvgBusUtilisation()),
+		})
+		reductionSum += 1 - float64(evHost)/float64(cyHost)
+		res.AvgSimTimeReduction = reductionSum / float64(len(res.Rows))
 	}
-	res.AvgSimTimeReduction = reductionSum / float64(len(res.Rows))
 	return res, nil
 }
 

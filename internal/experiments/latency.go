@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -60,9 +59,6 @@ type HistogramSummary struct {
 	P50Ns   float64
 	P99Ns   float64
 	StdDev  float64
-	// ModesNs are the positions (bucket lower bounds) of the significant
-	// local maxima; two well-separated modes = bimodal.
-	ModesNs []float64
 	// Buckets/BucketLo render the distribution (non-empty buckets only).
 	BucketLo []float64
 	Buckets  []uint64
@@ -75,10 +71,6 @@ func summarise(h *stats.Histogram) HistogramSummary {
 		P50Ns:   h.Percentile(50),
 		P99Ns:   h.Percentile(99),
 		StdDev:  h.StdDev(),
-	}
-	for _, idx := range h.Modes(0.05) {
-		lo, _ := h.BucketBounds(idx)
-		s.ModesNs = append(s.ModesNs, lo)
 	}
 	for i, c := range h.Buckets() {
 		if c == 0 {
@@ -93,82 +85,71 @@ func summarise(h *stats.Histogram) HistogramSummary {
 
 // LatencyResult holds both models' distributions for one figure.
 type LatencyResult struct {
-	Spec  LatencySpec
 	Event HistogramSummary
 	Cycle HistogramSummary
 }
 
-// RunLatency executes the distribution experiment on both models.
-func RunLatency(s LatencySpec) (*LatencyResult, error) {
-	run := func(kind system.Kind) (HistogramSummary, error) {
-		var tune func(*core.Config)
-		if s.MinWritesPerSwitch > 0 {
-			tune = func(c *core.Config) { c.MinWritesPerSwitch = s.MinWritesPerSwitch }
-		}
-		rig, err := system.NewTrafficRig(system.RigConfig{
-			Kind:       kind,
-			Spec:       s.Spec,
-			Mapping:    s.Mapping,
-			ClosedPage: s.ClosedPage,
-			TuneEvent:  tune,
-			Gen: trafficgen.Config{
-				RequestBytes:     s.Spec.Org.BurstBytes(),
-				MaxOutstanding:   16,
-				Count:            s.Requests,
-				InterTransaction: s.InterTransaction,
-			},
-			Pattern: &trafficgen.Linear{
-				Start: 0, End: 1 << 26, Step: s.Spec.Org.BurstBytes(),
-				ReadPercent: s.ReadPct, Seed: 7,
-			},
-		})
-		if err != nil {
-			return HistogramSummary{}, err
-		}
-		if !rig.Run(sim.Second) {
-			return HistogramSummary{}, fmt.Errorf("experiments: latency run (%s) did not complete", kind)
-		}
-		return summarise(rig.Gen.ReadLatency()), nil
+// Point is the measurement of one model: linear traffic over 64 MiB at the
+// spec's spacing, 16 requests outstanding.
+func (s LatencySpec) Point(kind system.Kind) Point {
+	p := matched(fmt.Sprintf("fig%d latency", s.Figure), s.Spec, s.Mapping, s.ClosedPage, 1, s.Requests,
+		&trafficgen.Linear{Start: 0, End: 1 << 26, Step: s.Spec.Org.BurstBytes(), ReadPercent: s.ReadPct, Seed: 7})
+	p.Kind = kind
+	p.Gen.MaxOutstanding = 16
+	p.Gen.InterTransaction = s.InterTransaction
+	if s.MinWritesPerSwitch > 0 {
+		p.Event.MinWritesPerSwitch = s.MinWritesPerSwitch
 	}
-	ev, err := run(system.EventBased)
-	if err != nil {
-		return nil, err
-	}
-	cy, err := run(system.CycleBased)
-	if err != nil {
-		return nil, err
-	}
-	return &LatencyResult{Spec: s, Event: ev, Cycle: cy}, nil
+	return p
 }
 
-// CoarseModes rebins the distribution into binNs-wide bins and returns the
-// lower bounds of bins that are local maxima holding at least minShare of
-// all samples. The paper's Figure 7 bimodality claim is about distribution
-// *shape*, so coarse bins (tens of ns) are the right resolution.
+// RunLatency executes the distribution experiment on both models.
+func (r Runner) RunLatency(s LatencySpec) (*LatencyResult, error) {
+	res := &LatencyResult{}
+	rig, err := r.Run(s.Point(system.EventBased))
+	if err != nil {
+		return res, err
+	}
+	res.Event = summarise(rig.Gen.ReadLatency())
+	if rig, err = r.Run(s.Point(system.CycleBased)); err != nil {
+		return res, err
+	}
+	res.Cycle = summarise(rig.Gen.ReadLatency())
+	return res, nil
+}
+
+// Coarse rebins the distribution into binNs-wide bins: element b counts the
+// samples in [b*binNs, (b+1)*binNs). The paper's Figure 7 bimodality claim is
+// about distribution *shape*, so coarse bins (tens of ns) are the right
+// resolution.
+func (h HistogramSummary) Coarse(binNs float64) []uint64 {
+	var coarse []uint64
+	for i, lo := range h.BucketLo {
+		b := int(lo / binNs)
+		for len(coarse) <= b {
+			coarse = append(coarse, 0)
+		}
+		coarse[b] += h.Buckets[i]
+	}
+	return coarse
+}
+
+// CoarseModes returns the lower bounds of the coarse bins that are local
+// maxima holding at least minShare of all samples.
 func (h HistogramSummary) CoarseModes(binNs, minShare float64) []float64 {
 	if h.Samples == 0 || binNs <= 0 {
 		return nil
 	}
-	coarse := map[int]uint64{}
-	maxBin := 0
-	for i, lo := range h.BucketLo {
-		b := int(lo / binNs)
-		coarse[b] += h.Buckets[i]
-		if b > maxBin {
-			maxBin = b
-		}
-	}
+	coarse := append(h.Coarse(binNs), 0) // a zero neighbour past the last bin
 	thresh := minShare * float64(h.Samples)
 	var modes []float64
-	for b := 0; b <= maxBin; b++ {
-		c := coarse[b]
-		if float64(c) < thresh {
-			continue
-		}
-		left, right := coarse[b-1], coarse[b+1]
-		if c >= left && c >= right && (c > left || c > right) {
+	var left uint64
+	for b, c := range coarse[:len(coarse)-1] {
+		right := coarse[b+1]
+		if float64(c) >= thresh && c >= left && c >= right && (c > left || c > right) {
 			modes = append(modes, float64(b)*binNs)
 		}
+		left = c
 	}
 	return modes
 }

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/dram"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/system"
-	"repro/internal/trafficgen"
 )
 
 // PowerRow compares the Micron-model power of both controllers on one test
@@ -33,69 +30,44 @@ type PowerResult struct {
 	MaxTraceDiffPct float64
 }
 
-// powerCase is one traffic scenario for the power comparison.
-type powerCase struct {
-	name       string
-	readPct    int
-	closedPage bool
-	mapping    dram.Mapping
-	stride     uint64
-	banks      int
-}
-
 // RunPowerComparison runs a representative subset of the §III test cases
 // through both models and compares total DRAM power.
-func RunPowerComparison(requests uint64) (*PowerResult, error) {
+func (r Runner) RunPowerComparison(requests uint64) (*PowerResult, error) {
 	spec := dram.DDR3_1333_8x8()
-	cases := []powerCase{
-		{"open/reads/stride1/b8", 100, false, dram.RoRaBaCoCh, 1, 8},
-		{"open/reads/stride16/b4", 100, false, dram.RoRaBaCoCh, 16, 4},
-		{"open/mix/stride8/b8", 50, false, dram.RoRaBaCoCh, 8, 8},
-		{"open/writes/stride16/b2", 0, false, dram.RoRaBaCoCh, 16, 2},
-		{"closed/reads/stride4/b8", 100, true, dram.RoCoRaBaCh, 4, 8},
-		{"closed/mix/stride2/b4", 50, true, dram.RoCoRaBaCh, 2, 4},
-		{"closed/writes/stride1/b8", 0, true, dram.RoCoRaBaCh, 1, 8},
+	cases := []syntheticCase{
+		{"open/reads/stride1/b8", 100, false, 1, 8, 0, 1},
+		{"open/reads/stride16/b4", 100, false, 16, 4, 0, 1},
+		{"open/mix/stride8/b8", 50, false, 8, 8, 0, 1},
+		{"open/writes/stride16/b2", 0, false, 16, 2, 0, 1},
+		{"closed/reads/stride4/b8", 100, true, 4, 8, 0, 1},
+		{"closed/mix/stride2/b4", 50, true, 2, 4, 0, 1},
+		{"closed/writes/stride1/b8", 0, true, 1, 8, 0, 1},
 	}
 	res := &PowerResult{}
 	var sum float64
 	for _, pc := range cases {
-		run := func(kind system.Kind, probes *obs.Hub) (power.Activity, error) {
-			dec, err := dram.NewDecoder(spec.Org, pc.mapping, 1)
+		activity := func(kind system.Kind, probes *obs.Hub) (power.Activity, error) {
+			p, err := pc.point(kind, requests, nil, 3)
 			if err != nil {
 				return power.Activity{}, err
 			}
-			pattern := &trafficgen.DRAMAware{
-				Decoder: dec, StrideBursts: pc.stride, Banks: pc.banks,
-				ReadPercent: pc.readPct, Seed: 3,
-			}
-			rig, err := system.NewTrafficRig(system.RigConfig{
-				Kind: kind, Spec: spec, Mapping: pc.mapping, ClosedPage: pc.closedPage,
-				Gen: trafficgen.Config{
-					RequestBytes:   spec.Org.BurstBytes(),
-					MaxOutstanding: 32,
-					Count:          requests,
-				},
-				Pattern: pattern,
-				Probes:  probes,
-			})
+			p.Probes = probes
+			rig, err := r.Run(p)
 			if err != nil {
 				return power.Activity{}, err
 			}
-			if !rig.Run(sim.Second) {
-				return power.Activity{}, fmt.Errorf("experiments: power case %q (%s) did not complete", pc.name, kind)
-			}
-			return rig.Ctrl.PowerStats(), nil
+			return rig.Ctrls[0].PowerStats(), nil
 		}
 		var cmds power.CommandTrace
 		hub := obs.NewHub()
 		hub.Attach(obs.CommandFunc(cmds.Record))
-		evAct, err := run(system.EventBased, hub)
+		evAct, err := activity(system.EventBased, hub)
 		if err != nil {
-			return nil, err
+			return res, err
 		}
-		cyAct, err := run(system.CycleBased, nil)
+		cyAct, err := activity(system.CycleBased, nil)
 		if err != nil {
-			return nil, err
+			return res, err
 		}
 		evMW := power.Compute(spec, evAct).TotalMW()
 		cyMW := power.Compute(spec, cyAct).TotalMW()
@@ -107,13 +79,9 @@ func RunPowerComparison(requests uint64) (*PowerResult, error) {
 			DiffPercent: diff, TraceDiffPct: trDiff,
 		})
 		sum += diff
-		if diff > res.MaxDiffPct {
-			res.MaxDiffPct = diff
-		}
-		if trDiff > res.MaxTraceDiffPct {
-			res.MaxTraceDiffPct = trDiff
-		}
+		res.MaxDiffPct = math.Max(res.MaxDiffPct, diff)
+		res.MaxTraceDiffPct = math.Max(res.MaxTraceDiffPct, trDiff)
+		res.AvgDiffPct = sum / float64(len(res.Rows))
 	}
-	res.AvgDiffPct = sum / float64(len(res.Rows))
 	return res, nil
 }

@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
 
@@ -40,7 +36,7 @@ type PowerSavingsResult struct {
 // off within tens of nanoseconds of idleness); the self-refresh threshold
 // scales with the gap so the deep state only engages when the gap can absorb
 // its tXS/tXSDLL exit cost.
-func RunPowerSavings(requests uint64) (*PowerSavingsResult, error) {
+func (r Runner) RunPowerSavings(requests uint64) (*PowerSavingsResult, error) {
 	spec := dram.DDR3_1600_x64()
 	cases := []struct {
 		name     string
@@ -59,44 +55,33 @@ func RunPowerSavings(requests uint64) (*PowerSavingsResult, error) {
 		if srIdle <= pdIdle {
 			srIdle = pdIdle + 50*sim.Nanosecond
 		}
-		run := func(tune func(*core.Config)) (power.Activity, error) {
-			rig, err := system.NewTrafficRig(system.RigConfig{
-				Kind: system.EventBased, Spec: spec, Mapping: dram.RoRaBaCoCh,
-				Gen: trafficgen.Config{
-					RequestBytes:   spec.Org.BurstBytes(),
-					MaxOutstanding: 32,
-					Count:          requests,
-				},
-				Pattern: &trafficgen.Bursty{
-					Start: 0, End: 1 << 28, Align: spec.Org.BurstBytes(),
-					ReadPercent: 67, Seed: 7,
-					BurstLen: pc.burstLen,
-					OffTime:  sim.Tick(pc.offNs) * sim.Nanosecond,
-				},
-				TuneEvent: tune,
+		// activity runs the case with the given idle thresholds (0 = state off).
+		activity := func(powerDownIdle, selfRefreshIdle sim.Tick) (power.Activity, error) {
+			p := matched(pc.name, spec, dram.RoRaBaCoCh, false, 1, requests, &trafficgen.Bursty{
+				Start: 0, End: 1 << 28, Align: spec.Org.BurstBytes(),
+				ReadPercent: 67, Seed: 7,
+				BurstLen: pc.burstLen,
+				OffTime:  sim.Tick(pc.offNs) * sim.Nanosecond,
 			})
+			p.Limit = 10 * sim.Second
+			p.Event.PowerDownIdle, p.Event.SelfRefreshIdle = powerDownIdle, selfRefreshIdle
+			rig, err := r.Run(p)
 			if err != nil {
 				return power.Activity{}, err
 			}
-			if !rig.Run(10 * sim.Second) {
-				return power.Activity{}, fmt.Errorf("experiments: savings case %q did not complete", pc.name)
-			}
-			return rig.Ctrl.PowerStats(), nil
+			return rig.Ctrls[0].PowerStats(), nil
 		}
-		active, err := run(nil)
+		active, err := activity(0, 0)
 		if err != nil {
-			return nil, err
+			return res, err
 		}
-		pdAct, err := run(func(c *core.Config) { c.PowerDownIdle = pdIdle })
+		pdAct, err := activity(pdIdle, 0)
 		if err != nil {
-			return nil, err
+			return res, err
 		}
-		bothAct, err := run(func(c *core.Config) {
-			c.PowerDownIdle = pdIdle
-			c.SelfRefreshIdle = srIdle
-		})
+		bothAct, err := activity(pdIdle, srIdle)
 		if err != nil {
-			return nil, err
+			return res, err
 		}
 		activeMW := power.Compute(spec, active).TotalMW()
 		pdMW := power.Compute(spec, pdAct).TotalMW()

@@ -9,37 +9,29 @@ import "encoding/json"
 // of the same grid. Nothing host-dependent (timestamps, durations, hostnames)
 // belongs here for exactly that reason.
 
-// SweepJSON is the canonical form of a SweepResult.
-type SweepJSON struct {
-	Kind     string         `json:"kind"` // "bwsweep"
-	Figure   int            `json:"figure"`
-	Name     string         `json:"name"`
-	Spec     string         `json:"spec"`
-	Mapping  string         `json:"mapping"`
-	Page     string         `json:"page"` // "open" or "closed"
-	ReadPct  int            `json:"readPct"`
-	Requests uint64         `json:"requests"`
-	Partial  bool           `json:"partial"` // rows are missing (interrupt or failed points)
-	Rows     []SweepRowJSON `json:"rows"`
+// sweepJSON is the canonical form of a SweepResult.
+type sweepJSON struct {
+	Kind     string     `json:"kind"` // "bwsweep"
+	Figure   int        `json:"figure"`
+	Name     string     `json:"name"`
+	Spec     string     `json:"spec"`
+	Mapping  string     `json:"mapping"`
+	Page     string     `json:"page"` // "open" or "closed"
+	ReadPct  int        `json:"readPct"`
+	Requests uint64     `json:"requests"`
+	Partial  bool       `json:"partial"` // rows are missing (interrupt or failed points)
+	Rows     []SweepRow `json:"rows"`
 }
 
-// SweepRowJSON is one (stride, banks) measurement.
-type SweepRowJSON struct {
-	StrideBursts uint64  `json:"strideBursts"`
-	Banks        int     `json:"banks"`
-	EventUtil    float64 `json:"eventUtil"`
-	CycleUtil    float64 `json:"cycleUtil"`
-}
-
-// NewSweepJSON renders a sweep result into its canonical form. partial marks
-// a result with missing rows — an interrupted CLI run or a farm job with
-// failed points.
-func NewSweepJSON(res *SweepResult, partial bool) SweepJSON {
+// NewSweepJSON renders a sweep result into its canonical form, to be passed
+// to EncodeResultJSON. partial marks a result with missing rows — an
+// interrupted CLI run or a farm job with failed points.
+func NewSweepJSON(res *SweepResult, partial bool) any {
 	page := "open"
 	if res.Spec.ClosedPage {
 		page = "closed"
 	}
-	out := SweepJSON{
+	return sweepJSON{
 		Kind:     "bwsweep",
 		Figure:   res.Spec.Figure,
 		Name:     res.Spec.Name,
@@ -49,65 +41,30 @@ func NewSweepJSON(res *SweepResult, partial bool) SweepJSON {
 		ReadPct:  res.Spec.ReadPct,
 		Requests: res.Spec.Requests,
 		Partial:  partial,
-		Rows:     make([]SweepRowJSON, 0, len(res.Rows)),
+		Rows:     append([]SweepRow{}, res.Rows...), // "rows": [] when there are none, never null
 	}
-	for _, r := range res.Rows {
-		out.Rows = append(out.Rows, SweepRowJSON{
-			StrideBursts: r.StrideBursts, Banks: r.Banks,
-			EventUtil: r.EventUtil, CycleUtil: r.CycleUtil,
-		})
-	}
-	return out
 }
 
-// Fig9JSON is the canonical form of a Fig9Result.
-type Fig9JSON struct {
+// fig9JSON is the canonical form of a Fig9Result.
+type fig9JSON struct {
 	Kind   string `json:"kind"` // "explore"
 	MemOps uint64 `json:"memOps"`
 	Cores  int    `json:"cores"`
 	// Partial marks missing rows; Normalized reports whether NormIPC was
 	// computed (it needs the DDR3 baseline, so partial results skip it).
-	Partial    bool          `json:"partial"`
-	Normalized bool          `json:"normalized"`
-	Rows       []Fig9RowJSON `json:"rows"`
+	Partial    bool      `json:"partial"`
+	Normalized bool      `json:"normalized"`
+	Rows       []Fig9Row `json:"rows"`
 }
 
-// Fig9RowJSON is one memory system's measurement.
-type Fig9RowJSON struct {
-	Name             string  `json:"name"`
-	IPC              float64 `json:"ipc"`
-	NormIPC          float64 `json:"normIPC"`
-	AvgReadLatencyNs float64 `json:"avgReadLatencyNs"`
-	QueueNs          float64 `json:"queueNs"`
-	BankNs           float64 `json:"bankNs"`
-	BusNs            float64 `json:"busNs"`
-	StaticNs         float64 `json:"staticNs"`
-	BandwidthGBs     float64 `json:"bandwidthGBs"`
-	RowHitRate       float64 `json:"rowHitRate"`
-	PowerMW          float64 `json:"powerMW"`
-}
-
-// NewFig9JSON renders a case-study result into its canonical form.
-func NewFig9JSON(res *Fig9Result, memOps uint64, cores int, partial bool) Fig9JSON {
-	out := Fig9JSON{
+// NewFig9JSON renders a case-study result into its canonical form, to be
+// passed to EncodeResultJSON.
+func NewFig9JSON(res *Fig9Result, memOps uint64, cores int, partial bool) any {
+	return fig9JSON{
 		Kind: "explore", MemOps: memOps, Cores: cores,
 		Partial: partial, Normalized: !partial,
-		Rows: make([]Fig9RowJSON, 0, len(res.Rows)),
+		Rows: append([]Fig9Row{}, res.Rows...),
 	}
-	for _, r := range res.Rows {
-		out.Rows = append(out.Rows, Fig9RowJSON{
-			Name: r.Name, IPC: r.IPC, NormIPC: r.NormIPC,
-			AvgReadLatencyNs: r.AvgReadLatencyNs,
-			QueueNs:          r.Breakdown.QueueNs,
-			BankNs:           r.Breakdown.BankNs,
-			BusNs:            r.Breakdown.BusNs,
-			StaticNs:         r.Breakdown.StaticNs,
-			BandwidthGBs:     r.BandwidthGBs,
-			RowHitRate:       r.RowHitRate,
-			PowerMW:          r.PowerMW,
-		})
-	}
-	return out
 }
 
 // EncodeResultJSON is the one encoder every canonical result goes through:

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -9,7 +9,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/trafficgen"
-	"repro/internal/xbar"
 )
 
 // SpeedupRow is the §III-D model-performance measurement for one workload:
@@ -34,11 +33,12 @@ type SpeedupResult struct {
 	MaxSpeedup float64
 }
 
-// speedupCase describes one synthetic workload for the timing comparison.
-// Saturating cases stress per-decision cost; spaced (ITT > 0) cases expose
-// the cycle model's obligation to tick through every gap; the HMC case
-// multiplies that by 16 controllers.
-type speedupCase struct {
+// syntheticCase describes one synthetic workload of the model comparisons
+// (§III-C3 power, §III-D speed). Open-page cases map RoRaBaCoCh, closed-page
+// ones RoCoRaBaCh. For timing, saturating cases stress per-decision cost;
+// spaced (ITT > 0) cases expose the cycle model's obligation to tick through
+// every gap; the HMC case multiplies that by 16 controllers.
+type syntheticCase struct {
 	name       string
 	readPct    int
 	closedPage bool
@@ -48,66 +48,19 @@ type speedupCase struct {
 	channels   int
 }
 
-func speedupCases() []speedupCase {
-	return []speedupCase{
-		{"open/reads/saturated", 100, false, 16, 4, 0, 1},
-		{"open/mix/saturated", 50, false, 4, 8, 0, 1},
-		{"closed/writes/saturated", 0, true, 4, 4, 0, 1},
-		{"open/reads/25%load", 100, false, 16, 4, 24 * sim.Nanosecond, 1},
-		{"open/mix/12%load", 50, false, 8, 8, 48 * sim.Nanosecond, 1},
-		{"hmc16/reads/25%load", 100, false, 8, 4, 1500 * sim.Picosecond, 16},
-	}
+var speedupCases = []syntheticCase{
+	{"open/reads/saturated", 100, false, 16, 4, 0, 1},
+	{"open/mix/saturated", 50, false, 4, 8, 0, 1},
+	{"closed/writes/saturated", 0, true, 4, 4, 0, 1},
+	{"open/reads/25%load", 100, false, 16, 4, 24 * sim.Nanosecond, 1},
+	{"open/mix/12%load", 50, false, 8, 8, 48 * sim.Nanosecond, 1},
+	{"hmc16/reads/25%load", 100, false, 8, 4, 1500 * sim.Picosecond, 16},
 }
 
-// RunSpeedup measures host time for both models over identical synthetic
-// workloads. Requests should be large enough (tens of thousands) for stable
-// wall-clock numbers.
-func RunSpeedup(requests uint64) (*SpeedupResult, error) {
-	return RunSpeedupOn(requests, nil)
-}
-
-// RunSpeedupOn is RunSpeedup with every case's device overridden — the
-// -standard exploration path. A nil device keeps the paper's per-case
-// defaults (DDR3-1333-8x8, HMC vaults for the 16-channel case).
-func RunSpeedupOn(requests uint64, dev *dram.Spec) (*SpeedupResult, error) {
-	res := &SpeedupResult{}
-	var sum float64
-	for _, sc := range speedupCases() {
-		evT, evN, err := runSpeedupCase(sc, system.EventBased, requests, dev)
-		if err != nil {
-			return nil, err
-		}
-		cyT, cyN, err := runSpeedupCase(sc, system.CycleBased, requests, dev)
-		if err != nil {
-			return nil, err
-		}
-		speedup := float64(cyT) / float64(evT)
-		res.Rows = append(res.Rows, SpeedupRow{
-			Case: sc.name, EventHost: evT, CycleHost: cyT,
-			EventEvents: evN, CycleEvents: cyN, Speedup: speedup,
-		})
-		sum += speedup
-		if speedup > res.MaxSpeedup {
-			res.MaxSpeedup = speedup
-		}
-	}
-	res.AvgSpeedup = sum / float64(len(res.Rows))
-	return res, nil
-}
-
-// hostTimed returns how long the host took to run fn. The experiment tables
-// report host time beside simulated results; nothing simulated ever reads it,
-// which is why this is the one place the package touches the wall clock.
-func hostTimed(fn func()) time.Duration {
-	start := time.Now() //lint:allow simtime host time of a whole run, reported beside the simulated results and never fed back
-	fn()
-	return time.Since(start) //lint:allow simtime host time of a whole run, reported beside the simulated results and never fed back
-}
-
-func runSpeedupCase(sc speedupCase, kind system.Kind, requests uint64, dev *dram.Spec) (time.Duration, uint64, error) {
-	// Settle the garbage collector so runs time comparably.
-	runtime.GC()
-
+// point is the case's measurement on one model. A nil dev keeps the paper's
+// per-case device (DDR3-1333-8x8, HMC vaults for the 16-channel case): one
+// generator, DRAM-aware on one channel and linear over several, seeded seed.
+func (sc syntheticCase) point(kind system.Kind, requests uint64, dev *dram.Spec, seed int64) (Point, error) {
 	spec := dram.DDR3_1333_8x8()
 	mapping := dram.RoRaBaCoCh
 	if sc.closedPage {
@@ -119,54 +72,82 @@ func runSpeedupCase(sc speedupCase, kind system.Kind, requests uint64, dev *dram
 	if dev != nil {
 		spec = *dev
 	}
-	dec, err := dram.NewDecoder(spec.Org, mapping, sc.channels)
-	if err != nil {
-		return 0, 0, err
-	}
-	gen := trafficgen.Config{
-		RequestBytes:     spec.Org.BurstBytes(),
-		MaxOutstanding:   32,
-		Count:            requests,
-		InterTransaction: sc.itt,
-	}
-
+	var pattern trafficgen.Pattern = &trafficgen.Linear{Start: 0, End: 1 << 26, Step: spec.Org.BurstBytes(), ReadPercent: sc.readPct, Seed: seed}
 	if sc.channels == 1 {
-		rig, err := system.NewTrafficRig(system.RigConfig{
-			Kind: kind, Spec: spec, Mapping: mapping, ClosedPage: sc.closedPage,
-			Gen: gen,
-			Pattern: &trafficgen.DRAMAware{
-				Decoder: dec, StrideBursts: sc.stride, Banks: sc.banks,
-				ReadPercent: sc.readPct, Seed: 5,
-			},
-		})
+		aware, err := dramAware(spec, mapping, 1, sc.stride, sc.banks, sc.readPct, seed)
 		if err != nil {
-			return 0, 0, err
+			return Point{}, err
 		}
-		var done bool
-		host := hostTimed(func() { done = rig.Run(100 * sim.Second) })
-		if !done {
-			return 0, 0, fmt.Errorf("experiments: speedup case %q (%s) did not complete", sc.name, kind)
-		}
-		return host, rig.K.EventsExecuted(), nil
+		pattern = aware
 	}
+	p := matched(sc.name, spec, mapping, sc.closedPage, sc.channels, requests, pattern)
+	p.Kind = kind
+	p.Gen.InterTransaction = sc.itt
+	p.Limit = 100 * sim.Second
+	return p, nil
+}
 
-	// Multi-channel (HMC-like) case: one generator spraying the channels.
-	rig, err := system.NewMultiChannelRig(system.MultiChannelConfig{
-		Kind: kind, Spec: spec, Mapping: mapping, ClosedPage: sc.closedPage,
-		Channels: sc.channels,
-		Xbar:     xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-		Gens:     []trafficgen.Config{gen},
-		Patterns: []trafficgen.Pattern{
-			&trafficgen.Linear{Start: 0, End: 1 << 26, Step: spec.Org.BurstBytes(), ReadPercent: sc.readPct, Seed: 5},
-		},
-	})
-	if err != nil {
-		return 0, 0, err
+// RunSpeedup measures host time for both models over identical synthetic
+// workloads. Requests should be large enough (tens of thousands) for stable
+// wall-clock numbers. A non-nil dev overrides every case's device — the
+// -standard exploration path.
+func (r Runner) RunSpeedup(requests uint64, dev *dram.Spec) (*SpeedupResult, error) {
+	res := &SpeedupResult{}
+	var sum float64
+	for _, sc := range speedupCases {
+		timed := func(kind system.Kind) (time.Duration, uint64, error) {
+			p, err := sc.point(kind, requests, dev, 5)
+			if err != nil {
+				return 0, 0, err
+			}
+			runtime.GC() // settle the garbage collector so runs time comparably
+			rig, err := r.Run(p)
+			if err != nil {
+				return 0, 0, err
+			}
+			return rig.Host, rig.K.EventsExecuted(), nil
+		}
+		row := SpeedupRow{Case: sc.name}
+		var err error
+		if row.EventHost, row.EventEvents, err = timed(system.EventBased); err != nil {
+			return res, err
+		}
+		if row.CycleHost, row.CycleEvents, err = timed(system.CycleBased); err != nil {
+			return res, err
+		}
+		row.Speedup = float64(row.CycleHost) / float64(row.EventHost)
+		res.Rows = append(res.Rows, row)
+		sum += row.Speedup
+		res.MaxSpeedup = math.Max(res.MaxSpeedup, row.Speedup)
+		res.AvgSpeedup = sum / float64(len(res.Rows))
 	}
-	var done bool
-	host := hostTimed(func() { done = rig.Run(100 * sim.Second) })
-	if !done {
-		return 0, 0, fmt.Errorf("experiments: speedup case %q (%s) did not complete", sc.name, kind)
+	return res, nil
+}
+
+// LowLoadPoint is the §III-D low-load shape in isolation — the Fig. 6 linear
+// reads spaced 48 ns apart, where a cycle-based model pays for every idle
+// cycle. The count is the caller's to set (bench_test.go: b.N).
+func LowLoadPoint(kind system.Kind) Point {
+	s := Fig6Spec(0)
+	s.InterTransaction = 48 * sim.Nanosecond
+	p := s.Point(kind)
+	p.Name = "low load"
+	return p
+}
+
+// RandomMixPoint is uniform-random traffic over 256 MiB with 32 outstanding,
+// the shape of the ledger's mix_random_wrdrain workload: the row-hit rate is
+// ~0 and every decision runs the full arbitration over deep queues. depth > 0
+// holds that many requests outstanding in a read buffer as deep. The count is
+// the caller's to set.
+func RandomMixPoint(kind system.Kind, readPct, depth int) Point {
+	spec := dram.DDR3_1333_8x8()
+	p := matched("random mix", spec, dram.RoRaBaCoCh, false, 1, 0,
+		&trafficgen.Random{Start: 0, End: 256 << 20, Align: spec.Org.BurstBytes(), ReadPercent: readPct, Seed: 1})
+	p.Kind = kind
+	if depth > 0 {
+		p.Gen.MaxOutstanding = depth
+		p.Event.ReadBufferSize = depth
 	}
-	return host, rig.K.EventsExecuted(), nil
+	return p
 }

@@ -1,19 +1,15 @@
-// Package experiments implements the paper's evaluation (§III and §IV):
-// each function regenerates one figure or table, running both controller
-// models over identical workloads and reporting the series the paper plots.
-// The cmd/ tools print these results; bench_test.go wraps them in testing.B
-// harnesses.
 package experiments
 
 import (
 	"fmt"
 
 	"repro/internal/dram"
-	"repro/internal/sim"
 	"repro/internal/system"
-	"repro/internal/trafficgen"
-	"repro/internal/xbar"
 )
+
+// SweepRequests is the requests-per-point default of bwsweep and of a farm
+// sweep job: one constant, so a default job merges to what the CLI prints.
+const SweepRequests = 4000
 
 // SweepSpec describes one bandwidth sweep (Figs. 3-5): a DRAM-aware traffic
 // pattern swept over stride size and bank count, run on both models.
@@ -30,20 +26,20 @@ type SweepSpec struct {
 	Banks []int
 	// Requests per measurement point.
 	Requests uint64
-	// Stop, when non-nil, is polled between measurement points; once it
-	// returns true the sweep stops and returns the rows measured so far
-	// together with ErrInterrupted. This is how the CLIs turn SIGINT into
-	// "finish the current point, flush partial results, exit cleanly".
-	Stop func() bool
+	// Channels, when above one, interleaves the same traffic over that many
+	// channels behind a crossbar; the reported utilisation is then the
+	// per-channel average.
+	Channels int
 }
 
-// SweepRow is one (stride, banks) measurement from both models.
+// SweepRow is one (stride, banks) measurement from both models. The tags are
+// the row's canonical JSON form (see resultjson.go).
 type SweepRow struct {
-	StrideBursts uint64
-	Banks        int
+	StrideBursts uint64 `json:"strideBursts"`
+	Banks        int    `json:"banks"`
 	// EventUtil and CycleUtil are data bus utilisations in [0,1].
-	EventUtil float64
-	CycleUtil float64
+	EventUtil float64 `json:"eventUtil"`
+	CycleUtil float64 `json:"cycleUtil"`
 }
 
 // SweepResult is a complete sweep.
@@ -103,103 +99,75 @@ func Fig5Spec(requests uint64) SweepSpec {
 	return s
 }
 
-// sweepPattern builds the DRAM-aware pattern for one sweep point.
-func sweepPattern(s SweepSpec, stride uint64, banks, channels int) (trafficgen.Pattern, error) {
-	dec, err := dram.NewDecoder(s.Spec.Org, s.Mapping, channels)
+// SpecForFigure returns the bandwidth-sweep spec for one paper figure.
+func SpecForFigure(figure int, requests uint64) (SweepSpec, error) {
+	switch figure {
+	case 3:
+		return Fig3Spec(requests), nil
+	case 4:
+		return Fig4Spec(requests), nil
+	case 5:
+		return Fig5Spec(requests), nil
+	}
+	return SweepSpec{}, fmt.Errorf("experiments: figure %d is not a bandwidth sweep (want 3, 4 or 5)", figure)
+}
+
+// Point is the measurement of one model at one (stride, banks) cell of the
+// sweep: DRAM-aware traffic from one generator, 32 requests outstanding per
+// channel.
+func (s SweepSpec) Point(kind system.Kind, stride uint64, banks int) (Point, error) {
+	channels := max(s.Channels, 1)
+	pattern, err := dramAware(s.Spec, s.Mapping, channels, stride, banks, s.ReadPct, 1)
+	if err == nil {
+		err = pattern.Validate()
+	}
 	if err != nil {
-		return nil, err
+		return Point{}, err
 	}
-	pattern := &trafficgen.DRAMAware{
-		Decoder:      dec,
-		StrideBursts: stride,
-		Banks:        banks,
-		ReadPercent:  s.ReadPct,
-		Seed:         1,
-	}
-	if err := pattern.Validate(); err != nil {
-		return nil, err
-	}
-	return pattern, nil
+	p := matched(fmt.Sprintf("fig%d stride=%d banks=%d channels=%d", s.Figure, stride, banks, channels),
+		s.Spec, s.Mapping, s.ClosedPage, channels, s.Requests, pattern)
+	p.Kind = kind
+	p.Gen.MaxOutstanding *= channels
+	return p, nil
 }
 
-// trafficGenConfig is the generator configuration every sweep point uses.
-func trafficGenConfig(s SweepSpec) trafficgen.Config {
-	return trafficgen.Config{
-		RequestBytes:   s.Spec.Org.BurstBytes(),
-		MaxOutstanding: 32,
-		Count:          s.Requests,
+// RunSweepPoint measures one (stride, banks) cell on both models. It is the
+// farm's unit of work and RunSweep's loop body, which is what makes a
+// farm-merged result byte-identical to a single-process run of the same grid;
+// under Runner.CheckpointDir each model's run is checkpointed and resumable.
+func (r Runner) RunSweepPoint(s SweepSpec, stride uint64, banks int) (SweepRow, error) {
+	row := SweepRow{StrideBursts: stride, Banks: banks}
+	util := func(kind system.Kind) (float64, error) {
+		p, err := s.Point(kind, stride, banks)
+		if err != nil {
+			return 0, err
+		}
+		p.Checkpoint = fmt.Sprintf("point-%s.ckpt", kind)
+		rig, err := r.Run(p)
+		if err != nil {
+			return 0, err
+		}
+		return rig.AvgBusUtilisation(), nil
 	}
+	var err error
+	if row.EventUtil, err = util(system.EventBased); err != nil {
+		return row, err
+	}
+	row.CycleUtil, err = util(system.CycleBased)
+	return row, err
 }
 
-// runMultiChannelPoint measures one model at one sweep point on the
-// multi-channel rig and returns the average per-channel bus utilisation.
-func runMultiChannelPoint(kind system.Kind, s SweepSpec, stride uint64, banks, channels int) (float64, error) {
-	pattern, err := sweepPattern(s, stride, banks, channels)
-	if err != nil {
-		return 0, err
-	}
-	rig, err := system.NewMultiChannelRig(system.MultiChannelConfig{
-		Kind:       kind,
-		Spec:       s.Spec,
-		Mapping:    s.Mapping,
-		ClosedPage: s.ClosedPage,
-		Channels:   channels,
-		Xbar:       xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
-		Gens: []trafficgen.Config{{
-			RequestBytes:   s.Spec.Org.BurstBytes(),
-			MaxOutstanding: 32 * channels,
-			Count:          s.Requests,
-		}},
-		Patterns: []trafficgen.Pattern{pattern},
-	})
-	if err != nil {
-		return 0, err
-	}
-	if !rig.Run(sim.Second) {
-		return 0, fmt.Errorf("experiments: %d-channel %s point stride=%d banks=%d did not complete", channels, kind, stride, banks)
-	}
-	var util float64
-	for _, c := range rig.Ctrls {
-		util += c.BusUtilisation()
-	}
-	return util / float64(len(rig.Ctrls)), nil
-}
-
-// RunSweep executes the full sweep on both models.
-func RunSweep(s SweepSpec) (*SweepResult, error) {
-	return runSweepWith(s, func(kind system.Kind, stride uint64, banks int) (float64, error) {
-		return runPoint(kind, s, stride, banks, nil)
-	})
-}
-
-// RunSweepMultiChannel executes the sweep with the same traffic interleaved
-// over `channels` channels behind a crossbar, on one kernel. The reported
-// utilisation is the per-channel average.
-func RunSweepMultiChannel(s SweepSpec, channels int) (*SweepResult, error) {
-	return runSweepWith(s, func(kind system.Kind, stride uint64, banks int) (float64, error) {
-		return runMultiChannelPoint(kind, s, stride, banks, channels)
-	})
-}
-
-func runSweepWith(s SweepSpec, point func(system.Kind, uint64, int) (float64, error)) (*SweepResult, error) {
+// RunSweep executes the full sweep on both models, banks outer and strides
+// inner.
+func (r Runner) RunSweep(s SweepSpec) (*SweepResult, error) {
 	res := &SweepResult{Spec: s}
 	for _, banks := range s.Banks {
 		for _, stride := range s.Strides {
-			if s.Stop != nil && s.Stop() {
-				return res, ErrInterrupted
-			}
-			ev, err := point(system.EventBased, stride, banks)
+			row, err := r.RunSweepPoint(s, stride, banks)
 			if err != nil {
-				return nil, err
+				return res, err
 			}
-			cy, err := point(system.CycleBased, stride, banks)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, SweepRow{
-				StrideBursts: stride, Banks: banks,
-				EventUtil: ev, CycleUtil: cy,
-			})
+			res.Rows = append(res.Rows, row)
 		}
 	}
 	return res, nil

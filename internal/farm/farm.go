@@ -50,8 +50,9 @@ import (
 
 // SchemaVersion is baked into every point fingerprint, so a change to the
 // result schema or point semantics invalidates the on-disk cache instead of
-// silently serving stale rows.
-const SchemaVersion = 1
+// silently serving stale rows. (2: a cached row is encoded by the row types'
+// canonical JSON tags, the latency breakdown inlined.)
+const SchemaVersion = 2
 
 // Point is one self-contained unit of work: a single measurement of a
 // design-space grid, runnable in any process and deterministic given its
@@ -122,13 +123,17 @@ type PointResult struct {
 	Fig9  *experiments.Fig9Row  `json:"fig9,omitempty"`
 }
 
-// Run executes the point in this process. For sweep points a non-nil ck
-// enables periodic checkpoints and bit-identical mid-point resume; explore
-// points (the full-system rig is not checkpointable) re-run from scratch on
-// retry, which is equally deterministic, just slower.
-func (p Point) Run(ck *experiments.PointCheckpoint) (*PointResult, error) {
+// Run executes the point in this process on r (nil: the zero Runner). For
+// sweep points a runner with a CheckpointDir enables periodic checkpoints and
+// bit-identical mid-point resume; explore points (the full-system rig is not
+// checkpointable) re-run from scratch on retry, which is equally
+// deterministic, just slower.
+func (p Point) Run(r *experiments.Runner) (*PointResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if r == nil {
+		r = &experiments.Runner{}
 	}
 	res := &PointResult{Key: p.Key()}
 	switch p.Kind {
@@ -137,13 +142,13 @@ func (p Point) Run(ck *experiments.PointCheckpoint) (*PointResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := experiments.RunSweepPoint(spec, p.Stride, p.Banks, ck)
+		row, err := r.RunSweepPoint(spec, p.Stride, p.Banks)
 		if err != nil {
 			return nil, err
 		}
 		res.Sweep = &row
 	case "explore":
-		row, err := experiments.RunExplorePoint(p.MemOps, p.Cores, p.Config)
+		row, err := r.RunExplorePoint(p.MemOps, p.Cores, p.Config)
 		if err != nil {
 			return nil, err
 		}

@@ -14,12 +14,12 @@ type JobSpec struct {
 	Type string `json:"type"` // "sweep" or "explore"
 
 	// Sweep jobs: which paper figure, and requests per point (0 = the
-	// bwsweep default, 4000).
+	// bwsweep default, experiments.SweepRequests).
 	Figure   int    `json:"figure,omitempty"`
 	Requests uint64 `json:"requests,omitempty"`
 
-	// Explore jobs: memory operations per core (0 = the explore default,
-	// 3000) and core count (0 = 16).
+	// Explore jobs: memory operations per core and core count (0 = the
+	// explore defaults, experiments.ExploreMemOps and ExploreCores).
 	MemOps uint64 `json:"memOps,omitempty"`
 	Cores  int    `json:"cores,omitempty"`
 }
@@ -32,14 +32,14 @@ func (j *JobSpec) Normalize() {
 			j.Figure = 3
 		}
 		if j.Requests == 0 {
-			j.Requests = 4000
+			j.Requests = experiments.SweepRequests
 		}
 	case "explore":
 		if j.MemOps == 0 {
-			j.MemOps = 3000
+			j.MemOps = experiments.ExploreMemOps
 		}
 		if j.Cores == 0 {
-			j.Cores = 16
+			j.Cores = experiments.ExploreCores
 		}
 	}
 }
@@ -106,7 +106,7 @@ func (j JobSpec) Merge(results []*PointResult, partial bool) ([]byte, error) {
 			res.Rows = append(res.Rows, *r.Fig9)
 		}
 		if !partial {
-			experiments.NormalizeFig9(res)
+			res.Normalize()
 		}
 		return experiments.EncodeResultJSON(experiments.NewFig9JSON(res, j.MemOps, j.Cores, partial))
 	}

@@ -44,11 +44,7 @@ func Worker(opts WorkerOptions) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	var ck *experiments.PointCheckpoint
-	if opts.CkptDir != "" {
-		ck = &experiments.PointCheckpoint{Dir: opts.CkptDir, EveryWall: opts.EveryWall, Log: opts.Log}
-	}
-	res, err := p.Run(ck)
+	res, err := p.Run(&experiments.Runner{CheckpointDir: opts.CkptDir, EveryWall: opts.EveryWall, Log: opts.Log})
 	if err != nil {
 		return err
 	}

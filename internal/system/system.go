@@ -250,6 +250,9 @@ func (m *Memory) session(sources []Source) Session {
 	return Session{kernels: []*sim.Kernel{m.K}, reg: m.Reg, xbar: m.Xbar, ctrls: m.Ctrls, sources: sources, step: quantum}
 }
 
+// AvgBusUtilisation averages the channels' data bus utilisation.
+func (m *Memory) AvgBusUtilisation() float64 { return avgBusUtilisation(m.Ctrls) }
+
 // matchedMemory is the rigs' description: the paper's matched configurations
 // (§III) of both models, so Kind alone picks the one that runs. tuneEvent
 // (nil for none) adjusts the event-based side.

@@ -122,6 +122,10 @@ func (g *Generator) Done() bool {
 	return g.cfg.Count > 0 && g.issued >= g.cfg.Count && g.outstanding == 0 && g.blocked == nil
 }
 
+// Unbounded reports a generator with no Count: it issues until stopped, so
+// Done never holds and a run that waits for it cannot finish.
+func (g *Generator) Unbounded() bool { return g.cfg.Count == 0 }
+
 // Issued returns the number of requests injected so far.
 func (g *Generator) Issued() uint64 { return g.issued }
 
