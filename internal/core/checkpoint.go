@@ -402,9 +402,7 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 	// The queues are re-filled through push in saved (arrival) order, which
 	// rebuilds their bank index against the open rows restored above; the
 	// image carries no links, seqs or counts.
-	c.readQueue = newBurstQueue(true, c.ranks, c.org.BanksPerRank)
-	c.writeQueue = newBurstQueue(false, c.ranks, c.org.BanksPerRank)
-	c.inWriteQueue = make(map[mem.Addr]int)
+	c.resetQueues()
 	for _, ds := range st.ReadQueue {
 		dp, err := c.loadDP(ds, txns)
 		if err != nil {
@@ -418,7 +416,6 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 			return err
 		}
 		c.writeQueue.push(dp)
-		c.inWriteQueue[dp.burstAddr]++
 	}
 
 	if st.Faults != nil {

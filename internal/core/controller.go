@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dram"
 	"repro/internal/faults"
@@ -61,9 +62,6 @@ type Controller struct {
 	readQueue  burstQueue
 	writeQueue burstQueue
 	respQueue  []respEntry
-	// inWriteQueue counts write-queue entries per burst address, enabling
-	// O(1) read-forwarding and merge checks.
-	inWriteQueue map[mem.Addr]int
 	// readEntries counts occupied read-buffer slots: queued bursts plus
 	// bursts serviced but not yet responded.
 	readEntries int
@@ -176,7 +174,6 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 		cfg:           cfg,
 		k:             k,
 		dec:           dec,
-		inWriteQueue:  make(map[mem.Addr]int),
 		hub:           cfg.Probes.OrNil(),
 		startTick:     k.Now(),
 		tim:           spec.Timing,
@@ -205,8 +202,7 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 	for i := range c.ranks {
 		c.ranks[i] = newRank(spec.Org, c.topo)
 	}
-	c.readQueue = newBurstQueue(true, c.ranks, spec.Org.BanksPerRank)
-	c.writeQueue = newBurstQueue(false, c.ranks, spec.Org.BanksPerRank)
+	c.resetQueues()
 	c.allPrechargedSince = k.Now()
 	c.nextReqEvent = sim.NewEvent(name+".nextReq", c.processNextReqEvent)
 	c.respondEvent = sim.NewEvent(name+".respond", c.processRespondEvent)
@@ -280,6 +276,15 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 	}
 	c.st.all = all
 	return c, nil
+}
+
+// resetQueues (re)builds both burst queues empty. The write queue's address
+// table gets at least four slots per buffer entry, so under random traffic a
+// lookup of an address that is not queued nearly always finds its slot empty.
+func (c *Controller) resetQueues() {
+	slots := 1 << bits.Len(uint(4*c.cfg.WriteBufferSize-1))
+	c.readQueue = newBurstQueue(true, c.ranks, c.org.BanksPerRank, 0, c.burstBytes)
+	c.writeQueue = newBurstQueue(false, c.ranks, c.org.BanksPerRank, slots, c.burstBytes)
 }
 
 // Port returns the system-facing response port.
@@ -388,17 +393,8 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 			c.st.servicedByWrQ.Inc()
 			return
 		}
-		dp := c.newDP()
-		*dp = dramPacket{
-			isRead:    true,
-			coord:     c.dec.Decode(burstAddr),
-			burstAddr: burstAddr,
-			addr:      lo,
-			size:      size,
-			parent:    tr,
-			priority:  c.priorityOf(pkt.RequestorID),
-			entryTime: now,
-		}
+		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size, c.priorityOf(pkt.RequestorID))
+		dp.isRead, dp.parent = true, tr
 		c.wakeRank(dp.coord.Rank)
 		c.readQueue.push(dp)
 	})
@@ -433,23 +429,13 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: now, Queue: obs.QueueWrite, Depth: c.writeQueue.n})
 	}
 	c.burstRange(pkt, func(burstAddr, lo mem.Addr, size uint64) {
-		if c.inWriteQueue[burstAddr] > 0 && c.tryMergeWrite(burstAddr, lo, size) {
+		if c.tryMergeWrite(burstAddr, lo, size) {
 			c.st.mergedWrBursts.Inc()
 			return
 		}
-		dp := c.newDP()
-		*dp = dramPacket{
-			isRead:    false,
-			coord:     c.dec.Decode(burstAddr),
-			burstAddr: burstAddr,
-			addr:      lo,
-			size:      size,
-			priority:  c.priorityOf(pkt.RequestorID),
-			entryTime: now,
-		}
+		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size, c.priorityOf(pkt.RequestorID))
 		c.wakeRank(dp.coord.Rank)
 		c.writeQueue.push(dp)
-		c.inWriteQueue[burstAddr]++
 		c.st.writeBursts.Inc()
 	})
 	// Early write response (§II-A): respond as soon as the request is
@@ -459,13 +445,25 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 	return true
 }
 
+// writesInBankOf returns the head of the write queue's list for burstAddr's
+// bank. Bursts of one address decode to one bank and bank lists are in arrival
+// order, so once the address table cannot rule burstAddr out, walking bankNext
+// from here and matching burstAddr visits exactly the entries a walk of the
+// whole queue would, in the same order. Its two callers ask mayHold themselves
+// first: the decode makes this too big to inline, and "not queued" is the
+// answer nearly every request gets.
+func (c *Controller) writesInBankOf(burstAddr mem.Addr) *dramPacket {
+	co := c.dec.Decode(burstAddr)
+	return c.writeQueue.rankBanks(co.Rank)[co.Bank].head
+}
+
 // canForwardFromWriteQueue reports whether a queued write fully covers the
 // read byte range [lo, lo+size).
 func (c *Controller) canForwardFromWriteQueue(burstAddr, lo mem.Addr, size uint64) bool {
-	if c.inWriteQueue[burstAddr] == 0 {
+	if !c.writeQueue.mayHold(burstAddr) {
 		return false
 	}
-	for w := c.writeQueue.head; w != nil; w = w.next {
+	for w := c.writesInBankOf(burstAddr); w != nil; w = w.bankNext {
 		if w.burstAddr == burstAddr && w.addr <= lo && lo+mem.Addr(size) <= w.addr+mem.Addr(w.size) {
 			return true
 		}
@@ -476,8 +474,11 @@ func (c *Controller) canForwardFromWriteQueue(burstAddr, lo mem.Addr, size uint6
 // tryMergeWrite merges a new write piece into an existing same-burst entry
 // when their byte ranges overlap or touch; it reports success.
 func (c *Controller) tryMergeWrite(burstAddr, lo mem.Addr, size uint64) bool {
+	if !c.writeQueue.mayHold(burstAddr) {
+		return false
+	}
 	hi := lo + mem.Addr(size)
-	for w := c.writeQueue.head; w != nil; w = w.next {
+	for w := c.writesInBankOf(burstAddr); w != nil; w = w.bankNext {
 		if w.burstAddr != burstAddr {
 			continue
 		}
@@ -615,10 +616,6 @@ func (c *Controller) processNextReqEvent() {
 		if c.writeQueue.n > 0 {
 			dp := c.chooseNext(&c.writeQueue)
 			c.writeQueue.remove(dp)
-			c.inWriteQueue[dp.burstAddr]--
-			if c.inWriteQueue[dp.burstAddr] == 0 {
-				delete(c.inWriteQueue, dp.burstAddr)
-			}
 			c.doDRAMAccess(dp)
 			c.writesThisTime++
 			c.freeDP(dp)
@@ -687,6 +684,62 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 		}
 	}
 	now := c.k.Now()
+	// With no bank holding a burst to its open row — every decision of random
+	// traffic — there is no hit to look for.
+	if q.hits > 0 {
+		if p := c.firstReadyHit(q, minPri, now); p != nil {
+			return p
+		}
+	}
+	// No ready hit competes. A bank's first competing burst to another row
+	// than the open one stands for all of them, and only a bank in a refresh
+	// blackout can still hold a burst to its (logically) open row, which
+	// issueAt costs as a hit.
+	//
+	// Primary key: the true issue tick including bus serialisation, as
+	// doDRAMAccess will charge it. Secondary key: raw bank readiness — among
+	// bus-bound candidates (equal true cost) pick the bank that frees
+	// earliest, as gem5's earliestBanks does, preserving bank parallelism
+	// instead of degrading to arrival order, which only breaks exact ties.
+	var best missChoice
+	groups := c.topo.Groups
+	for ri, rk := range c.ranks {
+		if q.perRank[ri] == 0 {
+			continue
+		}
+		rf := c.rankFloors(rk, q.isRead)
+		banks := q.rankBanks(ri)
+		// Group by group (Topology.GroupOf: bank mod Groups; a flat device is
+		// one group), so a group's terms are evaluated once for its banks.
+		// The order banks are visited in cannot matter: seq is unique, so the
+		// minimum below is.
+		for g := 0; g < groups; g++ {
+			f := c.groupFloors(rf, rk, g)
+			for bi := g; bi < len(banks); bi += groups {
+				b := &banks[bi]
+				if b.head == nil {
+					continue
+				}
+				open := rk.openRow[bi]
+				if p := firstOf(b.head, minPri, open, false); p != nil {
+					_, _, ready, at := c.bankIssueAt(&f, rk, bi, false)
+					best.offer(p, at, ready)
+				}
+				if b.hits > 0 && rk.refreshUntil[bi] > now {
+					if p := firstOf(b.head, minPri, open, true); p != nil {
+						_, _, ready, at := c.bankIssueAt(&f, rk, bi, true)
+						best.offer(p, at, ready)
+					}
+				}
+			}
+		}
+	}
+	return best.p
+}
+
+// firstReadyHit is the hit phase of FR-FCFS: the first seamless row hit in
+// arrival order, else the first ready one, else nil.
+func (c *Controller) firstReadyHit(q *burstQueue, minPri int, now sim.Tick) *dramPacket {
 	// A column command issued at or before this tick keeps the data bus
 	// busy back-to-back (gem5's minColAt): the seamless threshold.
 	minColAt := max(now, c.busBusyUntil-c.tim.TCL)
@@ -726,47 +779,9 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 	if seamless != nil {
 		return seamless
 	}
-	if prepped != nil {
-		// Hits still beat misses even when none is seamless, but a hit that
-		// would stall the bus no longer shadows a seamless hit queued
-		// behind it.
-		return prepped
-	}
-	// No ready hit competes. A bank's first competing burst to another row
-	// than the open one stands for all of them, and only a bank in a refresh
-	// blackout can still hold a burst to its (logically) open row, which
-	// issueAt costs as a hit.
-	//
-	// Primary key: the true issue tick including bus serialisation, as
-	// doDRAMAccess will charge it. Secondary key: raw bank readiness — among
-	// bus-bound candidates (equal true cost) pick the bank that frees
-	// earliest, as gem5's earliestBanks does, preserving bank parallelism
-	// instead of degrading to arrival order, which only breaks exact ties.
-	var best missChoice
-	for ri, rk := range c.ranks {
-		if q.perRank[ri] == 0 {
-			continue
-		}
-		banks := q.rankBanks(ri)
-		for bi := range banks {
-			b := &banks[bi]
-			if b.head == nil {
-				continue
-			}
-			open := rk.openRow[bi]
-			if p := firstOf(b.head, minPri, open, false); p != nil {
-				_, _, ready, at := c.bankIssueAt(rk, bi, false, q.isRead)
-				best.offer(p, at, ready)
-			}
-			if b.hits > 0 && rk.refreshUntil[bi] > now {
-				if p := firstOf(b.head, minPri, open, true); p != nil {
-					_, _, ready, at := c.bankIssueAt(rk, bi, true, q.isRead)
-					best.offer(p, at, ready)
-				}
-			}
-		}
-	}
-	return best.p
+	// Hits still beat misses even when none is seamless, but a hit that would
+	// stall the bus no longer shadows a seamless hit queued behind it.
+	return prepped
 }
 
 // missChoice is the best burst of the FR-FCFS miss phase so far, with the
@@ -789,52 +804,85 @@ func (m *missChoice) offer(p *dramPacket, at, ready sim.Tick) {
 // conflicting row (meaningful only on a row conflict), the activate
 // (meaningful unless p hits the open row), the column command's readiness
 // from bank and rank state alone, and the column command itself once data-bus
-// serialisation is applied. It is the one statement of the access timing
-// rules: FR-FCFS ranks misses by (cmdAt, ready) and doDRAMAccess commits the
-// same four ticks.
+// serialisation is applied. rankFloors, groupFloors and bankIssueAt — the rules
+// sorted by what each term depends on — are together the one statement of the
+// access timing rules: FR-FCFS ranks misses by (cmdAt, ready) and doDRAMAccess
+// commits the same four ticks.
 func (c *Controller) issueAt(p *dramPacket) (preAt, actAt, ready, cmdAt sim.Tick) {
 	rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
-	return c.bankIssueAt(rk, bi, rk.openRow[bi] == int64(p.coord.Row), p.isRead)
+	f := c.groupFloors(c.rankFloors(rk, p.isRead), rk, c.topo.GroupOf(bi))
+	return c.bankIssueAt(&f, rk, bi, rk.openRow[bi] == int64(p.coord.Row))
 }
 
-// bankIssueAt is issueAt in the terms the answer actually depends on: the
-// bank, whether the burst hits its open row, and the direction. Every burst
-// queued for one bank in one queue therefore shares one of two answers, which
-// is what lets FR-FCFS ask once per bank instead of once per burst.
-func (c *Controller) bankIssueAt(rk *rank, bi int, hit, isRead bool) (preAt, actAt, ready, cmdAt sim.Tick) {
+// issueFloors is the part of the access timing rules that many banks share
+// within one decision: the earliest tick each kind of command may issue
+// whatever the bank, first from rank and bus state (rankFloors), then with
+// one bank group's spacing folded in (groupFloors).
+type issueFloors struct {
+	// now floors a precharge, which nothing above the bank constrains.
+	now sim.Tick
+	// act floors an activate: now, tRRD after the rank's last activate, the
+	// tXAW window and, within a bank group, tRRD_L after the group's last.
+	act sim.Tick
+	// col floors a column command of the direction asked about: now, the
+	// read/write turnaround and, on bank-grouped devices, tCCD_S after the
+	// rank's last column command and tCCD_L after the group's.
+	col sim.Tick
+	// bus is the column command whose data follows the in-flight burst
+	// back-to-back. A command may overlap in-flight data; only the data
+	// transfer itself serialises on the bus, so a command ready before this
+	// tick is pushed out to it.
+	bus sim.Tick
+}
+
+// rankFloors evaluates the rank- and bus-level terms for one direction.
+func (c *Controller) rankFloors(rk *rank, isRead bool) issueFloors {
 	t := &c.tim
 	now := c.k.Now()
-
-	colReady := rk.colAllowedAt[bi]
-	if !hit {
-		actAt = max(now, rk.actAllowedAt[bi],
-			rk.lastActAt+t.TRRD,
-			rk.earliestActByWindow(c.org.ActivationLimit, t.TXAW))
-		if c.grouped {
-			actAt = max(actAt, rk.actGroupAt[c.topo.GroupOf(bi)]+c.trrdL)
-		}
-		if rk.openRow[bi] != rowClosed {
-			preAt = max(now, rk.preAllowedAt[bi])
-			actAt = max(actAt, preAt+t.TRP)
-		}
-		colReady = actAt + t.TRCD
-	}
 	dirAllowed := rk.rdAllowedAt
 	if !isRead {
 		dirAllowed = rk.wrAllowedAt
 	}
-	ready = max(now, colReady, dirAllowed)
+	f := issueFloors{
+		now: now,
+		act: max(now, rk.lastActAt+t.TRRD, rk.earliestActByWindow(c.org.ActivationLimit, t.TXAW)),
+		col: max(now, dirAllowed),
+		bus: c.busBusyUntil - t.TCL,
+	}
 	if c.grouped {
-		ready = max(ready, rk.colGroupAt[c.topo.GroupOf(bi)], rk.colAnyAt)
+		f.col = max(f.col, rk.colAnyAt)
 	}
-	// The command may overlap in-flight data; only the data transfer itself
-	// serialises on the bus, so a command whose data would start before the
-	// bus frees is pushed out to follow the in-flight burst back-to-back.
-	cmdAt = ready
-	if cmdAt+t.TCL < c.busBusyUntil {
-		cmdAt = c.busBusyUntil - t.TCL
+	return f
+}
+
+// groupFloors folds bank group g's terms into a rank's floors. A flat device
+// is one group without any.
+func (c *Controller) groupFloors(f issueFloors, rk *rank, g int) issueFloors {
+	if c.grouped {
+		f.act = max(f.act, rk.actGroupAt[g]+c.trrdL)
+		f.col = max(f.col, rk.colGroupAt[g])
 	}
-	return preAt, actAt, ready, cmdAt
+	return f
+}
+
+// bankIssueAt completes issueAt with the terms that depend on the bank and on
+// whether the burst hits its open row. Every burst queued for one bank in one
+// queue therefore shares one of two answers, which is what lets FR-FCFS ask
+// once per bank instead of once per burst; and with the floors evaluated once
+// per rank and group, what it pays per bank is these few loads, inlined into
+// its scan.
+func (c *Controller) bankIssueAt(f *issueFloors, rk *rank, bi int, hit bool) (preAt, actAt, ready, cmdAt sim.Tick) {
+	if hit {
+		ready = max(f.col, rk.colAllowedAt[bi])
+	} else {
+		actAt = max(f.act, rk.actAllowedAt[bi])
+		if rk.openRow[bi] != rowClosed {
+			preAt = max(f.now, rk.preAllowedAt[bi])
+			actAt = max(actAt, preAt+c.tim.TRP)
+		}
+		ready = max(f.col, actAt+c.tim.TRCD)
+	}
+	return preAt, actAt, ready, max(ready, f.bus)
 }
 
 // doDRAMAccess performs the chosen burst: it opens the row if needed

@@ -116,19 +116,9 @@ func (c *Controller) queueScrub(dp *dramPacket) {
 		c.st.droppedScrubs.Inc()
 		return
 	}
-	w := c.newDP()
-	*w = dramPacket{
-		isRead:    false,
-		coord:     dp.coord,
-		burstAddr: dp.burstAddr,
-		addr:      dp.burstAddr,
-		size:      c.burstBytes,
-		priority:  dp.priority,
-		entryTime: c.k.Now(),
-		scrub:     true,
-	}
+	w := c.newBurst(dp.coord, dp.burstAddr, dp.burstAddr, c.burstBytes, dp.priority)
+	w.scrub = true
 	c.wakeRank(w.coord.Rank)
 	c.writeQueue.push(w)
-	c.inWriteQueue[w.burstAddr]++
 	c.st.scrubWrites.Inc()
 }

@@ -104,6 +104,61 @@ func (c *Controller) chooseNextOracle(q []*dramPacket) int {
 	return best
 }
 
+// issueAtOracle is the body of bankIssueAt before the timing rules were split
+// into rank, group and bank terms: every term evaluated for the one bank asked
+// about. It is kept verbatim as the reference the split must agree with on all
+// four ticks (TestChooseNextMatchesLinearScan).
+func (c *Controller) issueAtOracle(rk *rank, bi int, hit, isRead bool) (preAt, actAt, ready, cmdAt sim.Tick) {
+	t := &c.tim
+	now := c.k.Now()
+
+	colReady := rk.colAllowedAt[bi]
+	if !hit {
+		actAt = max(now, rk.actAllowedAt[bi],
+			rk.lastActAt+t.TRRD,
+			rk.earliestActByWindow(c.org.ActivationLimit, t.TXAW))
+		if c.grouped {
+			actAt = max(actAt, rk.actGroupAt[c.topo.GroupOf(bi)]+c.trrdL)
+		}
+		if rk.openRow[bi] != rowClosed {
+			preAt = max(now, rk.preAllowedAt[bi])
+			actAt = max(actAt, preAt+t.TRP)
+		}
+		colReady = actAt + t.TRCD
+	}
+	dirAllowed := rk.rdAllowedAt
+	if !isRead {
+		dirAllowed = rk.wrAllowedAt
+	}
+	ready = max(now, colReady, dirAllowed)
+	if c.grouped {
+		ready = max(ready, rk.colGroupAt[c.topo.GroupOf(bi)], rk.colAnyAt)
+	}
+	// The command may overlap in-flight data; only the data transfer itself
+	// serialises on the bus, so a command whose data would start before the
+	// bus frees is pushed out to follow the in-flight burst back-to-back.
+	cmdAt = ready
+	if cmdAt+t.TCL < c.busBusyUntil {
+		cmdAt = c.busBusyUntil - t.TCL
+	}
+	return preAt, actAt, ready, cmdAt
+}
+
+// checkIssueAt compares issueAt with the oracle for every burst of q.
+func checkIssueAt(t *testing.T, c *Controller, q []*dramPacket) {
+	t.Helper()
+	type ticks struct{ preAt, actAt, ready, cmdAt sim.Tick }
+	for _, p := range q {
+		rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
+		var got, want ticks
+		got.preAt, got.actAt, got.ready, got.cmdAt = c.issueAt(p)
+		want.preAt, want.actAt, want.ready, want.cmdAt = c.issueAtOracle(rk, bi, rk.openRow[bi] == int64(p.coord.Row), p.isRead)
+		if got != want {
+			t.Fatalf("burst %d %+v (read=%v): issueAt = %+v, single-level oracle = %+v", p.seq, p.coord, p.isRead, got, want)
+		}
+	}
+}
+
 // With the data bus busy far into the future, the bus — not bank state —
 // bounds every candidate's true issue tick. The old cost function ignored
 // busBusyUntil entirely; issueAt applies the bus clamp doDRAMAccess
@@ -378,7 +433,9 @@ func randomizeTiming(c *Controller, rng *rand.Rand, rows int) {
 // one queue with random bursts over few rows (so hits, conflicts and
 // same-bank runs all occur) and then services the whole queue, comparing
 // product and oracle at every decision; servicing through doDRAMAccess moves
-// the state on the way the scheduler really does.
+// the state on the way the scheduler really does. At every decision issueAt
+// must also answer, for every queued burst, what the single-level rules it was
+// split from answer.
 func TestChooseNextMatchesLinearScan(t *testing.T) {
 	perBank := dram.LPDDR5_6400_x32()
 	perBank.Refresh = dram.RefPerBank
@@ -423,6 +480,7 @@ func TestChooseNextMatchesLinearScan(t *testing.T) {
 		for q.n > 0 {
 			checkQueueIndex(t, c)
 			all := queued(q)
+			checkIssueAt(t, c, all)
 			want := all[c.chooseNextOracle(all)]
 			got := c.chooseNext(q)
 			if got != want {

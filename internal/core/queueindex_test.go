@@ -16,12 +16,18 @@ import (
 // checkQueueIndex verifies the invariants of both burst queues' bank index
 // against the arrival list and the bank state: every queued burst is on
 // exactly one bank list (its own bank's), both kinds of list are in arrival
-// order with consistent back links, and the cached per-rank and per-bank-hit
-// counts equal a recount.
+// order with consistent back links, and the cached per-rank, per-bank-hit,
+// queue-wide hit and per-address-slot counts equal a recount (the read queue
+// keeps no address table).
 func checkQueueIndex(t *testing.T, c *Controller) {
 	t.Helper()
 	for name, q := range map[string]*burstQueue{"read": &c.readQueue, "write": &c.writeQueue} {
 		listed := map[*dramPacket]bool{}
+		if (q.addrCount == nil) != q.isRead || len(q.addrCount)&(len(q.addrCount)-1) != 0 ||
+			(!q.isRead && len(q.addrCount) < 4*c.cfg.WriteBufferSize) {
+			t.Fatalf("%s queue: address table of %d slots for a %d-entry write buffer", name, len(q.addrCount), c.cfg.WriteBufferSize)
+		}
+		slots := make([]uint32, len(q.addrCount))
 		var prev *dramPacket
 		for p := q.head; p != nil; prev, p = p, p.next {
 			if p.prev != prev || (prev != nil && prev.seq >= p.seq) {
@@ -31,11 +37,19 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 				t.Fatalf("%s queue holds a burst of the other direction (seq %d)", name, p.seq)
 			}
 			listed[p] = true
+			if len(slots) > 0 {
+				slots[q.addrSlot(p.burstAddr)]++
+			}
+		}
+		for i, n := range slots {
+			if q.addrCount[i] != n {
+				t.Fatalf("%s queue: address slot %d caches %d bursts, recount %d", name, i, q.addrCount[i], n)
+			}
 		}
 		if q.tail != prev || len(listed) != q.n {
 			t.Fatalf("%s queue: tail/len mismatch: %d listed, n=%d", name, len(listed), q.n)
 		}
-		onBank := 0
+		onBank, allHits := 0, 0
 		for ri, rk := range c.ranks {
 			inRank := 0
 			for bi, b := range q.rankBanks(ri) {
@@ -61,6 +75,7 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 					t.Fatalf("%s queue: rank %d bank %d caches %d hits on open row %d, recount %d",
 						name, ri, bi, b.hits, rk.openRow[bi], hits)
 				}
+				allHits += hits
 			}
 			if q.perRank[ri] != inRank {
 				t.Fatalf("%s queue: rank %d caches %d bursts, recount %d", name, ri, q.perRank[ri], inRank)
@@ -71,6 +86,9 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 		// equal totals put every queued burst on exactly one bank list.
 		if onBank != q.n {
 			t.Fatalf("%s queue: %d bursts on bank lists, %d queued", name, onBank, q.n)
+		}
+		if q.hits != allHits {
+			t.Fatalf("%s queue: caches %d hits over all banks, recount %d", name, q.hits, allHits)
 		}
 	}
 }

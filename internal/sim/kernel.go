@@ -337,24 +337,27 @@ func (k *Kernel) enqueue(ent qentry) {
 // Ring entries whose bucket no longer fits the new window are evicted to the
 // far heap; tombstones are dropped. This only happens when an event is
 // scheduled between runs, behind a cursor parked at a future event, so the
-// full-ring sweep is off the hot path.
+// sweep is off the hot path; it visits the slots the bitmap names.
 func (k *Kernel) retreat(bn int64) {
-	for i := range k.buckets {
-		slot := k.buckets[i][:0]
-		for _, ent := range k.buckets[i] {
-			if !ent.live() {
-				continue
+	for w, word := range k.occ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			slot := k.buckets[i][:0]
+			for _, ent := range k.buckets[i] {
+				if !ent.live() {
+					continue
+				}
+				if bucketOf(ent.when) >= bn+bucketCount {
+					k.pushFar(ent)
+					k.inWindow--
+				} else {
+					slot = append(slot, ent)
+				}
 			}
-			if bucketOf(ent.when) >= bn+bucketCount {
-				k.pushFar(ent)
-				k.inWindow--
-			} else {
-				slot = append(slot, ent)
+			k.buckets[i] = slot
+			if len(slot) == 0 {
+				k.occ[w] &^= 1 << (i & 63)
 			}
-		}
-		k.buckets[i] = slot
-		if len(slot) == 0 {
-			k.occ[i>>6] &^= 1 << (i & 63)
 		}
 	}
 	k.curBucket = bn

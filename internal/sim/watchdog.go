@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -45,10 +46,12 @@ type QueuedEvent struct {
 // left by Deschedule/Reschedule are filtered out.
 func (k *Kernel) PendingEvents() []QueuedEvent {
 	ents := make([]qentry, 0, k.pending)
-	for i := range k.buckets {
-		for _, ent := range k.buckets[i] {
-			if ent.live() {
-				ents = append(ents, ent)
+	for w, word := range k.occ {
+		for ; word != 0; word &= word - 1 {
+			for _, ent := range k.buckets[w<<6+bits.TrailingZeros64(word)] {
+				if ent.live() {
+					ents = append(ents, ent)
+				}
 			}
 		}
 	}
