@@ -241,10 +241,9 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 }
 
 // BenchmarkKernelGap fires one self-rescheduling event at a fixed spacing,
-// beside a refresh-like event every 7.8 us that lives in the far heap. An
-// event kernel pays per event, not per simulated time skipped, so ns/event
-// must read the same at every gap: inside a bucket, a few buckets, most of
-// the ring, and beyond the window.
+// beside a refresh-like event every 7.8 us. An event kernel pays per event,
+// not per simulated time skipped, so ns/event must read the same at every
+// gap, from one bus clock to beyond the refresh interval.
 func BenchmarkKernelGap(b *testing.B) {
 	for _, gap := range []sim.Tick{
 		sim.Nanosecond, 6 * sim.Nanosecond, 48 * sim.Nanosecond,
@@ -268,6 +267,50 @@ func BenchmarkKernelGap(b *testing.B) {
 			k.Run()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.EventsExecuted()), "ns/event")
 		})
+	}
+}
+
+// BenchmarkKernelDepth holds 4 to 256 events pending, where the queue's cost
+// stops being flat: the sorted ring walks past, and moves, min(rank,
+// depth-rank) entries per insert. That is a few when a quarter of the queue
+// is refresh-like timers parked at the tail and the rest re-arm 1-8 ns ahead
+// (near: the shape every topology has, and no shipped one is deeper than 36),
+// and depth/4 on average when every event re-arms at a uniformly random rank
+// (random: the worst case).
+func BenchmarkKernelDepth(b *testing.B) {
+	for _, shape := range []string{"near", "random"} {
+		random := shape == "random"
+		for _, depth := range []int{4, 16, 64, 256} {
+			b.Run(fmt.Sprintf("%s/%d", shape, depth), func(b *testing.B) {
+				k := sim.NewKernel()
+				left := b.N
+				rng := uint64(1)
+				events := make([]*sim.Event, depth)
+				for i := range events {
+					delay := sim.Tick(1+i%8) * sim.Nanosecond
+					if !random && i%4 == 3 {
+						delay = 7800 * sim.Nanosecond
+					}
+					events[i] = sim.NewEvent("hold", func() {
+						if left--; left <= 0 {
+							return
+						}
+						d := delay
+						if random {
+							rng ^= rng << 13
+							rng ^= rng >> 7
+							rng ^= rng << 17
+							d = sim.Tick(rng % uint64(sim.Microsecond))
+						}
+						k.Schedule(events[i], k.Now()+d)
+					})
+					k.Schedule(events[i], delay)
+				}
+				b.ResetTimer()
+				k.RunUntil(sim.MaxTick)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.EventsExecuted()), "ns/event")
+			})
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func TestControllerSteadyStateZeroAlloc(t *testing.T) {
 		}
 		pool.Put(pkt)
 	}
-	// Warm everything: queue capacities, pools, the calendar queue, the
+	// Warm everything: queue capacities, pools, the kernel's event ring, the
 	// activation window, and enough refreshes to size their paths too.
 	for i := 0; i < 2000; i++ {
 		cycle()

@@ -63,8 +63,8 @@ func TestCoreSteadyStateZeroAlloc(t *testing.T) {
 	mem.Connect(c.Port(), m.port)
 	c.Start()
 	step := func() { k.RunUntil(k.Now() + sim.Microsecond) }
-	// Long enough for every calendar bucket of the kernel to have seen its
-	// peak occupancy (bucket arrays grow on first touch, then are reused).
+	// Long enough for the kernel's event ring and the free list behind Call to
+	// have reached their peak (both grow on demand, then are reused).
 	for i := 0; i < 300; i++ {
 		step()
 	}

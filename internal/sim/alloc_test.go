@@ -2,16 +2,15 @@ package sim
 
 import "testing"
 
-// The event hot path must not allocate in steady state: the calendar queue
-// stores occurrences as values in reused bucket slices, the far heap reuses
-// its backing array, and Call/CallIn draw one-shot events from the kernel
-// free list. These tests gate that property — a regression here shows up as
+// The event hot path must not allocate in steady state: the queue stores
+// entries as values in one ring that only grows, and Call/CallIn draw one-shot
+// events from the kernel free list. These tests gate that property — a regression here shows up as
 // GC pressure in every sharded benchmark.
 
 // TestScheduleSteadyStateZeroAlloc drives a named event through the
 // schedule/fire cycle the controller hot path uses (Schedule, Reschedule,
-// Deschedule and the cursor drain) and requires zero allocations per cycle
-// once the queue's backing arrays are warm.
+// Deschedule and the fire loop) and requires zero allocations per cycle once
+// the ring has grown.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	fired := 0
@@ -21,10 +20,10 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	cycle := func() {
 		k.Schedule(ev, k.Now()+3)
 		k.Schedule(ev2, k.Now()+9)
-		k.Reschedule(ev2, k.Now()+5) // leaves a tombstone behind
+		k.Reschedule(ev2, k.Now()+5)
 		k.RunUntil(k.Now() + 16)
 	}
-	// Warm up: grow bucket slices to their steady-state capacity.
+	// Warm up: let the ring reach its steady-state capacity.
 	for i := 0; i < 64; i++ {
 		cycle()
 	}
@@ -75,7 +74,7 @@ func TestPeekNextMatchesRunOrder(t *testing.T) {
 		ev := NewEvent(name, func() { order = append(order, k.Now()) })
 		k.Schedule(ev, at)
 	}
-	mk("far", 1_000_000) // beyond the bucket window: exercises the far heap
+	mk("far", 1_000_000)
 	mk("near", 7)
 	mk("mid", 40)
 
@@ -98,8 +97,8 @@ func TestPeekNextMatchesRunOrder(t *testing.T) {
 	}
 }
 
-// TestPeekNextSkipsTombstones: a descheduled event must not be reported as
-// the next event, even though its queue entry is still physically present.
+// TestPeekNextSkipsTombstones: a descheduled event is gone from the queue
+// and must not be reported as the next event.
 func TestPeekNextSkipsTombstones(t *testing.T) {
 	k := NewKernel()
 	dead := NewEvent("dead", func() {})
@@ -108,6 +107,6 @@ func TestPeekNextSkipsTombstones(t *testing.T) {
 	k.Schedule(live, 9)
 	k.Deschedule(dead)
 	if got, ok := k.PeekNext(); !ok || got != 9 {
-		t.Fatalf("PeekNext = %v,%v want 9,true (tombstone not skipped)", got, ok)
+		t.Fatalf("PeekNext = %v,%v want 9,true (descheduled event still reported)", got, ok)
 	}
 }

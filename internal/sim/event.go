@@ -31,9 +31,8 @@ type Event struct {
 
 	// Managed by the kernel/queue:
 	when      Tick
-	seq       uint64 // seq of the current scheduling; stale entries mismatch
+	seq       uint64 // drawn at every (re)schedule; with when and priority, the queue key
 	scheduled bool
-	inFar     bool // current entry lives in the far heap, not the ring
 	pooled    bool // owned by a kernel free list (created via Kernel.Call)
 }
 

@@ -188,26 +188,6 @@ func TestRunUntilPastLimitKeepsTime(t *testing.T) {
 	}
 }
 
-func TestStopDuringRun(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := Tick(1); i <= 10; i++ {
-		k.Schedule(NewEvent("e", func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		}), i)
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 after Stop", count)
-	}
-	if k.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", k.Pending())
-	}
-}
-
 func TestEventScheduledDuringExecution(t *testing.T) {
 	k := NewKernel()
 	var order []string

@@ -8,62 +8,41 @@ import (
 	"testing"
 )
 
-// The calendar queue against a reference queue. A programme — a byte string,
+// The kernel's queue against a reference queue. A programme — a byte string,
 // so the same interpreter serves a seeded property test and a native fuzz
 // target — drives one Kernel and one reference in lockstep: every Schedule,
 // Deschedule, Reschedule and Call, issued between runs and from inside
 // callbacks, is applied to both, and every event the kernel fires must be the
 // reference's minimum. The reference is a plain slice kept sorted by
-// (when, priority, seq); it knows nothing of buckets, bitmaps or heaps.
+// (when, priority, seq) through the standard library; it knows nothing of
+// rings, heads or masks.
 
-// checkRing verifies the calendar queue's invariants against a recount: an
-// occupancy bit is set exactly when its slot holds entries (live or not),
-// every entry sits in the slot of its bucket inside the window, the consumed
-// prefix of the cursor bucket holds nothing live and the rest of it is sorted,
-// no far entry lies inside the window, and the cached counts equal the live
-// entries actually stored.
+// checkRing verifies the sorted ring's invariants by recount: the capacity is
+// zero or a power of two, the n entries from head are strictly increasing in
+// firing order, each is the current scheduling of its event, and every slot
+// outside [head, head+n) is the zero qentry.
 func checkRing(t testing.TB, k *Kernel) {
 	t.Helper()
-	cur := int(k.curBucket & bucketMask)
-	inWindow := 0
-	for i, slot := range k.buckets {
-		if occupied := k.occ[i>>6]>>(i&63)&1 == 1; occupied != (len(slot) > 0) {
-			t.Fatalf("slot %d: occupancy bit %v but %d entries", i, occupied, len(slot))
-		}
-		for j, ent := range slot {
-			if bn := bucketOf(ent.when); bn < k.curBucket || bn >= k.curBucket+bucketCount || int(bn&bucketMask) != i {
-				t.Fatalf("slot %d holds an entry of bucket %d; window starts at %d", i, bn, k.curBucket)
-			}
-			if !ent.live() {
-				continue
-			}
-			inWindow++
-			if ent.ev.inFar {
-				t.Fatalf("slot %d: live entry %q is marked as stored in the far heap", i, ent.ev.name)
-			}
-			if i == cur && k.curSorted && j < k.curIdx {
-				t.Fatalf("cursor bucket: live entry %q at %d inside the consumed prefix [0,%d)", ent.ev.name, j, k.curIdx)
-			}
-		}
-		if i == cur && k.curSorted && k.curIdx < len(slot) && !slices.IsSortedFunc(slot[k.curIdx:], compareQentry) {
-			t.Fatalf("cursor bucket is marked sorted but is not, from index %d", k.curIdx)
-		}
+	size := len(k.q)
+	if size&(size-1) != 0 || k.n < 0 || k.n > size || k.head < 0 || (size > 0 && k.head >= size) {
+		t.Fatalf("ring of %d slots with head %d and %d entries", size, k.head, k.n)
 	}
-	farLive := 0
-	for _, ent := range k.far.s {
-		if bn := bucketOf(ent.when); bn < k.curBucket+bucketCount {
-			t.Fatalf("far heap holds an entry of bucket %d, inside the window [%d,%d)", bn, k.curBucket, k.curBucket+bucketCount)
-		}
-		if ent.live() {
-			farLive++
-			if !ent.ev.inFar {
-				t.Fatalf("far heap: live entry %q is marked as stored in the ring", ent.ev.name)
+	for i := 0; i < size; i++ {
+		ent := k.q[(k.head+i)%size]
+		if i >= k.n {
+			if ent != (qentry{}) {
+				t.Fatalf("slot %d past the %d pending entries holds %+v, want the zero entry", i, k.n, ent)
 			}
+			continue
 		}
-	}
-	if inWindow != k.inWindow || farLive != k.farLive || inWindow+farLive != k.pending {
-		t.Fatalf("cached counts inWindow=%d farLive=%d pending=%d, recount %d ring + %d far",
-			k.inWindow, k.farLive, k.pending, inWindow, farLive)
+		e := ent.ev
+		if e == nil || !e.scheduled || e.when != ent.when || e.seq != ent.seq || e.priority != ent.pri {
+			t.Fatalf("entry %d (%s, priority %d, seq %d) is not the current scheduling of its event %+v", i, ent.when, ent.pri, ent.seq, e)
+		}
+		if prev := k.q[(k.head+i+size-1)%size]; i > 0 && !prev.before(ent) {
+			t.Fatalf("entry %d %q (%s, priority %d, seq %d) does not fire after entry %d %q (%s, priority %d, seq %d)",
+				i, e.name, ent.when, ent.pri, ent.seq, i-1, prev.ev.name, prev.when, prev.pri, prev.seq)
+		}
 	}
 }
 
@@ -92,22 +71,29 @@ type oracle struct {
 	executed uint64
 	queue    []refEntry
 
-	// What the programme exercised, read off the kernel between one event
-	// (or operation) and the next.
-	lastCursor  int64
-	lastFarLive int
-	reached     reached
+	// The reference's model of where the ring's entries lie — the slot of the
+	// first and the capacity — from which it tells which case each operation
+	// is. check holds the kernel to it, so the counts are of what happened.
+	head, size int
+	reached    [ringCases]int
 }
 
-// reached counts the cases the cursor handling has to get right.
-type reached struct {
-	wordSkips  int // skips that cross a word of the bitmap
-	wraps      int // skips around the end of the ring
-	farRefills int // skips that made far entries due
-	warps      int // jumps to the far heap's minimum
-	retreats   int // schedules behind a parked cursor
-	restores   int
-}
+// ringCase is one of the cases the ring's shifts have to get right.
+type ringCase int
+
+const (
+	headInsert   ringCase = iota // an insert that moves the head side
+	tailInsert                   // an insert that moves the tail side
+	wrapShift                    // a shift, of either kind, that moves an entry across slot 0
+	wrapGrowth                   // a doubling of a ring whose head is not at slot 0
+	headRemove                   // a removal that closes the gap from the head side
+	tailRemove                   // a removal that closes the gap from the tail side
+	clockRestore                 // a clock warp over a ring that entries came and went from
+	ringCases
+)
+
+var ringCaseNames = [ringCases]string{"head-side insert", "tail-side insert", "shift across slot 0",
+	"growth while wrapped", "head-side removal", "tail-side removal", "restore"}
 
 var oraclePriorities = []Priority{MinPriority, StatsPriority, DefaultPriority, DefaultPriority, DefaultPriority, CPUPriority, MaxPriority}
 
@@ -130,16 +116,21 @@ func (o *oracle) next() int {
 	return int(o.prog[o.pos-1])
 }
 
-// gap draws a delay: zero, inside one bucket, 1–300 buckets (so skips cross
-// the bitmap's word boundaries and wrap the ring), 1–20 us (far heap and
-// warp), or aimed at the edge of the window — the last ring bucket, the
-// first far one, or up to a ring beyond an entry already pending, so that a
-// far entry becomes due exactly when the cursor skips to that entry.
+// gap draws a delay: zero, under a nanosecond, up to 300 ns (the model's
+// timing parameters), 1–20 us (refresh and idle timers), or aimed at an entry
+// already pending — its very tick, so priority and seq decide, or up to half
+// a nanosecond either side of it.
 func (o *oracle) gap() Tick {
 	class, v := o.next(), int64(o.next())|int64(o.next())<<8
-	const width = 1 << bucketShift
-	// toBucket is the delay from now into bucket bn (zero if that is past).
-	toBucket := func(bn int64) Tick { return max(0, Tick(bn*width+v%width)-o.now) }
+	const width = 1024
+	// near is the delay from now to d ticks after a pending entry (zero if
+	// that is past, or nothing is pending).
+	near := func(d int64) Tick {
+		if len(o.queue) == 0 {
+			return 0
+		}
+		return max(0, o.queue[v%int64(len(o.queue))].when+Tick(d)-o.now)
+	}
 	switch class % 8 {
 	case 0:
 		return 0
@@ -150,46 +141,70 @@ func (o *oracle) gap() Tick {
 	case 4:
 		return Microsecond + Tick(v*290)
 	case 5:
-		return toBucket(o.k.curBucket + bucketCount - v%2)
+		return near(0)
 	case 6:
-		if len(o.queue) == 0 {
-			return 0
-		}
-		pending := bucketOf(o.queue[v%int64(len(o.queue))].when)
-		return toBucket(pending + bucketCount - int64(class>>3)*(v%9))
+		return near(v%width - width/2)
 	default:
 		return Tick((1 + v%6) * width)
 	}
 }
 
+// refAdd inserts into the reference and, knowing the rank, notes which of the
+// ring's cases the kernel's matching insert is.
 func (o *oracle) refAdd(id int, pri Priority, when Tick) {
 	ent := refEntry{when: when, pri: pri, seq: o.nextSeq, id: id}
 	o.nextSeq++
 	i, _ := slices.BinarySearchFunc(o.queue, ent, compareRef)
+	n := len(o.queue)
+	if n == o.size {
+		if o.head != 0 {
+			o.reached[wrapGrowth]++
+		}
+		o.size, o.head = max(minRing, 2*o.size), 0
+	}
+	if n > 0 && i <= n/2 {
+		o.reached[headInsert]++
+		o.head = (o.head - 1 + o.size) % o.size
+		o.shifted(o.head, i)
+	} else {
+		o.reached[tailInsert]++
+		o.shifted(o.head+i, n-i)
+	}
 	o.queue = slices.Insert(o.queue, i, ent)
 }
 
+// refRemove is refAdd's counterpart for a removal.
 func (o *oracle) refRemove(id int) {
 	i := slices.IndexFunc(o.queue, func(ent refEntry) bool { return ent.id == id })
 	if i < 0 {
 		o.t.Fatalf("reference has no pending entry for e%d", id)
 	}
+	if n := len(o.queue); i < n-1-i {
+		o.reached[headRemove]++
+		o.shifted(o.head, i)
+		o.head = (o.head + 1) % o.size
+	} else {
+		o.reached[tailRemove]++
+		o.shifted(o.head+i, n-1-i)
+	}
 	o.queue = slices.Delete(o.queue, i, i+1)
+}
+
+// shifted notes a shift of moved entries by one slot, over the moved+1 slots
+// that start at slot from, when the ring's last slot and slot 0 are both among
+// them.
+func (o *oracle) shifted(from, moved int) {
+	if moved > 0 && from/o.size != (from+moved)/o.size {
+		o.reached[wrapShift]++
+	}
 }
 
 func compareRef(a, b refEntry) int {
 	return cmp.Or(cmp.Compare(a.when, b.when), cmp.Compare(a.pri, b.pri), cmp.Compare(a.seq, b.seq))
 }
 
-// at draws a delay and returns the tick it leads to, noting a schedule
-// behind a cursor that a run or a peek parked at a later event.
-func (o *oracle) at() Tick {
-	when := o.now + o.gap()
-	if bucketOf(when) < o.k.curBucket {
-		o.reached.retreats++
-	}
-	return when
-}
+// at draws a delay and returns the tick it leads to.
+func (o *oracle) at() Tick { return o.now + o.gap() }
 
 func (o *oracle) schedule(id int, when Tick) {
 	o.k.Schedule(o.events[id], when)
@@ -233,8 +248,8 @@ func (o *oracle) mutate() {
 	case 2:
 		o.call(o.at())
 	case 3:
-		// A tombstone and a live entry in one go: schedule, deschedule,
-		// schedule the neighbour there instead.
+		// An entry that comes and goes: schedule, deschedule, schedule the
+		// neighbour there instead.
 		if !scheduled {
 			o.schedule(id, o.at())
 			o.deschedule(id)
@@ -259,13 +274,12 @@ func (o *oracle) fired(id int) {
 	}
 	o.now = head.when
 	o.executed++
-	o.observeCursor()
-	checkRing(o.t, o.k)
+	o.head = (o.head + 1) % o.size
+	o.checkRing()
 	for n := o.next() % 4; n > 0; n-- {
 		o.mutate()
 	}
-	checkRing(o.t, o.k)
-	o.lastCursor, o.lastFarLive = o.k.curBucket, o.k.farLive
+	o.checkRing()
 }
 
 func (o *oracle) name(id int) string {
@@ -273,27 +287,6 @@ func (o *oracle) name(id int) string {
 		return fmt.Sprintf("c%d", -id)
 	}
 	return fmt.Sprintf("e%d", id)
-}
-
-// observeCursor classifies what settle did since the last event or
-// operation ended, so the property test can insist that the programmes
-// reached the cases they are for.
-func (o *oracle) observeCursor() {
-	from, to := o.lastCursor, o.k.curBucket
-	switch d := to - from; {
-	case d >= bucketCount:
-		o.reached.warps++
-	case d > 1:
-		if from&bucketMask>>6 != to&bucketMask>>6 {
-			o.reached.wordSkips++
-		}
-		if to&bucketMask < from&bucketMask {
-			o.reached.wraps++
-		}
-		if o.k.farLive < o.lastFarLive {
-			o.reached.farRefills++
-		}
-	}
 }
 
 func (o *oracle) runUntil(limit Tick) {
@@ -317,11 +310,11 @@ func (o *oracle) peek() {
 	if ok != (len(o.queue) > 0) || (ok && when != o.queue[0].when) {
 		o.t.Fatalf("PeekNext = %s, %v; reference holds %d entries, first %+v", when, ok, len(o.queue), o.queue[:min(1, len(o.queue))])
 	}
-	o.observeCursor()
 }
 
-// restore drains the queue, leaves tombstones in both levels and warps the
-// clock, as a checkpoint restore does before its deferred re-schedules.
+// restore drains the queue, has four entries come and go as a constructor's
+// armed events do, and warps the clock, as a checkpoint restore does before
+// its deferred re-schedules.
 func (o *oracle) restore() {
 	o.run()
 	for id := 0; id < 4; id++ {
@@ -334,15 +327,25 @@ func (o *oracle) restore() {
 	c.Now += o.gap()
 	o.k.RestoreClock(c)
 	o.now = c.Now
-	o.reached.restores++
+	o.reached[clockRestore]++
+}
+
+// checkRing recounts the ring and holds it to the reference's length and to
+// the layout the reference's case counts assume.
+func (o *oracle) checkRing() {
+	o.t.Helper()
+	checkRing(o.t, o.k)
+	if o.k.n != len(o.queue) || o.k.head != o.head || len(o.k.q) != o.size {
+		o.t.Fatalf("ring holds %d entries from slot %d of %d, reference %d from slot %d of %d",
+			o.k.n, o.k.head, len(o.k.q), len(o.queue), o.head, o.size)
+	}
 }
 
 // check compares everything the kernel reports about itself with the
-// reference (PeekNext apart: it moves the cursor, so it is an operation).
+// reference.
 func (o *oracle) check() {
 	o.t.Helper()
-	checkRing(o.t, o.k)
-	o.lastCursor, o.lastFarLive = o.k.curBucket, o.k.farLive
+	o.checkRing()
 	if o.k.Now() != o.now || o.k.EventsExecuted() != o.executed || o.k.Pending() != len(o.queue) {
 		o.t.Fatalf("kernel now=%s executed=%d pending=%d, reference now=%s executed=%d pending=%d",
 			o.k.Now(), o.k.EventsExecuted(), o.k.Pending(), o.now, o.executed, len(o.queue))
@@ -392,25 +395,22 @@ func randomProgramme(seed int64, n int) []byte {
 }
 
 // TestKernelAgainstReference is the seeded property: 150 random programmes,
-// and between them every case the skip has to get right must have occurred.
+// and between them every case the ring has to get right must have occurred.
 func TestKernelAgainstReference(t *testing.T) {
-	var sum reached
+	var sum [ringCases]int
 	var events uint64
 	for seed := int64(1); seed <= 150; seed++ {
 		o := runProgramme(t, randomProgramme(seed, 3000))
 		events += o.executed
-		sum.wordSkips += o.reached.wordSkips
-		sum.wraps += o.reached.wraps
-		sum.farRefills += o.reached.farRefills
-		sum.warps += o.reached.warps
-		sum.retreats += o.reached.retreats
-		sum.restores += o.reached.restores
+		for c, n := range o.reached {
+			sum[c] += n
+		}
 	}
-	t.Logf("%d events fired; reached %+v", events, sum)
-	for _, n := range []int{sum.wordSkips, sum.wraps, sum.farRefills, sum.warps, sum.retreats, sum.restores} {
+	t.Logf("%d events fired", events)
+	for c, n := range sum {
+		t.Logf("%-22s %d", ringCaseNames[c], n)
 		if n < 100 {
-			t.Errorf("a case was reached fewer than 100 times (%+v): the generator lost its aim", sum)
-			break
+			t.Errorf("%s was reached %d times, want at least 100: the generator lost its aim", ringCaseNames[c], n)
 		}
 	}
 }

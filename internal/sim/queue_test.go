@@ -6,15 +6,14 @@ import (
 	"testing"
 )
 
-// Events far beyond the bucket window must still interleave correctly with
-// near events scheduled later: the far heap refills the ring as the window
-// advances, and ordering is global, not per-level.
+// Events due far ahead must still interleave correctly with near events
+// scheduled later: the order is by tick, whatever the order of scheduling.
 func TestQueueFarNearInterleave(t *testing.T) {
 	k := NewKernel()
 	var got []Tick
 	record := func(at Tick) func() { return func() { got = append(got, at) } }
 
-	// Far first (beyond the ~262ns window), then near, then mid.
+	// Far first, then near, then mid.
 	for _, at := range []Tick{Second, 500 * Nanosecond, 5 * Nanosecond, 300 * Nanosecond, Microsecond} {
 		k.Schedule(NewEvent("e", record(at)), at)
 	}
@@ -31,21 +30,21 @@ func TestQueueFarNearInterleave(t *testing.T) {
 	}
 }
 
-// A far event that becomes the earliest pending work after the window drains
-// makes the cursor jump, not crawl; and an event scheduled afterwards at an
-// earlier tick (behind the parked cursor) must still fire first.
-func TestQueueCursorRetreat(t *testing.T) {
+// A run that stops short of a far event leaves it pending at the head; an
+// event scheduled afterwards, between the run's limit and the far event, must
+// still fire first.
+func TestQueueScheduleAheadOfParkedHead(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Schedule(NewEvent("warm", func() { order = append(order, "warm") }), 10*Nanosecond)
 	k.Schedule(NewEvent("far", func() { order = append(order, "far") }), 10*Microsecond)
 
-	// Run past the near event; the cursor parks at the far event's bucket.
+	// Run past the near event; the far event is now the head.
 	if now := k.RunUntil(Microsecond); now != Microsecond {
 		t.Fatalf("RunUntil left now at %s", now)
 	}
 	checkRing(t, k)
-	// Schedule between runs, earlier than the parked cursor.
+	// Schedule between runs, earlier than the head.
 	k.Schedule(NewEvent("behind", func() { order = append(order, "behind") }), 2*Microsecond)
 	k.Schedule(NewEvent("far2", func() { order = append(order, "far2") }), 11*Microsecond)
 	checkRing(t, k)
@@ -99,9 +98,8 @@ func TestQueueCallPoolReuse(t *testing.T) {
 	}
 }
 
-// Heavy Deschedule/Reschedule churn leaves tombstones behind; the queue must
-// keep executing the *current* schedule of every event, in order, and the
-// far heap must compact rather than grow without bound.
+// Under heavy Deschedule/Reschedule churn the queue must keep executing the
+// *current* schedule of every event, in order, and hold nothing else.
 func TestQueueRescheduleChurn(t *testing.T) {
 	k := NewKernel()
 	rng := rand.New(rand.NewSource(7))
@@ -151,9 +149,9 @@ func TestQueueRescheduleChurn(t *testing.T) {
 	}
 }
 
-// Descheduling a far event then draining must not wedge the cursor jump on a
-// heap whose top is a tombstone.
-func TestQueueFarTombstoneTop(t *testing.T) {
+// Descheduling the earlier of two far events then draining must fire the
+// later one and leave nothing behind.
+func TestQueueDescheduledHeadIsGone(t *testing.T) {
 	k := NewKernel()
 	far1 := NewEvent("far1", func() {})
 	fired := false
@@ -169,9 +167,9 @@ func TestQueueFarTombstoneTop(t *testing.T) {
 	}
 }
 
-// Same-tick scheduling during execution must respect the consumed prefix of
-// the sorted cursor bucket: a MinPriority event scheduled "now" from inside
-// a callback still runs after the callback that scheduled it.
+// Same-tick scheduling during execution never lands before what has already
+// fired: a MinPriority event scheduled "now" from inside a callback still
+// runs after the callback that scheduled it, and before the rest of the tick.
 func TestQueueSameTickInsertAfterConsumed(t *testing.T) {
 	k := NewKernel()
 	var order []string

@@ -67,25 +67,17 @@ func (k *Kernel) ClockState() Clock {
 }
 
 // RestoreClock warps the kernel to a checkpointed clock state. It requires
-// that no live events are pending — components must deschedule everything
-// their constructors armed before the warp — and discards any tombstones left
-// in the queue. Re-schedules for checkpointed events follow via
-// Restorer.Defer.
+// that no events are pending — components must deschedule everything their
+// constructors armed before the warp. Re-schedules for checkpointed events
+// follow via Restorer.Defer.
 func (k *Kernel) RestoreClock(c Clock) {
-	if k.pending != 0 {
-		panic(fmt.Sprintf("sim: RestoreClock with %d events still pending (now %s)", k.pending, k.now))
+	if k.n != 0 {
+		panic(fmt.Sprintf("sim: RestoreClock with %d events still pending (now %s)", k.n, k.now))
 	}
-	k.clearRing()
-	k.far.s = k.far.s[:0]
-	k.farLive = 0
-	k.inWindow = 0
 	k.now = c.Now
 	k.executed = c.Executed
 	k.sameTick = c.SameTick
 	k.nextSeq = c.NextSeq
-	k.curBucket = bucketOf(c.Now)
-	k.curIdx = 0
-	k.curSorted = false
 }
 
 // RestoreSeq sets the sequence number the next scheduling draws. Restore

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -42,27 +40,11 @@ type QueuedEvent struct {
 }
 
 // PendingEvents returns a snapshot of the scheduled events in execution
-// order (when, priority, schedule order), for diagnostics. Tombstone entries
-// left by Deschedule/Reschedule are filtered out.
+// order (when, priority, schedule order), for diagnostics.
 func (k *Kernel) PendingEvents() []QueuedEvent {
-	ents := make([]qentry, 0, k.pending)
-	for w, word := range k.occ {
-		for ; word != 0; word &= word - 1 {
-			for _, ent := range k.buckets[w<<6+bits.TrailingZeros64(word)] {
-				if ent.live() {
-					ents = append(ents, ent)
-				}
-			}
-		}
-	}
-	for _, ent := range k.far.s {
-		if ent.live() {
-			ents = append(ents, ent)
-		}
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].before(ents[j]) })
-	out := make([]QueuedEvent, len(ents))
-	for i, ent := range ents {
+	out := make([]QueuedEvent, k.n)
+	for i := range out {
+		ent := k.at(i)
 		out[i] = QueuedEvent{Name: ent.ev.name, When: ent.when, Priority: ent.pri}
 	}
 	return out

@@ -132,7 +132,7 @@ func TestPendingEvents(t *testing.T) {
 	}
 }
 
-// Tombstones left by Deschedule must not appear in diagnostics dumps.
+// Descheduled events must not appear in diagnostics dumps.
 func TestPendingEventsSkipsTombstones(t *testing.T) {
 	k := NewKernel()
 	dead := NewEvent("dead", func() {})

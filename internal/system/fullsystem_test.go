@@ -49,7 +49,7 @@ func fig8Config(memOps uint64) MultiCoreConfig {
 
 // TestFullSystemSteadyStateZeroAlloc is the end-to-end gate over cpu -> L1
 // -> crossbar -> LLC -> crossbar -> controller: once pools, MSHR files,
-// rings and the kernel's calendar buckets are warm, 50 us more of the Fig. 8
+// rings and the kernel's event ring are warm, 50 us more of the Fig. 8
 // system allocate nothing. The per-package gates (cpu, cache, xbar, core)
 // say which layer broke when this one does.
 func TestFullSystemSteadyStateZeroAlloc(t *testing.T) {
