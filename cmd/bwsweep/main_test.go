@@ -25,8 +25,7 @@ func TestGoldens(t *testing.T) {
 	}
 }
 
-// -json writes the canonical result the farm's merged sweep is compared with,
-// and says so ahead of the table.
+// -json writes the canonical result file and says so ahead of the table.
 func TestJSONGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig3.json")
 	out, err := clitest.Tool(run).Output("-figure", "3", "-requests", "500", "-json", path)

@@ -7,12 +7,12 @@
 // equivalent of driving a gem5 memory configuration from the command line.
 // -channels is a parameter of the one wiring, so every flag composes with it.
 //
-// Runs are supervised: -checkpoint enables periodic, checksummed snapshots
-// (-checkpoint-every / -checkpoint-wall), -resume continues a run from its
-// last checkpoint bit-identically, and SIGINT/SIGTERM drain the current
-// quantum, write a final checkpoint, flush statistics, and exit 130. A
-// crashed segment (watchdog trip, injected panic) dumps a postmortem
-// checkpoint and is retried from the last good one up to -max-retries times.
+// Runs are supervised: -checkpoint enables checksummed snapshots — every
+// -checkpoint-every of simulated time and at completion — -resume continues a
+// run from its last checkpoint bit-identically, and SIGINT/SIGTERM drain the
+// current quantum, write a final checkpoint, flush statistics, and exit 130.
+// A failed step (watchdog trip, panic) dumps <checkpoint>.postmortem and ends
+// the run with the tick; -resume continues from the last good checkpoint.
 //
 // Observability: -trace writes a Chrome/Perfetto trace of the run (packet
 // lifecycles, per-bank command spans, refresh windows); -obs-http serves
@@ -366,17 +366,13 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "dramctrl: live observation endpoint on http://%s/\n", live.Addr())
 	}
 
-	var r *rig
+	r, err := build(f, spec, mapping, live, out)
+	if err != nil {
+		return err
+	}
 	notify, stopNotify := supervisor.NotifySignals()
 	defer stopNotify()
-	res, err := supervisor.Run(f.sup.Config(notify), func() (supervisor.Session, error) {
-		built, err := build(f, spec, mapping, live, out)
-		if err != nil {
-			return nil, err
-		}
-		r = built
-		return built.sess, nil
-	})
+	res, err := supervisor.Run(f.sup.Config(notify), r.sess)
 	if err != nil {
 		return err
 	}

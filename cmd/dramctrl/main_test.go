@@ -17,9 +17,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/obs"
 )
 
@@ -135,6 +137,9 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 				if _, err := os.Stat(file("run.ckpt")); err != nil {
 					t.Fatalf("victim run left no periodic checkpoint to resume from: %v", err)
 				}
+				if _, err := os.Stat(file("run.ckpt.postmortem")); err != nil {
+					t.Errorf("the watchdog trip dumped no postmortem image: %v", err)
+				}
 				mustRun(t, with(file("run.json"), file("run.trace"), append(ckpt, "-resume")...)...)
 
 				if !bytes.Equal(read(t, file("run.json")), read(t, file("ref.json"))) {
@@ -150,50 +155,94 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 
 // A supervised run killed with SIGKILL mid-flight — no handler runs, nothing
 // is flushed — and resumed from its last periodic checkpoint finishes with
-// the statistics of the uninterrupted run, byte for byte.
+// the statistics (and, when traced, the Perfetto trace) of the uninterrupted
+// run, byte for byte. The low-power row's ranks spend most of the run in
+// power-down or self-refresh, so the surviving checkpoint sits inside a
+// low-power interval (internal/checkpoint's round-trip matrix pins the exact
+// mid-PD / mid-SR instants). The SIGINT row is the graceful stop: the process
+// writes a final checkpoint, exits 130, and resumes to the same bytes.
 func TestKilledRunResumesToUninterruptedStatistics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kills and resumes a real process")
 	}
-	for requests := 400_000; ; requests *= 2 {
-		dir := t.TempDir()
-		file := func(n string) string { return filepath.Join(dir, n) }
-		args := []string{"-pattern", "random", "-reads", "67", "-seed", "7", "-requests", strconv.Itoa(requests)}
-		ckpt := append(args[:len(args):len(args)], "-checkpoint", file("run.ckpt"), "-checkpoint-every", "50000")
+	random := []string{"-pattern", "random", "-reads", "67", "-seed", "7"}
+	for _, row := range []struct {
+		name     string
+		traffic  []string
+		requests int // grown until the signal lands before the victim finishes
+		traced   bool
+		sig      syscall.Signal
+		exit     int // the victim's exit code: -1 when the signal killed it
+	}{
+		{"random", random, 400_000, false, syscall.SIGKILL, -1},
+		{"bursty-lowpower", []string{"-pattern", "bursty", "-reads", "67", "-seed", "7",
+			"-burst-off-ns", "5000", "-powerdown", "300", "-selfrefresh", "2000"}, 40_000, true, syscall.SIGKILL, -1},
+		{"random-sigint", random, 400_000, false, syscall.SIGINT, 130},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			for requests := row.requests; ; requests *= 2 {
+				dir := t.TempDir()
+				file := func(n string) string { return filepath.Join(dir, n) }
+				with := func(js, trace string, extra ...string) []string {
+					args := append(row.traffic[:len(row.traffic):len(row.traffic)], "-requests", strconv.Itoa(requests), "-json", js)
+					if row.traced {
+						args = append(args, "-trace", trace)
+					}
+					return append(args, extra...)
+				}
+				ckpt := []string{"-checkpoint", file("run.ckpt"), "-checkpoint-every", "50000"}
 
-		victim := tool(append(ckpt, "-json", file("victim.json"))...)
-		if err := victim.Start(); err != nil {
-			t.Fatal(err)
-		}
-		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-			if _, err := os.Stat(file("run.ckpt")); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				victim.Process.Kill() //nolint:errcheck // already failing
-				t.Fatal("no checkpoint appeared before the kill")
-			}
-		}
-		if err := victim.Process.Kill(); err != nil {
-			t.Fatal(err)
-		}
-		victim.Wait() //nolint:errcheck // killed: the status is the signal
-		if _, err := os.Stat(file("victim.json")); err == nil {
-			if requests > 50_000_000 {
-				t.Fatal("the victim keeps finishing before the kill")
-			}
-			continue // it finished before the kill landed: run longer
-		}
+				victim := tool(with(file("victim.json"), file("run.trace"), ckpt...)...)
+				if err := victim.Start(); err != nil {
+					t.Fatal(err)
+				}
+				for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+					if _, err := os.Stat(file("run.ckpt")); err == nil {
+						break
+					}
+					if time.Now().After(deadline) {
+						victim.Process.Kill() //nolint:errcheck // already failing
+						t.Fatal("no checkpoint appeared before the signal")
+					}
+				}
+				if err := victim.Process.Signal(row.sig); err != nil {
+					t.Fatal(err)
+				}
+				victim.Wait() //nolint:errcheck // the exit code is what is checked
+				switch code := victim.ProcessState.ExitCode(); code {
+				case row.exit:
+				case 0:
+					if requests > 50_000_000 {
+						t.Fatal("the victim keeps finishing before the signal")
+					}
+					continue // it finished before the signal landed: run longer
+				default:
+					t.Fatalf("victim exited %d after %v, want %d", code, row.sig, row.exit)
+				}
+				t.Logf("%v mid-run at -requests %d", row.sig, requests)
 
-		resumed, err := tool(append(ckpt, "-resume", "-json", file("resumed.json"))...).CombinedOutput()
-		if err != nil || !bytes.Contains(resumed, []byte("supervisor: resumed from")) {
-			t.Fatalf("resume: %v; it must load the checkpoint:\n%s", err, resumed)
-		}
-		mustRun(t, append(args, "-json", file("ref.json"))...)
-		if !bytes.Equal(read(t, file("resumed.json")), read(t, file("ref.json"))) {
-			t.Error("statistics of the killed and resumed run differ from the uninterrupted run")
-		}
-		return
+				resumed, err := tool(with(file("resumed.json"), file("run.trace"), append(ckpt, "-resume")...)...).CombinedOutput()
+				if err != nil || !bytes.Contains(resumed, []byte("supervisor: resumed from")) {
+					t.Fatalf("resume: %v; it must load the checkpoint:\n%s", err, resumed)
+				}
+				ref := mustRun(t, with(file("ref.json"), file("ref.trace"))...)
+				if !bytes.Equal(read(t, file("resumed.json")), read(t, file("ref.json"))) {
+					t.Error("statistics of the killed and resumed run differ from the uninterrupted run")
+				}
+				if row.traced {
+					if !strings.Contains(ref, "self-refresh time") {
+						t.Errorf("the reference run never entered self-refresh:\n%s", ref)
+					}
+					if sum, err := obs.ValidateTraceStrict(file("ref.trace")); err != nil || sum.PowerSpans == 0 || sum.OpenSpans() != 0 {
+						t.Errorf("reference trace fails validate's trace check: %v, %+v", err, sum)
+					}
+					if !bytes.Equal(read(t, file("run.trace")), read(t, file("ref.trace"))) {
+						t.Error("trace of the killed and resumed run differs from the uninterrupted run")
+					}
+				}
+				return
+			}
+		})
 	}
 }
 
@@ -342,6 +391,9 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		{undefined + ": -parallel", []string{"-parallel", "2"}},
 		{undefined + ": -lookahead-quanta", []string{"-lookahead-quanta", "8"}},
 		{undefined + ": -interval", []string{"-interval", "1000"}},
+		// Nothing is retried in process and checkpoints follow simulated time.
+		{undefined + ": -max-retries", []string{"-max-retries", "1"}},
+		{undefined + ": -checkpoint-wall", []string{"-checkpoint-wall", "1s"}},
 		// What the cycle model cannot honour is refused, never ignored.
 		{"fault injection is " + eventOnly, []string{"-model", "cycle", "-ber-correctable", "0.01"}},
 		{"-powerdown/-selfrefresh are " + eventOnly, []string{"-model", "cycle", "-powerdown", "300"}},
@@ -349,9 +401,7 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		{"-page open-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "open-adaptive"}},
 		{"-page closed-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "closed-adaptive"}},
 	} {
-		if _, err := dramctrl(t, with(c.flags...)...); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v: err = %v, want a rejection naming %q", c.flags, err, c.want)
-		}
+		clitest.Refused(t, run, c.want, with(c.flags...)...)
 	}
 
 	out := mustRun(t, with("-list")...)

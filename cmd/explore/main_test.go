@@ -11,8 +11,7 @@ import (
 	"repro/internal/experiments"
 )
 
-// The tables and the -json result (what the farm's merged explore job is
-// compared with) are what the parent commit's binary wrote.
+// The tables and the -json result are what the parent commit's binary wrote.
 func TestGoldens(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig9.json")
 	out, err := clitest.Tool(run).Output("-memops", "300", "-cores", "4", "-json", path)

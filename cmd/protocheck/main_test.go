@@ -1,9 +1,10 @@
 package main
 
-// In-process port of the protocol-oracle half of the old standards smoke
-// script: per standard, a randomized run is violation-free, its recorded
-// command stream replays through the checker alone to the same verdict, and
-// recording is deterministic.
+// In-process port of the protocol-oracle half of the old standards and power
+// smoke scripts: per standard, and for bursty traffic under power-down and
+// self-refresh, a run is violation-free, its recorded command stream replays
+// through the checker alone to the same verdict, and recording is
+// deterministic.
 
 import (
 	"bytes"
@@ -25,17 +26,38 @@ func protocheck(t *testing.T, args ...string) string {
 
 func TestStandardsRecordReplayDeterministic(t *testing.T) {
 	const clean = "protocol clean: no timing violations\n"
-	for _, std := range []string{"ddr3", "ddr4", "ddr5", "lpddr5"} {
-		t.Run(std, func(t *testing.T) {
+	random := []string{"-pattern", "random", "-reads", "67", "-requests", "20000", "-seed", "7"}
+	// Bursty traffic with both idle thresholds armed: every burst is followed
+	// by a multi-microsecond gap, so ranks cycle through power-down and deepen
+	// into self-refresh constantly, and the oracle checks the PDE/PDX/SRE/SRX
+	// transitions and their tCKE/tXP/tXS spacing.
+	lowPower := []string{"-pattern", "bursty", "-reads", "67", "-requests", "20000", "-seed", "7",
+		"-burst-off-ns", "5000", "-powerdown", "300", "-selfrefresh", "2000"}
+	for _, row := range []struct {
+		name    string
+		device  []string // what the recording and the replay are checked against
+		traffic []string
+		want    string // a command the recording must contain ("" = none in particular)
+	}{
+		{"ddr3", []string{"-standard", "ddr3"}, random, ""},
+		{"ddr4", []string{"-standard", "ddr4"}, random, ""},
+		// Same-bank refresh is the headline quirk of DDR5's discipline.
+		{"ddr5", []string{"-standard", "ddr5"}, random, "REFSB"},
+		{"lpddr5", []string{"-standard", "lpddr5"}, random, ""},
+		{"lowpower", []string{"-spec", "DDR3-1600-x64"}, lowPower, "SRE"},
+		// Two ranks wake staggered, and every access closes its row.
+		{"lowpower-2rank-closed", []string{"-spec", "DDR3-1600-x64-2R", "-page", "closed"}, lowPower, "SRE"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
 			first, second := filepath.Join(dir, "a.txt"), filepath.Join(dir, "b.txt")
-			traffic := []string{"-standard", std, "-pattern", "random", "-reads", "67", "-requests", "20000", "-seed", "7"}
+			record := append(row.device[:len(row.device):len(row.device)], row.traffic...)
 
-			recorded := protocheck(t, append(traffic, "-cmd-trace", first)...)
+			recorded := protocheck(t, append(record, "-cmd-trace", first)...)
 			if !strings.HasSuffix(recorded, clean) {
 				t.Fatalf("recording run not clean:\n%s", recorded)
 			}
-			replayed := protocheck(t, "-standard", std, "-cmd-trace-in", first)
+			replayed := protocheck(t, append(row.device[:len(row.device):len(row.device)], "-cmd-trace-in", first)...)
 			if !strings.HasSuffix(replayed, clean) || !strings.HasPrefix(replayed, "replaying ") {
 				t.Fatalf("replay through the checker alone not clean:\n%s", replayed)
 			}
@@ -44,7 +66,7 @@ func TestStandardsRecordReplayDeterministic(t *testing.T) {
 				t.Errorf("replay verdict %q, recording's %q", b, a)
 			}
 
-			protocheck(t, append(traffic, "-cmd-trace", second)...)
+			protocheck(t, append(record, "-cmd-trace", second)...)
 			a, err := os.ReadFile(first)
 			if err != nil {
 				t.Fatal(err)
@@ -56,9 +78,8 @@ func TestStandardsRecordReplayDeterministic(t *testing.T) {
 			if !bytes.Equal(a, b) {
 				t.Error("two recordings of the same run differ")
 			}
-			// Same-bank refresh is the headline quirk of DDR5's discipline.
-			if std == "ddr5" && !bytes.Contains(a, []byte("REFSB")) {
-				t.Error("DDR5 command stream has no REFSB entry")
+			if !bytes.Contains(a, []byte(row.want)) {
+				t.Errorf("command stream has no %s entry", row.want)
 			}
 		})
 	}

@@ -188,7 +188,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Figure 9: three technologies run; LPDDR3's chopped fills hit rows.
-	if res, err := experiments.RunFig9(memOps, cores); err == nil {
+	if res, err := (experiments.Runner{}).RunFig9(memOps, cores); err == nil {
 		var lp experiments.Fig9Row
 		for _, row := range res.Rows {
 			if row.Name == "LPDDR3" {

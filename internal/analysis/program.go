@@ -227,7 +227,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Directives.
 //
-// The annotation vocabulary (see DESIGN.md §15):
+// The annotation vocabulary (see DESIGN.md §14):
 //
 //	//hot:path                — function and its module-local callees must
 //	                            stay allocation-free (the compiler escape

@@ -256,9 +256,8 @@ func (m *Manager) Restore(data []byte) error {
 
 // WriteFileAtomic writes data to path via a temp file in the same directory
 // and a rename, so a crash mid-write can never leave a torn file under the
-// real name. Checkpoint images, experiment result files and the sweep farm's
-// cache entries and queue state all go through this helper — anything a
-// restart trusts must be whole or absent.
+// real name. Checkpoint images and experiment result files go through this
+// helper — anything a restart trusts must be whole or absent.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

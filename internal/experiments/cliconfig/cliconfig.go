@@ -17,7 +17,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -280,11 +279,9 @@ func AddChannels(fs *flag.FlagSet) *int {
 
 // Checkpoint is the supervision/checkpoint flag group.
 type Checkpoint struct {
-	Path       string
-	EveryNs    int64
-	EveryWall  time.Duration
-	Resume     bool
-	MaxRetries int
+	Path    string
+	EveryNs int64
+	Resume  bool
 }
 
 // AddCheckpoint registers the checkpoint flags.
@@ -292,9 +289,7 @@ func AddCheckpoint(fs *flag.FlagSet) *Checkpoint {
 	c := &Checkpoint{}
 	fs.StringVar(&c.Path, "checkpoint", "", "checkpoint file; written periodically, at interrupt, and at completion")
 	fs.Int64Var(&c.EveryNs, "checkpoint-every", 0, "checkpoint every N ns of simulated time (0 = only final/interrupt)")
-	fs.DurationVar(&c.EveryWall, "checkpoint-wall", 0, "checkpoint every wall-clock interval, e.g. 30s (0 = off)")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from -checkpoint if the file exists")
-	fs.IntVar(&c.MaxRetries, "max-retries", 0, "rebuild-and-resume attempts after a crashed segment")
 	return c
 }
 
@@ -306,10 +301,10 @@ func (c *Checkpoint) Validate() error {
 	if c.Resume && c.Path == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
 	}
-	if (c.EveryNs != 0 || c.EveryWall != 0) && c.Path == "" {
-		return fmt.Errorf("-checkpoint-every/-checkpoint-wall need -checkpoint")
+	if c.EveryNs != 0 && c.Path == "" {
+		return fmt.Errorf("-checkpoint-every needs -checkpoint")
 	}
-	if c.EveryNs < 0 || c.EveryWall < 0 {
+	if c.EveryNs < 0 {
 		return fmt.Errorf("negative checkpoint interval")
 	}
 	return nil
@@ -320,9 +315,7 @@ func (c *Checkpoint) Config(notify <-chan os.Signal) supervisor.Config {
 	return supervisor.Config{
 		Checkpoint: c.Path,
 		Every:      sim.Tick(c.EveryNs) * sim.Nanosecond,
-		EveryWall:  c.EveryWall,
 		Resume:     c.Resume,
-		MaxRetries: c.MaxRetries,
 		Notify:     notify,
 		Log:        os.Stderr,
 	}

@@ -204,7 +204,7 @@ func TestFig8Correlation(t *testing.T) {
 }
 
 func TestFig9Exploration(t *testing.T) {
-	res, err := RunFig9(400, 4) // reduced core count for test speed
+	res, err := Runner{}.RunFig9(400, 4) // reduced core count for test speed
 	if err != nil {
 		t.Fatal(err)
 	}

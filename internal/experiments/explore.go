@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -13,9 +11,7 @@ import (
 	"repro/internal/xbar"
 )
 
-// ExploreMemOps and ExploreCores are the defaults of explore and of a farm
-// explore job: one pair of constants, so a default job merges to what the CLI
-// prints.
+// ExploreMemOps and ExploreCores are explore's defaults.
 const (
 	ExploreMemOps = 3000
 	ExploreCores  = 16
@@ -111,42 +107,26 @@ func (mc Fig9Config) Point(memOps uint64, cores int) FullPoint {
 // be missing.
 func (r Runner) RunFig9(memOps uint64, cores int) (*Fig9Result, error) {
 	res := &Fig9Result{}
-	for i := range Fig9Configs() {
-		row, err := r.RunExplorePoint(memOps, cores, i)
+	for _, mc := range Fig9Configs() {
+		row, err := r.runExplorePoint(mc, memOps, cores)
 		if err != nil {
 			return res, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.Normalize()
-	return res, nil
-}
-
-// RunFig9 is the zero Runner's RunFig9: the single-process reference that
-// internal/farm's end-to-end test compares a merged explore job against.
-func RunFig9(memOps uint64, cores int) (*Fig9Result, error) { return Runner{}.RunFig9(memOps, cores) }
-
-// NumExplorePoints returns the number of memory systems in the case study —
-// the explore grid's point count.
-func NumExplorePoints() int { return len(Fig9Configs()) }
-
-// Normalize fills every row's NormIPC relative to the first (DDR3) row. Call
-// only on a complete result — a partial one has no trustworthy baseline.
-func (res *Fig9Result) Normalize() {
+	// Normalise to the first (DDR3) row, which only a complete study has.
 	for i := range res.Rows {
 		res.Rows[i].NormIPC = res.Rows[i].IPC / res.Rows[0].IPC
 	}
+	return res, nil
 }
 
-// RunExplorePoint measures one memory system of the case study — the farm's
-// unit of work and RunFig9's loop body. NormIPC is left zero: normalisation
-// needs the DDR3 baseline, so it happens at merge time (Normalize).
-func (r Runner) RunExplorePoint(memOps uint64, cores, index int) (Fig9Row, error) {
-	configs := Fig9Configs()
-	if index < 0 || index >= len(configs) {
-		return Fig9Row{}, fmt.Errorf("experiments: explore point %d out of range (have %d memory systems)", index, len(configs))
-	}
-	mc := configs[index]
+// NumExplorePoints returns the number of memory systems in the case study.
+func NumExplorePoints() int { return len(Fig9Configs()) }
+
+// runExplorePoint measures one memory system of the case study: RunFig9's
+// loop body. NormIPC is left zero — it needs the DDR3 baseline.
+func (r Runner) runExplorePoint(mc Fig9Config, memOps uint64, cores int) (Fig9Row, error) {
 	fs, _, err := r.RunFull(mc.Point(memOps, cores))
 	if err != nil {
 		return Fig9Row{}, err

@@ -3,17 +3,15 @@
 // and the generators loading it) or a FullPoint (cores over caches over that
 // memory) — and Runner.Run / Runner.RunFull are the only functions that build
 // and run one. Every study (RunSweep, RunLatency, the ablations, RunFaultSweep,
-// RunPowerComparison, RunPowerSavings, RunSpeedup, RunFig8, RunFig9, and the
-// farm's point-level RunSweepPoint / RunExplorePoint) is a table of points fed
-// to that runner, returning the series the paper plots. The cmd/ tools print
-// these results; bench_test.go runs the same points with b.N requests.
+// RunPowerComparison, RunPowerSavings, RunSpeedup, RunFig8, RunFig9) is a
+// table of points fed to that runner, returning the series the paper plots.
+// The cmd/ tools print these results; bench_test.go runs the same points with
+// b.N requests.
 package experiments
 
 import (
 	"errors"
 	"fmt"
-	"io"
-	"path/filepath"
 	"time"
 
 	"repro/internal/core"
@@ -22,7 +20,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/supervisor"
 	"repro/internal/system"
 	"repro/internal/trafficgen"
 	"repro/internal/xbar"
@@ -58,9 +55,6 @@ type Point struct {
 	Probes *obs.Hub
 	// Limit bounds the run's simulated time.
 	Limit sim.Tick
-	// Checkpoint names the point's image inside Runner.CheckpointDir; ""
-	// means the point is never checkpointed.
-	Checkpoint string
 }
 
 // matched returns a point on the paper's matched configurations of both
@@ -115,15 +109,10 @@ type Runner struct {
 	// Started, when non-nil, is called once a point is built, before its
 	// sources start (a benchmark's b.ResetTimer).
 	Started func()
-	// CheckpointDir, when set, makes points that name a Checkpoint crash
-	// recoverable: the run is checkpointed there every EveryWall of host time
-	// (0 = only at completion) and a re-run resumes from the image, which is
-	// bit-identical to never having stopped (see internal/checkpoint). Log
-	// receives the supervisor's diagnostics; nil discards them. The farm
-	// gives every sweep point its own directory.
-	CheckpointDir string
-	EveryWall     time.Duration
-	Log           io.Writer
+	// ran, when non-nil, is told what every finished point cost: the kernel
+	// events it executed and the host time of its stepping. Only the test that
+	// pins the shipped points' size (shipped_test.go) sets it.
+	ran func(name string, kind system.Kind, events uint64, host time.Duration)
 }
 
 // hostTimed returns how long the host took to run fn. The experiment tables
@@ -183,25 +172,12 @@ func (r Runner) Run(p Point) (*Rig, error) {
 		return nil, err
 	}
 	sess := m.Session(sources...)
-	if r.CheckpointDir == "" || p.Checkpoint == "" {
-		rig.Host = hostTimed(func() { err = sess.Run(p.Limit) })
-	} else {
-		// Under the supervisor the session steps the same quanta as Run, so a
-		// checkpointed point reports what an unsupervised one does.
-		sess.Deadline = p.Limit
-		if err := sess.Supervise(""); err != nil {
-			return nil, err
-		}
-		cfg := supervisor.Config{
-			Checkpoint: filepath.Join(r.CheckpointDir, p.Checkpoint), Resume: true,
-			EveryWall: r.EveryWall, Log: r.Log,
-		}
-		rig.Host = hostTimed(func() {
-			_, err = supervisor.Run(cfg, func() (supervisor.Session, error) { return sess, nil })
-		})
-	}
+	rig.Host = hostTimed(func() { err = sess.Run(p.Limit) })
 	if err != nil {
 		return nil, fmt.Errorf("experiments: point %q (%s) did not complete: %w", p.Name, p.Kind, err)
+	}
+	if r.ran != nil {
+		r.ran(p.Name, p.Kind, m.K.EventsExecuted(), rig.Host)
 	}
 	return rig, nil
 }
@@ -228,6 +204,9 @@ func (r Runner) RunFull(p FullPoint) (*system.FullSystem, time.Duration, error) 
 	host := hostTimed(func() { done = fs.Run(p.Limit) })
 	if !done {
 		return nil, 0, fmt.Errorf("experiments: full-system point %q (%s) did not complete within %s", p.Name, p.Kind, p.Limit)
+	}
+	if r.ran != nil {
+		r.ran(p.Name, p.Kind, fs.K.EventsExecuted(), host)
 	}
 	return fs, host, nil
 }

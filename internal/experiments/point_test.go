@@ -27,7 +27,7 @@ func TestRunnerRefusesUnboundedPoints(t *testing.T) {
 	if _, err := (Runner{}).RunAblations("prefetch", 0); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("prefetch ablation with 0 memory operations: err = %v, want %q", err, want)
 	}
-	if _, err := RunFig9(0, 2); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := (Runner{}).RunFig9(0, 2); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("fig9 with 0 memory operations: err = %v, want %q", err, want)
 	}
 }
@@ -40,7 +40,7 @@ func TestRunnerStopReturnsCompletedRows(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) || len(res.Rows) != 1 {
 		t.Fatalf("sweep stopped mid-row: err = %v with %d rows, want ErrInterrupted with 1", err, len(res.Rows))
 	}
-	full, err := Runner{}.RunSweepPoint(s, s.Strides[0], s.Banks[0])
+	full, err := Runner{}.runSweepPoint(s, s.Strides[0], s.Banks[0])
 	if err != nil || res.Rows[0] != full {
 		t.Errorf("row before the stop is %+v, uninterrupted %+v (err %v)", res.Rows[0], full, err)
 	}

@@ -2,12 +2,11 @@ package experiments
 
 import "encoding/json"
 
-// Canonical machine-readable result schemas. The -json outputs of bwsweep and
-// explore and the merged results of simfarm jobs are all rendered through
-// these structs with the same encoder, so a farm-assembled sweep is
-// byte-comparable (cmp, not just semantically equal) to a single-process run
-// of the same grid. Nothing host-dependent (timestamps, durations, hostnames)
-// belongs here for exactly that reason.
+// Canonical machine-readable result schemas: the -json outputs of bwsweep and
+// explore are rendered through these structs with the one encoder, so two runs
+// of the same grid are byte-comparable (cmp, not just semantically equal).
+// Nothing host-dependent (timestamps, durations, hostnames) belongs here for
+// exactly that reason.
 
 // sweepJSON is the canonical form of a SweepResult.
 type sweepJSON struct {
@@ -19,13 +18,13 @@ type sweepJSON struct {
 	Page     string     `json:"page"` // "open" or "closed"
 	ReadPct  int        `json:"readPct"`
 	Requests uint64     `json:"requests"`
-	Partial  bool       `json:"partial"` // rows are missing (interrupt or failed points)
+	Partial  bool       `json:"partial"` // rows are missing (interrupt)
 	Rows     []SweepRow `json:"rows"`
 }
 
 // NewSweepJSON renders a sweep result into its canonical form, to be passed
 // to EncodeResultJSON. partial marks a result with missing rows — an
-// interrupted CLI run or a farm job with failed points.
+// interrupted run.
 func NewSweepJSON(res *SweepResult, partial bool) any {
 	page := "open"
 	if res.Spec.ClosedPage {
@@ -68,8 +67,7 @@ func NewFig9JSON(res *Fig9Result, memOps uint64, cores int, partial bool) any {
 }
 
 // EncodeResultJSON is the one encoder every canonical result goes through:
-// two-space indentation, trailing newline. Byte-comparability across
-// producers depends on everyone using it.
+// two-space indentation, trailing newline.
 func EncodeResultJSON(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -7,8 +7,7 @@ import (
 	"repro/internal/system"
 )
 
-// SweepRequests is the requests-per-point default of bwsweep and of a farm
-// sweep job: one constant, so a default job merges to what the CLI prints.
+// SweepRequests is bwsweep's requests-per-point default.
 const SweepRequests = 4000
 
 // SweepSpec describes one bandwidth sweep (Figs. 3-5): a DRAM-aware traffic
@@ -131,18 +130,15 @@ func (s SweepSpec) Point(kind system.Kind, stride uint64, banks int) (Point, err
 	return p, nil
 }
 
-// RunSweepPoint measures one (stride, banks) cell on both models. It is the
-// farm's unit of work and RunSweep's loop body, which is what makes a
-// farm-merged result byte-identical to a single-process run of the same grid;
-// under Runner.CheckpointDir each model's run is checkpointed and resumable.
-func (r Runner) RunSweepPoint(s SweepSpec, stride uint64, banks int) (SweepRow, error) {
+// runSweepPoint measures one (stride, banks) cell on both models: RunSweep's
+// loop body.
+func (r Runner) runSweepPoint(s SweepSpec, stride uint64, banks int) (SweepRow, error) {
 	row := SweepRow{StrideBursts: stride, Banks: banks}
 	util := func(kind system.Kind) (float64, error) {
 		p, err := s.Point(kind, stride, banks)
 		if err != nil {
 			return 0, err
 		}
-		p.Checkpoint = fmt.Sprintf("point-%s.ckpt", kind)
 		rig, err := r.Run(p)
 		if err != nil {
 			return 0, err
@@ -163,7 +159,7 @@ func (r Runner) RunSweep(s SweepSpec) (*SweepResult, error) {
 	res := &SweepResult{Spec: s}
 	for _, banks := range s.Banks {
 		for _, stride := range s.Strides {
-			row, err := r.RunSweepPoint(s, stride, banks)
+			row, err := r.runSweepPoint(s, stride, banks)
 			if err != nil {
 				return res, err
 			}

@@ -15,46 +15,6 @@ import (
 	"repro/internal/stats"
 )
 
-// HTTPServer is the shared host-facing HTTP plumbing: a bound listener, a
-// background Serve goroutine, a /healthz readiness endpoint, and a graceful,
-// connection-draining Shutdown. The -obs-http live endpoint and the simfarm
-// job server both build on it, so SIGINT/SIGTERM drain in-flight requests the
-// same way everywhere instead of each server dying mid-response.
-type HTTPServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// StartHTTPServer binds addr ("localhost:6060", ":0", ...), registers
-// /healthz on mux, and serves in the background until Shutdown.
-func StartHTTPServer(addr string, mux *http.ServeMux) (*HTTPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: http endpoint: %w", err)
-	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	h := &HTTPServer{ln: ln, srv: &http.Server{Handler: mux}}
-	go h.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return h, nil
-}
-
-// Addr returns the bound address (useful with ":0").
-func (h *HTTPServer) Addr() string { return h.ln.Addr().String() }
-
-// Shutdown stops accepting connections and drains in-flight requests for up
-// to grace, then force-closes whatever is left. Safe to call more than once.
-func (h *HTTPServer) Shutdown(grace time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	if err := h.srv.Shutdown(ctx); err != nil {
-		return h.srv.Close()
-	}
-	return nil
-}
-
 // Live observation endpoint (-obs-http). The simulation goroutine never
 // serves HTTP: at each sampling tick it *publishes* pre-rendered JSON
 // snapshots under a mutex, and the HTTP goroutines only ever read those
@@ -70,7 +30,8 @@ func (h *HTTPServer) Shutdown(grace time.Duration) error {
 //	/series     recent per-controller samples (JSON array, bounded history)
 //	/debug/pprof/...  the standard pprof handlers
 type LiveServer struct {
-	*HTTPServer // Addr; Shutdown drains in-flight requests (the SIGINT/SIGTERM path)
+	ln  net.Listener
+	srv *http.Server
 
 	mu        sync.Mutex
 	statsSnap []byte   // latest registry dump, or nil before the first publish
@@ -85,9 +46,17 @@ const maxSeriesRows = 4096
 // NewLiveServer starts listening on addr ("localhost:6060", ":0", ...) and
 // serves in the background until Shutdown.
 func NewLiveServer(addr string) (*LiveServer, error) {
-	s := &LiveServer{}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("obs: http endpoint: %w", err)
+	}
 	mux := http.NewServeMux()
+	s := &LiveServer{ln: ln, srv: &http.Server{Handler: mux}}
 	mux.HandleFunc("/", s.handleIndex)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/series", s.handleSeries)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -95,11 +64,23 @@ func NewLiveServer(addr string) (*LiveServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	var err error
-	if s.HTTPServer, err = StartHTTPServer(addr, mux); err != nil {
-		return nil, err
-	}
+	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
+}
+
+// Addr returns the bound address (useful with ":0").
+func (s *LiveServer) Addr() string { return s.ln.Addr().String() }
+
+// Shutdown stops accepting connections and drains in-flight requests for up
+// to grace, then force-closes whatever is left — so SIGINT/SIGTERM never cut
+// a response short. Safe to call more than once.
+func (s *LiveServer) Shutdown(grace time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := s.srv.Shutdown(ctx); err != nil {
+		return s.srv.Close()
+	}
+	return nil
 }
 
 // PublishStats renders the registry and swaps it in as the /stats snapshot.

@@ -40,14 +40,20 @@ type fakeSession struct {
 	mgr     *checkpoint.Manager
 	failAt  int
 	onStep  func(ticks int)
-	started *bool
-	closed  *int
+	started bool
+}
+
+// newFake builds a session that completes after total steps of 1 µs each.
+func newFake(total int) *fakeSession {
+	fs := &fakeSim{total: total}
+	m := checkpoint.NewManager()
+	m.Register("sim", fs)
+	return &fakeSession{sim: fs, mgr: m}
 }
 
 func (s *fakeSession) Manager() *checkpoint.Manager { return s.mgr }
 func (s *fakeSession) Now() sim.Tick                { return sim.Tick(s.sim.ticks) * sim.Microsecond }
-func (s *fakeSession) Start()                       { *s.started = true }
-func (s *fakeSession) Close()                       { *s.closed++ }
+func (s *fakeSession) Start()                       { s.started = true }
 
 func (s *fakeSession) Step() (bool, error) {
 	s.sim.ticks++
@@ -60,113 +66,73 @@ func (s *fakeSession) Step() (bool, error) {
 	return s.sim.ticks >= s.sim.total, nil
 }
 
-// harness builds factory-made fake sessions, failing the first nFail segments
-// at failAt ticks of progress.
-type harness struct {
-	total, failAt, nFail int
-	builds, closed       int
-	started              []bool
-	sims                 []*fakeSim
-	onStep               func(ticks int)
-}
-
-func (h *harness) factory() (Session, error) {
-	fs := &fakeSim{total: h.total}
-	h.sims = append(h.sims, fs)
-	h.started = append(h.started, false)
-	m := checkpoint.NewManager()
-	m.Register("sim", fs)
-	s := &fakeSession{
-		sim:     fs,
-		mgr:     m,
-		onStep:  h.onStep,
-		started: &h.started[len(h.started)-1],
-		closed:  &h.closed,
-	}
-	if h.builds < h.nFail {
-		s.failAt = h.failAt
-	}
-	h.builds++
-	return s, nil
-}
-
+// A step that panics ends the run with a tick-stamped error and a restorable
+// postmortem image, leaves the last good checkpoint as it was, and a second
+// run with Resume continues from that checkpoint to the uninterrupted end.
 func TestRecoversFromInjectedPanic(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	h := &harness{total: 10, failAt: 7, nFail: 1}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	cfg := Config{Checkpoint: ckpt, Every: 2 * sim.Microsecond}
+
+	failing := newFake(10)
+	failing.failAt = 7
 	var log bytes.Buffer
-	res, err := Run(Config{
-		Checkpoint: ckpt,
-		Every:      2 * sim.Microsecond,
-		MaxRetries: 3,
-		Log:        &log,
-	}, h.factory)
-	if err != nil {
-		t.Fatalf("run: %v\nlog:\n%s", err, log.String())
+	cfg.Log = &log
+	res, err := Run(cfg, failing)
+	if err == nil || !strings.Contains(err.Error(), "panic at 7us: injected fault") {
+		t.Fatalf("err = %v, want the injected fault stamped with its tick\nlog:\n%s", err, log.String())
 	}
-	if !res.Done || res.Retries != 1 {
-		t.Fatalf("result = %+v, want Done with 1 retry", res)
+	if res.Done || res.Interrupted || res.Now != 7*sim.Microsecond || res.Checkpoints != 3 {
+		t.Fatalf("result = %+v, want a failure at 7µs after the periodic checkpoints at 2, 4 and 6µs", res)
 	}
-	if res.Now != 10*sim.Microsecond {
-		t.Fatalf("finished at %s, want 10µs", res.Now)
-	}
-	if h.builds != 2 || h.closed != 2 {
-		t.Fatalf("builds = %d, closed = %d, want 2/2 (rebuild per segment)", h.builds, h.closed)
-	}
-	// The retry segment resumed from the last good checkpoint (tick 6): it
-	// must not Start, and must not replay from scratch.
-	if !h.started[0] || h.started[1] {
-		t.Fatalf("started = %v, want first fresh, second restored", h.started)
-	}
-	if !strings.Contains(log.String(), "retry 1/3 from "+ckpt) {
-		t.Fatalf("log missing resume-from-checkpoint line:\n%s", log.String())
-	}
-	// The crash dumped a postmortem image of the failed state.
-	if _, err := os.Stat(ckpt + ".postmortem"); err != nil {
-		t.Fatalf("no postmortem dump: %v", err)
-	}
-}
 
-func TestRetriesFromScratchWithoutCheckpoint(t *testing.T) {
-	h := &harness{total: 5, failAt: 3, nFail: 1}
-	res, err := Run(Config{MaxRetries: 1}, h.factory)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	restoredAt := func(path string) sim.Tick {
+		t.Helper()
+		s := newFake(10)
+		if err := s.Manager().RestoreFile(path); err != nil {
+			t.Fatalf("%s does not restore: %v", path, err)
+		}
+		return s.Now()
 	}
-	if !res.Done || res.Retries != 1 || res.Checkpoints != 0 {
-		t.Fatalf("result = %+v, want Done, 1 retry, 0 checkpoints", res)
+	if at := restoredAt(ckpt + ".postmortem"); at != 7*sim.Microsecond {
+		t.Errorf("postmortem holds tick %s, want the failed state at 7µs", at)
 	}
-	// With no checkpoint to resume, the retry starts fresh.
-	if !h.started[0] || !h.started[1] {
-		t.Fatalf("started = %v, want both segments started fresh", h.started)
+	if at := restoredAt(ckpt); at != 6*sim.Microsecond {
+		t.Errorf("last good checkpoint holds tick %s, want the pre-failure 6µs", at)
 	}
-}
 
-func TestRetryBudgetExhausted(t *testing.T) {
-	h := &harness{total: 10, failAt: 3, nFail: 100}
-	res, err := Run(Config{MaxRetries: 2}, h.factory)
-	if err == nil || !strings.Contains(err.Error(), "injected fault") {
-		t.Fatalf("err = %v, want the injected fault after budget exhaustion", err)
+	healthy := newFake(10)
+	firstTick := 0
+	healthy.onStep = func(ticks int) {
+		if firstTick == 0 {
+			firstTick = ticks
+		}
 	}
-	if res.Done || res.Retries != 3 {
-		t.Fatalf("result = %+v, want not-done with 3 counted failures", res)
+	cfg.Resume = true
+	res, err = Run(cfg, healthy)
+	if err != nil {
+		t.Fatalf("resume: %v\nlog:\n%s", err, log.String())
 	}
-	if !strings.Contains(err.Error(), "panic at ") {
-		t.Fatalf("err %q not tick-stamped", err)
+	if !res.Done || res.Now != 10*sim.Microsecond {
+		t.Fatalf("result = %+v, want completion at the uninterrupted end tick 10µs", res)
+	}
+	if healthy.started || firstTick != 7 {
+		t.Errorf("started = %v, first step at tick %d; want a restored session continuing at 7", healthy.started, firstTick)
+	}
+	if !strings.Contains(log.String(), "resumed from "+ckpt+" at 6us") {
+		t.Errorf("log missing the resume line:\n%s", log.String())
 	}
 }
 
 func TestGracefulSignalStop(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	sig := make(chan os.Signal, 1)
-	h := &harness{total: 1000}
-	h.onStep = func(ticks int) {
+	s := newFake(1000)
+	s.onStep = func(ticks int) {
 		if ticks == 5 {
 			sig <- syscall.SIGINT
 		}
 	}
-	res, err := Run(Config{Checkpoint: ckpt, Notify: sig, MaxRetries: 1}, h.factory)
+	res, err := Run(Config{Checkpoint: ckpt, Notify: sig}, s)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -180,19 +146,19 @@ func TestGracefulSignalStop(t *testing.T) {
 	if res.Checkpoints != 1 {
 		t.Fatalf("checkpoints = %d, want 1 final save", res.Checkpoints)
 	}
-	h2 := &harness{total: 1000}
+	s2 := newFake(1000)
 	firstTick := 0
-	h2.onStep = func(ticks int) {
+	s2.onStep = func(ticks int) {
 		if firstTick == 0 {
 			firstTick = ticks
 		}
 	}
-	res2, err := Run(Config{Checkpoint: ckpt, Resume: true, MaxRetries: 1}, h2.factory)
+	res2, err := Run(Config{Checkpoint: ckpt, Resume: true}, s2)
 	if err != nil {
 		t.Fatalf("resume run: %v", err)
 	}
-	if !res2.Done || h2.started[0] {
-		t.Fatalf("result = %+v started = %v, want resumed (not started) completion", res2, h2.started)
+	if !res2.Done || s2.started {
+		t.Fatalf("result = %+v started = %v, want resumed (not started) completion", res2, s2.started)
 	}
 	if firstTick != 6 {
 		t.Fatalf("first step after resume at tick %d, want 6 (continue from the checkpoint, not scratch)", firstTick)
@@ -200,32 +166,35 @@ func TestGracefulSignalStop(t *testing.T) {
 }
 
 func TestResumeMissingFileStartsFresh(t *testing.T) {
-	h := &harness{total: 3}
+	s := newFake(3)
 	res, err := Run(Config{
 		Checkpoint: filepath.Join(t.TempDir(), "none.ckpt"),
 		Resume:     true,
-	}, h.factory)
+	}, s)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !res.Done || !h.started[0] {
-		t.Fatalf("result = %+v started = %v, want a fresh completed run", res, h.started)
+	if !res.Done || !s.started {
+		t.Fatalf("result = %+v started = %v, want a fresh completed run", res, s.started)
 	}
 }
 
-func TestResumeRejectsCorruptCheckpointWithoutRetrying(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	if err := os.WriteFile(ckpt, []byte("DRAMCKPT v1 crc32=00000000 len=3\nxyz"), 0o644); err != nil {
+func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	corrupt := []byte("DRAMCKPT v1 crc32=00000000 len=3\nxyz")
+	if err := os.WriteFile(ckpt, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{total: 3}
-	res, err := Run(Config{Checkpoint: ckpt, Resume: true, MaxRetries: 5}, h.factory)
+	s := newFake(3)
+	res, err := Run(Config{Checkpoint: ckpt, Resume: true}, s)
 	if err == nil || !strings.Contains(err.Error(), "resume:") {
 		t.Fatalf("err = %v, want a resume failure", err)
 	}
-	// A bad checkpoint must not burn the retry budget against the same file.
-	if res.Retries != 0 || h.builds != 1 {
-		t.Fatalf("retries = %d builds = %d, want no retries on a fatal resume error", res.Retries, h.builds)
+	// A bad checkpoint ends the run before anything is stepped or written.
+	if s.started || s.sim.ticks != 0 || res.Checkpoints != 0 {
+		t.Fatalf("started = %v ticks = %d result = %+v, want an untouched session", s.started, s.sim.ticks, res)
+	}
+	if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, corrupt) {
+		t.Fatalf("the refused checkpoint was changed (err %v)", err)
 	}
 }
