@@ -221,6 +221,84 @@ func BenchmarkSharded4chSerial(b *testing.B) {
 	b.ReportMetric(rig.AggregateBandwidth()/1e9, "GB/s")
 }
 
+// hopCPU and hopMem are the two ends of BenchmarkCrossbarHop: the requestor
+// sends one read and, when its response is back, the next; a memory answers
+// each request 10 ns later. Neither allocates, so allocs/op is the crossbar's.
+type hopCPU struct {
+	k    *sim.Kernel
+	port *mem.RequestPort
+	pool mem.PacketPool
+	left int
+}
+
+func (c *hopCPU) send() {
+	if !c.port.SendTimingReq(c.pool.NewRead(mem.Addr(c.left)*64, 64, 0, c.k.Now())) {
+		panic("an idle crossbar refused a request")
+	}
+}
+
+func (c *hopCPU) RecvTimingResp(pkt *mem.Packet) bool {
+	c.pool.Put(pkt)
+	if c.left--; c.left > 0 {
+		c.send()
+	}
+	return true
+}
+
+func (c *hopCPU) RecvReqRetry() {}
+
+type hopMem struct {
+	k      *sim.Kernel
+	port   *mem.ResponsePort
+	held   *mem.Packet
+	answer *sim.Event
+}
+
+func newHopMem(k *sim.Kernel) *hopMem {
+	m := &hopMem{k: k}
+	m.port = mem.NewResponsePort("mem", m, k)
+	m.answer = sim.NewEvent("mem.answer", func() {
+		if !m.port.SendTimingResp(m.held) {
+			panic("an idle crossbar refused a response")
+		}
+	})
+	return m
+}
+
+func (m *hopMem) RecvTimingReq(pkt *mem.Packet) bool {
+	pkt.MakeResponse()
+	m.held = pkt
+	m.k.Schedule(m.answer, m.k.Now()+10*sim.Nanosecond)
+	return true
+}
+
+func (m *hopMem) RecvRespRetry() {}
+
+// BenchmarkCrossbarHop is one request and its response through one crossbar
+// (four memory ports, so the route really interleaves): what a miss pays per
+// crossbar, readable without the ledger. CI gates its allocs/op at zero.
+func BenchmarkCrossbarHop(b *testing.B) {
+	k := sim.NewKernel()
+	x, err := xbar.New(k, xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 16},
+		xbar.InterleaveRoute(4, 64), stats.NewRegistry("bench"), "xbar")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &hopCPU{k: k, left: b.N}
+	c.port = mem.NewRequestPort("cpu", c, k)
+	mem.Connect(c.port, x.AttachRequestor("cpu"))
+	for i := 0; i < 4; i++ {
+		mem.Connect(x.AttachMemory("mem"), newHopMem(k).port)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.send()
+	k.Run()
+	if c.left != 0 || x.InFlight() != 0 {
+		b.Fatalf("%d requests unanswered, %d in flight", c.left, x.InFlight())
+	}
+}
+
 // Micro-benchmarks of the core substrate, for regression tracking.
 
 func BenchmarkKernelScheduleFire(b *testing.B) {

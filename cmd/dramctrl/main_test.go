@@ -137,6 +137,12 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 				if _, err := os.Stat(file("run.ckpt")); err != nil {
 					t.Fatalf("victim run left no periodic checkpoint to resume from: %v", err)
 				}
+				// Behind a crossbar the way back is on the packet, and the
+				// checkpoint has to catch some there; with no crossbar there
+				// is no route to save.
+				if routed := bytes.Contains(read(t, file("run.ckpt")), []byte(`"route":[{"xbar":`)); routed != (name == "4ch") {
+					t.Fatalf("checkpoint holds a packet with a return route: %v", routed)
+				}
 				if _, err := os.Stat(file("run.ckpt.postmortem")); err != nil {
 					t.Errorf("the watchdog trip dumped no postmortem image: %v", err)
 				}

@@ -12,10 +12,10 @@
 //     serializes its queue — closures are not serializable, and components
 //     know how to rebuild their callbacks; the queue does not.
 //
-//   - Packet identity is preserved across components: the crossbar routes a
-//     response by the same *mem.Packet pointer it forwarded as a request, so
-//     the Manager owns a packet table. Components refer to packets by table
-//     reference during save (mem.PacketTable) and re-link to the shared,
+//   - Packet identity is preserved across components: a request becomes its
+//     response in place and several components may hold it, so the Manager
+//     owns a packet table. Components refer to packets by table reference
+//     during save (mem.PacketTable) and re-link to the shared,
 //     once-materialized instance during restore (mem.PacketLookup).
 //
 //   - Configuration identity is derived the same way: a component built
@@ -44,13 +44,13 @@ import (
 
 // Version is the checkpoint format version; bumped on any incompatible
 // change to the framing, the body schema, a component's section schema, or
-// the section names (v2: every topology registers through system.Session, so
-// single-kernel sections became front/mc0/gen0; v3: the body carries each
-// component's stated configuration in place of a caller-written string; v4:
-// the session states {Scope, Step} only — every v3 file also states an
-// adaptive-quanta count this build no longer has, so it is refused here by
-// version rather than later as a mismatch on a field that is gone).
-const Version = 4
+// the section names (v3: the body carries each component's stated
+// configuration in place of a caller-written string; v4: the session states
+// {Scope, Step} only; v5: a packet carries its return route through the
+// crossbars, which save a count of requests in flight where v4 saved an
+// origin table — a v4 file with requests behind a crossbar could not be
+// answered, so every v4 file is refused here by version).
+const Version = 5
 
 // Checkpointable is implemented by every component that owns simulation
 // state. CheckpointSave returns a JSON-serializable image of the component

@@ -20,8 +20,8 @@ import (
 // so a torn or bit-rotted file produces a clean error, never a panic or a
 // silently wrong resume.
 //
-//	DRAMCKPT v4 crc32=9a3e12f0 len=8412
-//	{"version":4,"configs":{"mc0":{...},...},"packets":[...],"sections":{...}}
+//	DRAMCKPT v5 crc32=9a3e12f0 len=8412
+//	{"version":5,"configs":{"mc0":{...},...},"packets":[...],"sections":{...}}
 
 const magic = "DRAMCKPT"
 
@@ -244,7 +244,9 @@ func (m *Manager) Restore(data []byte) error {
 	ctx := &restoreCtx{warps: make(map[*sim.Kernel]sim.Clock)}
 	ctx.pkts = make([]*mem.Packet, len(b.Packets))
 	for i, ps := range b.Packets {
-		ctx.pkts[i] = ps.Materialize()
+		if ctx.pkts[i], err = ps.Materialize(); err != nil {
+			return fmt.Errorf("checkpoint: packet %d: %w", i, err)
+		}
 	}
 	for _, id := range m.ids {
 		if err := m.comps[id].CheckpointRestore(ctx, ctx, b.Sections[id]); err != nil {

@@ -130,18 +130,25 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsV3 pins the format bump: a v3 image (whose session
+// TestRestoreRejectsV3 pins a format bump: a v3 image (whose session
 // states an adaptive-quanta count this build no longer has) is refused by the
 // version message before any section is applied, not compared field by field.
-func TestRestoreRejectsV3(t *testing.T) {
+func TestRestoreRejectsV3(t *testing.T) { testRestoreRejectsVersion(t, 3) }
+
+// TestRestoreRejectsV4: a v4 image keeps the way back in the crossbar's
+// origin table, which this build does not read — a request saved behind a
+// crossbar would be restored with no return route — so it is refused whole.
+func TestRestoreRejectsV4(t *testing.T) { testRestoreRejectsVersion(t, 4) }
+
+func testRestoreRejectsVersion(t *testing.T, old int) {
 	m, _ := newFakeManager("fp", 7)
 	img, err := m.Save()
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	v3 := strings.Replace(string(img), "DRAMCKPT v4 ", "DRAMCKPT v3 ", 1)
+	was := strings.Replace(string(img), fmt.Sprintf("DRAMCKPT v%d ", checkpoint.Version), fmt.Sprintf("DRAMCKPT v%d ", old), 1)
 	m2, c2 := newFakeManager("fp", 0)
-	wantErr(t, m2.Restore([]byte(v3)), "format v3, this build reads v4")
+	wantErr(t, m2.Restore([]byte(was)), fmt.Sprintf("format v%d, this build reads v%d", old, checkpoint.Version))
 	if c2.v != 0 {
 		t.Fatalf("refused restore still applied the section (v = %d)", c2.v)
 	}

@@ -263,8 +263,8 @@ func TestCompletionCheckpointRestoresDone(t *testing.T) {
 }
 
 // TestMultiChannelResumeBitIdentical covers the single-kernel crossbar
-// topology, whose checkpoint must carry the crossbar queues and the
-// request-origin map.
+// topology, whose checkpoint must carry the crossbar queues and, on every
+// packet behind the crossbar, the route its response returns by.
 func TestMultiChannelResumeBitIdentical(t *testing.T) {
 	const requests = 2000
 	build := func() *system.MultiChannelRig { return buildMultiChannelRig(t, requests) }
@@ -298,6 +298,9 @@ func TestMultiChannelResumeBitIdentical(t *testing.T) {
 	img, err := ms.Manager().Save()
 	if err != nil {
 		t.Fatalf("save at %s: %v", ms.Now(), err)
+	}
+	if !bytes.Contains(img, []byte(`"route":[{"xbar":`)) || !bytes.Contains(img, []byte(`"inFlight":`)) {
+		t.Fatalf("checkpoint at %s has no request behind the crossbar: the resume would prove nothing about routes", ms.Now())
 	}
 
 	res := build()

@@ -7,13 +7,13 @@ import (
 )
 
 // Checkpoint support for the memory layer. Packet *identity* matters in this
-// model — the crossbar routes a response by looking up the same pointer it
-// forwarded as a request, and a controller's queues alias the transaction
-// they belong to — so a checkpoint cannot serialize packets inline per
-// component. Instead the checkpoint manager owns a packet table: during save
-// every component refers to packets by table reference (PacketTable), and
-// during restore the manager materializes each saved packet exactly once and
-// components re-link to the shared instance (PacketLookup).
+// model — a request becomes its response in place, and a controller's queues
+// alias the transaction they belong to — so a checkpoint cannot serialize
+// packets inline per component. Instead the checkpoint manager owns a packet
+// table: during save every component refers to packets by table reference
+// (PacketTable), and during restore the manager materializes each saved
+// packet exactly once, return route included, and components re-link to the
+// shared instance (PacketLookup).
 
 // PacketTable assigns stable integer references to live packets during a
 // checkpoint save. Asking twice for the same packet returns the same ref.
@@ -35,6 +35,8 @@ type PacketState struct {
 	RequestorID int      `json:"requestor"`
 	IssueTick   sim.Tick `json:"issue"`
 	Poisoned    bool     `json:"poisoned,omitempty"`
+	// Route is empty unless the packet is behind a crossbar.
+	Route []RouteHop `json:"route,omitempty"`
 }
 
 // SaveState captures the packet for checkpointing. Packets carrying Meta are
@@ -47,13 +49,22 @@ func (p *Packet) SaveState() (PacketState, error) {
 	return PacketState{
 		Cmd: p.Cmd, Addr: p.Addr, Size: p.Size,
 		RequestorID: p.RequestorID, IssueTick: p.IssueTick, Poisoned: p.Poisoned,
+		Route: append([]RouteHop(nil), p.Route()...),
 	}, nil
 }
 
-// Materialize rebuilds the packet from its saved image.
-func (ps PacketState) Materialize() *Packet {
-	return &Packet{
+// Materialize rebuilds the packet from its saved image. A route deeper than
+// a packet can hold is an error; whether its hops name a real crossbar side
+// is for the crossbar to judge.
+func (ps PacketState) Materialize() (*Packet, error) {
+	p := &Packet{
 		Cmd: ps.Cmd, Addr: ps.Addr, Size: ps.Size,
 		RequestorID: ps.RequestorID, IssueTick: ps.IssueTick, Poisoned: ps.Poisoned,
 	}
+	for _, h := range ps.Route {
+		if !p.PushRoute(h) {
+			return nil, fmt.Errorf("mem: packet %s: saved route has %d hops, a packet holds %d", p, len(ps.Route), RouteDepth)
+		}
+	}
+	return p, nil
 }

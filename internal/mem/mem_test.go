@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -213,5 +214,52 @@ func TestPacketString(t *testing.T) {
 	}
 	if Cmd(99).String() != "Cmd(99)" {
 		t.Fatal("unknown command String wrong")
+	}
+}
+
+// TestReturnRoute: hops come back last-in first-out, a full route refuses the
+// push and keeps what it holds, and the route survives the checkpoint image —
+// which a saved route deeper than a packet is refused by, not truncated.
+func TestReturnRoute(t *testing.T) {
+	p := NewRead(0x100, 64, 1, 0)
+	if _, ok := p.RouteTop(); ok || len(p.Route()) != 0 {
+		t.Fatal("a new packet has a route")
+	}
+	var hops []RouteHop
+	for i := 0; i < RouteDepth; i++ {
+		hops = append(hops, RouteHop{Xbar: uint8(10 + i), Side: uint8(i)})
+		if !p.PushRoute(hops[i]) {
+			t.Fatalf("push %d refused, route holds %d", i, RouteDepth)
+		}
+	}
+	if p.PushRoute(RouteHop{Xbar: 99}) {
+		t.Fatalf("push %d accepted", RouteDepth+1)
+	}
+	st, err := p.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := st.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkt := range []*Packet{p, q} {
+		for i := RouteDepth - 1; i >= 0; i-- {
+			if h, ok := pkt.RouteTop(); !ok || h != hops[i] {
+				t.Fatalf("top of a %d-deep route = %v, %v; want %v", i+1, h, ok, hops[i])
+			}
+			pkt.PopRoute()
+		}
+		if len(pkt.Route()) != 0 {
+			t.Fatalf("route after popping every hop: %v", pkt.Route())
+		}
+	}
+
+	st.Route = append(st.Route, RouteHop{Xbar: 99})
+	if _, err := st.Materialize(); err == nil || !strings.Contains(err.Error(), "saved route has 4 hops, a packet holds 3") {
+		t.Fatalf("over-deep saved route: err = %v", err)
+	}
+	if st, _ := NewRead(0, 64, 0, 0).SaveState(); st.Route != nil {
+		t.Fatalf("a packet with no route saves %v, want nil (the field is omitempty)", st.Route)
 	}
 }

@@ -82,7 +82,52 @@ type Packet struct {
 	// propagated, never silently dropped and never a crash. Caches must not
 	// install poisoned fills.
 	Poisoned bool
+	// route is the way back: each crossbar the request crosses pushes the
+	// requestor side it came in on, and pops it when the response passes
+	// (gem5's sender state, fixed-size so a packet stays one cache line —
+	// the seven bytes are the padding Poisoned left).
+	routeLen uint8
+	route    [RouteDepth]RouteHop
 }
+
+// RouteDepth is how many crossbars one request can cross before it is
+// answered. Every shipped topology needs one: a cache issues its own fill.
+const RouteDepth = 3
+
+// RouteHop is one entry of a packet's return route.
+type RouteHop struct {
+	// Xbar tags the crossbar that pushed the entry, so a response arriving
+	// at any other crossbar is caught rather than misdelivered.
+	Xbar uint8 `json:"xbar"`
+	// Side is that crossbar's requestor-side index.
+	Side uint8 `json:"side"`
+}
+
+// PushRoute records a crossbar hop on the request's way in. It reports false,
+// leaving the packet alone, when the route is already RouteDepth deep.
+func (p *Packet) PushRoute(h RouteHop) bool {
+	if p.routeLen == RouteDepth {
+		return false
+	}
+	p.route[p.routeLen] = h
+	p.routeLen++
+	return true
+}
+
+// RouteTop returns the most recent hop without removing it; ok is false when
+// the route is empty.
+func (p *Packet) RouteTop() (h RouteHop, ok bool) {
+	if p.routeLen == 0 {
+		return RouteHop{}, false
+	}
+	return p.route[p.routeLen-1], true
+}
+
+// PopRoute removes the most recent hop; the route must not be empty.
+func (p *Packet) PopRoute() { p.routeLen-- }
+
+// Route returns the hops pushed so far, oldest first.
+func (p *Packet) Route() []RouteHop { return p.route[:p.routeLen] }
 
 // NewRead returns a read request.
 func NewRead(addr Addr, size uint64, requestor int, now sim.Tick) *Packet {

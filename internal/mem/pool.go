@@ -17,8 +17,8 @@ const maxPoolFree = 4096
 // Ownership rule: the component that created a packet releases it, and only
 // after the transaction has fully left the memory system — for a requestor
 // that is the moment its response is consumed. Nothing downstream may
-// retain a packet past the response handshake (the crossbar drops its
-// origin entry when the response passes, the tracer closes its span on
+// retain a packet past the response handshake (the crossbar pops its
+// return-route hop when the response passes, the tracer closes its span on
 // ResponseSent), which is exactly the contract that made gem5-style
 // in-place request/response reuse safe before pooling existed.
 //
@@ -44,8 +44,9 @@ func (pl *PacketPool) Get() *Packet {
 }
 
 // Put releases a packet back to the pool. The caller must hold the only
-// live reference; the packet's fields (including Meta and Poisoned) are
-// cleared so a stale flag can never leak into the next transaction.
+// live reference; the packet's fields (including Meta, Poisoned and the
+// return route) are cleared so a stale flag or hop can never leak into the
+// next transaction.
 //
 //hot:path release side of the packet cycle
 func (pl *PacketPool) Put(p *Packet) {

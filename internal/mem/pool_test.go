@@ -2,20 +2,32 @@ package mem
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
 
 // TestPacketPoolReusesAndZeroes: a released packet comes back zeroed — no
-// poisoned flag, no Meta, no stale latency stamp leaks into the next
-// transaction.
+// poisoned flag, no Meta, no stale latency stamp or return-route hop leaks
+// into the next transaction.
 func TestPacketPoolReusesAndZeroes(t *testing.T) {
+	// The return route lives in what was padding: a packet is one cache line.
+	if size := unsafe.Sizeof(Packet{}); size != 64 {
+		t.Fatalf("mem.Packet is %d bytes, want 64", size)
+	}
 	var pl PacketPool
 	p := pl.NewRead(0x40, 64, 3, 100*sim.Nanosecond)
 	p.MakeResponse()
 	p.Poisoned = true
 	p.Meta = "stale"
+	p.PushRoute(RouteHop{Xbar: 9, Side: 2})
 	pl.Put(p)
+	if len(p.Route()) != 0 {
+		t.Fatalf("Put left the route %v on the released packet", p.Route())
+	}
+	// A holder that broke the ownership rule and pushed after the release
+	// still cannot reach the next transaction: Get clears as well.
+	p.PushRoute(RouteHop{Xbar: 9, Side: 2})
 
 	q := pl.NewWrite(0x80, 32, 1, 200*sim.Nanosecond)
 	if q != p {
@@ -24,8 +36,8 @@ func TestPacketPoolReusesAndZeroes(t *testing.T) {
 	if q.Cmd != WriteReq || q.Addr != 0x80 || q.Size != 32 || q.RequestorID != 1 {
 		t.Fatalf("reused packet misinitialized: %v", q)
 	}
-	if q.Poisoned || q.Meta != nil {
-		t.Fatalf("stale state leaked through the pool: poisoned=%v meta=%v", q.Poisoned, q.Meta)
+	if q.Poisoned || q.Meta != nil || len(q.Route()) != 0 {
+		t.Fatalf("stale state leaked through the pool: poisoned=%v meta=%v route=%v", q.Poisoned, q.Meta, q.Route())
 	}
 	if q.IssueTick != 200*sim.Nanosecond {
 		t.Fatalf("IssueTick = %s, want 200ns", q.IssueTick)

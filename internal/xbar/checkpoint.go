@@ -3,17 +3,16 @@ package xbar
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// Checkpoint support for the crossbar. The crossbar routes responses by
-// packet identity, so its origin map is serialized as (packet ref, side)
-// pairs; the checkpoint manager's shared packet table guarantees the same
-// *mem.Packet instance is rematerialized for the crossbar and for whichever
-// controller or generator also holds it.
+// Checkpoint support for the crossbar. The way back travels in each packet
+// (mem.PacketState.Route), so the crossbar saves its queues, its retry flags
+// and how many requests it has in flight; the checkpoint manager's shared
+// packet table guarantees the same *mem.Packet instance is rematerialized
+// for the crossbar and for whichever controller or generator also holds it.
 
 // queuedState is a serialized outQueue entry.
 type queuedState struct {
@@ -29,16 +28,9 @@ type outQueueState struct {
 	Send     sim.EventState `json:"send"`
 }
 
-// originState is one in-flight request: which requestor side its response
-// returns to.
-type originState struct {
-	Pkt  int `json:"pkt"`
-	Side int `json:"side"`
-}
-
 // xbarState is the crossbar's full serialized image.
 type xbarState struct {
-	Origin   []originState   `json:"origin,omitempty"`
+	InFlight int             `json:"inFlight,omitempty"`
 	ReqSides []reqSideState  `json:"reqSides"`
 	MemSides []outQueueState `json:"memSides"`
 }
@@ -89,13 +81,7 @@ func (x *Crossbar) CheckpointConfig() any {
 
 // CheckpointSave implements checkpoint.Checkpointable.
 func (x *Crossbar) CheckpointSave(pt mem.PacketTable) (any, error) {
-	st := xbarState{}
-	for pkt, side := range x.origin {
-		st.Origin = append(st.Origin, originState{Pkt: pt.PacketRef(pkt), Side: side})
-	}
-	// Map iteration order is random; sort by packet ref so identical state
-	// always serializes to identical bytes.
-	sort.Slice(st.Origin, func(i, j int) bool { return st.Origin[i].Pkt < st.Origin[j].Pkt })
+	st := xbarState{InFlight: x.inFlight}
 	for _, rs := range x.reqSides {
 		st.ReqSides = append(st.ReqSides, reqSideState{RespQ: rs.respQ.save(pt), WaitingRetry: rs.waitingRetry})
 	}
@@ -116,19 +102,28 @@ func (x *Crossbar) CheckpointRestore(pl mem.PacketLookup, rst sim.Restorer, data
 		return fmt.Errorf("xbar: %s: checkpoint has %d/%d sides, crossbar has %d/%d",
 			x.name, len(st.ReqSides), len(st.MemSides), len(x.reqSides), len(x.memSides))
 	}
-	x.origin = make(map[*mem.Packet]int, len(st.Origin))
-	for _, o := range st.Origin {
-		if o.Side < 0 || o.Side >= len(x.reqSides) {
-			return fmt.Errorf("xbar: %s: origin references side %d of %d", x.name, o.Side, len(x.reqSides))
-		}
-		x.origin[pl.PacketByRef(o.Pkt)] = o.Side
-	}
 	for i, rs := range x.reqSides {
 		rs.respQ.restore(pl, rst, st.ReqSides[i].RespQ)
 		rs.waitingRetry = st.ReqSides[i].WaitingRetry
 	}
+	queued := 0
 	for i, ms := range x.memSides {
 		ms.reqQ.restore(pl, rst, st.MemSides[i])
+		// A queued request was routed by this crossbar: its route must lead
+		// back out of one of its sides. (A request parked in a controller is
+		// out of sight here; RecvTimingResp makes the same check.)
+		for j := 0; j < ms.reqQ.items.Len(); j++ {
+			pkt, _ := ms.reqQ.items.At(j)
+			if _, ok := x.returnSide(pkt); !ok {
+				return fmt.Errorf("xbar: %s: queued request %s has return route %v: want a last hop of tag %d naming one of %d requestor sides",
+					x.name, pkt, pkt.Route(), x.tag, len(x.reqSides))
+			}
+			queued++
+		}
 	}
+	if st.InFlight < queued {
+		return fmt.Errorf("xbar: %s: checkpoint counts %d requests in flight, its request queues alone hold %d", x.name, st.InFlight, queued)
+	}
+	x.inFlight = st.InFlight
 	return nil
 }

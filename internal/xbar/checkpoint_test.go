@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -118,6 +119,16 @@ func TestCheckpointRoundTripWithWrappedRing(t *testing.T) {
 		return b
 	}
 	before := save(x1)
+	// Three requests are parked in the memory and three in the queue: all
+	// six are in flight, and each carries the hop that will bring it back.
+	if x1.InFlight() != 6 || !bytes.Contains(before, []byte(`"inFlight":6`)) {
+		t.Fatalf("%d in flight, image %s: want 6 in both", x1.InFlight(), before)
+	}
+	for i, p := range pkts {
+		if hop, ok := p.RouteTop(); !ok || hop != (mem.RouteHop{Xbar: x1.tag, Side: 0}) {
+			t.Fatalf("packet %d carries route %v, want one hop to side 0 of tag %d", i, p.Route(), x1.tag)
+		}
+	}
 
 	k2, x2, _, g2 := build()
 	k2.RestoreClock(k1.ClockState())
@@ -134,10 +145,84 @@ func TestCheckpointRoundTripWithWrappedRing(t *testing.T) {
 	if after := save(x2); !bytes.Equal(before, after) {
 		t.Fatalf("save -> restore -> save changed the image:\n%s\n%s", before, after)
 	}
+	if x2.InFlight() != 6 {
+		t.Fatalf("restored crossbar has %d in flight, want 6", x2.InFlight())
+	}
 
 	g2.open = true
 	k2.RunUntil(k2.Now() + 20*sim.Nanosecond)
 	if len(g2.got) != 3 || g2.got[0] != pkts[3] || g2.got[1] != pkts[4] || g2.got[2] != pkts[5] {
 		t.Fatalf("restored queue drained %v, want packets 3, 4, 5 in order", g2.got)
+	}
+}
+
+// TestRestoreRejectsRouteOffTheCrossbar: a queued request whose route leads
+// to a requestor side the crossbar does not have (an image written for a
+// wider one), to another crossbar, or nowhere, is an error from
+// CheckpointRestore — not an index panic when the response comes back.
+func TestRestoreRejectsRouteOffTheCrossbar(t *testing.T) {
+	build := func() (*Crossbar, []*sink) {
+		k := sim.NewKernel()
+		x, err := New(k, Config{Latency: 5 * sim.Nanosecond, QueueDepth: 4}, InterleaveRoute(1, 64), stats.NewRegistry("t"), "xbar")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sinks []*sink
+		for i := 0; i < 4; i++ {
+			s := newSink(k, "cpu")
+			mem.Connect(s.port, x.AttachRequestor("cpu"))
+			sinks = append(sinks, s)
+		}
+		g := &gateMem{}
+		g.port = mem.NewResponsePort("mem", g, k)
+		mem.Connect(x.AttachMemory("mem"), g.port)
+		return x, sinks
+	}
+	x1, sinks := build()
+	pkts := refTable{mem.NewRead(0, 64, 3, 0)}
+	if !sinks[3].send(pkts[0]) {
+		t.Fatal("request refused by an empty crossbar")
+	}
+	img, err := x1.CheckpointSave(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		route []mem.RouteHop
+		ok    bool
+	}{
+		{"as saved", []mem.RouteHop{{Xbar: x1.tag, Side: 3}}, true},
+		{"side 7 of 4", []mem.RouteHop{{Xbar: x1.tag, Side: 7}}, false},
+		{"another crossbar's hop", []mem.RouteHop{{Xbar: x1.tag + 1, Side: 3}}, false},
+		{"no route", nil, false},
+	} {
+		st, err := pkts[0].SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Route = c.route
+		pkt, err := st.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x2, _ := build()
+		var d deferred
+		err = x2.CheckpointRestore(refTable{pkt}, &d, data)
+		if c.ok != (err == nil) || (err != nil && !strings.Contains(err.Error(), "queued request")) {
+			t.Errorf("%s: restore error %v, want ok = %v", c.name, err, c.ok)
+		}
+	}
+
+	// The count is checked against what the queues show.
+	short := bytes.Replace(data, []byte(`"inFlight":1`), []byte(`"inFlight":0`), 1)
+	x2, _ := build()
+	var d deferred
+	if err := x2.CheckpointRestore(pkts, &d, short); err == nil || !strings.Contains(err.Error(), "counts 0 requests in flight") {
+		t.Errorf("in-flight count below the queued requests: restore error %v", err)
 	}
 }

@@ -9,6 +9,8 @@ package xbar
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -20,11 +22,22 @@ import (
 type Route func(mem.Addr) int
 
 // InterleaveRoute builds a Route that stripes addresses across n ports at
-// the given granularity (must be a power of two).
+// the given granularity, which must be a power of two: a route runs twice
+// per request, so the divide by the granularity is a shift and, where n
+// allows, the modulo a mask or nothing.
 func InterleaveRoute(n int, granularity uint64) Route {
-	return func(a mem.Addr) int {
-		return int(uint64(a) / granularity % uint64(n))
+	if n < 1 || bits.OnesCount64(granularity) != 1 {
+		panic(fmt.Sprintf("xbar: InterleaveRoute(%d, %d): need a port and a power-of-two granularity", n, granularity))
 	}
+	shift := uint(bits.TrailingZeros64(granularity))
+	switch {
+	case n == 1:
+		return func(mem.Addr) int { return 0 }
+	case n&(n-1) == 0:
+		mask := uint64(n - 1)
+		return func(a mem.Addr) int { return int(uint64(a) >> shift & mask) }
+	}
+	return func(a mem.Addr) int { return int(uint64(a) >> shift % uint64(n)) }
 }
 
 // AddrRange is a half-open address interval mapped to one memory port.
@@ -184,22 +197,30 @@ func (q *outQueue) retry() {
 	q.drain()
 }
 
+// maxRequestors is how many requestor ports one crossbar takes: a return
+// route names the side in a byte.
+const maxRequestors = math.MaxUint8
+
 // Crossbar routes requests from any number of requestor-side ports to
-// memory-side ports and responses back, by packet identity.
+// memory-side ports and responses back, by the return route each request
+// carries (mem.Packet.PushRoute).
 type Crossbar struct {
 	name string
 	k    *sim.Kernel
 	cfg  Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
 	rt   Route  //ckpt:skip routing function, rebuilt by the constructor
+	// tag marks this crossbar's hops in a return route. It is a hash of the
+	// name, so it is the same in the run that saves a checkpoint and the run
+	// that resumes it.
+	tag uint8
 
 	// Requestor side: one response port per attached requestor.
 	reqSides []*reqSide
 	// Memory side: one request port + request queue per channel.
 	memSides []*memSide
 
-	// origin maps an in-flight request to the requestor-side index its
-	// response must return to.
-	origin map[*mem.Packet]int
+	// inFlight counts requests routed but not yet answered.
+	inFlight int
 
 	reqRouted  *stats.Scalar //ckpt:skip persisted by the stats registry adapter
 	respRouted *stats.Scalar //ckpt:skip persisted by the stats registry adapter
@@ -238,7 +259,7 @@ func New(k *sim.Kernel, cfg Config, rt Route, reg *stats.Registry, name string) 
 	if rt == nil {
 		return nil, fmt.Errorf("xbar: nil route")
 	}
-	x := &Crossbar{name: name, k: k, cfg: cfg, rt: rt, origin: make(map[*mem.Packet]int), hub: cfg.Probes.OrNil()}
+	x := &Crossbar{name: name, k: k, cfg: cfg, rt: rt, tag: nameTag(name), hub: cfg.Probes.OrNil()}
 	r := reg.Child(name)
 	x.reqRouted = r.NewScalar("reqRouted", "requests routed")
 	x.respRouted = r.NewScalar("respRouted", "responses routed")
@@ -246,9 +267,23 @@ func New(k *sim.Kernel, cfg Config, rt Route, reg *stats.Registry, name string) 
 	return x, nil
 }
 
+// nameTag folds the FNV-1a hash of a crossbar's name into a byte.
+func nameTag(name string) uint8 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return uint8(h ^ h>>8 ^ h>>16 ^ h>>24)
+}
+
 // AttachRequestor adds a requestor-side port; connect the requestor's
-// request port to the returned response port.
+// request port to the returned response port. A crossbar takes at most
+// maxRequestors of them.
 func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
+	if len(x.reqSides) == maxRequestors {
+		panic(fmt.Sprintf("xbar: %s: requestor port %q is one too many: a return route addresses %d",
+			x.name, name, maxRequestors))
+	}
 	rs := &reqSide{x: x, index: len(x.reqSides)}
 	rs.port = mem.NewResponsePort(fmt.Sprintf("%s.cpu%d", x.name, rs.index), rs, x.k)
 	rs.respQ = newOutQueue(x.k, x.cfg, rs.port.Name()+".respq",
@@ -310,7 +345,11 @@ func (rs *reqSide) RecvTimingReq(pkt *mem.Packet) bool {
 		}
 		return false
 	}
-	x.origin[pkt] = rs.index
+	if !pkt.PushRoute(mem.RouteHop{Xbar: x.tag, Side: uint8(rs.index)}) {
+		panic(fmt.Sprintf("xbar: %s on %s has crossed %d crossbars (route %v), as many as a packet records, at %s",
+			pkt, rs.port.Name(), mem.RouteDepth, pkt.Route(), x.k.Now()))
+	}
+	x.inFlight++
 	x.reqRouted.Inc()
 	q.push(pkt)
 	if x.hub != nil {
@@ -333,19 +372,20 @@ func xbarQueue(pkt *mem.Packet) obs.Queue {
 // again.
 func (rs *reqSide) RecvRespRetry() { rs.respQ.retry() }
 
-// RecvTimingResp implements mem.Requestor for a memory-side port: route the
-// response back to its origin.
+// RecvTimingResp implements mem.Requestor for a memory-side port: send the
+// response back out of the side its route names.
 func (ms *memSide) RecvTimingResp(pkt *mem.Packet) bool {
 	x := ms.x
-	idx, ok := x.origin[pkt]
-	if !ok {
-		panic(fmt.Sprintf("xbar: response %s with unknown origin at %s", pkt, x.k.Now()))
+	side, ok := x.returnSide(pkt)
+	if !ok || x.inFlight == 0 {
+		panic(x.badResponse(ms, pkt))
 	}
-	q := x.reqSides[idx].respQ
+	q := x.reqSides[side].respQ
 	if q.full() {
 		return false
 	}
-	delete(x.origin, pkt)
+	pkt.PopRoute()
+	x.inFlight--
 	x.respRouted.Inc()
 	q.push(pkt)
 	if x.hub != nil {
@@ -354,11 +394,36 @@ func (ms *memSide) RecvTimingResp(pkt *mem.Packet) bool {
 	return true
 }
 
+// returnSide reads the requestor side a packet's route leads back to; ok is
+// false unless the last hop is this crossbar's and names a side it has.
+func (x *Crossbar) returnSide(pkt *mem.Packet) (side int, ok bool) {
+	hop, ok := pkt.RouteTop()
+	return int(hop.Side), ok && hop.Xbar == x.tag && int(hop.Side) < len(x.reqSides)
+}
+
+// badResponse says why a response cannot be routed back. An empty route is
+// a request this crossbar never took, or one already answered (the hop went
+// with the first response).
+func (x *Crossbar) badResponse(ms *memSide, pkt *mem.Packet) string {
+	where := fmt.Sprintf("on %s at %s", ms.port.Name(), x.k.Now())
+	hop, ok := pkt.RouteTop()
+	switch {
+	case !ok:
+		return fmt.Sprintf("xbar: response %s with unknown origin (empty return route: never routed, or answered twice) %s", pkt, where)
+	case hop.Xbar != x.tag:
+		return fmt.Sprintf("xbar: response %s belongs to another crossbar: its route %v ends at tag %d, %s is tag %d, %s",
+			pkt, pkt.Route(), hop.Xbar, x.name, x.tag, where)
+	case int(hop.Side) >= len(x.reqSides):
+		return fmt.Sprintf("xbar: response %s names requestor side %d of %d %s", pkt, hop.Side, len(x.reqSides), where)
+	}
+	return fmt.Sprintf("xbar: response %s with unknown origin (no request in flight) %s", pkt, where)
+}
+
 // RecvReqRetry implements mem.Requestor: the controller freed queue space.
 func (ms *memSide) RecvReqRetry() { ms.reqQ.retry() }
 
 // InFlight returns the number of requests routed but not yet answered.
-func (x *Crossbar) InFlight() int { return len(x.origin) }
+func (x *Crossbar) InFlight() int { return x.inFlight }
 
 // Quiescent reports whether no packets sit in any internal queue.
 func (x *Crossbar) Quiescent() bool {

@@ -2,6 +2,8 @@ package xbar
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -180,6 +182,30 @@ func TestRouting(t *testing.T) {
 	if len(s.responses) != 8 {
 		t.Fatalf("responses = %d", len(s.responses))
 	}
+
+	// InterleaveRoute's shift, its mask for power-of-two port counts, its
+	// constant for one port and its general arm all agree with the division
+	// they replace; a granularity that cannot be shifted by is refused.
+	for _, gran := range []uint64{0, 96} {
+		if msg := panicMessage(func() { InterleaveRoute(4, gran) }); !strings.Contains(msg, "power-of-two granularity") {
+			t.Errorf("InterleaveRoute(4, %d): panic %q", gran, msg)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16} {
+		for _, gran := range []uint64{1, 64, 256, 8192, 1 << 30} {
+			rt := InterleaveRoute(n, gran)
+			addrs := []uint64{0, gran - 1, gran, gran*uint64(n) - 1, gran * uint64(n), 1<<63 - 1, 1<<64 - 1}
+			for i := 0; i < 200; i++ {
+				addrs = append(addrs, rng.Uint64())
+			}
+			for _, a := range addrs {
+				if got, want := rt(mem.Addr(a)), int(a/gran%uint64(n)); got != want {
+					t.Fatalf("InterleaveRoute(%d, %d)(%#x) = %d, division gives %d", n, gran, a, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestLatencyBothWays(t *testing.T) {
@@ -332,21 +358,69 @@ func TestCrossbarWithControllers(t *testing.T) {
 	}
 }
 
+// TestMisrouteAndUnknownOriginPanic: each way a response can be wrong for the
+// crossbar it reaches — and a request with no room left for a hop — fails
+// with the reason and the tick, never by delivering to whichever side a byte
+// happens to name.
 func TestMisrouteAndUnknownOriginPanic(t *testing.T) {
-	k, x, sinks, _ := build(t, Config{Latency: 0, QueueDepth: 4}, 1, 1, 64)
-	_ = sinks
+	k, x, sinks, mems := build(t, Config{Latency: 0, QueueDepth: 4}, 2, 1, 64)
+	other, err := New(k, DefaultConfig(), InterleaveRoute(1, 64), stats.NewRegistry("t"), "otherxbar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.tag == x.tag {
+		t.Fatalf("test crossbars share tag %d", x.tag)
+	}
+
 	// Unknown origin: a response the crossbar never routed.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("unknown origin did not panic")
-			}
-		}()
-		pkt := mem.NewRead(0, 64, 0, 0)
-		pkt.MakeResponse()
-		x.memSides[0].RecvTimingResp(pkt)
-	}()
-	_ = k
+	never := mem.NewRead(0, 64, 0, 0)
+	never.MakeResponse()
+	// Foreign: the last crossbar the request crossed was another one.
+	foreign := mem.NewRead(0, 64, 0, 0)
+	foreign.PushRoute(mem.RouteHop{Xbar: other.tag, Side: 0})
+	foreign.MakeResponse()
+	// Over-deep: a request that has already crossed as many crossbars as a
+	// packet records.
+	deep := mem.NewRead(0, 64, 0, 0)
+	for i := 0; i < mem.RouteDepth; i++ {
+		deep.PushRoute(mem.RouteHop{Xbar: other.tag, Side: 0})
+	}
+	// Answered twice: a routed request whose memory responds, and then
+	// responds again after the first response has gone back.
+	twice := mem.NewRead(64, 64, 1, 0)
+	if !sinks[1].send(twice) {
+		t.Fatal("request refused by an empty crossbar")
+	}
+	k.RunUntil(60 * sim.Nanosecond)
+	if len(sinks[1].responses) != 1 || x.InFlight() != 0 {
+		t.Fatalf("round trip before the second response: %d responses, %d in flight", len(sinks[1].responses), x.InFlight())
+	}
+	// Wrong side: a hop of this crossbar naming a requestor side it lacks,
+	// as a checkpoint written for a wider crossbar would restore. One request
+	// is genuinely in flight, so only the hop is wrong.
+	if !sinks[0].send(mem.NewRead(128, 64, 0, 0)) {
+		t.Fatal("request refused by an empty crossbar")
+	}
+	wide := mem.NewRead(0, 64, 0, 0)
+	wide.PushRoute(mem.RouteHop{Xbar: x.tag, Side: 7})
+	wide.MakeResponse()
+
+	for _, c := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"never routed", func() { x.memSides[0].RecvTimingResp(never) }, "unknown origin (empty return route"},
+		{"another crossbar's", func() { x.memSides[0].RecvTimingResp(foreign) }, "belongs to another crossbar"},
+		{"answered twice", func() { mems[0].port.SendTimingResp(twice) }, "unknown origin (empty return route"},
+		{"side out of range", func() { x.memSides[0].RecvTimingResp(wide) }, "names requestor side 7 of 2"},
+		{"route full", func() { sinks[0].send(deep) }, "has crossed 3 crossbars"},
+	} {
+		msg := panicMessage(c.f)
+		if !strings.Contains(msg, c.want) || !strings.HasSuffix(msg, " at 60ns") {
+			t.Errorf("%s: panic %q, want one containing %q and ending \" at 60ns\"", c.name, msg, c.want)
+		}
+	}
 }
 
 func TestRangeRoute(t *testing.T) {
