@@ -4,7 +4,10 @@
 # separate named steps; locally, the no-argument form is the full gate.
 #
 # tests:    the analysis framework's own tests (goldens, suppression
-#           semantics, analyzer interaction, the compiler escape gate).
+#           semantics, analyzer interaction, the compiler escape gate, and
+#           the annotation ratchet: TestAnnotationRatchet holds the
+#           //lint:allow, //hot:allow and //ckpt:skip counts outside
+#           internal/analysis to ci/annotations.txt, in tier-1).
 #
 # clean:    the repository itself must be clean (exit 0, no output); simlint
 #           runs every analyzer on every package, so a host-clock read or an
@@ -12,10 +15,6 @@
 #           reasoned //lint:allow or fails here. -json keeps the output
 #           machine-readable so the GitHub Actions problem matcher
 #           (.github/simlint-matcher.json) annotates any finding in the PR.
-#           Also the annotation ratchet: the number of //lint:allow,
-#           //hot:allow and //ckpt:skip directives outside internal/analysis
-#           must equal ci/annotations.txt, so a count only moves together
-#           with that file.
 #
 # fixtures: the driver, run end-to-end over every fixture package in ONE
 #           invocation, must find exactly what the consolidated JSON golden
@@ -40,22 +39,6 @@ run_clean() {
     echo "== simlint: repository must be clean with every analyzer on every package =="
     go run ./cmd/simlint -json ./...
     echo "clean"
-    echo "== annotation ratchet: directive counts vs ci/annotations.txt =="
-    local name want pat got
-    while read -r name want; do
-        case "$name" in
-        lint:allow) pat='//lint:allow [a-z]+ [^ ]' ;;
-        hot:allow | ckpt:skip) pat="//$name [^ ]" ;;
-        *) continue ;; # comment or blank line
-        esac
-        got=$({ git grep -Eoh "$pat" -- '*.go' ':!internal/analysis' || true; } | wc -l)
-        if [ "$got" -ne "$want" ]; then
-            echo "FAIL: $got //$name directives outside internal/analysis, ci/annotations.txt says $want:" \
-                "a count moves only together with that file (a rise needs a reason a reviewer accepts)"
-            exit 1
-        fi
-        echo "//$name $got"
-    done < ci/annotations.txt
 }
 
 run_fixtures() {

@@ -437,6 +437,7 @@ func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 		{[]string{"-channels", "2"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS"`},
 		{[]string{"-channels", "2"}, nil, ""},
 		{[]string{"-page", "open"}, []string{"-page", "closed"}, `mc0: Page: checkpoint "open", this run "closed"`},
+		{[]string{"-model", "cycle"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS"`},
 	} {
 		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 		base := append(tc.base, "-requests", "2000", "-checkpoint", ckpt)

@@ -1,8 +1,11 @@
 package analysis_test
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -220,6 +223,65 @@ func TestRealTreeClean(t *testing.T) {
 	findings := analysis.Run(pkgs, analysis.Analyzers())
 	if len(findings) != 0 {
 		t.Errorf("tree is not lint-clean:\n%s", analysis.Format(findings, root))
+	}
+}
+
+// TestAnnotationRatchet holds the number of reasoned //lint:allow, //hot:allow
+// and //ckpt:skip directives in Go sources outside this package to
+// ci/annotations.txt, so a count only moves together with that file: a new
+// suppression shows up in review as an edit there, and a deleted one is
+// locked in.
+func TestAnnotationRatchet(t *testing.T) {
+	root := moduleRoot(t)
+	patterns := map[string]*regexp.Regexp{
+		"lint:allow": regexp.MustCompile(`//lint:allow [a-z]+ [^ ]`),
+		"hot:allow":  regexp.MustCompile(`//hot:allow [^ ]`),
+		"ckpt:skip":  regexp.MustCompile(`//ckpt:skip [^ ]`),
+	}
+	got := map[string]int{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch {
+		case d.IsDir() && path == root:
+			return nil
+		case d.IsDir() && (strings.HasPrefix(d.Name(), ".") || path == filepath.Join(root, "internal", "analysis")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for name, re := range patterns {
+			got[name] += len(re.FindAll(src, -1))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := os.ReadFile(filepath.Join(root, "ci", "annotations.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, line := range strings.Split(string(ledger), "\n") {
+		var name string
+		var n int
+		if _, err := fmt.Sscanf(line, "%s %d", &name, &n); err == nil && patterns[name] != nil {
+			want[name] = n
+		}
+	}
+	for name := range patterns {
+		if n, ok := want[name]; !ok {
+			t.Errorf("ci/annotations.txt has no %s row", name)
+		} else if got[name] != n {
+			t.Errorf("%d //%s directives outside internal/analysis, ci/annotations.txt says %d: "+
+				"a count moves only together with that file (a rise needs a reason a reviewer accepts)", got[name], name, n)
+		}
 	}
 }
 

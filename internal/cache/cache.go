@@ -34,9 +34,6 @@ type Config struct {
 	WriteBufferDepth int
 	// Prefetch selects the prefetcher (extension; see prefetch.go).
 	Prefetch PrefetchPolicy
-	// PrefetchDegree is how many lines ahead the stride prefetcher runs
-	// (0 means the default of 2).
-	PrefetchDegree int
 }
 
 // Validate checks structural sanity.
@@ -56,8 +53,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: MSHRs must be positive")
 	case c.WriteBufferDepth <= 0:
 		return fmt.Errorf("cache: write buffer depth must be positive")
-	case c.PrefetchDegree < 0:
-		return fmt.Errorf("cache: negative prefetch degree")
 	case c.Prefetch != PrefetchNone && c.MSHRs < 2:
 		return fmt.Errorf("cache: prefetching needs at least 2 MSHRs")
 	}

@@ -10,7 +10,7 @@ import (
 //
 //   - next-line: on every demand miss, also fetch the following line;
 //   - stride: detect a per-requestor stride over the last misses and fetch
-//     Degree lines ahead along it.
+//     strideDegree lines ahead along it.
 //
 // Prefetches are issued as ordinary line fills through the memory port, so
 // they contend for DRAM exactly like demand traffic; useless prefetches
@@ -42,6 +42,9 @@ func (p PrefetchPolicy) String() string {
 	return "PrefetchPolicy(?)"
 }
 
+// strideDegree is how many lines ahead a confirmed stride is prefetched.
+const strideDegree = 2
+
 // strideState tracks one requestor's miss pattern.
 type strideState struct {
 	lastAddr  mem.Addr
@@ -71,11 +74,7 @@ func (c *Cache) maybePrefetch(demand mem.Addr, requestorID int) {
 		}
 		st.lastAddr = demand
 		if st.confirmed >= 2 {
-			degree := c.cfg.PrefetchDegree
-			if degree <= 0 {
-				degree = 2
-			}
-			for d := 1; d <= degree; d++ {
+			for d := 1; d <= strideDegree; d++ {
 				target := int64(demand) + st.stride*int64(d)
 				if target < 0 {
 					break

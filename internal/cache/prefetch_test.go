@@ -22,10 +22,6 @@ func TestPrefetchConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cfg.PrefetchDegree = -1
-	if cfg.Validate() == nil {
-		t.Fatal("negative degree accepted")
-	}
 	cfg = prefetchCfg(PrefetchPolicy(9))
 	if cfg.Validate() == nil {
 		t.Fatal("unknown policy accepted")
@@ -123,11 +119,10 @@ func TestPrefetchUselessOnRandom(t *testing.T) {
 func TestPrefetchLeavesDemandMSHR(t *testing.T) {
 	cfg := prefetchCfg(PrefetchStride)
 	cfg.MSHRs = 2
-	cfg.PrefetchDegree = 8
 	k, u, _, _ := build(t, cfg, 500*sim.Nanosecond)
 	// Spaced past the fill latency so the single-retry test harness never
 	// overwrites a blocked packet; the stride prefetcher still wants to run
-	// 8 lines ahead but only ever gets the one spare MSHR.
+	// two lines ahead but only ever gets the one spare MSHR.
 	for i := 0; i < 6; i++ {
 		i := i
 		at(k, sim.Tick(i)*600*sim.Nanosecond, func() {

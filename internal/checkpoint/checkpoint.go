@@ -49,8 +49,12 @@ import (
 // {Scope, Step} only; v5: a packet carries its return route through the
 // crossbars, which save a count of requests in flight where v4 saved an
 // origin table — a v4 file with requests behind a crossbar could not be
-// answered, so every v4 file is refused here by version).
-const Version = 5
+// answered, so every v4 file is refused here by version; v6: the controller
+// images lost three configuration fields (a per-row access cap, per-rank
+// fault scaling, the cycle model's idle skip) and the state carried for them
+// and for QoS priorities, so a v5 file is refused at the header rather than
+// by a diff against a field this build does not have).
+const Version = 6
 
 // Checkpointable is implemented by every component that owns simulation
 // state. CheckpointSave returns a JSON-serializable image of the component

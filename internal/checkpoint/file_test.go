@@ -140,6 +140,11 @@ func TestRestoreRejectsV3(t *testing.T) { testRestoreRejectsVersion(t, 3) }
 // crossbar would be restored with no return route — so it is refused whole.
 func TestRestoreRejectsV4(t *testing.T) { testRestoreRejectsVersion(t, 4) }
 
+// TestRestoreRejectsV5: a v5 image states three configuration fields this
+// build no longer has (see checkpoint.Version); it is refused at the header,
+// not by a field-path diff naming a field nobody can set.
+func TestRestoreRejectsV5(t *testing.T) { testRestoreRejectsVersion(t, 5) }
+
 func testRestoreRejectsVersion(t *testing.T, old int) {
 	m, _ := newFakeManager("fp", 7)
 	img, err := m.Save()

@@ -59,8 +59,8 @@ func statedImages() []statedImage {
 	return []statedImage{
 		{"core", func(t *testing.T) any {
 			cfg := core.DefaultConfig(spec)
-			cfg.MaxAccessesPerRow, cfg.PowerDownIdle, cfg.SelfRefreshIdle = 8, sim.Microsecond, 10*sim.Microsecond
-			cfg.Faults = faults.Config{Seed: 1 << 60, CorrectablePerBurst: 0.01, RankScale: []float64{1.5},
+			cfg.PowerDownIdle, cfg.SelfRefreshIdle = sim.Microsecond, 10*sim.Microsecond
+			cfg.Faults = faults.Config{Seed: 1 << 60, CorrectablePerBurst: 0.01,
 				StuckRows: []faults.StuckRow{{Rank: 0, Bank: 1, Row: 2, Kind: faults.Correctable}}}
 			c, err := core.NewController(sim.NewKernel(), cfg, stats.NewRegistry("t"), "mc")
 			if err != nil {
@@ -215,9 +215,9 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 	// The knobs that sat outside every fingerprint before identity was
 	// derived, by name, so the walk cannot quietly stop reaching them.
 	for _, must := range []string{
-		"core:XORBankHash", "core:MinWritesPerSwitch", "core:WriteHighThresh", "core:MaxAccessesPerRow",
+		"core:XORBankHash", "core:MinWritesPerSwitch", "core:WriteHighThresh",
 		"core:FrontendLatency", "core:Device.Timing.TRCD", "core:Faults.Seed", "core:Faults.StuckRows[0].Row",
-		"cyclesim:IdleSkip", "xbar:Memories",
+		"cyclesim:Scheduling", "xbar:Memories",
 		"gen-linear:Pattern.Seed", "gen-random:Pattern.Seed", "gen-dramaware:Pattern.Seed",
 		"gen-bursty:Pattern.Seed", "gen-strided:Pattern.Seed", "gen-random:PatternType",
 		"gen-dramaware:Pattern.Decoder.XORBankRow", "gen-linear:RequestorID",
@@ -229,9 +229,9 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 }
 
 // TestExcludedConfigFields pins the complete list of fields outside the
-// comparison. Adding a `json:"-"` to a stated configuration is a decision
-// that a resume may differ in that field; it is made here, with a reason
-// beside the tag.
+// comparison: the three probe hubs, which only observe. Identity is every
+// field that is not a probe; adding a `json:"-"` to a stated configuration is
+// a decision that a resume may differ in that field, and it is made here.
 func TestExcludedConfigFields(t *testing.T) {
 	var got []string
 	for _, si := range statedImages() {
@@ -243,10 +243,9 @@ func TestExcludedConfigFields(t *testing.T) {
 	}
 	slices.Sort(got)
 	want := []string{
-		"core.Config.Probes",      // observation only
-		"core.Config.QoSPriority", // function-valued; the caller's session scope names the policy
-		"cyclesim.Config.Probes",  // observation only
-		"xbar.Config.Probes",      // observation only
+		"core.Config.Probes",
+		"cyclesim.Config.Probes",
+		"xbar.Config.Probes",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("fields excluded from checkpoint identity:\n got %v\nwant %v", got, want)

@@ -37,9 +37,6 @@ type rank struct {
 	// refreshing books its activate for afterwards), and the scheduler must
 	// not treat such a row as a ready hit.
 	refreshUntil []sim.Tick
-	// rowAccesses counts column accesses to the currently open row, for the
-	// optional MaxAccessesPerRow cap.
-	rowAccesses []int
 	// bytesAccessed accumulates data moved for the open row, feeding the
 	// bytes-per-activate statistic.
 	bytesAccessed []uint64
@@ -110,7 +107,6 @@ func newRank(org dram.Organization, topo dram.Topology) *rank {
 		preAllowedAt:  make([]sim.Tick, n),
 		colAllowedAt:  make([]sim.Tick, n),
 		refreshUntil:  make([]sim.Tick, n),
-		rowAccesses:   make([]int, n),
 		bytesAccessed: make([]uint64, n),
 		lastActAt:     neverTick,
 	}

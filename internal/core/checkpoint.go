@@ -47,7 +47,6 @@ type dpState struct {
 	Addr      mem.Addr `json:"addr"`
 	Size      uint64   `json:"size"`
 	Parent    int      `json:"parent"`
-	Priority  int      `json:"priority,omitempty"`
 	EntryTime sim.Tick `json:"entryTime"`
 	ReadyTime sim.Tick `json:"readyTime"`
 	Attempts  int      `json:"attempts,omitempty"`
@@ -76,7 +75,6 @@ type bankState struct {
 	PreAllowedAt  sim.Tick `json:"preAllowedAt"`
 	ColAllowedAt  sim.Tick `json:"colAllowedAt"`
 	RefreshUntil  sim.Tick `json:"refreshUntil"`
-	RowAccesses   int      `json:"rowAccesses,omitempty"`
 	BytesAccessed uint64   `json:"bytesAccessed,omitempty"`
 }
 
@@ -155,7 +153,7 @@ func saveDP(dp *dramPacket, txnIdx map[*transaction]int) dpState {
 		IsRead: dp.isRead,
 		Rank:   dp.coord.Rank, Bank: dp.coord.Bank, Row: dp.coord.Row, Col: dp.coord.Col,
 		BurstAddr: dp.burstAddr, Addr: dp.addr, Size: dp.size,
-		Parent: parent, Priority: dp.priority,
+		Parent:    parent,
 		EntryTime: dp.entryTime, ReadyTime: dp.readyTime,
 		Attempts: dp.attempts, Scrub: dp.scrub,
 	}
@@ -173,7 +171,6 @@ func (c *Controller) loadDP(st dpState, txns []*transaction) (*dramPacket, error
 		isRead:    st.IsRead,
 		coord:     dram.Coord{Rank: st.Rank, Bank: st.Bank, Row: st.Row, Col: st.Col},
 		burstAddr: st.BurstAddr, addr: st.Addr, size: st.Size,
-		priority:  st.Priority,
 		entryTime: st.EntryTime, readyTime: st.ReadyTime,
 		attempts: st.Attempts, scrub: st.Scrub,
 	}
@@ -284,7 +281,7 @@ func (c *Controller) CheckpointSave(pt mem.PacketTable) (any, error) {
 				OpenRow:      rk.openRow[i],
 				ActAllowedAt: rk.actAllowedAt[i], PreAllowedAt: rk.preAllowedAt[i],
 				ColAllowedAt: rk.colAllowedAt[i], RefreshUntil: rk.refreshUntil[i],
-				RowAccesses: rk.rowAccesses[i], BytesAccessed: rk.bytesAccessed[i],
+				BytesAccessed: rk.bytesAccessed[i],
 			})
 		}
 		st.Ranks = append(st.Ranks, rs)
@@ -394,7 +391,6 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 			rk.preAllowedAt[bi] = bst.PreAllowedAt
 			rk.colAllowedAt[bi] = bst.ColAllowedAt
 			rk.refreshUntil[bi] = bst.RefreshUntil
-			rk.rowAccesses[bi] = bst.RowAccesses
 			rk.bytesAccessed[bi] = bst.BytesAccessed
 		}
 	}

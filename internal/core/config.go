@@ -113,10 +113,6 @@ type Config struct {
 	// BackendLatency is the static PHY/IO latency applied to responses that
 	// performed a DRAM access.
 	BackendLatency sim.Tick
-	// MaxAccessesPerRow optionally forces a precharge after this many
-	// column accesses to one open row (0 disables), preventing starvation
-	// under an open-page policy.
-	MaxAccessesPerRow int
 	// PowerDownIdle enters power-down after this much complete idleness
 	// (0 disables). This is an extension beyond the paper, which lists
 	// low-power states as future work; the exit pays Timing.TXP.
@@ -135,15 +131,6 @@ type Config struct {
 	// XORBankHash spreads same-bank strides across banks by XORing the
 	// bank index with low row bits (extension; gem5 offers the same hash).
 	XORBankHash bool
-	// QoSPriority optionally maps a requestor ID to a priority level
-	// (higher is more important). When set, the scheduler serves the
-	// highest-priority level present in a queue and applies FR-FCFS within
-	// it — the paper's §II-C hook for "Quality-of-Service requirements of
-	// the requesting CPUs and I/O devices". Nil disables QoS. Outside the
-	// checkpoint identity: a function has no stable image, so a caller that
-	// sets one and checkpoints names its policy in the session scope
-	// (system.Session.Supervise).
-	QoSPriority func(requestorID int) int `json:"-"`
 	// Faults configures deterministic fault injection on read bursts
 	// (extension: RAS modelling). The zero value injects nothing and the
 	// controller behaves exactly as without the subsystem.
@@ -174,7 +161,6 @@ func DefaultConfig(spec dram.Spec) Config {
 		Page:               Open,
 		FrontendLatency:    10 * sim.Nanosecond,
 		BackendLatency:     10 * sim.Nanosecond,
-		MaxAccessesPerRow:  0,
 		// RAS defaults: inert until Faults enables injection. The correction
 		// latency approximates an on-the-fly SEC-DED fix plus pipeline
 		// replay; 4 replays before retirement follows DDR4 retry practice.
@@ -207,8 +193,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: min writes per switch must be positive, got %d", c.MinWritesPerSwitch)
 	case c.FrontendLatency < 0 || c.BackendLatency < 0:
 		return fmt.Errorf("core: negative static latency")
-	case c.MaxAccessesPerRow < 0:
-		return fmt.Errorf("core: negative max accesses per row")
 	case c.PowerDownIdle < 0:
 		return fmt.Errorf("core: negative power-down idle time")
 	case c.SelfRefreshIdle < 0:

@@ -393,7 +393,7 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 			c.st.servicedByWrQ.Inc()
 			return
 		}
-		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size, c.priorityOf(pkt.RequestorID))
+		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size)
 		dp.isRead, dp.parent = true, tr
 		c.wakeRank(dp.coord.Rank)
 		c.readQueue.push(dp)
@@ -433,7 +433,7 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 			c.st.mergedWrBursts.Inc()
 			return
 		}
-		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size, c.priorityOf(pkt.RequestorID))
+		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size)
 		c.wakeRank(dp.coord.Rank)
 		c.writeQueue.push(dp)
 		c.st.writeBursts.Inc()
@@ -648,20 +648,11 @@ func (c *Controller) processNextReqEvent() {
 	}
 }
 
-// priorityOf maps a requestor to its QoS level (0 when QoS is disabled).
-func (c *Controller) priorityOf(requestorID int) int {
-	if c.cfg.QoSPriority == nil {
-		return 0
-	}
-	return c.cfg.QoSPriority(requestorID)
-}
-
 // chooseNext returns the queued burst to service next. FCFS takes the head.
 // FR-FCFS follows gem5's hierarchy: the first *seamless* row hit (column
 // ready by the time the data bus frees), then the first ready-but-not-
 // seamless hit, then the request whose bank frees earliest (paper §II-C),
-// "first" always meaning arrival order. With QoS enabled, only the highest
-// priority level present in the queue competes.
+// "first" always meaning arrival order.
 //
 // The arbitration runs over the banks with queued work, not over the queue:
 // whether a burst is a ready hit, whether that hit is seamless, and what
@@ -674,20 +665,11 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 	if c.cfg.Scheduling == FCFS || q.n == 1 {
 		return q.head
 	}
-	minPri := 0
-	if c.cfg.QoSPriority != nil {
-		minPri = q.head.priority
-		for p := q.head.next; p != nil; p = p.next {
-			if p.priority > minPri {
-				minPri = p.priority
-			}
-		}
-	}
 	now := c.k.Now()
 	// With no bank holding a burst to its open row — every decision of random
 	// traffic — there is no hit to look for.
 	if q.hits > 0 {
-		if p := c.firstReadyHit(q, minPri, now); p != nil {
+		if p := c.firstReadyHit(q, now); p != nil {
 			return p
 		}
 	}
@@ -721,15 +703,13 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 					continue
 				}
 				open := rk.openRow[bi]
-				if p := firstOf(b.head, minPri, open, false); p != nil {
+				if p := firstOf(b.head, open, false); p != nil {
 					_, _, ready, at := c.bankIssueAt(&f, rk, bi, false)
 					best.offer(p, at, ready)
 				}
 				if b.hits > 0 && rk.refreshUntil[bi] > now {
-					if p := firstOf(b.head, minPri, open, true); p != nil {
-						_, _, ready, at := c.bankIssueAt(&f, rk, bi, true)
-						best.offer(p, at, ready)
-					}
+					_, _, ready, at := c.bankIssueAt(&f, rk, bi, true)
+					best.offer(firstOf(b.head, open, true), at, ready)
 				}
 			}
 		}
@@ -739,7 +719,7 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 
 // firstReadyHit is the hit phase of FR-FCFS: the first seamless row hit in
 // arrival order, else the first ready one, else nil.
-func (c *Controller) firstReadyHit(q *burstQueue, minPri int, now sim.Tick) *dramPacket {
+func (c *Controller) firstReadyHit(q *burstQueue, now sim.Tick) *dramPacket {
 	// A column command issued at or before this tick keeps the data bus
 	// busy back-to-back (gem5's minColAt): the seamless threshold.
 	minColAt := max(now, c.busBusyUntil-c.tim.TCL)
@@ -761,10 +741,7 @@ func (c *Controller) firstReadyHit(q *burstQueue, minPri int, now sim.Tick) *dra
 			if b.hits == 0 || rk.refreshUntil[bi] > now {
 				continue
 			}
-			p := firstOf(b.head, minPri, rk.openRow[bi], true)
-			if p == nil {
-				continue
-			}
+			p := firstOf(b.head, rk.openRow[bi], true)
 			if rk.colAllowedAt[bi] <= minColAt {
 				// Seamless hit: issuing it leaves no bus idle gap. Taking the
 				// first queued one is gem5's FCFS-among-seamless rule.
@@ -962,13 +939,13 @@ func (c *Controller) doDRAMAccess(p *dramPacket) {
 			c.st.wrQLat.Sample((now - p.entryTime).Nanoseconds())
 		}
 	}
-	rk.rowAccesses[bi]++
 	rk.bytesAccessed[bi] += burstBytes
 
 	c.applyPagePolicy(ri, rk, bi)
 }
 
-// applyPagePolicy decides whether the row stays open after an access.
+// applyPagePolicy decides whether the row stays open after an access (Open
+// leaves it to the next conflict or refresh).
 func (c *Controller) applyPagePolicy(ri int, rk *rank, bi int) {
 	var closeRow bool
 	switch c.cfg.Page {
@@ -981,8 +958,6 @@ func (c *Controller) applyPagePolicy(ri int, rk *rank, bi int) {
 	case OpenAdaptive:
 		// Close early if a conflicting access is queued and no hit is.
 		_, closeRow = c.queuedRowDemand(ri, bi)
-	case Open:
-		closeRow = c.cfg.MaxAccessesPerRow > 0 && rk.rowAccesses[bi] >= c.cfg.MaxAccessesPerRow
 	}
 	if closeRow {
 		c.prechargeBank(ri, rk, bi, rk.preAllowedAt[bi])
@@ -1016,7 +991,6 @@ func (c *Controller) activateBank(ri int, rk *rank, bi int, actAt sim.Tick, row 
 	c.writeQueue.rowChanged(ri, bi, row)
 	rk.colAllowedAt[bi] = actAt + t.TRCD
 	rk.preAllowedAt[bi] = max(rk.preAllowedAt[bi], actAt+t.TRAS)
-	rk.rowAccesses[bi] = 0
 	rk.bytesAccessed[bi] = 0
 	rk.recordAct(actAt, c.org.ActivationLimit)
 	if c.grouped {
@@ -1049,7 +1023,6 @@ func (c *Controller) prechargeBank(ri int, rk *rank, bi int, preAt sim.Tick) {
 	c.readQueue.rowChanged(ri, bi, rowClosed)
 	c.writeQueue.rowChanged(ri, bi, rowClosed)
 	rk.actAllowedAt[bi] = max(rk.actAllowedAt[bi], preAt+t.TRP)
-	rk.rowAccesses[bi] = 0
 	rk.bytesAccessed[bi] = 0
 	rk.busyUntil = max(rk.busyUntil, preAt)
 	c.st.precharges.Inc()

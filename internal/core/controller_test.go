@@ -136,7 +136,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Scheduling = SchedulingPolicy(99) },
 		func(c *Config) { c.Page = PagePolicy(99) },
 		func(c *Config) { c.Channels = 3 },
-		func(c *Config) { c.MaxAccessesPerRow = -2 },
 		func(c *Config) { *c = Config{} }, // zero value: no device
 	}
 	for i, mut := range bad {
@@ -648,20 +647,6 @@ func TestWriteToReadTurnaround(t *testing.T) {
 	}
 	if readTick < minRead {
 		t.Fatalf("read after write at %s violates tWTR floor %s", readTick, minRead)
-	}
-}
-
-// MaxAccessesPerRow forces a precharge after N accesses under open page.
-func TestMaxAccessesPerRow(t *testing.T) {
-	h := newHarness(t, func(c *Config) { c.MaxAccessesPerRow = 2 })
-	h.at(0, func() {
-		for i := 0; i < 4; i++ {
-			h.send(mem.NewRead(mem.Addr(i*64), 64, 0, 0))
-		}
-	})
-	h.run(10 * sim.Microsecond)
-	if h.c.st.activations.Value() != 2 {
-		t.Fatalf("activations = %v, want 2 (precharge every 2 accesses)", h.c.st.activations.Value())
 	}
 }
 

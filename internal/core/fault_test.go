@@ -221,7 +221,6 @@ func TestFaultConfigValidate(t *testing.T) {
 			c.Faults.CorrectablePerBurst = 0.6
 			c.Faults.UncorrectablePerBurst = 0.6
 		},
-		func(c *Config) { c.Faults.RankScale = []float64{-1} },
 		func(c *Config) { c.Faults.StuckRows = []faults.StuckRow{{Rank: -1}} },
 		func(c *Config) { c.Faults.StuckRows = []faults.StuckRow{{Kind: faults.OK}} },
 	}

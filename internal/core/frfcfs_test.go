@@ -60,22 +60,10 @@ func (c *Controller) chooseNextOracle(q []*dramPacket) int {
 	if c.cfg.Scheduling == FCFS || len(q) == 1 {
 		return 0
 	}
-	minPri := 0
-	if c.cfg.QoSPriority != nil {
-		minPri = q[0].priority
-		for _, p := range q[1:] {
-			if p.priority > minPri {
-				minPri = p.priority
-			}
-		}
-	}
 	now := c.k.Now()
 	minColAt := max(now, c.busBusyUntil-c.tim.TCL)
 	prepped := -1
 	for i, p := range q {
-		if p.priority < minPri {
-			continue
-		}
 		rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
 		if rk.openRow[bi] != int64(p.coord.Row) || rk.refreshUntil[bi] > now {
 			continue
@@ -93,9 +81,6 @@ func (c *Controller) chooseNextOracle(q []*dramPacket) int {
 	best := -1
 	bestAt, bestReady := sim.MaxTick, sim.MaxTick
 	for i, p := range q {
-		if p.priority < minPri {
-			continue
-		}
 		_, _, ready, at := c.issueAt(p)
 		if at < bestAt || (at == bestAt && ready < bestReady) {
 			best, bestAt, bestReady = i, at, ready
@@ -447,15 +432,12 @@ func TestChooseNextMatchesLinearScan(t *testing.T) {
 	decisions := 0
 	for round := 0; round < 1500; round++ {
 		spec := specs[rng.Intn(len(specs))]
-		qos, fcfs, isRead := rng.Intn(2) == 0, rng.Intn(8) == 0, rng.Intn(2) == 0
+		fcfs, isRead := rng.Intn(8) == 0, rng.Intn(2) == 0
 		h := newHarness(t, func(c *Config) {
 			c.Device = spec
 			c.Page = PagePolicy(rng.Intn(4))
 			if fcfs {
 				c.Scheduling = FCFS
-			}
-			if qos {
-				c.QoSPriority = func(id int) int { return id }
 			}
 		})
 		c := h.c
@@ -472,7 +454,6 @@ func TestChooseNextMatchesLinearScan(t *testing.T) {
 				isRead: isRead,
 				coord: dram.Coord{Rank: rng.Intn(len(c.ranks)), Bank: rng.Intn(spec.Org.BanksPerRank),
 					Row: uint64(rng.Intn(rows))},
-				priority:  c.priorityOf(rng.Intn(3)),
 				entryTime: c.k.Now(),
 			}
 			q.push(dp)
@@ -484,8 +465,8 @@ func TestChooseNextMatchesLinearScan(t *testing.T) {
 			want := all[c.chooseNextOracle(all)]
 			got := c.chooseNext(q)
 			if got != want {
-				t.Fatalf("round %d (%s, qos=%v, read=%v), %d queued: product picks burst %d %+v, linear scan picks burst %d %+v",
-					round, spec.Name, qos, isRead, q.n, got.seq, got.coord, want.seq, want.coord)
+				t.Fatalf("round %d (%s, read=%v), %d queued: product picks burst %d %+v, linear scan picks burst %d %+v",
+					round, spec.Name, isRead, q.n, got.seq, got.coord, want.seq, want.coord)
 			}
 			decisions++
 			q.remove(got)

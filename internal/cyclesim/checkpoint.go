@@ -76,8 +76,7 @@ type cycleState struct {
 	AllPreSinceCycle int64 `json:"allPreSinceCycle"`
 	PreAllCycles     int64 `json:"preAllCycles"`
 
-	Energy         EnergyBreakdown `json:"energy"`
-	LastMaintained int64           `json:"lastMaintained"`
+	Energy EnergyBreakdown `json:"energy"`
 }
 
 // CheckpointConfig implements checkpoint.Configured: the controller's
@@ -96,7 +95,6 @@ func (c *Controller) CheckpointSave(pt mem.PacketTable) (any, error) {
 		AllPreSinceCycle: c.allPreSinceCycle,
 		PreAllCycles:     c.preAllCycles,
 		Energy:           c.energy,
-		LastMaintained:   c.lastMaintained,
 	}
 	parentIdx := make(map[*parentReq]int)
 	for _, t := range c.queue {
@@ -177,7 +175,6 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 	c.allPreSinceCycle = st.AllPreSinceCycle
 	c.preAllCycles = st.PreAllCycles
 	c.energy = st.Energy
-	c.lastMaintained = st.LastMaintained
 
 	for ri, rst := range st.Ranks {
 		rk := c.ranks[ri]

@@ -58,6 +58,21 @@ const (
 	FRFCFS
 )
 
+// String names the policy.
+func (s Scheduling) String() string {
+	switch s {
+	case FCFS:
+		return "FCFS"
+	case FRFCFS:
+		return "FRFCFS"
+	}
+	return fmt.Sprintf("Scheduling(%d)", int(s))
+}
+
+// MarshalText makes the policy read by name in a checkpoint's configuration
+// image, and so in the mismatch message that refuses a resume.
+func (s Scheduling) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // Config parameterises the cycle-based controller.
 type Config struct {
 	// Device is the DRAM device model. The cycle-based baseline consumes
@@ -70,11 +85,6 @@ type Config struct {
 	TransQueueSize int
 	Page           PagePolicy
 	Scheduling     Scheduling
-	// IdleSkip lets the clock park while the controller is completely
-	// quiescent, waking for the next refresh or request. DRAMSim2 ticks
-	// every cycle unconditionally, so the faithful default is false; set it
-	// to see how much of the cycle-based cost is pure idle ticking.
-	IdleSkip bool
 	// Probes, when non-nil and non-empty, receives the controller's
 	// observability events (see internal/obs). Outside the checkpoint
 	// identity: probes only observe.
@@ -193,8 +203,7 @@ type Controller struct {
 	preAllCycles     int64
 
 	// Per-cycle energy integration (see energy.go).
-	energy         EnergyBreakdown
-	lastMaintained int64
+	energy EnergyBreakdown
 
 	// hub fans observability events out to attached probes; nil when no
 	// probe is configured.

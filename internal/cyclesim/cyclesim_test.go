@@ -467,27 +467,3 @@ type funcRequestor struct {
 
 func (f *funcRequestor) RecvTimingResp(pkt *mem.Packet) bool { return f.onResp(pkt) }
 func (f *funcRequestor) RecvReqRetry()                       {}
-
-// IdleSkip mode parks the clock between work, cutting simulated cycles
-// without changing results.
-func TestIdleSkipEquivalence(t *testing.T) {
-	run := func(skip bool) (sim.Tick, uint64) {
-		h := newHarness(t, func(c *Config) { c.IdleSkip = skip })
-		// Two widely spaced requests with a long idle gap.
-		h.at(0, func() { h.send(mem.NewRead(0, 64, 0, 0)) })
-		h.at(3*sim.Microsecond, func() { h.send(mem.NewRead(4096, 64, 0, 0)) })
-		h.k.RunUntil(4 * sim.Microsecond)
-		if len(h.respTicks) != 2 {
-			t.Fatalf("responses = %d", len(h.respTicks))
-		}
-		return h.respTicks[1], h.c.CyclesTicked()
-	}
-	tickAlways, cyclesAlways := run(false)
-	tickSkip, cyclesSkip := run(true)
-	if tickAlways != tickSkip {
-		t.Fatalf("idle skip changed timing: %s vs %s", tickSkip, tickAlways)
-	}
-	if cyclesSkip >= cyclesAlways {
-		t.Fatalf("idle skip did not reduce cycles: %d vs %d", cyclesSkip, cyclesAlways)
-	}
-}

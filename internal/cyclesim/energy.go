@@ -34,17 +34,11 @@ func (e EnergyBreakdown) TotalPJ() float64 {
 	return e.BackgroundPJ + e.ActPrePJ + e.ReadPJ + e.WritePJ + e.RefreshPJ
 }
 
-// maintain advances every bank FSM by the elapsed cycles and integrates the
-// cycle's background energy. During busy operation delta is 1 and this is
-// the genuine per-cycle loop; across idle gaps (queues empty, clock parked
-// until the next refresh) the precharged background is integrated in bulk.
-func (c *Controller) maintain(cycle int64) {
-	delta := cycle - c.lastMaintained
-	if delta <= 0 {
-		return
-	}
-	c.lastMaintained = cycle
-
+// maintain advances every bank FSM by one cycle and integrates the cycle's
+// background energy: the genuine per-cycle loop. tick calls it once per
+// evaluated cycle; the stretch before the clock first starts (no request and
+// no refresh yet) is not ticked and so not integrated.
+func (c *Controller) maintain() {
 	p := c.spec.Power
 	tckSec := c.tck.Seconds()
 	devices := float64(c.spec.Org.DevicesPerRank)
@@ -55,13 +49,6 @@ func (c *Controller) maintain(cycle int64) {
 	// scaled to pJ).
 	perCycle := func(currentMA float64) float64 {
 		return currentMA * p.VDD * tckSec * 1e12 * devices / 1000
-	}
-
-	if delta > 1 {
-		// Idle bulk-advance: every bank is idle (the clock only parks when
-		// the controller is quiescent), so integrate precharged standby.
-		c.energy.BackgroundPJ += float64(delta) * perCycle(p.IDD2N)
-		return
 	}
 
 	for _, rk := range c.ranks {

@@ -25,7 +25,7 @@ func (c *Controller) tick() {
 	c.lastCycle = cycle
 	c.st.cyclesTicked.Inc()
 
-	c.maintain(cycle)
+	c.maintain()
 	c.drainResponses(cycle)
 	if !c.refreshWork(cycle) {
 		c.scheduleCommand(cycle)
@@ -293,25 +293,11 @@ func (c *Controller) issueColumn(rk *crank, b *cbank, t *txn, i int, cycle int64
 	}
 }
 
-// rearm schedules the next cycle. The faithful DRAMSim2 behaviour is to
-// tick every cycle unconditionally; with IdleSkip the clock parks while the
-// controller is completely quiescent, waking for the next refresh deadline.
+// rearm schedules the next cycle: once started the clock ticks every cycle,
+// busy or idle, as DRAMSim2's does — the baseline the paper's speedup is
+// measured against.
 func (c *Controller) rearm(cycle int64) {
-	if c.tickEvent.Scheduled() {
-		return
-	}
-	if !c.cfg.IdleSkip || len(c.queue) > 0 || len(c.resp) > 0 {
+	if !c.tickEvent.Scheduled() {
 		c.k.Schedule(c.tickEvent, sim.Tick(cycle+1)*c.tck)
-		return
 	}
-	next := c.ranks[0].refreshDue
-	for _, rk := range c.ranks[1:] {
-		if rk.refreshDue < next {
-			next = rk.refreshDue
-		}
-	}
-	if next <= cycle {
-		next = cycle + 1
-	}
-	c.k.Schedule(c.tickEvent, sim.Tick(next)*c.tck)
 }

@@ -75,9 +75,6 @@ type Config struct {
 	// TransientPerBurst is the probability of a transient whole-burst
 	// failure that is retried rather than corrected.
 	TransientPerBurst float64
-	// RankScale optionally scales all three rates per rank (index = rank;
-	// missing ranks default to 1.0), modelling a marginal DIMM.
-	RankScale []float64
 	// StuckRows lists rows with permanent failure modes.
 	StuckRows []StuckRow
 }
@@ -100,11 +97,6 @@ func (c Config) Validate() error {
 	}
 	if sum > 1 {
 		return fmt.Errorf("faults: rates sum to %v > 1", sum)
-	}
-	for i, s := range c.RankScale {
-		if s < 0 {
-			return fmt.Errorf("faults: negative rank scale %v for rank %d", s, i)
-		}
 	}
 	for i, sr := range c.StuckRows {
 		if sr.Rank < 0 || sr.Bank < 0 {
@@ -183,14 +175,8 @@ func (in *Injector) OnReadBurst(rank, bank int, row uint64) Outcome {
 	if kind, ok := in.stuck[key]; ok {
 		return kind
 	}
-	scale := 1.0
-	if rank >= 0 && rank < len(in.cfg.RankScale) {
-		scale = in.cfg.RankScale[rank]
-	}
 	u := in.uniform()
-	c := in.cfg.CorrectablePerBurst * scale
-	uc := in.cfg.UncorrectablePerBurst * scale
-	tr := in.cfg.TransientPerBurst * scale
+	c, uc, tr := in.cfg.CorrectablePerBurst, in.cfg.UncorrectablePerBurst, in.cfg.TransientPerBurst
 	switch {
 	case u < c:
 		return Correctable

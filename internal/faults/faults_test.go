@@ -12,7 +12,6 @@ func TestConfigValidate(t *testing.T) {
 		{UncorrectablePerBurst: 1.5},
 		{TransientPerBurst: -1},
 		{CorrectablePerBurst: 0.6, UncorrectablePerBurst: 0.6}, // sum > 1
-		{RankScale: []float64{1, -2}},
 		{StuckRows: []StuckRow{{Rank: -1}}},
 		{StuckRows: []StuckRow{{Kind: OK}}}, // stuck rows must fail somehow
 	}
@@ -109,33 +108,6 @@ func TestRateSanity(t *testing.T) {
 	check(Transient, 0.05)
 	if in.Draws() != n {
 		t.Fatalf("draws = %d, want %d", in.Draws(), n)
-	}
-}
-
-// Per-rank scaling concentrates faults on the marginal rank.
-func TestRankScale(t *testing.T) {
-	in, err := NewInjector(Config{
-		Seed:                1,
-		CorrectablePerBurst: 0.05,
-		RankScale:           []float64{0, 10}, // rank 0 immune, rank 1 hot
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0, r1 := 0, 0
-	for i := 0; i < 20000; i++ {
-		if in.OnReadBurst(0, 0, 0) != OK {
-			r0++
-		}
-		if in.OnReadBurst(1, 0, 0) != OK {
-			r1++
-		}
-	}
-	if r0 != 0 {
-		t.Fatalf("rank 0 saw %d faults with scale 0", r0)
-	}
-	if r1 < 8000 {
-		t.Fatalf("rank 1 saw only %d faults with scale 10", r1)
 	}
 }
 

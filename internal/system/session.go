@@ -71,9 +71,11 @@ func sourcesOf(gens []*trafficgen.Generator) []Source {
 // component in a fixed, configuration-derived order. A checkpoint's identity
 // is what the components state about themselves (checkpoint.Configured) plus
 // what the session states here: its step quantum, which fixes the barrier
-// schedule, and scope — an optional caller label, compared verbatim, for
-// whatever no component can state (a QoS function's policy, say); "" when
-// there is nothing to add. Callers with further components (the tracer)
+// schedule, and scope, a caller label compared verbatim. Every configuration
+// field but the probes is stated by its component, so there is nothing left
+// for a label to name: every caller passes "", and the parameter is kept only
+// because bench/ (frozen for product PRs) calls the rigs' NewSession(scope,
+// …), which forwards it here. Callers with further components (the tracer)
 // register them on Manager() afterwards. Only one-kernel sessions checkpoint:
 // a shard link carries no save/restore, so a sharded session is refused.
 func (s *Session) Supervise(scope string) error {

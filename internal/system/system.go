@@ -377,9 +377,9 @@ func (r *runner) Run(maxSim sim.Tick) bool {
 	return s.Run(maxSim) == nil
 }
 
-// NewSession wraps the rig for supervised, checkpointable stepping (see
-// Session.Supervise for scope, normally ""); maxSim bounds total simulated
-// time across all segments.
+// NewSession wraps the rig for supervised, checkpointable stepping; maxSim
+// bounds total simulated time across all segments. scope is always "" (see
+// Session.Supervise: the parameter survives for bench/'s call site only).
 func (r *runner) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
 	return r.memory.session(r.sources).supervised(scope, maxSim)
 }
