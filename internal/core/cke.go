@@ -38,7 +38,7 @@ func (s ckeState) inPowerDown() bool { return s == ckePrePD || s == ckeActPD }
 // the rank, because service (doDRAMAccess) wakes the rank when the drain
 // eventually runs. During an active drain they are live work.
 func (c *Controller) rankIdle(ri int) bool {
-	if c.readQueue.perRank[ri] > 0 {
+	if c.readQueue.work[ri] != 0 {
 		return false
 	}
 	for _, rec := range c.pendingReplays {
@@ -47,7 +47,7 @@ func (c *Controller) rankIdle(ri int) bool {
 		}
 	}
 	if c.draining || c.state == busWrite || c.writeQueue.n > c.writeLowMark {
-		return c.writeQueue.perRank[ri] == 0
+		return c.writeQueue.work[ri] == 0
 	}
 	return true
 }

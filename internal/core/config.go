@@ -177,6 +177,9 @@ func (c Config) Validate() error {
 	if err := c.Device.Validate(); err != nil {
 		return err
 	}
+	if b := c.Device.Org.BanksPerRank; b > maxBanksPerRank {
+		return fmt.Errorf("core: %d banks per rank, the scheduler's bank masks hold at most %d", b, maxBanksPerRank)
+	}
 	if _, err := dram.NewDecoder(c.Device.Org, c.Mapping, c.Channels); err != nil {
 		return err
 	}

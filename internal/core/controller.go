@@ -337,41 +337,45 @@ func (c *Controller) RecvRespRetry() {
 	c.processRespondEvent()
 }
 
-// burstRange iterates the burst-aligned pieces of a request, calling fn with
-// each piece's burst address and the byte range it covers.
-func (c *Controller) burstRange(pkt *mem.Packet, fn func(burstAddr, lo mem.Addr, size uint64)) int {
-	burst := c.burstBytes
-	count := 0
-	addr := pkt.Addr
-	remaining := pkt.Size
-	for remaining > 0 {
-		burstAddr := addr.AlignDown(burst)
-		chunk := uint64(burstAddr) + burst - uint64(addr)
-		if chunk > remaining {
-			chunk = remaining
-		}
-		fn(burstAddr, addr, chunk)
-		addr += mem.Addr(chunk)
-		remaining -= chunk
-		count++
+// pieceCount returns how many burst-aligned pieces a request spans.
+func (c *Controller) pieceCount(pkt *mem.Packet) int {
+	if pkt.Size == 0 {
+		return 0
 	}
-	return count
+	first := pkt.Addr.AlignDown(c.burstBytes)
+	last := (pkt.Addr + mem.Addr(pkt.Size-1)).AlignDown(c.burstBytes)
+	return int(uint64(last-first)>>bits.TrailingZeros64(c.burstBytes)) + 1
 }
 
-// burstCount returns how many DRAM bursts a request spans.
-func (c *Controller) burstCount(pkt *mem.Packet) int {
-	return c.burstRange(pkt, func(mem.Addr, mem.Addr, uint64) {})
+// piece returns the i-th burst-aligned piece of a request: its burst address
+// and the byte range [lo, lo+size) it covers.
+func (c *Controller) piece(pkt *mem.Packet, i int) (burstAddr, lo mem.Addr, size uint64) {
+	burstAddr = pkt.Addr.AlignDown(c.burstBytes) + mem.Addr(uint64(i)*c.burstBytes)
+	lo = burstAddr
+	if i == 0 {
+		lo = pkt.Addr
+	}
+	size = min(uint64(burstAddr)+c.burstBytes-uint64(lo), uint64(pkt.Addr)+pkt.Size-uint64(lo))
+	return burstAddr, lo, size
 }
 
 func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 	now := c.k.Now()
-	// First pass: how many bursts need a DRAM access vs. forwarding?
-	needed := 0
-	c.burstRange(pkt, func(burstAddr, lo mem.Addr, size uint64) {
-		if !c.canForwardFromWriteQueue(burstAddr, lo, size) {
-			needed++
+	// First pass: how many pieces need a DRAM access rather than forwarding
+	// from the write queue? An empty write queue forwards nothing. The
+	// verdicts of pieces 0-63 are kept for the second pass, which asks again
+	// for the rest.
+	n := c.pieceCount(pkt)
+	needed := n
+	var forwarded uint64
+	if c.writeQueue.n > 0 {
+		for i := 0; i < n; i++ {
+			if c.canForwardFromWriteQueue(c.piece(pkt, i)) {
+				needed--
+				forwarded |= 1 << i // nothing from piece 64 on
+			}
 		}
-	})
+	}
 	if c.readEntries+needed > c.cfg.ReadBufferSize {
 		c.retryReq = true
 		if c.hub != nil {
@@ -387,17 +391,18 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 	}
 	tr := c.newTxn()
 	tr.pkt, tr.remaining, tr.entries = pkt, needed, needed
-	c.burstRange(pkt, func(burstAddr, lo mem.Addr, size uint64) {
+	for i := 0; i < n; i++ {
 		c.st.readBursts.Inc()
-		if c.canForwardFromWriteQueue(burstAddr, lo, size) {
+		burstAddr, lo, size := c.piece(pkt, i)
+		if forwarded&(1<<i) != 0 || i >= 64 && c.canForwardFromWriteQueue(burstAddr, lo, size) {
 			c.st.servicedByWrQ.Inc()
-			return
+			continue
 		}
 		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size)
 		dp.isRead, dp.parent = true, tr
 		c.wakeRank(dp.coord.Rank)
 		c.readQueue.push(dp)
-	})
+	}
 	c.readEntries += needed
 	if needed == 0 {
 		// Entirely satisfied by the write queue: only the static frontend
@@ -414,8 +419,8 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 	now := c.k.Now()
 	// Conservative capacity check before any mutation (merging could make
 	// the true need smaller, but a refused packet must leave no trace).
-	count := c.burstCount(pkt)
-	if c.writeQueue.n+count > c.cfg.WriteBufferSize {
+	n := c.pieceCount(pkt)
+	if c.writeQueue.n+n > c.cfg.WriteBufferSize {
 		c.retryReq = true
 		if c.hub != nil {
 			c.hub.Emit(obs.QueueRefuse{Src: c.name, At: now, Queue: obs.QueueWrite, Depth: c.writeQueue.n})
@@ -425,19 +430,20 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 	c.st.writeReqs.Inc()
 	c.st.writeQueueLen.Sample(float64(c.writeQueue.n))
 	if c.hub != nil {
-		c.hub.Emit(obs.PacketEnqueued{Src: c.name, At: now, Pkt: pkt, Queue: obs.QueueWrite, Bursts: count})
+		c.hub.Emit(obs.PacketEnqueued{Src: c.name, At: now, Pkt: pkt, Queue: obs.QueueWrite, Bursts: n})
 		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: now, Queue: obs.QueueWrite, Depth: c.writeQueue.n})
 	}
-	c.burstRange(pkt, func(burstAddr, lo mem.Addr, size uint64) {
+	for i := 0; i < n; i++ {
+		burstAddr, lo, size := c.piece(pkt, i)
 		if c.tryMergeWrite(burstAddr, lo, size) {
 			c.st.mergedWrBursts.Inc()
-			return
+			continue
 		}
 		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size)
 		c.wakeRank(dp.coord.Rank)
 		c.writeQueue.push(dp)
 		c.st.writeBursts.Inc()
-	})
+	}
 	// Early write response (§II-A): respond as soon as the request is
 	// buffered; the DRAM access happens later without system-visible cost.
 	c.queueResponse(pkt, now+c.cfg.FrontendLatency, 0)
@@ -666,12 +672,8 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 		return q.head
 	}
 	now := c.k.Now()
-	// With no bank holding a burst to its open row — every decision of random
-	// traffic — there is no hit to look for.
-	if q.hits > 0 {
-		if p := c.firstReadyHit(q, now); p != nil {
-			return p
-		}
+	if p := c.firstReadyHit(q, now); p != nil {
+		return p
 	}
 	// No ready hit competes. A bank's first competing burst to another row
 	// than the open one stands for all of them, and only a bank in a refresh
@@ -685,31 +687,34 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 	// instead of degrading to arrival order, which only breaks exact ties.
 	var best missChoice
 	groups := c.topo.Groups
+	// Group g's banks are g, g+groups, ... (Topology.GroupOf: bank mod
+	// Groups; a flat device is one group): group 0's mask shifted by g.
+	group0 := (^uint64(0) >> (64 - q.banksPerRank)) / (1<<groups - 1)
 	for ri, rk := range c.ranks {
-		if q.perRank[ri] == 0 {
+		if q.work[ri] == 0 {
 			continue
 		}
 		rf := c.rankFloors(rk, q.isRead)
 		banks := q.rankBanks(ri)
-		// Group by group (Topology.GroupOf: bank mod Groups; a flat device is
-		// one group), so a group's terms are evaluated once for its banks.
+		// Group by group, so a group's terms are evaluated once for its banks.
 		// The order banks are visited in cannot matter: seq is unique, so the
 		// minimum below is.
 		for g := 0; g < groups; g++ {
+			m := q.work[ri] & (group0 << g)
+			if m == 0 {
+				continue
+			}
 			f := c.groupFloors(rf, rk, g)
-			for bi := g; bi < len(banks); bi += groups {
-				b := &banks[bi]
-				if b.head == nil {
-					continue
-				}
-				open := rk.openRow[bi]
-				if p := firstOf(b.head, open, false); p != nil {
+			for ; m != 0; m &= m - 1 {
+				bi := bits.TrailingZeros64(m)
+				head, open := banks[bi].head, rk.openRow[bi]
+				if p := firstOf(head, open, false); p != nil {
 					_, _, ready, at := c.bankIssueAt(&f, rk, bi, false)
 					best.offer(p, at, ready)
 				}
-				if b.hits > 0 && rk.refreshUntil[bi] > now {
+				if q.hit[ri]&(1<<bi) != 0 && rk.refreshUntil[bi] > now {
 					_, _, ready, at := c.bankIssueAt(&f, rk, bi, true)
-					best.offer(firstOf(b.head, open, true), at, ready)
+					best.offer(firstOf(head, open, true), at, ready)
 				}
 			}
 		}
@@ -718,19 +723,21 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 }
 
 // firstReadyHit is the hit phase of FR-FCFS: the first seamless row hit in
-// arrival order, else the first ready one, else nil.
+// arrival order, else the first ready one, else nil. It visits only the banks
+// holding a burst to their open row: seldom any under random traffic, a few
+// in a row-hit stream.
 func (c *Controller) firstReadyHit(q *burstQueue, now sim.Tick) *dramPacket {
 	// A column command issued at or before this tick keeps the data bus
 	// busy back-to-back (gem5's minColAt): the seamless threshold.
 	minColAt := max(now, c.busBusyUntil-c.tim.TCL)
 	var seamless, prepped *dramPacket
-	for ri, rk := range c.ranks {
-		if q.perRank[ri] == 0 {
+	for ri, m := range q.hit {
+		if m == 0 {
 			continue
 		}
-		banks := q.rankBanks(ri)
-		for bi := range banks {
-			b := &banks[bi]
+		rk, banks := c.ranks[ri], q.rankBanks(ri)
+		for ; m != 0; m &= m - 1 {
+			bi := bits.TrailingZeros64(m)
 			// A row opened during a refresh blackout is not a ready hit: its
 			// activate is booked for after the blackout, so preferring it over
 			// a genuinely ready request in another rank wastes the window.
@@ -738,10 +745,10 @@ func (c *Controller) firstReadyHit(q *burstQueue, now sim.Tick) *dramPacket {
 			// wakeRank, so every candidate's rank has CKE high by construction;
 			// the post-wake tXP/tXS costs are already folded into the per-bank
 			// allowed-at times this scan reads.)
-			if b.hits == 0 || rk.refreshUntil[bi] > now {
+			if rk.refreshUntil[bi] > now {
 				continue
 			}
-			p := firstOf(b.head, rk.openRow[bi], true)
+			p := firstOf(banks[bi].head, rk.openRow[bi], true)
 			if rk.colAllowedAt[bi] <= minColAt {
 				// Seamless hit: issuing it leaves no bus idle gap. Taking the
 				// first queued one is gem5's FCFS-among-seamless rule.
@@ -967,11 +974,11 @@ func (c *Controller) applyPagePolicy(ri int, rk *rank, bi int) {
 // queuedRowDemand reports what the queues hold for a bank whose row was just
 // accessed (and is therefore open): hit when a queued burst targets the open
 // row, conflict when none does but one targets another row of the bank. The
-// queues' bank index already counts both.
+// queues' bank masks already answer both.
 func (c *Controller) queuedRowDemand(ri, bi int) (hit, conflict bool) {
-	rd, wr := &c.readQueue.rankBanks(ri)[bi], &c.writeQueue.rankBanks(ri)[bi]
-	hit = rd.hits+wr.hits > 0
-	return hit, !hit && (rd.head != nil || wr.head != nil)
+	rd, wr := &c.readQueue, &c.writeQueue
+	hit = (rd.hit[ri]|wr.hit[ri])&(1<<bi) != 0
+	return hit, !hit && (rd.work[ri]|wr.work[ri])&(1<<bi) != 0
 }
 
 // emitCommand forwards a DRAM command to the attached probes.

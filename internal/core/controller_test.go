@@ -137,15 +137,27 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Page = PagePolicy(99) },
 		func(c *Config) { c.Channels = 3 },
 		func(c *Config) { *c = Config{} }, // zero value: no device
+		// More banks than a bank mask has bits: banks 64 and up would never
+		// be scheduled.
+		func(c *Config) { c.Device.Org.BanksPerRank = 2 * maxBanksPerRank },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(dram.DDR3_1600_x64())
 		mut(&cfg)
-		if err := cfg.Validate(); err == nil {
+		err := cfg.Validate()
+		switch {
+		case err == nil:
 			t.Errorf("mutation %d accepted", i)
-		} else if cfg.Device == (dram.Spec{}) && !strings.Contains(err.Error(), "no device model") {
+		case cfg.Device == (dram.Spec{}) && !strings.Contains(err.Error(), "no device model"):
 			t.Errorf("mutation %d: error %q does not name the missing device", i, err)
+		case cfg.Device.Org.BanksPerRank > maxBanksPerRank && !strings.Contains(err.Error(), "at most 64"):
+			t.Errorf("mutation %d: error %q does not name the 64-bank limit", i, err)
 		}
+	}
+	wide := DefaultConfig(dram.DDR3_1600_x64())
+	wide.Device.Org.BanksPerRank = maxBanksPerRank
+	if err := wide.Validate(); err != nil {
+		t.Errorf("%d banks per rank refused: %v", maxBanksPerRank, err)
 	}
 }
 

@@ -412,69 +412,118 @@ func randomizeTiming(c *Controller, rng *rand.Rand, rows int) {
 	c.busBusyUntil = near()
 }
 
-// The bank-indexed chooseNext must pick the burst the linear scan picks, for
-// every queue content and every bank, rank and bus state. Each round builds a
-// controller on a random device and policy, scatters its timing state, fills
-// one queue with random bursts over few rows (so hits, conflicts and
-// same-bank runs all occur) and then services the whole queue, comparing
-// product and oracle at every decision; servicing through doDRAMAccess moves
-// the state on the way the scheduler really does. At every decision issueAt
-// must also answer, for every queued burst, what the single-level rules it was
-// split from answer.
-func TestChooseNextMatchesLinearScan(t *testing.T) {
+// linearScanSpecs are the devices the scheduler is held to the linear scan
+// on: flat and bank-grouped, one and two ranks, all-bank and per-bank
+// refresh, and a rank as wide as a bank mask.
+func linearScanSpecs() []dram.Spec {
 	perBank := dram.LPDDR5_6400_x32()
 	perBank.Refresh = dram.RefPerBank
-	specs := []dram.Spec{
+	wide := dram.DDR4_3200_x64()
+	wide.Org.BanksPerRank = maxBanksPerRank
+	return []dram.Spec{
 		dram.DDR3_1600_x64(), dram.DDR3_1600_x64_2R(), dram.DDR4_3200_x64(),
-		dram.DDR5_4800_x64(), perBank,
+		dram.DDR5_4800_x64(), perBank, wide,
 	}
+}
+
+// linearScanRows is how many rows a round's bursts spread over: few, so that
+// hits, conflicts and same-bank runs all occur.
+const linearScanRows = 3
+
+// chooseNextRound builds a controller on spec under the given page and
+// scheduling policy, scatters its timing state from rng, queues bursts at
+// coords (rank, bank and row folded into the device) in one direction and
+// then services the whole queue, comparing product and oracle at every
+// decision; servicing through doDRAMAccess moves the state on the way the
+// scheduler really does. At every decision issueAt must also answer, for
+// every queued burst, what the single-level rules it was split from answer.
+// It returns how many decisions it compared.
+func chooseNextRound(t *testing.T, rng *rand.Rand, spec dram.Spec, page PagePolicy, fcfs, isRead bool, coords []dram.Coord) int {
+	t.Helper()
+	h := newHarness(t, func(c *Config) {
+		c.Device = spec
+		c.Page = page
+		if fcfs {
+			c.Scheduling = FCFS
+		}
+	})
+	c := h.c
+	h.k.RunUntil(sim.Microsecond) // before the first refresh; leaves room below now
+	randomizeTiming(c, rng, linearScanRows)
+	q := &c.writeQueue
+	if isRead {
+		q = &c.readQueue
+	}
+	for _, co := range coords {
+		dp := c.newDP()
+		*dp = dramPacket{
+			isRead: isRead,
+			coord: dram.Coord{Rank: co.Rank % len(c.ranks), Bank: co.Bank % spec.Org.BanksPerRank,
+				Row: co.Row % linearScanRows},
+			entryTime: c.k.Now(),
+		}
+		q.push(dp)
+	}
+	decisions := 0
+	for q.n > 0 {
+		checkQueueIndex(t, c)
+		all := queued(q)
+		checkIssueAt(t, c, all)
+		want := all[c.chooseNextOracle(all)]
+		got := c.chooseNext(q)
+		if got != want {
+			t.Fatalf("%s, %s, read=%v, %d queued: product picks burst %d %+v, linear scan picks burst %d %+v",
+				spec.Name, page, isRead, q.n, got.seq, got.coord, want.seq, want.coord)
+		}
+		decisions++
+		q.remove(got)
+		c.doDRAMAccess(got)
+		c.freeDP(got)
+	}
+	checkQueueIndex(t, c)
+	return decisions
+}
+
+// The bank-indexed chooseNext must pick the burst the linear scan picks, for
+// every queue content and every bank, rank and bus state: each round is a
+// random device, policy, direction and queue of 2 to 41 bursts.
+func TestChooseNextMatchesLinearScan(t *testing.T) {
+	specs := linearScanSpecs()
 	rng := rand.New(rand.NewSource(16))
 	decisions := 0
 	for round := 0; round < 1500; round++ {
 		spec := specs[rng.Intn(len(specs))]
-		fcfs, isRead := rng.Intn(8) == 0, rng.Intn(2) == 0
-		h := newHarness(t, func(c *Config) {
-			c.Device = spec
-			c.Page = PagePolicy(rng.Intn(4))
-			if fcfs {
-				c.Scheduling = FCFS
-			}
-		})
-		c := h.c
-		h.k.RunUntil(sim.Microsecond) // before the first refresh; leaves room below now
-		const rows = 3
-		randomizeTiming(c, rng, rows)
-		q := &c.writeQueue
-		if isRead {
-			q = &c.readQueue
+		fcfs, isRead, page := rng.Intn(8) == 0, rng.Intn(2) == 0, PagePolicy(rng.Intn(4))
+		coords := make([]dram.Coord, 2+rng.Intn(40))
+		for i := range coords {
+			coords[i] = dram.Coord{Rank: rng.Intn(spec.Org.RanksPerChannel), Bank: rng.Intn(spec.Org.BanksPerRank),
+				Row: uint64(rng.Intn(linearScanRows))}
 		}
-		for n := 2 + rng.Intn(40); n > 0; n-- {
-			dp := c.newDP()
-			*dp = dramPacket{
-				isRead: isRead,
-				coord: dram.Coord{Rank: rng.Intn(len(c.ranks)), Bank: rng.Intn(spec.Org.BanksPerRank),
-					Row: uint64(rng.Intn(rows))},
-				entryTime: c.k.Now(),
-			}
-			q.push(dp)
-		}
-		for q.n > 0 {
-			checkQueueIndex(t, c)
-			all := queued(q)
-			checkIssueAt(t, c, all)
-			want := all[c.chooseNextOracle(all)]
-			got := c.chooseNext(q)
-			if got != want {
-				t.Fatalf("round %d (%s, read=%v), %d queued: product picks burst %d %+v, linear scan picks burst %d %+v",
-					round, spec.Name, isRead, q.n, got.seq, got.coord, want.seq, want.coord)
-			}
-			decisions++
-			q.remove(got)
-			c.doDRAMAccess(got)
-			c.freeDP(got)
-		}
+		decisions += chooseNextRound(t, rng, spec, page, fcfs, isRead, coords)
 	}
 	if decisions < 10000 {
 		t.Fatalf("only %d decisions compared, want at least 10000", decisions)
 	}
+}
+
+// FuzzChooseNextMatchesLinearScan is one round of the same comparison under
+// the native fuzzer, which picks the timing seed, the device, the page
+// policy (low two bits; the next three zero select FCFS, one time in eight as
+// in the test), the direction and the queue: three bytes a burst (rank,
+// bank, row), at most 64 bursts. Its seed corpus runs as part of go test.
+func FuzzChooseNextMatchesLinearScan(f *testing.F) {
+	specs := linearScanSpecs()
+	for i := 0; i < len(specs); i++ {
+		queue := make([]byte, 3*(2+7*i))
+		rand.New(rand.NewSource(int64(i))).Read(queue)
+		f.Add(int64(i), uint8(i), uint8(i), i%2 == 0, queue)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, spec, page uint8, isRead bool, queue []byte) {
+		var coords []dram.Coord
+		for ; len(queue) >= 3 && len(coords) < 64; queue = queue[3:] {
+			coords = append(coords, dram.Coord{Rank: int(queue[0]), Bank: int(queue[1]), Row: uint64(queue[2])})
+		}
+		chooseNextRound(t, rand.New(rand.NewSource(seed)), specs[int(spec)%len(specs)],
+			PagePolicy(page%4), page>>2&7 == 0, isRead, coords)
+	})
 }

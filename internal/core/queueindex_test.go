@@ -16,9 +16,9 @@ import (
 // checkQueueIndex verifies the invariants of both burst queues' bank index
 // against the arrival list and the bank state: every queued burst is on
 // exactly one bank list (its own bank's), both kinds of list are in arrival
-// order with consistent back links, and the cached per-rank, per-bank-hit,
-// queue-wide hit and per-address-slot counts equal a recount (the read queue
-// keeps no address table).
+// order with consistent back links, and the cached per-bank hit counts, the
+// per-rank work and hit masks and the per-address-slot counts equal a recount
+// (the read queue keeps no address table).
 func checkQueueIndex(t *testing.T, c *Controller) {
 	t.Helper()
 	for name, q := range map[string]*burstQueue{"read": &c.readQueue, "write": &c.writeQueue} {
@@ -49,9 +49,12 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 		if q.tail != prev || len(listed) != q.n {
 			t.Fatalf("%s queue: tail/len mismatch: %d listed, n=%d", name, len(listed), q.n)
 		}
-		onBank, allHits := 0, 0
+		if len(q.work) != len(c.ranks) || len(q.hit) != len(c.ranks) {
+			t.Fatalf("%s queue: %d work and %d hit masks for %d ranks", name, len(q.work), len(q.hit), len(c.ranks))
+		}
+		onBank := 0
 		for ri, rk := range c.ranks {
-			inRank := 0
+			var work, hit uint64
 			for bi, b := range q.rankBanks(ri) {
 				hits := 0
 				var prev *dramPacket
@@ -66,7 +69,7 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 					if int64(p.coord.Row) == rk.openRow[bi] {
 						hits++
 					}
-					inRank++
+					onBank++
 				}
 				if b.tail != prev {
 					t.Fatalf("%s queue: rank %d bank %d tail does not end its list", name, ri, bi)
@@ -75,20 +78,22 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 					t.Fatalf("%s queue: rank %d bank %d caches %d hits on open row %d, recount %d",
 						name, ri, bi, b.hits, rk.openRow[bi], hits)
 				}
-				allHits += hits
+				if b.head != nil {
+					work |= 1 << bi
+				}
+				if hits > 0 {
+					hit |= 1 << bi
+				}
 			}
-			if q.perRank[ri] != inRank {
-				t.Fatalf("%s queue: rank %d caches %d bursts, recount %d", name, ri, q.perRank[ri], inRank)
+			if q.work[ri] != work || q.hit[ri] != hit {
+				t.Fatalf("%s queue: rank %d caches work %#x hit %#x, recount work %#x hit %#x",
+					name, ri, q.work[ri], q.hit[ri], work, hit)
 			}
-			onBank += inRank
 		}
 		// Each bank-list member is queued and each list is duplicate-free, so
 		// equal totals put every queued burst on exactly one bank list.
 		if onBank != q.n {
 			t.Fatalf("%s queue: %d bursts on bank lists, %d queued", name, onBank, q.n)
-		}
-		if q.hits != allHits {
-			t.Fatalf("%s queue: caches %d hits over all banks, recount %d", name, q.hits, allHits)
 		}
 	}
 }

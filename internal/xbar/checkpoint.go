@@ -10,9 +10,10 @@ import (
 
 // Checkpoint support for the crossbar. The way back travels in each packet
 // (mem.PacketState.Route), so the crossbar saves its queues, its retry flags
-// and how many requests it has in flight; the checkpoint manager's shared
-// packet table guarantees the same *mem.Packet instance is rematerialized
-// for the crossbar and for whichever controller or generator also holds it.
+// (requestors waiting to send, memory sides refused a response) and how many
+// requests it has in flight; the checkpoint manager's shared packet table
+// guarantees the same *mem.Packet instance is rematerialized for the crossbar
+// and for whichever controller or generator also holds it.
 
 // queuedState is a serialized outQueue entry.
 type queuedState struct {
@@ -30,15 +31,22 @@ type outQueueState struct {
 
 // xbarState is the crossbar's full serialized image.
 type xbarState struct {
-	InFlight int             `json:"inFlight,omitempty"`
-	ReqSides []reqSideState  `json:"reqSides"`
-	MemSides []outQueueState `json:"memSides"`
+	InFlight int            `json:"inFlight,omitempty"`
+	ReqSides []reqSideState `json:"reqSides"`
+	MemSides []memSideState `json:"memSides"`
 }
 
 // reqSideState mirrors reqSide.
 type reqSideState struct {
 	RespQ        outQueueState `json:"respQ"`
 	WaitingRetry bool          `json:"waitingRetry,omitempty"`
+}
+
+// memSideState mirrors memSide. The queue's fields are embedded, so an image
+// with no refused side reads as the bare queue.
+type memSideState struct {
+	outQueueState
+	RespRefused bool `json:"respRefused,omitempty"`
 }
 
 func (q *outQueue) save(pt mem.PacketTable) outQueueState {
@@ -86,7 +94,7 @@ func (x *Crossbar) CheckpointSave(pt mem.PacketTable) (any, error) {
 		st.ReqSides = append(st.ReqSides, reqSideState{RespQ: rs.respQ.save(pt), WaitingRetry: rs.waitingRetry})
 	}
 	for _, ms := range x.memSides {
-		st.MemSides = append(st.MemSides, ms.reqQ.save(pt))
+		st.MemSides = append(st.MemSides, memSideState{ms.reqQ.save(pt), ms.respRefused})
 	}
 	return st, nil
 }
@@ -108,7 +116,8 @@ func (x *Crossbar) CheckpointRestore(pl mem.PacketLookup, rst sim.Restorer, data
 	}
 	queued := 0
 	for i, ms := range x.memSides {
-		ms.reqQ.restore(pl, rst, st.MemSides[i])
+		ms.reqQ.restore(pl, rst, st.MemSides[i].outQueueState)
+		ms.respRefused = st.MemSides[i].RespRefused
 		// A queued request was routed by this crossbar: its route must lead
 		// back out of one of its sides. (A request parked in a controller is
 		// out of sight here; RecvTimingResp makes the same check.)

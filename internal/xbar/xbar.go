@@ -249,6 +249,9 @@ type memSide struct {
 	index int
 	port  *mem.RequestPort
 	reqQ  *outQueue
+	// respRefused marks that this channel's controller was refused a
+	// response and must be woken when a response queue frees.
+	respRefused bool
 }
 
 // New builds a crossbar with the given route function.
@@ -315,10 +318,15 @@ func (x *Crossbar) wakeRequestors() {
 	}
 }
 
-// wakeMemSides retries every controller blocked on a full response queue.
+// wakeMemSides retries every controller that was refused a response. One
+// that was not has nothing to send, and a cycle-model controller would spend
+// an event on the retry.
 func (x *Crossbar) wakeMemSides() {
 	for _, ms := range x.memSides {
-		ms.port.SendRespRetry()
+		if ms.respRefused {
+			ms.respRefused = false
+			ms.port.SendRespRetry()
+		}
 	}
 }
 
@@ -382,6 +390,7 @@ func (ms *memSide) RecvTimingResp(pkt *mem.Packet) bool {
 	}
 	q := x.reqSides[side].respQ
 	if q.full() {
+		ms.respRefused = true
 		return false
 	}
 	pkt.PopRoute()

@@ -1,6 +1,8 @@
 package xbar
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -24,6 +26,8 @@ type echoMem struct {
 	waiting  bool
 	served   []*mem.Packet
 	pending  []*mem.Packet
+	// respRetries counts the RecvRespRetry calls the memory heard.
+	respRetries int
 }
 
 func newEchoMem(k *sim.Kernel, delay sim.Tick, capacity int, name string) *echoMem {
@@ -59,6 +63,7 @@ func (e *echoMem) finish() {
 }
 
 func (e *echoMem) RecvRespRetry() {
+	e.respRetries++
 	for len(e.pending) > 0 {
 		if !e.port.SendTimingResp(e.pending[0]) {
 			return
@@ -285,6 +290,64 @@ func TestResponseBackPressure(t *testing.T) {
 	}
 	if x.InFlight() != 0 {
 		t.Fatalf("in flight = %d", x.InFlight())
+	}
+}
+
+// A freed response slot wakes only the memory side that was refused one: a
+// channel that never had a response refused hears no RecvRespRetry. (Each
+// spurious retry costs a cycle-model controller an event.)
+func TestRespRetryOnlyToRefusedMemSide(t *testing.T) {
+	// One-deep response queue and a requestor that refuses its first two
+	// responses: channel 0's later responses find the queue full.
+	k, x, sinks, mems := build(t, Config{Latency: 0, QueueDepth: 1}, 1, 2, 64)
+	s := sinks[0]
+	s.refuseNext = 2
+	sent := 0
+	var inject func()
+	inject = func() {
+		if s.blocked == nil && sent < 4 {
+			s.send(mem.NewRead(mem.Addr(sent*128), 64, 0, k.Now())) // all on channel 0
+			sent++
+		}
+		if sent < 4 {
+			k.Schedule(sim.NewEvent("inject", inject), k.Now()+sim.Nanosecond)
+		}
+	}
+	k.Schedule(sim.NewEvent("inject", inject), 0)
+	k.RunUntil(10 * sim.Microsecond)
+	if len(s.responses) != 4 || x.InFlight() != 0 {
+		t.Fatalf("%d responses, %d in flight; want 4 and 0", len(s.responses), x.InFlight())
+	}
+	if mems[0].respRetries == 0 {
+		t.Fatal("channel 0 was never refused a response: the test lost its aim")
+	}
+	if mems[1].respRetries != 0 {
+		t.Fatalf("channel 1 never sent a response but heard %d RecvRespRetry", mems[1].respRetries)
+	}
+
+	// The flag is state a checkpoint carries: an image names a refused side
+	// (and only then mentions the flag), and a restore sets it again.
+	image := func(x *Crossbar) []byte {
+		st, err := x.CheckpointSave(refTable{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if img := image(x); bytes.Contains(img, []byte("respRefused")) {
+		t.Fatalf("no side refused, but the image is %s", img)
+	}
+	x.memSides[1].respRefused = true
+	_, x2, _, _ := build(t, Config{Latency: 0, QueueDepth: 1}, 1, 2, 64)
+	if err := x2.CheckpointRestore(refTable{}, &deferred{}, image(x)); err != nil {
+		t.Fatal(err)
+	}
+	if x2.memSides[0].respRefused || !x2.memSides[1].respRefused {
+		t.Fatal("restore did not bring back which memory side was refused")
 	}
 }
 
