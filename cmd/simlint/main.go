@@ -1,77 +1,81 @@
-// Command simlint runs the repository's determinism and protocol-invariant
-// static-analysis pass (internal/analysis) over the module and reports
-// findings as "file:line: [analyzer] message", exiting non-zero when any
-// finding survives //lint:allow suppression. Every analyzer runs on every
-// package: code that reads the host clock or ranges a map on purpose carries
-// a reasoned suppression comment where it does.
+// Command simlint runs the repository's static-analysis pass
+// (internal/analysis) over the module and reports findings as
+// "file:line: [analyzer] message". It exits 0 when the packages are clean,
+// 1 when any finding survives //lint:allow suppression, and 2 when the
+// packages cannot be loaded or a flag is wrong. Every analyzer runs on every
+// package.
 //
 // Usage:
 //
-//	go run ./cmd/simlint ./...            # lint the module
-//	go run ./cmd/simlint -list            # show the analyzer set
-//	go run ./cmd/simlint -json ./...      # one JSON object per finding, one per line
-//	                                      # (fed to the CI problem matcher and the
-//	                                      # self-check golden diff)
-//	go run ./cmd/simlint -timing ./...    # per-analyzer wall clock on stderr
+//	go run ./cmd/simlint ./...   # lint the module
+//	go run ./cmd/simlint -list   # show the analyzer set
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"time"
 
 	"repro/internal/analysis"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list registered analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON Lines (file, line, analyzer, message)")
-	timing := flag.Bool("timing", false, "report load and per-analyzer wall clock on stderr")
-	flag.Parse()
+// errFindings marks a run that printed findings; main only sets the exit
+// status.
+var errFindings = errors.New("findings")
 
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, errFindings) {
+		fmt.Fprintln(os.Stderr, "simlint:", err)
+	}
+	os.Exit(exitStatus(err))
+}
+
+// exitStatus maps run's result to the exit code: 0 clean, 1 findings, 2 the
+// packages could not be linted.
+func exitStatus(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errFindings):
+		return 1
+	}
+	return 2
+}
+
+// run lints the packages the arguments name (./... when none) from the
+// working directory and prints the findings to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
+	list := fs.Bool("list", false, "list registered analyzers and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	analyzers := analysis.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(out, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return
+		return nil
 	}
-
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	loadStart := time.Now() //lint:allow simtime the linter times its own package load for -timing; no simulation is running
 	pkgs, err := analysis.Load(".", patterns...)
-	loadTime := time.Since(loadStart) //lint:allow simtime the linter times its own package load for -timing; no simulation is running
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
-
-	findings, timings := analysis.RunWithTimings(pkgs, analyzers)
-	if *timing {
-		fmt.Fprintf(os.Stderr, "%-12s %v\n", "load", loadTime.Round(time.Microsecond))
-		names := make([]string, 0, len(timings))
-		for name := range timings {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "%-12s %v\n", name, timings[name].Round(time.Microsecond))
-		}
-	}
+	findings := analysis.Run(pkgs, analyzers)
 	if len(findings) == 0 {
-		return
+		return nil
 	}
 	cwd, _ := os.Getwd()
-	if *jsonOut {
-		fmt.Print(analysis.FormatJSON(findings, cwd))
-	} else {
-		fmt.Print(analysis.Format(findings, cwd))
-	}
-	os.Exit(1)
+	fmt.Fprint(out, analysis.Format(findings, cwd))
+	return errFindings
 }

@@ -1,15 +1,11 @@
 // Package analysis is a small, stdlib-only static-analysis framework for the
 // simulator core, in the spirit of golang.org/x/tools/go/analysis but with no
 // external dependency (the module's go.mod has no require block, and keeping
-// it that way is deliberate). The paper's headline claim — an event-based
-// controller model fast and trustworthy enough to replace cycle-accurate
-// simulation — only holds while the reproduction stays deterministic:
-// bit-identical sharded runs and byte-identical checkpoint resume silently
-// break the moment someone ranges over a map into an output path, reads wall
-// clock inside a sim path, or adds a struct field without wiring it through
-// Save/Restore. Those invariants are cheap to enforce mechanically at go-vet
-// speed, the same way gem5 gates its event-queue discipline with lint tooling
-// rather than re-running regressions after the fact.
+// it that way is deliberate). It holds only the checks a test run cannot
+// make: a map ranged into ordered output passes any run whose draw happens to
+// come out sorted, a field missing from a checkpoint image passes every resume
+// that never crosses a state where it matters, and a nanosecond count
+// reinterpreted as ticks passes every test that does not look at that value.
 //
 // An Analyzer inspects one type-checked package at a time and reports
 // findings through its Pass. The runner applies //lint:allow suppression
@@ -18,7 +14,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -26,7 +21,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzer is one named check. Package-local analyzers set Run and see one
@@ -80,10 +74,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the registered analyzer set, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		Detmap, Simtime, Ckptfields, Eventpool,
-		Tickunits, Shardiso,
-	}
+	return []*Analyzer{Detmap, Ckptfields, Tickunits, Shardiso}
 }
 
 // Run applies every analyzer to every package, filters suppressed findings,
@@ -92,28 +83,10 @@ func Analyzers() []*Analyzer {
 // directives that no longer suppress anything — surface as findings from the
 // pseudo-analyzer "lint".
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	findings, _ := RunWithTimings(pkgs, analyzers)
-	return findings
-}
-
-// timed returns how long fn took on the host, for `simlint -timing`.
-func timed(fn func()) time.Duration {
-	start := time.Now() //lint:allow simtime the linter times its own analyzers; no simulation is running
-	fn()
-	return time.Since(start) //lint:allow simtime the linter times its own analyzers; no simulation is running
-}
-
-// RunWithTimings is Run plus per-analyzer wall-clock, for `simlint -timing`.
-func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]time.Duration) {
-	known := make(map[string]bool, len(analyzers)+1)
+	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	// "lint" is the pseudo-analyzer for directive hygiene findings; making it
-	// known lets `//lint:allow lint <reason>` keep a deliberately dormant
-	// directive (e.g. one that only fires on another GOARCH).
-	known["lint"] = true
-	timings := map[string]time.Duration{}
 
 	// Whole-program analyzers run once; their findings are bucketed into the
 	// owning package so suppression applies identically to both analyzer
@@ -129,9 +102,7 @@ func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[stri
 		prog := BuildProgram(pkgs)
 		for _, a := range programAnalyzers {
 			var raw []Finding
-			timings[a.Name] += timed(func() {
-				a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, findings: &raw})
-			})
+			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, findings: &raw})
 			for _, f := range raw {
 				if owner := prog.fileOwner[f.Pos.Filename]; owner != nil {
 					progFindings[owner] = append(progFindings[owner], f)
@@ -147,9 +118,7 @@ func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[stri
 			if a.Run == nil {
 				continue
 			}
-			timings[a.Name] += timed(func() {
-				a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, findings: &raw})
-			})
+			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, findings: &raw})
 		}
 		out = append(out, applySuppressions(pkg, raw, known)...)
 	}
@@ -166,52 +135,20 @@ func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[stri
 		}
 		return a.Message < b.Message
 	})
-	return out, timings
-}
-
-// relName renders filename relative to baseDir when it lies under it (so
-// golden files and CI output are machine-independent), with forward slashes.
-func relName(filename, baseDir string) string {
-	if baseDir != "" {
-		if rel, err := filepath.Rel(baseDir, filename); err == nil && !strings.HasPrefix(rel, "..") {
-			return filepath.ToSlash(rel)
-		}
-	}
-	return filename
+	return out
 }
 
 // Format renders findings one per line as "file:line: [analyzer] message".
+// File names under baseDir are relative to it, with forward slashes, so
+// golden files are machine-independent.
 func Format(findings []Finding, baseDir string) string {
 	var sb strings.Builder
 	for _, f := range findings {
-		fmt.Fprintf(&sb, "%s:%d: [%s] %s\n", relName(f.Pos.Filename, baseDir), f.Pos.Line, f.Analyzer, f.Message)
-	}
-	return sb.String()
-}
-
-// FormatJSON renders findings as JSON Lines: one object per finding with
-// fields file, line, analyzer, message. One object per output line (rather
-// than a single array) keeps the stream greppable, diffable against a golden
-// line-by-line, and matchable by the GitHub Actions problem matcher, whose
-// regexes anchor per log line.
-func FormatJSON(findings []Finding, baseDir string) string {
-	type rec struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	enc.SetEscapeHTML(false) // messages quote Go source; keep < and > readable
-	for _, f := range findings {
-		// Encode cannot fail on this shape; it appends a trailing newline.
-		_ = enc.Encode(rec{
-			File:     relName(f.Pos.Filename, baseDir),
-			Line:     f.Pos.Line,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
+		name := f.Pos.Filename
+		if rel, err := filepath.Rel(baseDir, name); baseDir != "" && err == nil && !strings.HasPrefix(rel, "..") {
+			name = filepath.ToSlash(rel)
+		}
+		fmt.Fprintf(&sb, "%s:%d: [%s] %s\n", name, f.Pos.Line, f.Analyzer, f.Message)
 	}
 	return sb.String()
 }

@@ -109,7 +109,7 @@ func runCkptfields(pass *Pass) {
 				if mentioned[name.Name] {
 					continue
 				}
-				reason, hasSkip := fieldSkipReason(field)
+				reason, hasSkip := commentDirective("ckpt:skip", field.Doc, field.Comment)
 				if hasSkip {
 					if reason == "" {
 						pass.Reportf(field.Pos(), "//ckpt:skip on %s.%s needs a reason", typeName, name.Name)

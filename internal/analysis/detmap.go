@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Detmap flags iteration over a map whose results feed ordered output. Go
@@ -361,24 +362,17 @@ func sortedAfter(info *types.Info, at appendTarget, following []ast.Stmt) bool {
 	return found
 }
 
-// isSortCall recognizes the sort/slices package functions and any method or
-// function whose name contains "Sort".
+// isSortCall recognizes the sort package's functions and any function or
+// method whose name contains "Sort" (slices.Sort, SortFunc, SortStableFunc,
+// keys.Sort()). The rest of package slices orders nothing: a collect
+// followed by slices.Compact alone is still in map order.
 func isSortCall(info *types.Info, call *ast.CallExpr) bool {
 	f := funcFor(info, call)
 	if f == nil {
 		return false
 	}
-	if f.Pkg() != nil && (f.Pkg().Path() == "sort" || f.Pkg().Path() == "slices") {
+	if f.Pkg() != nil && f.Pkg().Path() == "sort" {
 		return true
 	}
-	return containsSort(f.Name())
-}
-
-func containsSort(name string) bool {
-	for i := 0; i+4 <= len(name); i++ {
-		if name[i:i+4] == "Sort" || name[i:i+4] == "sort" {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(f.Name(), "Sort") || strings.Contains(f.Name(), "sort")
 }

@@ -46,8 +46,7 @@ func loadFixture(t *testing.T, name string) []*analysis.Package {
 func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
-		"detmap", "simtime", "ckptfields", "eventpool", "suppress",
-		"tickunits", "shardiso", "interact",
+		"detmap", "ckptfields", "suppress", "tickunits", "shardiso", "interact",
 	} {
 		t.Run(name, func(t *testing.T) {
 			pkgs := loadFixture(t, name)
@@ -89,53 +88,38 @@ func TestSuppression(t *testing.T) {
 	}
 
 	// MissingReason: the reasonless directive is a "lint" finding and the
-	// simtime finding survives.
+	// tickunits finding survives.
 	wantPair := func(line int, lintSubstr string) {
 		t.Helper()
-		var lint, simtime bool
+		var lint, tick bool
 		for _, f := range byLine[line] {
 			switch f.Analyzer {
 			case "lint":
 				lint = strings.Contains(f.Message, lintSubstr)
-			case "simtime":
-				simtime = true
+			case "tickunits":
+				tick = true
 			}
 		}
 		if !lint {
 			t.Errorf("line %d: missing [lint] finding containing %q; got %v", line, lintSubstr, byLine[line])
 		}
-		if !simtime {
-			t.Errorf("line %d: the bad directive must not suppress the simtime finding; got %v", line, byLine[line])
+		if !tick {
+			t.Errorf("line %d: the bad directive must not suppress the tickunits finding; got %v", line, byLine[line])
 		}
 	}
 	wantPair(22, "needs a reason")
 	wantPair(27, "unknown analyzer")
+	// WrongAnalyzer: the directive names detmap, so tickunits survives — and
+	// the directive, suppressing nothing, is reported stale.
+	wantPair(33, "no longer suppresses any finding")
 
-	// WrongAnalyzer (line 33): directive names detmap, so simtime survives —
-	// and the directive, suppressing nothing, is reported stale.
-	var wrongSurvives, stale bool
-	for _, f := range byLine[33] {
-		switch f.Analyzer {
-		case "simtime":
-			wrongSurvives = true
-		case "lint":
-			stale = strings.Contains(f.Message, "no longer suppresses any finding")
-		}
+	// Dormant: "lint" is no analyzer a directive may name, so the directive
+	// below it stays stale.
+	if fs := byLine[40]; len(fs) != 1 || !strings.Contains(fs[0].Message, `unknown analyzer "lint"`) {
+		t.Errorf("line 40: want one unknown-analyzer finding for //lint:allow lint; got %v", fs)
 	}
-	if !wrongSurvives {
-		t.Errorf("line 33: //lint:allow detmap must not suppress a simtime finding; got %v", byLine[33])
-	}
-	if !stale {
-		t.Errorf("line 33: unused //lint:allow detmap must be reported stale; got %v", byLine[33])
-	}
-
-	// DeliberatelyDormant (lines 40-41): the dormant eventpool directive's
-	// stale finding is silenced by the //lint:allow lint escape hatch, and the
-	// lint directive itself is exempt from staleness.
-	for _, line := range []int{40, 41} {
-		if fs := byLine[line]; len(fs) != 0 {
-			t.Errorf("line %d: escape-hatched dormant directive still reported: %v", line, fs)
-		}
+	if fs := byLine[41]; len(fs) != 1 || !strings.Contains(fs[0].Message, "no longer suppresses any finding") {
+		t.Errorf("line 41: want one stale-directive finding; got %v", fs)
 	}
 }
 
@@ -179,15 +163,15 @@ func TestInteract(t *testing.T) {
 	}
 
 	// Scoped suppression: the line in Scoped carries both a tickunits and a
-	// simtime finding; the directive names tickunits only.
+	// detmap finding; the directive names tickunits only.
 	var scopedLine int
 	for _, f := range findings {
-		if f.Analyzer == "simtime" && f.Pos.Line > 55 && f.Pos.Line < 65 {
+		if f.Analyzer == "detmap" && f.Pos.Line > 41 && f.Pos.Line < 53 {
 			scopedLine = f.Pos.Line
 		}
 	}
 	if scopedLine == 0 {
-		t.Fatal("interact fixture: no simtime finding in Scoped")
+		t.Fatal("interact fixture: no detmap finding in Scoped")
 	}
 	for _, f := range findings {
 		if f.Pos.Line == scopedLine && f.Analyzer == "tickunits" {
@@ -198,13 +182,13 @@ func TestInteract(t *testing.T) {
 
 // TestFindingString covers the plain rendering used by error paths.
 func TestFindingString(t *testing.T) {
-	pkgs := loadFixture(t, "simtime")
+	pkgs := loadFixture(t, "tickunits")
 	findings := analysis.Run(pkgs, analysis.Analyzers())
 	if len(findings) == 0 {
 		t.Fatal("no findings")
 	}
 	s := findings[0].String()
-	if !strings.Contains(s, "[simtime]") || !strings.Contains(s, "simtime.go:") {
+	if !strings.Contains(s, "[tickunits]") || !strings.Contains(s, "tickunits.go:") {
 		t.Errorf("Finding.String() = %q; want file:line: [analyzer] message", s)
 	}
 }
@@ -285,26 +269,28 @@ func TestAnnotationRatchet(t *testing.T) {
 	}
 }
 
-// TestSelfcheckGolden pins the consolidated fixture run that
-// ci/lint_selfcheck.sh performs end-to-end: all fixture packages loaded into
-// ONE program, findings rendered as JSON Lines, compared byte-for-byte
-// against selfcheck.json. Beyond covering FormatJSON, this checks a
-// whole-program isolation property the per-fixture goldens cannot: one
-// fixture's directives or call graph must not bleed into another fixture's
-// findings, so the consolidated output stays exactly
-// the union of the individual goldens.
+// TestSelfcheckGolden loads every fixture package into ONE program and
+// requires its findings to be exactly the per-fixture goldens concatenated:
+// one fixture's directives or call graph must not bleed into another
+// fixture's findings.
 func TestSelfcheckGolden(t *testing.T) {
 	root := moduleRoot(t)
-	fixtureDir := filepath.Join(root, "internal", "analysis", "testdata", "src")
-	entries, err := os.ReadDir(fixtureDir)
+	entries, err := os.ReadDir(filepath.Join(root, "internal", "analysis", "testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var patterns []string
+	var want strings.Builder
 	for _, e := range entries {
-		if e.IsDir() {
-			patterns = append(patterns, "./internal/analysis/testdata/src/"+e.Name())
+		if !e.IsDir() {
+			continue
 		}
+		patterns = append(patterns, "./internal/analysis/testdata/src/"+e.Name())
+		golden, err := os.ReadFile(filepath.Join(root, "internal", "analysis", "testdata", "golden", e.Name()+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(golden)
 	}
 	pkgs, err := analysis.Load(root, patterns...)
 	if err != nil {
@@ -313,13 +299,7 @@ func TestSelfcheckGolden(t *testing.T) {
 	if len(pkgs) != len(patterns) {
 		t.Fatalf("loaded %d packages for %d fixtures", len(pkgs), len(patterns))
 	}
-	got := analysis.FormatJSON(analysis.Run(pkgs, analysis.Analyzers()), root)
-	goldenPath := filepath.Join(root, "internal", "analysis", "testdata", "golden", "selfcheck.json")
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("consolidated findings differ from %s\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
+	if got := analysis.Format(analysis.Run(pkgs, analysis.Analyzers()), root); got != want.String() {
+		t.Errorf("consolidated findings differ from the per-fixture goldens\n--- got ---\n%s--- want ---\n%s", got, want.String())
 	}
 }

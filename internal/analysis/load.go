@@ -54,13 +54,12 @@ func goList(dir, format string, args []string) ([]string, error) {
 }
 
 // loadCache memoizes Load results for the life of the process, keyed by
-// (absolute dir, patterns). The golden-file tests and the self-check script
-// load the same fixture trees over and over; a cache hit skips both the go
-// command and the type-checker. Packages are treated as immutable after
-// loading (analyzers only read them), so sharing the slice is safe. The cache
-// deliberately ignores on-disk edits made after the first load — simlint is a
-// one-shot process, and the tests that share a cache entry all want the same
-// snapshot.
+// (absolute dir, patterns). The golden-file tests load the same fixture trees
+// over and over; a cache hit skips both the go command and the type-checker.
+// Packages are treated as immutable after loading (analyzers only read them),
+// so sharing the slice is safe. The cache deliberately ignores on-disk edits
+// made after the first load — simlint is a one-shot process, and the tests
+// that share a cache entry all want the same snapshot.
 var loadCache sync.Map // key string -> *loadEntry
 
 type loadEntry struct {

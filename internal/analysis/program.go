@@ -9,15 +9,11 @@ import (
 	"strings"
 )
 
-// Whole-program view. PR 4's analyzers were AST-local: each judged one
-// package in isolation, which is enough for "don't range over a map into a
-// writer" but not for the invariants the multi-standard backend refactor
-// leans on. Whether a //hot:path function allocates depends on what its callees
-// do; whether shard-isolated code can reach the barrier section is a
-// reachability question over the entire module. Program indexes
-// every loaded package once — declarations, a reference graph, directive
-// annotations — so those analyzers share one traversal instead of each
-// re-walking the world.
+// Whole-program view. Whether a //hot:path function allocates depends on what
+// its callees do, and whether shard-side code can reach the barrier section is
+// a reachability question over the entire module. Program indexes every
+// loaded package once — declarations, a reference graph, directive
+// annotations — so the escape gate and shardiso share one traversal.
 
 // FuncInfo pairs a declared function with the package that declares it.
 type FuncInfo struct {

@@ -6,6 +6,7 @@ package detmap
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -52,6 +53,16 @@ func BadReturn(m map[string]int) error {
 		return fmt.Errorf("unexpected key %q", k)
 	}
 	return nil
+}
+
+// BadCompact collects keys and only compacts them: Compact drops adjacent
+// duplicates and leaves the keys in map order.
+func BadCompact(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return slices.Compact(keys)
 }
 
 // GoodSorted collects keys, sorts them, then iterates the slice.

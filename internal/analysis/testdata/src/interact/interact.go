@@ -8,19 +8,17 @@ package interact
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/sim"
 )
 
-// --- detmap + simtime ---
+// --- detmap ---
 
-// Report writes rows in map order, then stamps them with the host clock.
+// Report writes rows in map order.
 func Report(w io.Writer, m map[string]int) {
 	for k, v := range m {
 		fmt.Fprintf(w, "%s=%d\n", k, v)
 	}
-	fmt.Fprintf(w, "at %d\n", time.Now().UnixNano())
 }
 
 // --- ckptfields ---
@@ -40,24 +38,18 @@ func (c *comp) CheckpointRestore(data []byte) error {
 	return nil
 }
 
-// --- eventpool ---
+// --- tickunits + detmap on one line, with scoped suppression ---
 
-type holder struct {
-	seq uint64
-}
-
-// Retain stores a pooled event's seq past its firing.
-func Retain(h *holder, k *sim.Kernel) {
-	h.seq = k.Call("evt", k.Now(), func() {})
-}
-
-// --- tickunits + simtime on one line, with scoped suppression ---
-
-// Scoped produces a tickunits finding and a simtime finding on the same
-// line; the directive names only tickunits, so simtime must survive.
-func Scoped(delayNs int64) sim.Tick {
+// Scoped produces a tickunits finding (a tick named like a nanosecond count)
+// and a detmap finding (the last key in map order) on the same line; the
+// directive names only tickunits, so detmap must survive.
+func Scoped(m map[sim.Tick]bool) sim.Tick {
+	var last sim.Tick
 	//lint:allow tickunits interact fixture: suppression is scoped per analyzer
-	return sim.Tick(time.Now().UnixNano() + delayNs)
+	for windowNs := range m {
+		last = windowNs
+	}
+	return last
 }
 
 // Convert is the unsuppressed tickunits finding.

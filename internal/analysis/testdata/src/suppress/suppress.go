@@ -3,41 +3,41 @@
 // finding (and silences nothing), and an unknown analyzer name is rejected.
 package suppress
 
-import "time"
+import "repro/internal/sim"
 
 // Allowed is suppressed by a well-formed directive with a reason.
-func Allowed() int64 {
-	return time.Now().UnixNano() //lint:allow simtime fixture exercises the suppression path
+func Allowed(idleNs int64) sim.Tick {
+	return sim.Tick(idleNs) //lint:allow tickunits fixture exercises the suppression path
 }
 
 // AllowedAbove is suppressed by a directive on the preceding line.
-func AllowedAbove() int64 {
-	//lint:allow simtime fixture exercises the preceding-line form
-	return time.Now().UnixNano()
+func AllowedAbove(idleNs int64) sim.Tick {
+	//lint:allow tickunits fixture exercises the preceding-line form
+	return sim.Tick(idleNs)
 }
 
 // MissingReason is NOT suppressed: the directive lacks a reason, which is
 // itself a finding.
-func MissingReason() int64 {
-	return time.Now().UnixNano() //lint:allow simtime
+func MissingReason(idleNs int64) sim.Tick {
+	return sim.Tick(idleNs) //lint:allow tickunits
 }
 
 // UnknownAnalyzer is NOT suppressed: the directive names no known analyzer.
-func UnknownAnalyzer() int64 {
-	return time.Now().UnixNano() //lint:allow detcap typo in the analyzer name
+func UnknownAnalyzer(idleNs int64) sim.Tick {
+	return sim.Tick(idleNs) //lint:allow tickunit typo in the analyzer name
 }
 
 // WrongAnalyzer is NOT suppressed: the directive allows a different
 // analyzer — and since that directive suppresses nothing, it is also stale.
-func WrongAnalyzer() int64 {
-	return time.Now().UnixNano() //lint:allow detmap wrong analyzer on purpose
+func WrongAnalyzer(idleNs int64) sim.Tick {
+	return sim.Tick(idleNs) //lint:allow detmap wrong analyzer on purpose
 }
 
-// DeliberatelyDormant keeps a directive that currently suppresses nothing:
-// the stale-directive finding it would produce is itself suppressed by the
-// //lint:allow lint escape hatch on the line above.
-func DeliberatelyDormant() uint64 {
-	//lint:allow lint the eventpool directive below is kept deliberately for this fixture
-	//lint:allow eventpool dormant on purpose: nothing on this line stores a seq
+// Dormant keeps a directive that suppresses nothing. It is stale, and a
+// //lint:allow naming "lint" above it is an unknown analyzer, not a way to
+// keep it.
+func Dormant() sim.Tick {
+	//lint:allow lint kept on purpose
+	//lint:allow tickunits nothing on the next line converts a count
 	return 0
 }

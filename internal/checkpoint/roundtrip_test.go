@@ -8,6 +8,7 @@ package checkpoint_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -166,7 +167,18 @@ func TestTrafficRigResumeBitIdentical(t *testing.T) {
 			if got := dumpStats(t, res.Reg); !bytes.Equal(got, want) {
 				t.Errorf("resumed statistics differ from uninterrupted run\nuninterrupted: %s\nresumed:       %s", want, got)
 			}
+			samePower(t, ref.Ctrl, res.Ctrl)
 		})
+	}
+}
+
+// samePower requires a resumed controller to report the uninterrupted run's
+// power activity: the DRAM power model reads state (the all-precharged time,
+// per-rank residencies) that no statistic dumps.
+func samePower(t *testing.T, ref, resumed system.Controller) {
+	t.Helper()
+	if got, want := resumed.PowerStats(), ref.PowerStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed power activity differs from uninterrupted run\nuninterrupted: %+v\nresumed:       %+v", want, got)
 	}
 }
 
@@ -381,10 +393,9 @@ func TestResumeMidLowPower(t *testing.T) {
 	runToEnd(t, rs)
 	want := dumpStats(t, ref.Reg)
 	endTick := rs.Now()
-	refCtrl := ref.Ctrl.(*core.Controller)
-	if refCtrl.PowerStats().PowerDownTime == 0 || refCtrl.PowerStats().SelfRefreshTime == 0 {
+	if act := ref.Ctrl.PowerStats(); act.PowerDownTime == 0 || act.SelfRefreshTime == 0 {
 		t.Fatalf("workload never entered low power (pd %s, sr %s) — nothing to test",
-			refCtrl.PowerStats().PowerDownTime, refCtrl.PowerStats().SelfRefreshTime)
+			act.PowerDownTime, act.SelfRefreshTime)
 	}
 
 	for _, mode := range []string{"mid-powerdown", "mid-selfrefresh"} {
@@ -439,6 +450,7 @@ func TestResumeMidLowPower(t *testing.T) {
 			if got := dumpStats(t, res.Reg); !bytes.Equal(got, want) {
 				t.Errorf("resumed %s statistics differ from uninterrupted run\nuninterrupted: %s\nresumed:       %s", mode, want, got)
 			}
+			samePower(t, ref.Ctrl, res.Ctrl)
 		})
 	}
 }

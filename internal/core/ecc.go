@@ -87,7 +87,6 @@ func (c *Controller) armReplay(dp *dramPacket, retryAt sim.Tick) {
 	c.pendingReplays = append(c.pendingReplays, rec)
 	// The seq is recorded only so CheckpointSave can reproduce same-tick
 	// ordering on restore; nothing ever touches the pooled event through it.
-	//lint:allow eventpool seq saved for checkpoint replay ordering, never used to reach the event
 	rec.seq = c.k.Call(c.replayName, retryAt, func() { //hot:allow the replay closure allocates on the fault path only
 		c.dropReplay(rec)
 		c.readQueue.push(dp)

@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/experiments"
+	"repro/internal/sim"
+	"repro/internal/trafficgen"
 )
 
 func newFlagSet() *flag.FlagSet {
@@ -52,6 +55,39 @@ func newFlagSetWithCount() *flag.FlagSet {
 	fs := newFlagSet()
 	AddCount(fs, "requests", 4000, "requests per point")
 	return fs
+}
+
+// The flags that count nanoseconds reach the simulator as ticks scaled by
+// sim.Nanosecond: a bare sim.Tick(ns) type-checks and runs 1000x too fast.
+func TestNanosecondFlagsBecomeTicks(t *testing.T) {
+	for _, row := range []struct {
+		args []string
+		got  func(*Traffic, *Checkpoint) (sim.Tick, error)
+		want sim.Tick
+	}{
+		{[]string{"-itt", "48"}, func(tr *Traffic, _ *Checkpoint) (sim.Tick, error) {
+			return tr.GenConfig().InterTransaction, nil
+		}, 48 * sim.Nanosecond},
+		{[]string{"-pattern", "bursty", "-burst-off-ns", "2000"}, func(tr *Traffic, _ *Checkpoint) (sim.Tick, error) {
+			p, err := tr.BuildPattern(dram.DDR3_1600_x64(), dram.RoRaBaCoCh, 1)
+			if err != nil {
+				return 0, err
+			}
+			return p.(*trafficgen.Bursty).OffTime, nil
+		}, 2000 * sim.Nanosecond},
+		{[]string{"-checkpoint-every", "2000"}, func(_ *Traffic, c *Checkpoint) (sim.Tick, error) {
+			return c.Config(nil).Every, nil
+		}, 2000 * sim.Nanosecond},
+	} {
+		fs := newFlagSet()
+		tr, c := AddTraffic(fs, 1), AddCheckpoint(fs)
+		if err := fs.Parse(row.args); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := row.got(tr, c); err != nil || got != row.want {
+			t.Errorf("%s: %v (err %v), want %v", strings.Join(row.args, " "), got, err, row.want)
+		}
+	}
 }
 
 // Partial lets a finished and an interrupted study print — the latter under

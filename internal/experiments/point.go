@@ -119,9 +119,9 @@ type Runner struct {
 // report host time beside simulated results; nothing simulated ever reads it,
 // which is why this is the one place the package touches the wall clock.
 func hostTimed(fn func()) time.Duration {
-	start := time.Now() //lint:allow simtime host time of a whole run, reported beside the simulated results and never fed back
+	start := time.Now()
 	fn()
-	return time.Since(start) //lint:allow simtime host time of a whole run, reported beside the simulated results and never fed back
+	return time.Since(start)
 }
 
 // begin is what both runners do between building a point and starting it: the
