@@ -53,7 +53,8 @@ type dpState struct {
 	Scrub     bool     `json:"scrub,omitempty"`
 }
 
-// respState is a serialized respQueue entry.
+// respState is a serialized response-queue entry; the image holds both lanes
+// merged in the order they send.
 type respState struct {
 	Pkt     int      `json:"pkt"`
 	SendAt  sim.Tick `json:"sendAt"`
@@ -183,6 +184,23 @@ func (c *Controller) loadDP(st dpState, txns []*transaction) (*dramPacket, error
 	return dp, nil
 }
 
+// responses returns every queued response in the order the lanes send them.
+func (c *Controller) responses() []respEntry {
+	var out []respEntry
+	for sentFixed, sentDRAM := 0, 0; ; {
+		e, fromDRAM, ok := c.nextResp(sentFixed, sentDRAM)
+		if !ok {
+			return out
+		}
+		out = append(out, e)
+		if fromDRAM {
+			sentDRAM++
+		} else {
+			sentFixed++
+		}
+	}
+}
+
 // CheckpointConfig implements checkpoint.Configured: the controller's
 // identity is its whole Config.
 func (c *Controller) CheckpointConfig() any { return c.cfg }
@@ -234,19 +252,20 @@ func (c *Controller) CheckpointSave(pt mem.PacketTable) (any, error) {
 			Poisoned:  tr.poisoned,
 		})
 	}
-	for dp := c.readQueue.head; dp != nil; dp = dp.next {
+	reads := c.readQueue.bursts()
+	for _, dp := range reads {
 		addTxn(dp.parent)
 	}
 	for _, rec := range c.pendingReplays {
 		addTxn(rec.dp.parent)
 	}
-	for dp := c.readQueue.head; dp != nil; dp = dp.next {
+	for _, dp := range reads {
 		st.ReadQueue = append(st.ReadQueue, saveDP(dp, txnIdx))
 	}
-	for dp := c.writeQueue.head; dp != nil; dp = dp.next {
+	for _, dp := range c.writeQueue.bursts() {
 		st.WriteQueue = append(st.WriteQueue, saveDP(dp, txnIdx))
 	}
-	for _, e := range c.respQueue {
+	for _, e := range c.responses() {
 		st.RespQueue = append(st.RespQueue, respState{Pkt: pt.PacketRef(e.pkt), SendAt: e.sendAt, Release: e.release})
 	}
 	for _, rec := range c.pendingReplays {
@@ -338,10 +357,22 @@ func (c *Controller) CheckpointRestore(pl mem.PacketLookup, rs sim.Restorer, dat
 			poisoned:  ts.Poisoned,
 		}
 	}
-	c.respQueue = nil
 	c.pendingReplays = nil
+	// The saved order splits back into the lanes: only a DRAM read response
+	// releases read-buffer entries.
+	c.respFixed = mem.PacketQueue{}
+	c.respDRAM = newRespRing(c.cfg.ReadBufferSize)
 	for _, e := range st.RespQueue {
-		c.respQueue = append(c.respQueue, respEntry{pkt: pl.PacketByRef(e.Pkt), sendAt: e.SendAt, release: e.Release})
+		pkt := pl.PacketByRef(e.Pkt)
+		if e.Release == 0 {
+			c.respFixed.Push(pkt, e.SendAt)
+			continue
+		}
+		if c.respDRAM.n == len(c.respDRAM.buf) {
+			return fmt.Errorf("core: %s: checkpoint queues more read responses than the %d-entry read buffer holds",
+				c.name, c.cfg.ReadBufferSize)
+		}
+		c.respDRAM.insert(respEntry{pkt: pkt, sendAt: e.SendAt, release: e.Release})
 	}
 
 	c.readEntries = st.ReadEntries

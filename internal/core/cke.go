@@ -208,7 +208,8 @@ func (r *rank) raiseCKE(settled sim.Tick) {
 // ranks leave power-down at once. Called wherever a burst for the rank
 // enters a queue (cancelling pending idle timers early) and again at the
 // service choke point doDRAMAccess, so every stamped command finds its rank
-// awake — which is why the scheduler needs no per-rank power gate.
+// awake. The scheduler has no power gate: a write parked while its rank slept
+// is chosen with CKE low and pays tXP only here (DESIGN §13).
 func (c *Controller) wakeRank(ri int) {
 	rk := c.ranks[ri]
 	if c.cfg.PowerDownIdle > 0 && c.pdEvents[ri].Scheduled() {

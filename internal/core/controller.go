@@ -61,7 +61,13 @@ type Controller struct {
 
 	readQueue  burstQueue
 	writeQueue burstQueue
-	respQueue  []respEntry
+	// The response queue is two lanes, each in sendAt order, merged by
+	// nextResp. respFixed holds the responses due FrontendLatency after their
+	// request arrived (write acknowledgements, fully forwarded reads): queued
+	// at now+FrontendLatency with now never decreasing, it is a FIFO. respDRAM
+	// holds the read responses that waited for DRAM data.
+	respFixed mem.PacketQueue
+	respDRAM  respRing
 	// readEntries counts occupied read-buffer slots: queued bursts plus
 	// bursts serviced but not yet responded.
 	readEntries int
@@ -203,6 +209,7 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 		c.ranks[i] = newRank(spec.Org, c.topo)
 	}
 	c.resetQueues()
+	c.respDRAM = newRespRing(cfg.ReadBufferSize)
 	c.allPrechargedSince = k.Now()
 	c.nextReqEvent = sim.NewEvent(name+".nextReq", c.processNextReqEvent)
 	c.respondEvent = sim.NewEvent(name+".respond", c.processRespondEvent)
@@ -283,8 +290,8 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 // lookup of an address that is not queued nearly always finds its slot empty.
 func (c *Controller) resetQueues() {
 	slots := 1 << bits.Len(uint(4*c.cfg.WriteBufferSize-1))
-	c.readQueue = newBurstQueue(true, c.ranks, c.org.BanksPerRank, 0, c.burstBytes)
-	c.writeQueue = newBurstQueue(false, c.ranks, c.org.BanksPerRank, slots, c.burstBytes)
+	c.readQueue = newBurstQueue(true, c.ranks, c.org.BanksPerRank, c.topo.Groups, 0, c.burstBytes)
+	c.writeQueue = newBurstQueue(false, c.ranks, c.org.BanksPerRank, c.topo.Groups, slots, c.burstBytes)
 }
 
 // Port returns the system-facing response port.
@@ -301,7 +308,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // backoff sits in no queue but still owes a response.
 func (c *Controller) Quiescent() bool {
 	return c.readQueue.n == 0 && c.writeQueue.n == 0 &&
-		len(c.respQueue) == 0 && c.readEntries == 0
+		c.respFixed.Len() == 0 && c.respDRAM.n == 0 && c.readEntries == 0
 }
 
 // Drain puts the controller in drain mode: buffered writes are written back
@@ -407,7 +414,7 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 	if needed == 0 {
 		// Entirely satisfied by the write queue: only the static frontend
 		// latency applies. No burst references the transaction.
-		c.queueResponse(pkt, now+c.cfg.FrontendLatency, 0)
+		c.queueFixedResponse(pkt)
 		c.freeTxn(tr)
 	} else {
 		c.kickScheduler()
@@ -446,7 +453,7 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 	}
 	// Early write response (§II-A): respond as soon as the request is
 	// buffered; the DRAM access happens later without system-visible cost.
-	c.queueResponse(pkt, now+c.cfg.FrontendLatency, 0)
+	c.queueFixedResponse(pkt)
 	c.kickScheduler()
 	return true
 }
@@ -503,24 +510,75 @@ func (c *Controller) tryMergeWrite(burstAddr, lo mem.Addr, size uint64) bool {
 	return false
 }
 
-// queueResponse arranges for pkt to be sent back at sendAt, releasing
-// that many read-buffer entries once it leaves.
-func (c *Controller) queueResponse(pkt *mem.Packet, sendAt sim.Tick, release int) {
-	c.respQueue = insertResp(c.respQueue, respEntry{pkt: pkt, sendAt: sendAt, release: release})
-	first := c.respQueue[0].sendAt
+// queueFixedResponse queues pkt's response to leave FrontendLatency from now,
+// releasing no read-buffer entry.
+func (c *Controller) queueFixedResponse(pkt *mem.Packet) {
+	sendAt := c.k.Now() + c.cfg.FrontendLatency
+	c.respFixed.Push(pkt, sendAt)
+	c.armRespond(sendAt)
+}
+
+// queueReadResponse queues the response to a read whose last burst's data
+// came from DRAM, to leave at sendAt and release that many read-buffer
+// entries.
+func (c *Controller) queueReadResponse(pkt *mem.Packet, sendAt sim.Tick, release int) {
+	c.respDRAM.insert(respEntry{pkt: pkt, sendAt: sendAt, release: release})
+	c.armRespond(sendAt)
+}
+
+// armRespond makes the respond event due at the first queued response after
+// one due at sendAt was queued: scheduled if idle (unless the port owes a
+// retry), brought forward if the new response leaves sooner. A scheduled
+// event is never due after the first queued response (it is armed at that
+// response, and only an insert moves the first one, earlier), so only the
+// new response can bring it forward.
+func (c *Controller) armRespond(sendAt sim.Tick) {
 	if c.respondEvent.Scheduled() {
-		if c.respondEvent.When() > first {
-			c.k.Reschedule(c.respondEvent, first)
+		if c.respondEvent.When() > sendAt {
+			c.k.Reschedule(c.respondEvent, sendAt)
 		}
 	} else if !c.retryResp {
+		first := sendAt
+		if c.respFixed.Len()+c.respDRAM.n > 1 {
+			e, _, _ := c.nextResp(0, 0)
+			first = e.sendAt
+		}
 		c.k.Schedule(c.respondEvent, first)
 	}
 }
 
+// nextResp returns the response that leaves once the first sentFixed and
+// sentDRAM entries of the two lanes have, and whether it is the DRAM lane's:
+// the earlier of the two lanes' next entries, the DRAM lane's on a tie. That
+// is the order of one queue sorted stably by sendAt, since the data of a DRAM
+// response due at T ended after the response was queued, so before
+// T-FrontendLatency, while a fixed-latency response due at T was queued at
+// exactly T-FrontendLatency.
+func (c *Controller) nextResp(sentFixed, sentDRAM int) (e respEntry, fromDRAM, ok bool) {
+	if sentDRAM < c.respDRAM.n {
+		e, fromDRAM, ok = *c.respDRAM.at(sentDRAM), true, true
+	}
+	if sentFixed < c.respFixed.Len() {
+		if pkt, at := c.respFixed.At(sentFixed); !ok || at < e.sendAt {
+			e, fromDRAM, ok = respEntry{pkt: pkt, sendAt: at}, false, true
+		}
+	}
+	return e, fromDRAM, ok
+}
+
 func (c *Controller) processRespondEvent() {
 	now := c.k.Now()
-	for len(c.respQueue) > 0 && c.respQueue[0].sendAt <= now {
-		e := c.respQueue[0]
+	for {
+		e, fromDRAM, ok := c.nextResp(0, 0)
+		if !ok {
+			break
+		}
+		if e.sendAt > now {
+			if !c.respondEvent.Scheduled() {
+				c.k.Schedule(c.respondEvent, e.sendAt)
+			}
+			break
+		}
 		if e.pkt.Cmd.IsRequest() {
 			e.pkt.MakeResponse()
 		}
@@ -531,18 +589,15 @@ func (c *Controller) processRespondEvent() {
 		if c.hub != nil {
 			c.hub.Emit(obs.ResponseSent{Src: c.name, At: now, Pkt: e.pkt})
 		}
-		// Pop by copy rather than re-slicing: respQueue[1:] would strand the
-		// front capacity and make insertResp reallocate every cycle. The
-		// queue is short (bounded by the read buffer), so the copy is cheap.
-		n := copy(c.respQueue, c.respQueue[1:])
-		c.respQueue = c.respQueue[:n]
+		if fromDRAM {
+			c.respDRAM.pop()
+		} else {
+			c.respFixed.Pop()
+		}
 		if e.release > 0 {
 			c.readEntries -= e.release
 			c.maybeSendReqRetry()
 		}
-	}
-	if len(c.respQueue) > 0 && !c.respondEvent.Scheduled() {
-		c.k.Schedule(c.respondEvent, c.respQueue[0].sendAt)
 	}
 	c.scheduleLowPowerChecks()
 }
@@ -601,7 +656,7 @@ func (c *Controller) processNextReqEvent() {
 					if tr.poisoned {
 						tr.pkt.Poisoned = true
 					}
-					c.queueResponse(tr.pkt, tr.lastReady+c.cfg.FrontendLatency+c.cfg.BackendLatency, tr.entries)
+					c.queueReadResponse(tr.pkt, tr.lastReady+c.cfg.FrontendLatency+c.cfg.BackendLatency, tr.entries)
 					c.freeTxn(tr)
 				}
 			}
@@ -654,7 +709,7 @@ func (c *Controller) processNextReqEvent() {
 	}
 }
 
-// chooseNext returns the queued burst to service next. FCFS takes the head.
+// chooseNext returns the queued burst to service next. FCFS takes the oldest.
 // FR-FCFS follows gem5's hierarchy: the first *seamless* row hit (column
 // ready by the time the data bus frees), then the first ready-but-not-
 // seamless hit, then the request whose bank frees earliest (paper §II-C),
@@ -669,7 +724,7 @@ func (c *Controller) processNextReqEvent() {
 //hot:path FR-FCFS over the banks with queued work
 func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 	if c.cfg.Scheduling == FCFS || q.n == 1 {
-		return q.head
+		return q.oldest()
 	}
 	now := c.k.Now()
 	if p := c.firstReadyHit(q, now); p != nil {
@@ -685,11 +740,10 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 	// bus-bound candidates (equal true cost) pick the bank that frees
 	// earliest, as gem5's earliestBanks does, preserving bank parallelism
 	// instead of degrading to arrival order, which only breaks exact ties.
+	// missChoice ranks on readiness alone, which orders the candidates the
+	// same way.
 	var best missChoice
 	groups := c.topo.Groups
-	// Group g's banks are g, g+groups, ... (Topology.GroupOf: bank mod
-	// Groups; a flat device is one group): group 0's mask shifted by g.
-	group0 := (^uint64(0) >> (64 - q.banksPerRank)) / (1<<groups - 1)
 	for ri, rk := range c.ranks {
 		if q.work[ri] == 0 {
 			continue
@@ -700,7 +754,7 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 		// The order banks are visited in cannot matter: seq is unique, so the
 		// minimum below is.
 		for g := 0; g < groups; g++ {
-			m := q.work[ri] & (group0 << g)
+			m := q.work[ri] & (q.group0 << g)
 			if m == 0 {
 				continue
 			}
@@ -709,12 +763,12 @@ func (c *Controller) chooseNext(q *burstQueue) *dramPacket {
 				bi := bits.TrailingZeros64(m)
 				head, open := banks[bi].head, rk.openRow[bi]
 				if p := firstOf(head, open, false); p != nil {
-					_, _, ready, at := c.bankIssueAt(&f, rk, bi, false)
-					best.offer(p, at, ready)
+					_, _, ready, _ := c.bankIssueAt(&f, rk, bi, false)
+					best.offer(p, ready)
 				}
 				if q.hit[ri]&(1<<bi) != 0 && rk.refreshUntil[bi] > now {
-					_, _, ready, at := c.bankIssueAt(&f, rk, bi, true)
-					best.offer(firstOf(head, open, true), at, ready)
+					_, _, ready, _ := c.bankIssueAt(&f, rk, bi, true)
+					best.offer(firstOf(head, open, true), ready)
 				}
 			}
 		}
@@ -741,10 +795,12 @@ func (c *Controller) firstReadyHit(q *burstQueue, now sim.Tick) *dramPacket {
 			// A row opened during a refresh blackout is not a ready hit: its
 			// activate is booked for after the blackout, so preferring it over
 			// a genuinely ready request in another rank wastes the window.
-			// (No power-state gate is needed: a burst only enters a queue after
-			// wakeRank, so every candidate's rank has CKE high by construction;
-			// the post-wake tXP/tXS costs are already folded into the per-bank
-			// allowed-at times this scan reads.)
+			// There is no power-state gate, and a candidate's rank may be
+			// asleep: rankIdle lets a rank power down while writes stay parked
+			// below the low watermark, and a later drain arbitrates them with
+			// CKE low. Their tXP is paid only when doDRAMAccess's wakeRank
+			// raises CKE, after the choice
+			// (TestDrainArbitratesParkedWritesBeforeWake, DESIGN §13).
 			if rk.refreshUntil[bi] > now {
 				continue
 			}
@@ -769,17 +825,20 @@ func (c *Controller) firstReadyHit(q *burstQueue, now sim.Tick) *dramPacket {
 }
 
 // missChoice is the best burst of the FR-FCFS miss phase so far, with the
-// keys it won on.
+// readiness it won on.
 type missChoice struct {
-	p         *dramPacket
-	at, ready sim.Tick
+	p     *dramPacket
+	ready sim.Tick
 }
 
-// offer replaces the choice when p issues earlier, or as early from a bank
-// that frees earlier, or ties on both and arrived first.
-func (m *missChoice) offer(p *dramPacket, at, ready sim.Tick) {
-	if m.p == nil || at < m.at || at == m.at && (ready < m.ready || ready == m.ready && p.seq < m.p.seq) {
-		*m = missChoice{p, at, ready}
+// offer replaces the choice when p's column command is ready earlier, or as
+// early and p arrived first. That is the order of (cmdAt, ready, seq): cmdAt
+// is max(ready, bus) with one bus tick for every candidate of a decision, so
+// an earlier ready never issues later and an earlier cmdAt has an earlier
+// ready.
+func (m *missChoice) offer(p *dramPacket, ready sim.Tick) {
+	if m.p == nil || ready < m.ready || ready == m.ready && p.seq < m.p.seq {
+		*m = missChoice{p, ready}
 	}
 }
 
@@ -790,8 +849,8 @@ func (m *missChoice) offer(p *dramPacket, at, ready sim.Tick) {
 // from bank and rank state alone, and the column command itself once data-bus
 // serialisation is applied. rankFloors, groupFloors and bankIssueAt — the rules
 // sorted by what each term depends on — are together the one statement of the
-// access timing rules: FR-FCFS ranks misses by (cmdAt, ready) and doDRAMAccess
-// commits the same four ticks.
+// access timing rules: FR-FCFS ranks misses by ready (which orders them as
+// (cmdAt, ready) does) and doDRAMAccess commits the same four ticks.
 func (c *Controller) issueAt(p *dramPacket) (preAt, actAt, ready, cmdAt sim.Tick) {
 	rk, bi := c.ranks[p.coord.Rank], p.coord.Bank
 	f := c.groupFloors(c.rankFloors(rk, p.isRead), rk, c.topo.GroupOf(bi))

@@ -803,19 +803,6 @@ func newHarnessNoT() *harness {
 	return h
 }
 
-func TestInsertRespOrdering(t *testing.T) {
-	var q []respEntry
-	for _, at := range []sim.Tick{50, 10, 30, 10, 70} {
-		q = insertResp(q, respEntry{sendAt: at})
-	}
-	want := []sim.Tick{10, 10, 30, 50, 70}
-	for i := range want {
-		if q[i].sendAt != want[i] {
-			t.Fatalf("order = %v", q)
-		}
-	}
-}
-
 func TestBankWindowHelpers(t *testing.T) {
 	r := newRank(dram.DDR3_1600_x64().Org, dram.DDR3_1600_x64().Topology())
 	if r.earliestActByWindow(4, 40*sim.Nanosecond) != 0 {

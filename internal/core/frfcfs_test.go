@@ -38,17 +38,7 @@ func (h *harness) enqueueRead(t *testing.T, rank, bank int, row uint64) *dramPac
 	if !h.send(mem.NewRead(addr, h.c.org.BurstBytes(), 0, h.k.Now())) {
 		t.Fatalf("read of rank %d bank %d row %d refused", rank, bank, row)
 	}
-	return h.c.readQueue.tail
-}
-
-// queued returns a queue's bursts in arrival order: the slice the oracle
-// scans.
-func queued(q *burstQueue) []*dramPacket {
-	var out []*dramPacket
-	for p := q.head; p != nil; p = p.next {
-		out = append(out, p)
-	}
-	return out
+	return h.c.readQueue.rankBanks(rank)[bank].tail
 }
 
 // chooseNextOracle is the scheduler the bank-indexed chooseNext replaced: the
@@ -467,7 +457,7 @@ func chooseNextRound(t *testing.T, rng *rand.Rand, spec dram.Spec, page PagePoli
 	decisions := 0
 	for q.n > 0 {
 		checkQueueIndex(t, c)
-		all := queued(q)
+		all := q.bursts()
 		checkIssueAt(t, c, all)
 		want := all[c.chooseNextOracle(all)]
 		got := c.chooseNext(q)

@@ -10,15 +10,16 @@ import (
 )
 
 // The write queue answers "is this burst queued?" from a folded count table
-// and settles a non-zero slot on one bank list. The two functions below are
-// the scans that replaced: every entry of the arrival list, in arrival order,
-// nothing skipped. The product must agree with them after every operation of
-// an arbitrary stream (TestWriteQueueMembershipMatchesLinearScan,
+// and settles a non-zero slot on one bank list. The functions below are the
+// scans that replaced: every queued entry, in arrival order, nothing skipped.
+// The product must agree with them after every operation of an arbitrary
+// stream (TestWriteQueueMembershipMatchesLinearScan,
 // FuzzWriteQueueMembership).
 
-// forwardOracle is canForwardFromWriteQueue over the whole arrival list.
-func forwardOracle(q *burstQueue, burstAddr, lo mem.Addr, size uint64) bool {
-	for w := q.head; w != nil; w = w.next {
+// forwardOracle is canForwardFromWriteQueue over the whole queue, given as
+// its bursts in arrival order.
+func forwardOracle(queue []*dramPacket, burstAddr, lo mem.Addr, size uint64) bool {
+	for _, w := range queue {
 		if w.burstAddr == burstAddr && w.addr <= lo && lo+mem.Addr(size) <= w.addr+mem.Addr(w.size) {
 			return true
 		}
@@ -26,9 +27,9 @@ func forwardOracle(q *burstQueue, burstAddr, lo mem.Addr, size uint64) bool {
 	return false
 }
 
-// queuedAt reports whether the arrival list holds any burst at burstAddr.
-func queuedAt(q *burstQueue, burstAddr mem.Addr) bool {
-	for w := q.head; w != nil; w = w.next {
+// queuedAt reports whether the queue holds any burst at burstAddr.
+func queuedAt(queue []*dramPacket, burstAddr mem.Addr) bool {
+	for _, w := range queue {
 		if w.burstAddr == burstAddr {
 			return true
 		}
@@ -36,12 +37,12 @@ func queuedAt(q *burstQueue, burstAddr mem.Addr) bool {
 	return false
 }
 
-// mergeOracle is tryMergeWrite over the whole arrival list, without the
+// mergeOracle is tryMergeWrite over the whole queue, without the
 // mutation: the entry the piece merges into and the range it then covers, or
 // nil.
-func mergeOracle(q *burstQueue, burstAddr, lo mem.Addr, size uint64) (into *dramPacket, addr mem.Addr, merged uint64) {
+func mergeOracle(queue []*dramPacket, burstAddr, lo mem.Addr, size uint64) (into *dramPacket, addr mem.Addr, merged uint64) {
 	hi := lo + mem.Addr(size)
-	for w := q.head; w != nil; w = w.next {
+	for _, w := range queue {
 		if w.burstAddr != burstAddr {
 			continue
 		}
@@ -124,15 +125,16 @@ func runMembershipOps(t *testing.T, ops []byte) membershipReach {
 	check := func(lo mem.Addr, size uint64) {
 		t.Helper()
 		checkQueueIndex(t, c)
+		queue := q.bursts()
 		for _, a := range addrs {
 			// The operation's own range, the whole burst and its two halves.
 			for _, r := range [][2]uint64{{uint64(lo), size}, {0, burst}, {0, burst / 2}, {burst / 2, burst / 2}} {
 				pLo, pSize := a+mem.Addr(r[0]), r[1]
-				want := forwardOracle(q, a, pLo, pSize)
+				want := forwardOracle(queue, a, pLo, pSize)
 				if got := c.canForwardFromWriteQueue(a, pLo, pSize); got != want {
 					t.Fatalf("canForwardFromWriteQueue(%#x, +%d, %d) = %v, linear scan says %v", a, r[0], pSize, got, want)
 				}
-				into, wantAddr, wantSize := mergeOracle(q, a, pLo, pSize)
+				into, wantAddr, wantSize := mergeOracle(queue, a, pLo, pSize)
 				var oldAddr mem.Addr
 				var oldSize uint64
 				if into != nil {
@@ -149,7 +151,7 @@ func runMembershipOps(t *testing.T, ops []byte) membershipReach {
 					into.addr, into.size = oldAddr, oldSize // a probe, not a write
 				}
 			}
-			if q.mayHold(a) && !queuedAt(q, a) {
+			if q.mayHold(a) && !queuedAt(queue, a) {
 				reach.falseSlots++
 			}
 		}
@@ -194,7 +196,7 @@ func randomMembershipOps(seed int64, n int) []byte {
 // Merging and forwarding stay exact: over seeded streams of partial writes,
 // reads, scrubs and drains on addresses that collide in the table and share
 // banks, the table-and-bank-list lookup answers what a scan of the whole
-// arrival list answers, entry for entry.
+// queue in arrival order answers, entry for entry.
 func TestWriteQueueMembershipMatchesLinearScan(t *testing.T) {
 	var sum membershipReach
 	for seed := int64(1); seed <= 6; seed++ {

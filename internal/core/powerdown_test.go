@@ -6,6 +6,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/faults"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -144,5 +145,47 @@ func TestPowerDownConfigValidation(t *testing.T) {
 	cfg.PowerDownIdle = -1
 	if cfg.Validate() == nil {
 		t.Fatal("negative PowerDownIdle accepted")
+	}
+}
+
+// Pins an open policy question (DESIGN §13): writes parked below the low
+// watermark do not keep their rank awake (rankIdle), so the rank powers down
+// with them queued, and when Drain later releases them the scheduler picks
+// one while CKE is still low. No arbitration rule sees the exit: tXP is paid
+// only when doDRAMAccess's wakeRank raises CKE, at the drain tick, and the
+// first activate follows exactly tXP later. The stream stays legal.
+func TestDrainArbitratesParkedWritesBeforeWake(t *testing.T) {
+	trace := &power.CommandTrace{}
+	h := newHarness(t, func(c *Config) {
+		c.PowerDownIdle = 100 * sim.Nanosecond
+		c.Probes = obs.NewHub()
+		c.Probes.Attach(obs.CommandFunc(trace.Record))
+	})
+	c, rk := h.c, h.c.ranks[0]
+	h.send(mem.NewWrite(0, 64, 0, 0))
+	h.send(mem.NewWrite(mem.Addr(c.org.RowBufferBytes), 64, 0, 0))
+	const drainAt = 2 * sim.Microsecond
+	h.k.RunUntil(drainAt - 1)
+	if c.writeQueue.n != 2 || c.writeQueue.n > c.writeLowMark || !rk.cke.inPowerDown() {
+		t.Fatalf("before the drain: %d writes queued (low mark %d), rank powered down %v; want both parked and the rank asleep",
+			c.writeQueue.n, c.writeLowMark, rk.cke.inPowerDown())
+	}
+	if p := c.chooseNext(&c.writeQueue); p == nil || !rk.cke.inPowerDown() {
+		t.Fatal("the scheduler declined a write on a powered-down rank, or its choice woke the rank")
+	}
+	before := len(trace.Commands())
+	h.at(drainAt, c.Drain)
+	h.run(sim.Microsecond)
+	if c.writeQueue.n != 0 || rk.cke.inPowerDown() {
+		t.Fatalf("after the drain: %d writes queued, rank powered down %v", c.writeQueue.n, rk.cke.inPowerDown())
+	}
+	cmds := trace.Commands()[before:]
+	if len(cmds) < 3 || cmds[0].Kind != power.CmdPDX || cmds[0].At != drainAt ||
+		cmds[1].Kind != power.CmdACT || cmds[1].At != drainAt+c.tim.TXP {
+		t.Fatalf("commands after the drain %v: want PDX at the drain tick %s, then ACT tXP (%s) later",
+			cmds, drainAt, c.tim.TXP)
+	}
+	if v := power.CheckTiming(c.cfg.Device, trace.Commands()); len(v) != 0 {
+		t.Fatalf("timing violations: %v", v)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -14,62 +15,50 @@ import (
 )
 
 // checkQueueIndex verifies the invariants of both burst queues' bank index
-// against the arrival list and the bank state: every queued burst is on
-// exactly one bank list (its own bank's), both kinds of list are in arrival
-// order with consistent back links, and the cached per-bank hit counts, the
-// per-rank work and hit masks and the per-address-slot counts equal a recount
-// (the read queue keeps no address table).
+// against the bank state: every bank list is in arrival order with consistent
+// back links and holds only bursts of its own bank and the queue's direction,
+// every seq is unique and issued, and the cached per-bank hit counts and row
+// tags, the per-rank work and hit masks and the per-address-slot counts equal
+// a recount (the read queue keeps no address table). A tag field that reached
+// 15 may stay there while its list is non-empty, so only a saturated field
+// may exceed its recount.
 func checkQueueIndex(t *testing.T, c *Controller) {
 	t.Helper()
 	for name, q := range map[string]*burstQueue{"read": &c.readQueue, "write": &c.writeQueue} {
-		listed := map[*dramPacket]bool{}
 		if (q.addrCount == nil) != q.isRead || len(q.addrCount)&(len(q.addrCount)-1) != 0 ||
 			(!q.isRead && len(q.addrCount) < 4*c.cfg.WriteBufferSize) {
 			t.Fatalf("%s queue: address table of %d slots for a %d-entry write buffer", name, len(q.addrCount), c.cfg.WriteBufferSize)
 		}
-		slots := make([]uint32, len(q.addrCount))
-		var prev *dramPacket
-		for p := q.head; p != nil; prev, p = p, p.next {
-			if p.prev != prev || (prev != nil && prev.seq >= p.seq) {
-				t.Fatalf("%s queue: arrival list broken at seq %d (prev link or order)", name, p.seq)
-			}
-			if p.isRead != q.isRead {
-				t.Fatalf("%s queue holds a burst of the other direction (seq %d)", name, p.seq)
-			}
-			listed[p] = true
-			if len(slots) > 0 {
-				slots[q.addrSlot(p.burstAddr)]++
-			}
-		}
-		for i, n := range slots {
-			if q.addrCount[i] != n {
-				t.Fatalf("%s queue: address slot %d caches %d bursts, recount %d", name, i, q.addrCount[i], n)
-			}
-		}
-		if q.tail != prev || len(listed) != q.n {
-			t.Fatalf("%s queue: tail/len mismatch: %d listed, n=%d", name, len(listed), q.n)
-		}
 		if len(q.work) != len(c.ranks) || len(q.hit) != len(c.ranks) {
 			t.Fatalf("%s queue: %d work and %d hit masks for %d ranks", name, len(q.work), len(q.hit), len(c.ranks))
 		}
-		onBank := 0
+		slots := make([]uint32, len(q.addrCount))
+		seqs := map[uint64]bool{}
 		for ri, rk := range c.ranks {
 			var work, hit uint64
 			for bi, b := range q.rankBanks(ri) {
 				hits := 0
+				var rows [16]int
 				var prev *dramPacket
 				for p := b.head; p != nil; prev, p = p, p.bankNext {
-					if !listed[p] || p.coord.Rank != ri || p.coord.Bank != bi {
-						t.Fatalf("%s queue: rank %d bank %d lists a burst that is not queued for it (seq %d, %+v)",
-							name, ri, bi, p.seq, p.coord)
+					if p.coord.Rank != ri || p.coord.Bank != bi || p.isRead != q.isRead {
+						t.Fatalf("%s queue: rank %d bank %d lists a burst that is not queued for it (seq %d, %+v, read=%v)",
+							name, ri, bi, p.seq, p.coord, p.isRead)
 					}
 					if p.bankPrev != prev || (prev != nil && prev.seq >= p.seq) {
 						t.Fatalf("%s queue: rank %d bank %d list broken at seq %d", name, ri, bi, p.seq)
 					}
+					if seqs[p.seq] || p.seq >= q.nextSeq {
+						t.Fatalf("%s queue: seq %d listed twice or never issued (next %d)", name, p.seq, q.nextSeq)
+					}
+					seqs[p.seq] = true
 					if int64(p.coord.Row) == rk.openRow[bi] {
 						hits++
 					}
-					onBank++
+					rows[p.coord.Row&15]++
+					if len(slots) > 0 {
+						slots[q.addrSlot(p.burstAddr)]++
+					}
 				}
 				if b.tail != prev {
 					t.Fatalf("%s queue: rank %d bank %d tail does not end its list", name, ri, bi)
@@ -77,6 +66,13 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 				if b.hits != hits {
 					t.Fatalf("%s queue: rank %d bank %d caches %d hits on open row %d, recount %d",
 						name, ri, bi, b.hits, rk.openRow[bi], hits)
+				}
+				for f, n := range rows {
+					got := b.tags >> (4 * f) & 15
+					if got != uint64(min(n, 15)) && !(got == 15 && b.head != nil) {
+						t.Fatalf("%s queue: rank %d bank %d tags %#x count %d bursts on rows %d mod 16, recount %d",
+							name, ri, bi, b.tags, got, f, n)
+					}
 				}
 				if b.head != nil {
 					work |= 1 << bi
@@ -90,10 +86,13 @@ func checkQueueIndex(t *testing.T, c *Controller) {
 					name, ri, q.work[ri], q.hit[ri], work, hit)
 			}
 		}
-		// Each bank-list member is queued and each list is duplicate-free, so
-		// equal totals put every queued burst on exactly one bank list.
-		if onBank != q.n {
-			t.Fatalf("%s queue: %d bursts on bank lists, %d queued", name, onBank, q.n)
+		if len(seqs) != q.n {
+			t.Fatalf("%s queue: %d bursts on bank lists, n=%d", name, len(seqs), q.n)
+		}
+		for i, n := range slots {
+			if q.addrCount[i] != n {
+				t.Fatalf("%s queue: address slot %d caches %d bursts, recount %d", name, i, q.addrCount[i], n)
+			}
 		}
 	}
 }
@@ -211,5 +210,86 @@ func TestQueueIndexIntegrityAndResume(t *testing.T) {
 				t.Fatalf("resumed run's statistics differ from the uninterrupted run's\n got %s\nwant %s", got, want)
 			}
 		})
+	}
+}
+
+// The row tags let an activate skip the hit recount only when no listed burst
+// can hit. Twenty bursts in one tag field (rows 3, 19, 35, ... all 3 mod 16)
+// saturate it, beside bursts in a second field; activates and precharges of
+// aliasing and non-aliasing rows run between the pushes and between the
+// removals that drain the list, oldest first and from the middle. After every
+// step the bank's hits and hit bit are exactly a recount of its list, a
+// saturated field stays 15 until the list empties, and an empty list has no
+// tags.
+func TestRowTagsKeepHitsExact(t *testing.T) {
+	h := newHarness(t, nil)
+	c, q := h.c, &h.c.readQueue
+	const ri, bi = 0, 2
+	rk, b := c.ranks[ri], &q.rankBanks(ri)[bi]
+	var listed []*dramPacket
+	step := func(what string) {
+		t.Helper()
+		checkQueueIndex(t, c)
+		hits := 0
+		for _, p := range listed {
+			if int64(p.coord.Row) == rk.openRow[bi] {
+				hits++
+			}
+		}
+		if b.hits != hits || (q.hit[ri]&(1<<bi) != 0) != (hits > 0) {
+			t.Fatalf("after %s: bank caches %d hits, hit bit %v; %d listed bursts target open row %d",
+				what, b.hits, q.hit[ri]&(1<<bi) != 0, hits, rk.openRow[bi])
+		}
+		if len(listed) == 0 && b.tags != 0 {
+			t.Fatalf("after %s: empty list keeps tags %#x", what, b.tags)
+		}
+	}
+	push := func(row uint64) {
+		dp := c.newDP()
+		*dp = dramPacket{isRead: true, coord: dram.Coord{Rank: ri, Bank: bi, Row: row}}
+		q.push(dp)
+		listed = append(listed, dp)
+		step("push of row " + strconv.FormatUint(row, 10))
+	}
+	// Rows to open between steps: aliasing the saturated field (3, 19, 99),
+	// the second field (4), and a field nothing is queued in (7).
+	opens := []int64{3, 19, 7, 99, 4, rowClosed}
+	tick := sim.Tick(0)
+	reopen := func(i int) {
+		tick += sim.Nanosecond
+		if row := opens[i%len(opens)]; row == rowClosed {
+			c.prechargeBank(ri, rk, bi, tick)
+		} else {
+			c.activateBank(ri, rk, bi, tick, row)
+		}
+		step("open of row " + strconv.FormatInt(rk.openRow[bi], 10))
+	}
+	for i := 0; i < 20; i++ {
+		push(uint64(3 + 16*(i%7)))
+		if i%3 == 0 {
+			push(4 + 16*uint64(i))
+		}
+		reopen(i)
+	}
+	if f := b.tags >> tagShift(3) & 15; f != 15 {
+		t.Fatalf("20 bursts on rows 3 mod 16 leave their field at %d, want saturated 15", f)
+	}
+	for i := 0; len(listed) > 0; i++ {
+		at := 0
+		if i%2 == 1 {
+			at = len(listed) / 2
+		}
+		p := listed[at]
+		listed = append(listed[:at], listed[at+1:]...)
+		q.remove(p)
+		c.freeDP(p)
+		step("removal")
+		if len(listed) > 0 && b.tags>>tagShift(3)&15 != 15 {
+			t.Fatalf("a saturated field fell to %d with %d bursts still listed", b.tags>>tagShift(3)&15, len(listed))
+		}
+		reopen(i)
+	}
+	if q.work[ri]&(1<<bi) != 0 || b.tags != 0 {
+		t.Fatalf("drained bank keeps work bit %v, tags %#x", q.work[ri]&(1<<bi) != 0, b.tags)
 	}
 }
