@@ -64,23 +64,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one tag-store entry.
-type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-	// prefetched marks lines brought in by the prefetcher and not yet
+// A tag word is one way of the tag store: the tag in the low bits and three
+// flags above it. New refuses a geometry whose tags could reach tagPrefetched.
+const (
+	tagValid = 1 << 63
+	tagDirty = 1 << 62
+	// tagPrefetched marks lines brought in by the prefetcher and not yet
 	// touched by demand traffic (for accuracy accounting).
-	prefetched bool
-}
+	tagPrefetched = 1 << 61
+)
 
 // mshr is one slot of the MSHR file: an outstanding line fill and the
 // requests waiting on it. waiters keeps its backing array across uses.
 type mshr struct {
-	lineAddr mem.Addr
-	waiters  []*mem.Packet
-	issued   sim.Tick
+	waiters []*mem.Packet
+	issued  sim.Tick
 	// fill is the line-sized read sent downstream.
 	fill *mem.Packet
 	// prefetch marks speculative fills with no demand waiter yet.
@@ -97,8 +95,10 @@ type Cache struct {
 	cpuPort *mem.ResponsePort
 	memPort *mem.RequestPort
 
-	// lines is the tag store: set s occupies lines[s*Assoc : (s+1)*Assoc].
-	lines    []line
+	// tags and lastUse are the tag store, indexed set*Assoc + way: an 8-way
+	// set's tag words are one 64-byte run.
+	tags     []uint64
+	lastUse  []uint64
 	setMask  uint64
 	lineBits uint // log2(LineBytes)
 	setBits  uint // log2(sets): the tag starts above these bits of the line number
@@ -110,7 +110,9 @@ type Cache struct {
 	pool mem.PacketPool
 	// mshrs is the MSHR file: cfg.MSHRs slots, the first mshrsInUse live
 	// (in no particular order: a retired slot swaps with the last live one).
+	// mshrLines[i] is the line slot i fetches, so a lookup scans only it.
 	mshrs      []mshr
+	mshrLines  []mem.Addr
 	mshrsInUse int
 	// strides tracks per-requestor stride detection state.
 	strides map[int]*strideState
@@ -151,16 +153,24 @@ func New(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) (*Cache, e
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", numSets)
 	}
+	lineBits, setBits := uint(bits.TrailingZeros64(cfg.LineBytes)), uint(bits.TrailingZeros64(numSets))
+	if lineBits+setBits < 3 {
+		return nil, fmt.Errorf("cache: %d-byte lines in %d sets leave tags of %d bits, which overlap the 3 flag bits of a tag word (need line bytes x sets >= 8)",
+			cfg.LineBytes, numSets, 64-lineBits-setBits)
+	}
+	ways := numSets * uint64(cfg.Assoc)
 	c := &Cache{
-		name:     name,
-		cfg:      cfg,
-		k:        k,
-		lines:    make([]line, numSets*uint64(cfg.Assoc)),
-		setMask:  numSets - 1,
-		lineBits: uint(bits.TrailingZeros64(cfg.LineBytes)),
-		setBits:  uint(bits.TrailingZeros64(numSets)),
-		mshrs:    make([]mshr, cfg.MSHRs),
-		strides:  make(map[int]*strideState),
+		name:      name,
+		cfg:       cfg,
+		k:         k,
+		tags:      make([]uint64, ways),
+		lastUse:   make([]uint64, ways),
+		setMask:   numSets - 1,
+		lineBits:  lineBits,
+		setBits:   setBits,
+		mshrs:     make([]mshr, cfg.MSHRs),
+		mshrLines: make([]mem.Addr, cfg.MSHRs),
+		strides:   make(map[int]*strideState),
 	}
 	// Room for every MSHR's fill plus the writeback its install evicts.
 	c.wbQueue.Reserve(2 * cfg.MSHRs)
@@ -221,49 +231,47 @@ func (c *Cache) indexOf(lineAddr mem.Addr) (set uint64, tag uint64) {
 	return l & c.setMask, l >> c.setBits
 }
 
-// ways returns the lines of one set.
-func (c *Cache) ways(set uint64) []line {
+// lookup returns the index into tags of the valid way holding tag in set,
+// or -1. The flags other than valid do not take part in the compare.
+func (c *Cache) lookup(set, tag uint64) int {
 	a := uint64(c.cfg.Assoc)
-	return c.lines[set*a : (set+1)*a]
-}
-
-// lookup finds the line holding tag in set, or nil.
-func (c *Cache) lookup(set, tag uint64) *line {
-	ways := c.ways(set)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
+	base := set * a
+	want := tag | tagValid
+	for i, w := range c.tags[base : base+a] {
+		if w&^(tagDirty|tagPrefetched) == want {
+			return int(base) + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// victim picks the LRU line of a set.
-func (c *Cache) victim(set uint64) *line {
-	ways := c.ways(set)
-	best := &ways[0]
-	for i := range ways {
-		w := &ways[i]
-		if !w.valid {
-			return w
+// victim returns the index into tags of the way a fill of set replaces: the
+// first invalid way, else the least recently used (the lowest way on a tie).
+func (c *Cache) victim(set uint64) int {
+	a := uint64(c.cfg.Assoc)
+	base := set * a
+	best := base
+	for i := base; i < base+a; i++ {
+		if c.tags[i]&tagValid == 0 {
+			return int(i)
 		}
-		if w.lastUse < best.lastUse {
-			best = w
+		if c.lastUse[i] < c.lastUse[best] {
+			best = i
 		}
 	}
-	return best
+	return int(best)
 }
 
-// touch refreshes LRU state.
-func (c *Cache) touch(l *line) {
+// touch refreshes the LRU state of way i.
+func (c *Cache) touch(i int) {
 	c.useTick++
-	l.lastUse = c.useTick
+	c.lastUse[i] = c.useTick
 }
 
 // findMSHR returns the live slot tracking lineAddr, or -1.
 func (c *Cache) findMSHR(lineAddr mem.Addr) int {
-	for i := range c.mshrs[:c.mshrsInUse] {
-		if c.mshrs[i].lineAddr == lineAddr {
+	for i, a := range c.mshrLines[:c.mshrsInUse] {
+		if a == lineAddr {
 			return i
 		}
 	}
@@ -274,8 +282,9 @@ func (c *Cache) findMSHR(lineAddr mem.Addr) int {
 // one is free.
 func (c *Cache) allocMSHR(fill *mem.Packet, prefetch bool) *mshr {
 	m := &c.mshrs[c.mshrsInUse]
+	c.mshrLines[c.mshrsInUse] = fill.Addr
 	c.mshrsInUse++
-	m.lineAddr, m.issued, m.fill, m.prefetch = fill.Addr, c.k.Now(), fill, prefetch
+	m.issued, m.fill, m.prefetch = c.k.Now(), fill, prefetch
 	m.waiters = m.waiters[:0]
 	return m
 }
@@ -286,5 +295,6 @@ func (c *Cache) freeMSHR(i int) *mshr {
 	c.mshrsInUse--
 	last := c.mshrsInUse
 	c.mshrs[i], c.mshrs[last] = c.mshrs[last], c.mshrs[i]
+	c.mshrLines[i], c.mshrLines[last] = c.mshrLines[last], c.mshrLines[i]
 	return &c.mshrs[last]
 }

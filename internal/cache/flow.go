@@ -50,22 +50,23 @@ func (c *Cache) access(pkt *mem.Packet) bool {
 		panic(fmt.Sprintf("cache: %s request %s straddles a line", c.name, pkt))
 	}
 	set, tag := c.indexOf(lineAddr)
-	if l := c.lookup(set, tag); l != nil {
+	if i := c.lookup(set, tag); i >= 0 {
 		// Hit: touch, mark dirty on writes, respond after the hit latency.
-		c.touch(l)
-		if l.prefetched {
+		c.touch(i)
+		w := c.tags[i]
+		if pkt.Cmd.IsWrite() {
+			c.tags[i] = w&^tagPrefetched | tagDirty
+			c.st.writeHits.Inc()
+		} else {
+			c.tags[i] = w &^ tagPrefetched
+			c.st.readHits.Inc()
+		}
+		if w&tagPrefetched != 0 {
 			// Tagged prefetching: the first demand touch of a prefetched
 			// line confirms the stream and triggers the next prefetch,
 			// keeping it alive without further misses.
-			l.prefetched = false
 			c.st.usefulPrefetches.Inc()
 			c.maybePrefetch(lineAddr, pkt.RequestorID)
-		}
-		if pkt.Cmd.IsWrite() {
-			l.dirty = true
-			c.st.writeHits.Inc()
-		} else {
-			c.st.readHits.Inc()
 		}
 		c.st.hits.Inc()
 		c.queueResponse(pkt)
@@ -109,8 +110,7 @@ func (c *Cache) fillOrAck(pkt *mem.Packet) bool {
 		c.pool.Put(pkt)
 		return true
 	}
-	lineAddr := pkt.Addr
-	i := c.findMSHR(lineAddr)
+	i := c.findMSHR(pkt.Addr)
 	if i < 0 || c.mshrs[i].fill != pkt {
 		panic(fmt.Sprintf("cache: %s fill for unknown line %s", c.name, pkt))
 	}
@@ -143,30 +143,30 @@ func (c *Cache) fillOrAck(pkt *mem.Packet) bool {
 // install places the line m fetched, evicting the LRU victim (writeback if
 // dirty), and answers every waiter.
 func (c *Cache) install(m *mshr) {
-	set, tag := c.indexOf(m.lineAddr)
+	set, tag := c.indexOf(m.fill.Addr)
 	v := c.victim(set)
-	if v.valid {
+	if old := c.tags[v]; old&tagValid != 0 {
 		c.st.evictions.Inc()
-		if v.dirty {
-			victimAddr := mem.Addr((v.tag<<c.setBits | set) << c.lineBits)
+		if old&tagDirty != 0 {
+			oldTag := old &^ (tagValid | tagDirty | tagPrefetched)
+			victimAddr := mem.Addr((oldTag<<c.setBits | set) << c.lineBits)
 			wb := c.pool.NewWrite(victimAddr, c.cfg.LineBytes, m.fill.RequestorID, c.k.Now())
 			c.st.writebacks.Inc()
 			c.sendToMem(wb)
 		}
 	}
-	v.tag = tag
-	v.valid = true
-	v.dirty = false
-	v.prefetched = m.prefetch
-	c.touch(v)
-
-	// Writes dirty the fresh line.
-	for _, w := range m.waiters {
-		if w.Cmd.IsWrite() {
-			v.dirty = true
-		}
-		c.queueResponse(w)
+	w := tag | tagValid
+	if m.prefetch {
+		w |= tagPrefetched
 	}
+	for _, p := range m.waiters {
+		if p.Cmd.IsWrite() {
+			w |= tagDirty // writes dirty the fresh line
+		}
+		c.queueResponse(p)
+	}
+	c.tags[v] = w
+	c.touch(v)
 }
 
 // sendToMem forwards a packet downstream, queueing it when the memory port

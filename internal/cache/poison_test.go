@@ -61,7 +61,7 @@ func TestPoisonedFillNotInstalled(t *testing.T) {
 		u.send(mem.NewRead(0x1000, 64, 0, 0))
 		u.send(mem.NewRead(0x1010, 8, 0, 0)) // merges into the same MSHR
 	}), 0)
-	k.RunUntil(10 * sim.Microsecond)
+	runChecked(t, k, c, 10*sim.Microsecond)
 
 	if len(u.responses) != 2 {
 		t.Fatalf("responses = %d, want 2", len(u.responses))
@@ -83,7 +83,7 @@ func TestPoisonedFillNotInstalled(t *testing.T) {
 	k.Schedule(sim.NewEvent("again", func() {
 		u.send(mem.NewRead(0x1000, 64, 0, 0))
 	}), k.Now()+sim.Nanosecond)
-	k.RunUntil(k.Now() + 10*sim.Microsecond)
+	runChecked(t, k, c, k.Now()+10*sim.Microsecond)
 	if len(u.responses) != 3 {
 		t.Fatalf("responses = %d, want 3", len(u.responses))
 	}
@@ -126,7 +126,7 @@ func TestPoisonPropagatesThroughXbarAndCache(t *testing.T) {
 	k.Schedule(sim.NewEvent("go", func() {
 		u.send(mem.NewRead(0x2000, 64, 0, 0))
 	}), 0)
-	k.RunUntil(50 * sim.Microsecond)
+	runChecked(t, k, l1, 50*sim.Microsecond)
 
 	if len(u.responses) != 1 {
 		t.Fatalf("responses = %d, want 1", len(u.responses))

@@ -91,7 +91,7 @@ func (c *Cache) maybePrefetch(demand mem.Addr, requestorID int) {
 func (c *Cache) issuePrefetch(addr mem.Addr, requestorID int) {
 	lineAddr := addr.AlignDown(c.cfg.LineBytes)
 	set, tag := c.indexOf(lineAddr)
-	if c.lookup(set, tag) != nil {
+	if c.lookup(set, tag) >= 0 {
 		return // already resident
 	}
 	if c.findMSHR(lineAddr) >= 0 {

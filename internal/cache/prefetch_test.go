@@ -51,7 +51,7 @@ func TestNextLinePrefetchOnSequential(t *testing.T) {
 				u.send(mem.NewRead(mem.Addr(i*64), 8, 0, 0))
 			})
 		}
-		k.RunUntil(10 * sim.Microsecond)
+		runChecked(t, k, c, 10*sim.Microsecond)
 		if len(u.responses) != 16 {
 			t.Fatalf("responses = %d", len(u.responses))
 		}
@@ -81,7 +81,7 @@ func TestStridePrefetcher(t *testing.T) {
 			u.send(mem.NewRead(mem.Addr(i*stride), 8, 0, 0))
 		})
 	}
-	k.RunUntil(20 * sim.Microsecond)
+	runChecked(t, k, c, 20*sim.Microsecond)
 	if len(u.responses) != 20 {
 		t.Fatalf("responses = %d", len(u.responses))
 	}
@@ -105,7 +105,7 @@ func TestPrefetchUselessOnRandom(t *testing.T) {
 			u.send(mem.NewRead(a, 8, 0, 0))
 		})
 	}
-	k.RunUntil(10 * sim.Microsecond)
+	runChecked(t, k, c, 10*sim.Microsecond)
 	if len(u.responses) != len(addrs) {
 		t.Fatalf("responses = %d", len(u.responses))
 	}
@@ -119,7 +119,7 @@ func TestPrefetchUselessOnRandom(t *testing.T) {
 func TestPrefetchLeavesDemandMSHR(t *testing.T) {
 	cfg := prefetchCfg(PrefetchStride)
 	cfg.MSHRs = 2
-	k, u, _, _ := build(t, cfg, 500*sim.Nanosecond)
+	k, u, c, _ := build(t, cfg, 500*sim.Nanosecond)
 	// Spaced past the fill latency so the single-retry test harness never
 	// overwrites a blocked packet; the stride prefetcher still wants to run
 	// two lines ahead but only ever gets the one spare MSHR.
@@ -129,7 +129,7 @@ func TestPrefetchLeavesDemandMSHR(t *testing.T) {
 			u.send(mem.NewRead(mem.Addr(i*64), 8, 0, 0))
 		})
 	}
-	k.RunUntil(20 * sim.Microsecond)
+	runChecked(t, k, c, 20*sim.Microsecond)
 	if len(u.responses) != 6 {
 		t.Fatalf("responses = %d", len(u.responses))
 	}
@@ -172,7 +172,7 @@ func TestPrefetchSpeedsUpStreaming(t *testing.T) {
 		}
 		at(k, 0, func() { issue(0) })
 		for i := 0; i < 10000 && len(u.responses) < n; i++ {
-			k.RunUntil(k.Now() + sim.Microsecond)
+			runChecked(t, k, c, k.Now()+sim.Microsecond)
 		}
 		if len(u.responses) != n {
 			t.Fatal("stream did not finish")

@@ -79,6 +79,8 @@ type Core struct {
 	port    *mem.RequestPort
 	pool    mem.PacketPool // packets: drawn on issue, released on response
 
+	// delay is computeDelay(), the spacing between two issues.
+	delay       sim.Tick
 	issued      uint64
 	outstanding int
 	blocked     *mem.Packet
@@ -105,6 +107,7 @@ func New(k *sim.Kernel, cfg Config, pattern trafficgen.Pattern, reg *stats.Regis
 		return nil, fmt.Errorf("cpu: nil pattern")
 	}
 	c := &Core{cfg: cfg, k: k, pattern: pattern, startTick: k.Now()}
+	c.delay = c.computeDelay()
 	c.port = mem.NewRequestPort(name+".port", c, k)
 	c.tick = sim.NewEvent(name+".tick", c.run)
 	r := reg.Child(name)
@@ -168,7 +171,7 @@ func (c *Core) run() {
 		c.outstanding++
 		c.memOps.Inc()
 		c.instrRetired.Add(float64(c.cfg.InstrPerMemOp + 1))
-		c.nextIssue = now + c.computeDelay()
+		c.nextIssue = now + c.delay
 		if !c.port.SendTimingReq(pkt) {
 			c.blocked = pkt
 			c.noteStall(now)

@@ -120,25 +120,26 @@ func (c Config) Validate() error {
 }
 
 // outQueue is a latency+capacity queue in front of one output port (either
-// direction), draining in order with retry flow control.
+// direction), draining in order with retry flow control. A request queue
+// (toward memory) has req set and a response queue (toward a requestor) resp;
+// a freed slot wakes the upstreams of that direction.
 type outQueue struct {
-	name string
 	k    *sim.Kernel
 	cfg  Config
+	x    *Crossbar
+	req  *mem.RequestPort
+	resp *mem.ResponsePort
 	// items holds each packet with the tick it is ready to leave; the ring
 	// is sized to QueueDepth once and never grows (full() gates every push).
 	items    mem.PacketQueue
 	sendEv   *sim.Event
 	blocked  bool // downstream refused; waiting for its retry
 	nextSend sim.Tick
-	send     func(*mem.Packet) bool
-	// onSpace is called whenever a slot frees, to wake blocked upstreams.
-	onSpace func()
 }
 
-func newOutQueue(k *sim.Kernel, cfg Config, name string, send func(*mem.Packet) bool, onSpace func()) *outQueue {
-	q := &outQueue{name: name, k: k, cfg: cfg, send: send, onSpace: onSpace}
-	q.items.Reserve(cfg.QueueDepth)
+func newOutQueue(x *Crossbar, name string, req *mem.RequestPort, resp *mem.ResponsePort) *outQueue {
+	q := &outQueue{k: x.k, cfg: x.cfg, x: x, req: req, resp: resp}
+	q.items.Reserve(x.cfg.QueueDepth)
 	q.sendEv = sim.NewEvent(name+".send", q.drain)
 	return q
 }
@@ -178,7 +179,13 @@ func (q *outQueue) drain() {
 		if readyAt > now || q.nextSend > now {
 			break
 		}
-		if !q.send(pkt) {
+		var ok bool
+		if q.req != nil {
+			ok = q.req.SendTimingReq(pkt)
+		} else {
+			ok = q.resp.SendTimingResp(pkt)
+		}
+		if !ok {
 			q.blocked = true
 			return
 		}
@@ -186,7 +193,11 @@ func (q *outQueue) drain() {
 		if q.cfg.PacketInterval > 0 {
 			q.nextSend = now + q.cfg.PacketInterval
 		}
-		q.onSpace()
+		if q.req != nil {
+			q.x.wakeRequestors()
+		} else {
+			q.x.wakeMemSides()
+		}
 	}
 	q.schedule()
 }
@@ -289,9 +300,7 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 	}
 	rs := &reqSide{x: x, index: len(x.reqSides)}
 	rs.port = mem.NewResponsePort(fmt.Sprintf("%s.cpu%d", x.name, rs.index), rs, x.k)
-	rs.respQ = newOutQueue(x.k, x.cfg, rs.port.Name()+".respq",
-		func(pkt *mem.Packet) bool { return rs.port.SendTimingResp(pkt) },
-		func() { x.wakeMemSides() })
+	rs.respQ = newOutQueue(x, rs.port.Name()+".respq", nil, rs.port)
 	x.reqSides = append(x.reqSides, rs)
 	return rs.port
 }
@@ -301,9 +310,7 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 func (x *Crossbar) AttachMemory(name string) *mem.RequestPort {
 	ms := &memSide{x: x, index: len(x.memSides)}
 	ms.port = mem.NewRequestPort(fmt.Sprintf("%s.mem%d", x.name, ms.index), ms, x.k)
-	ms.reqQ = newOutQueue(x.k, x.cfg, ms.port.Name()+".reqq",
-		func(pkt *mem.Packet) bool { return ms.port.SendTimingReq(pkt) },
-		func() { x.wakeRequestors() })
+	ms.reqQ = newOutQueue(x, ms.port.Name()+".reqq", ms.port, nil)
 	x.memSides = append(x.memSides, ms)
 	return ms.port
 }
