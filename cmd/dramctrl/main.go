@@ -21,6 +21,13 @@
 // prints the bandwidth over time. The trace composes with checkpointing: a resumed run appends to the same file and
 // reproduces the uninterrupted trace byte for byte.
 //
+// Protocol checking: -check records every channel's DRAM commands, on either
+// model, and verifies them with the independent timing checker
+// (power.CheckTiming) when the run ends; any violation fails the run, and
+// under -trace each one cites its Perfetto span. -cmd-trace archives a
+// one-channel recording, and -cmd-trace-in re-checks an archived one against
+// -spec/-standard without simulating.
+//
 // Examples:
 //
 //	dramctrl -spec DDR3-1600-x64 -pattern linear -requests 50000
@@ -31,6 +38,9 @@
 //	dramctrl -requests 100000 -obs-http localhost:6060
 //	dramctrl -requests 2000000 -checkpoint run.ckpt -checkpoint-every 1000000
 //	dramctrl -requests 2000000 -checkpoint run.ckpt -resume
+//	dramctrl -model cycle -standard ddr4 -check -trace out.json
+//	dramctrl -pattern bursty -powerdown 500 -selfrefresh 3000 -check -cmd-trace cmds.txt
+//	dramctrl -cmd-trace-in cmds.txt -spec DDR3-1600-x64
 package main
 
 import (
@@ -82,6 +92,9 @@ type options struct {
 	obs      *cliconfig.Obs
 
 	list          bool
+	check         bool
+	cmdTrace      string
+	cmdTraceIn    string
 	powerDownNs   int64
 	selfRefreshNs int64
 	dumpStats     bool
@@ -99,13 +112,16 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("dramctrl", flag.ContinueOnError)
 	f := &options{
 		spec:     cliconfig.AddSpec(fs, "DDR3-1600-x64"),
-		pol:      cliconfig.AddPolicy(fs, cliconfig.PolicyFlags{Model: true, Sched: true}),
+		pol:      cliconfig.AddPolicy(fs),
 		traf:     cliconfig.AddTraffic(fs, 10000),
 		channels: cliconfig.AddChannels(fs),
 		sup:      cliconfig.AddCheckpoint(fs),
 		obs:      cliconfig.AddObs(fs),
 	}
 	fs.BoolVar(&f.list, "list", false, "list available memory specs and exit")
+	fs.BoolVar(&f.check, "check", false, "check every channel's DRAM commands against the device's timing rules at the end of the run; a violation is an error")
+	fs.StringVar(&f.cmdTrace, "cmd-trace", "", "write the recorded DRAM command stream to this file (one channel only)")
+	fs.StringVar(&f.cmdTraceIn, "cmd-trace-in", "", "check a recorded DRAM command stream against -spec/-standard and exit (no simulation)")
 	fs.Int64Var(&f.powerDownNs, "powerdown", 0, "power-down idle threshold in ns (0 = off, event model only)")
 	fs.Int64Var(&f.selfRefreshNs, "selfrefresh", 0, "self-refresh idle threshold in ns (0 = off, event model only; must exceed -powerdown when both are set)")
 	fs.BoolVar(&f.dumpStats, "stats", false, "dump the full statistics registry")
@@ -120,10 +136,10 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&f.retryLimit, "retry-limit", 4, "replay attempts before a faulty row is retired")
 	fs.Uint64Var(&f.watchdog.MaxEvents, "max-events", 0, "watchdog: abort after this many events (0 = off)")
 	fs.Uint64Var(&f.watchdog.MaxSameTick, "max-same-tick", 1_000_000, "watchdog: abort after this many events at one tick (0 = off)")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
+	if ok, err := cliconfig.Parse(fs, args); !ok {
+		return nil, err // nil, nil after -h
 	}
-	if f.list {
+	if f.list || f.cmdTraceIn != "" {
 		return f, nil
 	}
 
@@ -141,9 +157,19 @@ func parseFlags(args []string) (*options, error) {
 		if f.traceIn != "" || f.traceOut != "" {
 			return nil, fmt.Errorf("checkpointing does not support trace capture/replay (drop -trace-in/-trace-out)")
 		}
+		// Likewise the command recorder: a resumed run's would miss the prefix.
+		if f.recording() {
+			return nil, fmt.Errorf("checkpointing does not support -check/-cmd-trace (a resumed run would record only its suffix)")
+		}
+	}
+	if f.cmdTrace != "" && *f.channels > 1 {
+		return nil, fmt.Errorf("-cmd-trace records one channel (the file has no channel column); use -check alone with -channels %d", *f.channels)
 	}
 	return f, nil
 }
+
+// recording reports whether the run records its DRAM command streams.
+func (f *options) recording() bool { return f.check || f.cmdTrace != "" }
 
 // memory describes the memory side the flags ask for: -channels controllers
 // of -model, each the model's default configuration plus the flags — so a
@@ -206,6 +232,7 @@ type rig struct {
 	mon       *trafficgen.Monitor
 	bandwidth []string // rows of the bandwidth-over-time table, one per sample under -obs-sample
 	tracer    *obs.Tracer
+	cmds      commandRecorder // nil unless -check or -cmd-trace
 }
 
 // maxSim bounds every run's simulated time.
@@ -229,13 +256,17 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 		}
 		hub.Attach(r.tracer)
 	}
+	if f.recording() {
+		r.cmds = commandRecorder{}
+		hub.Attach(r.cmds)
+	}
 
 	// A replayed trace is read first: the crossbar must be at least as wide
 	// as the largest request the source will send.
 	var recs []trafficgen.TraceRecord
 	widest := f.traf.Bytes
 	if f.traceIn != "" {
-		if recs, err = readTrace(f.traceIn); err != nil {
+		if recs, err = readFile(f.traceIn, trafficgen.ParseTrace); err != nil {
 			return nil, err
 		}
 		widest = 0
@@ -337,10 +368,7 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 // run is the one run path: parse, wire, drive under the supervisor, report.
 func run(args []string, out io.Writer) error {
 	f, err := parseFlags(args)
-	if errors.Is(err, flag.ErrHelp) {
-		return nil
-	}
-	if err != nil {
+	if f == nil {
 		return err
 	}
 	if f.list {
@@ -354,6 +382,9 @@ func run(args []string, out io.Writer) error {
 	mapping, err := f.pol.ParseMapping()
 	if err != nil {
 		return err
+	}
+	if f.cmdTraceIn != "" {
+		return replayCommands(f, spec, mapping, out)
 	}
 	var live *obs.LiveServer
 	if f.obs.HTTPAddr != "" {
@@ -378,6 +409,15 @@ func run(args []string, out io.Writer) error {
 	}
 	if res.Interrupted {
 		fmt.Fprintf(out, "interrupted at %s; partial results:\n", res.Now)
+	} else if r.cmds != nil {
+		// Close any open low-power interval so the recorded stream is
+		// balanced. The exit commands are stamped at their future exit ticks;
+		// nothing runs after them, so the stream stays ordered.
+		for _, c := range r.memory.Ctrls {
+			if ev, ok := c.(*core.Controller); ok {
+				ev.WakeAllRanks()
+			}
+		}
 	}
 	if r.tracer != nil {
 		// Terminate the JSON array so the file is strict JSON. A later
@@ -394,7 +434,7 @@ func run(args []string, out io.Writer) error {
 	if res.Interrupted {
 		return errInterrupted
 	}
-	return nil
+	return checkRun(f, spec, mapping, r, out)
 }
 
 // report prints the results and writes the requested output files. With
@@ -473,14 +513,15 @@ func report(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, complete b
 	return nil
 }
 
-// readTrace parses the trace file at path.
-func readTrace(path string) ([]trafficgen.TraceRecord, error) {
+// readFile parses the file at path with parse.
+func readFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
 	file, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var none T
+		return none, err
 	}
 	defer file.Close()
-	return trafficgen.ParseTrace(file)
+	return parse(file)
 }
 
 // writeFile creates path, fills it through write, and reports a failed

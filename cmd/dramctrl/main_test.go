@@ -2,8 +2,9 @@ package main
 
 // Coverage of the one run path, on one channel and on several: all of the old
 // recovery smoke (in-process but for its kill -9, which re-executes this test
-// binary as the tool), all of the old trace smoke and the dramctrl rows of the
-// old standards smoke, plus every flag composing with -channels.
+// binary as the tool), all of the old trace smoke, the old standards smoke and
+// its protocol-oracle half (-check, -cmd-trace, -cmd-trace-in), plus every flag
+// composing with -channels.
 
 import (
 	"bytes"
@@ -406,6 +407,11 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		{"-powerdown/-selfrefresh are " + eventOnly, []string{"-model", "cycle", "-selfrefresh", "2000"}},
 		{"-page open-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "open-adaptive"}},
 		{"-page closed-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "closed-adaptive"}},
+		// A resumed run's recorder would miss the prefix, and the command
+		// file has no channel column.
+		{"checkpointing does not support -check", []string{"-check", "-checkpoint", file("c.ckpt")}},
+		{"checkpointing does not support -check", []string{"-check", "-checkpoint", file("c.ckpt"), "-resume"}},
+		{"-cmd-trace records one channel", []string{"-cmd-trace", file("cmds.txt")}},
 	} {
 		clitest.Refused(t, run, c.want, with(c.flags...)...)
 	}
@@ -493,6 +499,102 @@ func TestChannelCountChangesOnlyChannels(t *testing.T) {
 		delete(two, "Channels")
 		if !reflect.DeepEqual(one, two) {
 			t.Errorf("%s: mc0 differs beyond Channels:\n-channels 1: %v\n-channels 2: %v", model, one, two)
+		}
+	}
+}
+
+// Per standard, and for bursty traffic under power-down and self-refresh, a
+// -check run is violation-free, its -cmd-trace recording replays through the
+// checker alone (-cmd-trace-in) to the same verdict, and recording is
+// deterministic.
+func TestStandardsRecordReplayDeterministic(t *testing.T) {
+	const clean = "protocol clean: no timing violations\n"
+	random := []string{"-pattern", "random", "-reads", "67", "-requests", "20000", "-seed", "7"}
+	// Bursty traffic with both idle thresholds armed: every burst is followed
+	// by a multi-microsecond gap, so ranks cycle through power-down and deepen
+	// into self-refresh constantly, and the oracle checks the PDE/PDX/SRE/SRX
+	// transitions and their tCKE/tXP/tXS spacing.
+	lowPower := []string{"-pattern", "bursty", "-reads", "67", "-requests", "20000", "-seed", "7",
+		"-burst-off-ns", "5000", "-powerdown", "300", "-selfrefresh", "2000"}
+	for _, row := range []struct {
+		name    string
+		device  []string // what the recording and the replay are checked against
+		traffic []string
+		want    string // a command the recording must contain ("" = none in particular)
+	}{
+		{"ddr3", []string{"-standard", "ddr3"}, random, ""},
+		{"ddr4", []string{"-standard", "ddr4"}, random, ""},
+		// Same-bank refresh is the headline quirk of DDR5's discipline.
+		{"ddr5", []string{"-standard", "ddr5"}, random, "REFSB"},
+		{"lpddr5", []string{"-standard", "lpddr5"}, random, ""},
+		{"lowpower", []string{"-spec", "DDR3-1600-x64"}, lowPower, "SRE"},
+		// Two ranks wake staggered, and every access closes its row.
+		{"lowpower-2rank-closed", []string{"-spec", "DDR3-1600-x64-2R", "-page", "closed"}, lowPower, "SRE"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			first, second := filepath.Join(dir, "a.txt"), filepath.Join(dir, "b.txt")
+			record := append(row.device[:len(row.device):len(row.device)], append(row.traffic, "-check")...)
+
+			recorded := mustRun(t, append(record, "-cmd-trace", first)...)
+			if !strings.HasSuffix(recorded, clean) {
+				t.Fatalf("recording run not clean:\n%s", recorded)
+			}
+			replayed := mustRun(t, append(row.device[:len(row.device):len(row.device)], "-cmd-trace-in", first)...)
+			if !strings.HasSuffix(replayed, clean) || !strings.HasPrefix(replayed, "replaying ") {
+				t.Fatalf("replay through the checker alone not clean:\n%s", replayed)
+			}
+			// Same stream, same device: the "checked N DRAM commands" verdicts agree.
+			if a, b := lastLines(recorded, 2), lastLines(replayed, 2); a != b {
+				t.Errorf("replay verdict %q, recording's %q", b, a)
+			}
+
+			mustRun(t, append(record, "-cmd-trace", second)...)
+			a := read(t, first)
+			if !bytes.Equal(a, read(t, second)) {
+				t.Error("two recordings of the same run differ")
+			}
+			if !bytes.Contains(a, []byte(row.want)) {
+				t.Errorf("command stream has no %s entry", row.want)
+			}
+		})
+	}
+}
+
+// lastLines returns the final n lines of s.
+func lastLines(s string, n int) string {
+	lines := strings.Split(strings.TrimSuffix(s, "\n"), "\n")
+	return strings.Join(lines[max(0, len(lines)-n):], "\n")
+}
+
+// A violating stream is an error with the findings printed: a DDR5 recording
+// checked against DDR3 timing breaks tCCD and friends.
+func TestViolationsAreAnError(t *testing.T) {
+	cmds := filepath.Join(t.TempDir(), "cmds.txt")
+	mustRun(t, "-standard", "ddr5", "-requests", "2000", "-cmd-trace", cmds)
+	out, err := dramctrl(t, "-standard", "ddr3", "-cmd-trace-in", cmds)
+	if err == nil || !strings.Contains(err.Error(), "timing violations") ||
+		!strings.Contains(out, " violations:\n") || !regexp.MustCompile(`(?m)^  \.\.\. and \d+ more$`).MatchString(out) {
+		t.Errorf("err = %v, want a timing-violations error with the findings printed:\n%s", err, out)
+	}
+}
+
+// -check referees either model at any channel count. The cycle baseline has
+// no bank groups (internal/cyclesim), so on DDR4 it breaks tRRD_L/tCCD_L, and
+// under -trace every finding shown cites its Perfetto span.
+func TestCheckCitesTraceSpans(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "run.json")
+	out, err := dramctrl(t, "-model", "cycle", "-standard", "ddr4", "-pattern", "random", "-requests", "3000", "-check", "-trace", trace)
+	if err == nil || !strings.Contains(err.Error(), "timing violations") {
+		t.Fatalf("err = %v, want the cycle model's bank-group violations:\n%s", err, out)
+	}
+	if !regexp.MustCompile(`(?m)^  tRRD_L violated by ACT .*\n    trace: cmd "ACT" pid=1 tid=\d+ ts=\d+\.\d{6}us$`).MatchString(out) {
+		t.Errorf("no trace citation under a tRRD_L finding:\n%s", out)
+	}
+	for _, model := range []string{"event", "cycle"} {
+		out := mustRun(t, "-model", model, "-channels", "4", "-pattern", "random", "-requests", "3000", "-check")
+		if n := strings.Count(out, "protocol clean: no timing violations\n"); n != 4 || !strings.Contains(out, "\nmc3: checked ") {
+			t.Errorf("-model %s -channels 4 -check: %d clean channels, want 4:\n%s", model, n, out)
 		}
 	}
 }

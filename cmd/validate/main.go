@@ -16,12 +16,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/experiments"
-	"repro/internal/mem"
+	"repro/internal/experiments/cliconfig"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -62,10 +64,7 @@ func run(args []string, out io.Writer) error {
 	traceOut := fs.String("trace", "", "also run the observability self-check, writing its Perfetto trace here")
 	traceCheck := fs.String("trace-check", "", "validate an existing Chrome trace file and exit")
 	standard := fs.String("standard", "", "run only the protocol smoke for one memory standard keyword, or \"all\"")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
+	if ok, err := cliconfig.Parse(fs, args); !ok {
 		return err
 	}
 
@@ -118,7 +117,7 @@ func run(args []string, out io.Writer) error {
 		add("Fig3 peak utilisation", last.EventUtil > 0.85, "event %.3f at full stride", last.EventUtil)
 		maxDiff := 0.0
 		for _, r := range res.Rows {
-			if d := abs(r.EventUtil - r.CycleUtil); d > maxDiff {
+			if d := math.Abs(r.EventUtil - r.CycleUtil); d > maxDiff {
 				maxDiff = d
 			}
 		}
@@ -220,15 +219,19 @@ func standardChecks(add func(string, bool, string, ...any), std string, requests
 	}
 	for _, s := range stds {
 		spec, err := dram.ByStandard(s)
+		var trace power.CommandTrace
+		var ctrl *core.Controller
+		if err == nil {
+			hub := obs.NewHub()
+			hub.Attach(obs.CommandFunc(trace.Record))
+			ctrl, err = runEvent(spec.Name+" smoke", core.DefaultConfig(spec), requests,
+				&trafficgen.Random{Start: 0, End: 1 << 26, Align: 64, ReadPercent: 67, Seed: 7}, hub)
+		}
 		if err != nil {
 			add("Standard "+s, false, "error: %v", err)
 			continue
 		}
-		trace, bw, err := runStandardSmoke(spec, requests)
-		if err != nil {
-			add("Standard "+s, false, "error: %v", err)
-			continue
-		}
+		bw := ctrl.Bandwidth()
 		vs := power.CheckTiming(spec, trace.Commands())
 		detail := fmt.Sprintf("%s: %d commands protocol clean, %.2f GB/s", spec.Name, trace.Len(), bw/1e9)
 		if len(vs) > 0 {
@@ -247,48 +250,22 @@ func standardChecks(add func(string, bool, string, ...any), std string, requests
 	}
 }
 
-// eventRun drives the generator's traffic through one event-based controller
-// of cfg, observed through hub, to completion, and closes any low-power
-// interval still open so spans, recorded commands and residency counters
-// cover identical time. onStep (nil for none) runs between quanta.
-func eventRun(cfg core.Config, hub *obs.Hub, gcfg trafficgen.Config, pattern trafficgen.Pattern, onStep func() error) (*core.Controller, error) {
-	m, err := system.NewMemory(system.MemoryConfig{Root: "validate", Kind: system.EventBased, Channels: 1, Event: cfg, Probes: hub})
+// runEvent runs requests 64-byte accesses from pattern through one
+// event-model controller of cfg, observed through probes, to completion, and
+// closes any low-power interval still open, so spans, recorded commands and
+// residency counters cover identical time.
+func runEvent(name string, cfg core.Config, requests uint64, pattern trafficgen.Pattern, probes *obs.Hub) (*core.Controller, error) {
+	rig, err := studies.Run(experiments.Point{
+		Name: name, Kind: system.EventBased, Event: cfg,
+		Gen:     trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: requests},
+		Pattern: pattern, Probes: probes, Limit: 100 * sim.Second,
+	})
 	if err != nil {
 		return nil, err
 	}
-	gen, err := trafficgen.New(m.K, gcfg, pattern, m.Reg, "gen")
-	if err != nil {
-		return nil, err
-	}
-	mem.Connect(gen.Port(), m.FrontPort("gen"))
-	sess := m.Session(gen)
-	sess.OnStep = onStep
-	if err := sess.Run(100 * sim.Second); err != nil {
-		return nil, err
-	}
-	ctrl := m.Ctrls[0].(*core.Controller)
+	ctrl := rig.Ctrls[0].(*core.Controller)
 	ctrl.WakeAllRanks()
 	return ctrl, nil
-}
-
-// runStandardSmoke drives a short random-traffic run against the spec with
-// the command probe attached and returns the recorded command trace and the
-// achieved bandwidth.
-func runStandardSmoke(spec dram.Spec, requests uint64) (*power.CommandTrace, float64, error) {
-	var trace power.CommandTrace
-	hub := obs.NewHub()
-	hub.Attach(obs.CommandFunc(trace.Record))
-	ctrl, err := eventRun(core.DefaultConfig(spec), hub, trafficgen.Config{
-		RequestBytes:   64,
-		MaxOutstanding: 32,
-		Count:          requests,
-	}, &trafficgen.Random{
-		Start: 0, End: 1 << 26, Align: 64, ReadPercent: 67, Seed: 7,
-	}, nil)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s smoke: %w", spec.Name, err)
-	}
-	return &trace, ctrl.Bandwidth(), nil
 }
 
 // traceChecks runs the observability self-check: a small traced run through
@@ -297,11 +274,28 @@ func runStandardSmoke(spec dram.Spec, requests uint64) (*power.CommandTrace, flo
 // controller's own aggregate statistics — the trace must tell the same
 // story as the counters it is meant to explain.
 func traceChecks(add func(string, bool, string, ...any), path string, requests uint64) {
-	act, err := runTraced(path, requests)
+	tracer, err := obs.OpenTrace(path)
+	var ctrl *core.Controller
+	if err == nil {
+		hub := obs.NewHub()
+		hub.Attach(tracer)
+		// Low-power states on and bursty traffic, so the trace carries PD/SR
+		// spans for the residency reconciliation check. The run is small, so
+		// the tracer holds its lines until Close writes them.
+		cfg := core.DefaultConfig(dram.DDR3_1600_x64())
+		cfg.PowerDownIdle = 300 * sim.Nanosecond
+		cfg.SelfRefreshIdle = 2 * sim.Microsecond
+		ctrl, err = runEvent("traced", cfg, requests, &trafficgen.Bursty{
+			Start: 0, End: 1 << 28, Align: 64, ReadPercent: 67, Seed: 1,
+			BurstLen: 16, OffTime: 5 * sim.Microsecond,
+		}, hub)
+		err = errors.Join(err, tracer.Close())
+	}
 	if err != nil {
 		add("Trace self-check", false, "error: %v", err)
 		return
 	}
+	act := ctrl.PowerStats()
 	sum, err := obs.ValidateTraceStrict(path)
 	if err != nil {
 		add("Trace validity", false, "error: %v", err)
@@ -336,37 +330,6 @@ func traceChecks(add func(string, bool, string, ...any), path string, requests u
 		sum.PowerSpans, sum.PDTicks, int64(pdSum), sum.SRTicks, int64(srSum))
 }
 
-// runTraced drives a short random-traffic run with the packet-lifecycle
-// tracer attached and returns the controller's aggregate activity counts.
-func runTraced(path string, requests uint64) (power.Activity, error) {
-	tracer, err := obs.OpenTrace(path)
-	if err != nil {
-		return power.Activity{}, err
-	}
-	hub := obs.NewHub()
-	hub.Attach(tracer)
-	cfg := core.DefaultConfig(dram.DDR3_1600_x64())
-	// Low-power states on and bursty traffic, so the trace carries PD/SR
-	// spans for the residency reconciliation check.
-	cfg.PowerDownIdle = 300 * sim.Nanosecond
-	cfg.SelfRefreshIdle = 2 * sim.Microsecond
-	ctrl, err := eventRun(cfg, hub, trafficgen.Config{
-		RequestBytes:   64,
-		MaxOutstanding: 32,
-		Count:          requests,
-	}, &trafficgen.Bursty{
-		Start: 0, End: 1 << 28, Align: 64, ReadPercent: 67, Seed: 1,
-		BurstLen: 16, OffTime: 5 * sim.Microsecond,
-	}, tracer.Flush)
-	if err != nil {
-		return power.Activity{}, fmt.Errorf("traced run: %w", err)
-	}
-	if err := tracer.Close(); err != nil {
-		return power.Activity{}, err
-	}
-	return ctrl.PowerStats(), nil
-}
-
 // faultChecks validates the reliability extension: a seeded fault sweep is
 // bit-for-bit reproducible, a zero error rate injects nothing, higher rates
 // produce more corrections, and uncorrectable errors complete gracefully
@@ -383,14 +346,7 @@ func faultChecks(add func(string, bool, string, ...any), requests uint64) {
 		add("Fault sweep rerun", false, "error: %v", err)
 		return
 	}
-	identical := len(a.Rows) == len(b.Rows)
-	for i := range a.Rows {
-		if !identical || a.Rows[i] != b.Rows[i] {
-			identical = false
-			break
-		}
-	}
-	add("Fault determinism", identical,
+	add("Fault determinism", slices.Equal(a.Rows, b.Rows),
 		"two seed-%d sweeps produced identical corrected/uncorrected/retried/retired counts", spec.Seed)
 
 	zero := a.Rows[0]
@@ -433,11 +389,4 @@ func report(out io.Writer, checks []check) error {
 	}
 	fmt.Fprintf(out, "all %d checks passed\n", len(checks))
 	return nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -98,8 +98,8 @@ func ListSpecs(w io.Writer) {
 
 // --- Policy group ----------------------------------------------------------
 
-// Policy is the controller-policy flag group: -mapping and -page always,
-// -model and -sched when the tool exposes them.
+// Policy is the controller-policy flag group: -model, -mapping, -page and
+// -sched.
 type Policy struct {
 	Model   string
 	Mapping string
@@ -107,23 +107,13 @@ type Policy struct {
 	Sched   string
 }
 
-// PolicyFlags selects the optional members of the policy group.
-type PolicyFlags struct {
-	Model bool
-	Sched bool
-}
-
 // AddPolicy registers the policy flags.
-func AddPolicy(fs *flag.FlagSet, opt PolicyFlags) *Policy {
-	p := &Policy{Model: "event", Sched: "frfcfs"}
-	if opt.Model {
-		fs.StringVar(&p.Model, "model", "event", "controller model: event or cycle")
-	}
+func AddPolicy(fs *flag.FlagSet) *Policy {
+	p := &Policy{}
+	fs.StringVar(&p.Model, "model", "event", "controller model: event or cycle")
 	fs.StringVar(&p.Mapping, "mapping", "RoRaBaCoCh", "address mapping: RoRaBaCoCh, RoRaBaChCo, RoCoRaBaCh")
 	fs.StringVar(&p.Page, "page", "open", "page policy: open, open-adaptive, closed, closed-adaptive")
-	if opt.Sched {
-		fs.StringVar(&p.Sched, "sched", "frfcfs", "scheduler: fcfs or frfcfs")
-	}
+	fs.StringVar(&p.Sched, "sched", "frfcfs", "scheduler: fcfs or frfcfs")
 	return p
 }
 

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/cyclesim"
 	"repro/internal/dram"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/system"
@@ -185,6 +187,56 @@ func TestRigDeterminism(t *testing.T) {
 		u2, l2 := measure()
 		if u1 != u2 || l1 != l2 {
 			t.Fatalf("%s rig not deterministic: %v/%v vs %v/%v", kind, u1, l1, u2, l2)
+		}
+	}
+}
+
+// The protocol checker referees both models on every standard's preset. The
+// event model is clean everywhere, and so is the cycle baseline on the flat
+// devices. The baseline models no bank groups (internal/cyclesim spaces
+// activates by tRRD and columns by the data bus alone), so on the grouped presets it
+// breaks exactly the bank-group rules: this pins that known defect, and a
+// fix flips the test.
+func TestCheckTimingRefereesBothModels(t *testing.T) {
+	bankGroupRule := map[string]bool{"tRRD_L": true, "tCCD_L": true}
+	for _, std := range dram.Standards() {
+		spec, err := dram.ByStandard(std)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
+			var trace power.CommandTrace
+			hub := obs.NewHub()
+			hub.Attach(obs.CommandFunc(trace.Record))
+			_, err := Runner{}.Run(Point{
+				Name: std, Kind: kind,
+				Event:   core.DefaultConfig(spec),
+				Cycle:   cyclesim.DefaultConfig(spec),
+				Gen:     trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: 5000},
+				Pattern: &trafficgen.Random{Start: 0, End: 1 << 26, Align: 64, ReadPercent: 67, Seed: 7},
+				Probes:  hub,
+				Limit:   sim.Second,
+			})
+			if err != nil {
+				t.Fatalf("%s %s: %v", std, kind, err)
+			}
+			vs := power.CheckTiming(spec, trace.Commands())
+			if kind == system.EventBased || !spec.Topology().Grouped() {
+				if len(vs) > 0 {
+					t.Errorf("%s on %s: %d violations, first %s", kind, spec.Name, len(vs), vs[0])
+				}
+				continue
+			}
+			if len(vs) == 0 {
+				t.Errorf("%s on %s is protocol clean: the cycle model now honours bank groups, so update this test, DESIGN §13 and README", kind, spec.Name)
+			}
+			for _, v := range vs {
+				if !bankGroupRule[v.Rule] {
+					t.Errorf("%s on %s: %s is not a bank-group rule", kind, spec.Name, v)
+					break
+				}
+			}
+			t.Logf("%s on %s: %d bank-group violations of %d commands", kind, spec.Name, len(vs), trace.Len())
 		}
 	}
 }

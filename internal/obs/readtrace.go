@@ -10,8 +10,9 @@ import (
 )
 
 // Trace reading and validation: cmd/validate's -trace-check mode and
-// self-check, protocheck's span citations and the reconciliation tests all
-// parse traces back through this code, so "valid" means one thing everywhere.
+// self-check, dramctrl -check's span citations and the reconciliation tests
+// all parse traces back through this code, so "valid" means one thing
+// everywhere.
 
 // TraceEvent is one decoded trace line.
 type TraceEvent struct {

@@ -24,7 +24,7 @@ import (
 // runCoreTraced drives a short random-traffic run through the event-based
 // controller with a lifecycle tracer attached and returns the trace bytes
 // plus the controller's aggregate activity.
-func runCoreTraced(t *testing.T, path string, count uint64) power.Activity {
+func runCoreTraced(t testing.TB, path string, count uint64) power.Activity {
 	t.Helper()
 	sink, err := obs.OpenTrace(path)
 	if err != nil {
@@ -79,7 +79,7 @@ func runCoreTraced(t *testing.T, path string, count uint64) power.Activity {
 	return ctrl.PowerStats()
 }
 
-func readFile(t *testing.T, path string) []byte {
+func readFile(t testing.TB, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -285,4 +285,27 @@ func TestHubOrNilAndCommandFunc(t *testing.T) {
 	if len(got) != 2 || got[0].Kind != power.CmdACT || got[1].Kind != power.CmdPRE {
 		t.Fatalf("CommandFunc saw %v", got)
 	}
+}
+
+// FuzzParseTrace feeds arbitrary bytes to the trace reader behind validate
+// -trace-check and dramctrl -check's span citations: it returns an error or a
+// summary, never panics, and a summary counts every event it returns.
+//
+//	go test ./internal/obs -run '^$' -fuzz FuzzParseTrace -fuzztime 10s -fuzzminimizetime 100x
+func FuzzParseTrace(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.json")
+	runCoreTraced(f, path, 40)
+	raw := readFile(f, path)
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add([]byte("[\n{}]\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sum, events, err := obs.ParseTrace(data)
+		if err != nil {
+			return
+		}
+		if sum.Events != len(events) {
+			t.Fatalf("summary counts %d events, parser returned %d", sum.Events, len(events))
+		}
+	})
 }

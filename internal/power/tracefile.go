@@ -12,9 +12,9 @@ import (
 
 // Command-trace files: a plain-text, line-oriented serialization of a command
 // stream, so a recorded trace can be replayed through CheckTiming without
-// re-running the simulation (protocheck's record/replay oracle). One command
-// per line — "<tick> <kind> <rank> <bank>" — with '#' comments; the format is
-// deliberately diff- and grep-friendly.
+// re-running the simulation (the record/replay oracle of dramctrl -cmd-trace
+// and -cmd-trace-in). One command per line — "<tick> <kind> <rank> <bank>" —
+// with '#' comments; the format is deliberately diff- and grep-friendly.
 
 // WriteCommands serializes cmds in recording order.
 func WriteCommands(w io.Writer, cmds []Command) error {

@@ -4,8 +4,8 @@
 // gem5 Python configuration layer the paper describes in §II-E. The memory
 // side of every system — kernel, registry, the channel controllers of either
 // model and the crossbar that interleaves them — is built in one place,
-// NewMemory, from one description; the rigs here, cmd/dramctrl, cmd/protocheck
-// and cmd/validate all go through it and attach their own frontends (a
+// NewMemory, from one description; the rigs here, cmd/dramctrl and
+// experiments.Runner all go through it and attach their own frontends (a
 // generator, a trace player behind a capture monitor, cores over caches) to
 // the port it hands back. Every run is driven by the one Session in
 // session.go. ShardedRig (parallel.go) has no product caller left: it stays
