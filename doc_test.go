@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,6 +39,44 @@ func TestDocBudgets(t *testing.T) {
 	} {
 		if doc.bytes > doc.ceiling {
 			t.Errorf("%s is %d bytes, over its %d-byte budget: cut it back rather than raise the ceiling", doc.name, doc.bytes, doc.ceiling)
+		}
+	}
+}
+
+var (
+	cmdPath    = regexp.MustCompile("(?:^|[^\\w/])(?:\\./)?cmd/(\\w+)")
+	fenced     = regexp.MustCompile("(?s)```.*?```")
+	inlineCode = regexp.MustCompile("`([^`]+)`")
+)
+
+// TestDocsNameLiveTools keeps the documents a reader copies commands from in
+// step with cmd/: every cmd/NAME they cite is a command there (a retired
+// tool's directory keeps only its tests), and no backticked command, inline
+// or in a fenced block, starts with a tool that was folded into cmd/paper.
+func TestDocsNameLiveTools(t *testing.T) {
+	retired := []string{"bwsweep", "latdist", "powercmp", "speedup", "fullsys", "explore"}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "results/README.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		for _, m := range cmdPath.FindAllStringSubmatch(text, -1) {
+			if _, err := os.Stat("cmd/" + m[1] + "/main.go"); err != nil {
+				t.Errorf("%s cites cmd/%s, which is not a command", doc, m[1])
+			}
+		}
+		var commands []string
+		for _, block := range fenced.FindAllString(text, -1) {
+			commands = append(commands, strings.Split(strings.Trim(block, "`"), "\n")...)
+		}
+		for _, m := range inlineCode.FindAllStringSubmatch(fenced.ReplaceAllString(text, ""), -1) {
+			commands = append(commands, m[1])
+		}
+		for _, c := range commands {
+			if f := strings.Fields(c); len(f) > 0 && slices.Contains(retired, f[0]) {
+				t.Errorf("%s: %q starts with %s, a tool now run as paper -figure/-ablation", doc, c, f[0])
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package clitest is what the cmd/ tools' tests share: every tool is a
 // run(args, out) error, so a test runs it in-process and looks at stdout, the
-// error and the files it wrote. The goldens under each tool's testdata/ were
+// error and the files it wrote. The goldens under cmd/paper/testdata/ were
 // captured from the binaries of the commit before the tools were refactored
 // onto experiments.Runner; they change only when simulated behaviour is meant
 // to.
@@ -27,21 +27,21 @@ func (run Tool) Output(args ...string) (string, error) {
 }
 
 // Golden runs the tool, which must succeed, and compares its stdout with
-// testdata/<name>.golden. mask (nil for none) rewrites what legitimately
-// varies — host times — on both sides.
-func Golden(t *testing.T, run Tool, name string, mask func(string) string, args ...string) {
+// <dir>/<name>.golden. mask (nil for none) rewrites what legitimately varies —
+// host times — on both sides.
+func Golden(t *testing.T, run Tool, dir, name string, mask func(string) string, args ...string) {
 	t.Helper()
 	got, err := run.Output(args...)
 	if err != nil {
 		t.Fatalf("%s: %v", strings.Join(args, " "), err)
 	}
-	Same(t, name, mask, []byte(got))
+	Same(t, dir, name, mask, []byte(got))
 }
 
-// Same compares got with testdata/<name>.golden, both through mask.
-func Same(t *testing.T, name string, mask func(string) string, got []byte) {
+// Same compares got with <dir>/<name>.golden, both through mask.
+func Same(t *testing.T, dir, name string, mask func(string) string, got []byte) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	want, err := os.ReadFile(filepath.Join(dir, name+".golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type AblationResult struct {
 	Rows     []AblationRow
 }
 
-// ablations maps bwsweep's -ablation names to the studies, in the order
+// ablations maps paper's -ablation names to the studies, in the order
 // -ablation all runs them.
 var ablations = []struct {
 	key string

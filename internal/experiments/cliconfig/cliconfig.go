@@ -3,10 +3,9 @@
 // the tools have always used, and offer the parsing / resolution helpers every
 // main() would otherwise duplicate (spec lookup, mapping and page-policy
 // parsing, traffic-pattern construction, the supervisor configuration, the
-// observability knobs). The front door at the end is the one path the figure
-// tools (bwsweep, latdist, speedup, powercmp, fullsys, explore) take from
-// argv to exit status: parse, poll for SIGINT/SIGTERM between points, print
-// a partial result, write -json atomically, exit 130.
+// observability knobs). The front door at the end is the one path `paper`
+// takes from argv to exit status: parse, poll for SIGINT/SIGTERM between
+// points, print a partial result, write -json atomically, exit 130.
 package cliconfig
 
 import (
@@ -61,30 +60,6 @@ func (s *Spec) Resolve() (dram.Spec, error) {
 		}
 	}
 	return sp, nil
-}
-
-// AddStandard registers a lone -standard flag for tools that run fixed
-// paper experiments (bwsweep, latdist, speedup): the experiment's built-in
-// device stays the default, and a set flag swaps in a family's
-// representative preset.
-func AddStandard(fs *flag.FlagSet) *string {
-	return fs.String("standard", "",
-		"override the experiment's device with a memory standard's representative preset ("+
-			strings.Join(dram.Standards(), ", ")+")")
-}
-
-// ResolveStandard applies an AddStandard flag value to a device slot: the
-// slot is left untouched when the flag was not given.
-func ResolveStandard(std string, slot *dram.Spec) error {
-	if std == "" {
-		return nil
-	}
-	sp, err := dram.ByStandard(std)
-	if err != nil {
-		return err
-	}
-	*slot = sp
-	return nil
 }
 
 // ListSpecs prints the available specs, one per line.
@@ -225,10 +200,16 @@ func (t *Traffic) BuildPattern(spec dram.Spec, mapping dram.Mapping, channels in
 
 // AddCount registers a flag counting the work of a run (-requests, -memops).
 // The tools run to completion, so 0 — "unlimited" to trafficgen and cpu — is
-// refused at parse time with the flag named, instead of spinning forever.
+// refused at parse time with the flag named, instead of spinning forever. A
+// def of 0 leaves the count 0 until the flag is set, for a tool whose default
+// depends on another flag; its usage then names that default itself.
 func AddCount(fs *flag.FlagSet, name string, def uint64, usage string) *uint64 {
 	n := def
-	fs.Func(name, fmt.Sprintf("%s (at least 1; default %d)", usage, def), func(s string) error {
+	bound := "at least 1"
+	if def > 0 {
+		bound = fmt.Sprintf("at least 1; default %d", def)
+	}
+	fs.Func(name, fmt.Sprintf("%s (%s)", usage, bound), func(s string) error {
 		v, err := strconv.ParseUint(s, 0, 64)
 		if err == nil && v == 0 {
 			err = errors.New("must be at least 1 (a run of 0 would never finish)")

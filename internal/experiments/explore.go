@@ -11,7 +11,7 @@ import (
 	"repro/internal/xbar"
 )
 
-// ExploreMemOps and ExploreCores are explore's defaults.
+// ExploreMemOps and ExploreCores are `paper -figure 9`'s defaults.
 const (
 	ExploreMemOps = 3000
 	ExploreCores  = 16

@@ -2,11 +2,13 @@ package experiments
 
 import "encoding/json"
 
-// Canonical machine-readable result schemas: the -json outputs of bwsweep and
-// explore are rendered through these structs with the one encoder, so two runs
-// of the same grid are byte-comparable (cmp, not just semantically equal).
-// Nothing host-dependent (timestamps, durations, hostnames) belongs here for
-// exactly that reason.
+// Canonical machine-readable result schemas: the -json outputs of `paper
+// -figure 3|4|5` and `paper -figure 9` are rendered through these structs with
+// the one encoder, so two runs of the same grid are byte-comparable (cmp, not
+// just semantically equal). Nothing host-dependent (timestamps, durations,
+// hostnames) belongs here for exactly that reason. Each schema's "kind" is the
+// name of the command that first wrote it, and stays so that old files and
+// new compare.
 
 // sweepJSON is the canonical form of a SweepResult.
 type sweepJSON struct {

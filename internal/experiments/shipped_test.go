@@ -8,19 +8,20 @@ import (
 )
 
 // maxPointEvents bounds the kernel events any one shipped point executes,
-// about 1.4x today's largest (speedup's cycle-model hmc16/reads/25%load,
-// 3.56 M events and a quarter of a second on the ledger host).
+// about 1.4x today's largest (`paper -figure speedup`'s cycle-model
+// hmc16/reads/25%load, 3.56 M events and a quarter of a second on the ledger
+// host).
 const maxPointEvents = 5_000_000
 
 // TestShippedPointsStaySmall pins the measurement the sweep and recovery
-// machinery is sized on: every study a cmd/ figure tool exposes, at the tool's
-// default size, is a list of points each of which runs for a fraction of a
-// second. That is why a sweep is a loop in one process — no job farm, no
-// worker pool, no mid-point checkpoints — and why a failed run is resumed by
-// hand rather than retried. The gate is the deterministic quantity, kernel
-// events per point; host seconds are logged (-v) beside it, per point and per
-// study. Running every point rather than a chosen few keeps the test from
-// guessing which is largest: the whole evaluation is about three seconds.
+// machinery is sized on: every study `paper` exposes, at its default size, is
+// a list of points each of which runs for a fraction of a second. That is why
+// a sweep is a loop in one process — no job farm, no worker pool, no
+// mid-point checkpoints — and why a failed run is resumed by hand rather than
+// retried. The gate is the deterministic quantity, kernel events per point;
+// host seconds are logged (-v) beside it, per point and per study. Running
+// every point rather than a chosen few keeps the test from guessing which is
+// largest: the whole evaluation is about three seconds.
 func TestShippedPointsStaySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole evaluation at default size")
@@ -52,18 +53,18 @@ func TestShippedPointsStaySmall(t *testing.T) {
 		name string // the command line whose defaults these are
 		run  func() error
 	}{
-		{"bwsweep -figure 3", sweep(Fig3Spec)},
-		{"bwsweep -figure 4", sweep(Fig4Spec)},
-		{"bwsweep -figure 5", sweep(Fig5Spec)},
-		{"bwsweep -ablation all", func() error { _, err := r.RunAblations("all", SweepRequests); return err }},
-		{"latdist -figure 6", latency(Fig6Spec)},
-		{"latdist -figure 7", latency(Fig7Spec)},
-		{"powercmp", func() error { _, err := r.RunPowerComparison(5000); return err }},
-		{"powercmp -savings", func() error { _, err := r.RunPowerSavings(5000); return err }},
+		{"paper -figure 3", sweep(Fig3Spec)},
+		{"paper -figure 4", sweep(Fig4Spec)},
+		{"paper -figure 5", sweep(Fig5Spec)},
+		{"paper -ablation all", func() error { _, err := r.RunAblations("all", SweepRequests); return err }},
+		{"paper -figure 6", latency(Fig6Spec)},
+		{"paper -figure 7", latency(Fig7Spec)},
+		{"paper -figure power", func() error { _, err := r.RunPowerComparison(5000); return err }},
+		{"paper -figure savings", func() error { _, err := r.RunPowerSavings(5000); return err }},
 		{"validate -full (fault sweep)", func() error { _, err := r.RunFaultSweep(DefaultFaultSweep(5000)); return err }},
-		{"speedup", func() error { _, err := r.RunSpeedup(100000, nil); return err }},
-		{"fullsys", func() error { _, err := r.RunFig8(5000); return err }},
-		{"explore", func() error { _, err := r.RunFig9(ExploreMemOps, ExploreCores); return err }},
+		{"paper -figure speedup", func() error { _, err := r.RunSpeedup(100000, nil); return err }},
+		{"paper -figure 8", func() error { _, err := r.RunFig8(5000); return err }},
+		{"paper -figure 9", func() error { _, err := r.RunFig9(ExploreMemOps, ExploreCores); return err }},
 	} {
 		c = cost{}
 		if err := study.run(); err != nil {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/system"
 )
 
-// SweepRequests is bwsweep's requests-per-point default.
+// SweepRequests is `paper -figure 3|4|5`'s requests-per-point default.
 const SweepRequests = 4000
 
 // SweepSpec describes one bandwidth sweep (Figs. 3-5): a DRAM-aware traffic
@@ -96,19 +96,6 @@ func Fig5Spec(requests uint64) SweepSpec {
 	s.ClosedPage = true
 	s.Mapping = dram.RoCoRaBaCh
 	return s
-}
-
-// SpecForFigure returns the bandwidth-sweep spec for one paper figure.
-func SpecForFigure(figure int, requests uint64) (SweepSpec, error) {
-	switch figure {
-	case 3:
-		return Fig3Spec(requests), nil
-	case 4:
-		return Fig4Spec(requests), nil
-	case 5:
-		return Fig5Spec(requests), nil
-	}
-	return SweepSpec{}, fmt.Errorf("experiments: figure %d is not a bandwidth sweep (want 3, 4 or 5)", figure)
 }
 
 // Point is the measurement of one model at one (stride, banks) cell of the

@@ -478,6 +478,9 @@ func newFullSystem(cfg MultiCoreConfig, tuneEvent func(*core.Config), connectCor
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("system: need at least one core")
 	}
+	if cfg.Cores > xbar.MaxRequestors {
+		return nil, fmt.Errorf("system: %d cores, but the core crossbar takes at most %d requestors", cfg.Cores, xbar.MaxRequestors)
+	}
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("system: nil workload factory")
 	}

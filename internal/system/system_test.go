@@ -1,6 +1,7 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -176,6 +177,15 @@ func TestFullSystemValidation(t *testing.T) {
 	cfg.Workload = nil
 	if _, err := NewFullSystem(cfg); err == nil {
 		t.Fatal("nil workload accepted")
+	}
+	// One L1 per core on the core crossbar: a core past its port limit is
+	// refused by number instead of panicking in AttachRequestor.
+	_, err := NewFullSystem(fullSystemConfig(xbar.MaxRequestors+1, EventBased))
+	if err == nil || !strings.Contains(err.Error(), "256 cores, but the core crossbar takes at most 255") {
+		t.Fatalf("256 cores: err = %v", err)
+	}
+	if _, err := NewFullSystem(fullSystemConfig(xbar.MaxRequestors, EventBased)); err != nil {
+		t.Fatalf("255 cores: %v", err)
 	}
 }
 

@@ -244,11 +244,11 @@ func TestAttachRequestorRefusesOneTooMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < maxRequestors; i++ {
+	for i := 0; i < MaxRequestors; i++ {
 		x.AttachRequestor(fmt.Sprintf("cpu%d", i))
 	}
 	msg := panicMessage(func() { x.AttachRequestor("straw") })
 	if !strings.Contains(msg, `wide: requestor port "straw" is one too many`) {
-		t.Fatalf("attaching port %d: %q", maxRequestors+1, msg)
+		t.Fatalf("attaching port %d: %q", MaxRequestors+1, msg)
 	}
 }

@@ -208,9 +208,9 @@ func (q *outQueue) retry() {
 	q.drain()
 }
 
-// maxRequestors is how many requestor ports one crossbar takes: a return
+// MaxRequestors is how many requestor ports one crossbar takes: a return
 // route names the side in a byte.
-const maxRequestors = math.MaxUint8
+const MaxRequestors = math.MaxUint8
 
 // Crossbar routes requests from any number of requestor-side ports to
 // memory-side ports and responses back, by the return route each request
@@ -292,11 +292,11 @@ func nameTag(name string) uint8 {
 
 // AttachRequestor adds a requestor-side port; connect the requestor's
 // request port to the returned response port. A crossbar takes at most
-// maxRequestors of them.
+// MaxRequestors of them.
 func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
-	if len(x.reqSides) == maxRequestors {
+	if len(x.reqSides) == MaxRequestors {
 		panic(fmt.Sprintf("xbar: %s: requestor port %q is one too many: a return route addresses %d",
-			x.name, name, maxRequestors))
+			x.name, name, MaxRequestors))
 	}
 	rs := &reqSide{x: x, index: len(x.reqSides)}
 	rs.port = mem.NewResponsePort(fmt.Sprintf("%s.cpu%d", x.name, rs.index), rs, x.k)
