@@ -44,7 +44,7 @@ func checkRun(f *options, spec dram.Spec, mapping dram.Mapping, r *rig, out io.W
 	cite := func(string, power.Violation) string { return "" }
 	if r.tracer != nil {
 		var err error
-		if cite, err = traceCiter(f.obs.TracePath); err != nil {
+		if cite, err = traceCiter(f.obs.TracePath, out); err != nil {
 			return err
 		}
 	}
@@ -105,18 +105,24 @@ func violationsErr(n int) error {
 	return fmt.Errorf("protocol check failed: %d timing violations", n)
 }
 
-// traceCiter reads the just-written trace back and returns a function that
+// traceCiter reads the just-written trace back, strictly: it must be one
+// terminated JSON document with every packet-lifecycle span closed, or the
+// check fails; a good one is reported on out. It returns a function that
 // locates the trace event a violating command of controller src rendered as,
 // so findings can be cross-referenced with the Perfetto view: RD/WR map to
 // "burst" spans, REF to "refresh" spans, the other commands to "cmd" instants
 // — all on src's process, identified by their exact tick-derived timestamp.
-// When a packet-lifecycle firstCmd marker shares the timestamp, its async span
-// id is cited too.
-func traceCiter(path string) (func(src string, v power.Violation) string, error) {
-	_, events, err := obs.ReadTraceFile(path)
+// When a packet-lifecycle firstCmd marker shares the timestamp, its async
+// span id is cited too.
+func traceCiter(path string, out io.Writer) (func(src string, v power.Violation) string, error) {
+	sum, events, err := obs.ValidateTraceStrict(path)
+	if err == nil && sum.OpenSpans() != 0 {
+		err = fmt.Errorf("%d packet-lifecycle spans left open", sum.OpenSpans())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("reading back trace %s: %w", path, err)
 	}
+	fmt.Fprintf(out, "trace %s read back: %d events, strict JSON, every span closed\n", path, sum.Events)
 	type at struct {
 		pid int
 		ts  string

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -23,7 +24,13 @@ import (
 	"time"
 
 	"repro/internal/clitest"
+	"repro/internal/core"
+	"repro/internal/dram"
+	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/system"
+	"repro/internal/trafficgen"
 )
 
 // runAsTool, set in the environment of a re-executed test binary, makes it
@@ -240,8 +247,8 @@ func TestKilledRunResumesToUninterruptedStatistics(t *testing.T) {
 					if !strings.Contains(ref, "self-refresh time") {
 						t.Errorf("the reference run never entered self-refresh:\n%s", ref)
 					}
-					if sum, err := obs.ValidateTraceStrict(file("ref.trace")); err != nil || sum.PowerSpans == 0 || sum.OpenSpans() != 0 {
-						t.Errorf("reference trace fails validate's trace check: %v, %+v", err, sum)
+					if sum, _, err := obs.ValidateTraceStrict(file("ref.trace")); err != nil || sum.PowerSpans == 0 || sum.OpenSpans() != 0 {
+						t.Errorf("reference trace fails the strict trace check: %v, %+v", err, sum)
 					}
 					if !bytes.Equal(read(t, file("run.trace")), read(t, file("ref.trace"))) {
 						t.Error("trace of the killed and resumed run differs from the uninterrupted run")
@@ -286,7 +293,7 @@ func TestTraceIsStrictJSONAndDeterministic(t *testing.T) {
 			if !bytes.Equal(read(t, a), read(t, b)) {
 				t.Error("identical runs wrote different traces")
 			}
-			sum, err := obs.ValidateTraceStrict(a)
+			sum, _, err := obs.ValidateTraceStrict(a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,6 +304,99 @@ func TestTraceIsStrictJSONAndDeterministic(t *testing.T) {
 				t.Errorf("trace processes %v, want %d of them", sum.Processes, want)
 			}
 		})
+	}
+}
+
+// -check reads its -trace back strictly: the trace the run wrote passes, and
+// one cut mid-line or with a lifecycle span left open is refused.
+func TestCheckReadsTraceBackStrictly(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "run.json")
+	if out := mustRun(t, "-pattern", "random", "-requests", "2000", "-check", "-trace", trace); !strings.Contains(out, "read back: ") {
+		t.Errorf("-check -trace did not report the read-back:\n%s", out)
+	}
+	b := read(t, trace)
+	end := bytes.Index(b, []byte(`"ph":"e"`))
+	if end < 0 {
+		t.Fatal("the trace closes no lifecycle span")
+	}
+	lineStart := bytes.LastIndexByte(b[:end], '\n') + 1
+	lineEnd := end + bytes.IndexByte(b[end:], '\n') + 1
+	for _, c := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"cut mid-line", b[:len(b)/2], "not a JSON array"},
+		{"span left open", slices.Concat(b[:lineStart], b[lineEnd:]), "1 packet-lifecycle spans left open"},
+	} {
+		if err := os.WriteFile(trace, c.body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := traceCiter(trace, io.Discard); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// The trace tells the same story as the counters it explains. On DDR3-1600
+// with power-down after 300 ns and self-refresh after 2 µs under bursty
+// traffic, the traced bursts, activates, refreshes and power-down and
+// self-refresh residency equal the controller's PowerStats exactly once every
+// rank is awake: fixed-point timestamps invert back to ticks.
+func TestTraceAgreesWithCounters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	tracer, err := obs.OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := obs.NewHub()
+	hub.Attach(tracer)
+	cfg := core.DefaultConfig(dram.DDR3_1600_x64())
+	cfg.PowerDownIdle = 300 * sim.Nanosecond
+	cfg.SelfRefreshIdle = 2 * sim.Microsecond
+	rig, err := experiments.Runner{}.Run(experiments.Point{
+		Name: "traced", Kind: system.EventBased, Event: cfg,
+		Gen: trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: 1000},
+		Pattern: &trafficgen.Bursty{
+			Start: 0, End: 1 << 28, Align: 64, ReadPercent: 67, Seed: 1,
+			BurstLen: 16, OffTime: 5 * sim.Microsecond,
+		},
+		Probes: hub, Limit: 100 * sim.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := rig.Ctrls[0].(*core.Controller)
+	ctrl.WakeAllRanks()
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum, _, err := obs.ValidateTraceStrict(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := ctrl.PowerStats()
+	var pd, sr sim.Tick
+	for r := range act.SRTime {
+		pd += act.PrePDTime[r] + act.ActPDTime[r]
+		sr += act.SRTime[r]
+	}
+	if sum.OpenSpans() != 0 || pd == 0 || sr == 0 {
+		t.Errorf("%d lifecycle spans open; %d power-down and %d self-refresh ticks, want some of each", sum.OpenSpans(), pd, sr)
+	}
+	for _, c := range []struct {
+		what        string
+		trace, ctrl int64
+	}{
+		{"bursts", int64(sum.Bursts), int64(act.ReadBursts + act.WriteBursts)},
+		{"activates", int64(sum.Activates), int64(act.Activations)},
+		{"refreshes", int64(sum.Refreshes), int64(act.Refreshes)},
+		{"power-down ticks", sum.PDTicks, int64(pd)},
+		{"self-refresh ticks", sum.SRTicks, int64(sr)},
+	} {
+		if c.trace != c.ctrl {
+			t.Errorf("%s: trace %d, controller %d", c.what, c.trace, c.ctrl)
+		}
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"repro/internal/experiments/paper/papertest"
 )
 
-func TestGoldens(t *testing.T)   { papertest.JSONGoldens(t, "explore") }
+func TestGoldens(t *testing.T) {
+	papertest.Goldens(t, "explore")
+	papertest.JSONGoldens(t, "explore")
+}
 func TestBadInput(t *testing.T)  { papertest.BadInput(t, "explore") }
 func TestInterrupt(t *testing.T) { papertest.Interrupt(t, "explore") }

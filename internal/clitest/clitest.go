@@ -1,16 +1,13 @@
 // Package clitest is what the cmd/ tools' tests share: every tool is a
 // run(args, out) error, so a test runs it in-process and looks at stdout, the
-// error and the files it wrote. The goldens under cmd/paper/testdata/ were
-// captured from the binaries of the commit before the tools were refactored
-// onto experiments.Runner; they change only when simulated behaviour is meant
-// to.
+// error and the files it wrote. The goldens (results/ and cmd/paper/testdata/)
+// change only when simulated behaviour is meant to.
 package clitest
 
 import (
 	"bytes"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -26,22 +23,22 @@ func (run Tool) Output(args ...string) (string, error) {
 	return out.String(), err
 }
 
-// Golden runs the tool, which must succeed, and compares its stdout with
-// <dir>/<name>.golden. mask (nil for none) rewrites what legitimately varies —
-// host times — on both sides.
-func Golden(t *testing.T, run Tool, dir, name string, mask func(string) string, args ...string) {
+// Golden runs the tool, which must succeed, and compares its stdout with the
+// golden file. mask (nil for none) rewrites what legitimately varies — host
+// times — on both sides.
+func Golden(t *testing.T, run Tool, golden string, mask func(string) string, args ...string) {
 	t.Helper()
 	got, err := run.Output(args...)
 	if err != nil {
 		t.Fatalf("%s: %v", strings.Join(args, " "), err)
 	}
-	Same(t, dir, name, mask, []byte(got))
+	Same(t, golden, mask, []byte(got))
 }
 
-// Same compares got with <dir>/<name>.golden, both through mask.
-func Same(t *testing.T, dir, name string, mask func(string) string, got []byte) {
+// Same compares got with the golden file, both through mask.
+func Same(t *testing.T, golden string, mask func(string) string, got []byte) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join(dir, name+".golden"))
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +47,7 @@ func Same(t *testing.T, dir, name string, mask func(string) string, got []byte) 
 		g, w = mask(g), mask(w)
 	}
 	if g != w {
-		t.Errorf("%s differs from its golden:\n--- got\n%s\n--- want\n%s", name, g, w)
+		t.Errorf("%s differs:\n--- got\n%s\n--- want\n%s", golden, g, w)
 	}
 }
 

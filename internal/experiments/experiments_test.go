@@ -7,228 +7,6 @@ import (
 	"repro/internal/dram"
 )
 
-// Reduced sweeps keep the test suite quick while still checking the
-// paper-shaped trends; the cmd/ tools run the full grids.
-
-func TestFig3OpenPageReads(t *testing.T) {
-	s := Fig3Spec(1500)
-	s.Strides = []uint64{1, 4, 16, 128}
-	s.Banks = []int{1, 4, 8}
-	res, err := Runner{}.RunSweep(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Utilisation rises with stride for each bank count, for both models.
-	for _, banks := range s.Banks {
-		rows := res.RowsForBanks(banks)
-		for i := 1; i < len(rows); i++ {
-			if rows[i].EventUtil+0.02 < rows[i-1].EventUtil {
-				t.Errorf("banks=%d: event util fell with stride: %+v", banks, rows)
-			}
-			if rows[i].CycleUtil+0.02 < rows[i-1].CycleUtil {
-				t.Errorf("banks=%d: cycle util fell with stride: %+v", banks, rows)
-			}
-		}
-	}
-	// Paper: ~90% utilisation at full stride; first-order agreement.
-	for _, row := range res.Rows {
-		if row.StrideBursts == 128 && row.EventUtil < 0.85 {
-			t.Errorf("full-stride event util = %v, want ~0.9", row.EventUtil)
-		}
-		if diff := row.EventUtil - row.CycleUtil; diff > 0.15 || diff < -0.15 {
-			t.Errorf("models diverge at stride=%d banks=%d: ev=%v cy=%v",
-				row.StrideBursts, row.Banks, row.EventUtil, row.CycleUtil)
-		}
-	}
-	// More banks help at small strides (bank parallelism).
-	oneBank := res.RowsForBanks(1)[0]
-	eightBanks := res.RowsForBanks(8)[0]
-	if !(eightBanks.EventUtil > oneBank.EventUtil*2) {
-		t.Errorf("bank parallelism missing: 1 bank %v vs 8 banks %v",
-			oneBank.EventUtil, eightBanks.EventUtil)
-	}
-}
-
-func TestFig4MixedTraffic(t *testing.T) {
-	s := Fig4Spec(1500)
-	s.Strides = []uint64{1, 16, 128}
-	s.Banks = []int{4}
-	res, err := Runner{}.RunSweep(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First-order agreement despite the very different write handling
-	// (paper: "the difference in utilisation is very minor"). Our baseline
-	// batches same-direction row hits more aggressively than DRAMSim2, so
-	// allow a slightly wider band than the read-only sweep (see
-	// EXPERIMENTS.md).
-	for _, row := range res.Rows {
-		if diff := row.EventUtil - row.CycleUtil; diff > 0.2 || diff < -0.2 {
-			t.Errorf("mixed traffic divergence at stride=%d: ev=%v cy=%v",
-				row.StrideBursts, row.EventUtil, row.CycleUtil)
-		}
-	}
-}
-
-func TestFig5ClosedPageWrites(t *testing.T) {
-	s := Fig5Spec(1500)
-	s.Strides = []uint64{1, 16, 128}
-	s.Banks = []int{1, 8}
-	res, err := Runner{}.RunSweep(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Longer strides reopen just-closed rows: utilisation must fall.
-	rows8 := res.RowsForBanks(8)
-	if !(rows8[len(rows8)-1].EventUtil < rows8[0].EventUtil) {
-		t.Errorf("closed-page event util did not fall with stride: %+v", rows8)
-	}
-	if !(rows8[len(rows8)-1].CycleUtil < rows8[0].CycleUtil) {
-		t.Errorf("closed-page cycle util did not fall with stride: %+v", rows8)
-	}
-	// Bank parallelism helps both models.
-	rows1 := res.RowsForBanks(1)
-	if !(rows8[0].EventUtil > rows1[0].EventUtil*2) {
-		t.Errorf("bank parallelism missing under closed page: %v vs %v",
-			rows1[0].EventUtil, rows8[0].EventUtil)
-	}
-}
-
-func TestFig6LatencyCorrelation(t *testing.T) {
-	res, err := Runner{}.RunLatency(Fig6Spec(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Event.Samples != 3000 || res.Cycle.Samples != 3000 {
-		t.Fatalf("samples: ev=%d cy=%d", res.Event.Samples, res.Cycle.Samples)
-	}
-	// Paper: distributions correlate well; average difference ~1%. Allow
-	// 15% here given the different simulated architectures.
-	ratio := res.Event.MeanNs / res.Cycle.MeanNs
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Fatalf("read-only mean latency ratio = %v (ev %v, cy %v)",
-			ratio, res.Event.MeanNs, res.Cycle.MeanNs)
-	}
-	// Read-only open-page latencies are unimodal in both models.
-	if res.Event.Bimodal(50) || res.Cycle.Bimodal(50) {
-		t.Fatal("read-only distribution unexpectedly bimodal")
-	}
-}
-
-// Figure 7's headline: the write-drain policy makes the event model's read
-// latency bimodal; the interleaving baseline stays unimodal.
-func TestFig7Bimodality(t *testing.T) {
-	res, err := Runner{}.RunLatency(Fig7Spec(6000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Event.Bimodal(50) {
-		t.Fatalf("event model not bimodal: coarse modes %v", res.Event.CoarseModes(25, 0.05))
-	}
-	if res.Cycle.Bimodal(50) {
-		t.Fatalf("cycle model unexpectedly bimodal: coarse modes %v", res.Cycle.CoarseModes(25, 0.05))
-	}
-	// Averages still in the same ballpark (paper: averages out to ~1%).
-	ratio := res.Event.MeanNs / res.Cycle.MeanNs
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Fatalf("mixed-traffic mean ratio = %v", ratio)
-	}
-}
-
-func TestPowerComparisonWithinBand(t *testing.T) {
-	res, err := Runner{}.RunPowerComparison(1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) < 5 {
-		t.Fatalf("only %d power cases", len(res.Rows))
-	}
-	// Paper: max 8%, avg 3%. Allow slack for the re-implementation.
-	if res.AvgDiffPct > 10 {
-		t.Fatalf("average power difference %v%% too high", res.AvgDiffPct)
-	}
-	if res.MaxDiffPct > 25 {
-		t.Fatalf("max power difference %v%% too high", res.MaxDiffPct)
-	}
-	for _, row := range res.Rows {
-		if row.EventMW <= 0 || row.CycleMW <= 0 {
-			t.Fatalf("non-positive power in %q", row.Case)
-		}
-	}
-}
-
-// §III-D: the event-based model must be decisively faster than the
-// cycle-based baseline on the same workloads (paper: 7x average, up to 10x).
-func TestSpeedup(t *testing.T) {
-	res, err := Runner{}.RunSpeedup(8000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgSpeedup < 1.5 {
-		t.Fatalf("average speedup %v: event model not meaningfully faster", res.AvgSpeedup)
-	}
-	for _, row := range res.Rows {
-		// The mechanism behind the speedup: far fewer kernel events.
-		if row.EventEvents >= row.CycleEvents {
-			t.Errorf("%s: event model executed more events (%d vs %d)",
-				row.Case, row.EventEvents, row.CycleEvents)
-		}
-	}
-}
-
-func TestFig8Correlation(t *testing.T) {
-	res, err := Runner{}.RunFig8(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		// Paper: metric ratios near 1, with "the few differences ... due to
-		// the different design choices made by the two models (write
-		// handling, split read-write queues, etc)". IPC and utilisation sit
-		// in a tight band; miss latency gets a wider one because the write
-		// drain delays fills on write-heavy workloads (the same §III-C2
-		// effect that makes Fig. 7 bimodal).
-		if row.IPCRatio < 0.5 || row.IPCRatio > 2.0 {
-			t.Errorf("%s IPC ratio = %v, out of band", row.Workload, row.IPCRatio)
-		}
-		if row.BusUtilRatio < 0.5 || row.BusUtilRatio > 2.0 {
-			t.Errorf("%s busUtil ratio = %v, out of band", row.Workload, row.BusUtilRatio)
-		}
-		if row.MissLatRatio < 0.4 || row.MissLatRatio > 2.5 {
-			t.Errorf("%s missLat ratio = %v, out of band", row.Workload, row.MissLatRatio)
-		}
-	}
-}
-
-func TestFig9Exploration(t *testing.T) {
-	res, err := Runner{}.RunFig9(400, 4) // reduced core count for test speed
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if res.Rows[0].Name != "DDR3" || res.Rows[0].NormIPC != 1 {
-		t.Fatalf("normalisation broken: %+v", res.Rows[0])
-	}
-	for _, row := range res.Rows {
-		if row.IPC <= 0 || row.BandwidthGBs <= 0 || row.AvgReadLatencyNs <= 0 {
-			t.Fatalf("%s: non-positive metrics %+v", row.Name, row)
-		}
-		if row.PowerMW <= 0 {
-			t.Fatalf("%s: no power", row.Name)
-		}
-		// The breakdown must account for the whole latency.
-		b := row.LatencyBreakdown
-		if tot := b.StaticNs + b.QueueNs + b.BankNs + b.BusNs; tot < row.AvgReadLatencyNs*0.95 || tot > row.AvgReadLatencyNs*1.05 {
-			t.Fatalf("%s: breakdown %v does not sum to latency %v", row.Name, tot, row.AvgReadLatencyNs)
-		}
-	}
-}
-
 func TestFig9Configs(t *testing.T) {
 	cfgs := Fig9Configs()
 	if len(cfgs) != 3 {

@@ -21,8 +21,14 @@ import (
 	"repro/internal/experiments/paper"
 )
 
-// dir holds the goldens, seen from any directory under cmd/.
-const dir = "../paper/testdata"
+// root is the repository, seen from any directory under cmd/. A golden is
+// named by its path from there: the captures EXPERIMENTS.md quotes, in
+// results/, or a reduced or JSON run, in cmd/paper/testdata/.
+const (
+	root     = "../.."
+	results  = "results/"
+	testdata = "cmd/paper/testdata/"
+)
 
 var (
 	durations = regexp.MustCompile(`\d+(\.\d+)?(ns|µs|ms|s)\b`)
@@ -49,30 +55,40 @@ func maskFig8(s string) string {
 	return spaces.ReplaceAllString(s, " ")
 }
 
-// Every study prints what the binaries of the commit before the figure tools
-// moved onto experiments.Runner printed; a row with a json golden also runs
-// with -json and compares the file, and its stdout says so ahead of the table.
+// Every study prints its golden: results/ at the size results/README.md
+// gives (host-timed columns masked), testdata at a reduced size or with a
+// flag results/ does not cover. A row with a json golden also runs with
+// -json and compares the file, and its stdout says so ahead of the table.
 var goldens = map[string][]struct {
 	golden, json string
 	mask         func(string) string
 	args         []string
 }{
 	"bwsweep": {
-		{"fig3", "", nil, []string{"-figure", "3", "-requests", "500"}},
-		{"fig3", "fig3_json", nil, []string{"-figure", "3", "-requests", "500"}},
-		{"fig4", "", nil, []string{"-figure", "4", "-requests", "500"}},
-		{"fig5", "", nil, []string{"-figure", "5", "-requests", "500"}},
-		{"fig3_channels2", "", nil, []string{"-figure", "3", "-requests", "500", "-channels", "2"}},
-		{"fig3_ddr4", "", nil, []string{"-figure", "3", "-requests", "500", "-standard", "ddr4"}},
-		{"ablation_all", "", nil, []string{"-ablation", "all", "-requests", "500"}},
+		{results + "fig3.txt", "", nil, []string{"-figure", "3", "-requests", "4000"}},
+		{testdata + "fig3.golden", testdata + "fig3_json.golden", nil, []string{"-figure", "3", "-requests", "500"}},
+		{results + "fig4.txt", "", nil, []string{"-figure", "4", "-requests", "4000"}},
+		{results + "fig5.txt", "", nil, []string{"-figure", "5", "-requests", "4000"}},
+		{testdata + "fig3_channels2.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-channels", "2"}},
+		{testdata + "fig3_ddr4.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-standard", "ddr4"}},
+		{results + "ablations.txt", "", nil, []string{"-ablation", "all", "-requests", "3000"}},
 	},
 	// HMC's 256-byte rows clamp the stride axis at 8 bursts.
-	"paper":    {{"fig3_hmc", "", nil, []string{"-figure", "3", "-requests", "500", "-standard", "hmc"}}},
-	"latdist":  {{"fig6", "", nil, []string{"-figure", "6", "-requests", "3000"}}, {"fig7", "", nil, []string{"-figure", "7", "-requests", "3000"}}},
-	"powercmp": {{"comparison", "", nil, []string{"-figure", "power", "-requests", "800"}}, {"savings", "", nil, []string{"-figure", "savings", "-requests", "800"}}},
-	"speedup":  {{"speedup", "", maskSpeedup, []string{"-figure", "speedup", "-requests", "2000"}}},
-	"fullsys":  {{"fig8", "", maskFig8, []string{"-figure", "8", "-memops", "300"}}},
-	"explore":  {{"fig9", "fig9_json", nil, []string{"-figure", "9", "-memops", "300", "-cores", "4"}}},
+	"paper": {{testdata + "fig3_hmc.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-standard", "hmc"}}},
+	"latdist": {
+		{results + "fig6.txt", "", nil, []string{"-figure", "6", "-requests", "20000"}},
+		{results + "fig7.txt", "", nil, []string{"-figure", "7", "-requests", "20000"}},
+	},
+	"powercmp": {
+		{results + "power.txt", "", nil, []string{"-figure", "power", "-requests", "5000"}},
+		{results + "power_savings.txt", "", nil, []string{"-figure", "savings", "-requests", "4000"}},
+	},
+	"speedup": {{testdata + "speedup.golden", "", maskSpeedup, []string{"-figure", "speedup", "-requests", "2000"}}},
+	"fullsys": {{results + "fig8.txt", "", maskFig8, []string{"-figure", "8", "-memops", "10000"}}},
+	"explore": {
+		{results + "fig9.txt", "", nil, []string{"-figure", "9", "-memops", "2000", "-cores", "16"}},
+		{testdata + "fig9.golden", testdata + "fig9_json.golden", nil, []string{"-figure", "9", "-memops", "300", "-cores", "4"}},
+	},
 }
 
 // A flag the study does not read would be ignored, so it is refused: every
@@ -179,7 +195,7 @@ func Goldens(t *testing.T, tool string) {
 	ran := false
 	for _, c := range goldens[tool] {
 		if c.json == "" {
-			clitest.Golden(t, Tool(nil), dir, c.golden, c.mask, c.args...)
+			clitest.Golden(t, Tool(nil), filepath.Join(root, c.golden), c.mask, c.args...)
 			ran = true
 		}
 	}
@@ -197,17 +213,17 @@ func JSONGoldens(t *testing.T, tool string) {
 		if c.json == "" {
 			continue
 		}
-		path := filepath.Join(t.TempDir(), c.json+".json")
+		path := filepath.Join(t.TempDir(), "result.json")
 		out, err := Tool(nil).Output(append(c.args, "-json", path)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clitest.Same(t, dir, c.golden, c.mask, []byte(strings.TrimPrefix(out, "result written to "+path+"\n")))
+		clitest.Same(t, filepath.Join(root, c.golden), c.mask, []byte(strings.TrimPrefix(out, "result written to "+path+"\n")))
 		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clitest.Same(t, dir, c.json, nil, got)
+		clitest.Same(t, filepath.Join(root, c.json), nil, got)
 		ran = true
 	}
 	if !ran {

@@ -61,7 +61,6 @@ func TestShippedPointsStaySmall(t *testing.T) {
 		{"paper -figure 7", latency(Fig7Spec)},
 		{"paper -figure power", func() error { _, err := r.RunPowerComparison(5000); return err }},
 		{"paper -figure savings", func() error { _, err := r.RunPowerSavings(5000); return err }},
-		{"validate -full (fault sweep)", func() error { _, err := r.RunFaultSweep(DefaultFaultSweep(5000)); return err }},
 		{"paper -figure speedup", func() error { _, err := r.RunSpeedup(100000, nil); return err }},
 		{"paper -figure 8", func() error { _, err := r.RunFig8(5000); return err }},
 		{"paper -figure 9", func() error { _, err := r.RunFig9(ExploreMemOps, ExploreCores); return err }},

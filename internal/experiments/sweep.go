@@ -155,14 +155,3 @@ func (r Runner) RunSweep(s SweepSpec) (*SweepResult, error) {
 	}
 	return res, nil
 }
-
-// RowsForBanks filters the sweep rows for one bank count, in stride order.
-func (r *SweepResult) RowsForBanks(banks int) []SweepRow {
-	var out []SweepRow
-	for _, row := range r.Rows {
-		if row.Banks == banks {
-			out = append(out, row)
-		}
-	}
-	return out
-}

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// Trace reading and validation: cmd/validate's -trace-check mode and
-// self-check, dramctrl -check's span citations and the reconciliation tests
-// all parse traces back through this code, so "valid" means one thing
-// everywhere.
+// Trace reading and validation: dramctrl -check's span citations and the
+// reconciliation tests parse traces back through this code, so "valid" means
+// one thing everywhere.
 
 // TraceEvent is one decoded trace line.
 type TraceEvent struct {
@@ -49,17 +48,6 @@ type TraceSummary struct {
 // OpenSpans returns lifecycle spans begun but not ended — in-flight packets
 // at end of trace.
 func (s *TraceSummary) OpenSpans() int { return s.SpanBegins - s.SpanEnds }
-
-// ReadTraceFile parses a trace file, validating each event line. It accepts
-// a file without the closing terminator (a crashed run) and reports that
-// via Terminated.
-func ReadTraceFile(path string) (*TraceSummary, []TraceEvent, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parseTrace(raw)
-}
 
 // parseTrace decodes the line-oriented JSON-array layout the Tracer
 // produces.
@@ -182,23 +170,24 @@ func checkEvent(ev TraceEvent) error {
 	return nil
 }
 
-// ValidateTraceStrict additionally requires the file to be one well-formed
-// JSON document (i.e. the run Closed its tracer cleanly).
-func ValidateTraceStrict(path string) (*TraceSummary, error) {
+// ValidateTraceStrict parses a trace file, validating each event line, and
+// requires it to be one well-formed JSON document (i.e. the run Closed its
+// tracer cleanly).
+func ValidateTraceStrict(path string) (*TraceSummary, []TraceEvent, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var doc []json.RawMessage
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("obs: trace is not a JSON array: %w", err)
+		return nil, nil, fmt.Errorf("obs: trace is not a JSON array: %w", err)
 	}
-	sum, _, err := parseTrace(raw)
+	sum, events, err := parseTrace(raw)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !sum.Terminated {
-		return nil, fmt.Errorf("obs: trace missing the closing terminator")
+		return nil, nil, fmt.Errorf("obs: trace missing the closing terminator")
 	}
-	return sum, nil
+	return sum, events, nil
 }

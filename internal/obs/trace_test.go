@@ -99,7 +99,7 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	if !bytes.Equal(ab, bb) {
 		t.Fatalf("identical runs produced different traces (%d vs %d bytes)", len(ab), len(bb))
 	}
-	sum, err := obs.ValidateTraceStrict(a)
+	sum, _, err := obs.ValidateTraceStrict(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 func TestTraceReconcilesWithStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rec.json")
 	act := runCoreTraced(t, path, 800)
-	sum, err := obs.ValidateTraceStrict(path)
+	sum, _, err := obs.ValidateTraceStrict(path)
 	if err != nil {
 		t.Fatal(err)
 	}
