@@ -7,10 +7,13 @@
 // equivalent of driving a gem5 memory configuration from the command line.
 // -channels is a parameter of the one wiring, so every flag composes with it.
 //
-// Runs are supervised: -checkpoint enables checksummed snapshots — every
-// -checkpoint-every of simulated time and at completion — -resume continues a
-// run from its last checkpoint bit-identically, and SIGINT/SIGTERM drain the
-// current quantum, write a final checkpoint, flush statistics, and exit 130.
+// Runs are supervised: -checkpoint enables checksummed snapshots of the
+// event-based model — every -checkpoint-every of simulated time and at
+// completion — -resume continues a run from its last checkpoint
+// bit-identically, and SIGINT/SIGTERM drain the current quantum, write a final
+// checkpoint, flush statistics, and exit 130. The cycle-based model is the
+// event model's referee and is not checkpointed: -model cycle refuses both
+// flags.
 // A failed step (watchdog trip, panic) dumps <checkpoint>.postmortem and ends
 // the run with the tick; -resume continues from the last good checkpoint.
 //
@@ -150,6 +153,10 @@ func parseFlags(args []string) (*options, error) {
 		return nil, err
 	}
 	if f.sup.Enabled() {
+		// The cycle model is the event model's referee and saves no image.
+		if f.pol.Model == "cycle" {
+			return nil, fmt.Errorf("-checkpoint/-resume are only modelled by the event-based controller")
+		}
 		// The trace monitor holds host-side state no component hook
 		// serializes; refuse the combination instead of resuming with a
 		// silently empty capture. (-trace is fine: the tracer is a checkpoint

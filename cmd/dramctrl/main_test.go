@@ -486,6 +486,11 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 	const undefined = "flag provided but not defined"
 	const noChannel = "need at least one channel"
 	const eventOnly = "only modelled by the event-based controller"
+	const oversized = "a 4096-byte request needs 64 bursts, more than the "
+	wide := file("wide.txt")
+	if err := os.WriteFile(wide, []byte("0 r 0x0 64\n1000 w 0x1000 4096\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		want  string
 		flags []string
@@ -512,6 +517,12 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		{"checkpointing does not support -check", []string{"-check", "-checkpoint", file("c.ckpt")}},
 		{"checkpointing does not support -check", []string{"-check", "-checkpoint", file("c.ckpt"), "-resume"}},
 		{"-cmd-trace records one channel", []string{"-cmd-trace", file("cmds.txt")}},
+		// A request wider than every queue it could enter would be refused
+		// forever, on one channel or several.
+		{oversized + "read buffer (20 bursts)", []string{"-channels", "1", "-bytes", "4096", "-requests", "10"}},
+		{oversized + "transaction queue (40 bursts)", []string{"-channels", "1", "-model", "cycle", "-bytes", "4096", "-requests", "10"}},
+		{oversized + "read buffer (20 bursts)", []string{"-bytes", "4096"}},
+		{oversized + "read buffer (20 bursts)", []string{"-channels", "1", "-trace-in", wide}},
 	} {
 		clitest.Refused(t, run, c.want, with(c.flags...)...)
 	}
@@ -543,7 +554,6 @@ func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 		{[]string{"-channels", "2"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS"`},
 		{[]string{"-channels", "2"}, nil, ""},
 		{[]string{"-page", "open"}, []string{"-page", "closed"}, `mc0: Page: checkpoint "open", this run "closed"`},
-		{[]string{"-model", "cycle"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS"`},
 	} {
 		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 		base := append(tc.base, "-requests", "2000", "-checkpoint", ckpt)
@@ -558,6 +568,16 @@ func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 		}
 		if !bytes.Equal(read(t, ckpt), saved) {
 			t.Errorf("resume with %v changed the checkpoint file", tc.flags)
+		}
+	}
+	// The cycle model saves no image: both flags are refused before a file
+	// is touched.
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	for _, extra := range [][]string{nil, {"-resume"}} {
+		args := append([]string{"-model", "cycle", "-requests", "2000", "-checkpoint", ckpt}, extra...)
+		clitest.Refused(t, run, "-checkpoint/-resume are only modelled by the event-based controller", args...)
+		if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+			t.Errorf("%v: the checkpoint file exists (stat: %v)", args, err)
 		}
 	}
 }
@@ -580,26 +600,48 @@ func statedConfig(t *testing.T, path, id string) map[string]any {
 }
 
 // A channel is the same controller whatever -channels says: the same flags
-// build mc0 from the same defaults on one channel and on two, so what it
-// states in the two checkpoints differs in its channel count and nothing else
-// (queue depths and static latencies included).
+// build mc0 from the same defaults on one channel and on two. On the event
+// model what mc0 states in the two checkpoints differs in its channel count
+// and nothing else (queue depths and static latencies included); the cycle
+// model, which saves no checkpoint, gets the same configuration either way.
 func TestChannelCountChangesOnlyChannels(t *testing.T) {
-	for _, model := range []string{"event", "cycle"} {
-		dir := t.TempDir()
-		stated := func(channels string) map[string]any {
-			ckpt := filepath.Join(dir, channels+".ckpt")
-			mustRun(t, "-model", model, "-requests", "500", "-channels", channels, "-checkpoint", ckpt)
-			return statedConfig(t, ckpt, "mc0")
+	dir := t.TempDir()
+	stated := func(channels string) map[string]any {
+		ckpt := filepath.Join(dir, channels+".ckpt")
+		mustRun(t, "-requests", "500", "-channels", channels, "-checkpoint", ckpt)
+		return statedConfig(t, ckpt, "mc0")
+	}
+	one, two := stated("1"), stated("2")
+	if one["Channels"] != 1.0 || two["Channels"] != 2.0 {
+		t.Errorf("event: mc0 states Channels %v and %v, want 1 and 2", one["Channels"], two["Channels"])
+	}
+	delete(one, "Channels")
+	delete(two, "Channels")
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("event: mc0 differs beyond Channels:\n-channels 1: %v\n-channels 2: %v", one, two)
+	}
+
+	memory := func(channels string) system.MemoryConfig {
+		f, err := parseFlags([]string{"-model", "cycle", "-channels", channels})
+		if err != nil {
+			t.Fatal(err)
 		}
-		one, two := stated("1"), stated("2")
-		if one["Channels"] != 1.0 || two["Channels"] != 2.0 {
-			t.Errorf("%s: mc0 states Channels %v and %v, want 1 and 2", model, one["Channels"], two["Channels"])
+		spec, err := f.spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
 		}
-		delete(one, "Channels")
-		delete(two, "Channels")
-		if !reflect.DeepEqual(one, two) {
-			t.Errorf("%s: mc0 differs beyond Channels:\n-channels 1: %v\n-channels 2: %v", model, one, two)
+		mapping, err := f.pol.ParseMapping()
+		if err != nil {
+			t.Fatal(err)
 		}
+		mc, err := f.memory(spec, mapping, nil, f.traf.Bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mc
+	}
+	if a, b := memory("1"), memory("2"); a.Channels != 1 || b.Channels != 2 || !reflect.DeepEqual(a.Cycle, b.Cycle) {
+		t.Errorf("cycle: -channels 1 and 2 build different controllers:\n%d: %+v\n%d: %+v", a.Channels, a.Cycle, b.Channels, b.Cycle)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/cyclesim"
 	"repro/internal/dram"
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -68,13 +67,6 @@ func statedImages() []statedImage {
 			}
 			return c.CheckpointConfig()
 		}, reflect.TypeOf(core.Config{})},
-		{"cyclesim", func(t *testing.T) any {
-			c, err := cyclesim.NewController(sim.NewKernel(), cyclesim.DefaultConfig(spec), stats.NewRegistry("t"), "mc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c.CheckpointConfig()
-		}, reflect.TypeOf(cyclesim.Config{})},
 		{"xbar", func(t *testing.T) any {
 			x, err := xbar.New(sim.NewKernel(), xbar.Config{Latency: sim.Nanosecond, QueueDepth: 8, PacketInterval: sim.Nanosecond},
 				xbar.InterleaveRoute(2, 64), stats.NewRegistry("t"), "xbar")
@@ -217,7 +209,7 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 	for _, must := range []string{
 		"core:XORBankHash", "core:MinWritesPerSwitch", "core:WriteHighThresh",
 		"core:FrontendLatency", "core:Device.Timing.TRCD", "core:Faults.Seed", "core:Faults.StuckRows[0].Row",
-		"cyclesim:Scheduling", "xbar:Memories",
+		"xbar:Memories",
 		"gen-linear:Pattern.Seed", "gen-random:Pattern.Seed", "gen-dramaware:Pattern.Seed",
 		"gen-bursty:Pattern.Seed", "gen-strided:Pattern.Seed", "gen-random:PatternType",
 		"gen-dramaware:Pattern.Decoder.XORBankRow", "gen-linear:RequestorID",
@@ -229,7 +221,7 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 }
 
 // TestExcludedConfigFields pins the complete list of fields outside the
-// comparison: the three probe hubs, which only observe. Identity is every
+// comparison: the two probe hubs, which only observe. Identity is every
 // field that is not a probe; adding a `json:"-"` to a stated configuration is
 // a decision that a resume may differ in that field, and it is made here.
 func TestExcludedConfigFields(t *testing.T) {
@@ -244,7 +236,6 @@ func TestExcludedConfigFields(t *testing.T) {
 	slices.Sort(got)
 	want := []string{
 		"core.Config.Probes",
-		"cyclesim.Config.Probes",
 		"xbar.Config.Probes",
 	}
 	if !slices.Equal(got, want) {

@@ -3,7 +3,8 @@ package checkpoint_test
 // The tentpole acceptance test: checkpointing at an arbitrary mid-run point
 // and resuming in a fresh process image must be bit-identical — byte-for-byte
 // on the final statistics dump — to the uninterrupted run. The matrix covers
-// both controller models, every page policy, and the multi-channel rig.
+// every page policy of the event-based controller (the only model that
+// checkpoints) and the multi-channel rig.
 
 import (
 	"bytes"
@@ -61,10 +62,8 @@ func randomPattern() trafficgen.Pattern {
 // trafficCase is one cell of the single-rig determinism matrix.
 type trafficCase struct {
 	name string
-	kind system.Kind
-	// closed drives the cycle model's two-policy split and the matched
-	// default for the event model; tune overrides the event page policy for
-	// the adaptive variants.
+	// closed selects the matched closed-page configuration; tune overrides
+	// its page policy.
 	closed bool
 	tune   func(*core.Config)
 }
@@ -74,19 +73,17 @@ func trafficCases() []trafficCase {
 		return func(c *core.Config) { c.Page = p }
 	}
 	return []trafficCase{
-		{name: "event-open", kind: system.EventBased, tune: page(core.Open)},
-		{name: "event-open-adaptive", kind: system.EventBased, tune: page(core.OpenAdaptive)},
-		{name: "event-closed", kind: system.EventBased, closed: true, tune: page(core.Closed)},
-		{name: "event-closed-adaptive", kind: system.EventBased, closed: true, tune: page(core.ClosedAdaptive)},
-		{name: "cycle-open", kind: system.CycleBased},
-		{name: "cycle-closed", kind: system.CycleBased, closed: true},
+		{name: "event-open", tune: page(core.Open)},
+		{name: "event-open-adaptive", tune: page(core.OpenAdaptive)},
+		{name: "event-closed", closed: true, tune: page(core.Closed)},
+		{name: "event-closed-adaptive", closed: true, tune: page(core.ClosedAdaptive)},
 	}
 }
 
 func buildTrafficRig(t *testing.T, tc trafficCase, requests uint64) *system.TrafficRig {
 	t.Helper()
 	rig, err := system.NewTrafficRig(system.RigConfig{
-		Kind:       tc.kind,
+		Kind:       system.EventBased,
 		Spec:       dram.DDR3_1333_8x8(),
 		Mapping:    dram.RoRaBaCoCh,
 		ClosedPage: tc.closed,
@@ -104,9 +101,9 @@ func buildTrafficRig(t *testing.T, tc trafficCase, requests uint64) *system.Traf
 	return rig
 }
 
-// TestTrafficRigResumeBitIdentical checkpoints every model x page-policy
-// combination mid-run, restores into a freshly built rig, finishes both, and
-// requires byte-identical statistics.
+// TestTrafficRigResumeBitIdentical checkpoints every page policy mid-run,
+// restores into a freshly built rig, finishes both, and requires
+// byte-identical statistics.
 func TestTrafficRigResumeBitIdentical(t *testing.T) {
 	const requests = 4000
 	for _, tc := range trafficCases() {
@@ -206,7 +203,7 @@ func buildMultiChannelRig(t *testing.T, requests uint64) *system.MultiChannelRig
 // TestCompletionCheckpointRestoresDone closes the matrix at its far end: a
 // session restored from the checkpoint of a FINISHED run must report done on
 // its first Step without advancing — same Now, same statistics, and saving it
-// again yields the same bytes — for every topology and both models. (Advancing
+// again yields the same bytes — for every topology and page policy. (Advancing
 // past the recorded end skews every time-normalised statistic; bus utilisation
 // divides by Now.)
 func TestCompletionCheckpointRestoresDone(t *testing.T) {
@@ -462,7 +459,6 @@ func TestResumeMidLowPower(t *testing.T) {
 func TestResumeWithFaultsMidReplay(t *testing.T) {
 	tc := trafficCase{
 		name: "event-faults",
-		kind: system.EventBased,
 		tune: func(c *core.Config) {
 			c.Page = core.Open
 			c.Faults.Seed = 11

@@ -43,10 +43,6 @@ func (p PagePolicy) String() string {
 	return "closed"
 }
 
-// MarshalText makes the policy read by name in a checkpoint's configuration
-// image, and so in the mismatch message that refuses a resume.
-func (p PagePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
-
 // Scheduling selects the per-cycle command arbitration.
 type Scheduling int
 
@@ -69,10 +65,6 @@ func (s Scheduling) String() string {
 	return fmt.Sprintf("Scheduling(%d)", int(s))
 }
 
-// MarshalText makes the policy read by name in a checkpoint's configuration
-// image, and so in the mismatch message that refuses a resume.
-func (s Scheduling) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
 // Config parameterises the cycle-based controller.
 type Config struct {
 	// Device is the DRAM device model. The cycle-based baseline consumes
@@ -86,9 +78,8 @@ type Config struct {
 	Page           PagePolicy
 	Scheduling     Scheduling
 	// Probes, when non-nil and non-empty, receives the controller's
-	// observability events (see internal/obs). Outside the checkpoint
-	// identity: probes only observe.
-	Probes *obs.Hub `json:"-"`
+	// observability events (see internal/obs).
+	Probes *obs.Hub
 }
 
 // DefaultConfig mirrors DRAMSim2's defaults for the given device.
@@ -178,14 +169,14 @@ type respWait struct {
 // Controller is the cycle-based baseline controller.
 type Controller struct {
 	name string
-	cfg  Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
+	cfg  Config
 	k    *sim.Kernel
-	dec  dram.Decoder      //ckpt:skip derived from cfg.Device by the constructor
-	spec dram.Spec         //ckpt:skip the device's parameter set, cached by the constructor
-	port *mem.ResponsePort //ckpt:skip wiring, rebuilt by the constructor
+	dec  dram.Decoder
+	spec dram.Spec
+	port *mem.ResponsePort
 
-	tck    sim.Tick     //ckpt:skip derived from cfg.Device clock by the constructor
-	cycles timingCycles //ckpt:skip timing constants derived from cfg.Device
+	tck    sim.Tick
+	cycles timingCycles
 
 	queue   []*txn
 	resp    []respWait
@@ -207,7 +198,7 @@ type Controller struct {
 
 	// hub fans observability events out to attached probes; nil when no
 	// probe is configured.
-	hub *obs.Hub //ckpt:skip observation fan-out, rebuilt by the constructor
+	hub *obs.Hub
 
 	st ctrlStats
 }

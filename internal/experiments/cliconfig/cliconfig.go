@@ -258,7 +258,7 @@ type Checkpoint struct {
 // AddCheckpoint registers the checkpoint flags.
 func AddCheckpoint(fs *flag.FlagSet) *Checkpoint {
 	c := &Checkpoint{}
-	fs.StringVar(&c.Path, "checkpoint", "", "checkpoint file; written periodically, at interrupt, and at completion")
+	fs.StringVar(&c.Path, "checkpoint", "", "checkpoint file (event model only); written periodically, at interrupt, and at completion")
 	fs.Int64Var(&c.EveryNs, "checkpoint-every", 0, "checkpoint every N ns of simulated time (0 = only final/interrupt)")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from -checkpoint if the file exists")
 	return c

@@ -146,11 +146,11 @@ func (r Runner) Run(p Point) (*Rig, error) {
 	if r.Stop != nil && r.Stop() {
 		return nil, ErrInterrupted
 	}
-	mc := system.MemoryConfig{Root: "sys", Kind: p.Kind, Channels: max(p.Channels, 1), Event: p.Event, Cycle: p.Cycle, Probes: p.Probes}
+	mc := system.MemoryConfig{Root: "sys", Kind: p.Kind, Channels: max(p.Channels, 1), Event: p.Event, Cycle: p.Cycle,
+		Probes: p.Probes, Widest: p.Gen.RequestBytes}
 	name := "gen"
 	if mc.Channels > 1 {
 		mc.Xbar = &xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64}
-		mc.Widest = p.Gen.RequestBytes
 		name = "gen0"
 	}
 	m, err := system.NewMemory(mc)

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,9 +32,32 @@ func memoryDescription(kind Kind, channels int, withXbar bool) MemoryConfig {
 	return cfg
 }
 
+// drive runs random traffic from one generator on front, m's front port, to
+// the end and returns the statistics dump.
+func drive(t *testing.T, m *Memory, front *mem.ResponsePort) (*trafficgen.Generator, []byte) {
+	t.Helper()
+	gen, err := trafficgen.New(m.K, trafficgen.Config{RequestBytes: 64, MaxOutstanding: 16, Count: 400},
+		&trafficgen.Random{Start: 0, End: 1 << 24, Align: 64, ReadPercent: 70, Seed: 3}, m.Reg, "gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.Connect(gen.Port(), front)
+	if err := m.Session(gen).Run(10 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if err := m.Reg.DumpJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	return gen, dump.Bytes()
+}
+
 // One table over model, channel count and crossbar: what NewMemory names, what
 // it stamps on each channel's configuration, which port it hands a frontend,
-// and that the same description completes a run on either model.
+// and that the same description completes a run on either model. The event
+// model states its configuration (for its checkpoints); the cycle model's
+// stamp shows in behaviour: the description that already carries the channel
+// count runs to the same statistics.
 func TestNewMemory(t *testing.T) {
 	for _, kind := range []Kind{EventBased, CycleBased} {
 		for _, channels := range []int{1, 2, 4} {
@@ -61,14 +85,10 @@ func TestNewMemory(t *testing.T) {
 						if c.Name() != want || m.Reg.Get("t."+want+".bytesRead") == nil {
 							t.Errorf("channel %d is %q (statistics registered: %v), want %s", i, c.Name(), m.Reg.Get("t."+want+".bytesRead") != nil, want)
 						}
-						switch stated := c.(checkpoint.Configured).CheckpointConfig().(type) {
-						case core.Config:
+						if kind == EventBased {
+							stated := c.(checkpoint.Configured).CheckpointConfig().(core.Config)
 							if stated.Channels != channels || stated.Faults.Seed != 40+uint64(i) {
 								t.Errorf("%s states %d channels, fault seed %d; want %d and %d", want, stated.Channels, stated.Faults.Seed, channels, 40+i)
-							}
-						case cyclesim.Config:
-							if stated.Channels != channels {
-								t.Errorf("%s states %d channels, want %d", want, stated.Channels, channels)
 							}
 						}
 					}
@@ -80,21 +100,24 @@ func TestNewMemory(t *testing.T) {
 					if own := m.Ctrls[0].Port(); (front == own) == withXbar {
 						t.Errorf("front port is the controller's own: %v, with a crossbar: %v", front == own, withXbar)
 					}
-					gen, err := trafficgen.New(m.K, trafficgen.Config{RequestBytes: 64, MaxOutstanding: 16, Count: 400},
-						&trafficgen.Random{Start: 0, End: 1 << 24, Align: 64, ReadPercent: 70, Seed: 3}, m.Reg, "gen")
-					if err != nil {
-						t.Fatal(err)
-					}
-					mem.Connect(gen.Port(), front)
-					if err := m.Session(gen).Run(10 * sim.Millisecond); err != nil {
-						t.Fatal(err)
-					}
+					gen, dump := drive(t, m, front)
 					var moved float64
 					for _, c := range m.Ctrls {
 						moved += c.ObsSample().BytesMoved
 					}
 					if !gen.Done() || moved == 0 {
 						t.Errorf("run finished: %v, bytes moved: %v", gen.Done(), moved)
+					}
+					if kind == CycleBased {
+						stamped := memoryDescription(kind, channels, withXbar)
+						stamped.Cycle.Channels = channels
+						m, err := NewMemory(stamped)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, want := drive(t, m, m.FrontPort("gen")); !bytes.Equal(dump, want) {
+							t.Errorf("statistics differ from a description carrying Channels %d:\n got %s\nwant %s", channels, dump, want)
+						}
 					}
 				})
 			}
@@ -114,5 +137,35 @@ func TestNewMemoryRefusesChannelCounts(t *testing.T) {
 	}
 	if _, err := NewMemory(MemoryConfig{Kind: Kind(7), Channels: 1}); err == nil {
 		t.Error("unknown controller kind: built")
+	}
+}
+
+// A controller keeps refusing a request wider than a queue it could enter, so
+// a description whose widest request does not fit every such queue is refused,
+// naming both; one that fills a queue exactly is built.
+func TestNewMemoryRefusesOversizedRequests(t *testing.T) {
+	for _, c := range []struct {
+		kind   Kind
+		bursts uint64
+		tune   func(*MemoryConfig)
+		want   string // "" = built
+	}{
+		{EventBased, 20, nil, ""},
+		{EventBased, 21, nil, "a 1344-byte request needs 21 bursts, more than the read buffer (20 bursts) holds"},
+		{EventBased, 8, func(m *MemoryConfig) { m.Event.WriteBufferSize = 4 }, "more than the write buffer (4 bursts) holds"},
+		{CycleBased, 40, nil, ""},
+		{CycleBased, 41, nil, "a 2624-byte request needs 41 bursts, more than the transaction queue (40 bursts) holds"},
+	} {
+		for _, withXbar := range []bool{false, true} {
+			cfg := memoryDescription(c.kind, 1, withXbar)
+			cfg.Widest = c.bursts * 64
+			if c.tune != nil {
+				c.tune(&cfg)
+			}
+			_, err := NewMemory(cfg)
+			if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Errorf("%s, %d-burst request, crossbar %v: err = %v, want %q", c.kind, c.bursts, withXbar, err, c.want)
+			}
+		}
 	}
 }

@@ -138,7 +138,9 @@ type MemoryConfig struct {
 	// there is a single channel, mc, whose own port is the memory port. The
 	// crossbar routes at the mapping's interleave granularity, widened to
 	// Widest (the largest request any frontend sends) so no request straddles
-	// a channel (the paper's cache-line-or-page default, §II-F).
+	// a channel (the paper's cache-line-or-page default, §II-F). NewMemory
+	// refuses a Widest that some controller queue cannot hold; 0 checks
+	// nothing.
 	Xbar     *xbar.Config
 	XbarName string
 	Widest   uint64
@@ -170,12 +172,29 @@ func newMemory(cfg MemoryConfig, place placement) (*Memory, error) {
 	if cfg.Xbar == nil && cfg.Channels > 1 {
 		return nil, fmt.Errorf("system: %d channels need a crossbar to interleave them", cfg.Channels)
 	}
+	// A controller refuses a request that needs more bursts than a queue it
+	// could enter holds, and keeps refusing it: the run would spin to its
+	// deadline. So the widest request must fit every such queue.
+	org, mapping := cfg.Event.Device.Org, cfg.Event.Mapping
+	type queue struct {
+		name   string
+		bursts int
+	}
+	queues := []queue{{"read buffer", cfg.Event.ReadBufferSize}, {"write buffer", cfg.Event.WriteBufferSize}}
+	if cfg.Kind == CycleBased {
+		org, mapping = cfg.Cycle.Device.Org, cfg.Cycle.Mapping
+		queues = []queue{{"transaction queue", cfg.Cycle.TransQueueSize}}
+	}
+	if burst := org.BurstBytes(); burst > 0 {
+		for _, q := range queues {
+			if need := (cfg.Widest + burst - 1) / burst; need > uint64(q.bursts) {
+				return nil, fmt.Errorf("system: a %d-byte request needs %d bursts, more than the %s (%d bursts) holds",
+					cfg.Widest, need, q.name, q.bursts)
+			}
+		}
+	}
 	m := &Memory{K: sim.NewKernel(), Reg: stats.NewRegistry(cfg.Root), Ctrls: make([]Controller, cfg.Channels)}
 	if cfg.Xbar != nil {
-		org, mapping := cfg.Event.Device.Org, cfg.Event.Mapping
-		if cfg.Kind == CycleBased {
-			org, mapping = cfg.Cycle.Device.Org, cfg.Cycle.Mapping
-		}
 		dec, err := dram.NewDecoder(org, mapping, cfg.Channels)
 		if err != nil {
 			return nil, err
