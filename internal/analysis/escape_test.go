@@ -18,8 +18,8 @@ var hotGates = map[string]string{
 	"sim.(*Kernel).Reschedule":               "sim.TestScheduleSteadyStateZeroAlloc",
 	"sim.(*Kernel).step":                     "sim.TestScheduleSteadyStateZeroAlloc",
 	"sim.(*Kernel).Call":                     "sim.TestCallSteadyStateZeroAlloc",
-	"mem.(*PacketPool).Get":                  "mem.TestPacketPoolSteadyStateZeroAlloc",
-	"mem.(*PacketPool).Put":                  "mem.TestPacketPoolSteadyStateZeroAlloc",
+	"sim.(*Pool).Get":                        "sim.TestPoolSteadyStateZeroAlloc",
+	"sim.(*Pool).Put":                        "sim.TestPoolSteadyStateZeroAlloc",
 	"mem.(*PacketQueue).Push":                "mem.TestPacketQueueSteadyStateZeroAlloc",
 	"mem.(*PacketQueue).Pop":                 "mem.TestPacketQueueSteadyStateZeroAlloc",
 	"core.(*Controller).RecvTimingReq":       "core.TestControllerSteadyStateZeroAlloc",
@@ -51,8 +51,8 @@ func TestHotEscapeAgreement(t *testing.T) {
 	root := moduleRoot(t)
 
 	// -l disables inlining so every allocation is attributed to the line of
-	// the construct itself, not the call site it inlined into: the pool grow
-	// path `return &dramPacket{}` is marked where it is written, and with
+	// the construct itself, not the call site it inlined into: the pool's slab
+	// allocation in `sim.(*Pool).Get` is marked where it is written, and with
 	// inlining on, gc would re-report that same allocation at every hot call
 	// site that inlines Get.
 	cmd := exec.Command("go", "build", "-gcflags=-m -l", "./...")

@@ -172,6 +172,12 @@ func New(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) (*Cache, e
 		mshrLines: make([]mem.Addr, cfg.MSHRs),
 		strides:   make(map[int]*strideState),
 	}
+	// A slot a demand miss claims holds at least that one waiter: every
+	// slot starts with room for one, carved from one array.
+	room := make([]*mem.Packet, cfg.MSHRs)
+	for i := range c.mshrs {
+		c.mshrs[i].waiters = room[i : i : i+1]
+	}
 	// Room for every MSHR's fill plus the writeback its install evicts.
 	c.wbQueue.Reserve(2 * cfg.MSHRs)
 	c.respQueue.Reserve(2 * cfg.MSHRs)

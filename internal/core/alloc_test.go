@@ -80,7 +80,7 @@ func TestControllerSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDescriptorPoolsRecycle checks the free lists actually recycle: after a
+// TestDescriptorPoolsRecycle checks the pools actually recycle: after a
 // request completes, its burst descriptor and transaction are reused by the
 // next request instead of growing the pools.
 func TestDescriptorPoolsRecycle(t *testing.T) {
@@ -90,14 +90,14 @@ func TestDescriptorPoolsRecycle(t *testing.T) {
 	if len(h.responses) != 1 {
 		t.Fatalf("got %d responses, want 1", len(h.responses))
 	}
-	if len(h.c.dpFree) == 0 || len(h.c.trFree) == 0 {
-		t.Fatalf("pools empty after completion: dp=%d tr=%d", len(h.c.dpFree), len(h.c.trFree))
+	if h.c.dps.Len() == 0 || h.c.txns.Len() == 0 {
+		t.Fatalf("pools empty after completion: dp=%d tr=%d", h.c.dps.Len(), h.c.txns.Len())
 	}
-	dpBefore, trBefore := len(h.c.dpFree), len(h.c.trFree)
+	dpBefore, trBefore := h.c.dps.Len(), h.c.txns.Len()
 	h.at(h.k.Now()+sim.Nanosecond, func() { h.send(mem.NewRead(4096, 64, 0, 0)) })
 	h.run(10 * sim.Microsecond)
-	if len(h.c.dpFree) != dpBefore || len(h.c.trFree) != trBefore {
+	if h.c.dps.Len() != dpBefore || h.c.txns.Len() != trBefore {
 		t.Fatalf("pools grew across a request: dp %d->%d tr %d->%d",
-			dpBefore, len(h.c.dpFree), trBefore, len(h.c.trFree))
+			dpBefore, h.c.dps.Len(), trBefore, h.c.txns.Len())
 	}
 }

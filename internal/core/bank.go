@@ -109,6 +109,8 @@ func newRank(org dram.Organization, topo dram.Topology) *rank {
 		refreshUntil:  make([]sim.Tick, n),
 		bytesAccessed: make([]uint64, n),
 		lastActAt:     neverTick,
+		// recordAct keeps at most ActivationLimit entries after its append.
+		actWindow: make([]sim.Tick, 0, org.ActivationLimit+1),
 	}
 	for i := range r.openRow {
 		r.openRow[i] = rowClosed

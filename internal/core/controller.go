@@ -118,15 +118,15 @@ type Controller struct {
 	// probe is configured, so the disabled path is one pointer comparison.
 	hub *obs.Hub //ckpt:skip observation fan-out, rebuilt by the constructor
 
-	// dpFree and trFree recycle burst descriptors and chopped-read
-	// transactions: every request allocates one descriptor per burst, which
-	// makes them the controller's dominant steady-state allocation. Freed at
-	// burst completion, reused at the next enqueue — plain LIFO lists, so
-	// reuse order is a pure function of simulation state and parallel runs
-	// stay deterministic. Live descriptors are serialized individually by
-	// the checkpoint machinery; the free lists are disposable cache.
-	dpFree []*dramPacket  //ckpt:skip allocation cache, never holds live state
-	trFree []*transaction //ckpt:skip allocation cache, never holds live state
+	// dps and txns recycle burst descriptors and chopped-read transactions:
+	// every request takes one descriptor per burst, which makes them the
+	// controller's dominant per-request object. Released at burst completion,
+	// reused at the next enqueue — LIFO pools, so reuse order is a pure
+	// function of simulation state and parallel runs stay deterministic. Live
+	// descriptors are serialized individually by the checkpoint machinery;
+	// the pools are disposable cache.
+	dps  sim.Pool[dramPacket]  //ckpt:skip allocation cache, never holds live state
+	txns sim.Pool[transaction] //ckpt:skip allocation cache, never holds live state
 
 	st ctrlStats
 }
@@ -396,7 +396,7 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 		c.hub.Emit(obs.PacketEnqueued{Src: c.name, At: now, Pkt: pkt, Queue: obs.QueueRead, Bursts: needed})
 		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: now, Queue: obs.QueueRead, Depth: c.readQueue.n})
 	}
-	tr := c.newTxn()
+	tr := c.txns.Get()
 	tr.pkt, tr.remaining, tr.entries = pkt, needed, needed
 	for i := 0; i < n; i++ {
 		c.st.readBursts.Inc()
@@ -405,7 +405,7 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 			c.st.servicedByWrQ.Inc()
 			continue
 		}
-		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size)
+		dp := c.newBurst(c.dps.Get(), c.dec.Decode(burstAddr), burstAddr, lo, size)
 		dp.isRead, dp.parent = true, tr
 		c.wakeRank(dp.coord.Rank)
 		c.readQueue.push(dp)
@@ -415,7 +415,7 @@ func (c *Controller) addToReadQueue(pkt *mem.Packet) bool {
 		// Entirely satisfied by the write queue: only the static frontend
 		// latency applies. No burst references the transaction.
 		c.queueFixedResponse(pkt)
-		c.freeTxn(tr)
+		c.txns.Put(tr)
 	} else {
 		c.kickScheduler()
 	}
@@ -446,7 +446,7 @@ func (c *Controller) addToWriteQueue(pkt *mem.Packet) bool {
 			c.st.mergedWrBursts.Inc()
 			continue
 		}
-		dp := c.newBurst(c.dec.Decode(burstAddr), burstAddr, lo, size)
+		dp := c.newBurst(c.dps.Get(), c.dec.Decode(burstAddr), burstAddr, lo, size)
 		c.wakeRank(dp.coord.Rank)
 		c.writeQueue.push(dp)
 		c.st.writeBursts.Inc()
@@ -651,13 +651,13 @@ func (c *Controller) processNextReqEvent() {
 				if dp.readyTime > tr.lastReady {
 					tr.lastReady = dp.readyTime
 				}
-				c.freeDP(dp)
+				c.dps.Put(dp)
 				if tr.remaining == 0 {
 					if tr.poisoned {
 						tr.pkt.Poisoned = true
 					}
 					c.queueReadResponse(tr.pkt, tr.lastReady+c.cfg.FrontendLatency+c.cfg.BackendLatency, tr.entries)
-					c.freeTxn(tr)
+					c.txns.Put(tr)
 				}
 			}
 			// Forced switch at the high watermark.
@@ -679,7 +679,7 @@ func (c *Controller) processNextReqEvent() {
 			c.writeQueue.remove(dp)
 			c.doDRAMAccess(dp)
 			c.writesThisTime++
-			c.freeDP(dp)
+			c.dps.Put(dp)
 			c.maybeSendReqRetry()
 		}
 		// Switch back to reads when the write queue is empty, when we are

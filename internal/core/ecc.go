@@ -115,7 +115,7 @@ func (c *Controller) queueScrub(dp *dramPacket) {
 		c.st.droppedScrubs.Inc()
 		return
 	}
-	w := c.newBurst(dp.coord, dp.burstAddr, dp.burstAddr, c.burstBytes)
+	w := c.newBurst(c.dps.Get(), dp.coord, dp.burstAddr, dp.burstAddr, c.burstBytes)
 	w.scrub = true
 	c.wakeRank(w.coord.Rank)
 	c.writeQueue.push(w)

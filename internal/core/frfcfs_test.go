@@ -445,7 +445,7 @@ func chooseNextRound(t *testing.T, rng *rand.Rand, spec dram.Spec, page PagePoli
 		q = &c.readQueue
 	}
 	for _, co := range coords {
-		dp := c.newDP()
+		dp := c.dps.Get()
 		*dp = dramPacket{
 			isRead: isRead,
 			coord: dram.Coord{Rank: co.Rank % len(c.ranks), Bank: co.Bank % spec.Org.BanksPerRank,
@@ -468,7 +468,7 @@ func chooseNextRound(t *testing.T, rng *rand.Rand, spec dram.Spec, page PagePoli
 		decisions++
 		q.remove(got)
 		c.doDRAMAccess(got)
-		c.freeDP(got)
+		c.dps.Put(got)
 	}
 	checkQueueIndex(t, c)
 	return decisions

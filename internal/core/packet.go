@@ -345,61 +345,14 @@ func (r *respRing) pop() {
 	r.n--
 }
 
-// maxCtrlFree bounds the controller's descriptor free lists. Queues are
-// bounded by the read/write buffer sizes, so steady state never grows past
-// those; the cap only guards pathological bursts.
-const maxCtrlFree = 1024
-
-// newDP returns a zeroed burst descriptor, reusing a freed one if possible.
-func (c *Controller) newDP() *dramPacket {
-	if n := len(c.dpFree); n > 0 {
-		dp := c.dpFree[n-1]
-		c.dpFree[n-1] = nil
-		c.dpFree = c.dpFree[:n-1]
-		return dp
-	}
-	//hot:allow pool growth on exhaustion; steady state pops the free list (TestDescriptorPoolsRecycle)
-	return &dramPacket{}
-}
-
-// newBurst returns a descriptor for a write burst entering a queue now (a
-// read sets isRead and its parent). newDP's descriptor is already zeroed, so
-// only the live fields are set: assigning a whole dramPacket literal would
-// build and copy a second one.
-func (c *Controller) newBurst(coord dram.Coord, burstAddr, lo mem.Addr, size uint64) *dramPacket {
-	dp := c.newDP()
+// newBurst sets up dp, fresh from c.dps, as a write burst entering a queue
+// now (a read sets isRead and its parent). A pooled descriptor is already
+// zeroed, so only the live fields are set: assigning a whole dramPacket
+// literal would build and copy a second one. The caller draws dp itself, so
+// that both the pool's Get and this inline into it.
+func (c *Controller) newBurst(dp *dramPacket, coord dram.Coord, burstAddr, lo mem.Addr, size uint64) *dramPacket {
 	dp.coord = coord
 	dp.burstAddr, dp.addr, dp.size = burstAddr, lo, size
 	dp.entryTime = c.k.Now()
 	return dp
-}
-
-// freeDP releases a burst descriptor once no queue, replay record or
-// transaction references it. Fields are cleared so a stale parent pointer
-// can never leak into the next burst.
-func (c *Controller) freeDP(dp *dramPacket) {
-	*dp = dramPacket{}
-	if len(c.dpFree) < maxCtrlFree {
-		c.dpFree = append(c.dpFree, dp)
-	}
-}
-
-// newTxn returns a zeroed transaction, reusing a freed one if possible.
-func (c *Controller) newTxn() *transaction {
-	if n := len(c.trFree); n > 0 {
-		tr := c.trFree[n-1]
-		c.trFree[n-1] = nil
-		c.trFree = c.trFree[:n-1]
-		return tr
-	}
-	//hot:allow pool growth on exhaustion; steady state pops the free list (TestDescriptorPoolsRecycle)
-	return &transaction{}
-}
-
-// freeTxn releases a transaction after its response has been queued.
-func (c *Controller) freeTxn(tr *transaction) {
-	*tr = transaction{}
-	if len(c.trFree) < maxCtrlFree {
-		c.trFree = append(c.trFree, tr)
-	}
 }

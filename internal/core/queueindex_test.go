@@ -245,7 +245,7 @@ func TestRowTagsKeepHitsExact(t *testing.T) {
 		}
 	}
 	push := func(row uint64) {
-		dp := c.newDP()
+		dp := c.dps.Get()
 		*dp = dramPacket{isRead: true, coord: dram.Coord{Rank: ri, Bank: bi, Row: row}}
 		q.push(dp)
 		listed = append(listed, dp)
@@ -282,7 +282,7 @@ func TestRowTagsKeepHitsExact(t *testing.T) {
 		p := listed[at]
 		listed = append(listed[:at], listed[at+1:]...)
 		q.remove(p)
-		c.freeDP(p)
+		c.dps.Put(p)
 		step("removal")
 		if len(listed) > 0 && b.tags>>tagShift(3)&15 != 15 {
 			t.Fatalf("a saturated field fell to %d with %d bursts still listed", b.tags>>tagShift(3)&15, len(listed))

@@ -63,7 +63,7 @@ func TestCoreSteadyStateZeroAlloc(t *testing.T) {
 	mem.Connect(c.Port(), m.port)
 	c.Start()
 	step := func() { k.RunUntil(k.Now() + sim.Microsecond) }
-	// Long enough for the kernel's event ring and the free list behind Call to
+	// Long enough for the kernel's event ring and the event pool behind Call to
 	// have reached their peak (both grow on demand, then are reused).
 	for i := 0; i < 300; i++ {
 		step()

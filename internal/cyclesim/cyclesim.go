@@ -125,7 +125,9 @@ type txn struct {
 	parent    *parentReq
 }
 
-// parentReq ties burst transactions back to the system packet.
+// parentReq ties burst transactions back to the system packet. It is drawn
+// from the controller's pool on admission and released when its last burst
+// leaves the queue.
 type parentReq struct {
 	pkt       *mem.Packet
 	remaining int
@@ -178,8 +180,9 @@ type Controller struct {
 	tck    sim.Tick
 	cycles timingCycles
 
-	queue   []*txn
+	queue   []txn // by value: a burst is copied in on admission and out on issue
 	resp    []respWait
+	parents sim.Pool[parentReq]
 	ranks   []*crank
 	busFree int64
 
@@ -256,10 +259,19 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 		cycles: toCycles(spec.Timing),
 		hub:    cfg.Probes.OrNil(),
 	}
+	// The queue holds at most TransQueueSize bursts; the response list gets
+	// the same room, which the requestors' windows keep it within (it still
+	// grows by append if they do not). Both pop in place.
+	c.queue = make([]txn, 0, cfg.TransQueueSize)
+	c.resp = make([]respWait, 0, cfg.TransQueueSize)
 	c.port = mem.NewResponsePort(name+".port", c, k)
 	c.ranks = make([]*crank, spec.Org.RanksPerChannel)
 	for i := range c.ranks {
-		r := &crank{banks: make([]cbank, spec.Org.BanksPerRank), lastAct: -1 << 40}
+		r := &crank{
+			banks:     make([]cbank, spec.Org.BanksPerRank),
+			lastAct:   -1 << 40,
+			actWindow: make([]int64, 0, spec.Org.ActivationLimit+1),
+		}
 		for b := range r.banks {
 			r.banks[b].openRow = rowClosed
 		}
@@ -328,11 +340,12 @@ func (c *Controller) RecvTimingReq(pkt *mem.Packet) bool {
 		c.hub.Emit(obs.PacketEnqueued{Src: c.name, At: c.k.Now(), Pkt: pkt, Queue: queue, Bursts: count})
 		c.hub.Emit(obs.QueueAdmit{Src: c.name, At: c.k.Now(), Queue: queue, Depth: len(c.queue)})
 	}
-	parent := &parentReq{pkt: pkt, remaining: count}
+	parent := c.parents.Get()
+	parent.pkt, parent.remaining = pkt, count
 	burst := c.spec.Org.BurstBytes()
 	addr := pkt.Addr.AlignDown(burst)
 	for i := 0; i < count; i++ {
-		c.queue = append(c.queue, &txn{
+		c.queue = append(c.queue, txn{
 			isRead:    isRead,
 			coord:     c.dec.Decode(addr),
 			burstAddr: addr,

@@ -47,7 +47,9 @@ func (c *Controller) drainResponses(cycle int64) {
 		if c.hub != nil {
 			c.hub.Emit(obs.ResponseSent{Src: c.name, At: c.k.Now(), Pkt: e.pkt})
 		}
-		c.resp = c.resp[1:]
+		last := copy(c.resp, c.resp[1:])
+		c.resp[last] = respWait{}
+		c.resp = c.resp[:last]
 	}
 }
 
@@ -106,17 +108,17 @@ func (c *Controller) scheduleCommand(cycle int64) {
 	}
 	// Pass 1: ready row hits (first-ready).
 	for i := 0; i < limit; i++ {
-		t := c.queue[i]
+		t := &c.queue[i]
 		rk := c.ranks[t.coord.Rank]
 		b := &rk.banks[t.coord.Bank]
 		if b.openRow == int64(t.coord.Row) && c.canIssueColumn(rk, b, t, cycle) {
-			c.issueColumn(rk, b, t, i, cycle)
+			c.issueColumn(rk, b, i, cycle)
 			return
 		}
 	}
 	// Pass 2: oldest transaction that can progress.
 	for i := 0; i < limit; i++ {
-		t := c.queue[i]
+		t := &c.queue[i]
 		rk := c.ranks[t.coord.Rank]
 		b := &rk.banks[t.coord.Bank]
 		switch {
@@ -176,9 +178,11 @@ func (c *Controller) activateBank(rk *crank, b *cbank, rankIdx, bankIdx int, row
 	}
 	rk.lastAct = cycle
 	if limit := c.spec.Org.ActivationLimit; limit > 0 {
+		// Pop the oldest in place: the window never outgrows the
+		// limit+1 entries it was built with.
 		rk.actWindow = append(rk.actWindow, cycle)
 		if len(rk.actWindow) > limit {
-			rk.actWindow = rk.actWindow[len(rk.actWindow)-limit:]
+			rk.actWindow = rk.actWindow[:copy(rk.actWindow, rk.actWindow[1:])]
 		}
 	}
 	c.st.activations.Inc()
@@ -212,7 +216,8 @@ func (c *Controller) prechargeBank(b *cbank, rankIdx, bankIdx int, cycle int64) 
 
 // issueColumn performs the data transfer for queue index i and removes the
 // transaction from the queue.
-func (c *Controller) issueColumn(rk *crank, b *cbank, t *txn, i int, cycle int64) {
+func (c *Controller) issueColumn(rk *crank, b *cbank, i int, cycle int64) {
+	t := c.queue[i]
 	dataEnd := cycle + c.cycles.tCL + c.cycles.tBURST
 	c.busFree = dataEnd
 	if c.hub != nil {
@@ -278,19 +283,26 @@ func (c *Controller) issueColumn(rk *crank, b *cbank, t *txn, i int, cycle int64
 		}
 	}
 
-	c.queue = append(c.queue[:i], c.queue[i+1:]...)
+	copy(c.queue[i:], c.queue[i+1:])
+	last := len(c.queue) - 1
+	c.queue[last] = txn{}
+	c.queue = c.queue[:last]
 	if c.retryReq {
 		c.retryReq = false
 		c.port.SendReqRetry()
 	}
 
 	t.parent.remaining--
-	if t.isRead && t.parent.remaining == 0 {
+	if t.parent.remaining > 0 {
+		return
+	}
+	if t.isRead {
 		pkt := t.parent.pkt
 		lat := (sim.Tick(dataEnd)*c.tck - pkt.IssueTick).Nanoseconds()
 		c.st.memAccLat.Sample(lat)
 		c.resp = insertResp(c.resp, respWait{pkt: pkt, ready: dataEnd})
 	}
+	c.parents.Put(t.parent)
 }
 
 // rearm schedules the next cycle: once started the clock ticks every cycle,

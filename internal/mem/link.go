@@ -30,22 +30,15 @@ import (
 // windows, exactly like a credit-based channel interconnect sized for the
 // sum of its clients.
 
-// timedPkt is a packet due for delivery at a destination-shard tick.
-type timedPkt struct {
-	at  sim.Tick
-	pkt *Packet
-}
-
 // pipe is one direction of a ShardLink.
 type pipe struct {
 	name    string
 	dst     *sim.Kernel
 	deliver func(*Packet) bool
 
-	outbox  []timedPkt // appended by the source shard during a quantum
-	inbox   []timedPkt // drained by the destination shard
-	head    int        // consumed prefix of inbox
-	blocked bool       // destination refused; waiting for its retry
+	outbox  PacketQueue // appended by the source shard during a quantum
+	inbox   PacketQueue // drained by the destination shard
+	blocked bool        // destination refused; waiting for its retry
 	drain   *sim.Event
 }
 
@@ -60,11 +53,13 @@ func newPipe(name string, dst *sim.Kernel) *pipe {
 // event is armed, so a scheduler change that reordered offers would silently
 // reorder deliveries. Enforce it here rather than trusting the comment.
 func (p *pipe) offer(pkt *Packet, at sim.Tick) {
-	if n := len(p.outbox); n > 0 && at < p.outbox[n-1].at {
-		panic(fmt.Sprintf("mem: link %q offered out of order: packet due %s after packet due %s",
-			p.name, at, p.outbox[n-1].at))
+	if n := p.outbox.Len(); n > 0 {
+		if _, last := p.outbox.At(n - 1); at < last {
+			panic(fmt.Sprintf("mem: link %q offered out of order: packet due %s after packet due %s",
+				p.name, at, last))
+		}
 	}
-	p.outbox = append(p.outbox, timedPkt{at: at, pkt: pkt})
+	p.outbox.Push(pkt, at)
 }
 
 // flush publishes the outbox to the destination shard and arms delivery.
@@ -73,7 +68,7 @@ func (p *pipe) offer(pkt *Packet, at sim.Tick) {
 //
 //shard:barrier touches both shards' state and the destination kernel
 func (p *pipe) flush() {
-	n := len(p.outbox)
+	n := p.outbox.Len()
 	if n == 0 {
 		return
 	}
@@ -83,46 +78,43 @@ func (p *pipe) flush() {
 	// link does not get to assume that, so validate every entry — a violated
 	// entry anywhere means the packet is due in the destination's past and
 	// determinism is already lost. Fail loudly.
-	for i := range p.outbox {
-		if p.outbox[i].at < p.dst.Now() {
+	for i := 0; i < n; i++ {
+		if _, at := p.outbox.At(i); at < p.dst.Now() {
 			panic(fmt.Sprintf("mem: link %q lookahead violated: packet %d/%d due %s, destination at %s",
-				p.name, i, n, p.outbox[i].at, p.dst.Now()))
+				p.name, i, n, at, p.dst.Now()))
 		}
 	}
-	p.inbox = append(p.inbox, p.outbox...)
-	p.outbox = p.outbox[:0]
+	for ; n > 0; n-- {
+		p.inbox.Push(p.outbox.At(0))
+		p.outbox.Pop()
+	}
 	p.arm()
 }
 
 // arm schedules the drain event for the head of the inbox. Source shards
 // offer in nondecreasing due order, so the head never changes while armed.
 func (p *pipe) arm() {
-	if p.blocked || p.drain.Scheduled() || p.head == len(p.inbox) {
+	if p.blocked || p.drain.Scheduled() || p.inbox.Len() == 0 {
 		return
 	}
-	p.dst.Schedule(p.drain, p.inbox[p.head].at)
+	_, at := p.inbox.At(0)
+	p.dst.Schedule(p.drain, at)
 }
 
 // pump delivers every due packet in order, stopping on refusal (the
 // destination's retry resumes it) and re-arming for packets due later.
 func (p *pipe) pump() {
 	now := p.dst.Now()
-	for p.head < len(p.inbox) {
-		ent := p.inbox[p.head]
-		if ent.at > now {
+	for p.inbox.Len() > 0 {
+		pkt, at := p.inbox.At(0)
+		if at > now {
 			break
 		}
-		if !p.deliver(ent.pkt) {
+		if !p.deliver(pkt) {
 			p.blocked = true
 			return
 		}
-		p.inbox[p.head].pkt = nil
-		p.head++
-	}
-	if p.head == len(p.inbox) {
-		p.inbox = p.inbox[:0]
-		p.head = 0
-		return
+		p.inbox.Pop()
 	}
 	p.arm()
 }
@@ -138,7 +130,7 @@ func (p *pipe) resume() {
 
 // empty reports whether no packet is buffered in this direction.
 func (p *pipe) empty() bool {
-	return len(p.outbox) == 0 && p.head == len(p.inbox)
+	return p.outbox.Len() == 0 && p.inbox.Len() == 0
 }
 
 // linkFront is the link's responder face on the frontend kernel: the

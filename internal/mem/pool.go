@@ -2,17 +2,15 @@ package mem
 
 import "repro/internal/sim"
 
-// maxPoolFree bounds a PacketPool's free list. Requestors are closed-loop
-// (bounded outstanding windows), so in steady state the pool never grows
-// past the window; the cap only matters for pathological bursts.
-const maxPoolFree = 4096
-
-// PacketPool is a free list of Packets owned by a single requestor. Packets
-// are the per-request allocation of every workload, and in a sharded run
-// they are the one object that crosses kernel boundaries — pooling them
-// deterministically (plain LIFO free list, no sync.Pool, no GC coupling)
-// cuts the allocation rate of the event hot path to zero without making
-// reuse order depend on anything outside the simulation.
+// PacketPool is the packet instance of sim.Pool, owned by a single
+// requestor. Packets are the per-request allocation of every workload, and in
+// a sharded run they are the one object that crosses kernel boundaries —
+// pooling them deterministically (LIFO, no sync.Pool, no GC coupling) cuts
+// the allocation rate of the event hot path to zero without making reuse
+// order depend on anything outside the simulation. Get and Put are
+// sim.Pool's: Put clears a packet's fields (including Meta, Poisoned and the
+// return route) so a stale flag or hop can never leak into the next
+// transaction.
 //
 // Ownership rule: the component that created a packet releases it, and only
 // after the transaction has fully left the memory system — for a requestor
@@ -25,58 +23,22 @@ const maxPoolFree = 4096
 // A PacketPool is single-threaded, like the kernel that owns its
 // requestor. The zero value is ready to use.
 type PacketPool struct {
-	free []*Packet
+	sim.Pool[Packet]
 }
 
-// Get returns a zeroed packet, reusing a released one when available.
-//
-//hot:path per-request packet reuse; gated by the pool alloc test
-func (pl *PacketPool) Get() *Packet {
-	if n := len(pl.free); n > 0 {
-		p := pl.free[n-1]
-		pl.free[n-1] = nil
-		pl.free = pl.free[:n-1]
-		*p = Packet{}
-		return p
-	}
-	//hot:allow pool growth on exhaustion; steady state pops the free list
-	return &Packet{}
-}
-
-// Put releases a packet back to the pool. The caller must hold the only
-// live reference; the packet's fields (including Meta, Poisoned and the
-// return route) are cleared so a stale flag or hop can never leak into the
-// next transaction.
-//
-//hot:path release side of the packet cycle
-func (pl *PacketPool) Put(p *Packet) {
-	if p == nil {
-		return
-	}
-	*p = Packet{}
-	if len(pl.free) < maxPoolFree {
-		pl.free = append(pl.free, p)
-	}
-}
-
-// NewRead returns a pooled read request, initialized like mem.NewRead.
+// NewRead returns a pooled read request, initialized like mem.NewRead. Every
+// field is written, so not even a holder that broke the ownership rule and
+// wrote to the packet after releasing it reaches this transaction.
 func (pl *PacketPool) NewRead(addr Addr, size uint64, requestor int, now sim.Tick) *Packet {
 	p := pl.Get()
-	p.Cmd = ReadReq
-	p.Addr = addr
-	p.Size = size
-	p.RequestorID = requestor
-	p.IssueTick = now
+	*p = Packet{Cmd: ReadReq, Addr: addr, Size: size, RequestorID: requestor, IssueTick: now}
 	return p
 }
 
-// NewWrite returns a pooled write request, initialized like mem.NewWrite.
+// NewWrite returns a pooled write request, initialized like mem.NewWrite and,
+// like NewRead, in every field.
 func (pl *PacketPool) NewWrite(addr Addr, size uint64, requestor int, now sim.Tick) *Packet {
 	p := pl.Get()
-	p.Cmd = WriteReq
-	p.Addr = addr
-	p.Size = size
-	p.RequestorID = requestor
-	p.IssueTick = now
+	*p = Packet{Cmd: WriteReq, Addr: addr, Size: size, RequestorID: requestor, IssueTick: now}
 	return p
 }

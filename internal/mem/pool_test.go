@@ -7,14 +7,19 @@ import (
 	"repro/internal/sim"
 )
 
+// TestPacketIsOneCacheLine: the return route lives in what was padding, and
+// a pool's slab places packets back to back, so a packet that outgrew 64
+// bytes would straddle cache lines in every slab.
+func TestPacketIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 64 {
+		t.Fatalf("mem.Packet is %d bytes, want 64", size)
+	}
+}
+
 // TestPacketPoolReusesAndZeroes: a released packet comes back zeroed — no
 // poisoned flag, no Meta, no stale latency stamp or return-route hop leaks
 // into the next transaction.
 func TestPacketPoolReusesAndZeroes(t *testing.T) {
-	// The return route lives in what was padding: a packet is one cache line.
-	if size := unsafe.Sizeof(Packet{}); size != 64 {
-		t.Fatalf("mem.Packet is %d bytes, want 64", size)
-	}
 	var pl PacketPool
 	p := pl.NewRead(0x40, 64, 3, 100*sim.Nanosecond)
 	p.MakeResponse()
@@ -26,7 +31,7 @@ func TestPacketPoolReusesAndZeroes(t *testing.T) {
 		t.Fatalf("Put left the route %v on the released packet", p.Route())
 	}
 	// A holder that broke the ownership rule and pushed after the release
-	// still cannot reach the next transaction: Get clears as well.
+	// still cannot reach the next transaction: NewWrite writes every field.
 	p.PushRoute(RouteHop{Xbar: 9, Side: 2})
 
 	q := pl.NewWrite(0x80, 32, 1, 200*sim.Nanosecond)
@@ -44,8 +49,8 @@ func TestPacketPoolReusesAndZeroes(t *testing.T) {
 	}
 }
 
-// TestPacketPoolSteadyStateZeroAlloc gates the tentpole claim: once the
-// free list is warm, a get/put cycle allocates nothing.
+// TestPacketPoolSteadyStateZeroAlloc: once the pool is warm, a get/put cycle
+// through the NewRead/NewWrite helpers allocates nothing.
 func TestPacketPoolSteadyStateZeroAlloc(t *testing.T) {
 	var pl PacketPool
 	warm := make([]*Packet, 32)
@@ -96,7 +101,7 @@ func TestPipeFlushValidatesEveryEntry(t *testing.T) {
 	p.offer(&Packet{}, 30)
 	// Corrupt a non-head entry to simulate a lookahead violation that a
 	// head-only check would miss.
-	p.outbox[1].at = 15
+	p.outbox.buf[p.outbox.slot(1)].at = 15
 	defer func() {
 		if recover() == nil {
 			t.Fatal("flush accepted a non-head packet due in the destination's past")

@@ -2,9 +2,16 @@ package mem
 
 import "repro/internal/sim"
 
+// timedPkt is a packet with the tick it may leave (or is due) at.
+type timedPkt struct {
+	at  sim.Tick
+	pkt *Packet
+}
+
 // PacketQueue is a FIFO of packets, each stamped with a tick (when it may
-// leave, for the latency queues of the crossbar and the caches; a plain FIFO
-// — cache.wbQueue — pushes 0 and ignores it), over a ring buffer. A
+// leave, for the latency queues of the crossbar and the caches; when it is
+// due, for a shard link; a plain FIFO — cache.wbQueue — pushes 0 and ignores
+// it), over a ring buffer. A
 // pop-front slice (q = q[1:] … append) strands its capacity and reallocates
 // on almost every push; the ring reuses its slots, so a queue that has
 // reached its high-water mark — or was sized with Reserve — pushes and pops
@@ -40,12 +47,13 @@ func (q *PacketQueue) Reserve(n int) {
 	q.buf, q.head = buf, 0
 }
 
-// Push appends pkt with its tick at the tail.
+// Push appends pkt with its tick at the tail. A full ring doubles, from 16
+// entries.
 //
-//hot:path every crossbar hop and cache response; gated by TestPacketQueueSteadyStateZeroAlloc
+//hot:path every crossbar hop, cache response and shard-link crossing; gated by TestPacketQueueSteadyStateZeroAlloc
 func (q *PacketQueue) Push(pkt *Packet, at sim.Tick) {
 	if q.n == len(q.buf) {
-		q.Reserve(2*q.n + 8)
+		q.Reserve(max(2*q.n, 16))
 	}
 	q.buf[q.slot(q.n)] = timedPkt{at: at, pkt: pkt}
 	q.n++

@@ -4,7 +4,7 @@ import "testing"
 
 // The event hot path must not allocate in steady state: the queue stores
 // entries as values in one ring that only grows, and Call/CallIn draw one-shot
-// events from the kernel free list. These tests gate that property — a regression here shows up as
+// events from the kernel's event pool. These tests gate that property — a regression here shows up as
 // GC pressure in every sharded benchmark.
 
 // TestScheduleSteadyStateZeroAlloc drives a named event through the
@@ -36,7 +36,7 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestCallSteadyStateZeroAlloc covers the pooled one-shot path: a fired
-// Call event returns to the kernel free list and the next Call reuses it,
+// Call event returns to the kernel's event pool and the next Call reuses it,
 // so retries/replays/deferred kicks allocate nothing. The callback is
 // hoisted out of the loop because capturing closures allocate by their
 // nature — the kernel's contribution must still be zero.

@@ -33,7 +33,7 @@ type Event struct {
 	when      Tick
 	seq       uint64 // drawn at every (re)schedule; with when and priority, the queue key
 	scheduled bool
-	pooled    bool // owned by a kernel free list (created via Kernel.Call)
+	pooled    bool // owned by the kernel's event pool (created via Kernel.Call)
 }
 
 // NewEvent returns an event that invokes callback when it fires. The name is

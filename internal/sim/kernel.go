@@ -36,9 +36,6 @@ func (a qentry) before(b qentry) bool {
 // minRing is the ring's first capacity; it doubles when full.
 const minRing = 8
 
-// maxFree bounds the per-kernel pool of one-shot events behind Call/CallIn.
-const maxFree = 1024
-
 // Kernel is the discrete-event scheduler. All model components in a
 // simulation shard share one kernel; it owns simulated time. A kernel is
 // single-threaded by design — parallel simulations run one kernel per shard
@@ -57,9 +54,9 @@ type Kernel struct {
 	head int
 	n    int
 
-	// free pools fired one-shot events created by Call/CallIn, so
+	// events recycles fired one-shot events created by Call/CallIn, so
 	// steady-state retries/replays/deferred kicks allocate nothing.
-	free []*Event
+	events Pool[Event]
 
 	// Watchdog state (see watchdog.go): sameTick counts consecutive events
 	// executed without simulated time advancing, the livelock signature.
@@ -127,22 +124,15 @@ func (k *Kernel) Reschedule(e *Event, when Tick) {
 }
 
 // Call schedules fn to run once at tick when, drawing the event from the
-// kernel's free list: steady-state one-shot work (replays, retries, deferred
+// kernel's event pool: steady-state one-shot work (replays, retries, deferred
 // kicks) reuses fired events instead of allocating. The name is used in
 // diagnostics only. It returns the scheduling's sequence number, which
 // checkpointing components record to reproduce same-tick ordering on restore.
 //
 //hot:path pooled one-shots; gated by TestCallSteadyStateZeroAlloc
 func (k *Kernel) Call(name string, when Tick, fn func()) uint64 {
-	var e *Event
-	if n := len(k.free); n > 0 {
-		e = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		//hot:allow pool growth on exhaustion; steady state pops the free list
-		e = &Event{pooled: true}
-	}
+	e := k.events.Get()
+	e.pooled = true
 	e.name = name
 	e.priority = DefaultPriority
 	e.callback = fn
@@ -153,15 +143,6 @@ func (k *Kernel) Call(name string, when Tick, fn func()) uint64 {
 // CallIn is Call with a delay relative to the current tick.
 func (k *Kernel) CallIn(name string, delay Tick, fn func()) uint64 {
 	return k.Call(name, k.now+delay, fn)
-}
-
-// recycle returns a fired pooled event to the free list.
-func (k *Kernel) recycle(e *Event) {
-	e.name = ""
-	e.callback = nil
-	if len(k.free) < maxFree {
-		k.free = append(k.free, e)
-	}
 }
 
 // PeekNext returns the tick of the earliest pending event without executing
@@ -289,7 +270,7 @@ func (k *Kernel) step(ent qentry) {
 	k.executed++
 	cb := e.callback
 	if e.pooled {
-		k.recycle(e)
+		k.events.Put(e)
 	}
 	cb()
 }

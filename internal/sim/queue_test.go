@@ -62,7 +62,7 @@ func TestQueueScheduleAheadOfParkedHead(t *testing.T) {
 	}
 }
 
-// Call draws events from the kernel free list: steady-state one-shot work
+// Call draws events from the kernel's event pool: steady-state one-shot work
 // must reuse fired events rather than growing the pool without bound.
 func TestQueueCallPoolReuse(t *testing.T) {
 	k := NewKernel()
@@ -79,8 +79,8 @@ func TestQueueCallPoolReuse(t *testing.T) {
 	if fired != 1000 {
 		t.Fatalf("fired = %d", fired)
 	}
-	if len(k.free) == 0 || len(k.free) > 2 {
-		t.Fatalf("free list holds %d events, want the one-or-two in flight", len(k.free))
+	if k.events.Len() == 0 || k.events.Len() > 2 {
+		t.Fatalf("event pool holds %d released events, want the one-or-two in flight", k.events.Len())
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
