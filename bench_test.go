@@ -173,6 +173,36 @@ func BenchmarkFig8FullSystemEvent(b *testing.B) { benchFullSystem(b, system.Even
 
 func BenchmarkFig8FullSystemCycle(b *testing.B) { benchFullSystem(b, system.CycleBased) }
 
+// Every sweep point builds a fresh system before its first request. The two
+// Build benchmarks time construction alone and report allocs/op and B/op per
+// build.
+
+// BenchmarkBuildFullSystem builds the Figure 8 system: four cores, their L1s,
+// the LLC and two crossbars in front of one event-model channel.
+func BenchmarkBuildFullSystem(b *testing.B) {
+	cfg := experiments.Fig8Point(system.EventBased, "canneal", 1000).MultiCoreConfig
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := system.NewFullSystem(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildMemory4ch builds four event-model channels behind a crossbar,
+// the memory side of a four-channel sweep point.
+func BenchmarkBuildMemory4ch(b *testing.B) {
+	p := experiments.RandomMixPoint(system.EventBased, 50, 0)
+	cfg := system.MemoryConfig{Root: "sys", Kind: p.Kind, Channels: 4, Event: p.Event, Cycle: p.Cycle,
+		Widest: p.Gen.RequestBytes, Xbar: &xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := system.NewMemory(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Figure 9 / Tables II-IV: the three 12.8 GB/s memory systems under the
 // 16-core canneal case study (8 cores here to keep bench runs tractable).
 func BenchmarkFig9(b *testing.B) {

@@ -114,8 +114,9 @@ type Cache struct {
 	mshrs      []mshr
 	mshrLines  []mem.Addr
 	mshrsInUse int
-	// strides tracks per-requestor stride detection state.
-	strides map[int]*strideState
+	// strides tracks per-requestor stride detection state; only
+	// PrefetchStride makes it, on its first miss.
+	strides map[int]strideState
 	// wbQueue holds fills and writebacks awaiting the memory port (ticks
 	// unused). It is not bounded: see Config.WriteBufferDepth.
 	wbQueue    mem.PacketQueue
@@ -170,7 +171,6 @@ func New(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) (*Cache, e
 		setBits:   setBits,
 		mshrs:     make([]mshr, cfg.MSHRs),
 		mshrLines: make([]mem.Addr, cfg.MSHRs),
-		strides:   make(map[int]*strideState),
 	}
 	// A slot a demand miss claims holds at least that one waiter: every
 	// slot starts with room for one, carved from one array.

@@ -59,12 +59,11 @@ func (c *Cache) maybePrefetch(demand mem.Addr, requestorID int) {
 	case PrefetchNextLine:
 		c.issuePrefetch(demand+mem.Addr(c.cfg.LineBytes), requestorID)
 	case PrefetchStride:
-		st := c.strides[requestorID]
-		if st == nil {
-			//hot:allow first touch: one entry per requestor for the cache's lifetime
-			st = &strideState{}
-			c.strides[requestorID] = st
+		if c.strides == nil {
+			//hot:allow first touch: the per-requestor table, made on a stride cache's first miss
+			c.strides = make(map[int]strideState)
 		}
+		st := c.strides[requestorID]
 		stride := int64(demand) - int64(st.lastAddr)
 		if st.lastAddr != 0 && stride == st.stride && stride != 0 {
 			st.confirmed++
@@ -73,6 +72,7 @@ func (c *Cache) maybePrefetch(demand mem.Addr, requestorID int) {
 			st.stride = stride
 		}
 		st.lastAddr = demand
+		c.strides[requestorID] = st
 		if st.confirmed >= 2 {
 			for d := 1; d <= strideDegree; d++ {
 				target := int64(demand) + st.stride*int64(d)

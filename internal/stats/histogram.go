@@ -11,17 +11,17 @@ import (
 // whatever bucketing is chosen. This is what the latency-distribution
 // figures (Figs. 6 and 7) are produced from.
 type Histogram struct {
-	name, desc string
-	min, max   float64
-	buckets    []uint64
-	width      float64
-	underflow  uint64
-	overflow   uint64
-	count      uint64
-	sum        float64
-	sumSq      float64
-	sampleMin  float64
-	sampleMax  float64
+	ident
+	min, max  float64
+	buckets   []uint64
+	width     float64
+	underflow uint64
+	overflow  uint64
+	count     uint64
+	sum       float64
+	sumSq     float64
+	sampleMin float64
+	sampleMax float64
 }
 
 // NewHistogram registers a histogram with n equal buckets spanning [min, max).
@@ -30,21 +30,15 @@ func (r *Registry) NewHistogram(name, desc string, min, max float64, n int) *His
 		panic(fmt.Sprintf("stats: bad histogram shape [%g,%g)/%d", min, max, n))
 	}
 	h := &Histogram{
-		name: r.join(name), desc: desc,
-		min: min, max: max,
+		ident: ident{r.prefix, name, desc},
+		min:   min, max: max,
 		buckets: make([]uint64, n),
 		width:   (max - min) / float64(n),
 	}
 	h.Reset()
-	r.add(h)
+	r.add(h, &h.ident)
 	return h
 }
-
-// Name implements Stat.
-func (h *Histogram) Name() string { return h.name }
-
-// Desc implements Stat.
-func (h *Histogram) Desc() string { return h.desc }
 
 // Reset implements Stat.
 func (h *Histogram) Reset() {
@@ -172,12 +166,13 @@ func (h *Histogram) Modes(minShare float64) []int {
 
 // Rows implements Stat: summary rows plus the non-empty buckets.
 func (h *Histogram) Rows() []Row {
+	name := h.Name()
 	rows := []Row{
-		{h.name + ".samples", formatNumber(float64(h.count)), h.desc + " (count)"},
-		{h.name + ".mean", formatNumber(h.Mean()), h.desc + " (mean)"},
+		{name + ".samples", formatNumber(float64(h.count)), h.desc + " (count)"},
+		{name + ".mean", formatNumber(h.Mean()), h.desc + " (mean)"},
 	}
 	if h.underflow > 0 {
-		rows = append(rows, Row{h.name + ".underflow", formatNumber(float64(h.underflow)), "samples below range"})
+		rows = append(rows, Row{name + ".underflow", formatNumber(float64(h.underflow)), "samples below range"})
 	}
 	for i, c := range h.buckets {
 		if c == 0 {
@@ -185,13 +180,13 @@ func (h *Histogram) Rows() []Row {
 		}
 		lo, hi := h.BucketBounds(i)
 		rows = append(rows, Row{
-			fmt.Sprintf("%s[%g,%g)", h.name, lo, hi),
+			fmt.Sprintf("%s[%g,%g)", name, lo, hi),
 			formatNumber(float64(c)),
 			"bucket count",
 		})
 	}
 	if h.overflow > 0 {
-		rows = append(rows, Row{h.name + ".overflow", formatNumber(float64(h.overflow)), "samples above range"})
+		rows = append(rows, Row{name + ".overflow", formatNumber(float64(h.overflow)), "samples above range"})
 	}
 	return rows
 }

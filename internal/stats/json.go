@@ -11,12 +11,8 @@ import (
 // sorted, for machine consumption (plotting scripts, CI comparisons).
 // Values that parse as numbers are emitted as numbers, the rest as strings.
 func (r *Registry) DumpJSON(w io.Writer) error {
-	root := r
-	for root.parent != nil {
-		root = root.parent
-	}
 	obj := map[string]any{}
-	for _, s := range root.stats {
+	for _, s := range r.store.stats {
 		for _, row := range s.Rows() {
 			if f, err := strconv.ParseFloat(row.Value, 64); err == nil {
 				obj[row.Name] = f

@@ -39,14 +39,14 @@ func kindMismatch(name, want, got string) error {
 }
 
 func (s *Scalar) saveState() statState {
-	return statState{Kind: "scalar", Value: s.value}
+	return statState{Kind: "scalar", Value: s.sum}
 }
 
 func (s *Scalar) restoreState(st statState) error {
 	if st.Kind != "scalar" {
-		return kindMismatch(s.name, "scalar", st.Kind)
+		return kindMismatch(s.Name(), "scalar", st.Kind)
 	}
-	s.value = st.Value
+	s.sum = st.Value
 	return nil
 }
 
@@ -56,7 +56,7 @@ func (a *Average) saveState() statState {
 
 func (a *Average) restoreState(st statState) error {
 	if st.Kind != "average" {
-		return kindMismatch(a.name, "average", st.Kind)
+		return kindMismatch(a.Name(), "average", st.Kind)
 	}
 	a.sum, a.count = st.Sum, st.Count
 	return nil
@@ -81,11 +81,11 @@ func (h *Histogram) saveState() statState {
 
 func (h *Histogram) restoreState(st statState) error {
 	if st.Kind != "histogram" {
-		return kindMismatch(h.name, "histogram", st.Kind)
+		return kindMismatch(h.Name(), "histogram", st.Kind)
 	}
 	if st.Buckets != nil && len(st.Buckets) != len(h.buckets) {
 		return fmt.Errorf("stats: %q: checkpoint has %d buckets, histogram has %d",
-			h.name, len(st.Buckets), len(h.buckets))
+			h.Name(), len(st.Buckets), len(h.buckets))
 	}
 	h.Reset()
 	if st.Buckets != nil {
@@ -100,7 +100,7 @@ func (h *Histogram) restoreState(st statState) error {
 		h.sampleMax = *st.SampleMax
 	}
 	if h.count > 0 && (math.IsInf(h.sampleMin, 1) || math.IsInf(h.sampleMax, -1)) {
-		return fmt.Errorf("stats: %q: checkpoint has %d samples but no min/max", h.name, h.count)
+		return fmt.Errorf("stats: %q: checkpoint has %d samples but no min/max", h.Name(), h.count)
 	}
 	return nil
 }
@@ -109,12 +109,8 @@ func (h *Histogram) restoreState(st statState) error {
 // by full name. The result is JSON-serializable (map keys marshal sorted, so
 // the encoding is deterministic).
 func (r *Registry) SaveState() (map[string]statState, error) {
-	root := r
-	for root.parent != nil {
-		root = root.parent
-	}
-	out := make(map[string]statState, len(root.stats))
-	for _, s := range root.stats {
+	out := make(map[string]statState, len(r.store.stats))
+	for _, s := range r.store.stats {
 		sv, ok := s.(savable)
 		if !ok {
 			return nil, fmt.Errorf("stats: %q (%T) is not checkpointable", s.Name(), s)
@@ -133,23 +129,20 @@ func (r *Registry) RestoreState(data []byte) error {
 	if err := json.Unmarshal(data, &saved); err != nil {
 		return fmt.Errorf("stats: restore: %w", err)
 	}
-	root := r
-	for root.parent != nil {
-		root = root.parent
-	}
-	for _, s := range root.stats {
-		st, ok := saved[s.Name()]
+	for _, s := range r.store.stats {
+		name := s.Name()
+		st, ok := saved[name]
 		if !ok {
-			return fmt.Errorf("stats: %q registered but missing from checkpoint", s.Name())
+			return fmt.Errorf("stats: %q registered but missing from checkpoint", name)
 		}
 		sv, ok := s.(savable)
 		if !ok {
-			return fmt.Errorf("stats: %q (%T) is not checkpointable", s.Name(), s)
+			return fmt.Errorf("stats: %q (%T) is not checkpointable", name, s)
 		}
 		if err := sv.restoreState(st); err != nil {
 			return err
 		}
-		delete(saved, s.Name())
+		delete(saved, name)
 	}
 	if len(saved) > 0 {
 		//lint:allow detmap error path names one arbitrary leftover; which one does not matter

@@ -11,6 +11,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/sim"
 )
 
 // Stat is anything a Registry can hold: it can describe itself, reset, and
@@ -34,106 +36,166 @@ type Row struct {
 }
 
 // Registry holds the statistics of one component tree. Child registries
-// share storage with their root, so a single Dump covers the whole system.
+// share their root's store, so a single Dump covers the whole system.
 type Registry struct {
 	prefix string
-	parent *Registry
-	stats  []Stat
-	byName map[string]Stat
+	store  *store
+}
+
+// store is what a root registry and all its children share: the statistics
+// in registration order, an index by full name, and the one pool scalars and
+// averages are carved from. A statistic keeps its registry's prefix and its
+// own leaf name and joins them only on a cold path (Name, Rows, the dumps,
+// SaveState/RestoreState, panics), so registering one builds no string.
+type store struct {
+	stats []Stat
+	// index maps the hash of a full name to the first statistic registered
+	// with that hash; collide holds, by full name, every later one whose
+	// distinct name has the same hash.
+	index   map[uint64]int32
+	collide map[string]int32
+	cells   sim.Pool[cell]
 }
 
 // NewRegistry returns an empty registry; prefix (may be empty) is prepended
 // to all registered names, separated by a dot.
 func NewRegistry(prefix string) *Registry {
-	return &Registry{prefix: prefix, byName: make(map[string]Stat)}
+	return &Registry{prefix: prefix, store: &store{index: make(map[uint64]int32)}}
 }
 
 // Child returns a registry that shares storage with r but adds a name
 // component, so sub-components can register under "parent.child.stat".
 func (r *Registry) Child(name string) *Registry {
-	return &Registry{prefix: r.join(name), byName: r.byName, parent: r}
+	return &Registry{prefix: join(r.prefix, name), store: r.store}
 }
 
-func (r *Registry) join(name string) string {
-	if r.prefix == "" {
+func join(prefix, name string) string {
+	if prefix == "" {
 		return name
 	}
-	return r.prefix + "." + name
+	return prefix + "." + name
 }
 
-func (r *Registry) add(s Stat) {
-	root := r
-	for root.parent != nil {
-		root = root.parent
+// nameHash is the 64-bit FNV-1a hash of join(prefix, leaf), computed without
+// joining: nameHash(p, l) == nameHash("", join(p, l)).
+func nameHash(prefix, leaf string) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	if prefix != "" {
+		for i := 0; i < len(prefix); i++ {
+			h = (h ^ uint64(prefix[i])) * prime
+		}
+		h = (h ^ '.') * prime
 	}
-	if _, dup := root.byName[s.Name()]; dup {
-		panic(fmt.Sprintf("stats: duplicate statistic %q", s.Name()))
+	for i := 0; i < len(leaf); i++ {
+		h = (h ^ uint64(leaf[i])) * prime
 	}
-	root.byName[s.Name()] = s
-	root.stats = append(root.stats, s)
+	return h
+}
+
+// ident is the identity every statistic kind embeds.
+type ident struct {
+	prefix, leaf, desc string
+}
+
+// Name implements Stat.
+func (n *ident) Name() string { return join(n.prefix, n.leaf) }
+
+// Desc implements Stat.
+func (n *ident) Desc() string { return n.desc }
+
+func (n *ident) id() *ident { return n }
+
+// is reports whether name is n's full name, without building it.
+func (n *ident) is(name string) bool {
+	if n.prefix == "" {
+		return name == n.leaf
+	}
+	p := len(n.prefix)
+	return len(name) == p+1+len(n.leaf) && name[p] == '.' &&
+		name[:p] == n.prefix && name[p+1:] == n.leaf
+}
+
+// identOf returns the identity of s, which this package made.
+func identOf(s Stat) *ident { return s.(interface{ id() *ident }).id() }
+
+// find returns the statistic named name, whose hash is h, or nil.
+func (st *store) find(h uint64, name string) Stat {
+	i, ok := st.index[h]
+	if !ok {
+		return nil
+	}
+	if s := st.stats[i]; identOf(s).is(name) {
+		return s
+	}
+	if j, ok := st.collide[name]; ok {
+		return st.stats[j]
+	}
+	return nil
+}
+
+// put stores s under h, the hash of its full name, unless a statistic of that
+// name is already there; it returns that one, else nil. Only a taken hash
+// builds the name.
+func (st *store) put(h uint64, s Stat) Stat {
+	pos := int32(len(st.stats))
+	if _, taken := st.index[h]; !taken {
+		st.index[h] = pos
+	} else {
+		name := s.Name()
+		if prev := st.find(h, name); prev != nil {
+			return prev
+		}
+		if st.collide == nil {
+			st.collide = make(map[string]int32)
+		}
+		st.collide[name] = pos
+	}
+	st.stats = append(st.stats, s)
+	return nil
+}
+
+// add registers s, panicking at the registering call if its name is taken.
+func (r *Registry) add(s Stat, n *ident) {
+	if r.store.put(nameHash(n.prefix, n.leaf), s) != nil {
+		panic(fmt.Sprintf("stats: duplicate statistic %q", n.Name()))
+	}
 }
 
 // Absorb merges every statistic registered under other's root into r's
-// root, by reference. Sharded simulations use this: each shard registers its
+// root, by reference. NewShardedRig uses it: each shard registers its
 // components' statistics in a private registry, so hot counters are written
-// by exactly one worker goroutine, and the harness absorbs the shards into
-// the main registry for one unified dump once the workers are parked.
+// by exactly one worker goroutine, and the rig absorbs the shards into the
+// main registry once they are built, for one unified dump.
 //
-// Absorb is idempotent: re-absorbing a registry whose statistics are already
-// present (the same Stat instances, as happens when a supervisor retries a
-// segment with a rebuilt rig that re-absorbed its shards) is a no-op for
-// those entries, so a retry cannot double-count. A name collision between
-// *distinct* Stat instances is still a bug and panics, like any duplicate
-// registration.
+// Absorbing the same Stat instances again is a no-op, so nothing is ever
+// counted or dumped twice. A name collision between *distinct* Stat
+// instances is a bug and panics, like any duplicate registration.
 func (r *Registry) Absorb(other *Registry) {
-	root := r
-	for root.parent != nil {
-		root = root.parent
-	}
-	oroot := other
-	for oroot.parent != nil {
-		oroot = oroot.parent
-	}
-	for _, s := range oroot.stats {
-		if existing, dup := root.byName[s.Name()]; dup {
-			if existing == s {
-				continue
-			}
-			panic(fmt.Sprintf("stats: duplicate statistic %q absorbed", s.Name()))
+	for _, s := range other.store.stats {
+		n := identOf(s)
+		if prev := r.store.put(nameHash(n.prefix, n.leaf), s); prev != nil && prev != s {
+			panic(fmt.Sprintf("stats: duplicate statistic %q absorbed", n.Name()))
 		}
-		root.byName[s.Name()] = s
-		root.stats = append(root.stats, s)
 	}
 }
 
 // ResetAll resets every registered statistic.
 func (r *Registry) ResetAll() {
-	root := r
-	for root.parent != nil {
-		root = root.parent
-	}
-	for _, s := range root.stats {
+	for _, s := range r.store.stats {
 		s.Reset()
 	}
 }
 
 // Get returns the statistic registered under the full name, or nil.
 func (r *Registry) Get(name string) Stat {
-	root := r
-	for root.parent != nil {
-		root = root.parent
-	}
-	return root.byName[name]
+	return r.store.find(nameHash("", name), name)
 }
 
 // Dump writes all statistics, sorted by name, in gem5's columnar text style.
 func (r *Registry) Dump(w io.Writer) error {
-	root := r
-	for root.parent != nil {
-		root = root.parent
-	}
 	var rows []Row
-	for _, s := range root.stats {
+	for _, s := range r.store.stats {
 		rows = append(rows, s.Rows()...)
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
@@ -147,63 +209,56 @@ func (r *Registry) Dump(w io.Writer) error {
 
 // Scalar is a monotonically adjustable counter (int64 semantics rendered as
 // an integer when whole).
-type Scalar struct {
-	name, desc string
-	value      float64
+type Scalar cell
+
+// cell is the storage a Scalar (sum is its value) and an Average share. One
+// pool of cells keeps a component's counters side by side in registration
+// order; a pool per kind spread a fresh traffic rig's over four pages, and
+// its low-load run was several per cent slower for it.
+type cell struct {
+	ident
+	sum   float64
+	count uint64
 }
 
 // NewScalar registers and returns a scalar statistic.
 func (r *Registry) NewScalar(name, desc string) *Scalar {
-	s := &Scalar{name: r.join(name), desc: desc}
-	r.add(s)
+	s := (*Scalar)(r.store.cells.Get())
+	s.ident = ident{r.prefix, name, desc}
+	r.add(s, &s.ident)
 	return s
 }
 
-// Name implements Stat.
-func (s *Scalar) Name() string { return s.name }
-
-// Desc implements Stat.
-func (s *Scalar) Desc() string { return s.desc }
-
 // Reset implements Stat.
-func (s *Scalar) Reset() { s.value = 0 }
+func (s *Scalar) Reset() { s.sum = 0 }
 
 // Inc adds one.
-func (s *Scalar) Inc() { s.value++ }
+func (s *Scalar) Inc() { s.sum++ }
 
 // Add adds v.
-func (s *Scalar) Add(v float64) { s.value += v }
+func (s *Scalar) Add(v float64) { s.sum += v }
 
 // Set overwrites the value.
-func (s *Scalar) Set(v float64) { s.value = v }
+func (s *Scalar) Set(v float64) { s.sum = v }
 
 // Value returns the current value.
-func (s *Scalar) Value() float64 { return s.value }
+func (s *Scalar) Value() float64 { return s.sum }
 
 // Rows implements Stat.
 func (s *Scalar) Rows() []Row {
-	return []Row{{s.name, formatNumber(s.value), s.desc}}
+	return []Row{{s.Name(), formatNumber(s.sum), s.desc}}
 }
 
 // Average accumulates samples and reports their arithmetic mean.
-type Average struct {
-	name, desc string
-	sum        float64
-	count      uint64
-}
+type Average cell
 
 // NewAverage registers and returns an averaging statistic.
 func (r *Registry) NewAverage(name, desc string) *Average {
-	a := &Average{name: r.join(name), desc: desc}
-	r.add(a)
+	a := (*Average)(r.store.cells.Get())
+	a.ident = ident{r.prefix, name, desc}
+	r.add(a, &a.ident)
 	return a
 }
-
-// Name implements Stat.
-func (a *Average) Name() string { return a.name }
-
-// Desc implements Stat.
-func (a *Average) Desc() string { return a.desc }
 
 // Reset implements Stat.
 func (a *Average) Reset() { a.sum, a.count = 0, 0 }
@@ -227,7 +282,7 @@ func (a *Average) Mean() float64 {
 
 // Rows implements Stat.
 func (a *Average) Rows() []Row {
-	return []Row{{a.name, formatNumber(a.Mean()), a.desc}}
+	return []Row{{a.Name(), formatNumber(a.Mean()), a.desc}}
 }
 
 func formatNumber(v float64) string {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -66,15 +67,16 @@ func TestRegistryChildAndDump(t *testing.T) {
 	}
 }
 
+// A duplicate panics at the registering call. A name is the joined string,
+// however it is split between a registry's prefix and the leaf.
 func TestDuplicateNamePanics(t *testing.T) {
 	r := NewRegistry("x")
 	r.NewScalar("a", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	r.NewScalar("a", "")
+	mustPanic(t, `stats: duplicate statistic "x.a"`, func() { r.NewScalar("a", "") })
+	r.Child("a").NewScalar("b.c", "")
+	mustPanic(t, `stats: duplicate statistic "x.a.b.c"`, func() { r.Child("a.b").NewScalar("c", "") })
+	mustPanic(t, `stats: duplicate statistic "x.a.b.c"`, func() { r.NewAverage("a.b.c", "") })
+	r.Child("a.b").NewScalar("cd", "") // a longer name sharing the prefix is distinct
 }
 
 func TestHistogramBasics(t *testing.T) {
@@ -271,10 +273,9 @@ func TestDumpJSON(t *testing.T) {
 	}
 }
 
-// TestAbsorbIdempotent covers the supervisor-retry path: a rebuilt sharded
-// rig re-absorbs shard registries whose Stat instances are already present;
-// that must be a no-op (no double counting, no duplicate dump rows), while a
-// genuine name collision between distinct stats still panics.
+// TestAbsorbIdempotent: re-absorbing a shard registry whose Stat instances
+// are already present is a no-op (no double counting, no duplicate dump
+// rows), while a genuine name collision between distinct stats still panics.
 func TestAbsorbIdempotent(t *testing.T) {
 	root := NewRegistry("sys")
 	shard := NewRegistry("sys")
@@ -295,12 +296,86 @@ func TestAbsorbIdempotent(t *testing.T) {
 		t.Fatalf("dump has %d rows for sys.mc0.reads, want 1:\n%s", n, sb.String())
 	}
 
+	other := NewRegistry("sys")
+	other.Child("mc0").NewScalar("reads", "imposter")
+	mustPanic(t, `stats: duplicate statistic "sys.mc0.reads" absorbed`, func() { root.Absorb(other) })
+}
+
+// mustPanic runs f and fails unless it panics with want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("absorbing a distinct stat under a taken name did not panic")
+		t.Helper()
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
 		}
 	}()
-	other := NewRegistry("sys")
-	other.NewScalar("mc0.reads", "imposter")
-	root.Absorb(other)
+	f()
+}
+
+// Get takes the full name, including one registered under a dotted leaf (as
+// obs.SamplerProbe registers "bank0.openResidency").
+func TestGetDottedLeaf(t *testing.T) {
+	r := NewRegistry("sys")
+	open := r.Child("obs").Child("mc0").NewAverage("bank0.openResidency", "")
+	if got := r.Get("sys.obs.mc0.bank0.openResidency"); got != Stat(open) {
+		t.Fatalf("Get = %v, want the dotted-leaf average", got)
+	}
+	for _, miss := range []string{"sys.obs.mc0.bank0", "obs.mc0.bank0.openResidency", "sys.obs.mc0.bank0.openResidencyX", ""} {
+		if got := r.Get(miss); got != nil {
+			t.Fatalf("Get(%q) = %v, want nil", miss, got)
+		}
+	}
+}
+
+// Two distinct names under one hash both register and both resolve, and
+// putting a taken name again returns the statistic already there.
+func TestNameHashCollision(t *testing.T) {
+	r := NewRegistry("x")
+	a := &Scalar{ident: ident{"x", "a", ""}}
+	b := &Average{ident: ident{"x.b", "c", ""}}
+	const h = 42
+	if r.store.put(h, a) != nil || r.store.put(h, b) != nil {
+		t.Fatal("distinct names under one hash were refused")
+	}
+	if got := r.store.find(h, "x.a"); got != Stat(a) {
+		t.Fatalf("find(x.a) = %v", got)
+	}
+	if got := r.store.find(h, "x.b.c"); got != Stat(b) {
+		t.Fatalf("find(x.b.c) = %v", got)
+	}
+	if got := r.store.find(h, "x.d"); got != nil {
+		t.Fatalf("find(x.d) = %v, want nil", got)
+	}
+	if prev := r.store.put(h, &Scalar{ident: ident{"x", "b.c", ""}}); prev != Stat(b) {
+		t.Fatalf("re-put of x.b.c returned %v, want the first", prev)
+	}
+	if nameHash("x.b", "c") != nameHash("", "x.b.c") || nameHash("x", "a") == nameHash("x", "b") {
+		t.Fatal("nameHash does not hash the joined name")
+	}
+}
+
+// Registering statistics allocates no string and no object of its own: 64
+// scalars under a fresh child cost the child (its struct and joined prefix)
+// and four slabs of 16, while the store's index and list grow amortised.
+func TestRegisterAllocations(t *testing.T) {
+	leaves, children := make([]string, 64), make([]string, 101) // AllocsPerRun warms up once
+	for i := range leaves {
+		leaves[i] = fmt.Sprintf("s%d", i)
+	}
+	for i := range children {
+		children[i] = fmt.Sprintf("c%d", i)
+	}
+	r, next := NewRegistry("sys"), 0
+	allocs := testing.AllocsPerRun(100, func() {
+		c := r.Child(children[next])
+		next++
+		for _, leaf := range leaves {
+			c.NewScalar(leaf, "")
+		}
+	})
+	t.Logf("registering 64 scalars under one child: %v allocations", allocs)
+	if allocs > 8 {
+		t.Fatalf("registering 64 scalars under one child: %v allocations, want at most 8", allocs)
+	}
 }
