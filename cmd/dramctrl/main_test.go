@@ -497,6 +497,10 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 	}{
 		// A mistyped -spec is rejected even when -standard overrides it.
 		{`unknown spec "nosuch"`, []string{"-spec", "nosuch", "-standard", "ddr4"}},
+		// A read percentage outside 0-100 is not clamped to all reads or
+		// all writes.
+		{`invalid value "150" for flag -reads`, []string{"-reads", "150"}},
+		{`invalid value "-20" for flag -reads`, []string{"-reads", "-20"}},
 		// A channel count below one is not "one channel" (a later -channels
 		// overrides the base's), and the worker and quantum knobs are gone.
 		{noChannel, []string{"-channels", "0"}}, {noChannel, []string{"-channels", "-3"}},

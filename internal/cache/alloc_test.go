@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -131,4 +133,43 @@ func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 	if c.st.hits.Value()-hitsBefore < 200 {
 		t.Fatal("the hit cycles did not hit")
 	}
+}
+
+// TestNewCacheBytes bounds what building a cache costs: the tag store is one
+// 8-byte word per way, kept in recency order, and everything else a cache
+// holds fits in 6 KiB (4.9 KB today: the struct, MSHR file, both queues'
+// reserved rings, ports and twelve statistics). A second per-way array,
+// even of bytes, fails it: LRU ticks beside the tags would add 64 KiB.
+func TestNewCacheBytes(t *testing.T) {
+	const builds = 16
+	cfg := Config{ // the LLC of the Fig. 8 system
+		SizeBytes: 512 * 1024, Assoc: 8, LineBytes: 64,
+		HitLatency: 12 * sim.Nanosecond, MSHRs: 16, WriteBufferDepth: 16,
+	}
+	ways := cfg.SizeBytes / cfg.LineBytes
+	// The caches register into one registry, as a system's do, under names
+	// made beforehand.
+	k, reg := sim.NewKernel(), stats.NewRegistry("sys")
+	names := make([]string, builds)
+	for i := range names {
+		names[i] = fmt.Sprintf("llc%d", i)
+	}
+	caches := make([]*Cache, builds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range caches {
+		c, err := New(k, cfg, reg, names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = c
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / builds
+	budget := 8*ways + 6<<10
+	t.Logf("one %d KiB %d-way cache: %d bytes (%d ways, budget %d)", cfg.SizeBytes>>10, cfg.Assoc, perBuild, ways, budget)
+	if perBuild > budget {
+		t.Fatalf("building the cache allocates %d bytes, over the budget of 8 per way plus 6 KiB (%d)", perBuild, budget)
+	}
+	runtime.KeepAlive(caches)
 }

@@ -95,14 +95,15 @@ type Cache struct {
 	cpuPort *mem.ResponsePort
 	memPort *mem.RequestPort
 
-	// tags and lastUse are the tag store, indexed set*Assoc + way: an 8-way
-	// set's tag words are one 64-byte run.
+	// tags is the tag store, indexed set*Assoc + way: an 8-way set's tag
+	// words are one 64-byte run. Each set keeps its words in recency order,
+	// the most recently used first and invalid ways last, so LRU needs no
+	// other state: a hit moves its word to the front, and a fill shifts the
+	// set down one word over its last way, the victim.
 	tags     []uint64
-	lastUse  []uint64
 	setMask  uint64
 	lineBits uint // log2(LineBytes)
 	setBits  uint // log2(sets): the tag starts above these bits of the line number
-	useTick  uint64
 
 	// pool recycles the packets this cache creates: a fill (demand or
 	// prefetch) is released once installed or its poison handed to the
@@ -165,7 +166,6 @@ func New(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) (*Cache, e
 		cfg:       cfg,
 		k:         k,
 		tags:      make([]uint64, ways),
-		lastUse:   make([]uint64, ways),
 		setMask:   numSets - 1,
 		lineBits:  lineBits,
 		setBits:   setBits,
@@ -237,41 +237,33 @@ func (c *Cache) indexOf(lineAddr mem.Addr) (set uint64, tag uint64) {
 	return l & c.setMask, l >> c.setBits
 }
 
+// ways returns the tag words of one set, most recently used first.
+func (c *Cache) ways(set uint64) []uint64 {
+	a := uint64(c.cfg.Assoc)
+	return c.tags[set*a : (set+1)*a]
+}
+
 // lookup returns the index into tags of the valid way holding tag in set,
 // or -1. The flags other than valid do not take part in the compare.
 func (c *Cache) lookup(set, tag uint64) int {
-	a := uint64(c.cfg.Assoc)
-	base := set * a
 	want := tag | tagValid
-	for i, w := range c.tags[base : base+a] {
+	for i, w := range c.ways(set) {
 		if w&^(tagDirty|tagPrefetched) == want {
-			return int(base) + i
+			return int(set)*c.cfg.Assoc + i
 		}
 	}
 	return -1
 }
 
-// victim returns the index into tags of the way a fill of set replaces: the
-// first invalid way, else the least recently used (the lowest way on a tie).
-func (c *Cache) victim(set uint64) int {
-	a := uint64(c.cfg.Assoc)
-	base := set * a
-	best := base
-	for i := base; i < base+a; i++ {
-		if c.tags[i]&tagValid == 0 {
-			return int(i)
-		}
-		if c.lastUse[i] < c.lastUse[best] {
-			best = i
-		}
-	}
-	return int(best)
-}
-
-// touch refreshes the LRU state of way i.
-func (c *Cache) touch(i int) {
-	c.useTick++
-	c.lastUse[i] = c.useTick
+// touch makes the way at index i the most recently used of set: its word
+// moves to the front of the set, the words before it one place down. It
+// returns the word's new index.
+func (c *Cache) touch(set uint64, i int) int {
+	base := int(set) * c.cfg.Assoc
+	w := c.tags[i]
+	copy(c.tags[base+1:i+1], c.tags[base:i])
+	c.tags[base] = w
+	return base
 }
 
 // findMSHR returns the live slot tracking lineAddr, or -1.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -299,6 +300,88 @@ func TestLRUReplacement(t *testing.T) {
 	}
 }
 
+// TestLRUOrder walks one 4-way set through fills, hits and two evictions,
+// checking after each step that the set's words are in recency order, most
+// recent first: the last way is the one a fill replaces.
+func TestLRUOrder(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.SizeBytes, cfg.Assoc = 4*64, 4 // one set, four ways
+	k := sim.NewKernel()
+	c, err := New(k, cfg, stats.NewRegistry("t"), "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm := &heldMem{}
+	hm.port = mem.NewResponsePort("mem", hm, k)
+	cpuPort := mem.NewRequestPort("cpu", sinkCPU{}, k)
+	mem.Connect(cpuPort, c.CPUPort())
+	mem.Connect(c.MemPort(), hm.port)
+
+	const A, B, C, D, E, F mem.Addr = 0x000, 0x040, 0x080, 0x0c0, 0x100, 0x140
+	name := map[mem.Addr]string{A: "A", B: "B", C: "C", D: "D", E: "E", F: "F"}
+	// access sends one request, answers its fill and acknowledges any
+	// writeback at once.
+	access := func(addr mem.Addr, write bool) {
+		t.Helper()
+		pkt := mem.NewRead(addr, 8, 0, k.Now())
+		if write {
+			pkt = mem.NewWrite(addr, 8, 0, k.Now())
+		}
+		if !cpuPort.SendTimingReq(pkt) {
+			t.Fatalf("access to %s refused", name[addr])
+		}
+		for _, q := range []*[]*mem.Packet{&hm.fills, &hm.acks} {
+			for _, p := range *q {
+				p.MakeResponse()
+				hm.port.SendTimingResp(p)
+			}
+			*q = (*q)[:0]
+		}
+		k.RunUntil(k.Now() + cfg.HitLatency)
+	}
+	order := func(step string, want ...mem.Addr) {
+		t.Helper()
+		var got []string
+		for _, w := range c.ways(0) {
+			if l := lineOf(w); l.valid {
+				got = append(got, name[mem.Addr(l.tag<<c.lineBits)])
+			}
+		}
+		var exp []string
+		for _, a := range want {
+			exp = append(exp, name[a])
+		}
+		if !slices.Equal(got, exp) {
+			t.Fatalf("after %s the set holds %v, most recent first; want %v", step, got, exp)
+		}
+	}
+
+	access(A, false)
+	access(B, true)
+	access(C, false)
+	access(D, false)
+	order("filling A, B (written), C and D", D, C, B, A)
+	access(A, false)
+	order("a hit on A", A, D, C, B)
+	access(C, false)
+	order("a hit on C", C, A, D, B)
+	access(E, false)
+	order("a miss on E", E, C, A, D)
+	if !slices.Equal(hm.writes, []mem.Addr{B}) {
+		t.Fatalf("the miss on E wrote back %#x, want B's address %#x", hm.writes, B)
+	}
+	access(F, false)
+	order("a miss on F", F, E, C, A)
+	if len(hm.writes) != 1 || c.st.evictions.Value() != 2 {
+		t.Fatalf("the miss on F: %d writebacks, %v evictions; want D, clean, evicted", len(hm.writes), c.st.evictions.Value())
+	}
+	before := slices.Clone(c.tags)
+	access(F, false)
+	if !slices.Equal(c.tags, before) {
+		t.Fatalf("a hit on the most recent line moved the set from %#x to %#x", before, c.tags)
+	}
+}
+
 func TestMemPortBackPressure(t *testing.T) {
 	k, u, _, m := build(t, defaultCfg(), 30*sim.Nanosecond)
 	m.refuse = 2
@@ -467,9 +550,10 @@ func runChecked(t *testing.T, k *sim.Kernel, c *Cache, limit sim.Tick) {
 	}
 }
 
-// line is one way of the tag store as a struct: the layout the packed tag
-// words replaced. It and the lineOracle methods below are that
-// implementation, kept as the referee of TestTagStoreMatchesLineOracle.
+// line is one way of the tag store as a struct with its own LRU tick: the
+// layout the packed tag words, kept in recency order, replaced. It and the
+// lineOracle methods below are that implementation, kept as the referee of
+// TestTagStoreMatchesLineOracle.
 type line struct {
 	tag     uint64
 	valid   bool
@@ -555,15 +639,27 @@ func (o *lineOracle) victim(set uint64) *line {
 	return best
 }
 
-// victimIndex is victim as an index into lines, the cache's convention.
-func (o *lineOracle) victimIndex(set uint64) int {
-	v, ways := o.victim(set), o.ways(set)
-	for i := range ways {
-		if &ways[i] == v {
-			return int(set)*o.cfg.Assoc + i
+// recency returns the lines of set as the cache must order their words:
+// the valid ones newest first, then an empty line per invalid way. The
+// ticks are cleared, since the cache keeps none.
+func (o *lineOracle) recency(set uint64) []line {
+	ways := make([]line, 0, o.cfg.Assoc)
+	for _, l := range o.ways(set) {
+		if l.valid {
+			ways = append(ways, l)
 		}
 	}
-	panic("victim outside its set")
+	slices.SortFunc(ways, func(a, b line) int { return cmp.Compare(b.lastUse, a.lastUse) })
+	for i := range ways {
+		ways[i].lastUse = 0
+	}
+	return append(ways, make([]line, o.cfg.Assoc-len(ways))...)
+}
+
+// lineOf decodes a tag word.
+func lineOf(w uint64) line {
+	return line{tag: w &^ (tagValid | tagDirty | tagPrefetched), valid: w&tagValid != 0,
+		dirty: w&tagDirty != 0, prefetched: w&tagPrefetched != 0}
 }
 
 // touch refreshes LRU state.
@@ -730,8 +826,8 @@ func tagStoreGeometry(g uint8) Config {
 
 // runTagStoreOps drives a cache of geometry g and its lineOracle with the
 // same programme and fails t at the first step after which they disagree:
-// the verdict, the fills and writebacks sent, the victim of a fill, the tag
-// store with its LRU state, or the MSHR file. An operation is two bytes, b
+// the verdict, the fills and writebacks sent, the line a fill evicts, the
+// recency order of every set, or the MSHR file. An operation is two bytes, b
 // and arg. b&7 < 4 is an access (a write when b&8 is set, from requestor
 // b>>4&1) to line arg, or, by b>>5 = 4..7, to one, two or minus one lines
 // from the last, or the last again. Otherwise fill arg (modulo those held)
@@ -766,8 +862,9 @@ func runTagStoreOps(t *testing.T, g uint8, ops []byte, reached map[string]int) {
 		hm.fills = append(hm.fills[:j], hm.fills[j+1:]...)
 		lineAddr := pkt.Addr
 		set, _ := c.indexOf(lineAddr)
-		if got, want := c.victim(set), o.victimIndex(set); got != want {
-			fail("victim of set %d: way %d, oracle %d", set, got, want)
+		ways := c.ways(set)
+		if got, want := lineOf(ways[len(ways)-1]), o.victim(set); got.valid != want.valid || got.tag != want.tag {
+			fail("fill of set %d evicts %+v, oracle %+v", set, got, *want)
 		}
 		if j != len(hm.fills) {
 			reached["fill retired out of order"]++ // not the youngest: the MSHR file swaps
@@ -799,15 +896,13 @@ func runTagStoreOps(t *testing.T, g uint8, ops []byte, reached map[string]int) {
 	}
 	check := func() {
 		t.Helper()
-		for i, w := range c.tags {
-			got := line{tag: w &^ (tagValid | tagDirty | tagPrefetched), valid: w&tagValid != 0,
-				dirty: w&tagDirty != 0, prefetched: w&tagPrefetched != 0, lastUse: c.lastUse[i]}
-			if got != o.lines[i] {
-				fail("way %d of set %d is %+v, oracle %+v", i%cfg.Assoc, i/cfg.Assoc, got, o.lines[i])
+		for set := range c.setMask + 1 {
+			want := o.recency(set)
+			for i, w := range c.ways(set) {
+				if got := lineOf(w); got != want[i] {
+					fail("way %d of set %d is %+v, oracle %+v", i, set, got, want[i])
+				}
 			}
-		}
-		if c.useTick != o.useTick {
-			fail("use tick %d, oracle %d", c.useTick, o.useTick)
 		}
 		if c.mshrsInUse != len(o.mshrs) {
 			fail("%d MSHRs live, oracle %d", c.mshrsInUse, len(o.mshrs))
@@ -851,9 +946,10 @@ func runTagStoreOps(t *testing.T, g uint8, ops []byte, reached map[string]int) {
 			addr := mem.Addr(line)*64 + mem.Addr(arg&7)*8
 			write, requestor := b&8 != 0, int(b>>4&1)
 			set, tag := c.indexOf(addr.AlignDown(64))
-			prefetchedHit := false
-			if i := c.lookup(set, tag); i >= 0 && write {
-				prefetchedHit = c.tags[i]&tagPrefetched != 0
+			prefetchedHit, reorders := false, false
+			if i := c.lookup(set, tag); i >= 0 {
+				prefetchedHit = write && c.tags[i]&tagPrefetched != 0
+				reorders = i != int(set)*cfg.Assoc
 			}
 			var pkt *mem.Packet
 			if write {
@@ -886,6 +982,9 @@ func runTagStoreOps(t *testing.T, g uint8, ops []byte, reached map[string]int) {
 			if prefetchedHit {
 				reached["write hit to a prefetched line"]++
 			}
+			if reorders {
+				reached["hit behind the front of its set"]++
+			}
 		case len(hm.fills) > 0:
 			fill(int(arg)%len(hm.fills), kind == 7 && arg&3 == 0)
 		}
@@ -911,11 +1010,11 @@ func randomTagStoreOps(seed int64, n int) []byte {
 	return ops
 }
 
-// TestTagStoreMatchesLineOracle holds the packed tag store and the MSHR
-// address index to the []line layout and MSHR scan they replaced, on every
-// geometry runTagStoreOps decodes (1, 2 and 8 ways; 1 and 16 sets; no,
-// next-line and stride prefetching; 2 to 4 MSHRs), and checks the runs
-// reached every case the referee is there for.
+// TestTagStoreMatchesLineOracle holds the packed, recency-ordered tag store
+// and the MSHR address index to the []line layout, its LRU ticks and the
+// MSHR scan they replaced, on every geometry runTagStoreOps decodes (1, 2
+// and 8 ways; 1 and 16 sets; no, next-line and stride prefetching; 2 to 4
+// MSHRs), and checks the runs reached every case the referee is there for.
 func TestTagStoreMatchesLineOracle(t *testing.T) {
 	reached := map[string]int{}
 	for g := 0; g < 54; g++ {
@@ -925,7 +1024,7 @@ func TestTagStoreMatchesLineOracle(t *testing.T) {
 	}
 	t.Log(reached)
 	for _, name := range []string{"hit", "merge", "refused", "new miss", "write hit to a prefetched line",
-		"prefetch fill", "poisoned fill", "writeback", "fill retired out of order"} {
+		"hit behind the front of its set", "prefetch fill", "poisoned fill", "writeback", "fill retired out of order"} {
 		if reached[name] < 100 {
 			t.Errorf("only %d cases of %s", reached[name], name)
 		}

@@ -52,7 +52,7 @@ func (c *Cache) access(pkt *mem.Packet) bool {
 	set, tag := c.indexOf(lineAddr)
 	if i := c.lookup(set, tag); i >= 0 {
 		// Hit: touch, mark dirty on writes, respond after the hit latency.
-		c.touch(i)
+		i = c.touch(set, i)
 		w := c.tags[i]
 		if pkt.Cmd.IsWrite() {
 			c.tags[i] = w&^tagPrefetched | tagDirty
@@ -140,12 +140,13 @@ func (c *Cache) fillOrAck(pkt *mem.Packet) bool {
 	return true
 }
 
-// install places the line m fetched, evicting the LRU victim (writeback if
-// dirty), and answers every waiter.
+// install places the line m fetched at the front of its set, evicting the
+// set's last way (writeback if dirty), and answers every waiter. That way is
+// invalid while any is, and otherwise holds the least recently used line.
 func (c *Cache) install(m *mshr) {
 	set, tag := c.indexOf(m.fill.Addr)
-	v := c.victim(set)
-	if old := c.tags[v]; old&tagValid != 0 {
+	ways := c.ways(set)
+	if old := ways[len(ways)-1]; old&tagValid != 0 {
 		c.st.evictions.Inc()
 		if old&tagDirty != 0 {
 			oldTag := old &^ (tagValid | tagDirty | tagPrefetched)
@@ -165,8 +166,8 @@ func (c *Cache) install(m *mshr) {
 		}
 		c.queueResponse(p)
 	}
-	c.tags[v] = w
-	c.touch(v)
+	copy(ways[1:], ways)
+	ways[0] = w
 }
 
 // sendToMem forwards a packet downstream, queueing it when the memory port

@@ -133,7 +133,17 @@ type Traffic struct {
 func AddTraffic(fs *flag.FlagSet, defRequests uint64) *Traffic {
 	t := &Traffic{}
 	fs.StringVar(&t.Pattern, "pattern", "linear", "traffic: linear, random, dramaware, bursty")
-	fs.IntVar(&t.Reads, "reads", 100, "read percentage (0-100)")
+	t.Reads = 100
+	fs.Func("reads", "read percentage (0-100; default 100)", func(s string) error {
+		v, err := strconv.ParseInt(s, 0, 64)
+		if err == nil && (v < 0 || v > 100) {
+			err = errors.New("must be a percentage from 0 to 100")
+		}
+		if err == nil {
+			t.Reads = int(v)
+		}
+		return err
+	})
 	t.requests = AddCount(fs, "requests", defRequests, "number of requests")
 	fs.Uint64Var(&t.Bytes, "bytes", 64, "request size in bytes")
 	fs.IntVar(&t.Outstanding, "outstanding", 32, "max outstanding requests")

@@ -165,18 +165,25 @@ func TestFullSystemPrefetchAndPoisonReleasePaths(t *testing.T) {
 	if err := fs.Reg.Dump(&dump); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "fullsys_prefetch_poison.stats")
+	matchGolden(t, dump.Bytes(), filepath.Join("testdata", "fullsys_prefetch_poison.stats"))
+}
+
+// matchGolden fails t unless the stats dump got equals the file golden,
+// quoting the first line where they differ.
+func matchGolden(t *testing.T, got []byte, golden string) {
+	t.Helper()
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dump.Bytes(), want) {
-		got, exp := strings.Split(dump.String(), "\n"), strings.Split(string(want), "\n")
-		for i := range got {
-			if i >= len(exp) || got[i] != exp[i] {
-				t.Fatalf("stats differ from %s at line %d:\n got %q\nwant %q", golden, i+1, got[i], exp[min(i, len(exp)-1)])
-			}
-		}
-		t.Fatalf("stats dump is a prefix of %s", golden)
+	if bytes.Equal(got, want) {
+		return
 	}
+	lines, exp := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range lines {
+		if i >= len(exp) || lines[i] != exp[i] {
+			t.Fatalf("stats differ from %s at line %d:\n got %q\nwant %q", golden, i+1, lines[i], exp[min(i, len(exp)-1)])
+		}
+	}
+	t.Fatalf("stats dump is a prefix of %s", golden)
 }
