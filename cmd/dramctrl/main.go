@@ -7,22 +7,26 @@
 // equivalent of driving a gem5 memory configuration from the command line.
 // -channels is a parameter of the one wiring, so every flag composes with it.
 //
-// Runs are supervised: -checkpoint enables checksummed snapshots of the
-// event-based model — every -checkpoint-every of simulated time and at
-// completion — -resume continues a run from its last checkpoint
-// bit-identically, and SIGINT/SIGTERM drain the current quantum, write a final
-// checkpoint, flush statistics, and exit 130. The cycle-based model is the
-// event model's referee and is not checkpointed: -model cycle refuses both
-// flags.
-// A failed step (watchdog trip, panic) dumps <checkpoint>.postmortem and ends
-// the run with the tick; -resume continues from the last good checkpoint.
+// Runs are supervised: -checkpoint writes a checksummed recipe of the
+// event-based model's run — every -checkpoint-every of simulated time and at
+// completion — and SIGINT/SIGTERM drain the current quantum, write a final
+// one, flush statistics, and exit 130. A recipe is the resolved configuration,
+// the flags that shape the run, a hash of the -trace-in file, the tick reached
+// and a digest of the statistics there. -resume rebuilds the run, replays it
+// silently to that tick (about 0.4 µs of host time per request), refuses it
+// if the statistics differ, and continues; every file the run writes (-trace,
+// -cmd-trace, -trace-out, -json) comes out as the uninterrupted run's. The
+// cycle-based model is the event model's referee and is not checkpointed:
+// -model cycle refuses both flags. A failed step (watchdog trip, panic)
+// writes <checkpoint>.postmortem — the recipe at the failing tick and the
+// error — and ends the run with the tick; -resume continues from the last
+// good checkpoint.
 //
 // Observability: -trace writes a Chrome/Perfetto trace of the run (packet
 // lifecycles, per-bank command spans, refresh windows); -obs-http serves
 // live statistics snapshots and pprof; -obs-sample periodically samples
 // controller-internal state and bandwidth into the statistics registry and
-// prints the bandwidth over time. The trace composes with checkpointing: a resumed run appends to the same file and
-// reproduces the uninterrupted trace byte for byte.
+// prints the bandwidth over time.
 //
 // Protocol checking: -check records every channel's DRAM commands, on either
 // model, and verifies them with the independent timing checker
@@ -94,20 +98,32 @@ type options struct {
 	sup      *cliconfig.Checkpoint
 	obs      *cliconfig.Obs
 
-	list          bool
-	check         bool
-	cmdTrace      string
-	cmdTraceIn    string
-	powerDownNs   int64
-	selfRefreshNs int64
-	dumpStats     bool
-	jsonStats     string
-	traceIn       string
-	traceOut      string
-	faults        faults.Config
-	eccLatencyNs  int64
-	retryLimit    int
-	watchdog      sim.Watchdog
+	list        bool
+	check       bool
+	cmdTrace    string
+	cmdTraceIn  string
+	powerDown   *sim.Tick
+	selfRefresh *sim.Tick
+	dumpStats   bool
+	jsonStats   string
+	traceIn     string
+	traceOut    string
+	faults      faults.Config
+	eccLatency  *sim.Tick
+	retryLimit  int
+	watchdog    sim.Watchdog
+
+	// shaping is every flag that shapes the simulated run, by name, with its
+	// value: a checkpoint's Flags.
+	shaping map[string]string
+}
+
+// notShaping are the flags that choose what a run writes, how it is watched
+// or supervised, or that it is no run at all: a resume may change them.
+var notShaping = map[string]bool{
+	"list": true, "cmd-trace-in": true, "check": true, "cmd-trace": true, "stats": true, "json": true,
+	"trace-out": true, "trace": true, "obs-http": true, "obs-sample": true,
+	"checkpoint": true, "checkpoint-every": true, "resume": true, "max-events": true, "max-same-tick": true,
 }
 
 // parseFlags parses and validates the command line.
@@ -125,8 +141,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&f.check, "check", false, "check every channel's DRAM commands against the device's timing rules at the end of the run; a violation is an error")
 	fs.StringVar(&f.cmdTrace, "cmd-trace", "", "write the recorded DRAM command stream to this file (one channel only)")
 	fs.StringVar(&f.cmdTraceIn, "cmd-trace-in", "", "check a recorded DRAM command stream against -spec/-standard and exit (no simulation)")
-	fs.Int64Var(&f.powerDownNs, "powerdown", 0, "power-down idle threshold in ns (0 = off, event model only)")
-	fs.Int64Var(&f.selfRefreshNs, "selfrefresh", 0, "self-refresh idle threshold in ns (0 = off, event model only; must exceed -powerdown when both are set)")
+	f.powerDown = cliconfig.AddNanoseconds(fs, "powerdown", 0, "power-down idle threshold in ns (0 = off, event model only)")
+	f.selfRefresh = cliconfig.AddNanoseconds(fs, "selfrefresh", 0, "self-refresh idle threshold in ns (0 = off, event model only; must exceed -powerdown when both are set)")
 	fs.BoolVar(&f.dumpStats, "stats", false, "dump the full statistics registry")
 	fs.StringVar(&f.jsonStats, "json", "", "write the statistics registry as JSON to this file")
 	fs.StringVar(&f.traceIn, "trace-in", "", "replay this trace file instead of a synthetic pattern")
@@ -135,7 +151,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.Float64Var(&f.faults.CorrectablePerBurst, "ber-correctable", 0, "correctable errors per read burst (0-1, event model)")
 	fs.Float64Var(&f.faults.UncorrectablePerBurst, "ber-uncorrectable", 0, "uncorrectable errors per read burst (0-1, event model)")
 	fs.Float64Var(&f.faults.TransientPerBurst, "ber-transient", 0, "transient whole-burst failures per read burst (0-1, event model)")
-	fs.Int64Var(&f.eccLatencyNs, "ecc-latency", 10, "ECC correction latency in ns")
+	f.eccLatency = cliconfig.AddNanoseconds(fs, "ecc-latency", 10, "ECC correction latency in ns")
 	fs.IntVar(&f.retryLimit, "retry-limit", 4, "replay attempts before a faulty row is retired")
 	fs.Uint64Var(&f.watchdog.MaxEvents, "max-events", 0, "watchdog: abort after this many events (0 = off)")
 	fs.Uint64Var(&f.watchdog.MaxSameTick, "max-same-tick", 1_000_000, "watchdog: abort after this many events at one tick (0 = off)")
@@ -145,6 +161,12 @@ func parseFlags(args []string) (*options, error) {
 	if f.list || f.cmdTraceIn != "" {
 		return f, nil
 	}
+	f.shaping = map[string]string{}
+	fs.VisitAll(func(fl *flag.Flag) {
+		if !notShaping[fl.Name] {
+			f.shaping[fl.Name] = fl.Value.String()
+		}
+	})
 
 	if err := f.sup.Validate(); err != nil {
 		return nil, err
@@ -152,22 +174,9 @@ func parseFlags(args []string) (*options, error) {
 	if err := f.obs.Validate(f.sup.Enabled()); err != nil {
 		return nil, err
 	}
-	if f.sup.Enabled() {
-		// The cycle model is the event model's referee and saves no image.
-		if f.pol.Model == "cycle" {
-			return nil, fmt.Errorf("-checkpoint/-resume are only modelled by the event-based controller")
-		}
-		// The trace monitor holds host-side state no component hook
-		// serializes; refuse the combination instead of resuming with a
-		// silently empty capture. (-trace is fine: the tracer is a checkpoint
-		// component.)
-		if f.traceIn != "" || f.traceOut != "" {
-			return nil, fmt.Errorf("checkpointing does not support trace capture/replay (drop -trace-in/-trace-out)")
-		}
-		// Likewise the command recorder: a resumed run's would miss the prefix.
-		if f.recording() {
-			return nil, fmt.Errorf("checkpointing does not support -check/-cmd-trace (a resumed run would record only its suffix)")
-		}
+	// The cycle model is the event model's referee and is not checkpointed.
+	if f.sup.Enabled() && f.pol.Model == "cycle" {
+		return nil, fmt.Errorf("-model cycle: -checkpoint/-resume are only modelled by the event-based controller")
 	}
 	if f.cmdTrace != "" && *f.channels > 1 {
 		return nil, fmt.Errorf("-cmd-trace records one channel (the file has no channel column); use -check alone with -channels %d", *f.channels)
@@ -200,17 +209,17 @@ func (f *options) memory(spec dram.Spec, mapping dram.Mapping, hub *obs.Hub, wid
 		if f.pol.Sched == "fcfs" {
 			cfg.Scheduling = core.FCFS
 		}
-		cfg.PowerDownIdle = sim.Tick(f.powerDownNs) * sim.Nanosecond
-		cfg.SelfRefreshIdle = sim.Tick(f.selfRefreshNs) * sim.Nanosecond
+		cfg.PowerDownIdle = *f.powerDown
+		cfg.SelfRefreshIdle = *f.selfRefresh
 		cfg.Faults = f.faults
-		cfg.ECCCorrectionLatency = sim.Tick(f.eccLatencyNs) * sim.Nanosecond
+		cfg.ECCCorrectionLatency = *f.eccLatency
 		cfg.FaultRetryLimit = f.retryLimit
 		mc.Kind, mc.Event = system.EventBased, cfg
 	case "cycle":
 		switch {
 		case f.faults.Enabled():
 			return mc, fmt.Errorf("fault injection is only modelled by the event-based controller")
-		case f.powerDownNs != 0 || f.selfRefreshNs != 0:
+		case *f.powerDown != 0 || *f.selfRefresh != 0:
 			return mc, fmt.Errorf("-powerdown/-selfrefresh are only modelled by the event-based controller")
 		case page == core.OpenAdaptive || page == core.ClosedAdaptive:
 			return mc, fmt.Errorf("-page %s is only modelled by the event-based controller (the cycle model has open and closed)", f.pol.Page)
@@ -321,20 +330,10 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 	}
 	r.sess = m.Session(src)
 	r.sess.Deadline = maxSim
-	if f.sup.Enabled() {
-		if err := r.sess.Supervise(""); err != nil {
-			return nil, err
-		}
-	}
 	if r.tracer != nil {
 		// Trace lines buffered during a quantum flush to the file in the step
 		// hook, keeping memory bounded regardless of run length.
 		r.sess.OnStep = r.tracer.Flush
-		// The tracer registers last: its save flushes, so the recorded file
-		// length covers all events up to the checkpoint.
-		if mgr := r.sess.Manager(); mgr != nil {
-			mgr.Register("trace", r.tracer)
-		}
 	}
 	if f.watchdog.Enabled() {
 		k.SetWatchdog(f.watchdog)
@@ -343,14 +342,13 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 	// The periodic sampler (-obs-sample / -obs-http) is the one time series:
 	// controller state and bandwidth into the registry, each tick's rows into
 	// the bandwidth-over-time table and, when there is one, the live endpoint.
-	// It is rejected alongside checkpointing, so every run that has it is a
-	// fresh one and it arms here, ahead of the traffic source.
+	// It arms here, ahead of the traffic source.
 	if f.obs.Sampling() {
 		sampled := make([]obs.SampleSource, len(m.Ctrls))
 		for i, c := range m.Ctrls {
 			sampled[i] = c
 		}
-		sampler, err := obs.NewSamplerProbe(k, reg, sim.Tick(f.obs.SampleNs)*sim.Nanosecond, sampled,
+		sampler, err := obs.NewSamplerProbe(k, reg, *f.obs.Sample, sampled,
 			func(now sim.Tick, rows []obs.Sample) {
 				var sum float64
 				for _, row := range rows {
@@ -410,7 +408,11 @@ func run(args []string, out io.Writer) error {
 	}
 	notify, stopNotify := supervisor.NotifySignals()
 	defer stopNotify()
-	res, err := supervisor.Run(f.sup.Config(notify), r.sess)
+	cfg, err := f.supervision(r, notify)
+	if err != nil {
+		return err
+	}
+	res, err := supervisor.Run(cfg, r.sess)
 	if err != nil {
 		return err
 	}
@@ -427,9 +429,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if r.tracer != nil {
-		// Terminate the JSON array so the file is strict JSON. A later
-		// -resume truncates back to the checkpointed length, terminator
-		// included, so the resumed file still matches an uninterrupted run.
+		// Terminate the JSON array so the file is strict JSON.
 		if err := r.tracer.Close(); err != nil {
 			return err
 		}
@@ -442,6 +442,26 @@ func run(args []string, out io.Writer) error {
 		return errInterrupted
 	}
 	return checkRun(f, spec, mapping, r, out)
+}
+
+// supervision is the supervisor's configuration for the run: the checkpoint
+// flags, and the recipe a checkpoint records — what every component states,
+// the shaping flags and the -trace-in file's hash.
+func (f *options) supervision(r *rig, notify <-chan os.Signal) (supervisor.Config, error) {
+	cfg := f.sup.Config(notify)
+	if !f.sup.Enabled() {
+		return cfg, nil
+	}
+	cfg.Recipe = supervisor.Recipe{Configs: r.sess.Identity(), Flags: f.shaping}
+	if f.traceIn != "" {
+		sum, err := supervisor.DigestFile(f.traceIn)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Recipe.Inputs = map[string]string{"trace-in": sum}
+	}
+	cfg.Stats = r.memory.Reg.DumpJSON
+	return cfg, nil
 }
 
 // report prints the results and writes the requested output files. With

@@ -29,6 +29,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/supervisor"
 	"repro/internal/system"
 	"repro/internal/trafficgen"
 )
@@ -145,14 +146,14 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 				if _, err := os.Stat(file("run.ckpt")); err != nil {
 					t.Fatalf("victim run left no periodic checkpoint to resume from: %v", err)
 				}
-				// Behind a crossbar the way back is on the packet, and the
-				// checkpoint has to catch some there; with no crossbar there
-				// is no route to save.
-				if routed := bytes.Contains(read(t, file("run.ckpt")), []byte(`"route":[{"xbar":`)); routed != (name == "4ch") {
-					t.Fatalf("checkpoint holds a packet with a return route: %v", routed)
+				// The checkpoint is a recipe at the last periodic tick before
+				// the trip, and the postmortem the recipe of the trip itself.
+				ck, err := supervisor.Decode(read(t, file("run.ckpt")))
+				if err != nil || ck.Tick == 0 || ck.Tick%(2*sim.Microsecond) != 0 || ck.Failed != "" {
+					t.Fatalf("checkpoint %+v, %v; want a periodic recipe mid-run", ck, err)
 				}
-				if _, err := os.Stat(file("run.ckpt.postmortem")); err != nil {
-					t.Errorf("the watchdog trip dumped no postmortem image: %v", err)
+				if pm, err := supervisor.Decode(read(t, file("run.ckpt.postmortem"))); err != nil || pm.Tick <= ck.Tick || !strings.Contains(pm.Failed, "watchdog") {
+					t.Errorf("postmortem %+v, %v; want the watchdog trip after %s", pm, err, ck.Tick)
 				}
 				mustRun(t, with(file("run.json"), file("run.trace"), append(ckpt, "-resume")...)...)
 
@@ -172,8 +173,8 @@ func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
 // the statistics (and, when traced, the Perfetto trace) of the uninterrupted
 // run, byte for byte. The low-power row's ranks spend most of the run in
 // power-down or self-refresh, so the surviving checkpoint sits inside a
-// low-power interval (internal/checkpoint's round-trip matrix pins the exact
-// mid-PD / mid-SR instants). The SIGINT row is the graceful stop: the process
+// low-power interval (TestResumeMidLowPower pins the exact mid-PD / mid-SR
+// instants). The SIGINT row is the graceful stop: the process
 // writes a final checkpoint, exits 130, and resumes to the same bytes.
 func TestKilledRunResumesToUninterruptedStatistics(t *testing.T) {
 	if testing.Short() {
@@ -516,11 +517,13 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		{"-powerdown/-selfrefresh are " + eventOnly, []string{"-model", "cycle", "-selfrefresh", "2000"}},
 		{"-page open-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "open-adaptive"}},
 		{"-page closed-adaptive is " + eventOnly, []string{"-model", "cycle", "-page", "closed-adaptive"}},
-		// A resumed run's recorder would miss the prefix, and the command
-		// file has no channel column.
-		{"checkpointing does not support -check", []string{"-check", "-checkpoint", file("c.ckpt")}},
-		{"checkpointing does not support -check", []string{"-check", "-checkpoint", file("c.ckpt"), "-resume"}},
+		// The command file has no channel column.
 		{"-cmd-trace records one channel", []string{"-cmd-trace", file("cmds.txt")}},
+		// A nanosecond count whose ticks overflow is refused, not wrapped
+		// to some other duration (this one wrapped to 384 ps).
+		{`invalid value "18446744073709552" for flag -itt: must be at most`, []string{"-itt", "18446744073709552"}},
+		{`invalid value "18446744073709552" for flag -checkpoint-every: must be at most`, []string{"-checkpoint", file("c.ckpt"), "-checkpoint-every", "18446744073709552"}},
+		{`invalid value "-1" for flag -powerdown: must not be negative`, []string{"-powerdown", "-1"}},
 		// A request wider than every queue it could enter would be refused
 		// forever, on one channel or several.
 		{oversized + "read buffer (20 bursts)", []string{"-channels", "1", "-bytes", "4096", "-requests", "10"}},
@@ -547,17 +550,17 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 }
 
 // A checkpoint is not resumed under another configuration, and the refusal
-// names the component that states the knob and the field — nothing in this
-// command lists its flags for the purpose. The same flags resume.
+// names the component that states the knob, the field and the flag that set
+// it. The same flags resume.
 func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 	for _, tc := range []struct {
 		base  []string
 		flags []string
 		want  string // "" = the resume is accepted
 	}{
-		{[]string{"-channels", "2"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS"`},
+		{[]string{"-channels", "2"}, []string{"-sched", "fcfs"}, `mc0: Scheduling: checkpoint "FRFCFS", this run "FCFS" (set by -sched)`},
 		{[]string{"-channels", "2"}, nil, ""},
-		{[]string{"-page", "open"}, []string{"-page", "closed"}, `mc0: Page: checkpoint "open", this run "closed"`},
+		{[]string{"-page", "open"}, []string{"-page", "closed"}, `mc0: Page: checkpoint "open", this run "closed" (set by -page)`},
 	} {
 		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 		base := append(tc.base, "-requests", "2000", "-checkpoint", ckpt)

@@ -3,9 +3,8 @@
 // external dependency (the module's go.mod has no require block, and keeping
 // it that way is deliberate). It holds only the checks a test run cannot
 // make: a map ranged into ordered output passes any run whose draw happens to
-// come out sorted, a field missing from a checkpoint image passes every resume
-// that never crosses a state where it matters, and a nanosecond count
-// reinterpreted as ticks passes every test that does not look at that value.
+// come out sorted, and a nanosecond count reinterpreted as ticks passes every
+// test that does not look at that value.
 //
 // An Analyzer inspects one type-checked package at a time and reports
 // findings through its Pass. The runner applies //lint:allow suppression
@@ -74,7 +73,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the registered analyzer set, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detmap, Ckptfields, Tickunits, Shardiso}
+	return []*Analyzer{Detmap, Tickunits, Shardiso}
 }
 
 // Run applies every analyzer to every package, filters suppressed findings,

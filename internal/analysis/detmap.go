@@ -12,12 +12,11 @@ import (
 // randomizes map iteration order on purpose, so any map range that writes
 // bytes, appends to a slice, mutates state outside the loop, or picks a value
 // to return produces run-to-run differences — the exact failure mode that
-// breaks bit-identical sharded stats and byte-identical checkpoint images.
-// The blessed pattern (collect the keys, sort them, then iterate the sorted
-// slice — see faults.Injector.SaveState) is recognized: a loop whose only
-// effect is appending to slices that are sorted before further use is not
-// reported. The blessing trusts the calls in the loop body: one that hands
-// out identifiers in call order (mem.PacketTable.PacketRef) makes the sorted
+// breaks bit-identical sharded stats and byte-identical traces. The blessed
+// pattern (collect the keys, sort them, then iterate the sorted slice) is
+// recognized: a loop whose only effect is appending to slices that are sorted
+// before further use is not reported. The blessing trusts the calls in the
+// loop body: one that hands out identifiers in call order makes the sorted
 // result depend on map order all the same, and is not caught.
 //
 // Commutative writes stay legal: assigning through a map index, deleting from

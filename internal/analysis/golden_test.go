@@ -46,7 +46,7 @@ func loadFixture(t *testing.T, name string) []*analysis.Package {
 func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
-		"detmap", "ckptfields", "suppress", "tickunits", "shardiso", "interact",
+		"detmap", "suppress", "tickunits", "shardiso", "interact",
 	} {
 		t.Run(name, func(t *testing.T) {
 			pkgs := loadFixture(t, name)
@@ -166,7 +166,7 @@ func TestInteract(t *testing.T) {
 	// detmap finding; the directive names tickunits only.
 	var scopedLine int
 	for _, f := range findings {
-		if f.Analyzer == "detmap" && f.Pos.Line > 41 && f.Pos.Line < 53 {
+		if f.Analyzer == "detmap" && f.Pos.Line > 24 && f.Pos.Line < 36 {
 			scopedLine = f.Pos.Line
 		}
 	}
@@ -210,8 +210,8 @@ func TestRealTreeClean(t *testing.T) {
 	}
 }
 
-// TestAnnotationRatchet holds the number of reasoned //lint:allow, //hot:allow
-// and //ckpt:skip directives in Go sources outside this package to
+// TestAnnotationRatchet holds the number of reasoned //lint:allow and
+// //hot:allow directives in Go sources outside this package to
 // ci/annotations.txt, so a count only moves together with that file: a new
 // suppression shows up in review as an edit there, and a deleted one is
 // locked in.
@@ -220,7 +220,6 @@ func TestAnnotationRatchet(t *testing.T) {
 	patterns := map[string]*regexp.Regexp{
 		"lint:allow": regexp.MustCompile(`//lint:allow [a-z]+ [^ ]`),
 		"hot:allow":  regexp.MustCompile(`//hot:allow [^ ]`),
-		"ckpt:skip":  regexp.MustCompile(`//ckpt:skip [^ ]`),
 	}
 	got := map[string]int{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

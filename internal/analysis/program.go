@@ -232,7 +232,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 //	                            only by the escape gate
 //	//shard:barrier           — function may only run in the single-threaded
 //	                            barrier section (shardiso)
-//	//ckpt:skip <reason>      — field deliberately outside Save/Restore
 //	//lint:allow <a> <reason> — suppress one finding (suppress.go)
 //
 // A directive is its own comment line: "//hot:path", optionally followed by

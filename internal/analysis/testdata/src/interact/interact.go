@@ -21,23 +21,6 @@ func Report(w io.Writer, m map[string]int) {
 	}
 }
 
-// --- ckptfields ---
-
-// comp persists a but forgot missed.
-type comp struct {
-	a      int
-	missed int
-}
-
-func (c *comp) CheckpointSave() (any, error) {
-	return c.a, nil
-}
-
-func (c *comp) CheckpointRestore(data []byte) error {
-	c.a = len(data)
-	return nil
-}
-
 // --- tickunits + detmap on one line, with scoped suppression ---
 
 // Scoped produces a tickunits finding (a tick named like a nanosecond count)
@@ -75,9 +58,4 @@ func Arm(k *sim.Kernel, p *pipe) {
 	k.CallIn("drain", 1, func() {
 		p.Flush()
 	})
-}
-
-// Use keeps the unexported pieces alive for the type checker.
-func Use() any {
-	return &comp{}
 }

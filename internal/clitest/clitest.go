@@ -51,6 +51,33 @@ func Same(t *testing.T, golden string, mask func(string) string, got []byte) {
 	}
 }
 
+// Lines compares got with the golden file and fails t at the first line
+// where they differ, quoting both. With update set it rewrites the file
+// instead (a test's -update flag).
+func Lines(t *testing.T, golden string, got []byte, update bool) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("%s differs at line %d:\n got %q\nwant %q", golden, i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("%s differs in length: %d lines, want %d", golden, len(g), len(w))
+}
+
 // Refused runs the tool on bad input: it must return within a second — the
 // failure mode being guarded is a run that never ends — with an error
 // containing want.

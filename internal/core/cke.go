@@ -41,8 +41,8 @@ func (c *Controller) rankIdle(ri int) bool {
 	if c.readQueue.work[ri] != 0 {
 		return false
 	}
-	for _, rec := range c.pendingReplays {
-		if rec.dp.coord.Rank == ri {
+	for _, dp := range c.pendingReplays {
+		if dp.coord.Rank == ri {
 			return false
 		}
 	}
@@ -251,7 +251,7 @@ func (c *Controller) WakeAllRanks() {
 
 // RankLowPower reports rank ri's current CKE occupancy — powered down
 // (either flavor) or in self-refresh — for live metrics and for tests that
-// need to checkpoint at a known-interesting instant.
+// need to stop a run at a known-interesting instant.
 func (c *Controller) RankLowPower(ri int) (poweredDown, selfRefresh bool) {
 	rk := c.ranks[ri]
 	return rk.cke.inPowerDown(), rk.cke == ckeSelfRefresh

@@ -34,30 +34,30 @@ type Controller struct {
 	name string
 	// replayName is c.name+".replay", precomputed so arming a replay does not
 	// concatenate strings on the scheduling path.
-	replayName string //ckpt:skip derived from name at construction
-	cfg        Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
+	replayName string
+	cfg        Config
 	k          *sim.Kernel
-	dec        dram.Decoder      //ckpt:skip derived from cfg.Spec by the constructor
-	port       *mem.ResponsePort //ckpt:skip wiring, rebuilt by the constructor
+	dec        dram.Decoder
+	port       *mem.ResponsePort
 	// tim and org copy the device's timing and organisation out of cfg: they
 	// are read on every scheduling decision.
-	tim dram.Timing       //ckpt:skip cached copy of cfg.Device.Timing
-	org dram.Organization //ckpt:skip cached copy of cfg.Device.Org
+	tim dram.Timing
+	org dram.Organization
 	// topo and the timing answers below cache the device's bank-group and
 	// refresh interface answers; grouped hoists topo.Grouped() for the hot
 	// paths, where flat devices (DDR3) must pay nothing for the machinery.
-	topo    dram.Topology    //ckpt:skip derived from cfg.Device by the constructor
-	grouped bool             //ckpt:skip derived from topo by the constructor
-	trrdL   sim.Tick         //ckpt:skip cached cfg.Device.ActToAct(sameGroup)
-	tccdL   sim.Tick         //ckpt:skip cached cfg.Device.ColToCol(sameGroup)
-	tccdS   sim.Tick         //ckpt:skip cached cfg.Device.ColToCol(cross-group)
-	tRPab   sim.Tick         //ckpt:skip cached cfg.Device.PrechargeAll()
-	refSpec dram.RefreshSpec //ckpt:skip cached cfg.Device.RefreshMode()
+	topo    dram.Topology
+	grouped bool
+	trrdL   sim.Tick
+	tccdL   sim.Tick
+	tccdS   sim.Tick
+	tRPab   sim.Tick
+	refSpec dram.RefreshSpec
 	// The write-drain watermarks in queue entries and the burst size: read on
 	// every scheduling decision, constant per controller.
-	writeHighMark int    //ckpt:skip derived from cfg by the constructor
-	writeLowMark  int    //ckpt:skip derived from cfg by the constructor
-	burstBytes    uint64 //ckpt:skip cached cfg.Device.Org.BurstBytes()
+	writeHighMark int
+	writeLowMark  int
+	burstBytes    uint64
 
 	readQueue  burstQueue
 	writeQueue burstQueue
@@ -108,25 +108,22 @@ type Controller struct {
 	// read burst and nothing else.
 	inj *faults.Injector
 
-	// pendingReplays tracks read bursts parked in a fault-replay backoff:
+	// pendingReplays lists the read bursts parked in a fault-replay backoff:
 	// each sits in no queue (but holds its read-buffer entry) until a pooled
-	// one-shot event re-queues it. The records make those in-flight replays
-	// visible to the checkpoint machinery (see checkpoint.go).
-	pendingReplays []*replayRecord
+	// one-shot event re-queues it, and still keeps its rank awake (rankIdle).
+	pendingReplays []*dramPacket
 
 	// hub fans observability events out to attached probes; nil when no
 	// probe is configured, so the disabled path is one pointer comparison.
-	hub *obs.Hub //ckpt:skip observation fan-out, rebuilt by the constructor
+	hub *obs.Hub
 
 	// dps and txns recycle burst descriptors and chopped-read transactions:
 	// every request takes one descriptor per burst, which makes them the
 	// controller's dominant per-request object. Released at burst completion,
 	// reused at the next enqueue — LIFO pools, so reuse order is a pure
-	// function of simulation state and parallel runs stay deterministic. Live
-	// descriptors are serialized individually by the checkpoint machinery;
-	// the pools are disposable cache.
-	dps  sim.Pool[dramPacket]  //ckpt:skip allocation cache, never holds live state
-	txns sim.Pool[transaction] //ckpt:skip allocation cache, never holds live state
+	// function of simulation state and parallel runs stay deterministic.
+	dps  sim.Pool[dramPacket]
+	txns sim.Pool[transaction]
 
 	st ctrlStats
 }
@@ -302,6 +299,10 @@ func (c *Controller) Name() string { return c.name }
 
 // Config returns the controller configuration.
 func (c *Controller) Config() Config { return c.cfg }
+
+// CheckpointConfig is what the controller states in a checkpoint's recipe:
+// its whole Config.
+func (c *Controller) CheckpointConfig() any { return c.cfg }
 
 // Quiescent reports whether no work is queued or in flight. Occupied
 // read-buffer entries are counted too: a burst parked in a fault-replay

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
@@ -76,32 +78,17 @@ func (c *Controller) replayBurst(dp *dramPacket) bool {
 	return true
 }
 
-// armReplay schedules the one-shot replay of dp at retryAt and tracks it in
-// pendingReplays so checkpoints can capture — and restores re-create — the
-// in-flight backoff.
+// armReplay schedules the one-shot replay of dp at retryAt and lists it in
+// pendingReplays until it fires.
 func (c *Controller) armReplay(dp *dramPacket, retryAt sim.Tick) {
+	c.pendingReplays = append(c.pendingReplays, dp)
 	// Replays only arm when ECC actually corrects or a retry fires — a fault
 	// path, not the steady-state cycle the zero-alloc gate covers.
-	//hot:allow replay records allocate on the fault path only, not in steady state
-	rec := &replayRecord{dp: dp, when: retryAt}
-	c.pendingReplays = append(c.pendingReplays, rec)
-	// The seq is recorded only so CheckpointSave can reproduce same-tick
-	// ordering on restore; nothing ever touches the pooled event through it.
-	rec.seq = c.k.Call(c.replayName, retryAt, func() { //hot:allow the replay closure allocates on the fault path only
-		c.dropReplay(rec)
+	c.k.Call(c.replayName, retryAt, func() { //hot:allow the replay closure allocates on the fault path only
+		c.pendingReplays = slices.DeleteFunc(c.pendingReplays, func(p *dramPacket) bool { return p == dp })
 		c.readQueue.push(dp)
 		c.kickScheduler()
 	})
-}
-
-// dropReplay removes a fired replay record.
-func (c *Controller) dropReplay(rec *replayRecord) {
-	for i, r := range c.pendingReplays {
-		if r == rec {
-			c.pendingReplays = append(c.pendingReplays[:i], c.pendingReplays[i+1:]...)
-			return
-		}
-	}
 }
 
 // queueScrub enqueues a full-burst demand-scrub writeback of corrected data.

@@ -59,8 +59,8 @@ type dramPacket struct {
 	// through the bursts queued for the same (rank, bank) in arrival order,
 	// and seq is its arrival number within the queue. All nil/zero while the
 	// burst sits in no queue.
-	bankNext, bankPrev *dramPacket //ckpt:skip queue links, rebuilt by burstQueue.push on restore
-	seq                uint64      //ckpt:skip arrival number, reassigned in saved queue order on restore
+	bankNext, bankPrev *dramPacket
+	seq                uint64
 }
 
 // bankFIFO is the arrival-ordered list of one queue's bursts to one bank.
@@ -98,7 +98,7 @@ type burstQueue struct {
 	isRead bool
 	n      int
 	// banks[rank*banksPerRank+bank] lists the bursts queued for that bank.
-	banks        []bankFIFO //ckpt:skip the queue itself, re-filled by push on restore
+	banks        []bankFIFO
 	banksPerRank int
 	// group0 has the bits of bank group 0's banks set: every Groups-th bank
 	// (Topology.GroupOf is bank mod Groups; a flat device is one group), so
@@ -109,8 +109,8 @@ type burstQueue struct {
 	// scheduler visits the set bits, so it never looks at a bank with nothing
 	// to offer; zero masks prove a rank idle or hit-free. Config.Validate keeps
 	// a rank's banks within maxBanksPerRank.
-	work []uint64 //ckpt:skip derived from the bank lists, rebuilt by push on restore
-	hit  []uint64 //ckpt:skip derived from the bank lists, rebuilt by push on restore
+	work []uint64
+	hit  []uint64
 	// addrCount counts the queued bursts per burst number (burstAddr >>
 	// addrShift), folded onto a power-of-two table. A zero slot proves no
 	// burst at that address is queued; a non-zero slot may be another address
@@ -119,10 +119,10 @@ type burstQueue struct {
 	// only every Channels-th slot; the answer stays exact, just less often
 	// O(1).) Only the write queue is ever asked (merging, read forwarding),
 	// so only it carries a table; nil on the read queue.
-	addrCount []uint32 //ckpt:skip derived from the bank lists, rebuilt by push on restore
+	addrCount []uint32
 	addrShift uint8
 	// ranks is the controller's rank state, read for each bank's open row.
-	ranks   []*rank //ckpt:skip wiring, shared with the controller
+	ranks   []*rank
 	nextSeq uint64
 }
 
@@ -277,8 +277,8 @@ func (q *burstQueue) oldest() *dramPacket {
 	return first
 }
 
-// bursts returns the queued bursts in arrival order (checkpoint save and
-// tests; never the hot path).
+// bursts returns the queued bursts in arrival order (tests; never the hot
+// path).
 func (q *burstQueue) bursts() []*dramPacket {
 	out := make([]*dramPacket, 0, q.n)
 	for _, b := range q.banks {

@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/dram"
 	"repro/internal/faults"
 	"repro/internal/mem"
@@ -107,7 +108,6 @@ type indexRig struct {
 	c   *Controller
 	gen *trafficgen.Generator
 	reg *stats.Registry
-	mgr *checkpoint.Manager
 }
 
 func newIndexRig(t *testing.T, page PagePolicy) *indexRig {
@@ -127,12 +127,18 @@ func newIndexRig(t *testing.T, page PagePolicy) *indexRig {
 		t.Fatal(err)
 	}
 	mem.Connect(gen.Port(), c.Port())
-	mgr := checkpoint.NewManager()
-	mgr.Register("kernel", checkpoint.WrapKernel(k))
-	mgr.Register("mc", c)
-	mgr.Register("gen", gen)
-	mgr.Register("stats", checkpoint.WrapStats(reg))
-	return &indexRig{k: k, c: c, gen: gen, reg: reg, mgr: mgr}
+	return &indexRig{k: k, c: c, gen: gen, reg: reg}
+}
+
+// queued lists both queues' bursts in arrival order, with what each burst is.
+func (r *indexRig) queued() string {
+	var b strings.Builder
+	for _, q := range []*burstQueue{&r.c.readQueue, &r.c.writeQueue} {
+		for _, dp := range q.bursts() {
+			fmt.Fprintf(&b, "%d %v %#x+%d %v %d %v\n", dp.seq, dp.isRead, dp.addr, dp.size, dp.coord, dp.attempts, dp.scrub)
+		}
+	}
+	return b.String()
 }
 
 // finish runs to completion one event tick at a time, checking the index
@@ -168,21 +174,17 @@ func (r *indexRig) finish(t *testing.T, atBothQueued func()) []byte {
 
 // The index stays consistent through a whole random-mix run under ECC
 // replay, demand scrubs, write merging, read forwarding and both adaptive
-// page policies, and a checkpoint taken mid-run with both queues non-empty
-// restores — index rebuilt from the saved arrival order — into a run that
-// ends byte-identical to the uninterrupted one.
+// page policies, and a replay of the run — how a checkpoint resumes — reaches
+// the tick where both queues first hold bursts past a third of the traffic
+// with the same bursts queued in the same order, and ends byte-identical.
 func TestQueueIndexIntegrityAndResume(t *testing.T) {
 	for _, page := range []PagePolicy{OpenAdaptive, ClosedAdaptive} {
 		t.Run(page.String(), func(t *testing.T) {
 			ref := newIndexRig(t, page)
 			ref.gen.Start()
-			var image []byte
-			want := ref.finish(t, func() {
-				var err error
-				if image, err = ref.mgr.Save(); err != nil {
-					t.Fatal(err)
-				}
-			})
+			var at sim.Tick
+			var queued string
+			want := ref.finish(t, func() { at, queued = ref.k.Now(), ref.queued() })
 			for _, s := range []*stats.Scalar{ref.c.st.retriedBursts, ref.c.st.scrubWrites,
 				ref.c.st.mergedWrBursts, ref.c.st.servicedByWrQ} {
 				if s.Value() == 0 {
@@ -190,24 +192,18 @@ func TestQueueIndexIntegrityAndResume(t *testing.T) {
 				}
 			}
 
-			resumed := newIndexRig(t, page)
-			if err := resumed.mgr.Restore(image); err != nil {
-				t.Fatal(err)
-			}
-			if resumed.c.readQueue.n == 0 || resumed.c.writeQueue.n == 0 {
-				t.Fatalf("restored queues hold %d reads, %d writes; want both non-empty",
-					resumed.c.readQueue.n, resumed.c.writeQueue.n)
-			}
-			checkQueueIndex(t, resumed.c)
-			again, err := resumed.mgr.Save()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again, image) {
-				t.Fatal("a checkpoint of the restored run differs from the image it was restored from")
-			}
-			if got := resumed.finish(t, nil); !bytes.Equal(got, want) {
-				t.Fatalf("resumed run's statistics differ from the uninterrupted run's\n got %s\nwant %s", got, want)
+			replay := newIndexRig(t, page)
+			replay.gen.Start()
+			got := replay.finish(t, func() {
+				if now := replay.k.Now(); now != at {
+					t.Fatalf("the replay first held both queues at %s, the run at %s", now, at)
+				}
+				if q := replay.queued(); q != queued {
+					t.Fatalf("the replay's queues at %s differ from the run's:\n got %s\nwant %s", at, q, queued)
+				}
+			})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("the replay's statistics differ from the run's\n got %s\nwant %s", got, want)
 			}
 		})
 	}

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -77,34 +73,21 @@ func (s *laneSink) RecvTimingResp(pkt *mem.Packet) bool {
 
 func (s *laneSink) RecvReqRetry() {}
 
-// packetRefs numbers packets in first-seen order, for a controller image
-// saved and restored outside a checkpoint manager.
-type packetRefs []*mem.Packet
-
-func (r *packetRefs) PacketRef(p *mem.Packet) int {
-	for i, q := range *r {
-		if q == p {
-			return i
+// responses returns every queued response in the order the lanes send them.
+func (c *Controller) responses() []respEntry {
+	var out []respEntry
+	for sentFixed, sentDRAM := 0, 0; ; {
+		e, fromDRAM, ok := c.nextResp(sentFixed, sentDRAM)
+		if !ok {
+			return out
+		}
+		out = append(out, e)
+		if fromDRAM {
+			sentDRAM++
+		} else {
+			sentFixed++
 		}
 	}
-	*r = append(*r, p)
-	return len(*r) - 1
-}
-
-func (r *packetRefs) PacketByRef(ref int) *mem.Packet { return (*r)[ref] }
-
-// restoreSchedules collects a restore's deferred schedules.
-type restoreSchedules []struct {
-	seq uint64
-	fn  func()
-}
-
-func (d *restoreSchedules) WarpClock(*sim.Kernel, sim.Clock) {}
-func (d *restoreSchedules) Defer(seq uint64, fn func()) {
-	*d = append(*d, struct {
-		seq uint64
-		fn  func()
-	}{seq, fn})
 }
 
 // laneConfig sets latencies that make every kind of response distinct: a
@@ -137,10 +120,7 @@ func newLaneController(t *testing.T, sink *laneSink) *Controller {
 // read's on the bus, some stretched by the ECC correction latency; every
 // response goes to the lanes and to insertResp. The grid makes an
 // acknowledgement due at the tick of a DRAM response common, where the DRAM
-// response must leave first. Midway, with both lanes holding responses and
-// the DRAM ring rotated, the controller's image restores into a fresh
-// controller that saves the same bytes and sends what was queued in the
-// sorted queue's order.
+// response must leave first.
 func TestResponseLanesMatchSortedQueue(t *testing.T) {
 	const grid, feeds = 5 * sim.Nanosecond, 4000
 	var oracle []respEntry
@@ -151,9 +131,6 @@ func TestResponseLanesMatchSortedQueue(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var busEnd sim.Tick
 	var fed, stretched int
-	var image []byte
-	var restoredOracle []respEntry
-	var restored *harness
 	check := func() {
 		t.Helper()
 		if got := c.responses(); len(got) != len(oracle) {
@@ -207,10 +184,6 @@ func TestResponseLanesMatchSortedQueue(t *testing.T) {
 			fed++
 		}
 		check()
-		if image == nil && fed > 300 && c.respFixed.Len() > 1 && c.respDRAM.n > 1 && c.respDRAM.head > 0 {
-			image, restored = restoreLanes(t, k, c)
-			restoredOracle = append([]respEntry(nil), oracle...)
-		}
 	}
 	var step func()
 	step = func() {
@@ -229,91 +202,5 @@ func TestResponseLanesMatchSortedQueue(t *testing.T) {
 		fed, sink.got, stretched, sink.ties)
 	if stretched < 100 || sink.ties < 100 {
 		t.Fatalf("%d out-of-order DRAM responses and %d ties across the lanes; want at least 100 each", stretched, sink.ties)
-	}
-	if image == nil {
-		t.Fatal("never checkpointed with both lanes holding responses")
-	}
-
-	// The restored controller sends what was queued at the checkpoint, in the
-	// sorted queue's order.
-	restored.k.RunUntil(restored.k.Now() + sim.Microsecond)
-	sent := restored.responses
-	if len(sent) != len(restoredOracle) {
-		t.Fatalf("restored controller sent %d responses, %d were queued", len(sent), len(restoredOracle))
-	}
-	for i, pkt := range sent {
-		if pkt != restoredOracle[i].pkt {
-			t.Fatalf("restored controller's response %d is %p, the sorted queue's %p", i, pkt, restoredOracle[i].pkt)
-		}
-	}
-}
-
-// restoreLanes saves c, restores the image into a fresh controller on its own
-// kernel (responses accepted as they come), and fails unless the restored
-// controller saves the same bytes. It returns the image and the restored
-// harness.
-func restoreLanes(t *testing.T, k *sim.Kernel, c *Controller) ([]byte, *harness) {
-	t.Helper()
-	var refs packetRefs
-	save := func(c *Controller) []byte {
-		st, err := c.CheckpointSave(&refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	image := save(c)
-	r := newHarness(t, laneConfig)
-	var d restoreSchedules
-	if err := r.c.CheckpointRestore(&refs, &d, image); err != nil {
-		t.Fatal(err)
-	}
-	r.k.RestoreClock(k.ClockState())
-	sort.Slice(d, func(i, j int) bool { return d[i].seq < d[j].seq })
-	for _, e := range d {
-		r.k.RestoreSeq(e.seq)
-		e.fn()
-	}
-	r.k.RestoreSeq(k.ClockState().NextSeq)
-	if again := save(r.c); !bytes.Equal(again, image) {
-		t.Fatalf("save -> restore -> save changed the image:\n%s\n%s", image, again)
-	}
-	if r.c.respFixed.Len() != c.respFixed.Len() || r.c.respDRAM.n != c.respDRAM.n {
-		t.Fatalf("restored lanes hold %d + %d responses, saved %d + %d",
-			r.c.respFixed.Len(), r.c.respDRAM.n, c.respFixed.Len(), c.respDRAM.n)
-	}
-	return image, r
-}
-
-// An image holding more DRAM read responses than the restoring controller's
-// read buffer admits is an error from CheckpointRestore, not an overflowing
-// ring.
-func TestRestoreRefusesMoreReadResponsesThanTheReadBuffer(t *testing.T) {
-	k := sim.NewKernel()
-	c := newLaneController(t, &laneSink{t: t, k: k})
-	for i := 0; i < 6; i++ {
-		c.readEntries++
-		c.queueReadResponse(mem.NewRead(mem.Addr(i)*64, 64, 0, 0), sim.Microsecond, 1)
-	}
-	var refs packetRefs
-	st, err := c.CheckpointSave(&refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	image, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := newHarness(t, func(c *Config) {
-		laneConfig(c)
-		c.ReadBufferSize = 4
-	})
-	err = small.c.CheckpointRestore(&refs, &restoreSchedules{}, image)
-	if err == nil || !strings.Contains(err.Error(), "4-entry read buffer") {
-		t.Fatalf("restoring 6 read responses into a 4-entry read buffer: error %v", err)
 	}
 }

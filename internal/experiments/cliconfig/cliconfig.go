@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/experiments"
@@ -121,11 +120,11 @@ type Traffic struct {
 	requests    *uint64
 	Bytes       uint64
 	Outstanding int
-	ITTNs       int64
+	ITT         *sim.Tick
 	Stride      uint64
 	Banks       int
 	BurstOn     int
-	BurstOffNs  int64
+	BurstOff    *sim.Tick
 	Seed        int64
 }
 
@@ -134,24 +133,21 @@ func AddTraffic(fs *flag.FlagSet, defRequests uint64) *Traffic {
 	t := &Traffic{}
 	fs.StringVar(&t.Pattern, "pattern", "linear", "traffic: linear, random, dramaware, bursty")
 	t.Reads = 100
-	fs.Func("reads", "read percentage (0-100; default 100)", func(s string) error {
+	fs.Var(checked[int]{p: &t.Reads, parse: func(s string) (int, error) {
 		v, err := strconv.ParseInt(s, 0, 64)
 		if err == nil && (v < 0 || v > 100) {
 			err = errors.New("must be a percentage from 0 to 100")
 		}
-		if err == nil {
-			t.Reads = int(v)
-		}
-		return err
-	})
+		return int(v), err
+	}}, "reads", "read percentage (0-100)")
 	t.requests = AddCount(fs, "requests", defRequests, "number of requests")
 	fs.Uint64Var(&t.Bytes, "bytes", 64, "request size in bytes")
 	fs.IntVar(&t.Outstanding, "outstanding", 32, "max outstanding requests")
-	fs.Int64Var(&t.ITTNs, "itt", 0, "inter-transaction time in ns (0 = saturate)")
+	t.ITT = AddNanoseconds(fs, "itt", 0, "inter-transaction time in ns (0 = saturate)")
 	fs.Uint64Var(&t.Stride, "stride", 4, "dramaware: stride in bursts")
 	fs.IntVar(&t.Banks, "banks", 4, "dramaware: banks targeted")
 	fs.IntVar(&t.BurstOn, "burst-on", 16, "bursty: requests per on-period")
-	fs.Int64Var(&t.BurstOffNs, "burst-off-ns", 2000, "bursty: mean idle gap between bursts in ns")
+	t.BurstOff = AddNanoseconds(fs, "burst-off-ns", 2000, "bursty: mean idle gap between bursts in ns")
 	fs.Int64Var(&t.Seed, "seed", 1, "pattern seed")
 	return t
 }
@@ -162,7 +158,7 @@ func (t *Traffic) GenConfig() trafficgen.Config {
 		RequestBytes:     t.Bytes,
 		MaxOutstanding:   t.Outstanding,
 		Count:            *t.requests,
-		InterTransaction: sim.Tick(t.ITTNs) * sim.Nanosecond,
+		InterTransaction: *t.ITT,
 	}
 }
 
@@ -198,7 +194,7 @@ func (t *Traffic) BuildPattern(spec dram.Spec, mapping dram.Mapping, channels in
 			Start: 0, End: 1 << 28, Align: t.Bytes,
 			ReadPercent: t.Reads, Seed: t.Seed,
 			BurstLen: t.BurstOn,
-			OffTime:  sim.Tick(t.BurstOffNs) * sim.Nanosecond,
+			OffTime:  *t.BurstOff,
 		}
 		if err := p.Validate(); err != nil {
 			return nil, err
@@ -215,21 +211,66 @@ func (t *Traffic) BuildPattern(spec dram.Spec, mapping dram.Mapping, channels in
 // depends on another flag; its usage then names that default itself.
 func AddCount(fs *flag.FlagSet, name string, def uint64, usage string) *uint64 {
 	n := def
-	bound := "at least 1"
-	if def > 0 {
-		bound = fmt.Sprintf("at least 1; default %d", def)
-	}
-	fs.Func(name, fmt.Sprintf("%s (%s)", usage, bound), func(s string) error {
+	fs.Var(checked[uint64]{p: &n, parse: func(s string) (uint64, error) {
 		v, err := strconv.ParseUint(s, 0, 64)
 		if err == nil && v == 0 {
 			err = errors.New("must be at least 1 (a run of 0 would never finish)")
 		}
-		if err == nil {
-			n = v
-		}
-		return err
-	})
+		return v, err
+	}}, name, usage+" (at least 1)")
 	return &n
+}
+
+// AddNanoseconds registers a flag counting nanoseconds of simulated time and
+// returns its value as ticks, the one crossing from nanoseconds to ticks the
+// tools make. A negative count, or one whose ticks would overflow sim.Tick
+// (above sim.MaxTick/sim.Nanosecond), is refused at parse time with the flag
+// named, instead of wrapping to some other duration.
+func AddNanoseconds(fs *flag.FlagSet, name string, def int64, usage string) *sim.Tick {
+	t := sim.Tick(def) * sim.Nanosecond
+	parse := func(s string) (sim.Tick, error) {
+		v, err := strconv.ParseInt(s, 0, 64)
+		switch {
+		case err != nil:
+			return 0, err
+		case v < 0:
+			return 0, errors.New("must not be negative")
+		case v > int64(sim.MaxTick/sim.Nanosecond):
+			return 0, fmt.Errorf("must be at most %d ns, the simulated clock's range", sim.MaxTick/sim.Nanosecond)
+		}
+		return sim.Tick(v) * sim.Nanosecond, nil
+	}
+	show := func(t sim.Tick) string { return strconv.FormatInt(int64(t/sim.Nanosecond), 10) }
+	fs.Var(checked[sim.Tick]{&t, parse, show}, name, usage)
+	return &t
+}
+
+// checked is a flag.Value over *p: Set stores what parse accepts, and String
+// prints the value (by show, when set), so a checkpoint's recipe can record
+// it. The zero value prints as "", which the usage text then leaves out.
+type checked[T comparable] struct {
+	p     *T
+	parse func(string) (T, error)
+	show  func(T) string
+}
+
+func (c checked[T]) Set(s string) error {
+	v, err := c.parse(s)
+	if err == nil {
+		*c.p = v
+	}
+	return err
+}
+
+func (c checked[T]) String() string {
+	var zero T
+	switch {
+	case c.p == nil || *c.p == zero:
+		return ""
+	case c.show != nil:
+		return c.show(*c.p)
+	}
+	return fmt.Sprint(*c.p)
 }
 
 // --- Channels flag ---------------------------------------------------------
@@ -242,17 +283,13 @@ func AddCount(fs *flag.FlagSet, name string, def uint64, usage string) *uint64 {
 // by dram.NewDecoder.
 func AddChannels(fs *flag.FlagSet) *int {
 	channels := 1
-	fs.Func("channels", "DRAM channels, behind a crossbar when > 1 (a power of two; default 1)", func(s string) error {
+	fs.Var(checked[int]{p: &channels, parse: func(s string) (int, error) {
 		n, err := strconv.Atoi(s)
-		if err != nil {
-			return err
+		if err == nil && n < 1 {
+			err = errors.New("need at least one channel")
 		}
-		if n < 1 {
-			return fmt.Errorf("need at least one channel")
-		}
-		channels = n
-		return nil
-	})
+		return n, err
+	}}, "channels", "DRAM channels, behind a crossbar when > 1 (a power of two)")
 	return &channels
 }
 
@@ -260,16 +297,16 @@ func AddChannels(fs *flag.FlagSet) *int {
 
 // Checkpoint is the supervision/checkpoint flag group.
 type Checkpoint struct {
-	Path    string
-	EveryNs int64
-	Resume  bool
+	Path   string
+	Every  *sim.Tick
+	Resume bool
 }
 
 // AddCheckpoint registers the checkpoint flags.
 func AddCheckpoint(fs *flag.FlagSet) *Checkpoint {
 	c := &Checkpoint{}
 	fs.StringVar(&c.Path, "checkpoint", "", "checkpoint file (event model only); written periodically, at interrupt, and at completion")
-	fs.Int64Var(&c.EveryNs, "checkpoint-every", 0, "checkpoint every N ns of simulated time (0 = only final/interrupt)")
+	c.Every = AddNanoseconds(fs, "checkpoint-every", 0, "checkpoint every N ns of simulated time (0 = only final/interrupt)")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from -checkpoint if the file exists")
 	return c
 }
@@ -282,20 +319,18 @@ func (c *Checkpoint) Validate() error {
 	if c.Resume && c.Path == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
 	}
-	if c.EveryNs != 0 && c.Path == "" {
+	if *c.Every != 0 && c.Path == "" {
 		return fmt.Errorf("-checkpoint-every needs -checkpoint")
-	}
-	if c.EveryNs < 0 {
-		return fmt.Errorf("negative checkpoint interval")
 	}
 	return nil
 }
 
-// Config assembles the supervisor configuration.
+// Config assembles the supervisor configuration; the caller adds the run's
+// recipe and statistics.
 func (c *Checkpoint) Config(notify <-chan os.Signal) supervisor.Config {
 	return supervisor.Config{
 		Checkpoint: c.Path,
-		Every:      sim.Tick(c.EveryNs) * sim.Nanosecond,
+		Every:      *c.Every,
 		Resume:     c.Resume,
 		Notify:     notify,
 		Log:        os.Stderr,
@@ -309,7 +344,7 @@ func (c *Checkpoint) Config(notify <-chan os.Signal) supervisor.Config {
 type Obs struct {
 	TracePath string
 	HTTPAddr  string
-	SampleNs  int64
+	Sample    *sim.Tick
 }
 
 // AddObs registers the observability flags.
@@ -317,7 +352,7 @@ func AddObs(fs *flag.FlagSet) *Obs {
 	o := &Obs{}
 	fs.StringVar(&o.TracePath, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
 	fs.StringVar(&o.HTTPAddr, "obs-http", "", "serve live stats snapshots and pprof on this address (e.g. localhost:6060)")
-	fs.Int64Var(&o.SampleNs, "obs-sample", 0, "sample controller state and bandwidth every N ns of simulated time and print the bandwidth over time (0 = off; implied 1ms by -obs-http)")
+	o.Sample = AddNanoseconds(fs, "obs-sample", 0, "sample controller state and bandwidth every N ns of simulated time and print the bandwidth over time (0 = off; implied 1ms by -obs-http)")
 	return o
 }
 
@@ -326,21 +361,17 @@ func (o *Obs) Tracing() bool { return o.TracePath != "" }
 
 // Sampling reports whether periodic sampling is active (after Validate has
 // applied the -obs-http implication).
-func (o *Obs) Sampling() bool { return o.SampleNs > 0 }
+func (o *Obs) Sampling() bool { return *o.Sample > 0 }
 
 // Validate checks the observability flags against the run mode and applies
-// the -obs-http sampling implication. The trace is checkpoint-compatible
-// (the sink is a checkpoint component); the sampler and the live endpoint
-// schedule host-driven work no component hook serializes, so they are
-// rejected alongside checkpointing.
+// the -obs-http sampling implication. The sampler's statistics and the live
+// endpoint are outside a checkpoint's recipe, so both are rejected alongside
+// checkpointing.
 func (o *Obs) Validate(checkpointing bool) error {
-	if o.SampleNs < 0 {
-		return fmt.Errorf("negative -obs-sample interval")
+	if o.HTTPAddr != "" && *o.Sample == 0 {
+		*o.Sample = sim.Millisecond // of simulated time between snapshots
 	}
-	if o.HTTPAddr != "" && o.SampleNs == 0 {
-		o.SampleNs = 1_000_000 // 1 ms of simulated time between snapshots
-	}
-	if checkpointing && o.SampleNs > 0 {
+	if checkpointing && *o.Sample > 0 {
 		return fmt.Errorf("checkpointing does not support -obs-sample/-obs-http (drop them or the -checkpoint flags)")
 	}
 	return nil
@@ -381,7 +412,7 @@ func WriteResultJSON(out io.Writer, path string, v any) error {
 	}
 	enc, err := experiments.EncodeResultJSON(v)
 	if err == nil {
-		err = checkpoint.WriteFileAtomic(path, enc)
+		err = supervisor.WriteFileAtomic(path, enc)
 	}
 	if err != nil {
 		return err

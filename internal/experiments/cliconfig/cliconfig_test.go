@@ -46,7 +46,7 @@ func TestAddCountAndParse(t *testing.T) {
 	var usage bytes.Buffer
 	fs.SetOutput(&usage)
 	fs.PrintDefaults()
-	if !strings.Contains(usage.String(), "requests per point (at least 1; default 4000)") {
+	if !strings.Contains(usage.String(), "requests per point (at least 1) (default 4000)") {
 		t.Errorf("usage lost the default:\n%s", usage.String())
 	}
 }

@@ -151,8 +151,8 @@ type linkBack struct {
 
 // ShardLink carries requests front-to-back and responses back-to-front
 // between two kernels. See the package comment above for the determinism
-// argument. It has no checkpoint hooks: only the benchmark builds links, and
-// a sharded session is never supervised.
+// argument. Only the benchmark builds links, and a sharded session is never
+// supervised.
 type ShardLink struct {
 	latency sim.Tick
 	front   *linkFront

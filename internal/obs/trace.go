@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/power"
@@ -80,8 +77,7 @@ type pendingPower struct {
 }
 
 // Tracer is the lifecycle trace of one run: the probe that converts obs
-// events into Chrome trace-event lines, the file they go to, and the
-// checkpoint component that lets a resumed run continue that file. Attach it
+// events into Chrome trace-event lines and the file they go to. Attach it
 // to the hub every traced component emits through, Flush it between session
 // steps (Session.OnStep) so the buffered lines stay bounded however long the
 // run is, and Close it when the run ends.
@@ -89,10 +85,8 @@ type pendingPower struct {
 // The file uses the JSON Array format with one event object per line; Close
 // appends the "{}]" terminator, making the file strict JSON, but Perfetto also
 // loads a file that crashed mid-write (the format tolerates a missing
-// terminator). The tracer tracks the file's valid length so a checkpoint can
-// record "the trace is valid up to byte N": restoring truncates back to N and
-// the resumed run appends from there, reproducing the uninterrupted file
-// exactly (clocks are absolute across resume, so no timestamp is rewritten).
+// terminator). A run resumed from a checkpoint replays from tick 0, so it
+// writes the whole file again, byte for byte.
 type Tracer struct {
 	nextPid int
 	pids    map[string]int // src -> pid
@@ -104,11 +98,9 @@ type Tracer struct {
 	nextID  uint64                    // async span ids, trace-wide
 	buf     []byte                    // pending trace lines
 
-	f   *os.File
-	off int64 // valid length of the file
-	// started is set once the file holds this run's header: by the first
-	// Flush of a fresh run, which empties the file and writes it, or by a
-	// checkpoint restore, which keeps the file up to the saved length.
+	f *os.File
+	// started is set once the file holds this run's header, written by the
+	// first Flush over whatever the file held.
 	started bool
 }
 
@@ -116,10 +108,10 @@ type Tracer struct {
 const traceHeader = "[\n"
 
 // OpenTrace opens (or creates) the trace file at path without touching its
-// contents, which a run resumed from a checkpoint continues; a fresh run
-// replaces them on its first Flush.
+// contents: the run replaces them on its first Flush, so a run refused before
+// it steps leaves an earlier trace alone.
 func OpenTrace(path string) (*Tracer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -134,21 +126,11 @@ func OpenTrace(path string) (*Tracer, error) {
 	}, nil
 }
 
-// truncate cuts the file to n bytes and leaves the write position there.
-func (t *Tracer) truncate(n int64) error {
-	if err := t.f.Truncate(n); err != nil {
-		return err
-	}
-	_, err := t.f.Seek(n, 0)
-	t.off = n
-	return err
-}
-
 // Flush drains the buffered lines to the file, first replacing whatever an
-// earlier run left there with the header when this run is a fresh one.
+// earlier run left there with the header.
 func (t *Tracer) Flush() error {
 	if !t.started {
-		if err := t.truncate(0); err != nil {
+		if err := t.f.Truncate(0); err != nil {
 			return err
 		}
 		t.buf = append([]byte(traceHeader), t.buf...)
@@ -157,15 +139,12 @@ func (t *Tracer) Flush() error {
 	if len(t.buf) == 0 {
 		return nil
 	}
-	n, err := t.f.Write(t.buf)
-	t.off += int64(n)
+	_, err := t.f.Write(t.buf)
 	t.buf = t.buf[:0]
 	return err
 }
 
-// Close flushes, terminates the JSON array and closes the file. A later
-// resume truncates back to the checkpointed length, terminator included, so
-// the resumed file still matches an uninterrupted run.
+// Close flushes, terminates the JSON array and closes the file.
 func (t *Tracer) Close() error {
 	t.buf = append(t.buf, "{}]\n"...)
 	return errors.Join(t.Flush(), t.f.Close())
@@ -338,170 +317,3 @@ func (t *Tracer) HandleEvent(ev Event) {
 
 // addrHex formats an address the way every trace line does.
 func addrHex(a mem.Addr) string { return "0x" + strconv.FormatUint(uint64(a), 16) }
-
-// --- Checkpoint images -----------------------------------------------------
-//
-// A tracer carries exactly the state that makes a resumed trace match an
-// uninterrupted one byte for byte: the pid/tid assignments already written
-// as metadata lines, the open spans (by packet table reference, so they
-// re-link to the shared restored packets), the async id counter, and any
-// open write-drain episode, under the valid length of the file. Pending
-// buffered lines never appear here: saving flushes them to the file first.
-
-type tracerPidState struct {
-	Src string
-	Pid int
-}
-
-type tracerTidState struct {
-	Key string
-	Tid int
-}
-
-type tracerSpanState struct {
-	Src     string
-	Pkt     int
-	ID      uint64
-	Queue   Queue
-	CmdSeen bool
-}
-
-type tracerDrainState struct {
-	Src      string
-	At       sim.Tick
-	QueueLen int
-}
-
-type tracerPowerState struct {
-	Src  string
-	Rank int
-	At   sim.Tick
-	Name string
-}
-
-type tracerState struct {
-	NextPid int
-	NextID  uint64
-	Pids    []tracerPidState
-	Tids    []tracerTidState
-	Spans   []tracerSpanState
-	Drains  []tracerDrainState
-	Powers  []tracerPowerState
-}
-
-// saveState captures the tracer's open state.
-func (t *Tracer) saveState(pt mem.PacketTable) tracerState {
-	st := tracerState{NextPid: t.nextPid, NextID: t.nextID}
-	for src, pid := range t.pids {
-		st.Pids = append(st.Pids, tracerPidState{Src: src, Pid: pid})
-	}
-	sort.Slice(st.Pids, func(i, j int) bool { return st.Pids[i].Pid < st.Pids[j].Pid })
-	for key, tid := range t.tids {
-		st.Tids = append(st.Tids, tracerTidState{Key: key, Tid: tid})
-	}
-	sort.Slice(st.Tids, func(i, j int) bool {
-		if st.Tids[i].Key != st.Tids[j].Key {
-			return st.Tids[i].Key < st.Tids[j].Key
-		}
-		return st.Tids[i].Tid < st.Tids[j].Tid
-	})
-	for key, sp := range t.spans {
-		st.Spans = append(st.Spans, tracerSpanState{
-			Src: key.src, Pkt: pt.PacketRef(key.pkt),
-			ID: sp.id, Queue: sp.queue, CmdSeen: sp.cmdSeen,
-		})
-	}
-	sort.Slice(st.Spans, func(i, j int) bool { return st.Spans[i].ID < st.Spans[j].ID })
-	for src, d := range t.drains {
-		st.Drains = append(st.Drains, tracerDrainState{Src: src, At: d.at, QueueLen: d.queueLen})
-	}
-	sort.Slice(st.Drains, func(i, j int) bool { return st.Drains[i].Src < st.Drains[j].Src })
-	for key, p := range t.powers {
-		st.Powers = append(st.Powers, tracerPowerState{Src: key.src, Rank: key.rank, At: p.at, Name: p.name})
-	}
-	sort.Slice(st.Powers, func(i, j int) bool {
-		if st.Powers[i].Src != st.Powers[j].Src {
-			return st.Powers[i].Src < st.Powers[j].Src
-		}
-		return st.Powers[i].Rank < st.Powers[j].Rank
-	})
-	return st
-}
-
-// restoreState rebuilds the tracer's open state from a checkpoint image.
-func (t *Tracer) restoreState(pl mem.PacketLookup, st tracerState) error {
-	t.buf = t.buf[:0]
-	t.nextPid = st.NextPid
-	t.nextID = st.NextID
-	t.pids = make(map[string]int, len(st.Pids))
-	t.nextTid = make(map[int]int, len(st.Pids))
-	for _, p := range st.Pids {
-		t.pids[p.Src] = p.Pid
-		t.nextTid[p.Pid] = 1
-	}
-	t.tids = make(map[string]int, len(st.Tids))
-	for _, e := range st.Tids {
-		t.tids[e.Key] = e.Tid
-		pidStr, _, _ := strings.Cut(e.Key, "|")
-		pid, err := strconv.Atoi(pidStr)
-		if err != nil {
-			return fmt.Errorf("obs: bad tid key %q in checkpoint", e.Key)
-		}
-		if e.Tid >= t.nextTid[pid] {
-			t.nextTid[pid] = e.Tid + 1
-		}
-	}
-	t.spans = make(map[spanKey]*openSpan, len(st.Spans))
-	for _, s := range st.Spans {
-		t.spans[spanKey{s.Src, pl.PacketByRef(s.Pkt)}] = &openSpan{
-			id: s.ID, queue: s.Queue, cmdSeen: s.CmdSeen,
-		}
-	}
-	t.drains = make(map[string]pendingDrain, len(st.Drains))
-	for _, d := range st.Drains {
-		t.drains[d.Src] = pendingDrain{at: d.At, queueLen: d.QueueLen}
-	}
-	t.powers = make(map[powerKey]pendingPower, len(st.Powers))
-	for _, p := range st.Powers {
-		t.powers[powerKey{p.Src, p.Rank}] = pendingPower{at: p.At, name: p.Name}
-	}
-	return nil
-}
-
-// traceSection is the tracer's checkpoint section. Tracers has held exactly
-// one image since a trace has one tracer; the list is the format's.
-type traceSection struct {
-	FileBytes int64
-	Tracers   []tracerState
-}
-
-// CheckpointSave implements checkpoint.Checkpointable: flush everything,
-// then record the valid file length and the open state.
-func (t *Tracer) CheckpointSave(pt mem.PacketTable) (any, error) {
-	if err := t.Flush(); err != nil {
-		return nil, err
-	}
-	return traceSection{FileBytes: t.off, Tracers: []tracerState{t.saveState(pt)}}, nil
-}
-
-// CheckpointRestore implements checkpoint.Checkpointable: truncate the file
-// to the saved length and rebuild the open state. Resuming a traced run
-// requires tracing to be enabled again (the checkpoint's component set is
-// strict).
-func (t *Tracer) CheckpointRestore(pl mem.PacketLookup, _ sim.Restorer, data []byte) error {
-	var sec traceSection
-	if err := json.Unmarshal(data, &sec); err != nil {
-		return fmt.Errorf("obs: trace restore: %w", err)
-	}
-	if len(sec.Tracers) != 1 {
-		return fmt.Errorf("obs: checkpoint has %d tracers, a trace has one", len(sec.Tracers))
-	}
-	if sec.FileBytes < int64(len(traceHeader)) {
-		return fmt.Errorf("obs: trace truncation to %d bytes would lose the header", sec.FileBytes)
-	}
-	if err := t.truncate(sec.FileBytes); err != nil {
-		return err
-	}
-	t.started = true
-	return t.restoreState(pl, sec.Tracers[0])
-}

@@ -1,12 +1,11 @@
-// Trace determinism and checkpoint tests: the headline guarantees of the
-// observability layer are that a trace is byte-identical across identical
-// runs, reconciles with the aggregate statistics, and survives a
-// checkpoint/restore cycle exactly.
+// Trace determinism tests: the headline guarantees of the observability
+// layer are that a trace is byte-identical across identical runs, reconciles
+// with the aggregate statistics, and comes out whole when a resumed run
+// replays over what a killed one left.
 package obs_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,29 +132,9 @@ func TestTraceReconcilesWithStats(t *testing.T) {
 	}
 }
 
-// stubRefs is a PacketTable/PacketLookup pair for checkpoint tests: packets
-// are identified by index in a fixed slice.
-type stubRefs struct{ pkts []*mem.Packet }
-
-func (s *stubRefs) PacketRef(p *mem.Packet) int {
-	for i, q := range s.pkts {
-		if q == p {
-			return i
-		}
-	}
-	return -1
-}
-
-func (s *stubRefs) PacketByRef(ref int) *mem.Packet {
-	if ref < 0 || ref >= len(s.pkts) {
-		return nil
-	}
-	return s.pkts[ref]
-}
-
 // syntheticPhases returns two event batches: phase 1 leaves packet spans
-// open across the checkpoint boundary (the hard case — the restored tracer
-// must close them with the original span ids), phase 2 closes everything.
+// open across the kill (the hard case: the resumed tracer must close them
+// with the original span ids), phase 2 closes everything.
 func syntheticPhases(pkts []*mem.Packet) (phase1, phase2 []obs.Event) {
 	us := func(n int64) sim.Tick { return sim.Tick(n) * sim.Microsecond }
 	phase1 = []obs.Event{
@@ -178,87 +157,46 @@ func syntheticPhases(pkts []*mem.Packet) (phase1, phase2 []obs.Event) {
 	return phase1, phase2
 }
 
-// A checkpoint taken mid-trace, followed by further (lost) progress and a
-// restore into a fresh process, must reproduce the uninterrupted file
-// byte-for-byte — including span ids allocated before the checkpoint.
+// A run killed mid-trace leaves an unterminated file longer than its
+// checkpoint's prefix. The resumed run replays from tick 0 over the same file
+// and must reproduce the uninterrupted trace byte for byte — span ids
+// allocated before the checkpoint included — without a byte of the leftover.
 func TestTraceSinkCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	pkts := []*mem.Packet{{}, {}}
-	refs := &stubRefs{pkts: pkts}
 	phase1, phase2 := syntheticPhases(pkts)
-
-	emit := func(tr *obs.Tracer, evs []obs.Event) {
+	run := func(path string, evs []obs.Event, kill bool) {
+		t.Helper()
+		sink, err := obs.OpenTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, ev := range evs {
-			tr.HandleEvent(ev)
+			sink.HandleEvent(ev)
+		}
+		if kill {
+			// No Close: the process died, the file ends mid-array.
+			err = sink.Flush()
+		} else {
+			err = sink.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	// Reference: uninterrupted run.
+	all := append(append([]obs.Event(nil), phase1...), phase2...)
 	refPath := filepath.Join(dir, "ref.json")
-	sink, err := obs.OpenTrace(refPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emit(sink, phase1)
-	emit(sink, phase2)
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
+	run(refPath, all, false)
 	want := readFile(t, refPath)
 
-	// Crash run: phase 1, checkpoint, doomed post-checkpoint progress.
-	path := filepath.Join(dir, "crash.json")
-	sink1, err := obs.OpenTrace(path)
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(dir, "run.json")
+	run(path, append(append([]obs.Event(nil), all...), phase1...), true) // killed after more than the checkpoint's prefix
+	if len(readFile(t, path)) <= len(want) {
+		t.Fatal("the killed run left no more than the whole trace: the test lost its aim")
 	}
-	emit(sink1, phase1)
-	img, err := sink1.CheckpointSave(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emit(sink1, phase2[:3]) // progress the crash will throw away
-	if err := sink1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// No Close: the process died. The file ends mid-array, unterminated.
-
-	// Resumed process: a fresh tracer over the same file, restore.
-	sink2, err := obs.OpenTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink2.CheckpointRestore(refs, nil, data); err != nil {
-		t.Fatal(err)
-	}
-	emit(sink2, phase2)
-	if err := sink2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	run(path, all, false)
 	if got := readFile(t, path); !bytes.Equal(got, want) {
 		t.Fatalf("resumed trace differs from uninterrupted reference:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-
-	// A section holding several tracer images (an older build's per-kernel
-	// tracers) must be rejected, not half-applied.
-	var sec struct {
-		FileBytes int64
-		Tracers   []json.RawMessage
-	}
-	if err := json.Unmarshal(data, &sec); err != nil {
-		t.Fatal(err)
-	}
-	sec.Tracers = append(sec.Tracers, sec.Tracers[0])
-	two, err := json.Marshal(sec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink2.CheckpointRestore(refs, nil, two); err == nil {
-		t.Fatal("restore of a two-tracer section unexpectedly succeeded")
 	}
 }
 

@@ -126,23 +126,21 @@ func (k *Kernel) Reschedule(e *Event, when Tick) {
 // Call schedules fn to run once at tick when, drawing the event from the
 // kernel's event pool: steady-state one-shot work (replays, retries, deferred
 // kicks) reuses fired events instead of allocating. The name is used in
-// diagnostics only. It returns the scheduling's sequence number, which
-// checkpointing components record to reproduce same-tick ordering on restore.
+// diagnostics only.
 //
 //hot:path pooled one-shots; gated by TestCallSteadyStateZeroAlloc
-func (k *Kernel) Call(name string, when Tick, fn func()) uint64 {
+func (k *Kernel) Call(name string, when Tick, fn func()) {
 	e := k.events.Get()
 	e.pooled = true
 	e.name = name
 	e.priority = DefaultPriority
 	e.callback = fn
 	k.Schedule(e, when)
-	return e.seq
 }
 
 // CallIn is Call with a delay relative to the current tick.
-func (k *Kernel) CallIn(name string, delay Tick, fn func()) uint64 {
-	return k.Call(name, k.now+delay, fn)
+func (k *Kernel) CallIn(name string, delay Tick, fn func()) {
+	k.Call(name, k.now+delay, fn)
 }
 
 // PeekNext returns the tick of the earliest pending event without executing

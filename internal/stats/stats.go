@@ -46,7 +46,7 @@ type Registry struct {
 // in registration order, an index by full name, and the one pool scalars and
 // averages are carved from. A statistic keeps its registry's prefix and its
 // own leaf name and joins them only on a cold path (Name, Rows, the dumps,
-// SaveState/RestoreState, panics), so registering one builds no string.
+// panics), so registering one builds no string.
 type store struct {
 	stats []Stat
 	// index maps the hash of a full name to the first statistic registered

@@ -2,79 +2,82 @@ package supervisor
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 
-	"repro/internal/checkpoint"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// fakeSim is a one-integer "simulation" whose progress is checkpointable.
-type fakeSim struct {
-	ticks int
-	total int
-}
-
-func (f *fakeSim) CheckpointSave(mem.PacketTable) (any, error) {
-	return map[string]int{"ticks": f.ticks}, nil
-}
-
-func (f *fakeSim) CheckpointRestore(_ mem.PacketLookup, _ sim.Restorer, data []byte) error {
-	var st map[string]int
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	f.ticks = st["ticks"]
-	return nil
-}
-
-// fakeSession wraps a fakeSim as a supervisor.Session. failAt injects a panic
-// when progress reaches that tick (0 disables); onStep observes every step.
+// fakeSession is a one-integer "simulation" advancing 1 µs per step. Its
+// statistics are its tick count and salt; a different salt is a different
+// run under the same recipe. failAt injects a panic when progress reaches
+// that tick (0 disables); onStep observes every step.
 type fakeSession struct {
-	sim     *fakeSim
-	mgr     *checkpoint.Manager
-	failAt  int
-	onStep  func(ticks int)
-	started bool
+	ticks, total int
+	salt         string
+	failAt       int
+	onStep       func(ticks int)
+	started      bool
 }
 
-// newFake builds a session that completes after total steps of 1 µs each.
-func newFake(total int) *fakeSession {
-	fs := &fakeSim{total: total}
-	m := checkpoint.NewManager()
-	m.Register("sim", fs)
-	return &fakeSession{sim: fs, mgr: m}
-}
+// newFake builds a session that completes after total steps.
+func newFake(total int) *fakeSession { return &fakeSession{total: total} }
 
-func (s *fakeSession) Manager() *checkpoint.Manager { return s.mgr }
-func (s *fakeSession) Now() sim.Tick                { return sim.Tick(s.sim.ticks) * sim.Microsecond }
-func (s *fakeSession) Start()                       { s.started = true }
+func (s *fakeSession) Now() sim.Tick { return sim.Tick(s.ticks) * sim.Microsecond }
+func (s *fakeSession) Start()        { s.started = true }
 
 func (s *fakeSession) Step() (bool, error) {
-	s.sim.ticks++
+	s.ticks++
 	if s.onStep != nil {
-		s.onStep(s.sim.ticks)
+		s.onStep(s.ticks)
 	}
-	if s.failAt != 0 && s.sim.ticks == s.failAt {
+	if s.failAt != 0 && s.ticks == s.failAt {
 		panic("injected fault")
 	}
-	return s.sim.ticks >= s.sim.total, nil
+	return s.ticks >= s.total, nil
 }
 
-// A step that panics ends the run with a tick-stamped error and a restorable
-// postmortem image, leaves the last good checkpoint as it was, and a second
-// run with Resume continues from that checkpoint to the uninterrupted end.
+// config is a supervised run of s checkpointing to path.
+func (s *fakeSession) config(path string) Config {
+	return Config{
+		Checkpoint: path,
+		Recipe:     Recipe{Configs: map[string]any{"sim": struct{ Total int }{s.total}}},
+		Stats: func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "ticks %d%s\n", s.ticks, s.salt)
+			return err
+		},
+	}
+}
+
+// recipeAt decodes the checkpoint file at path.
+func recipeAt(t *testing.T, path string) Recipe {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Decode(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return r
+}
+
+// A step that panics ends the run with a tick-stamped error and a postmortem
+// recipe of the failure, leaves the last good checkpoint as it was, and a
+// second run with Resume replays silently to that checkpoint and continues to
+// the uninterrupted end.
 func TestRecoversFromInjectedPanic(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	cfg := Config{Checkpoint: ckpt, Every: 2 * sim.Microsecond}
-
 	failing := newFake(10)
 	failing.failAt = 7
+	cfg := failing.config(ckpt)
+	cfg.Every = 2 * sim.Microsecond
 	var log bytes.Buffer
 	cfg.Log = &log
 	res, err := Run(cfg, failing)
@@ -84,30 +87,16 @@ func TestRecoversFromInjectedPanic(t *testing.T) {
 	if res.Done || res.Interrupted || res.Now != 7*sim.Microsecond || res.Checkpoints != 3 {
 		t.Fatalf("result = %+v, want a failure at 7µs after the periodic checkpoints at 2, 4 and 6µs", res)
 	}
-
-	restoredAt := func(path string) sim.Tick {
-		t.Helper()
-		s := newFake(10)
-		if err := s.Manager().RestoreFile(path); err != nil {
-			t.Fatalf("%s does not restore: %v", path, err)
-		}
-		return s.Now()
+	if pm := recipeAt(t, ckpt+".postmortem"); pm.Tick != 7*sim.Microsecond || !strings.Contains(pm.Failed, "injected fault") {
+		t.Errorf("postmortem holds tick %s and failure %q, want the failed state at 7µs", pm.Tick, pm.Failed)
 	}
-	if at := restoredAt(ckpt + ".postmortem"); at != 7*sim.Microsecond {
-		t.Errorf("postmortem holds tick %s, want the failed state at 7µs", at)
-	}
-	if at := restoredAt(ckpt); at != 6*sim.Microsecond {
+	if at := recipeAt(t, ckpt).Tick; at != 6*sim.Microsecond {
 		t.Errorf("last good checkpoint holds tick %s, want the pre-failure 6µs", at)
 	}
 
 	healthy := newFake(10)
-	firstTick := 0
-	healthy.onStep = func(ticks int) {
-		if firstTick == 0 {
-			firstTick = ticks
-		}
-	}
-	cfg.Resume = true
+	cfg = healthy.config(ckpt)
+	cfg.Every, cfg.Log, cfg.Resume = 2*sim.Microsecond, &log, true
 	res, err = Run(cfg, healthy)
 	if err != nil {
 		t.Fatalf("resume: %v\nlog:\n%s", err, log.String())
@@ -115,11 +104,50 @@ func TestRecoversFromInjectedPanic(t *testing.T) {
 	if !res.Done || res.Now != 10*sim.Microsecond {
 		t.Fatalf("result = %+v, want completion at the uninterrupted end tick 10µs", res)
 	}
-	if healthy.started || firstTick != 7 {
-		t.Errorf("started = %v, first step at tick %d; want a restored session continuing at 7", healthy.started, firstTick)
+	// The replay writes nothing: the checkpoints are the one at 8µs and the
+	// final one.
+	if res.Checkpoints != 2 || !strings.Contains(log.String(), "resumed from "+ckpt+" at 6us") {
+		t.Errorf("%d checkpoints; want 2 and the resume line in the log:\n%s", res.Checkpoints, log.String())
 	}
-	if !strings.Contains(log.String(), "resumed from "+ckpt+" at 6us") {
-		t.Errorf("log missing the resume line:\n%s", log.String())
+
+	// A postmortem records a failure, not a place to continue from.
+	cfg = newFake(10).config(ckpt + ".postmortem")
+	cfg.Resume = true
+	if _, err := Run(cfg, newFake(10)); err == nil || !strings.Contains(err.Error(), "postmortem of a failure at 7us") {
+		t.Errorf("resume from the postmortem: err = %v", err)
+	}
+}
+
+// A replay that reaches the checkpoint's tick with other statistics is not
+// the run that wrote it: the resume is refused naming the tick, and the file
+// is left as it was.
+func TestReplayHeldToTheDigest(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	sig := make(chan os.Signal, 1)
+	s := newFake(1000)
+	s.onStep = func(ticks int) {
+		if ticks == 5 {
+			sig <- syscall.SIGINT
+		}
+	}
+	cfg := s.config(ckpt)
+	cfg.Notify = sig
+	if _, err := Run(cfg, s); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := newFake(1000)
+	other.salt = " salted"
+	cfg = other.config(ckpt)
+	cfg.Resume = true
+	if _, err := Run(cfg, other); err == nil || !strings.Contains(err.Error(), "statistics at 5us differ from the checkpoint's") {
+		t.Errorf("err = %v, want a digest mismatch at 5us", err)
+	}
+	if now, _ := os.ReadFile(ckpt); !bytes.Equal(now, saved) {
+		t.Error("the refused resume changed the checkpoint")
 	}
 }
 
@@ -132,7 +160,9 @@ func TestGracefulSignalStop(t *testing.T) {
 			sig <- syscall.SIGINT
 		}
 	}
-	res, err := Run(Config{Checkpoint: ckpt, Notify: sig}, s)
+	cfg := s.config(ckpt)
+	cfg.Notify = sig
+	res, err := Run(cfg, s)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -143,34 +173,44 @@ func TestGracefulSignalStop(t *testing.T) {
 		t.Fatalf("stopped at %s, want the step after the signal (5µs)", res.Now)
 	}
 	// The stop wrote a final checkpoint so the run can be resumed later.
-	if res.Checkpoints != 1 {
-		t.Fatalf("checkpoints = %d, want 1 final save", res.Checkpoints)
+	if res.Checkpoints != 1 || recipeAt(t, ckpt).Tick != 5*sim.Microsecond {
+		t.Fatalf("checkpoints = %d, want 1 final save at 5µs", res.Checkpoints)
 	}
 	s2 := newFake(1000)
-	firstTick := 0
-	s2.onStep = func(ticks int) {
-		if firstTick == 0 {
-			firstTick = ticks
-		}
-	}
-	res2, err := Run(Config{Checkpoint: ckpt, Resume: true}, s2)
+	var log bytes.Buffer
+	cfg = s2.config(ckpt)
+	cfg.Resume, cfg.Log = true, &log
+	res2, err := Run(cfg, s2)
 	if err != nil {
 		t.Fatalf("resume run: %v", err)
 	}
-	if !res2.Done || s2.started {
-		t.Fatalf("result = %+v started = %v, want resumed (not started) completion", res2, s2.started)
+	if !res2.Done || res2.Checkpoints != 1 || !strings.Contains(log.String(), "resumed from "+ckpt+" at 5us") {
+		t.Fatalf("result = %+v, log %q; want completion resumed at 5µs and only the final save", res2, log.String())
 	}
-	if firstTick != 6 {
-		t.Fatalf("first step after resume at tick %d, want 6 (continue from the checkpoint, not scratch)", firstTick)
+	// A signal during the replay stops the run and leaves the checkpoint,
+	// which is further along, as it was.
+	saved, _ := os.ReadFile(ckpt)
+	s3 := newFake(1000)
+	s3.onStep = func(ticks int) {
+		if ticks == 2 {
+			sig <- syscall.SIGINT
+		}
+	}
+	cfg = s3.config(ckpt)
+	cfg.Resume, cfg.Notify = true, sig
+	if res3, err := Run(cfg, s3); err != nil || !res3.Interrupted || res3.Checkpoints != 0 {
+		t.Fatalf("interrupted replay: %+v, %v; want an interrupt with nothing written", res3, err)
+	}
+	if now, _ := os.ReadFile(ckpt); !bytes.Equal(now, saved) {
+		t.Error("an interrupted replay changed the checkpoint")
 	}
 }
 
 func TestResumeMissingFileStartsFresh(t *testing.T) {
 	s := newFake(3)
-	res, err := Run(Config{
-		Checkpoint: filepath.Join(t.TempDir(), "none.ckpt"),
-		Resume:     true,
-	}, s)
+	cfg := s.config(filepath.Join(t.TempDir(), "none.ckpt"))
+	cfg.Resume = true
+	res, err := Run(cfg, s)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -186,13 +226,15 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newFake(3)
-	res, err := Run(Config{Checkpoint: ckpt, Resume: true}, s)
+	cfg := s.config(ckpt)
+	cfg.Resume = true
+	res, err := Run(cfg, s)
 	if err == nil || !strings.Contains(err.Error(), "resume:") {
 		t.Fatalf("err = %v, want a resume failure", err)
 	}
 	// A bad checkpoint ends the run before anything is stepped or written.
-	if s.started || s.sim.ticks != 0 || res.Checkpoints != 0 {
-		t.Fatalf("started = %v ticks = %d result = %+v, want an untouched session", s.started, s.sim.ticks, res)
+	if s.started || s.ticks != 0 || res.Checkpoints != 0 {
+		t.Fatalf("started = %v ticks = %d result = %+v, want an untouched session", s.started, s.ticks, res)
 	}
 	if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, corrupt) {
 		t.Fatalf("the refused checkpoint was changed (err %v)", err)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cyclesim"
 	"repro/internal/dram"
@@ -86,7 +85,7 @@ func TestNewMemory(t *testing.T) {
 							t.Errorf("channel %d is %q (statistics registered: %v), want %s", i, c.Name(), m.Reg.Get("t."+want+".bytesRead") != nil, want)
 						}
 						if kind == EventBased {
-							stated := c.(checkpoint.Configured).CheckpointConfig().(core.Config)
+							stated := c.(configured).CheckpointConfig().(core.Config)
 							if stated.Channels != channels || stated.Faults.Seed != 40+uint64(i) {
 								t.Errorf("%s states %d channels, fault seed %d; want %d and %d", want, stated.Channels, stated.Faults.Seed, channels, 40+i)
 							}

@@ -141,8 +141,8 @@ func (r *ShardedRig) session() Session {
 }
 
 // NewSession wraps the sharded rig for stepping from outside until maxSim.
-// The session is not supervised — a sharded run cannot be checkpointed — and
-// the label is unused; the signature is the one the frozen benchmark calls.
+// The label is unused and the error always nil; the signature is the one the
+// frozen benchmark calls.
 func (r *ShardedRig) NewSession(_ string, maxSim sim.Tick) (*Session, error) {
 	s := r.session()
 	s.Deadline = maxSim

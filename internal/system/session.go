@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -33,8 +32,9 @@ type Source interface {
 // Session is a steppable run of one wired system. Each Step advances every
 // kernel to a common tick and then runs a single-threaded section (link
 // flush, step hook, completion check), so between Steps all kernels are
-// parked at the same tick and every link outbox is empty. On one kernel that
-// is a valid checkpoint boundary. It satisfies supervisor.Session.
+// parked at the same tick and every link outbox is empty. It satisfies
+// supervisor.Session: the same system, started and stepped, passes the same
+// boundaries in the same states, which is what a checkpoint's replay needs.
 type Session struct {
 	// Deadline is the absolute simulated tick by which the run must
 	// complete; a Step that reaches it without completing returns an error.
@@ -53,9 +53,7 @@ type Session struct {
 
 	step    sim.Tick // barrier quantum: 1 us, 10 us, or the link lookahead when sharded
 	workers []*shardWorker
-
-	mgr   *checkpoint.Manager // nil until Supervise
-	steps uint64
+	steps   uint64
 }
 
 // sourcesOf adapts a rig's generator list to the session's source list.
@@ -67,65 +65,36 @@ func sourcesOf(gens []*trafficgen.Generator) []Source {
 	return out
 }
 
-// Supervise builds the session's checkpoint manager, registering every
-// component in a fixed, configuration-derived order. A checkpoint's identity
-// is what the components state about themselves (checkpoint.Configured) plus
-// what the session states here: its step quantum, which fixes the barrier
-// schedule, and scope, a caller label compared verbatim. Every configuration
-// field but the probes is stated by its component, so there is nothing left
-// for a label to name: every caller passes "", and the parameter is kept only
-// because bench/ (frozen for product PRs) calls the rigs' NewSession(scope,
-// …), which forwards it here. Callers with further components (the tracer)
-// register them on Manager() afterwards. Only one-kernel sessions checkpoint:
-// a shard link carries no save/restore, so a sharded session is refused.
-func (s *Session) Supervise(scope string) error {
-	if len(s.links) > 0 {
-		return fmt.Errorf("system: a sharded session does not support checkpointing")
-	}
-	mgr := checkpoint.NewManager()
-	mgr.Describe("session", struct {
-		Scope string
-		Step  sim.Tick
-	}{scope, s.step})
-	var err error
-	register := func(id string, c any) {
-		if cc, ok := c.(checkpoint.Checkpointable); ok {
-			mgr.Register(id, cc)
-		} else if err == nil {
-			err = fmt.Errorf("system: %s (%T) does not support checkpointing", id, c)
+// configured is a component built from static configuration that states it
+// for a checkpoint's recipe: normally its own Config struct, so a field added
+// there is covered without anyone listing it again. A field tagged
+// `json:"-"` (probes) is outside the comparison.
+type configured interface {
+	CheckpointConfig() any
+}
+
+// Identity is what the session's components state about their configuration,
+// by the ID a checkpoint files each under (xbar, mc<i>, gen<i>), plus the
+// session's step quantum, which fixes the ticks a checkpoint can fall on. A
+// component that states nothing (a trace player, the cycle model) is absent.
+func (s *Session) Identity() map[string]any {
+	out := map[string]any{"session": struct{ Step sim.Tick }{s.step}}
+	add := func(id string, c any) {
+		if cc, ok := c.(configured); ok {
+			out[id] = cc.CheckpointConfig()
 		}
 	}
-	for i, k := range s.kernels {
-		register(kernelName(i), checkpoint.WrapKernel(k))
-	}
 	if s.xbar != nil {
-		register("xbar", s.xbar)
+		add("xbar", s.xbar)
 	}
 	for i, c := range s.ctrls {
-		register(fmt.Sprintf("mc%d", i), c)
+		add(fmt.Sprintf("mc%d", i), c)
 	}
 	for i, src := range s.sources {
-		register(fmt.Sprintf("gen%d", i), src)
+		add(fmt.Sprintf("gen%d", i), src)
 	}
-	register("stats", checkpoint.WrapStats(s.reg))
-	if err == nil {
-		s.mgr = mgr
-	}
-	return err
+	return out
 }
-
-// supervised is the rigs' NewSession: Supervise plus the deadline.
-func (s Session) supervised(scope string, maxSim sim.Tick) (*Session, error) {
-	s.Deadline = maxSim
-	if err := s.Supervise(scope); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return &s, nil
-}
-
-// Manager returns the checkpoint manager (nil before Supervise).
-func (s *Session) Manager() *checkpoint.Manager { return s.mgr }
 
 // Now returns the frontend kernel's tick (== every kernel's tick between
 // Steps).
@@ -134,8 +103,7 @@ func (s *Session) Now() sim.Tick { return s.kernels[0].Now() }
 // Steps returns how many barriers the session has executed.
 func (s *Session) Steps() uint64 { return s.steps }
 
-// Start arms the traffic sources. Call exactly once for a fresh run; never
-// after a restore (the checkpoint carries the sources' event state).
+// Start arms the traffic sources. Call exactly once.
 func (s *Session) Start() {
 	for _, src := range s.sources {
 		src.Start()
@@ -160,11 +128,11 @@ func (s *Session) Run(maxSim sim.Tick) error {
 // completion. A watchdog trip surfaces as the error (sharded: as a
 // *ShardPanicError panic), and reaching Deadline is an error too.
 func (s *Session) Step() (bool, error) {
-	// A session restored from a completion checkpoint already sits at the
-	// boundary where the run finished. Advancing another quantum would move
-	// Now past the recorded completion time and skew every time-normalised
-	// statistic (bus utilisation divides by Now), so completion must be
-	// detected before stepping, not only after.
+	// A session whose sources finished before it stepped (an empty trace)
+	// is complete where it stands. Advancing another quantum would move Now
+	// past the completion time and skew every time-normalised statistic (bus
+	// utilisation divides by Now), so completion is detected before stepping,
+	// not only after.
 	if s.complete(false) {
 		return true, nil
 	}
@@ -260,8 +228,7 @@ func (s *Session) Close() {
 	s.workers = nil
 }
 
-// kernelName labels kernels[i] for checkpoint sections and panic
-// attribution.
+// kernelName labels kernels[i] for panic attribution.
 func kernelName(i int) string {
 	if i == 0 {
 		return "front"

@@ -257,8 +257,7 @@ func (m *Memory) FrontPort(name string) *mem.ResponsePort {
 }
 
 // Session wraps the memory and the traffic sources the caller connected to it
-// for stepping. Set Deadline (or call Run) before stepping; Supervise makes it
-// checkpointable.
+// for stepping. Set Deadline (or call Run) before stepping.
 func (m *Memory) Session(sources ...Source) *Session {
 	s := m.session(sources)
 	return &s
@@ -396,11 +395,13 @@ func (r *runner) Run(maxSim sim.Tick) bool {
 	return s.Run(maxSim) == nil
 }
 
-// NewSession wraps the rig for supervised, checkpointable stepping; maxSim
-// bounds total simulated time across all segments. scope is always "" (see
-// Session.Supervise: the parameter survives for bench/'s call site only).
-func (r *runner) NewSession(scope string, maxSim sim.Tick) (*Session, error) {
-	return r.memory.session(r.sources).supervised(scope, maxSim)
+// NewSession wraps the rig for stepping from outside until maxSim. The
+// label is unused and the error always nil; the signature is the one the
+// frozen benchmark calls.
+func (r *runner) NewSession(_ string, maxSim sim.Tick) (*Session, error) {
+	s := r.memory.session(r.sources)
+	s.Deadline = maxSim
+	return &s, nil
 }
 
 // MultiChannelRig is a generator (or several) behind a crossbar fanning out

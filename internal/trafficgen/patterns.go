@@ -46,9 +46,8 @@ type Random struct {
 	ReadPercent int
 	Seed        int64
 
-	rng   *rand.Rand
-	mix   *readWriteMix
-	draws uint64
+	rng *rand.Rand
+	mix *readWriteMix
 }
 
 // Next implements Pattern.
@@ -58,7 +57,6 @@ func (r *Random) Next() (mem.Addr, bool) {
 		r.mix = &readWriteMix{rng: rand.New(rand.NewSource(r.Seed + 1)), percent: r.ReadPercent}
 	}
 	span := uint64(r.End-r.Start) / r.Align
-	r.draws++
 	addr := r.Start + mem.Addr(uint64(r.rng.Int63n(int64(span)))*r.Align)
 	return addr, r.mix.isRead()
 }
@@ -152,12 +150,10 @@ type Bursty struct {
 	OffTime sim.Tick
 	Seed    int64
 
-	rng        *rand.Rand // addresses
-	shape      *rand.Rand // gap jitter
-	mix        *readWriteMix
-	draws      uint64 // address draws
-	shapeDraws uint64 // gap draws
-	inBurst    int    // requests issued in the current on-period
+	rng     *rand.Rand // addresses
+	shape   *rand.Rand // gap jitter
+	mix     *readWriteMix
+	inBurst int // requests issued in the current on-period
 }
 
 // Validate checks the pattern's shape.
@@ -185,7 +181,6 @@ func (b *Bursty) init() {
 func (b *Bursty) Next() (mem.Addr, bool) {
 	b.init()
 	span := uint64(b.End-b.Start) / b.Align
-	b.draws++
 	addr := b.Start + mem.Addr(uint64(b.rng.Int63n(int64(span)))*b.Align)
 	b.inBurst++
 	return addr, b.mix.isRead()
@@ -202,7 +197,6 @@ func (b *Bursty) Gap() sim.Tick {
 	if b.OffTime <= 0 {
 		return 0
 	}
-	b.shapeDraws++
 	return b.OffTime/2 + sim.Tick(b.shape.Int63n(int64(b.OffTime)))
 }
 

@@ -97,7 +97,7 @@ type TracePlayer struct {
 	next int
 	// pool recycles the player's packets: drawn on issue, released when the
 	// response arrives.
-	pool mem.PacketPool //ckpt:skip allocation cache only
+	pool mem.PacketPool
 
 	outstanding int
 	blocked     *mem.Packet

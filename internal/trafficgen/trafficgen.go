@@ -61,10 +61,10 @@ func (c Config) Validate() error {
 // Generator drives a memory port with a Pattern under a closed-loop
 // outstanding-request limit.
 type Generator struct {
-	cfg     Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
+	cfg     Config
 	k       *sim.Kernel
 	pattern Pattern
-	port    *mem.RequestPort //ckpt:skip wiring, rebuilt by the constructor
+	port    *mem.RequestPort
 
 	issued      uint64
 	outstanding int
@@ -76,15 +76,15 @@ type Generator struct {
 	// and released when its response is consumed, so a closed-loop stream
 	// allocates nothing in steady state. The pool is single-threaded with
 	// the generator's kernel; packets in flight are never in it.
-	pool mem.PacketPool //ckpt:skip allocation cache only; in-flight packets are saved by the packet table
+	pool mem.PacketPool
 
-	// The stats objects live in the registry, which checkpoints separately
-	// through the stats adapter; the generator only holds handles.
-	reads, writes  *stats.Scalar    //ckpt:skip persisted by the stats registry adapter
-	readLatency    *stats.Histogram //ckpt:skip persisted by the stats registry adapter
-	writeAckLat    *stats.Average   //ckpt:skip persisted by the stats registry adapter
-	retriesWaited  *stats.Scalar    //ckpt:skip persisted by the stats registry adapter
-	bytesRequested *stats.Scalar    //ckpt:skip persisted by the stats registry adapter
+	// The stats objects live in the registry; the generator only holds
+	// handles.
+	reads, writes  *stats.Scalar
+	readLatency    *stats.Histogram
+	writeAckLat    *stats.Average
+	retriesWaited  *stats.Scalar
+	bytesRequested *stats.Scalar
 }
 
 // New builds a generator registering statistics under name.
@@ -125,6 +125,17 @@ func (g *Generator) Done() bool {
 // Unbounded reports a generator with no Count: it issues until stopped, so
 // Done never holds and a run that waits for it cannot finish.
 func (g *Generator) Unbounded() bool { return g.cfg.Count == 0 }
+
+// CheckpointConfig is what the generator states in a checkpoint's recipe:
+// its Config plus its pattern's type and parameters (a pattern's exported
+// fields are its configuration; its position is unexported).
+func (g *Generator) CheckpointConfig() any {
+	return struct {
+		Config
+		PatternType string
+		Pattern     Pattern
+	}{g.cfg, fmt.Sprintf("%T", g.pattern), g.pattern}
+}
 
 // Issued returns the number of requests injected so far.
 func (g *Generator) Issued() uint64 { return g.issued }
@@ -223,13 +234,10 @@ func (g *Generator) RecvReqRetry() {
 }
 
 // readWriteMix decides request direction with a seeded RNG so runs are
-// reproducible; percent is the share of reads in [0,100]. draws counts RNG
-// consultations: math/rand state is not serializable, so checkpoints record
-// the draw count and restore replays that many draws from the seed.
+// reproducible; percent is the share of reads in [0,100].
 type readWriteMix struct {
 	rng     *rand.Rand
 	percent int
-	draws   uint64
 }
 
 func (m *readWriteMix) isRead() bool {
@@ -239,17 +247,6 @@ func (m *readWriteMix) isRead() bool {
 	case m.percent <= 0:
 		return false
 	default:
-		m.draws++
 		return m.rng.Intn(100) < m.percent
 	}
-}
-
-// discard fast-forwards the mix RNG by n draws (checkpoint restore). The
-// replayed calls are byte-identical to the live ones — same method, same
-// bound — so the generator state after the discard matches the saved run.
-func (m *readWriteMix) discard(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		m.rng.Intn(100)
-	}
-	m.draws = n
 }

@@ -61,8 +61,7 @@ func TestMixRatio(t *testing.T) {
 }
 
 // The bursty pattern issues BurstLen back-to-back requests, then a gap in
-// [OffTime/2, 3*OffTime/2) — and a mid-burst checkpoint replays to an
-// identical continuation.
+// [OffTime/2, 3*OffTime/2).
 func TestBurstyPattern(t *testing.T) {
 	mk := func() *Bursty {
 		return &Bursty{Start: 0, End: 1 << 16, Align: 64, ReadPercent: 50,
@@ -95,32 +94,6 @@ func TestBurstyPattern(t *testing.T) {
 	} {
 		if bad.Validate() == nil {
 			t.Fatalf("invalid bursty pattern %+v accepted", bad)
-		}
-	}
-
-	// Checkpoint replay from mid-burst: a fresh pattern restored from the
-	// saved draw counts must continue exactly like the uninterrupted one.
-	type step struct {
-		addr mem.Addr
-		read bool
-		gap  sim.Tick
-	}
-	advance := func(p *Bursty) step {
-		a, r := p.Next()
-		return step{a, r, p.Gap()}
-	}
-	ref, live := mk(), mk()
-	for i := 0; i < 23; i++ { // 23 = mid-burst (position 3 of 4)
-		advance(ref)
-		advance(live)
-	}
-	resumed := mk()
-	if err := resumed.RestorePattern(live.PatternState()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if want, got := advance(ref), advance(resumed); want != got {
-			t.Fatalf("step %d diverged after restore: want %+v got %+v", i, want, got)
 		}
 	}
 }

@@ -218,11 +218,10 @@ const MaxRequestors = math.MaxUint8
 type Crossbar struct {
 	name string
 	k    *sim.Kernel
-	cfg  Config //ckpt:skip static configuration, compared by the manager (CheckpointConfig)
-	rt   Route  //ckpt:skip routing function, rebuilt by the constructor
-	// tag marks this crossbar's hops in a return route. It is a hash of the
-	// name, so it is the same in the run that saves a checkpoint and the run
-	// that resumes it.
+	cfg  Config
+	rt   Route
+	// tag marks this crossbar's hops in a return route: a hash of the name,
+	// so it depends on nothing but the name.
 	tag uint8
 
 	// Requestor side: one response port per attached requestor.
@@ -233,13 +232,13 @@ type Crossbar struct {
 	// inFlight counts requests routed but not yet answered.
 	inFlight int
 
-	reqRouted  *stats.Scalar //ckpt:skip persisted by the stats registry adapter
-	respRouted *stats.Scalar //ckpt:skip persisted by the stats registry adapter
-	blockedReq *stats.Scalar //ckpt:skip persisted by the stats registry adapter
+	reqRouted  *stats.Scalar
+	respRouted *stats.Scalar
+	blockedReq *stats.Scalar
 
 	// hub fans observability events out to attached probes; nil when no
 	// probe is configured.
-	hub *obs.Hub //ckpt:skip observation fan-out, rebuilt by the constructor
+	hub *obs.Hub
 }
 
 // reqSide is the crossbar's face toward one requestor.
@@ -288,6 +287,15 @@ func nameTag(name string) uint8 {
 		h = (h ^ uint32(name[i])) * 16777619
 	}
 	return uint8(h ^ h>>8 ^ h>>16 ^ h>>24)
+}
+
+// CheckpointConfig is what the crossbar states in a checkpoint's recipe: its
+// Config plus how many ports were attached to each side.
+func (x *Crossbar) CheckpointConfig() any {
+	return struct {
+		Config
+		Requestors, Memories int
+	}{x.cfg, len(x.reqSides), len(x.memSides)}
 }
 
 // AttachRequestor adds a requestor-side port; connect the requestor's

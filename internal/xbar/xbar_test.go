@@ -1,8 +1,6 @@
 package xbar
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -323,31 +321,6 @@ func TestRespRetryOnlyToRefusedMemSide(t *testing.T) {
 	}
 	if mems[1].respRetries != 0 {
 		t.Fatalf("channel 1 never sent a response but heard %d RecvRespRetry", mems[1].respRetries)
-	}
-
-	// The flag is state a checkpoint carries: an image names a refused side
-	// (and only then mentions the flag), and a restore sets it again.
-	image := func(x *Crossbar) []byte {
-		st, err := x.CheckpointSave(refTable{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if img := image(x); bytes.Contains(img, []byte("respRefused")) {
-		t.Fatalf("no side refused, but the image is %s", img)
-	}
-	x.memSides[1].respRefused = true
-	_, x2, _, _ := build(t, Config{Latency: 0, QueueDepth: 1}, 1, 2, 64)
-	if err := x2.CheckpointRestore(refTable{}, &deferred{}, image(x)); err != nil {
-		t.Fatal(err)
-	}
-	if x2.memSides[0].respRefused || !x2.memSides[1].respRefused {
-		t.Fatal("restore did not bring back which memory side was refused")
 	}
 }
 
