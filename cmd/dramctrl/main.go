@@ -7,18 +7,18 @@
 // equivalent of driving a gem5 memory configuration from the command line.
 // -channels is a parameter of the one wiring, so every flag composes with it.
 //
-// Runs are supervised: -checkpoint writes a checksummed recipe of the
-// event-based model's run — every -checkpoint-every of simulated time and at
+// Runs are supervised: -checkpoint writes a checksummed recipe of the run, on
+// either model — every -checkpoint-every of simulated time and at
 // completion — and SIGINT/SIGTERM drain the current quantum, write a final
 // one, flush statistics, and exit 130. A recipe is the resolved configuration,
-// the flags that shape the run, a hash of the -trace-in file, the tick reached
-// and a digest of the statistics there. -resume rebuilds the run, replays it
-// silently to that tick (about 0.4 µs of host time per request), refuses it
-// if the statistics differ, and continues; every file the run writes (-trace,
-// -cmd-trace, -trace-out, -json) comes out as the uninterrupted run's. The
-// cycle-based model is the event model's referee and is not checkpointed:
-// -model cycle refuses both flags. A failed step (watchdog trip, panic)
-// writes <checkpoint>.postmortem — the recipe at the failing tick and the
+// the flags that shape the run (the effective -obs-sample interval included),
+// a hash of the -trace-in file, the tick reached and a digest of the
+// statistics there. -resume rebuilds the run, replays it silently to that
+// tick (about 0.4 µs of host time per request), refuses it if the statistics
+// differ, and continues; every file the run writes (-trace, -cmd-trace,
+// -trace-out, -json) and the bandwidth-over-time table come out as the
+// uninterrupted run's. A failed step (watchdog trip, panic) writes
+// <checkpoint>.postmortem — the recipe at the failing tick and the
 // error — and ends the run with the tick; -resume continues from the last
 // good checkpoint.
 //
@@ -120,14 +120,41 @@ type options struct {
 
 // notShaping are the flags that choose what a run writes, how it is watched
 // or supervised, or that it is no run at all: a resume may change them.
+// -obs-http is an address; the sampling it implies is recorded through
+// -obs-sample, whose statistics the run registers.
 var notShaping = map[string]bool{
 	"list": true, "cmd-trace-in": true, "check": true, "cmd-trace": true, "stats": true, "json": true,
-	"trace-out": true, "trace": true, "obs-http": true, "obs-sample": true,
+	"trace-out": true, "trace": true, "obs-http": true,
 	"checkpoint": true, "checkpoint-every": true, "resume": true, "max-events": true, "max-same-tick": true,
 }
 
 // parseFlags parses and validates the command line.
 func parseFlags(args []string) (*options, error) {
+	fs, f := newFlags()
+	if ok, err := cliconfig.Parse(fs, args); !ok {
+		return nil, err // nil, nil after -h
+	}
+	if f.list || f.cmdTraceIn != "" {
+		return f, nil
+	}
+	if err := f.sup.Validate(); err != nil {
+		return nil, err
+	}
+	f.obs.Resolve()
+	if f.cmdTrace != "" && *f.channels > 1 {
+		return nil, fmt.Errorf("-cmd-trace records one channel (the file has no channel column); use -check alone with -channels %d", *f.channels)
+	}
+	f.shaping = map[string]string{}
+	fs.VisitAll(func(fl *flag.Flag) {
+		if !notShaping[fl.Name] {
+			f.shaping[fl.Name] = fl.Value.String()
+		}
+	})
+	return f, nil
+}
+
+// newFlags registers every dramctrl flag on a fresh FlagSet.
+func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("dramctrl", flag.ContinueOnError)
 	f := &options{
 		spec:     cliconfig.AddSpec(fs, "DDR3-1600-x64"),
@@ -155,33 +182,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&f.retryLimit, "retry-limit", 4, "replay attempts before a faulty row is retired")
 	fs.Uint64Var(&f.watchdog.MaxEvents, "max-events", 0, "watchdog: abort after this many events (0 = off)")
 	fs.Uint64Var(&f.watchdog.MaxSameTick, "max-same-tick", 1_000_000, "watchdog: abort after this many events at one tick (0 = off)")
-	if ok, err := cliconfig.Parse(fs, args); !ok {
-		return nil, err // nil, nil after -h
-	}
-	if f.list || f.cmdTraceIn != "" {
-		return f, nil
-	}
-	f.shaping = map[string]string{}
-	fs.VisitAll(func(fl *flag.Flag) {
-		if !notShaping[fl.Name] {
-			f.shaping[fl.Name] = fl.Value.String()
-		}
-	})
-
-	if err := f.sup.Validate(); err != nil {
-		return nil, err
-	}
-	if err := f.obs.Validate(f.sup.Enabled()); err != nil {
-		return nil, err
-	}
-	// The cycle model is the event model's referee and is not checkpointed.
-	if f.sup.Enabled() && f.pol.Model == "cycle" {
-		return nil, fmt.Errorf("-model cycle: -checkpoint/-resume are only modelled by the event-based controller")
-	}
-	if f.cmdTrace != "" && *f.channels > 1 {
-		return nil, fmt.Errorf("-cmd-trace records one channel (the file has no channel column); use -check alone with -channels %d", *f.channels)
-	}
-	return f, nil
+	return fs, f
 }
 
 // recording reports whether the run records its DRAM command streams.
@@ -348,7 +349,7 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 		for i, c := range m.Ctrls {
 			sampled[i] = c
 		}
-		sampler, err := obs.NewSamplerProbe(k, reg, *f.obs.Sample, sampled,
+		err := obs.StartSampler(k, reg, *f.obs.Sample, sampled,
 			func(now sim.Tick, rows []obs.Sample) {
 				var sum float64
 				for _, row := range rows {
@@ -365,7 +366,6 @@ func build(f *options, spec dram.Spec, mapping dram.Mapping, live *obs.LiveServe
 		if err != nil {
 			return nil, err
 		}
-		sampler.Start()
 	}
 	return r, nil
 }

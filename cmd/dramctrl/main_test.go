@@ -119,52 +119,76 @@ func TestResumeOfFinishedRunIsIdempotent(t *testing.T) {
 // A run that dies mid-flight (here: the watchdog's event budget) and is
 // resumed from its last periodic checkpoint must finish with the statistics
 // — and, when traced, the trace file — of the uninterrupted run, byte for
-// byte.
+// byte, on the event model and on the sampled cycle model, whose stdout
+// (the statistics dump and the bandwidth-over-time table) must match too.
 func TestMidRunResumeMatchesUninterrupted(t *testing.T) {
+	// The cycle model fires more events per simulated microsecond, so its
+	// watchdog budget is larger: each trips after a 2 us checkpoint. Its
+	// traces are compared by resume_test.go.
+	models := map[string]struct {
+		flags  []string
+		events string
+		traced []bool
+	}{
+		"":               {nil, "4000", []bool{false, true}},
+		"-cycle-sampled": {[]string{"-model", "cycle", "-obs-sample", "2000", "-stats"}, "12000", []bool{false}},
+	}
 	for name, topo := range topologies {
-		for _, traced := range []bool{false, true} {
-			t.Run(name+map[bool]string{false: "", true: "-traced"}[traced], func(t *testing.T) {
-				dir := t.TempDir()
-				file := func(n string) string { return filepath.Join(dir, n) }
-				with := func(js, trace string, extra ...string) []string {
-					args := append(topo[:len(topo):len(topo)], "-json", js)
-					if traced {
-						args = append(args, "-trace", trace)
-					}
-					return append(args, extra...)
-				}
-				mustRun(t, with(file("ref.json"), file("ref.trace"))...)
-
-				ckpt := []string{"-checkpoint", file("run.ckpt"), "-checkpoint-every", "2000"}
-				_, err := dramctrl(t, with(file("run.json"), file("run.trace"), append(ckpt, "-max-events", "4000")...)...)
-				if err == nil || !strings.Contains(err.Error(), "watchdog") {
-					t.Fatalf("victim run: err = %v, want a watchdog trip", err)
-				}
-				if _, err := os.Stat(file("run.json")); err == nil {
-					t.Fatal("victim run wrote its statistics: it finished before the trip")
-				}
-				if _, err := os.Stat(file("run.ckpt")); err != nil {
-					t.Fatalf("victim run left no periodic checkpoint to resume from: %v", err)
-				}
-				// The checkpoint is a recipe at the last periodic tick before
-				// the trip, and the postmortem the recipe of the trip itself.
-				ck, err := supervisor.Decode(read(t, file("run.ckpt")))
-				if err != nil || ck.Tick == 0 || ck.Tick%(2*sim.Microsecond) != 0 || ck.Failed != "" {
-					t.Fatalf("checkpoint %+v, %v; want a periodic recipe mid-run", ck, err)
-				}
-				if pm, err := supervisor.Decode(read(t, file("run.ckpt.postmortem"))); err != nil || pm.Tick <= ck.Tick || !strings.Contains(pm.Failed, "watchdog") {
-					t.Errorf("postmortem %+v, %v; want the watchdog trip after %s", pm, err, ck.Tick)
-				}
-				mustRun(t, with(file("run.json"), file("run.trace"), append(ckpt, "-resume")...)...)
-
-				if !bytes.Equal(read(t, file("run.json")), read(t, file("ref.json"))) {
-					t.Error("resumed statistics differ from the uninterrupted run")
-				}
-				if traced && !bytes.Equal(read(t, file("run.trace")), read(t, file("ref.trace"))) {
-					t.Error("resumed trace differs from the uninterrupted run")
-				}
-			})
+		for model, m := range models {
+			for _, traced := range m.traced {
+				t.Run(name+model+map[bool]string{false: "", true: "-traced"}[traced], func(t *testing.T) {
+					midRunResume(t, slices.Concat(topo, m.flags), m.events, traced)
+				})
+			}
 		}
+	}
+}
+
+// midRunResume trips the watchdog after events on the run args describe,
+// past a periodic checkpoint, resumes it, and compares with the
+// uninterrupted run.
+func midRunResume(t *testing.T, run []string, events string, traced bool) {
+	dir := t.TempDir()
+	file := func(n string) string { return filepath.Join(dir, n) }
+	with := func(js, trace string, extra ...string) []string {
+		args := append(run[:len(run):len(run)], "-json", js)
+		if traced {
+			args = append(args, "-trace", trace)
+		}
+		return append(args, extra...)
+	}
+	ref := mustRun(t, with(file("ref.json"), file("ref.trace"))...)
+
+	ckpt := []string{"-checkpoint", file("run.ckpt"), "-checkpoint-every", "2000"}
+	_, err := dramctrl(t, with(file("run.json"), file("run.trace"), append(ckpt, "-max-events", events)...)...)
+	if err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("victim run: err = %v, want a watchdog trip", err)
+	}
+	if _, err := os.Stat(file("run.json")); err == nil {
+		t.Fatal("victim run wrote its statistics: it finished before the trip")
+	}
+	if _, err := os.Stat(file("run.ckpt")); err != nil {
+		t.Fatalf("victim run left no periodic checkpoint to resume from: %v", err)
+	}
+	// The checkpoint is a recipe at the last periodic tick before the trip,
+	// and the postmortem the recipe of the trip itself.
+	ck, err := supervisor.Decode(read(t, file("run.ckpt")))
+	if err != nil || ck.Tick == 0 || ck.Tick%(2*sim.Microsecond) != 0 || ck.Failed != "" {
+		t.Fatalf("checkpoint %+v, %v; want a periodic recipe mid-run", ck, err)
+	}
+	if pm, err := supervisor.Decode(read(t, file("run.ckpt.postmortem"))); err != nil || pm.Tick <= ck.Tick || !strings.Contains(pm.Failed, "watchdog") {
+		t.Errorf("postmortem %+v, %v; want the watchdog trip after %s", pm, err, ck.Tick)
+	}
+	got := mustRun(t, with(file("run.json"), file("run.trace"), append(ckpt, "-resume")...)...)
+
+	if got, want := strings.ReplaceAll(got, "run.", "ref."), ref; got != want {
+		t.Errorf("resumed stdout differs from the uninterrupted run's:\n%s\nwant:\n%s", got, want)
+	}
+	if !bytes.Equal(read(t, file("run.json")), read(t, file("ref.json"))) {
+		t.Error("resumed statistics differ from the uninterrupted run")
+	}
+	if traced && !bytes.Equal(read(t, file("run.trace")), read(t, file("ref.trace"))) {
+		t.Error("resumed trace differs from the uninterrupted run")
 	}
 }
 
@@ -577,16 +601,6 @@ func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 			t.Errorf("resume with %v changed the checkpoint file", tc.flags)
 		}
 	}
-	// The cycle model saves no image: both flags are refused before a file
-	// is touched.
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	for _, extra := range [][]string{nil, {"-resume"}} {
-		args := append([]string{"-model", "cycle", "-requests", "2000", "-checkpoint", ckpt}, extra...)
-		clitest.Refused(t, run, "-checkpoint/-resume are only modelled by the event-based controller", args...)
-		if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-			t.Errorf("%v: the checkpoint file exists (stat: %v)", args, err)
-		}
-	}
 }
 
 // statedConfig returns the configuration component id states in the
@@ -607,48 +621,26 @@ func statedConfig(t *testing.T, path, id string) map[string]any {
 }
 
 // A channel is the same controller whatever -channels says: the same flags
-// build mc0 from the same defaults on one channel and on two. On the event
-// model what mc0 states in the two checkpoints differs in its channel count
-// and nothing else (queue depths and static latencies included); the cycle
-// model, which saves no checkpoint, gets the same configuration either way.
+// build mc0 from the same defaults on one channel and on two. On either model
+// what mc0 states in the two checkpoints differs in its channel count and
+// nothing else (queue depths and static latencies included).
 func TestChannelCountChangesOnlyChannels(t *testing.T) {
 	dir := t.TempDir()
-	stated := func(channels string) map[string]any {
-		ckpt := filepath.Join(dir, channels+".ckpt")
-		mustRun(t, "-requests", "500", "-channels", channels, "-checkpoint", ckpt)
-		return statedConfig(t, ckpt, "mc0")
-	}
-	one, two := stated("1"), stated("2")
-	if one["Channels"] != 1.0 || two["Channels"] != 2.0 {
-		t.Errorf("event: mc0 states Channels %v and %v, want 1 and 2", one["Channels"], two["Channels"])
-	}
-	delete(one, "Channels")
-	delete(two, "Channels")
-	if !reflect.DeepEqual(one, two) {
-		t.Errorf("event: mc0 differs beyond Channels:\n-channels 1: %v\n-channels 2: %v", one, two)
-	}
-
-	memory := func(channels string) system.MemoryConfig {
-		f, err := parseFlags([]string{"-model", "cycle", "-channels", channels})
-		if err != nil {
-			t.Fatal(err)
+	for _, model := range []string{"event", "cycle"} {
+		stated := func(channels string) map[string]any {
+			ckpt := filepath.Join(dir, model+channels+".ckpt")
+			mustRun(t, "-model", model, "-requests", "500", "-channels", channels, "-checkpoint", ckpt)
+			return statedConfig(t, ckpt, "mc0")
 		}
-		spec, err := f.spec.Resolve()
-		if err != nil {
-			t.Fatal(err)
+		one, two := stated("1"), stated("2")
+		if one["Channels"] != 1.0 || two["Channels"] != 2.0 {
+			t.Errorf("%s: mc0 states Channels %v and %v, want 1 and 2", model, one["Channels"], two["Channels"])
 		}
-		mapping, err := f.pol.ParseMapping()
-		if err != nil {
-			t.Fatal(err)
+		delete(one, "Channels")
+		delete(two, "Channels")
+		if !reflect.DeepEqual(one, two) {
+			t.Errorf("%s: mc0 differs beyond Channels:\n-channels 1: %v\n-channels 2: %v", model, one, two)
 		}
-		mc, err := f.memory(spec, mapping, nil, f.traf.Bytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mc
-	}
-	if a, b := memory("1"), memory("2"); a.Channels != 1 || b.Channels != 2 || !reflect.DeepEqual(a.Cycle, b.Cycle) {
-		t.Errorf("cycle: -channels 1 and 2 build different controllers:\n%d: %+v\n%d: %+v", a.Channels, a.Cycle, b.Channels, b.Cycle)
 	}
 }
 

@@ -204,7 +204,9 @@ func sortedKeys[V any](m map[string]V) []string {
 var traffic = []string{"-spec", "DDR3-1333-8x8", "-pattern", "random", "-reads", "67", "-seed", "3", "-outstanding", "16", "-requests", "4000"}
 
 // TestTrafficRigResumeBitIdentical stops every page policy a third of the
-// way through, and a recorded run inside a refresh, and resumes each.
+// way through, a recorded run inside a refresh, the cycle model and a sampled
+// run, and resumes each. The last two print the statistics dump and the
+// bandwidth-over-time table, so stdout holds them.
 func TestTrafficRigResumeBitIdentical(t *testing.T) {
 	for _, c := range []resumeCase{
 		{"event-open", append(slices.Clone(traffic), "-page", "open"), 15 * sim.Microsecond, anytime},
@@ -214,16 +216,24 @@ func TestTrafficRigResumeBitIdentical(t *testing.T) {
 		// -check and -cmd-trace record every DRAM command from tick 0 again.
 		{"mid-refresh", []string{"-pattern", "random", "-reads", "67", "-seed", "3", "-requests", "4000",
 			"-check", "-cmd-trace", "DIR/cmds.txt"}, 8 * sim.Microsecond, inRefresh},
+		{"cycle-sampled", append(slices.Clone(traffic), "-model", "cycle", "-obs-sample", "2000", "-stats"), 15 * sim.Microsecond, anytime},
+		{"event-sampled", append(slices.Clone(traffic), "-obs-sample", "2000", "-stats"), 15 * sim.Microsecond, anytime},
 	} {
 		t.Run(c.name, func(t *testing.T) { killAndResume(t, c) })
 	}
 }
 
-// TestMultiChannelResumeBitIdentical stops two channels behind a crossbar
-// with requests in flight through it, capturing the request stream.
+// TestMultiChannelResumeBitIdentical stops channels behind a crossbar with
+// requests in flight through it: two event-model channels capturing the
+// request stream, and four cycle-model channels under -check.
 func TestMultiChannelResumeBitIdentical(t *testing.T) {
-	killAndResume(t, resumeCase{"multichannel", []string{"-channels", "2", "-pattern", "random", "-reads", "67",
-		"-seed", "3", "-requests", "2000", "-trace-out", "DIR/capture.txt"}, 7 * sim.Microsecond, behindCrossbar})
+	random := []string{"-pattern", "random", "-reads", "67", "-seed", "3", "-requests", "2000"}
+	for _, c := range []resumeCase{
+		{"event-2ch", append(slices.Clone(random), "-channels", "2", "-trace-out", "DIR/capture.txt"), 7 * sim.Microsecond, behindCrossbar},
+		{"cycle-4ch", append(slices.Clone(random), "-channels", "4", "-model", "cycle", "-check", "-stats"), 7 * sim.Microsecond, behindCrossbar},
+	} {
+		t.Run(c.name, func(t *testing.T) { killAndResume(t, c) })
+	}
 }
 
 // TestResumeMidLowPower stops bursty traffic on two ranks while one is
@@ -343,6 +353,7 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 		"ecc-latency":       {nil, []string{"-ecc-latency", "20"}},
 		"retry-limit":       {nil, []string{"-retry-limit", "2"}},
 		"trace-in":          {[]string{"-trace-in", traceA}, []string{"-trace-in", traceB}},
+		"obs-sample":        {nil, []string{"-obs-sample", "2000"}},
 	}
 	f, err := parseFlags([]string{"-requests", "1"})
 	if err != nil {
@@ -368,6 +379,24 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 	}
 	if len(rows) != len(f.shaping) {
 		t.Errorf("%d rows for %d shaping flags: a row names a flag that no longer shapes the run", len(rows), len(f.shaping))
+	}
+	// -obs-http is an address outside the recipe, but the 1 ms sampling it
+	// implies is not: adding it to a run that did not sample is refused too.
+	ckpt := filepath.Join(dir, "obs-sample.ckpt")
+	_, err = dramctrl(t, "-pattern", "random", "-requests", "300", "-checkpoint", ckpt, "-resume", "-obs-http", "localhost:0")
+	if err == nil || !strings.Contains(err.Error(), `flag -obs-sample differs: checkpoint "", this run "1000000"`) {
+		t.Errorf("resume with -obs-http: err = %v, want a refusal naming -obs-sample", err)
+	}
+}
+
+// Every flag a resume may change is one dramctrl has: a misspelt name in
+// notShaping would let the real flag change a resumed run unnoticed.
+func TestNotShapingNamesRealFlags(t *testing.T) {
+	fs, _ := newFlags()
+	for _, name := range sortedKeys(notShaping) {
+		if fs.Lookup(name) == nil {
+			t.Errorf("notShaping names -%s, which dramctrl does not define", name)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command simlint runs the repository's static-analysis pass
 // (internal/analysis) over the module and reports findings as
 // "file:line: [analyzer] message". It exits 0 when the packages are clean,
-// 1 when any finding survives //lint:allow suppression, and 2 when the
+// 1 on any finding (nothing suppresses one: fix the code), and 2 when the
 // packages cannot be loaded or a flag is wrong. Every analyzer runs on every
 // package.
 //

@@ -7,9 +7,9 @@
 // test that does not look at that value.
 //
 // An Analyzer inspects one type-checked package at a time and reports
-// findings through its Pass. The runner applies //lint:allow suppression
-// comments (see suppress.go) and returns findings sorted by position; every
-// analyzer runs on every package. The driver lives in cmd/simlint.
+// findings through its Pass. The runner returns every finding, sorted by
+// position; every analyzer runs on every package, and nothing silences a
+// finding but fixing the code. The driver lives in cmd/simlint.
 package analysis
 
 import (
@@ -28,16 +28,13 @@ import (
 // directives, cross-package declarations). Exactly one of the two must be
 // set.
 type Analyzer struct {
-	// Name identifies the analyzer in findings and //lint:allow directives.
-	// Lowercase, no spaces.
+	// Name identifies the analyzer in findings. Lowercase, no spaces.
 	Name string
 	// Doc is a one-line description shown by `simlint -list`.
 	Doc string
 	// Run inspects pass.Pkg and reports findings via pass.Reportf.
 	Run func(*Pass)
-	// RunProgram inspects the whole loaded program at once. Findings are
-	// attributed to the package owning the reported position, where
-	// //lint:allow suppression applies as usual.
+	// RunProgram inspects the whole loaded program at once.
 	RunProgram func(*ProgramPass)
 }
 
@@ -76,50 +73,26 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{Detmap, Tickunits, Shardiso}
 }
 
-// Run applies every analyzer to every package, filters suppressed findings,
-// and returns the remainder sorted by (file, line, analyzer, message).
-// Suppression directives that are themselves malformed — and well-formed
-// directives that no longer suppress anything — surface as findings from the
-// pseudo-analyzer "lint".
+// Run applies every analyzer to every package and returns the findings
+// sorted by (file, line, analyzer, message). Whole-program analyzers run
+// once over all the packages.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-
-	// Whole-program analyzers run once; their findings are bucketed into the
-	// owning package so suppression applies identically to both analyzer
-	// kinds.
-	progFindings := map[*Package][]Finding{}
-	var programAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			programAnalyzers = append(programAnalyzers, a)
-		}
-	}
-	if len(programAnalyzers) > 0 && len(pkgs) > 0 {
-		prog := BuildProgram(pkgs)
-		for _, a := range programAnalyzers {
-			var raw []Finding
-			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, findings: &raw})
-			for _, f := range raw {
-				if owner := prog.fileOwner[f.Pos.Filename]; owner != nil {
-					progFindings[owner] = append(progFindings[owner], f)
-				}
-			}
-		}
-	}
-
 	var out []Finding
-	for _, pkg := range pkgs {
-		raw := progFindings[pkg]
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
+	var prog *Program
+	for _, a := range analyzers {
+		if a.RunProgram != nil && len(pkgs) > 0 {
+			if prog == nil {
+				prog = BuildProgram(pkgs)
 			}
-			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, findings: &raw})
+			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, findings: &out})
 		}
-		out = append(out, applySuppressions(pkg, raw, known)...)
+	}
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			if a.Run != nil {
+				a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, findings: &out})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -31,7 +31,6 @@ type Program struct {
 	// declaration, across all loaded packages.
 	Funcs map[*types.Func]*FuncInfo
 
-	fileOwner map[string]*Package
 	// byKey maps a stable (package path, receiver, name) key to the
 	// source-checked declaration, to bridge the object-identity split
 	// described at canon.
@@ -42,17 +41,15 @@ type Program struct {
 // of them (Load guarantees this for one call; callers merging Loads must not).
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
-		Pkgs:      pkgs,
-		Funcs:     map[*types.Func]*FuncInfo{},
-		fileOwner: map[string]*Package{},
-		byKey:     map[string]*types.Func{},
+		Pkgs:  pkgs,
+		Funcs: map[*types.Func]*FuncInfo{},
+		byKey: map[string]*types.Func{},
 	}
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			p.fileOwner[pkg.Fset.Position(file.Pos()).Filename] = pkg
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -211,8 +208,7 @@ type ProgramPass struct {
 	findings *[]Finding
 }
 
-// Reportf records a finding at pos; the runner attributes it to the owning
-// package for suppression and policy scoping.
+// Reportf records a finding at pos.
 func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Pos:      p.Prog.Fset.Position(pos),

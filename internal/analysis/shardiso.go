@@ -33,8 +33,7 @@ import (
 // False-positive policy: reference-as-call conservatism can flag a function
 // whose address is taken shard-side but only invoked in the barrier; if the
 // indirection is genuinely barrier-only, restructure so the reference moves
-// out of shard-reachable code, or suppress at the barrier declaration with
-// the invariant spelled out in the reason.
+// out of shard-reachable code.
 var Shardiso = &Analyzer{
 	Name:       "shardiso",
 	Doc:        "forbid shard-side (kernel-callback-reachable) code from reaching //shard:barrier functions",

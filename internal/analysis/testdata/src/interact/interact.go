@@ -1,8 +1,7 @@
 // Package interact is the cross-analyzer fixture: one package that trips
-// every registered analyzer at least once, pinning (a) the deterministic
-// global finding order — sorted by file, line, analyzer, message — and
-// (b) per-analyzer suppression scoping: a //lint:allow for one analyzer on a
-// line where two analyzers fire silences only its own.
+// every registered analyzer at least once, pinning the deterministic global
+// finding order — sorted by file, line, analyzer, message — including two
+// analyzers firing on one line.
 package interact
 
 import (
@@ -21,14 +20,12 @@ func Report(w io.Writer, m map[string]int) {
 	}
 }
 
-// --- tickunits + detmap on one line, with scoped suppression ---
+// --- tickunits + detmap on one line ---
 
-// Scoped produces a tickunits finding (a tick named like a nanosecond count)
-// and a detmap finding (the last key in map order) on the same line; the
-// directive names only tickunits, so detmap must survive.
-func Scoped(m map[sim.Tick]bool) sim.Tick {
+// Both produces a tickunits finding (a tick named like a nanosecond count)
+// and a detmap finding (the last key in map order) on the same line.
+func Both(m map[sim.Tick]bool) sim.Tick {
 	var last sim.Tick
-	//lint:allow tickunits interact fixture: suppression is scoped per analyzer
 	for windowNs := range m {
 		last = windowNs
 	}

@@ -130,10 +130,6 @@ type Controller struct {
 
 // ctrlStats bundles the controller's registered statistics.
 type ctrlStats struct {
-	// all lists every statistic below in registration order, so a window
-	// reset cannot miss one.
-	all []stats.Stat
-
 	readReqs, writeReqs         *stats.Scalar
 	readBursts, writeBursts     *stats.Scalar
 	servicedByWrQ               *stats.Scalar
@@ -236,49 +232,37 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 		k.Schedule(ev, due)
 	}
 	r := reg.Child(name)
-	all := make([]stats.Stat, 0, 28)
-	scalar := func(name, desc string) *stats.Scalar {
-		s := r.NewScalar(name, desc)
-		all = append(all, s)
-		return s
-	}
-	average := func(name, desc string) *stats.Average {
-		a := r.NewAverage(name, desc)
-		all = append(all, a)
-		return a
-	}
 	c.st = ctrlStats{
-		readReqs:         scalar("readReqs", "read requests accepted"),
-		writeReqs:        scalar("writeReqs", "write requests accepted"),
-		readBursts:       scalar("readBursts", "read bursts (after chopping)"),
-		writeBursts:      scalar("writeBursts", "write bursts entering the write queue"),
-		servicedByWrQ:    scalar("servicedByWrQ", "read bursts forwarded from the write queue"),
-		mergedWrBursts:   scalar("mergedWrBursts", "write bursts merged into existing entries"),
-		readRowHits:      scalar("readRowHits", "read bursts hitting an open row"),
-		writeRowHits:     scalar("writeRowHits", "write bursts hitting an open row"),
-		activations:      scalar("activations", "row activate commands"),
-		precharges:       scalar("precharges", "precharge commands"),
-		refreshes:        scalar("refreshes", "refresh commands"),
-		bytesRead:        scalar("bytesRead", "bytes read from DRAM"),
-		bytesWritten:     scalar("bytesWritten", "bytes written to DRAM"),
-		rdQLat:           average("rdQLat", "read burst queue+service latency (ns)"),
-		wrQLat:           average("wrQLat", "write burst queue latency (ns)"),
-		memAccLat:        average("memAccLat", "read memory access latency incl. static (ns)"),
-		bytesPerActivate: average("bytesPerActivate", "bytes accessed per row activation"),
-		readQueueLen:     average("readQueueLen", "read queue length at arrival"),
-		writeQueueLen:    average("writeQueueLen", "write queue length at arrival"),
-		rdWrTurnarounds:  scalar("rdWrTurnarounds", "bus direction switches"),
-		powerDowns:       scalar("powerDowns", "power-down entries"),
-		selfRefreshes:    scalar("selfRefreshes", "self-refresh entries"),
+		readReqs:         r.NewScalar("readReqs", "read requests accepted"),
+		writeReqs:        r.NewScalar("writeReqs", "write requests accepted"),
+		readBursts:       r.NewScalar("readBursts", "read bursts (after chopping)"),
+		writeBursts:      r.NewScalar("writeBursts", "write bursts entering the write queue"),
+		servicedByWrQ:    r.NewScalar("servicedByWrQ", "read bursts forwarded from the write queue"),
+		mergedWrBursts:   r.NewScalar("mergedWrBursts", "write bursts merged into existing entries"),
+		readRowHits:      r.NewScalar("readRowHits", "read bursts hitting an open row"),
+		writeRowHits:     r.NewScalar("writeRowHits", "write bursts hitting an open row"),
+		activations:      r.NewScalar("activations", "row activate commands"),
+		precharges:       r.NewScalar("precharges", "precharge commands"),
+		refreshes:        r.NewScalar("refreshes", "refresh commands"),
+		bytesRead:        r.NewScalar("bytesRead", "bytes read from DRAM"),
+		bytesWritten:     r.NewScalar("bytesWritten", "bytes written to DRAM"),
+		rdQLat:           r.NewAverage("rdQLat", "read burst queue+service latency (ns)"),
+		wrQLat:           r.NewAverage("wrQLat", "write burst queue latency (ns)"),
+		memAccLat:        r.NewAverage("memAccLat", "read memory access latency incl. static (ns)"),
+		bytesPerActivate: r.NewAverage("bytesPerActivate", "bytes accessed per row activation"),
+		readQueueLen:     r.NewAverage("readQueueLen", "read queue length at arrival"),
+		writeQueueLen:    r.NewAverage("writeQueueLen", "write queue length at arrival"),
+		rdWrTurnarounds:  r.NewScalar("rdWrTurnarounds", "bus direction switches"),
+		powerDowns:       r.NewScalar("powerDowns", "power-down entries"),
+		selfRefreshes:    r.NewScalar("selfRefreshes", "self-refresh entries"),
 
-		correctedErrors:   scalar("correctedErrors", "read bursts with an ECC-corrected single-bit error"),
-		uncorrectedErrors: scalar("uncorrectedErrors", "read bursts with an uncorrectable error (response poisoned)"),
-		retriedBursts:     scalar("retriedBursts", "read burst replays after transient faults"),
-		retiredRows:       scalar("retiredRows", "rows retired (remapped) after exhausting retries"),
-		scrubWrites:       scalar("scrubWrites", "demand-scrub writebacks queued after corrections"),
-		droppedScrubs:     scalar("droppedScrubs", "scrub writebacks dropped on a full write queue"),
+		correctedErrors:   r.NewScalar("correctedErrors", "read bursts with an ECC-corrected single-bit error"),
+		uncorrectedErrors: r.NewScalar("uncorrectedErrors", "read bursts with an uncorrectable error (response poisoned)"),
+		retriedBursts:     r.NewScalar("retriedBursts", "read burst replays after transient faults"),
+		retiredRows:       r.NewScalar("retiredRows", "rows retired (remapped) after exhausting retries"),
+		scrubWrites:       r.NewScalar("scrubWrites", "demand-scrub writebacks queued after corrections"),
+		droppedScrubs:     r.NewScalar("droppedScrubs", "scrub writebacks dropped on a full write queue"),
 	}
-	c.st.all = all
 	return c, nil
 }
 

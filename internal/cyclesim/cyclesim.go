@@ -43,6 +43,10 @@ func (p PagePolicy) String() string {
 	return "closed"
 }
 
+// MarshalText makes the policy read by name in a checkpoint's recipe, and so
+// in the mismatch message that refuses a resume.
+func (p PagePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // Scheduling selects the per-cycle command arbitration.
 type Scheduling int
 
@@ -65,7 +69,12 @@ func (s Scheduling) String() string {
 	return fmt.Sprintf("Scheduling(%d)", int(s))
 }
 
-// Config parameterises the cycle-based controller.
+// MarshalText makes the policy read by name in a checkpoint's recipe.
+func (s Scheduling) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// Config parameterises the cycle-based controller. The controller states
+// this struct as its checkpoint identity (CheckpointConfig), so every field
+// here is compared on resume unless it is tagged `json:"-"`.
 type Config struct {
 	// Device is the DRAM device model. The cycle-based baseline consumes
 	// only the flat parameter tables — DRAMSim2 predates bank groups, and
@@ -78,8 +87,9 @@ type Config struct {
 	Page           PagePolicy
 	Scheduling     Scheduling
 	// Probes, when non-nil and non-empty, receives the controller's
-	// observability events (see internal/obs).
-	Probes *obs.Hub
+	// observability events (see internal/obs). Outside the checkpoint
+	// identity: probes only observe.
+	Probes *obs.Hub `json:"-"`
 }
 
 // DefaultConfig mirrors DRAMSim2's defaults for the given device.
@@ -306,6 +316,10 @@ func (c *Controller) Port() *mem.ResponsePort { return c.port }
 
 // Name returns the instance name.
 func (c *Controller) Name() string { return c.name }
+
+// CheckpointConfig is what the controller states in a checkpoint's recipe:
+// its whole Config.
+func (c *Controller) CheckpointConfig() any { return c.cfg }
 
 // Quiescent reports whether no work is queued or in flight.
 func (c *Controller) Quiescent() bool { return len(c.queue) == 0 && len(c.resp) == 0 }

@@ -305,7 +305,7 @@ type Checkpoint struct {
 // AddCheckpoint registers the checkpoint flags.
 func AddCheckpoint(fs *flag.FlagSet) *Checkpoint {
 	c := &Checkpoint{}
-	fs.StringVar(&c.Path, "checkpoint", "", "checkpoint file (event model only); written periodically, at interrupt, and at completion")
+	fs.StringVar(&c.Path, "checkpoint", "", "checkpoint file; written periodically, at interrupt, and at completion")
 	c.Every = AddNanoseconds(fs, "checkpoint-every", 0, "checkpoint every N ns of simulated time (0 = only final/interrupt)")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from -checkpoint if the file exists")
 	return c
@@ -359,22 +359,17 @@ func AddObs(fs *flag.FlagSet) *Obs {
 // Tracing reports whether a trace file was requested.
 func (o *Obs) Tracing() bool { return o.TracePath != "" }
 
-// Sampling reports whether periodic sampling is active (after Validate has
+// Sampling reports whether periodic sampling is active (after Resolve has
 // applied the -obs-http implication).
 func (o *Obs) Sampling() bool { return *o.Sample > 0 }
 
-// Validate checks the observability flags against the run mode and applies
-// the -obs-http sampling implication. The sampler's statistics and the live
-// endpoint are outside a checkpoint's recipe, so both are rejected alongside
-// checkpointing.
-func (o *Obs) Validate(checkpointing bool) error {
+// Resolve applies the -obs-http sampling implication: a live endpoint with
+// no -obs-sample samples every millisecond of simulated time. Afterwards
+// *Sample is the effective interval, the one a checkpoint's recipe records.
+func (o *Obs) Resolve() {
 	if o.HTTPAddr != "" && *o.Sample == 0 {
 		*o.Sample = sim.Millisecond // of simulated time between snapshots
 	}
-	if checkpointing && *o.Sample > 0 {
-		return fmt.Errorf("checkpointing does not support -obs-sample/-obs-http (drop them or the -checkpoint flags)")
-	}
-	return nil
 }
 
 // --- Front door ------------------------------------------------------------

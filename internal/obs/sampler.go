@@ -44,12 +44,13 @@ type SampleSource interface {
 	ObsSample() Sample
 }
 
-// SamplerProbe periodically samples a set of sources into registry
-// averages. It is driven by the kernel (stats.Sampler), not by events, so
-// it is not a Probe; it lives here because it shares the observability
+// sampler periodically samples a set of sources into registry averages. It
+// is driven by its own kernel event, not by a component's events, so it is
+// not a Probe; it lives here because it shares the observability
 // configuration surface (-obs-sample).
-type SamplerProbe struct {
-	sampler  *stats.Sampler
+type sampler struct {
+	k        *sim.Kernel
+	ev       *sim.Event
 	interval sim.Tick
 
 	sources []sampledSource
@@ -76,15 +77,21 @@ type sampledSource struct {
 	rankSR     []*stats.Average // self-refresh residency per rank
 }
 
-// NewSamplerProbe builds a periodic sampler over the sources, registering
-// its time-series averages under reg ("obs." prefix). Call Start once the
-// kernel is ready; samples fire every interval at stats priority, each
-// source read once per tick.
-func NewSamplerProbe(k *sim.Kernel, reg *stats.Registry, interval sim.Tick, sources []SampleSource, onSample func(now sim.Tick, rows []Sample)) (*SamplerProbe, error) {
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("obs: sampler needs at least one source")
+// StartSampler samples the sources every interval of simulated time for the
+// rest of the simulation, the first sample one interval from now. It
+// registers the time-series averages under reg ("obs." prefix); samples fire
+// at stats priority, each source read once per tick, and onSample, when set,
+// runs after each pass on the kernel goroutine with that pass's rows (valid
+// until it returns).
+func StartSampler(k *sim.Kernel, reg *stats.Registry, interval sim.Tick, sources []SampleSource, onSample func(now sim.Tick, rows []Sample)) error {
+	if interval <= 0 {
+		return fmt.Errorf("obs: sampler interval must be positive")
 	}
-	p := &SamplerProbe{interval: interval, onSample: onSample, rows: make([]Sample, len(sources))}
+	if len(sources) == 0 {
+		return fmt.Errorf("obs: sampler needs at least one source")
+	}
+	p := &sampler{k: k, interval: interval, onSample: onSample, rows: make([]Sample, len(sources))}
+	p.ev = sim.NewEventPri("obs.sampler", sim.StatsPriority, p.take)
 	obsReg := reg.Child("obs")
 	for _, s := range sources {
 		r := obsReg.Child(s.Name())
@@ -114,16 +121,13 @@ func NewSamplerProbe(k *sim.Kernel, reg *stats.Registry, interval sim.Tick, sour
 		}
 		p.sources = append(p.sources, ss)
 	}
-	var err error
-	p.sampler, err = stats.NewSampler(k, interval, p.take)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	k.Schedule(p.ev, k.Now()+interval)
+	return nil
 }
 
-// take runs one sampling pass.
-func (p *SamplerProbe) take(now sim.Tick) {
+// take runs one sampling pass and schedules the next.
+func (p *sampler) take() {
+	now := p.k.Now()
 	for i := range p.sources {
 		s := &p.sources[i]
 		sm := s.src.ObsSample()
@@ -155,10 +159,8 @@ func (p *SamplerProbe) take(now sim.Tick) {
 	if p.onSample != nil {
 		p.onSample(now, p.rows)
 	}
+	p.k.Schedule(p.ev, now+p.interval)
 }
-
-// Start schedules the first sample one interval out.
-func (p *SamplerProbe) Start() { p.sampler.Start() }
 
 func b2f(b bool) float64 {
 	if b {

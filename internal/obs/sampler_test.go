@@ -31,15 +31,17 @@ func TestSamplerBandwidthColumn(t *testing.T) {
 	reg := stats.NewRegistry("t")
 	a, b := &growingSource{name: "a"}, &growingSource{name: "b"}
 	// a moves 10 bytes and b 30 every 50 ns: 20 and 60 per sampling interval.
-	grow, err := stats.NewSampler(k, 50*sim.Nanosecond, func(sim.Tick) { a.bytes += 10; b.bytes += 30 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	grow.Start()
+	var grow *sim.Event
+	grow = sim.NewEventPri("grow", sim.StatsPriority, func() {
+		a.bytes += 10
+		b.bytes += 30
+		k.Schedule(grow, k.Now()+50*sim.Nanosecond)
+	})
+	k.Schedule(grow, 50*sim.Nanosecond)
 
 	var ticks []sim.Tick
 	var got [][2]float64
-	p, err := obs.NewSamplerProbe(k, reg, 100*sim.Nanosecond, []obs.SampleSource{a, b},
+	err := obs.StartSampler(k, reg, 100*sim.Nanosecond, []obs.SampleSource{a, b},
 		func(now sim.Tick, rows []obs.Sample) {
 			ticks = append(ticks, now)
 			got = append(got, [2]float64{rows[0].Bandwidth, rows[1].Bandwidth})
@@ -47,7 +49,6 @@ func TestSamplerBandwidthColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Start()
 	k.RunUntil(500 * sim.Nanosecond)
 
 	if len(ticks) != 5 || ticks[0] != 100*sim.Nanosecond || ticks[4] != 500*sim.Nanosecond {
@@ -72,5 +73,37 @@ func TestSamplerBandwidthColumn(t *testing.T) {
 	avg, ok := reg.Get("t.obs.a.bandwidth").(*stats.Average)
 	if !ok || avg.Count() != 5 || avg.Sum() != sumA {
 		t.Errorf("t.obs.a.bandwidth = %v, want the average of the 5 published rows (sum %v)", avg, sumA)
+	}
+}
+
+func TestSamplerFiresAtInterval(t *testing.T) {
+	k := sim.NewKernel()
+	var fired []sim.Tick
+	err := obs.StartSampler(k, stats.NewRegistry("t"), 100*sim.Nanosecond, []obs.SampleSource{&growingSource{name: "a"}},
+		func(now sim.Tick, _ []obs.Sample) { fired = append(fired, now) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntil(550 * sim.Nanosecond)
+	if len(fired) != 5 {
+		t.Fatalf("fired %d times, want 5", len(fired))
+	}
+	for i, at := range fired {
+		if at != sim.Tick(i+1)*100*sim.Nanosecond {
+			t.Fatalf("sample %d at %s", i, at)
+		}
+	}
+}
+
+func TestSamplerValidation(t *testing.T) {
+	k := sim.NewKernel()
+	src := []obs.SampleSource{&growingSource{name: "a"}}
+	for _, interval := range []sim.Tick{0, -sim.Nanosecond} {
+		if err := obs.StartSampler(k, stats.NewRegistry("t"), interval, src, nil); err == nil {
+			t.Errorf("interval %s accepted", interval)
+		}
+	}
+	if err := obs.StartSampler(k, stats.NewRegistry("t"), 10, nil, nil); err == nil {
+		t.Error("a sampler without sources accepted")
 	}
 }

@@ -35,13 +35,13 @@ func (r *Registry) NewHistogram(name, desc string, min, max float64, n int) *His
 		buckets: make([]uint64, n),
 		width:   (max - min) / float64(n),
 	}
-	h.Reset()
+	h.reset()
 	r.add(h, &h.ident)
 	return h
 }
 
-// Reset implements Stat.
-func (h *Histogram) Reset() {
+// reset empties the histogram: no samples, no extremes.
+func (h *Histogram) reset() {
 	for i := range h.buckets {
 		h.buckets[i] = 0
 	}

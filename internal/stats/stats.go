@@ -1,6 +1,6 @@
 // Package stats is a small statistics framework in the spirit of gem5's:
 // components register named statistics with a Registry, and the registry can
-// reset and dump them at arbitrary points in simulated time. The paper leans
+// dump them at arbitrary points in simulated time. The paper leans
 // on this to collect the page-hit rates, bus utilisation and
 // all-banks-precharged time that feed the Micron power model offline.
 package stats
@@ -15,15 +15,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Stat is anything a Registry can hold: it can describe itself, reset, and
-// render its value(s).
+// Stat is anything a Registry can hold: it can describe itself and render
+// its value(s).
 type Stat interface {
 	// Name returns the registered, dot-separated name.
 	Name() string
 	// Desc returns the one-line description.
 	Desc() string
-	// Reset clears the statistic to its initial state.
-	Reset()
 	// Rows renders the statistic as one or more (name, value, comment) rows.
 	Rows() []Row
 }
@@ -180,13 +178,6 @@ func (r *Registry) Absorb(other *Registry) {
 	}
 }
 
-// ResetAll resets every registered statistic.
-func (r *Registry) ResetAll() {
-	for _, s := range r.store.stats {
-		s.Reset()
-	}
-}
-
 // Get returns the statistic registered under the full name, or nil.
 func (r *Registry) Get(name string) Stat {
 	return r.store.find(nameHash("", name), name)
@@ -229,9 +220,6 @@ func (r *Registry) NewScalar(name, desc string) *Scalar {
 	return s
 }
 
-// Reset implements Stat.
-func (s *Scalar) Reset() { s.sum = 0 }
-
 // Inc adds one.
 func (s *Scalar) Inc() { s.sum++ }
 
@@ -259,9 +247,6 @@ func (r *Registry) NewAverage(name, desc string) *Average {
 	r.add(a, &a.ident)
 	return a
 }
-
-// Reset implements Stat.
-func (a *Average) Reset() { a.sum, a.count = 0, 0 }
 
 // Sample records one observation.
 func (a *Average) Sample(v float64) { a.sum += v; a.count++ }

@@ -22,10 +22,6 @@ func TestScalar(t *testing.T) {
 	if s.Value() != 10 {
 		t.Fatalf("Value = %v, want 10", s.Value())
 	}
-	s.Reset()
-	if s.Value() != 0 {
-		t.Fatalf("Value after Reset = %v, want 0", s.Value())
-	}
 	if s.Name() != "ctrl.reads" {
 		t.Fatalf("Name = %q", s.Name())
 	}
@@ -60,10 +56,6 @@ func TestRegistryChildAndDump(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "sys.mem.bytes") || !strings.Contains(out, "42") {
 		t.Fatalf("dump missing stat: %q", out)
-	}
-	root.ResetAll()
-	if s.Value() != 0 {
-		t.Fatal("ResetAll did not reset child stat")
 	}
 }
 
@@ -102,7 +94,7 @@ func TestHistogramBasics(t *testing.T) {
 	if math.Abs(h.Mean()-wantMean) > 1e-9 {
 		t.Fatalf("mean = %v, want %v", h.Mean(), wantMean)
 	}
-	h.Reset()
+	h.reset()
 	if h.Count() != 0 || h.Mean() != 0 {
 		t.Fatal("reset failed")
 	}
@@ -152,7 +144,7 @@ func TestHistogramModesBimodal(t *testing.T) {
 		t.Fatalf("mode positions %v %v", lo0, lo1)
 	}
 	// A unimodal distribution reports a single mode.
-	h.Reset()
+	h.reset()
 	for i := 0; i < 1000; i++ {
 		h.Sample(50 + float64(i%3))
 	}
@@ -314,7 +306,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 }
 
 // Get takes the full name, including one registered under a dotted leaf (as
-// obs.SamplerProbe registers "bank0.openResidency").
+// obs.StartSampler registers "bank0.openResidency").
 func TestGetDottedLeaf(t *testing.T) {
 	r := NewRegistry("sys")
 	open := r.Child("obs").Child("mc0").NewAverage("bank0.openResidency", "")

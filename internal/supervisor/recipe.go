@@ -40,7 +40,7 @@ type Recipe struct {
 	// refused, naming the component and the first differing field.
 	Configs map[string]any `json:"configs"`
 	// Flags are the command-line flags that shape the run, by name, with
-	// their values. A refusal names the ones that differ.
+	// their values. A resume under other values is refused, naming them.
 	Flags map[string]string `json:"flags,omitempty"`
 	// Inputs are the SHA-256 digests (hex) of the files the run reads, by the
 	// flag that names each.
@@ -115,8 +115,10 @@ func decodeExact(raw []byte, out any) error {
 }
 
 // resumable refuses a checkpoint this run cannot continue: a postmortem, or
-// one written under another configuration or from other input files. Nothing
-// is stepped before it passes.
+// one written under another configuration, other shaping flags or from other
+// input files. Nothing is stepped before it passes. A flag that changes a
+// stated configuration is named beside the field; one that changes none (a
+// sampling interval, whose statistics the run registers) is refused by name.
 func (r Recipe) resumable(saved Recipe) error {
 	if saved.Failed != "" {
 		return fmt.Errorf("checkpoint is the postmortem of a failure at %s (%s); resume the checkpoint beside it", saved.Tick, saved.Failed)
@@ -138,6 +140,11 @@ func (r Recipe) resumable(saved Recipe) error {
 		}
 		if d != "" {
 			return fmt.Errorf("configuration mismatch: %s: %s%s", id, d, flagsDiffer(saved.Flags, r.Flags))
+		}
+	}
+	for _, name := range sortedKeys(saved.Flags, r.Flags) {
+		if was, now := saved.Flags[name], r.Flags[name]; was != now {
+			return fmt.Errorf("flag -%s differs: checkpoint %q, this run %q", name, was, now)
 		}
 	}
 	for _, name := range sortedKeys(saved.Inputs, r.Inputs) {

@@ -102,7 +102,8 @@ func reframe(body []byte) []byte {
 }
 
 // A checkpoint of another configuration is refused naming the component, the
-// field and the flags that differ; other input files are refused by flag.
+// field and the flags that differ; other shaping flags alone, and other input
+// files, are refused by flag.
 func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	saved := sample()
 	for _, c := range []struct {
@@ -118,6 +119,7 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 			r.Configs["mc0"] = struct{ Page, Seed any }{"open", uint64(1)<<63 + 1}
 		}, `configuration mismatch: mc0: Seed: checkpoint 9223372036854775808, this run 9223372036854775809`},
 		{"component", func(r *Recipe) { delete(r.Configs, "mc0") }, "configuration mismatch: mc0: stated by the checkpoint true, by this run false"},
+		{"flag", func(r *Recipe) { r.Flags["obs-sample"] = "1000" }, `flag -obs-sample differs: checkpoint "", this run "1000"`},
 		{"input", func(r *Recipe) { r.Inputs = map[string]string{"trace-in": "0d9e"} }, `input -trace-in differs: checkpoint sha256 "5f1c", this run "0d9e"`},
 		{"postmortem", func(*Recipe) {}, "postmortem of a failure at 40us (boom)"},
 	} {

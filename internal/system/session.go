@@ -76,7 +76,7 @@ type configured interface {
 // Identity is what the session's components state about their configuration,
 // by the ID a checkpoint files each under (xbar, mc<i>, gen<i>), plus the
 // session's step quantum, which fixes the ticks a checkpoint can fall on. A
-// component that states nothing (a trace player, the cycle model) is absent.
+// component that states nothing (a trace player) is absent.
 func (s *Session) Identity() map[string]any {
 	out := map[string]any{"session": struct{ Step sim.Tick }{s.step}}
 	add := func(id string, c any) {

@@ -353,10 +353,6 @@ type RigConfig struct {
 	// Gen is the generator shape; Pattern supplies addresses.
 	Gen     trafficgen.Config
 	Pattern trafficgen.Pattern
-	// TuneEvent optionally adjusts the matched default event-based
-	// controller configuration before construction (used by ablation studies
-	// and experiments that stress one policy knob).
-	TuneEvent func(*core.Config)
 	// Probes feeds observability events from the controller (see
 	// internal/obs); nil or empty disables instrumentation.
 	Probes *obs.Hub
@@ -364,7 +360,7 @@ type RigConfig struct {
 
 // NewTrafficRig builds the generator-over-controller rig.
 func NewTrafficRig(cfg RigConfig) (*TrafficRig, error) {
-	mc := matchedMemory(cfg.Kind, cfg.Spec, cfg.Mapping, 1, cfg.ClosedPage, cfg.TuneEvent)
+	mc := matchedMemory(cfg.Kind, cfg.Spec, cfg.Mapping, 1, cfg.ClosedPage, nil)
 	mc.Probes = cfg.Probes
 	m, err := NewMemory(mc)
 	if err != nil {

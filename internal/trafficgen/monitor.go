@@ -16,8 +16,7 @@ type Monitor struct {
 	memPort *mem.RequestPort
 	k       *sim.Kernel
 
-	recording bool
-	trace     []TraceRecord
+	trace []TraceRecord
 
 	reqs      *stats.Scalar
 	resps     *stats.Scalar
@@ -29,10 +28,9 @@ type monCPUSide Monitor
 
 type monMemSide Monitor
 
-// NewMonitor builds a monitor registering statistics under name. Recording
-// starts enabled.
+// NewMonitor builds a monitor registering statistics under name.
 func NewMonitor(k *sim.Kernel, reg *stats.Registry, name string) *Monitor {
-	m := &Monitor{k: k, recording: true}
+	m := &Monitor{k: k}
 	m.cpuPort = mem.NewResponsePort(name+".cpu", (*monCPUSide)(m), k)
 	m.memPort = mem.NewRequestPort(name+".mem", (*monMemSide)(m), k)
 	r := reg.Child(name)
@@ -48,18 +46,12 @@ func (m *Monitor) CPUPort() *mem.ResponsePort { return m.cpuPort }
 // MemPort returns the memory-facing request port.
 func (m *Monitor) MemPort() *mem.RequestPort { return m.memPort }
 
-// SetRecording toggles trace capture (statistics always accumulate).
-func (m *Monitor) SetRecording(on bool) { m.recording = on }
-
 // Trace returns the captured records in issue order.
 func (m *Monitor) Trace() []TraceRecord {
 	out := make([]TraceRecord, len(m.trace))
 	copy(out, m.trace)
 	return out
 }
-
-// ResetTrace discards captured records.
-func (m *Monitor) ResetTrace() { m.trace = m.trace[:0] }
 
 // RecvTimingReq implements mem.Responder on the CPU side: record and
 // forward.
@@ -70,14 +62,12 @@ func (cs *monCPUSide) RecvTimingReq(pkt *mem.Packet) bool {
 	}
 	m.reqs.Inc()
 	m.bytesSeen.Add(float64(pkt.Size))
-	if m.recording {
-		m.trace = append(m.trace, TraceRecord{
-			Tick:   m.k.Now(),
-			IsRead: pkt.Cmd.IsRead(),
-			Addr:   pkt.Addr,
-			Size:   pkt.Size,
-		})
-	}
+	m.trace = append(m.trace, TraceRecord{
+		Tick:   m.k.Now(),
+		IsRead: pkt.Cmd.IsRead(),
+		Addr:   pkt.Addr,
+		Size:   pkt.Size,
+	})
 	return true
 }
 

@@ -137,22 +137,3 @@ func TestCaptureAndReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replay moved %d bursts, original %d", replayBursts, origBursts)
 	}
 }
-
-func TestMonitorRecordingToggle(t *testing.T) {
-	k, gen, mon, _ := buildMonitored(t, 100)
-	mon.SetRecording(false)
-	gen.Start()
-	for i := 0; i < 1000 && !gen.Done(); i++ {
-		k.RunUntil(k.Now() + sim.Microsecond)
-	}
-	if len(mon.Trace()) != 0 {
-		t.Fatal("recorded while disabled")
-	}
-	if mon.reqs.Value() != 100 {
-		t.Fatal("stats must accumulate regardless of recording")
-	}
-	mon.ResetTrace()
-	if len(mon.Trace()) != 0 {
-		t.Fatal("reset failed")
-	}
-}

@@ -94,9 +94,6 @@ type Config struct {
 	// QueueDepth bounds each internal queue (per memory port for requests,
 	// per requestor port for responses).
 	QueueDepth int
-	// PacketInterval optionally throttles each output to one packet per
-	// interval, modelling finite crossbar throughput (0 = unlimited).
-	PacketInterval sim.Tick
 	// Probes, when non-nil and non-empty, receives the crossbar's
 	// observability events (see internal/obs). Outside the checkpoint
 	// identity: probes only observe.
@@ -110,7 +107,7 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Latency < 0 || c.PacketInterval < 0 {
+	if c.Latency < 0 {
 		return fmt.Errorf("xbar: negative timing")
 	}
 	if c.QueueDepth <= 0 {
@@ -131,10 +128,9 @@ type outQueue struct {
 	resp *mem.ResponsePort
 	// items holds each packet with the tick it is ready to leave; the ring
 	// is sized to QueueDepth once and never grows (full() gates every push).
-	items    mem.PacketQueue
-	sendEv   *sim.Event
-	blocked  bool // downstream refused; waiting for its retry
-	nextSend sim.Tick
+	items   mem.PacketQueue
+	sendEv  *sim.Event
+	blocked bool // downstream refused; waiting for its retry
 }
 
 func newOutQueue(x *Crossbar, name string, req *mem.RequestPort, resp *mem.ResponsePort) *outQueue {
@@ -159,9 +155,6 @@ func (q *outQueue) schedule() {
 		return
 	}
 	_, at := q.items.At(0)
-	if q.nextSend > at {
-		at = q.nextSend
-	}
 	if now := q.k.Now(); at < now {
 		at = now
 	}
@@ -176,7 +169,7 @@ func (q *outQueue) drain() {
 	now := q.k.Now()
 	for q.items.Len() > 0 && !q.blocked {
 		pkt, readyAt := q.items.At(0)
-		if readyAt > now || q.nextSend > now {
+		if readyAt > now {
 			break
 		}
 		var ok bool
@@ -190,9 +183,6 @@ func (q *outQueue) drain() {
 			return
 		}
 		q.items.Pop()
-		if q.cfg.PacketInterval > 0 {
-			q.nextSend = now + q.cfg.PacketInterval
-		}
 		if q.req != nil {
 			q.x.wakeRequestors()
 		} else {

@@ -150,7 +150,6 @@ func TestConfigValidate(t *testing.T) {
 	for i, cfg := range []Config{
 		{Latency: -1, QueueDepth: 4},
 		{Latency: 0, QueueDepth: 0},
-		{Latency: 0, QueueDepth: 4, PacketInterval: -1},
 	} {
 		if cfg.Validate() == nil {
 			t.Errorf("config %d accepted", i)
@@ -321,26 +320,6 @@ func TestRespRetryOnlyToRefusedMemSide(t *testing.T) {
 	}
 	if mems[1].respRetries != 0 {
 		t.Fatalf("channel 1 never sent a response but heard %d RecvRespRetry", mems[1].respRetries)
-	}
-}
-
-func TestPacketIntervalThrottle(t *testing.T) {
-	// One packet per 100 ns through the crossbar: 4 requests take >=300 ns
-	// to reach memory.
-	k, _, sinks, mems := build(t, Config{Latency: 0, QueueDepth: 8, PacketInterval: 100 * sim.Nanosecond}, 1, 1, 64)
-	s := sinks[0]
-	k.Schedule(sim.NewEvent("inject", func() {
-		for i := 0; i < 4; i++ {
-			s.send(mem.NewRead(mem.Addr(i*64), 64, 0, k.Now()))
-		}
-	}), 0)
-	k.RunUntil(250 * sim.Nanosecond)
-	if got := len(mems[0].served); got > 3 {
-		t.Fatalf("served %d within 250 ns despite 100 ns packet interval", got)
-	}
-	k.RunUntil(2 * sim.Microsecond)
-	if len(s.responses) != 4 {
-		t.Fatalf("responses = %d", len(s.responses))
 	}
 }
 
