@@ -332,6 +332,34 @@ func TestTraceIsStrictJSONAndDeterministic(t *testing.T) {
 	}
 }
 
+// Every packet's lifecycle span ends under the name it began with — the
+// strict reader refuses a trace where one does not — on both models and
+// behind a crossbar: a responder emits the end before it sends, while the
+// packet still holds its address, not after the requestor has recycled it.
+func TestTraceSpansEndAsTheyBegin(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		ends int // one span per request at each component that queues it
+	}{
+		{"event", nil, 200},
+		{"cycle", []string{"-model", "cycle"}, 200},
+		{"4ch", []string{"-channels", "4"}, 400},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "p.json")
+			mustRun(t, append(c.args, "-requests", "200", "-trace", path)...)
+			sum, _, err := obs.ValidateTraceStrict(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.SpanEnds != c.ends || sum.OpenSpans() != 0 {
+				t.Errorf("%d spans ended, %d left open; want %d ended, none open", sum.SpanEnds, sum.OpenSpans(), c.ends)
+			}
+		})
+	}
+}
+
 // -check reads its -trace back strictly: the trace the run wrote passes, and
 // one cut mid-line or with a lifecycle span left open is refused.
 func TestCheckReadsTraceBackStrictly(t *testing.T) {

@@ -81,6 +81,8 @@ type cpu struct {
 	// onResp, when set, is invoked after each accepted response (for
 	// dependent-chain tests).
 	onResp func(*mem.Packet)
+	// refuse is how many responses to refuse before accepting again.
+	refuse int
 }
 
 func newCPU(k *sim.Kernel) *cpu {
@@ -90,6 +92,10 @@ func newCPU(k *sim.Kernel) *cpu {
 }
 
 func (c *cpu) RecvTimingResp(pkt *mem.Packet) bool {
+	if c.refuse > 0 {
+		c.refuse--
+		return false
+	}
 	c.responses = append(c.responses, pkt)
 	c.respTicks = append(c.respTicks, c.k.Now())
 	if c.onResp != nil {
@@ -216,6 +222,26 @@ func TestMissThenHit(t *testing.T) {
 	}
 	if m.reads != 1 {
 		t.Fatalf("memory reads = %d, want 1 line fill", m.reads)
+	}
+}
+
+// A refused response goes back to the head of the response queue: after the
+// requestor's retry it leaves first, and the one queued behind it follows.
+func TestRefusedResponseKeepsItsPlace(t *testing.T) {
+	k, u, _, _ := build(t, defaultCfg(), 100*sim.Nanosecond)
+	at(k, 0, func() { u.send(mem.NewRead(0x100, 8, 0, 0)) }) // fills the line
+	at(k, 500*sim.Nanosecond, func() {
+		u.refuse = 1
+		u.send(mem.NewRead(0x100, 8, 0, 0))
+		u.send(mem.NewRead(0x108, 8, 0, 0))
+	})
+	at(k, 600*sim.Nanosecond, func() { u.port.SendRespRetry() })
+	k.RunUntil(sim.Microsecond)
+	if len(u.responses) != 3 || u.responses[1].Addr != 0x100 || u.responses[2].Addr != 0x108 {
+		t.Fatalf("responses = %v, want the fill then 0x100 then 0x108", u.responses)
+	}
+	if u.respTicks[1] != 600*sim.Nanosecond || u.respTicks[2] != 600*sim.Nanosecond {
+		t.Fatalf("hits answered at %s and %s, want both at the retry (600ns)", u.respTicks[1], u.respTicks[2])
 	}
 }
 

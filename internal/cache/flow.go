@@ -211,11 +211,14 @@ func (c *Cache) processResponses() {
 		if pkt.Cmd.IsRequest() {
 			pkt.MakeResponse()
 		}
+		// Off the queue before the send: the requestor may issue into
+		// this cache inside it (sim.Kernel.Alone).
+		c.respQueue.Pop()
 		if !c.cpuPort.SendTimingResp(pkt) {
+			c.respQueue.PushFront(pkt, sendAt)
 			c.retryResp = true
 			return
 		}
-		c.respQueue.Pop()
 	}
 	if c.respQueue.Len() > 0 && !c.respEvent.Scheduled() {
 		_, sendAt := c.respQueue.At(0)

@@ -567,20 +567,32 @@ func (c *Controller) processRespondEvent() {
 		if e.pkt.Cmd.IsRequest() {
 			e.pkt.MakeResponse()
 		}
-		if !c.port.SendTimingResp(e.pkt) {
-			c.retryResp = true
-			return
-		}
-		if c.hub != nil {
-			c.hub.Emit(obs.ResponseSent{Src: c.name, At: now, Pkt: e.pkt})
-		}
+		// The response leaves the queue and frees its read-buffer entries
+		// before the send: the requestor may issue its next request inside
+		// it (sim.Kernel.Alone), and must find the state it would find
+		// after this event. A refusal undoes both. The packet's trace span
+		// ends here, at the first attempt: once accepted the packet may
+		// already be back in its requestor's pool, keying a new span.
 		if fromDRAM {
 			c.respDRAM.pop()
 		} else {
 			c.respFixed.Pop()
 		}
+		c.readEntries -= e.release
+		if c.hub != nil {
+			c.hub.Emit(obs.ResponseSent{Src: c.name, At: now, Pkt: e.pkt})
+		}
+		if !c.port.SendTimingResp(e.pkt) {
+			c.readEntries += e.release
+			if fromDRAM {
+				c.respDRAM.unpop(e)
+			} else {
+				c.respFixed.PushFront(e.pkt, e.sendAt)
+			}
+			c.retryResp = true
+			return
+		}
 		if e.release > 0 {
-			c.readEntries -= e.release
 			c.maybeSendReqRetry()
 		}
 	}

@@ -345,6 +345,14 @@ func (r *respRing) pop() {
 	r.n--
 }
 
+// unpop puts e back as the first entry, undoing the pop of a response the
+// requestor refused.
+func (r *respRing) unpop(e respEntry) {
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.n++
+	*r.at(0) = e
+}
+
 // newBurst sets up dp, fresh from c.dps, as a write burst entering a queue
 // now (a read sets isRead and its parent). A pooled descriptor is already
 // zeroed, so only the live fields are set: assigning a whole dramPacket

@@ -34,15 +34,20 @@ func (m *delayMem) RecvTimingReq(pkt *mem.Packet) bool {
 	return true
 }
 
+// respond sends every due response. The core may issue inside a send (its
+// next request joins the queue), so the event is armed once, afterwards.
 func (m *delayMem) respond() {
 	for m.q.Len() > 0 {
 		pkt, at := m.q.At(0)
 		if at > m.k.Now() {
-			m.k.Schedule(m.ev, at)
-			return
+			break
 		}
 		m.q.Pop()
 		m.port.SendTimingResp(pkt)
+	}
+	if m.q.Len() > 0 && !m.ev.Scheduled() {
+		_, at := m.q.At(0)
+		m.k.Schedule(m.ev, at)
 	}
 }
 
@@ -68,11 +73,15 @@ func TestCoreSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		step()
 	}
-	before := c.memOps.Value()
+	before, events := c.memOps.Value(), k.EventsExecuted()
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
 		t.Fatalf("core issue/response cycle allocates %.2f objects per microsecond, want 0", avg)
 	}
-	if ops := c.memOps.Value() - before; ops < 1000 || c.StallFraction() == 0 {
-		t.Fatalf("gate missed its path: %v memory operations, stall fraction %v", ops, c.StallFraction())
+	// A stalled core answered at a tick issues inside the response, so the
+	// memory's event is about the only one fired per operation.
+	ops := c.memOps.Value() - before
+	if perOp := float64(k.EventsExecuted()-events) / ops; ops < 1000 || c.StallFraction() == 0 || perOp > 1.1 {
+		t.Fatalf("gate missed its path: %v memory operations, stall fraction %v, %.2f events per operation",
+			ops, c.StallFraction(), perOp)
 	}
 }

@@ -214,14 +214,21 @@ func (c *Core) noteUnstall(now sim.Tick) {
 }
 
 // RecvTimingResp implements mem.Requestor: the operation is complete and
-// its packet returns to the pool.
+// its packet returns to the pool. When the freed slot lets the core issue now
+// and its tick would be the kernel's next event, it issues in this call
+// instead of firing the tick (sim.Kernel.Alone).
 //
 //hot:path
 func (c *Core) RecvTimingResp(pkt *mem.Packet) bool {
-	c.loadLatency.Sample((c.k.Now() - pkt.IssueTick).Nanoseconds())
+	now := c.k.Now()
+	c.loadLatency.Sample((now - pkt.IssueTick).Nanoseconds())
 	c.pool.Put(pkt)
 	c.outstanding--
-	c.noteUnstall(c.k.Now())
+	if c.blocked == nil && !c.tick.Scheduled() && now >= c.nextIssue && c.k.Alone(nil) {
+		c.run()
+		return true
+	}
+	c.noteUnstall(now)
 	c.rearm()
 	return true
 }

@@ -380,7 +380,7 @@ func (c *Controller) RecvTimingReq(pkt *mem.Packet) bool {
 // RecvRespRetry implements mem.Responder.
 func (c *Controller) RecvRespRetry() {
 	c.retryResp = false
-	c.drainResponses(c.cycleNow())
+	c.sendResponses(c.dueResponses(c.cycleNow()))
 	c.wake()
 }
 

@@ -26,30 +26,52 @@ func (c *Controller) tick() {
 	c.st.cyclesTicked.Inc()
 
 	c.maintain()
-	c.drainResponses(cycle)
+	// The responses due at this edge leave after its command decision: a
+	// requestor answered may issue inside the send (sim.Kernel.Alone), and
+	// its request must reach the queue after the decision, as it would from
+	// a tick of its own.
+	due := c.dueResponses(cycle)
 	if !c.refreshWork(cycle) {
 		c.scheduleCommand(cycle)
 	}
+	c.sendResponses(due)
 	c.rearm(cycle)
 }
 
-// drainResponses sends every response whose ready cycle has passed.
-func (c *Controller) drainResponses(cycle int64) {
-	for !c.retryResp && len(c.resp) > 0 && c.resp[0].ready <= cycle {
+// dueResponses counts the queued responses whose ready cycle has passed; they
+// are the queue's first entries.
+func (c *Controller) dueResponses(cycle int64) int {
+	n := 0
+	for n < len(c.resp) && c.resp[n].ready <= cycle {
+		n++
+	}
+	return n
+}
+
+// sendResponses sends the first n queued responses, stopping at a refusal.
+// Each leaves the queue before its send (a refusal puts it back), and its
+// trace span ends at the first attempt: once accepted the packet may already
+// be back in its requestor's pool, keying a new span. A write a requestor
+// issues inside a send queues its acknowledgement behind the n, for a later
+// edge.
+func (c *Controller) sendResponses(n int) {
+	for ; n > 0 && !c.retryResp; n-- {
 		e := c.resp[0]
+		last := copy(c.resp, c.resp[1:])
+		c.resp[last] = respWait{}
+		c.resp = c.resp[:last]
 		if e.pkt.Cmd.IsRequest() {
 			e.pkt.MakeResponse()
-		}
-		if !c.port.SendTimingResp(e.pkt) {
-			c.retryResp = true
-			return
 		}
 		if c.hub != nil {
 			c.hub.Emit(obs.ResponseSent{Src: c.name, At: c.k.Now(), Pkt: e.pkt})
 		}
-		last := copy(c.resp, c.resp[1:])
-		c.resp[last] = respWait{}
-		c.resp = c.resp[:last]
+		if !c.port.SendTimingResp(e.pkt) {
+			c.resp = append(c.resp, respWait{})
+			copy(c.resp[1:], c.resp)
+			c.resp[0] = e
+			c.retryResp = true
+		}
 	}
 }
 

@@ -213,9 +213,9 @@ var claims = []struct {
 	{"Speedup", []claim{
 		{"average host-time speedup (x)", "7", 1.5, above,
 			func(r claimRuns) float64 { return r.speedup.AvgSpeedup }},
-		{"event-model kernel events, all cases", "fewer than cycle's", 163419, exact,
+		{"event-model kernel events, all cases", "fewer than cycle's", 150217, exact,
 			func(r claimRuns) float64 { return speedupEvents(r, false) }},
-		{"cycle-model kernel events, all cases", "none given", 884920, exact,
+		{"cycle-model kernel events, all cases", "none given", 876922, exact,
 			func(r claimRuns) float64 { return speedupEvents(r, true) }},
 	}},
 	{"Fig8", []claim{

@@ -110,11 +110,14 @@ func (p *pipe) pump() {
 		if at > now {
 			break
 		}
+		// Off the inbox before the delivery, which may answer a requestor
+		// that issues inside it (sim.Kernel.Alone).
+		p.inbox.Pop()
 		if !p.deliver(pkt) {
+			p.inbox.PushFront(pkt, at)
 			p.blocked = true
 			return
 		}
-		p.inbox.Pop()
 	}
 	p.arm()
 }

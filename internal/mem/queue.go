@@ -65,6 +65,18 @@ func (q *PacketQueue) At(i int) (*Packet, sim.Tick) {
 	return e.pkt, e.at
 }
 
+// PushFront puts pkt back at the head with its tick: it undoes a Pop whose
+// packet the peer refused, for a drain that takes a packet off its queue
+// before sending it.
+func (q *PacketQueue) PushFront(pkt *Packet, at sim.Tick) {
+	if q.n == len(q.buf) {
+		q.Reserve(max(2*q.n, 16))
+	}
+	q.head = q.slot(len(q.buf) - 1)
+	q.buf[q.head] = timedPkt{at: at, pkt: pkt}
+	q.n++
+}
+
 // Pop removes the head; the queue must not be empty.
 //
 //hot:path

@@ -49,6 +49,43 @@ func TestPacketQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
 	}
 }
 
+// TestPacketQueuePushFront: PushFront undoes a Pop wherever the head sits,
+// walking the head back across slot 0, and grows a full ring.
+func TestPacketQueuePushFront(t *testing.T) {
+	var q PacketQueue
+	q.Reserve(4)
+	pkts := make([]*Packet, 5)
+	for i := range pkts {
+		pkts[i] = &Packet{Addr: Addr(i)}
+	}
+	want := func(first int) {
+		t.Helper()
+		if q.Len() != len(pkts)-first {
+			t.Fatalf("%d queued, want %d", q.Len(), len(pkts)-first)
+		}
+		for i := 0; i < q.Len(); i++ {
+			if p, at := q.At(i); p != pkts[first+i] || at != sim.Tick(first+i) {
+				t.Fatalf("At(%d) = %v@%d, want packet %d", i, p, at, first+i)
+			}
+		}
+	}
+	for i := 1; i < len(pkts); i++ {
+		q.Push(pkts[i], sim.Tick(i))
+	}
+	q.PushFront(pkts[0], 0) // full: grows, then the head walks back across slot 0
+	want(0)
+	p, at := q.At(0)
+	q.Pop()
+	q.PushFront(p, at)
+	want(0)
+	q.Pop()
+	q.Pop()
+	q.PushFront(pkts[1], 1)
+	want(1)
+	q.PushFront(pkts[0], 0)
+	want(0)
+}
+
 // TestPacketQueueSteadyStateZeroAlloc: a queue that has reached its
 // high-water mark, or was sized up front, pushes and pops without
 // allocating, however far the ring has turned.

@@ -108,7 +108,10 @@ type BurstScheduled struct {
 }
 
 // ResponseSent reports a response leaving the component toward the
-// requestor: the end of the packet's lifecycle inside that component.
+// requestor: the end of the packet's lifecycle inside that component. It is
+// emitted before the send, while the packet is still the component's (an
+// accepted response may be back in its requestor's pool at once), so a
+// refused response's span ends at its first attempt.
 type ResponseSent struct {
 	Src string
 	At  sim.Tick

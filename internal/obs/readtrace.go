@@ -59,6 +59,14 @@ func parseTrace(raw []byte) (*TraceSummary, []TraceEvent, error) {
 	body := text[len(traceHeader):]
 	sum := &TraceSummary{}
 	procs := map[int]string{}
+	// begun names each open lifecycle span: a span ends under the name it
+	// began with (a packet recycled before its end was emitted would end
+	// under its next request's address).
+	type spanID struct {
+		pid int
+		id  uint64
+	}
+	begun := map[spanID]string{}
 	var events []TraceEvent
 	for _, line := range strings.Split(body, "\n") {
 		line = strings.TrimSuffix(strings.TrimSpace(line), ",")
@@ -87,8 +95,14 @@ func parseTrace(raw []byte) (*TraceSummary, []TraceEvent, error) {
 			}
 		case ev.Cat == "pkt" && ev.Ph == "b":
 			sum.SpanBegins++
+			begun[spanID{ev.Pid, ev.ID}] = ev.Name
 		case ev.Cat == "pkt" && ev.Ph == "e":
 			sum.SpanEnds++
+			key := spanID{ev.Pid, ev.ID}
+			if name, ok := begun[key]; ok && name != ev.Name {
+				return nil, nil, fmt.Errorf("obs: span %d began as %q and ends as %q", ev.ID, name, ev.Name)
+			}
+			delete(begun, key)
 		case ev.Cat == "burst" && ev.Ph == "X":
 			sum.Bursts++
 		case ev.Cat == "cmd" && ev.Name == "ACT":

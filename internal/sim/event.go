@@ -13,9 +13,6 @@ const (
 	StatsPriority Priority = -50
 	// DefaultPriority is used by ordinary model events.
 	DefaultPriority Priority = 0
-	// CPUPriority makes CPU ticks run after memory responses delivered on
-	// the same tick, so a response arriving "now" is visible "now".
-	CPUPriority Priority = 31
 	// MaxPriority executes after everything else on a tick.
 	MaxPriority Priority = 100
 )

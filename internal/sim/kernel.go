@@ -155,6 +155,20 @@ func (k *Kernel) PeekNext() (Tick, bool) {
 	return k.q[k.head].when, true
 }
 
+// Alone reports whether no event other than e (nil for none) is pending at
+// the current tick. A component that would schedule e for now, or whose e is
+// already due now, may then act in place instead, inside the event that is
+// running: e would have been the kernel's next event, so provided the running
+// event has settled its own state first, the outcome is the same with one
+// event fewer fired.
+func (k *Kernel) Alone(e *Event) bool {
+	i := 0
+	if k.n > 0 && k.q[k.head].ev == e {
+		i = 1
+	}
+	return i >= k.n || k.at(i).when > k.now
+}
+
 // at returns the slot of the i-th pending entry, counted from the head; -1
 // and n are the free slots either side of the entries.
 func (k *Kernel) at(i int) *qentry { return &k.q[(k.head+i)&(len(k.q)-1)] }

@@ -276,3 +276,31 @@ func TestRunUntilProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Alone sees the events pending at the current tick, ignoring only the one
+// it is given: later events, and the running one, do not count.
+func TestAlone(t *testing.T) {
+	k := NewKernel()
+	own := NewEventPri("own", MaxPriority, func() {})
+	other := NewEvent("other", func() {})
+	var got []bool
+	probe := NewEventPri("probe", MinPriority, func() { got = append(got, k.Alone(nil), k.Alone(own)) })
+	if !k.Alone(nil) {
+		t.Fatal("an empty kernel is not alone")
+	}
+	k.Schedule(probe, 10)
+	k.Schedule(own, 10)
+	k.Schedule(other, 20)
+	k.RunUntil(10) // probe runs with own pending at its tick, other later
+	k.Reschedule(probe, 20)
+	k.Run() // probe runs with other pending at its tick
+	want := []bool{false, true, false, false}
+	if len(got) != len(want) {
+		t.Fatalf("probe ran %d times, want 2", len(got)/2)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Alone(nil), Alone(own) = %v, want %v", got, want)
+		}
+	}
+}

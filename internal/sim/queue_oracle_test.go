@@ -95,7 +95,9 @@ const (
 var ringCaseNames = [ringCases]string{"head-side insert", "tail-side insert", "shift across slot 0",
 	"growth while wrapped", "head-side removal", "tail-side removal", "drain and re-arm"}
 
-var oraclePriorities = []Priority{MinPriority, StatsPriority, DefaultPriority, DefaultPriority, DefaultPriority, CPUPriority, MaxPriority}
+// oraclePriorities weights the default band and puts one band (31) between it
+// and MaxPriority.
+var oraclePriorities = []Priority{MinPriority, StatsPriority, DefaultPriority, DefaultPriority, DefaultPriority, 31, MaxPriority}
 
 func newOracle(t *testing.T, prog []byte) *oracle {
 	o := &oracle{t: t, k: NewKernel(), prog: prog}

@@ -111,7 +111,10 @@ type TracePlayer struct {
 func NewTracePlayer(k *sim.Kernel, recs []TraceRecord, requestorID int) *TracePlayer {
 	p := &TracePlayer{k: k, recs: recs, requestorID: requestorID}
 	p.port = mem.NewRequestPort("trace.port", p, k)
-	p.tick = sim.NewEvent("trace.tick", p.issue)
+	// The tick runs after everything else due at its tick: the generator
+	// that captured the trace issued from the response that freed its slot,
+	// so a record due at a response's tick waits for that response.
+	p.tick = sim.NewEventPri("trace.tick", sim.MaxPriority, p.issue)
 	return p
 }
 
@@ -160,11 +163,18 @@ func (p *TracePlayer) issue() {
 	}
 }
 
-// RecvTimingResp implements mem.Requestor.
+// RecvTimingResp implements mem.Requestor. When the next record is due now
+// and the player's tick, pending for it, would be the kernel's next event, the
+// player issues in this call instead of firing the tick (sim.Kernel.Alone),
+// as the generator that captured the trace did.
 func (p *TracePlayer) RecvTimingResp(pkt *mem.Packet) bool {
 	p.pool.Put(pkt)
 	p.outstanding--
 	p.completed++
+	if p.tick.Scheduled() && p.tick.When() == p.k.Now() && p.k.Alone(p.tick) {
+		p.k.Deschedule(p.tick)
+		p.issue()
+	}
 	return true
 }
 

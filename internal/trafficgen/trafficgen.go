@@ -205,9 +205,12 @@ func (g *Generator) rearm() {
 
 // RecvTimingResp implements mem.Requestor. The generator created the packet,
 // so once the response is consumed here the transaction has fully left the
-// memory system and the packet returns to the pool.
+// memory system and the packet returns to the pool. When the freed slot lets
+// the generator issue now and its tick would be the kernel's next event, it
+// issues in this call instead of firing the tick (sim.Kernel.Alone).
 func (g *Generator) RecvTimingResp(pkt *mem.Packet) bool {
-	lat := (g.k.Now() - pkt.IssueTick).Nanoseconds()
+	now := g.k.Now()
+	lat := (now - pkt.IssueTick).Nanoseconds()
 	if pkt.Cmd == mem.ReadResp {
 		g.readLatency.Sample(lat)
 	} else {
@@ -215,6 +218,10 @@ func (g *Generator) RecvTimingResp(pkt *mem.Packet) bool {
 	}
 	g.outstanding--
 	g.pool.Put(pkt)
+	if g.blocked == nil && !g.tick.Scheduled() && now >= g.nextAllowed && g.k.Alone(nil) {
+		g.issueLoop()
+		return true
+	}
 	g.rearm()
 	return true
 }

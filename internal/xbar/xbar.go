@@ -172,6 +172,9 @@ func (q *outQueue) drain() {
 		if readyAt > now {
 			break
 		}
+		// Off the queue before the send: a requestor answered here may
+		// issue back into this crossbar inside it (sim.Kernel.Alone).
+		q.items.Pop()
 		var ok bool
 		if q.req != nil {
 			ok = q.req.SendTimingReq(pkt)
@@ -179,10 +182,10 @@ func (q *outQueue) drain() {
 			ok = q.resp.SendTimingResp(pkt)
 		}
 		if !ok {
+			q.items.PushFront(pkt, readyAt)
 			q.blocked = true
 			return
 		}
-		q.items.Pop()
 		if q.req != nil {
 			q.x.wakeRequestors()
 		} else {
