@@ -514,13 +514,45 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		t.Errorf("-ecc-latency 20 and 200 both print %q", a)
 	}
 
-	// Capture and replay: what -trace-out records on two channels drives the
-	// same two channels to the same tick and event count through -trace-in.
-	capture := file("cap.txt")
-	captured := simulatedLine.FindString(mustRun(t, with("-trace-out", capture)...))
-	replayed := mustRun(t, "-channels", "2", "-trace-in", capture)
-	if got := simulatedLine.FindString(replayed); got != captured || !strings.Contains(replayed, "replaying 2000 trace records") {
-		t.Errorf("replay printed %q, the captured run %q:\n%s", got, captured, replayed)
+	// Capture and replay: what -trace-out records drives the same channels
+	// through -trace-in to the same tick and the same statistics, all but the
+	// generator's (gen.*) and the capture monitor's (mon.*). Two channels
+	// never refuse the generator, so the event count matches too; one channel
+	// under a linear stream refuses it 2980 times, and the player's retries
+	// must land every request where the generator's did.
+	memoryRows := func(out string) []string {
+		var rows []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "dramctrl.") && !strings.HasPrefix(l, "dramctrl.gen.") && !strings.HasPrefix(l, "dramctrl.mon.") {
+				rows = append(rows, l)
+			}
+		}
+		return rows
+	}
+	for _, row := range []struct {
+		channels, requests, retries string
+		flags                       []string
+	}{
+		{"2", "2000", "0", base},
+		{"1", "3000", "2980", []string{"-channels", "1", "-pattern", "linear", "-requests", "3000"}},
+	} {
+		capture := file("cap.txt")
+		captured := mustRun(t, append(row.flags[:len(row.flags):len(row.flags)], "-trace-out", capture, "-stats")...)
+		replayed := mustRun(t, "-channels", row.channels, "-trace-in", capture, "-stats")
+		if !regexp.MustCompile(`(?m)^dramctrl\.gen\.retries +` + row.retries + ` `).MatchString(captured) {
+			t.Errorf("%s channel(s): the capture's gen.retries is not %s:\n%s", row.channels, row.retries, captured)
+		}
+		want, got := simulatedLine.FindString(captured), simulatedLine.FindString(replayed)
+		if row.retries != "0" { // the tick alone: refusals cost the capture events
+			want, _, _ = strings.Cut(want, " in ")
+			got, _, _ = strings.Cut(got, " in ")
+		}
+		if want == "" || got != want || !strings.Contains(replayed, "replaying "+row.requests+" trace records") {
+			t.Errorf("%s channel(s): replay printed %q, the captured run %q:\n%s", row.channels, got, want, replayed)
+		}
+		if a, b := memoryRows(captured), memoryRows(replayed); len(a) == 0 || !slices.Equal(a, b) {
+			t.Errorf("%s channel(s): the replay's statistics differ from the capture's:\ncapture %q\nreplay  %q", row.channels, a, b)
+		}
 	}
 
 	// The sampler reads every controller; the bandwidth table sums them.

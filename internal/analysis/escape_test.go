@@ -28,8 +28,8 @@ var hotGates = map[string]string{
 	"core.(*Controller).doDRAMAccess":        "core.TestControllerSteadyStateZeroAlloc",
 	"core.(*burstQueue).push":                "core.TestControllerSteadyStateZeroAlloc",
 	"core.(*burstQueue).remove":              "core.TestControllerSteadyStateZeroAlloc",
-	"cpu.(*Core).run":                        "cpu.TestCoreSteadyStateZeroAlloc",
-	"cpu.(*Core).RecvTimingResp":             "cpu.TestCoreSteadyStateZeroAlloc",
+	"trafficgen.(*Issuer).issue":             "cpu.TestCoreSteadyStateZeroAlloc",
+	"trafficgen.(*Issuer).RecvTimingResp":    "cpu.TestCoreSteadyStateZeroAlloc",
 	"cache.(*Cache).access":                  "cache.TestCacheSteadyStateZeroAlloc",
 	"cache.(*Cache).fillOrAck":               "cache.TestCacheSteadyStateZeroAlloc",
 	"cache.(*Cache).processResponses":        "cache.TestCacheSteadyStateZeroAlloc",

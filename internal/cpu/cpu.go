@@ -12,7 +12,9 @@
 package cpu
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -71,30 +73,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Core is one synthetic out-of-order core driving a cache or memory port.
+// Core is one synthetic out-of-order core driving a cache or memory port
+// through a trafficgen.Issuer, which counts its stall time (StallTicks).
 type Core struct {
+	trafficgen.Issuer
 	cfg     Config
 	k       *sim.Kernel
 	pattern trafficgen.Pattern
-	port    *mem.RequestPort
-	pool    mem.PacketPool // packets: drawn on issue, released on response
-
 	// delay is computeDelay(), the spacing between two issues.
-	delay       sim.Tick
-	issued      uint64
-	outstanding int
-	blocked     *mem.Packet
-	nextIssue   sim.Tick
-	tick        *sim.Event
-	startTick   sim.Tick
-	// stallSince marks when the core hit the outstanding limit (or was
-	// refused), for stall-time accounting.
-	stallSince sim.Tick
-	stalled    bool
+	delay     sim.Tick
+	startTick sim.Tick
 
 	instrRetired *stats.Scalar
 	memOps       *stats.Scalar
-	stallTime    *stats.Scalar
 	loadLatency  *stats.Average
 }
 
@@ -108,36 +99,20 @@ func New(k *sim.Kernel, cfg Config, pattern trafficgen.Pattern, reg *stats.Regis
 	}
 	c := &Core{cfg: cfg, k: k, pattern: pattern, startTick: k.Now()}
 	c.delay = c.computeDelay()
-	c.port = mem.NewRequestPort(name+".port", c, k)
-	c.tick = sim.NewEvent(name+".tick", c.run)
+	c.Init(k, name, sim.DefaultPriority, c, cfg.MaxOutstanding, cmp.Or(cfg.MemOps, math.MaxUint64), cfg.RequestorID)
 	r := reg.Child(name)
 	c.instrRetired = r.NewScalar("instrRetired", "instructions retired")
 	c.memOps = r.NewScalar("memOps", "memory operations issued")
-	c.stallTime = r.NewScalar("stallTicks", "ticks stalled on memory")
+	c.StallTicks = r.NewScalar("stallTicks", "ticks stalled on memory")
 	c.loadLatency = r.NewAverage("loadLatency", "memory operation latency (ns)")
 	return c, nil
 }
 
-// Port returns the cache/memory-facing request port.
-func (c *Core) Port() *mem.RequestPort { return c.port }
-
 // Start begins execution at the current tick.
 func (c *Core) Start() {
 	c.startTick = c.k.Now()
-	if !c.tick.Scheduled() {
-		c.k.Schedule(c.tick, c.k.Now())
-	}
+	c.Issuer.Start()
 }
-
-// Done reports whether the core executed its region of interest and all
-// responses returned.
-func (c *Core) Done() bool {
-	return c.cfg.MemOps > 0 && c.issued >= c.cfg.MemOps && c.outstanding == 0 && c.blocked == nil
-}
-
-// Unbounded reports a core with no MemOps: it executes until stopped, so Done
-// never holds and a run that waits for it cannot finish.
-func (c *Core) Unbounded() bool { return c.cfg.MemOps == 0 }
 
 // computeDelay is the time spent retiring the compute instructions between
 // memory operations.
@@ -150,103 +125,19 @@ func (c *Core) computeDelay() sim.Tick {
 	return sim.Tick(cycles) * period
 }
 
-// run issues memory operations while the MLP budget allows.
-//
-//hot:path one packet per memory operation; gated by TestCoreSteadyStateZeroAlloc
-func (c *Core) run() {
-	now := c.k.Now()
-	c.noteUnstall(now)
-	for c.blocked == nil &&
-		c.outstanding < c.cfg.MaxOutstanding &&
-		(c.cfg.MemOps == 0 || c.issued < c.cfg.MemOps) &&
-		now >= c.nextIssue {
-		addr, isRead := c.pattern.Next()
-		var pkt *mem.Packet
-		if isRead {
-			pkt = c.pool.NewRead(addr, c.cfg.AccessBytes, c.cfg.RequestorID, now)
-		} else {
-			pkt = c.pool.NewWrite(addr, c.cfg.AccessBytes, c.cfg.RequestorID, now)
-		}
-		c.issued++
-		c.outstanding++
-		c.memOps.Inc()
-		c.instrRetired.Add(float64(c.cfg.InstrPerMemOp + 1))
-		c.nextIssue = now + c.delay
-		if !c.port.SendTimingReq(pkt) {
-			c.blocked = pkt
-			c.noteStall(now)
-			return
-		}
-	}
-	if c.outstanding >= c.cfg.MaxOutstanding {
-		c.noteStall(now)
-		return // a response will wake us
-	}
-	c.rearm()
+// NextRequest implements trafficgen.Feed: the next memory operation retires
+// with the compute instructions before it, and the one after is due once
+// those of its own have retired.
+func (c *Core) NextRequest(now sim.Tick) (mem.Addr, bool, uint64) {
+	addr, isRead := c.pattern.Next()
+	c.memOps.Inc()
+	c.instrRetired.Add(float64(c.cfg.InstrPerMemOp + 1))
+	c.Due = now + c.delay
+	return addr, isRead, c.cfg.AccessBytes
 }
 
-func (c *Core) rearm() {
-	if c.blocked != nil || c.tick.Scheduled() {
-		return
-	}
-	if c.cfg.MemOps > 0 && c.issued >= c.cfg.MemOps {
-		return
-	}
-	when := c.nextIssue
-	if now := c.k.Now(); when < now {
-		when = now
-	}
-	c.k.Schedule(c.tick, when)
-}
-
-func (c *Core) noteStall(now sim.Tick) {
-	if !c.stalled {
-		c.stalled = true
-		c.stallSince = now
-	}
-}
-
-func (c *Core) noteUnstall(now sim.Tick) {
-	if c.stalled {
-		c.stalled = false
-		c.stallTime.Add(float64(now - c.stallSince))
-	}
-}
-
-// RecvTimingResp implements mem.Requestor: the operation is complete and
-// its packet returns to the pool. When the freed slot lets the core issue now
-// and its tick would be the kernel's next event, it issues in this call
-// instead of firing the tick (sim.Kernel.Alone).
-//
-//hot:path
-func (c *Core) RecvTimingResp(pkt *mem.Packet) bool {
-	now := c.k.Now()
-	c.loadLatency.Sample((now - pkt.IssueTick).Nanoseconds())
-	c.pool.Put(pkt)
-	c.outstanding--
-	if c.blocked == nil && !c.tick.Scheduled() && now >= c.nextIssue && c.k.Alone(nil) {
-		c.run()
-		return true
-	}
-	c.noteUnstall(now)
-	c.rearm()
-	return true
-}
-
-// RecvReqRetry implements mem.Requestor.
-func (c *Core) RecvReqRetry() {
-	if c.blocked == nil {
-		return
-	}
-	pkt := c.blocked
-	c.blocked = nil
-	if !c.port.SendTimingReq(pkt) {
-		c.blocked = pkt
-		return
-	}
-	c.noteUnstall(c.k.Now())
-	c.rearm()
-}
+// Answered implements trafficgen.Feed.
+func (c *Core) Answered(_ bool, latNs float64) { c.loadLatency.Sample(latNs) }
 
 // IPC returns retired instructions per core clock cycle since Start.
 func (c *Core) IPC() float64 {
@@ -268,7 +159,7 @@ func (c *Core) StallFraction() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return c.stallTime.Value() / float64(elapsed)
+	return c.StallTicks.Value() / float64(elapsed)
 }
 
 // InstructionsRetired returns the retired instruction count.

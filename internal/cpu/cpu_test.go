@@ -77,7 +77,7 @@ func TestCoreCompletesRegion(t *testing.T) {
 	c.Start()
 	k.RunUntil(100 * sim.Microsecond)
 	if !c.Done() {
-		t.Fatalf("not done: issued=%d outstanding=%d", c.issued, c.outstanding)
+		t.Fatalf("not done: issued=%d outstanding=%d", c.Issued(), c.Outstanding())
 	}
 	if m.count != 100 {
 		t.Fatalf("memory saw %d ops", m.count)
@@ -132,12 +132,69 @@ func TestOutstandingBound(t *testing.T) {
 	c.Start()
 	for i := 0; i < 10000 && !c.Done(); i++ {
 		k.RunUntil(k.Now() + 10*sim.Nanosecond)
-		if c.outstanding > 3 {
-			t.Fatalf("outstanding = %d > 3", c.outstanding)
+		if c.Outstanding() > 3 {
+			t.Fatalf("outstanding = %d > 3", c.Outstanding())
 		}
 	}
 	if !c.Done() {
 		t.Fatal("not done")
+	}
+}
+
+// refusingMem refuses its refuseAt-th request (counting from 0) once, sends
+// the retry at retryAt, and answers every request it accepts after delay.
+type refusingMem struct {
+	k        *sim.Kernel
+	port     *mem.ResponsePort
+	delay    sim.Tick
+	refuseAt int
+	retryAt  sim.Tick
+
+	accepted  []mem.Addr
+	refused   mem.Addr
+	refusedAt sim.Tick
+}
+
+func (m *refusingMem) RecvTimingReq(pkt *mem.Packet) bool {
+	if len(m.accepted) == m.refuseAt && m.refusedAt == 0 {
+		m.refused, m.refusedAt = pkt.Addr, m.k.Now()
+		m.k.Schedule(sim.NewEvent("retry", m.port.SendReqRetry), m.retryAt)
+		return false
+	}
+	m.accepted = append(m.accepted, pkt.Addr)
+	m.k.Schedule(sim.NewEvent("resp", func() {
+		pkt.MakeResponse()
+		m.port.SendTimingResp(pkt)
+	}), m.k.Now()+m.delay)
+	return true
+}
+
+func (m *refusingMem) RecvRespRetry() {}
+
+// A refused operation is resent on the retry, the core counts its stall from
+// the refusal to the retry (no response comes between them to end it
+// sooner), and the region still completes.
+func TestCoreRefusedAndRetried(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	cfg.MemOps = 2 // the last one is the refused one: no later issue ends the stall
+	c, err := New(k, cfg, StreamWorkload(1<<20, 1), stats.NewRegistry("t"), "core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &refusingMem{k: k, delay: 200 * sim.Nanosecond, refuseAt: 1, retryAt: 100 * sim.Nanosecond}
+	m.port = mem.NewResponsePort("mem", m, k)
+	mem.Connect(c.Port(), m.port)
+	c.Start()
+	k.RunUntil(sim.Microsecond)
+	if !c.Done() {
+		t.Fatalf("not done: issued=%d outstanding=%d", c.Issued(), c.Outstanding())
+	}
+	if m.refusedAt == 0 || len(m.accepted) != 2 || m.accepted[1] != m.refused {
+		t.Fatalf("refused %#x at %s; accepted %#x: want the refused operation resent second", m.refused, m.refusedAt, m.accepted)
+	}
+	if got, want := sim.Tick(c.StallTicks.Value()), m.retryAt-m.refusedAt; got != want {
+		t.Fatalf("stallTicks = %s, want %s (refusal at %s to the retry at %s)", got, want, m.refusedAt, m.retryAt)
 	}
 }
 

@@ -215,7 +215,7 @@ var claims = []struct {
 			func(r claimRuns) float64 { return r.speedup.AvgSpeedup }},
 		{"event-model kernel events, all cases", "fewer than cycle's", 150217, exact,
 			func(r claimRuns) float64 { return speedupEvents(r, false) }},
-		{"cycle-model kernel events, all cases", "none given", 876922, exact,
+		{"cycle-model kernel events, all cases", "none given", 876026, exact,
 			func(r claimRuns) float64 { return speedupEvents(r, true) }},
 	}},
 	{"Fig8", []claim{

@@ -23,7 +23,8 @@ import (
 const quantum = sim.Microsecond
 
 // Source is a traffic source a session arms and waits for: a
-// trafficgen.Generator, a trafficgen.TracePlayer or a cpu.Core.
+// trafficgen.Generator, a trafficgen.TracePlayer or a cpu.Core, whose Start
+// and Done are those of the trafficgen.Issuer each embeds.
 type Source interface {
 	Start()
 	Done() bool

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -87,107 +88,35 @@ func FormatTrace(w io.Writer, recs []TraceRecord) error {
 	return nil
 }
 
-// TracePlayer replays a parsed trace through a memory port, respecting
-// record timestamps (a record never issues early; back pressure may delay
-// it, preserving order).
+// TracePlayer replays a parsed trace through an Issuer, respecting record
+// timestamps (a record never issues early; back pressure may delay it,
+// preserving order).
 type TracePlayer struct {
-	k    *sim.Kernel
-	port *mem.RequestPort
+	Issuer
 	recs []TraceRecord
-	next int
-	// pool recycles the player's packets: drawn on issue, released when the
-	// response arrives.
-	pool mem.PacketPool
-
-	outstanding int
-	blocked     *mem.Packet
-	tick        *sim.Event
-	requestorID int
-
-	completed uint64
 }
 
-// NewTracePlayer builds a player for recs.
+// NewTracePlayer builds a player for recs. Its tick runs after everything
+// else due at its tick (sim.MaxPriority): the generator that captured the
+// trace issued from the response that freed its slot, so a record due at a
+// response's tick waits for that response.
 func NewTracePlayer(k *sim.Kernel, recs []TraceRecord, requestorID int) *TracePlayer {
-	p := &TracePlayer{k: k, recs: recs, requestorID: requestorID}
-	p.port = mem.NewRequestPort("trace.port", p, k)
-	// The tick runs after everything else due at its tick: the generator
-	// that captured the trace issued from the response that freed its slot,
-	// so a record due at a response's tick waits for that response.
-	p.tick = sim.NewEventPri("trace.tick", sim.MaxPriority, p.issue)
+	p := &TracePlayer{recs: recs}
+	p.Init(k, "trace", sim.MaxPriority, p, math.MaxInt, uint64(len(recs)), requestorID)
+	if len(recs) > 0 {
+		p.Due = recs[0].Tick
+	}
 	return p
 }
 
-// Port returns the memory-side request port.
-func (p *TracePlayer) Port() *mem.RequestPort { return p.port }
-
-// Start schedules the first record.
-func (p *TracePlayer) Start() {
-	if len(p.recs) == 0 {
-		return
+// NextRequest implements Feed: the next record, and the tick of the one after.
+func (p *TracePlayer) NextRequest(sim.Tick) (mem.Addr, bool, uint64) {
+	r := p.recs[p.issued]
+	if n := p.issued + 1; n < uint64(len(p.recs)) {
+		p.Due = p.recs[n].Tick
 	}
-	when := p.recs[0].Tick
-	if now := p.k.Now(); when < now {
-		when = now
-	}
-	p.k.Schedule(p.tick, when)
+	return r.Addr, r.IsRead, r.Size
 }
 
-// Done reports whether every record has been issued and answered.
-func (p *TracePlayer) Done() bool {
-	return p.next >= len(p.recs) && p.outstanding == 0 && p.blocked == nil
-}
-
-// Completed returns the number of responses received.
-func (p *TracePlayer) Completed() uint64 { return p.completed }
-
-func (p *TracePlayer) issue() {
-	now := p.k.Now()
-	for p.blocked == nil && p.next < len(p.recs) && p.recs[p.next].Tick <= now {
-		r := p.recs[p.next]
-		p.next++
-		var pkt *mem.Packet
-		if r.IsRead {
-			pkt = p.pool.NewRead(r.Addr, r.Size, p.requestorID, now)
-		} else {
-			pkt = p.pool.NewWrite(r.Addr, r.Size, p.requestorID, now)
-		}
-		p.outstanding++
-		if !p.port.SendTimingReq(pkt) {
-			p.blocked = pkt
-			return
-		}
-	}
-	if p.blocked == nil && p.next < len(p.recs) && !p.tick.Scheduled() {
-		p.k.Schedule(p.tick, p.recs[p.next].Tick)
-	}
-}
-
-// RecvTimingResp implements mem.Requestor. When the next record is due now
-// and the player's tick, pending for it, would be the kernel's next event, the
-// player issues in this call instead of firing the tick (sim.Kernel.Alone),
-// as the generator that captured the trace did.
-func (p *TracePlayer) RecvTimingResp(pkt *mem.Packet) bool {
-	p.pool.Put(pkt)
-	p.outstanding--
-	p.completed++
-	if p.tick.Scheduled() && p.tick.When() == p.k.Now() && p.k.Alone(p.tick) {
-		p.k.Deschedule(p.tick)
-		p.issue()
-	}
-	return true
-}
-
-// RecvReqRetry implements mem.Requestor.
-func (p *TracePlayer) RecvReqRetry() {
-	if p.blocked == nil {
-		return
-	}
-	pkt := p.blocked
-	p.blocked = nil
-	if !p.port.SendTimingReq(pkt) {
-		p.blocked = pkt
-		return
-	}
-	p.issue()
-}
+// Answered implements Feed: a player keeps no statistics.
+func (*TracePlayer) Answered(bool, float64) {}

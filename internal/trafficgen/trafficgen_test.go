@@ -273,7 +273,7 @@ func TestGeneratorBackPressure(t *testing.T) {
 	if !gen.Done() {
 		t.Fatalf("not done: issued=%d outstanding=%d", gen.Issued(), gen.Outstanding())
 	}
-	if gen.retriesWaited.Value() == 0 {
+	if gen.Refusals.Value() == 0 {
 		t.Fatal("expected back-pressure retries with a 2-entry read buffer")
 	}
 }
@@ -393,8 +393,50 @@ func TestTracePlayerAgainstController(t *testing.T) {
 	for i := 0; i < 100 && !p.Done(); i++ {
 		k.RunUntil(k.Now() + sim.Microsecond)
 	}
-	if !p.Done() || p.Completed() != 3 {
-		t.Fatalf("player done=%v completed=%d", p.Done(), p.Completed())
+	// Done holds once every record was issued and answered.
+	if !p.Done() || p.Issued() != 3 {
+		t.Fatalf("player done=%v issued=%d", p.Done(), p.Issued())
+	}
+}
+
+// Back pressure on the player: 200 reads due at tick 0 into a 2-entry read
+// buffer are refused and resent, all complete, and a monitor in front of the
+// controller sees them in record order.
+func TestTracePlayerBackPressure(t *testing.T) {
+	recs := make([]TraceRecord, 200)
+	for i := range recs {
+		recs[i] = TraceRecord{IsRead: true, Addr: mem.Addr(i * 64), Size: 64}
+	}
+	k := sim.NewKernel()
+	reg := stats.NewRegistry("t")
+	ccfg := core.DefaultConfig(dram.DDR3_1600_x64())
+	ccfg.ReadBufferSize = 2
+	ctrl, err := core.NewController(k, ccfg, reg, "mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := NewMonitor(k, reg, "mon")
+	p := NewTracePlayer(k, recs, 0)
+	mem.Connect(p.Port(), mon.CPUPort())
+	mem.Connect(mon.MemPort(), ctrl.Port())
+	p.Start()
+	for i := 0; i < 1000 && !p.Done(); i++ {
+		k.RunUntil(k.Now() + sim.Microsecond)
+	}
+	if !p.Done() {
+		t.Fatalf("player not done: issued=%d outstanding=%d", p.Issued(), p.Outstanding())
+	}
+	got := mon.Trace()
+	if len(got) != len(recs) {
+		t.Fatalf("monitor saw %d requests, want %d", len(got), len(recs))
+	}
+	for i, r := range got {
+		if r.Addr != recs[i].Addr || !r.IsRead {
+			t.Fatalf("request %d reached the controller as %+v, want record %+v", i, r, recs[i])
+		}
+	}
+	if last := got[len(got)-1].Tick; last == 0 {
+		t.Fatal("every request passed at tick 0: the read buffer never refused")
 	}
 }
 
