@@ -82,6 +82,9 @@ type Controller struct {
 
 	retryReq  bool
 	retryResp bool
+	// responding is set while processRespondEvent sends: the loop arms its
+	// own event at its tail, so armRespond leaves it alone meanwhile.
+	responding bool
 
 	nextReqEvent  *sim.Event
 	respondEvent  *sim.Event
@@ -516,8 +519,13 @@ func (c *Controller) queueReadResponse(pkt *mem.Packet, sendAt sim.Tick, release
 // retry), brought forward if the new response leaves sooner. A scheduled
 // event is never due after the first queued response (it is armed at that
 // response, and only an insert moves the first one, earlier), so only the
-// new response can bring it forward.
+// new response can bring it forward. While the respond loop runs it does
+// nothing: a response queued inside a send is due no sooner than now, so the
+// loop sends it or arms for it at its tail.
 func (c *Controller) armRespond(sendAt sim.Tick) {
+	if c.responding {
+		return
+	}
 	if c.respondEvent.Scheduled() {
 		if c.respondEvent.When() > sendAt {
 			c.k.Reschedule(c.respondEvent, sendAt)
@@ -551,51 +559,66 @@ func (c *Controller) nextResp(sentFixed, sentDRAM int) (e respEntry, fromDRAM, o
 	return e, fromDRAM, ok
 }
 
+// processRespondEvent sends every response due now, in order, then arms
+// itself once for the first later one. The event is never pending while it
+// runs: armRespond leaves it to the loop, and a refusal leaves it idle until
+// the retry.
 func (c *Controller) processRespondEvent() {
 	now := c.k.Now()
+	c.responding = true
+	// Settle before send: the due-now batch frees its read-buffer entries
+	// before the first send, since the requestor may issue its next request
+	// inside any of them (sim.Kernel.Alone) and must find the state it would
+	// find after this event. held counts the entries of the batch's unsent
+	// rest, which a refusal takes back.
+	held := c.respDRAM.releaseDue(now)
+	c.readEntries -= held
+	// settled is set once a request is refused inside a send: it saw the
+	// batch's entries free, and no later send frees more, so the loop owes
+	// it no retry.
+	settled := false
 	for {
 		e, fromDRAM, ok := c.nextResp(0, 0)
 		if !ok {
 			break
 		}
 		if e.sendAt > now {
-			if !c.respondEvent.Scheduled() {
-				c.k.Schedule(c.respondEvent, e.sendAt)
-			}
+			c.k.Schedule(c.respondEvent, e.sendAt)
 			break
 		}
 		if e.pkt.Cmd.IsRequest() {
 			e.pkt.MakeResponse()
 		}
-		// The response leaves the queue and frees its read-buffer entries
-		// before the send: the requestor may issue its next request inside
-		// it (sim.Kernel.Alone), and must find the state it would find
-		// after this event. A refusal undoes both. The packet's trace span
-		// ends here, at the first attempt: once accepted the packet may
-		// already be back in its requestor's pool, keying a new span.
 		if fromDRAM {
 			c.respDRAM.pop()
 		} else {
 			c.respFixed.Pop()
 		}
-		c.readEntries -= e.release
+		// The packet's trace span ends here, at the first attempt: once
+		// accepted the packet may already be back in its requestor's pool,
+		// keying a new span.
 		if c.hub != nil {
 			c.hub.Emit(obs.ResponseSent{Src: c.name, At: now, Pkt: e.pkt})
 		}
+		owed := c.retryReq
 		if !c.port.SendTimingResp(e.pkt) {
-			c.readEntries += e.release
+			c.readEntries += held
 			if fromDRAM {
 				c.respDRAM.unpop(e)
 			} else {
 				c.respFixed.PushFront(e.pkt, e.sendAt)
 			}
 			c.retryResp = true
+			c.responding = false
 			return
 		}
-		if e.release > 0 {
+		held -= e.release
+		settled = settled || !owed && c.retryReq
+		if e.release > 0 && !settled {
 			c.maybeSendReqRetry()
 		}
 	}
+	c.responding = false
 	c.scheduleLowPowerChecks()
 }
 

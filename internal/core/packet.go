@@ -306,7 +306,8 @@ type respEntry struct {
 // one's, so an insert from the tail is nearly always an append; only the ECC
 // correction latency stretches a response past one queued after it. Every
 // entry holds at least one read-buffer entry, so the ring, sized to the read
-// buffer at construction, never fills.
+// buffer at construction, fills only when the buffer is over-committed (see
+// insert).
 type respRing struct {
 	buf  []respEntry // power-of-two length
 	head int
@@ -321,10 +322,18 @@ func newRespRing(n int) respRing {
 // at returns the i-th entry in sendAt order; i must be below n.
 func (r *respRing) at(i int) *respEntry { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
-// insert adds e after every entry due no later than it.
+// insert adds e after every entry due no later than it. A full ring doubles:
+// the read buffer is over-committed when a requestor refuses a response after
+// issuing inside an earlier one of the same respond loop, since the refused
+// rest takes back entries the new requests already hold.
 func (r *respRing) insert(e respEntry) {
 	if r.n == len(r.buf) {
-		panic("core: DRAM response lane overflows the read buffer")
+		//hot:allow growth past the read buffer, only after a refusal over-commits it
+		buf := make([]respEntry, 2*len(r.buf))
+		for i := 0; i < r.n; i++ {
+			buf[i] = *r.at(i)
+		}
+		r.buf, r.head = buf, 0
 	}
 	i := r.n
 	for ; i > 0; i-- {
@@ -336,6 +345,15 @@ func (r *respRing) insert(e respEntry) {
 	}
 	*r.at(i) = e
 	r.n++
+}
+
+// releaseDue returns the read-buffer entries the responses due by now hold.
+func (r *respRing) releaseDue(now sim.Tick) int {
+	n := 0
+	for i := 0; i < r.n && r.at(i).sendAt <= now; i++ {
+		n += r.at(i).release
+	}
+	return n
 }
 
 // pop removes the first entry; the ring must not be empty.

@@ -172,29 +172,34 @@ func (m *refusingMem) RecvTimingReq(pkt *mem.Packet) bool {
 func (m *refusingMem) RecvRespRetry() {}
 
 // A refused operation is resent on the retry, the core counts its stall from
-// the refusal to the retry (no response comes between them to end it
-// sooner), and the region still completes.
+// the refusal to the retry, and the region still completes. With a 20 ns
+// responder the first operation's response comes between them: the core is
+// still stalled on the refused one, so the stall runs on to the retry.
 func TestCoreRefusedAndRetried(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := DefaultConfig()
-	cfg.MemOps = 2 // the last one is the refused one: no later issue ends the stall
-	c, err := New(k, cfg, StreamWorkload(1<<20, 1), stats.NewRegistry("t"), "core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &refusingMem{k: k, delay: 200 * sim.Nanosecond, refuseAt: 1, retryAt: 100 * sim.Nanosecond}
-	m.port = mem.NewResponsePort("mem", m, k)
-	mem.Connect(c.Port(), m.port)
-	c.Start()
-	k.RunUntil(sim.Microsecond)
-	if !c.Done() {
-		t.Fatalf("not done: issued=%d outstanding=%d", c.Issued(), c.Outstanding())
-	}
-	if m.refusedAt == 0 || len(m.accepted) != 2 || m.accepted[1] != m.refused {
-		t.Fatalf("refused %#x at %s; accepted %#x: want the refused operation resent second", m.refused, m.refusedAt, m.accepted)
-	}
-	if got, want := sim.Tick(c.StallTicks.Value()), m.retryAt-m.refusedAt; got != want {
-		t.Fatalf("stallTicks = %s, want %s (refusal at %s to the retry at %s)", got, want, m.refusedAt, m.retryAt)
+	for _, delay := range []sim.Tick{200 * sim.Nanosecond, 20 * sim.Nanosecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			k := sim.NewKernel()
+			cfg := DefaultConfig()
+			cfg.MemOps = 2 // the last one is the refused one: no later issue ends the stall
+			c, err := New(k, cfg, StreamWorkload(1<<20, 1), stats.NewRegistry("t"), "core")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &refusingMem{k: k, delay: delay, refuseAt: 1, retryAt: 100 * sim.Nanosecond}
+			m.port = mem.NewResponsePort("mem", m, k)
+			mem.Connect(c.Port(), m.port)
+			c.Start()
+			k.RunUntil(sim.Microsecond)
+			if !c.Done() {
+				t.Fatalf("not done: issued=%d outstanding=%d", c.Issued(), c.Outstanding())
+			}
+			if m.refusedAt == 0 || len(m.accepted) != 2 || m.accepted[1] != m.refused {
+				t.Fatalf("refused %#x at %s; accepted %#x: want the refused operation resent second", m.refused, m.refusedAt, m.accepted)
+			}
+			if got, want := sim.Tick(c.StallTicks.Value()), m.retryAt-m.refusedAt; got != want {
+				t.Fatalf("stallTicks = %s, want %s (refusal at %s to the retry at %s)", got, want, m.refusedAt, m.retryAt)
+			}
+		})
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 // the tick a response freed its slot fails here, not only in a ledger row.
 // A saturated generator answered at a tick issues inside the response
 // (sim.Kernel.Alone), so a request costs the controller's two events: its
-// scheduling decision and its response. A paced generator's tick is pending
-// when its responses arrive (one every 64 ns is below either page policy's
-// service rate), so it keeps its third event: the control. A
-// four-core full system's cores issue the same way.
+// scheduling decision and its response. A random mix costs less: a write
+// issued inside a response is acknowledged in the same respond loop. A paced
+// generator's tick is pending when its responses arrive (one every 64 ns is
+// below either page policy's service rate), so it keeps its third event: the
+// control. A four-core full system's cores issue the same way.
 func TestEventsPerRequest(t *testing.T) {
 	const reqs = 2000
 	spec := dram.DDR3_1333_8x8()
@@ -45,6 +46,10 @@ func TestEventsPerRequest(t *testing.T) {
 			stream := traffic(closed, 0, &trafficgen.DRAMAware{Decoder: dec, StrideBursts: 8, Banks: 4, ReadPercent: 100})
 			if stream > 2.01 {
 				t.Errorf("saturated stream: %.4f events per request, want at most 2.01", stream)
+			}
+			mix := traffic(closed, 0, &trafficgen.Random{Start: 0, End: 256 << 20, Align: burst, ReadPercent: 50, Seed: 1})
+			if mix > 1.60 {
+				t.Errorf("saturated random mix: %.4f events per request, want at most 1.60", mix)
 			}
 			paced := traffic(closed, 64*sim.Nanosecond, &trafficgen.Linear{Start: 0, End: 64 << 20, Step: burst, ReadPercent: 100})
 			if paced < 2.99 || paced > 3.01 {

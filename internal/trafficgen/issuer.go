@@ -123,7 +123,8 @@ func (e *Issuer) rearm() {
 }
 
 // stall and unstall bracket the ticks the requestor cannot issue for a
-// refusal or a full window.
+// refusal or a full window. A refused packet keeps it stalled until the retry
+// clears it, whatever responses come meanwhile.
 func (e *Issuer) stall(now sim.Tick) {
 	if !e.stalled {
 		e.stalled, e.stallSince = true, now
@@ -131,6 +132,9 @@ func (e *Issuer) stall(now sim.Tick) {
 }
 
 func (e *Issuer) unstall(now sim.Tick) {
+	if e.blocked != nil {
+		return
+	}
 	if e.stalled && e.StallTicks != nil {
 		e.StallTicks.Add(float64(now - e.stallSince))
 	}
