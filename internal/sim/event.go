@@ -31,6 +31,11 @@ type Event struct {
 	seq       uint64 // drawn at every (re)schedule; with when and priority, the queue key
 	scheduled bool
 	pooled    bool // owned by the kernel's event pool (created via Kernel.Call)
+
+	// fires counts the event's firings; censusNext links the events that
+	// have fired into their kernel's census list (Kernel.Census).
+	fires      uint64
+	censusNext *Event
 }
 
 // NewEvent returns an event that invokes callback when it fires. The name is

@@ -58,6 +58,12 @@ type Kernel struct {
 	// steady-state retries/replays/deferred kicks allocate nothing.
 	events Pool[Event]
 
+	// The census (Census): fired lists every event of this kernel that has
+	// fired, each carrying its own count; a pooled one-shot is recycled under
+	// other names, so its firings are tallied by name in calls instead.
+	fired *Event
+	calls map[string]uint64
+
 	// Watchdog state (see watchdog.go): sameTick counts consecutive events
 	// executed without simulated time advancing, the livelock signature.
 	wd       Watchdog
@@ -66,7 +72,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with time at tick zero and an empty queue.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{calls: map[string]uint64{}}
 }
 
 // Now returns the current simulated tick.
@@ -282,9 +288,31 @@ func (k *Kernel) step(ent qentry) {
 	k.executed++
 	cb := e.callback
 	if e.pooled {
+		k.calls[e.name]++
 		k.events.Put(e)
+	} else {
+		if e.fires == 0 {
+			e.censusNext, k.fired = k.fired, e
+		}
+		e.fires++
 	}
 	cb()
+}
+
+// Census returns how many times events of each name have fired on this
+// kernel: an event counts toward the kernel that first fired it, and pooled
+// one-shots (Call) count under the name they were called by. It is a
+// diagnostic of the simulator's own work, read at a run's end; no digest or
+// statistic includes it.
+func (k *Kernel) Census() map[string]uint64 {
+	out := make(map[string]uint64, len(k.calls))
+	for name, n := range k.calls {
+		out[name] += n
+	}
+	for e := k.fired; e != nil; e = e.censusNext {
+		out[e.name] += e.fires
+	}
+	return out
 }
 
 // run is the one fire loop: it executes events with when <= limit until the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -144,6 +145,43 @@ func TestDescheduleAndReschedule(t *testing.T) {
 	}
 	if k.Now() != 25 {
 		t.Fatalf("Now = %d, want 25", k.Now())
+	}
+}
+
+// The census counts every firing by event name: an event rescheduled before
+// it fires counts once, a descheduled one not at all, and pooled one-shots
+// count under the names they were called by although the kernel recycles
+// their events.
+func TestCensus(t *testing.T) {
+	k := NewKernel()
+	var a *Event
+	a = NewEvent("a", func() {
+		if k.Now() < 30 {
+			k.Schedule(a, k.Now()+10)
+		}
+	})
+	b := NewEvent("b", func() {})
+	k.Schedule(a, 10)
+	k.Schedule(b, 5)
+	k.Reschedule(b, 15)
+	for i := Tick(0); i < 3; i++ {
+		k.Call("call", i, func() {})
+	}
+	k.Call("other", 2, func() {})
+	never := NewEvent("never", func() {})
+	k.Schedule(never, 50)
+	k.Deschedule(never)
+	k.Run()
+	want := map[string]uint64{"a": 3, "b": 1, "call": 3, "other": 1}
+	if got := k.Census(); !maps.Equal(got, want) {
+		t.Fatalf("census %v, want %v", got, want)
+	}
+	var total uint64
+	for _, n := range k.Census() {
+		total += n
+	}
+	if total != k.EventsExecuted() {
+		t.Fatalf("census sums to %d of %d events", total, k.EventsExecuted())
 	}
 }
 

@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -168,10 +169,20 @@ func TestFullSystemPrefetchAndPoisonReleasePaths(t *testing.T) {
 	matchGolden(t, dump.Bytes(), filepath.Join("testdata", "fullsys_prefetch_poison.stats"))
 }
 
-// matchGolden fails t unless the stats dump got equals the file golden,
-// quoting the first line where they differ.
+// update makes matchGolden rewrite its goldens instead of comparing; only
+// for a change meant to move what they hold.
+var update = flag.Bool("update", false, "rewrite the testdata goldens")
+
+// matchGolden fails t unless got equals the file golden, quoting the first
+// line where they differ.
 func matchGolden(t *testing.T, got []byte, golden string) {
 	t.Helper()
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
