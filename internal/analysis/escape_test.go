@@ -22,6 +22,8 @@ var hotGates = map[string]string{
 	"sim.(*Pool).Put":                        "sim.TestPoolSteadyStateZeroAlloc",
 	"mem.(*PacketQueue).Push":                "mem.TestPacketQueueSteadyStateZeroAlloc",
 	"mem.(*PacketQueue).Pop":                 "mem.TestPacketQueueSteadyStateZeroAlloc",
+	"mem.(*SendQueue).Push":                  "mem.TestSendQueueSteadyStateZeroAlloc",
+	"mem.(*SendQueue).drain":                 "mem.TestSendQueueSteadyStateZeroAlloc",
 	"core.(*Controller).RecvTimingReq":       "core.TestControllerSteadyStateZeroAlloc",
 	"core.(*Controller).processNextReqEvent": "core.TestControllerSteadyStateZeroAlloc",
 	"core.(*Controller).chooseNext":          "core.TestControllerSteadyStateZeroAlloc",
@@ -32,9 +34,6 @@ var hotGates = map[string]string{
 	"trafficgen.(*Issuer).RecvTimingResp":    "cpu.TestCoreSteadyStateZeroAlloc",
 	"cache.(*Cache).access":                  "cache.TestCacheSteadyStateZeroAlloc",
 	"cache.(*Cache).fillOrAck":               "cache.TestCacheSteadyStateZeroAlloc",
-	"cache.(*Cache).processResponses":        "cache.TestCacheSteadyStateZeroAlloc",
-	"xbar.(*outQueue).push":                  "xbar.TestCrossbarRoundTripZeroAlloc",
-	"xbar.(*outQueue).drain":                 "xbar.TestCrossbarRoundTripZeroAlloc",
 }
 
 // TestHotEscapeAgreement is the static allocation check on the hot path: every

@@ -123,11 +123,10 @@ type Cache struct {
 	wbQueue    mem.PacketQueue
 	memBlocked bool
 
-	// respQueue delays responses by HitLatency (entry tick = send time).
-	respQueue mem.PacketQueue
-	respEvent *sim.Event
-	retryResp bool
-	retryReq  bool
+	// resp sends the responses toward the core, each HitLatency after its
+	// hit or its fill.
+	resp     *mem.SendQueue
+	retryReq bool
 
 	st cacheStats
 }
@@ -180,10 +179,9 @@ func New(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) (*Cache, e
 	}
 	// Room for every MSHR's fill plus the writeback its install evicts.
 	c.wbQueue.Reserve(2 * cfg.MSHRs)
-	c.respQueue.Reserve(2 * cfg.MSHRs)
 	c.cpuPort = mem.NewResponsePort(name+".cpu", (*cacheCPUSide)(c), k)
 	c.memPort = mem.NewRequestPort(name+".mem", (*cacheMemSide)(c), k)
-	c.respEvent = sim.NewEvent(name+".resp", c.processResponses)
+	c.resp = mem.NewSendQueue(k, name+".resp", 2*cfg.MSHRs, mem.SendHooks{Send: c.sendResponse})
 	r := reg.Child(name)
 	c.st = cacheStats{
 		hits:             r.NewScalar("hits", "demand hits"),
@@ -229,7 +227,7 @@ func (c *Cache) Misses() uint64 { return uint64(c.st.misses.Value()) }
 
 // Quiescent reports whether no fills or queued work are outstanding.
 func (c *Cache) Quiescent() bool {
-	return c.mshrsInUse == 0 && c.wbQueue.Len() == 0 && c.respQueue.Len() == 0
+	return c.mshrsInUse == 0 && c.wbQueue.Len() == 0 && c.resp.Len() == 0
 }
 
 func (c *Cache) indexOf(lineAddr mem.Addr) (set uint64, tag uint64) {

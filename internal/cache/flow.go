@@ -18,11 +18,7 @@ func (cs *cacheCPUSide) RecvTimingReq(pkt *mem.Packet) bool {
 }
 
 // RecvRespRetry implements mem.Responder on the CPU side.
-func (cs *cacheCPUSide) RecvRespRetry() {
-	c := (*Cache)(cs)
-	c.retryResp = false
-	c.processResponses()
-}
+func (cs *cacheCPUSide) RecvRespRetry() { (*Cache)(cs).resp.Retry() }
 
 // RecvTimingResp implements mem.Requestor on the memory side (a line fill
 // returned, or a writeback acknowledgement).
@@ -188,40 +184,15 @@ func (c *Cache) drainMemQueue() {
 	}
 }
 
-// queueResponse schedules a response for pkt after the hit latency.
+// queueResponse queues the response to pkt to leave after the hit latency.
 func (c *Cache) queueResponse(pkt *mem.Packet) {
-	c.respQueue.Push(pkt, c.k.Now()+c.cfg.HitLatency)
-	if !c.respEvent.Scheduled() && !c.retryResp {
-		_, sendAt := c.respQueue.At(0)
-		c.k.Schedule(c.respEvent, sendAt)
-	}
+	c.resp.Push(pkt, c.k.Now()+c.cfg.HitLatency, 0)
 }
 
-// processResponses sends every due response. An accepted packet may already
-// be back in its owner's pool, so it is not touched after the send.
-//
-//hot:path every response toward the core
-func (c *Cache) processResponses() {
-	now := c.k.Now()
-	for c.respQueue.Len() > 0 {
-		pkt, sendAt := c.respQueue.At(0)
-		if sendAt > now {
-			break
-		}
-		if pkt.Cmd.IsRequest() {
-			pkt.MakeResponse()
-		}
-		// Off the queue before the send: the requestor may issue into
-		// this cache inside it (sim.Kernel.Alone).
-		c.respQueue.Pop()
-		if !c.cpuPort.SendTimingResp(pkt) {
-			c.respQueue.PushFront(pkt, sendAt)
-			c.retryResp = true
-			return
-		}
+// sendResponse sends one response toward the core.
+func (c *Cache) sendResponse(pkt *mem.Packet) bool {
+	if pkt.Cmd.IsRequest() {
+		pkt.MakeResponse()
 	}
-	if c.respQueue.Len() > 0 && !c.respEvent.Scheduled() {
-		_, sendAt := c.respQueue.At(0)
-		c.k.Schedule(c.respEvent, sendAt)
-	}
+	return c.cpuPort.SendTimingResp(pkt)
 }

@@ -61,13 +61,15 @@ type Controller struct {
 
 	readQueue  burstQueue
 	writeQueue burstQueue
-	// The response queue is two lanes, each in sendAt order, merged by
-	// nextResp. respFixed holds the responses due FrontendLatency after their
-	// request arrived (write acknowledgements, fully forwarded reads): queued
-	// at now+FrontendLatency with now never decreasing, it is a FIFO. respDRAM
-	// holds the read responses that waited for DRAM data.
-	respFixed mem.PacketQueue
-	respDRAM  respRing
+	// resp sends the responses: those due FrontendLatency after their
+	// request arrived (write acknowledgements, fully forwarded reads) and the
+	// read responses that waited for DRAM data, whose word is the read-buffer
+	// entries they free. held counts the entries of the respond loop's due
+	// batch not yet sent; owed and settled follow the request retry across
+	// its sends (settleResponses, responseSent).
+	resp          *mem.SendQueue
+	held          int
+	owed, settled bool
 	// readEntries counts occupied read-buffer slots: queued bursts plus
 	// bursts serviced but not yet responded.
 	readEntries int
@@ -80,14 +82,9 @@ type Controller struct {
 	ranks        []*rank
 	busBusyUntil sim.Tick
 
-	retryReq  bool
-	retryResp bool
-	// responding is set while processRespondEvent sends: the loop arms its
-	// own event at its tail, so armRespond leaves it alone meanwhile.
-	responding bool
+	retryReq bool
 
 	nextReqEvent  *sim.Event
-	respondEvent  *sim.Event
 	refreshEvents []*sim.Event
 
 	refreshDue []sim.Tick
@@ -205,10 +202,11 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 		c.ranks[i] = newRank(spec.Org, c.topo)
 	}
 	c.resetQueues()
-	c.respDRAM = newRespRing(cfg.ReadBufferSize)
+	c.resp = mem.NewSendQueue(k, name+".respond", cfg.ReadBufferSize, mem.SendHooks{
+		Send: c.sendResponse, Settle: c.settleResponses, Sent: c.responseSent, Done: c.scheduleLowPowerChecks,
+	})
 	c.allPrechargedSince = k.Now()
 	c.nextReqEvent = sim.NewEvent(name+".nextReq", c.processNextReqEvent)
-	c.respondEvent = sim.NewEvent(name+".respond", c.processRespondEvent)
 	c.lastWakeAt = neverTick
 	c.pdEvents = make([]*sim.Event, len(c.ranks))
 	c.srEvents = make([]*sim.Event, len(c.ranks))
@@ -296,7 +294,7 @@ func (c *Controller) CheckpointConfig() any { return c.cfg }
 // backoff sits in no queue but still owes a response.
 func (c *Controller) Quiescent() bool {
 	return c.readQueue.n == 0 && c.writeQueue.n == 0 &&
-		c.respFixed.Len() == 0 && c.respDRAM.n == 0 && c.readEntries == 0
+		c.resp.Len() == 0 && c.readEntries == 0
 }
 
 // Drain puts the controller in drain mode: buffered writes are written back
@@ -324,13 +322,7 @@ func (c *Controller) RecvTimingReq(pkt *mem.Packet) bool {
 
 // RecvRespRetry implements mem.Responder: the requestor can take responses
 // again.
-func (c *Controller) RecvRespRetry() {
-	if !c.retryResp {
-		return
-	}
-	c.retryResp = false
-	c.processRespondEvent()
-}
+func (c *Controller) RecvRespRetry() { c.resp.Retry() }
 
 // pieceCount returns how many burst-aligned pieces a request spans.
 func (c *Controller) pieceCount(pkt *mem.Packet) int {
@@ -501,125 +493,63 @@ func (c *Controller) tryMergeWrite(burstAddr, lo mem.Addr, size uint64) bool {
 // queueFixedResponse queues pkt's response to leave FrontendLatency from now,
 // releasing no read-buffer entry.
 func (c *Controller) queueFixedResponse(pkt *mem.Packet) {
-	sendAt := c.k.Now() + c.cfg.FrontendLatency
-	c.respFixed.Push(pkt, sendAt)
-	c.armRespond(sendAt)
+	c.resp.Push(pkt, c.k.Now()+c.cfg.FrontendLatency, 0)
 }
 
 // queueReadResponse queues the response to a read whose last burst's data
 // came from DRAM, to leave at sendAt and release that many read-buffer
 // entries.
 func (c *Controller) queueReadResponse(pkt *mem.Packet, sendAt sim.Tick, release int) {
-	c.respDRAM.insert(respEntry{pkt: pkt, sendAt: sendAt, release: release})
-	c.armRespond(sendAt)
+	c.resp.Push(pkt, sendAt, release)
 }
 
-// armRespond makes the respond event due at the first queued response after
-// one due at sendAt was queued: scheduled if idle (unless the port owes a
-// retry), brought forward if the new response leaves sooner. A scheduled
-// event is never due after the first queued response (it is armed at that
-// response, and only an insert moves the first one, earlier), so only the
-// new response can bring it forward. While the respond loop runs it does
-// nothing: a response queued inside a send is due no sooner than now, so the
-// loop sends it or arms for it at its tail.
-func (c *Controller) armRespond(sendAt sim.Tick) {
-	if c.responding {
+// settleResponses settles before send: before the respond loop's first send
+// it frees the read-buffer entries of every response due now, since the
+// requestor may issue its next request inside any of them (sim.Kernel.Alone)
+// and must find the state it would find after the loop. A refusal takes back
+// those of the unsent rest.
+func (c *Controller) settleResponses(undo bool) {
+	if undo {
+		c.readEntries += c.held
 		return
 	}
-	if c.respondEvent.Scheduled() {
-		if c.respondEvent.When() > sendAt {
-			c.k.Reschedule(c.respondEvent, sendAt)
-		}
-	} else if !c.retryResp {
-		first := sendAt
-		if c.respFixed.Len()+c.respDRAM.n > 1 {
-			e, _, _ := c.nextResp(0, 0)
-			first = e.sendAt
-		}
-		c.k.Schedule(c.respondEvent, first)
-	}
-}
-
-// nextResp returns the response that leaves once the first sentFixed and
-// sentDRAM entries of the two lanes have, and whether it is the DRAM lane's:
-// the earlier of the two lanes' next entries, the DRAM lane's on a tie. That
-// is the order of one queue sorted stably by sendAt, since the data of a DRAM
-// response due at T ended after the response was queued, so before
-// T-FrontendLatency, while a fixed-latency response due at T was queued at
-// exactly T-FrontendLatency.
-func (c *Controller) nextResp(sentFixed, sentDRAM int) (e respEntry, fromDRAM, ok bool) {
-	if sentDRAM < c.respDRAM.n {
-		e, fromDRAM, ok = *c.respDRAM.at(sentDRAM), true, true
-	}
-	if sentFixed < c.respFixed.Len() {
-		if pkt, at := c.respFixed.At(sentFixed); !ok || at < e.sendAt {
-			e, fromDRAM, ok = respEntry{pkt: pkt, sendAt: at}, false, true
-		}
-	}
-	return e, fromDRAM, ok
-}
-
-// processRespondEvent sends every response due now, in order, then arms
-// itself once for the first later one. The event is never pending while it
-// runs: armRespond leaves it to the loop, and a refusal leaves it idle until
-// the retry.
-func (c *Controller) processRespondEvent() {
 	now := c.k.Now()
-	c.responding = true
-	// Settle before send: the due-now batch frees its read-buffer entries
-	// before the first send, since the requestor may issue its next request
-	// inside any of them (sim.Kernel.Alone) and must find the state it would
-	// find after this event. held counts the entries of the batch's unsent
-	// rest, which a refusal takes back.
-	held := c.respDRAM.releaseDue(now)
-	c.readEntries -= held
-	// settled is set once a request is refused inside a send: it saw the
-	// batch's entries free, and no later send frees more, so the loop owes
-	// it no retry.
-	settled := false
-	for {
-		e, fromDRAM, ok := c.nextResp(0, 0)
-		if !ok {
+	c.held, c.settled = 0, false
+	for i := 0; i < c.resp.Len(); i++ {
+		_, at, release := c.resp.At(i)
+		if at > now {
 			break
 		}
-		if e.sendAt > now {
-			c.k.Schedule(c.respondEvent, e.sendAt)
-			break
-		}
-		if e.pkt.Cmd.IsRequest() {
-			e.pkt.MakeResponse()
-		}
-		if fromDRAM {
-			c.respDRAM.pop()
-		} else {
-			c.respFixed.Pop()
-		}
-		// The packet's trace span ends here, at the first attempt: once
-		// accepted the packet may already be back in its requestor's pool,
-		// keying a new span.
-		if c.hub != nil {
-			c.hub.Emit(obs.ResponseSent{Src: c.name, At: now, Pkt: e.pkt})
-		}
-		owed := c.retryReq
-		if !c.port.SendTimingResp(e.pkt) {
-			c.readEntries += held
-			if fromDRAM {
-				c.respDRAM.unpop(e)
-			} else {
-				c.respFixed.PushFront(e.pkt, e.sendAt)
-			}
-			c.retryResp = true
-			c.responding = false
-			return
-		}
-		held -= e.release
-		settled = settled || !owed && c.retryReq
-		if e.release > 0 && !settled {
-			c.maybeSendReqRetry()
-		}
+		c.held += release
 	}
-	c.responding = false
-	c.scheduleLowPowerChecks()
+	c.readEntries -= c.held
+}
+
+// sendResponse sends one response of the respond loop.
+func (c *Controller) sendResponse(pkt *mem.Packet) bool {
+	if pkt.Cmd.IsRequest() {
+		pkt.MakeResponse()
+	}
+	// The packet's trace span ends here, at the first attempt: once accepted
+	// the packet may already be back in its requestor's pool, keying a new
+	// span.
+	if c.hub != nil {
+		c.hub.Emit(obs.ResponseSent{Src: c.name, At: c.k.Now(), Pkt: pkt})
+	}
+	c.owed = c.retryReq
+	return c.port.SendTimingResp(pkt)
+}
+
+// responseSent follows a response the requestor took, which freed release
+// read-buffer entries, with the request retry they make owed. settled is set
+// once a request is refused inside a send: it saw the batch's entries free,
+// and no later send frees more, so the loop owes it no retry.
+func (c *Controller) responseSent(release int) {
+	c.held -= release
+	c.settled = c.settled || !c.owed && c.retryReq
+	if release > 0 && !c.settled {
+		c.maybeSendReqRetry()
+	}
 }
 
 // maybeSendReqRetry wakes a requestor blocked on a full queue.

@@ -290,87 +290,6 @@ func (q *burstQueue) bursts() []*dramPacket {
 	return out
 }
 
-// respEntry is a response waiting to be sent to the requestor, ordered by
-// sendAt.
-type respEntry struct {
-	pkt    *mem.Packet
-	sendAt sim.Tick
-	// release is the number of read-buffer entries freed when this response
-	// leaves (0 for write acknowledgements and forwarded reads).
-	release int
-}
-
-// respRing is the response queue's DRAM lane: read responses that waited for
-// DRAM data, in a ring sorted by sendAt (stable: equal ticks keep arrival
-// order). Bus serialisation makes each burst's data end after the previous
-// one's, so an insert from the tail is nearly always an append; only the ECC
-// correction latency stretches a response past one queued after it. Every
-// entry holds at least one read-buffer entry, so the ring, sized to the read
-// buffer at construction, fills only when the buffer is over-committed (see
-// insert).
-type respRing struct {
-	buf  []respEntry // power-of-two length
-	head int
-	n    int
-}
-
-// newRespRing returns an empty ring with room for at least n entries.
-func newRespRing(n int) respRing {
-	return respRing{buf: make([]respEntry, 1<<bits.Len(uint(max(n, 1)-1)))}
-}
-
-// at returns the i-th entry in sendAt order; i must be below n.
-func (r *respRing) at(i int) *respEntry { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-// insert adds e after every entry due no later than it. A full ring doubles:
-// the read buffer is over-committed when a requestor refuses a response after
-// issuing inside an earlier one of the same respond loop, since the refused
-// rest takes back entries the new requests already hold.
-func (r *respRing) insert(e respEntry) {
-	if r.n == len(r.buf) {
-		//hot:allow growth past the read buffer, only after a refusal over-commits it
-		buf := make([]respEntry, 2*len(r.buf))
-		for i := 0; i < r.n; i++ {
-			buf[i] = *r.at(i)
-		}
-		r.buf, r.head = buf, 0
-	}
-	i := r.n
-	for ; i > 0; i-- {
-		prev := r.at(i - 1)
-		if prev.sendAt <= e.sendAt {
-			break
-		}
-		*r.at(i) = *prev
-	}
-	*r.at(i) = e
-	r.n++
-}
-
-// releaseDue returns the read-buffer entries the responses due by now hold.
-func (r *respRing) releaseDue(now sim.Tick) int {
-	n := 0
-	for i := 0; i < r.n && r.at(i).sendAt <= now; i++ {
-		n += r.at(i).release
-	}
-	return n
-}
-
-// pop removes the first entry; the ring must not be empty.
-func (r *respRing) pop() {
-	*r.at(0) = respEntry{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-}
-
-// unpop puts e back as the first entry, undoing the pop of a response the
-// requestor refused.
-func (r *respRing) unpop(e respEntry) {
-	r.head = (r.head - 1) & (len(r.buf) - 1)
-	r.n++
-	*r.at(0) = e
-}
-
 // newBurst sets up dp, fresh from c.dps, as a write burst entering a queue
 // now (a read sets isRead and its parent). A pooled descriptor is already
 // zeroed, so only the live fields are set: assigning a whole dramPacket

@@ -11,22 +11,6 @@ import (
 	"repro/internal/stats"
 )
 
-// countRespondFires replaces c's respond event, before anything arms it, with
-// one that counts its firings and those that sent nothing; sent must count
-// the responses the requestor takes.
-func countRespondFires(c *Controller, sent *int) (fires, empty *int) {
-	fires, empty = new(int), new(int)
-	c.respondEvent = sim.NewEvent(c.name+".respond", func() {
-		*fires++
-		before := *sent
-		c.processRespondEvent()
-		if *sent == before {
-			*empty++
-		}
-	})
-	return fires, empty
-}
-
 // writePairs writes at even multiples of 64 bytes from paced events, and
 // answers each of their acknowledgements by writing the next 64 bytes inside
 // it.
@@ -34,6 +18,9 @@ type writePairs struct {
 	k             *sim.Kernel
 	port          *mem.RequestPort
 	acks, refused int
+	// ticks counts the ticks acknowledgements arrived at; last is the latest.
+	ticks int
+	last  sim.Tick
 }
 
 func (w *writePairs) write(addr mem.Addr) {
@@ -44,6 +31,9 @@ func (w *writePairs) write(addr mem.Addr) {
 
 func (w *writePairs) RecvTimingResp(pkt *mem.Packet) bool {
 	w.acks++
+	if w.ticks == 0 || w.last != w.k.Now() {
+		w.ticks, w.last = w.ticks+1, w.k.Now()
+	}
 	if pkt.Addr%128 == 0 {
 		w.write(pkt.Addr + 64)
 	}
@@ -54,7 +44,10 @@ func (w *writePairs) RecvReqRetry() {}
 
 // With no frontend latency a write issued inside an acknowledgement is
 // acknowledged at the same tick. The respond loop sends that one too and arms
-// its event only at its tail, so the event never fires to send nothing.
+// its event only at its tail, so the event never fires to send nothing. With
+// no refusal every acknowledgement leaves in a respond event, so the event
+// fires at least once per tick an acknowledgement arrives at, and an empty
+// or a second firing at a tick would make it fire more often than that.
 func TestRespondLoopArmsItsEventOnce(t *testing.T) {
 	const pairs = 200
 	k := sim.NewKernel()
@@ -67,7 +60,6 @@ func TestRespondLoopArmsItsEventOnce(t *testing.T) {
 	w := &writePairs{k: k}
 	w.port = mem.NewRequestPort("w", w, k)
 	mem.Connect(w.port, c.Port())
-	fires, empty := countRespondFires(c, &w.acks)
 	for i := 0; i < pairs; i++ {
 		k.Call("w", sim.Tick(i)*20*sim.Nanosecond, func() { w.write(mem.Addr(i) * 128) })
 	}
@@ -75,9 +67,10 @@ func TestRespondLoopArmsItsEventOnce(t *testing.T) {
 	if w.acks != 2*pairs || w.refused != 0 {
 		t.Fatalf("%d of %d writes acknowledged, %d refused", w.acks, 2*pairs, w.refused)
 	}
-	t.Logf("%d acknowledgements in %d respond events", w.acks, *fires)
-	if *empty != 0 {
-		t.Fatalf("%d of %d respond events sent nothing", *empty, *fires)
+	fires := int(k.Census()["mc.respond"])
+	t.Logf("%d acknowledgements in %d respond events", w.acks, fires)
+	if fires != w.ticks {
+		t.Fatalf("%d respond events for acknowledgements at %d ticks", fires, w.ticks)
 	}
 }
 
@@ -275,8 +268,8 @@ func TestRespondRefusalOverCommits(t *testing.T) {
 		}
 	})
 	k.RunUntil(sim.Microsecond / 2)
-	if c.readEntries != 3 || c.respDRAM.n != 3 {
-		t.Fatalf("before the retry: %d read-buffer entries held, %d responses queued; want 3 and 3", c.readEntries, c.respDRAM.n)
+	if c.readEntries != 3 || c.resp.Len() != 3 {
+		t.Fatalf("before the retry: %d read-buffer entries held, %d responses queued; want 3 and 3", c.readEntries, c.resp.Len())
 	}
 	k.RunUntil(2 * sim.Microsecond)
 	if o.taken != 4 || !c.Quiescent() {

@@ -8,10 +8,9 @@ type timedPkt struct {
 	pkt *Packet
 }
 
-// PacketQueue is a FIFO of packets, each stamped with a tick (when it may
-// leave, for the latency queues of the crossbar and the caches; when it is
+// PacketQueue is a FIFO of packets, each stamped with a tick (when it is
 // due, for a shard link; a plain FIFO — cache.wbQueue — pushes 0 and ignores
-// it), over a ring buffer. A
+// it), over a ring buffer; a timed sender is a SendQueue instead. A
 // pop-front slice (q = q[1:] … append) strands its capacity and reallocates
 // on almost every push; the ring reuses its slots, so a queue that has
 // reached its high-water mark — or was sized with Reserve — pushes and pops
@@ -50,7 +49,7 @@ func (q *PacketQueue) Reserve(n int) {
 // Push appends pkt with its tick at the tail. A full ring doubles, from 16
 // entries.
 //
-//hot:path every crossbar hop, cache response and shard-link crossing; gated by TestPacketQueueSteadyStateZeroAlloc
+//hot:path every cache fill and shard-link crossing; gated by TestPacketQueueSteadyStateZeroAlloc
 func (q *PacketQueue) Push(pkt *Packet, at sim.Tick) {
 	if q.n == len(q.buf) {
 		q.Reserve(max(2*q.n, 16))

@@ -116,91 +116,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// outQueue is a latency+capacity queue in front of one output port (either
-// direction), draining in order with retry flow control. A request queue
-// (toward memory) has req set and a response queue (toward a requestor) resp;
-// a freed slot wakes the upstreams of that direction.
-type outQueue struct {
-	k    *sim.Kernel
-	cfg  Config
-	x    *Crossbar
-	req  *mem.RequestPort
-	resp *mem.ResponsePort
-	// items holds each packet with the tick it is ready to leave; the ring
-	// is sized to QueueDepth once and never grows (full() gates every push).
-	items   mem.PacketQueue
-	sendEv  *sim.Event
-	blocked bool // downstream refused; waiting for its retry
-}
-
-func newOutQueue(x *Crossbar, name string, req *mem.RequestPort, resp *mem.ResponsePort) *outQueue {
-	q := &outQueue{k: x.k, cfg: x.cfg, x: x, req: req, resp: resp}
-	q.items.Reserve(x.cfg.QueueDepth)
-	q.sendEv = sim.NewEvent(name+".send", q.drain)
-	return q
-}
-
-func (q *outQueue) full() bool { return q.items.Len() >= q.cfg.QueueDepth }
-
-// push enqueues a packet; the caller must have checked full().
-//
-//hot:path every packet crossing the crossbar, each way; gated by TestCrossbarRoundTripZeroAlloc
-func (q *outQueue) push(pkt *mem.Packet) {
-	q.items.Push(pkt, q.k.Now()+q.cfg.Latency)
-	q.schedule()
-}
-
-func (q *outQueue) schedule() {
-	if q.blocked || q.items.Len() == 0 || q.sendEv.Scheduled() {
-		return
-	}
-	_, at := q.items.At(0)
-	if now := q.k.Now(); at < now {
-		at = now
-	}
-	q.k.Schedule(q.sendEv, at)
-}
-
-// drain sends every ready packet in order. A packet accepted by send may
-// already be back in its owner's pool, so it is not touched afterwards.
-//
-//hot:path
-func (q *outQueue) drain() {
-	now := q.k.Now()
-	for q.items.Len() > 0 && !q.blocked {
-		pkt, readyAt := q.items.At(0)
-		if readyAt > now {
-			break
-		}
-		// Off the queue before the send: a requestor answered here may
-		// issue back into this crossbar inside it (sim.Kernel.Alone).
-		q.items.Pop()
-		var ok bool
-		if q.req != nil {
-			ok = q.req.SendTimingReq(pkt)
-		} else {
-			ok = q.resp.SendTimingResp(pkt)
-		}
-		if !ok {
-			q.items.PushFront(pkt, readyAt)
-			q.blocked = true
-			return
-		}
-		if q.req != nil {
-			q.x.wakeRequestors()
-		} else {
-			q.x.wakeMemSides()
-		}
-	}
-	q.schedule()
-}
-
-// retry is called when the downstream signals readiness.
-func (q *outQueue) retry() {
-	q.blocked = false
-	q.drain()
-}
-
 // MaxRequestors is how many requestor ports one crossbar takes: a return
 // route names the side in a byte.
 const MaxRequestors = math.MaxUint8
@@ -240,7 +155,7 @@ type reqSide struct {
 	index int
 	port  *mem.ResponsePort
 	// respQ carries responses back to this requestor.
-	respQ *outQueue
+	respQ *mem.SendQueue
 	// waitingRetry marks that this requestor was refused and must be woken
 	// when the target queue frees.
 	waitingRetry bool
@@ -251,7 +166,7 @@ type memSide struct {
 	x     *Crossbar
 	index int
 	port  *mem.RequestPort
-	reqQ  *outQueue
+	reqQ  *mem.SendQueue
 	// respRefused marks that this channel's controller was refused a
 	// response and must be woken when a response queue frees.
 	respRefused bool
@@ -301,7 +216,10 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 	}
 	rs := &reqSide{x: x, index: len(x.reqSides)}
 	rs.port = mem.NewResponsePort(fmt.Sprintf("%s.cpu%d", x.name, rs.index), rs, x.k)
-	rs.respQ = newOutQueue(x, rs.port.Name()+".respq", nil, rs.port)
+	// A response leaving frees a slot a refused controller may take.
+	rs.respQ = mem.NewSendQueue(x.k, rs.port.Name()+".respq.send", x.cfg.QueueDepth, mem.SendHooks{
+		Send: rs.port.SendTimingResp, Sent: func(int) { x.wakeMemSides() },
+	})
 	x.reqSides = append(x.reqSides, rs)
 	return rs.port
 }
@@ -311,7 +229,10 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 func (x *Crossbar) AttachMemory(name string) *mem.RequestPort {
 	ms := &memSide{x: x, index: len(x.memSides)}
 	ms.port = mem.NewRequestPort(fmt.Sprintf("%s.mem%d", x.name, ms.index), ms, x.k)
-	ms.reqQ = newOutQueue(x, ms.port.Name()+".reqq", ms.port, nil)
+	// A request leaving frees a slot a refused requestor may take.
+	ms.reqQ = mem.NewSendQueue(x.k, ms.port.Name()+".reqq.send", x.cfg.QueueDepth, mem.SendHooks{
+		Send: ms.port.SendTimingReq, Sent: func(int) { x.wakeRequestors() },
+	})
 	x.memSides = append(x.memSides, ms)
 	return ms.port
 }
@@ -353,11 +274,11 @@ func (rs *reqSide) RecvTimingReq(pkt *mem.Packet) bool {
 			pkt, ch, last, x.k.Now()))
 	}
 	q := x.memSides[ch].reqQ
-	if q.full() {
+	if x.full(q) {
 		rs.waitingRetry = true
 		x.blockedReq.Inc()
 		if x.hub != nil {
-			x.hub.Emit(obs.QueueRefuse{Src: x.name, At: x.k.Now(), Queue: xbarQueue(pkt), Depth: q.items.Len()})
+			x.hub.Emit(obs.QueueRefuse{Src: x.name, At: x.k.Now(), Queue: xbarQueue(pkt), Depth: q.Len()})
 		}
 		return false
 	}
@@ -367,14 +288,18 @@ func (rs *reqSide) RecvTimingReq(pkt *mem.Packet) bool {
 	}
 	x.inFlight++
 	x.reqRouted.Inc()
-	q.push(pkt)
+	q.Push(pkt, x.k.Now()+x.cfg.Latency, 0)
 	if x.hub != nil {
 		queue := xbarQueue(pkt)
 		x.hub.Emit(obs.PacketEnqueued{Src: x.name, At: x.k.Now(), Pkt: pkt, Queue: queue, Bursts: 1})
-		x.hub.Emit(obs.QueueAdmit{Src: x.name, At: x.k.Now(), Queue: queue, Depth: q.items.Len() - 1})
+		x.hub.Emit(obs.QueueAdmit{Src: x.name, At: x.k.Now(), Queue: queue, Depth: q.Len() - 1})
 	}
 	return true
 }
+
+// full reports whether an output queue holds QueueDepth packets: every push
+// asks first.
+func (x *Crossbar) full(q *mem.SendQueue) bool { return q.Len() >= x.cfg.QueueDepth }
 
 // xbarQueue classifies a routed packet for queue observability events.
 func xbarQueue(pkt *mem.Packet) obs.Queue {
@@ -386,7 +311,7 @@ func xbarQueue(pkt *mem.Packet) obs.Queue {
 
 // RecvRespRetry implements mem.Responder: the requestor can take responses
 // again.
-func (rs *reqSide) RecvRespRetry() { rs.respQ.retry() }
+func (rs *reqSide) RecvRespRetry() { rs.respQ.Retry() }
 
 // RecvTimingResp implements mem.Requestor for a memory-side port: send the
 // response back out of the side its route names.
@@ -397,14 +322,14 @@ func (ms *memSide) RecvTimingResp(pkt *mem.Packet) bool {
 		panic(x.badResponse(ms, pkt))
 	}
 	q := x.reqSides[side].respQ
-	if q.full() {
+	if x.full(q) {
 		ms.respRefused = true
 		return false
 	}
 	pkt.PopRoute()
 	x.inFlight--
 	x.respRouted.Inc()
-	q.push(pkt)
+	q.Push(pkt, x.k.Now()+x.cfg.Latency, 0)
 	if x.hub != nil {
 		x.hub.Emit(obs.ResponseSent{Src: x.name, At: x.k.Now(), Pkt: pkt})
 	}
@@ -437,7 +362,7 @@ func (x *Crossbar) badResponse(ms *memSide, pkt *mem.Packet) string {
 }
 
 // RecvReqRetry implements mem.Requestor: the controller freed queue space.
-func (ms *memSide) RecvReqRetry() { ms.reqQ.retry() }
+func (ms *memSide) RecvReqRetry() { ms.reqQ.Retry() }
 
 // InFlight returns the number of requests routed but not yet answered.
 func (x *Crossbar) InFlight() int { return x.inFlight }
@@ -445,12 +370,12 @@ func (x *Crossbar) InFlight() int { return x.inFlight }
 // Quiescent reports whether no packets sit in any internal queue.
 func (x *Crossbar) Quiescent() bool {
 	for _, ms := range x.memSides {
-		if ms.reqQ.items.Len() > 0 {
+		if ms.reqQ.Len() > 0 {
 			return false
 		}
 	}
 	for _, rs := range x.reqSides {
-		if rs.respQ.items.Len() > 0 {
+		if rs.respQ.Len() > 0 {
 			return false
 		}
 	}
