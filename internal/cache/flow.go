@@ -190,7 +190,7 @@ func (c *Cache) queueResponse(pkt *mem.Packet) {
 }
 
 // sendResponse sends one response toward the core.
-func (c *Cache) sendResponse(pkt *mem.Packet) bool {
+func (c *Cache) sendResponse(pkt *mem.Packet, _ int) bool {
 	if pkt.Cmd.IsRequest() {
 		pkt.MakeResponse()
 	}

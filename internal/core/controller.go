@@ -65,11 +65,11 @@ type Controller struct {
 	// request arrived (write acknowledgements, fully forwarded reads) and the
 	// read responses that waited for DRAM data, whose word is the read-buffer
 	// entries they free. held counts the entries of the respond loop's due
-	// batch not yet sent; owed and settled follow the request retry across
-	// its sends (settleResponses, responseSent).
-	resp          *mem.SendQueue
-	held          int
-	owed, settled bool
+	// batch not yet sent; settled follows the request retry across its
+	// sends (settleResponses, sendResponse).
+	resp    *mem.SendQueue
+	held    int
+	settled bool
 	// readEntries counts occupied read-buffer slots: queued bursts plus
 	// bursts serviced but not yet responded.
 	readEntries int
@@ -203,7 +203,7 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 	}
 	c.resetQueues()
 	c.resp = mem.NewSendQueue(k, name+".respond", cfg.ReadBufferSize, mem.SendHooks{
-		Send: c.sendResponse, Settle: c.settleResponses, Sent: c.responseSent, Done: c.scheduleLowPowerChecks,
+		Send: c.sendResponse, Settle: c.settleResponses, Done: c.scheduleLowPowerChecks,
 	})
 	c.allPrechargedSince = k.Now()
 	c.nextReqEvent = sim.NewEvent(name+".nextReq", c.processNextReqEvent)
@@ -525,8 +525,12 @@ func (c *Controller) settleResponses(undo bool) {
 	c.readEntries -= c.held
 }
 
-// sendResponse sends one response of the respond loop.
-func (c *Controller) sendResponse(pkt *mem.Packet) bool {
+// sendResponse sends one response of the respond loop. Once the requestor
+// takes it, the release read-buffer entries it held are free for good, and
+// owe the request retry. settled is set once a request is refused inside a
+// send: it saw the batch's entries free, and no later send frees more, so
+// the loop owes it no retry.
+func (c *Controller) sendResponse(pkt *mem.Packet, release int) bool {
 	if pkt.Cmd.IsRequest() {
 		pkt.MakeResponse()
 	}
@@ -536,20 +540,16 @@ func (c *Controller) sendResponse(pkt *mem.Packet) bool {
 	if c.hub != nil {
 		c.hub.Emit(obs.ResponseSent{Src: c.name, At: c.k.Now(), Pkt: pkt})
 	}
-	c.owed = c.retryReq
-	return c.port.SendTimingResp(pkt)
-}
-
-// responseSent follows a response the requestor took, which freed release
-// read-buffer entries, with the request retry they make owed. settled is set
-// once a request is refused inside a send: it saw the batch's entries free,
-// and no later send frees more, so the loop owes it no retry.
-func (c *Controller) responseSent(release int) {
+	owed := c.retryReq
+	if !c.port.SendTimingResp(pkt) {
+		return false
+	}
 	c.held -= release
-	c.settled = c.settled || !c.owed && c.retryReq
+	c.settled = c.settled || !owed && c.retryReq
 	if release > 0 && !c.settled {
 		c.maybeSendReqRetry()
 	}
+	return true
 }
 
 // maybeSendReqRetry wakes a requestor blocked on a full queue.

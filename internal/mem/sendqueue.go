@@ -9,20 +9,19 @@ import (
 // SendHooks are an owner's part in its SendQueue's send loop. Send is
 // required; a nil hook is skipped.
 type SendHooks struct {
-	// Send offers pkt to the peer and reports whether the peer took it. The
-	// packet is off the queue during the call, since the peer may push into
-	// the same queue inside it; once taken, it may already be back in its
-	// owner's pool.
-	Send func(pkt *Packet) bool
+	// Send offers pkt, pushed with word, to the peer and reports whether the
+	// peer took it; when it did, Send also does what follows an accepted send
+	// (one call per packet: the loop is shared by every owner, so each hook
+	// call is an indirect branch). The packet is off the queue during the
+	// call, since the peer may push into the same queue inside it; once
+	// taken, it may already be back in its owner's pool.
+	Send func(pkt *Packet, word int) bool
 	// Settle runs once per loop, before its first send, with undo false:
 	// the owner settles the state the packets due now change when they
 	// leave, so a peer acting inside any of their sends finds the state it
 	// would find after the loop. A loop that ends in a refusal calls it again
 	// with undo true, to take back what the unsent rest holds.
 	Settle func(undo bool)
-	// Sent runs after each accepted send, with the word the packet was
-	// pushed with.
-	Sent func(word int)
 	// Done runs after a loop that sent everything due.
 	Done func()
 }
@@ -83,7 +82,7 @@ func (q *SendQueue) Blocked() bool { return q.blocked }
 func (q *SendQueue) at(i int) *sendEntry { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 // Push queues pkt to leave at tick at (not before now), after every packet
-// due no later, with a word handed back to the Sent hook; the event is armed
+// due no later, with a word handed back to the Send hook; the event is armed
 // for it if it is now the first and no loop or refusal owns the event.
 //
 //hot:path every response a controller or cache sends and every crossbar hop; gated by TestSendQueueSteadyStateZeroAlloc
@@ -138,7 +137,7 @@ func (q *SendQueue) drain() {
 		*q.at(0) = sendEntry{}
 		q.head = (q.head + 1) & (len(q.buf) - 1)
 		q.n--
-		if !q.hooks.Send(e.pkt) {
+		if !q.hooks.Send(e.pkt, e.word) {
 			if q.n == len(q.buf) {
 				q.grow()
 			}
@@ -150,9 +149,6 @@ func (q *SendQueue) drain() {
 				q.hooks.Settle(true)
 			}
 			return
-		}
-		if q.hooks.Sent != nil {
-			q.hooks.Sent(e.word)
 		}
 	}
 	q.sending = false

@@ -35,11 +35,9 @@ type sendProbe struct {
 	ref sendRef
 
 	// looping is set from a loop's Settle to its end. lastRefused is the
-	// packet refused last until it is sent; lastWord is the word of the
-	// packet sent last; fromRetry is set inside Retry.
+	// packet refused last until it is sent; fromRetry is set inside Retry.
 	looping     bool
 	lastRefused *Packet
-	lastWord    int
 	fromRetry   bool
 
 	pushed, sent, refused, retries, inSendNow, keptPlace, retrySends, loops int
@@ -47,7 +45,7 @@ type sendProbe struct {
 
 func newSendProbe(t *testing.T, seed int64) *sendProbe {
 	p := &sendProbe{t: t, k: sim.NewKernel(), rng: rand.New(rand.NewSource(seed))}
-	p.q = NewSendQueue(p.k, "q.send", 2, SendHooks{Send: p.send, Settle: p.settle, Sent: p.sentHook, Done: p.done})
+	p.q = NewSendQueue(p.k, "q.send", 2, SendHooks{Send: p.send, Settle: p.settle, Done: p.done})
 	return p
 }
 
@@ -76,8 +74,11 @@ func (p *sendProbe) settle(undo bool) {
 	p.loops++
 }
 
-func (p *sendProbe) send(pkt *Packet) bool {
+func (p *sendProbe) send(pkt *Packet, word int) bool {
 	now := p.k.Now()
+	if word != int(pkt.Addr) {
+		p.t.Fatalf("at %s: packet %d sent with word %d", now, pkt.Addr, word)
+	}
 	if !p.looping {
 		p.t.Fatalf("at %s: send before Settle", now)
 	}
@@ -110,7 +111,6 @@ func (p *sendProbe) send(pkt *Packet) bool {
 	}
 	p.ref = p.ref[1:]
 	p.sent++
-	p.lastWord = int(pkt.Addr)
 	if p.rng.Intn(4) == 0 {
 		delay := sim.Tick(p.rng.Intn(3))
 		if delay == 0 {
@@ -119,12 +119,6 @@ func (p *sendProbe) send(pkt *Packet) bool {
 		p.push(delay)
 	}
 	return true
-}
-
-func (p *sendProbe) sentHook(word int) {
-	if word != p.lastWord {
-		p.t.Fatalf("at %s: Sent(%d) after sending packet %d", p.k.Now(), word, p.lastWord)
-	}
 }
 
 func (p *sendProbe) done() {
@@ -199,7 +193,7 @@ func TestSendQueueMatchesStableSort(t *testing.T) {
 // mark pushes, sends and arms its event without allocating.
 func TestSendQueueSteadyStateZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
-	q := NewSendQueue(k, "q.send", 4, SendHooks{Send: func(*Packet) bool { return true }})
+	q := NewSendQueue(k, "q.send", 4, SendHooks{Send: func(*Packet, int) bool { return true }})
 	pkt := &Packet{}
 	if avg := testing.AllocsPerRun(200, func() {
 		now := k.Now()

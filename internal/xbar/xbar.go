@@ -216,10 +216,7 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 	}
 	rs := &reqSide{x: x, index: len(x.reqSides)}
 	rs.port = mem.NewResponsePort(fmt.Sprintf("%s.cpu%d", x.name, rs.index), rs, x.k)
-	// A response leaving frees a slot a refused controller may take.
-	rs.respQ = mem.NewSendQueue(x.k, rs.port.Name()+".respq.send", x.cfg.QueueDepth, mem.SendHooks{
-		Send: rs.port.SendTimingResp, Sent: func(int) { x.wakeMemSides() },
-	})
+	rs.respQ = mem.NewSendQueue(x.k, rs.port.Name()+".respq.send", x.cfg.QueueDepth, mem.SendHooks{Send: rs.send})
 	x.reqSides = append(x.reqSides, rs)
 	return rs.port
 }
@@ -229,12 +226,29 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 func (x *Crossbar) AttachMemory(name string) *mem.RequestPort {
 	ms := &memSide{x: x, index: len(x.memSides)}
 	ms.port = mem.NewRequestPort(fmt.Sprintf("%s.mem%d", x.name, ms.index), ms, x.k)
-	// A request leaving frees a slot a refused requestor may take.
-	ms.reqQ = mem.NewSendQueue(x.k, ms.port.Name()+".reqq.send", x.cfg.QueueDepth, mem.SendHooks{
-		Send: ms.port.SendTimingReq, Sent: func(int) { x.wakeRequestors() },
-	})
+	ms.reqQ = mem.NewSendQueue(x.k, ms.port.Name()+".reqq.send", x.cfg.QueueDepth, mem.SendHooks{Send: ms.send})
 	x.memSides = append(x.memSides, ms)
 	return ms.port
+}
+
+// send sends a response to the requestor; a slot it frees may take the
+// response a refused controller holds.
+func (rs *reqSide) send(pkt *mem.Packet, _ int) bool {
+	if !rs.port.SendTimingResp(pkt) {
+		return false
+	}
+	rs.x.wakeMemSides()
+	return true
+}
+
+// send sends a request to the controller; a slot it frees may take the
+// request a refused requestor holds.
+func (ms *memSide) send(pkt *mem.Packet, _ int) bool {
+	if !ms.port.SendTimingReq(pkt) {
+		return false
+	}
+	ms.x.wakeRequestors()
+	return true
 }
 
 // wakeRequestors retries every requestor blocked on a full request queue.
