@@ -125,7 +125,7 @@ type Cache struct {
 
 	// resp sends the responses toward the core, each HitLatency after its
 	// hit or its fill.
-	resp     *mem.SendQueue
+	resp     mem.SendQueue
 	retryReq bool
 
 	st cacheStats
@@ -181,7 +181,7 @@ func New(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) (*Cache, e
 	c.wbQueue.Reserve(2 * cfg.MSHRs)
 	c.cpuPort = mem.NewResponsePort(name+".cpu", (*cacheCPUSide)(c), k)
 	c.memPort = mem.NewRequestPort(name+".mem", (*cacheMemSide)(c), k)
-	c.resp = mem.NewSendQueue(k, name+".resp", 2*cfg.MSHRs, mem.SendHooks{Send: c.sendResponse})
+	c.resp.Init(k, name+".resp", 2*cfg.MSHRs, (*cacheCPUSide)(c))
 	r := reg.Child(name)
 	c.st = cacheStats{
 		hits:             r.NewScalar("hits", "demand hits"),

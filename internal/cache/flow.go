@@ -189,10 +189,11 @@ func (c *Cache) queueResponse(pkt *mem.Packet) {
 	c.resp.Push(pkt, c.k.Now()+c.cfg.HitLatency, 0)
 }
 
-// sendResponse sends one response toward the core.
-func (c *Cache) sendResponse(pkt *mem.Packet, _ int) bool {
+// Send implements mem.Sender for the response queue: it sends one response
+// toward the core.
+func (cs *cacheCPUSide) Send(pkt *mem.Packet, _ int) bool {
 	if pkt.Cmd.IsRequest() {
 		pkt.MakeResponse()
 	}
-	return c.cpuPort.SendTimingResp(pkt)
+	return cs.cpuPort.SendTimingResp(pkt)
 }

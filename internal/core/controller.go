@@ -66,8 +66,8 @@ type Controller struct {
 	// read responses that waited for DRAM data, whose word is the read-buffer
 	// entries they free. held counts the entries of the respond loop's due
 	// batch not yet sent; settled follows the request retry across its
-	// sends (settleResponses, sendResponse).
-	resp    *mem.SendQueue
+	// sends (respSender).
+	resp    mem.SendQueue
 	held    int
 	settled bool
 	// readEntries counts occupied read-buffer slots: queued bursts plus
@@ -202,9 +202,7 @@ func NewController(k *sim.Kernel, cfg Config, reg *stats.Registry, name string) 
 		c.ranks[i] = newRank(spec.Org, c.topo)
 	}
 	c.resetQueues()
-	c.resp = mem.NewSendQueue(k, name+".respond", cfg.ReadBufferSize, mem.SendHooks{
-		Send: c.sendResponse, Settle: c.settleResponses, Done: c.scheduleLowPowerChecks,
-	})
+	c.resp.Init(k, name+".respond", cfg.ReadBufferSize, (*respSender)(c))
 	c.allPrechargedSince = k.Now()
 	c.nextReqEvent = sim.NewEvent(name+".nextReq", c.processNextReqEvent)
 	c.lastWakeAt = neverTick
@@ -503,12 +501,16 @@ func (c *Controller) queueReadResponse(pkt *mem.Packet, sendAt sim.Tick, release
 	c.resp.Push(pkt, sendAt, release)
 }
 
-// settleResponses settles before send: before the respond loop's first send
-// it frees the read-buffer entries of every response due now, since the
-// requestor may issue its next request inside any of them (sim.Kernel.Alone)
-// and must find the state it would find after the loop. A refusal takes back
-// those of the unsent rest.
-func (c *Controller) settleResponses(undo bool) {
+// respSender is the controller as the owner of its response queue.
+type respSender Controller
+
+// Settle settles before send: before the respond loop's first send it frees
+// the read-buffer entries of every response due now, since the requestor may
+// issue its next request inside any of them (sim.Kernel.Alone) and must find
+// the state it would find after the loop. A refusal takes back those of the
+// unsent rest.
+func (s *respSender) Settle(undo bool) {
+	c := (*Controller)(s)
 	if undo {
 		c.readEntries += c.held
 		return
@@ -525,12 +527,13 @@ func (c *Controller) settleResponses(undo bool) {
 	c.readEntries -= c.held
 }
 
-// sendResponse sends one response of the respond loop. Once the requestor
-// takes it, the release read-buffer entries it held are free for good, and
-// owe the request retry. settled is set once a request is refused inside a
-// send: it saw the batch's entries free, and no later send frees more, so
-// the loop owes it no retry.
-func (c *Controller) sendResponse(pkt *mem.Packet, release int) bool {
+// Send sends one response of the respond loop. Once the requestor takes it,
+// the release read-buffer entries it held are free for good, and owe the
+// request retry. settled is set once a request is refused inside a send: it
+// saw the batch's entries free, and no later send frees more, so the loop
+// owes it no retry.
+func (s *respSender) Send(pkt *mem.Packet, release int) bool {
+	c := (*Controller)(s)
 	if pkt.Cmd.IsRequest() {
 		pkt.MakeResponse()
 	}
@@ -551,6 +554,9 @@ func (c *Controller) sendResponse(pkt *mem.Packet, release int) bool {
 	}
 	return true
 }
+
+// Done follows a respond loop that sent everything due.
+func (s *respSender) Done() { (*Controller)(s).scheduleLowPowerChecks() }
 
 // maybeSendReqRetry wakes a requestor blocked on a full queue.
 func (c *Controller) maybeSendReqRetry() {

@@ -6,24 +6,28 @@ import (
 	"repro/internal/sim"
 )
 
-// SendHooks are an owner's part in its SendQueue's send loop. Send is
-// required; a nil hook is skipped.
-type SendHooks struct {
+// A Sender owns a SendQueue and sends what it holds.
+type Sender interface {
 	// Send offers pkt, pushed with word, to the peer and reports whether the
 	// peer took it; when it did, Send also does what follows an accepted send
-	// (one call per packet: the loop is shared by every owner, so each hook
-	// call is an indirect branch). The packet is off the queue during the
-	// call, since the peer may push into the same queue inside it; once
-	// taken, it may already be back in its owner's pool.
-	Send func(pkt *Packet, word int) bool
+	// (one call per packet: the loop is shared by every owner, so each call
+	// is an indirect branch). The packet is off the queue during the call,
+	// since the peer may push into the same queue inside it; once taken, it
+	// may already be back in its owner's pool.
+	Send(pkt *Packet, word int) bool
+}
+
+// A Settler is a Sender whose state changes as its packets leave.
+type Settler interface {
+	Sender
 	// Settle runs once per loop, before its first send, with undo false:
 	// the owner settles the state the packets due now change when they
 	// leave, so a peer acting inside any of their sends finds the state it
 	// would find after the loop. A loop that ends in a refusal calls it again
 	// with undo true, to take back what the unsent rest holds.
-	Settle func(undo bool)
+	Settle(undo bool)
 	// Done runs after a loop that sent everything due.
-	Done func()
+	Done()
 }
 
 // sendEntry is one queued packet: the tick it is due at and its owner's word.
@@ -45,24 +49,26 @@ type sendEntry struct {
 // latency that rarely shrinks, so an insert walks in from the tail past few
 // entries, nearly always none.
 type SendQueue struct {
-	k     *sim.Kernel
-	ev    *sim.Event
-	hooks SendHooks
-	buf   []sendEntry // power-of-two length
-	head  int
-	n     int
+	k       *sim.Kernel
+	ev      *sim.Event
+	owner   Sender
+	settler Settler     // the owner, when it is one
+	buf     []sendEntry // power-of-two length
+	head    int
+	n       int
 	// sending is set while the send loop runs: Push leaves the event to the
 	// loop's tail. blocked is set from a refusal to the peer's retry; the
 	// event is idle meanwhile.
 	sending, blocked bool
 }
 
-// NewSendQueue returns an empty queue whose event, name, sends through
-// hooks, with room for capacity packets before it grows.
-func NewSendQueue(k *sim.Kernel, name string, capacity int, hooks SendHooks) *SendQueue {
-	q := &SendQueue{k: k, hooks: hooks, buf: make([]sendEntry, 1<<bits.Len(uint(max(capacity, 1)-1)))}
+// Init readies q, empty, to send through owner, with room for capacity
+// packets before it grows; name names its event. An owner embeds its queue.
+func (q *SendQueue) Init(k *sim.Kernel, name string, capacity int, owner Sender) {
+	q.k, q.owner = k, owner
+	q.settler, _ = owner.(Settler)
+	q.buf = make([]sendEntry, 1<<bits.Len(uint(max(capacity, 1)-1)))
 	q.ev = sim.NewEvent(name, q.drain)
-	return q
 }
 
 // Len returns the number of queued packets.
@@ -75,14 +81,11 @@ func (q *SendQueue) At(i int) (pkt *Packet, at sim.Tick, word int) {
 	return e.pkt, e.at, e.word
 }
 
-// Blocked reports whether the queue waits for the peer's retry.
-func (q *SendQueue) Blocked() bool { return q.blocked }
-
 // at returns the slot of the i-th entry in sending order.
 func (q *SendQueue) at(i int) *sendEntry { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 // Push queues pkt to leave at tick at (not before now), after every packet
-// due no later, with a word handed back to the Send hook; the event is armed
+// due no later, with a word handed back to Send; the event is armed
 // for it if it is now the first and no loop or refusal owns the event.
 //
 //hot:path every response a controller or cache sends and every crossbar hop; gated by TestSendQueueSteadyStateZeroAlloc
@@ -130,14 +133,14 @@ func (q *SendQueue) drain() {
 		}
 		if !settled {
 			settled = true
-			if q.hooks.Settle != nil {
-				q.hooks.Settle(false)
+			if q.settler != nil {
+				q.settler.Settle(false)
 			}
 		}
 		*q.at(0) = sendEntry{}
 		q.head = (q.head + 1) & (len(q.buf) - 1)
 		q.n--
-		if !q.hooks.Send(e.pkt, e.word) {
+		if !q.owner.Send(e.pkt, e.word) {
 			if q.n == len(q.buf) {
 				q.grow()
 			}
@@ -145,8 +148,8 @@ func (q *SendQueue) drain() {
 			q.n++
 			*q.at(0) = e
 			q.sending, q.blocked = false, true
-			if q.hooks.Settle != nil {
-				q.hooks.Settle(true)
+			if q.settler != nil {
+				q.settler.Settle(true)
 			}
 			return
 		}
@@ -155,8 +158,8 @@ func (q *SendQueue) drain() {
 	if q.n > 0 {
 		q.k.Schedule(q.ev, q.at(0).at)
 	}
-	if q.hooks.Done != nil {
-		q.hooks.Done()
+	if q.settler != nil {
+		q.settler.Done()
 	}
 }
 

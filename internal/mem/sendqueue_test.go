@@ -31,7 +31,7 @@ type sendProbe struct {
 	t   *testing.T
 	k   *sim.Kernel
 	rng *rand.Rand
-	q   *SendQueue
+	q   SendQueue
 	ref sendRef
 
 	// looping is set from a loop's Settle to its end. lastRefused is the
@@ -45,7 +45,7 @@ type sendProbe struct {
 
 func newSendProbe(t *testing.T, seed int64) *sendProbe {
 	p := &sendProbe{t: t, k: sim.NewKernel(), rng: rand.New(rand.NewSource(seed))}
-	p.q = NewSendQueue(p.k, "q.send", 2, SendHooks{Send: p.send, Settle: p.settle, Done: p.done})
+	p.q.Init(p.k, "q.send", 2, p)
 	return p
 }
 
@@ -59,7 +59,7 @@ func (p *sendProbe) push(delay sim.Tick) {
 	p.q.Push(e.pkt, e.at, e.word)
 }
 
-func (p *sendProbe) settle(undo bool) {
+func (p *sendProbe) Settle(undo bool) {
 	if undo {
 		if !p.looping {
 			p.t.Fatalf("at %s: Settle(true) outside a loop", p.k.Now())
@@ -74,7 +74,7 @@ func (p *sendProbe) settle(undo bool) {
 	p.loops++
 }
 
-func (p *sendProbe) send(pkt *Packet, word int) bool {
+func (p *sendProbe) Send(pkt *Packet, word int) bool {
 	now := p.k.Now()
 	if word != int(pkt.Addr) {
 		p.t.Fatalf("at %s: packet %d sent with word %d", now, pkt.Addr, word)
@@ -121,7 +121,7 @@ func (p *sendProbe) send(pkt *Packet, word int) bool {
 	return true
 }
 
-func (p *sendProbe) done() {
+func (p *sendProbe) Done() {
 	p.looping = false
 	if p.q.n > 0 && p.q.at(0).at <= p.k.Now() {
 		p.t.Fatalf("at %s: the loop ended with a packet due at %s unsent", p.k.Now(), p.q.at(0).at)
@@ -132,7 +132,7 @@ func (p *sendProbe) done() {
 // kernel steps: the event is idle while the queue waits for a retry or holds
 // nothing, and otherwise pending once, at the first packet's tick.
 func (p *sendProbe) check() {
-	t, q := p.t, p.q
+	t, q := p.t, &p.q
 	if q.Len() != len(p.ref) {
 		t.Fatalf("at %s: the queue holds %d packets, the reference %d", p.k.Now(), q.Len(), len(p.ref))
 	}
@@ -142,9 +142,9 @@ func (p *sendProbe) check() {
 		}
 	}
 	switch {
-	case q.Blocked() || q.Len() == 0:
+	case q.blocked || q.Len() == 0:
 		if q.ev.Scheduled() {
-			t.Fatalf("at %s: the event is pending with the queue blocked %v, %d packets", p.k.Now(), q.Blocked(), q.Len())
+			t.Fatalf("at %s: the event is pending with the queue blocked %v, %d packets", p.k.Now(), q.blocked, q.Len())
 		}
 	case !q.ev.Scheduled() || q.ev.When() != p.ref[0].at:
 		t.Fatalf("at %s: the event is pending %v at %s; the first packet is due at %s", p.k.Now(), q.ev.Scheduled(), q.ev.When(), p.ref[0].at)
@@ -189,11 +189,17 @@ func TestSendQueueMatchesStableSort(t *testing.T) {
 	}
 }
 
+// takeAll is a Sender whose peer takes every packet.
+type takeAll struct{}
+
+func (takeAll) Send(*Packet, int) bool { return true }
+
 // TestSendQueueSteadyStateZeroAlloc: a queue that has reached its high-water
 // mark pushes, sends and arms its event without allocating.
 func TestSendQueueSteadyStateZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
-	q := NewSendQueue(k, "q.send", 4, SendHooks{Send: func(*Packet, int) bool { return true }})
+	var q SendQueue
+	q.Init(k, "q.send", 4, takeAll{})
 	pkt := &Packet{}
 	if avg := testing.AllocsPerRun(200, func() {
 		now := k.Now()

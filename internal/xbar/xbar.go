@@ -155,7 +155,7 @@ type reqSide struct {
 	index int
 	port  *mem.ResponsePort
 	// respQ carries responses back to this requestor.
-	respQ *mem.SendQueue
+	respQ mem.SendQueue
 	// waitingRetry marks that this requestor was refused and must be woken
 	// when the target queue frees.
 	waitingRetry bool
@@ -166,7 +166,7 @@ type memSide struct {
 	x     *Crossbar
 	index int
 	port  *mem.RequestPort
-	reqQ  *mem.SendQueue
+	reqQ  mem.SendQueue
 	// respRefused marks that this channel's controller was refused a
 	// response and must be woken when a response queue frees.
 	respRefused bool
@@ -216,7 +216,7 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 	}
 	rs := &reqSide{x: x, index: len(x.reqSides)}
 	rs.port = mem.NewResponsePort(fmt.Sprintf("%s.cpu%d", x.name, rs.index), rs, x.k)
-	rs.respQ = mem.NewSendQueue(x.k, rs.port.Name()+".respq.send", x.cfg.QueueDepth, mem.SendHooks{Send: rs.send})
+	rs.respQ.Init(x.k, rs.port.Name()+".respq.send", x.cfg.QueueDepth, rs)
 	x.reqSides = append(x.reqSides, rs)
 	return rs.port
 }
@@ -226,14 +226,15 @@ func (x *Crossbar) AttachRequestor(name string) *mem.ResponsePort {
 func (x *Crossbar) AttachMemory(name string) *mem.RequestPort {
 	ms := &memSide{x: x, index: len(x.memSides)}
 	ms.port = mem.NewRequestPort(fmt.Sprintf("%s.mem%d", x.name, ms.index), ms, x.k)
-	ms.reqQ = mem.NewSendQueue(x.k, ms.port.Name()+".reqq.send", x.cfg.QueueDepth, mem.SendHooks{Send: ms.send})
+	ms.reqQ.Init(x.k, ms.port.Name()+".reqq.send", x.cfg.QueueDepth, ms)
 	x.memSides = append(x.memSides, ms)
 	return ms.port
 }
 
-// send sends a response to the requestor; a slot it frees may take the
-// response a refused controller holds.
-func (rs *reqSide) send(pkt *mem.Packet, _ int) bool {
+// Send implements mem.Sender for the response queue: it sends a response to
+// the requestor; a slot it frees may take the response a refused controller
+// holds.
+func (rs *reqSide) Send(pkt *mem.Packet, _ int) bool {
 	if !rs.port.SendTimingResp(pkt) {
 		return false
 	}
@@ -241,9 +242,10 @@ func (rs *reqSide) send(pkt *mem.Packet, _ int) bool {
 	return true
 }
 
-// send sends a request to the controller; a slot it frees may take the
-// request a refused requestor holds.
-func (ms *memSide) send(pkt *mem.Packet, _ int) bool {
+// Send implements mem.Sender for the request queue: it sends a request to
+// the controller; a slot it frees may take the request a refused requestor
+// holds.
+func (ms *memSide) Send(pkt *mem.Packet, _ int) bool {
 	if !ms.port.SendTimingReq(pkt) {
 		return false
 	}
@@ -287,7 +289,7 @@ func (rs *reqSide) RecvTimingReq(pkt *mem.Packet) bool {
 		panic(fmt.Sprintf("xbar: %s straddles channels %d and %d at %s — increase the interleave granularity",
 			pkt, ch, last, x.k.Now()))
 	}
-	q := x.memSides[ch].reqQ
+	q := &x.memSides[ch].reqQ
 	if x.full(q) {
 		rs.waitingRetry = true
 		x.blockedReq.Inc()
@@ -335,7 +337,7 @@ func (ms *memSide) RecvTimingResp(pkt *mem.Packet) bool {
 	if !ok || x.inFlight == 0 {
 		panic(x.badResponse(ms, pkt))
 	}
-	q := x.reqSides[side].respQ
+	q := &x.reqSides[side].respQ
 	if x.full(q) {
 		ms.respRefused = true
 		return false
