@@ -3,7 +3,9 @@ package sim
 // Priority orders events that are scheduled for the same tick. Lower values
 // execute first. The bands below mirror gem5's conventions: component wiring
 // and statistics run around the "default" band used by ordinary model events.
-type Priority int
+// It is 32 bits wide so that an Event, census fields included, fills one
+// 64-byte allocation.
+type Priority int32
 
 // Priority bands for same-tick ordering.
 const (
@@ -24,11 +26,11 @@ const (
 type Event struct {
 	name     string
 	callback func()
-	priority Priority
 
 	// Managed by the kernel/queue:
 	when      Tick
 	seq       uint64 // drawn at every (re)schedule; with when and priority, the queue key
+	priority  Priority
 	scheduled bool
 	pooled    bool // owned by the kernel's event pool (created via Kernel.Call)
 
