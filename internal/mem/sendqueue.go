@@ -99,13 +99,10 @@ func (q *SendQueue) Push(pkt *Packet, at sim.Tick, word int) {
 	}
 	*q.at(i) = sendEntry{at: at, pkt: pkt, word: word}
 	q.n++
-	if q.sending || q.blocked || i > 0 && q.ev.Scheduled() {
-		return
-	}
-	if q.ev.Scheduled() {
+	// Outside a loop and a refusal the event is pending exactly while the
+	// queue holds packets, at the first one's tick; only a new first moves it.
+	if i == 0 && !q.sending && !q.blocked {
 		q.k.Reschedule(q.ev, at)
-	} else {
-		q.k.Schedule(q.ev, q.at(0).at)
 	}
 }
 
