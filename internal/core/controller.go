@@ -580,6 +580,11 @@ func (c *Controller) kickScheduler() {
 //
 //hot:path scheduling core; fires once per serviced burst
 func (c *Controller) processNextReqEvent() {
+	// retry is set when a write leaves the queue: the requestor refused for
+	// its slot is retried only once the next decision is armed below, as
+	// gem5's DRAMCtrl does, so a request the retry admits in the call finds
+	// that decision set for its slot instead of pulling it to now.
+	retry := false
 	switch c.state {
 	case busRead:
 		switchToWrites := false
@@ -636,7 +641,7 @@ func (c *Controller) processNextReqEvent() {
 			c.doDRAMAccess(dp)
 			c.writesThisTime++
 			c.dps.Put(dp)
-			c.maybeSendReqRetry()
+			retry = true
 		}
 		// Switch back to reads when the write queue is empty, when we are
 		// comfortably below the low watermark, or when reads are waiting
@@ -662,6 +667,9 @@ func (c *Controller) processNextReqEvent() {
 		if !c.nextReqEvent.Scheduled() {
 			c.k.Schedule(c.nextReqEvent, next)
 		}
+	}
+	if retry {
+		c.maybeSendReqRetry()
 	}
 }
 

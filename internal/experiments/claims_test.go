@@ -213,7 +213,7 @@ var claims = []struct {
 	{"Speedup", []claim{
 		{"average host-time speedup (x)", "7", 1.5, above,
 			func(r claimRuns) float64 { return r.speedup.AvgSpeedup }},
-		{"event-model kernel events, all cases", "fewer than cycle's", 143770, exact,
+		{"event-model kernel events, all cases", "fewer than cycle's", 139720, exact,
 			func(r claimRuns) float64 { return speedupEvents(r, false) }},
 		{"cycle-model kernel events, all cases", "none given", 876026, exact,
 			func(r claimRuns) float64 { return speedupEvents(r, true) }},
