@@ -219,7 +219,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Directives.
 //
-// The annotation vocabulary (see DESIGN.md §14):
+// The annotation vocabulary (see DESIGN.md §5):
 //
 //	//hot:path                — function and its module-local callees must
 //	                            stay allocation-free (the compiler escape
@@ -228,7 +228,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 //	                            only by the escape gate
 //	//shard:barrier           — function may only run in the single-threaded
 //	                            barrier section (shardiso)
-//	//lint:allow <a> <reason> — suppress one finding (suppress.go)
 //
 // A directive is its own comment line: "//hot:path", optionally followed by
 // a space and a note ("//hot:path FR-FCFS scan"). "//hot:pathological" does

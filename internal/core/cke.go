@@ -209,7 +209,7 @@ func (r *rank) raiseCKE(settled sim.Tick) {
 // enters a queue (cancelling pending idle timers early) and again at the
 // service choke point doDRAMAccess, so every stamped command finds its rank
 // awake. The scheduler has no power gate: a write parked while its rank slept
-// is chosen with CKE low and pays tXP only here (DESIGN §13).
+// is chosen with CKE low and pays tXP only here (DESIGN §2.3).
 func (c *Controller) wakeRank(ri int) {
 	rk := c.ranks[ri]
 	if c.cfg.PowerDownIdle > 0 && c.pdEvents[ri].Scheduled() {

@@ -764,7 +764,7 @@ func (c *Controller) firstReadyHit(q *burstQueue, now sim.Tick) *dramPacket {
 			// below the low watermark, and a later drain arbitrates them with
 			// CKE low. Their tXP is paid only when doDRAMAccess's wakeRank
 			// raises CKE, after the choice
-			// (TestDrainArbitratesParkedWritesBeforeWake, DESIGN §13).
+			// (TestDrainArbitratesParkedWritesBeforeWake, DESIGN §2.3).
 			if rk.refreshUntil[bi] > now {
 				continue
 			}

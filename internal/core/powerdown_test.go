@@ -125,7 +125,7 @@ func TestPowerDownConfigValidation(t *testing.T) {
 	}
 }
 
-// Pins an open policy question (DESIGN §13): writes parked below the low
+// Pins an open policy question (DESIGN §2.3): writes parked below the low
 // watermark do not keep their rank awake (rankIdle), so the rank powers down
 // with them queued, and when Drain later releases them the scheduler picks
 // one while CKE is still low. No arbitration rule sees the exit: tXP is paid

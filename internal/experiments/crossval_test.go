@@ -247,7 +247,7 @@ func refereeBothModels(t *testing.T, std string, bankGroupRule map[string]bool) 
 			continue
 		}
 		if len(vs) == 0 {
-			t.Errorf("%s on %s is protocol clean: the cycle model now honours bank groups, so update this test, DESIGN §13 and README", kind, spec.Name)
+			t.Errorf("%s on %s is protocol clean: the cycle model now honours bank groups, so update this test, DESIGN §6.2 and README", kind, spec.Name)
 		}
 		for _, v := range vs {
 			if !bankGroupRule[v.Rule] {

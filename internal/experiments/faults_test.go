@@ -1,6 +1,6 @@
 package experiments
 
-// The reliability extension's sweep (DESIGN §7) lives with its one test;
+// The reliability extension's sweep (DESIGN §2.4) lives with its one test;
 // dramctrl's -ber-* flags run the same injector on any configuration.
 
 import (

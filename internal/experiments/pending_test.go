@@ -47,7 +47,7 @@ func deepestPending(t *testing.T, p Point) int {
 }
 
 // TestShippedTopologiesKeepFewEventsPending pins the measurement the kernel's
-// queue was designed on (DESIGN §8): a memory system keeps a handful of events
+// queue was designed on (DESIGN §3): a memory system keeps a handful of events
 // pending, tens with sixteen channels, so a sorted ring that shifts a few
 // entries per insert beats structures built for deep queues. Each bound is
 // about 1.5x the deepest queue the topology shows today (4, 19, 9 and 36 when

@@ -4,7 +4,7 @@ import "fmt"
 
 // The event queue is one sorted ring: a power-of-two slice of entries kept in
 // firing order from a head index. A memory system holds a handful of events
-// pending (tens at most, see DESIGN §8), so an insert walks in from whichever
+// pending (tens at most, see DESIGN §3), so an insert walks in from whichever
 // end of the ring its rank is nearer to, sliding the entries it passes one
 // slot outwards: model events are due soon and sit near the head, refresh and
 // idle timers are due late and sit at the tail, and either way a few entries

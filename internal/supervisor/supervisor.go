@@ -16,7 +16,7 @@
 // tick, after writing <checkpoint>.postmortem — the recipe at the failing tick
 // plus the error; the last good checkpoint is left as it was, for -resume.
 // Nothing is retried in process: the same recipe replays into the same
-// failure (DESIGN §9).
+// failure (DESIGN §8).
 package supervisor
 
 import (
