@@ -2,11 +2,9 @@ package system
 
 import (
 	"fmt"
-	"path/filepath"
-	"slices"
-	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -74,93 +72,31 @@ func TestEventsPerRequest(t *testing.T) {
 			}
 		})
 	}
-}
 
-// TestEventCensus pins the events per request of every event name for five
-// event-model shapes (testdata/events_by_name.txt): a DRAM-aware read
-// stream, a saturated 50 % random mix and linear reads paced at 48 ns on one
-// controller, the four-core Fig. 8 system, and the random mix over four
-// channels behind a crossbar on one kernel. A change that moves the event
-// count shows here which event moved; the golden changes with it.
-func TestEventCensus(t *testing.T) {
-	const reqs = 2000
-	spec := dram.DDR3_1333_8x8()
-	burst := spec.Org.BurstBytes()
-	dec, err := dram.NewDecoder(spec.Org, dram.RoRaBaCoCh, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := func() trafficgen.Pattern {
-		return &trafficgen.Random{Start: 0, End: 256 << 20, Align: burst, ReadPercent: 50, Seed: 1}
-	}
-	rig := func(itt sim.Tick, pattern trafficgen.Pattern) *sim.Kernel {
-		t.Helper()
-		rig, err := NewTrafficRig(RigConfig{
-			Kind: EventBased, Spec: spec, Mapping: dram.RoRaBaCoCh,
-			Gen:     trafficgen.Config{RequestBytes: burst, MaxOutstanding: 32, InterTransaction: itt, Count: reqs},
-			Pattern: pattern,
-		})
+	// The back-pressured control is dramctrl -pattern linear -requests 3000:
+	// core.DefaultConfig's 20-burst read buffer refuses the generator's 32
+	// outstanding reads, and each retry re-arms the generator's tick, so a
+	// request costs a third event (8,982 events, 2,980 retries). ROADMAP
+	// 23(b), issuing inside the retry call, is the change expected to bring
+	// this toward 2.0; no ledger workload is refused often enough to show it.
+	t.Run("backpressured", func(t *testing.T) {
+		const reqs = 3000
+		m, err := NewMemory(MemoryConfig{Root: "dramctrl", Kind: EventBased, Channels: 1,
+			Event: core.DefaultConfig(dram.DDR3_1600_x64()), Widest: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rig.Run(sim.Second) {
-			t.Fatal("traffic rig did not complete")
-		}
-		return rig.K
-	}
-	full := func() *sim.Kernel {
-		t.Helper()
-		fs, err := NewFullSystem(fig8Config(reqs / 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fs.Run(sim.Second) {
-			t.Fatal("full system did not complete")
-		}
-		return fs.K
-	}
-	channels := func() *sim.Kernel {
-		t.Helper()
-		m, err := NewMemory(memoryDescription(EventBased, 4, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := trafficgen.New(m.K, trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: reqs}, mix(), m.Reg, "gen")
+		gen, err := trafficgen.New(m.K, trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: reqs},
+			&trafficgen.Linear{Start: 0, End: 1 << 28, Step: 64, ReadPercent: 100, Seed: 1}, m.Reg, "gen")
 		if err != nil {
 			t.Fatal(err)
 		}
 		mem.Connect(gen.Port(), m.FrontPort("gen"))
 		if err := m.Session(gen).Run(sim.Second); err != nil || !gen.Done() {
-			t.Fatalf("four channels did not complete: %v", err)
+			t.Fatalf("back-pressured linear reads did not complete: %v", err)
 		}
-		return m.K
-	}
-	shapes := []struct {
-		name string
-		run  func() *sim.Kernel
-	}{
-		{"stream", func() *sim.Kernel {
-			return rig(0, &trafficgen.DRAMAware{Decoder: dec, StrideBursts: 8, Banks: 4, ReadPercent: 100})
-		}},
-		{"mix", func() *sim.Kernel { return rig(0, mix()) }},
-		{"sparse", func() *sim.Kernel {
-			return rig(48*sim.Nanosecond, &trafficgen.Linear{Start: 0, End: 64 << 20, Step: burst, ReadPercent: 100})
-		}},
-		{"fig8", full},
-		{"4ch", channels},
-	}
-	var sb strings.Builder
-	sb.WriteString("# events per request by event name (TestEventCensus, internal/system)\n")
-	for _, s := range shapes {
-		census := s.run().Census()
-		names := make([]string, 0, len(census))
-		for name := range census {
-			names = append(names, name)
+		if perReq := float64(m.K.EventsExecuted()) / reqs; perReq < 2.984 || perReq > 3.004 {
+			t.Errorf("back-pressured linear reads: %.4f events per request, want 2.994 ± 0.01 (%d events)", perReq, m.K.EventsExecuted())
 		}
-		slices.Sort(names)
-		for _, name := range names {
-			fmt.Fprintf(&sb, "%-7s %-28s %.4f\n", s.name, name, float64(census[name])/reqs)
-		}
-	}
-	matchGolden(t, []byte(sb.String()), filepath.Join("testdata", "events_by_name.txt"))
+	})
 }

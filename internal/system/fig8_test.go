@@ -1,7 +1,6 @@
 package system_test
 
 import (
-	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -16,17 +15,13 @@ import (
 // ratios; these dumps hold each cache's hits, misses, evictions and
 // writebacks, each core's stalls and each controller's counters exactly.
 func TestFig8CannealStats(t *testing.T) {
-	for _, kind := range []system.Kind{system.EventBased, system.CycleBased} {
+	for _, kind := range bothKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			fs, _, err := experiments.Runner{}.RunFull(experiments.Fig8Point(kind, "canneal", 1000))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var dump bytes.Buffer
-			if err := fs.Reg.Dump(&dump); err != nil {
-				t.Fatal(err)
-			}
-			system.MatchGolden(t, dump.Bytes(), filepath.Join("testdata", "fig8_canneal_"+kind.String()+".stats"))
+			system.MatchGolden(t, dumpStats(t, fs.Reg), filepath.Join("testdata", "fig8_canneal_"+kind.String()+".stats"))
 		})
 	}
 }
