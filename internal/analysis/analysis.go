@@ -22,11 +22,7 @@ import (
 	"strings"
 )
 
-// Analyzer is one named check. Package-local analyzers set Run and see one
-// type-checked package at a time; whole-program analyzers set RunProgram and
-// see every loaded package through a shared Program index (call graph,
-// directives, cross-package declarations). Exactly one of the two must be
-// set.
+// Analyzer is one named check; it sees one type-checked package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in findings. Lowercase, no spaces.
 	Name string
@@ -34,8 +30,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects pass.Pkg and reports findings via pass.Reportf.
 	Run func(*Pass)
-	// RunProgram inspects the whole loaded program at once.
-	RunProgram func(*ProgramPass)
 }
 
 // Pass carries one analyzer's view of one package.
@@ -70,28 +64,16 @@ func (f Finding) String() string {
 
 // Analyzers returns the registered analyzer set, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detmap, Tickunits, Shardiso}
+	return []*Analyzer{Detmap, Tickunits}
 }
 
 // Run applies every analyzer to every package and returns the findings
-// sorted by (file, line, analyzer, message). Whole-program analyzers run
-// once over all the packages.
+// sorted by (file, line, analyzer, message).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var out []Finding
-	var prog *Program
-	for _, a := range analyzers {
-		if a.RunProgram != nil && len(pkgs) > 0 {
-			if prog == nil {
-				prog = BuildProgram(pkgs)
-			}
-			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, findings: &out})
-		}
-	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run != nil {
-				a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, findings: &out})
-			}
+			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, findings: &out})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -210,7 +210,7 @@ func HotSpans(prog *Program) []HotSpan {
 			}
 			visited[callee] = true
 			root := it.root
-			if _, isHot := FuncDirective(cfi.Decl, "hot:path"); isHot {
+			if FuncDirective(cfi.Decl, "hot:path") {
 				root = callee
 			}
 			queue = append(queue, item{fn: callee, root: root})

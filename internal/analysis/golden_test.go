@@ -47,7 +47,7 @@ func loadFixture(t *testing.T, name string) []*analysis.Package {
 func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
-		"detmap", "tickunits", "shardiso", "interact",
+		"detmap", "tickunits", "interact",
 	} {
 		t.Run(name, func(t *testing.T) {
 			pkgs := loadFixture(t, name)

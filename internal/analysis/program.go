@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -10,20 +9,16 @@ import (
 )
 
 // Whole-program view. Whether a //hot:path function allocates depends on what
-// its callees do, and whether shard-side code can reach the barrier section is
-// a reachability question over the entire module. Program indexes every
-// loaded package once — declarations, a reference graph, directive
-// annotations — so the escape gate and shardiso share one traversal.
+// its callees do, across the entire module. Program indexes every loaded
+// package's declarations and directive annotations once for the escape gate.
 
 // FuncInfo pairs a declared function with the package that declares it.
 type FuncInfo struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
-
-	refs []*types.Func // lazily computed program-local references
 }
 
-// Program is the whole-module index handed to program-level analyzers.
+// Program is the whole-module index the escape gate walks.
 type Program struct {
 	Pkgs []*Package
 	Fset *token.FileSet
@@ -93,10 +88,10 @@ func funcKey(f *types.Func) string {
 // Object identity splits across packages: internal/core type-checked from
 // source yields one *types.Func per method, but a package that imports it
 // resolves the same method through gc export data to a different object.
-// Without canonicalisation every cross-package edge in the reference graph —
-// a cmd front-end calling core.NewController, a callback naming a barrier
-// method — would silently fail the Funcs lookup and vanish. canon returns f
-// unchanged when it has no declared counterpart (stdlib, interface methods).
+// Without canonicalisation every cross-package call edge — a cmd front-end
+// calling core.NewController — would silently fail the Funcs lookup and
+// vanish. canon returns f unchanged when it has no declared counterpart
+// (stdlib, interface methods).
 func (p *Program) canon(f *types.Func) *types.Func {
 	if f == nil {
 		return nil
@@ -108,73 +103,6 @@ func (p *Program) canon(f *types.Func) *types.Func {
 		return c
 	}
 	return f
-}
-
-// Refs returns every program-local function referenced (called, taken as a
-// value, assigned to a field) inside fn's body, including inside function
-// literals it declares. Treating a reference as a potential call makes
-// reachability conservative in the presence of function-valued fields — the
-// link's deliver hook, the session's OnStep — which is the right direction
-// for an isolation checker: a function whose address escapes into a callback
-// slot may run wherever that slot is invoked.
-func (p *Program) Refs(fn *types.Func) []*types.Func {
-	fi := p.Funcs[fn]
-	if fi == nil {
-		return nil
-	}
-	if fi.refs == nil {
-		fi.refs = p.refsIn(fi.Pkg, fi.Decl.Body)
-		if len(fi.refs) == 0 {
-			fi.refs = []*types.Func{} // distinguish "computed, empty" from "not yet"
-		}
-	}
-	return fi.refs
-}
-
-// refsIn collects program-local functions referenced under root.
-func (p *Program) refsIn(pkg *Package, root ast.Node) []*types.Func {
-	seen := map[*types.Func]bool{}
-	var out []*types.Func
-	ast.Inspect(root, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		f, ok := pkg.Info.Uses[id].(*types.Func)
-		if !ok {
-			return true
-		}
-		f = p.canon(f) // cross-package uses resolve to import-loaded objects
-		if seen[f] {
-			return true
-		}
-		if _, local := p.Funcs[f]; local {
-			seen[f] = true
-			out = append(out, f)
-		}
-		return true
-	})
-	// Deterministic order for deterministic finding order downstream.
-	sort.Slice(out, func(i, j int) bool {
-		return p.Fset.Position(out[i].Pos()).Offset < p.Fset.Position(out[j].Pos()).Offset
-	})
-	return out
-}
-
-// PathTo reconstructs the root→fn chain from a breadth-first predecessor map
-// as "a → b → c" using package-qualified names.
-func (p *Program) PathTo(pred map[*types.Func]*types.Func, fn *types.Func) string {
-	var chain []string
-	for f := fn; f != nil; f = pred[f] {
-		chain = append(chain, FuncDisplayName(f))
-		if pred[f] == nil {
-			break
-		}
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return strings.Join(chain, " -> ")
 }
 
 // FuncDisplayName renders a function for messages: "pkg.Name" or
@@ -200,23 +128,6 @@ func FuncDisplayName(f *types.Func) string {
 	return name
 }
 
-// ProgramPass is the whole-program analogue of Pass.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	findings *[]Finding
-}
-
-// Reportf records a finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Pos:      p.Prog.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Directives.
 //
 // The annotation vocabulary (see DESIGN.md §5):
@@ -226,8 +137,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 //	                            gate, escape.go)
 //	//hot:allow <reason>      — deliberate heap site on a hot path; read
 //	                            only by the escape gate
-//	//shard:barrier           — function may only run in the single-threaded
-//	                            barrier section (shardiso)
 //
 // A directive is its own comment line: "//hot:path", optionally followed by
 // a space and a note ("//hot:path FR-FCFS scan"). "//hot:pathological" does
@@ -235,31 +144,17 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 // the doc-comment formatter (Go ≥1.19) inserts a space into any other
 // comment form ("//hot" becomes "// hot"), silently detaching it.
 
-// commentDirective reports whether any line of the comment groups is the
-// given directive, returning its trailing note.
-func commentDirective(name string, groups ...*ast.CommentGroup) (note string, ok bool) {
-	prefix := "//" + name
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, prefix) {
-				continue
-			}
-			rest := strings.TrimPrefix(c.Text, prefix)
-			if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-				continue
-			}
-			return strings.TrimSpace(rest), true
+// FuncDirective reports whether a line of fd's doc comment is the directive.
+func FuncDirective(fd *ast.FuncDecl, name string) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if rest, ok := strings.CutPrefix(c.Text, "//"+name); ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+			return true
 		}
 	}
-	return "", false
-}
-
-// FuncDirective reports whether fd's doc comment carries the directive.
-func FuncDirective(fd *ast.FuncDecl, name string) (string, bool) {
-	return commentDirective(name, fd.Doc)
+	return false
 }
 
 // DirectiveFuncs returns every declared function annotated with the
@@ -267,7 +162,7 @@ func FuncDirective(fd *ast.FuncDecl, name string) (string, bool) {
 func (p *Program) DirectiveFuncs(name string) []*types.Func {
 	var out []*types.Func
 	for fn, fi := range p.Funcs {
-		if _, ok := FuncDirective(fi.Decl, name); ok {
+		if FuncDirective(fi.Decl, name) {
 			out = append(out, fn)
 		}
 	}

@@ -36,23 +36,3 @@ func Both(m map[sim.Tick]bool) sim.Tick {
 func Convert(idleNs int64) sim.Tick {
 	return sim.Tick(idleNs)
 }
-
-// --- shardiso ---
-
-type pipe struct {
-	q []int
-}
-
-// Flush drains the pipe between quanta.
-//
-//shard:barrier only the single-threaded section may drain
-func (p *pipe) Flush() {
-	p.q = p.q[:0]
-}
-
-// Arm hands the kernel a callback that reaches the barrier function.
-func Arm(k *sim.Kernel, p *pipe) {
-	k.CallIn("drain", 1, func() {
-		p.Flush()
-	})
-}

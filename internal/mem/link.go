@@ -7,20 +7,21 @@ import (
 )
 
 // ShardLink splices the timing-port protocol across a kernel boundary. In a
-// sharded (parallel) simulation each DRAM channel runs on its own kernel;
-// the crossbar stays on the frontend kernel and every request crosses to the
-// channel shard — and every response crosses back — through one of these
-// links, paying a fixed one-way latency.
+// sharded simulation each DRAM channel runs on its own kernel; the crossbar
+// stays on the frontend kernel and every request crosses to the channel's
+// kernel — and every response crosses back — through one of these links,
+// paying a fixed one-way latency.
 //
-// The link is the conservative-lookahead device that makes parallel runs
-// deterministic. Within a time quantum each shard only appends to its side's
-// outbox; nothing crosses until the barrier, where the single-threaded
-// coordinator calls Flush to publish outboxes and arm delivery events on the
-// destination kernels. Because the quantum never exceeds the link latency, a
-// packet offered at source time s is due at s+latency, which is at or after
-// the barrier tick — delivery is always in the destination's future, so the
-// destination shard's event order (and therefore every statistic) is
-// independent of how many worker threads ran the quantum.
+// The link is the conservative-lookahead device that keeps sharded runs
+// deterministic. Within a time quantum each kernel only appends to its side's
+// outbox; nothing crosses until the barrier, where the session calls Flush,
+// once every kernel has reached the quantum's end, to publish outboxes and
+// arm delivery events on the destination kernels. Because the quantum never
+// exceeds the link latency, a packet offered at source time s is due at
+// s+latency, which is at or after the barrier tick — delivery is always in
+// the destination's future, so the destination's event order (and therefore
+// every statistic) does not depend on the order the kernels ran the quantum
+// in.
 //
 // Buffering: offers always succeed. The link does not propagate back
 // pressure across the boundary (that would require a second barrier round
@@ -36,8 +37,8 @@ type pipe struct {
 	dst     *sim.Kernel
 	deliver func(*Packet) bool
 
-	outbox  PacketQueue // appended by the source shard during a quantum
-	inbox   PacketQueue // drained by the destination shard
+	outbox  PacketQueue // appended by the source kernel during a quantum
+	inbox   PacketQueue // drained by the destination kernel
 	blocked bool        // destination refused; waiting for its retry
 	drain   *sim.Event
 }
@@ -62,11 +63,9 @@ func (p *pipe) offer(pkt *Packet, at sim.Tick) {
 	p.outbox.Push(pkt, at)
 }
 
-// flush publishes the outbox to the destination shard and arms delivery.
-// Barrier-section only: it touches both sides' state and schedules on the
+// flush publishes the outbox to the destination kernel and arms delivery.
+// Between quanta only: it touches both sides' state and schedules on the
 // destination kernel.
-//
-//shard:barrier touches both shards' state and the destination kernel
 func (p *pipe) flush() {
 	n := p.outbox.Len()
 	if n == 0 {
@@ -191,9 +190,8 @@ func (l *ShardLink) FrontPort() *ResponsePort { return l.front.port }
 // the controller's response port.
 func (l *ShardLink) BackPort() *RequestPort { return l.back.port }
 
-// Flush publishes both directions' pending traffic. Barrier-section only.
-//
-//shard:barrier the rig calls this with every worker parked
+// Flush publishes both directions' pending traffic. Call it between quanta,
+// once every kernel has reached the barrier.
 func (l *ShardLink) Flush() {
 	l.req.flush()
 	l.resp.flush()

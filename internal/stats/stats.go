@@ -132,17 +132,17 @@ func (st *store) find(h uint64, name string) Stat {
 	return nil
 }
 
-// put stores s under h, the hash of its full name, unless a statistic of that
-// name is already there; it returns that one, else nil. Only a taken hash
-// builds the name.
-func (st *store) put(h uint64, s Stat) Stat {
+// put stores s under h, the hash of its full name, and reports whether it did:
+// a statistic of that name already there leaves the store as it was. Only a
+// taken hash builds the name.
+func (st *store) put(h uint64, s Stat) bool {
 	pos := int32(len(st.stats))
 	if _, taken := st.index[h]; !taken {
 		st.index[h] = pos
 	} else {
 		name := s.Name()
-		if prev := st.find(h, name); prev != nil {
-			return prev
+		if st.find(h, name) != nil {
+			return false
 		}
 		if st.collide == nil {
 			st.collide = make(map[string]int32)
@@ -150,31 +150,13 @@ func (st *store) put(h uint64, s Stat) Stat {
 		st.collide[name] = pos
 	}
 	st.stats = append(st.stats, s)
-	return nil
+	return true
 }
 
 // add registers s, panicking at the registering call if its name is taken.
 func (r *Registry) add(s Stat, n *ident) {
-	if r.store.put(nameHash(n.prefix, n.leaf), s) != nil {
+	if !r.store.put(nameHash(n.prefix, n.leaf), s) {
 		panic(fmt.Sprintf("stats: duplicate statistic %q", n.Name()))
-	}
-}
-
-// Absorb merges every statistic registered under other's root into r's
-// root, by reference. NewShardedRig uses it: each shard registers its
-// components' statistics in a private registry, so hot counters are written
-// by exactly one worker goroutine, and the rig absorbs the shards into the
-// main registry once they are built, for one unified dump.
-//
-// Absorbing the same Stat instances again is a no-op, so nothing is ever
-// counted or dumped twice. A name collision between *distinct* Stat
-// instances is a bug and panics, like any duplicate registration.
-func (r *Registry) Absorb(other *Registry) {
-	for _, s := range other.store.stats {
-		n := identOf(s)
-		if prev := r.store.put(nameHash(n.prefix, n.leaf), s); prev != nil && prev != s {
-			panic(fmt.Sprintf("stats: duplicate statistic %q absorbed", n.Name()))
-		}
 	}
 }
 

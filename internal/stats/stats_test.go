@@ -265,34 +265,6 @@ func TestDumpJSON(t *testing.T) {
 	}
 }
 
-// TestAbsorbIdempotent: re-absorbing a shard registry whose Stat instances
-// are already present is a no-op (no double counting, no duplicate dump
-// rows), while a genuine name collision between distinct stats still panics.
-func TestAbsorbIdempotent(t *testing.T) {
-	root := NewRegistry("sys")
-	shard := NewRegistry("sys")
-	reads := shard.NewScalar("mc0.reads", "reads")
-	reads.Add(3)
-
-	root.Absorb(shard)
-	root.Absorb(shard) // retry: same instances again
-	if got := root.Get("sys.mc0.reads"); got != Stat(reads) {
-		t.Fatalf("Get after double absorb = %v, want the shard's scalar", got)
-	}
-
-	var sb strings.Builder
-	if err := root.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(sb.String(), "sys.mc0.reads"); n != 1 {
-		t.Fatalf("dump has %d rows for sys.mc0.reads, want 1:\n%s", n, sb.String())
-	}
-
-	other := NewRegistry("sys")
-	other.Child("mc0").NewScalar("reads", "imposter")
-	mustPanic(t, `stats: duplicate statistic "sys.mc0.reads" absorbed`, func() { root.Absorb(other) })
-}
-
 // mustPanic runs f and fails unless it panics with want.
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
@@ -321,13 +293,13 @@ func TestGetDottedLeaf(t *testing.T) {
 }
 
 // Two distinct names under one hash both register and both resolve, and
-// putting a taken name again returns the statistic already there.
+// putting a taken name again is refused, leaving the statistic already there.
 func TestNameHashCollision(t *testing.T) {
 	r := NewRegistry("x")
 	a := &Scalar{ident: ident{"x", "a", ""}}
 	b := &Average{ident: ident{"x.b", "c", ""}}
 	const h = 42
-	if r.store.put(h, a) != nil || r.store.put(h, b) != nil {
+	if !r.store.put(h, a) || !r.store.put(h, b) {
 		t.Fatal("distinct names under one hash were refused")
 	}
 	if got := r.store.find(h, "x.a"); got != Stat(a) {
@@ -339,8 +311,11 @@ func TestNameHashCollision(t *testing.T) {
 	if got := r.store.find(h, "x.d"); got != nil {
 		t.Fatalf("find(x.d) = %v, want nil", got)
 	}
-	if prev := r.store.put(h, &Scalar{ident: ident{"x", "b.c", ""}}); prev != Stat(b) {
-		t.Fatalf("re-put of x.b.c returned %v, want the first", prev)
+	if r.store.put(h, &Scalar{ident: ident{"x", "b.c", ""}}) {
+		t.Fatal("re-put of x.b.c was accepted")
+	}
+	if got := r.store.find(h, "x.b.c"); got != Stat(b) {
+		t.Fatalf("find(x.b.c) after re-put = %v, want the first", got)
 	}
 	if nameHash("x.b", "c") != nameHash("", "x.b.c") || nameHash("x", "a") == nameHash("x", "b") {
 		t.Fatal("nameHash does not hash the joined name")

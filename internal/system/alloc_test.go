@@ -63,8 +63,8 @@ func TestFreshRunAllocationBudget(t *testing.T) {
 			s := m.Session(gen)
 			return func() bool { return s.Run(10*sim.Millisecond) == nil }
 		}},
-		{"sharded rig", 128, 670, func(t *testing.T) func() bool {
-			cfg := shardedConfig(EventBased, 4, 1, false)
+		{"sharded rig", 128, 570, func(t *testing.T) func() bool {
+			cfg := shardedConfig(EventBased, 4, false)
 			for i := range cfg.Gens {
 				cfg.Gens[i].MaxOutstanding, cfg.Gens[i].Count = 32, 2000
 			}

@@ -72,22 +72,13 @@ var ledgerShapes = []ledgerShape{
 		return ledgerRun{fs.Reg, []*sim.Kernel{fs.K}}, nil
 	}},
 	{name: "multichan_4ch", run: func(kind system.Kind) (ledgerRun, error) {
-		// Four linear 80 %-read generators seeded 4..7, each channel on its
-		// own kernel behind a shard link, stepped by one worker.
-		const channels = 4
-		spec := dram.DDR3_1333_8x8()
-		burst := spec.Org.BurstBytes()
-		cfg := system.ShardedConfig{
-			Kind: kind, Spec: spec, Mapping: dram.RoRaBaCoCh, Channels: channels,
-			Xbar: xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64}, Workers: 1,
-		}
-		for i := range channels {
-			cfg.Gens = append(cfg.Gens, trafficgen.Config{RequestBytes: burst, MaxOutstanding: 32,
-				Count: ledgerRequests / channels, RequestorID: i})
-			cfg.Patterns = append(cfg.Patterns, &trafficgen.Linear{Start: 0, End: 64 << 20, Step: burst,
-				ReadPercent: 80, Seed: int64(channels + i)})
-		}
-		rig, err := system.NewShardedRig(cfg)
+		// The multichan recipe with each channel on its own kernel behind a
+		// shard link.
+		mc := multichanConfig(kind)
+		rig, err := system.NewShardedRig(system.ShardedConfig{
+			Kind: mc.Kind, Spec: mc.Spec, Mapping: mc.Mapping, Channels: mc.Channels,
+			Xbar: mc.Xbar, Gens: mc.Gens, Patterns: mc.Patterns,
+		})
 		if err != nil {
 			return ledgerRun{}, err
 		}
@@ -96,6 +87,25 @@ var ledgerShapes = []ledgerShape{
 		}
 		return ledgerRun{rig.Reg, append([]*sim.Kernel{rig.Front}, rig.Chans...)}, nil
 	}},
+}
+
+// multichanConfig is the ledger's multichan recipe: four linear 80 %-read
+// generators seeded 4..7 behind a crossbar over four channels.
+func multichanConfig(kind system.Kind) system.MultiChannelConfig {
+	const channels = 4
+	spec := dram.DDR3_1333_8x8()
+	burst := spec.Org.BurstBytes()
+	cfg := system.MultiChannelConfig{
+		Kind: kind, Spec: spec, Mapping: dram.RoRaBaCoCh, Channels: channels,
+		Xbar: xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64},
+	}
+	for i := range channels {
+		cfg.Gens = append(cfg.Gens, trafficgen.Config{RequestBytes: burst, MaxOutstanding: 32,
+			Count: ledgerRequests / channels, RequestorID: i})
+		cfg.Patterns = append(cfg.Patterns, &trafficgen.Linear{Start: 0, End: 64 << 20, Step: burst,
+			ReadPercent: 80, Seed: int64(channels + i)})
+	}
+	return cfg
 }
 
 // runLedger runs one shape on one model, feeding probes (nil for none) to
@@ -204,15 +214,16 @@ func TestLedgerProbesOnlyObserve(t *testing.T) {
 }
 
 // TestEventCensus pins the events per request of every event name for the
-// ledger's five shapes on the event model (a sharded shape's kernels summed)
-// and for the random mix over four channels on one kernel
-// (testdata/events_by_name.txt). A change that moves the event count shows
-// here which event moved; the golden changes with it. On multichan_4ch the
-// census shows what the ledger's events_per_req counts there besides the
-// controllers and the crossbar: the shard links' drains, and ~0.5 generator
-// ticks per request, fired when a response shares its tick with other events
-// so that the generator is not Alone and re-arms instead of issuing in the
-// call.
+// ledger's five shapes on the event model (a sharded shape's kernels summed),
+// for the random mix over four channels on one kernel and for the multichan
+// recipe on one kernel (testdata/events_by_name.txt). A change that moves the
+// event count shows here which event moved; the golden changes with it. On
+// multichan_4ch the census shows what the ledger's events_per_req counts
+// there besides the controllers and the crossbar: the shard links' drains,
+// and ~0.5 generator ticks per request, fired when a response shares its tick
+// with other events so that the generator is not Alone and re-arms instead of
+// issuing in the call. multichan_onekernel shows those ticks stay without the
+// links.
 func TestEventCensus(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("# events per request by event name (TestEventCensus, internal/system)\n")
@@ -237,6 +248,7 @@ func TestEventCensus(t *testing.T) {
 	}
 	census, reqs := fourChannels(t)
 	write("4ch", census, reqs)
+	write("multichan_onekernel", multichanOneKernel(t), ledgerRequests)
 	system.MatchGolden(t, []byte(sb.String()), filepath.Join("testdata", "events_by_name.txt"))
 }
 
@@ -260,4 +272,19 @@ func fourChannels(t *testing.T) (map[string]uint64, uint64) {
 		t.Fatalf("four channels did not complete: %v", err)
 	}
 	return m.K.Census(), reqs
+}
+
+// multichanOneKernel is the multichan recipe with every channel on the one
+// kernel (system.NewMultiChannelRig): its generators' ticks are what the
+// recipe costs once the shard links are gone.
+func multichanOneKernel(t *testing.T) map[string]uint64 {
+	t.Helper()
+	rig, err := system.NewMultiChannelRig(multichanConfig(system.EventBased))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rig.Run(sim.Second) {
+		t.Fatal("multichan on one kernel did not complete")
+	}
+	return rig.K.Census()
 }

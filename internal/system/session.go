@@ -31,18 +31,17 @@ type Source interface {
 }
 
 // Session is a steppable run of one wired system. Each Step advances every
-// kernel to a common tick and then runs a single-threaded section (link
-// flush, step hook, completion check), so between Steps all kernels are
-// parked at the same tick and every link outbox is empty. It satisfies
+// kernel to a common tick, then flushes the links, runs the step hook and
+// checks completion, so between Steps all kernels are parked at the same tick
+// and every link outbox is empty. It satisfies
 // supervisor.Session: the same system, started and stepped, passes the same
 // boundaries in the same states, which is what a checkpoint's replay needs.
 type Session struct {
 	// Deadline is the absolute simulated tick by which the run must
 	// complete; a Step that reaches it without completing returns an error.
 	Deadline sim.Tick
-	// OnStep, when set, runs after every advance in the single-threaded
-	// section — the place to drain probe buffers (obs.Tracer.Flush). An error
-	// from it fails the Step.
+	// OnStep, when set, runs after every advance — the place to drain probe
+	// buffers (obs.Tracer.Flush). An error from it fails the Step.
 	OnStep func() error
 
 	kernels []*sim.Kernel    // [0] is the frontend; the rest are channel shards
@@ -52,9 +51,8 @@ type Session struct {
 	ctrls   []Controller
 	reg     *stats.Registry
 
-	step    sim.Tick // barrier quantum: 1 us, 10 us, or the link lookahead when sharded
-	workers []*shardWorker
-	steps   uint64
+	step  sim.Tick // barrier quantum: 1 us, 10 us, or the link lookahead when sharded
+	steps uint64
 }
 
 // sourcesOf adapts a rig's generator list to the session's source list.
@@ -113,8 +111,7 @@ func (s *Session) Start() {
 
 // Run starts a fresh run and steps it until every source finishes and the
 // system drains (nil), or until maxSim simulated time passes or a kernel's
-// watchdog trips (the error). A panic in any shard is re-raised on the
-// calling goroutine.
+// watchdog trips (the error).
 func (s *Session) Run(maxSim sim.Tick) error {
 	s.Deadline = s.Now() + maxSim
 	s.Start()
@@ -125,9 +122,10 @@ func (s *Session) Run(maxSim sim.Tick) error {
 	}
 }
 
-// Step advances one quantum plus the single-threaded section and reports
-// completion. A watchdog trip surfaces as the error (sharded: as a
-// *ShardPanicError panic), and reaching Deadline is an error too.
+// Step advances every kernel one quantum, then flushes the links, runs OnStep
+// and reports completion. A kernel's watchdog trip is the error, a
+// *sim.WatchdogError whatever the topology, and reaching Deadline is an error
+// too. A panic in an event propagates unchanged.
 func (s *Session) Step() (bool, error) {
 	// A session whose sources finished before it stepped (an empty trace)
 	// is complete where it stands. Advancing another quantum would move Now
@@ -185,34 +183,14 @@ func (s *Session) complete(drain bool) bool {
 	return quiet
 }
 
-// advance runs every kernel to limit and publishes cross-shard traffic. The
-// channel send/receive pairs give the coordinator-worker handoff the
-// happens-before edges the memory model (and the race detector) require.
-// Shard failures are collected from EVERY worker — the handoff always
-// completes before anything is re-raised — and re-thrown as one
-// *ShardPanicError carrying worker and kernel identity for each.
+// advance runs every kernel to limit, in order, on the calling goroutine,
+// then publishes the links' cross-kernel traffic. The first kernel to fail
+// (a watchdog trip) ends the advance with its error.
 func (s *Session) advance(limit sim.Tick) error {
-	if len(s.kernels) == 1 {
-		_, err := s.kernels[0].RunUntilErr(limit)
-		return err
-	}
-	var pvs []ShardPanic
-	if len(s.workers) == 0 {
-		for i, k := range s.kernels {
-			if pv := runShardKernel(k, limit); pv != nil {
-				pvs = append(pvs, ShardPanic{Worker: 0, Kernel: kernelName(i), Value: pv})
-			}
+	for _, k := range s.kernels {
+		if _, err := k.RunUntilErr(limit); err != nil {
+			return err
 		}
-	} else {
-		for _, w := range s.workers {
-			w.limit <- limit
-		}
-		for _, w := range s.workers {
-			pvs = append(pvs, <-w.done...)
-		}
-	}
-	if len(pvs) > 0 {
-		panic(&ShardPanicError{Panics: pvs})
 	}
 	for _, l := range s.links {
 		l.Flush()
@@ -220,99 +198,6 @@ func (s *Session) advance(limit sim.Tick) error {
 	return nil
 }
 
-// Close stops the worker goroutines. The system itself stays usable (stats,
-// bandwidth queries), and further Steps run serially.
-func (s *Session) Close() {
-	for _, w := range s.workers {
-		close(w.limit)
-	}
-	s.workers = nil
-}
-
-// kernelName labels kernels[i] for panic attribution.
-func kernelName(i int) string {
-	if i == 0 {
-		return "front"
-	}
-	return fmt.Sprintf("chan%d", i-1)
-}
-
-// ShardPanic identifies one shard kernel's failure: which worker goroutine
-// ran it, which kernel it was, and the recovered panic value (or the
-// *sim.WatchdogError that stopped it).
-type ShardPanic struct {
-	Worker int    // worker index (0-based)
-	Kernel string // "front" or "chan<N>"
-	Value  any    // the recovered panic value
-}
-
-// ShardPanicError aggregates every shard failure from one quantum. With
-// several workers more than one shard can fail in the same quantum; keeping
-// only one hides the others and makes the surviving report depend on
-// goroutine timing.
-type ShardPanicError struct {
-	Panics []ShardPanic
-}
-
-func (e *ShardPanicError) Error() string {
-	s := fmt.Sprintf("system: %d shard panic(s) in quantum:", len(e.Panics))
-	for _, p := range e.Panics {
-		s += fmt.Sprintf(" [worker %d, kernel %s: %v]", p.Worker, p.Kernel, p.Value)
-	}
-	return s
-}
-
-// shardWorker is one persistent goroutine stepping a fixed subset of
-// kernels each quantum.
-type shardWorker struct {
-	limit chan sim.Tick
-	done  chan []ShardPanic // empty slice (as nil) on success
-}
-
-// startWorkers spins up n goroutines over the kernels, assigned round-robin;
-// n <= 1 returns none and the session steps every kernel on the calling
-// goroutine. Either way the schedule is identical.
-func startWorkers(kernels []*sim.Kernel, n int) []*shardWorker {
-	if n > len(kernels) {
-		n = len(kernels)
-	}
-	if n <= 1 {
-		return nil
-	}
-	workers := make([]*shardWorker, n)
-	for j := range workers {
-		w := &shardWorker{limit: make(chan sim.Tick), done: make(chan []ShardPanic, 1)}
-		workers[j] = w
-		go func() {
-			for limit := range w.limit {
-				// Recover per kernel, not per batch: a panicking shard must
-				// not stop the worker from finishing its remaining kernels,
-				// and the handoff to the coordinator always completes — so
-				// the pool stays in a defined state and Close can never hang
-				// on a dead worker.
-				var pvs []ShardPanic
-				for i := j; i < len(kernels); i += n {
-					if pv := runShardKernel(kernels[i], limit); pv != nil {
-						pvs = append(pvs, ShardPanic{Worker: j, Kernel: kernelName(i), Value: pv})
-					}
-				}
-				w.done <- pvs
-			}
-		}()
-	}
-	return workers
-}
-
-// runShardKernel advances one kernel to the barrier, translating a panic or
-// a watchdog trip into a returned value.
-func runShardKernel(k *sim.Kernel, limit sim.Tick) (pv any) {
-	defer func() {
-		if r := recover(); r != nil {
-			pv = r
-		}
-	}()
-	if _, err := k.RunUntilErr(limit); err != nil {
-		return err
-	}
-	return nil
-}
+// Close does nothing: a session holds no goroutine or file. It stays because
+// the frozen benchmark calls it.
+func (s *Session) Close() {}

@@ -160,10 +160,10 @@ type Memory struct {
 // constructed.
 func NewMemory(cfg MemoryConfig) (*Memory, error) { return newMemory(cfg, nil) }
 
-// placement puts channel i on a kernel and registry other than the memory's
-// own (front is the memory's kernel) and joins its crossbar port to the
-// controller through a link. Only ShardedRig passes one.
-type placement func(front *sim.Kernel, i int) (*sim.Kernel, *stats.Registry, func(*mem.RequestPort, *mem.ResponsePort))
+// placement puts channel i on a kernel other than the memory's own (front is
+// the memory's kernel) and joins its crossbar port to the controller through
+// a link. Only ShardedRig passes one.
+type placement func(front *sim.Kernel, i int) (*sim.Kernel, func(*mem.RequestPort, *mem.ResponsePort))
 
 func newMemory(cfg MemoryConfig, place placement) (*Memory, error) {
 	if cfg.Channels < 1 {
@@ -212,9 +212,9 @@ func newMemory(cfg MemoryConfig, place placement) (*Memory, error) {
 		}
 	}
 	for i := range m.Ctrls {
-		k, reg, join := m.K, m.Reg, mem.Connect
+		k, join := m.K, mem.Connect
 		if place != nil {
-			k, reg, join = place(m.K, i)
+			k, join = place(m.K, i)
 		}
 		name := "mc"
 		if m.Xbar != nil {
@@ -227,11 +227,11 @@ func newMemory(cfg MemoryConfig, place placement) (*Memory, error) {
 			c := cfg.Event
 			c.Channels, c.Probes = cfg.Channels, cfg.Probes
 			c.Faults.Seed += uint64(i)
-			ctrl, err = core.NewController(k, c, reg, name)
+			ctrl, err = core.NewController(k, c, m.Reg, name)
 		case CycleBased:
 			c := cfg.Cycle
 			c.Channels, c.Probes = cfg.Channels, cfg.Probes
-			ctrl, err = cyclesim.NewController(k, c, reg, name)
+			ctrl, err = cyclesim.NewController(k, c, m.Reg, name)
 		default:
 			err = fmt.Errorf("system: unknown controller kind %d", cfg.Kind)
 		}
