@@ -33,7 +33,7 @@
 // (power.CheckTiming) when the run ends; any violation fails the run, and
 // under -trace each one cites its Perfetto span. -cmd-trace archives a
 // one-channel recording, and -cmd-trace-in re-checks an archived one against
-// -spec/-standard without simulating.
+// -spec without simulating.
 //
 // Examples:
 //
@@ -45,22 +45,23 @@
 //	dramctrl -requests 100000 -obs-http localhost:6060
 //	dramctrl -requests 2000000 -checkpoint run.ckpt -checkpoint-every 1000000
 //	dramctrl -requests 2000000 -checkpoint run.ckpt -resume
-//	dramctrl -model cycle -standard ddr4 -check -trace out.json
+//	dramctrl -model cycle -spec ddr4 -check -trace out.json
 //	dramctrl -pattern bursty -powerdown 500 -selfrefresh 3000 -check -cmd-trace cmds.txt
 //	dramctrl -cmd-trace-in cmds.txt -spec DDR3-1600-x64
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cyclesim"
 	"repro/internal/dram"
+	"repro/internal/experiments"
 	"repro/internal/experiments/cliconfig"
 	"repro/internal/faults"
 	"repro/internal/mem"
@@ -74,24 +75,11 @@ import (
 	"repro/internal/xbar"
 )
 
-// errInterrupted marks a graceful signal-driven stop; main exits 130 (the
-// conventional SIGINT code) after the partial results have been flushed.
-var errInterrupted = errors.New("interrupted")
-
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil:
-	case errors.Is(err, errInterrupted):
-		os.Exit(130)
-	default:
-		fmt.Fprintln(os.Stderr, "dramctrl:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliconfig.Exit("dramctrl", run(os.Args[1:], os.Stdout)) }
 
 // options is every dramctrl flag.
 type options struct {
-	spec     *cliconfig.Spec
+	spec     *string
 	pol      *cliconfig.Policy
 	traf     *cliconfig.Traffic
 	channels *int
@@ -141,6 +129,12 @@ func parseFlags(args []string) (*options, error) {
 		return nil, err
 	}
 	f.obs.Resolve()
+	// A recipe names the device by its preset, however -spec spelled it.
+	spec, err := dram.ByName(*f.spec)
+	if err != nil {
+		return nil, err
+	}
+	*f.spec = spec.Name
 	if f.cmdTrace != "" && *f.channels > 1 {
 		return nil, fmt.Errorf("-cmd-trace records one channel (the file has no channel column); use -check alone with -channels %d", *f.channels)
 	}
@@ -157,7 +151,8 @@ func parseFlags(args []string) (*options, error) {
 func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("dramctrl", flag.ContinueOnError)
 	f := &options{
-		spec:     cliconfig.AddSpec(fs, "DDR3-1600-x64"),
+		spec: fs.String("spec", "DDR3-1600-x64",
+			"memory device: a preset name (see -list) or a standard ("+strings.Join(dram.Standards(), ", ")+")"),
 		pol:      cliconfig.AddPolicy(fs),
 		traf:     cliconfig.AddTraffic(fs, 10000),
 		channels: cliconfig.AddChannels(fs),
@@ -167,7 +162,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.BoolVar(&f.list, "list", false, "list available memory specs and exit")
 	fs.BoolVar(&f.check, "check", false, "check every channel's DRAM commands against the device's timing rules at the end of the run; a violation is an error")
 	fs.StringVar(&f.cmdTrace, "cmd-trace", "", "write the recorded DRAM command stream to this file (one channel only)")
-	fs.StringVar(&f.cmdTraceIn, "cmd-trace-in", "", "check a recorded DRAM command stream against -spec/-standard and exit (no simulation)")
+	fs.StringVar(&f.cmdTraceIn, "cmd-trace-in", "", "check a recorded DRAM command stream against -spec and exit (no simulation)")
 	f.powerDown = cliconfig.AddNanoseconds(fs, "powerdown", 0, "power-down idle threshold in ns (0 = off, event model only)")
 	f.selfRefresh = cliconfig.AddNanoseconds(fs, "selfrefresh", 0, "self-refresh idle threshold in ns (0 = off, event model only; must exceed -powerdown when both are set)")
 	fs.BoolVar(&f.dumpStats, "stats", false, "dump the full statistics registry")
@@ -380,7 +375,7 @@ func run(args []string, out io.Writer) error {
 		cliconfig.ListSpecs(out)
 		return nil
 	}
-	spec, err := f.spec.Resolve()
+	spec, err := dram.ByName(*f.spec)
 	if err != nil {
 		return err
 	}
@@ -439,7 +434,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if res.Interrupted {
-		return errInterrupted
+		return experiments.ErrInterrupted
 	}
 	return checkRun(f, spec, mapping, r, out)
 }

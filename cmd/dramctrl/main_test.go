@@ -28,6 +28,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/supervisor"
 	"repro/internal/system"
@@ -454,17 +455,17 @@ func TestTraceAgreesWithCounters(t *testing.T) {
 }
 
 // Every supported standard's representative preset completes a run, and
-// -standard ddr3 is the default preset under another name (bit-compat guard).
+// -spec ddr3 is the default preset under another name (bit-compat guard).
 func TestStandardsRunAndResolve(t *testing.T) {
 	traffic := []string{"-pattern", "random", "-reads", "67", "-requests", "5000", "-seed", "7"}
 	for _, std := range []string{"ddr3", "ddr4", "ddr5", "lpddr5"} {
-		out := mustRun(t, append(traffic, "-standard", std)...)
+		out := mustRun(t, append(traffic, "-spec", std)...)
 		if !regexp.MustCompile(`(?m)^bandwidth [1-9]\d*\.\d+ GB/s`).MatchString(out) {
-			t.Errorf("-standard %s reported no bandwidth:\n%s", std, out)
+			t.Errorf("-spec %s reported no bandwidth:\n%s", std, out)
 		}
 	}
-	if byStd, byName := mustRun(t, append(traffic, "-standard", "ddr3")...), mustRun(t, append(traffic, "-spec", "DDR3-1600-x64")...); byStd != byName {
-		t.Errorf("-standard ddr3 and -spec DDR3-1600-x64 differ:\n%s\n%s", byStd, byName)
+	if byStd, byName := mustRun(t, append(traffic, "-spec", "ddr3")...), mustRun(t, append(traffic, "-spec", "DDR3-1600-x64")...); byStd != byName {
+		t.Errorf("-spec ddr3 and -spec DDR3-1600-x64 differ:\n%s\n%s", byStd, byName)
 	}
 }
 
@@ -580,8 +581,6 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		want  string
 		flags []string
 	}{
-		// A mistyped -spec is rejected even when -standard overrides it.
-		{`unknown spec "nosuch"`, []string{"-spec", "nosuch", "-standard", "ddr4"}},
 		// A read percentage outside 0-100 is not clamped to all reads or
 		// all writes.
 		{`invalid value "150" for flag -reads`, []string{"-reads", "150"}},
@@ -723,11 +722,11 @@ func TestStandardsRecordReplayDeterministic(t *testing.T) {
 		traffic []string
 		want    string // a command the recording must contain ("" = none in particular)
 	}{
-		{"ddr3", []string{"-standard", "ddr3"}, random, ""},
-		{"ddr4", []string{"-standard", "ddr4"}, random, ""},
+		{"ddr3", []string{"-spec", "ddr3"}, random, ""},
+		{"ddr4", []string{"-spec", "ddr4"}, random, ""},
 		// Same-bank refresh is the headline quirk of DDR5's discipline.
-		{"ddr5", []string{"-standard", "ddr5"}, random, "REFSB"},
-		{"lpddr5", []string{"-standard", "lpddr5"}, random, ""},
+		{"ddr5", []string{"-spec", "ddr5"}, random, "REFSB"},
+		{"lpddr5", []string{"-spec", "lpddr5"}, random, ""},
 		{"lowpower", []string{"-spec", "DDR3-1600-x64"}, lowPower, "SRE"},
 		// Two ranks wake staggered, and every access closes its row.
 		{"lowpower-2rank-closed", []string{"-spec", "DDR3-1600-x64-2R", "-page", "closed"}, lowPower, "SRE"},
@@ -772,25 +771,40 @@ func lastLines(s string, n int) string {
 // checked against DDR3 timing breaks tCCD and friends.
 func TestViolationsAreAnError(t *testing.T) {
 	cmds := filepath.Join(t.TempDir(), "cmds.txt")
-	mustRun(t, "-standard", "ddr5", "-requests", "2000", "-cmd-trace", cmds)
-	out, err := dramctrl(t, "-standard", "ddr3", "-cmd-trace-in", cmds)
+	mustRun(t, "-spec", "ddr5", "-requests", "2000", "-cmd-trace", cmds)
+	out, err := dramctrl(t, "-spec", "ddr3", "-cmd-trace-in", cmds)
 	if err == nil || !strings.Contains(err.Error(), "timing violations") ||
 		!strings.Contains(out, " violations:\n") || !regexp.MustCompile(`(?m)^  \.\.\. and \d+ more$`).MatchString(out) {
 		t.Errorf("err = %v, want a timing-violations error with the findings printed:\n%s", err, out)
 	}
 }
 
-// -check referees either model at any channel count. The cycle baseline has
-// no bank groups (internal/cyclesim), so on DDR4 it breaks tRRD_L/tCCD_L, and
-// under -trace every finding shown cites its Perfetto span.
+// -check referees either model at any channel count, and under -trace every
+// finding shown cites its Perfetto span. A clean traced run has no finding to
+// cite, so one is made on purpose: a violation at one of the run's recorded
+// ACTs must be located in the run's trace.
 func TestCheckCitesTraceSpans(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "run.json")
-	out, err := dramctrl(t, "-model", "cycle", "-standard", "ddr4", "-pattern", "random", "-requests", "3000", "-check", "-trace", trace)
-	if err == nil || !strings.Contains(err.Error(), "timing violations") {
-		t.Fatalf("err = %v, want the cycle model's bank-group violations:\n%s", err, out)
+	dir := t.TempDir()
+	trace, cmds := filepath.Join(dir, "run.json"), filepath.Join(dir, "cmds.txt")
+	out := mustRun(t, "-spec", "ddr4", "-pattern", "random", "-requests", "3000", "-check", "-trace", trace, "-cmd-trace", cmds)
+	if !strings.HasSuffix(out, "protocol clean: no timing violations\n") {
+		t.Fatalf("the traced DDR4 run is not clean:\n%s", out)
 	}
-	if !regexp.MustCompile(`(?m)^  tRRD_L violated by ACT .*\n    trace: cmd "ACT" pid=1 tid=\d+ ts=\d+\.\d{6}us$`).MatchString(out) {
-		t.Errorf("no trace citation under a tRRD_L finding:\n%s", out)
+	recorded, err := readFile(cmds, power.ReadCommands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := slices.IndexFunc(recorded, func(c power.Command) bool { return c.Kind == power.CmdACT })
+	if act < 0 {
+		t.Fatalf("the run recorded no ACT in %d commands", len(recorded))
+	}
+	cite, err := traceCiter(trace, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := power.Violation{Rule: "tRRD_L", Cmd: recorded[act], Deficit: sim.Nanosecond}
+	if got := cite("mc", v); !regexp.MustCompile(`^trace: cmd "ACT" pid=1 tid=\d+ ts=\d+\.\d{6}us`).MatchString(got) {
+		t.Errorf("%v cites %q, want the ACT's trace instant", v, got)
 	}
 	for _, model := range []string{"event", "cycle"} {
 		out := mustRun(t, "-model", model, "-channels", "4", "-pattern", "random", "-requests", "3000", "-check")

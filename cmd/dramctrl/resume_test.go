@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/supervisor"
@@ -127,7 +128,7 @@ func victim(t *testing.T, args []string, at sim.Tick, holds func(*rig) string) s
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := f.spec.Resolve()
+	spec, err := dram.ByName(*f.spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,15 +293,15 @@ func TestCompletedRunResumesAsDone(t *testing.T) {
 
 // A checkpoint taken under one DRAM standard is refused under another,
 // naming the controller, the device field and the flag, before anything
-// runs; under the same standard it resumes.
+// runs; under the same device, however -spec names it, it resumes.
 func TestCrossStandardResumeRejected(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")
-	args := []string{"-standard", "ddr5", "-pattern", "random", "-requests", "2000", "-checkpoint", ckpt}
+	args := []string{"-spec", "ddr5", "-pattern", "random", "-requests", "2000", "-checkpoint", ckpt}
 	victim(t, args, 5*sim.Microsecond, anytime)
 	saved := read(t, ckpt)
-	_, err := dramctrl(t, "-standard", "ddr4", "-pattern", "random", "-requests", "2000", "-checkpoint", ckpt, "-resume")
-	for _, want := range []string{"configuration mismatch: mc0: Device.Family", `"DDR5"`, `"DDR4"`, "(set by -standard)"} {
+	_, err := dramctrl(t, "-spec", "ddr4", "-pattern", "random", "-requests", "2000", "-checkpoint", ckpt, "-resume")
+	for _, want := range []string{"configuration mismatch: mc0: Device.Family", `"DDR5"`, `"DDR4"`, "(set by -spec)"} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("resuming DDR5 as DDR4: err = %v, want it to name %q", err, want)
 		}
@@ -308,10 +309,11 @@ func TestCrossStandardResumeRejected(t *testing.T) {
 	if !bytes.Equal(read(t, ckpt), saved) {
 		t.Error("the refused resume changed the checkpoint")
 	}
+	mustRun(t, "-spec", "DDR5-4800-x64", "-pattern", "random", "-requests", "2000", "-checkpoint", ckpt, "-resume")
 }
 
 func TestSameStandardResumeAccepted(t *testing.T) {
-	killAndResume(t, resumeCase{"ddr5", []string{"-standard", "ddr5", "-pattern", "random", "-requests", "2000"}, 5 * sim.Microsecond, anytime})
+	killAndResume(t, resumeCase{"ddr5", []string{"-spec", "ddr5", "-pattern", "random", "-requests", "2000"}, 5 * sim.Microsecond, anytime})
 }
 
 // TestEveryStatedFieldRefusesResume changes each flag that shapes a run, one
@@ -327,7 +329,6 @@ func TestEveryStatedFieldRefusesResume(t *testing.T) {
 	// so the changed flag matters, and the changed flag and value.
 	rows := map[string]struct{ base, changed []string }{
 		"spec":              {nil, []string{"-spec", "DDR4-2400-x64"}},
-		"standard":          {nil, []string{"-standard", "ddr4"}},
 		"model":             {nil, []string{"-model", "cycle"}},
 		"mapping":           {nil, []string{"-mapping", "RoCoRaBaCh"}},
 		"page":              {nil, []string{"-page", "closed"}},

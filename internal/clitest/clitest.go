@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,4 +107,42 @@ func StopAfter(n int) func() bool {
 		n--
 		return n < 0
 	}
+}
+
+var (
+	docFenced = regexp.MustCompile("(?s)```.*?```")
+	docInline = regexp.MustCompile("`(go run [^`]*)`")
+)
+
+// DocCommands returns the arguments of every command line in text that runs
+// tool, as `go run ./cmd/TOOL ...` or `TOOL ...`. The lines are those of
+// Markdown's fenced blocks, backslash continuations joined, its inline code
+// spans that are a go run, and a Go doc comment's indented lines; each is cut
+// at a # comment and split at &&.
+func DocCommands(text, tool string) [][]string {
+	var lines []string
+	for _, block := range docFenced.FindAllString(text, -1) {
+		lines = append(lines, strings.Split(strings.ReplaceAll(block, "\\\n", " "), "\n")...)
+	}
+	for _, m := range docInline.FindAllStringSubmatch(docFenced.ReplaceAllString(text, ""), -1) {
+		lines = append(lines, m[1])
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if code, ok := strings.CutPrefix(line, "//\t"); ok {
+			lines = append(lines, code)
+		}
+	}
+	var cmds [][]string
+	for _, line := range lines {
+		line, _, _ = strings.Cut(line, "#")
+		for _, c := range strings.Split(line, "&&") {
+			switch f := strings.Fields(c); {
+			case len(f) > 2 && slices.Equal(f[:3], []string{"go", "run", "./cmd/" + tool}):
+				cmds = append(cmds, f[3:])
+			case len(f) > 0 && f[0] == tool:
+				cmds = append(cmds, f[1:])
+			}
+		}
+	}
+	return cmds
 }

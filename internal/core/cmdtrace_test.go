@@ -107,7 +107,7 @@ func TestCommandTraceMatchesAggregatePower(t *testing.T) {
 func TestRefreshPowerAgreesAcrossModels(t *testing.T) {
 	specs := []dram.Spec{}
 	for _, std := range []string{"ddr3", "ddr4", "ddr5", "lpddr5"} {
-		spec, err := dram.ByStandard(std)
+		spec, err := dram.ByName(std)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func Example_quickstart() {
 	kernel := sim.NewKernel() // one event kernel per simulation; time in picoseconds
 	registry := stats.NewRegistry("quickstart")
 
-	// dram.ByName takes an exact part, dram.ByStandard("ddr5") a family's
+	// dram.ByName takes an exact part or a family keyword ("ddr5") for its
 	// representative; the dram.Spec is the device model the controller takes.
 	spec, err := dram.ByName("DDR3-1600-x64")
 	if err != nil {

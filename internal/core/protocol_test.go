@@ -132,9 +132,9 @@ func protocolCleanForSeed(t *testing.T, seed int64) bool {
 // derived refresh-interval budget).
 func TestStandardsObeyProtocol(t *testing.T) {
 	for _, std := range dram.Standards() {
-		spec, err := dram.ByStandard(std)
+		spec, err := dram.ByName(std)
 		if err != nil {
-			t.Fatalf("ByStandard(%q): %v", std, err)
+			t.Fatalf("ByName(%q): %v", std, err)
 		}
 		for _, ranks := range []int{1, 2} {
 			spec := spec

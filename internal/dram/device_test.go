@@ -2,6 +2,7 @@ package dram
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -40,8 +41,9 @@ func TestByNameCaseInsensitive(t *testing.T) {
 }
 
 // TestByStandardCoversStandards requires every advertised family keyword to
-// resolve, and the resolved preset's Standard() to round-trip (the -standard
-// flag relies on this agreement).
+// resolve through ByName, in either case, and the resolved preset's
+// Standard() to round-trip (-spec relies on this agreement). An unknown name
+// is one error that points at both lists -spec draws from.
 func TestByStandardCoversStandards(t *testing.T) {
 	stds := Standards()
 	if len(stds) < 4 {
@@ -53,19 +55,24 @@ func TestByStandardCoversStandards(t *testing.T) {
 		}
 	}
 	for _, std := range stds {
-		s, err := ByStandard(std)
+		s, err := ByName(std)
 		if err != nil {
-			t.Fatalf("ByStandard(%q): %v", std, err)
+			t.Fatalf("ByName(%q): %v", std, err)
 		}
 		if s.Standard() == "custom" && std != "hmc" && std != "wideio" {
 			t.Errorf("standard %q resolved to a family-less preset %s", std, s.Name)
 		}
+		if upper, err := ByName(strings.ToUpper(std)); err != nil || upper.Name != s.Name {
+			t.Errorf("ByName(%q) = %s, %v; want %s", strings.ToUpper(std), upper.Name, err, s.Name)
+		}
 	}
-	if _, err := ByStandard("ddr6"); err == nil {
-		t.Fatal("unknown standard accepted")
+	if s, err := ByName("ddr4"); err != nil || s.Name != "DDR4-3200-x64" {
+		t.Fatalf("ByName(\"ddr4\") = %s, %v; want DDR4-3200-x64", s.Name, err)
 	}
-	if s, err := ByStandard("DDR5"); err != nil || s.Name != "DDR5-4800-x64" {
-		t.Fatalf("ByStandard is not case-insensitive: %v %v", s.Name, err)
+	_, err := ByName("ddr6")
+	want := `unknown spec "ddr6": neither a preset (see -list) nor a standard (` + strings.Join(stds, ", ") + ")"
+	if err == nil || err.Error() != want {
+		t.Fatalf("ByName(\"ddr6\"): err = %v, want %q", err, want)
 	}
 }
 

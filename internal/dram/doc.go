@@ -35,7 +35,7 @@
 // # Presets
 //
 // Presets returns the built-in catalogue and ByName looks one up
-// case-insensitively; ByStandard maps a lower-case family keyword ("ddr4") to
-// that family's representative preset. Command-line tools expose these as
-// -spec and -standard via internal/experiments/cliconfig.
+// case-insensitively, by its name or by a family keyword ("ddr4") that names
+// that family's representative preset. Both command-line tools expose it as
+// -spec.
 package dram

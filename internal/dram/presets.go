@@ -387,9 +387,9 @@ func ddr3Power() PowerParams {
 	}
 }
 
-// DDR4_3200_x64 is the representative DDR4 device of the -standard
-// registry: a 64-bit channel of x8 devices at 3200 MT/s with the bank-group
-// structure DDR4 introduced — 16 banks in 4 groups, where back-to-back
+// DDR4_3200_x64 is the representative DDR4 device, the one "ddr4" names: a
+// 64-bit channel of x8 devices at 3200 MT/s with the bank-group structure
+// DDR4 introduced — 16 banks in 4 groups, where back-to-back
 // commands inside one group pay the long tRRD_L/tCCD_L and across groups
 // the short tRRD_S/tCCD_S. Values are representative of a DDR4-3200AA
 // 8 Gbit x8 datasheet.

@@ -18,19 +18,24 @@ func Presets() []Spec {
 	}
 }
 
-// ByName looks up a preset by its full name ("DDR3-1600-x64"),
-// case-insensitively.
+// ByName looks up a device, case-insensitively, by a preset's full name
+// ("DDR3-1600-x64") or by a standard's keyword ("ddr4"), which names that
+// family's representative preset.
 func ByName(name string) (Spec, error) {
+	if f, ok := standardPresets[strings.ToLower(name)]; ok {
+		return f(), nil
+	}
 	for _, s := range Presets() {
 		if strings.EqualFold(s.Name, name) {
 			return s, nil
 		}
 	}
-	return Spec{}, fmt.Errorf("dram: unknown spec %q (see Presets)", name)
+	return Spec{}, fmt.Errorf("unknown spec %q: neither a preset (see -list) nor a standard (%s)",
+		name, strings.Join(Standards(), ", "))
 }
 
 // standardPresets maps a lower-case family keyword to the representative
-// preset of that standard, as selected by the -standard flag.
+// preset of that standard.
 var standardPresets = map[string]func() Spec{
 	"ddr3":   DDR3_1600_x64,
 	"ddr4":   DDR4_3200_x64,
@@ -43,7 +48,7 @@ var standardPresets = map[string]func() Spec{
 	"hmc":    HMCVault,
 }
 
-// Standards returns the family keywords ByStandard accepts, sorted.
+// Standards returns the family keywords ByName accepts, sorted.
 func Standards() []string {
 	keys := make([]string, 0, len(standardPresets))
 	for k := range standardPresets {
@@ -51,15 +56,4 @@ func Standards() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// ByStandard returns the representative preset for an interface family
-// keyword ("ddr3", "ddr4", "ddr5", "lpddr5", ...), case-insensitively.
-func ByStandard(std string) (Spec, error) {
-	f, ok := standardPresets[strings.ToLower(std)]
-	if !ok {
-		return Spec{}, fmt.Errorf("dram: unknown standard %q (have %s)",
-			std, strings.Join(Standards(), ", "))
-	}
-	return f(), nil
 }

@@ -1,11 +1,12 @@
 // Package cliconfig is what the command-line tools share. The flag groups
 // register a coherent set of flags on a FlagSet with the names and defaults
 // the tools have always used, and offer the parsing / resolution helpers every
-// main() would otherwise duplicate (spec lookup, mapping and page-policy
+// main() would otherwise duplicate (the device listing, mapping and page-policy
 // parsing, traffic-pattern construction, the supervisor configuration, the
 // observability knobs). The front door at the end is the one path `paper`
 // takes from argv to exit status: parse, poll for SIGINT/SIGTERM between
-// points, print a partial result, write -json atomically, exit 130.
+// points, print a partial result, write -json atomically, exit 130; Exit is
+// the exit policy both tools share.
 package cliconfig
 
 import (
@@ -15,7 +16,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -25,41 +25,7 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// --- Spec group ------------------------------------------------------------
-
-// Spec is the -spec / -standard flag group.
-type Spec struct {
-	Name string
-	// Standard, when set, picks the representative preset of an interface
-	// family ("ddr4", "lpddr5", ...) and overrides -spec.
-	Standard string
-}
-
-// AddSpec registers -spec (with the given default) and -standard.
-func AddSpec(fs *flag.FlagSet, def string) *Spec {
-	s := &Spec{}
-	fs.StringVar(&s.Name, "spec", def, "memory spec name (see -list)")
-	fs.StringVar(&s.Standard, "standard", "",
-		"memory standard ("+strings.Join(dram.Standards(), ", ")+"); picks that family's representative preset and overrides -spec")
-	return s
-}
-
-// Resolve looks the selected preset up, case-insensitively: the named
-// preset, replaced by the family's representative when -standard was given.
-// -spec is checked either way, so a mistyped name is never silently
-// overridden.
-func (s *Spec) Resolve() (dram.Spec, error) {
-	sp, err := dram.ByName(s.Name)
-	if err != nil {
-		return dram.Spec{}, fmt.Errorf("unknown spec %q (use -list)", s.Name)
-	}
-	if s.Standard != "" {
-		if sp, err = dram.ByStandard(s.Standard); err != nil {
-			return dram.Spec{}, fmt.Errorf("%w (use -list)", err)
-		}
-	}
-	return sp, nil
-}
+// --- Device listing ------------------------------------------------------
 
 // ListSpecs prints the available specs, one per line.
 func ListSpecs(w io.Writer) {
@@ -419,9 +385,7 @@ func WriteResultJSON(out io.Writer, path string, v any) error {
 // Main is a figure tool's main(): it points *stop — what the tool's run hands
 // to experiments.Runner.Stop, and its tests point at a counter — at
 // SIGINT/SIGTERM, so that a signal lets the point being measured finish and
-// the study return what it has; then it runs the tool and exits 0, 130 (the
-// conventional SIGINT status) for an interrupted run whose partial results are
-// already out, or 1 with the error on stderr.
+// the study return what it has; then it runs the tool and exits by Exit.
 func Main(tool string, stop *func() bool, run func(args []string, out io.Writer) error) {
 	notify, _ := supervisor.NotifySignals() // registered for the life of the process
 	fired := false
@@ -434,12 +398,19 @@ func Main(tool string, stop *func() bool, run func(args []string, out io.Writer)
 		}
 		return fired
 	}
-	switch err := run(os.Args[1:], os.Stdout); {
+	Exit(tool, run(os.Args[1:], os.Stdout))
+}
+
+// Exit ends a tool's process by its run's error: 0 for none, 130 (the
+// conventional SIGINT status) for an interrupted run whose partial results
+// are already out, else 1 with the error on stderr.
+func Exit(tool string, err error) {
+	switch {
 	case err == nil:
+		os.Exit(0)
 	case errors.Is(err, experiments.ErrInterrupted):
 		os.Exit(130)
-	default:
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-		os.Exit(1)
 	}
+	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+	os.Exit(1)
 }

@@ -208,7 +208,7 @@ func TestCheckTimingRefereesBothModels(t *testing.T) {
 // refereeBothModels runs one standard's preset on both models under the
 // protocol checker.
 func refereeBothModels(t *testing.T, std string, bankGroupRule map[string]bool) {
-	spec, err := dram.ByStandard(std)
+	spec, err := dram.ByName(std)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // opts is the parsed flag set. n is -requests or -memops, whichever the study
-// reads, else its default; device is -standard's preset, nil if not given.
+// reads, else its default; device is -spec's preset, nil if not given.
 type opts struct {
 	figure, ablation, json string
 	n                      uint64
@@ -38,16 +38,16 @@ type study struct {
 const choices = "3, 4, 5, 6, 7, 8, 9, power, savings, speedup"
 
 var figures = map[string]study{
-	"3":       {"figure requests standard channels json", experiments.SweepRequests, sweep(experiments.Fig3Spec)},
-	"4":       {"figure requests standard channels json", experiments.SweepRequests, sweep(experiments.Fig4Spec)},
-	"5":       {"figure requests standard channels json", experiments.SweepRequests, sweep(experiments.Fig5Spec)},
-	"6":       {"figure requests standard bin", 20000, latency(experiments.Fig6Spec)},
-	"7":       {"figure requests standard bin", 20000, latency(experiments.Fig7Spec)},
+	"3":       {"figure requests spec channels json", experiments.SweepRequests, sweep(experiments.Fig3Spec)},
+	"4":       {"figure requests spec channels json", experiments.SweepRequests, sweep(experiments.Fig4Spec)},
+	"5":       {"figure requests spec channels json", experiments.SweepRequests, sweep(experiments.Fig5Spec)},
+	"6":       {"figure requests spec bin", 20000, latency(experiments.Fig6Spec)},
+	"7":       {"figure requests spec bin", 20000, latency(experiments.Fig7Spec)},
 	"8":       {"figure memops", 5000, fig8},
 	"9":       {"figure memops cores json", experiments.ExploreMemOps, fig9},
 	"power":   {"figure requests", 5000, power},
 	"savings": {"figure requests", 5000, savings},
-	"speedup": {"figure requests standard", 100000, speedup},
+	"speedup": {"figure requests spec", 100000, speedup},
 }
 
 // Run runs the study args select and prints it to out. stop, polled before
@@ -60,9 +60,9 @@ func Run(args []string, out io.Writer, stop func() bool) error {
 	requests := cliconfig.AddCount(fs, "requests", 0, "requests per point, case or model run; each study has its own default")
 	memOps := cliconfig.AddCount(fs, "memops", 0, "memory operations per core, -figure 8 and 9; each has its own default")
 	fs.StringVar(&o.json, "json", "", "write the result as JSON to this file (atomic temp+rename)")
-	fs.Func("standard", "override the study's device with a memory standard's representative preset ("+
+	fs.Func("spec", "run the study on this device instead of its own: a preset name or a standard ("+
 		strings.Join(dram.Standards(), ", ")+")", func(name string) error {
-		sp, err := dram.ByStandard(name)
+		sp, err := dram.ByName(name)
 		o.device = &sp
 		return err
 	})

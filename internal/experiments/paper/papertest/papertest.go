@@ -70,11 +70,11 @@ var goldens = map[string][]struct {
 		{results + "fig4.txt", "", nil, []string{"-figure", "4", "-requests", "4000"}},
 		{results + "fig5.txt", "", nil, []string{"-figure", "5", "-requests", "4000"}},
 		{testdata + "fig3_channels2.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-channels", "2"}},
-		{testdata + "fig3_ddr4.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-standard", "ddr4"}},
+		{testdata + "fig3_ddr4.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-spec", "ddr4"}},
 		{results + "ablations.txt", "", nil, []string{"-ablation", "all", "-requests", "3000"}},
 	},
 	// HMC's 256-byte rows clamp the stride axis at 8 bursts.
-	"paper": {{testdata + "fig3_hmc.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-standard", "hmc"}}},
+	"paper": {{testdata + "fig3_hmc.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-spec", "hmc"}}},
 	"latdist": {
 		{results + "fig6.txt", "", nil, []string{"-figure", "6", "-requests", "20000"}},
 		{results + "fig7.txt", "", nil, []string{"-figure", "7", "-requests", "20000"}},
@@ -108,11 +108,11 @@ var badInput = map[string][]struct {
 		{"flag -requests: must be at least 1", []string{"-ablation", "all", "-requests", "0"}},
 		{"-channels has no effect with -figure 6", []string{"-figure", "6", "-channels", "2"}},
 		{`unknown ablation "nosuch"`, []string{"-ablation", "nosuch"}},
-		{`unknown standard "ddr9"`, []string{"-figure", "3", "-standard", "ddr9"}},
+		{`unknown spec "ddr9"`, []string{"-figure", "3", "-spec", "ddr9"}},
 		{"need at least one channel", []string{"-figure", "3", "-channels", "0"}},
 		{"-figure has no effect with -ablation", []string{"-ablation", "mapping", "-figure", "4"}},
 		{"-channels has no effect with -ablation", []string{"-ablation", "mapping", "-channels", "2"}},
-		{"-standard has no effect with -ablation", []string{"-ablation", "mapping", "-standard", "ddr4"}},
+		{"-spec has no effect with -ablation", []string{"-ablation", "mapping", "-spec", "ddr4"}},
 		{"-json has no effect with -ablation", []string{"-ablation", "all", "-json", "x.json"}},
 	},
 	"latdist": {
@@ -121,19 +121,19 @@ var badInput = map[string][]struct {
 		{"-bin must be a positive width", []string{"-figure", "6", "-bin", "0"}},
 		{"-bin must be a positive width", []string{"-figure", "7", "-bin", "-5"}},
 		{"-bin has no effect with -figure 3", []string{"-figure", "3", "-bin", "10"}},
-		{`unknown standard "ddr9"`, []string{"-figure", "6", "-standard", "ddr9"}},
+		{`unknown spec "ddr9"`, []string{"-figure", "6", "-spec", "ddr9"}},
 		{"-json has no effect with -figure 7", []string{"-figure", "7", "-json", "x.json"}},
 	},
 	"powercmp": {
 		{"flag -requests: must be at least 1", []string{"-figure", "power", "-requests", "0"}},
 		{"flag -requests: must be at least 1", []string{"-figure", "savings", "-requests", "0"}},
 		{"flag provided but not defined: -savings", []string{"-savings"}},
-		{"-standard has no effect with -figure power", []string{"-figure", "power", "-standard", "ddr4"}},
-		{"-standard has no effect with -figure savings", []string{"-figure", "savings", "-standard", "ddr4"}},
+		{"-spec has no effect with -figure power", []string{"-figure", "power", "-spec", "ddr4"}},
+		{"-spec has no effect with -figure savings", []string{"-figure", "savings", "-spec", "ddr4"}},
 	},
 	"speedup": {
 		{"flag -requests: must be at least 1", []string{"-figure", "speedup", "-requests", "0"}},
-		{`unknown standard "ddr9"`, []string{"-figure", "speedup", "-standard", "ddr9"}},
+		{`unknown spec "ddr9"`, []string{"-figure", "speedup", "-spec", "ddr9"}},
 		{"-channels has no effect with -figure speedup", []string{"-figure", "speedup", "-channels", "2"}},
 	},
 	"fullsys": {

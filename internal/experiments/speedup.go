@@ -89,8 +89,8 @@ func (sc syntheticCase) point(kind system.Kind, requests uint64, dev *dram.Spec,
 
 // RunSpeedup measures host time for both models over identical synthetic
 // workloads. Requests should be large enough (tens of thousands) for stable
-// wall-clock numbers. A non-nil dev overrides every case's device — the
-// -standard exploration path.
+// wall-clock numbers. A non-nil dev overrides every case's device (paper
+// -figure speedup -spec).
 func (r Runner) RunSpeedup(requests uint64, dev *dram.Spec) (*SpeedupResult, error) {
 	res := &SpeedupResult{}
 	var sum float64

@@ -184,10 +184,10 @@ func (h *Hub) Emit(ev Event) {
 	}
 }
 
-// CommandFunc adapts a plain DRAM-command consumer into a Probe: the compat
-// shim for everything written against the old core.Config.CommandListener
-// hook. hub.Attach(obs.CommandFunc(trace.Record)) is the one-line
-// migration.
+// CommandFunc adapts a plain DRAM-command consumer into a Probe, as in
+// hub.Attach(obs.CommandFunc(trace.Record)). It stays for bench/, the power
+// study and the command-trace tests until power.CommandTrace is a probe
+// itself (ROADMAP item 7).
 type CommandFunc func(power.Command)
 
 // HandleEvent forwards DRAMCommand events and ignores the rest.

@@ -57,6 +57,20 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// A flag recorded as "" equals one the run does not define, so a checkpoint
+// that recorded a since-deleted flag unset (dramctrl's old -standard) resumes.
+func TestEmptyFlagMatchesAbsentFlag(t *testing.T) {
+	saved := sample()
+	saved.Flags["standard"] = ""
+	got, err := Decode(encode(t, saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sample().resumable(got); err != nil {
+		t.Errorf("a flag recorded as \"\" refuses a run without it: %v", err)
+	}
+}
+
 // A damaged, foreign or old file is refused by name before its body is read.
 func TestDecodeRefuses(t *testing.T) {
 	good := encode(t, sample())
