@@ -36,9 +36,9 @@ func runPoint(b *testing.B, p experiments.Point) *experiments.Rig {
 }
 
 // benchSweepPoint drives one (stride, banks) cell of a figure's sweep.
-func benchSweepPoint(b *testing.B, kind system.Kind, spec experiments.SweepSpec, stride uint64, banks int) {
+func benchSweepPoint(b *testing.B, kind system.Kind, figure int, stride uint64, banks int) {
 	b.Helper()
-	p, err := spec.Point(kind, stride, banks)
+	p, err := experiments.SweepPoint(figure, kind, stride, banks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,36 +49,36 @@ func benchSweepPoint(b *testing.B, kind system.Kind, spec experiments.SweepSpec,
 
 // Figure 3: open page, 100% reads.
 func BenchmarkFig3OpenReadsEvent(b *testing.B) {
-	benchSweepPoint(b, system.EventBased, experiments.Fig3Spec(0), 8, 4)
+	benchSweepPoint(b, system.EventBased, 3, 8, 4)
 }
 
 func BenchmarkFig3OpenReadsCycle(b *testing.B) {
-	benchSweepPoint(b, system.CycleBased, experiments.Fig3Spec(0), 8, 4)
+	benchSweepPoint(b, system.CycleBased, 3, 8, 4)
 }
 
 // Figure 4: open page, 1:1 mix.
 func BenchmarkFig4MixedEvent(b *testing.B) {
-	benchSweepPoint(b, system.EventBased, experiments.Fig4Spec(0), 8, 4)
+	benchSweepPoint(b, system.EventBased, 4, 8, 4)
 }
 
 func BenchmarkFig4MixedCycle(b *testing.B) {
-	benchSweepPoint(b, system.CycleBased, experiments.Fig4Spec(0), 8, 4)
+	benchSweepPoint(b, system.CycleBased, 4, 8, 4)
 }
 
 // Figure 5: closed page, 100% writes.
 func BenchmarkFig5ClosedWritesEvent(b *testing.B) {
-	benchSweepPoint(b, system.EventBased, experiments.Fig5Spec(0), 4, 8)
+	benchSweepPoint(b, system.EventBased, 5, 4, 8)
 }
 
 func BenchmarkFig5ClosedWritesCycle(b *testing.B) {
-	benchSweepPoint(b, system.CycleBased, experiments.Fig5Spec(0), 4, 8)
+	benchSweepPoint(b, system.CycleBased, 5, 4, 8)
 }
 
 // benchRandomMix drives experiments.RandomMixPoint. The Fig. 4 mix above is
 // DRAM-aware, so nearly every decision ends at a row hit; here none does.
 func benchRandomMix(b *testing.B, kind system.Kind, readPct, readBuffer int) *experiments.Rig {
 	b.Helper()
-	rig := runPoint(b, experiments.RandomMixPoint(kind, readPct, readBuffer))
+	rig := runPoint(b, experiments.RandomMixPoint(kind, readPct, readBuffer, 1))
 	b.ReportMetric(float64(rig.K.EventsExecuted())/float64(b.N), "events/req")
 	return rig
 }
@@ -100,38 +100,38 @@ func BenchmarkArbitrationDepth(b *testing.B) {
 }
 
 // benchLatency drives the Figs. 6-7 linear traffic at intermediate load.
-func benchLatency(b *testing.B, kind system.Kind, spec experiments.LatencySpec) {
+func benchLatency(b *testing.B, kind system.Kind, figure int) {
 	b.Helper()
-	rig := runPoint(b, spec.Point(kind))
+	rig := runPoint(b, experiments.LatencyPoint(figure, kind))
 	b.ReportMetric(rig.Gen.ReadLatency().Mean(), "readLatNs")
 }
 
 // Figure 6: linear reads, open page.
 func BenchmarkFig6LatencyEvent(b *testing.B) {
-	benchLatency(b, system.EventBased, experiments.Fig6Spec(0))
+	benchLatency(b, system.EventBased, 6)
 }
 
 func BenchmarkFig6LatencyCycle(b *testing.B) {
-	benchLatency(b, system.CycleBased, experiments.Fig6Spec(0))
+	benchLatency(b, system.CycleBased, 6)
 }
 
 // Figure 7: linear 1:1 mix, closed page (bimodal for the event model).
 func BenchmarkFig7LatencyEvent(b *testing.B) {
-	benchLatency(b, system.EventBased, experiments.Fig7Spec(0))
+	benchLatency(b, system.EventBased, 7)
 }
 
 func BenchmarkFig7LatencyCycle(b *testing.B) {
-	benchLatency(b, system.CycleBased, experiments.Fig7Spec(0))
+	benchLatency(b, system.CycleBased, 7)
 }
 
 // §III-C3 power comparison: one representative case per model (the Fig. 4
 // mix over 8 banks); the offline Micron computation itself is also exercised.
 func BenchmarkPowerCaseEvent(b *testing.B) {
-	benchSweepPoint(b, system.EventBased, experiments.Fig4Spec(0), 8, 8)
+	benchSweepPoint(b, system.EventBased, 4, 8, 8)
 }
 
 func BenchmarkPowerCaseCycle(b *testing.B) {
-	benchSweepPoint(b, system.CycleBased, experiments.Fig4Spec(0), 8, 8)
+	benchSweepPoint(b, system.CycleBased, 4, 8, 8)
 }
 
 // §III-D model performance at low load, where cycle-based simulation pays
@@ -165,7 +165,7 @@ func runFullPoint(b *testing.B, p experiments.FullPoint) *system.FullSystem {
 // memory operation across all cores.
 func benchFullSystem(b *testing.B, kind system.Kind) {
 	b.Helper()
-	fs := runFullPoint(b, experiments.Fig8Point(kind, "canneal", 0))
+	fs := runFullPoint(b, experiments.Fig8Point(kind, "canneal", 0, 1))
 	b.ReportMetric(fs.LLC.AvgMissLatencyNs(), "l2MissNs")
 }
 
@@ -180,7 +180,7 @@ func BenchmarkFig8FullSystemCycle(b *testing.B) { benchFullSystem(b, system.Cycl
 // BenchmarkBuildFullSystem builds the Figure 8 system: four cores, their L1s,
 // the LLC and two crossbars in front of one event-model channel.
 func BenchmarkBuildFullSystem(b *testing.B) {
-	cfg := experiments.Fig8Point(system.EventBased, "canneal", 1000).MultiCoreConfig
+	cfg := experiments.Fig8Point(system.EventBased, "canneal", 1000, 1).MultiCoreConfig
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := system.NewFullSystem(cfg); err != nil {
@@ -192,7 +192,7 @@ func BenchmarkBuildFullSystem(b *testing.B) {
 // BenchmarkBuildMemory4ch builds four event-model channels behind a crossbar,
 // the memory side of a four-channel sweep point.
 func BenchmarkBuildMemory4ch(b *testing.B) {
-	p := experiments.RandomMixPoint(system.EventBased, 50, 0)
+	p := experiments.RandomMixPoint(system.EventBased, 50, 0, 1)
 	cfg := system.MemoryConfig{Root: "sys", Kind: p.Kind, Channels: 4, Event: p.Event, Cycle: p.Cycle,
 		Widest: p.Gen.RequestBytes, Xbar: &xbar.Config{Latency: 2 * sim.Nanosecond, QueueDepth: 64}}
 	b.ReportAllocs()
@@ -208,7 +208,7 @@ func BenchmarkBuildMemory4ch(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	for _, mc := range experiments.Fig9Configs() {
 		b.Run(mc.Name, func(b *testing.B) {
-			fs := runFullPoint(b, mc.Point(0, 8))
+			fs := runFullPoint(b, mc.Point(0, 8, 1))
 			b.ReportMetric(fs.MemBandwidth()/1e9, "GB/s")
 		})
 	}

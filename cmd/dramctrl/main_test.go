@@ -624,7 +624,7 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 	for _, line := range []string{ // one decimal, no float noise
 		"DDR3-1333-8x8      DDR3     64-bit, BL8, 8 banks x 1 ranks, 10.7 GB/s peak\n",
 		"DDR4-2400-x64      DDR4     64-bit, BL8, 16 banks x 1 ranks, 19.2 GB/s peak\n",
-		"GDDR5-4000-x32     GDDR5    32-bit, BL8, 16 banks x 1 ranks, 16.0 GB/s peak\n",
+		"GDDR5-4000-x32     GDDR5    32-bit, BL8, 16 banks x 1 ranks, 16.0 GB/s peak (-spec gddr5)\n",
 	} {
 		if !strings.Contains(out, line) {
 			t.Errorf("-list lacks %q:\n%s", line, out)

@@ -9,20 +9,18 @@ package experiments
 // tests regenerate.
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/dram"
+	"repro/internal/stats"
 )
 
-// claimRuns is every study the paper's claims are read from, each run once at
-// the test size: a reduced grid of the figure's own points.
-type claimRuns struct {
-	fig3, fig4, fig5 *SweepResult
-	fig6, fig7       *LatencyResult
-	power            *PowerResult
-	speedup          *SpeedupResult
-	fig8             *Fig8Result
-	fig9             *Fig9Result
-}
+// claimRuns is every study the paper's claims are read from, by name, each
+// run once at the test size: a reduced grid of the figure's own points.
+type claimRuns map[string]*Table
 
 // The test sizes: requests per sweep point, per latency model, per power
 // case and per speedup case; memory operations per core for Figs. 8 and 9.
@@ -31,40 +29,63 @@ const (
 	claimMemOps, claimCores                            = 400, 4
 )
 
-func runClaims(t *testing.T) claimRuns {
+// study returns the study of the Studies or Ablations table called name.
+func study(t *testing.T, name string) *Study {
 	t.Helper()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
+	for _, st := range append(slices.Clone(Studies), Ablations...) {
+		if st.Name == name {
+			return st
 		}
 	}
-	sweep := func(spec SweepSpec, strides []uint64, banks []int) *SweepResult {
-		spec.Strides, spec.Banks = strides, banks
-		res, err := Runner{}.RunSweep(spec)
-		must(err)
-		return res
+	t.Fatalf("no study %q", name)
+	return nil
+}
+
+// only returns st cut to the cases named.
+func only(st *Study, names ...string) *Study {
+	cut := *st
+	cut.Cases = func(s Setup, spec dram.Spec) []Case {
+		return slices.DeleteFunc(st.Cases(s, spec), func(c Case) bool { return !slices.Contains(names, c.Name) })
 	}
-	latency := func(spec LatencySpec) *LatencyResult {
-		res, err := Runner{}.RunLatency(spec)
-		must(err)
-		return res
+	return &cut
+}
+
+// grid names a sweep's cases at these strides and bank counts.
+func grid(strides []uint64, banks []int) (names []string) {
+	for _, b := range banks {
+		for _, s := range strides {
+			names = append(names, fmt.Sprintf("stride=%d banks=%d", s, b))
+		}
 	}
+	return names
+}
+
+// runStudy runs st at its defaults but n per case (and claimCores cores) to
+// completion.
+func runStudy(t *testing.T, st *Study, n uint64) *Table {
+	t.Helper()
+	s := st.Setup()
+	s.N, s.Cores = n, claimCores
+	tab, err := Runner{}.Study(st, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+func runClaims(t *testing.T) claimRuns {
+	t.Helper()
 	r := claimRuns{
-		fig3: sweep(Fig3Spec(claimSweep), []uint64{1, 4, 16, 128}, []int{1, 4, 8}),
-		fig4: sweep(Fig4Spec(claimSweep), []uint64{1, 16, 128}, []int{4}),
-		fig5: sweep(Fig5Spec(claimSweep), []uint64{1, 16, 128}, []int{1, 8}),
-		fig6: latency(Fig6Spec(claimLatency)),
-		fig7: latency(Fig7Spec(claimLatency)),
+		"3": runStudy(t, only(study(t, "3"), grid([]uint64{1, 4, 16, 128}, []int{1, 4, 8})...), claimSweep),
+		"4": runStudy(t, only(study(t, "4"), grid([]uint64{1, 16, 128}, []int{4})...), claimSweep),
+		"5": runStudy(t, only(study(t, "5"), grid([]uint64{1, 16, 128}, []int{1, 8})...), claimSweep),
 	}
-	var err error
-	r.power, err = Runner{}.RunPowerComparison(claimPower)
-	must(err)
-	r.speedup, err = Runner{}.RunSpeedup(claimSpeedup, nil)
-	must(err)
-	r.fig8, err = Runner{}.RunFig8(claimMemOps)
-	must(err)
-	r.fig9, err = Runner{}.RunFig9(claimMemOps, claimCores)
-	must(err)
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{{"6", claimLatency}, {"7", claimLatency}, {"power", claimPower}, {"speedup", claimSpeedup}, {"8", claimMemOps}, {"9", claimMemOps}} {
+		r[c.name] = runStudy(t, study(t, c.name), c.n)
+	}
 	return r
 }
 
@@ -86,68 +107,59 @@ type claim struct {
 	got         func(claimRuns) float64
 }
 
+// row is the row of study whose cell key is value; nil if there is none.
+func (r claimRuns) row(study, key string, value any) Row {
+	for _, row := range r[study].Rows {
+		if row.Get(key) == value {
+			return row
+		}
+	}
+	return nil
+}
+
 // util is one sweep point's utilisation under the event model (or the cycle
 // model): the row at stride and banks.
-func util(res *SweepResult, stride uint64, banks int, cycle bool) float64 {
-	for _, row := range res.Rows {
-		if row.StrideBursts == stride && row.Banks == banks {
-			if cycle {
-				return row.CycleUtil
-			}
-			return row.EventUtil
+func util(r claimRuns, fig string, stride uint64, banks int, cycle bool) float64 {
+	for _, row := range r[fig].Rows {
+		if row.Get("strideBursts") == stride && row.Get("banks") == banks {
+			return row.Float(map[bool]string{false: "eventUtil", true: "cycleUtil"}[cycle])
 		}
 	}
 	return math.NaN()
 }
 
 // gap is the largest event/cycle utilisation difference over a sweep.
-func gap(res *SweepResult) float64 {
+func gap(r claimRuns, fig string) float64 {
 	g := 0.0
-	for _, row := range res.Rows {
-		g = max(g, math.Abs(row.EventUtil-row.CycleUtil))
+	for _, row := range r[fig].Rows {
+		g = max(g, math.Abs(row.Float("eventUtil")-row.Float("cycleUtil")))
 	}
 	return g
 }
 
+// hist is one model's read latency distribution of Fig. 6 or 7.
+func hist(r claimRuns, fig string, cycle bool) *stats.Histogram {
+	model := map[bool]string{false: "event-based (this work)", true: "cycle-based (DRAMSim2-style)"}[cycle]
+	return r.row(fig, "model", model).Get("latency").(*stats.Histogram)
+}
+
 // modeSpan is the distance between a latency distribution's outermost coarse
 // modes (25 ns bins, 5 % share): 0 for one mode, Bimodal's gap for two.
-func modeSpan(h HistogramSummary) float64 {
-	modes := h.CoarseModes(25, 0.05)
+func modeSpan(h *stats.Histogram) float64 {
+	modes := coarseModes(h, 25, 0.05)
 	if len(modes) == 0 {
 		return math.NaN()
 	}
 	return modes[len(modes)-1] - modes[0]
 }
 
-func fig8Row(r claimRuns, workload string) Fig8Row {
-	for _, row := range r.fig8.Rows {
-		if row.Workload == workload {
-			return row
-		}
+// events totals a kernel-event column over a study's rows.
+func events(r claimRuns, study, key string) float64 {
+	var total uint64
+	for _, row := range r[study].Rows {
+		total += row.Get(key).(uint64)
 	}
-	return Fig8Row{IPCRatio: math.NaN(), MissLatRatio: math.NaN(), BusUtilRatio: math.NaN()}
-}
-
-func fig9Row(r claimRuns, name string) Fig9Row {
-	for _, row := range r.fig9.Rows {
-		if row.Name == name {
-			return row
-		}
-	}
-	return Fig9Row{IPC: math.NaN(), NormIPC: math.NaN(), RowHitRate: math.NaN(), PowerMW: math.NaN()}
-}
-
-// speedupEvents totals the kernel events one model fires over every case.
-func speedupEvents(r claimRuns, cycle bool) float64 {
-	var n uint64
-	for _, row := range r.speedup.Rows {
-		if cycle {
-			n += row.CycleEvents
-		} else {
-			n += row.EventEvents
-		}
-	}
-	return float64(n)
+	return float64(total)
 }
 
 var claims = []struct {
@@ -156,94 +168,97 @@ var claims = []struct {
 }{
 	{"Fig3", []claim{
 		{"event utilisation at full stride, 8 banks", "~0.90", 0.900, within5,
-			func(r claimRuns) float64 { return util(r.fig3, 128, 8, false) }},
+			func(r claimRuns) float64 { return util(r, "3", 128, 8, false) }},
 		{"cycle utilisation at full stride, 8 banks", "~0.90", 0.900, within5,
-			func(r claimRuns) float64 { return util(r.fig3, 128, 8, true) }},
+			func(r claimRuns) float64 { return util(r, "3", 128, 8, true) }},
 		{"event utilisation at full stride, 1 bank", "rises with stride", 0.900, within5,
-			func(r claimRuns) float64 { return util(r.fig3, 128, 1, false) }},
+			func(r claimRuns) float64 { return util(r, "3", 128, 1, false) }},
 		{"event utilisation at stride 1, 1 bank", "rises with stride and banks", 0.1184, within5,
-			func(r claimRuns) float64 { return util(r.fig3, 1, 1, false) }},
+			func(r claimRuns) float64 { return util(r, "3", 1, 1, false) }},
 		{"event utilisation at stride 1, 8 banks", "rises with banks", 0.750, within5,
-			func(r claimRuns) float64 { return util(r.fig3, 1, 8, false) }},
+			func(r claimRuns) float64 { return util(r, "3", 1, 8, false) }},
 		{"largest event/cycle utilisation gap", "close to identical", 0, within5,
-			func(r claimRuns) float64 { return gap(r.fig3) }},
+			func(r claimRuns) float64 { return gap(r, "3") }},
 	}},
 	{"Fig4", []claim{
 		{"event utilisation at full stride, 4 banks", "below Fig. 3's", 0.750, within5,
-			func(r claimRuns) float64 { return util(r.fig4, 128, 4, false) }},
+			func(r claimRuns) float64 { return util(r, "4", 128, 4, false) }},
 		{"largest event/cycle utilisation gap", "very minor", 0.150, within5,
-			func(r claimRuns) float64 { return gap(r.fig4) }},
+			func(r claimRuns) float64 { return gap(r, "4") }},
 	}},
 	{"Fig5", []claim{
 		{"event utilisation at stride 1, 8 banks", "falls with stride", 0.750, within5,
-			func(r claimRuns) float64 { return util(r.fig5, 1, 8, false) }},
+			func(r claimRuns) float64 { return util(r, "5", 1, 8, false) }},
 		{"event utilisation at full stride, 8 banks", "falls with stride", 0.125, within5,
-			func(r claimRuns) float64 { return util(r.fig5, 128, 8, false) }},
+			func(r claimRuns) float64 { return util(r, "5", 128, 8, false) }},
 		{"cycle utilisation at full stride, 8 banks", "~15 % below event", 0.1233, within5,
-			func(r claimRuns) float64 { return util(r.fig5, 128, 8, true) }},
+			func(r claimRuns) float64 { return util(r, "5", 128, 8, true) }},
 		{"event utilisation at stride 1, 1 bank", "rises with banks", 0.09474, within5,
-			func(r claimRuns) float64 { return util(r.fig5, 1, 1, false) }},
+			func(r claimRuns) float64 { return util(r, "5", 1, 1, false) }},
 	}},
 	{"Fig6", []claim{
 		{"event/cycle mean read latency", "~1.01", 0.9769, within5,
-			func(r claimRuns) float64 { return r.fig6.Event.MeanNs / r.fig6.Cycle.MeanNs }},
+			func(r claimRuns) float64 { return hist(r, "6", false).Mean() / hist(r, "6", true).Mean() }},
 		{"event p99 read latency (ns)", "tails correlate", 152, within5,
-			func(r claimRuns) float64 { return r.fig6.Event.P99Ns }},
+			func(r claimRuns) float64 { return hist(r, "6", false).Percentile(99) }},
 		{"event mode span (ns)", "0: unimodal", 0, exact,
-			func(r claimRuns) float64 { return modeSpan(r.fig6.Event) }},
+			func(r claimRuns) float64 { return modeSpan(hist(r, "6", false)) }},
 		{"cycle mode span (ns)", "0: unimodal", 0, exact,
-			func(r claimRuns) float64 { return modeSpan(r.fig6.Cycle) }},
+			func(r claimRuns) float64 { return modeSpan(hist(r, "6", true)) }},
 	}},
 	{"Fig7", []claim{
 		{"event mode span (ns)", "bimodal", 75, exact,
-			func(r claimRuns) float64 { return modeSpan(r.fig7.Event) }},
+			func(r claimRuns) float64 { return modeSpan(hist(r, "7", false)) }},
 		{"cycle mode span (ns)", "0: unimodal", 0, exact,
-			func(r claimRuns) float64 { return modeSpan(r.fig7.Cycle) }},
+			func(r claimRuns) float64 { return modeSpan(hist(r, "7", true)) }},
 		{"event/cycle mean read latency", "~1.01", 1.188, within5,
-			func(r claimRuns) float64 { return r.fig7.Event.MeanNs / r.fig7.Cycle.MeanNs }},
+			func(r claimRuns) float64 { return hist(r, "7", false).Mean() / hist(r, "7", true).Mean() }},
 	}},
 	{"Power", []claim{
 		{"average event/cycle difference (%)", "3", 2.133, within5,
-			func(r claimRuns) float64 { return r.power.AvgDiffPct }},
+			func(r claimRuns) float64 { return r["power"].Mean("diff") }},
 		{"largest event/cycle difference (%)", "8", 7.830, within5,
-			func(r claimRuns) float64 { return r.power.MaxDiffPct }},
+			func(r claimRuns) float64 { return r["power"].Max("diff") }},
 		{"largest command-trace/aggregate difference (%)", "none given", 0.007419, within5,
-			func(r claimRuns) float64 { return r.power.MaxTraceDiffPct }},
+			func(r claimRuns) float64 { return r["power"].Max("traceDiff") }},
 	}},
 	{"Speedup", []claim{
 		{"average host-time speedup (x)", "7", 1.5, above,
-			func(r claimRuns) float64 { return r.speedup.AvgSpeedup }},
+			func(r claimRuns) float64 { return r["speedup"].Mean("speedup") }},
 		{"event-model kernel events, all cases", "fewer than cycle's", 139720, exact,
-			func(r claimRuns) float64 { return speedupEvents(r, false) }},
+			func(r claimRuns) float64 { return events(r, "speedup", "eventEvents") }},
 		{"cycle-model kernel events, all cases", "none given", 876026, exact,
-			func(r claimRuns) float64 { return speedupEvents(r, true) }},
+			func(r claimRuns) float64 { return events(r, "speedup", "cycleEvents") }},
 	}},
 	{"Fig8", []claim{
 		{"average sim-time reduction", "0.13", 0, above,
-			func(r claimRuns) float64 { return r.fig8.AvgSimTimeReduction }},
+			func(r claimRuns) float64 { return r["8"].Mean("reduction") }},
 		{"blackscholes IPC ratio", "~1", 1, within5,
-			func(r claimRuns) float64 { return fig8Row(r, "blackscholes").IPCRatio }},
+			func(r claimRuns) float64 { return r.row("8", "workload", "blackscholes").Float("ipc") }},
 		{"blackscholes L2 miss-latency ratio", "~1", 0.9577, within5,
-			func(r claimRuns) float64 { return fig8Row(r, "blackscholes").MissLatRatio }},
+			func(r claimRuns) float64 { return r.row("8", "workload", "blackscholes").Float("missLat") }},
 		{"canneal L2 miss-latency ratio", "~1", 0.9610, within5,
-			func(r claimRuns) float64 { return fig8Row(r, "canneal").MissLatRatio }},
+			func(r claimRuns) float64 { return r.row("8", "workload", "canneal").Float("missLat") }},
 		{"streamcluster L2 miss-latency ratio", "~1; write handling differs", 0.4455, within5,
-			func(r claimRuns) float64 { return fig8Row(r, "streamcluster").MissLatRatio }},
+			func(r claimRuns) float64 { return r.row("8", "workload", "streamcluster").Float("missLat") }},
 	}},
 	{"Fig9", []claim{
 		{"LPDDR3 row-hit rate", "0.5", 0.5, exact,
-			func(r claimRuns) float64 { return fig9Row(r, "LPDDR3").RowHitRate }},
+			func(r claimRuns) float64 { return r.row("9", "name", "LPDDR3").Float("rowHitRate") }},
 		{"DDR3 row-hit rate", "none given", 0, exact,
-			func(r claimRuns) float64 { return fig9Row(r, "DDR3").RowHitRate }},
+			func(r claimRuns) float64 { return r.row("9", "name", "DDR3").Float("rowHitRate") }},
 		{"LPDDR3 power over DDR3's", "none given", 0.6170, within5,
-			func(r claimRuns) float64 { return fig9Row(r, "LPDDR3").PowerMW / fig9Row(r, "DDR3").PowerMW }},
+			func(r claimRuns) float64 {
+				return r.row("9", "name", "LPDDR3").Float("powerMW") / r.row("9", "name", "DDR3").Float("powerMW")
+			}},
 		{"WideIO power over DDR3's", "lower", 0.4488, within5,
-			func(r claimRuns) float64 { return fig9Row(r, "WideIO").PowerMW / fig9Row(r, "DDR3").PowerMW }},
+			func(r claimRuns) float64 {
+				return r.row("9", "name", "WideIO").Float("powerMW") / r.row("9", "name", "DDR3").Float("powerMW")
+			}},
 		{"DDR3 latency breakdown over read latency", "1", 1, within5,
 			func(r claimRuns) float64 {
-				row := fig9Row(r, "DDR3")
-				b := row.LatencyBreakdown
-				return (b.StaticNs + b.QueueNs + b.BankNs + b.BusNs) / row.AvgReadLatencyNs
+				row := r.row("9", "name", "DDR3")
+				return (row.Float("staticNs") + row.Float("queueNs") + row.Float("bankNs") + row.Float("busNs")) / row.Float("avgReadLatencyNs")
 			}},
 	}},
 }

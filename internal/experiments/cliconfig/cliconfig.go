@@ -27,12 +27,18 @@ import (
 
 // --- Device listing ------------------------------------------------------
 
-// ListSpecs prints the available specs, one per line.
+// ListSpecs prints the available specs, one per line; the preset a
+// standard's keyword names says so: "(-spec ddr4)".
 func ListSpecs(w io.Writer) {
+	keyword := map[string]string{}
+	for _, k := range dram.Standards() {
+		s, _ := dram.ByName(k) // Standards lists only keywords ByName resolves
+		keyword[s.Name] = " (-spec " + k + ")"
+	}
 	for _, s := range dram.Presets() {
-		fmt.Fprintf(w, "%-18s %-7s %3d-bit, BL%d, %d banks x %d ranks, %.1f GB/s peak\n",
+		fmt.Fprintf(w, "%-18s %-7s %3d-bit, BL%d, %d banks x %d ranks, %.1f GB/s peak%s\n",
 			s.Name, s.Standard(), s.Org.BusWidthBits, s.Org.BurstLength,
-			s.Org.BanksPerRank, s.Org.RanksPerChannel, s.PeakBandwidth()/1e9)
+			s.Org.BanksPerRank, s.Org.RanksPerChannel, s.PeakBandwidth()/1e9, keyword[s.Name])
 	}
 }
 
@@ -64,15 +70,10 @@ func (p *Policy) ParseMapping() (dram.Mapping, error) {
 
 // CorePage resolves -page to the event-based controller's policy enum.
 func (p *Policy) CorePage() (core.PagePolicy, error) {
-	switch p.Page {
-	case "open":
-		return core.Open, nil
-	case "open-adaptive":
-		return core.OpenAdaptive, nil
-	case "closed":
-		return core.Closed, nil
-	case "closed-adaptive":
-		return core.ClosedAdaptive, nil
+	for _, pp := range []core.PagePolicy{core.Open, core.OpenAdaptive, core.Closed, core.ClosedAdaptive} {
+		if pp.String() == p.Page {
+			return pp, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown page policy %q", p.Page)
 }
@@ -363,10 +364,9 @@ func Partial(out io.Writer, err error, progress string, args ...any) bool {
 	return err == nil
 }
 
-// WriteResultJSON writes a canonical result (experiments.NewSweepJSON,
-// NewFig9JSON) to path and says so on out; "" writes nothing. The file is
-// replaced atomically (temp+rename, the checkpoint files' pattern), so a crash
-// mid-write can never leave a torn one.
+// WriteResultJSON writes a study's table as JSON to path and says so on out;
+// "" writes nothing. The file is replaced atomically (temp+rename, the
+// checkpoint files' pattern), so a crash mid-write never leaves a torn one.
 func WriteResultJSON(out io.Writer, path string, v any) error {
 	if path == "" {
 		return nil

@@ -132,3 +132,29 @@ func TestWriteResultJSON(t *testing.T) {
 		t.Errorf("temp file left behind: %v", entries)
 	}
 }
+
+// -list names each standard keyword exactly once, on the line of the preset
+// dram.ByName resolves it to.
+func TestListSpecsMarksEachStandardsPreset(t *testing.T) {
+	var out bytes.Buffer
+	ListSpecs(&out)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(dram.Presets()) {
+		t.Fatalf("%d lines for %d presets:\n%s", len(lines), len(dram.Presets()), out.String())
+	}
+	for _, k := range dram.Standards() {
+		s, err := dram.ByName(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mark := " (-spec " + k + ")"
+		if n := strings.Count(out.String(), mark); n != 1 {
+			t.Errorf("%q appears %d times, want once:\n%s", mark, n, out.String())
+		}
+		for _, line := range lines {
+			if strings.HasPrefix(line, s.Name+" ") && !strings.HasSuffix(line, mark) {
+				t.Errorf("%s's line lacks %q: %q", s.Name, mark, line)
+			}
+		}
+	}
+}

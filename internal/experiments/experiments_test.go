@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/stats"
 )
 
 func TestFig9Configs(t *testing.T) {
@@ -21,32 +25,52 @@ func TestFig9Configs(t *testing.T) {
 	}
 }
 
+// A sweep's cases are its grid, banks outer: strides from one burst to a
+// DDR3-1333 row, clamped to the device's row (HMC's 256-byte rows stop at 8
+// bursts), over 1 to 8 banks. The three figures differ in their traffic.
 func TestSweepSpecDefaults(t *testing.T) {
-	s := Fig3Spec(100)
 	org := dram.DDR3_1333_8x8().Org
-	if len(s.Strides) == 0 || s.Strides[len(s.Strides)-1] != org.BurstsPerRow() {
-		t.Fatalf("strides = %v, want up to %d", s.Strides, org.BurstsPerRow())
+	hmc := dram.HMCVault()
+	for _, c := range []struct {
+		spec    *dram.Spec
+		strides []uint64
+	}{{nil, []uint64{1, 2, 4, 8, 16, 32, 64, 128}}, {&hmc, []uint64{1, 2, 4, 8}}} {
+		s := study(t, "3").Setup()
+		s.Spec = c.spec
+		var want []string
+		for b := 1; b <= org.BanksPerRank; b *= 2 {
+			want = append(want, grid(c.strides, []int{b})...)
+		}
+		var got []string
+		for _, cs := range study(t, "3").Cases(s, *cmp.Or(c.spec, &sweepDevice)) {
+			got = append(got, cs.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("spec %v: cases %v, want %v", c.spec != nil, got, want)
+		}
 	}
-	if len(s.Banks) == 0 || s.Banks[len(s.Banks)-1] != org.BanksPerRank {
-		t.Fatalf("banks = %v", s.Banks)
+	if org.BurstsPerRow() != 128 {
+		t.Errorf("DDR3-1333 has %d bursts per row, the axes assume 128", org.BurstsPerRow())
 	}
-	if Fig4Spec(1).ReadPct != 50 || !Fig5Spec(1).ClosedPage {
-		t.Fatal("figure specs drifted")
+	for fig, want := range map[string]string{"3": "reads: 100%", "4": "reads: 50%", "5": "page: closed, reads: 0%"} {
+		st := study(t, fig)
+		if title := st.Title(&Table{Study: st, Setup: st.Setup(), Spec: st.Spec}); !strings.Contains(title, want) {
+			t.Errorf("figure %s: title %q lacks %q", fig, title, want)
+		}
 	}
 }
 
 // The multi-channel sweep is repeatable and produces a utilisation in (0, 1]
 // for both models at every point.
 func TestRunSweepMultiChannel(t *testing.T) {
-	s := Fig3Spec(200)
-	s.Strides = []uint64{4, 16}
-	s.Banks = []int{4}
-	s.Channels = 2
-	res, err := Runner{}.RunSweep(s)
+	st := only(study(t, "3"), grid([]uint64{4, 16}, []int{4})...)
+	s := st.Setup()
+	s.N, s.Channels = 200, 2
+	res, err := Runner{}.Study(st, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Runner{}.RunSweep(s)
+	again, err := Runner{}.Study(st, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,30 +81,31 @@ func TestRunSweepMultiChannel(t *testing.T) {
 		t.Fatalf("two runs of the same sweep differ:\n%+v\n%+v", res.Rows, again.Rows)
 	}
 	for _, row := range res.Rows {
-		for _, u := range []float64{row.EventUtil, row.CycleUtil} {
+		for _, u := range []float64{row.Float("eventUtil"), row.Float("cycleUtil")} {
 			if u <= 0 || u > 1 {
-				t.Fatalf("stride %d: utilisation %.3f outside (0, 1] (ev=%.3f cy=%.3f)",
-					row.StrideBursts, u, row.EventUtil, row.CycleUtil)
+				t.Fatalf("%v: utilisation %.3f outside (0, 1]", row, u)
 			}
 		}
 	}
 }
 
 func TestCoarseModes(t *testing.T) {
-	h := HistogramSummary{
-		Samples:  100,
-		BucketLo: []float64{10, 12, 110, 112},
-		Buckets:  []uint64{40, 10, 10, 40},
+	reg := stats.NewRegistry("t")
+	h := reg.NewHistogram("lat", "", 0, 1000, 500)
+	for v, n := range map[float64]int{10: 40, 12: 10, 110: 10, 112: 40} {
+		for range n {
+			h.Sample(v)
+		}
 	}
-	modes := h.CoarseModes(25, 0.05)
+	modes := coarseModes(h, 25, 0.05)
 	if len(modes) != 2 || modes[0] != 0 || modes[1] != 100 {
 		t.Fatalf("modes = %v", modes)
 	}
-	if !h.Bimodal(50) {
+	if !bimodal(h, 50) {
 		t.Fatal("clearly bimodal distribution not detected")
 	}
-	var empty HistogramSummary
-	if empty.CoarseModes(25, 0.05) != nil || empty.Bimodal(50) {
-		t.Fatal("empty summary misbehaved")
+	empty := reg.NewHistogram("empty", "", 0, 1000, 500)
+	if coarseModes(empty, 25, 0.05) != nil || bimodal(empty, 50) {
+		t.Fatal("empty histogram misbehaved")
 	}
 }

@@ -3,8 +3,10 @@ package paper
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,16 +14,32 @@ import (
 	"repro/internal/experiments"
 )
 
-// The usage and error text list every figure once, and nothing else.
+// The usage text and the unknown-figure error list every study of the table
+// once, in table order, and -h is not an error.
 func TestChoicesNameEveryFigure(t *testing.T) {
-	listed := strings.Split(choices, ", ")
-	if len(listed) != len(figures) {
-		t.Errorf("choices %q lists %d figures, the table has %d", choices, len(listed), len(figures))
-	}
-	for _, name := range listed {
-		if _, ok := figures[name]; !ok {
-			t.Errorf("choices lists %q, which is not a figure", name)
+	var want []string
+	for _, st := range experiments.Studies {
+		if slices.Contains(want, st.Name) {
+			t.Errorf("two studies are called %q", st.Name)
 		}
+		want = append(want, st.Name)
+	}
+	list := strings.Join(want, ", ")
+	if err := Run([]string{"-figure", "10"}, io.Discard, nil); err == nil || !strings.HasSuffix(err.Error(), "(want "+list+")") {
+		t.Errorf("unknown figure: %v, want it to end (want %s)", err, list)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = Run([]string{"-h"}, io.Discard, nil)
+	os.Stderr = stderr
+	w.Close()
+	usage, _ := io.ReadAll(r)
+	if err != nil || !strings.Contains(string(usage), "study to regenerate: "+list+"\n") {
+		t.Errorf("-h: err %v, usage:\n%s\nwant it to list %s", err, usage, list)
 	}
 }
 

@@ -69,7 +69,7 @@ var goldens = map[string][]struct {
 		{testdata + "fig3.golden", testdata + "fig3_json.golden", nil, []string{"-figure", "3", "-requests", "500"}},
 		{results + "fig4.txt", "", nil, []string{"-figure", "4", "-requests", "4000"}},
 		{results + "fig5.txt", "", nil, []string{"-figure", "5", "-requests", "4000"}},
-		{testdata + "fig3_channels2.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-channels", "2"}},
+		{testdata + "fig3_channels2.golden", testdata + "fig3_channels2_json.golden", nil, []string{"-figure", "3", "-requests", "500", "-channels", "2"}},
 		{testdata + "fig3_ddr4.golden", "", nil, []string{"-figure", "3", "-requests", "500", "-spec", "ddr4"}},
 		{results + "ablations.txt", "", nil, []string{"-ablation", "all", "-requests", "3000"}},
 	},

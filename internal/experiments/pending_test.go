@@ -61,7 +61,7 @@ func TestShippedTopologiesKeepFewEventsPending(t *testing.T) {
 		run   func(t *testing.T) int
 	}{
 		{"single-channel traffic rig", 6, func(t *testing.T) int {
-			p := RandomMixPoint(system.EventBased, 50, 0)
+			p := RandomMixPoint(system.EventBased, 50, 0, 1)
 			p.Gen.Count = requests
 			return deepestPending(t, p)
 		}},
@@ -87,7 +87,7 @@ func TestShippedTopologiesKeepFewEventsPending(t *testing.T) {
 			return *deepest
 		}},
 		{"4-core full system", 14, func(t *testing.T) int {
-			p := Fig8Point(system.EventBased, "canneal", requests/4)
+			p := Fig8Point(system.EventBased, "canneal", requests/4, 1)
 			fs, err := system.NewFullSystem(p.MultiCoreConfig)
 			if err != nil {
 				t.Fatal(err)
@@ -100,7 +100,9 @@ func TestShippedTopologiesKeepFewEventsPending(t *testing.T) {
 		}},
 		{"16-channel speedup point", 54, func(t *testing.T) int {
 			sc := speedupCases[len(speedupCases)-1]
-			p, err := sc.point(system.EventBased, requests, nil, 5)
+			s := speedupStudy.Setup()
+			s.N = requests
+			p, err := sc.point(system.EventBased, s, dram.HMCVault())
 			if err != nil || sc.channels != 16 {
 				t.Fatalf("%s: %d channels, %v", sc.name, sc.channels, err)
 			}

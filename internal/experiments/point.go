@@ -2,11 +2,11 @@
 // measurement is a value — a Point (a memory system of one controller model
 // and the generators loading it) or a FullPoint (cores over caches over that
 // memory) — and Runner.Run / Runner.RunFull are the only functions that build
-// and run one. Every study (RunSweep, RunLatency, the ablations,
-// RunPowerComparison, RunPowerSavings, RunSpeedup, RunFig8, RunFig9) is a
-// table of points fed to that runner, returning the series the paper plots.
-// The cmd/ tools print these results; bench_test.go runs the same points with
-// b.N requests.
+// and run one. Every study is a value too: a Study in the Studies or
+// Ablations table lists its cases, each measured by those runners into one
+// row of named cells, and Runner.Study runs any of them into a Table, which
+// prints itself. The paper command selects and prints them; bench_test.go
+// runs the same points with b.N requests.
 package experiments
 
 import (

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,39 +15,42 @@ import (
 // attached by hand and for the full system alike.
 func TestRunnerRefusesUnboundedPoints(t *testing.T) {
 	const want = "no request count"
-	p, err := Fig3Spec(0).Point(system.EventBased, 8, 4)
+	p, err := SweepPoint(3, system.EventBased, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Gen.Count = 0
 	if _, err := (Runner{}).Run(p); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("sweep point with 0 requests: err = %v, want %q", err, want)
 	}
-	if _, err := (Runner{}).RunSweep(Fig3Spec(0)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("sweep with 0 requests: err = %v, want %q", err, want)
-	}
-	if _, err := (Runner{}).RunAblations("prefetch", 0); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("prefetch ablation with 0 memory operations: err = %v, want %q", err, want)
-	}
-	if _, err := (Runner{}).RunFig9(0, 2); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("fig9 with 0 memory operations: err = %v, want %q", err, want)
+	for _, name := range []string{"3", "prefetch", "9"} {
+		s := study(t, name).Setup()
+		s.N, s.Cores = 0, 2
+		if _, err := (Runner{}).Study(study(t, name), s); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("study %s with a count of 0: err = %v, want %q", name, err, want)
+		}
 	}
 }
 
 // Stop is polled before every point: a study returns the rows that finished
 // with ErrInterrupted, and a row one of whose two runs was stopped is dropped.
 func TestRunnerStopReturnsCompletedRows(t *testing.T) {
-	s := Fig3Spec(200)
-	res, err := Runner{Stop: clitest.StopAfter(3)}.RunSweep(s) // event, cycle, event of the second row
-	if !errors.Is(err, ErrInterrupted) || len(res.Rows) != 1 {
-		t.Fatalf("sweep stopped mid-row: err = %v with %d rows, want ErrInterrupted with 1", err, len(res.Rows))
+	st := study(t, "3")
+	s := st.Setup()
+	s.N = 200
+	res, err := Runner{Stop: clitest.StopAfter(3)}.Study(st, s) // event, cycle, event of the second row
+	if !errors.Is(err, ErrInterrupted) || len(res.Rows) != 1 || !res.Partial() || res.Progress() != "1 of 32 points" {
+		t.Fatalf("sweep stopped mid-row: err = %v with %d rows (%s), want ErrInterrupted with 1", err, len(res.Rows), res.Progress())
 	}
-	full, err := Runner{}.runSweepPoint(s, s.Strides[0], s.Banks[0])
-	if err != nil || res.Rows[0] != full {
+	full, err := st.Cases(s, st.Spec)[0].Measure(Runner{})
+	if err != nil || !reflect.DeepEqual(res.Rows[0], full) {
 		t.Errorf("row before the stop is %+v, uninterrupted %+v (err %v)", res.Rows[0], full, err)
 	}
 
-	fig9, err := Runner{Stop: clitest.StopAfter(2)}.RunFig9(60, 2)
-	if !errors.Is(err, ErrInterrupted) || len(fig9.Rows) != 2 || fig9.Rows[0].NormIPC != 0 {
+	s = study(t, "9").Setup()
+	s.N, s.Cores = 60, 2
+	fig9, err := Runner{Stop: clitest.StopAfter(2)}.Study(study(t, "9"), s)
+	if !errors.Is(err, ErrInterrupted) || len(fig9.Rows) != 2 || fig9.Rows[0].Float("normIPC") != 0 {
 		t.Errorf("fig9 stopped before its third system: err = %v, rows %+v; want two rows, not normalised", err, fig9.Rows)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -43,40 +44,23 @@ func TestShippedPointsStaySmall(t *testing.T) {
 			c.largest, c.largestEvents, c.largestHost = name+" ("+kind.String()+")", events, host
 		}
 	}}
-	sweep := func(spec func(uint64) SweepSpec) func() error {
-		return func() error { _, err := r.RunSweep(spec(SweepRequests)); return err }
-	}
-	latency := func(spec func(uint64) LatencySpec) func() error {
-		return func() error { _, err := r.RunLatency(spec(20000)); return err }
-	}
-	for _, study := range []struct {
-		name string // the command line whose defaults these are
-		run  func() error
-	}{
-		{"paper -figure 3", sweep(Fig3Spec)},
-		{"paper -figure 4", sweep(Fig4Spec)},
-		{"paper -figure 5", sweep(Fig5Spec)},
-		{"paper -ablation all", func() error { _, err := r.RunAblations("all", SweepRequests); return err }},
-		{"paper -figure 6", latency(Fig6Spec)},
-		{"paper -figure 7", latency(Fig7Spec)},
-		{"paper -figure power", func() error { _, err := r.RunPowerComparison(5000); return err }},
-		{"paper -figure savings", func() error { _, err := r.RunPowerSavings(5000); return err }},
-		{"paper -figure speedup", func() error { _, err := r.RunSpeedup(100000, nil); return err }},
-		{"paper -figure 8", func() error { _, err := r.RunFig8(5000); return err }},
-		{"paper -figure 9", func() error { _, err := r.RunFig9(ExploreMemOps, ExploreCores); return err }},
-	} {
+	for _, st := range append(slices.Clone(Studies), Ablations...) {
+		name := "paper -figure " + st.Name // the command line whose defaults these are
+		if slices.Contains(Ablations, st) {
+			name = "paper -ablation " + st.Name
+		}
 		c = cost{}
-		if err := study.run(); err != nil {
-			t.Fatalf("%s: %v", study.name, err)
+		if _, err := r.Study(st, st.Setup()); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		t.Logf("%-28s %3d points, %9d events in %5.3f s; largest %-40s %8d events, %5.3f s",
-			study.name, c.points, c.events, c.host.Seconds(), c.largest, c.largestEvents, c.largestHost.Seconds())
+			name, c.points, c.events, c.host.Seconds(), c.largest, c.largestEvents, c.largestHost.Seconds())
 		if c.points == 0 {
-			t.Errorf("%s: no point reported its cost", study.name)
+			t.Errorf("%s: no point reported its cost", name)
 		}
 		if c.largestEvents > maxPointEvents {
 			t.Errorf("%s: point %s executed %d kernel events, more than %d: sweeps are one process because no shipped point runs for more than a fraction of a second — re-open ROADMAP item 9 before raising this bound",
-				study.name, c.largest, c.largestEvents, maxPointEvents)
+				name, c.largest, c.largestEvents, maxPointEvents)
 		}
 	}
 }

@@ -2,156 +2,130 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 
 	"repro/internal/dram"
 	"repro/internal/system"
 )
 
-// SweepRequests is `paper -figure 3|4|5`'s requests-per-point default.
-const SweepRequests = 4000
-
-// SweepSpec describes one bandwidth sweep (Figs. 3-5): a DRAM-aware traffic
-// pattern swept over stride size and bank count, run on both models.
-type SweepSpec struct {
-	Name       string
-	Figure     int
-	ReadPct    int
-	ClosedPage bool
-	Mapping    dram.Mapping
-	Spec       dram.Spec
-	// Strides are sequential run lengths in bursts.
-	Strides []uint64
-	// Banks are the bank counts targeted.
-	Banks []int
-	// Requests per measurement point.
-	Requests uint64
-	// Channels, when above one, interleaves the same traffic over that many
-	// channels behind a crossbar; the reported utilisation is then the
-	// per-channel average.
-	Channels int
+// sweep is one bandwidth sweep (Figs. 3-5): a DRAM-aware traffic pattern swept
+// over bank count and stride, run on both models.
+type sweep struct {
+	figure  int
+	name    string
+	readPct int
+	closed  bool
+	mapping dram.Mapping
 }
 
-// SweepRow is one (stride, banks) measurement from both models. The tags are
-// the row's canonical JSON form (see resultjson.go).
-type SweepRow struct {
-	StrideBursts uint64 `json:"strideBursts"`
-	Banks        int    `json:"banks"`
-	// EventUtil and CycleUtil are data bus utilisations in [0,1].
-	EventUtil float64 `json:"eventUtil"`
-	CycleUtil float64 `json:"cycleUtil"`
+// sweeps are the paper's Figure 3 (open page, 100% reads, RoRaBaCoCh: the
+// mapping that maximises page hits for sequential addresses), Figure 4 (the
+// same with a 1:1 read/write mix) and Figure 5 (closed page, 100% writes,
+// RoCoRaBaCh: the mapping that maximises bank parallelism).
+var sweeps = []sweep{
+	{3, "Fig3: bus utilisation, open page, reads", 100, false, dram.RoRaBaCoCh},
+	{4, "Fig4: bus utilisation, open page, 1:1 mix", 50, false, dram.RoRaBaCoCh},
+	{5, "Fig5: bus utilisation, closed page, writes", 0, true, dram.RoCoRaBaCh},
 }
 
-// SweepResult is a complete sweep.
-type SweepResult struct {
-	Spec SweepSpec
-	Rows []SweepRow
-}
+// sweepDevice is the sweeps' own device, whose geometry sets their axes.
+var sweepDevice = dram.DDR3_1333_8x8()
 
-// defaultStrides returns log-spaced strides from one burst to the full row.
-func defaultStrides(org dram.Organization) []uint64 {
-	var out []uint64
-	for s := uint64(1); s <= org.BurstsPerRow(); s *= 2 {
-		out = append(out, s)
+// axes returns the sweep's strides, log-spaced from one burst to a row of
+// sweepDevice and clamped to a row of spec, and its bank counts, 1 to
+// sweepDevice's banks.
+func axes(spec dram.Spec) (strides []uint64, banks []int) {
+	for s := uint64(1); s <= min(sweepDevice.Org.BurstsPerRow(), spec.Org.BurstsPerRow()); s *= 2 {
+		strides = append(strides, s)
 	}
-	return out
-}
-
-func defaultBanks(org dram.Organization) []int {
-	var out []int
-	for b := 1; b <= org.BanksPerRank; b *= 2 {
-		out = append(out, b)
+	for b := 1; b <= sweepDevice.Org.BanksPerRank; b *= 2 {
+		banks = append(banks, b)
 	}
-	return out
+	return strides, banks
 }
 
-// Fig3Spec is the paper's Figure 3: open page, 100% reads, RoRaBaCoCh (the
-// mapping that maximises page hits for sequential addresses).
-func Fig3Spec(requests uint64) SweepSpec {
-	spec := dram.DDR3_1333_8x8()
-	return SweepSpec{
-		Name: "Fig3: bus utilisation, open page, reads", Figure: 3,
-		ReadPct: 100, ClosedPage: false, Mapping: dram.RoRaBaCoCh,
-		Spec:    spec,
-		Strides: defaultStrides(spec.Org), Banks: defaultBanks(spec.Org),
-		Requests: requests,
-	}
-}
-
-// Fig4Spec is Figure 4: open page, 1:1 read/write mix.
-func Fig4Spec(requests uint64) SweepSpec {
-	s := Fig3Spec(requests)
-	s.Name = "Fig4: bus utilisation, open page, 1:1 mix"
-	s.Figure = 4
-	s.ReadPct = 50
-	return s
-}
-
-// Fig5Spec is Figure 5: closed page, 100% writes, RoCoRaBaCh (the mapping
-// that maximises bank parallelism).
-func Fig5Spec(requests uint64) SweepSpec {
-	s := Fig3Spec(requests)
-	s.Name = "Fig5: bus utilisation, closed page, writes"
-	s.Figure = 5
-	s.ReadPct = 0
-	s.ClosedPage = true
-	s.Mapping = dram.RoCoRaBaCh
-	return s
-}
-
-// Point is the measurement of one model at one (stride, banks) cell of the
+// point is the measurement of one model at one (stride, banks) cell of the
 // sweep: DRAM-aware traffic from one generator, 32 requests outstanding per
 // channel.
-func (s SweepSpec) Point(kind system.Kind, stride uint64, banks int) (Point, error) {
+func (g sweep) point(kind system.Kind, s Setup, spec dram.Spec, stride uint64, banks int) (Point, error) {
 	channels := max(s.Channels, 1)
-	pattern, err := dramAware(s.Spec, s.Mapping, channels, stride, banks, s.ReadPct, 1)
+	pattern, err := dramAware(spec, g.mapping, channels, stride, banks, g.readPct, s.Seed)
 	if err == nil {
 		err = pattern.Validate()
 	}
 	if err != nil {
 		return Point{}, err
 	}
-	p := matched(fmt.Sprintf("fig%d stride=%d banks=%d channels=%d", s.Figure, stride, banks, channels),
-		s.Spec, s.Mapping, s.ClosedPage, channels, s.Requests, pattern)
+	p := matched(fmt.Sprintf("fig%d stride=%d banks=%d channels=%d", g.figure, stride, banks, channels),
+		spec, g.mapping, g.closed, channels, s.N, pattern)
 	p.Kind = kind
 	p.Gen.MaxOutstanding *= channels
 	return p, nil
 }
 
-// runSweepPoint measures one (stride, banks) cell on both models: RunSweep's
-// loop body.
-func (r Runner) runSweepPoint(s SweepSpec, stride uint64, banks int) (SweepRow, error) {
-	row := SweepRow{StrideBursts: stride, Banks: banks}
-	util := func(kind system.Kind) (float64, error) {
-		p, err := s.Point(kind, stride, banks)
-		if err != nil {
-			return 0, err
-		}
-		rig, err := r.Run(p)
-		if err != nil {
-			return 0, err
-		}
-		return rig.AvgBusUtilisation(), nil
-	}
-	var err error
-	if row.EventUtil, err = util(system.EventBased); err != nil {
-		return row, err
-	}
-	row.CycleUtil, err = util(system.CycleBased)
-	return row, err
+// SweepPoint is Figure figure's (3, 4 or 5) point, at the study's defaults,
+// for one model at one (stride, banks) cell.
+func SweepPoint(figure int, kind system.Kind, stride uint64, banks int) (Point, error) {
+	return sweeps[figure-3].point(kind, Studies[figure-3].Setup(), sweepDevice, stride, banks)
 }
 
-// RunSweep executes the full sweep on both models, banks outer and strides
-// inner.
-func (r Runner) RunSweep(s SweepSpec) (*SweepResult, error) {
-	res := &SweepResult{Spec: s}
-	for _, banks := range s.Banks {
-		for _, stride := range s.Strides {
-			row, err := r.runSweepPoint(s, stride, banks)
-			if err != nil {
-				return res, err
+// study measures each (stride, banks) cell on both models, banks outer and
+// strides inner; a cell's utilisation is the channels' average. It prints
+// them as a grid, a line per stride.
+func (g sweep) study() *Study {
+	page := map[bool]string{false: "open", true: "closed"}[g.closed]
+	return &Study{
+		Name: strconv.Itoa(g.figure), Flags: "requests spec channels json", Count: 4000, Spec: sweepDevice, Seed: 1,
+		Cases: func(s Setup, spec dram.Spec) (cases []Case) {
+			strides, banks := axes(spec)
+			for _, b := range banks {
+				for _, stride := range strides {
+					cases = append(cases, measure(fmt.Sprintf("stride=%d banks=%d", stride, b), len(models),
+						func(i int) (Point, error) { return g.point(models[i], s, spec, stride, b) },
+						func(rigs []*Rig) Row {
+							return Row{{"strideBursts", stride}, {"banks", b},
+								{"eventUtil", rigs[0].AvgBusUtilisation()}, {"cycleUtil", rigs[1].AvgBusUtilisation()}}
+						}))
+				}
 			}
-			res.Rows = append(res.Rows, row)
-		}
+			return cases
+		},
+		Title: func(t *Table) string {
+			return fmt.Sprintf("%s\nmemory: %s, mapping: %s, page: %s, reads: %d%%, %d requests/point\n",
+				g.name, t.Spec.Name, g.mapping, page, g.readPct, t.Setup.N)
+		},
+		Print: func(w io.Writer, t *Table) {
+			if t.Setup.Channels > 1 {
+				fmt.Fprintf(w, "interleaved over %d channels (per-channel average utilisation)\n", t.Setup.Channels)
+			}
+			strides, banks := axes(t.Spec)
+			fmt.Fprintf(w, "\n%-8s", "stride")
+			for _, b := range banks {
+				fmt.Fprintf(w, "  %13s", fmt.Sprintf("banks=%d ev/cy", b))
+			}
+			for _, stride := range strides {
+				fmt.Fprintf(w, "\n%-8d", stride)
+				for _, b := range banks {
+					for _, row := range t.Rows {
+						if row.Get("strideBursts") == stride && row.Get("banks") == b {
+							fmt.Fprintf(w, "  %6.3f/%6.3f", row.Get("eventUtil"), row.Get("cycleUtil"))
+						}
+					}
+				}
+			}
+			fmt.Fprintln(w)
+		},
+		Partial: "%[1]d of %[2]d points",
+		// "kind" names the command that first wrote this form, so that old
+		// files and new compare.
+		JSON: func(t *Table) Row {
+			head := Row{{"kind", "bwsweep"}, {"figure", g.figure}, {"name", g.name}, {"spec", t.Spec.Name},
+				{"mapping", g.mapping.String()}, {"page", page}, {"readPct", g.readPct}, {"requests", t.Setup.N}}
+			if t.Setup.Channels > 1 {
+				head = append(head, Cell{"channels", t.Setup.Channels})
+			}
+			return append(head, Cell{"partial", t.Partial()})
+		},
 	}
-	return res, nil
 }

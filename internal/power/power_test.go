@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,5 +149,38 @@ func TestPowerMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Five presets carry IDD0 <= IDD3N, so both power models clamp their
+// activate/precharge term to 0 however many rows they open: their energy
+// leaves activation out. The list is named here so that a datasheet fix, or a
+// new preset with the same fault, shows up as a failure.
+func TestActivationPowerClampedOnFivePresets(t *testing.T) {
+	clamped := []string{"LPDDR2-1066-x32", "LPDDR3-1600-x32", "WideIO-200-x128", "HMC-vault", "LPDDR5-6400-x32"}
+	for _, spec := range dram.Presets() {
+		elapsed := sim.Millisecond
+		cmds := []Command{
+			{Kind: CmdACT, Rank: 0, Bank: 0, At: 0},
+			{Kind: CmdPRE, Rank: 0, Bank: 0, At: elapsed / 4},
+			{Kind: CmdACT, Rank: 0, Bank: 1, At: elapsed / 2},
+			{Kind: CmdPRE, Rank: 0, Bank: 1, At: 3 * elapsed / 4},
+		}
+		for model, b := range map[string]Breakdown{
+			"Compute":         Compute(spec, Activity{Elapsed: elapsed, Activations: 1000}),
+			"AnalyzeCommands": AnalyzeCommands(spec, cmds, elapsed),
+		} {
+			if slices.Contains(clamped, spec.Name) {
+				if b.ActPreMW != 0 {
+					t.Errorf("%s: %s activation power %v, want the clamp's 0 (IDD0 %v, IDD3N %v)",
+						spec.Name, model, b.ActPreMW, spec.Power.IDD0, spec.Power.IDD3N)
+				}
+			} else if b.ActPreMW <= 0 {
+				t.Errorf("%s: %s activation power %v, want positive", spec.Name, model, b.ActPreMW)
+			}
+		}
+		if slices.Contains(clamped, spec.Name) != (spec.Power.IDD0 <= spec.Power.IDD3N) {
+			t.Errorf("%s: IDD0 %v, IDD3N %v: the clamped list is out of date", spec.Name, spec.Power.IDD0, spec.Power.IDD3N)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestFig8CannealStats(t *testing.T) {
 	for _, kind := range bothKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			fs, _, err := experiments.Runner{}.RunFull(experiments.Fig8Point(kind, "canneal", 1000))
+			fs, _, err := experiments.Runner{}.RunFull(experiments.Fig8Point(kind, "canneal", 1000, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/mem"
@@ -48,10 +47,12 @@ type ledgerRun struct {
 
 var ledgerShapes = []ledgerShape{
 	{name: "stream_reads_sat", point: func(kind system.Kind) (experiments.Point, error) {
-		return experiments.Fig3Spec(ledgerRequests).Point(kind, 8, 4)
+		p, err := experiments.SweepPoint(3, kind, 8, 4)
+		p.Gen.Count = ledgerRequests
+		return p, err
 	}},
 	{name: "mix_random_wrdrain", point: func(kind system.Kind) (experiments.Point, error) {
-		p := experiments.RandomMixPoint(kind, 50, 0)
+		p := experiments.RandomMixPoint(kind, 50, 0, 1)
 		p.Gen.Count = ledgerRequests
 		return p, nil
 	}},
@@ -61,10 +62,9 @@ var ledgerShapes = []ledgerShape{
 		return p, nil
 	}},
 	{name: "fullsys_canneal_4c", run: func(kind system.Kind) (ledgerRun, error) {
-		// The benchmark seeds core i with 4+i (its seed 1 times four cores,
-		// plus i), not Fig8Point's 1+i.
-		p := experiments.Fig8Point(kind, "canneal", ledgerRequests/4)
-		p.Workload = func(id int) trafficgen.Pattern { return cpu.CannealWorkload(64<<20, int64(4+id)) }
+		// The benchmark seeds core i with 4+i: its seed 1 times four cores,
+		// plus i.
+		p := experiments.Fig8Point(kind, "canneal", ledgerRequests/4, 4)
 		fs, _, err := experiments.Runner{}.RunFull(p)
 		if err != nil {
 			return ledgerRun{}, err
