@@ -594,6 +594,9 @@ func TestShardedHonoursOrRejectsFlags(t *testing.T) {
 		// Nothing is retried in process and checkpoints follow simulated time.
 		{undefined + ": -max-retries", []string{"-max-retries", "1"}},
 		{undefined + ": -checkpoint-wall", []string{"-checkpoint-wall", "1s"}},
+		// Parsing stops at a word that is no flag; the flags after it would
+		// be dropped and another configuration run.
+		{`unexpected argument "stray"`, []string{"-requests", "100", "stray", "-pattern", "random"}},
 		// What the cycle model cannot honour is refused, never ignored.
 		{"fault injection is " + eventOnly, []string{"-model", "cycle", "-ber-correctable", "0.01"}},
 		{"-powerdown/-selfrefresh are " + eventOnly, []string{"-model", "cycle", "-powerdown", "300"}},

@@ -566,9 +566,21 @@ func (c *Controller) maybeSendReqRetry() {
 	}
 }
 
-// kickScheduler makes sure the next-request event is pending.
+// tickEndDecisions lets a decision due inside a requestor's tick wait for
+// the tick's end (sim.Kernel.Defer); tests turn it off to hold the runs to
+// the ones without it.
+var tickEndDecisions = true
+
+// kickScheduler makes sure the next-request event is due. Inside a
+// requestor's tick, which opens a deferral window, the decision is deferred to
+// the tick's end, where it is made in the call when it would be the kernel's
+// next event.
 func (c *Controller) kickScheduler() {
-	if !c.nextReqEvent.Scheduled() {
+	switch {
+	case c.nextReqEvent.Scheduled():
+	case tickEndDecisions:
+		c.k.Defer(c.nextReqEvent)
+	default:
 		c.k.Schedule(c.nextReqEvent, c.k.Now())
 	}
 }

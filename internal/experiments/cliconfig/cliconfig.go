@@ -342,11 +342,16 @@ func (o *Obs) Resolve() {
 // --- Front door ------------------------------------------------------------
 
 // Parse parses args into fs. It reports whether the tool should go on: not
-// after -h (usage printed, nil error) and not after a bad flag (the error).
+// after -h (usage printed, nil error), not after a bad flag and not after a
+// word that is no flag (the error). Flag parsing stops at such a word, so the
+// flags after it would otherwise be dropped without a word.
 func Parse(fs *flag.FlagSet, args []string) (bool, error) {
 	err := fs.Parse(args)
-	if errors.Is(err, flag.ErrHelp) {
+	switch {
+	case errors.Is(err, flag.ErrHelp):
 		return false, nil
+	case err == nil && fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q: the tool takes flags only", fs.Arg(0))
 	}
 	return err == nil, err
 }

@@ -60,6 +60,38 @@ func TestSweepSpecDefaults(t *testing.T) {
 	}
 }
 
+// The DRAM-aware studies fit their bank axis and 8-bank cases to a device
+// with fewer banks instead of refusing it mid-study: Figs. 3-5 and the
+// speedup study run at a tiny count on every such preset, and a sweep's bank
+// axis stops at the device's banks.
+func TestStudiesFitDevicesWithFewerBanks(t *testing.T) {
+	small := 0
+	for _, spec := range dram.Presets() {
+		if spec.Org.BanksPerRank >= 8 {
+			continue
+		}
+		small++
+		for _, name := range []string{"3", "4", "5", "speedup"} {
+			st := study(t, name)
+			s := st.Setup()
+			s.N, s.Spec = 20, &spec
+			res, err := Runner{}.Study(st, s)
+			if err != nil {
+				t.Errorf("%s on %s: %v", name, spec.Name, err)
+				continue
+			}
+			for _, row := range res.Rows {
+				if b, ok := row.Get("banks").(int); ok && b > spec.Org.BanksPerRank {
+					t.Errorf("%s on %s: a case of %d banks", name, spec.Name, b)
+				}
+			}
+		}
+	}
+	if small == 0 {
+		t.Fatal("no preset has fewer than 8 banks")
+	}
+}
+
 // The multi-channel sweep is repeatable and produces a utilisation in (0, 1]
 // for both models at every point.
 func TestRunSweepMultiChannel(t *testing.T) {

@@ -146,6 +146,7 @@ var badInput = map[string][]struct {
 		{"need at least one core", []string{"-figure", "9", "-cores", "0"}},
 		{"256 cores, but the core crossbar takes at most 255 requestors", []string{"-figure", "9", "-cores", "256"}},
 		{"-requests has no effect with -figure 9", []string{"-figure", "9", "-requests", "5"}},
+		{`unexpected argument "stray"`, []string{"-figure", "9", "-memops", "10", "-cores", "1", "stray", "-json", "x.json"}},
 	},
 }
 

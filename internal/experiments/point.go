@@ -71,15 +71,19 @@ func matched(name string, spec dram.Spec, mapping dram.Mapping, closedPage bool,
 	}
 }
 
-// dramAware builds the DRAM-aware pattern of the synthetic studies. It is not
-// validated against the device's geometry: only the sweeps take a stride or
-// bank count from outside.
+// dramAware builds the DRAM-aware pattern of the synthetic studies,
+// validated against the device's geometry: a case that does not fit the
+// device is refused here, not by the generator mid-study.
 func dramAware(spec dram.Spec, mapping dram.Mapping, channels int, stride uint64, banks, readPct int, seed int64) (*trafficgen.DRAMAware, error) {
 	dec, err := dram.NewDecoder(spec.Org, mapping, channels)
 	if err != nil {
 		return nil, err
 	}
-	return &trafficgen.DRAMAware{Decoder: dec, StrideBursts: stride, Banks: banks, ReadPercent: readPct, Seed: seed}, nil
+	p := &trafficgen.DRAMAware{Decoder: dec, StrideBursts: stride, Banks: banks, ReadPercent: readPct, Seed: seed}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // FullPoint is one full-system measurement: the cores, caches, crossbars and

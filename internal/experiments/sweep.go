@@ -34,12 +34,12 @@ var sweepDevice = dram.DDR3_1333_8x8()
 
 // axes returns the sweep's strides, log-spaced from one burst to a row of
 // sweepDevice and clamped to a row of spec, and its bank counts, 1 to
-// sweepDevice's banks.
+// sweepDevice's banks and clamped to spec's.
 func axes(spec dram.Spec) (strides []uint64, banks []int) {
 	for s := uint64(1); s <= min(sweepDevice.Org.BurstsPerRow(), spec.Org.BurstsPerRow()); s *= 2 {
 		strides = append(strides, s)
 	}
-	for b := 1; b <= sweepDevice.Org.BanksPerRank; b *= 2 {
+	for b := 1; b <= min(sweepDevice.Org.BanksPerRank, spec.Org.BanksPerRank); b *= 2 {
 		banks = append(banks, b)
 	}
 	return strides, banks
@@ -51,9 +51,6 @@ func axes(spec dram.Spec) (strides []uint64, banks []int) {
 func (g sweep) point(kind system.Kind, s Setup, spec dram.Spec, stride uint64, banks int) (Point, error) {
 	channels := max(s.Channels, 1)
 	pattern, err := dramAware(spec, g.mapping, channels, stride, banks, g.readPct, s.Seed)
-	if err == nil {
-		err = pattern.Validate()
-	}
 	if err != nil {
 		return Point{}, err
 	}

@@ -30,7 +30,9 @@ type syntheticCase struct {
 }
 
 // point is the case's measurement on one model on device spec: one
-// generator, DRAM-aware on one channel and linear over several.
+// generator, DRAM-aware on one channel and linear over several. The
+// DRAM-aware stride and bank count are clamped to a row and the banks of
+// spec, as the sweeps' axes are.
 func (sc syntheticCase) point(kind system.Kind, s Setup, spec dram.Spec) (Point, error) {
 	mapping := dram.RoRaBaCoCh
 	if sc.closedPage {
@@ -38,7 +40,8 @@ func (sc syntheticCase) point(kind system.Kind, s Setup, spec dram.Spec) (Point,
 	}
 	var pattern trafficgen.Pattern = &trafficgen.Linear{Start: 0, End: 1 << 26, Step: spec.Org.BurstBytes(), ReadPercent: sc.readPct, Seed: s.Seed}
 	if sc.channels == 1 {
-		aware, err := dramAware(spec, mapping, 1, sc.stride, sc.banks, sc.readPct, s.Seed)
+		stride, banks := min(sc.stride, spec.Org.BurstsPerRow()), min(sc.banks, spec.Org.BanksPerRank)
+		aware, err := dramAware(spec, mapping, 1, stride, banks, sc.readPct, s.Seed)
 		if err != nil {
 			return Point{}, err
 		}

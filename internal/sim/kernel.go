@@ -68,6 +68,12 @@ type Kernel struct {
 	// executed without simulated time advancing, the livelock signature.
 	wd       Watchdog
 	sameTick uint64
+
+	// The deferral window (BeginDefer): deferring is set while one is open,
+	// and deferred is the event Defer made due now and has not yet placed
+	// in the ring.
+	deferring bool
+	deferred  *Event
 }
 
 // NewKernel returns a kernel with time at tick zero and an empty queue.
@@ -99,6 +105,9 @@ func (k *Kernel) Schedule(e *Event, when Tick) {
 	if when < k.now {
 		panic(fmt.Sprintf("sim: event %q scheduled for %s, before now (%s)", e.name, when, k.now))
 	}
+	if when == k.now && k.deferred != nil {
+		k.place() // the deferred event was due now first
+	}
 	e.when = when
 	e.seq = k.nextSeq
 	k.nextSeq++
@@ -115,7 +124,64 @@ func (k *Kernel) Deschedule(e *Event) {
 		panic(fmt.Sprintf("sim: event %q not scheduled", e.name))
 	}
 	e.scheduled = false
+	if e == k.deferred {
+		k.deferred = nil
+		return
+	}
 	k.remove(qentry{when: e.when, pri: e.priority, seq: e.seq, ev: e})
+}
+
+// BeginDefer opens a deferral window in the firing event: until EndDefer,
+// Defer leaves an event due now out of the ring. The event that opens it
+// calls EndDefer as its last act, since a deferred event fired in that call
+// must find the state the event leaves.
+func (k *Kernel) BeginDefer() { k.deferring = true }
+
+// Defer makes e due now, as Schedule(e, Now()) does. Inside a deferral window
+// e stays out of the ring until the window closes or something else is
+// scheduled for now, which places e first, so that same-tick events fire in
+// Schedule's order; EndDefer then fires e in its call when e would be the
+// next event. Outside a window Defer is Schedule(e, Now()).
+func (k *Kernel) Defer(e *Event) {
+	if !k.deferring {
+		k.Schedule(e, k.now)
+		return
+	}
+	if e.scheduled {
+		panic(fmt.Sprintf("sim: event %q already scheduled for %s", e.name, e.when))
+	}
+	k.place()
+	e.when, e.scheduled = k.now, true
+	k.deferred = e
+}
+
+// EndDefer closes the deferral window. A deferred event that would be the
+// next event — nothing else is due now (Alone) — fires in this call, without
+// counting as one; otherwise it takes its place in the ring.
+func (k *Kernel) EndDefer() {
+	k.deferring = false
+	e := k.deferred
+	if e == nil {
+		return
+	}
+	if k.n > 0 && k.q[k.head].when == k.now {
+		k.place()
+		return
+	}
+	k.deferred, e.scheduled = nil, false
+	e.callback()
+}
+
+// place puts the deferred event, if any, in the ring at now.
+func (k *Kernel) place() {
+	e := k.deferred
+	if e == nil {
+		return
+	}
+	k.deferred = nil
+	e.seq = k.nextSeq
+	k.nextSeq++
+	k.insert(qentry{when: k.now, pri: e.priority, seq: e.seq, ev: e})
 }
 
 // Reschedule moves a scheduled event to a new tick, or schedules it if it is
@@ -166,8 +232,11 @@ func (k *Kernel) PeekNext() (Tick, bool) {
 // already due now, may then act in place instead, inside the event that is
 // running: e would have been the kernel's next event, so provided the running
 // event has settled its own state first, the outcome is the same with one
-// event fewer fired.
+// event fewer fired. An event deferred to now (Defer) counts as pending.
 func (k *Kernel) Alone(e *Event) bool {
+	if k.deferred != nil && k.deferred != e {
+		return false
+	}
 	i := 0
 	if k.n > 0 && k.q[k.head].ev == e {
 		i = 1

@@ -56,7 +56,7 @@ type Issuer struct {
 func (e *Issuer) Init(k *sim.Kernel, name string, pri sim.Priority, feed Feed, window int, limit uint64, id int) {
 	e.k, e.feed, e.window, e.limit, e.id = k, feed, window, limit, id
 	e.port = mem.NewRequestPort(name+".port", e, k)
-	e.tick = sim.NewEventPri(name+".tick", pri, e.issue)
+	e.tick = sim.NewEventPri(name+".tick", pri, e.fire)
 }
 
 // Port returns the memory-side request port.
@@ -79,6 +79,16 @@ func (e *Issuer) Issued() uint64 { return e.issued }
 
 // Outstanding returns the number of in-flight requests.
 func (e *Issuer) Outstanding() int { return e.outstanding }
+
+// fire is the tick event: it issues inside a deferral window of the kernel,
+// so a responder that a request makes due now may defer that work to the
+// tick's end (sim.Kernel.Defer), where it runs in the call when it would be
+// the next event.
+func (e *Issuer) fire() {
+	e.k.BeginDefer()
+	e.issue()
+	e.k.EndDefer()
+}
 
 // issue sends requests while the window, the limit and Due allow, then
 // re-arms the tick.
