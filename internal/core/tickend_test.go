@@ -143,7 +143,7 @@ func runTickEnd(t *testing.T, c tickEndCase, on bool) tickEndRun {
 		Done() bool
 	}
 	if c.pattern == "trace" {
-		// Records in runs of up to three at one tick, the runs itt apart.
+		// Records share ticks: one in three moves on by itt.
 		rng := rand.New(rand.NewSource(5))
 		recs := make([]trafficgen.TraceRecord, tickEndRequests)
 		var at sim.Tick

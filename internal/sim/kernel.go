@@ -102,11 +102,13 @@ func (k *Kernel) Schedule(e *Event, when Tick) {
 	if e.scheduled {
 		panic(fmt.Sprintf("sim: event %q already scheduled for %s", e.name, e.when))
 	}
-	if when < k.now {
-		panic(fmt.Sprintf("sim: event %q scheduled for %s, before now (%s)", e.name, when, k.now))
-	}
-	if when == k.now && k.deferred != nil {
-		k.place() // the deferred event was due now first
+	if when <= k.now {
+		if when < k.now {
+			panic(fmt.Sprintf("sim: event %q scheduled for %s, before now (%s)", e.name, when, k.now))
+		}
+		if k.deferred != nil {
+			k.place() // the event deferred to now was due first
+		}
 	}
 	e.when = when
 	e.seq = k.nextSeq
@@ -150,7 +152,9 @@ func (k *Kernel) Defer(e *Event) {
 	if e.scheduled {
 		panic(fmt.Sprintf("sim: event %q already scheduled for %s", e.name, e.when))
 	}
-	k.place()
+	if k.deferred != nil {
+		k.place()
+	}
 	e.when, e.scheduled = k.now, true
 	k.deferred = e
 }
@@ -172,12 +176,9 @@ func (k *Kernel) EndDefer() {
 	e.callback()
 }
 
-// place puts the deferred event, if any, in the ring at now.
+// place puts the deferred event in the ring at now.
 func (k *Kernel) place() {
 	e := k.deferred
-	if e == nil {
-		return
-	}
 	k.deferred = nil
 	e.seq = k.nextSeq
 	k.nextSeq++
@@ -234,14 +235,11 @@ func (k *Kernel) PeekNext() (Tick, bool) {
 // event has settled its own state first, the outcome is the same with one
 // event fewer fired. An event deferred to now (Defer) counts as pending.
 func (k *Kernel) Alone(e *Event) bool {
-	if k.deferred != nil && k.deferred != e {
-		return false
-	}
 	i := 0
 	if k.n > 0 && k.q[k.head].ev == e {
 		i = 1
 	}
-	return i >= k.n || k.at(i).when > k.now
+	return (i >= k.n || k.at(i).when > k.now) && (k.deferred == nil || k.deferred == e)
 }
 
 // at returns the slot of the i-th pending entry, counted from the head; -1
