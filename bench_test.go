@@ -7,6 +7,11 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -494,4 +499,51 @@ func BenchmarkNullProbeAttached(b *testing.B) {
 	hub := obs.NewHub()
 	hub.Attach(obs.CommandFunc(func(power.Command) {}))
 	benchControllerProbes(b, hub)
+}
+
+// TestBenchmarkFormTable reruns the points behind EXPERIMENTS.md's "Benchmark
+// form" table at its 2000 requests per benchmark and holds each events/request
+// cell to them, printed to the four significant figures go test -bench
+// prints a metric with.
+func TestBenchmarkFormTable(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Benchmark form\n")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "## Benchmark form" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	points := map[string]func(system.Kind) (experiments.Point, error){
+		"Fig3 open reads":    func(k system.Kind) (experiments.Point, error) { return experiments.SweepPoint(3, k, 8, 4) },
+		"Fig5 closed writes": func(k system.Kind) (experiments.Point, error) { return experiments.SweepPoint(5, k, 4, 8) },
+		"low-load linear":    func(k system.Kind) (experiments.Point, error) { return experiments.LowLoadPoint(k), nil },
+	}
+	rows := regexp.MustCompile(`(?m)^\| ([^|]+?) \| ([0-9.]+) / ([0-9.]+) \|$`).FindAllStringSubmatch(section, -1)
+	if len(rows) != len(points) {
+		t.Fatalf("the table has %d rows of events per request, want %d", len(rows), len(points))
+	}
+	const reqs = 2000
+	for _, row := range rows {
+		point := points[row[1]]
+		if point == nil {
+			t.Fatalf("row %q names no benchmark point", row[1])
+		}
+		for i, kind := range []system.Kind{system.EventBased, system.CycleBased} {
+			p, err := point(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Gen.Count, p.Limit = reqs, 1000*sim.Second
+			rig, err := experiments.Runner{}.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perReq := float64(rig.K.EventsExecuted()) / reqs
+			if got := strconv.FormatFloat(perReq, 'f', 3-min(int(math.Log10(perReq)), 3), 64); got != row[2+i] {
+				t.Errorf("%s, %v model: %s events per request, the table says %s", row[1], kind, got, row[2+i])
+			}
+		}
+	}
 }

@@ -64,12 +64,8 @@ type Controller struct {
 	// resp sends the responses: those due FrontendLatency after their
 	// request arrived (write acknowledgements, fully forwarded reads) and the
 	// read responses that waited for DRAM data, whose word is the read-buffer
-	// entries they free. held counts the entries of the respond loop's due
-	// batch not yet sent; settled follows the request retry across its
-	// sends (respSender).
-	resp    mem.SendQueue
-	held    int
-	settled bool
+	// entries they free (respSender).
+	resp mem.SendQueue
 	// readEntries counts occupied read-buffer slots: queued bursts plus
 	// bursts serviced but not yet responded.
 	readEntries int
@@ -504,34 +500,9 @@ func (c *Controller) queueReadResponse(pkt *mem.Packet, sendAt sim.Tick, release
 // respSender is the controller as the owner of its response queue.
 type respSender Controller
 
-// Settle settles before send: before the respond loop's first send it frees
-// the read-buffer entries of every response due now, since the requestor may
-// issue its next request inside any of them (sim.Kernel.Alone) and must find
-// the state it would find after the loop. A refusal takes back those of the
-// unsent rest.
-func (s *respSender) Settle(undo bool) {
-	c := (*Controller)(s)
-	if undo {
-		c.readEntries += c.held
-		return
-	}
-	now := c.k.Now()
-	c.held, c.settled = 0, false
-	for i := 0; i < c.resp.Len(); i++ {
-		_, at, release := c.resp.At(i)
-		if at > now {
-			break
-		}
-		c.held += release
-	}
-	c.readEntries -= c.held
-}
-
 // Send sends one response of the respond loop. Once the requestor takes it,
-// the release read-buffer entries it held are free for good, and owe the
-// request retry. settled is set once a request is refused inside a send: it
-// saw the batch's entries free, and no later send frees more, so the loop
-// owes it no retry.
+// the release read-buffer entries it held are free, and owe the request
+// retry.
 func (s *respSender) Send(pkt *mem.Packet, release int) bool {
 	c := (*Controller)(s)
 	if pkt.Cmd.IsRequest() {
@@ -543,13 +514,11 @@ func (s *respSender) Send(pkt *mem.Packet, release int) bool {
 	if c.hub != nil {
 		c.hub.Emit(obs.ResponseSent{Src: c.name, At: c.k.Now(), Pkt: pkt})
 	}
-	owed := c.retryReq
 	if !c.port.SendTimingResp(pkt) {
 		return false
 	}
-	c.held -= release
-	c.settled = c.settled || !owed && c.retryReq
-	if release > 0 && !c.settled {
+	if release > 0 {
+		c.readEntries -= release
 		c.maybeSendReqRetry()
 	}
 	return true
@@ -566,22 +535,12 @@ func (c *Controller) maybeSendReqRetry() {
 	}
 }
 
-// tickEndDecisions lets a decision due inside a requestor's tick wait for
-// the tick's end (sim.Kernel.Defer); tests turn it off to hold the runs to
-// the ones without it.
-var tickEndDecisions = true
-
-// kickScheduler makes sure the next-request event is due. Inside a
-// requestor's tick, which opens a deferral window, the decision is deferred to
-// the tick's end, where it is made in the call when it would be the kernel's
-// next event.
+// kickScheduler makes sure the next-request event is due: a decision not
+// already pending is deferred to now (sim.Kernel.Defer), so it is made as the
+// event that asked for it returns when nothing else is due now.
 func (c *Controller) kickScheduler() {
-	switch {
-	case c.nextReqEvent.Scheduled():
-	case tickEndDecisions:
+	if !c.nextReqEvent.Scheduled() {
 		c.k.Defer(c.nextReqEvent)
-	default:
-		c.k.Schedule(c.nextReqEvent, c.k.Now())
 	}
 }
 

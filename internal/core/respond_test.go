@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -45,234 +44,152 @@ func (w *writePairs) RecvReqRetry() {}
 // With no frontend latency a write issued inside an acknowledgement is
 // acknowledged at the same tick. The respond loop sends that one too and arms
 // its event only at its tail, so the event never fires to send nothing. With
-// no refusal every acknowledgement leaves in a respond event, so the event
-// fires at least once per tick an acknowledgement arrives at, and an empty
-// or a second firing at a tick would make it fire more often than that.
+// deferred events scheduled into the ring (sim.ScheduleDeferred) every
+// acknowledgement leaves in a respond event, so the event fires once per tick
+// an acknowledgement arrives at: an empty or a second firing at a tick would
+// make it fire more often. Held out of the ring, a loop due as the write
+// that queued it returns fires no ring event, so the ring fires it less often
+// still, for the same acknowledgements.
 func TestRespondLoopArmsItsEventOnce(t *testing.T) {
 	const pairs = 200
-	k := sim.NewKernel()
-	cfg := DefaultConfig(dram.DDR3_1600_x64())
-	cfg.FrontendLatency = 0
-	c, err := NewController(k, cfg, stats.NewRegistry("t"), "mc")
-	if err != nil {
-		t.Fatal(err)
+	run := func(ring bool) (w *writePairs, fires int) {
+		defer func(was bool) { sim.ScheduleDeferred = was }(sim.ScheduleDeferred)
+		sim.ScheduleDeferred = ring
+		k := sim.NewKernel()
+		cfg := DefaultConfig(dram.DDR3_1600_x64())
+		cfg.FrontendLatency = 0
+		c, err := NewController(k, cfg, stats.NewRegistry("t"), "mc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w = &writePairs{k: k}
+		w.port = mem.NewRequestPort("w", w, k)
+		mem.Connect(w.port, c.Port())
+		for i := 0; i < pairs; i++ {
+			k.Call("w", sim.Tick(i)*20*sim.Nanosecond, func() { w.write(mem.Addr(i) * 128) })
+		}
+		k.RunUntil(pairs * 20 * sim.Nanosecond)
+		if w.acks != 2*pairs || w.refused != 0 {
+			t.Fatalf("%d of %d writes acknowledged, %d refused", w.acks, 2*pairs, w.refused)
+		}
+		return w, int(k.Census()["mc.respond"])
 	}
-	w := &writePairs{k: k}
-	w.port = mem.NewRequestPort("w", w, k)
-	mem.Connect(w.port, c.Port())
-	for i := 0; i < pairs; i++ {
-		k.Call("w", sim.Tick(i)*20*sim.Nanosecond, func() { w.write(mem.Addr(i) * 128) })
-	}
-	k.RunUntil(pairs * 20 * sim.Nanosecond)
-	if w.acks != 2*pairs || w.refused != 0 {
-		t.Fatalf("%d of %d writes acknowledged, %d refused", w.acks, 2*pairs, w.refused)
-	}
-	fires := int(k.Census()["mc.respond"])
+	w, fires := run(true)
 	t.Logf("%d acknowledgements in %d respond events", w.acks, fires)
 	if fires != w.ticks {
 		t.Fatalf("%d respond events for acknowledgements at %d ticks", fires, w.ticks)
 	}
+	held, heldFires := run(false)
+	t.Logf("deferred sends held out of the ring: %d respond events", heldFires)
+	if heldFires > held.ticks || held.ticks != w.ticks {
+		t.Fatalf("%d respond events for acknowledgements at %d ticks with the sends held out of the ring", heldFires, held.ticks)
+	}
 }
 
-// windowRequestor is a closed-loop requestor, half reads and half writes,
-// with a window of requests in flight, under the generators' rules: a
-// refused request is resent on the retry, and a response issues the next
-// requests in the call when the requestor's tick would be the kernel's next
-// event, or else arms the tick for now. With inCall false it always arms the
-// tick. It refuses every refuseEvery-th response that would be the first it
-// takes at its tick, and asks for it again after retryAfter: the responses
-// due meanwhile then leave together.
-type windowRequestor struct {
-	k                     *sim.Kernel
-	port                  *mem.RequestPort
-	tick                  *sim.Event
-	rng                   *rand.Rand
-	inCall                bool
-	window                int
-	left                  int
-	refuseEvery, attempts int
-	retryAfter            sim.Tick
+// bufferProbe is a closed-loop requestor, mostly reads of one or two bursts,
+// that issues inside the responses it takes and refuses a seeded share of
+// them, wherever they fall in a batch, asking for them again after a seeded
+// delay: the responses due meanwhile then leave together in the retry's
+// call. It records the controller's read-buffer occupancy at every send;
+// its test records it between events too.
+type bufferProbe struct {
+	k    *sim.Kernel
+	c    *Controller
+	port *mem.RequestPort
+	rng  *rand.Rand
 
-	outstanding int
-	blocked     *mem.Packet
-	lastTaken   sim.Tick
+	left, outstanding int
+	blocked           *mem.Packet
+	maxEntries        int
 
-	refusals, retries, taken, batched, inCallIssues int
+	taken, refusedResps, batched int
+	lastTaken                    sim.Tick
 }
 
-func newWindowRequestor(k *sim.Kernel, inCall bool) *windowRequestor {
-	r := &windowRequestor{k: k, rng: rand.New(rand.NewSource(5)), inCall: inCall,
-		window: 8, left: 600, refuseEvery: 7, retryAfter: 60 * sim.Nanosecond, lastTaken: -1}
-	r.port = mem.NewRequestPort("r", r, k)
-	r.tick = sim.NewEvent("r.tick", r.issue)
-	return r
-}
-
-func (r *windowRequestor) issue() {
-	for r.blocked == nil && r.outstanding < r.window && r.left > 0 {
-		r.left--
-		r.outstanding++
-		pkt := mem.NewRead(mem.Addr(r.rng.Intn(1<<20))*64, 64, 0, r.k.Now())
-		if r.rng.Intn(2) == 0 {
-			pkt = mem.NewWrite(pkt.Addr, 64, 0, r.k.Now())
+func (p *bufferProbe) issue() {
+	for p.blocked == nil && p.outstanding < 8 && p.left > 0 {
+		p.left--
+		p.outstanding++
+		addr, size := mem.Addr(p.rng.Intn(1<<14))*64, uint64(64*(1+p.rng.Intn(2)))
+		pkt := mem.NewRead(addr, size, 0, p.k.Now())
+		if p.rng.Intn(5) == 0 {
+			pkt = mem.NewWrite(addr, size, 0, p.k.Now())
 		}
-		if !r.port.SendTimingReq(pkt) {
-			r.blocked = pkt
-			r.refusals++
+		if !p.port.SendTimingReq(pkt) {
+			p.blocked = pkt
 			return
 		}
 	}
 }
 
-func (r *windowRequestor) rearm() {
-	if r.blocked == nil && !r.tick.Scheduled() && r.left > 0 && r.outstanding < r.window {
-		r.k.Schedule(r.tick, r.k.Now())
-	}
-}
-
-func (r *windowRequestor) RecvTimingResp(*mem.Packet) bool {
-	now := r.k.Now()
-	r.attempts++
-	if r.attempts%r.refuseEvery == 0 && r.lastTaken != now {
-		r.k.Call("r.respRetry", now+r.retryAfter, r.port.SendRespRetry)
+func (p *bufferProbe) RecvTimingResp(*mem.Packet) bool {
+	now := p.k.Now()
+	p.maxEntries = max(p.maxEntries, p.c.readEntries)
+	if p.rng.Intn(4) == 0 {
+		p.refusedResps++
+		p.k.Call("probe.respRetry", now+sim.Tick(p.rng.Intn(3))*30*sim.Nanosecond, p.port.SendRespRetry)
 		return false
 	}
-	if r.lastTaken == now {
-		r.batched++
+	if p.taken > 0 && p.lastTaken == now {
+		p.batched++
 	}
-	r.lastTaken = now
-	r.taken++
-	r.outstanding--
-	if r.inCall && !r.tick.Scheduled() && r.k.Alone(nil) {
-		r.inCallIssues++
-		r.issue()
-	} else {
-		r.rearm()
-	}
+	p.taken++
+	p.lastTaken = now
+	p.outstanding--
+	p.issue()
 	return true
 }
 
-func (r *windowRequestor) RecvReqRetry() {
-	r.retries++
-	if pkt := r.blocked; pkt != nil {
-		r.blocked = nil
-		if !r.port.SendTimingReq(pkt) {
-			r.blocked = pkt
-			return
+func (p *bufferProbe) RecvReqRetry() {
+	pkt := p.blocked
+	p.blocked = nil
+	if !p.port.SendTimingReq(pkt) {
+		p.blocked = pkt
+		return
+	}
+	p.issue()
+}
+
+// A requestor that issues inside the responses it takes, and refuses some
+// of them wherever they fall in a batch, never finds the read buffer holding
+// more than ReadBufferSize bursts, at a send or between events, and every
+// request is answered: a response frees its entries only once it is taken.
+func TestRespondKeepsReadBufferBound(t *testing.T) {
+	const requests = 600
+	batched, refused := 0, 0
+	for seed := int64(1); seed <= 6; seed++ {
+		k := sim.NewKernel()
+		cfg := DefaultConfig(dram.DDR3_1600_x64())
+		cfg.FrontendLatency, cfg.BackendLatency, cfg.ReadBufferSize = 0, 0, 4
+		c, err := NewController(k, cfg, stats.NewRegistry("t"), "mc")
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.rearm()
-	}
-}
-
-// runWindowRequestor runs a windowRequestor against a controller whose read
-// buffer holds fewer bursts than its window, and returns it with the
-// controller's statistics.
-func runWindowRequestor(t *testing.T, inCall bool) (*windowRequestor, string) {
-	t.Helper()
-	k := sim.NewKernel()
-	cfg := DefaultConfig(dram.DDR3_1600_x64())
-	cfg.FrontendLatency, cfg.BackendLatency, cfg.ReadBufferSize, cfg.WriteBufferSize = 0, 0, 4, 6
-	reg := stats.NewRegistry("t")
-	c, err := NewController(k, cfg, reg, "mc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newWindowRequestor(k, inCall)
-	mem.Connect(r.port, c.Port())
-	k.Call("start", 0, r.issue)
-	k.RunUntil(200 * sim.Microsecond)
-	c.Drain()
-	k.RunUntil(201 * sim.Microsecond)
-	if r.taken != 600 || !c.Quiescent() || c.readEntries != 0 {
-		t.Fatalf("%d of 600 requests answered; controller quiescent %v with %d read-buffer entries held",
-			r.taken, c.Quiescent(), c.readEntries)
-	}
-	var sb strings.Builder
-	if err := reg.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return r, sb.String()
-}
-
-// Several read responses leave the controller at one tick, to a requestor
-// whose window exceeds the free read-buffer entries. Issuing inside the first
-// of them must find every one of their entries free, as issuing after the
-// respond event does: the refusals, retries and statistics of the two paths
-// are equal.
-func TestRespondSettlesBeforeSend(t *testing.T) {
-	inCall, a := runWindowRequestor(t, true)
-	rearmed, b := runWindowRequestor(t, false)
-	t.Logf("in the call: %d requests refused, %d retries, %d responses taken behind another at their tick, %d issues in the call",
-		inCall.refusals, inCall.retries, inCall.batched, inCall.inCallIssues)
-	if inCall.batched < 20 || inCall.inCallIssues < 20 || inCall.refusals < 20 {
-		t.Fatalf("%d batched responses, %d issues in the call, %d refusals; want at least 20 each",
-			inCall.batched, inCall.inCallIssues, inCall.refusals)
-	}
-	if inCall.refusals != rearmed.refusals || inCall.retries != rearmed.retries {
-		t.Fatalf("issuing in the call: %d refusals, %d retries; after the event: %d, %d",
-			inCall.refusals, inCall.retries, rearmed.refusals, rearmed.retries)
-	}
-	if a != b {
-		t.Fatalf("statistics differ:\nin the call:\n%s\nafter the event:\n%s", a, b)
-	}
-}
-
-// overCommitter takes the first response it is sent and issues two reads
-// inside it, refuses the next and asks for it again a microsecond later, and
-// takes everything after that.
-type overCommitter struct {
-	k       *sim.Kernel
-	port    *mem.RequestPort
-	taken   int
-	refused bool
-}
-
-func (o *overCommitter) RecvTimingResp(*mem.Packet) bool {
-	if o.taken == 1 && !o.refused {
-		o.refused = true
-		o.k.Call("retry", o.k.Now()+sim.Microsecond, o.port.SendRespRetry)
-		return false
-	}
-	if o.taken++; o.taken == 1 {
-		for i := 0; i < 2; i++ {
-			if !o.port.SendTimingReq(mem.NewRead(mem.Addr(i)<<20, 64, 0, o.k.Now())) {
-				panic("read refused with the batch's entries free")
+		p := &bufferProbe{k: k, c: c, rng: rand.New(rand.NewSource(seed)), left: requests, lastTaken: -1}
+		p.port = mem.NewRequestPort("probe", p, k)
+		mem.Connect(p.port, c.Port())
+		k.Call("start", 0, p.issue)
+		run := func(limit sim.Tick) {
+			for next, ok := k.PeekNext(); ok && next <= limit; next, ok = k.PeekNext() {
+				k.RunUntil(next)
+				p.maxEntries = max(p.maxEntries, c.readEntries)
 			}
 		}
-	}
-	return true
-}
-
-func (o *overCommitter) RecvReqRetry() {}
-
-// Two read responses due at one tick hold a two-burst read buffer. A
-// requestor that takes the first, fills the buffer inside it and refuses the
-// second over-commits the buffer: the refused response takes its entry back
-// while the new reads hold theirs, and their responses queue behind it. The
-// controller answers all four and releases every entry.
-func TestRespondRefusalOverCommits(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := DefaultConfig(dram.DDR3_1600_x64())
-	cfg.FrontendLatency, cfg.BackendLatency, cfg.ReadBufferSize = 0, 0, 2
-	c, err := NewController(k, cfg, stats.NewRegistry("t"), "mc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := &overCommitter{k: k}
-	o.port = mem.NewRequestPort("o", o, k)
-	mem.Connect(o.port, c.Port())
-	k.Call("due", 0, func() {
-		for i := 0; i < 2; i++ {
-			c.readEntries++
-			c.queueReadResponse(mem.NewRead(mem.Addr(i)*64, 64, 0, 0), 0, 1)
+		run(500 * sim.Microsecond)
+		c.Drain()
+		run(501 * sim.Microsecond)
+		if p.maxEntries > cfg.ReadBufferSize {
+			t.Errorf("seed %d: %d read-buffer entries held at a send or between events, in a buffer of %d", seed, p.maxEntries, cfg.ReadBufferSize)
 		}
-	})
-	k.RunUntil(sim.Microsecond / 2)
-	if c.readEntries != 3 || c.resp.Len() != 3 {
-		t.Fatalf("before the retry: %d read-buffer entries held, %d responses queued; want 3 and 3", c.readEntries, c.resp.Len())
+		if p.taken != requests || !c.Quiescent() || c.readEntries != 0 {
+			t.Fatalf("seed %d: %d of %d requests answered; controller quiescent %v with %d read-buffer entries held",
+				seed, p.taken, requests, c.Quiescent(), c.readEntries)
+		}
+		batched += p.batched
+		refused += p.refusedResps
 	}
-	k.RunUntil(2 * sim.Microsecond)
-	if o.taken != 4 || !c.Quiescent() {
-		t.Fatalf("%d of 4 responses taken; controller quiescent %v with %d read-buffer entries held", o.taken, c.Quiescent(), c.readEntries)
+	t.Logf("%d responses refused, %d taken behind another at their tick", refused, batched)
+	if batched < 100 || refused < 100 {
+		t.Fatalf("%d batched responses, %d refusals; want at least 100 each", batched, refused)
 	}
 }

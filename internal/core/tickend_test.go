@@ -65,11 +65,12 @@ const (
 	tickEndWindow   = 8
 )
 
-// runTickEnd runs c with the tick-end decision on or off.
+// runTickEnd runs c with deferred events held out of the kernel's ring (on)
+// or scheduled into it (off, sim.ScheduleDeferred).
 func runTickEnd(t *testing.T, c tickEndCase, on bool) tickEndRun {
 	t.Helper()
-	defer func(was bool) { tickEndDecisions = was }(tickEndDecisions)
-	tickEndDecisions = on
+	defer func(was bool) { sim.ScheduleDeferred = was }(sim.ScheduleDeferred)
+	sim.ScheduleDeferred = !on
 
 	spec := dram.DDR3_1333_8x8()
 	tim := spec.Timing
@@ -185,12 +186,14 @@ func runTickEnd(t *testing.T, c tickEndCase, on bool) tickEndRun {
 	return tickEndRun{dump.Bytes(), trace, cmds.Bytes(), k.EventsExecuted(), shared.n}
 }
 
-// TestTickEndDecisionsOnlySaveEvents holds the controller's tick-end decision
-// (kickScheduler's sim.Kernel.Defer) to the runs without it: over seeded configurations covering page
-// policy, pattern, pacing, read share, frontend latency with write-queue
-// forwarding, low power and refused requests, the statistics, the Perfetto
-// trace and the DRAM command stream are byte-identical with the decision on
-// and off, and the run with it fires no more kernel events.
+// TestTickEndDecisionsOnlySaveEvents holds the deferred events (the
+// controller's decisions, the requestor's ticks and the respond loop's sends,
+// sim.Kernel.Defer) to the runs that schedule them into the ring: over seeded
+// configurations covering page policy, pattern, pacing, read share, frontend
+// latency with write-queue forwarding, low power and refused requests, the
+// statistics, the Perfetto trace and the DRAM command stream are
+// byte-identical either way, and the deferred run fires no more kernel
+// events.
 func TestTickEndDecisionsOnlySaveEvents(t *testing.T) {
 	pages := []PagePolicy{Open, OpenAdaptive, Closed, ClosedAdaptive}
 	patterns := []string{"linear", "random", "dramaware", "trace"}
@@ -227,11 +230,11 @@ func TestTickEndDecisionsOnlySaveEvents(t *testing.T) {
 			got, want []byte
 		}{{"statistics", on.stats, off.stats}, {"Perfetto trace", on.trace, off.trace}, {"command stream", on.cmds, off.cmds}} {
 			if !bytes.Equal(d.got, d.want) {
-				t.Errorf("%v: %s differ with the tick-end decision on (%d and %d bytes)", c, d.what, len(d.got), len(d.want))
+				t.Errorf("%v: %s differ with deferred events held out of the ring (%d and %d bytes)", c, d.what, len(d.got), len(d.want))
 			}
 		}
 		if on.events > off.events {
-			t.Errorf("%v: %d events with the tick-end decision on, %d with it off", c, on.events, off.events)
+			t.Errorf("%v: %d events with deferred events held out of the ring, %d scheduled", c, on.events, off.events)
 		}
 		saved += off.events - min(on.events, off.events)
 		shared += off.shared
@@ -240,7 +243,7 @@ func TestTickEndDecisionsOnlySaveEvents(t *testing.T) {
 		t.Errorf("the cases reached %d axis values, want %d: %v", len(seen), want+2, seen)
 	}
 	if saved == 0 {
-		t.Error("the tick-end decision saved no event in any case")
+		t.Error("deferring saved no event in any case")
 	}
 	if shared == 0 {
 		t.Error("no request arrived at a tick a response left at")

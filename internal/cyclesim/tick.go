@@ -27,9 +27,8 @@ func (c *Controller) tick() {
 
 	c.maintain()
 	// The responses due at this edge leave after its command decision: a
-	// requestor answered may issue inside the send (sim.Kernel.Alone), and
-	// its request must reach the queue after the decision, as it would from
-	// a tick of its own.
+	// requestor answered may issue inside the send, and its request must
+	// reach the queue after the decision, as it would from a tick of its own.
 	due := c.dueResponses(cycle)
 	if !c.refreshWork(cycle) {
 		c.scheduleCommand(cycle)

@@ -225,7 +225,7 @@ var claims = []struct {
 	{"Speedup", []claim{
 		{"average host-time speedup (x)", "7", 1.5, above,
 			func(r claimRuns) float64 { return r["speedup"].Mean("speedup") }},
-		{"event-model kernel events, all cases", "fewer than cycle's", 127932, exact,
+		{"event-model kernel events, all cases", "fewer than cycle's", 104265, exact,
 			func(r claimRuns) float64 { return events(r, "speedup", "eventEvents") }},
 		{"cycle-model kernel events, all cases", "none given", 876026, exact,
 			func(r claimRuns) float64 { return events(r, "speedup", "cycleEvents") }},

@@ -110,7 +110,7 @@ func (p *pipe) pump() {
 			break
 		}
 		// Off the inbox before the delivery, which may answer a requestor
-		// that issues inside it (sim.Kernel.Alone).
+		// that issues inside it.
 		p.inbox.Pop()
 		if !p.deliver(pkt) {
 			p.inbox.PushFront(pkt, at)

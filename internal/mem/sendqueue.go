@@ -17,15 +17,9 @@ type Sender interface {
 	Send(pkt *Packet, word int) bool
 }
 
-// A Settler is a Sender whose state changes as its packets leave.
-type Settler interface {
+// A Finisher is a Sender that acts once a loop has sent everything due.
+type Finisher interface {
 	Sender
-	// Settle runs once per loop, before its first send, with undo false:
-	// the owner settles the state the packets due now change when they
-	// leave, so a peer acting inside any of their sends finds the state it
-	// would find after the loop. A loop that ends in a refusal calls it again
-	// with undo true, to take back what the unsent rest holds.
-	Settle(undo bool)
 	// Done runs after a loop that sent everything due.
 	Done()
 }
@@ -49,13 +43,13 @@ type sendEntry struct {
 // latency that rarely shrinks, so an insert walks in from the tail past few
 // entries, nearly always none.
 type SendQueue struct {
-	k       *sim.Kernel
-	ev      *sim.Event
-	owner   Sender
-	settler Settler     // the owner, when it is one
-	buf     []sendEntry // power-of-two length
-	head    int
-	n       int
+	k        *sim.Kernel
+	ev       *sim.Event
+	owner    Sender
+	finisher Finisher    // the owner, when it is one
+	buf      []sendEntry // power-of-two length
+	head     int
+	n        int
 	// sending is set while the send loop runs: Push leaves the event to the
 	// loop's tail. blocked is set from a refusal to the peer's retry; the
 	// event is idle meanwhile.
@@ -66,7 +60,7 @@ type SendQueue struct {
 // packets before it grows; name names its event. An owner embeds its queue.
 func (q *SendQueue) Init(k *sim.Kernel, name string, capacity int, owner Sender) {
 	q.k, q.owner = k, owner
-	q.settler, _ = owner.(Settler)
+	q.finisher, _ = owner.(Finisher)
 	q.buf = make([]sendEntry, 1<<bits.Len(uint(max(capacity, 1)-1)))
 	q.ev = sim.NewEvent(name, q.drain)
 }
@@ -86,7 +80,9 @@ func (q *SendQueue) at(i int) *sendEntry { return &q.buf[(q.head+i)&(len(q.buf)-
 
 // Push queues pkt to leave at tick at (not before now), after every packet
 // due no later, with a word handed back to Send; the event is armed
-// for it if it is now the first and no loop or refusal owns the event.
+// for it if it is now the first and no loop or refusal owns the event, and
+// deferred (sim.Kernel.Defer) if the packet is due now, so that a packet
+// pushed from the event it answers leaves as that event returns.
 //
 //hot:path every response a controller or cache sends and every crossbar hop; gated by TestSendQueueSteadyStateZeroAlloc
 func (q *SendQueue) Push(pkt *Packet, at sim.Tick, word int) {
@@ -102,7 +98,14 @@ func (q *SendQueue) Push(pkt *Packet, at sim.Tick, word int) {
 	// Outside a loop and a refusal the event is pending exactly while the
 	// queue holds packets, at the first one's tick; only a new first moves it.
 	if i == 0 && !q.sending && !q.blocked {
-		q.k.Reschedule(q.ev, at)
+		if at > q.k.Now() {
+			q.k.Reschedule(q.ev, at)
+		} else {
+			if q.ev.Scheduled() {
+				q.k.Deschedule(q.ev)
+			}
+			q.k.Defer(q.ev)
+		}
 	}
 }
 
@@ -122,17 +125,10 @@ func (q *SendQueue) Retry() {
 func (q *SendQueue) drain() {
 	now := q.k.Now()
 	q.sending = true
-	settled := false
 	for q.n > 0 {
 		e := *q.at(0)
 		if e.at > now {
 			break
-		}
-		if !settled {
-			settled = true
-			if q.settler != nil {
-				q.settler.Settle(false)
-			}
 		}
 		*q.at(0) = sendEntry{}
 		q.head = (q.head + 1) & (len(q.buf) - 1)
@@ -145,9 +141,6 @@ func (q *SendQueue) drain() {
 			q.n++
 			*q.at(0) = e
 			q.sending, q.blocked = false, true
-			if q.settler != nil {
-				q.settler.Settle(true)
-			}
 			return
 		}
 	}
@@ -155,14 +148,14 @@ func (q *SendQueue) drain() {
 	if q.n > 0 {
 		q.k.Schedule(q.ev, q.at(0).at)
 	}
-	if q.settler != nil {
-		q.settler.Done()
+	if q.finisher != nil {
+		q.finisher.Done()
 	}
 }
 
 // grow doubles a full ring, unrolling it so the head lands on slot zero.
 func (q *SendQueue) grow() {
-	//hot:allow growth to the high-water mark, e.g. a controller's read buffer over-committed by a refusal; steady state reuses the ring
+	//hot:allow growth to the high-water mark; steady state reuses the ring
 	buf := make([]sendEntry, 2*len(q.buf))
 	c := copy(buf, q.buf[q.head:])
 	copy(buf[c:], q.buf[:q.head])

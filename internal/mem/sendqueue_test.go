@@ -34,8 +34,9 @@ type sendProbe struct {
 	q   SendQueue
 	ref sendRef
 
-	// looping is set from a loop's Settle to its end. lastRefused is the
-	// packet refused last until it is sent; fromRetry is set inside Retry.
+	// looping is set from a loop's first send to its end. lastRefused is
+	// the packet refused last until it is sent; fromRetry is set inside
+	// Retry.
 	looping     bool
 	lastRefused *Packet
 	fromRetry   bool
@@ -59,28 +60,14 @@ func (p *sendProbe) push(delay sim.Tick) {
 	p.q.Push(e.pkt, e.at, e.word)
 }
 
-func (p *sendProbe) Settle(undo bool) {
-	if undo {
-		if !p.looping {
-			p.t.Fatalf("at %s: Settle(true) outside a loop", p.k.Now())
-		}
-		p.looping = false
-		return
-	}
-	if p.looping {
-		p.t.Fatalf("at %s: Settle(false) twice in one loop", p.k.Now())
-	}
-	p.looping = true
-	p.loops++
-}
-
 func (p *sendProbe) Send(pkt *Packet, word int) bool {
 	now := p.k.Now()
 	if word != int(pkt.Addr) {
 		p.t.Fatalf("at %s: packet %d sent with word %d", now, pkt.Addr, word)
 	}
 	if !p.looping {
-		p.t.Fatalf("at %s: send before Settle", now)
+		p.looping = true
+		p.loops++
 	}
 	if p.q.ev.Scheduled() {
 		p.t.Fatalf("at %s: the event is pending while the loop sends", now)
@@ -101,6 +88,7 @@ func (p *sendProbe) Send(pkt *Packet, word int) bool {
 	if p.rng.Intn(5) == 0 {
 		p.refused++
 		p.lastRefused = pkt
+		p.looping = false
 		p.k.Call("peer.retry", now+sim.Tick(p.rng.Intn(4)), func() {
 			p.retries++
 			p.fromRetry = true

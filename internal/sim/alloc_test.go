@@ -61,6 +61,37 @@ func TestCallSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDeferSteadyStateZeroAlloc covers Defer and the deferred-run loop: an
+// event moves another, pending at its tick, out of the ring and defers a
+// second that defers a third, and the kernel fires the three in the loop,
+// uncounted, without allocating once its side list has grown.
+func TestDeferSteadyStateZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	third := NewEvent("third", func() { fired++ })
+	pending := NewEventPri("pending", MaxPriority, func() { fired++ })
+	second := NewEvent("second", func() { k.Defer(third) })
+	first := NewEvent("first", func() {
+		k.Defer(pending)
+		k.Defer(second)
+	})
+	cycle := func() {
+		k.Schedule(first, k.Now()+4)
+		k.Schedule(pending, k.Now()+4)
+		k.RunUntil(k.Now() + 8)
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	before := k.EventsExecuted()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("steady-state defer cycle allocates %.2f objects, want 0", avg)
+	}
+	if fired != 2*(64+201) || k.EventsExecuted()-before != 201 {
+		t.Fatalf("%d deferred fires and %d counted events in %d cycles", fired, k.EventsExecuted()-before, 201)
+	}
+}
+
 // TestPeekNextMatchesRunOrder checks the event-by-event stepping primitive: the
 // peeked tick is exactly the tick the next RunUntil executes first, peeking
 // does not disturb the schedule, and an empty kernel reports no event.

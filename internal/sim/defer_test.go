@@ -1,17 +1,21 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // runDeferProgram fires a seeded random programme of events whose callbacks
-// schedule, deschedule and defer each other, half of them inside a deferral
-// window, and returns the (tick, name) log of every callback run and the
-// events the kernel fired. With windows off, Defer is Schedule(e, Now()).
-func runDeferProgram(seed int64, windows bool) (log []string, fired uint64) {
+// schedule, deschedule and defer each other, and returns the (tick, name) log
+// of every callback run and the events the kernel fired. With ring set, Defer
+// is Schedule(e, Now()) (ScheduleDeferred).
+func runDeferProgram(seed int64, ring bool) (log []string, fired uint64) {
+	defer func(was bool) { ScheduleDeferred = was }(ScheduleDeferred)
+	ScheduleDeferred = ring
 	const events, budget = 8, 3000
 	k := NewKernel()
 	rng := rand.New(rand.NewSource(seed))
@@ -19,6 +23,8 @@ func runDeferProgram(seed int64, windows bool) (log []string, fired uint64) {
 	act := func() {
 		e := evs[rng.Intn(events)]
 		switch r := rng.Intn(10); {
+		case e.Scheduled() && e.When() == k.Now() && r < 3:
+			k.Defer(e) // keeps its key
 		case e.Scheduled():
 			if r < 3 {
 				k.Deschedule(e)
@@ -30,20 +36,13 @@ func runDeferProgram(seed int64, windows bool) (log []string, fired uint64) {
 		}
 	}
 	for i := range evs {
-		window := i%2 == 0
 		evs[i] = NewEventPri(fmt.Sprint("e", i), Priority(rng.Intn(3)-1), func() {
 			log = append(log, fmt.Sprint(k.Now(), " e", i))
 			if len(log) >= budget {
 				return
 			}
-			if window && windows {
-				k.BeginDefer()
-			}
 			for n := rng.Intn(4); n > 0; n-- {
 				act()
-			}
-			if window && windows {
-				k.EndDefer()
 			}
 		})
 	}
@@ -55,28 +54,57 @@ func runDeferProgram(seed int64, windows bool) (log []string, fired uint64) {
 }
 
 // TestDeferKeepsScheduleOrder holds Defer to Schedule(e, Now()): over seeded
-// programmes the callbacks run in the same order at the same ticks with
-// deferral windows on and off, and the kernel fires fewer events with them
-// on, the deferred events run in EndDefer's call.
+// programmes the callbacks run in the same order at the same ticks with the
+// deferred events held out of the ring and with them scheduled into it, and
+// the kernel fires fewer events when they are held out, since those that fire
+// while nothing in the ring is due are not counted.
 func TestDeferKeepsScheduleOrder(t *testing.T) {
-	inCall := uint64(0)
+	uncounted := uint64(0)
 	for seed := int64(1); seed <= 200; seed++ {
-		on, onFired := runDeferProgram(seed, true)
-		off, offFired := runDeferProgram(seed, false)
-		if i := slices.Compare(on, off); i != 0 {
-			for j := range min(len(on), len(off)) {
-				if on[j] != off[j] {
-					t.Fatalf("seed %d: callback %d ran %q with windows, %q without", seed, j, on[j], off[j])
+		held, heldFired := runDeferProgram(seed, false)
+		ring, ringFired := runDeferProgram(seed, true)
+		if i := slices.Compare(held, ring); i != 0 {
+			for j := range min(len(held), len(ring)) {
+				if held[j] != ring[j] {
+					t.Fatalf("seed %d: callback %d ran %q deferred, %q scheduled", seed, j, held[j], ring[j])
 				}
 			}
-			t.Fatalf("seed %d: %d callbacks with windows, %d without", seed, len(on), len(off))
+			t.Fatalf("seed %d: %d callbacks deferred, %d scheduled", seed, len(held), len(ring))
 		}
-		if onFired > offFired || uint64(len(on)) != offFired {
-			t.Fatalf("seed %d: %d events fired with windows, %d without, for %d callbacks", seed, onFired, offFired, len(on))
+		if heldFired > ringFired || uint64(len(held)) != ringFired {
+			t.Fatalf("seed %d: %d events fired deferred, %d scheduled, for %d callbacks", seed, heldFired, ringFired, len(held))
 		}
-		inCall += offFired - onFired
+		uncounted += ringFired - heldFired
 	}
-	if inCall == 0 {
-		t.Error("no deferred event ran in EndDefer's call")
+	if uncounted == 0 {
+		t.Error("no deferred event ran outside the ring")
+	}
+}
+
+// Two events at one tick that defer each other forever never leave the
+// deferred-run loop, and no fire is counted: the same-tick bound still trips,
+// stamped with the tick, and its dump lists the deferred event, back in the
+// ring.
+func TestWatchdogSeesDeferredRuns(t *testing.T) {
+	k := NewKernel()
+	var ping, pong *Event
+	ping = NewEvent("ping", func() { k.Defer(pong) })
+	pong = NewEvent("pong", func() { k.Defer(ping) })
+	k.Schedule(ping, 7)
+	k.SetWatchdog(Watchdog{MaxSameTick: 1000})
+	_, err := k.RunErr()
+	var wd *WatchdogError
+	if !errors.As(err, &wd) {
+		t.Fatalf("RunErr = %v, want a *WatchdogError", err)
+	}
+	if wd.Now != 7 || wd.SameTick != 1000 || wd.Executed != 1 {
+		t.Fatalf("tripped at %s after %d events, %d at the tick; want 7, 1 and 1000", wd.Now, wd.Executed, wd.SameTick)
+	}
+	// The 999th deferred fire is pong's, which deferred ping.
+	if len(wd.Pending) != 1 || wd.Pending[0].Name != "ping" || wd.Pending[0].When != 7 || !strings.Contains(err.Error(), `"ping"`) {
+		t.Fatalf("pending dump %+v, want ping, deferred, at 7:\n%v", wd.Pending, err)
+	}
+	if k.Pending() != 1 || !ping.Scheduled() {
+		t.Fatalf("%d events pending after the trip, want ping", k.Pending())
 	}
 }

@@ -69,16 +69,20 @@ type Kernel struct {
 	wd       Watchdog
 	sameTick uint64
 
-	// The deferral window (BeginDefer): deferring is set while one is open,
-	// and deferred is the event Defer made due now and has not yet placed
-	// in the ring.
+	// deferred holds the events Defer made due now, in key order, outside
+	// the ring, in deferBuf until more are deferred at once; deferring is
+	// set while run fires events, unless ScheduleDeferred is (Defer is
+	// Schedule otherwise).
+	deferred  []qentry
+	deferBuf  [4]qentry
 	deferring bool
-	deferred  *Event
 }
 
 // NewKernel returns a kernel with time at tick zero and an empty queue.
 func NewKernel() *Kernel {
-	return &Kernel{calls: map[string]uint64{}}
+	k := &Kernel{calls: map[string]uint64{}}
+	k.deferred = k.deferBuf[:0]
+	return k
 }
 
 // Now returns the current simulated tick.
@@ -90,7 +94,7 @@ func (k *Kernel) Now() Tick { return k.now }
 func (k *Kernel) EventsExecuted() uint64 { return k.executed }
 
 // Pending returns the number of events currently scheduled.
-func (k *Kernel) Pending() int { return k.n }
+func (k *Kernel) Pending() int { return k.n + len(k.deferred) }
 
 // Schedule arranges for e to fire at tick when. Scheduling in the past (or
 // double-scheduling an event) is a programming error and panics, exactly as
@@ -102,13 +106,8 @@ func (k *Kernel) Schedule(e *Event, when Tick) {
 	if e.scheduled {
 		panic(fmt.Sprintf("sim: event %q already scheduled for %s", e.name, e.when))
 	}
-	if when <= k.now {
-		if when < k.now {
-			panic(fmt.Sprintf("sim: event %q scheduled for %s, before now (%s)", e.name, when, k.now))
-		}
-		if k.deferred != nil {
-			k.place() // the event deferred to now was due first
-		}
+	if when < k.now {
+		panic(fmt.Sprintf("sim: event %q scheduled for %s, before now (%s)", e.name, when, k.now))
 	}
 	e.when = when
 	e.seq = k.nextSeq
@@ -126,64 +125,71 @@ func (k *Kernel) Deschedule(e *Event) {
 		panic(fmt.Sprintf("sim: event %q not scheduled", e.name))
 	}
 	e.scheduled = false
-	if e == k.deferred {
-		k.deferred = nil
-		return
+	if e.when == k.now {
+		if i := k.deferredAt(e); i >= 0 {
+			k.dropDeferred(i)
+			return
+		}
 	}
 	k.remove(qentry{when: e.when, pri: e.priority, seq: e.seq, ev: e})
 }
 
-// BeginDefer opens a deferral window in the firing event: until EndDefer,
-// Defer leaves an event due now out of the ring. The event that opens it
-// calls EndDefer as its last act, since a deferred event fired in that call
-// must find the state the event leaves.
-func (k *Kernel) BeginDefer() { k.deferring = true }
-
-// Defer makes e due now, as Schedule(e, Now()) does. Inside a deferral window
-// e stays out of the ring until the window closes or something else is
-// scheduled for now, which places e first, so that same-tick events fire in
-// Schedule's order; EndDefer then fires e in its call when e would be the
-// next event. Outside a window Defer is Schedule(e, Now()).
+// Defer makes e due now, as Schedule(e, Now()) does, with the key Schedule
+// would give it; an event already pending now keeps its own (one pending
+// later panics, as Schedule would). Called from a firing event, it holds e
+// outside the ring, taking it out if nothing else there is due now: once that
+// event returns, run fires the deferred events in key order, without counting
+// them, for as long as nothing in the ring is due now, and otherwise puts them
+// in the ring with their keys. Either way every callback runs where Schedule
+// would have run it, and an event that would have fired right after the
+// current one costs no ring insert and no count. Outside run Defer is
+// Schedule(e, Now()).
+//
+//hot:path gated by TestDeferSteadyStateZeroAlloc
 func (k *Kernel) Defer(e *Event) {
 	if !k.deferring {
-		k.Schedule(e, k.now)
+		if !e.scheduled || e.when != k.now {
+			k.Schedule(e, k.now)
+		}
 		return
 	}
-	if e.scheduled {
+	ent := qentry{when: k.now, pri: e.priority, seq: e.seq, ev: e}
+	switch {
+	case !e.scheduled:
+		e.when, e.seq, e.scheduled = k.now, k.nextSeq, true
+		ent.seq = e.seq
+		k.nextSeq++
+	case e.when != k.now:
 		panic(fmt.Sprintf("sim: event %q already scheduled for %s", e.name, e.when))
+	case k.deferredAt(e) >= 0:
+		return
+	case k.q[k.head].ev != e || k.n > 1 && k.at(1).when == k.now:
+		return // another ring event is due now: e keeps its place
+	default:
+		k.popHead()
 	}
-	if k.deferred != nil {
-		k.place()
+	i := len(k.deferred)
+	k.deferred = append(k.deferred, ent)
+	for ; i > 0 && ent.before(k.deferred[i-1]); i-- {
+		k.deferred[i] = k.deferred[i-1]
 	}
-	e.when, e.scheduled = k.now, true
-	k.deferred = e
+	k.deferred[i] = ent
 }
 
-// EndDefer closes the deferral window. A deferred event that would be the
-// next event — nothing else is due now (Alone) — fires in this call, without
-// counting as one; otherwise it takes its place in the ring.
-func (k *Kernel) EndDefer() {
-	k.deferring = false
-	e := k.deferred
-	if e == nil {
-		return
+// deferredAt returns e's index among the deferred events, or -1.
+func (k *Kernel) deferredAt(e *Event) int {
+	for i := range k.deferred {
+		if k.deferred[i].ev == e {
+			return i
+		}
 	}
-	if k.n > 0 && k.q[k.head].when == k.now {
-		k.place()
-		return
-	}
-	k.deferred, e.scheduled = nil, false
-	e.callback()
+	return -1
 }
 
-// place puts the deferred event in the ring at now.
-func (k *Kernel) place() {
-	e := k.deferred
-	k.deferred = nil
-	e.seq = k.nextSeq
-	k.nextSeq++
-	k.insert(qentry{when: k.now, pri: e.priority, seq: e.seq, ev: e})
-}
+// ScheduleDeferred makes Defer Schedule(e, Now()) in every run it starts: deferred
+// events take their place in the ring and count as fired. It is a referee's
+// switch, for tests that hold the deferred runs to the ring's order.
+var ScheduleDeferred bool
 
 // Reschedule moves a scheduled event to a new tick, or schedules it if it is
 // not currently pending.
@@ -226,20 +232,6 @@ func (k *Kernel) PeekNext() (Tick, bool) {
 		return 0, false
 	}
 	return k.q[k.head].when, true
-}
-
-// Alone reports whether no event other than e (nil for none) is pending at
-// the current tick. A component that would schedule e for now, or whose e is
-// already due now, may then act in place instead, inside the event that is
-// running: e would have been the kernel's next event, so provided the running
-// event has settled its own state first, the outcome is the same with one
-// event fewer fired. An event deferred to now (Defer) counts as pending.
-func (k *Kernel) Alone(e *Event) bool {
-	i := 0
-	if k.n > 0 && k.q[k.head].ev == e {
-		i = 1
-	}
-	return (i >= k.n || k.at(i).when > k.now) && (k.deferred == nil || k.deferred == e)
 }
 
 // at returns the slot of the i-th pending entry, counted from the head; -1
@@ -382,23 +374,71 @@ func (k *Kernel) Census() map[string]uint64 {
 	return out
 }
 
-// run is the one fire loop: it executes events with when <= limit until the
-// queue drains or the watchdog trips. The watchdog, when a bound is set, is
-// consulted before every event.
+// run is the one fire loop: it executes events with when <= limit, and the
+// events they defer, until the queue drains or the watchdog trips. The
+// watchdog, when a bound is set, is consulted before every event, deferred
+// ones included.
 func (k *Kernel) run(limit Tick) error {
-	for k.n > 0 {
-		ent := k.q[k.head]
-		if ent.when > limit {
-			break
-		}
+	k.deferring = !ScheduleDeferred
+	for {
 		if k.wd.Enabled() {
 			if err := k.checkWatchdog(); err != nil {
+				k.deferring = false
 				return err
 			}
 		}
-		k.step(ent)
+		if len(k.deferred) > 0 && k.fireDeferred() {
+			continue
+		}
+		if k.n == 0 || k.q[k.head].when > limit {
+			break
+		}
+		k.step(k.q[k.head])
 	}
+	k.deferring = false
 	return nil
+}
+
+// fireDeferred fires the first event deferred to now, uncounted, and reports
+// true, when nothing in the ring is due now. Otherwise a ring event due now
+// may sort before the deferred ones, so they join the ring with their keys.
+// Fires count toward the watchdog's same-tick bound, not as fired events.
+//
+//hot:path the events deferred to now; gated by TestDeferSteadyStateZeroAlloc
+func (k *Kernel) fireDeferred() bool {
+	if k.n > 0 && k.q[k.head].when == k.now {
+		k.placeDeferred()
+		return false
+	}
+	e := k.deferred[0].ev
+	k.dropDeferred(0)
+	k.sameTick++
+	e.scheduled = false
+	cb := e.callback
+	if e.pooled {
+		k.events.Put(e)
+	}
+	cb()
+	return true
+}
+
+// placeDeferred puts the deferred events in the ring with their keys.
+func (k *Kernel) placeDeferred() {
+	for _, ent := range k.deferred {
+		k.insert(ent)
+	}
+	clear(k.deferred)
+	k.deferred = k.deferred[:0]
+}
+
+// dropDeferred takes out the i-th deferred event, zeroing the slot it frees.
+func (k *Kernel) dropDeferred(i int) {
+	d := k.deferred
+	for ; i+1 < len(d); i++ {
+		d[i] = d[i+1]
+	}
+	d[i] = qentry{}
+	k.deferred = d[:i]
 }
 
 // Run executes events until the queue drains. It returns the tick of the last

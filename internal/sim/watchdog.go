@@ -96,6 +96,7 @@ func (k *Kernel) checkWatchdog() *WatchdogError {
 	default:
 		return nil
 	}
+	k.placeDeferred() // the dump lists the events deferred to now
 	return &WatchdogError{
 		Reason:   reason,
 		Now:      k.now,

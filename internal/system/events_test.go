@@ -13,15 +13,16 @@ import (
 
 // Events per request are pinned so that a requestor re-arming its tick at
 // the tick a response freed its slot fails here, not only in a ledger row.
-// A saturated generator answered at a tick issues inside the response
-// (sim.Kernel.Alone), so a request costs the controller's two events: its
-// scheduling decision and its response. A random mix costs less: a write
-// issued inside a response is acknowledged in the same respond loop. A paced
+// A saturated generator answered at a tick defers its tick to the end of the
+// response (sim.Kernel.Defer), where it fires as no event of its own when
+// nothing else is due, so a request costs the controller's two events: its
+// scheduling decision and its response. A random mix costs less: a write's
+// acknowledgement often leaves in a respond loop that sends others too. A paced
 // generator's tick is pending when its responses arrive (one every 64 ns is
 // below either page policy's service rate), so its tick is an event; the
-// idle controller it sends to decides when that tick ends (sim.Kernel.Defer),
-// so the paced control costs two events too: the tick and the response. A four-core full system's cores issue the same
-// way.
+// idle controller it sends to defers its decision to that tick's end, so the
+// paced control costs two events too: the tick and the response. A four-core
+// full system's cores issue the same way.
 func TestEventsPerRequest(t *testing.T) {
 	const reqs = 2000
 	spec := dram.DDR3_1333_8x8()
@@ -75,30 +76,41 @@ func TestEventsPerRequest(t *testing.T) {
 		})
 	}
 
-	// The back-pressured control is dramctrl -pattern linear -requests 3000:
-	// core.DefaultConfig's 20-burst read buffer refuses the generator's 32
-	// outstanding reads, and each retry re-arms the generator's tick, so a
-	// request costs a third event (8,982 events, 2,980 retries). ROADMAP
-	// 23(b), issuing inside the retry call, is the change expected to bring
-	// this toward 2.0; no ledger workload is refused often enough to show it.
-	t.Run("backpressured", func(t *testing.T) {
-		const reqs = 3000
-		m, err := NewMemory(MemoryConfig{Root: "dramctrl", Kind: EventBased, Channels: 1,
-			Event: core.DefaultConfig(dram.DDR3_1600_x64()), Widest: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := trafficgen.New(m.K, trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: reqs},
-			&trafficgen.Linear{Start: 0, End: 1 << 28, Step: 64, ReadPercent: 100, Seed: 1}, m.Reg, "gen")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem.Connect(gen.Port(), m.FrontPort("gen"))
-		if err := m.Session(gen).Run(sim.Second); err != nil || !gen.Done() {
-			t.Fatalf("back-pressured linear reads did not complete: %v", err)
-		}
-		if perReq := float64(m.K.EventsExecuted()) / reqs; perReq < 2.984 || perReq > 3.004 {
-			t.Errorf("back-pressured linear reads: %.4f events per request, want 2.994 ± 0.01 (%d events)", perReq, m.K.EventsExecuted())
-		}
-	})
+	// Two dramctrl runs whose generator the controller refuses: -pattern
+	// linear -requests 3000, where core.DefaultConfig's 20-burst read buffer
+	// refuses the generator's 32 outstanding reads (2,980 retries), and
+	// -spec DDR3-1333-8x8 -pattern random -reads 0 -requests 20000, where the
+	// write queue does. A retry resends the refused request in its call and
+	// the generator's tick, re-armed due now, is deferred to the end of the
+	// event that freed the slot (sim.Kernel.Defer), so a retry costs no event
+	// of its own: both cost the controller's two events per request.
+	for _, row := range []struct {
+		name    string
+		spec    dram.Spec
+		reqs    uint64
+		pattern trafficgen.Pattern
+	}{
+		{"backpressured", dram.DDR3_1600_x64(), 3000, &trafficgen.Linear{Start: 0, End: 1 << 28, Step: 64, ReadPercent: 100, Seed: 1}},
+		{"writeonly", dram.DDR3_1333_8x8(), 20000, &trafficgen.Random{Start: 0, End: 1 << 28, Align: 64, ReadPercent: 0, Seed: 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			m, err := NewMemory(MemoryConfig{Root: "dramctrl", Kind: EventBased, Channels: 1,
+				Event: core.DefaultConfig(row.spec), Widest: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := trafficgen.New(m.K, trafficgen.Config{RequestBytes: 64, MaxOutstanding: 32, Count: row.reqs},
+				row.pattern, m.Reg, "gen")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem.Connect(gen.Port(), m.FrontPort("gen"))
+			if err := m.Session(gen).Run(sim.Second); err != nil || !gen.Done() {
+				t.Fatalf("%s did not complete: %v", row.name, err)
+			}
+			if perReq := float64(m.K.EventsExecuted()) / float64(row.reqs); perReq < 1.99 || perReq > 2.01 {
+				t.Errorf("%s: %.4f events per request, want 2.00 ± 0.01 (%d events)", row.name, perReq, m.K.EventsExecuted())
+			}
+		})
+	}
 }

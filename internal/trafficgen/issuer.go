@@ -56,7 +56,7 @@ type Issuer struct {
 func (e *Issuer) Init(k *sim.Kernel, name string, pri sim.Priority, feed Feed, window int, limit uint64, id int) {
 	e.k, e.feed, e.window, e.limit, e.id = k, feed, window, limit, id
 	e.port = mem.NewRequestPort(name+".port", e, k)
-	e.tick = sim.NewEventPri(name+".tick", pri, e.fire)
+	e.tick = sim.NewEventPri(name+".tick", pri, e.issue)
 }
 
 // Port returns the memory-side request port.
@@ -79,16 +79,6 @@ func (e *Issuer) Issued() uint64 { return e.issued }
 
 // Outstanding returns the number of in-flight requests.
 func (e *Issuer) Outstanding() int { return e.outstanding }
-
-// fire is the tick event: it issues inside a deferral window of the kernel,
-// so a responder that a request makes due now may defer that work to the
-// tick's end (sim.Kernel.Defer), where it runs in the call when it would be
-// the next event.
-func (e *Issuer) fire() {
-	e.k.BeginDefer()
-	e.issue()
-	e.k.EndDefer()
-}
 
 // issue sends requests while the window, the limit and Due allow, then
 // re-arms the tick.
@@ -124,12 +114,21 @@ func (e *Issuer) issue() {
 
 // rearm arms the tick for Due, or now if later, unless no request could
 // issue then: one is refused (a retry wakes the engine), the limit is reached,
-// or the window is full (a response wakes it).
+// or the window is full (a response wakes it). A tick due now, pending or
+// not, is deferred (sim.Kernel.Defer), so a response that frees a slot issues
+// the next request as soon as the event that carried it returns, without a
+// ring event when nothing else is due now. Due moves only when the tick
+// issues, so a pending tick is due at Due.
 func (e *Issuer) rearm() {
-	if e.blocked != nil || e.tick.Scheduled() || e.issued >= e.limit || e.outstanding >= e.window {
+	if e.blocked != nil || e.issued >= e.limit || e.outstanding >= e.window {
 		return
 	}
-	e.k.Schedule(e.tick, max(e.Due, e.k.Now()))
+	switch {
+	case e.Due <= e.k.Now():
+		e.k.Defer(e.tick)
+	case !e.tick.Scheduled():
+		e.k.Schedule(e.tick, e.Due)
+	}
 }
 
 // stall and unstall bracket the ticks the requestor cannot issue for a
@@ -151,11 +150,8 @@ func (e *Issuer) unstall(now sim.Tick) {
 	e.stalled = false
 }
 
-// RecvTimingResp implements mem.Requestor: the feed accounts the response and
-// its packet returns to the pool. When the tick would be the kernel's next
-// event — it is pending now and alone there, or it is idle and nothing else
-// is due now (sim.Kernel.Alone) — the engine issues in this call instead of
-// firing it.
+// RecvTimingResp implements mem.Requestor: the feed accounts the response,
+// its packet returns to the pool and the tick is re-armed for the freed slot.
 //
 //hot:path
 func (e *Issuer) RecvTimingResp(pkt *mem.Packet) bool {
@@ -163,15 +159,8 @@ func (e *Issuer) RecvTimingResp(pkt *mem.Packet) bool {
 	e.feed.Answered(pkt.Cmd == mem.ReadResp, (now - pkt.IssueTick).Nanoseconds())
 	e.pool.Put(pkt)
 	e.outstanding--
-	if t := e.tick; t.Scheduled() && t.When() == now && e.k.Alone(t) {
-		e.k.Deschedule(t)
-		e.issue()
-	} else if !t.Scheduled() && e.k.Alone(nil) {
-		e.issue()
-	} else {
-		e.unstall(now)
-		e.rearm()
-	}
+	e.unstall(now)
+	e.rearm()
 	return true
 }
 
