@@ -77,8 +77,9 @@ func TestCoreSteadyStateZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
 		t.Fatalf("core issue/response cycle allocates %.2f objects per microsecond, want 0", avg)
 	}
-	// A stalled core answered at a tick issues inside the response, so the
-	// memory's event is about the only one fired per operation.
+	// A stalled core answered at a tick defers its issue to the end of the
+	// response, uncounted, so the memory's event is about the only one fired
+	// per operation.
 	ops := c.memOps.Value() - before
 	if perOp := float64(k.EventsExecuted()-events) / ops; ops < 1000 || c.StallFraction() == 0 || perOp > 1.1 {
 		t.Fatalf("gate missed its path: %v memory operations, stall fraction %v, %.2f events per operation",

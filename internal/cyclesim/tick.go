@@ -26,9 +26,9 @@ func (c *Controller) tick() {
 	c.st.cyclesTicked.Inc()
 
 	c.maintain()
-	// The responses due at this edge leave after its command decision: a
-	// requestor answered may issue inside the send, and its request must
-	// reach the queue after the decision, as it would from a tick of its own.
+	// The responses due at this edge leave after its command decision. A
+	// requestor answered defers its next request to the end of this event
+	// (sim.Kernel.Defer), so none reaches the queue inside the send.
 	due := c.dueResponses(cycle)
 	if !c.refreshWork(cycle) {
 		c.scheduleCommand(cycle)
@@ -50,9 +50,7 @@ func (c *Controller) dueResponses(cycle int64) int {
 // sendResponses sends the first n queued responses, stopping at a refusal.
 // Each leaves the queue before its send (a refusal puts it back), and its
 // trace span ends at the first attempt: once accepted the packet may already
-// be back in its requestor's pool, keying a new span. A write a requestor
-// issues inside a send queues its acknowledgement behind the n, for a later
-// edge.
+// be back in its requestor's pool, keying a new span.
 func (c *Controller) sendResponses(n int) {
 	for ; n > 0 && !c.retryResp; n-- {
 		e := c.resp[0]

@@ -225,9 +225,9 @@ var claims = []struct {
 	{"Speedup", []claim{
 		{"average host-time speedup (x)", "7", 1.5, above,
 			func(r claimRuns) float64 { return r["speedup"].Mean("speedup") }},
-		{"event-model kernel events, all cases", "fewer than cycle's", 104265, exact,
+		{"event-model kernel events, all cases", "fewer than cycle's", 104176, exact,
 			func(r claimRuns) float64 { return events(r, "speedup", "eventEvents") }},
-		{"cycle-model kernel events, all cases", "none given", 876026, exact,
+		{"cycle-model kernel events, all cases", "none given", 860108, exact,
 			func(r claimRuns) float64 { return events(r, "speedup", "cycleEvents") }},
 	}},
 	{"Fig8", []claim{

@@ -62,18 +62,22 @@ func TestCallSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestDeferSteadyStateZeroAlloc covers Defer and the deferred-run loop: an
-// event moves another, pending at its tick, out of the ring and defers a
-// second that defers a third, and the kernel fires the three in the loop,
-// uncounted, without allocating once its side list has grown.
+// event moves another, pending at its tick, out of the ring, defers a second
+// that defers a third, and schedules a ring event for now that sorts between
+// the second and the third, so the loop merges the ring with the side list.
+// The kernel fires the three deferred events uncounted, without allocating
+// once its side list has grown.
 func TestDeferSteadyStateZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	third := NewEvent("third", func() { fired++ })
 	pending := NewEventPri("pending", MaxPriority, func() { fired++ })
+	mid := NewEvent("mid", func() { fired++ })
 	second := NewEvent("second", func() { k.Defer(third) })
 	first := NewEvent("first", func() {
 		k.Defer(pending)
 		k.Defer(second)
+		k.Schedule(mid, k.Now())
 	})
 	cycle := func() {
 		k.Schedule(first, k.Now()+4)
@@ -87,8 +91,8 @@ func TestDeferSteadyStateZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("steady-state defer cycle allocates %.2f objects, want 0", avg)
 	}
-	if fired != 2*(64+201) || k.EventsExecuted()-before != 201 {
-		t.Fatalf("%d deferred fires and %d counted events in %d cycles", fired, k.EventsExecuted()-before, 201)
+	if fired != 3*(64+201) || k.EventsExecuted()-before != 2*201 {
+		t.Fatalf("%d fires and %d counted events in %d cycles", fired, k.EventsExecuted()-before, 201)
 	}
 }
 

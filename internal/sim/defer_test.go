@@ -81,10 +81,115 @@ func TestDeferKeepsScheduleOrder(t *testing.T) {
 	}
 }
 
+// FuzzDeferKeepsScheduleOrder is TestDeferKeepsScheduleOrder over any seed:
+// the held and the scheduled runs log the same callbacks, and holding fires
+// no more ring events than scheduling does.
+func FuzzDeferKeepsScheduleOrder(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 1000} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		held, heldFired := runDeferProgram(seed, false)
+		ring, ringFired := runDeferProgram(seed, true)
+		if !slices.Equal(held, ring) {
+			t.Fatalf("seed %d: deferred and scheduled runs logged different callbacks", seed)
+		}
+		if heldFired > ringFired {
+			t.Fatalf("seed %d: %d events fired deferred, %d scheduled", seed, heldFired, ringFired)
+		}
+	})
+}
+
+// TestDeferredWaitsBesideTheRing: a deferred event never enters the ring. Run
+// fires whichever comes first by key, the ring's head or the first deferred
+// event, and counts only ring fires, whatever else is due at the tick.
+func TestDeferredWaitsBesideTheRing(t *testing.T) {
+	type kit struct {
+		k   *Kernel
+		log []string
+		ev  func(name string, then func()) *Event
+	}
+	newKit := func() *kit {
+		x := &kit{k: NewKernel()}
+		x.ev = func(name string, then func()) *Event {
+			return NewEvent(name, func() {
+				x.log = append(x.log, name)
+				if then != nil {
+					then()
+				}
+			})
+		}
+		return x
+	}
+	check := func(t *testing.T, x *kit, log string, counted uint64) {
+		t.Helper()
+		if got := strings.Join(x.log, ","); got != log || x.k.EventsExecuted() != counted {
+			t.Fatalf("ran %s with %d events counted, want %s with %d", got, x.k.EventsExecuted(), log, counted)
+		}
+	}
+
+	t.Run("schedule then defer", func(t *testing.T) {
+		x := newKit()
+		b, c := x.ev("b", nil), x.ev("c", nil)
+		x.k.Schedule(x.ev("a", func() {
+			x.k.Schedule(b, x.k.Now())
+			x.k.Defer(c)
+		}), 5)
+		x.k.Run()
+		check(t, x, "a,b,c", 2)
+	})
+
+	t.Run("defer then schedule", func(t *testing.T) {
+		x := newKit()
+		b, c := x.ev("b", nil), x.ev("c", nil)
+		x.k.Schedule(x.ev("a", func() {
+			x.k.Defer(c)
+			x.k.Schedule(b, x.k.Now())
+		}), 5)
+		x.k.Run()
+		check(t, x, "a,c,b", 2)
+	})
+
+	t.Run("defer before run", func(t *testing.T) {
+		x := newKit()
+		x.k.RunUntil(10)
+		x.k.Schedule(x.ev("a", nil), 13)
+		x.k.Defer(x.ev("c", nil))
+		if next, ok := x.k.PeekNext(); !ok || next != 10 {
+			t.Fatalf("PeekNext = %v,%v, want the deferred event at 10", next, ok)
+		}
+		if p := x.k.PendingEvents(); len(p) != 2 || p[0].Name != "c" || p[1].Name != "a" {
+			t.Fatalf("pending %+v, want c then a", p)
+		}
+		if x.k.RunUntil(5); len(x.log) != 0 {
+			t.Fatalf("RunUntil(5) at 10 ran %v", x.log)
+		}
+		x.k.Run()
+		check(t, x, "c,a", 1)
+	})
+
+	t.Run("pending now, not the head", func(t *testing.T) {
+		x := newKit()
+		y, w := x.ev("y", nil), x.ev("w", nil)
+		x.k.Schedule(x.ev("a", func() {
+			x.k.Schedule(w, x.k.Now())
+			x.k.Defer(y)
+			if x.k.n != 2 || x.k.deferredAt(y) != 0 || x.k.Pending() != 3 {
+				t.Errorf("%d ring events, y deferred at %d; want x and w in the ring, y beside it",
+					x.k.n, x.k.deferredAt(y))
+			}
+		}), 5)
+		x.k.Schedule(x.ev("x", nil), 5)
+		x.k.Schedule(y, 5)
+		x.k.Run()
+		check(t, x, "a,x,y,w", 3)
+	})
+}
+
 // Two events at one tick that defer each other forever never leave the
 // deferred-run loop, and no fire is counted: the same-tick bound still trips,
-// stamped with the tick, and its dump lists the deferred event, back in the
-// ring.
+// stamped with the tick, and its dump lists the deferred event from beside
+// the ring.
 func TestWatchdogSeesDeferredRuns(t *testing.T) {
 	k := NewKernel()
 	var ping, pong *Event

@@ -10,7 +10,7 @@ import "fmt"
 // idle timers are due late and sit at the tail, and either way a few entries
 // move. Firing pops the head. Descheduling finds the event's own entry by its
 // unique key and closes the gap, so the ring holds exactly the pending events,
-// in order.
+// in order, but for those Defer holds beside it.
 
 // qentry is one pending event with its firing key.
 type qentry struct {
@@ -69,13 +69,10 @@ type Kernel struct {
 	wd       Watchdog
 	sameTick uint64
 
-	// deferred holds the events Defer made due now, in key order, outside
-	// the ring, in deferBuf until more are deferred at once; deferring is
-	// set while run fires events, unless ScheduleDeferred is (Defer is
-	// Schedule otherwise).
-	deferred  []qentry
-	deferBuf  [4]qentry
-	deferring bool
+	// deferred holds the events Defer made due now, in key order, beside
+	// the ring, in deferBuf until more are deferred at once.
+	deferred []qentry
+	deferBuf [4]qentry
 }
 
 // NewKernel returns a kernel with time at tick zero and an empty queue.
@@ -136,18 +133,16 @@ func (k *Kernel) Deschedule(e *Event) {
 
 // Defer makes e due now, as Schedule(e, Now()) does, with the key Schedule
 // would give it; an event already pending now keeps its own (one pending
-// later panics, as Schedule would). Called from a firing event, it holds e
-// outside the ring, taking it out if nothing else there is due now: once that
-// event returns, run fires the deferred events in key order, without counting
-// them, for as long as nothing in the ring is due now, and otherwise puts them
-// in the ring with their keys. Either way every callback runs where Schedule
-// would have run it, and an event that would have fired right after the
-// current one costs no ring insert and no count. Outside run Defer is
-// Schedule(e, Now()).
+// later panics, as Schedule would). It holds e beside the ring, taking it out
+// of the ring if it is there: after each event run fires whichever comes
+// first by key, the ring's head or the first deferred event, so every
+// callback runs where Schedule would have run it, and a deferred fire costs
+// no ring insert and no count. Deferred before Run or RunUntil, e fires
+// first thing in it.
 //
 //hot:path gated by TestDeferSteadyStateZeroAlloc
 func (k *Kernel) Defer(e *Event) {
-	if !k.deferring {
+	if ScheduleDeferred {
 		if !e.scheduled || e.when != k.now {
 			k.Schedule(e, k.now)
 		}
@@ -163,10 +158,10 @@ func (k *Kernel) Defer(e *Event) {
 		panic(fmt.Sprintf("sim: event %q already scheduled for %s", e.name, e.when))
 	case k.deferredAt(e) >= 0:
 		return
-	case k.q[k.head].ev != e || k.n > 1 && k.at(1).when == k.now:
-		return // another ring event is due now: e keeps its place
-	default:
+	case k.q[k.head].ev == e:
 		k.popHead()
+	default:
+		k.remove(ent)
 	}
 	i := len(k.deferred)
 	k.deferred = append(k.deferred, ent)
@@ -186,7 +181,7 @@ func (k *Kernel) deferredAt(e *Event) int {
 	return -1
 }
 
-// ScheduleDeferred makes Defer Schedule(e, Now()) in every run it starts: deferred
+// ScheduleDeferred makes Defer Schedule(e, Now()) while it is set: deferred
 // events take their place in the ring and count as fired. It is a referee's
 // switch, for tests that hold the deferred runs to the ring's order.
 var ScheduleDeferred bool
@@ -228,6 +223,9 @@ func (k *Kernel) CallIn(name string, delay Tick, fn func()) {
 // event by event. It must only be called from the goroutine that owns the
 // kernel.
 func (k *Kernel) PeekNext() (Tick, bool) {
+	if len(k.deferred) > 0 {
+		return k.now, true
+	}
 	if k.n == 0 {
 		return 0, false
 	}
@@ -379,35 +377,29 @@ func (k *Kernel) Census() map[string]uint64 {
 // watchdog, when a bound is set, is consulted before every event, deferred
 // ones included.
 func (k *Kernel) run(limit Tick) error {
-	k.deferring = !ScheduleDeferred
 	for {
 		if k.wd.Enabled() {
 			if err := k.checkWatchdog(); err != nil {
-				k.deferring = false
 				return err
 			}
 		}
-		if len(k.deferred) > 0 && k.fireDeferred() {
+		if len(k.deferred) > 0 && k.fireDeferred(limit) {
 			continue
 		}
 		if k.n == 0 || k.q[k.head].when > limit {
-			break
+			return nil
 		}
 		k.step(k.q[k.head])
 	}
-	k.deferring = false
-	return nil
 }
 
-// fireDeferred fires the first event deferred to now, uncounted, and reports
-// true, when nothing in the ring is due now. Otherwise a ring event due now
-// may sort before the deferred ones, so they join the ring with their keys.
-// Fires count toward the watchdog's same-tick bound, not as fired events.
+// fireDeferred fires the first deferred event, uncounted, and reports true,
+// unless a ring event due now sorts before it (or now is past limit). Fires
+// count toward the watchdog's same-tick bound, not as fired events.
 //
 //hot:path the events deferred to now; gated by TestDeferSteadyStateZeroAlloc
-func (k *Kernel) fireDeferred() bool {
-	if k.n > 0 && k.q[k.head].when == k.now {
-		k.placeDeferred()
+func (k *Kernel) fireDeferred(limit Tick) bool {
+	if k.now > limit || k.n > 0 && k.q[k.head].when == k.now && k.q[k.head].before(k.deferred[0]) {
 		return false
 	}
 	e := k.deferred[0].ev
@@ -420,15 +412,6 @@ func (k *Kernel) fireDeferred() bool {
 	}
 	cb()
 	return true
-}
-
-// placeDeferred puts the deferred events in the ring with their keys.
-func (k *Kernel) placeDeferred() {
-	for _, ent := range k.deferred {
-		k.insert(ent)
-	}
-	clear(k.deferred)
-	k.deferred = k.deferred[:0]
 }
 
 // dropDeferred takes out the i-th deferred event, zeroing the slot it frees.

@@ -219,11 +219,10 @@ func TestLedgerProbesOnlyObserve(t *testing.T) {
 // recipe on one kernel (testdata/events_by_name.txt). A change that moves the
 // event count shows here which event moved; the golden changes with it. On
 // multichan_4ch the census shows what the ledger's events_per_req counts
-// there besides the controllers and the crossbar: the shard links' drains,
-// and ~0.5 generator ticks per request, fired when a response shares its tick
-// with other events so that the generator is not Alone and re-arms instead of
-// issuing in the call. multichan_onekernel shows those ticks stay without the
-// links.
+// there besides the controllers and the crossbar: the shard links' drains.
+// A generator's tick that a response or a retry makes due now is deferred and
+// fires beside the ring, uncounted, whatever else shares its tick, so no
+// genN.tick row appears there or in multichan_onekernel.
 func TestEventCensus(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("# events per request by event name (TestEventCensus, internal/system)\n")
