@@ -353,6 +353,38 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkKernelDefer prices a deferral against a ring insert: each op, one
+// ring event makes another due now, by Defer (defer) or by Schedule(e, Now())
+// (schedule_now), and re-arms itself a tick later. Both run the same script
+// through the same ring; a deferral differs only in going uncounted, so the
+// two read the same ns/op.
+func BenchmarkKernelDefer(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		due  func(k *sim.Kernel, e *sim.Event)
+	}{
+		{"defer", (*sim.Kernel).Defer},
+		{"schedule_now", func(k *sim.Kernel, e *sim.Event) { k.Schedule(e, k.Now()) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			k := sim.NewKernel()
+			left := b.N
+			work := sim.NewEvent("work", func() {})
+			var tick *sim.Event
+			tick = sim.NewEvent("tick", func() {
+				tc.due(k, work)
+				if left--; left > 0 {
+					k.Schedule(tick, k.Now()+1)
+				}
+			})
+			k.Schedule(tick, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run()
+		})
+	}
+}
+
 // BenchmarkKernelGap fires one self-rescheduling event at a fixed spacing,
 // beside a refresh-like event every 7.8 us. An event kernel pays per event,
 // not per simulated time skipped, so ns/event must read the same at every

@@ -19,7 +19,6 @@ var hotGates = map[string]string{
 	"sim.(*Kernel).step":                     "sim.TestScheduleSteadyStateZeroAlloc",
 	"sim.(*Kernel).Call":                     "sim.TestCallSteadyStateZeroAlloc",
 	"sim.(*Kernel).Defer":                    "sim.TestDeferSteadyStateZeroAlloc",
-	"sim.(*Kernel).fireDeferred":             "sim.TestDeferSteadyStateZeroAlloc",
 	"sim.(*Pool).Get":                        "sim.TestPoolSteadyStateZeroAlloc",
 	"sim.(*Pool).Put":                        "sim.TestPoolSteadyStateZeroAlloc",
 	"mem.(*PacketQueue).Push":                "mem.TestPacketQueueSteadyStateZeroAlloc",

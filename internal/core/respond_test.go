@@ -47,9 +47,9 @@ func (w *writePairs) RecvReqRetry() {}
 // deferred events scheduled into the ring (sim.ScheduleDeferred) every
 // acknowledgement leaves in a respond event, so the event fires once per tick
 // an acknowledgement arrives at: an empty or a second firing at a tick would
-// make it fire more often. Held out of the ring, a loop due as the write
-// that queued it returns fires no ring event, so the ring fires it less often
-// still, for the same acknowledgements.
+// make it fire more often. Deferred, a loop due as the write that queued it
+// returns fires uncounted, so the census counts it less often still, for the
+// same acknowledgements.
 func TestRespondLoopArmsItsEventOnce(t *testing.T) {
 	const pairs = 200
 	run := func(ring bool) (w *writePairs, fires int) {
@@ -80,9 +80,9 @@ func TestRespondLoopArmsItsEventOnce(t *testing.T) {
 		t.Fatalf("%d respond events for acknowledgements at %d ticks", fires, w.ticks)
 	}
 	held, heldFires := run(false)
-	t.Logf("deferred sends held out of the ring: %d respond events", heldFires)
+	t.Logf("deferred sends uncounted: %d respond events", heldFires)
 	if heldFires > held.ticks || held.ticks != w.ticks {
-		t.Fatalf("%d respond events for acknowledgements at %d ticks with the sends held out of the ring", heldFires, held.ticks)
+		t.Fatalf("%d respond events for acknowledgements at %d ticks with the deferred sends uncounted", heldFires, held.ticks)
 	}
 }
 

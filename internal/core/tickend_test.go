@@ -65,8 +65,8 @@ const (
 	tickEndWindow   = 8
 )
 
-// runTickEnd runs c with deferred events held out of the kernel's ring (on)
-// or scheduled into it (off, sim.ScheduleDeferred).
+// runTickEnd runs c with deferred fires uncounted (on) or counted (off,
+// sim.ScheduleDeferred).
 func runTickEnd(t *testing.T, c tickEndCase, on bool) tickEndRun {
 	t.Helper()
 	defer func(was bool) { sim.ScheduleDeferred = was }(sim.ScheduleDeferred)
@@ -188,11 +188,11 @@ func runTickEnd(t *testing.T, c tickEndCase, on bool) tickEndRun {
 
 // TestTickEndDecisionsOnlySaveEvents holds the deferred events (the
 // controller's decisions, the requestor's ticks and the respond loop's sends,
-// sim.Kernel.Defer) to the runs that schedule them into the ring: over seeded
+// sim.Kernel.Defer) to the runs that count them as fired: over seeded
 // configurations covering page policy, pattern, pacing, read share, frontend
 // latency with write-queue forwarding, low power and refused requests, the
 // statistics, the Perfetto trace and the DRAM command stream are
-// byte-identical either way, and the deferred run fires no more kernel
+// byte-identical either way, and the deferred run counts no more kernel
 // events.
 func TestTickEndDecisionsOnlySaveEvents(t *testing.T) {
 	pages := []PagePolicy{Open, OpenAdaptive, Closed, ClosedAdaptive}
@@ -230,11 +230,11 @@ func TestTickEndDecisionsOnlySaveEvents(t *testing.T) {
 			got, want []byte
 		}{{"statistics", on.stats, off.stats}, {"Perfetto trace", on.trace, off.trace}, {"command stream", on.cmds, off.cmds}} {
 			if !bytes.Equal(d.got, d.want) {
-				t.Errorf("%v: %s differ with deferred events held out of the ring (%d and %d bytes)", c, d.what, len(d.got), len(d.want))
+				t.Errorf("%v: %s differ with deferred fires uncounted (%d and %d bytes)", c, d.what, len(d.got), len(d.want))
 			}
 		}
 		if on.events > off.events {
-			t.Errorf("%v: %d events with deferred events held out of the ring, %d scheduled", c, on.events, off.events)
+			t.Errorf("%v: %d events with deferred fires uncounted, %d counted", c, on.events, off.events)
 		}
 		saved += off.events - min(on.events, off.events)
 		shared += off.shared

@@ -34,8 +34,8 @@ func (m *delayMem) RecvTimingReq(pkt *mem.Packet) bool {
 	return true
 }
 
-// respond sends every due response. The core may issue inside a send (its
-// next request joins the queue), so the event is armed once, afterwards.
+// respond sends every due response, then arms the event for the next one
+// due.
 func (m *delayMem) respond() {
 	for m.q.Len() > 0 {
 		pkt, at := m.q.At(0)

@@ -109,8 +109,7 @@ func (p *pipe) pump() {
 		if at > now {
 			break
 		}
-		// Off the inbox before the delivery, which may answer a requestor
-		// that issues inside it.
+		// Off the inbox before the delivery; a refusal puts it back in front.
 		p.inbox.Pop()
 		if !p.deliver(pkt) {
 			p.inbox.PushFront(pkt, at)

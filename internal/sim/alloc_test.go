@@ -61,12 +61,11 @@ func TestCallSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDeferSteadyStateZeroAlloc covers Defer and the deferred-run loop: an
-// event moves another, pending at its tick, out of the ring, defers a second
-// that defers a third, and schedules a ring event for now that sorts between
-// the second and the third, so the loop merges the ring with the side list.
-// The kernel fires the three deferred events uncounted, without allocating
-// once its side list has grown.
+// TestDeferSteadyStateZeroAlloc covers Defer and the uncounted fire: an
+// event defers another already pending at its tick, which keeps its entry,
+// defers a second that defers a third, and schedules an event for now that
+// sorts between the second and the third. The kernel fires the three
+// deferred events uncounted, without allocating once its ring has grown.
 func TestDeferSteadyStateZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	fired := 0

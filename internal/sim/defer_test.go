@@ -11,26 +11,32 @@ import (
 
 // runDeferProgram fires a seeded random programme of events whose callbacks
 // schedule, deschedule and defer each other, and returns the (tick, name) log
-// of every callback run and the events the kernel fired. With ring set, Defer
-// is Schedule(e, Now()) (ScheduleDeferred).
-func runDeferProgram(seed int64, ring bool) (log []string, fired uint64) {
+// of every callback run, the events the kernel fired, and how many of the
+// callbacks ran from a Defer. With ring set, Defer is Schedule(e, Now())
+// (ScheduleDeferred).
+func runDeferProgram(seed int64, ring bool) (log []string, fired, deferred uint64) {
 	defer func(was bool) { ScheduleDeferred = was }(ScheduleDeferred)
 	ScheduleDeferred = ring
 	const events, budget = 8, 3000
 	k := NewKernel()
 	rng := rand.New(rand.NewSource(seed))
 	evs := make([]*Event, events)
+	var byDefer [events]bool
 	act := func() {
-		e := evs[rng.Intn(events)]
+		i := rng.Intn(events)
+		e := evs[i]
 		switch r := rng.Intn(10); {
 		case e.Scheduled() && e.When() == k.Now() && r < 3:
 			k.Defer(e) // keeps its key
+			byDefer[i] = true
 		case e.Scheduled():
 			if r < 3 {
 				k.Deschedule(e)
+				byDefer[i] = false
 			}
 		case r < 4:
 			k.Defer(e)
+			byDefer[i] = true
 		default:
 			k.Schedule(e, k.Now()+Tick([]int{0, 0, 1, 2, 5}[r%5]))
 		}
@@ -38,6 +44,10 @@ func runDeferProgram(seed int64, ring bool) (log []string, fired uint64) {
 	for i := range evs {
 		evs[i] = NewEventPri(fmt.Sprint("e", i), Priority(rng.Intn(3)-1), func() {
 			log = append(log, fmt.Sprint(k.Now(), " e", i))
+			if byDefer[i] {
+				byDefer[i] = false
+				deferred++
+			}
 			if len(log) >= budget {
 				return
 			}
@@ -50,19 +60,18 @@ func runDeferProgram(seed int64, ring bool) (log []string, fired uint64) {
 		k.Schedule(e, 0)
 	}
 	k.Run()
-	return log, k.EventsExecuted()
+	return log, k.EventsExecuted(), deferred
 }
 
 // TestDeferKeepsScheduleOrder holds Defer to Schedule(e, Now()): over seeded
 // programmes the callbacks run in the same order at the same ticks with the
-// deferred events held out of the ring and with them scheduled into it, and
-// the kernel fires fewer events when they are held out, since those that fire
-// while nothing in the ring is due are not counted.
+// deferred fires uncounted and with them counted, and the kernel counts
+// exactly the deferred fires fewer when they are uncounted.
 func TestDeferKeepsScheduleOrder(t *testing.T) {
 	uncounted := uint64(0)
 	for seed := int64(1); seed <= 200; seed++ {
-		held, heldFired := runDeferProgram(seed, false)
-		ring, ringFired := runDeferProgram(seed, true)
+		held, heldFired, deferred := runDeferProgram(seed, false)
+		ring, ringFired, _ := runDeferProgram(seed, true)
 		if i := slices.Compare(held, ring); i != 0 {
 			for j := range min(len(held), len(ring)) {
 				if held[j] != ring[j] {
@@ -74,36 +83,43 @@ func TestDeferKeepsScheduleOrder(t *testing.T) {
 		if heldFired > ringFired || uint64(len(held)) != ringFired {
 			t.Fatalf("seed %d: %d events fired deferred, %d scheduled, for %d callbacks", seed, heldFired, ringFired, len(held))
 		}
+		if heldFired != ringFired-deferred {
+			t.Fatalf("seed %d: %d events counted deferred, %d scheduled, for %d deferred fires", seed, heldFired, ringFired, deferred)
+		}
 		uncounted += ringFired - heldFired
 	}
 	if uncounted == 0 {
-		t.Error("no deferred event ran outside the ring")
+		t.Error("no deferred fire went uncounted")
 	}
 }
 
 // FuzzDeferKeepsScheduleOrder is TestDeferKeepsScheduleOrder over any seed:
-// the held and the scheduled runs log the same callbacks, and holding fires
-// no more ring events than scheduling does.
+// the runs with deferred fires uncounted and counted log the same callbacks,
+// and they count exactly the deferred fires apart.
 func FuzzDeferKeepsScheduleOrder(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1000} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		held, heldFired := runDeferProgram(seed, false)
-		ring, ringFired := runDeferProgram(seed, true)
+		held, heldFired, deferred := runDeferProgram(seed, false)
+		ring, ringFired, _ := runDeferProgram(seed, true)
 		if !slices.Equal(held, ring) {
 			t.Fatalf("seed %d: deferred and scheduled runs logged different callbacks", seed)
 		}
 		if heldFired > ringFired {
 			t.Fatalf("seed %d: %d events fired deferred, %d scheduled", seed, heldFired, ringFired)
 		}
+		if heldFired != ringFired-deferred {
+			t.Fatalf("seed %d: %d events counted deferred, %d scheduled, for %d deferred fires", seed, heldFired, ringFired, deferred)
+		}
 	})
 }
 
-// TestDeferredWaitsBesideTheRing: a deferred event never enters the ring. Run
-// fires whichever comes first by key, the ring's head or the first deferred
-// event, and counts only ring fires, whatever else is due at the tick.
-func TestDeferredWaitsBesideTheRing(t *testing.T) {
+// TestDeferredRunsInKeyOrderUncounted: a deferred event takes the ring entry
+// Schedule(e, Now()) would give it, or keeps the one it has. Run fires every
+// event in key order and counts only those Defer did not make due, whatever
+// else is due at the tick.
+func TestDeferredRunsInKeyOrderUncounted(t *testing.T) {
 	type kit struct {
 		k   *Kernel
 		log []string
@@ -168,15 +184,29 @@ func TestDeferredWaitsBesideTheRing(t *testing.T) {
 		check(t, x, "c,a", 1)
 	})
 
+	t.Run("descheduled, then scheduled", func(t *testing.T) {
+		x := newKit()
+		c := x.ev("c", nil)
+		x.k.Schedule(x.ev("a", func() {
+			x.k.Defer(c)
+			x.k.Deschedule(c)
+			x.k.Schedule(c, x.k.Now()+1)
+		}), 5)
+		x.k.Run()
+		check(t, x, "a,c", 2)
+	})
+
 	t.Run("pending now, not the head", func(t *testing.T) {
 		x := newKit()
 		y, w := x.ev("y", nil), x.ev("w", nil)
 		x.k.Schedule(x.ev("a", func() {
 			x.k.Schedule(w, x.k.Now())
 			x.k.Defer(y)
-			if x.k.n != 2 || x.k.deferredAt(y) != 0 || x.k.Pending() != 3 {
-				t.Errorf("%d ring events, y deferred at %d; want x and w in the ring, y beside it",
-					x.k.n, x.k.deferredAt(y))
+			next, ok := x.k.PeekNext()
+			p := x.k.PendingEvents()
+			if !ok || next != 5 || x.k.Pending() != 3 || len(p) != 3 || p[0].Name != "x" || p[1].Name != "y" || p[2].Name != "w" {
+				t.Errorf("PeekNext = %v,%v, %d pending %+v; want x, y and w at 5, y keeping its entry",
+					next, ok, x.k.Pending(), p)
 			}
 		}), 5)
 		x.k.Schedule(x.ev("x", nil), 5)
@@ -186,10 +216,9 @@ func TestDeferredWaitsBesideTheRing(t *testing.T) {
 	})
 }
 
-// Two events at one tick that defer each other forever never leave the
-// deferred-run loop, and no fire is counted: the same-tick bound still trips,
-// stamped with the tick, and its dump lists the deferred event from beside
-// the ring.
+// Two events at one tick that defer each other forever never let time
+// advance, and no deferred fire is counted: the same-tick bound still trips,
+// stamped with the tick, and its dump lists the deferred event.
 func TestWatchdogSeesDeferredRuns(t *testing.T) {
 	k := NewKernel()
 	var ping, pong *Event

@@ -33,6 +33,7 @@ type Event struct {
 	priority  Priority
 	scheduled bool
 	pooled    bool // owned by the kernel's event pool (created via Kernel.Call)
+	uncounted bool // made due by Kernel.Defer: its fire is not counted
 
 	// fires counts the event's firings; censusNext links the events that
 	// have fired into their kernel's census list (Kernel.Census).

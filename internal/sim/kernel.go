@@ -10,7 +10,7 @@ import "fmt"
 // idle timers are due late and sit at the tail, and either way a few entries
 // move. Firing pops the head. Descheduling finds the event's own entry by its
 // unique key and closes the gap, so the ring holds exactly the pending events,
-// in order, but for those Defer holds beside it.
+// in order.
 
 // qentry is one pending event with its firing key.
 type qentry struct {
@@ -68,18 +68,11 @@ type Kernel struct {
 	// executed without simulated time advancing, the livelock signature.
 	wd       Watchdog
 	sameTick uint64
-
-	// deferred holds the events Defer made due now, in key order, beside
-	// the ring, in deferBuf until more are deferred at once.
-	deferred []qentry
-	deferBuf [4]qentry
 }
 
 // NewKernel returns a kernel with time at tick zero and an empty queue.
 func NewKernel() *Kernel {
-	k := &Kernel{calls: map[string]uint64{}}
-	k.deferred = k.deferBuf[:0]
-	return k
+	return &Kernel{calls: map[string]uint64{}}
 }
 
 // Now returns the current simulated tick.
@@ -91,7 +84,7 @@ func (k *Kernel) Now() Tick { return k.now }
 func (k *Kernel) EventsExecuted() uint64 { return k.executed }
 
 // Pending returns the number of events currently scheduled.
-func (k *Kernel) Pending() int { return k.n + len(k.deferred) }
+func (k *Kernel) Pending() int { return k.n }
 
 // Schedule arranges for e to fire at tick when. Scheduling in the past (or
 // double-scheduling an event) is a programming error and panics, exactly as
@@ -121,69 +114,27 @@ func (k *Kernel) Deschedule(e *Event) {
 	if !e.scheduled {
 		panic(fmt.Sprintf("sim: event %q not scheduled", e.name))
 	}
-	e.scheduled = false
-	if e.when == k.now {
-		if i := k.deferredAt(e); i >= 0 {
-			k.dropDeferred(i)
-			return
-		}
-	}
+	e.scheduled, e.uncounted = false, false
 	k.remove(qentry{when: e.when, pri: e.priority, seq: e.seq, ev: e})
 }
 
-// Defer makes e due now, as Schedule(e, Now()) does, with the key Schedule
-// would give it; an event already pending now keeps its own (one pending
-// later panics, as Schedule would). It holds e beside the ring, taking it out
-// of the ring if it is there: after each event run fires whichever comes
-// first by key, the ring's head or the first deferred event, so every
-// callback runs where Schedule would have run it, and a deferred fire costs
-// no ring insert and no count. Deferred before Run or RunUntil, e fires
-// first thing in it.
+// Defer makes e due now, as Schedule(e, Now()) does; an event already
+// pending now keeps its entry (one pending later panics, as Schedule would).
+// Its fire is not counted: a deferral is work the event that makes it would
+// otherwise have done inside its own call, so it runs where Schedule would
+// run it and costs a ring fire, but no count (see ScheduleDeferred).
 //
 //hot:path gated by TestDeferSteadyStateZeroAlloc
 func (k *Kernel) Defer(e *Event) {
-	if ScheduleDeferred {
-		if !e.scheduled || e.when != k.now {
-			k.Schedule(e, k.now)
-		}
-		return
+	if !e.scheduled || e.when != k.now {
+		k.Schedule(e, k.now)
 	}
-	ent := qentry{when: k.now, pri: e.priority, seq: e.seq, ev: e}
-	switch {
-	case !e.scheduled:
-		e.when, e.seq, e.scheduled = k.now, k.nextSeq, true
-		ent.seq = e.seq
-		k.nextSeq++
-	case e.when != k.now:
-		panic(fmt.Sprintf("sim: event %q already scheduled for %s", e.name, e.when))
-	case k.deferredAt(e) >= 0:
-		return
-	case k.q[k.head].ev == e:
-		k.popHead()
-	default:
-		k.remove(ent)
-	}
-	i := len(k.deferred)
-	k.deferred = append(k.deferred, ent)
-	for ; i > 0 && ent.before(k.deferred[i-1]); i-- {
-		k.deferred[i] = k.deferred[i-1]
-	}
-	k.deferred[i] = ent
-}
-
-// deferredAt returns e's index among the deferred events, or -1.
-func (k *Kernel) deferredAt(e *Event) int {
-	for i := range k.deferred {
-		if k.deferred[i].ev == e {
-			return i
-		}
-	}
-	return -1
+	e.uncounted = !ScheduleDeferred
 }
 
 // ScheduleDeferred makes Defer Schedule(e, Now()) while it is set: deferred
-// events take their place in the ring and count as fired. It is a referee's
-// switch, for tests that hold the deferred runs to the ring's order.
+// events count as fired. It is a referee's switch, for tests that hold the
+// counts with and without deferral to the same runs.
 var ScheduleDeferred bool
 
 // Reschedule moves a scheduled event to a new tick, or schedules it if it is
@@ -223,9 +174,6 @@ func (k *Kernel) CallIn(name string, delay Tick, fn func()) {
 // event by event. It must only be called from the goroutine that owns the
 // kernel.
 func (k *Kernel) PeekNext() (Tick, bool) {
-	if len(k.deferred) > 0 {
-		return k.now, true
-	}
 	if k.n == 0 {
 		return 0, false
 	}
@@ -325,7 +273,8 @@ func (k *Kernel) grow() {
 	k.q, k.head = q, 0
 }
 
-// step fires ent, the entry at the head.
+// step fires ent, the entry at the head, and counts it (EventsExecuted and
+// the census) unless Defer made it due.
 //
 //hot:path fires one event; run is the loop around it
 func (k *Kernel) step(ent qentry) {
@@ -334,20 +283,27 @@ func (k *Kernel) step(ent qentry) {
 		panic(fmt.Sprintf("sim: queue corruption, event %q scheduled for %s is in the past (now %s)",
 			ent.ev.name, ent.when, k.now))
 	}
-	if ent.when == k.now {
-		k.sameTick++
-	} else {
-		k.sameTick = 1
+	// A conditional move, not a branch: deferred fires, always at now, fall
+	// between fires that advance time.
+	sameTick := k.sameTick + 1
+	if ent.when != k.now {
+		sameTick = 1
 	}
+	k.sameTick = sameTick
 	k.now = ent.when
 	e := ent.ev
 	e.scheduled = false
-	k.executed++
 	cb := e.callback
 	if e.pooled {
-		k.calls[e.name]++
+		if !e.uncounted {
+			k.executed++
+			k.calls[e.name]++
+		}
 		k.events.Put(e)
+	} else if e.uncounted {
+		e.uncounted = false
 	} else {
+		k.executed++
 		if e.fires == 0 {
 			e.censusNext, k.fired = k.fired, e
 		}
@@ -372,10 +328,9 @@ func (k *Kernel) Census() map[string]uint64 {
 	return out
 }
 
-// run is the one fire loop: it executes events with when <= limit, and the
-// events they defer, until the queue drains or the watchdog trips. The
-// watchdog, when a bound is set, is consulted before every event, deferred
-// ones included.
+// run is the one fire loop: it executes events with when <= limit until the
+// queue drains or the watchdog trips. The watchdog, when a bound is set, is
+// consulted before every event, deferred ones included.
 func (k *Kernel) run(limit Tick) error {
 	for {
 		if k.wd.Enabled() {
@@ -383,45 +338,11 @@ func (k *Kernel) run(limit Tick) error {
 				return err
 			}
 		}
-		if len(k.deferred) > 0 && k.fireDeferred(limit) {
-			continue
-		}
 		if k.n == 0 || k.q[k.head].when > limit {
 			return nil
 		}
 		k.step(k.q[k.head])
 	}
-}
-
-// fireDeferred fires the first deferred event, uncounted, and reports true,
-// unless a ring event due now sorts before it (or now is past limit). Fires
-// count toward the watchdog's same-tick bound, not as fired events.
-//
-//hot:path the events deferred to now; gated by TestDeferSteadyStateZeroAlloc
-func (k *Kernel) fireDeferred(limit Tick) bool {
-	if k.now > limit || k.n > 0 && k.q[k.head].when == k.now && k.q[k.head].before(k.deferred[0]) {
-		return false
-	}
-	e := k.deferred[0].ev
-	k.dropDeferred(0)
-	k.sameTick++
-	e.scheduled = false
-	cb := e.callback
-	if e.pooled {
-		k.events.Put(e)
-	}
-	cb()
-	return true
-}
-
-// dropDeferred takes out the i-th deferred event, zeroing the slot it frees.
-func (k *Kernel) dropDeferred(i int) {
-	d := k.deferred
-	for ; i+1 < len(d); i++ {
-		d[i] = d[i+1]
-	}
-	d[i] = qentry{}
-	k.deferred = d[:i]
 }
 
 // Run executes events until the queue drains. It returns the tick of the last

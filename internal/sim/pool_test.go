@@ -1,11 +1,23 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 type pooled struct {
 	id   int
 	next *pooled
 	tag  string
+}
+
+// TestEventFitsOneCacheLine: the kernel's pool places one-shot events back
+// to back in its slabs, so an event that outgrew 64 bytes would straddle
+// cache lines in every slab. Its flags share the padding after the priority.
+func TestEventFitsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 64 {
+		t.Fatalf("sim.Event is %d bytes, want 64", size)
+	}
 }
 
 // TestPoolHandsOutZeroedObjectsLastInFirstOut: Get returns zeroed objects,

@@ -39,20 +39,13 @@ type QueuedEvent struct {
 	Priority Priority
 }
 
-// PendingEvents returns a snapshot of the scheduled events, deferred ones
-// included, in execution order (when, priority, schedule order), for
-// diagnostics.
+// PendingEvents returns a snapshot of the scheduled events in execution
+// order (when, priority, schedule order), for diagnostics.
 func (k *Kernel) PendingEvents() []QueuedEvent {
-	out := make([]QueuedEvent, 0, k.Pending())
-	for i, d := 0, k.deferred; i < k.n || len(d) > 0; {
-		var ent qentry
-		if len(d) > 0 && (i == k.n || d[0].before(*k.at(i))) {
-			ent, d = d[0], d[1:]
-		} else {
-			ent = *k.at(i)
-			i++
-		}
-		out = append(out, QueuedEvent{Name: ent.ev.name, When: ent.when, Priority: ent.pri})
+	out := make([]QueuedEvent, k.n)
+	for i := range out {
+		ent := k.at(i)
+		out[i] = QueuedEvent{Name: ent.ev.name, When: ent.when, Priority: ent.pri}
 	}
 	return out
 }

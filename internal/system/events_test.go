@@ -14,8 +14,8 @@ import (
 // Events per request are pinned so that a requestor re-arming its tick at
 // the tick a response freed its slot fails here, not only in a ledger row.
 // A saturated generator answered at a tick defers its tick to the end of the
-// response (sim.Kernel.Defer), where it fires beside the ring as no event of
-// its own, so a request costs the controller's two events: its
+// response (sim.Kernel.Defer), where it fires from the ring uncounted, so a
+// request costs the controller's two events: its
 // scheduling decision and its response. A random mix costs less: a write's
 // acknowledgement often leaves in a respond loop that sends others too. A paced
 // generator's tick is pending when its responses arrive (one every 64 ns is

@@ -221,7 +221,7 @@ func TestLedgerProbesOnlyObserve(t *testing.T) {
 // multichan_4ch the census shows what the ledger's events_per_req counts
 // there besides the controllers and the crossbar: the shard links' drains.
 // A generator's tick that a response or a retry makes due now is deferred and
-// fires beside the ring, uncounted, whatever else shares its tick, so no
+// fires uncounted, whatever else shares its tick, so no
 // genN.tick row appears there or in multichan_onekernel.
 func TestEventCensus(t *testing.T) {
 	var sb strings.Builder
